@@ -12,7 +12,6 @@
 //	ptsbench crash -engine lsm [-shards 4] [-ops 400] [-seed 1] [-trials 8] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-device sim|file] [-dir DIR]
 //	ptsbench devdiff [-engine lsm,btree,betree] [-ops 600] [-seed 1] [-dir DIR]
 //	ptsbench all [-quick] [-csv DIR]
-//	ptsbench bench [-quick] [-out FILE] [-against BASELINE] [-threshold N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // engines lists the registered engine drivers and every declarative
 // tunable each accepts; exp runs a declarative experiment spec file (a
@@ -59,17 +58,6 @@
 // tree structures; e.g. `ptsbench run -figure fig2 -engine betree`
 // measures the Bε-tree alone, and `run -figure betradeoff` sweeps its ε
 // (buffer fraction) knob against the read fraction.
-//
-// bench runs the pinned performance suite (internal/perf): micro
-// benchmarks of the hot data structures plus the Fig 2 cells, reporting
-// ns/op, allocs/op and virtual-time-per-wall-second. -out writes the
-// results as JSON (this is how BENCH_baseline.json is refreshed);
-// -against compares the run to a committed baseline and exits non-zero
-// on regressions beyond the thresholds (metrics with no baseline entry
-// fail the diff until the baseline is refreshed); -alloc-gate names
-// steady-state metrics whose allocs/op additionally gate hard at
-// -alloc-gate-threshold. -cpuprofile/-memprofile capture pprof profiles
-// of the suite so perf work needs no ad-hoc harnesses.
 package main
 
 import (
@@ -78,13 +66,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"ptsbench"
 	"ptsbench/internal/crash"
-	"ptsbench/internal/perf"
 )
 
 func main() {
@@ -134,27 +120,6 @@ func main() {
 		opts, csvDir := commonFlags(fs)
 		_ = fs.Parse(os.Args[2:])
 		if err := runOne("qdsweep", *opts, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		quick := fs.Bool("quick", false, "reduce iteration counts (same workload shapes)")
-		out := fs.String("out", "", "write results JSON to this file")
-		against := fs.String("against", "", "baseline JSON to diff against (non-zero exit on regression)")
-		nsThresh := fs.Float64("threshold", 10, "ns/op regression threshold (x baseline; generous, wall time is machine-dependent)")
-		allocThresh := fs.Float64("alloc-threshold", 2, "allocs/op regression threshold (x baseline; machine-independent)")
-		allocGate := fs.String("alloc-gate", "", "comma-separated metrics whose allocs/op gate hard against the baseline")
-		gateThresh := fs.Float64("alloc-gate-threshold", 1.1, "allocs/op ceiling for -alloc-gate metrics (x baseline)")
-		cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the suite to this file")
-		memProfile := fs.String("memprofile", "", "write a pprof allocation profile of the suite to this file")
-		_ = fs.Parse(os.Args[2:])
-		if err := runBench(benchOptions{
-			quick: *quick, out: *out, against: *against,
-			nsThresh: *nsThresh, allocThresh: *allocThresh,
-			allocGate: *allocGate, gateThresh: *gateThresh,
-			cpuProfile: *cpuProfile, memProfile: *memProfile,
-		}); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -349,102 +314,6 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 	return nil
 }
 
-// benchOptions carries the bench subcommand's flags.
-type benchOptions struct {
-	quick                 bool
-	out, against          string
-	nsThresh, allocThresh float64
-	allocGate             string
-	gateThresh            float64
-	cpuProfile            string
-	memProfile            string
-}
-
-func runBench(o benchOptions) error {
-	start := time.Now()
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	res, err := perf.RunSuite(perf.Options{Quick: o.quick})
-	if err != nil {
-		return err
-	}
-	if o.memProfile != "" {
-		f, err := os.Create(o.memProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("%-24s %14s %12s %14s %14s\n", "benchmark", "ns/op", "allocs/op", "B/op", "virt-s/wall-s")
-	for _, m := range res.Metrics {
-		extra := ""
-		if m.VirtualPerWall > 0 {
-			extra = fmt.Sprintf("%14.1f", m.VirtualPerWall)
-		}
-		fmt.Printf("%-24s %14.1f %12.2f %14.1f %s\n", m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp, extra)
-	}
-	fmt.Printf("(suite completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	if o.out != "" {
-		if err := res.WriteFile(o.out); err != nil {
-			return err
-		}
-		fmt.Printf("results written to %s\n", o.out)
-	}
-	if o.against != "" {
-		base, err := perf.ReadFile(o.against)
-		if err != nil {
-			return err
-		}
-		regs := perf.Compare(base, res, o.nsThresh, o.allocThresh)
-		if o.allocGate != "" {
-			var names []string
-			for _, n := range strings.Split(o.allocGate, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-			// A gated metric new to the suite is already flagged by
-			// Compare's new-metric pass; keep one line per problem.
-			seen := map[string]bool{}
-			for _, r := range regs {
-				if r.NoBaseline {
-					seen[r.Name] = true
-				}
-			}
-			for _, r := range perf.GateAllocs(base, res, names, o.gateThresh) {
-				if r.NoBaseline && r.MissingFrom == "baseline" && seen[r.Name] {
-					continue
-				}
-				regs = append(regs, r)
-			}
-		}
-		if len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-			}
-			return fmt.Errorf("%d metric(s) regressed against %s", len(regs), o.against)
-		}
-		fmt.Printf("no regressions against %s (ns/op <= %.1fx, allocs/op <= %.1fx)\n",
-			o.against, o.nsThresh, o.allocThresh)
-	}
-	return nil
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ptsbench list
@@ -454,6 +323,5 @@ func usage() {
   ptsbench qdsweep [-scale N] [-quick] [-seed N] [-csv DIR]
   ptsbench crash -engine NAME [-shards N] [-ops N] [-keys N] [-seed N] [-trials N] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-device sim|file] [-dir DIR]
   ptsbench devdiff [-engine NAME,NAME] [-ops N] [-keys N] [-seed N] [-dir DIR]
-  ptsbench all [-quick] [-csv DIR]
-  ptsbench bench [-quick] [-out FILE] [-against BASELINE] [-threshold N] [-alloc-gate M1,M2] [-cpuprofile FILE] [-memprofile FILE]`)
+  ptsbench all [-quick] [-csv DIR]`)
 }

@@ -41,22 +41,14 @@ type Dev interface {
 	// ReadErr is the error-returning form of ReadAt.
 	ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error)
 	// SyncErr is the error-returning durability barrier: everything
-	// written before it survives a power cut once it returns nil. On
-	// devices without a volatile cache it is a no-op returning nil; on
-	// Barrier-capable devices it is SyncBarrier with an error channel
-	// (a real fsync can fail; a fault plan can make it lie).
+	// written before it survives a power cut once it returns nil — the
+	// device-level effect of an fsync/FLUSH command. On devices without
+	// a volatile cache it is a no-op returning nil; on devices that
+	// distinguish acknowledged writes from durable ones (a
+	// fault-injecting wrapper, a real backing file) it can fail, and a
+	// fault plan can make it lie. Callers reach it through
+	// extfs.FS.Barrier.
 	SyncErr() error
-}
-
-// Barrier is the optional Dev surface of devices that distinguish
-// acknowledged writes from durable ones (a fault-injecting wrapper, a
-// real write-back cache). SyncBarrier marks everything written so far
-// as surviving a power cut — the device-level effect of an fsync/FLUSH
-// command. Plain simulated devices are implicitly durable and don't
-// implement it; callers reach it through extfs.FS.Barrier, which
-// no-ops when the interface is absent.
-type Barrier interface {
-	SyncBarrier()
 }
 
 // Host is the instrumented-device surface the store and the metrics

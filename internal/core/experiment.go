@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 	"ptsbench/internal/filedev"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
-	"ptsbench/internal/replica"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 	"ptsbench/internal/store"
 	"ptsbench/internal/workload"
 )
@@ -408,22 +407,17 @@ func (r *Result) MeanScaledKOps() float64 {
 	return r.Series.MeanKOps() * float64(r.Spec.Scale)
 }
 
-// Run executes one experiment. The engine is resolved through the
-// driver registry and served through the sharded store pipeline
-// (internal/store): Run builds one engine stack per shard, loads the
-// dataset, then drives the measured phase as Spec.Clients closed-loop
-// clients submitting into the store. With the default 1 shard / 1
-// client the submission schedule collapses to the historical
-// synchronous op loop and the result is bit-identical to it (the golden
-// fixtures pin this).
+// Run executes one experiment: validate the spec, build one engine
+// stack per shard and replica behind the sharded store pipeline
+// (internal/stack, internal/store), load the dataset, drive the
+// measured phase as Spec.Clients closed-loop clients, and collect the
+// result. With the default 1 shard / 1 client the submission schedule
+// collapses to the historical synchronous op loop and the result is
+// bit-identical to it (the golden fixtures pin this).
 func Run(spec Spec) (*Result, error) {
 	spec, err := spec.Validate()
 	if err != nil {
 		return nil, err
-	}
-	drv, err := engine.Lookup(string(spec.Engine))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	rng := sim.NewRNG(spec.Seed)
 
@@ -431,167 +425,60 @@ func Run(spec Spec) (*Result, error) {
 	// the block COUNT — which sets the garbage-collection dynamics — is
 	// scale-invariant; shards then split capacity, dataset and engine
 	// sizing evenly, so each shard is a proportionally smaller replica
-	// of the single-shard stack.
+	// of the single-shard stack, and every replica is a full copy of its
+	// shard.
 	scaledCapacity := spec.Device.CapacityBytes / spec.Scale
-	scaledPPB := spec.Device.PagesPerBlock / int(spec.Scale)
-	if scaledPPB < 64 {
-		scaledPPB = 64
-	}
 	datasetBytes := int64(float64(spec.Device.CapacityBytes)*spec.DatasetFraction) / spec.Scale
 	numKeys := uint64(datasetBytes / int64(spec.ValueBytes))
 	if numKeys == 0 {
 		return nil, errors.New("core: dataset too small for value size")
 	}
-
-	// The file backend keeps one image file per shard; without an
-	// explicit dir they live in (and vanish with) a temp directory.
-	fileBackend := spec.Backend == "file"
-	var runDir string
-	if fileBackend {
-		if spec.Dir == "" {
-			runDir, err = os.MkdirTemp("", "ptsbench-filedev-")
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			defer os.RemoveAll(runDir)
-		} else {
-			runDir = spec.Dir
-			if err := os.MkdirAll(runDir, 0o755); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		}
-	}
-	var fdevs []*filedev.Dev
-	defer func() {
-		for _, fd := range fdevs {
-			fd.Close()
-		}
-	}()
-
-	// openStack builds one complete engine stack — device, filesystem,
-	// sized engine — for replica r of shard i. Every replica is a full
-	// copy of the shard: same device slice, same dataset sizing.
-	openStack := func(i, r int, stackRNG *sim.RNG) (engine.Engine, blockdev.Host, error) {
-		var host blockdev.Host
-		var target blockdev.Dev
-		if fileBackend {
-			discipline, err := filedev.ParseDiscipline(spec.Fsync)
-			if err != nil {
-				return nil, nil, err
-			}
-			image := fmt.Sprintf("shard-%03d.img", i)
-			if spec.Replicas > 1 {
-				image = fmt.Sprintf("shard-%03d-r%d.img", i, r)
-			}
-			fdev, err := filedev.Open(filedev.Config{
-				Path:     filepath.Join(runDir, image),
-				Pages:    (scaledCapacity / int64(spec.Shards)) / int64(spec.Device.PageSize),
-				PageSize: spec.Device.PageSize,
-				Fsync:    discipline,
-				Measure:  true,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("building file device: %w", err)
-			}
-			fdevs = append(fdevs, fdev)
-			host, target = fdev, fdev
-		} else {
-			ssd, err := flash.NewDevice(flash.Config{
-				LogicalBytes:  scaledCapacity / int64(spec.Shards),
-				PageSize:      spec.Device.PageSize,
-				PagesPerBlock: scaledPPB,
-				Profile:       spec.Device.Profile.Scaled(spec.Scale),
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("building device: %w", err)
-			}
-			bdev := blockdev.New(ssd)
-
-			// Partition (software over-provisioning) and initial state.
-			// The device starts trimmed; preconditioning ages the
-			// partition.
-			partPages := int64(float64(bdev.Pages()) * spec.PartitionFraction)
-			host, target = bdev, bdev
-			if partPages < bdev.Pages() {
-				p, err := bdev.Partition(0, partPages)
-				if err != nil {
-					return nil, nil, err
-				}
-				target = p
-			}
-			if spec.Initial == Preconditioned {
-				ssd.PreconditionRange(stackRNG.Split(), 0, partPages, 2)
-			}
-		}
-
-		fs, err := extfs.Mount(target, extfs.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := drv.Configure(engine.Sizing{
+	layout := stack.Layout{
+		Flash: flash.Config{
+			LogicalBytes:  scaledCapacity / int64(spec.Shards),
+			PageSize:      spec.Device.PageSize,
+			PagesPerBlock: max(spec.Device.PagesPerBlock/int(spec.Scale), 64),
+			Profile:       spec.Device.Profile.Scaled(spec.Scale),
+		},
+		Precondition: spec.Initial == Preconditioned,
+		Engine:       string(spec.Engine),
+		Sizing: engine.Sizing{
 			DatasetBytes: datasetBytes / int64(spec.Shards),
 			Scale:        spec.Scale,
 			QueueDepth:   spec.QueueDepth,
-		})
-		if err := cfg.ApplyTunables(spec.Tunables); err != nil {
-			return nil, nil, err
+		},
+		Tunables: spec.Tunables,
+	}
+	layout.PartitionPages = int64(float64(layout.Flash.LogicalBytes/int64(spec.Device.PageSize)) * spec.PartitionFraction)
+
+	// The file backend keeps one image per stack; without an explicit
+	// dir they live in (and vanish with) a temp directory.
+	var runDir string
+	if spec.Backend == "file" {
+		var cleanup func()
+		if runDir, cleanup, err = stack.ImageDir(spec.Dir, "ptsbench-filedev-"); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		eng, err := cfg.Open(engine.Env{FS: fs, RNG: stackRNG})
-		if err != nil {
-			return nil, nil, err
+		defer cleanup()
+		layout.File.Measure = true
+		if layout.File.Fsync, err = filedev.ParseDiscipline(spec.Fsync); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		return eng, host, nil
 	}
 
-	// Per-shard stacks. Shard 0 consumes the experiment's primary RNG
-	// stream in the historical order (precondition split, then the
-	// engine env); later shards draw derived independent streams, so the
-	// shard count never perturbs shard 0's randomness — or any
-	// single-shard result. Replicated specs build R stacks per shard
-	// behind a replica.Group: replica 0 keeps the shard's historical
-	// stream, later replicas draw their own, so Replicas == 1 never
-	// constructs a group and stays bit-identical to the unreplicated
-	// store.
-	st, err := store.New(spec.Shards, func(i int) (store.Stack, error) {
-		shardRNG := rng
-		if i > 0 {
-			shardRNG = sim.NewRNG(shardSeed(spec.Seed, i))
+	cl, err := stack.BuildCluster(spec.Shards, spec.Replicas, spec.ReplMode, false, func(i, r int) stack.Layout {
+		l := layout
+		l.RNG = stackRNG(rng, spec.Seed, i, r)
+		if runDir != "" {
+			l.File.Path = filepath.Join(runDir, stack.ImageName(i, r, spec.Replicas))
 		}
-		if spec.Replicas <= 1 {
-			eng, host, err := openStack(i, 0, shardRNG)
-			if err != nil {
-				return store.Stack{}, err
-			}
-			return store.Stack{Engine: eng, Dev: host}, nil
-		}
-		mode, err := replica.ParseMode(spec.ReplMode)
-		if err != nil {
-			return store.Stack{}, err
-		}
-		members := make([]replica.Member, spec.Replicas)
-		devs := make([]blockdev.Host, spec.Replicas)
-		for r := 0; r < spec.Replicas; r++ {
-			stackRNG := shardRNG
-			if r > 0 {
-				stackRNG = sim.NewRNG(replicaSeed(spec.Seed, i, r))
-			}
-			eng, host, err := openStack(i, r, stackRNG)
-			if err != nil {
-				return store.Stack{}, err
-			}
-			members[r] = replica.Member{Engine: eng}
-			devs[r] = host
-		}
-		g, err := replica.New(mode, members)
-		if err != nil {
-			return store.Stack{}, err
-		}
-		return store.Stack{Engine: g, Dev: devs[0], Devs: devs}, nil
+		return l
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	defer st.Close()
+	defer cl.Close()
+	st := cl.Store
 
 	res := &Result{Spec: spec, DatasetBytes: datasetBytes, NumKeys: numKeys}
 
@@ -601,15 +488,14 @@ func Run(spec Spec) (*Result, error) {
 	if err == nil {
 		now, err = st.FlushAll(0)
 	}
+	res.LoadDuration = now
 	if err != nil {
 		if errors.Is(err, extfs.ErrNoSpace) {
 			res.OutOfSpace = true
-			res.LoadDuration = now
 			return res, nil
 		}
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	res.LoadDuration = now
 	devs := st.Devs()
 	var loadDev blockdev.Counters
 	var loadSSD flash.Stats
@@ -631,7 +517,6 @@ func Run(spec Spec) (*Result, error) {
 		d.ResetInstrumentation()
 	}
 	collector := NewCollector(devs, st, now, spec.SampleEvery)
-	baseSeed := rng.Uint64()
 	gens, err := workload.NewClientGenerators(workload.Spec{
 		NumKeys:      numKeys,
 		ValueBytes:   spec.ValueBytes,
@@ -639,14 +524,53 @@ func Run(spec Spec) (*Result, error) {
 		Dist:         spec.Dist,
 		ZipfTheta:    spec.ZipfTheta,
 		Skew:         spec.Skew,
-	}, baseSeed, spec.Clients)
+	}, rng.Uint64(), spec.Clients)
 	if err != nil {
 		return nil, err
 	}
-
-	deadline := now + spec.Duration
 	lat := NewLatencyHistogram()
-	clients := make([]*runClient, spec.Clients)
+	end, err := drive(st, &spec, gens, now, collector, lat)
+	if err != nil {
+		if !errors.Is(err, extfs.ErrNoSpace) {
+			return nil, fmt.Errorf("core: workload: %w", err)
+		}
+		res.OutOfSpace = true
+	}
+	collector.Record(end)
+	res.Latency = lat.Percentiles()
+
+	res.Series = collector.Series()
+	res.Steady = res.Series.TailStats(0.25)
+	res.ScaledKOps = res.Steady.ThroughputKOps * float64(spec.Scale)
+	res.SpaceAmp = SpaceAmplification(res.Steady.DiskUsedBytes, datasetBytes)
+	res.DiskUtilPct = 100 * float64(res.Steady.DiskUsedBytes) / float64(scaledCapacity)
+	res.LBACDF = blockdev.CombinedWriteCDF(devs, 100)
+	res.FracLBAs = blockdev.CombinedFractionLBAsWritten(devs)
+	var measDev blockdev.Counters
+	for _, d := range devs {
+		measDev = measDev.Add(d.Counters())
+	}
+	res.DiscardOps = measDev.DiscardOps
+	res.PagesDiscarded = measDev.PagesDiscarded
+	return res, nil
+}
+
+// drive runs the measured phase: every client closed-loop from start
+// until start+spec.Duration, completions recorded into lat and samples
+// into collector as they fall due. It returns the time the last client
+// finished and the first completion error.
+//
+// Closed-loop epochs: every live client prepares its next submission
+// (a read wave of up to QueueDepth operations, or one serial op), the
+// store pumps all shards in parallel, and completions come back in
+// global submission order. Reads accumulate into waves whose operations
+// all start at the same virtual time; a write flushes the client's
+// pending wave first and runs serially, keeping the engines' stall and
+// backpressure semantics intact. Latencies are per-operation
+// (submission to completion), re-normalized to paper scale.
+func drive(st *store.Store, spec *Spec, gens []*workload.Generator, start sim.Duration, collector *Collector, lat *LatencyHistogram) (sim.Duration, error) {
+	deadline := start + spec.Duration
+	clients := make([]*runClient, len(gens))
 	for i := range clients {
 		keys := make([][]byte, spec.QueueDepth)
 		for j := range keys {
@@ -654,21 +578,12 @@ func Run(spec Spec) (*Result, error) {
 		}
 		clients[i] = &runClient{
 			gen:   gens[i],
-			now:   now,
+			now:   start,
 			keys:  keys,
 			batch: make([]uint64, 0, spec.QueueDepth),
 		}
 	}
 
-	// Closed-loop epochs: every live client prepares its next submission
-	// (a read wave of up to QueueDepth operations, or one serial op),
-	// the store pumps all shards in parallel, and completions come back
-	// in global submission order. Reads accumulate into waves whose
-	// operations all start at the same virtual time; a write flushes the
-	// client's pending wave first and runs serially, keeping the
-	// engines' stall and backpressure semantics intact. Latencies are
-	// per-operation (submission to completion), re-normalized to paper
-	// scale.
 	var runErr error
 	active := len(clients)
 	for active > 0 && runErr == nil {
@@ -677,7 +592,7 @@ func Run(spec Spec) (*Result, error) {
 			if c.done {
 				continue
 			}
-			if c.step(st, &spec, id, deadline) {
+			if c.step(st, spec, id, deadline) {
 				submitted = true
 			} else {
 				active--
@@ -729,35 +644,27 @@ func Run(spec Spec) (*Result, error) {
 			}
 		}
 	}
-	if runErr != nil {
-		if !errors.Is(runErr, extfs.ErrNoSpace) {
-			return nil, fmt.Errorf("core: workload: %w", runErr)
-		}
-		res.OutOfSpace = true
-	}
 	var end sim.Duration
 	for _, c := range clients {
-		if c.now > end {
-			end = c.now
-		}
+		end = max(end, c.now)
 	}
-	collector.Record(end)
-	res.Latency = lat.Percentiles()
+	return end, runErr
+}
 
-	res.Series = collector.Series()
-	res.Steady = res.Series.TailStats(0.25)
-	res.ScaledKOps = res.Steady.ThroughputKOps * float64(spec.Scale)
-	res.SpaceAmp = SpaceAmplification(res.Steady.DiskUsedBytes, datasetBytes)
-	res.DiskUtilPct = 100 * float64(res.Steady.DiskUsedBytes) / float64(scaledCapacity)
-	res.LBACDF = blockdev.CombinedWriteCDF(devs, 100)
-	res.FracLBAs = blockdev.CombinedFractionLBAsWritten(devs)
-	var measDev blockdev.Counters
-	for _, d := range devs {
-		measDev = measDev.Add(d.Counters())
+// stackRNG picks the random stream replica rep of shard shard builds
+// on. Shard 0 consumes the experiment's primary stream in the
+// historical order (precondition split, then the engine env); later
+// shards and replicas draw derived independent streams, so neither
+// count ever perturbs shard 0's randomness — or any single-shard,
+// unreplicated result.
+func stackRNG(primary *sim.RNG, seed uint64, shard, rep int) *sim.RNG {
+	switch {
+	case rep > 0:
+		return sim.NewRNG(replicaSeed(seed, shard, rep))
+	case shard > 0:
+		return sim.NewRNG(shardSeed(seed, shard))
 	}
-	res.DiscardOps = measDev.DiscardOps
-	res.PagesDiscarded = measDev.PagesDiscarded
-	return res, nil
+	return primary
 }
 
 // shardSeed derives shard i's independent RNG seed from the experiment

@@ -32,14 +32,12 @@ package crash
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"ptsbench/internal/engine"
 	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kvtest"
 	"ptsbench/internal/replica"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 	"ptsbench/internal/store"
 )
 
@@ -78,28 +76,16 @@ func errorPlan(spec Spec, seed uint64, armWrite int64) faultdev.Plan {
 // victim and verify zero acknowledged-write loss.
 func runErrorTrial(spec Spec, seed uint64) (*Report, error) {
 	ops := genOps(spec, seed)
-
-	dir, calibDir, faultDir, rebuildDir := "", "", "", ""
-	if spec.Device == "file" {
-		if spec.Dir == "" {
-			tmp, err := os.MkdirTemp("", "ptsbench-crash-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		} else {
-			dir = filepath.Join(spec.Dir, fmt.Sprintf("trial-%d", seed))
-		}
-		calibDir = filepath.Join(dir, "calib")
-		faultDir = filepath.Join(dir, "fault")
-		rebuildDir = filepath.Join(dir, "rebuild")
+	dir, cleanup, err := trialDir(spec, seed)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	// Pass 1 (calibration): identical stacks, no faults — pass 2's Nth
 	// device write on any replica is pass 1's Nth write, so the sampled
 	// arm point is meaningful.
-	writes, err := calibrateReplicated(spec, ops, calibDir)
+	writes, err := calibrate(spec, ops, passDir(dir, "calib"))
 	if err != nil {
 		return nil, fmt.Errorf("calibration (fault-free) pass failed: %w", err)
 	}
@@ -109,17 +95,14 @@ func runErrorTrial(spec Spec, seed uint64) (*Report, error) {
 	}
 
 	rep := &Report{Spec: spec, Seed: seed, CutShard: victimShard, CutReplica: victimRep, CutWrite: armWrite}
-	plans := make([][]faultdev.Plan, spec.Shards)
-	for i := range plans {
-		plans[i] = make([]faultdev.Plan, spec.Replicas)
-	}
+	plans := noFaults(spec)
 	plans[victimShard][victimRep] = errorPlan(spec, seed, armWrite)
-	groups, st, err := buildReplicatedEnv(spec, plans, faultDir, true)
+	env, err := buildEnv(spec, plans, passDir(dir, "fault"), true)
 	if err != nil {
 		return rep, err
 	}
-	defer closeReplicated(groups)
-	defer st.Close()
+	defer env.Close()
+	st, group, victim := env.Store, env.Groups[victimShard], env.Stacks[victimShard][victimRep]
 
 	// Pass 2: replay the WHOLE op log. Errors fire probabilistically
 	// from the arm point on; the serving layer retries, fails the
@@ -128,30 +111,23 @@ func runErrorTrial(spec Spec, seed uint64) (*Report, error) {
 	model := kvtest.NewModel()
 	var lastDone sim.Duration
 	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
-		comps := submitBatch(st, ops, start, end)
+		comps := submitBatch(st, ops, start, min(start+batchSize, len(ops)))
 		for _, c := range comps {
-			if c.Done > lastDone {
-				lastDone = c.Done
-			}
+			lastDone = max(lastDone, c.Done)
 		}
 		if err := applyErrorBatch(model, ops, comps, victimShard, spec.Shards); err != nil {
 			return rep, err
 		}
 	}
 	rep.CutOp = len(ops)
-	victim := groups[victimShard].envs[victimRep]
-	rep.Injected = victim.fd.Injected().Total()
+	rep.Injected = victim.Fault.Injected().Total()
 
 	// Serving may already have failed the victim out (a persistent
 	// error through AutoFailover); otherwise remove it now — its device
 	// is known-damaged, and the degraded check below must not let the
 	// damaged copy answer for the group.
-	if groups[victimShard].group.Alive(victimRep) {
-		if err := groups[victimShard].group.Kill(victimRep); err != nil {
+	if group.Alive(victimRep) {
+		if err := group.Kill(victimRep); err != nil {
 			return rep, err
 		}
 	}
@@ -171,43 +147,34 @@ func runErrorTrial(spec Spec, seed uint64) (*Report, error) {
 	// the lied-about windows drop or tear here), the error model
 	// disarms, and the file backend is proven byte-identical to the
 	// resolved image.
-	victim.fd.PowerCut()
-	if _, err := victim.fd.PowerOn(); err != nil {
+	if err := victim.PowerCycle(); err != nil {
 		return rep, fmt.Errorf("shard %d replica %d power-on: %w", victimShard, victimRep, err)
 	}
-	if victim.fdev != nil {
-		if err := verifyFileImage(victim); err != nil {
-			return rep, fmt.Errorf("shard %d replica %d after power-on (armed at write %d): %w",
-				victimShard, victimRep, armWrite, err)
-		}
+	if err := verifyFileImage(victim); err != nil {
+		return rep, fmt.Errorf("shard %d replica %d after power-on (armed at write %d): %w",
+			victimShard, victimRep, armWrite, err)
 	}
 
 	// Recover the victim from its damaged image. A loud refusal is the
 	// detection contract working — the stack refused to serve damaged
 	// state — and downgrades the rejoin to a rebuild-from-peers: a
 	// fresh empty stack that Reconcile repopulates from the authority.
-	reng, rnow, rerr := victim.cfg.Recover(engine.Env{
-		FS:      victim.fs,
-		RNG:     sim.NewRNG(uint64(900 + victimShard*8 + victimRep)),
-		Content: true,
-	}, now)
+	reng, rnow, rerr := recoverStack(spec, victim, victimShard, victimRep, now)
 	if rerr != nil {
 		rep.RecoveredLoud = true
-		fresh, err := buildShard(spec, victimShard, victimRep, faultdev.Plan{}, rebuildDir)
+		fresh, err := stack.Build(layout(spec, victimShard, victimRep, faultdev.Plan{}, passDir(dir, "rebuild")))
 		if err != nil {
 			return rep, fmt.Errorf("rebuilding shard %d replica %d after loud recovery refusal (%v): %w",
 				victimShard, victimRep, rerr, err)
 		}
-		if victim.fdev != nil {
-			victim.fdev.Close()
-		}
-		groups[victimShard].envs[victimRep] = fresh
-		reng, rnow = fresh.eng, now
+		victim.Close()
+		env.Stacks[victimShard][victimRep] = fresh
+		reng, rnow = fresh.Engine, now
 	}
-	if err := groups[victimShard].group.Revive(victimRep, replica.Member{Engine: reng, Start: rnow}); err != nil {
+	if err := group.Revive(victimRep, replica.Member{Engine: reng, Start: rnow}); err != nil {
 		return rep, err
 	}
-	recNow, err := groups[victimShard].group.Reconcile(maxDur(now, rnow))
+	recNow, err := group.Reconcile(max(now, rnow))
 	if err != nil {
 		return rep, fmt.Errorf("reconciling shard %d replica %d: %w", victimShard, victimRep, err)
 	}
@@ -215,7 +182,7 @@ func runErrorTrial(spec Spec, seed uint64) (*Report, error) {
 	// Reconvergence and full model verification, exactly like the cut
 	// trials: every replica entry-identical, every key in its allowed
 	// states, post-failover write/flush/read cycle intact.
-	if err := verifyConverged(groups, recNow); err != nil {
+	if err := verifyConverged(env.Groups, recNow); err != nil {
 		return rep, fmt.Errorf("after reconciling shard %d replica %d: %w", victimShard, victimRep, err)
 	}
 	if err := verify(rep, st, model, spec, []sim.Duration{recNow}); err != nil {

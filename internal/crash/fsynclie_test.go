@@ -11,10 +11,10 @@ import (
 	"strings"
 	"testing"
 
-	"ptsbench/internal/engine"
 	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 )
 
 // fsyncLieOutcome runs one scripted trial: a put/flush workload over a
@@ -39,7 +39,7 @@ func fsyncLieOutcome(t *testing.T, engName string, seed uint64) (bool, string) {
 		DropProb:     0.5,
 		TornProb:     0.5,
 	}
-	sh, err := buildShard(spec, 0, 0, plan, "")
+	sh, err := stack.Build(layout(spec, 0, 0, plan, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,30 +49,29 @@ func fsyncLieOutcome(t *testing.T, engName string, seed uint64) (bool, string) {
 	for i := 0; i < 160; i++ {
 		id := uint64(i % keys)
 		val := []byte{byte(i / keys), byte(id)}
-		now, err = sh.eng.Put(now, kv.EncodeKey(id), val, 0)
+		now, err = sh.Engine.Put(now, kv.EncodeKey(id), val, 0)
 		if err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		acked[id] = append(acked[id], val)
 		if (i+1)%25 == 0 {
-			now, err = sh.eng.FlushAll(now)
+			now, err = sh.Engine.FlushAll(now)
 			if err != nil {
 				t.Fatalf("flush at %d: %v", i, err)
 			}
 		}
 	}
-	now, err = sh.eng.FlushAll(now)
+	now, err = sh.Engine.FlushAll(now)
 	if err != nil {
 		t.Fatalf("final flush: %v", err)
 	}
-	if sh.fd.Injected().FsyncLies == 0 {
+	if sh.Fault.Injected().FsyncLies == 0 {
 		t.Fatalf("seed %d: no fsync lies injected — trial is vacuous", seed)
 	}
-	sh.fd.PowerCut()
-	if _, err := sh.fd.PowerOn(); err != nil {
+	if err := sh.PowerCycle(); err != nil {
 		t.Fatal(err)
 	}
-	reng, rnow, rerr := sh.cfg.Recover(engine.Env{FS: sh.fs, RNG: sim.NewRNG(900), Content: true}, now)
+	reng, rnow, rerr := sh.Recover(sim.NewRNG(900), now)
 	if rerr != nil {
 		return true, rerr.Error()
 	}

@@ -4,19 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"maps"
 	"path/filepath"
 	"strings"
 
-	"ptsbench/internal/blockdev"
 	"ptsbench/internal/engine"
-	"ptsbench/internal/extfs"
 	"ptsbench/internal/faultdev"
-	"ptsbench/internal/filedev"
-	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 	"ptsbench/internal/store"
 )
 
@@ -131,111 +128,86 @@ func genOps(spec Spec, seed uint64) []opRec {
 	return ops
 }
 
-// shardEnv is one shard's device stack with its fault wrapper. fdev is
-// non-nil only on the file device, where the inner authority is a real
-// backing file instead of the flash simulator.
-type shardEnv struct {
-	dev  blockdev.Host
-	fdev *filedev.Dev
-	fd   *faultdev.Dev
-	fs   *extfs.FS
-	cfg  engine.Config
-	eng  engine.Engine
-}
-
-// buildShard assembles device → faultdev → extfs → engine for replica r
-// of shard i (r is always 0 unreplicated, and image names and RNG
-// streams then match the historical single-copy layout exactly). The
-// inner device is the flash simulator (dir == "") or a real backing
-// file in dir (spec.Device "file"; fixed I/O costs keep both passes of
-// a trial write-for-write identical). The filesystem mounts on the
-// FAULT wrapper, so every engine write, read and sync barrier passes
-// through the fault plan; the inner device keeps the iostat counters
-// and is not the content authority for reads — the wrapper is. On the
-// file device the wrapper still forwards real bytes and barriers down,
-// so the file carries real content and real fsyncs, and power-on
-// rewinds it to the resolved durable image via the Restorer hook.
-func buildShard(spec Spec, i, r int, plan faultdev.Plan, dir string) (*shardEnv, error) {
-	image := fmt.Sprintf("shard-%03d.img", i)
-	rngSeed := uint64(100 + i)
+// streamSeed numbers a stack's engine RNG stream off base (100 at
+// build, 900 at recovery): base+i unreplicated, base+i*8+r replicated —
+// the two historical numberings, which every committed repro line
+// depends on.
+func streamSeed(spec Spec, base uint64, i, r int) uint64 {
 	if spec.Replicas > 1 {
-		image = fmt.Sprintf("shard-%03d-r%d.img", i, r)
-		rngSeed = uint64(100 + i*8 + r)
+		return base + uint64(i*8+r)
 	}
-	var (
-		host blockdev.Host
-		fdev *filedev.Dev
-	)
-	if dir == "" {
-		ssd, err := flash.NewDevice(flash.Config{
-			LogicalBytes:  32 << 20,
-			PageSize:      4096,
-			PagesPerBlock: 64,
-			Profile:       flash.ProfileSSD1().Scaled(4096),
-		})
-		if err != nil {
-			return nil, err
-		}
-		host = blockdev.New(ssd)
-	} else {
-		var err error
-		fdev, err = filedev.Open(filedev.Config{
-			Path:  filepath.Join(dir, image),
-			Pages: (32 << 20) / 4096,
-		})
-		if err != nil {
-			return nil, err
-		}
-		host = fdev
-	}
-	fd := faultdev.Wrap(host, plan)
-	fs, err := extfs.Mount(fd, extfs.Options{})
-	if err != nil {
-		return nil, err
-	}
-	drv, err := engine.Lookup(spec.Engine)
-	if err != nil {
-		return nil, err
-	}
-	cfg := drv.Configure(engine.Sizing{DatasetBytes: 16 << 20})
-	if err := cfg.ApplyTunables(DurabilityTunables(spec.Engine)); err != nil {
-		return nil, err
-	}
-	if err := cfg.ApplyTunables(spec.Tunables); err != nil {
-		return nil, err
-	}
-	eng, err := cfg.Open(engine.Env{FS: fs, RNG: sim.NewRNG(rngSeed), Content: true})
-	if err != nil {
-		return nil, err
-	}
-	return &shardEnv{dev: host, fdev: fdev, fd: fd, fs: fs, cfg: cfg, eng: eng}, nil
+	return base + uint64(i)
 }
 
-func buildEnv(spec Spec, plans []faultdev.Plan, dir string) ([]*shardEnv, *store.Store, error) {
-	shards := make([]*shardEnv, spec.Shards)
-	st, err := store.New(spec.Shards, func(i int) (store.Stack, error) {
-		sh, err := buildShard(spec, i, 0, plans[i], dir)
-		if err != nil {
-			return store.Stack{}, err
-		}
-		shards[i] = sh
-		return store.Stack{Engine: sh.eng, Dev: sh.dev, Fault: sh.fd}, nil
+// layout describes replica r of shard i (r is always 0 unreplicated):
+// the shared small drive — the flash simulator, or with dir set a real
+// backing file in dir, whose fixed I/O costs keep both passes of a
+// trial write-for-write identical — under a fault wrapper running plan.
+// The filesystem mounts on the FAULT wrapper, so every engine write,
+// read and sync barrier passes through the fault plan; the inner device
+// keeps the iostat counters and is not the content authority for reads
+// — the wrapper is. On the file device the wrapper still forwards real
+// bytes and barriers down, so the file carries real content and real
+// fsyncs, and power-on rewinds it to the resolved durable image via the
+// Restorer hook.
+func layout(spec Spec, i, r int, plan faultdev.Plan, dir string) stack.Layout {
+	tunables := DurabilityTunables(spec.Engine)
+	maps.Copy(tunables, spec.Tunables)
+	l := stack.Small(spec.Engine, tunables)
+	l.Fault = &plan
+	l.Content = true
+	l.RNG = sim.NewRNG(streamSeed(spec, 100, i, r))
+	if dir != "" {
+		l.File.Path = filepath.Join(dir, stack.ImageName(i, r, spec.Replicas))
+	}
+	return l
+}
+
+// buildEnv assembles spec.Shards × spec.Replicas stacks behind one
+// store, stack (i, r) running plans[i][r]. autoFailover hands
+// replica-kill authority to the serving layer (error-plan trials); cut
+// trials keep it false so their manual Kill stays exclusive.
+func buildEnv(spec Spec, plans [][]faultdev.Plan, dir string, autoFailover bool) (*stack.Cluster, error) {
+	return stack.BuildCluster(spec.Shards, spec.Replicas, spec.ReplMode, autoFailover, func(i, r int) stack.Layout {
+		return layout(spec, i, r, plans[i][r], dir)
 	})
-	if err != nil {
-		closeShards(shards)
-		return nil, nil, err
-	}
-	return shards, st, nil
 }
 
-// closeShards closes any file-backed devices (the simulator needs no
-// teardown). Safe on partially-built slices.
-func closeShards(shards []*shardEnv) {
-	for _, sh := range shards {
-		if sh != nil && sh.fdev != nil {
-			sh.fdev.Close()
-		}
+// noFaults is the all-empty plan matrix: every stack still gets its
+// wrapper, so timing and write sequence match a faulty pass exactly.
+func noFaults(spec Spec) [][]faultdev.Plan {
+	plans := make([][]faultdev.Plan, spec.Shards)
+	for i := range plans {
+		plans[i] = make([]faultdev.Plan, spec.Replicas)
 	}
+	return plans
+}
+
+// trialDir resolves where one trial keeps its images: nowhere on the
+// sim device, trial-SEED under a pinned Dir (the layout survives for
+// post-mortem inspection), otherwise a temp directory cleanup removes.
+func trialDir(spec Spec, seed uint64) (dir string, cleanup func(), err error) {
+	if spec.Device != "file" {
+		return "", func() {}, nil
+	}
+	if spec.Dir != "" {
+		dir = filepath.Join(spec.Dir, fmt.Sprintf("trial-%d", seed))
+	}
+	return stack.ImageDir(dir, "ptsbench-crash-")
+}
+
+// passDir is one pass's image directory under the trial's. Each pass
+// gets its own: opening an image truncates it.
+func passDir(trial, pass string) string {
+	if trial == "" {
+		return ""
+	}
+	return filepath.Join(trial, pass)
+}
+
+// recoverStack reopens stack (i, r)'s engine from its device image.
+func recoverStack(spec Spec, st *stack.Stack, i, r int, now sim.Duration) (engine.Engine, sim.Duration, error) {
+	return st.Recover(sim.NewRNG(streamSeed(spec, 900, i, r)), now)
 }
 
 // runTrial executes one (spec, seed) trial: a fault-free calibration
@@ -244,31 +216,21 @@ func closeShards(shards []*shardEnv) {
 // the cut, recovers every shard and verifies the result.
 func runTrial(spec Spec, seed uint64) (*Report, error) {
 	ops := genOps(spec, seed)
-
-	// On the file device each pass gets its own image directory: Open
-	// truncates, so the layout survives for post-mortem inspection when
-	// the caller pinned Dir, and a temp default leaks nothing.
-	dir, calibDir, faultDir := "", "", ""
-	if spec.Device == "file" {
-		if spec.Dir == "" {
-			tmp, err := os.MkdirTemp("", "ptsbench-crash-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		} else {
-			dir = filepath.Join(spec.Dir, fmt.Sprintf("trial-%d", seed))
-		}
-		calibDir = filepath.Join(dir, "calib")
-		faultDir = filepath.Join(dir, "fault")
+	dir, cleanup, err := trialDir(spec, seed)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	// Pass 1 (calibration): same wrapper, no faults — identical timing
 	// and write sequence, so pass 2's Nth write is pass 1's Nth write.
-	writes, err := calibrate(spec, ops, calibDir)
+	perStack, err := calibrate(spec, ops, passDir(dir, "calib"))
 	if err != nil {
 		return nil, fmt.Errorf("calibration (fault-free) pass failed: %w", err)
+	}
+	writes := make([]int64, spec.Shards)
+	for i, row := range perStack {
+		writes[i] = row[0]
 	}
 	cutShard, cutWrite := sampleCut(spec, seed, writes)
 	if cutWrite == 0 {
@@ -276,36 +238,31 @@ func runTrial(spec Spec, seed uint64) (*Report, error) {
 	}
 
 	rep := &Report{Spec: spec, Seed: seed, CutShard: cutShard, CutWrite: cutWrite}
-	plans := make([]faultdev.Plan, spec.Shards)
-	plans[cutShard] = faultdev.Plan{
+	plans := noFaults(spec)
+	plans[cutShard][0] = faultdev.Plan{
 		Seed:           seed*0x2545F4914F6CDD1D + 1,
 		CutAfterWrites: cutWrite,
 		CutKeepPages:   0, // random tear of the in-flight write
 		DropProb:       dropProb,
 		TornProb:       tornProb,
 	}
-	shards, st, err := buildEnv(spec, plans, faultDir)
+	env, err := buildEnv(spec, plans, passDir(dir, "fault"), false)
 	if err != nil {
 		return rep, err
 	}
-	defer closeShards(shards)
-	defer st.Close()
+	defer env.Close()
+	st := env.Store
 
 	// Pass 2: replay until the cut fires.
 	model := kvtest.NewModel()
 	cut := false
 	var lastDone sim.Duration
 	for start := 0; start < len(ops) && !cut; start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
+		end := min(start+batchSize, len(ops))
 		comps := submitBatch(st, ops, start, end)
-		cut = shards[cutShard].fd.Cut()
+		cut = env.Stacks[cutShard][0].Fault.Cut()
 		for _, c := range comps {
-			if c.Done > lastDone {
-				lastDone = c.Done
-			}
+			lastDone = max(lastDone, c.Done)
 		}
 		if err := applyBatch(model, ops, comps, cut, cutShard, spec.Shards); err != nil {
 			return rep, err
@@ -316,43 +273,32 @@ func runTrial(spec Spec, seed uint64) (*Report, error) {
 		return rep, fmt.Errorf("cut at shard %d write %d never fired (calibration divergence)", cutShard, cutWrite)
 	}
 
-	// Power failure takes the whole machine: cut every shard, then
-	// resolve what survived and recover each engine from it.
-	for _, sh := range shards {
-		sh.fd.PowerCut()
-	}
-	for i, sh := range shards {
-		if _, err := sh.fd.PowerOn(); err != nil {
+	// Power failure takes the whole machine: cut every shard and resolve
+	// what survived. File device only: the backing file must then BE the
+	// resolved durable image — dropped and torn pages rewound, everything
+	// else byte-identical. This is what makes the file trials stronger
+	// than the simulated ones: the bytes recovery reads really are the
+	// bytes a crashed kernel would have left.
+	for i, row := range env.Stacks {
+		if err := row[0].PowerCycle(); err != nil {
 			return rep, fmt.Errorf("shard %d power-on: %w", i, err)
 		}
-	}
-	// File device only: the backing file must now BE the resolved
-	// durable image — dropped and torn pages rewound, everything else
-	// byte-identical. This is what makes the file trials stronger than
-	// the simulated ones: the bytes recovery reads really are the bytes
-	// a crashed kernel would have left.
-	for i, sh := range shards {
-		if sh.fdev == nil {
-			continue
-		}
-		if err := verifyFileImage(sh); err != nil {
+		if err := verifyFileImage(row[0]); err != nil {
 			return rep, fmt.Errorf("shard %d after power-on (cut at shard %d write %d): %w",
 				i, cutShard, cutWrite, err)
 		}
 	}
 	recovered := make([]engine.Engine, spec.Shards)
 	starts := make([]sim.Duration, spec.Shards)
-	for i, sh := range shards {
-		eng, rnow, err := sh.cfg.Recover(engine.Env{FS: sh.fs, RNG: sim.NewRNG(uint64(900 + i)), Content: true}, lastDone)
+	for i, row := range env.Stacks {
+		recovered[i], starts[i], err = recoverStack(spec, row[0], i, 0, lastDone)
 		if err != nil {
 			return rep, fmt.Errorf("shard %d recovery failed after cut (shard %d, write %d): %w",
 				i, cutShard, cutWrite, err)
 		}
-		recovered[i] = eng
-		starts[i] = rnow
 	}
 	rst, err := store.New(spec.Shards, func(i int) (store.Stack, error) {
-		return store.Stack{Engine: recovered[i], Dev: shards[i].dev, Fault: shards[i].fd, Start: starts[i]}, nil
+		return store.Stack{Engine: recovered[i], Dev: env.Stacks[i][0].Host, Start: starts[i]}, nil
 	})
 	if err != nil {
 		return rep, err
@@ -365,45 +311,47 @@ func runTrial(spec Spec, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-// calibrate runs the op log fault-free and returns per-shard write
-// counts.
-func calibrate(spec Spec, ops []opRec, dir string) ([]int64, error) {
-	shards, st, err := buildEnv(spec, make([]faultdev.Plan, spec.Shards), dir)
+// calibrate runs the op log fault-free and returns per-shard,
+// per-replica device write counts.
+func calibrate(spec Spec, ops []opRec, dir string) ([][]int64, error) {
+	env, err := buildEnv(spec, noFaults(spec), dir, false)
 	if err != nil {
 		return nil, err
 	}
-	defer closeShards(shards)
-	defer st.Close()
+	defer env.Close()
 	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
-		for _, c := range submitBatch(st, ops, start, end) {
+		for _, c := range submitBatch(env.Store, ops, start, min(start+batchSize, len(ops))) {
 			if c.Err != nil {
 				return nil, fmt.Errorf("op %d: %w", c.Seq, c.Err)
 			}
 		}
 	}
-	writes := make([]int64, spec.Shards)
-	for i, sh := range shards {
-		writes[i] = sh.fd.Writes()
+	writes := make([][]int64, spec.Shards)
+	for i, row := range env.Stacks {
+		writes[i] = make([]int64, spec.Replicas)
+		for r, st := range row {
+			writes[i][r] = st.Fault.Writes()
+		}
 	}
 	return writes, nil
 }
 
-// verifyFileImage compares a shard's backing file, page by page,
+// verifyFileImage compares a stack's backing file, page by page,
 // against the fault wrapper's resolved durable image (zeros where
-// nothing durable was ever written). Reads go straight to the filedev —
-// below the fault wrapper, whose own content store must not be allowed
-// to mask a divergence in the file.
-func verifyFileImage(sh *shardEnv) error {
-	ps := sh.fdev.PageSize()
+// nothing durable was ever written); the sim device has no file and
+// passes. Reads go straight to the filedev — below the fault wrapper,
+// whose own content store must not be allowed to mask a divergence in
+// the file.
+func verifyFileImage(st *stack.Stack) error {
+	if st.File == nil {
+		return nil
+	}
+	ps := st.File.PageSize()
 	zero := make([]byte, ps)
 	buf := make([]byte, ps)
-	for lba := int64(0); lba < sh.fdev.Pages(); lba++ {
-		sh.fdev.ReadAt(0, lba, 1, buf)
-		want := sh.fd.DurablePage(lba)
+	for lba := int64(0); lba < st.File.Pages(); lba++ {
+		st.File.ReadAt(0, lba, 1, buf)
+		want := st.Fault.DurablePage(lba)
 		if want == nil {
 			want = zero
 		}
@@ -419,11 +367,7 @@ func verifyFileImage(sh *shardEnv) error {
 // weighted by their traffic.
 func sampleCut(spec Spec, seed uint64, writes []int64) (int, int64) {
 	if spec.CutShard >= 0 && spec.CutWrite > 0 {
-		w := spec.CutWrite
-		if max := writes[spec.CutShard]; w > max {
-			w = max
-		}
-		return spec.CutShard, w
+		return spec.CutShard, min(spec.CutWrite, writes[spec.CutShard])
 	}
 	var total int64
 	for _, w := range writes {
@@ -438,7 +382,7 @@ func sampleCut(spec Spec, seed uint64, writes []int64) (int, int64) {
 		if pick <= w {
 			if spec.CutShard >= 0 && i != spec.CutShard {
 				// Shard pinned but write sampled: re-scale into it.
-				w := 1 + int64(rng.Uint64n(uint64(maxI64(writes[spec.CutShard], 1))))
+				w := 1 + int64(rng.Uint64n(uint64(max(writes[spec.CutShard], 1))))
 				return spec.CutShard, w
 			}
 			return i, pick
@@ -446,13 +390,6 @@ func sampleCut(spec Spec, seed uint64, writes []int64) (int, int64) {
 		pick -= w
 	}
 	return len(writes) - 1, writes[len(writes)-1]
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // submitBatch submits ops[start:end) with strictly increasing submit

@@ -31,11 +31,7 @@ package crash
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"ptsbench/internal/blockdev"
-	"ptsbench/internal/engine"
 	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
@@ -43,97 +39,6 @@ import (
 	"ptsbench/internal/sim"
 	"ptsbench/internal/store"
 )
-
-// replicaEnv is one replicated shard: R complete device stacks behind
-// one replica group.
-type replicaEnv struct {
-	envs  []*shardEnv
-	group *replica.Group
-}
-
-// buildReplicatedEnv assembles spec.Shards replica groups of
-// spec.Replicas full stacks each, behind one store. autoFailover hands
-// replica-kill authority to the serving layer (error-plan trials);
-// cut trials keep it false so their manual Kill stays exclusive.
-func buildReplicatedEnv(spec Spec, plans [][]faultdev.Plan, dir string, autoFailover bool) ([]*replicaEnv, *store.Store, error) {
-	mode, err := replica.ParseMode(spec.ReplMode)
-	if err != nil {
-		return nil, nil, err
-	}
-	groups := make([]*replicaEnv, spec.Shards)
-	st, err := store.New(spec.Shards, func(i int) (store.Stack, error) {
-		re := &replicaEnv{}
-		groups[i] = re
-		members := make([]replica.Member, spec.Replicas)
-		devs := make([]blockdev.Host, spec.Replicas)
-		faults := make([]*faultdev.Dev, spec.Replicas)
-		for r := 0; r < spec.Replicas; r++ {
-			sh, err := buildShard(spec, i, r, plans[i][r], dir)
-			if err != nil {
-				return store.Stack{}, err
-			}
-			re.envs = append(re.envs, sh)
-			members[r] = replica.Member{Engine: sh.eng}
-			devs[r] = sh.dev
-			faults[r] = sh.fd
-		}
-		g, err := replica.New(mode, members)
-		if err != nil {
-			return store.Stack{}, err
-		}
-		re.group = g
-		return store.Stack{Engine: g, Dev: devs[0], Fault: faults[0], Devs: devs, Faults: faults, AutoFailover: autoFailover}, nil
-	})
-	if err != nil {
-		closeReplicated(groups)
-		return nil, nil, err
-	}
-	return groups, st, nil
-}
-
-// closeReplicated closes any file-backed devices across all replicas.
-// Safe on partially-built slices.
-func closeReplicated(groups []*replicaEnv) {
-	for _, re := range groups {
-		if re != nil {
-			closeShards(re.envs)
-		}
-	}
-}
-
-// calibrateReplicated runs the op log fault-free and returns per-shard,
-// per-replica device write counts.
-func calibrateReplicated(spec Spec, ops []opRec, dir string) ([][]int64, error) {
-	plans := make([][]faultdev.Plan, spec.Shards)
-	for i := range plans {
-		plans[i] = make([]faultdev.Plan, spec.Replicas)
-	}
-	groups, st, err := buildReplicatedEnv(spec, plans, dir, false)
-	if err != nil {
-		return nil, err
-	}
-	defer closeReplicated(groups)
-	defer st.Close()
-	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
-		for _, c := range submitBatch(st, ops, start, end) {
-			if c.Err != nil {
-				return nil, fmt.Errorf("op %d: %w", c.Seq, c.Err)
-			}
-		}
-	}
-	writes := make([][]int64, spec.Shards)
-	for i, re := range groups {
-		writes[i] = make([]int64, spec.Replicas)
-		for r, sh := range re.envs {
-			writes[i][r] = sh.fd.Writes()
-		}
-	}
-	return writes, nil
-}
 
 // sampleReplicaCut picks the (shard, replica, write index) the kill
 // lands on. A pinned CutShard confines the draw to that shard; a pinned
@@ -144,12 +49,12 @@ func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64
 	rng := sim.NewRNG(seed)
 	if spec.CutShard >= 0 {
 		rep := weightedReplica(rng, writes[spec.CutShard])
-		max := maxI64(writes[spec.CutShard][rep], 1)
+		most := max(writes[spec.CutShard][rep], 1)
 		w := spec.CutWrite
 		if w == 0 {
-			w = 1 + int64(rng.Uint64n(uint64(max)))
-		} else if w > max {
-			w = max
+			w = 1 + int64(rng.Uint64n(uint64(most)))
+		} else if w > most {
+			w = most
 		}
 		if writes[spec.CutShard][rep] == 0 {
 			return spec.CutShard, rep, 0
@@ -204,26 +109,15 @@ func weightedReplica(rng *sim.RNG, row []int64) int {
 // degraded, recover it, reconcile, and verify everything.
 func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 	ops := genOps(spec, seed)
-
-	dir, calibDir, faultDir := "", "", ""
-	if spec.Device == "file" {
-		if spec.Dir == "" {
-			tmp, err := os.MkdirTemp("", "ptsbench-crash-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		} else {
-			dir = filepath.Join(spec.Dir, fmt.Sprintf("trial-%d", seed))
-		}
-		calibDir = filepath.Join(dir, "calib")
-		faultDir = filepath.Join(dir, "fault")
+	dir, cleanup, err := trialDir(spec, seed)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	// Pass 1 (calibration): identical stacks, no faults, so pass 2's Nth
 	// write on any replica device is pass 1's Nth write.
-	writes, err := calibrateReplicated(spec, ops, calibDir)
+	writes, err := calibrate(spec, ops, passDir(dir, "calib"))
 	if err != nil {
 		return nil, fmt.Errorf("calibration (fault-free) pass failed: %w", err)
 	}
@@ -233,10 +127,7 @@ func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 	}
 
 	rep := &Report{Spec: spec, Seed: seed, CutShard: cutShard, CutReplica: cutRep, CutWrite: cutWrite}
-	plans := make([][]faultdev.Plan, spec.Shards)
-	for i := range plans {
-		plans[i] = make([]faultdev.Plan, spec.Replicas)
-	}
+	plans := noFaults(spec)
 	plans[cutShard][cutRep] = faultdev.Plan{
 		Seed:           seed*0x2545F4914F6CDD1D + 1,
 		CutAfterWrites: cutWrite,
@@ -244,12 +135,12 @@ func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 		DropProb:       dropProb,
 		TornProb:       tornProb,
 	}
-	groups, st, err := buildReplicatedEnv(spec, plans, faultDir, false)
+	env, err := buildEnv(spec, plans, passDir(dir, "fault"), false)
 	if err != nil {
 		return rep, err
 	}
-	defer closeReplicated(groups)
-	defer st.Close()
+	defer env.Close()
+	st, group, victim := env.Store, env.Groups[cutShard], env.Stacks[cutShard][cutRep]
 
 	// Pass 2: replay the whole op log. The kill fires mid-batch; the
 	// harness notices between pumps, fails the replica out of its group
@@ -258,16 +149,11 @@ func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 	killed := false
 	var lastDone sim.Duration
 	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
+		end := min(start+batchSize, len(ops))
 		comps := submitBatch(st, ops, start, end)
-		window := !killed && groups[cutShard].envs[cutRep].fd.Cut()
+		window := !killed && victim.Fault.Cut()
 		for _, c := range comps {
-			if c.Done > lastDone {
-				lastDone = c.Done
-			}
+			lastDone = max(lastDone, c.Done)
 		}
 		if err := applyReplicaBatch(model, ops, comps, window, cutShard, spec.Shards); err != nil {
 			return rep, err
@@ -275,7 +161,7 @@ func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 		if window {
 			// Failover: the dead replica leaves the group, and the sticky
 			// shard error its death may have caused is cleared with it.
-			if err := groups[cutShard].group.Kill(cutRep); err != nil {
+			if err := group.Kill(cutRep); err != nil {
 				return rep, err
 			}
 			if err := st.ClearFailure(cutShard); err != nil {
@@ -303,35 +189,28 @@ func runReplicaTrial(spec Spec, seed uint64) (*Report, error) {
 	// resolves the unbarriered window (drops/tears), the file backend is
 	// proven byte-identical to that image, and recovery runs through the
 	// registry exactly like a machine restart.
-	env := groups[cutShard].envs[cutRep]
-	if _, err := env.fd.PowerOn(); err != nil {
+	if err := victim.PowerCycle(); err != nil {
 		return rep, fmt.Errorf("shard %d replica %d power-on: %w", cutShard, cutRep, err)
 	}
-	if env.fdev != nil {
-		if err := verifyFileImage(env); err != nil {
-			return rep, fmt.Errorf("shard %d replica %d after power-on (cut at write %d): %w",
-				cutShard, cutRep, cutWrite, err)
-		}
+	if err := verifyFileImage(victim); err != nil {
+		return rep, fmt.Errorf("shard %d replica %d after power-on (cut at write %d): %w",
+			cutShard, cutRep, cutWrite, err)
 	}
-	reng, rnow, err := env.cfg.Recover(engine.Env{
-		FS:      env.fs,
-		RNG:     sim.NewRNG(uint64(900 + cutShard*8 + cutRep)),
-		Content: true,
-	}, now)
+	reng, rnow, err := recoverStack(spec, victim, cutShard, cutRep, now)
 	if err != nil {
 		return rep, fmt.Errorf("shard %d replica %d recovery failed after cut at write %d: %w",
 			cutShard, cutRep, cutWrite, err)
 	}
-	if err := groups[cutShard].group.Revive(cutRep, replica.Member{Engine: reng, Start: rnow}); err != nil {
+	if err := group.Revive(cutRep, replica.Member{Engine: reng, Start: rnow}); err != nil {
 		return rep, err
 	}
-	recNow, err := groups[cutShard].group.Reconcile(maxDur(now, rnow))
+	recNow, err := group.Reconcile(max(now, rnow))
 	if err != nil {
 		return rep, fmt.Errorf("reconciling shard %d replica %d: %w", cutShard, cutRep, err)
 	}
 
 	// Reconvergence: every replica of every group entry-identical.
-	if err := verifyConverged(groups, recNow); err != nil {
+	if err := verifyConverged(env.Groups, recNow); err != nil {
 		return rep, fmt.Errorf("after reconciling shard %d replica %d: %w", cutShard, cutRep, err)
 	}
 
@@ -435,13 +314,6 @@ func entryEqual(a, b kv.Entry) bool {
 	return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value) && a.ValueLen == b.ValueLen
 }
 
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // scanReplica pages one replica's full key space directly off its
 // engine (below the group, so stale or diverged state cannot hide
 // behind the serving rotation).
@@ -477,14 +349,14 @@ func scanReplica(g *replica.Group, r int, now sim.Duration) ([]kv.Entry, error) 
 
 // verifyConverged proves every replica of every group holds the exact
 // same logical entries — key, value bytes, and accounted length.
-func verifyConverged(groups []*replicaEnv, now sim.Duration) error {
-	for i, re := range groups {
-		ref, err := scanReplica(re.group, 0, now)
+func verifyConverged(groups []*replica.Group, now sim.Duration) error {
+	for i, g := range groups {
+		ref, err := scanReplica(g, 0, now)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		for r := 1; r < re.group.Replicas(); r++ {
-			got, err := scanReplica(re.group, r, now)
+		for r := 1; r < g.Replicas(); r++ {
+			got, err := scanReplica(g, r, now)
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}

@@ -20,7 +20,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"maps"
 	"path/filepath"
 	"slices"
 	"time"
@@ -28,11 +28,9 @@ import (
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/crash"
 	"ptsbench/internal/engine"
-	"ptsbench/internal/extfs"
-	"ptsbench/internal/filedev"
-	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 )
 
 // fullEngine is the surface the differential driver needs: the harness
@@ -86,15 +84,6 @@ type Report struct {
 	ScanEntries   int               // recovered entries compared
 }
 
-// stack is one engine over one device authority.
-type stack struct {
-	host blockdev.Host
-	fdev *filedev.Dev // non-nil on the file side
-	fs   *extfs.FS
-	cfg  engine.Config
-	eng  fullEngine
-}
-
 func (s Spec) validate() (Spec, error) {
 	if s.Engine == "" {
 		return s, fmt.Errorf("devdiff: engine is required")
@@ -127,92 +116,46 @@ func Run(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := spec.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "ptsbench-devdiff-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, cleanup, err := stack.ImageDir(spec.Dir, "ptsbench-devdiff-")
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
-	// The simulated stack first: its geometry defines the file device's,
-	// so the filesystem allocators see identical capacity on both sides.
-	sstk, err := buildSim(spec)
+	// Two stacks from one layout — identical geometry, so the filesystem
+	// allocators see identical capacity on both sides — differing only
+	// in the device authority.
+	tunables := crash.DurabilityTunables(spec.Engine)
+	maps.Copy(tunables, diffTunables(spec.Engine))
+	layout := stack.Small(spec.Engine, tunables)
+	layout.Content = true
+	layout.RNG = sim.NewRNG(1)
+	sstk, err := stack.Build(layout)
 	if err != nil {
 		return nil, err
 	}
-	fstk, err := buildFile(spec, filepath.Join(dir, "dev.img"), sstk.host.Pages(), sstk.host.PageSize())
+	layout.File.Path = filepath.Join(dir, "dev.img")
+	layout.RNG = sim.NewRNG(1)
+	fstk, err := stack.Build(layout)
 	if err != nil {
 		return nil, err
 	}
-	defer fstk.fdev.Close()
+	defer fstk.Close()
 
 	rep := &Report{Engine: spec.Engine, Ops: spec.Ops}
 	if err := drive(spec, sstk, fstk); err != nil {
 		return rep, err
 	}
-	if err := compareHosts(rep, sstk.host, fstk.host); err != nil {
+	if err := compareHosts(rep, sstk.Host, fstk.Host); err != nil {
 		return rep, err
 	}
-	if err := compareImages(rep, sstk.host, fstk.host); err != nil {
+	if err := compareImages(rep, sstk.Host, fstk.Host); err != nil {
 		return rep, err
 	}
 	if err := compareRecovered(rep, spec, sstk, fstk); err != nil {
 		return rep, err
 	}
 	return rep, nil
-}
-
-func buildSim(spec Spec) (*stack, error) {
-	ssd, err := flash.NewDevice(flash.Config{
-		LogicalBytes:  32 << 20,
-		PageSize:      4096,
-		PagesPerBlock: 64,
-		Profile:       flash.ProfileSSD1().Scaled(4096),
-	})
-	if err != nil {
-		return nil, err
-	}
-	dev := blockdev.New(ssd)
-	dev.EnableContentStore()
-	return finishStack(spec, dev, nil)
-}
-
-func buildFile(spec Spec, path string, pages int64, pageSize int) (*stack, error) {
-	fdev, err := filedev.Open(filedev.Config{
-		Path:     path,
-		Pages:    pages,
-		PageSize: pageSize,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finishStack(spec, fdev, fdev)
-}
-
-func finishStack(spec Spec, host blockdev.Host, fdev *filedev.Dev) (*stack, error) {
-	fs, err := extfs.Mount(host, extfs.Options{})
-	if err != nil {
-		return nil, err
-	}
-	drv, err := engine.Lookup(spec.Engine)
-	if err != nil {
-		return nil, err
-	}
-	cfg := drv.Configure(engine.Sizing{DatasetBytes: 16 << 20})
-	if err := cfg.ApplyTunables(crash.DurabilityTunables(spec.Engine)); err != nil {
-		return nil, err
-	}
-	if err := cfg.ApplyTunables(diffTunables(spec.Engine)); err != nil {
-		return nil, err
-	}
-	eng, err := cfg.Open(engine.Env{FS: fs, RNG: sim.NewRNG(1), Content: true})
-	if err != nil {
-		return nil, err
-	}
-	return &stack{host: host, fdev: fdev, fs: fs, cfg: cfg, eng: eng.(fullEngine)}, nil
 }
 
 // diffTunables pins clock-driven maintenance off for the differential
@@ -236,7 +179,8 @@ func diffTunables(eng string) map[string]string {
 
 // drive replays the seeded op log against both engines in lockstep,
 // comparing every per-op result, then quiesces both.
-func drive(spec Spec, sstk, fstk *stack) error {
+func drive(spec Spec, sstk, fstk *stack.Stack) error {
+	seng, feng := sstk.Engine.(fullEngine), fstk.Engine.(fullEngine)
 	rng := sim.NewRNG(spec.Seed ^ 0xD1FFD1FFD1FFD1FF)
 	val := make([]byte, 24)
 	for i := 0; i < spec.Ops; i++ {
@@ -245,8 +189,8 @@ func drive(spec Spec, sstk, fstk *stack) error {
 		key := kv.EncodeKey(id)
 		switch r := rng.Uint64n(100); {
 		case r < 15:
-			_, sv, sfound, serr := sstk.eng.Get(now, key)
-			_, fv, ffound, ferr := fstk.eng.Get(now, key)
+			_, sv, sfound, serr := seng.Get(now, key)
+			_, fv, ffound, ferr := feng.Get(now, key)
 			if serr != nil || ferr != nil {
 				return fmt.Errorf("devdiff: op %d get key %d: sim %v, file %v", i, id, serr, ferr)
 			}
@@ -254,20 +198,20 @@ func drive(spec Spec, sstk, fstk *stack) error {
 				return fmt.Errorf("devdiff: op %d get key %d diverged: sim found=%v, file found=%v", i, id, sfound, ffound)
 			}
 		case r < 30:
-			if _, err := sstk.eng.Delete(now, key); err != nil {
+			if _, err := seng.Delete(now, key); err != nil {
 				return fmt.Errorf("devdiff: op %d sim delete: %w", i, err)
 			}
-			if _, err := fstk.eng.Delete(now, key); err != nil {
+			if _, err := feng.Delete(now, key); err != nil {
 				return fmt.Errorf("devdiff: op %d file delete: %w", i, err)
 			}
 		default:
 			binary.LittleEndian.PutUint64(val[0:], id)
 			binary.LittleEndian.PutUint64(val[8:], uint64(i))
 			binary.LittleEndian.PutUint64(val[16:], spec.Seed)
-			if _, err := sstk.eng.Put(now, key, val, 0); err != nil {
+			if _, err := seng.Put(now, key, val, 0); err != nil {
 				return fmt.Errorf("devdiff: op %d sim put: %w", i, err)
 			}
-			if _, err := fstk.eng.Put(now, key, val, 0); err != nil {
+			if _, err := feng.Put(now, key, val, 0); err != nil {
 				return fmt.Errorf("devdiff: op %d file put: %w", i, err)
 			}
 		}
@@ -276,22 +220,22 @@ func drive(spec Spec, sstk, fstk *stack) error {
 			// checkpoints — onto the device, so the image comparison
 			// covers more than the journal tail.
 			q := now + gridStep/2
-			if _, err := sstk.eng.FlushAll(q); err != nil {
+			if _, err := seng.FlushAll(q); err != nil {
 				return fmt.Errorf("devdiff: sim flush at op %d: %w", i, err)
 			}
-			if _, err := fstk.eng.FlushAll(q); err != nil {
+			if _, err := feng.FlushAll(q); err != nil {
 				return fmt.Errorf("devdiff: file flush at op %d: %w", i, err)
 			}
 		} else if (i+1)%quiesceEvery == 0 {
 			q := now + gridStep/2
-			sstk.eng.Quiesce(q)
-			fstk.eng.Quiesce(q)
+			seng.Quiesce(q)
+			feng.Quiesce(q)
 		}
 	}
 	end := sim.Duration(spec.Ops+1) * gridStep
-	sstk.eng.Quiesce(end)
-	fstk.eng.Quiesce(end)
-	if s, f := sstk.eng.Stats(), fstk.eng.Stats(); s != f {
+	seng.Quiesce(end)
+	feng.Quiesce(end)
+	if s, f := seng.Stats(), feng.Stats(); s != f {
 		return fmt.Errorf("devdiff: engine stats diverged:\nsim  %+v\nfile %+v", s, f)
 	}
 	return nil
@@ -351,26 +295,20 @@ func compareImages(rep *Report, sdev, fdev blockdev.Host) error {
 // compareRecovered closes and reopens the backing file (the file side's
 // real restart), recovers both engines through the registry, and
 // compares a full scan of each.
-func compareRecovered(rep *Report, spec Spec, sstk, fstk *stack) error {
-	if err := fstk.fdev.Close(); err != nil {
-		return err
-	}
-	if err := fstk.fdev.Reopen(); err != nil {
+func compareRecovered(rep *Report, spec Spec, sstk, fstk *stack.Stack) error {
+	if err := fstk.PowerCycle(); err != nil {
 		return err
 	}
 	now := sim.Duration(spec.Ops+2) * gridStep
-	seng, snow, err := sstk.cfg.Recover(engine.Env{FS: sstk.fs, RNG: sim.NewRNG(2), Content: true}, now)
+	seng, snow, err := sstk.Recover(sim.NewRNG(2), now)
 	if err != nil {
 		return fmt.Errorf("devdiff: sim recovery: %w", err)
 	}
-	feng, fnow, err := fstk.cfg.Recover(engine.Env{FS: fstk.fs, RNG: sim.NewRNG(2), Content: true}, now)
+	feng, fnow, err := fstk.Recover(sim.NewRNG(2), now)
 	if err != nil {
 		return fmt.Errorf("devdiff: file recovery: %w", err)
 	}
-	scanNow := snow
-	if fnow > scanNow {
-		scanNow = fnow
-	}
+	scanNow := max(snow, fnow)
 	_, sentries, err := seng.(fullEngine).Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
 	if err != nil {
 		return fmt.Errorf("devdiff: sim recovered scan: %w", err)

@@ -80,7 +80,7 @@ func TestShortWritePrefix(t *testing.T) {
 		t.Fatal("short write must lose its last page (keep < n always)")
 	}
 	// The lost suffix stays lost across a barrier: the ack lied about it.
-	d.SyncBarrier()
+	mustSync(t, d)
 	if got := d.DurablePage(13); got != nil {
 		t.Fatal("shortened page must not become durable at the barrier")
 	}
@@ -212,7 +212,7 @@ func TestZeroProbBitIdentity(t *testing.T) {
 		for i := int64(0); i < 6; i++ {
 			d.WriteAt(0, i*4, 3, pageData(d, byte(0x10+i), 3))
 			if i == 2 {
-				d.SyncBarrier()
+				mustSync(t, d)
 			}
 		}
 		if _, err := d.PowerOn(); err != nil {

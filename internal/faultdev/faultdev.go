@@ -8,7 +8,7 @@
 //
 // The wrapper owns the content store and threads the block layer's sync
 // barrier through it, so "what survived the cut" is well-defined: pages
-// covered by the last SyncBarrier before the cut are durable; everything
+// covered by the last SyncErr before the cut are durable; everything
 // acknowledged after it is at the fault plan's mercy when power returns.
 // The inner device still sees every acknowledged write and read, so
 // virtual-time costs and iostat counters are unchanged — with a zero
@@ -93,7 +93,7 @@ type Plan struct {
 	// MisdirectProb is the per-op probability that a write's payload
 	// lands one LBA away from its target (the target keeps stale data).
 	MisdirectProb float64
-	// FsyncLieProb is the per-barrier probability that SyncBarrier
+	// FsyncLieProb is the per-barrier probability that SyncErr
 	// acknowledges without advancing the durability frontier: the
 	// pending window stays volatile and the inner device's real fsync
 	// is skipped.
@@ -154,9 +154,9 @@ type Outcome struct {
 	Torn    int // ops applied with pages missing
 }
 
-// Dev is a fault-injecting blockdev.Dev wrapper. It implements
-// blockdev.Barrier and reports ContentEnabled, so engines run their
-// content-mode recovery paths against it directly.
+// Dev is a fault-injecting blockdev.Dev wrapper. It reports
+// ContentEnabled, so engines run their content-mode recovery paths
+// against it directly.
 type Dev struct {
 	inner blockdev.Dev
 	plan  Plan
@@ -261,7 +261,7 @@ func (d *Dev) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Durat
 // WriteErr implements blockdev.Dev. The write is acknowledged into the
 // current image and forwarded to the inner device for timing and
 // accounting, but stays in the pending window — not durable — until
-// the next SyncBarrier. When the error model is armed the op may
+// the next SyncErr. When the error model is armed the op may
 // instead fail with a transient EIO (nothing lands, no time charged —
 // the retry's attempt pays), land one LBA off target (misdirect), or
 // acknowledge with only a prefix of its pages persisted (short write).
@@ -411,14 +411,6 @@ func (d *Dev) Discard(off int64, n int) {
 	}
 	d.pending = append(d.pending, pendingOp{off: off, n: n, discard: true})
 	d.inner.Discard(off, n)
-}
-
-// SyncBarrier implements blockdev.Barrier as a thin panic wrapper over
-// SyncErr.
-func (d *Dev) SyncBarrier() {
-	if err := d.SyncErr(); err != nil {
-		panic(err)
-	}
 }
 
 // SyncErr implements blockdev.Dev: everything acknowledged so far

@@ -63,14 +63,14 @@ func TestTransparentOverlay(t *testing.T) {
 func TestCutDurabilityFrontier(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 1, CutAfterWrites: 3, CutKeepPages: -1})
 	d.WriteAt(0, 0, 1, pageData(d, 0x11, 1)) // write 1
-	d.SyncBarrier()
+	mustSync(t, d)
 	d.WriteAt(0, 1, 1, pageData(d, 0x22, 1)) // write 2: acked, unbarriered
 	d.WriteAt(0, 2, 1, pageData(d, 0x33, 1)) // write 3: the cut lands here
 	if !d.Cut() {
 		t.Fatal("cut did not fire on write 3")
 	}
 	d.WriteAt(0, 3, 1, pageData(d, 0x44, 1)) // post-cut: ignored
-	d.SyncBarrier()                          // post-cut: must not make anything durable
+	mustSync(t, d)                           // post-cut: must not make anything durable
 	out, err := d.PowerOn()
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCutDurabilityFrontier(t *testing.T) {
 func TestCutKeepPrefix(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 1, CutAfterWrites: 2, CutKeepPages: 2})
 	d.WriteAt(0, 0, 4, pageData(d, 0x0F, 4))
-	d.SyncBarrier()
+	mustSync(t, d)
 	d.WriteAt(0, 0, 4, pageData(d, 0xF0, 4)) // cut: keep pages 0-1
 	d.PowerOn()
 	for lba := int64(0); lba < 4; lba++ {
@@ -116,7 +116,7 @@ func TestCutRandomTear(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		d := Wrap(newInner(t), Plan{Seed: seed, CutAfterWrites: 2})
 		d.WriteAt(0, 0, 4, pageData(d, 0x0F, 4))
-		d.SyncBarrier()
+		mustSync(t, d)
 		d.WriteAt(0, 0, 4, pageData(d, 0xF0, 4))
 		d.PowerOn()
 		kept, lost := 0, 0
@@ -144,7 +144,7 @@ func TestCutRandomTear(t *testing.T) {
 func TestDropAndDiscardPending(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 7, DropProb: 1})
 	d.WriteAt(0, 0, 1, pageData(d, 0x11, 1))
-	d.SyncBarrier()
+	mustSync(t, d)
 	d.Discard(0, 1)
 	if got := readPage(t, d, 0); got[0] != 0 {
 		t.Fatalf("discard not visible pre-cut: got %#x", got[0])
@@ -165,7 +165,7 @@ func TestDropAndDiscardPending(t *testing.T) {
 func TestBitRotStable(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 3, RotPages: []int64{5}})
 	d.WriteAt(0, 4, 2, pageData(d, 0x77, 2))
-	d.SyncBarrier()
+	mustSync(t, d)
 	clean := readPage(t, d, 4)
 	rot1 := readPage(t, d, 5)
 	rot2 := readPage(t, d, 5)
@@ -220,5 +220,13 @@ func TestWriteLog(t *testing.T) {
 	log := d.WriteLog()
 	if len(log) != 2 || log[0] != (WriteRecord{Off: 3, N: 2}) || log[1] != (WriteRecord{Off: 9, N: 1}) {
 		t.Fatalf("unexpected write log: %+v", log)
+	}
+}
+
+// mustSync issues a durability barrier that must succeed.
+func mustSync(t *testing.T, d *Dev) {
+	t.Helper()
+	if err := d.SyncErr(); err != nil {
+		t.Fatal(err)
 	}
 }

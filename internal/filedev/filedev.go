@@ -32,7 +32,7 @@ import (
 type Discipline int
 
 const (
-	// DisciplineBarrier fsyncs on SyncBarrier — the default, and the
+	// DisciplineBarrier fsyncs on SyncErr — the default, and the
 	// contract extfs.FS.Barrier expects: acknowledged writes may sit in
 	// the page cache until the next barrier.
 	DisciplineBarrier Discipline = iota
@@ -133,13 +133,12 @@ type Config struct {
 	Costs Costs
 }
 
-// Dev is an open file-backed device. It implements blockdev.Dev and
-// blockdev.Barrier (and therefore blockdev.Host). Like the simulated
-// device it is not internally locked: callers serialize access per
-// shard. I/O errors from the backing file surface as persistent typed
-// deverr errors on the WriteErr/ReadErr/SyncErr surface; the legacy
-// WriteAt/ReadAt/SyncBarrier wrappers panic on them, for callers with
-// no error channel.
+// Dev is an open file-backed device. It implements blockdev.Host. Like
+// the simulated device it is not internally locked: callers serialize
+// access per shard. I/O errors from the backing file surface as
+// persistent typed deverr errors on the WriteErr/ReadErr/SyncErr
+// surface; the legacy WriteAt/ReadAt wrappers panic on them, for
+// callers with no error channel.
 type Dev struct {
 	f    *os.File
 	cfg  Config
@@ -155,7 +154,7 @@ type Dev struct {
 	fsyncs    int64
 
 	// pendingSync carries the cost of the last barrier fsync into the
-	// next I/O completion: SyncBarrier has no time signature, so its
+	// next I/O completion: SyncErr has no time signature, so its
 	// latency is attributed to the op that follows it — in practice the
 	// next write of the sync epoch, which is where a real queue would
 	// feel it.
@@ -422,14 +421,6 @@ func (d *Dev) Restore(off int64, n int, data []byte) error {
 	return nil
 }
 
-// SyncBarrier implements blockdev.Barrier as a thin panic wrapper over
-// SyncErr.
-func (d *Dev) SyncBarrier() {
-	if err := d.SyncErr(); err != nil {
-		panic(err)
-	}
-}
-
 // SyncErr implements blockdev.Dev: under DisciplineBarrier it fsyncs
 // the backing file — the device-level FLUSH the simulated stack only
 // models. Its latency is charged to the next I/O (see pendingSync).
@@ -560,7 +551,4 @@ func (d *Dev) checkRangeErr(op deverr.Op, off int64, n int) error {
 	return nil
 }
 
-var (
-	_ blockdev.Dev     = (*Dev)(nil)
-	_ blockdev.Barrier = (*Dev)(nil)
-)
+var _ blockdev.Host = (*Dev)(nil)

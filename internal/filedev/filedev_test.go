@@ -93,7 +93,7 @@ func TestFixedCostsDeterministic(t *testing.T) {
 			now = d.WriteAt(now, int64(i), 1, page(d, byte(i)))
 			ts = append(ts, now)
 		}
-		d.SyncBarrier()
+		mustSync(t, d)
 		now = d.ReadAt(now, 0, 4, nil)
 		ts = append(ts, now)
 		return ts
@@ -119,7 +119,7 @@ func TestDisciplines(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d := open(t, Config{Fsync: DisciplineNone})
 		d.WriteAt(0, 0, 1, nil)
-		d.SyncBarrier()
+		mustSync(t, d)
 		if d.Fsyncs() != 0 {
 			t.Fatalf("DisciplineNone fsynced %d times", d.Fsyncs())
 		}
@@ -130,8 +130,8 @@ func TestDisciplines(t *testing.T) {
 		if d.Fsyncs() != 0 {
 			t.Fatalf("fsync before barrier")
 		}
-		d.SyncBarrier()
-		d.SyncBarrier()
+		mustSync(t, d)
+		mustSync(t, d)
 		if d.Fsyncs() != 2 {
 			t.Fatalf("barrier fsyncs = %d, want 2", d.Fsyncs())
 		}
@@ -143,9 +143,9 @@ func TestDisciplines(t *testing.T) {
 		if d.Fsyncs() != 2 {
 			t.Fatalf("always fsyncs = %d, want 2", d.Fsyncs())
 		}
-		d.SyncBarrier() // redundant under always; must not double-count
+		mustSync(t, d) // redundant under always; must not double-count
 		if d.Fsyncs() != 2 {
-			t.Fatalf("SyncBarrier fsynced under DisciplineAlways")
+			t.Fatalf("SyncErr fsynced under DisciplineAlways")
 		}
 	})
 }
@@ -182,7 +182,7 @@ func TestDiscardZeroes(t *testing.T) {
 func TestCloseReopenPreservesContent(t *testing.T) {
 	d := open(t, Config{})
 	now := d.WriteAt(0, 5, 1, page(d, 0x7E))
-	d.SyncBarrier()
+	mustSync(t, d)
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestMeasuredMode(t *testing.T) {
 	if done <= t0 {
 		t.Fatalf("measured write completion %v not after submit %v", done, t0)
 	}
-	d.SyncBarrier()
+	mustSync(t, d)
 	done2 := d.ReadAt(done, 0, 1, nil)
 	if done2 <= done {
 		t.Fatalf("measured read completion %v not after %v", done2, done)
@@ -256,4 +256,12 @@ func TestRangePanics(t *testing.T) {
 		}
 	}()
 	d.WriteAt(0, d.Pages(), 1, nil)
+}
+
+// mustSync issues a durability barrier that must succeed.
+func mustSync(t *testing.T, d *Dev) {
+	t.Helper()
+	if err := d.SyncErr(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,10 +7,9 @@ import (
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/engine"
-	"ptsbench/internal/extfs"
 	"ptsbench/internal/faultdev"
-	"ptsbench/internal/flash"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 )
 
 // retryAttempts bounds the block-layer retry loop. Each attempt redraws
@@ -99,13 +98,6 @@ func (r *RetryDev) SyncErr() error {
 	return err
 }
 
-// SyncBarrier implements blockdev.Barrier.
-func (r *RetryDev) SyncBarrier() {
-	if err := r.SyncErr(); err != nil {
-		panic(err)
-	}
-}
-
 // FaultyStack is a Stack over an error-injecting device, exposing the
 // injection and retry counters so tests can prove the plan actually
 // fired.
@@ -125,47 +117,14 @@ type FaultyStack struct {
 // after its own power cycle.
 func NewFaultyStack(t *testing.T, drv engine.Driver, tunables map[string]string, plan faultdev.Plan, content bool) *FaultyStack {
 	t.Helper()
-	ssd, err := flash.NewDevice(flash.Config{
-		LogicalBytes:  32 << 20,
-		PageSize:      4096,
-		PagesPerBlock: 64,
-		Profile:       flash.ProfileSSD1().Scaled(4096),
-	})
-	if err != nil {
-		t.Fatal(err)
+	st := &FaultyStack{}
+	l := stack.Small(drv.Name(), tunables)
+	l.Fault = &plan
+	l.WrapDev = func(d blockdev.Dev) blockdev.Dev {
+		st.Fault = d.(*faultdev.Dev)
+		st.Retry = NewRetryDev(st.Fault)
+		return st.Retry
 	}
-	host := blockdev.New(ssd)
-	fd := faultdev.Wrap(host, plan)
-	rd := NewRetryDev(fd)
-	fs, err := extfs.Mount(rd, extfs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := drv.Configure(engine.Sizing{DatasetBytes: 16 << 20})
-	if err := cfg.ApplyTunables(tunables); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cfg.Open(engine.Env{FS: fs, RNG: sim.NewRNG(1), Content: content})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &FaultyStack{
-		Stack: Stack{Engine: eng.(Engine), Dev: host},
-		Fault: fd,
-		Retry: rd,
-	}
-	if content {
-		st.Reopen = func(now sim.Duration) (Engine, sim.Duration, error) {
-			fd.PowerCut()
-			if _, err := fd.PowerOn(); err != nil {
-				return nil, 0, err
-			}
-			re, rnow, err := cfg.Recover(engine.Env{FS: fs, RNG: sim.NewRNG(2), Content: true}, now)
-			if err != nil {
-				return nil, 0, err
-			}
-			return re.(Engine), rnow, nil
-		}
-	}
+	st.Stack = *openStack(t, l, content)
 	return st
 }

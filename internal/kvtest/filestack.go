@@ -5,9 +5,8 @@ import (
 	"testing"
 
 	"ptsbench/internal/engine"
-	"ptsbench/internal/extfs"
-	"ptsbench/internal/filedev"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 )
 
 // NewFileStack opens a fresh engine of the given driver over a real
@@ -23,36 +22,31 @@ import (
 // internal/filedev's conformance test.
 func NewFileStack(t *testing.T, drv engine.Driver, tunables map[string]string, content bool) *Stack {
 	t.Helper()
-	dev, err := filedev.Open(filedev.Config{
-		Path:  filepath.Join(t.TempDir(), "dev.img"),
-		Pages: (32 << 20) / 4096,
-	})
+	l := stack.Small(drv.Name(), tunables)
+	l.File.Path = filepath.Join(t.TempDir(), "dev.img")
+	return openStack(t, l, content)
+}
+
+// openStack builds l in the given content mode on the fixtures' build stream
+// and hands it to the suite. Reopen power cycles the device the way its
+// authority restarts (stack.PowerCycle), then recovers on a second
+// stream.
+func openStack(t *testing.T, l stack.Layout, content bool) *Stack {
+	t.Helper()
+	l.Content = content
+	l.RNG = sim.NewRNG(1)
+	built, err := stack.Build(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { dev.Close() })
-	fs, err := extfs.Mount(dev, extfs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := drv.Configure(engine.Sizing{DatasetBytes: 16 << 20})
-	if err := cfg.ApplyTunables(tunables); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cfg.Open(engine.Env{FS: fs, RNG: sim.NewRNG(1), Content: content})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &Stack{Engine: eng.(Engine), Dev: dev}
+	t.Cleanup(func() { built.Close() })
+	st := &Stack{Engine: built.Engine.(Engine), Dev: built.Host}
 	if content {
 		st.Reopen = func(now sim.Duration) (Engine, sim.Duration, error) {
-			if err := dev.Close(); err != nil {
+			if err := built.PowerCycle(); err != nil {
 				return nil, 0, err
 			}
-			if err := dev.Reopen(); err != nil {
-				return nil, 0, err
-			}
-			re, rnow, err := cfg.Recover(engine.Env{FS: fs, RNG: sim.NewRNG(2), Content: true}, now)
+			re, rnow, err := built.Recover(sim.NewRNG(2), now)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -15,7 +15,8 @@ import (
 // allocates nothing beyond the (amortized, >1/256 ops) memtable arena
 // chunk refills. The memtable is sized so no rotation fires during the
 // measured window — rotation/flush machinery is amortized background
-// work measured by the perf suite, not the op loop.
+// work, not the op loop; the repository benchmark's lsm-write cell
+// (benchmark/, allocs_per_op) measures the two together.
 func TestSteadyStateOpAllocs(t *testing.T) {
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  256 << 20,

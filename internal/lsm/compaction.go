@@ -457,7 +457,7 @@ func (j *compactionJob) Step(now sim.Duration) (sim.Duration, bool) {
 	}
 	// All writes issued; finish remaining reads, then commit.
 	if j.readCharged < j.readPagesTotal {
-		now = j.chargeReads(now, minI64(j.readCharged+chunk, j.readPagesTotal))
+		now = j.chargeReads(now, min(j.readCharged+chunk, j.readPagesTotal))
 		return now, false
 	}
 	return j.commit(now), true
@@ -607,13 +607,6 @@ func insertSorted(level, outputs []*sstable.Table) []*sstable.Table {
 		}
 	}
 	return level
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // mergeIter is a k-way merge over iterators ordered by (key asc, seq

@@ -164,3 +164,23 @@ func TestMemtableMatchesMapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPutAllocs pins the arena-backed insert path: nodes, keys and
+// values come out of chunked arenas, so a Put allocates only when a
+// chunk refills — far below one object per ten operations.
+func TestPutAllocs(t *testing.T) {
+	m := newMT()
+	key := make([]byte, kv.KeySize)
+	var seq uint64
+	put := func() {
+		kv.AppendKey(key, seq%100000)
+		m.Put(key, nil, 128, seq, false)
+		seq++
+	}
+	for seq < 1000 {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(20000, put); allocs > 0.1 {
+		t.Fatalf("Put allocates %.3f objects/op, want ~0", allocs)
+	}
+}

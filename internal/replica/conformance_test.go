@@ -250,7 +250,7 @@ func TestSingleReplicaRestart(t *testing.T) {
 				if err := g.Revive(1, replica.Member{Engine: re, Start: rnow}); err != nil {
 					t.Fatal(err)
 				}
-				if now, err = g.Reconcile(maxDur(now, rnow)); err != nil {
+				if now, err = g.Reconcile(max(now, rnow)); err != nil {
 					t.Fatalf("Reconcile: %v", err)
 				}
 				// The group serves the exact final state.
@@ -322,11 +322,4 @@ func scanAll(t *testing.T, g *replica.Group, r int, now sim.Duration) []kv.Entry
 			start = kv.EncodeKey(id + 1)
 		}
 	}
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -253,7 +253,7 @@ func (g *Group) write(now sim.Duration, apply func(e engine.Engine, at sim.Durat
 				acct = i
 				before = r.eng.Stats()
 			}
-			done, err := apply(r.eng, maxDur(r.clock, t))
+			done, err := apply(r.eng, max(r.clock, t))
 			r.clock = done
 			if err != nil {
 				return done, memberErr(i, err)
@@ -282,7 +282,7 @@ func (g *Group) write(now sim.Duration, apply func(e engine.Engine, at sim.Durat
 			acct = i
 			before = r.eng.Stats()
 		}
-		done, err := apply(r.eng, maxDur(r.clock, now))
+		done, err := apply(r.eng, max(r.clock, now))
 		r.clock = done
 		if err != nil {
 			return done, memberErr(i, err)
@@ -332,7 +332,7 @@ func (g *Group) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, e
 	if g.mode == Chain {
 		r := &g.reps[srv]
 		before := r.eng.Stats()
-		done, v, found, err := r.eng.Get(maxDur(r.clock, now), key)
+		done, v, found, err := r.eng.Get(max(r.clock, now), key)
 		r.clock = done
 		if err != nil {
 			return done, nil, false, memberErr(srv, err)
@@ -357,7 +357,7 @@ func (g *Group) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, e
 		if !r.live {
 			continue
 		}
-		done, v, found, err := r.eng.Get(maxDur(r.clock, now), key)
+		done, v, found, err := r.eng.Get(max(r.clock, now), key)
 		r.clock = done
 		if err != nil {
 			return done, nil, false, memberErr(i, err)
@@ -425,7 +425,7 @@ func (g *Group) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, [
 		return now, nil, fmt.Errorf("replica: engine does not support Scan")
 	}
 	before := r.eng.Stats()
-	done, ents, err := sc.Scan(maxDur(r.clock, now), start, limit)
+	done, ents, err := sc.Scan(max(r.clock, now), start, limit)
 	r.clock = done
 	if err != nil {
 		return done, nil, memberErr(srv, err)
@@ -444,7 +444,7 @@ func (g *Group) FlushAll(now sim.Duration) (sim.Duration, error) {
 		if !r.live {
 			continue
 		}
-		done, err := r.eng.FlushAll(maxDur(r.clock, now))
+		done, err := r.eng.FlushAll(max(r.clock, now))
 		r.clock = done
 		if err != nil && firstErr == nil {
 			firstErr = memberErr(i, err)
@@ -464,7 +464,7 @@ func (g *Group) Quiesce(now sim.Duration) sim.Duration {
 		if !r.live {
 			continue
 		}
-		r.clock = r.eng.Quiesce(maxDur(r.clock, now))
+		r.clock = r.eng.Quiesce(max(r.clock, now))
 		if r.clock > end {
 			end = r.clock
 		}
@@ -481,7 +481,7 @@ func (g *Group) Close(now sim.Duration) (sim.Duration, error) {
 		if !r.live {
 			continue
 		}
-		done, err := r.eng.Close(maxDur(r.clock, now))
+		done, err := r.eng.Close(max(r.clock, now))
 		r.clock = done
 		if err != nil && firstErr == nil {
 			firstErr = memberErr(i, err)
@@ -545,7 +545,7 @@ func (g *Group) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 			continue
 		}
 		supported = true
-		done, err := gc.EndGroupCommit(maxDur(r.clock, now))
+		done, err := gc.EndGroupCommit(max(r.clock, now))
 		if err != nil && firstErr == nil {
 			firstErr = memberErr(i, err)
 		}
@@ -661,7 +661,7 @@ func (p *pager) peek(now sim.Duration) (*kv.Entry, bool, error) {
 			return nil, false, nil
 		}
 		sc := p.eng.(scanner)
-		done, ents, err := sc.Scan(maxDur(*p.clock, now), p.next, reconcilePage)
+		done, ents, err := sc.Scan(max(*p.clock, now), p.next, reconcilePage)
 		*p.clock = done
 		if err != nil {
 			return nil, false, err
@@ -737,11 +737,4 @@ func (g *Group) reconcileOne(auth, stale *rep, now sim.Duration) error {
 			sp.advance()
 		}
 	}
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

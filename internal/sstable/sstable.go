@@ -179,7 +179,7 @@ func (t *Table) Get(now sim.Duration, key []byte) (done sim.Duration, e kv.Entry
 	if i >= t.numEntries || !bytes.Equal(t.key(i), key) {
 		// Bloom false positive: a real engine would still read the
 		// block to find out; charge that read.
-		bi := t.blockOf(minInt(i, t.numEntries-1))
+		bi := t.blockOf(min(i, t.numEntries-1))
 		b := t.blocks[bi]
 		done, err = t.file.ReadAt(now, int64(b.startPage), int(b.pages), nil)
 		return done, e, false, err
@@ -225,13 +225,6 @@ func blockEntryValue(block []byte, idx int) ([]byte, error) {
 		}
 		off += entryHeaderSize + kl + vl
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // blockOf returns the index of the block containing entry i.

@@ -146,7 +146,7 @@ func (sh *shard) redo(r request, done sim.Duration, err error) (sim.Duration, []
 			attempts++
 			sh.retryLeft--
 			sh.errStats.Retries++
-			at := maxDur(done, sh.clock) + backoff
+			at := max(done, sh.clock) + backoff
 			if backoff < retryCap {
 				backoff *= 2
 			}
@@ -156,7 +156,7 @@ func (sh *shard) redo(r request, done sim.Duration, err error) (sim.Duration, []
 			if !sh.failOver(err) {
 				return done, nil, false, err
 			}
-			done, v, found, err = sh.runOp(r, maxDur(done, sh.clock))
+			done, v, found, err = sh.runOp(r, max(done, sh.clock))
 		}
 		if err == nil {
 			return done, v, found, nil

@@ -35,7 +35,6 @@ import (
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/engine"
-	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
@@ -93,25 +92,19 @@ type Scanner interface {
 }
 
 // Stack is one shard's engine on its own simulated device. Start seeds
-// the shard clock (recovery end time for recovered engines). Fault,
-// when set, is the shard's fault-injecting device wrapper (the crash
-// harness polls it for power cuts between pump rounds).
+// the shard clock (recovery end time for recovered engines).
 //
 // A replicated shard (a replica.Group behind Engine) owns one device
-// per replica: Devs/Faults then carry ALL of them in replica order
-// (Dev/Fault stay the first replica's for compatibility), so device
-// instrumentation and cut polling see every underlying device.
+// per replica: Devs then carries ALL of them in replica order (Dev
+// stays the first replica's for compatibility), so device
+// instrumentation sees every underlying device.
 type Stack struct {
 	Engine engine.Engine
 	Dev    blockdev.Host
-	Fault  *faultdev.Dev
 	Start  sim.Duration
 	// Devs, when set, lists every device backing the shard (replica
 	// groups). When nil the shard has the single device Dev.
 	Devs []blockdev.Host
-	// Faults, when set, lists every fault wrapper backing the shard in
-	// the same order as Devs (entries may be nil).
-	Faults []*faultdev.Dev
 	// AutoFailover lets the shard fail a persistently erroring replica
 	// out of its group (the engine must implement Failover) instead of
 	// latching the shard unavailable. Off by default: harnesses that
@@ -128,10 +121,7 @@ type request struct {
 type shard struct {
 	idx    int
 	eng    engine.Engine
-	dev    blockdev.Host
-	fault  *faultdev.Dev
-	devs   []blockdev.Host // all backing devices (replicated shards)
-	faults []*faultdev.Dev // all fault wrappers, aligned with devs
+	devs   []blockdev.Host // every backing device (one per replica)
 	clock  sim.Duration
 	failed error // sticky: set on the first persistent engine error
 
@@ -188,15 +178,11 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 			return nil, fmt.Errorf("store: opening shard %d: %w", i, err)
 		}
 		sh := &shard{
-			idx: i, eng: st.Engine, dev: st.Dev, fault: st.Fault,
-			devs: st.Devs, faults: st.Faults, clock: st.Start,
+			idx: i, eng: st.Engine, devs: st.Devs, clock: st.Start,
 			autoFailover: st.AutoFailover,
 		}
 		if sh.devs == nil {
 			sh.devs = []blockdev.Host{st.Dev}
-		}
-		if sh.faults == nil {
-			sh.faults = []*faultdev.Dev{st.Fault}
 		}
 		if shards > 1 {
 			sh.ch = make(chan func(), 1)
@@ -236,18 +222,6 @@ func (s *Store) Devs() []blockdev.Host {
 		devs = append(devs, sh.devs...)
 	}
 	return devs
-}
-
-// Faults lists the fault devices backing the store, aligned with
-// Devs() (entries are nil for stacks opened without fault injection).
-// The crash harness polls them between pump rounds and force-cuts the
-// remaining devices when a whole-machine cut fires.
-func (s *Store) Faults() []*faultdev.Dev {
-	fds := make([]*faultdev.Dev, 0, len(s.shards))
-	for _, sh := range s.shards {
-		fds = append(fds, sh.faults...)
-	}
-	return fds
 }
 
 // ShardOf maps a key id to its owning shard through a SplitMix64
@@ -392,7 +366,7 @@ func (sh *shard) process() {
 				}
 				j++
 			}
-			start := maxDur(sh.clock, r.op.Submit)
+			start := max(sh.clock, r.op.Submit)
 			end := start
 			for k := i; k < j; k++ {
 				rq := sh.intake[k]
@@ -418,7 +392,7 @@ func (sh *shard) process() {
 			i = j
 			continue
 		}
-		start := maxDur(sh.clock, r.op.Submit)
+		start := max(sh.clock, r.op.Submit)
 		done, v, found, err := sh.runOp(r, start)
 		if err != nil {
 			done, v, found, err = sh.redo(r, done, err)
@@ -579,7 +553,7 @@ func (s *Store) Load(valueBytes int, numKeys uint64) (sim.Duration, error) {
 // clock) and returns the time the slowest shard finished.
 func (s *Store) FlushAll(now sim.Duration) (sim.Duration, error) {
 	s.each(func(sh *shard) {
-		sh.clock, sh.err = sh.eng.FlushAll(maxDur(sh.clock, now))
+		sh.clock, sh.err = sh.eng.FlushAll(max(sh.clock, now))
 	})
 	return s.collectEach()
 }
@@ -588,7 +562,7 @@ func (s *Store) FlushAll(now sim.Duration) (sim.Duration, error) {
 // the slowest shard went idle.
 func (s *Store) Quiesce(now sim.Duration) sim.Duration {
 	s.each(func(sh *shard) {
-		sh.clock = sh.eng.Quiesce(maxDur(sh.clock, now))
+		sh.clock = sh.eng.Quiesce(max(sh.clock, now))
 		sh.err = nil
 	})
 	end, _ := s.collectEach()
@@ -623,7 +597,7 @@ func (s *Store) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, [
 			sh.err = fmt.Errorf("store: shard %d engine does not support Scan", sh.idx)
 			return
 		}
-		sh.clock, parts[sh.idx], sh.err = sc.Scan(maxDur(sh.clock, now), start, limit)
+		sh.clock, parts[sh.idx], sh.err = sc.Scan(max(sh.clock, now), start, limit)
 	})
 	end, err := s.collectEach()
 	if err != nil {
@@ -666,11 +640,4 @@ func (s *Store) DiskUsageBytes() int64 {
 		t += sh.eng.DiskUsageBytes()
 	}
 	return t
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

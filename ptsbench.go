@@ -46,6 +46,7 @@ import (
 	"ptsbench/internal/kv"
 	"ptsbench/internal/lsm"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/stack"
 )
 
 // Experiment types (see internal/core for full documentation).
@@ -187,24 +188,15 @@ func NewStack(opts StackOptions) (*Stack, error) {
 	if opts.Profile != nil {
 		profile = *opts.Profile
 	}
-	ssd, err := flash.NewDevice(flash.Config{
-		LogicalBytes:  capacity,
-		PageSize:      4096,
-		PagesPerBlock: 256,
-		Profile:       profile,
+	st, err := stack.Build(stack.Layout{
+		Flash:   flash.Config{LogicalBytes: capacity, Profile: profile},
+		Mount:   extfs.Options{Discard: opts.DiscardOnDelete},
+		Content: opts.ContentStore,
 	})
 	if err != nil {
 		return nil, err
 	}
-	bdev := blockdev.New(ssd)
-	if opts.ContentStore {
-		bdev.EnableContentStore()
-	}
-	fs, err := extfs.Mount(bdev, extfs.Options{Discard: opts.DiscardOnDelete})
-	if err != nil {
-		return nil, err
-	}
-	return &Stack{SSD: ssd, BlockDev: bdev, FS: fs}, nil
+	return &Stack{SSD: st.Sim.SSD(), BlockDev: st.Sim, FS: st.FS}, nil
 }
 
 // Generic engine access. The registry makes every engine reachable by
