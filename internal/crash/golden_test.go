@@ -40,7 +40,13 @@ type goldenTrial struct {
 }
 
 // goldenShapes are the CI matrices' shapes (ci.yml: crash-smoke,
-// replica-crash-smoke, error-injection-smoke) on the sim device.
+// replica-crash-smoke, error-injection-smoke) on the sim device, then
+// the paths those never reach: the file device under each kind of trial
+// (the backing-file image check, the per-pass image directories, and —
+// the one shape with its own Ops and a certain lie, because no shorter
+// log damages an image enough — the rebuild directory of a loud
+// recovery refusal, seeds 2 and 3), and a fully pinned cut, unreplicated
+// and replicated (the sampler's pinned branches).
 func goldenShapes() []Spec {
 	allKinds := []string{"eio", "short", "misdirect", "fsynclie"}
 	var shapes []Spec
@@ -54,7 +60,13 @@ func goldenShapes() []Spec {
 			Spec{Engine: eng, Replicas: 3, ReplMode: "quorum", ErrorKinds: allKinds, ErrorProb: 0.05},
 		)
 	}
-	return shapes
+	return append(shapes,
+		Spec{Engine: "btree", Shards: 4, Device: "file"},
+		Spec{Engine: "betree", Shards: 2, Replicas: 2, ReplMode: "chain", Device: "file"},
+		Spec{Engine: "lsm", Ops: 2000, Replicas: 2, ReplMode: "chain", ErrorKinds: []string{"fsynclie"}, ErrorProb: 1, Device: "file"},
+		Spec{Engine: "btree", Shards: 2, CutShard: 1, CutWrite: 5},
+		Spec{Engine: "btree", Shards: 2, Replicas: 3, ReplMode: "quorum", CutShard: 1, CutWrite: 5},
+	)
 }
 
 func shapeName(s Spec) string {
@@ -65,13 +77,21 @@ func shapeName(s Spec) string {
 	if len(s.ErrorKinds) > 0 {
 		name += "/errors"
 	}
+	if s.CutWrite > 0 {
+		name += fmt.Sprintf("/pin=%d@%d", s.CutShard, s.CutWrite)
+	}
+	if s.Device == "file" {
+		name += "/file"
+	}
 	return name
 }
 
 func TestGoldenTrials(t *testing.T) {
 	var trials []goldenTrial
 	for _, shape := range goldenShapes() {
-		shape.Ops = 400
+		if shape.Ops == 0 {
+			shape.Ops = 400
+		}
 		for seed := uint64(1); seed <= 4; seed++ {
 			shape.Seed = seed
 			rep, err := Run(shape)
