@@ -16,27 +16,27 @@ func runCrash(spec crash.Spec) error {
 	if err != nil {
 		return err
 	}
-	if len(rep.Spec.ErrorKinds) > 0 {
+	s := rep.Spec
+	checked := fmt.Sprintf("%d keys checked (%d ambiguous), %d scan entries verified", rep.Checked, rep.Ambiguous, rep.Scanned)
+	switch s.Scenario() {
+	case crash.ErrorPlan:
 		fmt.Printf("crash: %s x%d shard(s) x%d %s replica(s), errors %v @ %g: %d trial(s) passed\n",
-			rep.Spec.Engine, rep.Spec.Shards, rep.Spec.Replicas, rep.Spec.ReplMode,
-			rep.Spec.ErrorKinds, rep.Spec.ErrorProb, rep.Spec.Trials)
+			s.Engine, s.Shards, s.Replicas, s.ReplMode, s.ErrorKinds, s.ErrorProb, s.Trials)
 		outcome := "recovered"
 		if rep.RecoveredLoud {
 			outcome = "refused loudly, rebuilt from peers"
 		}
-		fmt.Printf("  last trial: seed %d, armed shard %d replica %d at write %d; %d error(s) injected, victim %s; %d keys checked (%d ambiguous), %d scan entries verified\n",
-			rep.Seed, rep.CutShard, rep.CutReplica, rep.CutWrite, rep.Injected, outcome,
-			rep.Checked, rep.Ambiguous, rep.Scanned)
-	} else if rep.Spec.Replicas > 1 {
+		fmt.Printf("  last trial: seed %d, armed shard %d replica %d at write %d; %d error(s) injected, victim %s; %s\n",
+			rep.Seed, rep.CutShard, rep.CutReplica, rep.CutWrite, rep.Injected, outcome, checked)
+	case crash.ReplicaKill:
 		fmt.Printf("crash: %s x%d shard(s) x%d %s replica(s): %d trial(s) passed\n",
-			rep.Spec.Engine, rep.Spec.Shards, rep.Spec.Replicas, rep.Spec.ReplMode, rep.Spec.Trials)
-		fmt.Printf("  last trial: seed %d, killed shard %d replica %d at write %d (op %d); %d keys checked (%d ambiguous), %d scan entries verified\n",
-			rep.Seed, rep.CutShard, rep.CutReplica, rep.CutWrite, rep.CutOp, rep.Checked, rep.Ambiguous, rep.Scanned)
-	} else {
-		fmt.Printf("crash: %s x%d shard(s): %d trial(s) passed\n",
-			rep.Spec.Engine, rep.Spec.Shards, rep.Spec.Trials)
-		fmt.Printf("  last trial: seed %d, cut at shard %d write %d (op %d); %d keys checked (%d ambiguous), %d scan entries verified\n",
-			rep.Seed, rep.CutShard, rep.CutWrite, rep.CutOp, rep.Checked, rep.Ambiguous, rep.Scanned)
+			s.Engine, s.Shards, s.Replicas, s.ReplMode, s.Trials)
+		fmt.Printf("  last trial: seed %d, killed shard %d replica %d at write %d (op %d); %s\n",
+			rep.Seed, rep.CutShard, rep.CutReplica, rep.CutWrite, rep.CutOp, checked)
+	default:
+		fmt.Printf("crash: %s x%d shard(s): %d trial(s) passed\n", s.Engine, s.Shards, s.Trials)
+		fmt.Printf("  last trial: seed %d, cut at shard %d write %d (op %d); %s\n",
+			rep.Seed, rep.CutShard, rep.CutWrite, rep.CutOp, checked)
 	}
 	fmt.Printf("(completed in %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -34,6 +34,8 @@
 // same harness over real backing files (internal/filedev) and
 // additionally verifies the file matches the resolved durable image
 // after every power-on; -dir keeps the per-trial images for inspection.
+// -cut-shard S -cut-write W (both or neither) pin where the fault lands
+// instead of sampling it.
 // -replicas R (with -repl-mode chain or quorum) turns every shard into
 // a replica group of R full engine stacks and changes the failure: one
 // replica's device is killed mid-batch while the machine keeps serving,
@@ -131,8 +133,8 @@ func main() {
 		keys := fs.Int("keys", 0, "key-space bound (0 = ops/8, min 16)")
 		seed := fs.Uint64("seed", 1, "trial seed (trial t runs with seed+t)")
 		trials := fs.Int("trials", 1, "independent seeds to run")
-		cutShard := fs.Int("cut-shard", -1, "pin the cut shard (-1 = sample by write traffic)")
-		cutWrite := fs.Int64("cut-write", 0, "pin the 1-based cut write within the shard (0 = sample)")
+		cutShard := fs.Int("cut-shard", -1, "pin the cut shard; needs -cut-write (-1 = sample shard and write by write traffic)")
+		cutWrite := fs.Int64("cut-write", 0, "pin the 1-based cut write within -cut-shard; needs -cut-shard (0 = sample)")
 		replicas := fs.Int("replicas", 1, "replicas per shard (>1 kills one replica's device instead of the machine)")
 		replMode := fs.String("repl-mode", "", "replication mode for -replicas >1: chain (default) or quorum (needs >=3)")
 		errKinds := fs.String("errors", "", "comma-separated error kinds to arm on one replica (eio, short, misdirect, fsynclie); needs -replicas >=2")
@@ -142,6 +144,12 @@ func main() {
 		_ = fs.Parse(os.Args[2:])
 		if *eng == "" {
 			fmt.Fprintln(os.Stderr, "crash: -engine is required")
+			os.Exit(2)
+		}
+		if *cutShard == 0 && *cutWrite == 0 {
+			// As a Spec this is the zero value, which samples; on the
+			// command line it is an explicit half pin like any other.
+			fmt.Fprintln(os.Stderr, "crash: -cut-shard needs -cut-write (pin both or neither)")
 			os.Exit(2)
 		}
 		var kinds []string

@@ -25,8 +25,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"ptsbench"
+	"ptsbench/internal/betree"
 )
 
 func main() {
@@ -55,12 +57,16 @@ func runOne(eps float64) {
 		log.Fatal(err)
 	}
 
-	cfg := ptsbench.NewBetreeConfig(64 << 20)
-	cfg.Epsilon = eps
-	tr, err := ptsbench.OpenBetree(stack, cfg)
+	// ε travels as a declarative tunable, the same string a spec file
+	// carries. The generic handle is enough to drive the engine; the
+	// walk-through also reads the Bε-tree's own counters, so it asserts
+	// the concrete type.
+	eng, err := ptsbench.OpenEngine(stack, "betree", 64<<20,
+		map[string]string{"epsilon": strconv.FormatFloat(eps, 'g', -1, 64)}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tr := eng.(*betree.Tree)
 
 	// Load 16k keys, then update-churn 4x over them: the same shape as
 	// the paper's steady-state phase.

@@ -1,6 +1,6 @@
-// Quickstart: open the two storage engines on a simulated flash stack,
-// write and read real data, and inspect the I/O accounting that the
-// benchmark harness is built on.
+// Quickstart: open a storage engine on a simulated flash stack, write
+// and read real data, and inspect the I/O accounting that the benchmark
+// harness is built on.
 package main
 
 import (
@@ -21,8 +21,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Open the RocksDB-like LSM engine sized for a ~64 MiB dataset.
-	db, err := ptsbench.OpenLSM(stack, ptsbench.NewLSMConfig(64<<20), 42)
+	// Open the RocksDB-like LSM engine by its registry name, sized for a
+	// ~64 MiB dataset, with no tunable overrides.
+	db, err := ptsbench.OpenEngine(stack, "lsm", 64<<20, nil, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,8 +50,15 @@ func main() {
 		fmt.Printf("key %3d -> %q (found=%v)\n", id, val, found)
 	}
 
-	// Delete and verify.
-	now, err = db.Delete(now, ptsbench.EncodeKey(500))
+	// Delete and verify. Delete is an optional engine surface (every
+	// built-in engine has it), so it is asserted, not assumed.
+	del, ok := db.(interface {
+		Delete(now ptsbench.VirtualTime, key []byte) (ptsbench.VirtualTime, error)
+	})
+	if !ok {
+		log.Fatal("engine does not support Delete")
+	}
+	now, err = del.Delete(now, ptsbench.EncodeKey(500))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -52,6 +53,32 @@ func TestCrashPinnedCut(t *testing.T) {
 	}
 }
 
+// TestTrialDeterminism: under every scenario the same (spec, seed)
+// replays to the same Report — fault coordinates, injection counts,
+// recovery outcome and verification counts.
+func TestTrialDeterminism(t *testing.T) {
+	for _, spec := range []Spec{
+		{Engine: "btree", Shards: 4, Ops: 250, Seed: 19},
+		{Engine: "lsm", Shards: 2, Ops: 250, Seed: 13, Replicas: 3, ReplMode: "quorum"},
+		{Engine: "betree", Ops: 250, Seed: 17, Replicas: 3, ReplMode: "quorum",
+			ErrorKinds: []string{"misdirect", "eio"}, ErrorProb: 0.06},
+	} {
+		t.Run(spec.Scenario().Name, func(t *testing.T) {
+			a, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("trials diverged:\n%+v\n%+v", a, b)
+			}
+		})
+	}
+}
+
 // TestSpecValidate covers default filling and fail-fast rejection.
 func TestSpecValidate(t *testing.T) {
 	s, err := Spec{Engine: "lsm", Seed: 3}.Validate()
@@ -69,6 +96,8 @@ func TestSpecValidate(t *testing.T) {
 		{Engine: "lsm", Trials: -1},
 		{Engine: "lsm", Shards: 2, CutShard: 2, CutWrite: 1},
 		{Engine: "lsm", CutWrite: -5},
+		{Engine: "lsm", Shards: 2, CutShard: 1},    // half a pin: shard without write
+		{Engine: "lsm", CutShard: -1, CutWrite: 5}, // half a pin: write without shard
 	}
 	for i, b := range bad {
 		if _, err := b.Validate(); err == nil {

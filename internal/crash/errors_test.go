@@ -114,32 +114,6 @@ func TestErrorTrialFileDevice(t *testing.T) {
 	}
 }
 
-// TestErrorTrialDeterminism: the same (spec, seed) replays to the same
-// arm coordinates, injection counts and verification counts.
-func TestErrorTrialDeterminism(t *testing.T) {
-	run := func() *Report {
-		rep, err := Run(Spec{
-			Engine:     "betree",
-			Ops:        250,
-			Seed:       17,
-			Replicas:   3,
-			ReplMode:   "quorum",
-			ErrorKinds: []string{"misdirect", "eio"},
-			ErrorProb:  0.06,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(), run()
-	if a.CutShard != b.CutShard || a.CutReplica != b.CutReplica || a.CutWrite != b.CutWrite ||
-		a.Injected != b.Injected || a.RecoveredLoud != b.RecoveredLoud ||
-		a.Checked != b.Checked || a.Scanned != b.Scanned || a.Ambiguous != b.Ambiguous {
-		t.Fatalf("error trials diverged:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestErrorSpecValidate covers the error-field validation paths and
 // defaults.
 func TestErrorSpecValidate(t *testing.T) {

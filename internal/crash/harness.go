@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -12,18 +11,10 @@ import (
 	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
+	"ptsbench/internal/replica"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/stack"
 	"ptsbench/internal/store"
-)
-
-// Fault severity of the sampled cut: unbarriered writes drop or tear
-// with these probabilities at power-on. The harness never injects
-// bit-rot — corrupting *durable* state is beyond the crash-consistency
-// contract it verifies (scripted tests use Plan.RotPages directly).
-const (
-	dropProb = 0.25
-	tornProb = 0.5
 )
 
 // batchSize is the ops submitted per store Pump. Batches carrying
@@ -36,7 +27,7 @@ type Report struct {
 	Spec       Spec
 	Seed       uint64
 	CutShard   int
-	CutReplica int // replica the cut killed (replicated trials only)
+	CutReplica int // replica the fault landed on (always 0 unreplicated)
 	CutWrite   int64
 	CutOp      int // ops submitted before the machine (or replica) died
 	Ambiguous  int // keys with more than one allowed recovered state
@@ -54,10 +45,11 @@ type Report struct {
 func ReproLine(spec Spec, seed uint64) string {
 	line := fmt.Sprintf("ptsbench crash -engine %s -shards %d -ops %d -keys %d -seed %d",
 		spec.Engine, spec.Shards, spec.Ops, spec.Keys, seed)
-	if spec.Replicas > 1 {
+	sc := spec.Scenario()
+	if sc != PowerCut {
 		line += fmt.Sprintf(" -replicas %d -repl-mode %s", spec.Replicas, spec.ReplMode)
 	}
-	if len(spec.ErrorKinds) > 0 {
+	if sc == ErrorPlan {
 		line += fmt.Sprintf(" -errors %s -error-prob %g", strings.Join(spec.ErrorKinds, ","), spec.ErrorProb)
 	}
 	if spec.CutShard >= 0 && spec.CutWrite > 0 {
@@ -79,18 +71,11 @@ func Run(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := spec.Scenario()
 	var rep *Report
 	for t := 0; t < spec.Trials; t++ {
 		seed := spec.Seed + uint64(t)
-		switch {
-		case len(spec.ErrorKinds) > 0:
-			rep, err = runErrorTrial(spec, seed)
-		case spec.Replicas > 1:
-			rep, err = runReplicaTrial(spec, seed)
-		default:
-			rep, err = runTrial(spec, seed)
-		}
-		if err != nil {
+		if rep, err = runTrial(spec, seed, sc); err != nil {
 			return rep, fmt.Errorf("reproduce: %s\n%w", ReproLine(spec, seed), err)
 		}
 	}
@@ -165,8 +150,8 @@ func layout(spec Spec, i, r int, plan faultdev.Plan, dir string) stack.Layout {
 
 // buildEnv assembles spec.Shards × spec.Replicas stacks behind one
 // store, stack (i, r) running plans[i][r]. autoFailover hands
-// replica-kill authority to the serving layer (error-plan trials); cut
-// trials keep it false so their manual Kill stays exclusive.
+// replica-kill authority to the serving layer; scenarios that kill the
+// victim themselves keep it false so that Kill stays exclusive.
 func buildEnv(spec Spec, plans [][]faultdev.Plan, dir string, autoFailover bool) (*stack.Cluster, error) {
 	return stack.BuildCluster(spec.Shards, spec.Replicas, spec.ReplMode, autoFailover, func(i, r int) stack.Layout {
 		return layout(spec, i, r, plans[i][r], dir)
@@ -210,11 +195,26 @@ func recoverStack(spec Spec, st *stack.Stack, i, r int, now sim.Duration) (engin
 	return st.Recover(sim.NewRNG(streamSeed(spec, 900, i, r)), now)
 }
 
-// runTrial executes one (spec, seed) trial: a fault-free calibration
-// pass counts per-shard write traffic, the harness samples a cut point
-// from it, and the faulty pass replays the identical op log, dies at
-// the cut, recovers every shard and verifies the result.
-func runTrial(spec Spec, seed uint64) (*Report, error) {
+// trial is the state of one faulty pass, handed from the serve loop to
+// the scenario's aftermath. The victim is stack (rep.CutShard,
+// rep.CutReplica).
+type trial struct {
+	spec     Spec
+	sc       *Scenario
+	dir      string // the trial's image directory ("" on the sim device)
+	env      *stack.Cluster
+	model    *kvtest.Model
+	rep      *Report
+	lastDone sim.Duration // latest completion the serve loop saw
+}
+
+// runTrial executes one (spec, seed) trial of scenario sc — the one
+// pipeline: a fault-free calibration pass counts every stack's write
+// traffic, the harness samples the victim and the write its fault lands
+// on, and the faulty pass replays the identical op log under the
+// scenario's plan, follows it with the scenario's aftermath and checks
+// the store that results against the model.
+func runTrial(spec Spec, seed uint64, sc *Scenario) (*Report, error) {
 	ops := genOps(spec, seed)
 	dir, cleanup, err := trialDir(spec, seed)
 	if err != nil {
@@ -222,93 +222,201 @@ func runTrial(spec Spec, seed uint64) (*Report, error) {
 	}
 	defer cleanup()
 
-	// Pass 1 (calibration): same wrapper, no faults — identical timing
-	// and write sequence, so pass 2's Nth write is pass 1's Nth write.
-	perStack, err := calibrate(spec, ops, passDir(dir, "calib"))
+	// Pass 1 (calibration): same wrappers, no faults — identical timing
+	// and write sequence, so pass 2's Nth write on any device is pass
+	// 1's Nth write and the sampled write is meaningful.
+	writes, err := calibrate(spec, ops, passDir(dir, "calib"))
 	if err != nil {
 		return nil, fmt.Errorf("calibration (fault-free) pass failed: %w", err)
 	}
-	writes := make([]int64, spec.Shards)
-	for i, row := range perStack {
-		writes[i] = row[0]
-	}
-	cutShard, cutWrite := sampleCut(spec, seed, writes)
-	if cutWrite == 0 {
-		return nil, fmt.Errorf("op log produced no device writes to cut at")
+	shard, r, write := sampleReplicaCut(spec, seed, writes)
+	if write == 0 {
+		return nil, fmt.Errorf("op log produced no device writes for the fault to land on")
 	}
 
-	rep := &Report{Spec: spec, Seed: seed, CutShard: cutShard, CutWrite: cutWrite}
+	rep := &Report{Spec: spec, Seed: seed, CutShard: shard, CutReplica: r, CutWrite: write}
 	plans := noFaults(spec)
-	plans[cutShard][0] = faultdev.Plan{
-		Seed:           seed*0x2545F4914F6CDD1D + 1,
-		CutAfterWrites: cutWrite,
-		CutKeepPages:   0, // random tear of the in-flight write
-		DropProb:       dropProb,
-		TornProb:       tornProb,
-	}
-	env, err := buildEnv(spec, plans, passDir(dir, "fault"), false)
+	plans[shard][r] = sc.plan(spec, write)
+	plans[shard][r].Seed = seed*0x2545F4914F6CDD1D + 1
+	env, err := buildEnv(spec, plans, passDir(dir, "fault"), sc.autoFailover)
 	if err != nil {
 		return rep, err
 	}
 	defer env.Close()
-	st := env.Store
 
-	// Pass 2: replay until the cut fires.
-	model := kvtest.NewModel()
-	cut := false
-	var lastDone sim.Duration
-	for start := 0; start < len(ops) && !cut; start += batchSize {
-		end := min(start+batchSize, len(ops))
-		comps := submitBatch(st, ops, start, end)
-		cut = env.Stacks[cutShard][0].Fault.Cut()
-		for _, c := range comps {
-			lastDone = max(lastDone, c.Done)
-		}
-		if err := applyBatch(model, ops, comps, cut, cutShard, spec.Shards); err != nil {
-			return rep, err
-		}
-		rep.CutOp = end
-	}
-	if !cut {
-		return rep, fmt.Errorf("cut at shard %d write %d never fired (calibration divergence)", cutShard, cutWrite)
-	}
-
-	// Power failure takes the whole machine: cut every shard and resolve
-	// what survived. File device only: the backing file must then BE the
-	// resolved durable image — dropped and torn pages rewound, everything
-	// else byte-identical. This is what makes the file trials stronger
-	// than the simulated ones: the bytes recovery reads really are the
-	// bytes a crashed kernel would have left.
-	for i, row := range env.Stacks {
-		if err := row[0].PowerCycle(); err != nil {
-			return rep, fmt.Errorf("shard %d power-on: %w", i, err)
-		}
-		if err := verifyFileImage(row[0]); err != nil {
-			return rep, fmt.Errorf("shard %d after power-on (cut at shard %d write %d): %w",
-				i, cutShard, cutWrite, err)
+	t := &trial{spec: spec, sc: sc, dir: dir, env: env, model: kvtest.NewModel(), rep: rep}
+	if err = t.serve(ops); err == nil {
+		if sc.machine {
+			err = t.machineRestart()
+		} else {
+			err = t.replicaRejoin()
 		}
 	}
-	recovered := make([]engine.Engine, spec.Shards)
-	starts := make([]sim.Duration, spec.Shards)
-	for i, row := range env.Stacks {
-		recovered[i], starts[i], err = recoverStack(spec, row[0], i, 0, lastDone)
-		if err != nil {
-			return rep, fmt.Errorf("shard %d recovery failed after cut (shard %d, write %d): %w",
-				i, cutShard, cutWrite, err)
-		}
-	}
-	rst, err := store.New(spec.Shards, func(i int) (store.Stack, error) {
-		return store.Stack{Engine: recovered[i], Dev: env.Stacks[i][0].Host, Start: starts[i]}, nil
-	})
 	if err != nil {
-		return rep, err
-	}
-	defer rst.Close()
-
-	if err := verify(rep, rst, model, spec, starts); err != nil {
-		return rep, fmt.Errorf("cut at shard %d write %d: %w", cutShard, cutWrite, err)
+		return rep, fmt.Errorf("%s at shard %d replica %d write %d: %w", sc.Name, shard, r, write, err)
 	}
 	return rep, nil
+}
+
+// serve is pass 2: replay the op log against the faulty environment.
+// The cut fires mid-batch and is noticed between pumps. A machine that
+// died stops there; otherwise the harness fails the victim out of its
+// group and keeps going — the machine never stops serving. A
+// whole-log scenario has no cut to wait for: its errors fire
+// probabilistically from the arm point on while the serving layer
+// retries and fails the victim over by itself.
+func (t *trial) serve(ops []opRec) error {
+	victim := t.env.Stacks[t.rep.CutShard][t.rep.CutReplica].Fault
+	fired := false
+	for start := 0; start < len(ops); start += batchSize {
+		end := min(start+batchSize, len(ops))
+		comps := submitBatch(t.env.Store, ops, start, end)
+		cutBatch := !fired && victim.Cut()
+		for _, c := range comps {
+			t.lastDone = max(t.lastDone, c.Done)
+		}
+		if err := applyBatch(t.sc, t.model, ops, comps, cutBatch, t.rep.CutShard, t.spec.Shards); err != nil {
+			return err
+		}
+		if cutBatch {
+			fired = true
+			t.rep.CutOp = end
+			if t.sc.machine {
+				break
+			}
+			if err := t.failOut(); err != nil {
+				return err
+			}
+		}
+	}
+	switch {
+	case t.sc.wholeLog:
+		t.rep.CutOp = len(ops)
+	case !fired:
+		return fmt.Errorf("the cut never fired (calibration divergence)")
+	}
+	t.rep.Injected = victim.Injected().Total()
+	return nil
+}
+
+// failOut is failover: the victim leaves its group — unless the serving
+// layer already failed it out — and the sticky shard error its death
+// may have caused is cleared with it.
+func (t *trial) failOut() error {
+	group := t.env.Groups[t.rep.CutShard]
+	if group.Alive(t.rep.CutReplica) {
+		if err := group.Kill(t.rep.CutReplica); err != nil {
+			return err
+		}
+	}
+	return t.env.Store.ClearFailure(t.rep.CutShard)
+}
+
+// machineRestart is the aftermath of a fault that took the machine:
+// power failure cuts every shard and resolves what survived, every
+// shard recovers from its image, and a fresh store serving the
+// recovered engines must satisfy the model. File device only: after
+// power-on the backing file must BE the resolved durable image —
+// dropped and torn pages rewound, everything else byte-identical. This
+// is what makes the file trials stronger than the simulated ones: the
+// bytes recovery reads really are the bytes a crashed kernel would have
+// left.
+func (t *trial) machineRestart() error {
+	for i, row := range t.env.Stacks {
+		if err := row[0].PowerCycle(); err != nil {
+			return fmt.Errorf("shard %d power-on: %w", i, err)
+		}
+		if err := verifyFileImage(row[0]); err != nil {
+			return fmt.Errorf("shard %d after power-on: %w", i, err)
+		}
+	}
+	recovered := make([]store.Stack, len(t.env.Stacks))
+	var now sim.Duration
+	for i, row := range t.env.Stacks {
+		eng, start, err := recoverStack(t.spec, row[0], i, 0, t.lastDone)
+		if err != nil {
+			return fmt.Errorf("shard %d recovery failed: %w", i, err)
+		}
+		recovered[i] = store.Stack{Engine: eng, Dev: row[0].Host, Start: start}
+		now = max(now, start)
+	}
+	rst, err := store.New(len(recovered), func(i int) (store.Stack, error) { return recovered[i], nil })
+	if err != nil {
+		return err
+	}
+	defer rst.Close()
+	return verify(t.rep, rst, t.model, t.spec, now)
+}
+
+// replicaRejoin is the aftermath of a fault the machine survived: the
+// victim is out of its group, the degraded group must still hold every
+// acknowledged write, and the victim comes back from its own image —
+// or, where the scenario allows a loud refusal, from its peers.
+func (t *trial) replicaRejoin() error {
+	shard, r := t.rep.CutShard, t.rep.CutReplica
+	group, victim := t.env.Groups[shard], t.env.Stacks[shard][r]
+	// The victim's device is known-damaged: the degraded check below
+	// must not let its copy answer for the group.
+	if err := t.failOut(); err != nil {
+		return err
+	}
+
+	// Degraded serving: down one replica, the group must still hold
+	// every key to its allowed states — zero acknowledged-write loss at
+	// the moment of failover. Each batch is submitted after the one
+	// before it finished, like any client of a serving store.
+	now, ids := t.lastDone, t.model.IDs()
+	for start := 0; start < len(ids); start += batchSize {
+		var err error
+		if now, err = readBatch(t.env.Store, t.model, ids, start, now); err != nil {
+			return fmt.Errorf("degraded group: %w", err)
+		}
+	}
+
+	// Power-cycle the victim: unbarriered writes resolve (drops, tears;
+	// for fsynclie the lied-about windows), the error model disarms, and
+	// the file backend is proven byte-identical to the resolved image.
+	if err := victim.PowerCycle(); err != nil {
+		return fmt.Errorf("victim power-on: %w", err)
+	}
+	if err := verifyFileImage(victim); err != nil {
+		return fmt.Errorf("victim after power-on: %w", err)
+	}
+
+	// Recovery runs through the registry exactly like a machine restart.
+	// A loud refusal the scenario allows downgrades the rejoin to a
+	// rebuild-from-peers: a fresh empty stack that Reconcile repopulates
+	// from the authority.
+	eng, rnow, err := recoverStack(t.spec, victim, shard, r, now)
+	if err != nil {
+		if !t.sc.rebuildOnLoud {
+			return fmt.Errorf("victim recovery failed: %w", err)
+		}
+		t.rep.RecoveredLoud = true
+		fresh, berr := stack.Build(layout(t.spec, shard, r, faultdev.Plan{}, passDir(t.dir, "rebuild")))
+		if berr != nil {
+			return fmt.Errorf("rebuilding the victim after loud recovery refusal (%v): %w", err, berr)
+		}
+		victim.Close()
+		t.env.Stacks[shard][r] = fresh
+		eng, rnow = fresh.Engine, now
+	}
+	if err := group.Revive(r, replica.Member{Engine: eng, Start: rnow}); err != nil {
+		return err
+	}
+	recNow, err := group.Reconcile(max(now, rnow))
+	if err != nil {
+		return fmt.Errorf("reconciling the victim: %w", err)
+	}
+
+	// Reconvergence — every replica of every group entry-identical —
+	// then the full model verification through the serving layer. In
+	// chain mode the revived replica serves these reads itself whenever
+	// it is the tail, so recovery is load-bearing, not decorative.
+	if err := verifyConverged(t.env.Groups, recNow); err != nil {
+		return fmt.Errorf("after reconciling the victim: %w", err)
+	}
+	return verify(t.rep, t.env.Store, t.model, t.spec, recNow)
 }
 
 // calibrate runs the op log fault-free and returns per-shard,
@@ -336,60 +444,60 @@ func calibrate(spec Spec, ops []opRec, dir string) ([][]int64, error) {
 	return writes, nil
 }
 
-// verifyFileImage compares a stack's backing file, page by page,
-// against the fault wrapper's resolved durable image (zeros where
-// nothing durable was ever written); the sim device has no file and
-// passes. Reads go straight to the filedev — below the fault wrapper,
-// whose own content store must not be allowed to mask a divergence in
-// the file.
-func verifyFileImage(st *stack.Stack) error {
-	if st.File == nil {
-		return nil
-	}
-	ps := st.File.PageSize()
-	zero := make([]byte, ps)
-	buf := make([]byte, ps)
-	for lba := int64(0); lba < st.File.Pages(); lba++ {
-		st.File.ReadAt(0, lba, 1, buf)
-		want := st.Fault.DurablePage(lba)
-		if want == nil {
-			want = zero
-		}
-		if !bytes.Equal(buf, want) {
-			return fmt.Errorf("backing file diverges from the durable image at LBA %d", lba)
-		}
-	}
-	return nil
-}
-
-// sampleCut picks the cut's (shard, write index): spec pins win;
-// otherwise one uniform draw over all observed writes, so shards are
-// weighted by their traffic.
-func sampleCut(spec Spec, seed uint64, writes []int64) (int, int64) {
-	if spec.CutShard >= 0 && spec.CutWrite > 0 {
-		return spec.CutShard, min(spec.CutWrite, writes[spec.CutShard])
+// sampleReplicaCut picks the (shard, replica, write index) the fault
+// lands on: one uniform draw over every write calibration observed, so
+// stacks are weighted by their traffic. A pinned spec fixes the shard
+// and the write index; the replica is still sampled by write traffic —
+// every replica of the cut shard must be reachable by some seed. A zero
+// write means there was no traffic to sample.
+func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64) {
+	rng := sim.NewRNG(seed)
+	if spec.CutShard >= 0 {
+		row := writes[spec.CutShard]
+		rep := weightedReplica(rng, row)
+		return spec.CutShard, rep, min(spec.CutWrite, row[rep])
 	}
 	var total int64
-	for _, w := range writes {
+	for _, row := range writes {
+		for _, w := range row {
+			total += w
+		}
+	}
+	if total == 0 {
+		return 0, 0, 0
+	}
+	pick := 1 + int64(rng.Uint64n(uint64(total)))
+	for i, row := range writes {
+		for r, w := range row {
+			if pick <= w {
+				return i, r, pick
+			}
+			pick -= w
+		}
+	}
+	last := len(writes) - 1
+	lastRep := len(writes[last]) - 1
+	return last, lastRep, writes[last][lastRep]
+}
+
+// weightedReplica samples one replica index of a shard proportionally
+// to its device write traffic.
+func weightedReplica(rng *sim.RNG, row []int64) int {
+	var total int64
+	for _, w := range row {
 		total += w
 	}
 	if total == 0 {
-		return 0, 0
+		return 0
 	}
-	rng := sim.NewRNG(seed)
 	pick := 1 + int64(rng.Uint64n(uint64(total)))
-	for i, w := range writes {
+	for r, w := range row {
 		if pick <= w {
-			if spec.CutShard >= 0 && i != spec.CutShard {
-				// Shard pinned but write sampled: re-scale into it.
-				w := 1 + int64(rng.Uint64n(uint64(max(writes[spec.CutShard], 1))))
-				return spec.CutShard, w
-			}
-			return i, pick
+			return r
 		}
 		pick -= w
 	}
-	return len(writes) - 1, writes[len(writes)-1]
+	return len(row) - 1
 }
 
 // submitBatch submits ops[start:end) with strictly increasing submit
@@ -416,20 +524,30 @@ func submitBatch(st *store.Store, ops []opRec, start, end int) []store.Completio
 	return st.Pump()
 }
 
-// applyBatch folds one batch's completions into the model. Completions
-// arrive in submission order, so the model sees each key's ops exactly
-// as its shard processed them. In the batch the cut landed on, the cut
-// shard's ops are ambiguous — acknowledged in memory, durable only up
-// to an unknown prefix — while other shards completed the batch intact
-// (their fault plans are empty, so pending writes survive power-on).
-func applyBatch(model *kvtest.Model, ops []opRec, comps []store.Completion, cut bool, cutShard, shards int) error {
+// applyBatch folds one batch's completions into the model — the one
+// completion classifier. Completions arrive in submission order, so the
+// model sees each key's ops exactly as its shard processed them.
+//
+// The fault window is the batch the cut fired in, or every batch of a
+// whole-log scenario; only ops on the victim's shard are ever in it.
+// In the window an op may error, and an errored write is ambiguous: the
+// chain or quorum apply may have stopped part-way. An acknowledged
+// write is exact if the machine survived — every live replica applied
+// it and keeps it — and ambiguous if it did not: acknowledged in
+// memory, durable only up to an unknown prefix. Reads in the window are
+// skipped; the dying or damaged replica may have served them. Outside
+// the window every op must succeed, writes are exact, and reads are
+// held to each key's allowed states (keys from the window stay
+// ambiguous until a later write pins them).
+func applyBatch(sc *Scenario, model *kvtest.Model, ops []opRec, comps []store.Completion, cutBatch bool, victimShard, shards int) error {
 	for _, c := range comps {
 		idx := int(c.Seq)
 		op := ops[idx]
-		ambiguous := cut && store.ShardOf(op.id, shards) == cutShard
-		if c.Err != nil && !ambiguous {
-			return fmt.Errorf("op %d (%v key %d) failed pre-cut: %w", idx, op.kind, op.id, c.Err)
+		inWindow := (cutBatch || sc.wholeLog) && store.ShardOf(op.id, shards) == victimShard
+		if c.Err != nil && !inWindow {
+			return fmt.Errorf("op %d (%v key %d) failed outside the fault window: %w", idx, op.kind, op.id, c.Err)
 		}
+		ambiguous := inWindow && (sc.machine || c.Err != nil)
 		switch op.kind {
 		case store.Put:
 			if ambiguous {
@@ -443,148 +561,14 @@ func applyBatch(model *kvtest.Model, ops []opRec, comps []store.Completion, cut 
 			} else {
 				model.Delete(op.id)
 			}
-		default: // Get: verify against the model's exact state
-			if ambiguous {
+		default: // Get
+			if inWindow {
 				continue
 			}
-			want, present := model.Value(op.id)
-			if c.Found != present {
-				return fmt.Errorf("op %d: get key %d found=%v, model present=%v (pre-cut divergence)",
-					idx, op.id, c.Found, present)
+			if !model.Check(op.id, c.Value, c.Found) {
+				return fmt.Errorf("op %d: get key %d outside its allowed states (found=%v, ambiguous=%v)",
+					idx, op.id, c.Found, model.Ambiguous(op.id))
 			}
-			if present && !bytes.Equal(c.Value, want) {
-				return fmt.Errorf("op %d: get key %d returned wrong value (pre-cut divergence)", idx, op.id)
-			}
-		}
-	}
-	return nil
-}
-
-// verify checks the recovered store against the model: point reads for
-// every tracked key, one full merged scan (ordered, members allowed,
-// certain keys present), and a post-recovery write/flush/read cycle.
-func verify(rep *Report, rst *store.Store, model *kvtest.Model, spec Spec, starts []sim.Duration) error {
-	now := starts[0]
-	for _, s := range starts {
-		if s > now {
-			now = s
-		}
-	}
-	ids := model.IDs()
-	for _, id := range ids {
-		if model.Ambiguous(id) {
-			rep.Ambiguous++
-		}
-	}
-
-	// Point reads through the recovered serving layer. Completions come
-	// back in submission order, so position j of a batch is ids[start+j].
-	for start := 0; start < len(ids); start += batchSize {
-		end := start + batchSize
-		if end > len(ids) {
-			end = len(ids)
-		}
-		for j := start; j < end; j++ {
-			rst.Submit(store.Op{
-				Kind:   store.Get,
-				Submit: now + sim.Duration(j+1)*1000,
-				KeyID:  ids[j],
-				Key:    kv.EncodeKey(ids[j]),
-			})
-		}
-		comps := rst.Pump()
-		if len(comps) != end-start {
-			return fmt.Errorf("recovered store returned %d completions for %d gets", len(comps), end-start)
-		}
-		for j, c := range comps {
-			id := ids[start+j]
-			if c.Err != nil {
-				return fmt.Errorf("recovered get key %d: %w", id, c.Err)
-			}
-			if !model.Check(id, c.Value, c.Found) {
-				return fmt.Errorf("recovered key %d outside its allowed states (found=%v, ambiguous=%v)",
-					id, c.Found, model.Ambiguous(id))
-			}
-			rep.Checked++
-		}
-	}
-
-	// One full merged scan: strictly ordered, every entry an allowed
-	// member with an allowed value, every certainly-present key
-	// surfaced.
-	scanNow := now + sim.Duration(len(ids)+2)*1000
-	_, entries, err := rst.Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
-	if err != nil {
-		return fmt.Errorf("recovered scan: %w", err)
-	}
-	seen := make(map[uint64]bool, len(entries))
-	var prev []byte
-	for i, e := range entries {
-		if i > 0 && kv.CompareKeys(prev, e.Key) >= 0 {
-			return fmt.Errorf("recovered scan out of order at entry %d", i)
-		}
-		prev = append(prev[:0], e.Key...)
-		id, err := kv.DecodeKey(e.Key)
-		if err != nil {
-			return fmt.Errorf("recovered scan entry %d: %w", i, err)
-		}
-		if !model.MayContain(id) {
-			return fmt.Errorf("recovered scan surfaced key %d, which must be absent", id)
-		}
-		if !model.CheckValue(id, e.Value) {
-			return fmt.Errorf("recovered scan key %d has a value outside its allowed set", id)
-		}
-		seen[id] = true
-	}
-	for _, id := range ids {
-		if model.MustContain(id) && !seen[id] {
-			return fmt.Errorf("recovered scan missing key %d, which must be present", id)
-		}
-	}
-	rep.Scanned = len(entries)
-
-	// The recovered store accepts, persists and re-serves new writes.
-	postNow := scanNow + sim.Duration(spec.Keys)*1000
-	const postKeys = 8
-	postVal := func(j int) []byte {
-		v := make([]byte, 16)
-		binary.LittleEndian.PutUint64(v[0:], uint64(spec.Keys+j))
-		binary.LittleEndian.PutUint64(v[8:], rep.Seed)
-		return v
-	}
-	for j := 0; j < postKeys; j++ {
-		rst.Submit(store.Op{
-			Kind:   store.Put,
-			Submit: postNow + sim.Duration(j+1)*1000,
-			KeyID:  uint64(spec.Keys + j),
-			Key:    kv.EncodeKey(uint64(spec.Keys + j)),
-			Value:  postVal(j),
-		})
-	}
-	for _, c := range rst.Pump() {
-		if c.Err != nil {
-			return fmt.Errorf("post-recovery put: %w", c.Err)
-		}
-		if c.Done > postNow {
-			postNow = c.Done
-		}
-	}
-	flushed, err := rst.FlushAll(postNow)
-	if err != nil {
-		return fmt.Errorf("post-recovery flush: %w", err)
-	}
-	for j := 0; j < postKeys; j++ {
-		rst.Submit(store.Op{
-			Kind:   store.Get,
-			Submit: flushed + sim.Duration(j+1)*1000,
-			KeyID:  uint64(spec.Keys + j),
-			Key:    kv.EncodeKey(uint64(spec.Keys + j)),
-		})
-	}
-	comps := rst.Pump()
-	for j, c := range comps {
-		if c.Err != nil || !c.Found || !bytes.Equal(c.Value, postVal(j)) {
-			return fmt.Errorf("post-recovery write %d lost or wrong (found=%v, err=%v)", j, c.Found, c.Err)
 		}
 	}
 	return nil

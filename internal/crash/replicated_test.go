@@ -108,30 +108,6 @@ func TestReplicaCrashFileDevice(t *testing.T) {
 	}
 }
 
-// TestReplicaCrashDeterminism: the same (spec, seed) replays to the
-// same cut coordinates and verification counts.
-func TestReplicaCrashDeterminism(t *testing.T) {
-	run := func() *Report {
-		rep, err := Run(Spec{
-			Engine:   "lsm",
-			Shards:   2,
-			Ops:      250,
-			Seed:     13,
-			Replicas: 3,
-			ReplMode: "quorum",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(), run()
-	if a.CutShard != b.CutShard || a.CutReplica != b.CutReplica || a.CutWrite != b.CutWrite ||
-		a.CutOp != b.CutOp || a.Checked != b.Checked || a.Scanned != b.Scanned || a.Ambiguous != b.Ambiguous {
-		t.Fatalf("replicated trials diverged:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestReplicaSpecValidate covers the replica-shape error paths and the
 // replicated defaults.
 func TestReplicaSpecValidate(t *testing.T) {

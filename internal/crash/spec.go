@@ -1,10 +1,13 @@
 // Package crash is the randomized crash-recovery harness: it runs a
 // seed-determined op log against an engine over fault-injecting devices
-// (internal/faultdev), kills the machine at a sampled write boundary,
-// re-opens every shard through the engine registry's Recover path, and
-// checks the recovered store against the internal/kvtest reference
-// model — every acknowledged-and-synced write present, every in-flight
-// write either absent or fully intact, scans strictly ordered.
+// (internal/faultdev), lands a fault on one stack at a sampled write
+// boundary, recovers what the fault took down through the engine
+// registry's Recover path, and checks the resulting store against the
+// internal/kvtest reference model — every acknowledged-and-synced write
+// present, every in-flight write either absent or fully intact, scans
+// strictly ordered. Every trial runs the one pipeline in runTrial; what
+// the fault is and what it takes down is a Scenario (PowerCut,
+// ReplicaKill, ErrorPlan), resolved from the spec by Spec.Scenario.
 //
 // A trial is fully determined by (Spec, seed): the op stream, the cut
 // point sampling and the fault resolution all draw from seeded RNGs, so
@@ -38,11 +41,11 @@ type Spec struct {
 	Seed uint64 `json:"seed"`
 	// Trials is the number of independent seeds to run. Default 1.
 	Trials int `json:"trials,omitempty"`
-	// CutShard pins the shard the power cut targets (-1 samples one
-	// proportionally to write traffic). Default -1.
-	CutShard int `json:"cut_shard,omitempty"`
-	// CutWrite pins the 1-based host write the cut lands on within the
-	// target shard (0 samples one uniformly). Default 0.
+	// CutShard and CutWrite pin the fault to one shard and to the
+	// 1-based host write it lands on within that shard. Pin both or
+	// neither: unpinned — CutShard -1, or both left zero — samples the
+	// shard and the write in one draw, proportionally to write traffic.
+	CutShard int   `json:"cut_shard,omitempty"`
 	CutWrite int64 `json:"cut_write,omitempty"`
 	// Replicas turns every shard into a replica group of R complete
 	// engine stacks (internal/replica), each behind its own fault
@@ -128,10 +131,8 @@ func (s Spec) Validate() (Spec, error) {
 		return s, fmt.Errorf("crash: trials must be positive (got %d)", s.Trials)
 	}
 	if s.CutShard == 0 && s.CutWrite == 0 {
-		// Distinguish "unset" from an explicit shard 0 pin: the zero
-		// value samples. Explicit pins use CutShard >= 0 together with
-		// CutWrite > 0; a bare CutShard 0 with no CutWrite is the
-		// common JSON-default case and means "sample".
+		// The zero value is the common JSON-default case and samples; an
+		// explicit shard 0 pin comes with its CutWrite.
 		s.CutShard = -1
 	}
 	if s.CutShard >= s.Shards {
@@ -139,6 +140,9 @@ func (s Spec) Validate() (Spec, error) {
 	}
 	if s.CutWrite < 0 {
 		return s, fmt.Errorf("crash: cut_write must be >= 0 (got %d)", s.CutWrite)
+	}
+	if (s.CutShard >= 0) != (s.CutWrite > 0) {
+		return s, fmt.Errorf("crash: cut_shard %d with cut_write %d pins half a cut; pin both or neither", s.CutShard, s.CutWrite)
 	}
 	if s.Replicas == 0 {
 		s.Replicas = 1

@@ -278,8 +278,12 @@ func compareImages(rep *Report, sdev, fdev blockdev.Host) error {
 	pages := sdev.Pages()
 	for off := int64(0); off < pages; off += chunk {
 		n := int(min(int64(chunk), pages-off))
-		sdev.ReadAt(0, off, n, sbuf[:n*ps])
-		fdev.ReadAt(0, off, n, fbuf[:n*ps])
+		if _, err := sdev.ReadErr(0, off, n, sbuf[:n*ps]); err != nil {
+			return fmt.Errorf("devdiff: reading the sim image: %w", err)
+		}
+		if _, err := fdev.ReadErr(0, off, n, fbuf[:n*ps]); err != nil {
+			return fmt.Errorf("devdiff: reading the file image: %w", err)
+		}
 		if !bytes.Equal(sbuf[:n*ps], fbuf[:n*ps]) {
 			for i := 0; i < n; i++ {
 				if !bytes.Equal(sbuf[i*ps:(i+1)*ps], fbuf[i*ps:(i+1)*ps]) {

@@ -19,9 +19,7 @@
 //     grid of cells (`ptsbench exp`).
 //   - Engines: the tree structures are pluggable drivers behind a
 //     registry (internal/engine). Engines lists them with their
-//     tunables; OpenEngine/RecoverEngine resolve one by name. The
-//     typed wrappers (OpenLSM / OpenBTree / OpenBetree and friends)
-//     remain as thin aliases for callers that want concrete types.
+//     tunables; OpenEngine/RecoverEngine resolve one by name.
 //   - Figures: Figure/Figures regenerate the paper's evaluation figures
 //     and tables.
 //   - Stack: NewStack builds the simulated device + filesystem so the
@@ -35,16 +33,13 @@ import (
 	"fmt"
 	"io"
 
-	"ptsbench/internal/betree"
 	"ptsbench/internal/blockdev"
-	"ptsbench/internal/btree"
 	"ptsbench/internal/core"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/figures"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
-	"ptsbench/internal/lsm"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/stack"
 )
@@ -200,8 +195,7 @@ func NewStack(opts StackOptions) (*Stack, error) {
 }
 
 // Generic engine access. The registry makes every engine reachable by
-// name with one code path; the typed wrappers below remain for callers
-// that want the concrete types.
+// name with one code path.
 type (
 	// Engine is the generic engine handle: the kv operations plus the
 	// simulation lifecycle (Quiesce, Close). OpenEngine and
@@ -209,6 +203,8 @@ type (
 	Engine = engine.Engine
 	// EngineTunable documents one declarative engine knob.
 	EngineTunable = engine.Tunable
+	// VirtualTime is a duration on the simulation clock.
+	VirtualTime = sim.Duration
 )
 
 // EngineInfo describes one registered engine driver.
@@ -280,78 +276,6 @@ func RecoverEngine(s *Stack, name string, datasetBytes int64, tunables map[strin
 		RNG:     sim.NewRNG(seed),
 		Content: s.BlockDev.ContentEnabled(),
 	}, now)
-}
-
-// Engine facade types.
-type (
-	// LSMTree is the RocksDB-like engine.
-	LSMTree = lsm.DB
-	// LSMConfig tunes the LSM engine.
-	LSMConfig = lsm.Config
-	// BPlusTree is the WiredTiger-like engine.
-	BPlusTree = btree.Tree
-	// BTreeConfig tunes the B+Tree engine.
-	BTreeConfig = btree.Config
-	// BeTree is the buffered copy-on-write Bε-tree engine.
-	BeTree = betree.Tree
-	// BetreeConfig tunes the Bε-tree engine (notably Epsilon, the
-	// pivot/buffer split of interior nodes).
-	BetreeConfig = betree.Config
-	// VirtualTime is a duration on the simulation clock.
-	VirtualTime = sim.Duration
-)
-
-// NewLSMConfig returns engine defaults sized for a dataset.
-func NewLSMConfig(datasetBytes int64) LSMConfig { return lsm.NewConfig(datasetBytes) }
-
-// NewBTreeConfig returns engine defaults sized for a dataset.
-func NewBTreeConfig(datasetBytes int64) BTreeConfig { return btree.NewConfig(datasetBytes) }
-
-// NewBetreeConfig returns Bε-tree defaults sized for a dataset.
-func NewBetreeConfig(datasetBytes int64) BetreeConfig { return betree.NewConfig(datasetBytes) }
-
-// OpenLSM opens an LSM engine on the stack's filesystem. seed drives the
-// engine's internal randomness (skiplist heights).
-func OpenLSM(s *Stack, cfg LSMConfig, seed uint64) (*LSMTree, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return lsm.Open(s.FS, cfg, sim.NewRNG(seed))
-}
-
-// OpenBTree opens a B+Tree engine on the stack's filesystem.
-func OpenBTree(s *Stack, cfg BTreeConfig) (*BPlusTree, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return btree.Open(s.FS, cfg)
-}
-
-// OpenBetree opens a Bε-tree engine on the stack's filesystem.
-func OpenBetree(s *Stack, cfg BetreeConfig) (*BeTree, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return betree.Open(s.FS, cfg)
-}
-
-// RecoverLSM reopens an LSM database from the stack's on-device state
-// (manifest + SSTables + WAL replay). The stack must have its content
-// store enabled. It returns the recovered database and the virtual time
-// consumed by recovery I/O.
-func RecoverLSM(s *Stack, cfg LSMConfig, seed uint64, now VirtualTime) (*LSMTree, VirtualTime, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return lsm.Recover(s.FS, cfg, sim.NewRNG(seed), now)
-}
-
-// RecoverBTree reopens a B+Tree from the stack's on-device state
-// (checkpoint metadata + page tree + journal replay). The stack must
-// have its content store enabled.
-func RecoverBTree(s *Stack, cfg BTreeConfig, now VirtualTime) (*BPlusTree, VirtualTime, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return btree.Recover(s.FS, cfg, now)
-}
-
-// RecoverBetree reopens a Bε-tree from the stack's on-device state
-// (checkpoint metadata + node tree with persisted buffers + journal
-// replay). The stack must have its content store enabled.
-func RecoverBetree(s *Stack, cfg BetreeConfig, now VirtualTime) (*BeTree, VirtualTime, error) {
-	cfg.Content = s.BlockDev.ContentEnabled()
-	return betree.Recover(s.FS, cfg, now)
 }
 
 // EncodeKey produces the canonical 16-byte key for a numeric id (the

@@ -14,7 +14,10 @@ import (
 	"ptsbench/internal/workload"
 )
 
-func TestStackAndLSMRoundTrip(t *testing.T) {
+// TestStackAndEngineRoundTrip: a tunable reaches the engine opened on a
+// facade stack — with the WAL synced on every put, one put is already
+// device traffic.
+func TestStackAndEngineRoundTrip(t *testing.T) {
 	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
 		CapacityBytes: 256 << 20,
 		ContentStore:  true,
@@ -22,9 +25,7 @@ func TestStackAndLSMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ptsbench.NewLSMConfig(32 << 20)
-	cfg.WALFlushBytes = 0 // sync the WAL on every put for this test
-	db, err := ptsbench.OpenLSM(stack, cfg, 1)
+	db, err := ptsbench.OpenEngine(stack, "lsm", 32<<20, map[string]string{"wal_flush_bytes": "0"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,83 +40,6 @@ func TestStackAndLSMRoundTrip(t *testing.T) {
 	}
 	if stack.BlockDev.Counters().BytesWritten == 0 {
 		t.Fatal("WAL write should reach the device")
-	}
-}
-
-func TestStackAndBTreeRoundTrip(t *testing.T) {
-	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
-		CapacityBytes: 256 << 20,
-		ContentStore:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ptsbench.OpenBTree(stack, ptsbench.NewBTreeConfig(32<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now ptsbench.VirtualTime
-	now, err = tr.Put(now, ptsbench.EncodeKey(7), []byte("world"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v, found, err := tr.Get(now, ptsbench.EncodeKey(7))
-	if err != nil || !found || string(v) != "world" {
-		t.Fatalf("Get: %q %v %v", v, found, err)
-	}
-}
-
-func TestStackAndBetreeRoundTrip(t *testing.T) {
-	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
-		CapacityBytes: 256 << 20,
-		ContentStore:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ptsbench.OpenBetree(stack, ptsbench.NewBetreeConfig(32<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now ptsbench.VirtualTime
-	now, err = tr.Put(now, ptsbench.EncodeKey(7), []byte("buffered"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v, found, err := tr.Get(now, ptsbench.EncodeKey(7))
-	if err != nil || !found || string(v) != "buffered" {
-		t.Fatalf("Get: %q %v %v", v, found, err)
-	}
-}
-
-func TestBetreeRecoveryThroughFacade(t *testing.T) {
-	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
-		CapacityBytes: 256 << 20,
-		ContentStore:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ptsbench.NewBetreeConfig(16 << 20)
-	tr, err := ptsbench.OpenBetree(stack, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now ptsbench.VirtualTime
-	now, err = tr.Put(now, ptsbench.EncodeKey(3), []byte("durable"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Close(now); err != nil {
-		t.Fatal(err)
-	}
-	re, rnow, err := ptsbench.RecoverBetree(stack, cfg, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v, found, err := re.Get(rnow, ptsbench.EncodeKey(3))
-	if err != nil || !found || string(v) != "durable" {
-		t.Fatalf("recovered Get: %q %v %v", v, found, err)
 	}
 }
 
@@ -332,6 +256,9 @@ func TestStackDefaults(t *testing.T) {
 	}
 }
 
+// TestRecoveryThroughFacade recovers an engine opened with tunable
+// overrides under the same overrides (TestRecoverEngineGeneric covers
+// every engine at its defaults).
 func TestRecoveryThroughFacade(t *testing.T) {
 	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
 		CapacityBytes: 256 << 20,
@@ -340,9 +267,8 @@ func TestRecoveryThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ptsbench.NewLSMConfig(16 << 20)
-	cfg.WALFlushBytes = 0
-	db, err := ptsbench.OpenLSM(stack, cfg, 1)
+	synced := map[string]string{"wal_flush_bytes": "0"}
+	db, err := ptsbench.OpenEngine(stack, "lsm", 16<<20, synced, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,43 +280,12 @@ func TestRecoveryThroughFacade(t *testing.T) {
 	if _, err := db.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	re, rnow, err := ptsbench.RecoverLSM(stack, cfg, 2, now)
+	re, rnow, err := ptsbench.RecoverEngine(stack, "lsm", 16<<20, synced, 2, now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, v, found, err := re.Get(rnow, ptsbench.EncodeKey(9))
 	if err != nil || !found || string(v) != "persist" {
-		t.Fatalf("recovered Get: %q %v %v", v, found, err)
-	}
-}
-
-func TestBTreeRecoveryThroughFacade(t *testing.T) {
-	stack, err := ptsbench.NewStack(ptsbench.StackOptions{
-		CapacityBytes: 256 << 20,
-		ContentStore:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ptsbench.NewBTreeConfig(16 << 20)
-	tr, err := ptsbench.OpenBTree(stack, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now ptsbench.VirtualTime
-	now, err = tr.Put(now, ptsbench.EncodeKey(3), []byte("durable"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Close(now); err != nil {
-		t.Fatal(err)
-	}
-	re, rnow, err := ptsbench.RecoverBTree(stack, cfg, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v, found, err := re.Get(rnow, ptsbench.EncodeKey(3))
-	if err != nil || !found || string(v) != "durable" {
 		t.Fatalf("recovered Get: %q %v %v", v, found, err)
 	}
 }
