@@ -366,8 +366,8 @@ func (t *trial) replicaRejoin() error {
 	// the moment of failover. Each batch is submitted after the one
 	// before it finished, like any client of a serving store.
 	now, ids := t.lastDone, t.model.IDs()
+	var err error
 	for start := 0; start < len(ids); start += batchSize {
-		var err error
 		if now, err = readBatch(t.env.Store, t.model, ids, start, now); err != nil {
 			return fmt.Errorf("degraded group: %w", err)
 		}
@@ -446,16 +446,14 @@ func calibrate(spec Spec, ops []opRec, dir string) ([][]int64, error) {
 
 // sampleReplicaCut picks the (shard, replica, write index) the fault
 // lands on: one uniform draw over every write calibration observed, so
-// stacks are weighted by their traffic. A pinned spec fixes the shard
-// and the write index; the replica is still sampled by write traffic —
-// every replica of the cut shard must be reachable by some seed. A zero
-// write means there was no traffic to sample.
+// stacks are weighted by their traffic. A pinned spec confines the draw
+// to its shard and fixes the write index; the replica is still sampled
+// by write traffic — every replica of the cut shard must be reachable
+// by some seed. A zero write means there was no traffic to sample.
 func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64) {
-	rng := sim.NewRNG(seed)
-	if spec.CutShard >= 0 {
-		row := writes[spec.CutShard]
-		rep := weightedReplica(rng, row)
-		return spec.CutShard, rep, min(spec.CutWrite, row[rep])
+	first, pinned := 0, spec.CutShard >= 0
+	if pinned {
+		first, writes = spec.CutShard, writes[spec.CutShard:spec.CutShard+1]
 	}
 	var total int64
 	for _, row := range writes {
@@ -466,38 +464,19 @@ func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64
 	if total == 0 {
 		return 0, 0, 0
 	}
-	pick := 1 + int64(rng.Uint64n(uint64(total)))
+	pick := 1 + int64(sim.NewRNG(seed).Uint64n(uint64(total)))
 	for i, row := range writes {
 		for r, w := range row {
 			if pick <= w {
-				return i, r, pick
+				if pinned {
+					pick = min(spec.CutWrite, w)
+				}
+				return first + i, r, pick
 			}
 			pick -= w
 		}
 	}
-	last := len(writes) - 1
-	lastRep := len(writes[last]) - 1
-	return last, lastRep, writes[last][lastRep]
-}
-
-// weightedReplica samples one replica index of a shard proportionally
-// to its device write traffic.
-func weightedReplica(rng *sim.RNG, row []int64) int {
-	var total int64
-	for _, w := range row {
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	pick := 1 + int64(rng.Uint64n(uint64(total)))
-	for r, w := range row {
-		if pick <= w {
-			return r
-		}
-		pick -= w
-	}
-	return len(row) - 1
+	panic("crash: sampled write beyond the calibrated total")
 }
 
 // submitBatch submits ops[start:end) with strictly increasing submit
