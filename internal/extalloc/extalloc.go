@@ -9,47 +9,27 @@
 // references survive until a newer one replaces them (the avail-list
 // discipline crash recovery requires).
 //
-// The free set is a treap keyed by extent start and augmented with the
-// subtree's maximum extent size, so the leftmost extent that fits an
-// allocation is found in O(log n) — the previous sorted-slice
-// implementation's linear first-fit scan and O(n) insert/delete
-// memmoves accounted for roughly a quarter of the fig2 B+Tree cell's
-// CPU. The allocation policy (lowest-offset first fit, neighbour
-// merging on release) is unchanged and pinned by a differential test
-// against a reference implementation.
+// The free set is a freeset.Set; this package is the policy over it:
+// lowest-offset first fit, file growth in chunks, deferred release —
+// pinned by a differential test against the sorted-slice implementation
+// it replaced.
 package extalloc
 
 import (
 	"fmt"
 
 	"ptsbench/internal/extfs"
+	"ptsbench/internal/freeset"
 )
 
 // Extent is a contiguous run of pages inside the collection file.
 // Pages == 0 means "no extent" (a node never written).
-type Extent struct {
-	Start, Pages int64
-}
-
-// treapNode is one free extent. Priorities are minted from a
-// deterministic counter hash, so the tree shape — and therefore
-// performance, but not the allocation results, which depend only on the
-// key order — is reproducible across runs.
-type treapNode struct {
-	ext         Extent
-	prio        uint64
-	max         int64 // max Pages within this subtree
-	left, right *treapNode
-}
+type Extent = freeset.Extent
 
 // Manager allocates extents inside one file.
 type Manager struct {
-	file *extfs.File
-	root *treapNode
-	// spare chains recycled nodes through their left pointers, so the
-	// steady state allocates no treap nodes.
-	spare     *treapNode
-	prioSeed  uint64
+	file      *extfs.File
+	free      freeset.Set
 	freeTotal int64
 	// pending holds extents freed since the last checkpoint; they join
 	// the free list only when the checkpoint commits.
@@ -67,131 +47,16 @@ func New(f *extfs.File, growChunk int64) *Manager {
 	return &Manager{file: f, growChunk: growChunk}
 }
 
-// splitmix64 is the priority mixer (deterministic, well-distributed).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-func (m *Manager) newNode(e Extent) *treapNode {
-	nd := m.spare
-	if nd != nil {
-		m.spare = nd.left
-		*nd = treapNode{}
-	} else {
-		nd = &treapNode{}
-	}
-	m.prioSeed++
-	nd.ext = e
-	nd.prio = splitmix64(m.prioSeed)
-	nd.max = e.Pages
-	return nd
-}
-
-func (m *Manager) recycle(nd *treapNode) {
-	nd.right = nil
-	nd.left = m.spare
-	m.spare = nd
-}
-
-// upd pulls the subtree max up into nd.
-func upd(nd *treapNode) {
-	mx := nd.ext.Pages
-	if nd.left != nil && nd.left.max > mx {
-		mx = nd.left.max
-	}
-	if nd.right != nil && nd.right.max > mx {
-		mx = nd.right.max
-	}
-	nd.max = mx
-}
-
-// join merges two treaps where every key in l precedes every key in r.
-func join(l, r *treapNode) *treapNode {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case l.prio >= r.prio:
-		l.right = join(l.right, r)
-		upd(l)
-		return l
-	default:
-		r.left = join(l, r.left)
-		upd(r)
-		return r
-	}
-}
-
-// insert adds nd (a detached single node) into the subtree.
-func insert(root, nd *treapNode) *treapNode {
-	if root == nil {
-		return nd
-	}
-	if nd.prio > root.prio {
-		// Split root's subtree around nd's key.
-		nd.left, nd.right = split(root, nd.ext.Start)
-		upd(nd)
-		return nd
-	}
-	if nd.ext.Start < root.ext.Start {
-		root.left = insert(root.left, nd)
-	} else {
-		root.right = insert(root.right, nd)
-	}
-	upd(root)
-	return root
-}
-
-// split partitions a treap into keys < at and keys >= at.
-func split(nd *treapNode, at int64) (l, r *treapNode) {
-	if nd == nil {
-		return nil, nil
-	}
-	if nd.ext.Start < at {
-		nd.right, r = split(nd.right, at)
-		upd(nd)
-		return nd, r
-	}
-	l, nd.left = split(nd.left, at)
-	upd(nd)
-	return l, nd
-}
-
-// removeKey deletes the node with the given start, handing it to
-// recycle. The key must exist.
-func (m *Manager) removeKey(nd *treapNode, start int64) *treapNode {
-	if nd == nil {
-		return nil
-	}
-	switch {
-	case start < nd.ext.Start:
-		nd.left = m.removeKey(nd.left, start)
-	case start > nd.ext.Start:
-		nd.right = m.removeKey(nd.right, start)
-	default:
-		out := join(nd.left, nd.right)
-		m.recycle(nd)
-		return out
-	}
-	upd(nd)
-	return nd
-}
-
 // Alloc returns a contiguous extent of n pages, reusing the
 // lowest-offset free extent that fits, growing the file if necessary.
 func (m *Manager) Alloc(n int64) (Extent, error) {
 	if n <= 0 {
 		return Extent{}, fmt.Errorf("extalloc: alloc of %d pages", n)
 	}
-	if m.root != nil && m.root.max >= n {
-		var out Extent
-		m.root = m.take(m.root, n, &out)
+	if e, ok := m.free.FirstFit(n); ok {
+		m.free.Carve(e.Start, n)
 		m.freeTotal -= n
-		return out, nil
+		return Extent{Start: e.Start, Pages: n}, nil
 	}
 	grow := n
 	if grow < m.growChunk {
@@ -214,66 +79,13 @@ func (m *Manager) Alloc(n int64) (Extent, error) {
 	return Extent{Start: start, Pages: n}, nil
 }
 
-// take carves want pages out of the leftmost extent that fits (the
-// caller guarantees nd.max >= want). Taking a prefix moves the node's
-// start forward, which preserves the key order — the shrunk extent
-// still sits strictly between its neighbours.
-func (m *Manager) take(nd *treapNode, want int64, out *Extent) *treapNode {
-	if nd.left != nil && nd.left.max >= want {
-		nd.left = m.take(nd.left, want, out)
-		upd(nd)
-		return nd
-	}
-	if nd.ext.Pages >= want {
-		*out = Extent{Start: nd.ext.Start, Pages: want}
-		if nd.ext.Pages == want {
-			merged := join(nd.left, nd.right)
-			m.recycle(nd)
-			return merged
-		}
-		nd.ext.Start += want
-		nd.ext.Pages -= want
-		upd(nd)
-		return nd
-	}
-	nd.right = m.take(nd.right, want, out)
-	upd(nd)
-	return nd
-}
-
-// findAdjacent returns the free extents immediately before and after
-// start: pred is the extent with the greatest start < start, succ the
-// one with the smallest start > start (either may be nil).
-func (m *Manager) findAdjacent(start int64) (pred, succ *treapNode) {
-	nd := m.root
-	for nd != nil {
-		if nd.ext.Start < start {
-			pred = nd
-			nd = nd.right
-		} else {
-			succ = nd
-			nd = nd.left
-		}
-	}
-	return pred, succ
-}
-
 // Release returns an extent to the free pool, merging neighbours.
 func (m *Manager) Release(e Extent) {
 	if e.Pages <= 0 {
 		return
 	}
 	m.freeTotal += e.Pages
-	pred, succ := m.findAdjacent(e.Start)
-	if pred != nil && pred.ext.Start+pred.ext.Pages == e.Start {
-		e = Extent{Start: pred.ext.Start, Pages: pred.ext.Pages + e.Pages}
-		m.root = m.removeKey(m.root, pred.ext.Start)
-	}
-	if succ != nil && e.Start+e.Pages == succ.ext.Start {
-		e.Pages += succ.ext.Pages
-		m.root = m.removeKey(m.root, succ.ext.Start)
-	}
-	m.root = insert(m.root, m.newNode(e))
+	m.free.Release(e)
 }
 
 // ReleaseDeferred queues an extent for release at the next checkpoint

@@ -55,16 +55,6 @@ func (r *refAlloc) total() int64 {
 	return n
 }
 
-// flatten walks the treap in key order.
-func flatten(nd *treapNode, out *[]Extent) {
-	if nd == nil {
-		return
-	}
-	flatten(nd.left, out)
-	*out = append(*out, nd.ext)
-	flatten(nd.right, out)
-}
-
 // TestTreapMatchesReference drives the treap-backed manager and the old
 // sorted-slice implementation through a long random alloc/release
 // workload and demands identical extents, identical free sets and
@@ -110,7 +100,9 @@ func TestTreapMatchesReference(t *testing.T) {
 			ref.release(e)
 		}
 		var got []Extent
-		flatten(m.root, &got)
+		if err := m.free.Check(func(e Extent) { got = append(got, e) }); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		if len(got) != len(ref.free) {
 			t.Fatalf("step %d: free set sizes differ: %d vs %d", step, len(got), len(ref.free))
 		}
@@ -122,35 +114,5 @@ func TestTreapMatchesReference(t *testing.T) {
 		if m.FreePages() != ref.total() {
 			t.Fatalf("step %d: FreePages %d, reference %d", step, m.FreePages(), ref.total())
 		}
-		checkTreap(t, m.root)
 	}
-}
-
-// checkTreap verifies heap order on priorities and the max augmentation.
-func checkTreap(t *testing.T, nd *treapNode) int64 {
-	t.Helper()
-	if nd == nil {
-		return 0
-	}
-	mx := nd.ext.Pages
-	if nd.left != nil {
-		if nd.left.prio > nd.prio {
-			t.Fatal("treap heap order violated (left)")
-		}
-		if lm := checkTreap(t, nd.left); lm > mx {
-			mx = lm
-		}
-	}
-	if nd.right != nil {
-		if nd.right.prio > nd.prio {
-			t.Fatal("treap heap order violated (right)")
-		}
-		if rm := checkTreap(t, nd.right); rm > mx {
-			mx = rm
-		}
-	}
-	if nd.max != mx {
-		t.Fatalf("max augmentation stale: node %+v has max %d, want %d", nd.ext, nd.max, mx)
-	}
-	return mx
 }

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/freeset"
 	"ptsbench/internal/sim"
 )
 
@@ -317,6 +318,10 @@ func (f *File) writePages(now sim.Duration, off int64, n int, data []byte) (sim.
 
 // mapRun translates file page offset off into a device page address and
 // the number of contiguous pages available there (bounded by n).
+//
+// Invariant (TestFileExtentsCoverPages): f.pages equals the pages in
+// f.extents and every caller checks off < f.pages first, so the panic
+// cannot fire — no device fault reaches it, only a bug in this file.
 func (f *File) mapRun(off int64, n int) (devPage int64, count int) {
 	var base int64
 	for _, e := range f.extents {
@@ -344,7 +349,7 @@ type extent struct {
 // until the cursor wraps — which makes a file-churning workload (an LSM)
 // sweep the entire LBA range, as ext4 does in the paper's Fig 4.
 type allocator struct {
-	free      []extent // sorted by start, non-overlapping, non-adjacent
+	free      freeset.Set
 	totalFree int64
 	cursor    int64
 	base      int64 // first allocatable page
@@ -355,30 +360,27 @@ type allocator struct {
 }
 
 func newAllocator(base, n int64) *allocator {
-	return &allocator{
-		free:      []extent{{start: base, n: n}},
-		totalFree: n,
-		cursor:    base,
-		base:      base,
-		limit:     base + n,
-	}
+	a := &allocator{cursor: base, base: base, limit: base + n}
+	a.release(extent{start: base, n: n})
+	return a
 }
 
 // allocate returns extents totalling n pages, or ErrNoSpace (leaving the
 // allocator unchanged) when free space is insufficient. The returned
 // slice aliases the allocator's scratch buffer and is valid only until
 // the next allocate call.
+//
+// Invariant (TestAllocatorMatchesReference, every step): totalFree
+// equals the pages in the free set, so the panic below cannot fire.
 func (a *allocator) allocate(n int64) ([]extent, error) {
 	if n > a.totalFree {
 		return nil, fmt.Errorf("%w (want %d pages, have %d)", ErrNoSpace, n, a.totalFree)
 	}
 	out := a.scratch[:0]
-	defer func() { a.scratch = out }()
-	remaining := n
 	wrapped := false
-	for remaining > 0 {
-		i := a.firstFreeAt(a.cursor)
-		if i == len(a.free) {
+	for remaining := n; remaining > 0; {
+		e, ok := a.free.After(a.cursor)
+		if !ok {
 			if wrapped {
 				// Should be impossible: totalFree said there was space.
 				panic("extfs: allocator inconsistency")
@@ -387,18 +389,10 @@ func (a *allocator) allocate(n int64) ([]extent, error) {
 			wrapped = true
 			continue
 		}
-		e := &a.free[i]
-		start := e.start
-		if start < a.cursor {
-			start = a.cursor
-		}
-		avail := e.start + e.n - start
-		take := avail
-		if take > remaining {
-			take = remaining
-		}
+		start := max(e.Start, a.cursor)
+		take := min(e.Start+e.Pages-start, remaining)
 		out = append(out, extent{start: start, n: take})
-		a.carve(i, start, take)
+		a.free.Carve(start, take)
 		a.totalFree -= take
 		remaining -= take
 		a.cursor = start + take
@@ -407,56 +401,12 @@ func (a *allocator) allocate(n int64) ([]extent, error) {
 			wrapped = true
 		}
 	}
+	a.scratch = out
 	return out, nil
-}
-
-// firstFreeAt returns the index of the first free extent containing or
-// after page p, or len(free).
-func (a *allocator) firstFreeAt(p int64) int {
-	return sort.Search(len(a.free), func(i int) bool {
-		return a.free[i].start+a.free[i].n > p
-	})
-}
-
-// carve removes [start, start+take) from free extent i, splitting as
-// needed.
-func (a *allocator) carve(i int, start, take int64) {
-	e := a.free[i]
-	leftN := start - e.start
-	rightN := (e.start + e.n) - (start + take)
-	switch {
-	case leftN == 0 && rightN == 0:
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	case leftN == 0:
-		a.free[i] = extent{start: start + take, n: rightN}
-	case rightN == 0:
-		a.free[i] = extent{start: e.start, n: leftN}
-	default:
-		a.free[i] = extent{start: e.start, n: leftN}
-		rest := extent{start: start + take, n: rightN}
-		a.free = append(a.free, extent{})
-		copy(a.free[i+2:], a.free[i+1:])
-		a.free[i+1] = rest
-	}
 }
 
 // release returns an extent to the free pool, merging neighbours.
 func (a *allocator) release(e extent) {
-	i := sort.Search(len(a.free), func(i int) bool {
-		return a.free[i].start >= e.start
-	})
-	a.free = append(a.free, extent{})
-	copy(a.free[i+1:], a.free[i:])
-	a.free[i] = e
+	a.free.Release(freeset.Extent{Start: e.start, Pages: e.n})
 	a.totalFree += e.n
-	// Merge with successor.
-	if i+1 < len(a.free) && a.free[i].start+a.free[i].n == a.free[i+1].start {
-		a.free[i].n += a.free[i+1].n
-		a.free = append(a.free[:i+1], a.free[i+2:]...)
-	}
-	// Merge with predecessor.
-	if i > 0 && a.free[i-1].start+a.free[i-1].n == a.free[i].start {
-		a.free[i-1].n += a.free[i].n
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	}
 }

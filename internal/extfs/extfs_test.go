@@ -3,12 +3,14 @@ package extfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/flash"
+	"ptsbench/internal/sim"
 )
 
 func newTestFS(t *testing.T, opts Options) (*FS, *blockdev.Device) {
@@ -348,6 +350,84 @@ func TestAllocatorConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileExtentsCoverPages guards the invariants behind extfs's two
+// panics through seeded Grow/Append/Remove churn on a fragmented
+// filesystem: every file's extents add up to its page count, so mapRun
+// resolves every offset below it, and the allocator's totalFree equals
+// the pages its free set holds, so a bounds-checked allocate finds them.
+func TestFileExtentsCoverPages(t *testing.T) {
+	fs, _ := newTestFS(t, Options{})
+	var live []*File
+	maxExtents, noSpace := 0, 0
+	check := func(step int) {
+		t.Helper()
+		var used int64
+		for _, f := range live {
+			var sum int64
+			for _, e := range f.extents {
+				sum += e.n
+			}
+			if sum != f.pages {
+				t.Fatalf("step %d: %s has %d pages but extents cover %d", step, f.name, f.pages, sum)
+			}
+			for off := int64(0); off < f.pages; {
+				_, n := f.mapRun(off, int(f.pages-off))
+				off += int64(n)
+			}
+			used += f.pages
+			maxExtents = max(maxExtents, len(f.extents))
+		}
+		checkAllocator(t, fs.alloc, nil)
+		if used != fs.usedDataPages || used+fs.FreePages() != fs.CapacityPages() {
+			t.Fatalf("step %d: files hold %d pages, usedDataPages %d, free %d, capacity %d",
+				step, used, fs.usedDataPages, fs.FreePages(), fs.CapacityPages())
+		}
+	}
+	rng := sim.NewRNG(5)
+	for step := 0; step < 3000; step++ {
+		n := int(rng.Uint64n(48) + 1)
+		// Grow towards a full device, remove harder once it is nearly
+		// full: the churn stays fragmented and keeps running out of space.
+		removeBelow := uint64(2)
+		if fs.FreePages() < 128 {
+			removeBelow = 40
+		}
+		switch r := rng.Uint64n(100); {
+		case len(live) == 0 || r >= 92:
+			f, err := fs.Create(fmt.Sprintf("f%d", step))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, f)
+		case r >= removeBelow:
+			f := live[rng.Uint64n(uint64(len(live)))]
+			pages := f.pages
+			var err error
+			if r%2 == 0 {
+				err = f.Grow(int64(n))
+			} else {
+				_, err = f.Append(0, n, nil, int64(n)*4096)
+			}
+			if errors.Is(err, ErrNoSpace) && f.pages == pages {
+				noSpace++
+			} else if err != nil {
+				t.Fatalf("step %d: grow %s by %d: %v (pages %d -> %d)", step, f.name, n, err, pages, f.pages)
+			}
+		default:
+			i := rng.Uint64n(uint64(len(live)))
+			if err := fs.Remove(live[i].name); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		check(step)
+	}
+	t.Logf("most fragmented file had %d extents, %d ErrNoSpace", maxExtents, noSpace)
+	if maxExtents < 8 || noSpace == 0 {
+		t.Fatalf("churn too tame: most fragmented file had %d extents, %d ErrNoSpace", maxExtents, noSpace)
 	}
 }
 
