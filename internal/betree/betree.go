@@ -59,9 +59,10 @@ type Tree struct {
 	lruHead, lruTail nodeID
 	residentBytes    int64
 
-	// overfull queues interior nodes whose buffer exceeded its budget
-	// through an interior split (the split partitions the buffer, and one
-	// half can keep most of it); the apply path drains it.
+	// overfull queues interior nodes whose buffers exceeded the node's
+	// budget through an interior split (the split divides the child
+	// buffers, and one half can keep most of the bytes); the apply path
+	// drains it.
 	overfull []nodeID
 
 	// mem bundles the key/value arena and the recycled message-array
@@ -435,11 +436,12 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	}
 
 	// The caller reuses its key/value buffers, so the message does not
-	// own its bytes: the node inserts clone them only when actually
-	// retained (an overwrite keeps the resident key — no allocation).
-	msg := makeMessage(key, value, t.seq, valueLen, del)
+	// own its bytes and the value travels beside it: the node inserts
+	// copy them only when actually retained (an accounting-mode overwrite
+	// keeps the resident key — no allocation).
+	msg := makeMessage(key, t.seq, valueLen, del)
 	var err error
-	now, err = t.apply(now, msg, false)
+	now, err = t.apply(now, msg, value)
 	if err != nil {
 		t.core.Fail(err)
 		return now, err
@@ -469,12 +471,11 @@ func (t *Tree) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 	return now, err
 }
 
-// apply routes one message into the tree: into the root's buffer when
-// the root is an interior node with buffer capacity (flushing down when
-// it overflows), or straight into the root leaf / down the spine when
-// buffering is off (ε = 1). owned is the message-byte ownership flag of
-// the node inserts.
-func (t *Tree) apply(now sim.Duration, msg message, owned bool) (sim.Duration, error) {
+// apply routes one unowned message (val beside it, see mem.own) into the
+// tree: into the root's buffer when the root is an interior node with
+// buffer capacity (flushing down when it overflows), or straight into
+// the root leaf / down the spine when buffering is off (ε = 1).
+func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
 	root := t.nodes[t.root]
 	if root.leaf {
 		var err error
@@ -482,7 +483,7 @@ func (t *Tree) apply(now sim.Duration, msg message, owned bool) (sim.Duration, e
 		if err != nil {
 			return now, err
 		}
-		delta := root.insertLeaf(&t.mem, msg, owned)
+		delta := root.insertLeaf(&t.mem, msg, val)
 		t.residentBytes += int64(delta)
 		t.markDirty(root)
 		t.splitLeafToFit(root)
@@ -490,9 +491,9 @@ func (t *Tree) apply(now sim.Duration, msg message, owned bool) (sim.Duration, e
 	}
 	if t.bufferMax <= 0 {
 		// Degenerate B+Tree mode: descend to the leaf directly.
-		return t.applyToLeaf(now, msg, owned)
+		return t.applyToLeaf(now, msg, val)
 	}
-	root.bufInsert(&t.mem, msg, owned)
+	root.bufInsert(&t.mem, msg, val, false)
 	t.markDirty(root)
 	return t.drainOverflow(now)
 }
@@ -525,7 +526,7 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 
 // applyToLeaf descends to the leaf covering the message key and inserts
 // it there (the ε = 1 degenerate path).
-func (t *Tree) applyToLeaf(now sim.Duration, msg message, owned bool) (sim.Duration, error) {
+func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
 	n := t.nodes[t.root]
 	for !n.leaf {
 		n = t.nodes[n.children[n.childFor(msg.key)]]
@@ -535,47 +536,24 @@ func (t *Tree) applyToLeaf(now sim.Duration, msg message, owned bool) (sim.Durat
 	if err != nil {
 		return now, err
 	}
-	delta := n.insertLeaf(&t.mem, msg, owned)
+	delta := n.insertLeaf(&t.mem, msg, val)
 	t.residentBytes += int64(delta)
 	t.markDirty(n)
 	t.splitLeafToFit(n)
 	return now, nil
 }
 
-// flushInterior pushes the busiest child's batch of buffered messages
-// one level down: into the child's buffer (interior child, recursing if
-// that overflows) or applied to the child leaf. This is the Bε-tree's
+// flushInterior pushes the busiest child's buffer one level down as a
+// batch: into the child's own buffers (interior child, recursing if that
+// overflows) or applied to the child leaf. This is the Bε-tree's
 // characteristic I/O pattern — each leaf write triggered downstream
 // carries a whole batch of updates instead of one.
 func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
-	if len(n.buf) == 0 {
+	bestCi, bestBytes := n.busiestChild()
+	if bestBytes == 0 {
 		return now, nil
 	}
-	// Per-child contiguous ranges of the sorted buffer: boundaries[ci]
-	// is the first message index routed to child ci.
-	start, bestCi, bestBytes := 0, 0, -1
-	var bestStart, bestEnd int
-	for ci := 0; ci < len(n.children); ci++ {
-		end := len(n.buf)
-		if ci < len(n.seps) {
-			end = searchMsgs(n.buf, n.seps[ci])
-		}
-		if end > start {
-			b := 0
-			for i := start; i < end; i++ {
-				b += n.buf[i].bytes()
-			}
-			if b > bestBytes {
-				bestBytes, bestCi = b, ci
-				bestStart, bestEnd = start, end
-			}
-		}
-		start = end
-	}
-	if bestBytes <= 0 {
-		return now, nil
-	}
-	batch := n.buf[bestStart:bestEnd]
+	batch := n.bufs[bestCi]
 	child := t.nodes[n.children[bestCi]]
 	t.io.BufferFlushes++
 	t.io.FlushedMessages += int64(len(batch))
@@ -593,13 +571,14 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 		t.markDirty(child)
 	} else {
 		for i := range batch {
-			child.bufInsert(&t.mem, batch[i], true)
+			child.bufInsert(&t.mem, batch[i], nil, true)
 		}
 		t.markDirty(child)
 	}
 
-	// Remove the batch from this node's buffer.
-	n.buf = append(n.buf[:bestStart], n.buf[bestEnd:]...)
+	// The batch's messages now live in the child: retire its array.
+	t.mem.msgs.Put(batch)
+	n.bufs[bestCi], n.bufSizes[bestCi] = nil, 0
 	n.bufBytes -= bestBytes
 	n.serialized -= bestBytes
 	t.markDirty(n)
@@ -650,6 +629,7 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 		newRoot := t.newNode(false)
 		newRoot.children = []nodeID{left.id, right.id}
 		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
+		newRoot.bufs, newRoot.bufSizes = make([][]message, 2), make([]int, 2)
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
 		left.parent = newRoot.id
@@ -667,12 +647,12 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 	}
 }
 
-// splitInteriorNode splits an interior node (pivots and buffer) and
-// reparents moved children. A half left over its buffer budget is
+// splitInteriorNode splits an interior node (pivots and child buffers)
+// and reparents moved children. A half left over its buffer budget is
 // queued for the apply path to flush.
 func (t *Tree) splitInteriorNode(n *node) {
 	t.nextID++
-	right, promoted := n.splitInterior(&t.mem, t.slab.Get(), t.nextID)
+	right, promoted := n.splitInterior(t.slab.Get(), t.nextID)
 	t.registerNode(right)
 	t.markDirty(right)
 	t.markDirty(n)
@@ -706,15 +686,16 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 
 	n := t.nodes[t.root]
 	for !n.leaf {
-		if m := n.bufGet(key); m != nil {
+		ci := n.childFor(key)
+		if m := n.bufGet(ci, key); m != nil {
 			t.io.BufferHits++
 			if m.del {
 				return now, nil, false, nil
 			}
 			t.stats.UserBytesRead += int64(len(key)) + int64(m.vlen)
-			return now, m.val, true, nil
+			return now, m.val(), true, nil
 		}
-		n = t.nodes[n.children[n.childFor(key)]]
+		n = t.nodes[n.children[ci]]
 	}
 	var err error
 	now, err = t.loadLeaf(now, n)
@@ -732,7 +713,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	}
 	e := &n.entries[i]
 	t.stats.UserBytesRead += int64(len(key)) + int64(e.vlen)
-	return now, e.val, true, nil
+	return now, e.val(), true, nil
 }
 
 // Scan returns up to limit live entries with key >= start, in key order,
@@ -761,8 +742,8 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 			ValueLen: int(m.vlen),
 			Seq:      m.seq,
 		}
-		if m.val != nil {
-			e.Value = append([]byte(nil), m.val...)
+		if val := m.val(); val != nil {
+			e.Value = append([]byte(nil), val...)
 		}
 		t.stats.UserBytesRead += int64(len(e.Key) + e.ValueLen)
 		out = append(out, e)
@@ -831,7 +812,8 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 }
 
 // msgStream lazily merges the interior buffers' sorted tails for a
-// scan: one cursor per interior node with messages at key >= start.
+// scan: one cursor per interior node with messages at key >= start (not
+// one per child buffer — the min-scan below is linear in cursors).
 // Nothing is copied or pre-sorted — a scan only pays for the messages
 // it actually consumes (plus an O(cursors) min-scan per pull), so a
 // limit-1 scan over a tree with megabytes of buffered messages stays
@@ -841,14 +823,27 @@ type msgStream struct {
 	cursors []msgCursor
 }
 
+// msgCursor walks one node's messages in key order: position i of child
+// buffer ci, then the following buffers.
 type msgCursor struct {
-	buf []message
-	i   int
+	bufs  [][]message
+	ci, i int
+}
+
+// head returns the cursor's current message, stepping over exhausted and
+// empty child buffers, or nil at the end of the node.
+func (c *msgCursor) head() *message {
+	for ; c.ci < len(c.bufs); c.ci, c.i = c.ci+1, 0 {
+		if buf := c.bufs[c.ci]; c.i < len(buf) {
+			return &buf[c.i]
+		}
+	}
+	return nil
 }
 
 // newMsgStream walks the interior nodes whose key range can intersect
 // [start, inf) — childFor(start) and everything to its right at each
-// level — and opens a cursor into each non-empty buffer tail.
+// level — and opens a cursor into each node with messages there.
 func (t *Tree) newMsgStream(start []byte) *msgStream {
 	s := &msgStream{}
 	var walk func(id nodeID)
@@ -857,10 +852,12 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 		if n.leaf {
 			return
 		}
-		if i := searchMsgs(n.buf, start); i < len(n.buf) {
-			s.cursors = append(s.cursors, msgCursor{buf: n.buf, i: i})
+		first := n.childFor(start)
+		c := msgCursor{bufs: n.bufs, ci: first, i: searchMsgs(n.bufs[first], start)}
+		if c.head() != nil {
+			s.cursors = append(s.cursors, c)
 		}
-		for ci := n.childFor(start); ci < len(n.children); ci++ {
+		for ci := first; ci < len(n.children); ci++ {
 			walk(n.children[ci])
 		}
 	}
@@ -874,11 +871,10 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 func (s *msgStream) peek() *message {
 	var best *message
 	for ci := range s.cursors {
-		c := &s.cursors[ci]
-		if c.i >= len(c.buf) {
+		m := s.cursors[ci].head()
+		if m == nil {
 			continue
 		}
-		m := &c.buf[c.i]
 		if best == nil {
 			best = m
 			continue
@@ -898,7 +894,7 @@ func (s *msgStream) peek() *message {
 func (s *msgStream) consume(key []byte) {
 	for ci := range s.cursors {
 		c := &s.cursors[ci]
-		for c.i < len(c.buf) && kv.CompareKeys(c.buf[c.i].key, key) <= 0 {
+		for m := c.head(); m != nil && kv.CompareKeys(m.key, key) <= 0; m = c.head() {
 			c.i++
 		}
 	}

@@ -340,8 +340,8 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 func TestNodeSerializationRoundTrip(t *testing.T) {
 	leaf := &node{leaf: true, serialized: pageHeaderBytes}
 	var m mem
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(1), val: []byte("abc"), seq: 7, vlen: 3}, true)
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(2), seq: 9, vlen: 64, del: true}, true)
+	leaf.insertLeaf(&m, message{key: kv.EncodeKey(1), seq: 7, vlen: 3}, []byte("abc"))
+	leaf.insertLeaf(&m, message{key: kv.EncodeKey(2), seq: 9, vlen: 64, del: true}, nil)
 	data := serializeNode(nil, leaf, nil)
 	got, ok := parseNode(data)
 	if !ok {
@@ -350,7 +350,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].key, kv.EncodeKey(1)) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
-	if string(got.entries[0].val) != "abc" || got.entries[0].seq != 7 {
+	if string(got.entries[0].val()) != "abc" || got.entries[0].seq != 7 {
 		t.Fatal("entry 0 wrong")
 	}
 	if !got.entries[1].del || got.entries[1].seq != 9 || got.entries[1].vlen != 64 {
@@ -361,9 +361,11 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		leaf:     false,
 		children: []nodeID{1, 2, 3},
 		seps:     [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)},
+		bufs:     make([][]message, 3),
+		bufSizes: make([]int, 3),
 	}
-	interior.bufInsert(&m, message{key: kv.EncodeKey(5), seq: 11, vlen: 32}, true)
-	interior.bufInsert(&m, message{key: kv.EncodeKey(15), seq: 12, vlen: 16, del: true}, true)
+	interior.bufInsert(&m, message{key: kv.EncodeKey(5), seq: 11, vlen: 32}, nil, true)
+	interior.bufInsert(&m, message{key: kv.EncodeKey(15), seq: 12, vlen: 16, del: true}, nil, true)
 	interior.recomputeSerialized()
 	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
@@ -375,8 +377,9 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 {
 		t.Fatal("child extents wrong")
 	}
-	if len(got.buf) != 2 || got.buf[0].seq != 11 || !got.buf[1].del {
-		t.Fatalf("buffer round trip wrong: %+v", got.buf)
+	if len(got.bufs) != 3 || len(got.bufs[0]) != 1 || got.bufs[0][0].seq != 11 ||
+		len(got.bufs[1]) != 1 || !got.bufs[1][0].del || got.bufs[2] != nil {
+		t.Fatalf("buffer round trip wrong: %+v", got.bufs)
 	}
 	if got.bufBytes != interior.bufBytes {
 		t.Fatalf("bufBytes %d != %d", got.bufBytes, interior.bufBytes)
@@ -386,7 +389,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, ok := parseNode(prefixed[6:]); !ok || len(got.buf) != 2 {
+	if got, ok := parseNode(prefixed[6:]); !ok || len(got.bufs[0])+len(got.bufs[1]) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 
@@ -470,44 +473,7 @@ func TestSerializedInvariants(t *testing.T) {
 		}
 	}
 	_ = now
-	for _, n := range tr.nodes[1:] {
-		if n.leaf {
-			sz := pageHeaderBytes
-			for i := range n.entries {
-				sz += n.entries[i].bytes()
-			}
-			if sz != n.serialized {
-				t.Fatalf("leaf %d serialized %d, recomputed %d", n.id, n.serialized, sz)
-			}
-			continue
-		}
-		bb := 0
-		for i := range n.buf {
-			bb += n.buf[i].bytes()
-		}
-		if bb != n.bufBytes {
-			t.Fatalf("node %d bufBytes %d, recomputed %d", n.id, n.bufBytes, bb)
-		}
-		pv := pageHeaderBytes + childRefBytes*len(n.children)
-		for _, sep := range n.seps {
-			pv += 2 + len(sep)
-		}
-		if pv != n.pivotBytes {
-			t.Fatalf("node %d pivotBytes %d, recomputed %d", n.id, n.pivotBytes, pv)
-		}
-		if n.serialized != pv+bb {
-			t.Fatalf("node %d serialized %d != pivot %d + buf %d", n.id, n.serialized, pv, bb)
-		}
-		if n.bufBytes > tr.bufferMax {
-			t.Fatalf("node %d buffer %d over budget %d", n.id, n.bufBytes, tr.bufferMax)
-		}
-		// Buffer messages route to this node's key range, sorted.
-		for i := 1; i < len(n.buf); i++ {
-			if kv.CompareKeys(n.buf[i-1].key, n.buf[i].key) >= 0 {
-				t.Fatalf("node %d buffer out of order", n.id)
-			}
-		}
-	}
+	checkTree(t, tr)
 }
 
 func TestCloseRejectsOps(t *testing.T) {

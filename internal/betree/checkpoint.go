@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"ptsbench/internal/cowtree"
+	"ptsbench/internal/kv"
 )
 
 // The checkpoint discipline — dirty-ancestor-closure snapshot, bottom-up
@@ -32,16 +33,16 @@ func putMessage(out []byte, m *message) []byte {
 	binary.LittleEndian.PutUint64(hdr[6:], seq)
 	out = append(out, hdr[:]...)
 	out = append(out, m.key...)
-	if m.val != nil {
-		out = append(out, m.val...)
+	if val := m.val(); val != nil {
+		out = append(out, val...)
 	} else {
 		out = cowtree.AppendZeros(out, vl)
 	}
 	return out
 }
 
-// parseMessage decodes one message, returning it and the bytes consumed
-// (0 on corruption).
+// parseMessage decodes one owned message (key and value bytes in one
+// allocation), returning it and the bytes consumed (0 on corruption).
 func parseMessage(data []byte) (message, int) {
 	if len(data) < msgOverhead {
 		return message{}, 0
@@ -52,9 +53,7 @@ func parseMessage(data []byte) (message, int) {
 	if msgOverhead+kl+vl > len(data) {
 		return message{}, 0
 	}
-	m := makeMessage(
-		cloneBytes(data[msgOverhead:msgOverhead+kl]),
-		cloneBytes(data[msgOverhead+kl:msgOverhead+kl+vl]),
+	m := makeMessage(cloneBytes(data[msgOverhead : msgOverhead+kl+vl])[:kl],
 		seq&^(1<<63), vl, seq&(1<<63) != 0)
 	return m, msgOverhead + kl + vl
 }
@@ -62,8 +61,9 @@ func parseMessage(data []byte) (message, int) {
 // serializeNode appends the on-disk image of a node (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count,
 // bufCount}, then entries (leaf) or separators + child extent references
-// + buffered messages (interior). resolve maps a child nodeID to its
-// current on-disk extent.
+// + buffered messages (interior; the child buffers in child order, which
+// is key order). resolve maps a child nodeID to its current on-disk
+// extent.
 func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte {
 	var hdr [pageHeaderBytes]byte
 	base := len(out)
@@ -78,7 +78,11 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		return out
 	}
 	binary.LittleEndian.PutUint32(out[base+8:], uint32(len(n.seps)))
-	binary.LittleEndian.PutUint32(out[base+12:], uint32(len(n.buf)))
+	bufCount := 0
+	for _, buf := range n.bufs {
+		bufCount += len(buf)
+	}
+	binary.LittleEndian.PutUint32(out[base+12:], uint32(bufCount))
 	for _, sep := range n.seps {
 		var l [2]byte
 		binary.LittleEndian.PutUint16(l[:], uint16(len(sep)))
@@ -95,13 +99,16 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		binary.LittleEndian.PutUint32(b[8:], uint32(ext.Pages))
 		out = append(out, b[:]...)
 	}
-	for i := range n.buf {
-		out = putMessage(out, &n.buf[i])
+	for _, buf := range n.bufs {
+		for i := range buf {
+			out = putMessage(out, &buf[i])
+		}
 	}
 	return out
 }
 
-// parseNode reconstructs a node from its serialized image.
+// parseNode reconstructs a node from its serialized image, dealing an
+// interior's key-ordered messages out to its child buffers by separator.
 func parseNode(data []byte) (*node, bool) {
 	if len(data) < pageHeaderBytes {
 		return nil, false
@@ -147,12 +154,18 @@ func parseNode(data []byte) (*node, bool) {
 		n.children = append(n.children, nilNode) // assigned during rebuild
 		off += childRefBytes
 	}
-	for i := 0; i < bufCount; i++ {
+	n.bufs, n.bufSizes = make([][]message, count+1), make([]int, count+1)
+	for i, ci := 0, 0; i < bufCount; i++ {
 		m, used := parseMessage(data[off:])
 		if used == 0 {
 			return nil, false
 		}
-		n.buf = append(n.buf, m)
+		// childFor's rule: a key equal to a separator routes right.
+		for ci < count && kv.CompareKeys(n.seps[ci], m.key) <= 0 {
+			ci++
+		}
+		n.bufs[ci] = append(n.bufs[ci], m)
+		n.bufSizes[ci] += m.bytes()
 		n.bufBytes += m.bytes()
 		off += used
 	}

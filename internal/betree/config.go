@@ -1,8 +1,11 @@
 // Package betree implements a Bε-tree: a copy-on-write B-tree whose
 // interior nodes reserve most of their capacity for per-child message
-// buffers. Writes are appended to the root's buffer as messages and
-// flushed down the spine in batches when a buffer fills; reads merge
-// buffered messages with leaf contents on the way down.
+// buffers — one small key-sorted array per child, holding exactly the
+// messages bound for that child and sized to what it holds. A write
+// upserts a message into the root's buffer for the child covering its
+// key; when a node's buffers outgrow its budget, the busiest child's
+// whole array is handed one level down as a batch. Reads check, at each
+// node of the descent, the one buffer of the child they follow.
 //
 // The I/O shape this produces sits between the two engines the paper
 // evaluates: like the B+Tree, data lives in update-in-place (logically;

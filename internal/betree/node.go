@@ -2,6 +2,7 @@ package betree
 
 import (
 	"bytes"
+	"slices"
 
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extalloc"
@@ -31,8 +32,8 @@ const childRefBytes = 12
 
 // mem bundles the tree's allocation helpers handed to node methods: the
 // arena backs retained key/value copies, the pool recycles the message
-// arrays (leaf entries and interior buffers) displaced by growth and
-// splits, and scratch holds a flush batch's fresh inserts between
+// arrays (leaf entries and child buffers) displaced by growth, splits
+// and flushes, and scratch holds a flush batch's fresh inserts between
 // insertBatch's classify and merge passes.
 type mem struct {
 	arena   cowtree.Arena
@@ -43,10 +44,13 @@ type mem struct {
 // message is one buffered update or leaf entry: key, optional value
 // bytes (content mode), accounted value length, sequence and tombstone
 // flag. Buffers and leaves share the representation because a flush
-// moves messages unchanged until they land in a leaf.
+// moves messages unchanged until they land in a leaf. A stored message
+// owns one byte slice: key holds the key bytes and, in content mode, the
+// value bytes follow them in the same allocation as key[len:cap] (see
+// val). Two slices made a message 64 bytes; at 40 the arrays the tree
+// keeps allocating for buffers cost a third less.
 type message struct {
 	key  []byte
-	val  []byte
 	seq  uint64
 	vlen int32
 	del  bool
@@ -54,8 +58,8 @@ type message struct {
 
 // makeMessage builds a message value (one construction point keeps the
 // field order in one place).
-func makeMessage(key, val []byte, seq uint64, vlen int, del bool) message {
-	return message{key: key, val: val, seq: seq, vlen: int32(vlen), del: del}
+func makeMessage(key []byte, seq uint64, vlen int, del bool) message {
+	return message{key: key, seq: seq, vlen: int32(vlen), del: del}
 }
 
 // bytes returns the message's serialized footprint.
@@ -63,10 +67,36 @@ func (m *message) bytes() int {
 	return msgOverhead + len(m.key) + int(m.vlen)
 }
 
+// val returns an owned message's value bytes, or nil when it carries
+// none (accounting mode, tombstones).
+func (m *message) val() []byte {
+	if cap(m.key) == len(m.key) {
+		return nil
+	}
+	return m.key[len(m.key):cap(m.key)]
+}
+
+// own gives an unowned message — the Put boundary's, whose key aliases
+// the caller's reused buffer and whose value travels beside it as val —
+// bytes of its own: key and value fused in one arena allocation (no heap
+// allocation). resident is the key of the stored message it overwrites,
+// or nil; with no value bytes to keep (accounting mode, a tombstone) the
+// resident key bytes are kept and nothing is allocated.
+func (mm *mem) own(m *message, val, resident []byte) {
+	if resident != nil && val == nil {
+		m.key = resident[:len(resident):len(resident)]
+		return
+	}
+	b := mm.arena.Alloc(len(m.key) + len(val))
+	copy(b, m.key)
+	copy(b[len(m.key):], val)
+	m.key = b[:len(m.key)]
+}
+
 // node is an in-memory Bε-tree node. Leaves carry entries; interior
-// nodes carry separator keys, children and a message buffer sorted by
-// key (one message per key — a newer update overwrites the buffered
-// older one, which is the classic upsert collapse).
+// nodes carry separator keys, children and one message buffer per child
+// (one message per key — a newer update overwrites the buffered older
+// one, which is the classic upsert collapse).
 type node struct {
 	id     nodeID
 	parent nodeID
@@ -85,9 +115,12 @@ type node struct {
 	// refreshSepCache/insertSepCache after any seps mutation.
 	sepCache kv.SepCache
 
-	// buf is the interior message buffer, sorted by key. bufBytes is its
-	// serialized footprint.
-	buf      []message
+	// bufs[ci] buffers exactly the messages childFor routes to
+	// children[ci], sorted by key, in an array sized to what it holds, so
+	// the buffers in child order are the node's messages in key order.
+	// bufSizes[ci] is its serialized footprint and bufBytes their sum.
+	bufs     [][]message
+	bufSizes []int
 	bufBytes int
 
 	// childExtents is only populated on nodes reconstructed from disk
@@ -179,79 +212,83 @@ func (n *node) childIndex(id nodeID) int {
 	return -1
 }
 
-// bufGet returns the buffered message for key, or nil.
-func (n *node) bufGet(key []byte) *message {
-	i := searchMsgs(n.buf, key)
-	if i < len(n.buf) && bytes.Equal(n.buf[i].key, key) {
-		return &n.buf[i]
+// bufGet returns the message child ci's buffer holds for key, or nil; ci
+// is childFor(key), which the descent needs anyway.
+func (n *node) bufGet(ci int, key []byte) *message {
+	buf := n.bufs[ci]
+	if i := searchMsgs(buf, key); i < len(buf) && bytes.Equal(buf[i].key, key) {
+		return &buf[i]
 	}
 	return nil
 }
 
-// bufInsert upserts a message into the buffer, returning the serialized
-// size delta. owned says the message owns its key/value bytes (flushes
-// move already-owned messages down); with owned=false — the Put
-// boundary, where callers reuse their buffers — bytes are cloned (from
-// the tree's arena, so no heap allocation) only when actually retained,
-// so an overwrite (which keeps the resident key) costs no key copy at
-// all. An existing message for the same key is overwritten when the
-// incoming one is at least as new (flush batches always move the newest
-// surviving version, so the guard only matters on recovery replay).
-func (n *node) bufInsert(mm *mem, m message, owned bool) int {
-	i := searchMsgs(n.buf, m.key)
-	if i < len(n.buf) && bytes.Equal(n.buf[i].key, m.key) {
-		old := &n.buf[i]
+// busiestChild returns the child whose buffer holds the most bytes — the
+// first of them on a tie — and that byte count (0: nothing buffered).
+func (n *node) busiestChild() (ci, size int) {
+	for i, b := range n.bufSizes {
+		if b > size {
+			ci, size = i, b
+		}
+	}
+	return ci, size
+}
+
+// bufInsert upserts a message into the buffer of the child covering its
+// key, returning the serialized size delta. owned says the message owns
+// its bytes (flushes move already-owned messages down, and one simply
+// replaces the resident message); with owned=false — the Put boundary,
+// where callers reuse their buffers and val is the value beside the
+// message — mem.own copies bytes only when they are actually retained,
+// so an accounting-mode overwrite costs no copy at all. An existing
+// message for the same key is overwritten when the incoming one is at
+// least as new (flush batches always move the newest surviving version,
+// so the guard only matters on recovery replay).
+func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
+	ci := n.childFor(m.key)
+	buf := n.bufs[ci]
+	i := searchMsgs(buf, m.key)
+	delta := m.bytes()
+	if i < len(buf) && bytes.Equal(buf[i].key, m.key) {
+		old := &buf[i]
 		if m.seq < old.seq {
 			return 0
 		}
-		delta := m.bytes() - old.bytes()
-		// Keep the resident key bytes; only the value changes.
-		m.key = old.key
+		delta -= old.bytes()
 		if !owned {
-			m.val = mm.arena.Clone(m.val)
+			mm.own(&m, val, old.key)
 		}
 		*old = m
-		n.bufBytes += delta
-		n.serialized += delta
-		return delta
+	} else {
+		if !owned {
+			mm.own(&m, val, nil)
+		}
+		n.bufs[ci] = mm.msgs.GrowInsert(buf, i, m)
 	}
-	if !owned {
-		m.key = mm.arena.Clone(m.key)
-		m.val = mm.arena.Clone(m.val)
-	}
-	n.buf = mm.msgs.GrowInsert(n.buf, i, m)
-	delta := m.bytes()
+	n.bufSizes[ci] += delta
 	n.bufBytes += delta
 	n.serialized += delta
 	return delta
 }
 
-// insertLeaf inserts or replaces a leaf entry, returning the serialized
-// size delta. owned works as in bufInsert. Stale messages (older seq
-// than the stored entry) are dropped — they can only reach a leaf
-// through recovery replay.
-func (n *node) insertLeaf(mm *mem, m message, owned bool) int {
+// insertLeaf inserts or replaces a leaf entry with an unowned message
+// (val beside it, as in bufInsert), returning the serialized size delta.
+// Stale messages (older seq than the stored entry) are dropped — they
+// can only reach a leaf through recovery replay.
+func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
 	i := n.search(m.key)
+	delta := m.bytes()
 	if i < len(n.entries) && bytes.Equal(n.entries[i].key, m.key) {
 		e := &n.entries[i]
 		if m.seq < e.seq {
 			return 0
 		}
-		delta := m.bytes() - e.bytes()
-		m.key = e.key
-		if !owned {
-			m.val = mm.arena.Clone(m.val)
-		}
+		delta -= e.bytes()
+		mm.own(&m, val, e.key)
 		*e = m
-		n.serialized += delta
-		return delta
+	} else {
+		mm.own(&m, val, nil)
+		n.entries = mm.msgs.GrowInsert(n.entries, i, m)
 	}
-	if !owned {
-		m.key = mm.arena.Clone(m.key)
-		m.val = mm.arena.Clone(m.val)
-	}
-	n.entries = mm.msgs.GrowInsert(n.entries, i, m)
-	delta := m.bytes()
 	n.serialized += delta
 	return delta
 }
@@ -279,9 +316,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 				continue // stale (recovery replay only)
 			}
 			delta += m.bytes() - e.bytes()
-			key := e.key // keep the resident key bytes
 			*e = *m
-			e.key = key
 			continue
 		}
 		toIns = append(toIns, *m)
@@ -331,7 +366,10 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 
 // splitLeaf moves the upper half of the entries into right (a fresh
 // slab-allocated node) and returns it with the separator key (first key
-// of the new node). The moved half draws pooled storage.
+// of the new node). Each half ends up in a pooled array of the capacity
+// class its length calls for: a batch flush grows a leaf to the batch
+// size and splitLeafToFit then halves it repeatedly, so a left half that
+// kept the array it was cut from would leave N log N slots for N entries.
 func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
 	mid := len(n.entries) / 2
 	right.id = newID
@@ -343,22 +381,32 @@ func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
 		movedBytes += n.entries[i].bytes()
 	}
 	right.serialized = pageHeaderBytes + movedBytes
-	n.entries = n.entries[:mid]
+	n.entries = mm.msgs.Fit(n.entries[:mid])
 	n.serialized -= movedBytes
 	right.next = n.next
 	n.next = right.id
 	return right, right.entries[0].key
 }
 
-// insertChild adds a separator and child after position idx. The
-// separator copy comes from the tree's arena.
+// insertChild adds a separator and child after position idx — child idx
+// has split at sep — and cuts child idx's buffer there: messages with
+// key >= sep now route to the new child. (Every split the tree performs
+// follows a flush that has just emptied that buffer, so today the cut
+// moves nothing; it keeps the partition right without leaning on that.)
+// The separator copy comes from the tree's arena.
 func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
-	n.seps = append(n.seps, nil)
-	copy(n.seps[idx+1:], n.seps[idx:])
-	n.seps[idx] = mm.arena.Clone(sep)
-	n.children = append(n.children, nilNode)
-	copy(n.children[idx+2:], n.children[idx+1:])
-	n.children[idx+1] = child
+	n.seps = slices.Insert(n.seps, idx, mm.arena.Clone(sep))
+	n.children = slices.Insert(n.children, idx+1, child)
+	buf := n.bufs[idx]
+	tail := mm.msgs.CloneTail(buf, searchMsgs(buf, sep))
+	moved := 0
+	for i := range tail {
+		moved += tail[i].bytes()
+	}
+	n.bufs[idx] = mm.msgs.Fit(buf[:len(buf)-len(tail)])
+	n.bufs = slices.Insert(n.bufs, idx+1, tail)
+	n.bufSizes[idx] -= moved
+	n.bufSizes = slices.Insert(n.bufSizes, idx+1, moved)
 	delta := 2 + len(sep) + childRefBytes
 	n.pivotBytes += delta
 	n.serialized += delta
@@ -369,10 +417,10 @@ func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 // cache.
 func (n *node) insertSepCache(idx int, sep []byte) { n.sepCache.Insert(idx, sep) }
 
-// splitInterior moves the upper half of an interior node (pivots AND the
-// buffered messages routed to them) into right (a fresh slab-allocated
+// splitInterior moves the upper half of an interior node (pivots AND
+// their children's buffers, whole) into right (a fresh slab-allocated
 // node), returning it and the separator promoted to the parent.
-func (n *node) splitInterior(mm *mem, right *node, newID nodeID) (*node, []byte) {
+func (n *node) splitInterior(right *node, newID nodeID) (*node, []byte) {
 	mid := len(n.seps) / 2
 	promoted := n.seps[mid]
 	right.id = newID
@@ -380,18 +428,17 @@ func (n *node) splitInterior(mm *mem, right *node, newID nodeID) (*node, []byte)
 	right.leaf = false
 	right.seps = append([][]byte(nil), n.seps[mid+1:]...)
 	right.children = append([]nodeID(nil), n.children[mid+1:]...)
-	// Messages with key >= promoted route to the right node (childFor
-	// sends key == sep to the right child).
-	cut := searchMsgs(n.buf, promoted)
-	right.buf = mm.msgs.CloneTail(n.buf, cut)
-	for i := range right.buf {
-		right.bufBytes += right.buf[i].bytes()
+	right.bufs = append([][]message(nil), n.bufs[mid+1:]...)
+	right.bufSizes = append([]int(nil), n.bufSizes[mid+1:]...)
+	for _, b := range right.bufSizes {
+		right.bufBytes += b
 	}
-	n.buf = n.buf[:cut]
 	n.bufBytes -= right.bufBytes
 
 	n.seps = n.seps[:mid]
 	n.children = n.children[:mid+1]
+	n.bufs = n.bufs[:mid+1]
+	n.bufSizes = n.bufSizes[:mid+1]
 	n.recomputeSerialized()
 	n.refreshSepCache()
 	right.recomputeSerialized()

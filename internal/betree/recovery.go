@@ -160,9 +160,11 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 		}
 		n.serialized = pageHeaderBytes + sz
 	} else {
-		for i := range n.buf {
-			if s := n.buf[i].seq; s > t.seq {
-				t.seq = s // buffered messages count toward the max too
+		for _, buf := range n.bufs {
+			for i := range buf {
+				if s := buf[i].seq; s > t.seq {
+					t.seq = s // buffered messages count toward the max too
+				}
 			}
 		}
 		n.recomputeSerialized()
@@ -196,10 +198,11 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	}
 	n := t.nodes[t.root]
 	for !n.leaf {
-		if m := n.bufGet(r.Key); m != nil && m.seq >= r.Seq {
+		ci := n.childFor(r.Key)
+		if m := n.bufGet(ci, r.Key); m != nil && m.seq >= r.Seq {
 			return now, nil
 		}
-		n = t.nodes[n.children[n.childFor(r.Key)]]
+		n = t.nodes[n.children[ci]]
 	}
 	if i := n.search(r.Key); i < len(n.entries) &&
 		bytes.Equal(n.entries[i].key, r.Key) && n.entries[i].seq >= r.Seq {
@@ -209,8 +212,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	if r.Value != nil {
 		vlen = len(r.Value)
 	}
-	// Replayed records own their bytes (decodeRecord allocates fresh
-	// slices per record), so the message transfers them without cloning.
-	msg := makeMessage(r.Key, r.Value, r.Seq, vlen, r.Deleted)
-	return t.apply(now, msg, true)
+	// A record's key and value are separate slices, so it enters as an
+	// unowned message and the node insert fuses them (see mem.own).
+	return t.apply(now, makeMessage(r.Key, r.Seq, vlen, r.Deleted), r.Value)
 }

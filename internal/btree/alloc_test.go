@@ -6,6 +6,7 @@ import (
 
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/workload"
 )
 
 // TestSteadyStatePutAllocs pins the allocation-free update path: on a
@@ -49,5 +50,49 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	}
 	if tr.IO().Checkpoints != before {
 		t.Fatal("a checkpoint ran inside the measured window")
+	}
+}
+
+// TestArraysSizedToWhatTheyHold is the footprint gate peak_rss_mb is too
+// far away to be: after a sequential load and Zipfian overwrites of
+// benchmark-shaped data (4,000-byte accounted values) the leaf entry
+// arrays keep at most two slots per entry. Before splitLeaf re-homed the
+// half that stays, a 9-entry leaf in 16 slots split into 4 entries still
+// holding 16 — most leaves after a sequential load.
+func TestArraysSizedToWhatTheyHold(t *testing.T) {
+	const keys = 50000
+	tr, _, _ := testEnv(t, 1024, false, nil)
+	var now sim.Duration
+	var err error
+	key := make([]byte, kv.KeySize)
+	for id := uint64(0); id < keys; id++ {
+		kv.AppendKey(key, id)
+		if now, err = tr.Put(now, key, nil, 4000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen, err := workload.NewGenerator(workload.Spec{
+		NumKeys: keys, ValueBytes: 4000, Dist: workload.Zipfian, ZipfTheta: 0.99,
+	}, sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		kv.AppendKey(key, gen.Next().KeyID)
+		if now, err = tr.Put(now, key, nil, 4000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var entries, slots int
+	for _, p := range tr.pages[1:] {
+		entries += len(p.entries)
+		slots += cap(p.entries)
+	}
+	t.Logf("leaf entries: %d in %d slots (%.2fx)", entries, slots, float64(slots)/float64(entries))
+	if entries != keys {
+		t.Fatalf("%d leaf entries, want %d", entries, keys)
+	}
+	if slots > 2*entries {
+		t.Errorf("leaf entry arrays keep %d slots for %d entries", slots, entries)
 	}
 }

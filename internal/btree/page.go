@@ -198,9 +198,13 @@ func (p *page) removeLeafAt(i int) {
 
 // splitLeaf moves the upper half of the entries into right (a fresh
 // slab-allocated page) and returns it with the separator key (first key
-// of the new page). The moved half draws pooled storage whose capacity
-// class (next power of two) leaves room to refill toward the page's own
-// split without regrowing.
+// of the new page). Both halves end up in pooled arrays of the capacity
+// class their length calls for (next power of two), which leaves room
+// to refill toward the page's own split without regrowing: the moved
+// half draws one, and the half that stays is re-homed when the array it
+// was cut from is a class larger (a 9-entry leaf in 16 slots would
+// otherwise split into 4 entries still holding 16), the big array going
+// back to the pool.
 func (p *page) splitLeaf(m *mem, right *page, newID pageID) (*page, []byte) {
 	mid := len(p.entries) / 2
 	right.id = newID
@@ -212,7 +216,7 @@ func (p *page) splitLeaf(m *mem, right *page, newID pageID) (*page, []byte) {
 		movedBytes += p.entries[i].bytes()
 	}
 	right.serialized = pageHeaderBytes + movedBytes
-	p.entries = p.entries[:mid]
+	p.entries = m.entries.Fit(p.entries[:mid])
 	p.serialized -= movedBytes
 	// Maintain the leaf chain.
 	right.next = p.next

@@ -49,10 +49,23 @@ func (a *Arena) Alloc(n int) []byte {
 // GC once per-key allocations moved to the arena. Retired arrays keep
 // their contents (the pointers they hold are arena-backed and immortal
 // anyway); Get never clears, so every caller must fully overwrite the
-// returned prefix.
+// returned prefix. Arrays of the small classes are carved out of shared
+// chunks: a tree that sizes its arrays to what they hold (the Bε-tree's
+// per-child buffers) asks for tens of thousands of them, and one heap
+// object each would put that count straight into allocs/op.
 type Pool[T any] struct {
 	classes [32][][]T
+	chunk   []T // uncarved rest of the newest small-array chunk
 }
+
+const (
+	// poolCarveSlots is the largest capacity carved from a chunk; larger
+	// arrays get their own allocation.
+	poolCarveSlots = 128
+	// poolChunkSlots is the chunk size: eight of the largest carved
+	// arrays, a thousand of the smallest.
+	poolChunkSlots = 1024
+)
 
 // Get returns a slice of length n whose capacity is the next power of
 // two >= n, reusing a retired array of that class when available.
@@ -67,7 +80,16 @@ func (p *Pool[T]) Get(n int) []T {
 		p.classes[c] = s[:len(s)-1]
 		return out[:n]
 	}
-	return make([]T, n, 1<<c)
+	size := 1 << c
+	if size > poolCarveSlots {
+		return make([]T, n, size)
+	}
+	if len(p.chunk) < size {
+		p.chunk = make([]T, poolChunkSlots)
+	}
+	out := p.chunk[:n:size] // capacity-limited: appends cannot reach the neighbour
+	p.chunk = p.chunk[size:]
+	return out
 }
 
 // Put retires a slice's backing array for reuse. The caller must not
@@ -106,6 +128,20 @@ func (p *Pool[T]) CloneTail(src []T, from int) []T {
 	out := p.Get(len(src) - from)
 	copy(out, src[from:])
 	return out
+}
+
+// Fit returns s in an array of the capacity class its length calls for:
+// s itself when its array is already of that class, otherwise a pooled
+// copy, with the larger array retired (an empty s retires its array and
+// yields nil). Splits use it on the half that stays behind, which would
+// otherwise keep the whole array it was cut from.
+func (p *Pool[T]) Fit(s []T) []T {
+	if len(s) == 0 || cap(s) >= 2<<bits.Len(uint(len(s)-1)) {
+		out := p.CloneTail(s, 0)
+		p.Put(s)
+		return out
+	}
+	return s
 }
 
 // Slab is a chunked struct allocator: Get hands out pointers into
