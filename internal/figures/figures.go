@@ -120,6 +120,15 @@ func Registry() map[string]func(Options) (*Report, error) {
 	}
 }
 
+// Run regenerates the figure with the given ID.
+func Run(id string, o Options) (*Report, error) {
+	f, ok := Registry()[id]
+	if !ok {
+		return nil, fmt.Errorf("ptsbench: unknown figure %q (have %v)", id, IDs())
+	}
+	return f(o)
+}
+
 // IDs lists the figure identifiers in paper order, followed by the
 // extension figures.
 func IDs() []string {
