@@ -2,8 +2,9 @@ package ptsbench
 
 // Benchmark harness: one benchmark per paper figure/table (reporting the
 // headline metrics via b.ReportMetric), ablation benchmarks for the
-// design choices called out in DESIGN.md, and micro-benchmarks for the
-// hot data structures.
+// simulator's design choices (GC victim policy, discard, die-striping
+// width, B+Tree cache size), and micro-benchmarks for the hot data
+// structures.
 //
 // Figure benchmarks run in Quick mode at a coarse scale so a full
 // `go test -bench=. -benchmem` pass completes in minutes; use
@@ -40,7 +41,7 @@ func runFigure(b *testing.B, id string) *figures.Report {
 	var rep *figures.Report
 	var err error
 	for i := 0; i < b.N; i++ {
-		rep, err = figures.Registry()[id](benchOptions())
+		rep, err = figures.Run(id, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func BenchmarkSteadyStateDetection(b *testing.B) {
 	}
 }
 
-// ---- Ablation benchmarks (design choices from DESIGN.md) ----
+// ---- Ablation benchmarks (one per simulator design choice) ----
 
 // BenchmarkAblationGCPolicy contrasts greedy and random GC victim
 // selection at fixed utilization: greedy should relocate far less.
@@ -314,8 +315,8 @@ func lsmChurnWAD(discard bool) (float64, error) {
 	return ssd.Stats().Sub(base).WAD(), nil
 }
 
-// BenchmarkAblationStreams sweeps the FTL's die-striping width, the
-// placement-mixing knob calibrated in DESIGN.md.
+// BenchmarkAblationStreams sweeps the FTL's die-striping width
+// (flash.Config.Streams), the placement-mixing knob.
 func BenchmarkAblationStreams(b *testing.B) {
 	for _, streams := range []int{1, 16, 96} {
 		b.Run(fmt.Sprintf("streams-%d", streams), func(b *testing.B) {
@@ -336,7 +337,7 @@ func BenchmarkAblationStreams(b *testing.B) {
 				// block per write a chunk owns whole erase blocks and
 				// self-invalidates on rewrite; striping scatters hot and
 				// cold pages into the same blocks, forcing relocations —
-				// the placement effect DESIGN.md calibrates.
+				// the placement effect Streams models.
 				pages := dev.LogicalPages()
 				hot := pages / 4
 				var now sim.Duration

@@ -236,10 +236,16 @@ func runOne(id string, opts ptsbench.FigureOptions, csvDir string) error {
 	if err != nil {
 		return err
 	}
+	return emit(rep, id, start, csvDir)
+}
+
+// emit prints a finished report with the wall-clock time it took since
+// start and, with a csvDir, also writes its CSV files there.
+func emit(rep *ptsbench.FigureReport, name string, start time.Time, csvDir string) error {
 	if err := rep.Render(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	if csvDir != "" {
 		if err := rep.WriteCSV(csvDir); err != nil {
 			return err
@@ -284,7 +290,6 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 		// report label agree.
 		exp.Name = strings.TrimSuffix(filepath.Base(specPath), filepath.Ext(specPath))
 	}
-	name := exp.Name
 	specs, err := exp.Specs(quick)
 	if err != nil {
 		return err
@@ -294,16 +299,8 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 	if err != nil {
 		return err
 	}
-	rep := ptsbench.ExpReport(name, specs, results)
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := emit(ptsbench.ExpReport(exp.Name, specs, results), exp.Name, start, csvDir); err != nil {
 		return err
-	}
-	fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	if csvDir != "" {
-		if err := rep.WriteCSV(csvDir); err != nil {
-			return err
-		}
-		fmt.Printf("CSV written to %s\n", csvDir)
 	}
 	if jsonOut != "" {
 		f, err := os.Create(jsonOut)

@@ -55,24 +55,22 @@ func main() {
 		device.Profile.ParallelLanes())
 	fmt.Printf("%-24s %4s %12s %8s %14s %14s\n",
 		"cell", "QD", "mean KOps/s", "gain", "p50 read", "p99 read")
-	cell := 0
-	for range engines {
-		base := 0.0
-		for _, qd := range depths {
-			res := results[cell]
-			cell++
-			kops := res.MeanScaledKOps()
-			if qd == 1 {
-				base = kops
-			}
-			speedup := "-"
-			if base > 0 && qd > 1 {
-				speedup = fmt.Sprintf("%.1fx", kops/base)
-			}
-			fmt.Printf("%-24s %4d %12.2f %8s %14v %14v\n",
-				res.Spec.Name, qd, kops, speedup, res.Latency.P50, res.Latency.P99)
+	base := 0.0
+	for _, res := range results {
+		qd := res.Spec.QueueDepth
+		kops := res.MeanScaledKOps()
+		if qd == 1 {
+			base = kops
 		}
-		fmt.Println()
+		speedup := "-"
+		if base > 0 && qd > 1 {
+			speedup = fmt.Sprintf("%.1fx", kops/base)
+		}
+		fmt.Printf("%-24s %4d %12.2f %8s %14v %14v\n",
+			res.Spec.Name, qd, kops, speedup, res.Latency.P50, res.Latency.P99)
+		if qd == depths[len(depths)-1] {
+			fmt.Println()
+		}
 	}
 	fmt.Println("throughput grows with queue depth until the lane array saturates;")
 	fmt.Println("past that point extra concurrency only adds queueing latency.")

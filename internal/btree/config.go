@@ -80,7 +80,7 @@ func NewConfig(datasetBytes int64) Config {
 		// 48 KiB models WiredTiger's effective reconciliation unit: the
 		// in-memory page grows past leaf_page_max before it is split and
 		// written out, so the average write-out is larger than the
-		// nominal 32 KiB leaf (see DESIGN.md calibration notes).
+		// nominal 32 KiB leaf.
 		LeafPageBytes:          48 << 10,
 		InternalPageBytes:      4 << 10,
 		CacheBytes:             cache,

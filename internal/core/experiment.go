@@ -118,7 +118,7 @@ type Spec struct {
 
 	// Scale divides capacity, bandwidths and engine sizings while
 	// keeping the virtual time axis; dimensionless results are
-	// invariant (see DESIGN.md).
+	// invariant (flash.Profile.Scaled states the scaling model).
 	Scale int64
 
 	Engine EngineKind

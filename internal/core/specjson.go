@@ -194,16 +194,21 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(sj)
 }
 
-// UnmarshalJSON implements json.Unmarshaler. Unknown fields are errors:
-// a typo in a saved experiment should fail loudly, not silently run the
-// default it was trying to override.
-func (s *Spec) UnmarshalJSON(data []byte) error {
-	var sj specJSON
+// decodeStrict parses data into v. Unknown fields are errors: a typo in
+// a saved experiment should fail loudly, not silently run the default it
+// was trying to override. doc is the document noun for the error text.
+func decodeStrict(data []byte, doc string, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sj); err != nil {
-		return fmt.Errorf("core: parsing spec: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("core: parsing %s: %w", doc, err)
 	}
+	return nil
+}
+
+// spec converts the wire format to a Spec; doc is the document noun for
+// the error text ("spec" or "experiment").
+func (sj *specJSON) spec(doc string) (Spec, error) {
 	out := Spec{
 		Name:              sj.Name,
 		Scale:             sj.Scale,
@@ -227,31 +232,40 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	}
 	var err error
 	if out.Device, err = unmarshalDevice(sj.Device); err != nil {
-		return err
+		return out, err
 	}
 	if sj.Dist != "" {
 		if out.Dist, err = workload.ParseDist(sj.Dist); err != nil {
-			return err
+			return out, err
 		}
 	}
 	if sj.Initial != "" {
 		if out.Initial, err = ParseInitialState(sj.Initial); err != nil {
-			return err
+			return out, err
 		}
 	}
 	if sj.Duration != "" {
-		d, err := time.ParseDuration(sj.Duration)
-		if err != nil {
-			return fmt.Errorf("core: parsing spec duration: %w", err)
+		if out.Duration, err = time.ParseDuration(sj.Duration); err != nil {
+			return out, fmt.Errorf("core: parsing %s duration: %w", doc, err)
 		}
-		out.Duration = sim.Duration(d)
 	}
 	if sj.SampleEvery != "" {
-		d, err := time.ParseDuration(sj.SampleEvery)
-		if err != nil {
-			return fmt.Errorf("core: parsing spec sample_every: %w", err)
+		if out.SampleEvery, err = time.ParseDuration(sj.SampleEvery); err != nil {
+			return out, fmt.Errorf("core: parsing %s sample_every: %w", doc, err)
 		}
-		out.SampleEvery = sim.Duration(d)
+	}
+	return out, nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (s *Spec) UnmarshalJSON(data []byte) error {
+	var sj specJSON
+	if err := decodeStrict(data, "spec", &sj); err != nil {
+		return err
+	}
+	out, err := sj.spec("spec")
+	if err != nil {
+		return err
 	}
 	*s = out
 	return nil
@@ -315,101 +329,44 @@ type Experiment struct {
 
 // experimentJSON is the wire format of Experiment: the spec fields
 // flattened to the top level, plural sweep lists beside their singular
-// fallbacks, and tunables namespaced per engine.
+// fallbacks, and tunables namespaced per engine (the shallower field
+// shadows the spec's flat tunables map).
 type experimentJSON struct {
-	Name              string                       `json:"name,omitempty"`
-	Device            *deviceJSON                  `json:"device,omitempty"`
-	Engines           []string                     `json:"engines,omitempty"`
-	Engine            string                       `json:"engine,omitempty"`
-	Scales            []int64                      `json:"scales,omitempty"`
-	Scale             int64                        `json:"scale,omitempty"`
-	DatasetFraction   float64                      `json:"dataset_fraction,omitempty"`
-	ValueBytes        int                          `json:"value_bytes,omitempty"`
-	ReadFractions     []float64                    `json:"read_fractions,omitempty"`
-	ReadFraction      float64                      `json:"read_fraction,omitempty"`
-	QueueDepths       []int                        `json:"queue_depths,omitempty"`
-	QueueDepth        int                          `json:"queue_depth,omitempty"`
-	ShardCounts       []int                        `json:"shard_counts,omitempty"`
-	Shards            int                          `json:"shards,omitempty"`
-	ClientCounts      []int                        `json:"client_counts,omitempty"`
-	Clients           int                          `json:"clients,omitempty"`
-	ReplicaCounts     []int                        `json:"replica_counts,omitempty"`
-	Replicas          int                          `json:"replicas,omitempty"`
-	ReplModes         []string                     `json:"repl_modes,omitempty"`
-	ReplMode          string                       `json:"repl_mode,omitempty"`
-	Skew              float64                      `json:"skew,omitempty"`
-	Dist              string                       `json:"dist,omitempty"`
-	ZipfTheta         float64                      `json:"zipf_theta,omitempty"`
-	Initial           string                       `json:"initial,omitempty"`
-	PartitionFraction float64                      `json:"partition_fraction,omitempty"`
-	Duration          string                       `json:"duration,omitempty"`
-	SampleEvery       string                       `json:"sample_every,omitempty"`
-	Seed              uint64                       `json:"seed,omitempty"`
-	Tunables          map[string]map[string]string `json:"tunables,omitempty"`
-	Backend           string                       `json:"backend,omitempty"`
-	Dir               string                       `json:"dir,omitempty"`
-	Fsync             string                       `json:"fsync,omitempty"`
+	specJSON
+	Engines       []string                     `json:"engines,omitempty"`
+	Scales        []int64                      `json:"scales,omitempty"`
+	ReadFractions []float64                    `json:"read_fractions,omitempty"`
+	QueueDepths   []int                        `json:"queue_depths,omitempty"`
+	ShardCounts   []int                        `json:"shard_counts,omitempty"`
+	ClientCounts  []int                        `json:"client_counts,omitempty"`
+	ReplicaCounts []int                        `json:"replica_counts,omitempty"`
+	ReplModes     []string                     `json:"repl_modes,omitempty"`
+	Tunables      map[string]map[string]string `json:"tunables,omitempty"`
 }
 
 // ParseExperiment parses a declarative experiment file. Unknown fields,
 // unknown engines, distributions or initial states are errors.
 func ParseExperiment(data []byte) (*Experiment, error) {
 	var ej experimentJSON
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ej); err != nil {
-		return nil, fmt.Errorf("core: parsing experiment: %w", err)
-	}
-	e := &Experiment{
-		Name: ej.Name,
-		Base: Spec{
-			Scale:             ej.Scale,
-			Engine:            EngineKind(ej.Engine),
-			DatasetFraction:   ej.DatasetFraction,
-			ValueBytes:        ej.ValueBytes,
-			ReadFraction:      ej.ReadFraction,
-			ZipfTheta:         ej.ZipfTheta,
-			PartitionFraction: ej.PartitionFraction,
-			QueueDepth:        ej.QueueDepth,
-			Shards:            ej.Shards,
-			Clients:           ej.Clients,
-			Replicas:          ej.Replicas,
-			ReplMode:          ej.ReplMode,
-			Skew:              ej.Skew,
-			Seed:              ej.Seed,
-			Backend:           ej.Backend,
-			Dir:               ej.Dir,
-			Fsync:             ej.Fsync,
-		},
-	}
-	var err error
-	if e.Base.Device, err = unmarshalDevice(ej.Device); err != nil {
+	if err := decodeStrict(data, "experiment", &ej); err != nil {
 		return nil, err
 	}
-	if ej.Dist != "" {
-		if e.Base.Dist, err = workload.ParseDist(ej.Dist); err != nil {
-			return nil, err
-		}
+	e := &Experiment{
+		Name:          ej.Name,
+		ReadFractions: ej.ReadFractions,
+		QueueDepths:   ej.QueueDepths,
+		Scales:        ej.Scales,
+		ShardCounts:   ej.ShardCounts,
+		ClientCounts:  ej.ClientCounts,
+		ReplicaCounts: ej.ReplicaCounts,
+		ReplModes:     ej.ReplModes,
 	}
-	if ej.Initial != "" {
-		if e.Base.Initial, err = ParseInitialState(ej.Initial); err != nil {
-			return nil, err
-		}
+	var err error
+	if e.Base, err = ej.spec("experiment"); err != nil {
+		return nil, err
 	}
-	if ej.Duration != "" {
-		d, err := time.ParseDuration(ej.Duration)
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing experiment duration: %w", err)
-		}
-		e.Base.Duration = sim.Duration(d)
-	}
-	if ej.SampleEvery != "" {
-		d, err := time.ParseDuration(ej.SampleEvery)
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing experiment sample_every: %w", err)
-		}
-		e.Base.SampleEvery = sim.Duration(d)
-	}
+	// The document's name labels the experiment; Specs names each cell.
+	e.Base.Name = ""
 	for _, name := range ej.Engines {
 		k, err := ParseEngine(name)
 		if err != nil {
@@ -427,55 +384,42 @@ func ParseExperiment(data []byte) (*Experiment, error) {
 			e.Tunables[k] = t
 		}
 	}
-	e.ReadFractions = ej.ReadFractions
-	e.QueueDepths = ej.QueueDepths
-	e.Scales = ej.Scales
-	e.ShardCounts = ej.ShardCounts
-	e.ClientCounts = ej.ClientCounts
-	e.ReplicaCounts = ej.ReplicaCounts
-	e.ReplModes = ej.ReplModes
 	return e, nil
+}
+
+// QuickDuration shortens a measured phase the way every -quick mode
+// does: a run of over an hour is cut to 60 virtual minutes, a shorter
+// one is halved.
+func QuickDuration(d sim.Duration) sim.Duration {
+	if d > 60*time.Minute {
+		return 60 * time.Minute
+	}
+	return d / 2
+}
+
+// orBase is a sweep axis's value list: the list, or only the Base value
+// when the list is empty.
+func orBase[T any](list []T, base T) []T {
+	if len(list) == 0 {
+		return []T{base}
+	}
+	return list
 }
 
 // Specs expands the experiment's sweep cross product into validated,
 // runnable cells (engines × read fractions × queue depths × scales).
 // Empty sweep lists fall back to the Base value for that axis. With
-// quick set, each cell's measured phase is shortened the way the
-// figures' -quick mode shortens runs (capped at 60 virtual minutes,
-// shorter runs halved).
+// quick set, each cell's measured phase is shortened by QuickDuration,
+// as the figures' -quick mode shortens theirs.
 func (e *Experiment) Specs(quick bool) ([]Spec, error) {
-	engines := e.Engines
-	if len(engines) == 0 {
-		engines = []EngineKind{e.Base.Engine}
-	}
-	readFracs := e.ReadFractions
-	if len(readFracs) == 0 {
-		readFracs = []float64{e.Base.ReadFraction}
-	}
-	queueDepths := e.QueueDepths
-	if len(queueDepths) == 0 {
-		queueDepths = []int{e.Base.QueueDepth}
-	}
-	scales := e.Scales
-	if len(scales) == 0 {
-		scales = []int64{e.Base.Scale}
-	}
-	shardCounts := e.ShardCounts
-	if len(shardCounts) == 0 {
-		shardCounts = []int{e.Base.Shards}
-	}
-	clientCounts := e.ClientCounts
-	if len(clientCounts) == 0 {
-		clientCounts = []int{e.Base.Clients}
-	}
-	replicaCounts := e.ReplicaCounts
-	if len(replicaCounts) == 0 {
-		replicaCounts = []int{e.Base.Replicas}
-	}
-	replModes := e.ReplModes
-	if len(replModes) == 0 {
-		replModes = []string{e.Base.ReplMode}
-	}
+	engines := orBase(e.Engines, e.Base.Engine)
+	readFracs := orBase(e.ReadFractions, e.Base.ReadFraction)
+	queueDepths := orBase(e.QueueDepths, e.Base.QueueDepth)
+	scales := orBase(e.Scales, e.Base.Scale)
+	shardCounts := orBase(e.ShardCounts, e.Base.Shards)
+	clientCounts := orBase(e.ClientCounts, e.Base.Clients)
+	replicaCounts := orBase(e.ReplicaCounts, e.Base.Replicas)
+	replModes := orBase(e.ReplModes, e.Base.ReplMode)
 	name := e.Name
 	if name == "" {
 		name = "exp"
@@ -539,11 +483,7 @@ func (e *Experiment) Specs(quick bool) ([]Spec, error) {
 										spec.Name += fmt.Sprintf(" r=%d %s", spec.Replicas, spec.ReplMode)
 									}
 									if quick {
-										if spec.Duration > 60*time.Minute {
-											spec.Duration = 60 * time.Minute
-										} else {
-											spec.Duration /= 2
-										}
+										spec.Duration = QuickDuration(spec.Duration)
 									}
 									specs = append(specs, spec)
 								}

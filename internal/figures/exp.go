@@ -59,7 +59,7 @@ func ExpReport(name string, specs []core.Spec, results []*core.Result) *Report {
 		if window > windowSamples {
 			window = windowSamples
 		}
-		rep.Series = append(rep.Series, throughputSeries(spec.Name, res, window))
+		rep.Series = append(rep.Series, throughput("", window)(spec.Name, res))
 	}
 	rep.Tables = []Table{summary}
 	return rep

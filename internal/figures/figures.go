@@ -1,14 +1,18 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation section (§4). Each FigN function wires the workload, engine,
-// filesystem and simulated SSD through internal/core at the requested
-// scale and returns a Report with the same series and rows the paper
-// plots. EXPERIMENTS.md records paper-vs-measured values for each.
+// evaluation section (§4). A figure is a value in the figures list: an
+// edit of the paper's default experiment, the axes it varies and one of
+// two layouts of the results. (*figure).run expands that grid, runs it
+// through internal/core at the requested scale and returns a Report
+// with the same series and rows the paper plots; README "Adding a
+// figure" describes the parts.
 package figures
 
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"ptsbench/internal/core"
@@ -40,10 +44,7 @@ func (o Options) scale(def int64) int64 {
 
 func (o Options) duration(def time.Duration) time.Duration {
 	if o.Quick {
-		if def > 60*time.Minute {
-			return 60 * time.Minute
-		}
-		return def / 2
+		return core.QuickDuration(def)
 	}
 	return def
 }
@@ -53,15 +54,6 @@ func (o Options) seed() uint64 {
 		return o.Seed
 	}
 	return 1
-}
-
-// engines returns the engine iteration set: the override when given,
-// the figure's default otherwise.
-func (o Options) engines(def []core.EngineKind) []core.EngineKind {
-	if len(o.Engines) > 0 {
-		return o.Engines
-	}
-	return def
 }
 
 // Series is one named curve.
@@ -89,163 +81,401 @@ type Report struct {
 	Notes   []string
 }
 
-// Registry maps figure IDs to their constructors.
-func Registry() map[string]func(Options) (*Report, error) {
-	return map[string]func(Options) (*Report, error){
-		"fig2":  Fig2,
-		"fig3":  Fig3,
-		"fig4":  Fig4,
-		"fig5":  Fig5,
-		"fig6":  Fig6,
-		"fig7":  Fig7,
-		"fig8":  Fig8,
-		"fig9":  Fig9,
-		"fig10": Fig10,
-		"fig11": Fig11,
-		// qdsweep extends the paper: queue-depth vs throughput on a
-		// device with internal channel/way parallelism.
-		"qdsweep": FigQDSweep,
-		// betradeoff extends the paper: the Bε-tree's three-way
-		// trade-off between throughput and write amplification as the
-		// buffer fraction (ε) and the read fraction vary.
-		"betradeoff": FigBetradeoff,
-		// shardsweep extends the paper: throughput and tail latency of
-		// the sharded serving layer as shards and closed-loop clients
-		// vary.
-		"shardsweep": FigShardSweep,
-		// replsweep extends the paper: the cost of replication —
-		// throughput, tail latency and physical write traffic as the
-		// replication factor and discipline (chain vs quorum) vary.
-		"replsweep": FigReplSweep,
-	}
-}
-
 // Run regenerates the figure with the given ID.
 func Run(id string, o Options) (*Report, error) {
-	f, ok := Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("ptsbench: unknown figure %q (have %v)", id, IDs())
+	for _, f := range figures {
+		if f.id == id {
+			return f.run(o)
+		}
 	}
-	return f(o)
+	return nil, fmt.Errorf("ptsbench: unknown figure %q (have %v)", id, IDs())
 }
 
 // IDs lists the figure identifiers in paper order, followed by the
 // extension figures.
 func IDs() []string {
-	return []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "qdsweep", "betradeoff", "shardsweep", "replsweep"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// figure describes one figure as data: which experiments to run and how
+// to lay their results out.
+type figure struct {
+	id      string
+	caption string
+	// edit turns the paper's default cell (defaultSpec) into this
+	// figure's; nil keeps it.
+	edit func(s *core.Spec)
+	// fixed is set by a figure that studies one engine (its edit names
+	// it) instead of having an engine axis: the clause, after the id,
+	// of the note that tells a user why -engine is ignored.
+	fixed string
+	// axes span the grid; cells expand row-major, last axis fastest.
+	axes   []axis
+	layout layout
+	// finish adds what neither layout expresses.
+	finish func(rep *Report, cells []cell) error
+}
+
+// axis is one dimension of a figure's grid.
+type axis struct {
+	// labels name each value wherever a cell name, a row label or a
+	// column header shows it.
+	labels []string
+	// x positions each value along a curve; only the last axis of a
+	// pivot with curves needs it.
+	x []float64
+	// set applies value i to a cell's spec.
+	set func(s *core.Spec, i int)
+	// engine marks the engine axis, whose values the -engine override
+	// replaces.
+	engine bool
+}
+
+// engines is the engine axis over kinds.
+func engines(kinds ...core.EngineKind) axis {
+	a := axis{engine: true, set: func(s *core.Spec, i int) { s.Engine = kinds[i] }}
+	for _, k := range kinds {
+		a.labels = append(a.labels, engineName(k))
+	}
+	return a
+}
+
+// sweep is a numeric axis: format labels a value, and the value is its
+// own position along a curve.
+func sweep[T int | float64](format string, set func(*core.Spec, T), values ...T) axis {
+	a := axis{set: func(s *core.Spec, i int) { set(s, values[i]) }}
+	for _, v := range values {
+		a.labels = append(a.labels, fmt.Sprintf(format, v))
+		a.x = append(a.x, float64(v))
+	}
+	return a
+}
+
+// cell is one point of the grid.
+type cell struct {
+	// labels holds the label of the cell's value on every axis.
+	labels []string
+	// run indexes the cell's spec among the distinct specs of the grid.
+	run int
+	res *core.Result
 }
 
 // windowSamples is how many 10s samples form the paper's 10-minute
 // reporting window.
 const windowSamples = 60
 
-// baseSpec returns the paper's default experiment (§3.2, §3.5).
-func baseSpec(o Options, engine core.EngineKind, init core.InitialState) core.Spec {
+// defaultSpec returns the paper's default experiment (§3.2, §3.5) on a
+// trimmed drive; the engine comes from a figure's axis or edit.
+func defaultSpec() core.Spec {
 	return core.Spec{
 		Device:          core.DefaultDevice(),
-		Scale:           o.scale(128),
-		Engine:          engine,
+		Scale:           128,
 		DatasetFraction: 0.5,
 		ValueBytes:      4000,
-		Initial:         init,
-		Duration:        o.duration(210 * time.Minute),
+		Duration:        210 * time.Minute,
 		SampleEvery:     10 * time.Second,
-		Seed:            o.seed(),
 	}
 }
 
+// plan resolves the figure against o and expands its grid: the report
+// so far, the axes with the -engine override applied, the cells in
+// row-major order and the distinct specs they run.
+func (f *figure) plan(o Options) (*Report, []axis, []cell, []core.Spec) {
+	rep := &Report{ID: f.id, Caption: f.caption}
+	base := defaultSpec()
+	if f.edit != nil {
+		f.edit(&base)
+	}
+	axes := append([]axis(nil), f.axes...)
+	for i, a := range axes {
+		if a.engine && len(o.Engines) > 0 {
+			axes[i] = engines(o.Engines...)
+		}
+	}
+	if f.fixed != "" && len(o.Engines) > 0 && !(len(o.Engines) == 1 && o.Engines[0] == base.Engine) {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("%s %s; the -engine override is ignored", f.id, f.fixed))
+	}
+	n := 1
+	for _, a := range axes {
+		n *= len(a.labels)
+	}
+	cells := make([]cell, n)
+	var specs []core.Spec
+	for ci := range cells {
+		c := &cells[ci]
+		spec := base
+		stride := n
+		for _, a := range axes {
+			stride /= len(a.labels)
+			v := ci / stride % len(a.labels)
+			c.labels = append(c.labels, a.labels[v])
+			a.set(&spec, v)
+		}
+		spec.Scale = o.scale(spec.Scale)
+		spec.Duration = o.duration(spec.Duration)
+		spec.Seed = o.seed()
+		// Cells whose specs are identical share one run: replsweep's
+		// R=1 column is the same unreplicated cell under both modes.
+		for c.run = 0; c.run < len(specs); c.run++ {
+			spec.Name = specs[c.run].Name
+			if reflect.DeepEqual(specs[c.run], spec) {
+				break
+			}
+		}
+		if c.run == len(specs) {
+			spec.Name = f.id + " " + strings.Join(c.labels, "/")
+			specs = append(specs, spec)
+		}
+	}
+	return rep, axes, cells, specs
+}
+
+// run regenerates the figure. The distinct cells execute concurrently
+// via core.RunGrid (which is documented to return bit-identical Results
+// to sequential Run calls), so a figure's wall-clock cost is its slowest
+// cell, not the sum of cells.
+func (f *figure) run(o Options) (*Report, error) {
+	rep, axes, cells, specs := f.plan(o)
+	results, err := core.RunGrid(specs, 0)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", f.id, err)
+	}
+	for i := range cells {
+		cells[i].res = results[cells[i].run]
+	}
+	f.layout(rep, axes[len(axes)-1], cells)
+	if f.finish != nil {
+		if err := f.finish(rep, cells); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// layout turns a grid's results into the report's series and tables;
+// cols is the grid's last axis. Both layouts apply the one out-of-space
+// rule: a cell that ran out of space reads "OOS" wherever it has a table
+// cell, and adds a "… ran out of space" note wherever it drops a series
+// or a curve point.
+type layout func(rep *Report, cols axis, cells []cell)
+
+// labelf applies a name format to axis labels.
+func labelf(f string, labels []string) string {
+	args := make([]any, len(labels))
+	for i, l := range labels {
+		args[i] = l
+	}
+	return fmt.Sprintf(f, args...)
+}
+
+// seriesFn and tableFn extract one curve or one table from a cell's
+// result, titled with the cell's name.
+type (
+	seriesFn func(name string, res *core.Result) Series
+	tableFn  func(name string, res *core.Result) Table
+)
+
+// perCell is the layout of the figures that plot every cell on its own:
+// each cell emits its series and tables under a name formatted from its
+// axis labels.
+func perCell(name string, series []seriesFn, tables ...tableFn) layout {
+	return func(rep *Report, _ axis, cells []cell) {
+		for _, c := range cells {
+			if c.res.OutOfSpace {
+				rep.Notes = append(rep.Notes, strings.Join(c.labels, " ")+" ran out of space")
+				continue
+			}
+			n := labelf(name, c.labels)
+			for _, s := range series {
+				rep.Series = append(rep.Series, s(n, c.res))
+			}
+			for _, t := range tables {
+				rep.Tables = append(rep.Tables, t(n, c.res))
+			}
+		}
+	}
+}
+
+// metric is one table of a pivot and, when it has a y label, one curve
+// per row of that table.
+type metric struct {
+	title string
+	text  func(*core.Result) string
+	y     func(*core.Result) float64
+	// suffix after the row label names the metric's curve.
+	suffix, ylabel string
+}
+
+// number is a numeric metric printed with format.
+func number(title, format string, y func(*core.Result) float64) metric {
+	return metric{title: title, y: y, text: func(r *core.Result) string { return fmt.Sprintf(format, y(r)) }}
+}
+
+// curve also plots the metric along the last axis.
+func (m metric) curve(suffix, ylabel string) metric {
+	m.suffix, m.ylabel = suffix, ylabel
+	return m
+}
+
+// pivot is the layout of the figures that compare steady-state numbers
+// across a sweep: the leading axes run down the rows (row formats their
+// labels, under the corner header), the last axis across the columns,
+// with one table per metric and, for a metric with a curve, one series
+// per row along the last axis (xlabel names it).
+func pivot(corner, row, xlabel string, metrics ...metric) layout {
+	return func(rep *Report, cols axis, cells []cell) {
+		first := len(rep.Tables)
+		curved := false
+		for _, m := range metrics {
+			rep.Tables = append(rep.Tables, Table{Title: m.title, Header: append([]string{corner}, cols.labels...)})
+			curved = curved || m.ylabel != ""
+		}
+		tables := rep.Tables[first:]
+		for ; len(cells) > 0; cells = cells[len(cols.labels):] {
+			lead := cells[0].labels
+			label := labelf(row, lead[:len(lead)-1])
+			rows := make([][]string, len(metrics))
+			curves := make([]Series, len(metrics))
+			for i, m := range metrics {
+				rows[i] = []string{label}
+				curves[i] = Series{Name: label + m.suffix, XLabel: xlabel, YLabel: m.ylabel}
+			}
+			for col, c := range cells[:len(cols.labels)] {
+				if c.res.OutOfSpace {
+					for i := range rows {
+						rows[i] = append(rows[i], "OOS")
+					}
+					if curved {
+						rep.Notes = append(rep.Notes, label+" "+cols.labels[col]+" ran out of space")
+					}
+					continue
+				}
+				for i, m := range metrics {
+					rows[i] = append(rows[i], m.text(c.res))
+					if m.ylabel != "" {
+						curves[i].X = append(curves[i].X, cols.x[col])
+						curves[i].Y = append(curves[i].Y, m.y(c.res))
+					}
+				}
+			}
+			for i, m := range metrics {
+				tables[i].Rows = append(tables[i].Rows, rows[i])
+				if m.ylabel != "" {
+					rep.Series = append(rep.Series, curves[i])
+				}
+			}
+		}
+	}
+}
+
+// engineName is how figures title an engine: the paper's name for the
+// built-ins, the registry name for any other registered driver.
 func engineName(k core.EngineKind) string {
 	switch k {
 	case core.LSM:
 		return "RocksDB-like LSM"
+	case core.BTree:
+		return "WiredTiger-like B+Tree"
 	case core.Betree:
 		return "Be-tree (buffered)"
 	default:
-		return "WiredTiger-like B+Tree"
+		return k.String()
 	}
-}
-
-// throughputSeries extracts the scaled KOps curve.
-func throughputSeries(name string, res *core.Result, window int) Series {
-	t, kops := res.Series.ThroughputSeries(window)
-	scaled := make([]float64, len(kops))
-	for i, v := range kops {
-		scaled[i] = v * float64(res.Spec.Scale)
-	}
-	return Series{Name: name, XLabel: "time (min)", YLabel: "KOps/s", X: t, Y: scaled}
-}
-
-func deviceWriteSeries(name string, res *core.Result, window int) Series {
-	t, w, _ := res.Series.RateSeries(window)
-	scaled := make([]float64, len(w))
-	for i, v := range w {
-		scaled[i] = v * float64(res.Spec.Scale)
-	}
-	return Series{Name: name, XLabel: "time (min)", YLabel: "MB/s", X: t, Y: scaled}
-}
-
-func waSeries(name string, res *core.Result, window int) (Series, Series) {
-	t, waa, wad := res.Series.WASeries(window)
-	return Series{Name: name + " WA-A", XLabel: "time (min)", YLabel: "WA-A", X: t, Y: waa},
-		Series{Name: name + " WA-D", XLabel: "time (min)", YLabel: "WA-D", X: t, Y: wad}
 }
 
 // bothEngines is the engine pair of the paper's own evaluation; the
 // dataset-size / over-provisioning / cost-model figures keep it as
 // their default so they reproduce the paper's two-way comparisons.
-var bothEngines = []core.EngineKind{core.LSM, core.BTree}
+var bothEngines = engines(core.LSM, core.BTree)
 
 // allEngines adds the Bε-tree: the workload-generic figures (steady
 // state, initial state, LBA coverage, SSD types, workload variants,
 // queue-depth sweep) run all three tree structures by default.
-var allEngines = []core.EngineKind{core.LSM, core.BTree, core.Betree}
+var allEngines = engines(core.LSM, core.BTree, core.Betree)
 
-// runCells executes a figure's independent experiment cells concurrently
-// via core.RunGrid (which is documented to return bit-identical Results
-// to sequential Run calls) and returns them in cell order. Every figure
-// whose loop body was a plain core.Run call goes through here, so a
-// figure's wall-clock cost is its slowest cell, not the sum of cells.
-func runCells(id string, specs []core.Spec) ([]*core.Result, error) {
-	results, err := core.RunGrid(specs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
-	return results, nil
+// initialStates is the drive-state axis of §4.2.
+var initialStates = axis{
+	labels: []string{core.Trimmed.String(), core.Preconditioned.String()},
+	set: func(s *core.Spec, i int) {
+		s.Initial = []core.InitialState{core.Trimmed, core.Preconditioned}[i]
+	},
 }
 
-// Fig2 reproduces Figure 2: KV and device throughput, WA-A and WA-D over
-// time for both engines on a trimmed SSD.
-func Fig2(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "fig2",
-		Caption: "Steady state vs bursty performance on a trimmed SSD: " +
-			"KV throughput, device write throughput, WA-A and WA-D over time",
+// extraOP is the software over-provisioning axis of §4.6: the whole
+// drive, or a 300 GB partition with 100 GB kept trimmed.
+var extraOP = axis{
+	labels: []string{"No OP", "Extra OP"},
+	set:    func(s *core.Spec, i int) { s.PartitionFraction = []float64{1.0, 0.75}[i] },
+}
+
+// ssdTypes is the axis over the three SSDs of §4.7.
+var ssdTypes = axis{
+	labels: []string{"SSD1", "SSD2", "SSD3"},
+	set: func(s *core.Spec, i int) {
+		s.Device.Profile = []flash.Profile{flash.ProfileSSD1(), flash.ProfileSSD2(), flash.ProfileSSD3()}[i]
+	},
+}
+
+func datasetFraction(s *core.Spec, f float64) { s.DatasetFraction = f }
+
+// smallDataset is the cell of §4.7: a 10x smaller dataset than the
+// default 0.5 (and a trimmed device) so GC effects are minimized and
+// the SSD type is what differs.
+func smallDataset(s *core.Spec) {
+	s.DatasetFraction = 0.05
+	s.Duration = 90 * time.Minute
+}
+
+// The steady-state numbers the pivots tabulate.
+var (
+	throughputKOps = number("Throughput (KOps/s)", "%.2f", func(r *core.Result) float64 { return r.ScaledKOps })
+	steadyWAD      = number("WA-D", "%.2f", func(r *core.Result) float64 { return r.Steady.WAD })
+	meanThroughput = number("Mean throughput (KOps/s, paper scale)", "%.2f", (*core.Result).MeanScaledKOps).curve("", "KOps/s")
+)
+
+func steadyWAA(format string) metric {
+	return number("WA-A", format, func(r *core.Result) float64 { return r.Steady.WAA })
+}
+
+func p99Latency(title string) metric {
+	return metric{title: title, text: func(r *core.Result) string { return r.Latency.P99.String() }}
+}
+
+// scaled re-normalizes a measured rate curve to paper scale.
+func scaled(v []float64, res *core.Result) []float64 {
+	out := make([]float64, len(v))
+	for i := range v {
+		out[i] = v[i] * float64(res.Spec.Scale)
 	}
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		spec := baseSpec(o, eng, core.Trimmed)
-		spec.Name = fmt.Sprintf("fig2 %v", eng)
-		specs = append(specs, spec)
+	return out
+}
+
+// throughput extracts the KOps curve, averaged over window samples, as
+// the series name+suffix.
+func throughput(suffix string, window int) seriesFn {
+	return func(name string, res *core.Result) Series {
+		t, kops := res.Series.ThroughputSeries(window)
+		return Series{Name: name + suffix, XLabel: "time (min)", YLabel: "KOps/s", X: t, Y: scaled(kops, res)}
 	}
-	results, err := runCells("fig2", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, eng := range engines {
-		res := results[i]
-		if res.OutOfSpace {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("%s ran out of space", engineName(eng)))
-			continue
-		}
-		name := engineName(eng)
-		rep.Series = append(rep.Series, throughputSeries(name+" throughput", res, windowSamples))
-		rep.Series = append(rep.Series, deviceWriteSeries(name+" device writes", res, windowSamples))
-		waa, wad := waSeries(name, res, windowSamples)
-		rep.Series = append(rep.Series, waa, wad)
-		rep.Tables = append(rep.Tables, steadyTable(name, res))
-	}
-	return rep, nil
+}
+
+func deviceWrites(name string, res *core.Result) Series {
+	t, w, _ := res.Series.RateSeries(windowSamples)
+	return Series{Name: name + " device writes", XLabel: "time (min)", YLabel: "MB/s", X: t, Y: scaled(w, res)}
+}
+
+func waA(name string, res *core.Result) Series {
+	t, waa, _ := res.Series.WASeries(windowSamples)
+	return Series{Name: name + " WA-A", XLabel: "time (min)", YLabel: "WA-A", X: t, Y: waa}
+}
+
+func waD(name string, res *core.Result) Series {
+	t, _, wad := res.Series.WASeries(windowSamples)
+	return Series{Name: name + " WA-D", XLabel: "time (min)", YLabel: "WA-D", X: t, Y: wad}
 }
 
 func steadyTable(name string, res *core.Result) Table {
@@ -264,458 +494,39 @@ func steadyTable(name string, res *core.Result) Table {
 	}
 }
 
-// Fig3 reproduces Figure 3: throughput and WA-D over time, trimmed versus
-// preconditioned initial device state.
-func Fig3(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "fig3",
-		Caption: "Impact of the initial state of the SSD (trimmed vs " +
-			"preconditioned) on throughput and WA-D over time",
+// lbaCDF is the CDF of per-LBA write counts with LBAs sorted by
+// decreasing write count.
+func lbaCDF(name string, res *core.Result) Series {
+	x := make([]float64, len(res.LBACDF))
+	for i := range x {
+		x[i] = float64(i) / float64(len(x)-1)
 	}
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			spec := baseSpec(o, eng, init)
-			spec.Name = fmt.Sprintf("fig3 %v/%v", eng, init)
-			specs = append(specs, spec)
-		}
+	return Series{
+		Name:   name,
+		XLabel: "LBA (normalized, sorted by decreasing writes)",
+		YLabel: "CDF",
+		X:      x,
+		Y:      res.LBACDF,
 	}
-	results, err := runCells("fig3", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			res := results[cell]
-			cell++
-			if res.OutOfSpace {
-				rep.Notes = append(rep.Notes, fmt.Sprintf("%s %v ran out of space", engineName(eng), init))
-				continue
-			}
-			name := fmt.Sprintf("%s (%v)", engineName(eng), init)
-			rep.Series = append(rep.Series, throughputSeries(name+" throughput", res, windowSamples))
-			_, wad := waSeries(name, res, windowSamples)
-			rep.Series = append(rep.Series, wad)
-			rep.Tables = append(rep.Tables, steadyTable(name, res))
-		}
-	}
-	return rep, nil
 }
 
-// Fig4 reproduces Figure 4: the CDF of per-LBA write counts with LBAs
-// sorted by decreasing write count, for both engines on the default
-// workload.
-func Fig4(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "fig4",
-		Caption: "CDF of LBA write probability (LBAs sorted by decreasing " +
-			"write count); WiredTiger leaves a large fraction of the LBA " +
-			"space unwritten",
+func lbaCoverage(name string, res *core.Result) Table {
+	return Table{
+		Title:  name + " LBA coverage",
+		Header: []string{"metric", "value"},
+		Rows: [][]string{
+			{"fraction of LBAs written", fmt.Sprintf("%.2f", res.FracLBAs)},
+			{"fraction never written", fmt.Sprintf("%.2f", 1-res.FracLBAs)},
+		},
 	}
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		spec := baseSpec(o, eng, core.Trimmed)
-		spec.Name = fmt.Sprintf("fig4 %v", eng)
-		specs = append(specs, spec)
-	}
-	results, err := runCells("fig4", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, eng := range engines {
-		res := results[i]
-		x := make([]float64, len(res.LBACDF))
-		for i := range x {
-			x[i] = float64(i) / float64(len(x)-1)
-		}
-		rep.Series = append(rep.Series, Series{
-			Name:   engineName(eng),
-			XLabel: "LBA (normalized, sorted by decreasing writes)",
-			YLabel: "CDF",
-			X:      x,
-			Y:      res.LBACDF,
-		})
-		rep.Tables = append(rep.Tables, Table{
-			Title:  engineName(eng) + " LBA coverage",
-			Header: []string{"metric", "value"},
-			Rows: [][]string{
-				{"fraction of LBAs written", fmt.Sprintf("%.2f", res.FracLBAs)},
-				{"fraction never written", fmt.Sprintf("%.2f", 1-res.FracLBAs)},
-			},
-		})
-	}
-	return rep, nil
 }
 
-// fig5Fractions are the dataset-to-capacity ratios of Figure 5.
-var fig5Fractions = []float64{0.25, 0.37, 0.5, 0.62}
-
-// Fig5 reproduces Figure 5: steady-state throughput, WA-D and WA-A as a
-// function of dataset size, trimmed and preconditioned.
-func Fig5(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig5",
-		Caption: "Impact of dataset size: steady-state throughput, WA-D and WA-A",
-	}
-	tput := Table{Title: "Throughput (KOps/s)", Header: []string{"config"}}
-	wad := Table{Title: "WA-D", Header: []string{"config"}}
-	waa := Table{Title: "WA-A", Header: []string{"config"}}
-	for _, f := range fig5Fractions {
-		h := fmt.Sprintf("%.2f", f)
-		tput.Header = append(tput.Header, h)
-		wad.Header = append(wad.Header, h)
-		waa.Header = append(waa.Header, h)
-	}
-	engines := o.engines(bothEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			for _, frac := range fig5Fractions {
-				spec := baseSpec(o, eng, init)
-				spec.Name = fmt.Sprintf("fig5 %v/%v/%.2f", eng, init, frac)
-				spec.DatasetFraction = frac
-				spec.Duration = o.duration(150 * time.Minute)
-				specs = append(specs, spec)
-			}
-		}
-	}
-	results, err := runCells("fig5", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			name := fmt.Sprintf("%s %v", engineName(eng), init)
-			tr := []string{name}
-			wr := []string{name}
-			ar := []string{name}
-			for range fig5Fractions {
-				res := results[cell]
-				cell++
-				if res.OutOfSpace {
-					tr = append(tr, "OOS")
-					wr = append(wr, "OOS")
-					ar = append(ar, "OOS")
-					continue
-				}
-				tr = append(tr, fmt.Sprintf("%.2f", res.ScaledKOps))
-				wr = append(wr, fmt.Sprintf("%.2f", res.Steady.WAD))
-				ar = append(ar, fmt.Sprintf("%.1f", res.Steady.WAA))
-			}
-			tput.Rows = append(tput.Rows, tr)
-			wad.Rows = append(wad.Rows, wr)
-			waa.Rows = append(waa.Rows, ar)
-		}
-	}
-	rep.Tables = []Table{tput, wad, waa}
-	return rep, nil
-}
-
-// fig6Fractions extend the sweep to the sizes where RocksDB runs out of
-// space in the paper.
-var fig6Fractions = []float64{0.25, 0.37, 0.5, 0.62, 0.75, 0.88}
-
-// Fig6 reproduces Figure 6: disk utilization, space amplification, and
-// the storage-cost heatmap.
-func Fig6(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig6",
-		Caption: "Space amplification and its effect on storage cost",
-	}
-	util := Table{Title: "Disk utilization (%)", Header: []string{"config"}}
-	amp := Table{Title: "Space amplification", Header: []string{"config"}}
-	for _, f := range fig6Fractions {
-		util.Header = append(util.Header, fmt.Sprintf("%.2f", f))
-		amp.Header = append(amp.Header, fmt.Sprintf("%.2f", f))
-	}
-	// Measured 0.5-fraction figures feed the cost model, like the
-	// paper's use of its Fig 5a/6a measurements.
-	var options []costmodel.Option
-	devCap := float64(core.DefaultDevice().CapacityBytes)
-	engines := o.engines(bothEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, frac := range fig6Fractions {
-			spec := baseSpec(o, eng, core.Preconditioned)
-			spec.Name = fmt.Sprintf("fig6 %v/%.2f", eng, frac)
-			spec.DatasetFraction = frac
-			spec.Duration = o.duration(120 * time.Minute)
-			specs = append(specs, spec)
-		}
-	}
-	results, err := runCells("fig6", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		ur := []string{engineName(eng)}
-		ar := []string{engineName(eng)}
-		for _, frac := range fig6Fractions {
-			res := results[cell]
-			cell++
-			if res.OutOfSpace {
-				ur = append(ur, "OOS")
-				ar = append(ar, "OOS")
-				continue
-			}
-			ur = append(ur, fmt.Sprintf("%.0f", res.DiskUtilPct))
-			ar = append(ar, fmt.Sprintf("%.2f", res.SpaceAmp))
-			if frac == 0.5 {
-				options = append(options, costmodel.Option{
-					Name:            engineName(eng),
-					ThroughputKOps:  res.ScaledKOps,
-					MaxDatasetBytes: devCap / res.SpaceAmp,
-				})
-			}
-		}
-		util.Rows = append(util.Rows, ur)
-		amp.Rows = append(amp.Rows, ar)
-	}
-	rep.Tables = []Table{util, amp}
-	if len(options) >= 2 {
-		heat, err := costmodel.Compute(options, tbRange(1, 5), kopsRange(5, 25))
-		if err != nil {
-			return nil, err
-		}
-		rep.Tables = append(rep.Tables, heatTable("Cheaper system (fewer drives)", heat))
-	}
-	return rep, nil
-}
-
-func tbRange(lo, hi int) []float64 {
-	var out []float64
-	for tb := lo; tb <= hi; tb++ {
-		out = append(out, float64(tb)*(1<<40))
-	}
-	return out
-}
-
-func kopsRange(lo, hi float64) []float64 {
-	var out []float64
-	for k := lo; k <= hi; k += 5 {
-		out = append(out, k)
-	}
-	return out
-}
-
-func heatTable(title string, h *costmodel.Heatmap) Table {
-	t := Table{Title: title, Header: []string{"target \\ dataset"}}
-	for _, d := range h.Datasets {
-		t.Header = append(t.Header, fmt.Sprintf("%.0fTB", d/(1<<40)))
-	}
-	for ti := len(h.Targets) - 1; ti >= 0; ti-- {
-		row := []string{fmt.Sprintf("%.0f KOps", h.Targets[ti])}
-		for di := range h.Datasets {
-			row = append(row, h.Cells[ti][di].Winner)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// Fig7 reproduces Figure 7: the effect of software over-provisioning
-// (a 300 GB partition with 100 GB kept trimmed) on throughput and WA-D.
-func Fig7(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig7",
-		Caption: "Impact of extra SSD over-provisioning (OP)",
-	}
-	tput := Table{
-		Title:  "Throughput (KOps/s)",
-		Header: []string{"config", "No OP", "Extra OP"},
-	}
-	wad := Table{
-		Title:  "WA-D",
-		Header: []string{"config", "No OP", "Extra OP"},
-	}
-	engines := o.engines(bothEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			for _, partFrac := range []float64{1.0, 0.75} {
-				spec := baseSpec(o, eng, init)
-				spec.Name = fmt.Sprintf("fig7 %v/%v/%.2f", eng, init, partFrac)
-				spec.PartitionFraction = partFrac
-				spec.Duration = o.duration(150 * time.Minute)
-				specs = append(specs, spec)
-			}
-		}
-	}
-	results, err := runCells("fig7", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			name := fmt.Sprintf("%s %v", engineName(eng), init)
-			tr := []string{name}
-			wr := []string{name}
-			for range []float64{1.0, 0.75} {
-				res := results[cell]
-				cell++
-				if res.OutOfSpace {
-					tr = append(tr, "OOS")
-					wr = append(wr, "OOS")
-					continue
-				}
-				tr = append(tr, fmt.Sprintf("%.2f", res.ScaledKOps))
-				wr = append(wr, fmt.Sprintf("%.2f", res.Steady.WAD))
-			}
-			tput.Rows = append(tput.Rows, tr)
-			wad.Rows = append(wad.Rows, wr)
-		}
-	}
-	rep.Tables = []Table{tput, wad}
-	return rep, nil
-}
-
-// Fig8 reproduces Figure 8: the storage-cost heatmap comparing RocksDB
-// with and without extra over-provisioning on a preconditioned SSD.
-func Fig8(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig8",
-		Caption: "Storage cost of RocksDB with vs without extra OP (preconditioned)",
-	}
-	if len(o.Engines) > 0 {
-		rep.Notes = append(rep.Notes,
-			"fig8 is an LSM-specific over-provisioning study; the -engine override is ignored")
-	}
-	devCap := float64(core.DefaultDevice().CapacityBytes)
-	var options []costmodel.Option
-	var specs []core.Spec
-	for _, partFrac := range []float64{1.0, 0.75} {
-		spec := baseSpec(o, core.LSM, core.Preconditioned)
-		spec.Name = fmt.Sprintf("fig8 part=%.2f", partFrac)
-		spec.PartitionFraction = partFrac
-		spec.Duration = o.duration(150 * time.Minute)
-		specs = append(specs, spec)
-	}
-	results, err := runCells("fig8", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, partFrac := range []float64{1.0, 0.75} {
-		res := results[i]
-		name := "No OP"
-		if partFrac < 1 {
-			name = "Extra OP"
-		}
-		if res.OutOfSpace {
-			rep.Notes = append(rep.Notes, name+" ran out of space")
-			continue
-		}
-		options = append(options, costmodel.Option{
-			Name:           name,
-			ThroughputKOps: res.ScaledKOps,
-			// With extra OP only partFrac of the drive is usable.
-			MaxDatasetBytes: devCap * partFrac / res.SpaceAmp,
-		})
-	}
-	if len(options) == 2 {
-		heat, err := costmodel.Compute(options, tbRange(1, 5), kopsRange(5, 25))
-		if err != nil {
-			return nil, err
-		}
-		rep.Tables = append(rep.Tables, heatTable("Cheaper RocksDB configuration", heat))
-	}
-	return rep, nil
-}
-
-// fig9Devices returns the three SSD specs of §4.7.
-func fig9Devices() []core.DeviceSpec {
-	d1 := core.DefaultDevice()
-	d2 := core.DefaultDevice()
-	d2.Profile = ssd2Profile()
-	d3 := core.DefaultDevice()
-	d3.Profile = ssd3Profile()
-	return []core.DeviceSpec{d1, d2, d3}
-}
-
-// Fig9 reproduces Figure 9: steady throughput of both engines across the
-// three SSD types, with a 10x smaller dataset and trimmed devices so GC
-// effects are minimized.
-func Fig9(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig9",
-		Caption: "Impact of SSD type on throughput (small dataset, trimmed)",
-	}
-	tbl := Table{Title: "Throughput (KOps/s)", Header: []string{"engine", "SSD1", "SSD2", "SSD3"}}
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, dev := range fig9Devices() {
-			spec := baseSpec(o, eng, core.Trimmed)
-			spec.Name = fmt.Sprintf("fig9 %v/%s", eng, dev.Profile.Name)
-			spec.Device = dev
-			spec.DatasetFraction = 0.05 // 10x smaller than the default 0.5
-			spec.Duration = o.duration(90 * time.Minute)
-			specs = append(specs, spec)
-		}
-	}
-	results, err := runCells("fig9", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		row := []string{engineName(eng)}
-		for range fig9Devices() {
-			res := results[cell]
-			cell++
-			row = append(row, fmt.Sprintf("%.2f", res.ScaledKOps))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	rep.Tables = []Table{tbl}
-	return rep, nil
-}
-
-// Fig10 reproduces Figure 10: throughput over time (1-minute averages)
-// across the three SSD types, showing per-device variability.
-func Fig10(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig10",
-		Caption: "Throughput variability (1-minute averages) per SSD type",
-	}
-	const oneMinuteWindow = 6 // 6 x 10s samples
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, dev := range fig9Devices() {
-			spec := baseSpec(o, eng, core.Trimmed)
-			spec.Name = fmt.Sprintf("fig10 %v/%s", eng, dev.Profile.Name)
-			spec.Device = dev
-			spec.DatasetFraction = 0.05
-			spec.Duration = o.duration(90 * time.Minute)
-			specs = append(specs, spec)
-		}
-	}
-	results, err := runCells("fig10", specs)
-	if err != nil {
-		return nil, err
-	}
-	cell := 0
-	for _, eng := range engines {
-		for i := range fig9Devices() {
-			res := results[cell]
-			cell++
-			name := fmt.Sprintf("%s SSD%d", engineName(eng), i+1)
-			rep.Series = append(rep.Series, throughputSeries(name, res, oneMinuteWindow))
-			rep.Tables = append(rep.Tables, variabilityTable(name, res, oneMinuteWindow))
-		}
-	}
-	return rep, nil
-}
+// oneMinuteWindow is 6 x 10s samples.
+const oneMinuteWindow = 6
 
 // variabilityTable summarizes throughput swings over 1-minute windows.
-func variabilityTable(name string, res *core.Result, window int) Table {
-	_, kops := res.Series.ThroughputSeries(window)
+func variabilityTable(name string, res *core.Result) Table {
+	_, kops := res.Series.ThroughputSeries(oneMinuteWindow)
 	if len(kops) == 0 {
 		return Table{Title: name + " variability"}
 	}
@@ -740,7 +551,7 @@ func variabilityTable(name string, res *core.Result, window int) Table {
 		for _, v := range kops {
 			ss += (v - mean) * (v - mean)
 		}
-		cv = sqrtF(ss/float64(len(kops))) / mean
+		cv = math.Sqrt(ss/float64(len(kops))) / mean
 	}
 	f := float64(res.Spec.Scale)
 	return Table{
@@ -756,427 +567,310 @@ func variabilityTable(name string, res *core.Result, window int) Table {
 	}
 }
 
-// Fig11 reproduces Figure 11: the pitfalls under two workload variants —
-// a 50:50 read:write mix and small (128 B) values — on trimmed and
-// preconditioned devices.
-func Fig11(o Options) (*Report, error) {
-	rep := &Report{
-		ID:      "fig11",
-		Caption: "Additional workloads: 50:50 read:write mix and 128-byte values",
-	}
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	var names []string
-	// 50:50 mix at the default scale.
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			spec := baseSpec(o, eng, init)
-			spec.Name = fmt.Sprintf("fig11 rw %v/%v", eng, init)
-			spec.ReadFraction = 0.5
-			specs = append(specs, spec)
-			names = append(names, fmt.Sprintf("%s 50:50 (%v)", engineName(eng), init))
+// costHeatmap is the finish hook of the storage-cost figures
+// (§4.5–4.6). Every cell measured at the paper's default dataset
+// fraction is one provisioning option, named by its first axis label —
+// like the paper's use of its Fig 5a/6a measurements — and the heatmap
+// says which needs fewer drives for 1–5 TB at 5–25 KOps/s. A cell that
+// ran out of space has no measurement to offer.
+func costHeatmap(title string) func(*Report, []cell) error {
+	return func(rep *Report, cells []cell) error {
+		var options []costmodel.Option
+		for _, c := range cells {
+			spec := c.res.Spec
+			if c.res.OutOfSpace || spec.DatasetFraction != 0.5 {
+				continue
+			}
+			options = append(options, costmodel.Option{
+				Name:           c.labels[0],
+				ThroughputKOps: c.res.ScaledKOps,
+				// With extra OP only PartitionFraction of the drive is usable.
+				MaxDatasetBytes: float64(spec.Device.CapacityBytes) * spec.PartitionFraction / c.res.SpaceAmp,
+			})
 		}
-	}
-	// 128-byte values at a larger scale (more keys per byte).
-	for _, eng := range engines {
-		for _, init := range []core.InitialState{core.Trimmed, core.Preconditioned} {
-			spec := baseSpec(o, eng, init)
-			spec.Name = fmt.Sprintf("fig11 128B %v/%v", eng, init)
-			spec.Scale = o.scale(512)
-			spec.ValueBytes = 128
-			specs = append(specs, spec)
-			names = append(names, fmt.Sprintf("%s 128B (%v)", engineName(eng), init))
+		if len(options) < 2 {
+			return nil // nothing to compare
 		}
+		heat, err := costmodel.Compute(options,
+			[]float64{1 << 40, 2 << 40, 3 << 40, 4 << 40, 5 << 40},
+			[]float64{5, 10, 15, 20, 25})
+		if err != nil {
+			return err
+		}
+		t := Table{Title: title, Header: []string{"target \\ dataset"}}
+		for _, d := range heat.Datasets {
+			t.Header = append(t.Header, fmt.Sprintf("%.0fTB", d/(1<<40)))
+		}
+		for ti := len(heat.Targets) - 1; ti >= 0; ti-- {
+			row := []string{fmt.Sprintf("%.0f KOps", heat.Targets[ti])}
+			for di := range heat.Datasets {
+				row = append(row, heat.Cells[ti][di].Winner)
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		rep.Tables = append(rep.Tables, t)
+		return nil
 	}
-	results, err := runCells("fig11", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		rep.Series = append(rep.Series, throughputSeries(names[i]+" throughput", res, windowSamples))
-		_, wad := waSeries(names[i], res, windowSamples)
-		rep.Series = append(rep.Series, wad)
-	}
-	return rep, nil
 }
 
-// qdSweepDepths are the host queue depths of the parallelism sweep.
-var qdSweepDepths = []int{1, 4, 16, 32}
-
-// FigQDSweep goes beyond the paper: it sweeps host queue depth on an
-// SSD with 4 channels × 4 ways of internal parallelism and a read-heavy
-// (95:5) workload, showing throughput growing with queue depth until
-// the lane array saturates — the effect Didona et al. flag as missing
-// from queue-depth-1 evaluations and Roh et al. exploit inside a
-// B+Tree. The independent cells of the sweep execute concurrently via
-// core.RunGrid.
-//
-// Engine-internal QD usage differs by design: the LSM additionally
-// parallelizes the multi-table probes of a single Get
-// (ProbeParallelism), while the B+Tree and Bε-tree answer a point read
-// from at most one leaf — there is nothing inside one lookup to
-// overlap, so their curves reflect host-level read batching alone
-// (their PrefetchDepth/scan-side parallelism only matters for range
-// scans, which this workload does not issue).
-func FigQDSweep(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "qdsweep",
-		Caption: "Impact of host queue depth on a 4-channel x 4-way SSD " +
+// figures lists every figure in paper order, followed by the extension
+// figures.
+var figures = []*figure{
+	{
+		// Figure 2: KV and device throughput, WA-A and WA-D over time
+		// for every engine on a trimmed SSD.
+		id: "fig2",
+		caption: "Steady state vs bursty performance on a trimmed SSD: " +
+			"KV throughput, device write throughput, WA-A and WA-D over time",
+		axes: []axis{allEngines},
+		layout: perCell("%s",
+			[]seriesFn{throughput(" throughput", windowSamples), deviceWrites, waA, waD},
+			steadyTable),
+	},
+	{
+		// Figure 3: throughput and WA-D over time, trimmed versus
+		// preconditioned initial device state.
+		id: "fig3",
+		caption: "Impact of the initial state of the SSD (trimmed vs " +
+			"preconditioned) on throughput and WA-D over time",
+		axes: []axis{allEngines, initialStates},
+		layout: perCell("%s (%s)",
+			[]seriesFn{throughput(" throughput", windowSamples), waD},
+			steadyTable),
+	},
+	{
+		// Figure 4: the CDF of per-LBA write counts on the default
+		// workload.
+		id: "fig4",
+		caption: "CDF of LBA write probability (LBAs sorted by decreasing " +
+			"write count); WiredTiger leaves a large fraction of the LBA " +
+			"space unwritten",
+		axes:   []axis{allEngines},
+		layout: perCell("%s", []seriesFn{lbaCDF}, lbaCoverage),
+	},
+	{
+		// Figure 5: steady-state throughput, WA-D and WA-A as a function
+		// of the dataset-to-capacity ratio, trimmed and preconditioned.
+		id:      "fig5",
+		caption: "Impact of dataset size: steady-state throughput, WA-D and WA-A",
+		edit:    func(s *core.Spec) { s.Duration = 150 * time.Minute },
+		axes:    []axis{bothEngines, initialStates, sweep("%.2f", datasetFraction, 0.25, 0.37, 0.5, 0.62)},
+		layout:  pivot("config", "%s %s", "", throughputKOps, steadyWAD, steadyWAA("%.1f")),
+	},
+	{
+		// Figure 6: disk utilization, space amplification, and the
+		// storage-cost heatmap. The sweep extends Figure 5's to the
+		// sizes where RocksDB runs out of space in the paper.
+		id:      "fig6",
+		caption: "Space amplification and its effect on storage cost",
+		edit: func(s *core.Spec) {
+			s.Initial = core.Preconditioned
+			s.Duration = 120 * time.Minute
+		},
+		axes: []axis{bothEngines, sweep("%.2f", datasetFraction, 0.25, 0.37, 0.5, 0.62, 0.75, 0.88)},
+		layout: pivot("config", "%s", "",
+			number("Disk utilization (%)", "%.0f", func(r *core.Result) float64 { return r.DiskUtilPct }),
+			number("Space amplification", "%.2f", func(r *core.Result) float64 { return r.SpaceAmp })),
+		finish: costHeatmap("Cheaper system (fewer drives)"),
+	},
+	{
+		// Figure 7: the effect of software over-provisioning on
+		// throughput and WA-D.
+		id:      "fig7",
+		caption: "Impact of extra SSD over-provisioning (OP)",
+		edit:    func(s *core.Spec) { s.Duration = 150 * time.Minute },
+		axes:    []axis{bothEngines, initialStates, extraOP},
+		layout:  pivot("config", "%s %s", "", throughputKOps, steadyWAD),
+	},
+	{
+		// Figure 8: the storage-cost heatmap comparing RocksDB with and
+		// without extra over-provisioning on a preconditioned SSD. The
+		// cells plot nothing themselves; they are the heatmap's options.
+		id:      "fig8",
+		caption: "Storage cost of RocksDB with vs without extra OP (preconditioned)",
+		edit: func(s *core.Spec) {
+			s.Engine = core.LSM
+			s.Initial = core.Preconditioned
+			s.Duration = 150 * time.Minute
+		},
+		fixed:  "is an LSM-specific over-provisioning study",
+		axes:   []axis{extraOP},
+		layout: perCell("%s", nil),
+		finish: costHeatmap("Cheaper RocksDB configuration"),
+	},
+	{
+		// Figure 9: steady throughput across the three SSD types.
+		id:      "fig9",
+		caption: "Impact of SSD type on throughput (small dataset, trimmed)",
+		edit:    smallDataset,
+		axes:    []axis{allEngines, ssdTypes},
+		layout:  pivot("engine", "%s", "", throughputKOps),
+	},
+	{
+		// Figure 10: throughput over time (1-minute averages) across the
+		// three SSD types, showing per-device variability.
+		id:      "fig10",
+		caption: "Throughput variability (1-minute averages) per SSD type",
+		edit:    smallDataset,
+		axes:    []axis{allEngines, ssdTypes},
+		layout:  perCell("%s %s", []seriesFn{throughput("", oneMinuteWindow)}, variabilityTable),
+	},
+	{
+		// Figure 11: the pitfalls under two workload variants, on
+		// trimmed and preconditioned devices.
+		id:      "fig11",
+		caption: "Additional workloads: 50:50 read:write mix and 128-byte values",
+		axes: []axis{
+			{
+				labels: []string{"50:50", "128B"},
+				set: func(s *core.Spec, i int) {
+					if i == 0 {
+						// 50:50 mix at the default scale.
+						s.ReadFraction = 0.5
+					} else {
+						// 128-byte values at a larger scale (more keys per byte).
+						s.Scale = 512
+						s.ValueBytes = 128
+					}
+				},
+			},
+			allEngines,
+			initialStates,
+		},
+		layout: perCell("%[2]s %[1]s (%[3]s)", []seriesFn{throughput(" throughput", windowSamples), waD}),
+	},
+	{
+		// qdsweep goes beyond the paper: it sweeps host queue depth on
+		// an SSD with 4 channels × 4 ways of internal parallelism and a
+		// read-heavy (95:5) workload, showing throughput growing with
+		// queue depth until the lane array saturates — the effect Didona
+		// et al. flag as missing from queue-depth-1 evaluations and Roh
+		// et al. exploit inside a B+Tree.
+		//
+		// Engine-internal QD usage differs by design: the LSM
+		// additionally parallelizes the multi-table probes of a single
+		// Get (ProbeParallelism), while the B+Tree and Bε-tree answer a
+		// point read from at most one leaf — there is nothing inside one
+		// lookup to overlap, so their curves reflect host-level read
+		// batching alone (their PrefetchDepth/scan-side parallelism only
+		// matters for range scans, which this workload does not issue).
+		id: "qdsweep",
+		caption: "Impact of host queue depth on a 4-channel x 4-way SSD " +
 			"(read-heavy workload): throughput scales with I/O concurrency " +
 			"until the internal lanes saturate",
-	}
-	dev := core.DefaultDevice()
-	dev.Profile = dev.Profile.WithParallelism(4, 4)
-	engines := o.engines(allEngines)
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, qd := range qdSweepDepths {
-			spec := baseSpec(o, eng, core.Trimmed)
-			spec.Name = fmt.Sprintf("%v-qd%d", eng, qd)
-			spec.Device = dev
-			spec.Scale = o.scale(512)
-			spec.QueueDepth = qd
-			spec.ReadFraction = 0.95
-			spec.Duration = o.duration(90 * time.Minute)
-			specs = append(specs, spec)
-		}
-	}
-	results, err := core.RunGrid(specs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("qdsweep: %w", err)
-	}
-	tbl := Table{
-		Title:  "Mean throughput (KOps/s, paper scale)",
-		Header: []string{"engine"},
-	}
-	for _, qd := range qdSweepDepths {
-		tbl.Header = append(tbl.Header, fmt.Sprintf("QD %d", qd))
-	}
-	lat := Table{
-		Title:  "p99 read latency (paper scale)",
-		Header: append([]string(nil), tbl.Header...),
-	}
-	cell := 0
-	for _, eng := range engines {
-		name := engineName(eng)
-		s := Series{Name: name, XLabel: "queue depth", YLabel: "KOps/s"}
-		tr := []string{name}
-		lr := []string{name}
-		for _, qd := range qdSweepDepths {
-			res := results[cell]
-			cell++
-			if res.OutOfSpace {
-				rep.Notes = append(rep.Notes, fmt.Sprintf("%s QD %d ran out of space", name, qd))
-				tr = append(tr, "OOS")
-				lr = append(lr, "OOS")
-				continue
-			}
-			kops := res.MeanScaledKOps()
-			s.X = append(s.X, float64(qd))
-			s.Y = append(s.Y, kops)
-			tr = append(tr, fmt.Sprintf("%.2f", kops))
-			lr = append(lr, res.Latency.P99.String())
-		}
-		rep.Series = append(rep.Series, s)
-		tbl.Rows = append(tbl.Rows, tr)
-		lat.Rows = append(lat.Rows, lr)
-	}
-	rep.Tables = []Table{tbl, lat}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("device: %d channels x %d ways (%d lanes)",
-			dev.Profile.Channels, dev.Profile.Ways, dev.Profile.ParallelLanes()))
-	return rep, nil
-}
-
-// betradeoffEpsilons are the buffer-fraction knob settings of the
-// Bε-tree trade-off sweep; 1.0 is the degenerate B+Tree point (no
-// buffering).
-var betradeoffEpsilons = []float64{0.4, 0.6, 0.8, 1.0}
-
-// betradeoffReadFracs are the workload mixes of the sweep: write-heavy,
-// balanced, read-heavy.
-var betradeoffReadFracs = []float64{0.05, 0.5, 0.95}
-
-// FigBetradeoff goes beyond the paper: it maps the Bε-tree's three-way
-// trade-off — throughput, application-level WA and device-level WA — as
-// the buffer fraction (ε) and the read fraction vary. Small ε buys
-// write batching (fewer, larger leaf write-backs) at the cost of fanout
-// (deeper tree); ε = 1 is the B+Tree end of the spectrum. The paper's
-// steady-state methodology applies unchanged: every cell is measured
-// over the tail of a long run on a trimmed device.
-func FigBetradeoff(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "betradeoff",
-		Caption: "Be-tree trade-off: throughput, WA-A and WA-D vs buffer " +
+		edit: func(s *core.Spec) {
+			s.Device.Profile = s.Device.Profile.WithParallelism(4, 4)
+			s.Scale = 512
+			s.ReadFraction = 0.95
+			s.Duration = 90 * time.Minute
+		},
+		axes: []axis{allEngines,
+			sweep("QD %d", func(s *core.Spec, qd int) { s.QueueDepth = qd }, 1, 4, 16, 32)},
+		layout: pivot("engine", "%s", "queue depth", meanThroughput, p99Latency("p99 read latency (paper scale)")),
+		finish: func(rep *Report, cells []cell) error {
+			p := cells[0].res.Spec.Device.Profile
+			rep.Notes = append(rep.Notes, fmt.Sprintf("device: %d channels x %d ways (%d lanes)",
+				p.Channels, p.Ways, p.ParallelLanes()))
+			return nil
+		},
+	},
+	{
+		// betradeoff goes beyond the paper: it maps the Bε-tree's
+		// three-way trade-off — throughput, application-level WA and
+		// device-level WA — as the buffer fraction (ε) and the read
+		// fraction vary. Small ε buys write batching (fewer, larger leaf
+		// write-backs) at the cost of fanout (deeper tree); ε = 1 is the
+		// degenerate B+Tree point (no buffering). The paper's
+		// steady-state methodology applies unchanged: every cell is
+		// measured over the tail of a long run on a trimmed device.
+		id: "betradeoff",
+		caption: "Be-tree trade-off: throughput, WA-A and WA-D vs buffer " +
 			"fraction (ε) and read fraction (ε = 1 degenerates to a B+Tree)",
-	}
-	if len(o.Engines) > 0 && !(len(o.Engines) == 1 && o.Engines[0] == core.Betree) {
-		rep.Notes = append(rep.Notes,
-			"betradeoff sweeps the Bε-tree's ε knob; the -engine override is ignored")
-	}
-	var specs []core.Spec
-	for _, rf := range betradeoffReadFracs {
-		for _, eps := range betradeoffEpsilons {
-			spec := baseSpec(o, core.Betree, core.Trimmed)
-			spec.Name = fmt.Sprintf("betradeoff rf=%.2f eps=%.2f", rf, eps)
-			spec.ReadFraction = rf
-			spec.Duration = o.duration(120 * time.Minute)
-			// The ε override travels as a declarative tunable (the
-			// spec stays serializable); 'g'/-1 formatting round-trips
-			// the float64 exactly.
-			spec.Tunables = map[string]string{
-				"epsilon": strconv.FormatFloat(eps, 'g', -1, 64),
-			}
-			specs = append(specs, spec)
-		}
-	}
-	results, err := runCells("betradeoff", specs)
-	if err != nil {
-		return nil, err
-	}
-	tput := Table{Title: "Throughput (KOps/s)", Header: []string{"read fraction"}}
-	waa := Table{Title: "WA-A", Header: []string{"read fraction"}}
-	wad := Table{Title: "WA-D", Header: []string{"read fraction"}}
-	for _, eps := range betradeoffEpsilons {
-		h := fmt.Sprintf("ε=%.1f", eps)
-		tput.Header = append(tput.Header, h)
-		waa.Header = append(waa.Header, h)
-		wad.Header = append(wad.Header, h)
-	}
-	cell := 0
-	for _, rf := range betradeoffReadFracs {
-		name := fmt.Sprintf("reads %.0f%%", rf*100)
-		ts := Series{Name: name + " throughput", XLabel: "ε", YLabel: "KOps/s"}
-		as := Series{Name: name + " WA-A", XLabel: "ε", YLabel: "WA-A"}
-		ds := Series{Name: name + " WA-D", XLabel: "ε", YLabel: "WA-D"}
-		tr := []string{name}
-		ar := []string{name}
-		dr := []string{name}
-		for _, eps := range betradeoffEpsilons {
-			res := results[cell]
-			cell++
-			if res.OutOfSpace {
-				rep.Notes = append(rep.Notes, fmt.Sprintf("%s ε=%.1f ran out of space", name, eps))
-				tr = append(tr, "OOS")
-				ar = append(ar, "OOS")
-				dr = append(dr, "OOS")
-				continue
-			}
-			ts.X = append(ts.X, eps)
-			ts.Y = append(ts.Y, res.ScaledKOps)
-			as.X = append(as.X, eps)
-			as.Y = append(as.Y, res.Steady.WAA)
-			ds.X = append(ds.X, eps)
-			ds.Y = append(ds.Y, res.Steady.WAD)
-			tr = append(tr, fmt.Sprintf("%.2f", res.ScaledKOps))
-			ar = append(ar, fmt.Sprintf("%.2f", res.Steady.WAA))
-			dr = append(dr, fmt.Sprintf("%.2f", res.Steady.WAD))
-		}
-		rep.Series = append(rep.Series, ts, as, ds)
-		tput.Rows = append(tput.Rows, tr)
-		waa.Rows = append(waa.Rows, ar)
-		wad.Rows = append(wad.Rows, dr)
-	}
-	rep.Tables = []Table{tput, waa, wad}
-	return rep, nil
-}
-
-// shardSweepShards and shardSweepClients span the serving-layer grid:
-// shard counts across the columns, closed-loop client counts across the
-// series.
-var (
-	shardSweepShards  = []int{1, 2, 4, 8}
-	shardSweepClients = []int{8, 16}
-)
-
-// FigShardSweep goes beyond the paper: it sweeps the sharded serving
-// layer (internal/store) over shard and client counts on the default
-// balanced workload. Each shard owns an independent engine on its own
-// slice of the device, so aggregate throughput grows with shards as
-// long as the clients supply enough concurrent load, while per-op
-// latency reflects FIFO queueing on each shard — the classic
-// partitioned-store trade-off, measured under the same deterministic
-// simulation as the paper's figures.
-func FigShardSweep(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "shardsweep",
-		Caption: "Throughput and tail latency of the sharded serving layer: " +
+		edit: func(s *core.Spec) {
+			s.Engine = core.Betree
+			s.Duration = 120 * time.Minute
+		},
+		fixed: "sweeps the Bε-tree's ε knob",
+		axes: []axis{
+			{
+				// Write-heavy, balanced, read-heavy.
+				labels: []string{"reads 5%", "reads 50%", "reads 95%"},
+				set:    func(s *core.Spec, i int) { s.ReadFraction = []float64{0.05, 0.5, 0.95}[i] },
+			},
+			sweep("ε=%.1f", func(s *core.Spec, eps float64) {
+				// The ε override travels as a declarative tunable (the
+				// spec stays serializable); 'g'/-1 formatting round-trips
+				// the float64 exactly.
+				s.Tunables = map[string]string{"epsilon": strconv.FormatFloat(eps, 'g', -1, 64)}
+			}, 0.4, 0.6, 0.8, 1.0),
+		},
+		layout: pivot("read fraction", "%s", "ε",
+			throughputKOps.curve(" throughput", "KOps/s"),
+			steadyWAA("%.2f").curve(" WA-A", "WA-A"),
+			steadyWAD.curve(" WA-D", "WA-D")),
+	},
+	{
+		// shardsweep goes beyond the paper: it sweeps the sharded
+		// serving layer (internal/store) over shard counts (across the
+		// columns) and closed-loop client counts (down the rows) on the
+		// default balanced workload. Each shard owns an independent
+		// engine on its own slice of the device, so aggregate throughput
+		// grows with shards as long as the clients supply enough
+		// concurrent load, while per-op latency reflects FIFO queueing
+		// on each shard — the classic partitioned-store trade-off,
+		// measured under the same deterministic simulation as the
+		// paper's figures.
+		id: "shardsweep",
+		caption: "Throughput and tail latency of the sharded serving layer: " +
 			"shards scale aggregate service capacity; clients set the " +
 			"offered closed-loop concurrency",
-	}
-	engines := o.engines([]core.EngineKind{core.LSM})
-	var specs []core.Spec
-	for _, eng := range engines {
-		for _, clients := range shardSweepClients {
-			for _, shards := range shardSweepShards {
-				spec := baseSpec(o, eng, core.Trimmed)
-				spec.Name = fmt.Sprintf("%v-s%d-c%d", eng, shards, clients)
-				spec.Scale = o.scale(2048)
-				spec.ReadFraction = 0.5
-				spec.Shards = shards
-				spec.Clients = clients
-				spec.Duration = o.duration(60 * time.Minute)
-				specs = append(specs, spec)
-			}
-		}
-	}
-	results, err := core.RunGrid(specs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shardsweep: %w", err)
-	}
-	tput := Table{
-		Title:  "Mean throughput (KOps/s, paper scale)",
-		Header: []string{"engine / clients"},
-	}
-	for _, shards := range shardSweepShards {
-		tput.Header = append(tput.Header, fmt.Sprintf("%d shards", shards))
-	}
-	lat := Table{
-		Title:  "p99 operation latency (paper scale)",
-		Header: append([]string(nil), tput.Header...),
-	}
-	cell := 0
-	for _, eng := range engines {
-		for _, clients := range shardSweepClients {
-			label := fmt.Sprintf("%s, %d clients", engineName(eng), clients)
-			s := Series{Name: label, XLabel: "shards", YLabel: "KOps/s"}
-			tr := []string{label}
-			lr := []string{label}
-			for _, shards := range shardSweepShards {
-				res := results[cell]
-				cell++
-				if res.OutOfSpace {
-					rep.Notes = append(rep.Notes, fmt.Sprintf("%s at %d shards ran out of space", label, shards))
-					tr = append(tr, "OOS")
-					lr = append(lr, "OOS")
-					continue
-				}
-				kops := res.MeanScaledKOps()
-				s.X = append(s.X, float64(shards))
-				s.Y = append(s.Y, kops)
-				tr = append(tr, fmt.Sprintf("%.2f", kops))
-				lr = append(lr, res.Latency.P99.String())
-			}
-			rep.Series = append(rep.Series, s)
-			tput.Rows = append(tput.Rows, tr)
-			lat.Rows = append(lat.Rows, lr)
-		}
-	}
-	rep.Tables = []Table{tput, lat}
-	return rep, nil
-}
-
-// replSweepReplicas and replSweepModes span the replication grid: the
-// factors worth paying for (beyond 3 the ack chain just gets longer)
-// and both disciplines. The unreplicated point anchors both series.
-var (
-	replSweepReplicas = []int{1, 2, 3}
-	replSweepModes    = []string{"chain", "quorum"}
-)
-
-// FigReplSweep (extension) measures what replication costs: every
-// shard becomes a replica group of R complete engine stacks
-// (internal/replica), writes replicate before acknowledging — down the
-// chain in chain mode, to a majority in quorum mode — so logical
-// throughput can only fall with R while physical write traffic and
-// footprint multiply by it. The sweep pins those three curves for both
-// disciplines under the same deterministic simulation as the paper's
-// figures.
-func FigReplSweep(o Options) (*Report, error) {
-	rep := &Report{
-		ID: "replsweep",
-		Caption: "The cost of replication: acks wait for the chain or the " +
+		edit: func(s *core.Spec) {
+			s.Scale = 2048
+			s.ReadFraction = 0.5
+			s.Duration = 60 * time.Minute
+		},
+		axes: []axis{engines(core.LSM),
+			sweep("%d clients", func(s *core.Spec, n int) { s.Clients = n }, 8, 16),
+			sweep("%d shards", func(s *core.Spec, n int) { s.Shards = n }, 1, 2, 4, 8)},
+		layout: pivot("engine / clients", "%s, %s", "shards",
+			meanThroughput, p99Latency("p99 operation latency (paper scale)")),
+	},
+	{
+		// replsweep goes beyond the paper: it measures what replication
+		// costs. Every shard becomes a replica group of R complete
+		// engine stacks (internal/replica), writes replicate before
+		// acknowledging — down the chain in chain mode, to a majority in
+		// quorum mode — so logical throughput can only fall with R while
+		// physical write traffic and footprint multiply by it. The grid
+		// pins those three curves over the factors worth paying for
+		// (beyond 3 the ack chain just gets longer) and both
+		// disciplines; the unreplicated cell has no discipline, so it
+		// anchors both rows and runs once.
+		id: "replsweep",
+		caption: "The cost of replication: acks wait for the chain or the " +
 			"quorum, so throughput and tail latency pay for the " +
 			"R-fold physical redundancy",
-	}
-	engines := o.engines([]core.EngineKind{core.LSM})
-	// One R=1 anchor cell per engine, then one cell per (mode, R>1):
-	// both disciplines are identical at R=1, so it runs once.
-	cellSpec := func(eng core.EngineKind, mode string, replicas int) core.Spec {
-		spec := baseSpec(o, eng, core.Trimmed)
-		if replicas == 1 {
-			spec.Name = fmt.Sprintf("%v-r1", eng)
-		} else {
-			spec.Name = fmt.Sprintf("%v-%s-r%d", eng, mode, replicas)
-		}
-		spec.Scale = o.scale(2048)
-		spec.ReadFraction = 0.5
-		spec.Shards = 2
-		spec.Clients = 8
-		spec.Replicas = replicas
-		spec.ReplMode = mode
-		spec.Duration = o.duration(60 * time.Minute)
-		return spec
-	}
-	var specs []core.Spec
-	for _, eng := range engines {
-		specs = append(specs, cellSpec(eng, "", 1))
-		for _, mode := range replSweepModes {
-			for _, replicas := range replSweepReplicas[1:] {
-				specs = append(specs, cellSpec(eng, mode, replicas))
-			}
-		}
-	}
-	results, err := core.RunGrid(specs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("replsweep: %w", err)
-	}
-	tput := Table{
-		Title:  "Mean throughput (KOps/s, paper scale)",
-		Header: []string{"engine / mode"},
-	}
-	for _, replicas := range replSweepReplicas {
-		tput.Header = append(tput.Header, fmt.Sprintf("R=%d", replicas))
-	}
-	lat := Table{
-		Title:  "p99 operation latency (paper scale)",
-		Header: append([]string(nil), tput.Header...),
-	}
-	foot := Table{
-		Title:  "Max footprint (MiB, all replicas)",
-		Header: append([]string(nil), tput.Header...),
-	}
-	cell := 0
-	for _, eng := range engines {
-		anchor := results[cell]
-		cell++
-		for _, mode := range replSweepModes {
-			label := fmt.Sprintf("%s, %s", engineName(eng), mode)
-			s := Series{Name: label, XLabel: "replicas", YLabel: "KOps/s"}
-			tr := []string{label}
-			lr := []string{label}
-			fr := []string{label}
-			for _, replicas := range replSweepReplicas {
-				res := anchor
-				if replicas > 1 {
-					res = results[cell]
-					cell++
+		edit: func(s *core.Spec) {
+			s.Scale = 2048
+			s.ReadFraction = 0.5
+			s.Shards = 2
+			s.Clients = 8
+			s.Duration = 60 * time.Minute
+		},
+		axes: []axis{engines(core.LSM),
+			{
+				labels: []string{"chain", "quorum"},
+				set:    func(s *core.Spec, i int) { s.ReplMode = []string{"chain", "quorum"}[i] },
+			},
+			sweep("R=%d", func(s *core.Spec, r int) {
+				s.Replicas = r
+				if r == 1 {
+					s.ReplMode = ""
 				}
-				if res.OutOfSpace {
-					rep.Notes = append(rep.Notes, fmt.Sprintf("%s at R=%d ran out of space", label, replicas))
-					tr = append(tr, "OOS")
-					lr = append(lr, "OOS")
-					fr = append(fr, "OOS")
-					continue
-				}
-				kops := res.MeanScaledKOps()
-				s.X = append(s.X, float64(replicas))
-				s.Y = append(s.Y, kops)
-				tr = append(tr, fmt.Sprintf("%.2f", kops))
-				lr = append(lr, res.Latency.P99.String())
-				fr = append(fr, fmt.Sprintf("%.1f", float64(res.Steady.DiskUsedBytes)/(1<<20)))
-			}
-			rep.Series = append(rep.Series, s)
-			tput.Rows = append(tput.Rows, tr)
-			lat.Rows = append(lat.Rows, lr)
-			foot.Rows = append(foot.Rows, fr)
-		}
-	}
-	rep.Tables = []Table{tput, lat, foot}
-	return rep, nil
+			}, 1, 2, 3)},
+		layout: pivot("engine / mode", "%s, %s", "replicas",
+			meanThroughput, p99Latency("p99 operation latency (paper scale)"),
+			number("Max footprint (MiB, all replicas)", "%.1f",
+				func(r *core.Result) float64 { return float64(r.Steady.DiskUsedBytes) / (1 << 20) })),
+	},
 }
-
-func sqrtF(x float64) float64 { return math.Sqrt(x) }
-
-func ssd2Profile() flash.Profile { return flash.ProfileSSD2() }
-func ssd3Profile() flash.Profile { return flash.ProfileSSD3() }

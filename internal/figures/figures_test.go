@@ -2,8 +2,10 @@ package figures
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,23 +18,8 @@ func fastOptions() Options {
 	return Options{Quick: true, Scale: 1024, Seed: 1}
 }
 
-func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
-	for _, id := range IDs() {
-		if reg[id] == nil {
-			t.Fatalf("figure %s missing from registry", id)
-		}
-	}
-	if len(reg) != len(IDs()) {
-		t.Fatalf("registry has %d entries, IDs has %d", len(reg), len(IDs()))
-	}
-}
-
 func TestFig2Structure(t *testing.T) {
-	rep, err := Fig2(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig2")
 	if rep.ID != "fig2" {
 		t.Fatalf("ID = %s", rep.ID)
 	}
@@ -51,10 +38,7 @@ func TestFig2Structure(t *testing.T) {
 }
 
 func TestFig4WTConfined(t *testing.T) {
-	rep, err := Fig4(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig4")
 	// The paper's headline for Fig 4: WiredTiger leaves a substantial
 	// fraction of LBAs unwritten; RocksDB covers far more. The Bε-tree
 	// writes through one collection file too, so it is also confined.
@@ -96,10 +80,7 @@ func TestFig4WTConfined(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rep, err := Fig9(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig9")
 	tbl := rep.Tables[0]
 	if len(tbl.Rows) != 3 || len(tbl.Rows[0]) != 4 {
 		t.Fatalf("fig9 table malformed: %+v", tbl)
@@ -129,10 +110,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	rep, err := Fig4(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig4")
 	var buf bytes.Buffer
 	if err := rep.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -210,10 +188,7 @@ func TestOptionsHelpers(t *testing.T) {
 }
 
 func TestFig3InitialStateContrast(t *testing.T) {
-	rep, err := Fig3(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig3")
 	// 3 engines x 2 states x (throughput + WA-D) series, 6 tables.
 	if len(rep.Series) != 12 || len(rep.Tables) != 6 {
 		t.Fatalf("fig3 shape: %d series, %d tables", len(rep.Series), len(rep.Tables))
@@ -247,10 +222,7 @@ func TestFig3InitialStateContrast(t *testing.T) {
 }
 
 func TestFig5Sweep(t *testing.T) {
-	rep, err := Fig5(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig5")
 	if len(rep.Tables) != 3 {
 		t.Fatalf("fig5 tables: %d", len(rep.Tables))
 	}
@@ -273,10 +245,7 @@ func TestFig5Sweep(t *testing.T) {
 }
 
 func TestFig7OPEffect(t *testing.T) {
-	rep, err := Fig7(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig7")
 	wad := rep.Tables[1]
 	// Row 1: LSM preconditioned; extra OP must lower WA-D.
 	var lsmPrec []string
@@ -299,10 +268,7 @@ func TestFig7OPEffect(t *testing.T) {
 }
 
 func TestFig6OOSAtLargeDatasets(t *testing.T) {
-	rep, err := Fig6(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "fig6")
 	util := rep.Tables[0]
 	lsmRow := util.Rows[0]
 	// The paper's LSM cannot hold the largest dataset (0.88). At 0.75
@@ -328,7 +294,7 @@ func TestFig6OOSAtLargeDatasets(t *testing.T) {
 func TestEngineOverrideRestrictsFigure(t *testing.T) {
 	o := fastOptions()
 	o.Engines = []core.EngineKind{core.Betree}
-	rep, err := Fig2(o)
+	rep, err := Run("fig2", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +310,7 @@ func TestEngineOverrideRestrictsFigure(t *testing.T) {
 }
 
 func TestFigBetradeoffShape(t *testing.T) {
-	rep, err := FigBetradeoff(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "betradeoff")
 	if rep.ID != "betradeoff" {
 		t.Fatalf("ID = %s", rep.ID)
 	}
@@ -356,8 +319,8 @@ func TestFigBetradeoffShape(t *testing.T) {
 		t.Fatalf("betradeoff shape: %d series, %d tables", len(rep.Series), len(rep.Tables))
 	}
 	for _, s := range rep.Series {
-		if len(s.X) != len(betradeoffEpsilons) {
-			t.Fatalf("series %s has %d points, want %d", s.Name, len(s.X), len(betradeoffEpsilons))
+		if len(s.X) != 4 {
+			t.Fatalf("series %s has %d points, want 4 (one per ε)", s.Name, len(s.X))
 		}
 	}
 	parse := func(s string) float64 {
@@ -383,10 +346,7 @@ func TestFigBetradeoffShape(t *testing.T) {
 }
 
 func TestFigQDSweepMonotone(t *testing.T) {
-	rep, err := FigQDSweep(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fastReport(t, "qdsweep")
 	if rep.ID != "qdsweep" {
 		t.Fatalf("ID = %s", rep.ID)
 	}
@@ -394,8 +354,8 @@ func TestFigQDSweepMonotone(t *testing.T) {
 		t.Fatalf("series count %d, want 3 (one per engine)", len(rep.Series))
 	}
 	for _, s := range rep.Series {
-		if len(s.Y) != len(qdSweepDepths) {
-			t.Fatalf("%s: %d points, want %d", s.Name, len(s.Y), len(qdSweepDepths))
+		if len(s.Y) != 4 {
+			t.Fatalf("%s: %d points, want 4 (one per queue depth)", s.Name, len(s.Y))
 		}
 		// Throughput must be non-decreasing up to the 16-lane saturation
 		// point (QD 1, 4, 16).
@@ -414,19 +374,19 @@ func TestFigQDSweepMonotone(t *testing.T) {
 func TestFigShardSweepScales(t *testing.T) {
 	o := fastOptions()
 	o.Scale = 4096
-	rep, err := FigShardSweep(o)
+	rep, err := Run("shardsweep", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ID != "shardsweep" {
 		t.Fatalf("ID = %s", rep.ID)
 	}
-	if len(rep.Series) != len(shardSweepClients) {
-		t.Fatalf("series count %d, want %d (one per client count)", len(rep.Series), len(shardSweepClients))
+	if len(rep.Series) != 2 {
+		t.Fatalf("series count %d, want 2 (one per client count)", len(rep.Series))
 	}
 	for _, s := range rep.Series {
-		if len(s.Y) != len(shardSweepShards) {
-			t.Fatalf("%s: %d points, want %d", s.Name, len(s.Y), len(shardSweepShards))
+		if len(s.Y) != 4 {
+			t.Fatalf("%s: %d points, want 4 (one per shard count)", s.Name, len(s.Y))
 		}
 		// The scaling claim the figure exists to demonstrate: with
 		// enough clients, many shards out-serve one shard.
@@ -444,19 +404,19 @@ func TestFigShardSweepScales(t *testing.T) {
 func TestFigReplSweepCosts(t *testing.T) {
 	o := fastOptions()
 	o.Scale = 4096
-	rep, err := FigReplSweep(o)
+	rep, err := Run("replsweep", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ID != "replsweep" {
 		t.Fatalf("ID = %s", rep.ID)
 	}
-	if len(rep.Series) != len(replSweepModes) {
-		t.Fatalf("series count %d, want %d (one per mode)", len(rep.Series), len(replSweepModes))
+	if len(rep.Series) != 2 {
+		t.Fatalf("series count %d, want 2 (one per mode)", len(rep.Series))
 	}
 	for _, s := range rep.Series {
-		if len(s.Y) != len(replSweepReplicas) {
-			t.Fatalf("%s: %d points, want %d", s.Name, len(s.Y), len(replSweepReplicas))
+		if len(s.Y) != 3 {
+			t.Fatalf("%s: %d points, want 3 (one per replication factor)", s.Name, len(s.Y))
 		}
 		// Both modes anchor on the same unreplicated cell.
 		if s.X[0] != 1 || s.Y[0] != rep.Series[0].Y[0] {
@@ -473,5 +433,192 @@ func TestFigReplSweepCosts(t *testing.T) {
 	}
 	if len(rep.Tables) != 3 {
 		t.Fatalf("tables %d, want 3 (throughput + p99 + footprint)", len(rep.Tables))
+	}
+}
+
+// TestEngineName: the built-ins carry the paper's names; any other
+// registered driver is titled by its registry name, not as the B+Tree.
+func TestEngineName(t *testing.T) {
+	for _, tc := range []struct {
+		kind core.EngineKind
+		want string
+	}{
+		{core.LSM, "RocksDB-like LSM"},
+		{core.BTree, "WiredTiger-like B+Tree"},
+		{core.Betree, "Be-tree (buffered)"},
+		{"fractal", "fractal"},
+	} {
+		if got := engineName(tc.kind); got != tc.want {
+			t.Errorf("engineName(%q) = %q, want %q", tc.kind, got, tc.want)
+		}
+	}
+}
+
+// layoutFigure is a 2 x 3 grid for the layout tests, which feed the
+// layouts synthetic results instead of simulating: cell (row i, column
+// j) measured i*10+j KOps/s, and the cells in oos ran out of space.
+func layoutFigure(l layout, oos ...int) *Report {
+	f := &figure{
+		id: "t",
+		axes: []axis{
+			{labels: []string{"a", "b"}, set: func(*core.Spec, int) {}},
+			sweep("x=%d", func(s *core.Spec, v int) { s.QueueDepth = v }, 1, 2, 4),
+		},
+	}
+	rep, axes, cells, _ := f.plan(Options{})
+	for i := range cells {
+		cells[i].res = &core.Result{ScaledKOps: float64(i/3*10 + i%3)}
+	}
+	for _, i := range oos {
+		cells[i].res.OutOfSpace = true
+	}
+	l(rep, axes[1], cells)
+	return rep
+}
+
+func kopsSeries(name string, res *core.Result) Series {
+	return Series{Name: name, Y: []float64{res.ScaledKOps}}
+}
+
+func kopsTable(name string, res *core.Result) Table { return Table{Title: name} }
+
+// TestPerCellLayout: every cell emits under its formatted name; a cell
+// that ran out of space emits nothing and leaves one note.
+func TestPerCellLayout(t *testing.T) {
+	rep := layoutFigure(perCell("%s (%s)", []seriesFn{kopsSeries}, kopsTable), 4)
+	if len(rep.Series) != 5 || len(rep.Tables) != 5 {
+		t.Fatalf("5 of 6 cells should emit: %d series, %d tables", len(rep.Series), len(rep.Tables))
+	}
+	if rep.Series[0].Name != "a (x=1)" || rep.Series[4].Name != "b (x=4)" || rep.Tables[3].Title != "b (x=1)" {
+		t.Fatalf("cell names: %q %q %q", rep.Series[0].Name, rep.Series[4].Name, rep.Tables[3].Title)
+	}
+	if len(rep.Notes) != 1 || rep.Notes[0] != "b x=2 ran out of space" {
+		t.Fatalf("notes: %q", rep.Notes)
+	}
+}
+
+// TestPivotLayout: rows down the leading axis, the last axis across the
+// columns; an out-of-space cell reads OOS in every table and is noted
+// only where it costs a curve its point.
+func TestPivotLayout(t *testing.T) {
+	kops := number("KOps", "%.0f", func(r *core.Result) float64 { return r.ScaledKOps })
+	twice := number("2x", "%.1f", func(r *core.Result) float64 { return 2 * r.ScaledKOps })
+
+	rep := layoutFigure(pivot("row", "<%s>", "", kops, twice), 4)
+	if len(rep.Tables) != 2 || len(rep.Series) != 0 {
+		t.Fatalf("pivot without curves: %d tables, %d series", len(rep.Tables), len(rep.Series))
+	}
+	wantHeader := []string{"row", "x=1", "x=2", "x=4"}
+	for _, tbl := range rep.Tables {
+		if !reflect.DeepEqual(tbl.Header, wantHeader) {
+			t.Fatalf("%s header %q, want %q", tbl.Title, tbl.Header, wantHeader)
+		}
+		if len(tbl.Rows) != 2 || tbl.Rows[1][2] != "OOS" {
+			t.Fatalf("%s should read OOS at row b, column x=2: %q", tbl.Title, tbl.Rows)
+		}
+	}
+	if want := [][]string{{"<a>", "0", "1", "2"}, {"<b>", "10", "OOS", "12"}}; !reflect.DeepEqual(rep.Tables[0].Rows, want) {
+		t.Fatalf("rows %q, want %q", rep.Tables[0].Rows, want)
+	}
+	if rep.Tables[1].Rows[0][3] != "4.0" {
+		t.Fatalf("second metric formats its own value: %q", rep.Tables[1].Rows[0])
+	}
+	if len(rep.Notes) != 0 {
+		t.Fatalf("a pivot without curves drops nothing, so it notes nothing: %q", rep.Notes)
+	}
+
+	rep = layoutFigure(pivot("row", "<%s>", "x", kops.curve(" kops", "KOps/s"), twice), 4)
+	if rep.Tables[0].Rows[1][2] != "OOS" || rep.Tables[1].Rows[1][2] != "OOS" {
+		t.Fatalf("OOS missing from a table: %q %q", rep.Tables[0].Rows, rep.Tables[1].Rows)
+	}
+	if len(rep.Notes) != 1 || rep.Notes[0] != "<b> x=2 ran out of space" {
+		t.Fatalf("notes: %q", rep.Notes)
+	}
+	if len(rep.Series) != 2 {
+		t.Fatalf("one curve per row for the one curved metric, got %d", len(rep.Series))
+	}
+	a, b := rep.Series[0], rep.Series[1]
+	if a.Name != "<a> kops" || a.XLabel != "x" || a.YLabel != "KOps/s" {
+		t.Fatalf("curve labels: %+v", a)
+	}
+	if !reflect.DeepEqual(a.X, []float64{1, 2, 4}) || !reflect.DeepEqual(a.Y, []float64{0, 1, 2}) {
+		t.Fatalf("row a curve: %v %v", a.X, a.Y)
+	}
+	if !reflect.DeepEqual(b.X, []float64{1, 4}) || !reflect.DeepEqual(b.Y, []float64{10, 12}) {
+		t.Fatalf("row b should lose exactly its x=2 point: %v %v", b.X, b.Y)
+	}
+}
+
+func figureByID(t *testing.T, id string) *figure {
+	t.Helper()
+	for _, f := range figures {
+		if f.id == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", id)
+	return nil
+}
+
+// TestIdenticalSpecsRunOnce: replsweep's unreplicated cell has no
+// discipline, so per engine its 2 x 3 grid is 5 distinct specs and both
+// rows' R=1 column is the same run.
+func TestIdenticalSpecsRunOnce(t *testing.T) {
+	o := fastOptions()
+	o.Engines = []core.EngineKind{core.BTree, core.Betree}
+	_, _, cells, specs := figureByID(t, "replsweep").plan(o)
+	if len(cells) != 12 || len(specs) != 10 {
+		t.Fatalf("%d cells over %d specs, want 12 over 10", len(cells), len(specs))
+	}
+	var order []string
+	for _, s := range specs[:5] {
+		order = append(order, fmt.Sprintf("%s/%d", s.ReplMode, s.Replicas))
+	}
+	if want := []string{"/1", "chain/2", "chain/3", "quorum/2", "quorum/3"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
+	}
+	if cells[0].run != cells[3].run || cells[6].run != cells[9].run {
+		t.Fatal("chain and quorum rows should share their engine's R=1 run")
+	}
+	if cells[0].run == cells[6].run {
+		t.Fatal("different engines must not share a run")
+	}
+	seen := map[string]bool{}
+	for _, s := range specs {
+		if seen[s.Name] {
+			t.Fatalf("duplicate spec name %q", s.Name)
+		}
+		seen[s.Name] = true
+	}
+}
+
+// TestFixedEngineNote: a figure about one engine says that an -engine
+// override is ignored, unless the override is exactly that engine.
+func TestFixedEngineNote(t *testing.T) {
+	const fig8Note = "fig8 is an LSM-specific over-provisioning study; the -engine override is ignored"
+	for _, tc := range []struct {
+		id       string
+		override []core.EngineKind
+		runs     core.EngineKind
+		want     []string
+	}{
+		{"fig8", nil, core.LSM, nil},
+		{"fig8", []core.EngineKind{core.LSM}, core.LSM, nil},
+		{"fig8", []core.EngineKind{core.BTree}, core.LSM, []string{fig8Note}},
+		{"fig8", []core.EngineKind{core.LSM, core.BTree}, core.LSM, []string{fig8Note}},
+		{"betradeoff", []core.EngineKind{core.Betree}, core.Betree, nil},
+		{"betradeoff", []core.EngineKind{core.LSM}, core.Betree,
+			[]string{"betradeoff sweeps the Bε-tree's ε knob; the -engine override is ignored"}},
+		{"fig2", []core.EngineKind{core.Betree}, core.Betree, nil},
+	} {
+		rep, _, _, specs := figureByID(t, tc.id).plan(Options{Engines: tc.override})
+		if !reflect.DeepEqual(rep.Notes, tc.want) {
+			t.Errorf("%s -engine %v: notes %q, want %q", tc.id, tc.override, rep.Notes, tc.want)
+		}
+		for _, s := range specs {
+			if s.Engine != tc.runs {
+				t.Errorf("%s -engine %v: cell %q runs %s, want %s", tc.id, tc.override, s.Name, s.Engine, tc.runs)
+			}
+		}
 	}
 }

@@ -108,59 +108,39 @@ func (r *Report) WriteCSV(dir string) error {
 		return err
 	}
 	for _, s := range r.Series {
-		f, err := os.Create(filepath.Join(dir, csvName(r.ID, s.Name)))
-		if err != nil {
-			return err
-		}
-		w := csv.NewWriter(f)
-		if err := w.Write([]string{s.XLabel, s.YLabel}); err != nil {
-			f.Close()
-			return err
-		}
+		rows := [][]string{{s.XLabel, s.YLabel}}
 		for i := range s.X {
-			if err := w.Write([]string{
+			rows = append(rows, []string{
 				strconv.FormatFloat(s.X[i], 'f', -1, 64),
 				strconv.FormatFloat(s.Y[i], 'f', -1, 64),
-			}); err != nil {
-				f.Close()
-				return err
-			}
+			})
 		}
-		w.Flush()
-		if err := w.Error(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeCSVFile(filepath.Join(dir, csvName(r.ID, s.Name)), rows); err != nil {
 			return err
 		}
 	}
 	for _, t := range r.Tables {
-		f, err := os.Create(filepath.Join(dir, csvName(r.ID, t.Title)))
-		if err != nil {
-			return err
-		}
-		w := csv.NewWriter(f)
-		if err := w.Write(t.Header); err != nil {
-			f.Close()
-			return err
-		}
-		for _, row := range t.Rows {
-			if err := w.Write(row); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		w.Flush()
-		if err := w.Error(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		rows := append([][]string{t.Header}, t.Rows...)
+		if err := writeCSVFile(filepath.Join(dir, csvName(r.ID, t.Title)), rows); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeCSVFile writes rows, header first, as one CSV file.
+func writeCSVFile(path string, rows [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := csv.NewWriter(f)
+	// WriteAll flushes and reports the first write or flush error.
+	if err := w.WriteAll(rows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // csvName builds a filesystem-safe file name.

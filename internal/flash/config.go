@@ -94,7 +94,7 @@ func (p Profile) ParallelLanes() int {
 // size divided by f and every fixed per-request latency multiplied by f.
 // This dilates every per-operation service time by exactly f, so a scaled
 // experiment traces the same virtual-time curves as the full-size one
-// with 1/f of the operations (see DESIGN.md, "Scaling model").
+// with 1/f of the operations.
 //
 // EraseTime deliberately does NOT scale: the experiment runner shrinks
 // the erase-block size together with capacity, so a scaled workload

@@ -30,7 +30,6 @@
 package ptsbench
 
 import (
-	"fmt"
 	"io"
 
 	"ptsbench/internal/blockdev"
@@ -137,13 +136,7 @@ type (
 )
 
 // Figure regenerates one of the paper's figures ("fig2" .. "fig11").
-func Figure(id string, opts FigureOptions) (*FigureReport, error) {
-	f, ok := figures.Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("ptsbench: unknown figure %q (have %v)", id, figures.IDs())
-	}
-	return f(opts)
-}
+func Figure(id string, opts FigureOptions) (*FigureReport, error) { return figures.Run(id, opts) }
 
 // Figures lists the available figure IDs in paper order.
 func Figures() []string { return figures.IDs() }
