@@ -455,3 +455,30 @@ func TestNewRejectsBadGroups(t *testing.T) {
 		t.Errorf("Revive of a live replica: want error")
 	}
 }
+
+// TestKthMatchesSort pins the quorum ack rule's order statistic to the
+// obvious definition — sort, take element k-1 — over every k of every
+// sequence of 1–5 durations drawn from as many distinct values, which
+// covers every permutation and every pattern of duplicates.
+func TestKthMatchesSort(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		ds := make([]sim.Duration, n)
+		total := 1
+		for i := 0; i < n; i++ {
+			total *= n
+		}
+		for code := 0; code < total; code++ {
+			for i, c := 0, code; i < n; i, c = i+1, c/n {
+				ds[i] = sim.Duration(10 * (c % n))
+			}
+			want := append([]sim.Duration(nil), ds...)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			for k := 1; k <= n; k++ {
+				scratch := append([]sim.Duration(nil), ds...)
+				if got := kth(scratch, k); got != want[k-1] {
+					t.Fatalf("kth(%v, %d) = %d, want %d", ds, k, got, want[k-1])
+				}
+			}
+		}
+	}
+}
