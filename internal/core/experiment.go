@@ -154,10 +154,11 @@ type Spec struct {
 
 	// Shards splits the serving layer into N hash-partitioned shards,
 	// each owning its own engine instance on its own slice of the device
-	// (capacity, dataset and engine sizing all divide by N). Shard
-	// workers run concurrently in real time but the result is
-	// deterministic, and a 1-shard run is bit-identical to the historical
-	// single-engine path. Defaults to 1.
+	// (capacity, dataset and engine sizing all divide by N). Shards
+	// share no state, so the result does not depend on the order or the
+	// goroutine they are serviced on (a pump services them on the
+	// caller's; loading and flushing fan out), and a 1-shard run is
+	// bit-identical to the historical single-engine path. Defaults to 1.
 	Shards int
 
 	// Clients is the number of closed-loop clients driving the store,

@@ -97,9 +97,9 @@ func TestReplicasOneIsIdentical(t *testing.T) {
 	}
 }
 
-// TestReplicatedRunDeterminism: replica groups ride the concurrent
-// shard workers, but a replicated experiment must replay
-// sample-for-sample in both modes.
+// TestReplicatedRunDeterminism: replica groups load and flush on
+// concurrent per-shard goroutines, and a replicated experiment must
+// still replay sample-for-sample in both modes.
 func TestReplicatedRunDeterminism(t *testing.T) {
 	for _, mode := range []string{"chain", "quorum"} {
 		t.Run(mode, func(t *testing.T) {

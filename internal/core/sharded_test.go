@@ -54,8 +54,9 @@ func TestValidateShardClientShapes(t *testing.T) {
 	}
 }
 
-// TestShardedRunDeterminism: shard workers run on real goroutines, but
-// a sharded experiment must replay sample-for-sample.
+// TestShardedRunDeterminism: set-up loads and flushes the shards on
+// concurrent goroutines, and a sharded experiment must still replay
+// sample-for-sample.
 func TestShardedRunDeterminism(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(Spec{

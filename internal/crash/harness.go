@@ -344,7 +344,6 @@ func (t *trial) machineRestart() error {
 	if err != nil {
 		return err
 	}
-	defer rst.Close()
 	return verify(t.rep, rst, t.model, t.spec, now)
 }
 

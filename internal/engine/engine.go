@@ -43,7 +43,7 @@ type Engine interface {
 
 // GroupCommitter is the optional surface of engines whose journal can
 // defer per-write durability to a single batch-end sync (group commit).
-// The store's shard workers bracket intake batches carrying more than
+// The store brackets a shard's intake batches carrying more than
 // one write with Begin/End, so concurrent clients share one journal
 // sync the way production write-ahead logs batch fsyncs. Engines whose
 // write path already batches durability internally (the LSM WAL flushes

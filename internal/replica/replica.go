@@ -34,7 +34,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ptsbench/internal/engine"
 	"ptsbench/internal/kv"
@@ -144,6 +144,11 @@ type Group struct {
 	reps  []rep
 	stats kv.EngineStats // logical (one delta per op), not summed
 	dones []sim.Duration // scratch for quorum ack sorting
+
+	// Scratch for a quorum read's per-replica answers, indexed by
+	// replica and owned by the group so a read allocates nothing.
+	vals   [][]byte
+	founds []bool
 }
 
 // New builds a replica group over the members in replica-index order.
@@ -155,7 +160,12 @@ func New(mode Mode, members []Member) (*Group, error) {
 	if mode != Chain && mode != Quorum {
 		return nil, fmt.Errorf("replica: unknown mode %d", mode)
 	}
-	g := &Group{mode: mode, dones: make([]sim.Duration, 0, len(members))}
+	g := &Group{
+		mode:   mode,
+		dones:  make([]sim.Duration, 0, len(members)),
+		vals:   make([][]byte, len(members)),
+		founds: make([]bool, len(members)),
+	}
 	for _, m := range members {
 		if m.Engine == nil {
 			return nil, fmt.Errorf("replica: nil engine in member list")
@@ -296,7 +306,7 @@ func (g *Group) write(now sim.Duration, apply func(e engine.Engine, at sim.Durat
 // kth returns the k-th smallest duration (1-based) of ds, which always
 // holds at least k entries by the quorum precondition.
 func kth(ds []sim.Duration, k int) sim.Duration {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	return ds[k-1]
 }
 
@@ -347,10 +357,15 @@ func (g *Group) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, e
 	var (
 		winVal   []byte
 		winFound bool
-		vals     = make([][]byte, len(g.reps))
-		founds   = make([]bool, len(g.reps))
+		vals     = g.vals
+		founds   = g.founds
 		before   = g.reps[srv].eng.Stats()
 	)
+	// Cleared on entry: a slot a dead replica leaves unwritten never
+	// carries an earlier read's answer, and the group keeps at most one
+	// read's engine buffers reachable.
+	clear(vals)
+	clear(founds)
 	g.dones = g.dones[:0]
 	for i := range g.reps {
 		r := &g.reps[i]

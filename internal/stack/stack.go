@@ -295,12 +295,9 @@ func BuildCluster(shards, replicas int, mode string, autoFailover bool, layout f
 	return c, nil
 }
 
-// Close stops the store's workers and closes every stack. Close is
-// idempotent.
+// Close closes every stack (the store holds nothing to release). Close
+// is idempotent.
 func (c *Cluster) Close() error {
-	if c.Store != nil {
-		c.Store.Close()
-	}
 	var err error
 	for _, row := range c.Stacks {
 		for _, s := range row {

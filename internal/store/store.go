@@ -6,30 +6,34 @@
 // The dispatch discipline mirrors sim.MultiResource — a shared
 // submission queue feeding independent FIFO service lanes — lifted from
 // flash dies to whole engine instances: clients Submit operations with
-// virtual submission times, Pump routes each to its owning shard, and
+// virtual submission times, each is routed to its owning shard, and
 // every shard services its intake in (submit time, submission order)
 // order on its own clock. Shards never share mutable simulation state
 // (each has its own flash device, block device, filesystem and engine),
-// so shard workers run on real goroutines while results stay
-// deterministic: the only cross-goroutine communication is the
-// barrier at the end of Pump, and completions are merged back into
-// global submission order.
+// so neither the order shards are serviced in nor the goroutine that
+// services one can change a result. Pump services them one after
+// another on the caller's goroutine: a pump carries at most 16
+// operations on every multi-shard shape in this repository, and handing
+// a shard's ~30 µs of engine work to another thread costs more than the
+// work (BenchmarkPump measures the crossover). The lifecycle calls —
+// Load, FlushAll, Quiesce, Scan — are milliseconds to seconds of work
+// per shard and run the shards concurrently (each).
 //
 // Determinism contract: a 1-shard store is bit-identical to driving the
-// engine directly (there is no worker goroutine and no reordering), and
-// any (shards × clients) shape replays exactly given the same
-// submission sequence. Consecutive same-client Get submissions with
-// equal submit times form a read wave: all start together on the owning
-// shard and the shard clock advances to the slowest completion,
-// reproducing the harness's QueueDepth batching. Intake batches
-// carrying more than one write are bracketed with the engine's optional
-// group commit (engine.GroupCommitter), so concurrent clients share one
-// journal sync.
+// engine directly, and any (shards × clients) shape replays exactly
+// given the same submission sequence. Consecutive same-client Get
+// submissions with equal submit times form a read wave: all start
+// together on the owning shard and the shard clock advances to the
+// slowest completion, reproducing the harness's QueueDepth batching.
+// Intake batches carrying more than one write are bracketed with the
+// engine's optional group commit (engine.GroupCommitter), so concurrent
+// clients share one journal sync.
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ptsbench/internal/blockdev"
@@ -133,39 +137,22 @@ type shard struct {
 	unsorted bool      // intake submit times observed out of order
 	comps    []Completion
 
-	// Worker plumbing (multi-shard stores only). The worker goroutine
-	// executes closures sent on ch; the store's WaitGroup is the
-	// barrier, so the main goroutine never touches shard state while a
-	// closure runs.
-	ch chan func()
-
 	err error // scratch for lifecycle operations (Load, FlushAll, Scan)
-}
-
-// run executes closures off ch. The channel is passed by value so
-// Close never writes a field the worker goroutine reads.
-func (sh *shard) run(ch chan func()) {
-	for f := range ch {
-		f()
-	}
 }
 
 // Store is the sharded serving layer.
 type Store struct {
 	shards  []*shard
 	seq     uint64
-	pending int
+	pending int          // submissions since the last Pump
 	comps   []Completion // reused result buffer for Pump
-	wg      sync.WaitGroup
-	closed  bool
 }
 
 // New builds a store over shards hash-partitioned engine stacks. open
 // is called with shard indices 0..shards-1 in order; shard 0's stack is
 // built first, so callers can give it the experiment's primary RNG
 // stream and keep single-shard runs bit-identical to historical ones.
-// Multi-shard stores start one worker goroutine per shard; Close stops
-// them.
+// A store owns no goroutine and nothing that needs releasing.
 func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("store: shards must be >= 1 (got %d)", shards)
@@ -174,7 +161,6 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 	for i := 0; i < shards; i++ {
 		st, err := open(i)
 		if err != nil {
-			s.Close()
 			return nil, fmt.Errorf("store: opening shard %d: %w", i, err)
 		}
 		sh := &shard{
@@ -184,29 +170,17 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 		if sh.devs == nil {
 			sh.devs = []blockdev.Host{st.Dev}
 		}
-		if shards > 1 {
-			sh.ch = make(chan func(), 1)
-			go sh.run(sh.ch)
-		}
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
 }
 
-// Close stops the shard workers. Engines are left open — the simulation
-// holds no external resources — so a closed store's shards can still be
-// inspected or recovered by tests. Close is idempotent.
-func (s *Store) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, sh := range s.shards {
-		if sh.ch != nil {
-			close(sh.ch)
-		}
-	}
-}
+// Close does nothing: a store owns no goroutine and holds no external
+// resource (engines stay open, so tests can inspect or recover them).
+// The method exists only because benchmark/ calls it and no change may
+// touch benchmark/ beside other code; deleting it is step (c) of
+// ROADMAP's benchmark-boundary chain.
+func (s *Store) Close() {}
 
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
@@ -253,47 +227,27 @@ func (s *Store) Submit(op Op) uint64 {
 	return seq
 }
 
-// Pump services every submitted operation — shards in parallel, each on
-// its own worker — and returns the completions in global submission
-// order. The returned slice is reused by the next Pump.
+// Pump services every submitted operation — on the calling goroutine,
+// shard after shard — and returns the completions in global submission
+// order. The submissions since the last Pump are numbered
+// [seq-pending, seq) and every one of them completes exactly once in
+// this call (TestPumpMatchesReference), so a completion's place in the
+// result is its submission number less the first: nothing is merged or
+// sorted. The returned slice is reused by the next Pump.
 func (s *Store) Pump() []Completion {
-	s.comps = s.comps[:0]
-	if s.pending == 0 {
-		return s.comps
-	}
-	needSort := len(s.shards) > 1
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		needSort = sh.unsorted
-		sh.process()
-	} else {
-		n := 0
-		for _, sh := range s.shards {
-			if len(sh.intake) > 0 {
-				n++
-			}
-		}
-		s.wg.Add(n)
-		for _, sh := range s.shards {
-			if len(sh.intake) == 0 {
-				continue
-			}
-			sh := sh
-			sh.ch <- func() {
-				sh.process()
-				s.wg.Done()
-			}
-		}
-		s.wg.Wait()
-	}
+	base := s.seq - uint64(s.pending)
+	s.comps = slices.Grow(s.comps[:0], s.pending)[:s.pending]
 	for _, sh := range s.shards {
-		s.comps = append(s.comps, sh.comps...)
+		if len(sh.intake) == 0 {
+			continue
+		}
+		sh.process()
+		for i := range sh.comps {
+			s.comps[sh.comps[i].Seq-base] = sh.comps[i]
+		}
 		sh.comps = sh.comps[:0]
 		sh.intake = sh.intake[:0]
 		sh.unsorted = false
-	}
-	if needSort {
-		sort.Slice(s.comps, func(i, j int) bool { return s.comps[i].Seq < s.comps[j].Seq })
 	}
 	s.pending = 0
 	return s.comps
@@ -315,22 +269,26 @@ func (s *Store) ClearFailure(i int) error {
 	return nil
 }
 
-// each runs fn on every shard — in parallel on multi-shard stores —
-// and returns after all have finished.
+// each runs fn on every shard and returns after all have finished. On a
+// multi-shard store the shards run concurrently, each on a goroutine
+// that lives for this call: one lifecycle call is milliseconds to
+// seconds of work per shard, which is worth a handoff, and fn touches
+// only its own shard. TestLifecycleRunsShardsConcurrently holds it to
+// that.
 func (s *Store) each(fn func(*shard)) {
 	if len(s.shards) == 1 {
 		fn(s.shards[0])
 		return
 	}
-	s.wg.Add(len(s.shards))
+	var wg sync.WaitGroup
+	wg.Add(len(s.shards))
 	for _, sh := range s.shards {
-		sh := sh
-		sh.ch <- func() {
+		go func(sh *shard) {
+			defer wg.Done()
 			fn(sh)
-			s.wg.Done()
-		}
+		}(sh)
 	}
-	s.wg.Wait()
+	wg.Wait()
 }
 
 // process services the shard's intake batch in (submit, seq) order.
@@ -500,26 +458,16 @@ func countWrites(rs []request) int {
 }
 
 // sortRequests orders by (submit time, submission number): FIFO by
-// virtual arrival with deterministic ties. Intakes are small (at most
-// clients × queue depth), so an insertion sort avoids sort.Slice's
-// per-call closure allocation on the hot path.
+// virtual arrival with deterministic ties. Submission numbers are
+// unique, so the order is total and the sort need not be stable;
+// slices.SortFunc allocates nothing at any intake size.
 func sortRequests(rs []request) {
-	if len(rs) > 64 {
-		sort.Slice(rs, func(i, j int) bool { return requestLess(rs[i], rs[j]) })
-		return
-	}
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && requestLess(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
+	slices.SortFunc(rs, func(a, b request) int {
+		if c := cmp.Compare(a.op.Submit, b.op.Submit); c != 0 {
+			return c
 		}
-	}
-}
-
-func requestLess(a, b request) bool {
-	if a.op.Submit != b.op.Submit {
-		return a.op.Submit < b.op.Submit
-	}
-	return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
+	})
 }
 
 // Load ingests keys 0..numKeys-1 with nil values of valueBytes each —
