@@ -19,9 +19,9 @@ var ErrClosed = errors.New("betree: tree is closed")
 // metaMagic tags the checkpoint metadata files ("BEMT").
 const metaMagic = 0x42454D54
 
-// coreConfig maps the engine configuration onto the shared
-// checkpoint/recovery core's knobs. The naming fields reproduce the
-// pre-extraction on-device footprint exactly.
+// coreConfig maps the engine configuration onto the shared core's knobs.
+// The naming fields reproduce the pre-extraction on-device footprint
+// exactly.
 func coreConfig(cfg Config) cowtree.Config {
 	return cowtree.Config{
 		Name:                   "betree",
@@ -31,33 +31,28 @@ func coreConfig(cfg Config) cowtree.Config {
 		ChunkPages:             cfg.ChunkPages,
 		CheckpointInterval:     cfg.CheckpointInterval,
 		CheckpointPendingBytes: cfg.CheckpointPendingBytes,
+		CacheBytes:             cfg.CacheBytes,
 		Content:                cfg.Content,
 		DisableJournal:         cfg.DisableJournal,
 	}
 }
 
-// Tree is the Bε-tree engine. The copy-on-write checkpoint/recovery
-// discipline lives in the embedded cowtree core; the engine implements
-// cowtree.RecoveryEngine over its node type.
+// Tree is the Bε-tree engine. The node table, the leaf cache (interior
+// nodes, with their buffers, are pinned), the copy-on-write node write
+// and the checkpoint/recovery discipline live in the embedded cowtree
+// core; the engine keeps the node payload, its codec and the
+// buffer/flush/split/scan paths, and implements cowtree.RecoveryEngine.
 type Tree struct {
 	cfg       Config
 	pivotMax  int // cached cfg.pivotBudget()
 	bufferMax int // cached cfg.bufferBudget()
 	fs        *extfs.FS
 
-	file *extfs.File
-	bm   *extalloc.Manager
-
 	core cowtree.Core
 
-	nodes  []*node // indexed by nodeID; ids are allocated sequentially
-	root   nodeID
-	nextID nodeID
-
-	// Cache state: resident leaves in an LRU list (head = MRU). Interior
-	// nodes (with their buffers) are pinned resident.
-	lruHead, lruTail nodeID
-	residentBytes    int64
+	// nodes is indexed by nodeID, parallel to the core's header table
+	// (nodes[id].Node is the header the core holds for id).
+	nodes []*node
 
 	// overfull queues interior nodes whose buffers exceeded the node's
 	// budget through an interior split (the split divides the child
@@ -72,22 +67,16 @@ type Tree struct {
 	mem  mem
 	slab cowtree.Slab[node]
 
-	writeBuf []byte // reused serialization image (content mode)
-
 	seq    uint64
 	stats  kv.EngineStats
 	io     IOStats
 	closed bool
 }
 
-// IOStats exposes internal activity counters.
+// IOStats exposes internal activity counters: the core's cache and
+// checkpoint counters plus the engine's own.
 type IOStats struct {
-	CacheHits      int64
-	CacheMisses    int64
-	Evictions      int64
-	EvictionWrites int64
-	Checkpoints    int64
-	CheckpointPgs  int64
+	cowtree.IOStats
 	LeafSplits     int64
 	InteriorSplits int64
 
@@ -111,113 +100,61 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{
-		cfg:       cfg,
-		pivotMax:  cfg.pivotBudget(),
-		bufferMax: cfg.bufferBudget(),
-		fs:        fs,
-		file:      f,
-		bm:        extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		nodes:     make([]*node, 1, 64), // index 0 is nilNode
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
-	rootLeaf := t.newNode(true)
-	rootLeaf.parent = nilNode
-	t.root = rootLeaf.id
-	t.admit(rootLeaf)
+	t := newTree(fs, f, cfg)
+	t.newRootLeaf()
 	if err := t.core.StartJournal(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// registerNode adds a freshly allocated node to the id-indexed slice.
-func (t *Tree) registerNode(n *node) {
-	if int(n.id) != len(t.nodes) {
-		panic("betree: node ids must be registered sequentially")
+// newTree builds the tree shell over an open collection file: no nodes
+// yet, no journal.
+func newTree(fs *extfs.FS, f *extfs.File, cfg Config) *Tree {
+	t := &Tree{
+		cfg:       cfg,
+		pivotMax:  cfg.pivotBudget(),
+		bufferMax: cfg.bufferBudget(),
+		fs:        fs,
+		nodes:     make([]*node, 1, 64), // index 0 is nilNode
 	}
-	t.nodes = append(t.nodes, n)
+	bm := extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16)
+	t.core.Init(t, fs, f, bm, coreConfig(cfg))
+	return t
 }
 
+// newRootLeaf installs the empty, resident root leaf of a fresh tree.
+func (t *Tree) newRootLeaf() {
+	root := t.newNode(true)
+	t.core.SetRoot(root.ID)
+	t.core.Admit(&root.Node)
+}
+
+// newNode takes a zeroed node from the slab, registers it with the core
+// and the parallel slice, and marks it dirty.
 func (t *Tree) newNode(leaf bool) *node {
-	t.nextID++
 	n := t.slab.Get()
-	n.id = t.nextID
-	n.leaf = leaf
-	n.serialized = pageHeaderBytes
+	n.Leaf = leaf
+	n.Serialized = pageHeaderBytes
 	if !leaf {
 		n.pivotBytes = pageHeaderBytes
 	}
-	t.registerNode(n)
-	t.markDirty(n)
+	t.register(n)
+	t.core.MarkDirty(&n.Node)
 	return n
 }
 
-func (t *Tree) markDirty(n *node) {
-	if n.dirty {
-		return
-	}
-	n.dirty = true
-	t.core.TrackDirty(n.id)
+// register gives n its id and enters it in both tables.
+func (t *Tree) register(n *node) {
+	t.core.Register(&n.Node)
+	t.nodes = append(t.nodes, n)
 }
 
-func (t *Tree) clearDirty(n *node) {
-	if n.dirty {
-		n.dirty = false
-		t.core.NoteClean()
-	}
-	// The node's entry in the core's transition log stays behind;
-	// checkpoint snapshots filter on the dirty flag.
-}
-
-// ---- cowtree.Engine implementation ----
-
-// Root implements cowtree.Engine.
-func (t *Tree) Root() cowtree.NodeID { return t.root }
-
-// Parent implements cowtree.Engine.
-func (t *Tree) Parent(id cowtree.NodeID) cowtree.NodeID { return t.nodes[id].parent }
-
-// Leaf implements cowtree.Engine.
-func (t *Tree) Leaf(id cowtree.NodeID) bool { return t.nodes[id].leaf }
-
-// Children implements cowtree.Engine.
-func (t *Tree) Children(id cowtree.NodeID) []cowtree.NodeID { return t.nodes[id].children }
-
-// Dirty implements cowtree.Engine.
-func (t *Tree) Dirty(id cowtree.NodeID) bool { return t.nodes[id].dirty }
-
-// NeedsWrite implements cowtree.Engine.
-func (t *Tree) NeedsWrite(id cowtree.NodeID) bool {
-	n := t.nodes[id]
-	return n.dirty || n.disk.Pages == 0
-}
-
-// AppendNeedsWrite implements cowtree.Engine.
-func (t *Tree) AppendNeedsWrite(id cowtree.NodeID, dst []cowtree.NodeID) []cowtree.NodeID {
-	for _, c := range t.nodes[id].children {
-		if n := t.nodes[c]; n.dirty || n.disk.Pages == 0 {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-// Live implements cowtree.Engine (nodes are never deallocated).
-func (t *Tree) Live(id cowtree.NodeID) bool { return t.nodes[id] != nil }
-
-// DiskExtent implements cowtree.Engine.
-func (t *Tree) DiskExtent(id cowtree.NodeID) cowtree.Extent { return t.nodes[id].disk }
-
-// SerializedBytes implements cowtree.Engine.
-func (t *Tree) SerializedBytes(id cowtree.NodeID) int { return t.nodes[id].serialized }
-
-// MarkDirty implements cowtree.Engine.
-func (t *Tree) MarkDirty(id cowtree.NodeID) { t.markDirty(t.nodes[id]) }
-
-// WriteNode implements cowtree.Engine.
-func (t *Tree) WriteNode(now sim.Duration, id cowtree.NodeID) (sim.Duration, error) {
-	return t.writeNode(now, t.nodes[id])
+// AppendImage implements cowtree.Engine.
+func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
+	return serializeNode(dst, t.nodes[id], func(id nodeID) fileExtent {
+		return t.nodes[id].Disk
+	})
 }
 
 // Seq implements cowtree.Engine.
@@ -232,9 +169,7 @@ func (t *Tree) Stats() kv.EngineStats { return t.stats }
 // IO returns internal activity counters.
 func (t *Tree) IO() IOStats {
 	io := t.io
-	cio := t.core.IO()
-	io.Checkpoints = cio.Checkpoints
-	io.CheckpointPgs = cio.CheckpointPgs
+	io.IOStats = t.core.IO()
 	return io
 }
 
@@ -244,162 +179,9 @@ func (t *Tree) DiskUsageBytes() int64 { return t.fs.UsedBytes() }
 // Err returns the sticky fatal error, if any.
 func (t *Tree) Err() error { return t.core.Err() }
 
-// ---- cache (LRU over resident leaves; interiors pinned) ----
-
-func (t *Tree) admit(n *node) {
-	if n.resident {
-		t.touch(n)
-		return
-	}
-	n.resident = true
-	n.lruOlder = t.lruHead
-	n.lruNewer = nilNode
-	if t.lruHead != nilNode {
-		t.nodes[t.lruHead].lruNewer = n.id
-	}
-	t.lruHead = n.id
-	if t.lruTail == nilNode {
-		t.lruTail = n.id
-	}
-	t.residentBytes += int64(n.serialized)
-}
-
-func (t *Tree) touch(n *node) {
-	if t.lruHead == n.id {
-		return
-	}
-	if n.lruNewer != nilNode {
-		t.nodes[n.lruNewer].lruOlder = n.lruOlder
-	}
-	if n.lruOlder != nilNode {
-		t.nodes[n.lruOlder].lruNewer = n.lruNewer
-	}
-	if t.lruTail == n.id {
-		t.lruTail = n.lruNewer
-	}
-	n.lruOlder = t.lruHead
-	n.lruNewer = nilNode
-	if t.lruHead != nilNode {
-		t.nodes[t.lruHead].lruNewer = n.id
-	}
-	t.lruHead = n.id
-}
-
-func (t *Tree) unlink(n *node) {
-	if !n.resident {
-		return
-	}
-	if n.lruNewer != nilNode {
-		t.nodes[n.lruNewer].lruOlder = n.lruOlder
-	}
-	if n.lruOlder != nilNode {
-		t.nodes[n.lruOlder].lruNewer = n.lruNewer
-	}
-	if t.lruHead == n.id {
-		t.lruHead = n.lruOlder
-	}
-	if t.lruTail == n.id {
-		t.lruTail = n.lruNewer
-	}
-	n.resident = false
-	n.lruNewer, n.lruOlder = nilNode, nilNode
-	t.residentBytes -= int64(n.serialized)
-}
-
-// evictToFit writes back and drops LRU leaves until the cache fits,
-// charging the eviction I/O to the foreground.
-func (t *Tree) evictToFit(now sim.Duration) (sim.Duration, error) {
-	for t.residentBytes > t.cfg.CacheBytes {
-		victimID := t.lruTail
-		if victimID == nilNode {
-			break
-		}
-		victim := t.nodes[victimID]
-		if victim.id == t.root {
-			break // never evict a root leaf (pre-first-split only)
-		}
-		t.unlink(victim)
-		if victim.dirty {
-			var err error
-			now, err = t.writeNode(now, victim)
-			if err != nil {
-				t.core.Fail(err)
-				return now, err
-			}
-			t.io.EvictionWrites++
-		}
-		t.io.Evictions++
-	}
-	return now, nil
-}
-
-// writeNode reconciles a node to a fresh extent (copy-on-write). The old
-// location is released lazily at the next checkpoint commit.
-func (t *Tree) writeNode(now sim.Duration, n *node) (sim.Duration, error) {
-	ps := t.fs.PageSize()
-	np := int64((n.serialized + ps - 1) / ps)
-	if n.disk.Pages > 0 {
-		t.bm.ReleaseDeferred(n.disk)
-	}
-	ext, err := t.bm.Alloc(np)
-	if err != nil {
-		return now, err
-	}
-	var data []byte
-	if t.cfg.Content {
-		data = t.serializeImage(n, int(np)*ps)
-	}
-	done, err := t.file.WriteAt(now, ext.Start, int(np), data)
-	if err != nil {
-		return now, err
-	}
-	n.disk = ext
-	n.everOnDisk = true
-	t.clearDirty(n)
-	if n.parent != nilNode {
-		t.markDirty(t.nodes[n.parent])
-	}
-	return done, nil
-}
-
-// serializeImage produces the zero-padded on-disk image of a node in the
-// tree's reused write buffer (the block device copies written bytes, so
-// aliasing the scratch across writes is safe).
-func (t *Tree) serializeImage(n *node, size int) []byte {
-	buf := serializeNode(t.writeBuf[:0], n, func(id nodeID) fileExtent {
-		return t.nodes[id].disk
-	})
-	if cap(buf) < size {
-		grown := make([]byte, size)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		ln := len(buf)
-		buf = buf[:size]
-		clear(buf[ln:])
-	}
-	t.writeBuf = buf
-	return buf
-}
-
-// loadLeaf charges the read I/O for a non-resident leaf and admits it.
-func (t *Tree) loadLeaf(now sim.Duration, n *node) (sim.Duration, error) {
-	if n.resident {
-		t.io.CacheHits++
-		t.touch(n)
-		return now, nil
-	}
-	t.io.CacheMisses++
-	if n.everOnDisk {
-		var err error
-		now, err = t.file.ReadAt(now, n.disk.Start, int(n.disk.Pages), nil)
-		if err != nil {
-			return now, err
-		}
-	}
-	t.admit(n)
-	return now, nil
-}
+// Check audits the structure the core keeps for the tree (today: the
+// leaf cache).
+func (t *Tree) Check() error { return t.core.CheckCache() }
 
 // Put implements kv.Engine.
 func (t *Tree) Put(now sim.Duration, key, value []byte, valueLen int) (sim.Duration, error) {
@@ -449,7 +231,7 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	t.stats.Puts++
 	t.stats.UserBytesWritten += int64(len(key) + valueLen)
 
-	now, err = t.evictToFit(now)
+	now, err = t.core.EvictToFit(now)
 	if err != nil {
 		return now, err
 	}
@@ -476,16 +258,15 @@ func (t *Tree) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 // buffer capacity (flushing down when it overflows), or straight into
 // the root leaf / down the spine when buffering is off (ε = 1).
 func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
-	root := t.nodes[t.root]
-	if root.leaf {
+	root := t.nodes[t.core.Root()]
+	if root.Leaf {
 		var err error
-		now, err = t.loadLeaf(now, root)
+		now, err = t.core.Load(now, &root.Node)
 		if err != nil {
 			return now, err
 		}
-		delta := root.insertLeaf(&t.mem, msg, val)
-		t.residentBytes += int64(delta)
-		t.markDirty(root)
+		t.core.Resize(root.insertLeaf(&t.mem, msg, val))
+		t.core.MarkDirty(&root.Node)
 		t.splitLeafToFit(root)
 		return now, nil
 	}
@@ -494,7 +275,7 @@ func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, e
 		return t.applyToLeaf(now, msg, val)
 	}
 	root.bufInsert(&t.mem, msg, val, false)
-	t.markDirty(root)
+	t.core.MarkDirty(&root.Node)
 	return t.drainOverflow(now)
 }
 
@@ -503,8 +284,8 @@ func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, e
 func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 	var err error
 	for {
-		root := t.nodes[t.root] // flushing can grow a new root
-		if !root.leaf && root.bufBytes > t.bufferMax {
+		root := t.nodes[t.core.Root()] // flushing can grow a new root
+		if !root.Leaf && root.bufBytes > t.bufferMax {
 			if now, err = t.flushInterior(now, root); err != nil {
 				return now, err
 			}
@@ -516,7 +297,7 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 		id := t.overfull[len(t.overfull)-1]
 		t.overfull = t.overfull[:len(t.overfull)-1]
 		n := t.nodes[id]
-		for !n.leaf && n.bufBytes > t.bufferMax {
+		for !n.Leaf && n.bufBytes > t.bufferMax {
 			if now, err = t.flushInterior(now, n); err != nil {
 				return now, err
 			}
@@ -527,18 +308,17 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 // applyToLeaf descends to the leaf covering the message key and inserts
 // it there (the ε = 1 degenerate path).
 func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
-	n := t.nodes[t.root]
-	for !n.leaf {
-		n = t.nodes[n.children[n.childFor(msg.key)]]
+	n := t.nodes[t.core.Root()]
+	for !n.Leaf {
+		n = t.nodes[n.Children[n.childFor(msg.key)]]
 	}
 	var err error
-	now, err = t.loadLeaf(now, n)
+	now, err = t.core.Load(now, &n.Node)
 	if err != nil {
 		return now, err
 	}
-	delta := n.insertLeaf(&t.mem, msg, val)
-	t.residentBytes += int64(delta)
-	t.markDirty(n)
+	t.core.Resize(n.insertLeaf(&t.mem, msg, val))
+	t.core.MarkDirty(&n.Node)
 	t.splitLeafToFit(n)
 	return now, nil
 }
@@ -554,36 +334,32 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 		return now, nil
 	}
 	batch := n.bufs[bestCi]
-	child := t.nodes[n.children[bestCi]]
+	child := t.nodes[n.Children[bestCi]]
 	t.io.BufferFlushes++
 	t.io.FlushedMessages += int64(len(batch))
 
 	var err error
-	if child.leaf {
-		now, err = t.loadLeaf(now, child)
+	if child.Leaf {
+		now, err = t.core.Load(now, &child.Node)
 		if err != nil {
 			return now, err
 		}
-		delta := child.insertBatch(&t.mem, batch)
-		if child.resident {
-			t.residentBytes += int64(delta)
-		}
-		t.markDirty(child)
+		t.core.Resize(child.insertBatch(&t.mem, batch))
 	} else {
 		for i := range batch {
 			child.bufInsert(&t.mem, batch[i], nil, true)
 		}
-		t.markDirty(child)
 	}
+	t.core.MarkDirty(&child.Node)
 
 	// The batch's messages now live in the child: retire its array.
 	t.mem.msgs.Put(batch)
 	n.bufs[bestCi], n.bufSizes[bestCi] = nil, 0
 	n.bufBytes -= bestBytes
-	n.serialized -= bestBytes
-	t.markDirty(n)
+	n.Serialized -= bestBytes
+	t.core.MarkDirty(&n.Node)
 
-	if child.leaf {
+	if child.Leaf {
 		t.splitLeafToFit(child)
 	} else {
 		// One batch may not be enough when the child was already near
@@ -603,19 +379,19 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 // can leave it several times over budget) and propagates interior
 // splits.
 func (t *Tree) splitLeafToFit(leaf *node) {
-	for leaf.serialized > t.cfg.LeafPageBytes && len(leaf.entries) > 1 {
-		t.nextID++
-		right, sep := leaf.splitLeaf(&t.mem, t.slab.Get(), t.nextID)
-		t.registerNode(right)
-		t.markDirty(right)
-		t.markDirty(leaf)
+	for leaf.Serialized > t.cfg.LeafPageBytes && len(leaf.entries) > 1 {
+		right := t.slab.Get()
+		t.register(right)
+		sep := leaf.splitLeaf(&t.mem, right)
+		t.core.MarkDirty(&right.Node)
+		t.core.MarkDirty(&leaf.Node)
 		t.io.LeafSplits++
-		if leaf.resident {
-			t.admit(right)
-			// admit charged right.serialized, but the moved entries were
+		if leaf.Resident {
+			t.core.Admit(&right.Node)
+			// Admit charged right.Serialized, but the moved entries were
 			// already counted while they lived in leaf; only the new page
 			// header is genuinely new.
-			t.residentBytes -= int64(right.serialized - pageHeaderBytes)
+			t.core.Resize(pageHeaderBytes - right.Serialized)
 		}
 		t.insertIntoParent(leaf, sep, right)
 		t.splitLeafToFit(right)
@@ -625,23 +401,23 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 // insertIntoParent links a new right sibling under the parent, splitting
 // interiors (and growing a new root) as needed.
 func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
-	if left.id == t.root {
+	if left.ID == t.core.Root() {
 		newRoot := t.newNode(false)
-		newRoot.children = []nodeID{left.id, right.id}
+		newRoot.Children = []nodeID{left.ID, right.ID}
 		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
 		newRoot.bufs, newRoot.bufSizes = make([][]message, 2), make([]int, 2)
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
-		left.parent = newRoot.id
-		right.parent = newRoot.id
-		t.root = newRoot.id
+		left.Parent = newRoot.ID
+		right.Parent = newRoot.ID
+		t.core.SetRoot(newRoot.ID)
 		return
 	}
-	parent := t.nodes[left.parent]
-	idx := parent.childIndex(left.id)
-	parent.insertChild(&t.mem, idx, sep, right.id)
-	right.parent = parent.id
-	t.markDirty(parent)
+	parent := t.nodes[left.Parent]
+	idx := parent.childIndex(left.ID)
+	parent.insertChild(&t.mem, idx, sep, right.ID)
+	right.Parent = parent.ID
+	t.core.MarkDirty(&parent.Node)
 	if parent.pivotBytes > t.pivotMax {
 		t.splitInteriorNode(parent)
 	}
@@ -651,20 +427,20 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 // and reparents moved children. A half left over its buffer budget is
 // queued for the apply path to flush.
 func (t *Tree) splitInteriorNode(n *node) {
-	t.nextID++
-	right, promoted := n.splitInterior(t.slab.Get(), t.nextID)
-	t.registerNode(right)
-	t.markDirty(right)
-	t.markDirty(n)
+	right := t.slab.Get()
+	t.register(right)
+	promoted := n.splitInterior(right)
+	t.core.MarkDirty(&right.Node)
+	t.core.MarkDirty(&n.Node)
 	t.io.InteriorSplits++
-	for _, c := range right.children {
-		t.nodes[c].parent = right.id
+	for _, c := range right.Children {
+		t.nodes[c].Parent = right.ID
 	}
 	if n.bufBytes > t.bufferMax {
-		t.overfull = append(t.overfull, n.id)
+		t.overfull = append(t.overfull, n.ID)
 	}
 	if right.bufBytes > t.bufferMax {
-		t.overfull = append(t.overfull, right.id)
+		t.overfull = append(t.overfull, right.ID)
 	}
 	t.insertIntoParent(n, promoted, right)
 }
@@ -684,8 +460,8 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	now += t.cfg.CPUGetTime
 	t.stats.Gets++
 
-	n := t.nodes[t.root]
-	for !n.leaf {
+	n := t.nodes[t.core.Root()]
+	for !n.Leaf {
 		ci := n.childFor(key)
 		if m := n.bufGet(ci, key); m != nil {
 			t.io.BufferHits++
@@ -695,15 +471,15 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 			t.stats.UserBytesRead += int64(len(key)) + int64(m.vlen)
 			return now, m.val(), true, nil
 		}
-		n = t.nodes[n.children[ci]]
+		n = t.nodes[n.Children[ci]]
 	}
 	var err error
-	now, err = t.loadLeaf(now, n)
+	now, err = t.core.Load(now, &n.Node)
 	if err != nil {
 		t.core.Fail(err)
 		return now, nil, false, err
 	}
-	now, err = t.evictToFit(now)
+	now, err = t.core.EvictToFit(now)
 	if err != nil {
 		return now, nil, false, err
 	}
@@ -751,14 +527,14 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	}
 
 	// Descend to the first leaf covering start.
-	leaf := t.nodes[t.root]
-	for !leaf.leaf {
-		leaf = t.nodes[leaf.children[leaf.childFor(start)]]
+	leaf := t.nodes[t.core.Root()]
+	for !leaf.Leaf {
+		leaf = t.nodes[leaf.Children[leaf.childFor(start)]]
 	}
 	idx := leaf.search(start)
 	for limit > 0 && leaf != nil {
 		var err error
-		now, err = t.loadLeaf(now, leaf)
+		now, err = t.core.Load(now, &leaf.Node)
 		if err != nil {
 			t.core.Fail(err)
 			return now, nil, err
@@ -790,13 +566,13 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 				emit(le)
 			}
 		}
-		if now, err = t.evictToFit(now); err != nil {
+		if now, err = t.core.EvictToFit(now); err != nil {
 			return now, nil, err
 		}
-		if limit <= 0 || leaf.next == nilNode {
+		if limit <= 0 || leaf.Next == nilNode {
 			break
 		}
-		leaf = t.nodes[leaf.next]
+		leaf = t.nodes[leaf.Next]
 		idx = 0
 	}
 	// Buffered keys beyond the last leaf entry.
@@ -849,7 +625,7 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 	var walk func(id nodeID)
 	walk = func(id nodeID) {
 		n := t.nodes[id]
-		if n.leaf {
+		if n.Leaf {
 			return
 		}
 		first := n.childFor(start)
@@ -857,11 +633,11 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 		if c.head() != nil {
 			s.cursors = append(s.cursors, c)
 		}
-		for ci := first; ci < len(n.children); ci++ {
-			walk(n.children[ci])
+		for ci := first; ci < len(n.Children); ci++ {
+			walk(n.Children[ci])
 		}
 	}
-	walk(t.root)
+	walk(t.core.Root())
 	return s
 }
 
@@ -933,10 +709,10 @@ func (t *Tree) Close(now sim.Duration) (sim.Duration, error) {
 // Depth returns the tree height (1 = root leaf only).
 func (t *Tree) Depth() int {
 	d := 1
-	n := t.nodes[t.root]
-	for !n.leaf {
+	n := t.nodes[t.core.Root()]
+	for !n.Leaf {
 		d++
-		n = t.nodes[n.children[0]]
+		n = t.nodes[n.Children[0]]
 	}
 	return d
 }
@@ -947,7 +723,7 @@ func (t *Tree) NodeCount() (leaves, interiors int) {
 		if n == nil {
 			continue
 		}
-		if n.leaf {
+		if n.Leaf {
 			leaves++
 		} else {
 			interiors++
@@ -961,7 +737,7 @@ func (t *Tree) NodeCount() (leaves, interiors int) {
 func (t *Tree) BufferedBytes() int64 {
 	var b int64
 	for _, n := range t.nodes {
-		if n != nil && !n.leaf {
+		if n != nil && !n.Leaf {
 			b += int64(n.bufBytes)
 		}
 	}

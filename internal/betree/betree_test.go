@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
@@ -338,7 +339,7 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 }
 
 func TestNodeSerializationRoundTrip(t *testing.T) {
-	leaf := &node{leaf: true, serialized: pageHeaderBytes}
+	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
 	var m mem
 	leaf.insertLeaf(&m, message{key: kv.EncodeKey(1), seq: 7, vlen: 3}, []byte("abc"))
 	leaf.insertLeaf(&m, message{key: kv.EncodeKey(2), seq: 9, vlen: 64, del: true}, nil)
@@ -358,8 +359,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	}
 
 	interior := &node{
-		leaf:     false,
-		children: []nodeID{1, 2, 3},
+		Node:     cowtree.Node{Children: []nodeID{1, 2, 3}},
 		seps:     [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)},
 		bufs:     make([][]message, 3),
 		bufSizes: make([]int, 3),
@@ -371,7 +371,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, ok = parseNode(data)
-	if !ok || len(got.children) != 3 || len(got.seps) != 2 {
+	if !ok || len(got.Children) != 3 || len(got.seps) != 2 {
 		t.Fatalf("interior round trip: %+v %v", got, ok)
 	}
 	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 {
@@ -440,24 +440,8 @@ func TestLRUConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var forward int64
-	count := 0
-	for id := tr.lruHead; id != nilNode; id = tr.nodes[id].lruOlder {
-		n := tr.nodes[id]
-		if !n.resident {
-			t.Fatal("non-resident node on LRU list")
-		}
-		if !n.leaf {
-			t.Fatal("interior node on LRU list")
-		}
-		forward += int64(n.serialized)
-		count++
-		if count > len(tr.nodes) {
-			t.Fatal("LRU list cycle")
-		}
-	}
-	if forward != tr.residentBytes {
-		t.Fatalf("LRU bytes %d != residentBytes %d", forward, tr.residentBytes)
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/workload"
@@ -24,19 +25,19 @@ import (
 func checkTree(t *testing.T, tr *Tree) {
 	t.Helper()
 	for _, n := range tr.nodes[1:] {
-		if n.leaf {
+		if n.Leaf {
 			sz := pageHeaderBytes
 			for i := range n.entries {
 				sz += n.entries[i].bytes()
 			}
-			if sz != n.serialized {
-				t.Fatalf("leaf %d serialized %d, recomputed %d", n.id, n.serialized, sz)
+			if sz != n.Serialized {
+				t.Fatalf("leaf %d serialized %d, recomputed %d", n.ID, n.Serialized, sz)
 			}
 			continue
 		}
 		checkInterior(t, n)
 		if n.bufBytes > tr.bufferMax {
-			t.Fatalf("node %d buffer %d over budget %d", n.id, n.bufBytes, tr.bufferMax)
+			t.Fatalf("node %d buffer %d over budget %d", n.ID, n.bufBytes, tr.bufferMax)
 		}
 	}
 	if len(tr.overfull) != 0 {
@@ -48,39 +49,39 @@ func checkTree(t *testing.T, tr *Tree) {
 // invariants (see checkTree).
 func checkInterior(t *testing.T, n *node) {
 	t.Helper()
-	if len(n.bufs) != len(n.children) || len(n.bufSizes) != len(n.children) || len(n.seps)+1 != len(n.children) {
+	if len(n.bufs) != len(n.Children) || len(n.bufSizes) != len(n.Children) || len(n.seps)+1 != len(n.Children) {
 		t.Fatalf("node %d: %d bufs, %d bufSizes, %d seps for %d children",
-			n.id, len(n.bufs), len(n.bufSizes), len(n.seps), len(n.children))
+			n.ID, len(n.bufs), len(n.bufSizes), len(n.seps), len(n.Children))
 	}
 	total := 0
 	for ci, buf := range n.bufs {
 		bb := 0
 		for i := range buf {
 			if got := n.childFor(buf[i].key); got != ci {
-				t.Fatalf("node %d: buffer %d holds a key of child %d", n.id, ci, got)
+				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
 			}
 			if i > 0 && kv.CompareKeys(buf[i-1].key, buf[i].key) >= 0 {
-				t.Fatalf("node %d buffer %d out of order", n.id, ci)
+				t.Fatalf("node %d buffer %d out of order", n.ID, ci)
 			}
 			bb += buf[i].bytes()
 		}
 		if bb != n.bufSizes[ci] {
-			t.Fatalf("node %d bufSizes[%d] %d, recomputed %d", n.id, ci, n.bufSizes[ci], bb)
+			t.Fatalf("node %d bufSizes[%d] %d, recomputed %d", n.ID, ci, n.bufSizes[ci], bb)
 		}
 		total += bb
 	}
 	if total != n.bufBytes {
-		t.Fatalf("node %d bufBytes %d, recomputed %d", n.id, n.bufBytes, total)
+		t.Fatalf("node %d bufBytes %d, recomputed %d", n.ID, n.bufBytes, total)
 	}
-	pv := pageHeaderBytes + childRefBytes*len(n.children)
+	pv := pageHeaderBytes + childRefBytes*len(n.Children)
 	for _, sep := range n.seps {
 		pv += 2 + len(sep)
 	}
 	if pv != n.pivotBytes {
-		t.Fatalf("node %d pivotBytes %d, recomputed %d", n.id, n.pivotBytes, pv)
+		t.Fatalf("node %d pivotBytes %d, recomputed %d", n.ID, n.pivotBytes, pv)
 	}
-	if n.serialized != pv+total {
-		t.Fatalf("node %d serialized %d != pivot %d + buf %d", n.id, n.serialized, pv, total)
+	if n.Serialized != pv+total {
+		t.Fatalf("node %d serialized %d != pivot %d + buf %d", n.ID, n.Serialized, pv, total)
 	}
 }
 
@@ -99,28 +100,28 @@ func sameMessage(a, b *message) bool {
 func checkRoundTrip(t *testing.T, n *node) {
 	t.Helper()
 	img := serializeNode(nil, n, nil)
-	if len(img) != n.serialized {
-		t.Fatalf("node %d image is %d bytes, accounted %d", n.id, len(img), n.serialized)
+	if len(img) != n.Serialized {
+		t.Fatalf("node %d image is %d bytes, accounted %d", n.ID, len(img), n.Serialized)
 	}
 	msgs := 0
 	for _, buf := range n.bufs {
 		msgs += len(buf)
 	}
 	if got := int(binary.LittleEndian.Uint32(img[12:])); got != msgs {
-		t.Fatalf("node %d header counts %d messages, buffers hold %d", n.id, got, msgs)
+		t.Fatalf("node %d header counts %d messages, buffers hold %d", n.ID, got, msgs)
 	}
 	got, ok := parseNode(img)
 	if !ok {
-		t.Fatalf("node %d image does not parse", n.id)
+		t.Fatalf("node %d image does not parse", n.ID)
 	}
 	if len(got.bufs) != len(n.bufs) || !slices.Equal(got.bufSizes, n.bufSizes) || got.bufBytes != n.bufBytes {
 		t.Fatalf("node %d re-partition: %d buffers sizes %v total %d, want %d %v %d",
-			n.id, len(got.bufs), got.bufSizes, got.bufBytes, len(n.bufs), n.bufSizes, n.bufBytes)
+			n.ID, len(got.bufs), got.bufSizes, got.bufBytes, len(n.bufs), n.bufSizes, n.bufBytes)
 	}
 	for ci := range n.bufs {
 		if len(got.bufs[ci]) != len(n.bufs[ci]) {
 			t.Fatalf("node %d buffer %d: %d messages after the round trip, want %d",
-				n.id, ci, len(got.bufs[ci]), len(n.bufs[ci]))
+				n.ID, ci, len(got.bufs[ci]), len(n.bufs[ci]))
 		}
 		for i := range n.bufs[ci] {
 			want := n.bufs[ci][i]
@@ -128,7 +129,7 @@ func checkRoundTrip(t *testing.T, n *node) {
 				want.key = append(want.key[:len(want.key):len(want.key)], make([]byte, want.vlen)...)[:len(want.key)]
 			}
 			if !sameMessage(&got.bufs[ci][i], &want) {
-				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.id, ci, i)
+				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.ID, ci, i)
 			}
 		}
 	}
@@ -213,9 +214,9 @@ func runBufferModel(t *testing.T, sh modelShape) {
 				binary.LittleEndian.PutUint32(val, uint32(step))
 			}
 			// Predict the flush this step's root insert may trigger.
-			root := tr.nodes[tr.root]
+			root := tr.nodes[tr.core.Root()]
 			want = want[:0]
-			if !root.leaf && tr.bufferMax > 0 {
+			if !root.Leaf && tr.bufferMax > 0 {
 				want = append(want, root.bufSizes...)
 				ci := root.childFor(key)
 				want[ci] += msgOverhead + len(key) + len(val)
@@ -236,7 +237,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if len(want) > 0 && tr.root == root.id && len(root.bufSizes) == len(want) {
+			if len(want) > 0 && tr.core.Root() == root.ID && len(root.bufSizes) == len(want) {
 				// No child of the root split, so its buffers changed only
 				// by its own flushes (whatever cascaded below): while it
 				// is over budget the busiest child's buffer goes, the
@@ -266,7 +267,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 					// A new interior node that is not the root is a split's
 					// right half; nothing flushes into it within the step
 					// that made it, so what it holds it took with it.
-					if !n.leaf && n.id != tr.root && n.bufBytes > 0 {
+					if !n.Leaf && n.ID != tr.core.Root() && n.bufBytes > 0 {
 						reached.rightTookBuffers++
 					}
 				}
@@ -299,7 +300,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 		if step%checkEvery == checkEvery-1 {
 			checkTree(t, tr)
 			for _, n := range tr.nodes[1:] {
-				if n.leaf {
+				if n.Leaf {
 					continue
 				}
 				checkRoundTrip(t, n)
@@ -485,7 +486,7 @@ func dropBuffer(mm *mem, n *node, ci, size int) {
 	mm.msgs.Put(n.bufs[ci])
 	n.bufs[ci], n.bufSizes[ci] = nil, 0
 	n.bufBytes -= size
-	n.serialized -= size
+	n.Serialized -= size
 }
 
 // checkAgainstFlat asserts the node's buffers, read in child order, are
@@ -527,7 +528,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 		cutBoth, cutAllLeft, cutAllRight, cutEmpty                            int
 		nodeSplits, splitMovedBuffers                                         int
 	}
-	n := &node{children: []nodeID{1}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
+	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
 	n.recomputeSerialized()
 	n.refreshSepCache()
 	f := &flatNode{}
@@ -611,7 +612,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			f.remove(start, end, fsize)
 		case op < 98: // a child splits at a fresh separator
 			sep := kv.EncodeKey(rng.Uint64n(keySpace))
-			if isSep(sep) || len(n.children) >= 40 {
+			if isSep(sep) || len(n.Children) >= 40 {
 				continue
 			}
 			idx := n.childFor(sep)
@@ -641,7 +642,8 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			if len(n.seps) < 3 {
 				continue
 			}
-			right, promoted := n.splitInterior(&node{}, 1000)
+			right := &node{}
+			promoted := n.splitInterior(right)
 			fright := f.split(&fm)
 			for ci, buf := range right.bufs {
 				if len(buf) > 0 && kv.CompareKeys(buf[0].key, promoted) < 0 {
@@ -689,7 +691,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 // bytes in memory, zeros of its accounted length on disk).
 func TestMessageCodecKinds(t *testing.T) {
 	var mm mem
-	n := &node{children: []nodeID{1}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
+	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
 	key := kv.EncodeKey(9)
 	roundTrip := func(m *message) message {
 		t.Helper()
@@ -798,21 +800,21 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 	}
 	// Both interior levels hold overwrites (of a key some leaf has) and
 	// tombstones.
-	level := map[nodeID]int{tr.root: 0}
+	level := map[nodeID]int{tr.core.Root(): 0}
 	var live, dead [2]int
 	for _, n := range tr.nodes[1:] {
-		if n.leaf {
+		if n.Leaf {
 			continue
 		}
-		if n.id != tr.root {
-			level[n.id] = 1 // any interior below the root
+		if n.ID != tr.core.Root() {
+			level[n.ID] = 1 // any interior below the root
 		}
 		for _, buf := range n.bufs {
 			for i := range buf {
 				if buf[i].del {
-					dead[level[n.id]]++
+					dead[level[n.ID]]++
 				} else {
-					live[level[n.id]]++
+					live[level[n.ID]]++
 				}
 			}
 		}
@@ -931,7 +933,7 @@ func BenchmarkBufferInsert(b *testing.B) {
 	}
 	b.Run("partitioned", func(b *testing.B) {
 		var mm mem
-		n := &node{seps: seps, children: make([]nodeID, children),
+		n := &node{seps: seps, Node: cowtree.Node{Children: make([]nodeID, children)},
 			bufs: make([][]message, children), bufSizes: make([]int, children)}
 		n.refreshSepCache()
 		run(b, func(m message) {

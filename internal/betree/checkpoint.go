@@ -7,13 +7,10 @@ import (
 	"ptsbench/internal/kv"
 )
 
-// The checkpoint discipline — dirty-ancestor-closure snapshot, bottom-up
-// write order, writeSubtreeClean for split-orphaned descendants, the
-// root-spine write at commit, journal rotation/recycling and the
-// double-buffered metadata — lives in internal/cowtree. What makes the
-// Bε-tree's checkpoints distinctive is purely a codec property kept
-// here: interior images carry their message buffers, which is what makes
-// buffered-but-unflushed updates durable.
+// The checkpoint discipline and the copy-on-write node write live in
+// internal/cowtree. What makes the Bε-tree's checkpoints distinctive is
+// purely a codec property kept here: interior images carry their message
+// buffers, which is what makes buffered-but-unflushed updates durable.
 
 // nodeMagic marks a serialized Bε-tree node ("BEPG").
 const nodeMagic = 0x42455047
@@ -69,7 +66,7 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 	base := len(out)
 	out = append(out, hdr[:]...)
 	binary.LittleEndian.PutUint32(out[base:], nodeMagic)
-	if n.leaf {
+	if n.Leaf {
 		out[base+4] = 1
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(n.entries)))
 		for i := range n.entries {
@@ -89,7 +86,7 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		out = append(out, l[:]...)
 		out = append(out, sep...)
 	}
-	for _, c := range n.children {
+	for _, c := range n.Children {
 		var ext fileExtent
 		if resolve != nil {
 			ext = resolve(c)
@@ -116,10 +113,10 @@ func parseNode(data []byte) (*node, bool) {
 	if binary.LittleEndian.Uint32(data[0:]) != nodeMagic {
 		return nil, false
 	}
-	n := &node{leaf: data[4] == 1}
+	n := &node{Node: cowtree.Node{Leaf: data[4] == 1}}
 	count := int(binary.LittleEndian.Uint32(data[8:]))
 	off := pageHeaderBytes
-	if n.leaf {
+	if n.Leaf {
 		for i := 0; i < count; i++ {
 			m, used := parseMessage(data[off:])
 			if used == 0 {
@@ -151,7 +148,7 @@ func parseNode(data []byte) (*node, bool) {
 			Start: int64(binary.LittleEndian.Uint64(data[off:])),
 			Pages: int64(binary.LittleEndian.Uint32(data[off+8:])),
 		})
-		n.children = append(n.children, nilNode) // assigned during rebuild
+		n.Children = append(n.Children, nilNode) // assigned during rebuild
 		off += childRefBytes
 	}
 	n.bufs, n.bufSizes = make([][]message, count+1), make([]int, count+1)

@@ -93,22 +93,22 @@ func (mm *mem) own(m *message, val, resident []byte) {
 	m.key = b[:len(m.key)]
 }
 
-// node is an in-memory Bε-tree node. Leaves carry entries; interior
-// nodes carry separator keys, children and one message buffer per child
-// (one message per key — a newer update overwrites the buffered older
-// one, which is the classic upsert collapse).
+// node is an in-memory Bε-tree node: the shared node header (identity,
+// tree position, child ids, dirty flag, on-disk extent, cache residency
+// — see cowtree.Node) plus the payload. Leaves carry entries; interior
+// nodes carry separator keys beside the header's Children and one
+// message buffer per child (one message per key — a newer update
+// overwrites the buffered older one, which is the classic upsert
+// collapse).
 type node struct {
-	id     nodeID
-	parent nodeID
-	leaf   bool
+	cowtree.Node
 
 	// Leaf payload, sorted by key.
 	entries []message
 
-	// Interior payload: children[i] holds keys < seps[i] for
-	// i < len(seps); children[len(seps)] holds the rest.
-	seps     [][]byte
-	children []nodeID
+	// Interior payload: Children[i] holds keys < seps[i] for
+	// i < len(seps); Children[len(seps)] holds the rest.
+	seps [][]byte
 
 	// sepCache holds the separators' word decomposition so descents
 	// probe raw uint64 pairs (see kv.SepCache); maintained by
@@ -116,7 +116,7 @@ type node struct {
 	sepCache kv.SepCache
 
 	// bufs[ci] buffers exactly the messages childFor routes to
-	// children[ci], sorted by key, in an array sized to what it holds, so
+	// Children[ci], sorted by key, in an array sized to what it holds, so
 	// the buffers in child order are the node's messages in key order.
 	// bufSizes[ci] is its serialized footprint and bufBytes their sum.
 	bufs     [][]message
@@ -127,26 +127,11 @@ type node struct {
 	// (recovery): the on-disk locations of the children, in child order.
 	childExtents []fileExtent
 
-	// serialized is the full serialized size (pivot section + buffer for
-	// interiors; header + entries for leaves). pivotBytes tracks the
-	// pivot section alone — the quantity the fanout budget bounds.
-	serialized int
+	// The header's Serialized is the full serialized size (pivot section
+	// + buffer for interiors; header + entries for leaves). pivotBytes
+	// tracks the pivot section alone — the quantity the fanout budget
+	// bounds.
 	pivotBytes int
-
-	dirty bool
-
-	// On-disk location (pages within the collection file); pages==0
-	// means never written.
-	disk fileExtent
-
-	// Cache bookkeeping (leaves only): resident leaves form an LRU list.
-	resident   bool
-	lruNewer   nodeID
-	lruOlder   nodeID
-	everOnDisk bool
-
-	// next chains leaves left-to-right for range scans.
-	next nodeID
 }
 
 // searchMsgs returns the index of the first message in msgs with
@@ -204,7 +189,7 @@ func (n *node) childFor(target []byte) int {
 
 // childIndex returns the position of child id.
 func (n *node) childIndex(id nodeID) int {
-	for i, c := range n.children {
+	for i, c := range n.Children {
 		if c == id {
 			return i
 		}
@@ -266,7 +251,7 @@ func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
 	}
 	n.bufSizes[ci] += delta
 	n.bufBytes += delta
-	n.serialized += delta
+	n.Serialized += delta
 	return delta
 }
 
@@ -289,7 +274,7 @@ func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
 		mm.own(&m, val, nil)
 		n.entries = mm.msgs.GrowInsert(n.entries, i, m)
 	}
-	n.serialized += delta
+	n.Serialized += delta
 	return delta
 }
 
@@ -323,7 +308,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 		delta += m.bytes()
 	}
 	mm.scratch = toIns[:0]
-	n.serialized += delta
+	n.Serialized += delta
 	if len(toIns) == 0 {
 		return delta
 	}
@@ -364,28 +349,27 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 	return delta
 }
 
-// splitLeaf moves the upper half of the entries into right (a fresh
-// slab-allocated node) and returns it with the separator key (first key
-// of the new node). Each half ends up in a pooled array of the capacity
+// splitLeaf moves the upper half of the entries into right (a fresh,
+// registered node) and returns the separator key (first key of the new
+// node). Each half ends up in a pooled array of the capacity
 // class its length calls for: a batch flush grows a leaf to the batch
 // size and splitLeafToFit then halves it repeatedly, so a left half that
 // kept the array it was cut from would leave N log N slots for N entries.
-func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
+func (n *node) splitLeaf(mm *mem, right *node) []byte {
 	mid := len(n.entries) / 2
-	right.id = newID
-	right.parent = n.parent
-	right.leaf = true
+	right.Parent = n.Parent
+	right.Leaf = true
 	right.entries = mm.msgs.CloneTail(n.entries, mid)
 	var movedBytes int
 	for i := mid; i < len(n.entries); i++ {
 		movedBytes += n.entries[i].bytes()
 	}
-	right.serialized = pageHeaderBytes + movedBytes
+	right.Serialized = pageHeaderBytes + movedBytes
 	n.entries = mm.msgs.Fit(n.entries[:mid])
-	n.serialized -= movedBytes
-	right.next = n.next
-	n.next = right.id
-	return right, right.entries[0].key
+	n.Serialized -= movedBytes
+	right.Next = n.Next
+	n.Next = right.ID
+	return right.entries[0].key
 }
 
 // insertChild adds a separator and child after position idx — child idx
@@ -396,7 +380,7 @@ func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
 // The separator copy comes from the tree's arena.
 func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 	n.seps = slices.Insert(n.seps, idx, mm.arena.Clone(sep))
-	n.children = slices.Insert(n.children, idx+1, child)
+	n.Children = slices.Insert(n.Children, idx+1, child)
 	buf := n.bufs[idx]
 	tail := mm.msgs.CloneTail(buf, searchMsgs(buf, sep))
 	moved := 0
@@ -409,7 +393,7 @@ func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 	n.bufSizes = slices.Insert(n.bufSizes, idx+1, moved)
 	delta := 2 + len(sep) + childRefBytes
 	n.pivotBytes += delta
-	n.serialized += delta
+	n.Serialized += delta
 	n.insertSepCache(idx, n.seps[idx])
 }
 
@@ -418,16 +402,14 @@ func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 func (n *node) insertSepCache(idx int, sep []byte) { n.sepCache.Insert(idx, sep) }
 
 // splitInterior moves the upper half of an interior node (pivots AND
-// their children's buffers, whole) into right (a fresh slab-allocated
-// node), returning it and the separator promoted to the parent.
-func (n *node) splitInterior(right *node, newID nodeID) (*node, []byte) {
+// their children's buffers, whole) into right (a fresh, registered
+// node), returning the separator promoted to the parent.
+func (n *node) splitInterior(right *node) []byte {
 	mid := len(n.seps) / 2
 	promoted := n.seps[mid]
-	right.id = newID
-	right.parent = n.parent
-	right.leaf = false
+	right.Parent = n.Parent
 	right.seps = append([][]byte(nil), n.seps[mid+1:]...)
-	right.children = append([]nodeID(nil), n.children[mid+1:]...)
+	right.Children = append([]nodeID(nil), n.Children[mid+1:]...)
 	right.bufs = append([][]message(nil), n.bufs[mid+1:]...)
 	right.bufSizes = append([]int(nil), n.bufSizes[mid+1:]...)
 	for _, b := range right.bufSizes {
@@ -436,25 +418,25 @@ func (n *node) splitInterior(right *node, newID nodeID) (*node, []byte) {
 	n.bufBytes -= right.bufBytes
 
 	n.seps = n.seps[:mid]
-	n.children = n.children[:mid+1]
+	n.Children = n.Children[:mid+1]
 	n.bufs = n.bufs[:mid+1]
 	n.bufSizes = n.bufSizes[:mid+1]
 	n.recomputeSerialized()
 	n.refreshSepCache()
 	right.recomputeSerialized()
 	right.refreshSepCache()
-	return right, promoted
+	return promoted
 }
 
 // recomputeSerialized recalculates an interior node's pivot and total
 // footprints from scratch.
 func (n *node) recomputeSerialized() {
-	s := pageHeaderBytes + childRefBytes*len(n.children)
+	s := pageHeaderBytes + childRefBytes*len(n.Children)
 	for _, sep := range n.seps {
 		s += 2 + len(sep)
 	}
 	n.pivotBytes = s
-	n.serialized = s + n.bufBytes
+	n.Serialized = s + n.bufBytes
 }
 
 func cloneBytes(b []byte) []byte {

@@ -2,20 +2,21 @@ package betree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
 
-// The recovery skeleton — metadata selection, the top-down tree walk,
-// free-list reconstruction, leaf-chain rebuild, sequence-ordered journal
-// replay and stale-segment retirement — lives in internal/cowtree. This
-// file provides the engine-specific hooks: node materialization (the
-// codec, interior buffers included) and the journal-record apply path.
+// Recovery — metadata selection, the top-down tree walk, free-list
+// reconstruction, leaf-chain rebuild, sequence-ordered journal replay,
+// the closing checkpoint and stale-segment retirement — lives in
+// internal/cowtree. This file provides the two engine-specific hooks:
+// node materialization (the codec, interior buffers included) and the
+// journal-record apply path.
 
 // Recover reopens a Bε-tree from its on-device state: the newest
 // checkpoint metadata locates the root, the tree — interior buffers
@@ -45,16 +46,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	if err != nil {
 		return nil, now, fmt.Errorf("betree: collection file missing: %w", err)
 	}
-	t := &Tree{
-		cfg:       cfg,
-		pivotMax:  cfg.pivotBudget(),
-		bufferMax: cfg.bufferBudget(),
-		fs:        fs,
-		file:      f,
-		bm:        extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		nodes:     make([]*node, 1, 64), // index 0 is nilNode
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
+	t := newTree(fs, f, cfg)
 	t.core.SetJournalState(st.JournalID, st.Gen)
 	// Rebuild the tree (interior buffers included) from the root, then
 	// replay the surviving journal segments, newest records winning. The
@@ -62,13 +54,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	// tracks the max sequence over leaf entries AND buffered messages,
 	// ApplyRecovered advances it per replayed record) rather than trusted
 	// from the metadata, so it can be checked against the floor below.
-	now, err = t.core.RecoverTree(now, st.Root, t, func(id cowtree.NodeID) {
-		t.root = id
-		if root := t.nodes[id]; root.leaf {
-			t.admit(root)
-		}
-	})
-	if err != nil {
+	if now, err = t.core.RecoverTree(now, st.Root, t); err != nil {
 		return nil, now, err
 	}
 	// The metadata's floor promises every update with seq <= st.Seq is in
@@ -82,15 +68,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 			"betree: recovered sequence %d below checkpoint floor %d: device dropped acknowledged writes (fsync lie)",
 			t.seq, st.Seq)
 	}
-	if err := t.core.StartJournal(); err != nil {
-		return nil, now, err
-	}
-	if end, err := t.FlushAll(now); err != nil {
-		return nil, now, err
-	} else if end > now {
-		now = end
-	}
-	if err := t.core.RetireStaleSegments(); err != nil {
+	if now, err = t.core.FinishRecovery(now); err != nil {
 		return nil, now, err
 	}
 	return t, now, nil
@@ -106,32 +84,12 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 			return nil, now, err
 		}
 	}
-	t := &Tree{
-		cfg:       cfg,
-		pivotMax:  cfg.pivotBudget(),
-		bufferMax: cfg.bufferBudget(),
-		fs:        fs,
-		file:      f,
-		bm:        extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		nodes:     make([]*node, 1, 64), // index 0 is nilNode
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
-	rootLeaf := t.newNode(true)
-	rootLeaf.parent = nilNode
-	t.root = rootLeaf.id
-	t.admit(rootLeaf)
+	t := newTree(fs, f, cfg)
+	t.newRootLeaf()
 	if now, err = t.core.RecoverBootstrap(now, t); err != nil {
 		return nil, now, err
 	}
-	if err := t.core.StartJournal(); err != nil {
-		return nil, now, err
-	}
-	if end, err := t.FlushAll(now); err != nil {
-		return nil, now, err
-	} else if end > now {
-		now = end
-	}
-	if err := t.core.RetireStaleSegments(); err != nil {
+	if now, err = t.core.FinishRecovery(now); err != nil {
 		return nil, now, err
 	}
 	return t, now, nil
@@ -140,17 +98,12 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 // MaterializeNode implements cowtree.RecoveryEngine: parse one on-disk
 // image (interior buffers included), register the node and return its
 // child extents for the walk.
-func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.NodeID) (cowtree.NodeID, []cowtree.Extent, error) {
+func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
 	n, ok := parseNode(data)
 	if !ok {
-		return nilNode, nil, fmt.Errorf("betree: corrupt node at extent %d+%d", ext.Start, ext.Pages)
+		return nil, nil, errors.New("betree: corrupt node")
 	}
-	t.nextID++
-	n.id = t.nextID
-	n.parent = parent
-	n.disk = ext
-	n.everOnDisk = true
-	if n.leaf {
+	if n.Leaf {
 		var sz int
 		for i := range n.entries {
 			sz += n.entries[i].bytes()
@@ -158,7 +111,7 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 				t.seq = s // recompute the counter from disk state
 			}
 		}
-		n.serialized = pageHeaderBytes + sz
+		n.Serialized = pageHeaderBytes + sz
 	} else {
 		for _, buf := range n.bufs {
 			for i := range buf {
@@ -170,20 +123,11 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 		n.recomputeSerialized()
 		n.refreshSepCache()
 	}
-	t.registerNode(n)
+	t.register(n)
 	childExts := n.childExtents
 	n.childExtents = nil
-	return n.id, childExts, nil
+	return &n.Node, childExts, nil
 }
-
-// LinkChild implements cowtree.RecoveryEngine.
-func (t *Tree) LinkChild(parent cowtree.NodeID, i int, child cowtree.NodeID) {
-	t.nodes[parent].children[i] = child
-}
-
-// SetNext implements cowtree.RecoveryEngine (the left-to-right leaf
-// chain scans follow).
-func (t *Tree) SetNext(id, next cowtree.NodeID) { t.nodes[id].next = next }
 
 // ApplyRecovered implements cowtree.RecoveryEngine: replay one journal
 // record through the message path (without journaling, CPU costs or
@@ -196,13 +140,13 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	if r.Seq > t.seq {
 		t.seq = r.Seq
 	}
-	n := t.nodes[t.root]
-	for !n.leaf {
+	n := t.nodes[t.core.Root()]
+	for !n.Leaf {
 		ci := n.childFor(r.Key)
 		if m := n.bufGet(ci, r.Key); m != nil && m.seq >= r.Seq {
 			return now, nil
 		}
-		n = t.nodes[n.children[ci]]
+		n = t.nodes[n.Children[ci]]
 	}
 	if i := n.search(r.Key); i < len(n.entries) &&
 		bytes.Equal(n.entries[i].key, r.Key) && n.entries[i].seq >= r.Seq {

@@ -318,8 +318,8 @@ func TestRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
 	// Grow the root while the checkpoint is logically in flight.
-	rootBefore := tr.root
-	for tr.root == rootBefore {
+	rootBefore := tr.core.Root()
+	for tr.core.Root() == rootBefore {
 		if id > 100000 {
 			t.Fatal("root never grew; tighten the config")
 		}

@@ -18,9 +18,9 @@ var ErrClosed = errors.New("btree: tree is closed")
 // metaMagic tags the checkpoint metadata files ("WTMT").
 const metaMagic = 0x57544D54
 
-// coreConfig maps the engine configuration onto the shared
-// checkpoint/recovery core's knobs. The naming fields reproduce the
-// pre-extraction on-device footprint exactly.
+// coreConfig maps the engine configuration onto the shared core's knobs.
+// The naming fields reproduce the pre-extraction on-device footprint
+// exactly.
 func coreConfig(cfg Config) cowtree.Config {
 	return cowtree.Config{
 		Name:                   "btree",
@@ -30,30 +30,26 @@ func coreConfig(cfg Config) cowtree.Config {
 		ChunkPages:             cfg.ChunkPages,
 		CheckpointInterval:     cfg.CheckpointInterval,
 		CheckpointPendingBytes: cfg.CheckpointPendingBytes,
+		CacheBytes:             cfg.CacheBytes,
 		Content:                cfg.Content,
 		DisableJournal:         cfg.DisableJournal,
 	}
 }
 
-// Tree is the WiredTiger-style B+Tree engine. The copy-on-write
-// checkpoint/recovery discipline lives in the embedded cowtree core;
-// the engine implements cowtree.RecoveryEngine over its page type.
+// Tree is the WiredTiger-style B+Tree engine. The node table, the leaf
+// cache, the copy-on-write page write and the checkpoint/recovery
+// discipline live in the embedded cowtree core; the engine keeps the
+// page payload, its codec and the insert/split/scan paths, and
+// implements cowtree.RecoveryEngine.
 type Tree struct {
 	cfg Config
 	fs  *extfs.FS
 
-	file *extfs.File
-	bm   *extalloc.Manager
-
 	core cowtree.Core
 
-	pages  []*page // indexed by pageID; ids are allocated sequentially
-	root   pageID
-	nextID pageID
-
-	// Cache state: resident leaves in an LRU list (head = MRU).
-	lruHead, lruTail pageID
-	residentBytes    int64
+	// pages is indexed by pageID, parallel to the core's header table
+	// (pages[id].Node is the header the core holds for id).
+	pages []*page
 
 	// mem bundles the key/value arena and the recycled entry-array
 	// pool; slab backs page structs. Page structs and retained keys are
@@ -62,22 +58,16 @@ type Tree struct {
 	mem  mem
 	slab cowtree.Slab[page]
 
-	writeBuf []byte // reused serialization image (content mode)
-
 	seq    uint64
 	stats  kv.EngineStats
 	io     IOStats
 	closed bool
 }
 
-// IOStats exposes internal activity counters.
+// IOStats exposes internal activity counters: the core's cache and
+// checkpoint counters plus the engine's own.
 type IOStats struct {
-	CacheHits      int64
-	CacheMisses    int64
-	Evictions      int64
-	EvictionWrites int64 // dirty evictions (pages written)
-	Checkpoints    int64
-	CheckpointPgs  int64 // B+Tree pages written by checkpoints
+	cowtree.IOStats
 	LeafSplits     int64
 	InternalSplits int64
 }
@@ -92,111 +82,56 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{
-		cfg:   cfg,
-		fs:    fs,
-		file:  f,
-		bm:    extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		pages: make([]*page, 1, 64), // index 0 is nilPage
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
-	rootLeaf := t.newPage(true)
-	rootLeaf.parent = nilPage
-	t.root = rootLeaf.id
-	t.admit(rootLeaf)
+	t := newTree(fs, f, cfg)
+	t.newRootLeaf()
 	if err := t.core.StartJournal(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// registerPage adds a freshly allocated page to the id-indexed slice;
-// ids are handed out sequentially, so the page's id always equals the
-// next free slot.
-func (t *Tree) registerPage(p *page) {
-	if int(p.id) != len(t.pages) {
-		panic("btree: page ids must be registered sequentially")
+// newTree builds the tree shell over an open collection file: no pages
+// yet, no journal.
+func newTree(fs *extfs.FS, f *extfs.File, cfg Config) *Tree {
+	t := &Tree{
+		cfg:   cfg,
+		fs:    fs,
+		pages: make([]*page, 1, 64), // index 0 is nilPage
 	}
-	t.pages = append(t.pages, p)
+	bm := extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16)
+	t.core.Init(t, fs, f, bm, coreConfig(cfg))
+	return t
 }
 
+// newRootLeaf installs the empty, resident root leaf of a fresh tree.
+func (t *Tree) newRootLeaf() {
+	root := t.newPage(true)
+	t.core.SetRoot(root.ID)
+	t.core.Admit(&root.Node)
+}
+
+// newPage takes a zeroed page from the slab, registers it with the core
+// and the parallel slice, and marks it dirty.
 func (t *Tree) newPage(leaf bool) *page {
-	t.nextID++
 	p := t.slab.Get()
-	p.id = t.nextID
-	p.leaf = leaf
-	p.serialized = pageHeaderBytes
-	t.registerPage(p)
-	t.markDirty(p)
+	p.Leaf = leaf
+	p.Serialized = pageHeaderBytes
+	t.register(p)
+	t.core.MarkDirty(&p.Node)
 	return p
 }
 
-func (t *Tree) markDirty(p *page) {
-	if p.dirty {
-		return // already tracked for the next checkpoint
-	}
-	p.dirty = true
-	t.core.TrackDirty(p.id)
+// register gives p its id and enters it in both tables.
+func (t *Tree) register(p *page) {
+	t.core.Register(&p.Node)
+	t.pages = append(t.pages, p)
 }
 
-func (t *Tree) clearDirty(p *page) {
-	if p.dirty {
-		p.dirty = false
-		t.core.NoteClean()
-	}
-	// The page's entry in the core's transition log stays behind;
-	// checkpoint snapshots filter on the dirty flag, so a stale id is
-	// skipped for free.
-}
-
-// ---- cowtree.Engine implementation ----
-
-// Root implements cowtree.Engine.
-func (t *Tree) Root() cowtree.NodeID { return t.root }
-
-// Parent implements cowtree.Engine.
-func (t *Tree) Parent(id cowtree.NodeID) cowtree.NodeID { return t.pages[id].parent }
-
-// Leaf implements cowtree.Engine.
-func (t *Tree) Leaf(id cowtree.NodeID) bool { return t.pages[id].leaf }
-
-// Children implements cowtree.Engine.
-func (t *Tree) Children(id cowtree.NodeID) []cowtree.NodeID { return t.pages[id].children }
-
-// Dirty implements cowtree.Engine.
-func (t *Tree) Dirty(id cowtree.NodeID) bool { return t.pages[id].dirty }
-
-// NeedsWrite implements cowtree.Engine.
-func (t *Tree) NeedsWrite(id cowtree.NodeID) bool {
-	n := t.pages[id]
-	return n.dirty || n.disk.Pages == 0
-}
-
-// AppendNeedsWrite implements cowtree.Engine.
-func (t *Tree) AppendNeedsWrite(id cowtree.NodeID, dst []cowtree.NodeID) []cowtree.NodeID {
-	for _, c := range t.pages[id].children {
-		if n := t.pages[c]; n.dirty || n.disk.Pages == 0 {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-// Live implements cowtree.Engine (pages are never deallocated).
-func (t *Tree) Live(id cowtree.NodeID) bool { return t.pages[id] != nil }
-
-// DiskExtent implements cowtree.Engine.
-func (t *Tree) DiskExtent(id cowtree.NodeID) cowtree.Extent { return t.pages[id].disk }
-
-// SerializedBytes implements cowtree.Engine.
-func (t *Tree) SerializedBytes(id cowtree.NodeID) int { return t.pages[id].serialized }
-
-// MarkDirty implements cowtree.Engine.
-func (t *Tree) MarkDirty(id cowtree.NodeID) { t.markDirty(t.pages[id]) }
-
-// WriteNode implements cowtree.Engine.
-func (t *Tree) WriteNode(now sim.Duration, id cowtree.NodeID) (sim.Duration, error) {
-	return t.writePage(now, t.pages[id])
+// AppendImage implements cowtree.Engine.
+func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
+	return serializePage(dst, t.pages[id], func(id pageID) fileExtent {
+		return t.pages[id].Disk
+	})
 }
 
 // Seq implements cowtree.Engine.
@@ -211,9 +146,7 @@ func (t *Tree) Stats() kv.EngineStats { return t.stats }
 // IO returns internal activity counters.
 func (t *Tree) IO() IOStats {
 	io := t.io
-	cio := t.core.IO()
-	io.Checkpoints = cio.Checkpoints
-	io.CheckpointPgs = cio.CheckpointPgs
+	io.IOStats = t.core.IO()
 	return io
 }
 
@@ -223,175 +156,11 @@ func (t *Tree) DiskUsageBytes() int64 { return t.fs.UsedBytes() }
 // Err returns the sticky fatal error, if any.
 func (t *Tree) Err() error { return t.core.Err() }
 
-// ---- cache (LRU over resident leaves) ----
+// Check audits the structure the core keeps for the tree (today: the
+// leaf cache).
+func (t *Tree) Check() error { return t.core.CheckCache() }
 
-func (t *Tree) admit(p *page) {
-	if p.resident {
-		t.touch(p)
-		return
-	}
-	p.resident = true
-	p.lruOlder = t.lruHead
-	p.lruNewer = nilPage
-	if t.lruHead != nilPage {
-		t.pages[t.lruHead].lruNewer = p.id
-	}
-	t.lruHead = p.id
-	if t.lruTail == nilPage {
-		t.lruTail = p.id
-	}
-	t.residentBytes += int64(p.serialized)
-}
-
-func (t *Tree) touch(p *page) {
-	if t.lruHead == p.id {
-		return
-	}
-	// Unlink.
-	if p.lruNewer != nilPage {
-		t.pages[p.lruNewer].lruOlder = p.lruOlder
-	}
-	if p.lruOlder != nilPage {
-		t.pages[p.lruOlder].lruNewer = p.lruNewer
-	}
-	if t.lruTail == p.id {
-		t.lruTail = p.lruNewer
-	}
-	// Push at head.
-	p.lruOlder = t.lruHead
-	p.lruNewer = nilPage
-	if t.lruHead != nilPage {
-		t.pages[t.lruHead].lruNewer = p.id
-	}
-	t.lruHead = p.id
-}
-
-func (t *Tree) unlink(p *page) {
-	if !p.resident {
-		return
-	}
-	if p.lruNewer != nilPage {
-		t.pages[p.lruNewer].lruOlder = p.lruOlder
-	}
-	if p.lruOlder != nilPage {
-		t.pages[p.lruOlder].lruNewer = p.lruNewer
-	}
-	if t.lruHead == p.id {
-		t.lruHead = p.lruOlder
-	}
-	if t.lruTail == p.id {
-		t.lruTail = p.lruNewer
-	}
-	p.resident = false
-	p.lruNewer, p.lruOlder = nilPage, nilPage
-	t.residentBytes -= int64(p.serialized)
-}
-
-// evictToFit writes back and drops LRU leaves until the cache fits,
-// charging the eviction I/O to the foreground — WiredTiger's application
-// threads do exactly this under cache pressure.
-func (t *Tree) evictToFit(now sim.Duration) (sim.Duration, error) {
-	for t.residentBytes > t.cfg.CacheBytes {
-		victimID := t.lruTail
-		if victimID == nilPage {
-			break
-		}
-		victim := t.pages[victimID]
-		if victim.id == t.root {
-			// Never evict the root; with a tiny cache and a root leaf
-			// this can only happen before the first split.
-			break
-		}
-		t.unlink(victim)
-		if victim.dirty {
-			var err error
-			now, err = t.writePage(now, victim)
-			if err != nil {
-				t.core.Fail(err)
-				return now, err
-			}
-			t.io.EvictionWrites++
-		}
-		t.io.Evictions++
-	}
-	return now, nil
-}
-
-// writePage reconciles a page to a fresh extent (copy-on-write). The old
-// location is released lazily — it becomes reusable only after the next
-// checkpoint commits — so the images a completed checkpoint references
-// survive until a newer checkpoint replaces them (WiredTiger's
-// checkpoint avail-list discipline, required for crash recovery).
-func (t *Tree) writePage(now sim.Duration, p *page) (sim.Duration, error) {
-	ps := t.fs.PageSize()
-	n := int64((p.serialized + ps - 1) / ps)
-	if p.disk.Pages > 0 {
-		t.bm.ReleaseDeferred(p.disk)
-	}
-	ext, err := t.bm.Alloc(n)
-	if err != nil {
-		return now, err
-	}
-	var data []byte
-	if t.cfg.Content {
-		data = t.serializeImage(p, int(n)*ps)
-	}
-	done, err := t.file.WriteAt(now, ext.Start, int(n), data)
-	if err != nil {
-		return now, err
-	}
-	p.disk = ext
-	p.everOnDisk = true
-	t.clearDirty(p)
-	// Reconciling a child moves it on disk; the parent's reference
-	// changes, which dirties the parent (it will be written at the next
-	// checkpoint).
-	if p.parent != nilPage {
-		t.markDirty(t.pages[p.parent])
-	}
-	return done, nil
-}
-
-// serializeImage produces the zero-padded on-disk image of a page in the
-// tree's reused write buffer (the block device copies written bytes, so
-// aliasing the scratch across writes is safe).
-func (t *Tree) serializeImage(p *page, size int) []byte {
-	buf := serializePage(t.writeBuf[:0], p, func(id pageID) fileExtent {
-		return t.pages[id].disk
-	})
-	if cap(buf) < size {
-		grown := make([]byte, size)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		n := len(buf)
-		buf = buf[:size]
-		clear(buf[n:])
-	}
-	t.writeBuf = buf
-	return buf
-}
-
-// loadLeaf charges the read I/O for a non-resident leaf and admits it.
-func (t *Tree) loadLeaf(now sim.Duration, p *page) (sim.Duration, error) {
-	if p.resident {
-		t.io.CacheHits++
-		t.touch(p)
-		return now, nil
-	}
-	t.io.CacheMisses++
-	if p.everOnDisk {
-		var err error
-		now, err = t.file.ReadAt(now, p.disk.Start, int(p.disk.Pages), nil)
-		if err != nil {
-			return now, err
-		}
-	}
-	t.admit(p)
-	return now, nil
-}
-
-// loadLeafPrefetching loads leaf like loadLeaf and, when the configured
+// loadLeafPrefetching loads leaf like Core.Load and, when the configured
 // PrefetchDepth allows, issues reads for up to PrefetchDepth-1 following
 // sibling leaves at the same virtual time — batched read submission that
 // overlaps on the device's internal lanes. The charged I/O is the same
@@ -399,8 +168,8 @@ func (t *Tree) loadLeaf(now sim.Duration, p *page) (sim.Duration, error) {
 // cache miss and one read); only the completion times overlap. Scans use
 // it because they know they will cross into the siblings next.
 func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, error) {
-	if leaf.resident || t.cfg.PrefetchDepth <= 1 {
-		return t.loadLeaf(now, leaf)
+	if leaf.Resident || t.cfg.PrefetchDepth <= 1 {
+		return t.core.Load(now, &leaf.Node)
 	}
 	done := now
 	p := leaf
@@ -408,27 +177,23 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 	// resident ones count toward it (they need no read), so the walk
 	// never ranges past the leaves the scan is about to visit.
 	for seen := 0; p != nil && seen < t.cfg.PrefetchDepth; seen++ {
-		if !p.resident {
-			t.io.CacheMisses++
-			if p.everOnDisk {
-				end, err := t.file.ReadAt(now, p.disk.Start, int(p.disk.Pages), nil)
-				if err != nil {
-					return now, err
-				}
-				if end > done {
-					done = end
-				}
+		if !p.Resident {
+			end, err := t.core.Fetch(now, &p.Node)
+			if err != nil {
+				return now, err
 			}
-			t.admit(p)
+			if end > done {
+				done = end
+			}
 		}
-		if p.next == nilPage {
+		if p.Next == nilPage {
 			break
 		}
-		p = t.pages[p.next]
+		p = t.pages[p.Next]
 	}
 	// Admission order put the last prefetched sibling at the LRU head;
 	// re-touch the leaf the scan is about to consume.
-	t.touch(leaf)
+	t.core.Touch(&leaf.Node)
 	return done, nil
 }
 
@@ -437,8 +202,8 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 // keeping them resident, and at the paper's scale their footprint is
 // negligible next to the leaves.
 func (t *Tree) descend(key []byte) *page {
-	p := t.pages[t.root]
-	for !p.leaf {
+	p := t.pages[t.core.Root()]
+	for !p.Leaf {
 		p = t.pages[p.childFor(key)]
 	}
 	return p
@@ -472,14 +237,13 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 
 	leaf := t.descend(key)
 	var err error
-	now, err = t.loadLeaf(now, leaf)
+	now, err = t.core.Load(now, &leaf.Node)
 	if err != nil {
 		t.core.Fail(err)
 		return now, err
 	}
-	delta := leaf.insertLeaf(&t.mem, key, value, valueLen, t.seq, del)
-	t.residentBytes += int64(delta)
-	t.markDirty(leaf)
+	t.core.Resize(leaf.insertLeaf(&t.mem, key, value, valueLen, t.seq, del))
+	t.core.MarkDirty(&leaf.Node)
 
 	if w := t.core.Journal(); w != nil {
 		rec := wal.Record{Seq: t.seq, Key: key, Value: value, Deleted: del, ValueLen: valueLen}
@@ -492,10 +256,10 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	t.stats.Puts++
 	t.stats.UserBytesWritten += int64(len(key) + valueLen)
 
-	if leaf.serialized > t.cfg.LeafPageBytes {
+	if leaf.Serialized > t.cfg.LeafPageBytes {
 		t.splitLeaf(leaf)
 	}
-	now, err = t.evictToFit(now)
+	now, err = t.core.EvictToFit(now)
 	if err != nil {
 		return now, err
 	}
@@ -531,12 +295,12 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 
 	leaf := t.descend(key)
 	var err error
-	now, err = t.loadLeaf(now, leaf)
+	now, err = t.core.Load(now, &leaf.Node)
 	if err != nil {
 		t.core.Fail(err)
 		return now, nil, false, err
 	}
-	now, err = t.evictToFit(now)
+	now, err = t.core.EvictToFit(now)
 	if err != nil {
 		return now, nil, false, err
 	}
@@ -601,13 +365,13 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 			out = append(out, e)
 			limit--
 		}
-		if now, err = t.evictToFit(now); err != nil {
+		if now, err = t.core.EvictToFit(now); err != nil {
 			return now, nil, err
 		}
-		if leaf.next == nilPage {
+		if leaf.Next == nilPage {
 			break
 		}
-		leaf = t.pages[leaf.next]
+		leaf = t.pages[leaf.Next]
 		idx = 0
 	}
 	return now, out, nil
@@ -615,54 +379,54 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 
 // splitLeaf splits an oversized leaf and propagates internal splits.
 func (t *Tree) splitLeaf(leaf *page) {
-	t.nextID++
-	right, sep := leaf.splitLeaf(&t.mem, t.slab.Get(), t.nextID)
-	t.registerPage(right)
-	t.markDirty(right)
-	t.markDirty(leaf)
+	right := t.slab.Get()
+	t.register(right)
+	sep := leaf.splitLeaf(&t.mem, right)
+	t.core.MarkDirty(&right.Node)
+	t.core.MarkDirty(&leaf.Node)
 	t.io.LeafSplits++
-	t.admit(right)
-	// admit charged right.serialized, but the moved entries were already
+	t.core.Admit(&right.Node)
+	// Admit charged right.Serialized, but the moved entries were already
 	// counted while they lived in leaf (whose serialized size dropped by
 	// the same amount); only the new page header is genuinely new.
-	t.residentBytes -= int64(right.serialized - pageHeaderBytes)
+	t.core.Resize(pageHeaderBytes - right.Serialized)
 	t.insertIntoParent(leaf, sep, right)
 }
 
 // insertIntoParent links a new right sibling under the parent, splitting
 // internals (and growing a new root) as needed.
 func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
-	if left.id == t.root {
+	if left.ID == t.core.Root() {
 		newRoot := t.newPage(false)
-		newRoot.children = []pageID{left.id, right.id}
+		newRoot.Children = []pageID{left.ID, right.ID}
 		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
-		left.parent = newRoot.id
-		right.parent = newRoot.id
-		t.root = newRoot.id
+		left.Parent = newRoot.ID
+		right.Parent = newRoot.ID
+		t.core.SetRoot(newRoot.ID)
 		return
 	}
-	parent := t.pages[left.parent]
-	idx := parent.childIndex(left.id)
-	parent.insertChild(&t.mem, idx, sep, right.id)
-	right.parent = parent.id
-	t.markDirty(parent)
-	if parent.serialized > t.cfg.InternalPageBytes {
+	parent := t.pages[left.Parent]
+	idx := parent.childIndex(left.ID)
+	parent.insertChild(&t.mem, idx, sep, right.ID)
+	right.Parent = parent.ID
+	t.core.MarkDirty(&parent.Node)
+	if parent.Serialized > t.cfg.InternalPageBytes {
 		t.splitInternalPage(parent)
 	}
 }
 
 // splitInternalPage splits an internal page and reparents moved children.
 func (t *Tree) splitInternalPage(p *page) {
-	t.nextID++
-	right, promoted := p.splitInternal(t.slab.Get(), t.nextID)
-	t.registerPage(right)
-	t.markDirty(right)
-	t.markDirty(p)
+	right := t.slab.Get()
+	t.register(right)
+	promoted := p.splitInternal(right)
+	t.core.MarkDirty(&right.Node)
+	t.core.MarkDirty(&p.Node)
 	t.io.InternalSplits++
-	for _, c := range right.children {
-		t.pages[c].parent = right.id
+	for _, c := range right.Children {
+		t.pages[c].Parent = right.ID
 	}
 	t.insertIntoParent(p, promoted, right)
 }
@@ -697,10 +461,10 @@ func (t *Tree) Close(now sim.Duration) (sim.Duration, error) {
 // Depth returns the tree height (1 = root leaf only).
 func (t *Tree) Depth() int {
 	d := 1
-	p := t.pages[t.root]
-	for !p.leaf {
+	p := t.pages[t.core.Root()]
+	for !p.Leaf {
 		d++
-		p = t.pages[p.children[0]]
+		p = t.pages[p.Children[0]]
 	}
 	return d
 }
@@ -711,7 +475,7 @@ func (t *Tree) PageCount() (leaves, internals int) {
 		if p == nil {
 			continue // index 0 (nilPage) placeholder
 		}
-		if p.leaf {
+		if p.Leaf {
 			leaves++
 		} else {
 			internals++

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
@@ -252,7 +253,7 @@ func TestWAAStableOverTime(t *testing.T) {
 
 func TestPageSerializationRoundTrip(t *testing.T) {
 	var m mem
-	leaf := &page{leaf: true, serialized: pageHeaderBytes}
+	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
 	leaf.insertLeaf(&m, kv.EncodeKey(1), []byte("abc"), 0, 7, false)
 	leaf.insertLeaf(&m, kv.EncodeKey(2), nil, 64, 9, true)
 	data := serializePage(nil, leaf, nil)
@@ -270,13 +271,13 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 		t.Fatal("tombstone entry wrong")
 	}
 
-	internal := &page{leaf: false, children: []pageID{1, 2, 3}, seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)}}
+	internal := &page{Node: cowtree.Node{Children: []pageID{1, 2, 3}}, seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)}}
 	internal.recomputeSerialized()
 	data = serializePage(nil, internal, func(id pageID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, ok = parsePage(data)
-	if !ok || len(got.children) != 3 || len(got.seps) != 2 {
+	if !ok || len(got.Children) != 3 || len(got.seps) != 2 {
 		t.Fatalf("internal round trip: %+v %v", got, ok)
 	}
 	// Parsed internal pages carry child disk extents (in-memory ids are
@@ -331,24 +332,16 @@ func TestLRUConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Walk the LRU list both ways and verify linkage + budget.
-	var forward int64
-	count := 0
-	for id := tr.lruHead; id != nilPage; id = tr.pages[id].lruOlder {
-		p := tr.pages[id]
-		if !p.resident {
-			t.Fatal("non-resident page on LRU list")
-		}
-		forward += int64(p.serialized)
-		count++
-		if count > len(tr.pages) {
-			t.Fatal("LRU list cycle")
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	var resident int64
+	for _, p := range tr.pages[1:] {
+		if p.Resident {
+			resident += int64(p.Serialized)
 		}
 	}
-	if forward != tr.residentBytes {
-		t.Fatalf("LRU bytes %d != residentBytes %d", forward, tr.residentBytes)
-	}
-	if tr.residentBytes > tr.cfg.CacheBytes+int64(tr.cfg.LeafPageBytes) {
-		t.Fatalf("cache over budget: %d > %d", tr.residentBytes, tr.cfg.CacheBytes)
+	if resident > tr.cfg.CacheBytes+int64(tr.cfg.LeafPageBytes) {
+		t.Fatalf("cache over budget: %d > %d", resident, tr.cfg.CacheBytes)
 	}
 }

@@ -6,11 +6,8 @@ import (
 	"ptsbench/internal/cowtree"
 )
 
-// The checkpoint discipline — dirty-ancestor-closure snapshot, bottom-up
-// write order, writeSubtreeClean for split-orphaned descendants, the
-// root-spine write at commit, journal rotation/recycling and the
-// double-buffered metadata — lives in internal/cowtree. This file keeps
-// only the engine's page codec.
+// The checkpoint discipline and the copy-on-write page write live in
+// internal/cowtree. This file keeps only the engine's page codec.
 
 // serializePage appends the on-disk image of a page (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count}, then
@@ -22,10 +19,10 @@ func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte 
 	base := len(out)
 	out = append(out, hdr[:]...)
 	binary.LittleEndian.PutUint32(out[base:], 0x42545047) // "BTPG"
-	if p.leaf {
+	if p.Leaf {
 		out[base+4] = 1
 	}
-	if p.leaf {
+	if p.Leaf {
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(p.entries)))
 		for i := range p.entries {
 			e := &p.entries[i]
@@ -55,7 +52,7 @@ func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte 
 		out = append(out, l[:]...)
 		out = append(out, sep...)
 	}
-	for _, c := range p.children {
+	for _, c := range p.Children {
 		var ext fileExtent
 		if resolve != nil {
 			ext = resolve(c)
@@ -77,10 +74,10 @@ func parsePage(data []byte) (*page, bool) {
 	if binary.LittleEndian.Uint32(data[0:]) != 0x42545047 {
 		return nil, false
 	}
-	p := &page{leaf: data[4] == 1}
+	p := &page{Node: cowtree.Node{Leaf: data[4] == 1}}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	off := pageHeaderBytes
-	if p.leaf {
+	if p.Leaf {
 		for i := 0; i < n; i++ {
 			if off+entryOverhead > len(data) {
 				return nil, false
@@ -122,7 +119,7 @@ func parsePage(data []byte) (*page, bool) {
 			Start: int64(binary.LittleEndian.Uint64(data[off:])),
 			Pages: int64(binary.LittleEndian.Uint32(data[off+8:])),
 		})
-		p.children = append(p.children, nilPage) // assigned during rebuild
+		p.Children = append(p.Children, nilPage) // assigned during rebuild
 		off += childRefBytes
 	}
 	return p, true

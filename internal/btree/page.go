@@ -25,14 +25,14 @@ const entryOverhead = 14
 // pageHeaderBytes is the serialized page header size.
 const pageHeaderBytes = 64
 
-// page is an in-memory B+Tree page. Leaves carry entries; internal pages
-// carry separator keys and children. The serialized footprint is tracked
-// incrementally so splits trigger at the configured page size without
-// serializing on every update.
+// page is an in-memory B+Tree page: the shared node header (identity,
+// tree position, child ids, dirty flag, on-disk extent, cache residency
+// — see cowtree.Node) plus the payload. Leaves carry entries; internal
+// pages carry separator keys beside the header's Children. Serialized is
+// tracked incrementally so splits trigger at the configured page size
+// without serializing on every update.
 type page struct {
-	id     pageID
-	parent pageID
-	leaf   bool
+	cowtree.Node
 
 	// Leaf payload, sorted by key. entry.val may be nil in accounting
 	// mode with entry.vlen carrying the accounted size. A single entry
@@ -40,10 +40,9 @@ type page struct {
 	// one shift and a split to one allocation.
 	entries []leafEntry
 
-	// Internal payload: children[i] holds keys < seps[i] for
-	// i < len(seps); children[len(seps)] holds the rest.
-	seps     [][]byte
-	children []pageID
+	// Internal payload: Children[i] holds keys < seps[i] for
+	// i < len(seps); Children[len(seps)] holds the rest.
+	seps [][]byte
 
 	// sepCache holds the separators' word decomposition so descents
 	// probe raw uint64 pairs (see kv.SepCache); maintained by
@@ -53,22 +52,6 @@ type page struct {
 	// childExtents is only populated on pages reconstructed from disk
 	// (recovery): the on-disk locations of the children, in child order.
 	childExtents []fileExtent
-
-	serialized int  // current serialized size estimate, bytes
-	dirty      bool // needs writing before eviction / at checkpoint
-
-	// On-disk location (pages within the collection file); pages==0
-	// means never written.
-	disk fileExtent
-
-	// Cache bookkeeping (leaves only): resident pages form an LRU list.
-	resident   bool
-	lruNewer   pageID
-	lruOlder   pageID
-	everOnDisk bool
-
-	// next chains leaves left-to-right for range scans.
-	next pageID
 }
 
 // mem bundles the tree's allocation helpers handed to page methods: the
@@ -130,7 +113,7 @@ func (p *page) refreshSepCache() { p.sepCache.Refresh(p.seps) }
 func (p *page) childFor(target []byte) pageID {
 	wHi, wLo, fast := kv.DecomposeKey(target)
 	if fast && p.sepCache.Fast() {
-		return p.children[p.sepCache.UpperBound(wHi, wLo)]
+		return p.Children[p.sepCache.UpperBound(wHi, wLo)]
 	}
 	lo, hi := 0, len(p.seps)
 	for lo < hi {
@@ -147,12 +130,12 @@ func (p *page) childFor(target []byte) pageID {
 			hi = mid
 		}
 	}
-	return p.children[lo]
+	return p.Children[lo]
 }
 
 // childIndex returns the position of child id in an internal page.
 func (p *page) childIndex(id pageID) int {
-	for i, c := range p.children {
+	for i, c := range p.Children {
 		if c == id {
 			return i
 		}
@@ -178,13 +161,13 @@ func (p *page) insertLeaf(m *mem, key, val []byte, vlen int, seq uint64, del boo
 		e.seq = seq
 		e.del = del
 		delta := entryOverhead + len(key) + vlen - old
-		p.serialized += delta
+		p.Serialized += delta
 		return delta
 	}
 	p.entries = m.entries.GrowInsert(p.entries, i,
 		makeEntry(m.arena.Clone(key), m.arena.Clone(val), seq, vlen, del))
 	delta := entryOverhead + len(key) + vlen
-	p.serialized += delta
+	p.Serialized += delta
 	return delta
 }
 
@@ -193,35 +176,34 @@ func (p *page) insertLeaf(m *mem, key, val []byte, vlen int, seq uint64, del boo
 func (p *page) removeLeafAt(i int) {
 	sz := p.entries[i].bytes()
 	p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	p.serialized -= sz
+	p.Serialized -= sz
 }
 
-// splitLeaf moves the upper half of the entries into right (a fresh
-// slab-allocated page) and returns it with the separator key (first key
-// of the new page). Both halves end up in pooled arrays of the capacity
+// splitLeaf moves the upper half of the entries into right (a fresh,
+// registered page) and returns the separator key (first key of the new
+// page). Both halves end up in pooled arrays of the capacity
 // class their length calls for (next power of two), which leaves room
 // to refill toward the page's own split without regrowing: the moved
 // half draws one, and the half that stays is re-homed when the array it
 // was cut from is a class larger (a 9-entry leaf in 16 slots would
 // otherwise split into 4 entries still holding 16), the big array going
 // back to the pool.
-func (p *page) splitLeaf(m *mem, right *page, newID pageID) (*page, []byte) {
+func (p *page) splitLeaf(m *mem, right *page) []byte {
 	mid := len(p.entries) / 2
-	right.id = newID
-	right.parent = p.parent
-	right.leaf = true
+	right.Parent = p.Parent
+	right.Leaf = true
 	right.entries = m.entries.CloneTail(p.entries, mid)
 	var movedBytes int
 	for i := mid; i < len(p.entries); i++ {
 		movedBytes += p.entries[i].bytes()
 	}
-	right.serialized = pageHeaderBytes + movedBytes
+	right.Serialized = pageHeaderBytes + movedBytes
 	p.entries = m.entries.Fit(p.entries[:mid])
-	p.serialized -= movedBytes
+	p.Serialized -= movedBytes
 	// Maintain the leaf chain.
-	right.next = p.next
-	p.next = right.id
-	return right, right.entries[0].key
+	right.Next = p.Next
+	p.Next = right.ID
+	return right.entries[0].key
 }
 
 // childRefBytes is the serialized size of one child reference in an
@@ -235,10 +217,10 @@ func (p *page) insertChild(m *mem, idx int, sep []byte, child pageID) {
 	p.seps = append(p.seps, nil)
 	copy(p.seps[idx+1:], p.seps[idx:])
 	p.seps[idx] = m.arena.Clone(sep)
-	p.children = append(p.children, nilPage)
-	copy(p.children[idx+2:], p.children[idx+1:])
-	p.children[idx+1] = child
-	p.serialized += 2 + len(sep) + childRefBytes
+	p.Children = append(p.Children, nilPage)
+	copy(p.Children[idx+2:], p.Children[idx+1:])
+	p.Children[idx+1] = child
+	p.Serialized += 2 + len(sep) + childRefBytes
 	p.insertSepCache(idx, p.seps[idx])
 }
 
@@ -247,32 +229,30 @@ func (p *page) insertChild(m *mem, idx int, sep []byte, child pageID) {
 func (p *page) insertSepCache(idx int, sep []byte) { p.sepCache.Insert(idx, sep) }
 
 // splitInternal moves the upper half of an internal page into right (a
-// fresh slab-allocated page), returning it and the separator promoted to
-// the parent.
-func (p *page) splitInternal(right *page, newID pageID) (*page, []byte) {
+// fresh, registered page), returning the separator promoted to the
+// parent.
+func (p *page) splitInternal(right *page) []byte {
 	mid := len(p.seps) / 2
 	promoted := p.seps[mid]
-	right.id = newID
-	right.parent = p.parent
-	right.leaf = false
+	right.Parent = p.Parent
 	right.seps = append([][]byte(nil), p.seps[mid+1:]...)
-	right.children = append([]pageID(nil), p.children[mid+1:]...)
+	right.Children = append([]pageID(nil), p.Children[mid+1:]...)
 	right.recomputeSerialized()
 	right.refreshSepCache()
 	p.seps = p.seps[:mid]
-	p.children = p.children[:mid+1]
+	p.Children = p.Children[:mid+1]
 	p.recomputeSerialized()
 	p.refreshSepCache()
-	return right, promoted
+	return promoted
 }
 
 // recomputeSerialized recalculates the internal page footprint.
 func (p *page) recomputeSerialized() {
-	s := pageHeaderBytes + childRefBytes*len(p.children)
+	s := pageHeaderBytes + childRefBytes*len(p.Children)
 	for _, sep := range p.seps {
 		s += 2 + len(sep)
 	}
-	p.serialized = s
+	p.Serialized = s
 }
 
 func cloneBytes(b []byte) []byte {

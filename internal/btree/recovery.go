@@ -2,20 +2,20 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
 
-// The recovery skeleton — metadata selection, the top-down tree walk,
-// free-list reconstruction, leaf-chain rebuild, sequence-ordered journal
-// replay and stale-segment retirement — lives in internal/cowtree. This
-// file provides the engine-specific hooks: page materialization (the
-// codec) and the journal-record apply path.
+// Recovery — metadata selection, the top-down tree walk, free-list
+// reconstruction, leaf-chain rebuild, sequence-ordered journal replay,
+// the closing checkpoint and stale-segment retirement — lives in
+// internal/cowtree. This file provides the two engine-specific hooks:
+// page materialization (the codec) and the journal-record apply path.
 
 // Recover reopens a B+Tree from its on-device state: the newest
 // checkpoint metadata locates the root, the tree is parsed top-down, and
@@ -44,14 +44,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	if err != nil {
 		return nil, now, fmt.Errorf("btree: collection file missing: %w", err)
 	}
-	t := &Tree{
-		cfg:   cfg,
-		fs:    fs,
-		file:  f,
-		bm:    extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		pages: make([]*page, 1, 64), // index 0 is nilPage
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
+	t := newTree(fs, f, cfg)
 	t.core.SetJournalState(st.JournalID, st.Gen)
 	// Rebuild the tree from the root (extents seen during the walk are
 	// live; everything else inside the file is free space), then replay
@@ -60,13 +53,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	// (MaterializeNode tracks the max leaf-entry sequence, ApplyRecovered
 	// advances it per replayed record) rather than trusted from the
 	// metadata, so it can be checked against the checkpoint floor below.
-	now, err = t.core.RecoverTree(now, st.Root, t, func(id cowtree.NodeID) {
-		t.root = id
-		if root := t.pages[id]; root.leaf {
-			t.admit(root)
-		}
-	})
-	if err != nil {
+	if now, err = t.core.RecoverTree(now, st.Root, t); err != nil {
 		return nil, now, err
 	}
 	// The metadata's floor promises every update with seq <= st.Seq is in
@@ -80,17 +67,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 			"btree: recovered sequence %d below checkpoint floor %d: device dropped acknowledged writes (fsync lie)",
 			t.seq, st.Seq)
 	}
-	// Fresh journal; make the replayed state durable, then retire stale
-	// segments.
-	if err := t.core.StartJournal(); err != nil {
-		return nil, now, err
-	}
-	if end, err := t.FlushAll(now); err != nil {
-		return nil, now, err
-	} else if end > now {
-		now = end
-	}
-	if err := t.core.RetireStaleSegments(); err != nil {
+	if now, err = t.core.FinishRecovery(now); err != nil {
 		return nil, now, err
 	}
 	return t, now, nil
@@ -106,30 +83,12 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 			return nil, now, err
 		}
 	}
-	t := &Tree{
-		cfg:   cfg,
-		fs:    fs,
-		file:  f,
-		bm:    extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16),
-		pages: make([]*page, 1, 64), // index 0 is nilPage
-	}
-	t.core.Init(t, fs, f, t.bm, coreConfig(cfg))
-	rootLeaf := t.newPage(true)
-	rootLeaf.parent = nilPage
-	t.root = rootLeaf.id
-	t.admit(rootLeaf)
+	t := newTree(fs, f, cfg)
+	t.newRootLeaf()
 	if now, err = t.core.RecoverBootstrap(now, t); err != nil {
 		return nil, now, err
 	}
-	if err := t.core.StartJournal(); err != nil {
-		return nil, now, err
-	}
-	if end, err := t.FlushAll(now); err != nil {
-		return nil, now, err
-	} else if end > now {
-		now = end
-	}
-	if err := t.core.RetireStaleSegments(); err != nil {
+	if now, err = t.core.FinishRecovery(now); err != nil {
 		return nil, now, err
 	}
 	return t, now, nil
@@ -137,17 +96,12 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 
 // MaterializeNode implements cowtree.RecoveryEngine: parse one on-disk
 // image, register the page and return its child extents for the walk.
-func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.NodeID) (cowtree.NodeID, []cowtree.Extent, error) {
+func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
 	p, ok := parsePage(data)
 	if !ok {
-		return nilPage, nil, fmt.Errorf("btree: corrupt page at extent %d+%d", ext.Start, ext.Pages)
+		return nil, nil, errors.New("btree: corrupt page")
 	}
-	t.nextID++
-	p.id = t.nextID
-	p.parent = parent
-	p.disk = ext
-	p.everOnDisk = true
-	if p.leaf {
+	if p.Leaf {
 		var sz int
 		for i := range p.entries {
 			sz += p.entries[i].bytes()
@@ -155,25 +109,16 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 				t.seq = s // recompute the counter from disk state
 			}
 		}
-		p.serialized = pageHeaderBytes + sz
+		p.Serialized = pageHeaderBytes + sz
 	} else {
 		p.recomputeSerialized()
 		p.refreshSepCache()
 	}
-	t.registerPage(p)
+	t.register(p)
 	childExts := p.childExtents
 	p.childExtents = nil
-	return p.id, childExts, nil
+	return &p.Node, childExts, nil
 }
-
-// LinkChild implements cowtree.RecoveryEngine.
-func (t *Tree) LinkChild(parent cowtree.NodeID, i int, child cowtree.NodeID) {
-	t.pages[parent].children[i] = child
-}
-
-// SetNext implements cowtree.RecoveryEngine (the left-to-right leaf
-// chain scans follow).
-func (t *Tree) SetNext(id, next cowtree.NodeID) { t.pages[id].next = next }
 
 // ApplyRecovered implements cowtree.RecoveryEngine: replay one journal
 // record through the insert path (without journaling, CPU costs or
@@ -193,11 +138,11 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		vlen = len(r.Value)
 	}
 	delta := leaf.insertLeaf(&t.mem, r.Key, r.Value, vlen, r.Seq, r.Deleted)
-	if leaf.resident {
-		t.residentBytes += int64(delta)
+	if leaf.Resident {
+		t.core.Resize(delta)
 	}
-	t.markDirty(leaf)
-	if leaf.serialized > t.cfg.LeafPageBytes {
+	t.core.MarkDirty(&leaf.Node)
+	if leaf.Serialized > t.cfg.LeafPageBytes {
 		t.splitLeaf(leaf)
 	}
 	return now, nil

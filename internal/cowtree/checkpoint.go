@@ -48,14 +48,17 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	job.pendingMark = c.bm.PendingMark()
 	job.snapSeq = c.eng.Seq()
 	c.epoch++
-	eng, stamp := c.eng, c.epoch
+	stamp := c.epoch
+	// MarkDirty appends to the log this loop ranges over. The range
+	// header is evaluated once, so the appended ancestors — stamped
+	// already — are never revisited; the log is truncated only afterwards.
 	for _, id := range c.dirtyIDs {
-		if !eng.Dirty(id) || c.stampInJob(id, stamp) {
+		if !c.nodes[id].Dirty || c.stampInJob(id, stamp) {
 			continue
 		}
 		job.ids = append(job.ids, id)
-		for p := eng.Parent(id); p != NilNode && !c.stampInJob(p, stamp); p = eng.Parent(p) {
-			eng.MarkDirty(p) // ancestors must be written too
+		for p := c.nodes[id].Parent; p != NilNode && !c.stampInJob(p, stamp); p = c.nodes[p].Parent {
+			c.MarkDirty(c.nodes[p]) // ancestors must be written too
 			job.ids = append(job.ids, p)
 		}
 	}
@@ -119,7 +122,7 @@ func (c *Core) stampInJob(id NodeID, epoch uint32) bool {
 // depthOf returns a node's distance from the root (root = 0).
 func (c *Core) depthOf(id NodeID) uint32 {
 	d := uint32(0)
-	for p := c.eng.Parent(id); p != NilNode; p = c.eng.Parent(p) {
+	for p := c.nodes[id].Parent; p != NilNode; p = c.nodes[p].Parent {
 		d++
 	}
 	return d
@@ -146,16 +149,15 @@ func (c *Core) sortBottomUp(job *Job) {
 // Step implements sim.Job: write nodes until the chunk budget is used.
 func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 	c := j.c
-	eng := c.eng
 	if c.fatal != nil {
 		return now, true
 	}
 	budget := c.cfg.ChunkPages
 	ps := c.fs.PageSize()
 	for budget > 0 && j.idx < len(j.ids) {
-		id := j.ids[j.idx]
+		n := c.nodes[j.ids[j.idx]]
 		j.idx++
-		if !eng.Live(id) || !eng.Dirty(id) {
+		if !n.Dirty {
 			continue // evicted and written in the meantime
 		}
 		// Foreground splits that ran since the snapshot may have hung
@@ -167,19 +169,19 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 		// descendants before the node itself.
 		var err error
 		var extra int
-		now, extra, err = c.writeSubtreeClean(now, id)
+		now, extra, err = c.writeSubtreeClean(now, n)
 		if err != nil {
 			c.Fail(err)
 			return now, true
 		}
 		budget -= extra
-		now, err = eng.WriteNode(now, id)
+		now, err = c.Write(now, n)
 		if err != nil {
 			c.Fail(err)
 			return now, true
 		}
 		c.io.CheckpointPgs++
-		budget -= (eng.SerializedBytes(id) + ps - 1) / ps
+		budget -= (n.Serialized + ps - 1) / ps
 	}
 	if j.idx < len(j.ids) {
 		return now, false
@@ -187,19 +189,19 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 	// Commit. A foreground split may have grown a NEW root while the job
 	// ran — an ancestor of every snapshot node, so neither the snapshot
 	// closure nor writeSubtreeClean (descendants only) wrote it. Without
-	// an on-disk root image WriteMeta would decline, yet the commit below
+	// an on-disk root image writeMeta would decline, yet the commit below
 	// would still release the previous checkpoint's extents and recycle
 	// the journal — destroying the only durable copies of recent updates.
 	// Write the current root (and its unwritten spine) first, so the
 	// metadata always points at a complete current tree.
 	var err error
-	if root := eng.Root(); eng.NeedsWrite(root) {
+	if root := c.nodes[c.root]; root.needsWrite() {
 		// writeSubtreeClean counts the descendants it writes itself.
 		if now, _, err = c.writeSubtreeClean(now, root); err != nil {
 			c.Fail(err)
 			return now, true
 		}
-		if now, err = eng.WriteNode(now, root); err != nil {
+		if now, err = c.Write(now, root); err != nil {
 			c.Fail(err)
 			return now, true
 		}
@@ -219,7 +221,7 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 		c.Fail(err)
 		return now, true
 	}
-	if now, err = c.writeMetaFloor(now, j.snapSeq); err != nil {
+	if now, err = c.writeMeta(now, j.snapSeq); err != nil {
 		c.Fail(err)
 		return now, true
 	}
@@ -246,42 +248,32 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 // node (deepest first), returning the pages written. Nodes registered by
 // splits that ran while the checkpoint was in flight are not in the
 // job's snapshot, and their ancestors' images must not be serialized
-// before they have on-disk extents.
-//
-// The needy-children list for each recursion depth comes from a
-// per-depth scratch slice (depth is bounded by the tree height, and a
-// child written here can only re-dirty its PARENT, never a sibling, so
-// the list stays valid across the loop's writes).
-func (c *Core) writeSubtreeClean(now sim.Duration, id NodeID) (sim.Duration, int, error) {
-	return c.writeSubtreeCleanAt(now, id, 0)
-}
-
-func (c *Core) writeSubtreeCleanAt(now sim.Duration, id NodeID, depth int) (sim.Duration, int, error) {
-	eng := c.eng
-	if eng.Leaf(id) {
-		return now, 0, nil
-	}
-	if depth >= len(c.subtreeScratch) {
-		c.subtreeScratch = append(c.subtreeScratch, nil)
-	}
-	needy := eng.AppendNeedsWrite(id, c.subtreeScratch[depth][:0])
-	c.subtreeScratch[depth] = needy // keep the grown capacity
+// before they have on-disk extents. The scan covers every written
+// interior node's full fanout and almost always finds nothing. Writing a
+// child can only re-dirty its PARENT, never a sibling, and no foreground
+// work runs inside a step, so the children are tested as the loop
+// reaches them.
+func (c *Core) writeSubtreeClean(now sim.Duration, n *Node) (sim.Duration, int, error) {
 	ps := c.fs.PageSize()
 	pages := 0
-	for _, child := range needy {
+	for _, id := range n.Children {
+		child := c.nodes[id]
+		if !child.needsWrite() {
+			continue
+		}
 		var err error
 		var extra int
-		now, extra, err = c.writeSubtreeCleanAt(now, child, depth+1)
+		now, extra, err = c.writeSubtreeClean(now, child)
 		if err != nil {
 			return now, pages, err
 		}
 		pages += extra
-		now, err = eng.WriteNode(now, child)
+		now, err = c.Write(now, child)
 		if err != nil {
 			return now, pages, err
 		}
 		c.io.CheckpointPgs++
-		pages += (eng.SerializedBytes(child) + ps - 1) / ps
+		pages += (child.Serialized + ps - 1) / ps
 	}
 	return now, pages, nil
 }

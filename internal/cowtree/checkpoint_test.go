@@ -113,7 +113,7 @@ func TestStubSplitDuringCheckpoint(t *testing.T) {
 // root growth during an in-flight checkpoint: the new root is an
 // ANCESTOR of every snapshot node, so neither the snapshot closure nor
 // writeSubtreeClean (descendants only) writes it. Without the commit's
-// root-spine write, WriteMeta silently declines (no on-disk root image)
+// root-spine write, writeMeta silently declines (no on-disk root image)
 // while the commit still releases the previous checkpoint's extents and
 // recycles the journal — data loss across the next crash. The test
 // asserts the race actually occurred (white-box: the root id changed
@@ -143,8 +143,8 @@ func TestStubRootGrowthDuringCheckpoint(t *testing.T) {
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
-	rootBefore := tr.root
-	for tr.root == rootBefore {
+	rootBefore := tr.core.Root()
+	for tr.core.Root() == rootBefore {
 		if k > 100000 {
 			t.Fatal("root never grew; tighten the stub limits")
 		}
@@ -172,72 +172,95 @@ func TestStubRootGrowthDuringCheckpoint(t *testing.T) {
 // workloads against constantly overlapping checkpoints (tiny interval,
 // 1-page chunks), crashes at an arbitrary point, recovers, and verifies
 // every key against a reference model — including that the recovered
-// tree accepts further writes and another recovery round-trips them.
+// tree accepts further writes and another recovery round-trips them. The
+// tight-cache runs hold about three stub leaves, so most puts evict and
+// write back a leaf while a checkpoint job is in flight: the job then
+// finds snapshot nodes already written (Step's "evicted and written in
+// the meantime" branch) and eviction re-dirties parents under it.
 func TestStubCheckpointOverlapStress(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			fs, err := stubEnv()
-			if err != nil {
+		for _, cache := range []int64{1 << 30, 768} {
+			t.Run(fmt.Sprintf("seed=%d/cache=%d", seed, cache), func(t *testing.T) {
+				stubOverlapStress(t, seed, cache)
+			})
+		}
+	}
+}
+
+func stubOverlapStress(t *testing.T, seed uint64, cache int64) {
+	tight := cache < 1<<20
+	check := func(tr *stubTree, when string) {
+		t.Helper()
+		if err := tr.core.CheckCache(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	fs, err := stubEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stubConfig(80*time.Microsecond, 1)
+	cfg.CacheBytes = cache
+	tr, err := openStub(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(seed)
+	model := map[uint64][]byte{}
+	var now sim.Duration
+	const space = 700
+	for op := 0; op < 4000; op++ {
+		k := rng.Uint64n(space)
+		v := val(uint64(op), k)
+		model[k] = v
+		if now, err = tr.put(now, k, v); err != nil {
+			t.Fatal(err)
+		}
+		if op%1000 == 999 {
+			// Occasionally force a synchronous full checkpoint.
+			if now, err = tr.flushAll(now); err != nil {
 				t.Fatal(err)
 			}
-			cfg := stubConfig(80*time.Microsecond, 1)
-			tr, err := openStub(fs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := sim.NewRNG(seed)
-			model := map[uint64][]byte{}
-			var now sim.Duration
-			const space = 700
-			for op := 0; op < 4000; op++ {
-				k := rng.Uint64n(space)
-				v := val(uint64(op), k)
-				model[k] = v
-				if now, err = tr.put(now, k, v); err != nil {
-					t.Fatal(err)
-				}
-				if op%1000 == 999 {
-					// Occasionally force a synchronous full checkpoint.
-					if now, err = tr.flushAll(now); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if tr.core.IO().Checkpoints < 3 {
-				t.Fatalf("only %d checkpoints ran; stress shape wrong", tr.core.IO().Checkpoints)
-			}
-			// Crash (no quiesce, no close) and recover.
-			re, rnow, err := recoverStub(fs, cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range model {
-				if got, ok := re.get(k); !ok || !bytes.Equal(got, v) {
-					t.Fatalf("key %d after recovery: %q ok=%v want %q", k, got, ok, v)
-				}
-			}
-			// The recovered tree keeps working and survives another cycle.
-			for op := 0; op < 300; op++ {
-				k := rng.Uint64n(space)
-				v := val(uint64(90000+op), k)
-				model[k] = v
-				if rnow, err = re.put(rnow, k, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err = re.flushAll(rnow); err != nil {
-				t.Fatal(err)
-			}
-			re2, _, err := recoverStub(fs, cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range model {
-				if got, ok := re2.get(k); !ok || !bytes.Equal(got, v) {
-					t.Fatalf("key %d after second recovery: %q ok=%v want %q", k, got, ok, v)
-				}
-			}
-		})
+		}
+	}
+	if tr.core.IO().Checkpoints < 3 {
+		t.Fatalf("only %d checkpoints ran; stress shape wrong", tr.core.IO().Checkpoints)
+	}
+	if io := tr.core.IO(); tight && (io.EvictionWrites < 1000 || io.CacheMisses < 1000) {
+		t.Fatalf("tight cache barely evicted: %+v", io)
+	}
+	check(tr, "before the crash")
+	// Crash (no quiesce, no close) and recover.
+	re, rnow, err := recoverStub(fs, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range model {
+		if got, ok := re.get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %d after recovery: %q ok=%v want %q", k, got, ok, v)
+		}
+	}
+	check(re, "after recovery")
+	// The recovered tree keeps working and survives another cycle.
+	for op := 0; op < 300; op++ {
+		k := rng.Uint64n(space)
+		v := val(uint64(90000+op), k)
+		model[k] = v
+		if rnow, err = re.put(rnow, k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err = re.flushAll(rnow); err != nil {
+		t.Fatal(err)
+	}
+	check(re, "after the second round")
+	re2, _, err := recoverStub(fs, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range model {
+		if got, ok := re2.get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %d after second recovery: %q ok=%v want %q", k, got, ok, v)
+		}
 	}
 }

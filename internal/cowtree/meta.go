@@ -32,6 +32,12 @@ type Meta struct {
 // EncodeMeta serializes a metadata record under the given magic.
 func EncodeMeta(m *Meta, magic uint32) []byte {
 	b := make([]byte, metaBytes)
+	putMeta(b, m, magic)
+	return b
+}
+
+// putMeta encodes m into b[:metaBytes].
+func putMeta(b []byte, m *Meta, magic uint32) {
 	binary.LittleEndian.PutUint32(b[0:], magic)
 	binary.LittleEndian.PutUint64(b[4:], m.Gen)
 	binary.LittleEndian.PutUint64(b[12:], m.Seq)
@@ -39,7 +45,6 @@ func EncodeMeta(m *Meta, magic uint32) []byte {
 	binary.LittleEndian.PutUint32(b[28:], uint32(m.Root.Pages))
 	binary.LittleEndian.PutUint64(b[32:], m.JournalID)
 	binary.LittleEndian.PutUint32(b[40:], crc32.ChecksumIEEE(b[:40]))
-	return b
 }
 
 // DecodeMeta parses a metadata record, verifying magic and CRC. name
@@ -65,39 +70,33 @@ func DecodeMeta(b []byte, magic uint32, name string) (*Meta, error) {
 	}, nil
 }
 
-// metaName returns the metadata slot file name for a generation.
-func metaName(prefix string, gen uint64) string {
-	if gen%2 == 0 {
-		return prefix + "-B"
-	}
-	return prefix + "-A"
+// metaSlots names the two metadata slot files; generation g is written
+// to slot (g+1)%2, so odd generations land in "-A" and even ones in "-B".
+func metaSlots(prefix string) [2]string {
+	return [2]string{prefix + "-A", prefix + "-B"}
 }
 
-// WriteMeta persists the checkpoint metadata into the older slot,
-// recording the engine's current sequence as the recovery floor. A root
-// that was never written (e.g. an empty-tree checkpoint) leaves nothing
-// durable to point at yet, so the write declines silently.
-func (c *Core) WriteMeta(now sim.Duration) (sim.Duration, error) {
-	return c.writeMetaFloor(now, c.eng.Seq())
-}
-
-// writeMetaFloor is WriteMeta with an explicit sequence floor. Checkpoint
-// jobs pass the snapshot-time sequence rather than the commit-time one:
-// updates that arrived while the job ran live in the NEW journal segment
-// (rotated at snapshot), which is not covered by this checkpoint, so a
-// commit-time floor would falsely implicate legitimately-lost unsynced
-// journal records. The snapshot floor is exactly what the tree image
-// guarantees, so recovery can assert it loudly (see each engine's
-// Recover) and any shortfall convicts the device of lying about fsync.
-func (c *Core) writeMetaFloor(now sim.Duration, floor uint64) (sim.Duration, error) {
-	root := c.eng.Root()
-	disk := c.eng.DiskExtent(root)
+// writeMeta persists the checkpoint metadata into the older slot,
+// recording floor as the recovery floor. A root that was never written
+// (e.g. an empty-tree checkpoint) leaves nothing durable to point at
+// yet, so the write declines silently.
+//
+// Checkpoint jobs pass the snapshot-time sequence rather than the
+// commit-time one: updates that arrived while the job ran live in the NEW
+// journal segment (rotated at snapshot), which is not covered by this
+// checkpoint, so a commit-time floor would falsely implicate
+// legitimately-lost unsynced journal records. The snapshot floor is
+// exactly what the tree image guarantees, so recovery can assert it
+// loudly (see each engine's Recover) and any shortfall convicts the
+// device of lying about fsync.
+func (c *Core) writeMeta(now sim.Duration, floor uint64) (sim.Duration, error) {
+	disk := c.nodes[c.root].Disk
 	if disk.Pages == 0 {
 		return now, nil
 	}
 	c.metaGen++
 	m := Meta{Gen: c.metaGen, Seq: floor, JournalID: c.journalID, Root: disk}
-	name := metaName(c.cfg.MetaPrefix, c.metaGen)
+	name := c.metaSlots[(c.metaGen+1)%2]
 	f, err := c.fs.Open(name)
 	if err != nil {
 		if f, err = c.fs.Create(name); err != nil {
@@ -113,7 +112,7 @@ func (c *Core) writeMetaFloor(now sim.Duration, floor uint64) (sim.Duration, err
 			c.metaBuf = make([]byte, c.fs.PageSize())
 		}
 		data = c.metaBuf
-		copy(data, EncodeMeta(&m, c.cfg.MetaMagic))
+		putMeta(data, &m, c.cfg.MetaMagic)
 	}
 	return f.WriteAt(now, 0, 1, data)
 }
@@ -131,7 +130,7 @@ func (c *Core) writeMetaFloor(now sim.Duration, floor uint64) (sim.Duration, err
 func ReadMeta(fs *extfs.FS, prefix string, magic uint32, name string, now sim.Duration) (*Meta, sim.Duration, error) {
 	var best *Meta
 	slots, garbled := 0, 0
-	for _, slot := range []string{prefix + "-A", prefix + "-B"} {
+	for _, slot := range metaSlots(prefix) {
 		f, err := fs.Open(slot)
 		if err != nil {
 			continue

@@ -10,23 +10,20 @@ import (
 	"ptsbench/internal/wal"
 )
 
-// RecoveryEngine extends Engine with the hooks recovery needs: the
+// RecoveryEngine extends Engine with the two hooks recovery needs: the
 // engine materializes nodes from their serialized images (its codec)
 // and applies replayed journal records (its insert path); the core
 // drives the tree walk, free-list reconstruction, leaf-chain rebuild
 // and sequence-ordered replay.
 type RecoveryEngine interface {
 	Engine
-	// MaterializeNode parses one on-disk image into a freshly
-	// registered node and returns its id plus, for interior nodes, the
-	// on-disk extents of its children in child order (nil for leaves).
-	// The engine records ext as the node's current location.
-	MaterializeNode(data []byte, ext Extent, parent NodeID) (NodeID, []Extent, error)
-	// LinkChild records that the interior node's i-th child is the node
-	// with the given id.
-	LinkChild(parent NodeID, i int, child NodeID)
-	// SetNext chains leaves left-to-right for range scans.
-	SetNext(id, next NodeID)
+	// MaterializeNode parses one on-disk image into a node of the
+	// engine's type and registers it (Core.Register plus the engine's own
+	// parallel slice). It returns the node's header — Leaf, Serialized
+	// and, for an interior node, Children sized to the fanout set; the
+	// core fills in Parent, Disk and the child ids — and the on-disk
+	// extents of the children in child order (nil for leaves).
+	MaterializeNode(data []byte) (*Node, []Extent, error)
 	// ApplyRecovered replays one journal record through the engine's
 	// insert path (without journaling, CPU costs or eviction),
 	// sequence-guarded so stale records never overwrite newer on-disk
@@ -39,23 +36,23 @@ type RecoveryEngine interface {
 // is parsed top-down (extents seen during the walk are live; everything
 // else inside the collection file is free space), the block manager's
 // free list is reconstructed as the complement, leaves are re-chained
-// left-to-right, and journal records are replayed in sequence order.
-// The setRoot callback hands the engine its recovered root id before
-// the chain rebuild and replay run (both consult eng.Root()).
-func (c *Core) RecoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine, setRoot func(NodeID)) (sim.Duration, error) {
+// left-to-right, and journal records are replayed in sequence order. A
+// recovered root leaf is admitted to the cache, as a fresh tree's is;
+// every other leaf starts non-resident.
+func (c *Core) RecoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine) (sim.Duration, error) {
 	used := []Extent{}
-	rootID, now, err := c.loadSubtree(now, rootExt, NilNode, eng, &used)
+	root, now, err := c.loadSubtree(now, rootExt, NilNode, eng, &used)
 	if err != nil {
 		return now, err
 	}
-	setRoot(rootID)
+	c.root = root.ID
+	if root.Leaf {
+		c.Admit(root)
+	}
 	c.rebuildFreeList(used)
-	c.rebuildLeafChain(eng)
-	now, err = c.replayJournals(now, eng)
-	if err != nil {
-		return now, err
-	}
-	return now, nil
+	prev := NilNode
+	c.rebuildLeafChain(root, &prev)
+	return c.replayJournals(now, eng)
 }
 
 // RecoverBootstrap rebuilds recovery state for a tree that crashed
@@ -72,31 +69,52 @@ func (c *Core) RecoverBootstrap(now sim.Duration, eng RecoveryEngine) (sim.Durat
 	return c.replayJournals(now, eng)
 }
 
+// FinishRecovery closes out either recovery path: a fresh journal, a
+// full checkpoint that makes the replayed state durable, and only then
+// the removal of the replayed segments, so the next crash finds valid
+// metadata and no stale record.
+func (c *Core) FinishRecovery(now sim.Duration) (sim.Duration, error) {
+	if err := c.StartJournal(); err != nil {
+		return now, err
+	}
+	end, err := c.Checkpoint(now)
+	if err != nil {
+		return now, err
+	}
+	if end > now {
+		now = end
+	}
+	return now, c.retireStaleSegments()
+}
+
 // loadSubtree reads and parses the node at ext, recursing into children,
-// and returns the engine-assigned node id.
-func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng RecoveryEngine, used *[]Extent) (NodeID, sim.Duration, error) {
+// and returns the registered node.
+func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng RecoveryEngine, used *[]Extent) (*Node, sim.Duration, error) {
 	if ext.Pages <= 0 {
-		return NilNode, now, fmt.Errorf("%s: empty extent in tree walk", c.cfg.Name)
+		return nil, now, fmt.Errorf("%s: empty extent in tree walk", c.cfg.Name)
 	}
 	buf := make([]byte, int(ext.Pages)*c.fs.PageSize())
 	now, err := c.file.ReadAt(now, ext.Start, int(ext.Pages), buf)
 	if err != nil {
-		return NilNode, now, err
+		return nil, now, err
 	}
-	id, childExts, err := eng.MaterializeNode(buf, ext, parent)
+	n, childExts, err := eng.MaterializeNode(buf)
 	if err != nil {
-		return NilNode, now, err
+		return nil, now, fmt.Errorf("%w at extent %d+%d", err, ext.Start, ext.Pages)
 	}
+	n.Parent = parent
+	n.Disk = ext
+	n.EverOnDisk = true
 	*used = append(*used, ext)
 	for i, ce := range childExts {
-		childID, done, err := c.loadSubtree(now, ce, id, eng, used)
+		child, done, err := c.loadSubtree(now, ce, n.ID, eng, used)
 		if err != nil {
-			return NilNode, now, err
+			return nil, now, err
 		}
 		now = done
-		eng.LinkChild(id, i, childID)
+		n.Children[i] = child.ID
 	}
-	return id, now, nil
+	return n, now, nil
 }
 
 // rebuildFreeList reconstructs the block manager's free list as the
@@ -117,30 +135,25 @@ func (c *Core) rebuildFreeList(used []Extent) {
 	}
 }
 
-// rebuildLeafChain links leaves left-to-right by walking the tree in
-// order.
-func (c *Core) rebuildLeafChain(eng RecoveryEngine) {
-	prev := NilNode
-	var walk func(id NodeID)
-	walk = func(id NodeID) {
-		if eng.Leaf(id) {
-			if prev != NilNode {
-				eng.SetNext(prev, id)
-			}
-			prev = id
-			return
+// rebuildLeafChain links the leaves under n left-to-right by walking
+// the tree in order; *prev is the last leaf linked so far.
+func (c *Core) rebuildLeafChain(n *Node, prev *NodeID) {
+	if n.Leaf {
+		if *prev != NilNode {
+			c.nodes[*prev].Next = n.ID
 		}
-		for _, child := range eng.Children(id) {
-			walk(child)
-		}
+		*prev = n.ID
+		return
 	}
-	walk(eng.Root())
+	for _, child := range n.Children {
+		c.rebuildLeafChain(c.nodes[child], prev)
+	}
 }
 
 // replayJournals collects every surviving journal segment, replays the
 // records in global sequence order through the engine's recovery apply
-// path, and remembers the segment names so RetireStaleSegments can
-// remove them once the replayed state is durable again.
+// path, and remembers the segment names so FinishRecovery can remove
+// them once the replayed state is durable again.
 func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
 	var records []wal.Record
 	c.segments = c.segments[:0]
@@ -177,11 +190,9 @@ func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duratio
 	return now, nil
 }
 
-// RetireStaleSegments removes the replayed journal segments, keeping the
+// retireStaleSegments removes the replayed journal segments, keeping the
 // active writer's segment and any recycled segment waiting in the pool.
-// Call it after the replayed state has been made durable (StartJournal +
-// a full checkpoint).
-func (c *Core) RetireStaleSegments() error {
+func (c *Core) retireStaleSegments() error {
 	for _, name := range c.segments {
 		if c.journal != nil && name == c.journal.Name() {
 			continue

@@ -2,6 +2,7 @@ package cowtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 )
 
 // This file implements stubTree, a deliberately tiny copy-on-write tree
-// engine over the Core — fixed fanout, uint64 keys, no cache, no
-// buffers — exercised by the engine-agnostic regression tests in
+// engine over the Core — fixed fanout, uint64 keys, no buffers —
+// exercised by the engine-agnostic regression tests in
 // checkpoint_test.go. It is also the reference answer to "what must an
-// engine implement": the Engine/RecoveryEngine methods below plus a
+// engine implement": the four Engine/RecoveryEngine methods below plus a
 // node codec and an insert path are the entire integration surface.
 
 const (
@@ -28,35 +29,23 @@ const (
 )
 
 type stubNode struct {
-	id     NodeID
-	parent NodeID
-	leaf   bool
+	Node
 
 	// Leaf payload, sorted by key.
 	keys []uint64
 	vals [][]byte
 	seqs []uint64
 
-	// Interior payload: children[i] covers keys < seps[i].
-	seps     []uint64
-	children []NodeID
+	// Interior payload: Children[i] covers keys < seps[i].
+	seps []uint64
 
 	childExtents []Extent // recovery only
-
-	dirty bool
-	disk  Extent
-	next  NodeID
 }
 
 type stubTree struct {
-	core   Core
-	fs     *extfs.FS
-	file   *extfs.File
-	bm     *extalloc.Manager
-	nodes  []*stubNode
-	root   NodeID
-	nextID NodeID
-	seq    uint64
+	core  Core
+	nodes []*stubNode // parallel to the core's header table
+	seq   uint64
 }
 
 // stubEnv mounts a content-enabled simulated device.
@@ -92,8 +81,15 @@ func stubConfig(interval time.Duration, chunkPages int) Config {
 		ChunkPages:             chunkPages,
 		CheckpointInterval:     interval,
 		CheckpointPendingBytes: 1 << 30, // interval-driven only
+		CacheBytes:             1 << 30, // nothing evicted unless a test shrinks it
 		Content:                true,
 	}
+}
+
+func newStub(fs *extfs.FS, f *extfs.File, cfg Config) *stubTree {
+	t := &stubTree{nodes: make([]*stubNode, 1, 16)} // index 0 is NilNode
+	t.core.Init(t, fs, f, extalloc.New(f, 64), cfg)
+	return t
 }
 
 func openStub(fs *extfs.FS, cfg Config) (*stubTree, error) {
@@ -101,16 +97,10 @@ func openStub(fs *extfs.FS, cfg Config) (*stubTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &stubTree{
-		fs:    fs,
-		file:  f,
-		bm:    extalloc.New(f, 64),
-		nodes: make([]*stubNode, 1, 16), // index 0 is NilNode
-	}
-	t.core.Init(t, fs, f, t.bm, cfg)
+	t := newStub(fs, f, cfg)
 	root := t.newNode(true)
-	root.parent = NilNode
-	t.root = root.id
+	t.core.SetRoot(root.ID)
+	t.core.Admit(&root.Node)
 	if err := t.core.StartJournal(); err != nil {
 		return nil, err
 	}
@@ -118,107 +108,51 @@ func openStub(fs *extfs.FS, cfg Config) (*stubTree, error) {
 }
 
 func (t *stubTree) newNode(leaf bool) *stubNode {
-	t.nextID++
-	n := &stubNode{id: t.nextID, leaf: leaf}
-	if int(n.id) != len(t.nodes) {
-		panic("stub: ids must be sequential")
-	}
-	t.nodes = append(t.nodes, n)
-	t.markDirty(n)
+	n := &stubNode{Node: Node{Leaf: leaf}}
+	n.Serialized = n.size()
+	t.register(n)
+	t.core.MarkDirty(&n.Node)
 	return n
 }
 
-func (t *stubTree) markDirty(n *stubNode) {
-	if n.dirty {
-		return
+func (t *stubTree) register(n *stubNode) {
+	t.core.Register(&n.Node)
+	t.nodes = append(t.nodes, n)
+}
+
+func (t *stubTree) root() *stubNode { return t.nodes[t.core.Root()] }
+
+// resized brings a node's Serialized (and, for a resident leaf, the
+// cache's byte count) up to date after its payload changed.
+func (t *stubTree) resized(n *stubNode) {
+	delta := n.size() - n.Serialized
+	n.Serialized += delta
+	if n.Resident {
+		t.core.Resize(delta)
 	}
-	n.dirty = true
-	t.core.TrackDirty(n.id)
 }
 
 // ---- Engine implementation ----
 
-func (t *stubTree) Root() NodeID            { return t.root }
-func (t *stubTree) Parent(id NodeID) NodeID { return t.nodes[id].parent }
-func (t *stubTree) Leaf(id NodeID) bool     { return t.nodes[id].leaf }
-func (t *stubTree) Children(id NodeID) []NodeID {
-	return t.nodes[id].children
+func (t *stubTree) AppendImage(dst []byte, id NodeID) []byte {
+	return serializeStub(dst, t.nodes[id], func(c NodeID) Extent { return t.nodes[c].Disk })
 }
-func (t *stubTree) Dirty(id NodeID) bool { return t.nodes[id].dirty }
-func (t *stubTree) NeedsWrite(id NodeID) bool {
-	n := t.nodes[id]
-	return n.dirty || n.disk.Pages == 0
-}
-func (t *stubTree) AppendNeedsWrite(id NodeID, dst []NodeID) []NodeID {
-	for _, c := range t.nodes[id].children {
-		if n := t.nodes[c]; n.dirty || n.disk.Pages == 0 {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-func (t *stubTree) Live(id NodeID) bool         { return t.nodes[id] != nil }
-func (t *stubTree) DiskExtent(id NodeID) Extent { return t.nodes[id].disk }
-func (t *stubTree) SerializedBytes(id NodeID) int {
-	return len(serializeStub(t.nodes[id], nil))
-}
-func (t *stubTree) MarkDirty(id NodeID) { t.markDirty(t.nodes[id]) }
-func (t *stubTree) Seq() uint64         { return t.seq }
 
-func (t *stubTree) WriteNode(now sim.Duration, id NodeID) (sim.Duration, error) {
-	n := t.nodes[id]
-	data := serializeStub(n, func(c NodeID) Extent { return t.nodes[c].disk })
-	ps := t.fs.PageSize()
-	pages := int64((len(data) + ps - 1) / ps)
-	if n.disk.Pages > 0 {
-		t.bm.ReleaseDeferred(n.disk)
-	}
-	ext, err := t.bm.Alloc(pages)
-	if err != nil {
-		return now, err
-	}
-	padded := make([]byte, pages*int64(ps))
-	copy(padded, data)
-	done, err := t.file.WriteAt(now, ext.Start, int(pages), padded)
-	if err != nil {
-		return now, err
-	}
-	n.disk = ext
-	if n.dirty {
-		n.dirty = false
-		t.core.NoteClean()
-	}
-	if n.parent != NilNode {
-		t.markDirty(t.nodes[n.parent])
-	}
-	return done, nil
-}
+func (t *stubTree) Seq() uint64 { return t.seq }
 
 // ---- RecoveryEngine implementation ----
 
-func (t *stubTree) MaterializeNode(data []byte, ext Extent, parent NodeID) (NodeID, []Extent, error) {
+func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
 	n, ok := parseStub(data)
 	if !ok {
-		return NilNode, nil, fmt.Errorf("stub: corrupt node at %d+%d", ext.Start, ext.Pages)
+		return nil, nil, errors.New("stub: corrupt node")
 	}
-	t.nextID++
-	n.id = t.nextID
-	n.parent = parent
-	n.disk = ext
-	if int(n.id) != len(t.nodes) {
-		panic("stub: ids must be sequential")
-	}
-	t.nodes = append(t.nodes, n)
+	n.Serialized = n.size()
+	t.register(n)
 	exts := n.childExtents
 	n.childExtents = nil
-	return n.id, exts, nil
+	return &n.Node, exts, nil
 }
-
-func (t *stubTree) LinkChild(parent NodeID, i int, child NodeID) {
-	t.nodes[parent].children[i] = child
-}
-
-func (t *stubTree) SetNext(id, next NodeID) { t.nodes[id].next = next }
 
 func (t *stubTree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
 	if r.Seq > t.seq {
@@ -237,13 +171,13 @@ func (t *stubTree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration
 // ---- tree operations ----
 
 func (t *stubTree) descend(key uint64) *stubNode {
-	n := t.nodes[t.root]
-	for !n.leaf {
+	n := t.root()
+	for !n.Leaf {
 		i := 0
 		for i < len(n.seps) && key >= n.seps[i] {
 			i++
 		}
-		n = t.nodes[n.children[i]]
+		n = t.nodes[n.Children[i]]
 	}
 	return n
 }
@@ -277,7 +211,8 @@ func (t *stubTree) insertLeaf(leaf *stubNode, key uint64, val []byte, seq uint64
 		copy(leaf.seqs[i+1:], leaf.seqs[i:])
 		leaf.seqs[i] = seq
 	}
-	t.markDirty(leaf)
+	t.resized(leaf)
+	t.core.MarkDirty(&leaf.Node)
 	if len(leaf.keys) > stubLeafMax {
 		t.splitLeaf(leaf)
 	}
@@ -290,16 +225,23 @@ func (t *stubTree) put(now sim.Duration, key uint64, val []byte) (sim.Duration, 
 	t.core.Pump(now)
 	now += time.Microsecond
 	t.seq++
-	t.insertLeaf(t.descend(key), key, val, t.seq)
+	leaf := t.descend(key)
+	var err error
+	if now, err = t.core.Load(now, &leaf.Node); err != nil {
+		return now, err
+	}
+	t.insertLeaf(leaf, key, val, t.seq)
 	if w := t.core.Journal(); w != nil {
 		var kb [8]byte
 		binary.BigEndian.PutUint64(kb[:], key)
 		rec := wal.Record{Seq: t.seq, Key: kb[:], Value: val, ValueLen: len(val)}
-		var err error
 		now, err = w.Append(now, &rec, true)
 		if err != nil {
 			return now, err
 		}
+	}
+	if now, err = t.core.EvictToFit(now); err != nil {
+		return now, err
 	}
 	t.core.MaybeCheckpoint(now)
 	return now, nil
@@ -317,43 +259,50 @@ func (t *stubTree) get(key uint64) ([]byte, bool) {
 func (t *stubTree) splitLeaf(leaf *stubNode) {
 	mid := len(leaf.keys) / 2
 	right := t.newNode(true)
-	right.parent = leaf.parent
+	right.Parent = leaf.Parent
 	right.keys = append(right.keys, leaf.keys[mid:]...)
 	right.vals = append(right.vals, leaf.vals[mid:]...)
 	right.seqs = append(right.seqs, leaf.seqs[mid:]...)
 	leaf.keys = leaf.keys[:mid]
 	leaf.vals = leaf.vals[:mid]
 	leaf.seqs = leaf.seqs[:mid]
-	right.next = leaf.next
-	leaf.next = right.id
-	t.markDirty(leaf)
+	right.Next = leaf.Next
+	leaf.Next = right.ID
+	t.resized(leaf)
+	t.resized(right)
+	if leaf.Resident {
+		t.core.Admit(&right.Node)
+	}
+	t.core.MarkDirty(&leaf.Node)
 	t.insertIntoParent(leaf, right.keys[0], right)
 }
 
 func (t *stubTree) insertIntoParent(left *stubNode, sep uint64, right *stubNode) {
-	if left.id == t.root {
+	if left.ID == t.core.Root() {
 		newRoot := t.newNode(false)
 		newRoot.seps = []uint64{sep}
-		newRoot.children = []NodeID{left.id, right.id}
-		left.parent = newRoot.id
-		right.parent = newRoot.id
-		t.root = newRoot.id
+		newRoot.Children = []NodeID{left.ID, right.ID}
+		t.resized(newRoot)
+		left.Parent = newRoot.ID
+		right.Parent = newRoot.ID
+		t.core.SetRoot(newRoot.ID)
 		return
 	}
-	parent := t.nodes[left.parent]
+	parent := t.nodes[left.Parent]
 	idx := 0
-	for idx < len(parent.children) && parent.children[idx] != left.id {
+	for idx < len(parent.Children) && parent.Children[idx] != left.ID {
 		idx++
 	}
 	parent.seps = append(parent.seps, 0)
 	copy(parent.seps[idx+1:], parent.seps[idx:])
 	parent.seps[idx] = sep
-	parent.children = append(parent.children, NilNode)
-	copy(parent.children[idx+2:], parent.children[idx+1:])
-	parent.children[idx+1] = right.id
-	right.parent = parent.id
-	t.markDirty(parent)
-	if len(parent.children) > stubFanoutMax {
+	parent.Children = append(parent.Children, NilNode)
+	copy(parent.Children[idx+2:], parent.Children[idx+1:])
+	parent.Children[idx+1] = right.ID
+	right.Parent = parent.ID
+	t.resized(parent)
+	t.core.MarkDirty(&parent.Node)
+	if len(parent.Children) > stubFanoutMax {
 		t.splitInterior(parent)
 	}
 }
@@ -362,15 +311,17 @@ func (t *stubTree) splitInterior(n *stubNode) {
 	mid := len(n.seps) / 2
 	promoted := n.seps[mid]
 	right := t.newNode(false)
-	right.parent = n.parent
+	right.Parent = n.Parent
 	right.seps = append(right.seps, n.seps[mid+1:]...)
-	right.children = append(right.children, n.children[mid+1:]...)
+	right.Children = append(right.Children, n.Children[mid+1:]...)
 	n.seps = n.seps[:mid]
-	n.children = n.children[:mid+1]
-	for _, c := range right.children {
-		t.nodes[c].parent = right.id
+	n.Children = n.Children[:mid+1]
+	for _, c := range right.Children {
+		t.nodes[c].Parent = right.ID
 	}
-	t.markDirty(n)
+	t.resized(n)
+	t.resized(right)
+	t.core.MarkDirty(&n.Node)
 	t.insertIntoParent(n, promoted, right)
 }
 
@@ -392,28 +343,13 @@ func recoverStub(fs *extfs.FS, cfg Config, now sim.Duration) (*stubTree, sim.Dur
 	if err != nil {
 		return nil, now, err
 	}
-	t := &stubTree{
-		fs:    fs,
-		file:  f,
-		bm:    extalloc.New(f, 64),
-		nodes: make([]*stubNode, 1, 16),
-		seq:   st.Seq,
-	}
-	t.core.Init(t, fs, f, t.bm, cfg)
+	t := newStub(fs, f, cfg)
+	t.seq = st.Seq
 	t.core.SetJournalState(st.JournalID, st.Gen)
-	now, err = t.core.RecoverTree(now, st.Root, t, func(id NodeID) { t.root = id })
-	if err != nil {
+	if now, err = t.core.RecoverTree(now, st.Root, t); err != nil {
 		return nil, now, err
 	}
-	if err := t.core.StartJournal(); err != nil {
-		return nil, now, err
-	}
-	if end, err := t.flushAll(now); err != nil {
-		return nil, now, err
-	} else if end > now {
-		now = end
-	}
-	if err := t.core.RetireStaleSegments(); err != nil {
+	if now, err = t.core.FinishRecovery(now); err != nil {
 		return nil, now, err
 	}
 	return t, now, nil
@@ -421,15 +357,29 @@ func recoverStub(fs *extfs.FS, cfg Config, now sim.Duration) (*stubTree, sim.Dur
 
 // ---- codec ----
 
-// serializeStub encodes a node: magic(4) leaf(1) count(4), then per
-// entry key(8) seq(8) vlen(4) val (leaf), or seps (8 each) followed by
-// count+1 child extents (start 8, pages 4) resolved via the callback.
-func serializeStub(n *stubNode, resolve func(NodeID) Extent) []byte {
-	out := make([]byte, 9)
-	binary.LittleEndian.PutUint32(out[0:], stubMagic)
-	if n.leaf {
-		out[4] = 1
-		binary.LittleEndian.PutUint32(out[5:], uint32(len(n.keys)))
+// size is the length of the node's image.
+func (n *stubNode) size() int {
+	if !n.Leaf {
+		return 9 + 8*len(n.seps) + 12*len(n.Children)
+	}
+	sz := 9 + 20*len(n.keys)
+	for _, v := range n.vals {
+		sz += len(v)
+	}
+	return sz
+}
+
+// serializeStub appends a node's image to out: magic(4) leaf(1)
+// count(4), then per entry key(8) seq(8) vlen(4) val (leaf), or seps (8
+// each) followed by count+1 child extents (start 8, pages 4) resolved
+// via the callback.
+func serializeStub(out []byte, n *stubNode, resolve func(NodeID) Extent) []byte {
+	var hdr [9]byte
+	binary.LittleEndian.PutUint32(hdr[0:], stubMagic)
+	if n.Leaf {
+		hdr[4] = 1
+		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(n.keys)))
+		out = append(out, hdr[:]...)
 		for i := range n.keys {
 			var hdr [20]byte
 			binary.LittleEndian.PutUint64(hdr[0:], n.keys[i])
@@ -440,17 +390,15 @@ func serializeStub(n *stubNode, resolve func(NodeID) Extent) []byte {
 		}
 		return out
 	}
-	binary.LittleEndian.PutUint32(out[5:], uint32(len(n.seps)))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(n.seps)))
+	out = append(out, hdr[:]...)
 	for _, sep := range n.seps {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], sep)
 		out = append(out, b[:]...)
 	}
-	for _, c := range n.children {
-		var ext Extent
-		if resolve != nil {
-			ext = resolve(c)
-		}
+	for _, c := range n.Children {
+		ext := resolve(c)
 		var b [12]byte
 		binary.LittleEndian.PutUint64(b[0:], uint64(ext.Start))
 		binary.LittleEndian.PutUint32(b[8:], uint32(ext.Pages))
@@ -463,10 +411,10 @@ func parseStub(data []byte) (*stubNode, bool) {
 	if len(data) < 9 || binary.LittleEndian.Uint32(data[0:]) != stubMagic {
 		return nil, false
 	}
-	n := &stubNode{leaf: data[4] == 1}
+	n := &stubNode{Node: Node{Leaf: data[4] == 1}}
 	count := int(binary.LittleEndian.Uint32(data[5:]))
 	off := 9
-	if n.leaf {
+	if n.Leaf {
 		for i := 0; i < count; i++ {
 			if off+20 > len(data) {
 				return nil, false
@@ -500,7 +448,7 @@ func parseStub(data []byte) (*stubNode, bool) {
 			Start: int64(binary.LittleEndian.Uint64(data[off:])),
 			Pages: int64(binary.LittleEndian.Uint32(data[off+8:])),
 		})
-		n.children = append(n.children, NilNode)
+		n.Children = append(n.Children, NilNode)
 		off += 12
 	}
 	return n, true

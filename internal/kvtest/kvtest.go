@@ -48,8 +48,26 @@ type Stack struct {
 // the reference-map and determinism tests.
 type Factory func(t *testing.T, content bool) *Stack
 
-// Run executes the conformance suite against the factory.
-func Run(t *testing.T, open Factory) {
+// audit runs the structural self-check of an engine that has one (the
+// tree engines audit the leaf cache their shared core keeps), so every
+// scenario ends by checking structure, not just contents.
+func audit(t *testing.T, e Engine) {
+	t.Helper()
+	if c, ok := e.(interface{ Check() error }); ok {
+		if err := c.Check(); err != nil {
+			t.Errorf("structural check: %v", err)
+		}
+	}
+}
+
+// Run executes the conformance suite against the factory. Every engine a
+// scenario opens is audited when the scenario ends.
+func Run(t *testing.T, factory Factory) {
+	open := func(t *testing.T, content bool) *Stack {
+		s := factory(t, content)
+		t.Cleanup(func() { audit(t, s.Engine) })
+		return s
+	}
 	t.Run("PutGetBasic", func(t *testing.T) { testPutGetBasic(t, open) })
 	t.Run("OverwriteLatestWins", func(t *testing.T) { testOverwrite(t, open) })
 	t.Run("DeleteHidesKey", func(t *testing.T) { testDelete(t, open) })
@@ -380,6 +398,7 @@ func testRecovery(t *testing.T, open Factory) {
 	if err != nil || !found || got[0] != 9 {
 		t.Fatalf("post-recovery write lost: %v %v %v", got, found, err)
 	}
+	audit(t, re)
 }
 
 // replayScript runs a fixed mixed workload and returns a fingerprint of
