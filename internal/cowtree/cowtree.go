@@ -67,10 +67,8 @@ type Node struct {
 	// checkpoint. Set it through Core.MarkDirty only.
 	Dirty bool
 	// Resident leaves are on the core's LRU list (interior nodes are
-	// pinned and never listed). EverOnDisk says loading the leaf costs a
-	// read.
-	Resident   bool
-	EverOnDisk bool
+	// pinned and never listed).
+	Resident bool
 
 	// Children are an interior node's child ids, in key order (nil for
 	// leaves). The engine maintains them together with its separators.
@@ -304,8 +302,8 @@ func (c *Core) pushHead(n *Node) {
 	c.lruHead = n.ID
 }
 
-// unlink takes a listed leaf out of the list. Its own links go stale:
-// Touch overwrites them, EvictToFit clears them.
+// unlink takes a listed leaf out of the list. Its own links go stale;
+// pushHead overwrites both when the leaf is next listed.
 func (c *Core) unlink(n *Node) {
 	if n.lruNewer != NilNode {
 		c.nodes[n.lruNewer].lruOlder = n.lruOlder
@@ -333,12 +331,12 @@ func (c *Core) Load(now sim.Duration, n *Node) (sim.Duration, error) {
 }
 
 // Fetch counts a miss on a non-resident leaf, charges the read when the
-// leaf has an on-disk image, and admits it. It returns the read's
-// completion time, so a caller may issue several at one virtual instant
-// (scan prefetch) and wait for the latest.
+// leaf has an on-disk image (one never written costs none), and admits
+// it. It returns the read's completion time, so a caller may issue
+// several at one virtual instant (scan prefetch) and wait for the latest.
 func (c *Core) Fetch(now sim.Duration, n *Node) (sim.Duration, error) {
 	c.io.CacheMisses++
-	if n.EverOnDisk {
+	if n.Disk.Pages > 0 {
 		var err error
 		now, err = c.file.ReadAt(now, n.Disk.Start, int(n.Disk.Pages), nil)
 		if err != nil {
@@ -367,7 +365,6 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 		victim := c.nodes[c.lruTail]
 		c.unlink(victim)
 		victim.Resident = false
-		victim.lruNewer, victim.lruOlder = NilNode, NilNode
 		c.residentBytes -= int64(victim.Serialized)
 		if victim.Dirty {
 			var err error
@@ -448,7 +445,6 @@ func (c *Core) Write(now sim.Duration, n *Node) (sim.Duration, error) {
 		return now, err
 	}
 	n.Disk = ext
-	n.EverOnDisk = true
 	if n.Dirty {
 		// The node's entry in the transition log stays behind; checkpoint
 		// snapshots filter on the flag, so a stale id is skipped for free.

@@ -104,7 +104,6 @@ func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng Reco
 	}
 	n.Parent = parent
 	n.Disk = ext
-	n.EverOnDisk = true
 	*used = append(*used, ext)
 	for i, ce := range childExts {
 		child, done, err := c.loadSubtree(now, ce, n.ID, eng, used)
