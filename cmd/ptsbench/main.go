@@ -71,8 +71,10 @@ import (
 	"strings"
 	"time"
 
-	"ptsbench"
+	"ptsbench/internal/core"
 	"ptsbench/internal/crash"
+	"ptsbench/internal/engine"
+	"ptsbench/internal/figures"
 )
 
 func main() {
@@ -83,7 +85,7 @@ func main() {
 	switch os.Args[1] {
 	case "list":
 		fmt.Println("available figures:")
-		for _, id := range ptsbench.Figures() {
+		for _, id := range figures.IDs() {
 			fmt.Printf("  %s\n", id)
 		}
 	case "engines":
@@ -183,13 +185,9 @@ func main() {
 		seed := fs.Uint64("seed", 1, "op-log seed")
 		dir := fs.String("dir", "", "keep the file backend's image in this directory (default: temp, removed)")
 		_ = fs.Parse(os.Args[2:])
-		var engines []string
+		engines := engine.Names()
 		if *eng != "" {
 			engines = strings.Split(*eng, ",")
-		} else {
-			for _, info := range ptsbench.Engines() {
-				engines = append(engines, info.Name)
-			}
 		}
 		if err := runDevdiff(engines, *ops, *keys, *seed, *dir); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -199,7 +197,7 @@ func main() {
 		fs := flag.NewFlagSet("all", flag.ExitOnError)
 		opts, csvDir := commonFlags(fs)
 		_ = fs.Parse(os.Args[2:])
-		for _, id := range ptsbench.Figures() {
+		for _, id := range figures.IDs() {
 			if err := runOne(id, *opts, *csvDir); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
@@ -211,14 +209,14 @@ func main() {
 	}
 }
 
-func commonFlags(fs *flag.FlagSet) (*ptsbench.FigureOptions, *string) {
-	opts := &ptsbench.FigureOptions{}
+func commonFlags(fs *flag.FlagSet) (*figures.Options, *string) {
+	opts := &figures.Options{}
 	fs.Int64Var(&opts.Scale, "scale", 0, "simulation scale override (0 = figure default)")
 	fs.BoolVar(&opts.Quick, "quick", false, "shorten runs for a fast smoke pass")
 	fs.Uint64Var(&opts.Seed, "seed", 0, "deterministic seed override")
 	fs.Func("engine", "restrict to engines (comma-separated: lsm, btree, betree)", func(v string) error {
 		for _, name := range strings.Split(v, ",") {
-			k, err := ptsbench.ParseEngine(strings.TrimSpace(name))
+			k, err := core.ParseEngine(strings.TrimSpace(name))
 			if err != nil {
 				return err
 			}
@@ -230,9 +228,9 @@ func commonFlags(fs *flag.FlagSet) (*ptsbench.FigureOptions, *string) {
 	return opts, csvDir
 }
 
-func runOne(id string, opts ptsbench.FigureOptions, csvDir string) error {
+func runOne(id string, opts figures.Options, csvDir string) error {
 	start := time.Now()
-	rep, err := ptsbench.Figure(id, opts)
+	rep, err := figures.Run(id, opts)
 	if err != nil {
 		return err
 	}
@@ -241,7 +239,7 @@ func runOne(id string, opts ptsbench.FigureOptions, csvDir string) error {
 
 // emit prints a finished report with the wall-clock time it took since
 // start and, with a csvDir, also writes its CSV files there.
-func emit(rep *ptsbench.FigureReport, name string, start time.Time, csvDir string) error {
+func emit(rep *figures.Report, name string, start time.Time, csvDir string) error {
 	if err := rep.Render(os.Stdout); err != nil {
 		return err
 	}
@@ -258,15 +256,20 @@ func emit(rep *ptsbench.FigureReport, name string, start time.Time, csvDir strin
 // listEngines prints the driver registry: every engine and the
 // declarative tunables its spec files accept.
 func listEngines(w io.Writer) {
-	for _, info := range ptsbench.Engines() {
-		fmt.Fprintf(w, "%s\n", info.Name)
+	for _, name := range engine.Names() {
+		drv, err := engine.Lookup(name)
+		if err != nil {
+			continue // Names lists only registered drivers
+		}
+		tunables := drv.Configure(engine.Sizing{}).Tunables()
+		fmt.Fprintf(w, "%s\n", name)
 		width := 0
-		for _, t := range info.Tunables {
+		for _, t := range tunables {
 			if len(t.Name) > width {
 				width = len(t.Name)
 			}
 		}
-		for _, t := range info.Tunables {
+		for _, t := range tunables {
 			fmt.Fprintf(w, "  %-*s  %-8s  %s\n", width, t.Name, t.Kind, t.Doc)
 		}
 		fmt.Fprintln(w)
@@ -281,7 +284,7 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 	if err != nil {
 		return err
 	}
-	exp, err := ptsbench.ParseExperiment(data)
+	exp, err := core.ParseExperiment(data)
 	if err != nil {
 		return err
 	}
@@ -295,11 +298,11 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 		return err
 	}
 	fmt.Printf("running %d cells from %s\n", len(specs), specPath)
-	results, err := ptsbench.RunGrid(specs, workers)
+	results, err := core.RunGrid(specs, workers)
 	if err != nil {
 		return err
 	}
-	if err := emit(ptsbench.ExpReport(exp.Name, specs, results), exp.Name, start, csvDir); err != nil {
+	if err := emit(figures.ExpReport(exp.Name, specs, results), exp.Name, start, csvDir); err != nil {
 		return err
 	}
 	if jsonOut != "" {
@@ -307,7 +310,7 @@ func runExp(specPath string, quick bool, csvDir, jsonOut string, workers int) er
 		if err != nil {
 			return err
 		}
-		if err := ptsbench.WriteResultsJSON(f, results); err != nil {
+		if err := core.WriteResultsJSON(f, results); err != nil {
 			f.Close()
 			return err
 		}

@@ -2,13 +2,20 @@ package main
 
 import (
 	"bytes"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
-	"ptsbench"
+	"ptsbench/internal/core"
 	"ptsbench/internal/crash"
+	"ptsbench/internal/figures"
 )
 
 // TestRunOneSmoke drives the CLI's core path end to end with a tiny
@@ -16,7 +23,7 @@ import (
 // and written as CSV. This is the "does the binary actually work"
 // guard; figure correctness is tested in internal/figures.
 func TestRunOneSmoke(t *testing.T) {
-	opts := ptsbench.FigureOptions{Quick: true, Scale: 2048, Seed: 1}
+	opts := figures.Options{Quick: true, Scale: 2048, Seed: 1}
 	dir := t.TempDir()
 	if err := runOne("qdsweep", opts, dir); err != nil {
 		t.Fatalf("runOne: %v", err)
@@ -31,7 +38,7 @@ func TestRunOneSmoke(t *testing.T) {
 }
 
 func TestRunOneUnknownFigure(t *testing.T) {
-	if err := runOne("nope", ptsbench.FigureOptions{}, ""); err == nil {
+	if err := runOne("nope", figures.Options{}, ""); err == nil {
 		t.Fatal("unknown figure should error")
 	}
 }
@@ -59,7 +66,7 @@ func TestExpSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	results, err := ptsbench.ReadResultsJSON(f)
+	results, err := core.ReadResultsJSON(f)
 	if err != nil {
 		t.Fatalf("results JSON unreadable: %v", err)
 	}
@@ -88,7 +95,7 @@ func TestExpExampleSpecsParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := ptsbench.ParseExperiment(data)
+		exp, err := core.ParseExperiment(data)
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
@@ -100,6 +107,90 @@ func TestExpExampleSpecsParse(t *testing.T) {
 			t.Fatalf("%s expands to no cells", file)
 		}
 	}
+}
+
+var (
+	mdFence    = regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
+	mdSpan     = regexp.MustCompile("`([^`]+)`")
+	goRunDir   = regexp.MustCompile("go run \\./([^\\s`]+)")
+	subcommand = regexp.MustCompile(`(?m)(?:^|[\s/])ptsbench ([a-z][a-z-]*)`)
+)
+
+// TestDocCommandsResolve keeps the commands the docs tell a reader to
+// run pointing at code that exists: in the fenced blocks and inline code
+// of README.md and the verify skill, every `go run ./DIR` must name a
+// directory holding a main package, and every `ptsbench WORD` a
+// subcommand main dispatches. Commands for deleted programs are how
+// unrun code used to go unnoticed.
+func TestDocCommandsResolve(t *testing.T) {
+	root := filepath.Join("..", "..")
+	dispatched := dispatchedSubcommands(t)
+	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		var code []string
+		for _, m := range mdFence.FindAllStringSubmatch(text, -1) {
+			code = append(code, m[1])
+		}
+		for _, m := range mdSpan.FindAllStringSubmatch(mdFence.ReplaceAllString(text, ""), -1) {
+			code = append(code, m[1])
+		}
+		runs, cmds := 0, 0
+		for _, c := range code {
+			for _, m := range goRunDir.FindAllStringSubmatch(c, -1) {
+				runs++
+				if pkg, err := build.ImportDir(filepath.Join(root, m[1]), 0); err != nil || pkg.Name != "main" {
+					t.Errorf("%s: `go run ./%s` names no main package", doc, m[1])
+				}
+			}
+			for _, m := range subcommand.FindAllStringSubmatch(c, -1) {
+				cmds++
+				if !dispatched[m[1]] {
+					t.Errorf("%s: `ptsbench %s` is not a subcommand", doc, m[1])
+				}
+			}
+		}
+		if runs == 0 || cmds == 0 {
+			t.Errorf("%s: found %d go run and %d ptsbench commands; the scan is broken", doc, runs, cmds)
+		}
+	}
+}
+
+// dispatchedSubcommands reads the case labels of main's switch over the
+// subcommand word.
+func dispatchedSubcommands(t *testing.T) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := map[string]bool{}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "main" {
+			continue
+		}
+		for _, stmt := range fn.Body.List {
+			sw, ok := stmt.(*ast.SwitchStmt)
+			if !ok {
+				continue
+			}
+			for _, clause := range sw.Body.List {
+				for _, e := range clause.(*ast.CaseClause).List {
+					if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						word, _ := strconv.Unquote(lit.Value)
+						cmds[word] = true
+					}
+				}
+			}
+		}
+	}
+	if len(cmds) == 0 {
+		t.Fatal("found no subcommands in main's switch")
+	}
+	return cmds
 }
 
 func TestExpErrors(t *testing.T) {

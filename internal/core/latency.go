@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ptsbench/internal/sim"
 )
@@ -158,10 +157,4 @@ type LatencySummary struct {
 func (s LatencySummary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v p99.9=%v max=%v",
 		s.Count, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max)
-}
-
-// SortDurations is a small helper for exact percentiles over short slices
-// (tests and reports).
-func SortDurations(ds []sim.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

@@ -193,6 +193,15 @@ func TestSpecValidateFailsFast(t *testing.T) {
 			t.Fatalf("%s: Validate() err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
+	// The CLI's -engine flag checks names against the same registry.
+	for name, want := range map[string]EngineKind{"lsm": LSM, "btree": BTree, "betree": Betree} {
+		if got, err := ParseEngine(name); err != nil || got != want {
+			t.Fatalf("ParseEngine(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseEngine("bogus"); err == nil {
+		t.Fatal("ParseEngine(\"bogus\") should error")
+	}
 }
 
 func TestParseExperimentExpandsGrid(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package engine defines the pluggable storage-engine driver interface
-// and its registry. The experiment runner (internal/core), the figures,
-// the CLI and the public facade all resolve engines by name through the
-// registry instead of switching over a hard-coded enum, so adding a
+// and its registry. The experiment runner (internal/core), the stack
+// builder (internal/stack), the figures and the CLI all resolve engines
+// by name through the registry instead of switching over a hard-coded enum, so adding a
 // tree structure to the laboratory is one new package plus one
 // self-registration — the pattern host storage stacks use to keep their
 // device and engine layers pluggable.
@@ -111,8 +111,8 @@ type Tunable struct {
 // Config is a sized engine configuration: a Driver's defaults after
 // Sizing, ready to accept declarative overrides and open engines.
 // Implementations are pointers to the engine's own config struct, so
-// typed callers (the facade's thin wrappers) and declarative callers
-// share one code path.
+// typed callers that set fields directly (an engine's own tests) and
+// declarative callers (spec files, stack layouts) share one code path.
 type Config interface {
 	// Tunables lists the knobs ApplyTunables accepts.
 	Tunables() []Tunable

@@ -459,10 +459,13 @@ func (d *Device) TrimAll() {
 	d.ftl.trimAll()
 }
 
-// Precondition ages the device per the paper's §3.4: first write the
-// whole logical address space sequentially, then issue uniformly random
-// single-page writes totalling `multiple` times the logical capacity
-// (the paper uses 2×) so that garbage collection reaches steady state.
+// PreconditionRange ages the LBA range [firstPage, firstPage+pages) per
+// the paper's §3.4: first write the range sequentially, then issue
+// uniformly random single-page writes inside it totalling `multiple`
+// times its size (the paper uses 2×) so that garbage collection reaches
+// steady state. The whole drive is the range [0, LogicalPages()); the
+// harness ages a partition while leaving software-over-provisioned space
+// trimmed (Fig 7's "preconditioned partition" configuration).
 // Preconditioning is timeless: it models setup work done before the
 // experiment clock starts.
 //
@@ -470,24 +473,6 @@ func (d *Device) TrimAll() {
 // path; the random phase — the part that actually drives GC to steady
 // state, and 2× the fill's size at the paper's setting — performs real
 // per-page writes.
-func (d *Device) Precondition(rng *sim.RNG, multiple int) {
-	if d.noGC {
-		d.ftl.markMappedRange(0, d.ftl.logicalPages)
-		d.noGCWrites += d.ftl.logicalPages * int64(multiple+1)
-		return
-	}
-	total := d.ftl.logicalPages
-	d.ftl.sequentialFill(0, total)
-	for i := int64(0); i < total*int64(multiple); i++ {
-		d.ftl.hostWrite(int64(rng.Uint64n(uint64(total))))
-	}
-}
-
-// PreconditionRange ages only the LBA range [firstPage, firstPage+pages):
-// sequential fill of the range, then `multiple`× its size of uniform
-// random overwrites inside it. The harness uses it to precondition a
-// partition while leaving software-over-provisioned space trimmed
-// (Fig 7's "preconditioned partition" configuration).
 func (d *Device) PreconditionRange(rng *sim.RNG, firstPage, pages int64, multiple int) {
 	d.checkRange(firstPage, int(pages))
 	if d.noGC {

@@ -317,7 +317,7 @@ func TestTrimRange(t *testing.T) {
 
 func TestPreconditionReachesFullUtilization(t *testing.T) {
 	d := newTestDevice(t, testConfig())
-	d.Precondition(sim.NewRNG(1), 2)
+	d.PreconditionRange(sim.NewRNG(1), 0, d.LogicalPages(), 2)
 	if d.MappedPages() != d.LogicalPages() {
 		t.Fatalf("precondition left %d mapped, want %d", d.MappedPages(), d.LogicalPages())
 	}
@@ -338,7 +338,7 @@ func TestPreconditionedVsTrimmedFirstWrites(t *testing.T) {
 	// device level.
 	trimmed := newTestDevice(t, testConfig())
 	prec := newTestDevice(t, testConfig())
-	prec.Precondition(sim.NewRNG(5), 2)
+	prec.PreconditionRange(sim.NewRNG(5), 0, prec.LogicalPages(), 2)
 	precBase := prec.Stats()
 
 	rng1 := sim.NewRNG(9)
@@ -380,7 +380,7 @@ func TestNoGCDevice(t *testing.T) {
 	if wad := d.WAD(); wad != 1 {
 		t.Fatalf("NoGC device WAD = %v, want exactly 1", wad)
 	}
-	d.Precondition(sim.NewRNG(3), 2)
+	d.PreconditionRange(sim.NewRNG(3), 0, d.LogicalPages(), 2)
 	if wad := d.WAD(); wad != 1 {
 		t.Fatalf("NoGC device WAD after precondition = %v, want 1", wad)
 	}

@@ -355,7 +355,7 @@ func (f *ftl) unmarkMappedRange(lpn, n int64) {
 }
 
 // sequentialFill lays pages [first, first+n) into freshly opened blocks
-// in LBA order — the O(blocks) fast path behind Precondition's
+// in LBA order — the O(blocks) fast path behind PreconditionRange's
 // sequential-fill phase. Each block is claimed from the free pool, filled
 // with consecutive logical pages in one pass (block-sequential placement
 // rather than per-page pseudo-random striping: for preconditioning the

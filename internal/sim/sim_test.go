@@ -6,41 +6,6 @@ import (
 	"time"
 )
 
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("zero clock reads %v, want 0", c.Now())
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	c.Advance(5 * time.Millisecond)
-	if got := c.Now(); got != 5*time.Millisecond {
-		t.Fatalf("Now() = %v, want 5ms", got)
-	}
-	c.Advance(-time.Second) // negative ignored
-	if got := c.Now(); got != 5*time.Millisecond {
-		t.Fatalf("Now() after negative advance = %v, want 5ms", got)
-	}
-}
-
-func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock()
-	c.AdvanceTo(10 * time.Second)
-	if c.Now() != 10*time.Second {
-		t.Fatalf("AdvanceTo failed: %v", c.Now())
-	}
-	c.AdvanceTo(time.Second) // past: no-op
-	if c.Now() != 10*time.Second {
-		t.Fatalf("AdvanceTo moved backwards: %v", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset failed: %v", c.Now())
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	r := NewResource()
 	// First request at t=0 with 10ms service completes at 10ms.

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
@@ -150,10 +152,18 @@ func TestDistString(t *testing.T) {
 	}
 }
 
+// TestKeyEncoding: the generator writes internal/kv's canonical 16-byte
+// key, byte for byte, across the id range — the encoding the engines
+// decode and every other caller shares.
 func TestKeyEncoding(t *testing.T) {
 	g, _ := NewGenerator(Spec{NumKeys: 10, ValueBytes: 1}, sim.NewRNG(1))
 	if len(g.Key(3)) != 16 {
 		t.Fatal("key should be 16 bytes")
+	}
+	for _, id := range []uint64{0, 1, 255, 256, 1<<16 - 1, 1 << 16, 1<<32 + 12345, ^uint64(0)} {
+		if got, want := g.Key(id), kv.EncodeKey(id); !bytes.Equal(got, want) {
+			t.Fatalf("id %d: generator key % x != kv.EncodeKey % x", id, got, want)
+		}
 	}
 }
 
