@@ -1,10 +1,10 @@
 // Package engine defines the pluggable storage-engine driver interface
 // and its registry. The experiment runner (internal/core), the stack
 // builder (internal/stack), the figures and the CLI all resolve engines
-// by name through the registry instead of switching over a hard-coded enum, so adding a
-// tree structure to the laboratory is one new package plus one
-// self-registration — the pattern host storage stacks use to keep their
-// device and engine layers pluggable.
+// by name through the registry instead of switching over a hard-coded
+// enum, so adding a tree structure to the laboratory is one new package
+// plus one self-registration — the pattern host storage stacks use to
+// keep their device and engine layers pluggable.
 //
 // A Driver turns a Sizing (dataset size, simulation scale, host queue
 // depth) into a Config: the engine's own tuning structure, sized with
