@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ptsbench/internal/flash"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/workload"
 )
@@ -189,6 +190,22 @@ func TestSpecValidateDefaults(t *testing.T) {
 	}
 	if _, err := (Spec{DatasetFraction: 0.99}).Validate(); err == nil {
 		t.Fatal("oversized dataset fraction should fail")
+	}
+}
+
+// TestDeviceProfiles: the default device is the paper's 400 GB SSD1, and
+// the three stock profiles a spec can name are told apart by name.
+func TestDeviceProfiles(t *testing.T) {
+	d := DefaultDevice()
+	if d.CapacityBytes != 400<<30 || d.Profile != flash.ProfileSSD1() {
+		t.Fatalf("default device should be the paper's 400 GB SSD1: %+v", d)
+	}
+	seen := map[string]bool{}
+	for _, p := range []flash.Profile{flash.ProfileSSD1(), flash.ProfileSSD2(), flash.ProfileSSD3()} {
+		if p.Name == "" || seen[p.Name] {
+			t.Fatalf("profile name %q is empty or repeated", p.Name)
+		}
+		seen[p.Name] = true
 	}
 }
 
