@@ -159,6 +159,54 @@ func TestDocCommandsResolve(t *testing.T) {
 	}
 }
 
+// maxPanics is the number of panic calls non-test code outside
+// benchmark/ may hold; ROADMAP tracks each one. Lower it when a site
+// goes, never raise it to admit one.
+const maxPanics = 20
+
+// TestPanicSitesRatchet counts the panic(...) calls in every non-test Go
+// file outside benchmark/ and fails when there are more than maxPanics,
+// naming each site.
+func TestPanicSitesRatchet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var sites []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+					sites = append(sites, fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) > maxPanics {
+		t.Errorf("%d panic sites in non-test code outside benchmark/, at most %d allowed:\n%s",
+			len(sites), maxPanics, strings.Join(sites, "\n"))
+	}
+}
+
 // dispatchedSubcommands reads the case labels of main's switch over the
 // subcommand word.
 func dispatchedSubcommands(t *testing.T) map[string]bool {

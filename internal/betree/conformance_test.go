@@ -3,6 +3,7 @@ package betree
 import (
 	"testing"
 
+	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
 	"ptsbench/internal/sim"
 )
@@ -20,7 +21,7 @@ func TestEngineConformance(t *testing.T) {
 		return &kvtest.Stack{
 			Engine: tr,
 			Dev:    dev,
-			Reopen: func(now sim.Duration) (kvtest.Engine, sim.Duration, error) {
+			Reopen: func(now sim.Duration) (kv.Engine, sim.Duration, error) {
 				re, rnow, err := Recover(fs, tr.cfg, now)
 				if err != nil {
 					return nil, rnow, err

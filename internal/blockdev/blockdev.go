@@ -15,30 +15,33 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// Dev is the interface the filesystem layer programs against. Both the
-// whole Device and a Partition implement it.
+// Dev is the interface the filesystem layer programs against: the
+// Device, a Partition, the fault-injecting and file-backed devices and
+// the block-layer retry shim all implement it. Every read and write
+// reports failure as a typed deverr.Error, never a panic: an
+// out-of-range page run or a buffer that is not exactly n pages is a
+// deverr.KindBounds error on every device.
 type Dev interface {
 	// PageSize returns the sector size in bytes.
 	PageSize() int
 	// Pages returns the capacity in pages.
 	Pages() int64
-	// WriteAt writes n pages at page offset off starting at virtual time
-	// now, returning the completion time. data may be nil (accounting
-	// only) or must be exactly n*PageSize bytes.
-	WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration
-	// ReadAt reads n pages at page offset off, returning the completion
-	// time. If a content store is enabled and buf is non-nil, buf is
-	// filled with the stored bytes.
-	ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration
+	// ContentEnabled reports whether reads return the bytes written
+	// (replay and recovery need it) rather than leaving buf untouched.
+	ContentEnabled() bool
 	// Discard TRIMs n pages at offset off (used by discard-mounted
 	// filesystems and blkdiscard).
 	Discard(off int64, n int)
-	// WriteErr is the error-returning form of WriteAt: devices that can
-	// fail (a fault-injecting wrapper, a real backing file) report the
-	// failure as a typed deverr.Error instead of panicking. Plain
-	// simulated devices never fail and always return a nil error.
+	// WriteErr writes n pages at page offset off starting at virtual
+	// time now, returning the completion time. data may be nil
+	// (accounting only) or must be exactly n*PageSize bytes. Devices
+	// that can fail (a fault-injecting wrapper, a real backing file)
+	// report it here; the plain simulated device fails only on a bounds
+	// error.
 	WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error)
-	// ReadErr is the error-returning form of ReadAt.
+	// ReadErr reads n pages at page offset off, returning the completion
+	// time. If content is enabled and buf is non-nil, buf (exactly
+	// n*PageSize bytes) is filled with the stored bytes.
 	ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error)
 	// SyncErr is the error-returning durability barrier: everything
 	// written before it survives a power cut once it returns nil — the
@@ -156,16 +159,16 @@ func (d *Device) Counters() Counters { return d.counters }
 // WriteHist implements Host.
 func (d *Device) WriteHist() []uint32 { return d.writeHist }
 
-// WriteAt implements Dev.
-func (d *Device) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
+// WriteErr implements Dev. The simulated device fails only on a bounds
+// error.
+func (d *Device) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
 	if n <= 0 {
-		return now
+		return now, nil
 	}
-	d.checkRange(off, n)
+	if err := d.checkErr(deverr.OpWrite, off, n, data); err != nil {
+		return now, err
+	}
 	ps := d.ps
-	if data != nil && len(data) != n*ps {
-		panic(fmt.Sprintf("blockdev: data length %d != %d pages", len(data), n))
-	}
 	d.counters.BytesWritten += int64(n) * int64(ps)
 	d.counters.WriteOps++
 	// One bounds check for the whole run; the compiler keeps the rest
@@ -185,19 +188,19 @@ func (d *Device) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Du
 			copy(page, data[i*ps:(i+1)*ps])
 		}
 	}
-	return d.ssd.SubmitWrite(now, off, n)
+	return d.ssd.SubmitWrite(now, off, n), nil
 }
 
-// ReadAt implements Dev.
-func (d *Device) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
+// ReadErr implements Dev. The simulated device fails only on a bounds
+// error.
+func (d *Device) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error) {
 	if n <= 0 {
-		return now
+		return now, nil
 	}
-	d.checkRange(off, n)
+	if err := d.checkErr(deverr.OpRead, off, n, buf); err != nil {
+		return now, err
+	}
 	ps := d.ps
-	if buf != nil && len(buf) != n*ps {
-		panic(fmt.Sprintf("blockdev: buffer length %d != %d pages", len(buf), n))
-	}
 	d.counters.BytesRead += int64(n) * int64(ps)
 	d.counters.ReadOps++
 	if d.content != nil && buf != nil {
@@ -213,17 +216,29 @@ func (d *Device) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Dura
 			}
 		}
 	}
-	return d.ssd.SubmitRead(now, off, n)
+	return d.ssd.SubmitRead(now, off, n), nil
 }
 
-// WriteErr implements Dev. The simulated device cannot fail.
-func (d *Device) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
-	return d.WriteAt(now, off, n, data), nil
+// WriteAt is WriteErr that panics on error. It is not part of Dev and
+// no root code calls it: it exists only because benchmark/ does and no
+// change may touch benchmark/ beside other code. Deleting it finishes
+// step (c) of ROADMAP's benchmark-boundary chain, once step (b) moves
+// benchmark/ to WriteErr/ReadErr.
+func (d *Device) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
+	done, err := d.WriteErr(now, off, n, data)
+	if err != nil {
+		panic(err)
+	}
+	return done
 }
 
-// ReadErr implements Dev. The simulated device cannot fail.
-func (d *Device) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error) {
-	return d.ReadAt(now, off, n, buf), nil
+// ReadAt is ReadErr that panics on error; see WriteAt.
+func (d *Device) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
+	done, err := d.ReadErr(now, off, n, buf)
+	if err != nil {
+		panic(err)
+	}
+	return done
 }
 
 // SyncErr implements Dev: the simulated device has no volatile cache,
@@ -235,7 +250,9 @@ func (d *Device) Discard(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	d.checkRange(off, n)
+	if err := d.checkErr(deverr.OpWrite, off, n, nil); err != nil {
+		panic(err) // Discard has no error channel
+	}
 	d.counters.DiscardOps++
 	d.counters.PagesDiscarded += int64(n)
 	if d.content != nil {
@@ -265,10 +282,19 @@ func (d *Device) ResetInstrumentation() {
 	clear(d.writeHist)
 }
 
-func (d *Device) checkRange(off int64, n int) {
+// checkErr returns the deverr.KindBounds error for an I/O of n pages at
+// off that leaves the device, or whose buf is non-nil and not exactly n
+// pages long.
+func (d *Device) checkErr(op deverr.Op, off int64, n int, buf []byte) error {
 	if off < 0 || off+int64(n) > d.Pages() {
-		panic(fmt.Sprintf("blockdev: I/O [%d,+%d) beyond device end %d", off, n, d.Pages()))
+		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
+			Cause: fmt.Errorf("blockdev: I/O [%d,+%d) beyond device end %d", off, n, d.Pages())}
 	}
+	if buf != nil && len(buf) != n*d.ps {
+		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
+			Cause: fmt.Errorf("blockdev: buffer length %d != %d pages", len(buf), n)}
+	}
+	return nil
 }
 
 // WriteCDF returns the cumulative distribution of per-LBA write counts
@@ -386,26 +412,16 @@ func (p *Partition) PageSize() int { return p.dev.PageSize() }
 // Pages implements Dev.
 func (p *Partition) Pages() int64 { return p.pages }
 
-// WriteAt implements Dev.
-func (p *Partition) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
-	p.check(off, n)
-	return p.dev.WriteAt(now, p.first+off, n, data)
-}
-
-// ReadAt implements Dev.
-func (p *Partition) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
-	p.check(off, n)
-	return p.dev.ReadAt(now, p.first+off, n, buf)
-}
-
 // Discard implements Dev.
 func (p *Partition) Discard(off int64, n int) {
-	p.check(off, n)
+	if err := p.checkErr(deverr.OpWrite, off, n); err != nil {
+		panic(err) // Discard has no error channel
+	}
 	p.dev.Discard(p.first+off, n)
 }
 
-// WriteErr implements Dev: a range violation is reported as a typed
-// bounds error instead of a panic; the parent device cannot fail.
+// WriteErr implements Dev: I/O beyond the partition is a bounds error
+// even where the parent device would accept it.
 func (p *Partition) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
 	if err := p.checkErr(deverr.OpWrite, off, n); err != nil {
 		return now, err
@@ -434,12 +450,6 @@ func (p *Partition) checkErr(op deverr.Op, off int64, n int) error {
 
 // ContentEnabled reports whether the parent device retains content.
 func (p *Partition) ContentEnabled() bool { return p.dev.ContentEnabled() }
-
-func (p *Partition) check(off int64, n int) {
-	if off < 0 || off+int64(n) > p.pages {
-		panic(fmt.Sprintf("blockdev: partition I/O [%d,+%d) beyond end %d", off, n, p.pages))
-	}
-}
 
 var (
 	_ Dev  = (*Device)(nil)

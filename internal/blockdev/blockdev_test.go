@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ptsbench/internal/deverr"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/sim"
 )
@@ -34,8 +35,8 @@ func newTestDev(t *testing.T) *Device {
 
 func TestCounters(t *testing.T) {
 	d := newTestDev(t)
-	d.WriteAt(0, 0, 3, nil)
-	d.ReadAt(0, 0, 2, nil)
+	mustWrite(t, d, 0, 0, 3, nil)
+	mustRead(t, d, 0, 0, 2, nil)
 	c := d.Counters()
 	if c.BytesWritten != 3*4096 || c.WriteOps != 1 {
 		t.Fatalf("write counters wrong: %+v", c)
@@ -56,9 +57,9 @@ func TestContentStoreRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	d.WriteAt(0, 7, 2, data)
+	mustWrite(t, d, 0, 7, 2, data)
 	buf := make([]byte, 2*4096)
-	d.ReadAt(0, 7, 2, buf)
+	mustRead(t, d, 0, 7, 2, buf)
 	if !bytes.Equal(data, buf) {
 		t.Fatal("content round trip mismatch")
 	}
@@ -68,7 +69,7 @@ func TestContentStoreRoundTrip(t *testing.T) {
 	for i := range buf1 {
 		buf1[i] = 0xFF
 	}
-	d.ReadAt(0, 100, 1, buf1)
+	mustRead(t, d, 0, 100, 1, buf1)
 	if !bytes.Equal(buf1, zero) {
 		t.Fatal("unwritten page should read zero")
 	}
@@ -78,19 +79,19 @@ func TestContentStoreOverwriteReusesBuffer(t *testing.T) {
 	d := newTestDev(t)
 	d.EnableContentStore()
 	data := make([]byte, 4096)
-	d.WriteAt(0, 3, 1, data) // first write allocates the retained page
+	mustWrite(t, d, 0, 3, 1, data) // first write allocates the retained page
 	for i := range data {
 		data[i] = 0x5A
 	}
 	// Steady-state overwrites must reuse it: zero allocations per op.
 	allocs := testing.AllocsPerRun(100, func() {
-		d.WriteAt(0, 3, 1, data)
+		d.WriteErr(0, 3, 1, data)
 	})
 	if allocs != 0 {
 		t.Fatalf("content-store overwrite allocates %v/op, want 0", allocs)
 	}
 	buf := make([]byte, 4096)
-	d.ReadAt(0, 3, 1, buf)
+	mustRead(t, d, 0, 3, 1, buf)
 	if !bytes.Equal(buf, data) {
 		t.Fatal("overwrite content lost")
 	}
@@ -100,10 +101,10 @@ func TestContentStoreDisabledIgnoresData(t *testing.T) {
 	d := newTestDev(t)
 	data := make([]byte, 4096)
 	data[0] = 42
-	d.WriteAt(0, 0, 1, data)
+	mustWrite(t, d, 0, 0, 1, data)
 	buf := make([]byte, 4096)
 	buf[0] = 99
-	d.ReadAt(0, 0, 1, buf)
+	mustRead(t, d, 0, 0, 1, buf)
 	if buf[0] != 99 {
 		t.Fatal("disabled content store should not touch buffers")
 	}
@@ -117,10 +118,10 @@ func TestDiscardClearsContent(t *testing.T) {
 	d.EnableContentStore()
 	data := make([]byte, 4096)
 	data[5] = 7
-	d.WriteAt(0, 3, 1, data)
+	mustWrite(t, d, 0, 3, 1, data)
 	d.Discard(3, 1)
 	buf := make([]byte, 4096)
-	d.ReadAt(0, 3, 1, buf)
+	mustRead(t, d, 0, 3, 1, buf)
 	if buf[5] != 0 {
 		t.Fatal("discarded page should read zero")
 	}
@@ -132,13 +133,13 @@ func TestDiscardClearsContent(t *testing.T) {
 func TestBlkDiscardAll(t *testing.T) {
 	d := newTestDev(t)
 	d.EnableContentStore()
-	d.WriteAt(0, 0, 64, make([]byte, 64*4096))
+	mustWrite(t, d, 0, 0, 64, make([]byte, 64*4096))
 	d.BlkDiscardAll()
 	if d.SSD().MappedPages() != 0 {
 		t.Fatal("BlkDiscardAll should unmap everything")
 	}
 	buf := make([]byte, 4096)
-	d.ReadAt(0, 0, 1, buf)
+	mustRead(t, d, 0, 0, 1, buf)
 	for _, b := range buf {
 		if b != 0 {
 			t.Fatal("content should be cleared")
@@ -152,7 +153,7 @@ func TestWriteHistogramAndCDF(t *testing.T) {
 	// x=0.5 and FractionLBAsWritten should be 0.5.
 	half := d.Pages() / 2
 	for p := int64(0); p < half; p++ {
-		d.WriteAt(0, p, 1, nil)
+		mustWrite(t, d, 0, p, 1, nil)
 	}
 	if got := d.FractionLBAsWritten(); got < 0.49 || got > 0.51 {
 		t.Fatalf("FractionLBAsWritten = %v, want 0.5", got)
@@ -175,11 +176,11 @@ func TestWriteCDFSkewed(t *testing.T) {
 	tenth := d.Pages() / 10
 	for rep := 0; rep < 9; rep++ {
 		for p := int64(0); p < tenth; p++ {
-			d.WriteAt(0, p, 1, nil)
+			mustWrite(t, d, 0, p, 1, nil)
 		}
 	}
 	for p := tenth; p < tenth*2; p++ {
-		d.WriteAt(0, p, 1, nil)
+		mustWrite(t, d, 0, p, 1, nil)
 	}
 	cdf := d.WriteCDF(100)
 	if cdf[10] < 0.85 {
@@ -199,7 +200,7 @@ func TestWriteCDFEmpty(t *testing.T) {
 
 func TestResetInstrumentation(t *testing.T) {
 	d := newTestDev(t)
-	d.WriteAt(0, 0, 4, nil)
+	mustWrite(t, d, 0, 0, 4, nil)
 	d.ResetInstrumentation()
 	if d.Counters() != (Counters{}) {
 		t.Fatal("counters not reset")
@@ -218,7 +219,7 @@ func TestPartitionIsolation(t *testing.T) {
 	if p.Pages() != 200 || p.PageSize() != 4096 {
 		t.Fatal("partition geometry wrong")
 	}
-	p.WriteAt(0, 0, 1, nil)
+	mustWrite(t, p, 0, 0, 1, nil)
 	// The write must land inside the device and be recorded.
 	if d.FractionLBAsWritten() == 0 {
 		t.Fatal("partition write not recorded")
@@ -226,13 +227,12 @@ func TestPartitionIsolation(t *testing.T) {
 	if d.Counters().WriteOps != 1 {
 		t.Fatal("partition write not counted on parent device")
 	}
-	// Out-of-range partition I/O panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for partition overflow")
-		}
-	}()
-	p.WriteAt(0, 199, 2, nil)
+	// Out-of-range partition I/O is a bounds error, even inside the
+	// parent device, and reaches nothing.
+	wantBounds(t, "partition overflow", p.WriteErr, 199, 2, nil)
+	if d.Counters().WriteOps != 1 {
+		t.Fatal("refused partition write reached the parent device")
+	}
 }
 
 func TestPartitionErrors(t *testing.T) {
@@ -251,7 +251,7 @@ func TestPartitionErrors(t *testing.T) {
 func TestPartitionDiscard(t *testing.T) {
 	d := newTestDev(t)
 	p, _ := d.Partition(50, 100)
-	p.WriteAt(0, 10, 5, nil)
+	mustWrite(t, p, 0, 10, 5, nil)
 	if d.SSD().MappedPages() != 5 {
 		t.Fatalf("mapped %d, want 5", d.SSD().MappedPages())
 	}
@@ -261,22 +261,63 @@ func TestPartitionDiscard(t *testing.T) {
 	}
 }
 
+// TestMisalignedBuffersPanic: a short buffer or a page run beyond the
+// device is a bounds error from WriteErr/ReadErr, and only the WriteAt
+// wrapper kept for benchmark/ turns it into a panic.
 func TestMisalignedBuffersPanic(t *testing.T) {
 	d := newTestDev(t)
 	d.EnableContentStore()
+	short := make([]byte, 4096) // 1 page for a 2-page I/O
+	wantBounds(t, "short write buffer", d.WriteErr, 0, 2, short)
+	wantBounds(t, "short read buffer", d.ReadErr, 0, 2, short)
+	wantBounds(t, "write past the end", d.WriteErr, d.Pages(), 1, nil)
+	wantBounds(t, "read before the start", d.ReadErr, -1, 1, nil)
+	if c := d.Counters(); c != (Counters{}) {
+		t.Fatalf("refused I/O was counted: %+v", c)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for short buffer")
+			t.Fatal("WriteAt should panic on a short buffer")
 		}
 	}()
-	d.WriteAt(0, 0, 2, make([]byte, 4096)) // 2 pages, 1-page buffer
+	d.WriteAt(0, 0, 2, short)
 }
 
 func TestTimePropagation(t *testing.T) {
 	d := newTestDev(t)
-	done := d.WriteAt(time.Second, 0, 1, nil)
+	done := mustWrite(t, d, time.Second, 0, 1, nil)
 	if done <= time.Second {
 		t.Fatalf("completion %v should be after submission", done)
 	}
-	var _ sim.Duration = done
+}
+
+func mustWrite(t *testing.T, d Dev, now sim.Duration, off int64, n int, data []byte) sim.Duration {
+	t.Helper()
+	done, err := d.WriteErr(now, off, n, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+func mustRead(t *testing.T, d Dev, now sim.Duration, off int64, n int, buf []byte) sim.Duration {
+	t.Helper()
+	done, err := d.ReadErr(now, off, n, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// wantBounds issues one I/O through io and requires a deverr.KindBounds
+// error that leaves the clock where it was.
+func wantBounds(t *testing.T, what string, io func(sim.Duration, int64, int, []byte) (sim.Duration, error), off int64, n int, buf []byte) {
+	t.Helper()
+	done, err := io(time.Second, off, n, buf)
+	if de, ok := deverr.As(err); !ok || de.Kind != deverr.KindBounds {
+		t.Fatalf("%s: got %v, want a %s error", what, err, deverr.KindBounds)
+	}
+	if done != time.Second {
+		t.Fatalf("%s: a refused I/O moved the clock to %v", what, done)
+	}
 }

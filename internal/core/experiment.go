@@ -498,16 +498,9 @@ func Run(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	devs := st.Devs()
-	var loadDev blockdev.Counters
-	var loadSSD flash.Stats
-	for _, d := range devs {
-		loadDev = loadDev.Add(d.Counters())
-		// Flash internals exist only on the simulated device; the file
-		// backend reports zero flash pages and the neutral WAD of 1.
-		if sd, ok := d.(interface{ SSD() *flash.Device }); ok {
-			loadSSD = loadSSD.Add(sd.SSD().Stats())
-		}
-	}
+	// The file backend has no flash counters: zero flash pages and the
+	// neutral WAD of 1.
+	loadDev, loadSSD, _ := sumDevs(devs)
 	res.LoadHostBytes = loadDev.BytesWritten
 	res.LoadFlashPages = loadSSD.FlashPagesWritten
 	res.LoadWAD = loadSSD.WAD()
@@ -547,10 +540,7 @@ func Run(spec Spec) (*Result, error) {
 	res.DiskUtilPct = 100 * float64(res.Steady.DiskUsedBytes) / float64(scaledCapacity)
 	res.LBACDF = blockdev.CombinedWriteCDF(devs, 100)
 	res.FracLBAs = blockdev.CombinedFractionLBAsWritten(devs)
-	var measDev blockdev.Counters
-	for _, d := range devs {
-		measDev = measDev.Add(d.Counters())
-	}
+	measDev, _, _ := sumDevs(devs)
 	res.DiscardOps = measDev.DiscardOps
 	res.PagesDiscarded = measDev.PagesDiscarded
 	return res, nil

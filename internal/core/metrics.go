@@ -210,16 +210,18 @@ func NewCollector(devs []blockdev.Host, src StatsSource, start, interval sim.Dur
 		start:    start,
 		next:     start,
 	}
-	c.baseDev, c.baseSSD, _ = c.sumDevs()
+	c.baseDev, c.baseSSD, _ = sumDevs(c.devs)
 	c.Record(start) // t=0 sample
 	return c
 }
 
-func (c *Collector) sumDevs() (blockdev.Counters, flash.Stats, int64) {
+// sumDevs sums the host counters, the flash counters and the flash
+// write-cache fill over devs.
+func sumDevs(devs []blockdev.Host) (blockdev.Counters, flash.Stats, int64) {
 	var devC blockdev.Counters
 	var ssdC flash.Stats
 	var cacheFill int64
-	for _, d := range c.devs {
+	for _, d := range devs {
 		devC = devC.Add(d.Counters())
 		// Flash-internals stats exist only on the simulated device; a
 		// file-backed device contributes zeros (real hardware hides its
@@ -237,7 +239,7 @@ func (c *Collector) Due(now sim.Duration) bool { return now >= c.next }
 
 // Record captures a sample at time now and schedules the next one.
 func (c *Collector) Record(now sim.Duration) {
-	devSum, ssdSum, cacheFill := c.sumDevs()
+	devSum, ssdSum, cacheFill := sumDevs(c.devs)
 	devC := devSum.Sub(c.baseDev)
 	ssdC := ssdSum.Sub(c.baseSSD)
 	engC := c.src.Stats().Sub(c.baseEng)

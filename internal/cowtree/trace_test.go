@@ -51,8 +51,6 @@ const (
 // tree is what both engines expose beyond engine.Engine.
 type tree interface {
 	engine.Engine
-	Delete(now sim.Duration, key []byte) (sim.Duration, error)
-	Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error)
 	Depth() int
 }
 

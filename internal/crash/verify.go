@@ -186,14 +186,10 @@ func entryEqual(a, b kv.Entry) bool {
 // engine (below the group, so stale or diverged state cannot hide
 // behind the serving rotation).
 func scanReplica(g *replica.Group, r int, now sim.Duration) ([]kv.Entry, error) {
-	sc, ok := g.Engine(r).(store.Scanner)
-	if !ok {
-		return nil, fmt.Errorf("replica %d engine does not support Scan", r)
-	}
 	var out []kv.Entry
 	start := make([]byte, kv.KeySize)
 	for {
-		_, ents, err := sc.Scan(now, start, scanPage)
+		_, ents, err := g.Engine(r).Scan(now, start, scanPage)
 		if err != nil {
 			return nil, fmt.Errorf("scanning replica %d: %w", r, err)
 		}

@@ -33,17 +33,6 @@ import (
 	"ptsbench/internal/stack"
 )
 
-// fullEngine is the surface the differential driver needs: the harness
-// interface plus deletes, scans and background-work draining. All three
-// engines implement it (it mirrors internal/kvtest.Engine, redeclared
-// here so the CLI binary doesn't link the testing package).
-type fullEngine interface {
-	kv.Engine
-	Delete(now sim.Duration, key []byte) (sim.Duration, error)
-	Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error)
-	Quiesce(now sim.Duration) sim.Duration
-}
-
 // quiesceEvery is the op interval at which both stacks drain background
 // work together. Small enough that time-triggered maintenance can never
 // drift across backends by more than one window.
@@ -180,7 +169,7 @@ func diffTunables(eng string) map[string]string {
 // drive replays the seeded op log against both engines in lockstep,
 // comparing every per-op result, then quiesces both.
 func drive(spec Spec, sstk, fstk *stack.Stack) error {
-	seng, feng := sstk.Engine.(fullEngine), fstk.Engine.(fullEngine)
+	seng, feng := sstk.Engine, fstk.Engine
 	rng := sim.NewRNG(spec.Seed ^ 0xD1FFD1FFD1FFD1FF)
 	val := make([]byte, 24)
 	for i := 0; i < spec.Ops; i++ {
@@ -313,11 +302,11 @@ func compareRecovered(rep *Report, spec Spec, sstk, fstk *stack.Stack) error {
 		return fmt.Errorf("devdiff: file recovery: %w", err)
 	}
 	scanNow := max(snow, fnow)
-	_, sentries, err := seng.(fullEngine).Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
+	_, sentries, err := seng.Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
 	if err != nil {
 		return fmt.Errorf("devdiff: sim recovered scan: %w", err)
 	}
-	_, fentries, err := feng.(fullEngine).Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
+	_, fentries, err := feng.Scan(scanNow, kv.EncodeKey(0), spec.Keys+16)
 	if err != nil {
 		return fmt.Errorf("devdiff: file recovered scan: %w", err)
 	}

@@ -29,14 +29,10 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// Engine is the runtime interface the harness drives: the kv.Engine
-// operations plus the simulation lifecycle hooks every tree structure
-// implements.
+// Engine is what a driver opens: the kv.Engine operation set plus
+// Close, which only the owner of an engine's lifetime calls.
 type Engine interface {
 	kv.Engine
-	// Quiesce pumps background work (flushes, compactions, checkpoints)
-	// to completion and returns the advanced virtual time.
-	Quiesce(now sim.Duration) sim.Duration
 	// Close persists all state and shuts the engine down.
 	Close(now sim.Duration) (sim.Duration, error)
 }

@@ -210,7 +210,7 @@ func TestZeroProbBitIdentity(t *testing.T) {
 	run := func(plan Plan) []byte {
 		d := Wrap(newInner(t), plan)
 		for i := int64(0); i < 6; i++ {
-			d.WriteAt(0, i*4, 3, pageData(d, byte(0x10+i), 3))
+			mustWrite(t, d, i*4, 3, pageData(d, byte(0x10+i), 3))
 			if i == 2 {
 				mustSync(t, d)
 			}

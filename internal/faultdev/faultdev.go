@@ -25,6 +25,7 @@
 package faultdev
 
 import (
+	"fmt"
 	"slices"
 
 	"ptsbench/internal/blockdev"
@@ -247,15 +248,16 @@ func (d *Dev) Injected() Injected { return d.injected }
 // is the live page; callers must not mutate it.
 func (d *Dev) DurablePage(lba int64) []byte { return d.durable[lba] }
 
-// WriteAt implements blockdev.Dev as a thin panic wrapper over
-// WriteErr — plans without error verdicts never fail, so sim callers
-// and golden fixtures are untouched.
-func (d *Dev) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
-	done, err := d.WriteErr(now, off, n, data)
-	if err != nil {
-		panic(err)
+// checkErr returns the deverr.KindBounds error the inner device would
+// for a page run beyond it or a buffer that is not exactly n pages, so a
+// bad request fails before it draws a verdict or enters the pending
+// window.
+func (d *Dev) checkErr(op deverr.Op, off int64, n int, buf []byte) error {
+	if off < 0 || off+int64(n) > d.Pages() || (buf != nil && len(buf) != n*d.ps) {
+		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
+			Cause: fmt.Errorf("faultdev: I/O [%d,+%d) with a %d-byte buffer on a %d-page device", off, n, len(buf), d.Pages())}
 	}
-	return done
+	return nil
 }
 
 // WriteErr implements blockdev.Dev. The write is acknowledged into the
@@ -269,6 +271,9 @@ func (d *Dev) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Durat
 func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
 	if n <= 0 || d.cut {
 		return now, nil
+	}
+	if err := d.checkErr(deverr.OpWrite, off, n, data); err != nil {
+		return now, err
 	}
 	target := off
 	var keep []bool
@@ -343,15 +348,6 @@ func (d *Dev) misdirectTarget(off int64, n int) int64 {
 	return off
 }
 
-// ReadAt implements blockdev.Dev as a thin panic wrapper over ReadErr.
-func (d *Dev) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
-	done, err := d.ReadErr(now, off, n, buf)
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
 // ReadErr implements blockdev.Dev: it serves the acknowledged image
 // (zeros for never-written pages), applies bit-rot to planned LBAs, and
 // forwards to the inner device for timing and accounting. Reads
@@ -361,6 +357,9 @@ func (d *Dev) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duratio
 func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error) {
 	if n <= 0 || d.cut {
 		return now, nil
+	}
+	if err := d.checkErr(deverr.OpRead, off, n, buf); err != nil {
+		return now, err
 	}
 	if d.latent != nil {
 		for i := 0; i < n; i++ {

@@ -33,8 +33,18 @@ func pageData(d *Dev, fill byte, n int) []byte {
 func readPage(t *testing.T, d *Dev, lba int64) []byte {
 	t.Helper()
 	buf := make([]byte, d.PageSize())
-	d.ReadAt(0, lba, 1, buf)
+	if _, err := d.ReadErr(0, lba, 1, buf); err != nil {
+		t.Fatal(err)
+	}
 	return buf
+}
+
+// mustWrite issues a write at time zero that must succeed.
+func mustWrite(t *testing.T, d *Dev, off int64, n int, data []byte) {
+	t.Helper()
+	if _, err := d.WriteErr(0, off, n, data); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A zero plan is a transparent content-carrying overlay: reads return
@@ -42,7 +52,7 @@ func readPage(t *testing.T, d *Dev, lba int64) []byte {
 func TestTransparentOverlay(t *testing.T) {
 	inner := newInner(t)
 	d := Wrap(inner, Plan{})
-	d.WriteAt(0, 10, 2, pageData(d, 0xAB, 2))
+	mustWrite(t, d, 10, 2, pageData(d, 0xAB, 2))
 	if got := readPage(t, d, 11); got[0] != 0xAB {
 		t.Fatalf("acknowledged write not visible: got %#x", got[0])
 	}
@@ -62,15 +72,15 @@ func TestTransparentOverlay(t *testing.T) {
 // CutKeepPages, and everything post-cut is ignored until PowerOn.
 func TestCutDurabilityFrontier(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 1, CutAfterWrites: 3, CutKeepPages: -1})
-	d.WriteAt(0, 0, 1, pageData(d, 0x11, 1)) // write 1
+	mustWrite(t, d, 0, 1, pageData(d, 0x11, 1)) // write 1
 	mustSync(t, d)
-	d.WriteAt(0, 1, 1, pageData(d, 0x22, 1)) // write 2: acked, unbarriered
-	d.WriteAt(0, 2, 1, pageData(d, 0x33, 1)) // write 3: the cut lands here
+	mustWrite(t, d, 1, 1, pageData(d, 0x22, 1)) // write 2: acked, unbarriered
+	mustWrite(t, d, 2, 1, pageData(d, 0x33, 1)) // write 3: the cut lands here
 	if !d.Cut() {
 		t.Fatal("cut did not fire on write 3")
 	}
-	d.WriteAt(0, 3, 1, pageData(d, 0x44, 1)) // post-cut: ignored
-	mustSync(t, d)                           // post-cut: must not make anything durable
+	mustWrite(t, d, 3, 1, pageData(d, 0x44, 1)) // post-cut: ignored
+	mustSync(t, d)                              // post-cut: must not make anything durable
 	out, err := d.PowerOn()
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +105,9 @@ func TestCutDurabilityFrontier(t *testing.T) {
 // write; the rest retain their previous durable content.
 func TestCutKeepPrefix(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 1, CutAfterWrites: 2, CutKeepPages: 2})
-	d.WriteAt(0, 0, 4, pageData(d, 0x0F, 4))
+	mustWrite(t, d, 0, 4, pageData(d, 0x0F, 4))
 	mustSync(t, d)
-	d.WriteAt(0, 0, 4, pageData(d, 0xF0, 4)) // cut: keep pages 0-1
+	mustWrite(t, d, 0, 4, pageData(d, 0xF0, 4)) // cut: keep pages 0-1
 	d.PowerOn()
 	for lba := int64(0); lba < 4; lba++ {
 		want := byte(0xF0)
@@ -115,9 +125,9 @@ func TestCutKeepPrefix(t *testing.T) {
 func TestCutRandomTear(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		d := Wrap(newInner(t), Plan{Seed: seed, CutAfterWrites: 2})
-		d.WriteAt(0, 0, 4, pageData(d, 0x0F, 4))
+		mustWrite(t, d, 0, 4, pageData(d, 0x0F, 4))
 		mustSync(t, d)
-		d.WriteAt(0, 0, 4, pageData(d, 0xF0, 4))
+		mustWrite(t, d, 0, 4, pageData(d, 0xF0, 4))
 		d.PowerOn()
 		kept, lost := 0, 0
 		for lba := int64(0); lba < 4; lba++ {
@@ -143,13 +153,13 @@ func TestCutRandomTear(t *testing.T) {
 // pending discard — whose drop must resurrect the pre-discard page.
 func TestDropAndDiscardPending(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 7, DropProb: 1})
-	d.WriteAt(0, 0, 1, pageData(d, 0x11, 1))
+	mustWrite(t, d, 0, 1, pageData(d, 0x11, 1))
 	mustSync(t, d)
 	d.Discard(0, 1)
 	if got := readPage(t, d, 0); got[0] != 0 {
 		t.Fatalf("discard not visible pre-cut: got %#x", got[0])
 	}
-	d.WriteAt(0, 1, 1, pageData(d, 0x22, 1))
+	mustWrite(t, d, 1, 1, pageData(d, 0x22, 1))
 	d.PowerCut()
 	d.PowerOn()
 	if got := readPage(t, d, 0); got[0] != 0x11 {
@@ -164,7 +174,7 @@ func TestDropAndDiscardPending(t *testing.T) {
 // intact.
 func TestBitRotStable(t *testing.T) {
 	d := Wrap(newInner(t), Plan{Seed: 3, RotPages: []int64{5}})
-	d.WriteAt(0, 4, 2, pageData(d, 0x77, 2))
+	mustWrite(t, d, 4, 2, pageData(d, 0x77, 2))
 	mustSync(t, d)
 	clean := readPage(t, d, 4)
 	rot1 := readPage(t, d, 5)
@@ -185,7 +195,7 @@ func TestDeterministicResolution(t *testing.T) {
 	run := func() ([]byte, Outcome) {
 		d := Wrap(newInner(t), Plan{Seed: 42, DropProb: 0.5, TornProb: 0.5})
 		for i := int64(0); i < 8; i++ {
-			d.WriteAt(0, i*4, 3, pageData(d, byte(0x10+i), 3))
+			mustWrite(t, d, i*4, 3, pageData(d, byte(0x10+i), 3))
 		}
 		d.PowerCut()
 		out, err := d.PowerOn()
@@ -215,8 +225,12 @@ func TestDeterministicResolution(t *testing.T) {
 // aim the cut at a specific one.
 func TestWriteLog(t *testing.T) {
 	d := Wrap(newInner(t), Plan{})
-	d.WriteAt(0, 3, 2, nil)
-	d.WriteAt(0, 9, 1, nil)
+	mustWrite(t, d, 3, 2, nil)
+	mustWrite(t, d, 9, 1, nil)
+	// A write the device refuses is not acknowledged, so not logged.
+	if _, err := d.WriteErr(0, d.Pages()-1, 2, nil); err == nil {
+		t.Fatal("write past the end acknowledged")
+	}
 	log := d.WriteLog()
 	if len(log) != 2 || log[0] != (WriteRecord{Off: 3, N: 2}) || log[1] != (WriteRecord{Off: 9, N: 1}) {
 		t.Fatalf("unexpected write log: %+v", log)

@@ -1,5 +1,5 @@
 // Package filedev is an os.File-backed implementation of the block
-// layer's Dev interface: the same page-granular WriteAt/ReadAt/Discard
+// layer's Dev interface: the same page-granular WriteErr/ReadErr/Discard
 // surface the simulated device offers, but every page lands in a real
 // file on a real filesystem, so the kernel's write path — page cache,
 // fsync, FLUSH barriers — is actually exercised. It is the
@@ -137,8 +137,7 @@ type Config struct {
 // the simulated device it is not internally locked: callers serialize
 // access per shard. I/O errors from the backing file surface as
 // persistent typed deverr errors on the WriteErr/ReadErr/SyncErr
-// surface; the legacy WriteAt/ReadAt wrappers panic on them, for
-// callers with no error channel.
+// surface.
 type Dev struct {
 	f    *os.File
 	cfg  Config
@@ -252,16 +251,6 @@ func (d *Dev) ResetInstrumentation() {
 	d.fsyncs = 0
 }
 
-// WriteAt implements blockdev.Dev as a thin panic wrapper over
-// WriteErr — the legacy surface for callers with no error channel.
-func (d *Dev) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
-	done, err := d.WriteErr(now, off, n, data)
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
 // WriteErr implements blockdev.Dev. data may be nil: the page range is
 // zero-filled, so accounting-only callers still produce well-defined
 // on-disk state. Syscall failures surface as persistent typed errors.
@@ -314,15 +303,6 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 		done += d.cost.Sync
 	}
 	return done, nil
-}
-
-// ReadAt implements blockdev.Dev as a thin panic wrapper over ReadErr.
-func (d *Dev) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
-	done, err := d.ReadErr(now, off, n, buf)
-	if err != nil {
-		panic(err)
-	}
-	return done
 }
 
 // ReadErr implements blockdev.Dev. With a nil buf the pages are still

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/deverr"
 	"ptsbench/internal/sim"
 )
 
@@ -36,23 +37,23 @@ func page(d *Dev, fill byte) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	d := open(t, Config{})
-	now := d.WriteAt(0, 3, 1, page(d, 0xAB))
+	now := mustWrite(t, d, 0, 3, 1, page(d, 0xAB))
 	if now <= 0 {
 		t.Fatalf("write completion %v not after submit", now)
 	}
 	buf := make([]byte, d.PageSize())
-	d.ReadAt(now, 3, 1, buf)
+	mustRead(t, d, now, 3, 1, buf)
 	if !bytes.Equal(buf, page(d, 0xAB)) {
 		t.Fatalf("read back wrong bytes: %x...", buf[:8])
 	}
 	// Unwritten pages read as zeros, like a fresh simulated device.
-	d.ReadAt(now, 9, 1, buf)
+	mustRead(t, d, now, 9, 1, buf)
 	if !bytes.Equal(buf, make([]byte, d.PageSize())) {
 		t.Fatalf("unwritten page not zero: %x...", buf[:8])
 	}
 	// Accounting-only (nil data) writes zero the range.
-	d.WriteAt(now, 3, 1, nil)
-	d.ReadAt(now, 3, 1, buf)
+	mustWrite(t, d, now, 3, 1, nil)
+	mustRead(t, d, now, 3, 1, buf)
 	if !bytes.Equal(buf, make([]byte, d.PageSize())) {
 		t.Fatalf("nil-data write did not zero the page: %x...", buf[:8])
 	}
@@ -61,9 +62,9 @@ func TestRoundTrip(t *testing.T) {
 func TestCountersAndHist(t *testing.T) {
 	d := open(t, Config{})
 	ps := int64(d.PageSize())
-	d.WriteAt(0, 0, 2, nil)
-	d.WriteAt(0, 1, 1, nil)
-	d.ReadAt(0, 0, 3, nil)
+	mustWrite(t, d, 0, 0, 2, nil)
+	mustWrite(t, d, 0, 1, 1, nil)
+	mustRead(t, d, 0, 0, 3, nil)
 	d.Discard(1, 1)
 	got := d.Counters()
 	want := blockdev.Counters{
@@ -90,11 +91,11 @@ func TestFixedCostsDeterministic(t *testing.T) {
 		var ts []sim.Duration
 		now := sim.Duration(0)
 		for i := 0; i < 5; i++ {
-			now = d.WriteAt(now, int64(i), 1, page(d, byte(i)))
+			now = mustWrite(t, d, now, int64(i), 1, page(d, byte(i)))
 			ts = append(ts, now)
 		}
 		mustSync(t, d)
-		now = d.ReadAt(now, 0, 4, nil)
+		now = mustRead(t, d, now, 0, 4, nil)
 		ts = append(ts, now)
 		return ts
 	}
@@ -118,7 +119,7 @@ func TestFixedCostsDeterministic(t *testing.T) {
 func TestDisciplines(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d := open(t, Config{Fsync: DisciplineNone})
-		d.WriteAt(0, 0, 1, nil)
+		mustWrite(t, d, 0, 0, 1, nil)
 		mustSync(t, d)
 		if d.Fsyncs() != 0 {
 			t.Fatalf("DisciplineNone fsynced %d times", d.Fsyncs())
@@ -126,7 +127,7 @@ func TestDisciplines(t *testing.T) {
 	})
 	t.Run("barrier", func(t *testing.T) {
 		d := open(t, Config{Fsync: DisciplineBarrier})
-		d.WriteAt(0, 0, 1, nil)
+		mustWrite(t, d, 0, 0, 1, nil)
 		if d.Fsyncs() != 0 {
 			t.Fatalf("fsync before barrier")
 		}
@@ -138,8 +139,8 @@ func TestDisciplines(t *testing.T) {
 	})
 	t.Run("always", func(t *testing.T) {
 		d := open(t, Config{Fsync: DisciplineAlways})
-		d.WriteAt(0, 0, 1, nil)
-		d.WriteAt(0, 1, 1, nil)
+		mustWrite(t, d, 0, 0, 1, nil)
+		mustWrite(t, d, 0, 1, 1, nil)
 		if d.Fsyncs() != 2 {
 			t.Fatalf("always fsyncs = %d, want 2", d.Fsyncs())
 		}
@@ -170,10 +171,10 @@ func TestParseDiscipline(t *testing.T) {
 
 func TestDiscardZeroes(t *testing.T) {
 	d := open(t, Config{})
-	d.WriteAt(0, 2, 2, append(page(d, 0x11), page(d, 0x22)...))
+	mustWrite(t, d, 0, 2, 2, append(page(d, 0x11), page(d, 0x22)...))
 	d.Discard(2, 2)
 	buf := make([]byte, 2*d.PageSize())
-	d.ReadAt(0, 2, 2, buf)
+	mustRead(t, d, 0, 2, 2, buf)
 	if !bytes.Equal(buf, make([]byte, len(buf))) {
 		t.Fatalf("discarded range not zero")
 	}
@@ -181,7 +182,7 @@ func TestDiscardZeroes(t *testing.T) {
 
 func TestCloseReopenPreservesContent(t *testing.T) {
 	d := open(t, Config{})
-	now := d.WriteAt(0, 5, 1, page(d, 0x7E))
+	now := mustWrite(t, d, 0, 5, 1, page(d, 0x7E))
 	mustSync(t, d)
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -190,7 +191,7 @@ func TestCloseReopenPreservesContent(t *testing.T) {
 		t.Fatalf("Reopen: %v", err)
 	}
 	buf := make([]byte, d.PageSize())
-	d.ReadAt(now, 5, 1, buf)
+	mustRead(t, d, now, 5, 1, buf)
 	if !bytes.Equal(buf, page(d, 0x7E)) {
 		t.Fatalf("content lost across close/reopen")
 	}
@@ -199,11 +200,11 @@ func TestCloseReopenPreservesContent(t *testing.T) {
 func TestOpenTruncatesPreviousImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.img")
 	d := open(t, Config{Path: path})
-	d.WriteAt(0, 0, 1, page(d, 0xFF))
+	mustWrite(t, d, 0, 0, 1, page(d, 0xFF))
 	d.Close()
 	d2 := open(t, Config{Path: path})
 	buf := make([]byte, d2.PageSize())
-	d2.ReadAt(0, 0, 1, buf)
+	mustRead(t, d2, 0, 0, 1, buf)
 	if !bytes.Equal(buf, make([]byte, len(buf))) {
 		t.Fatalf("Open did not present a fresh zero device")
 	}
@@ -214,9 +215,9 @@ func TestDirectRequestRoundTrips(t *testing.T) {
 	// device must work and report the outcome truthfully.
 	d := open(t, Config{Direct: true})
 	t.Logf("O_DIRECT in effect: %v", d.Direct())
-	now := d.WriteAt(0, 1, 2, append(page(d, 0x01), page(d, 0x02)...))
+	now := mustWrite(t, d, 0, 1, 2, append(page(d, 0x01), page(d, 0x02)...))
 	buf := make([]byte, 2*d.PageSize())
-	d.ReadAt(now, 1, 2, buf)
+	mustRead(t, d, now, 1, 2, buf)
 	if buf[0] != 0x01 || buf[d.PageSize()] != 0x02 {
 		t.Fatalf("direct-mode round trip failed")
 	}
@@ -225,12 +226,12 @@ func TestDirectRequestRoundTrips(t *testing.T) {
 func TestMeasuredMode(t *testing.T) {
 	d := open(t, Config{Measure: true})
 	t0 := sim.Duration(time.Hour)
-	done := d.WriteAt(t0, 0, 1, page(d, 1))
+	done := mustWrite(t, d, t0, 0, 1, page(d, 1))
 	if done <= t0 {
 		t.Fatalf("measured write completion %v not after submit %v", done, t0)
 	}
 	mustSync(t, d)
-	done2 := d.ReadAt(done, 0, 1, nil)
+	done2 := mustRead(t, d, done, 0, 1, nil)
 	if done2 <= done {
 		t.Fatalf("measured read completion %v not after %v", done2, done)
 	}
@@ -248,14 +249,42 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-func TestRangePanics(t *testing.T) {
+// TestRangeErrors: a page run beyond the file or a short buffer is a
+// typed bounds error that charges no time and touches no counter.
+func TestRangeErrors(t *testing.T) {
 	d := open(t, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-range write did not panic")
+	short := make([]byte, d.PageSize())
+	for name, io := range map[string]func() (sim.Duration, error){
+		"write past the end": func() (sim.Duration, error) { return d.WriteErr(7, d.Pages(), 1, nil) },
+		"short write buffer": func() (sim.Duration, error) { return d.WriteErr(7, 0, 2, short) },
+		"short read buffer":  func() (sim.Duration, error) { return d.ReadErr(7, 0, 2, short) },
+	} {
+		done, err := io()
+		if de, ok := deverr.As(err); !ok || de.Kind != deverr.KindBounds || done != 7 {
+			t.Errorf("%s: done %v, err %v; want 7 and a %s error", name, done, err, deverr.KindBounds)
 		}
-	}()
-	d.WriteAt(0, d.Pages(), 1, nil)
+	}
+	if c := d.Counters(); c != (blockdev.Counters{}) {
+		t.Fatalf("refused I/O was counted: %+v", c)
+	}
+}
+
+func mustWrite(t *testing.T, d *Dev, now sim.Duration, off int64, n int, data []byte) sim.Duration {
+	t.Helper()
+	done, err := d.WriteErr(now, off, n, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+func mustRead(t *testing.T, d *Dev, now sim.Duration, off int64, n int, buf []byte) sim.Duration {
+	t.Helper()
+	done, err := d.ReadErr(now, off, n, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
 }
 
 // mustSync issues a durability barrier that must succeed.

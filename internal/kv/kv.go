@@ -1,6 +1,7 @@
 // Package kv defines the types shared by the storage engines (LSM,
 // B+Tree, Bε-tree): keys, entries, iterators, the engine interface the
-// benchmark harness drives, and deterministic value synthesis used at
+// benchmark harness drives (Engine: the whole operation set, with no
+// optional surface beside it), and deterministic value synthesis used at
 // benchmark scale (where value bytes are accounted but not retained).
 package kv
 
@@ -154,8 +155,11 @@ type Iterator interface {
 	Entry() *Entry
 }
 
-// Engine is the interface the harness drives. All methods thread virtual
-// time: they accept the submission time and return the completion time.
+// Engine is the one operation set every engine, replica group and
+// sharded store implements, and the one the harness, the serving layer,
+// the conformance suite and the differential checker drive. All methods
+// thread virtual time: they accept the submission time and return the
+// completion time.
 type Engine interface {
 	// Put writes a key-value pair. valueLen is used when value is nil
 	// (accounting-only mode at benchmark scale).
@@ -163,9 +167,17 @@ type Engine interface {
 	// Get reads a key. The returned value is nil in accounting-only
 	// mode even when found is true.
 	Get(now sim.Duration, key []byte) (done sim.Duration, value []byte, found bool, err error)
+	// Delete removes a key: later Gets and Scans do not see it.
+	Delete(now sim.Duration, key []byte) (sim.Duration, error)
+	// Scan returns up to limit live entries with keys >= start, in key
+	// order.
+	Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []Entry, error)
 	// FlushAll persists all buffered state (used at checkpoints and
 	// shutdown) and returns when the device is quiet.
 	FlushAll(now sim.Duration) (sim.Duration, error)
+	// Quiesce pumps background work (flushes, compactions, checkpoints)
+	// to completion and returns the advanced virtual time.
+	Quiesce(now sim.Duration) sim.Duration
 	// Stats returns cumulative engine counters.
 	Stats() EngineStats
 	// DiskUsageBytes reports the engine's current on-device footprint,

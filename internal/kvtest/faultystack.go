@@ -74,24 +74,6 @@ func (r *RetryDev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.
 	return r.retry(func() (sim.Duration, error) { return r.inner.ReadErr(now, off, n, buf) })
 }
 
-// WriteAt implements blockdev.Dev as a panic wrapper over WriteErr.
-func (r *RetryDev) WriteAt(now sim.Duration, off int64, n int, data []byte) sim.Duration {
-	done, err := r.WriteErr(now, off, n, data)
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
-// ReadAt implements blockdev.Dev as a panic wrapper over ReadErr.
-func (r *RetryDev) ReadAt(now sim.Duration, off int64, n int, buf []byte) sim.Duration {
-	done, err := r.ReadErr(now, off, n, buf)
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
 // SyncErr implements blockdev.Dev with transient retry.
 func (r *RetryDev) SyncErr() error {
 	_, err := r.retry(func() (sim.Duration, error) { return 0, r.inner.SyncErr() })

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptsbench/internal/engine"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/stack"
 )
@@ -40,17 +41,13 @@ func openStack(t *testing.T, l stack.Layout, content bool) *Stack {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { built.Close() })
-	st := &Stack{Engine: built.Engine.(Engine), Dev: built.Host}
+	st := &Stack{Engine: built.Engine, Dev: built.Host}
 	if content {
-		st.Reopen = func(now sim.Duration) (Engine, sim.Duration, error) {
+		st.Reopen = func(now sim.Duration) (kv.Engine, sim.Duration, error) {
 			if err := built.PowerCycle(); err != nil {
 				return nil, 0, err
 			}
-			re, rnow, err := built.Recover(sim.NewRNG(2), now)
-			if err != nil {
-				return nil, 0, err
-			}
-			return re.(Engine), rnow, nil
+			return built.Recover(sim.NewRNG(2), now)
 		}
 	}
 	return st

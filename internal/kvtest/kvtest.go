@@ -21,26 +21,16 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// Engine is the surface the conformance suite drives: the harness
-// interface plus deletes, range scans and background-work draining,
-// which all three engines implement.
-type Engine interface {
-	kv.Engine
-	Delete(now sim.Duration, key []byte) (sim.Duration, error)
-	Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error)
-	Quiesce(now sim.Duration) sim.Duration
-}
-
 // Stack is one freshly opened engine on its own device — simulated
 // (blockdev.Device) or a real backing file (filedev.Dev); the suite
 // only needs the shared Host instrumentation surface.
 type Stack struct {
-	Engine Engine
+	Engine kv.Engine
 	Dev    blockdev.Host
 	// Reopen recovers the engine from its on-device state (checkpoint /
 	// manifest plus journal replay). Only called on content-mode stacks,
 	// after the original engine has quiesced.
-	Reopen func(now sim.Duration) (Engine, sim.Duration, error)
+	Reopen func(now sim.Duration) (kv.Engine, sim.Duration, error)
 }
 
 // Factory opens a fresh engine. content selects content mode (values
@@ -51,7 +41,7 @@ type Factory func(t *testing.T, content bool) *Stack
 // audit runs the structural self-check of an engine that has one (the
 // tree engines audit the leaf cache their shared core keeps), so every
 // scenario ends by checking structure, not just contents.
-func audit(t *testing.T, e Engine) {
+func audit(t *testing.T, e kv.Engine) {
 	t.Helper()
 	if c, ok := e.(interface{ Check() error }); ok {
 		if err := c.Check(); err != nil {

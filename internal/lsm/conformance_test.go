@@ -3,6 +3,7 @@ package lsm
 import (
 	"testing"
 
+	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
 	"ptsbench/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestEngineConformance(t *testing.T) {
 		return &kvtest.Stack{
 			Engine: db,
 			Dev:    dev,
-			Reopen: func(now sim.Duration) (kvtest.Engine, sim.Duration, error) {
+			Reopen: func(now sim.Duration) (kv.Engine, sim.Duration, error) {
 				re, rnow, err := Recover(fs, db.cfg, sim.NewRNG(42), now)
 				if err != nil {
 					return nil, rnow, err

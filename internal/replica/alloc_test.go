@@ -31,6 +31,10 @@ func (e *flatEngine) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bo
 	return now + e.lat, e.val, e.val != nil, nil
 }
 
+func (e *flatEngine) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
+	return now + e.lat, nil, nil
+}
+
 func (e *flatEngine) BeginGroupCommit() {}
 
 func (e *flatEngine) EndGroupCommit(now sim.Duration) (sim.Duration, error) {

@@ -103,7 +103,7 @@ func replicatedFactory(engName string, shards, replicas int, mode replica.Mode, 
 		return &kvtest.Stack{
 			Engine: &store.Sync{S: st},
 			Dev:    parts[0][0].dev,
-			Reopen: func(now sim.Duration) (kvtest.Engine, sim.Duration, error) {
+			Reopen: func(now sim.Duration) (kv.Engine, sim.Duration, error) {
 				st.Close()
 				groups := make([]*replica.Group, shards)
 				starts := make([]sim.Duration, shards)
@@ -290,18 +290,12 @@ func TestSingleReplicaRestart(t *testing.T) {
 // scanAll pages one replica's full key space directly off its engine.
 func scanAll(t *testing.T, g *replica.Group, r int, now sim.Duration) []kv.Entry {
 	t.Helper()
-	sc, ok := g.Engine(r).(interface {
-		Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error)
-	})
-	if !ok {
-		t.Fatalf("replica %d engine has no Scan", r)
-	}
 	var (
 		out   []kv.Entry
 		start = make([]byte, kv.KeySize)
 	)
 	for {
-		_, ents, err := sc.Scan(now, start, 128)
+		_, ents, err := g.Engine(r).Scan(now, start, 128)
 		if err != nil {
 			t.Fatalf("scan replica %d: %v", r, err)
 		}

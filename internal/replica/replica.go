@@ -107,16 +107,6 @@ func memberErr(i int, err error) error {
 	return &MemberError{Member: i, Err: err}
 }
 
-// deleter and scanner mirror the store's optional engine surfaces; all
-// built-in engines implement both.
-type deleter interface {
-	Delete(now sim.Duration, key []byte) (sim.Duration, error)
-}
-
-type scanner interface {
-	Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error)
-}
-
 // Member is one replica's engine at construction or revival time. Start
 // seeds the replica's clock (recovery end time for recovered engines).
 type Member struct {
@@ -136,9 +126,8 @@ type rep struct {
 }
 
 // Group is a replica group behind the engine surface. It implements
-// engine.Engine plus the store's optional Deleter/Scanner surfaces and
-// engine.GroupCommitter, so a store.Stack can carry a Group wherever it
-// carried a bare engine.
+// engine.Engine and engine.GroupCommitter, so a store.Stack can carry a
+// Group wherever it carried a bare engine.
 type Group struct {
 	mode  Mode
 	reps  []rep
@@ -318,14 +307,10 @@ func (g *Group) Put(now sim.Duration, key, value []byte, valueLen int) (sim.Dura
 	})
 }
 
-// Delete implements the store's Deleter surface, replicating like Put.
+// Delete implements kv.Engine, replicating like Put.
 func (g *Group) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 	return g.write(now, func(e engine.Engine, at sim.Duration) (sim.Duration, error) {
-		del, ok := e.(deleter)
-		if !ok {
-			return at, fmt.Errorf("replica: engine does not support Delete")
-		}
-		return del.Delete(at, key)
+		return e.Delete(at, key)
 	})
 }
 
@@ -412,11 +397,7 @@ func (g *Group) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, e
 func (g *Group) repair(r *rep, key, val []byte, found bool, valueLen int) error {
 	var err error
 	if !found {
-		del, ok := r.eng.(deleter)
-		if !ok {
-			return fmt.Errorf("replica: engine does not support Delete")
-		}
-		r.clock, err = del.Delete(r.clock, key)
+		r.clock, err = r.eng.Delete(r.clock, key)
 		return err
 	}
 	if val == nil && valueLen == 0 {
@@ -426,21 +407,16 @@ func (g *Group) repair(r *rep, key, val []byte, found bool, valueLen int) error 
 	return err
 }
 
-// Scan implements the store's Scanner surface at the group's consistent
-// serving replica, so a cross-shard merge scan reads one coherent
-// replica per group.
+// Scan implements kv.Engine at the group's consistent serving replica,
+// so a cross-shard merge scan reads one coherent replica per group.
 func (g *Group) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
 	srv := g.serveIdx()
 	if srv < 0 {
 		return now, nil, fmt.Errorf("replica: no consistent replica live")
 	}
 	r := &g.reps[srv]
-	sc, ok := r.eng.(scanner)
-	if !ok {
-		return now, nil, fmt.Errorf("replica: engine does not support Scan")
-	}
 	before := r.eng.Stats()
-	done, ents, err := sc.Scan(max(r.clock, now), start, limit)
+	done, ents, err := r.eng.Scan(max(r.clock, now), start, limit)
 	r.clock = done
 	if err != nil {
 		return done, nil, memberErr(srv, err)
@@ -660,12 +636,8 @@ type pager struct {
 	done  bool
 }
 
-func newPager(r *rep, start []byte) (*pager, error) {
-	if _, ok := r.eng.(scanner); !ok {
-		return nil, fmt.Errorf("replica: engine does not support Scan")
-	}
-	p := &pager{eng: r.eng, clock: &r.clock, next: append([]byte(nil), start...)}
-	return p, nil
+func newPager(r *rep, start []byte) *pager {
+	return &pager{eng: r.eng, clock: &r.clock, next: append([]byte(nil), start...)}
 }
 
 // peek returns the current entry without consuming it; ok is false at
@@ -675,8 +647,7 @@ func (p *pager) peek(now sim.Duration) (*kv.Entry, bool, error) {
 		if p.done {
 			return nil, false, nil
 		}
-		sc := p.eng.(scanner)
-		done, ents, err := sc.Scan(max(*p.clock, now), p.next, reconcilePage)
+		done, ents, err := p.eng.Scan(max(*p.clock, now), p.next, reconcilePage)
 		*p.clock = done
 		if err != nil {
 			return nil, false, err
@@ -710,14 +681,7 @@ func nextKey(k []byte) []byte {
 // applies the fixes to the replica's engine.
 func (g *Group) reconcileOne(auth, stale *rep, now sim.Duration) error {
 	start := make([]byte, kv.KeySize) // all zeros: the smallest canonical key
-	ap, err := newPager(auth, start)
-	if err != nil {
-		return err
-	}
-	sp, err := newPager(stale, start)
-	if err != nil {
-		return err
-	}
+	ap, sp := newPager(auth, start), newPager(stale, start)
 	for {
 		ae, aok, err := ap.peek(now)
 		if err != nil {

@@ -74,31 +74,42 @@ func (w *Worker) pop() {
 // eagerly enqueueing it.
 func (w *Worker) SetIdlePuller(f func() Job) { w.onIdle = f }
 
-// Pump runs queued jobs until the worker's local clock reaches target or
-// no work remains. It returns the worker's local time after pumping.
-func (w *Worker) Pump(target Duration) Duration {
-	if w.now < target && w.QueueLen() == 0 && w.onIdle != nil {
+// pull asks the idle puller for a job when the queue is empty.
+func (w *Worker) pull() {
+	if w.QueueLen() == 0 && w.onIdle != nil {
 		if j := w.onIdle(); j != nil {
 			w.queue = append(w.queue, j)
 		}
 	}
+}
+
+// step runs one chunk of the front job, advances the local clock to its
+// end (never backwards), and pops the job if it finished, reporting
+// whether it did.
+func (w *Worker) step() (done bool) {
+	end, done := w.queue[w.head].Step(w.now)
+	if end < w.now {
+		end = w.now
+	}
+	if !done && end == w.now {
+		panic("sim: job made no progress on worker " + w.name)
+	}
+	w.now = end
+	if done {
+		w.pop()
+	}
+	return done
+}
+
+// Pump runs queued jobs until the worker's local clock reaches target or
+// no work remains. It returns the worker's local time after pumping.
+func (w *Worker) Pump(target Duration) Duration {
+	if w.now < target {
+		w.pull()
+	}
 	for w.now < target && w.QueueLen() > 0 {
-		job := w.queue[w.head]
-		end, done := job.Step(w.now)
-		if end < w.now {
-			end = w.now
-		}
-		if !done && end == w.now {
-			panic("sim: job made no progress on worker " + w.name)
-		}
-		w.now = end
-		if done {
-			w.pop()
-			if w.QueueLen() == 0 && w.onIdle != nil {
-				if j := w.onIdle(); j != nil {
-					w.queue = append(w.queue, j)
-				}
-			}
+		if w.step() {
+			w.pull()
 		}
 	}
 	// A worker with no work is considered caught up.
@@ -114,26 +125,11 @@ func (w *Worker) Pump(target Duration) Duration {
 // any progress was made. Engines use it to wait out write stalls: they
 // step the background workers until the stall condition clears.
 func (w *Worker) StepOnce() (Duration, bool) {
-	if w.QueueLen() == 0 && w.onIdle != nil {
-		if j := w.onIdle(); j != nil {
-			w.queue = append(w.queue, j)
-		}
-	}
+	w.pull()
 	if w.QueueLen() == 0 {
 		return w.now, false
 	}
-	job := w.queue[w.head]
-	end, done := job.Step(w.now)
-	if end < w.now {
-		end = w.now
-	}
-	if !done && end == w.now {
-		panic("sim: job made no progress on worker " + w.name)
-	}
-	w.now = end
-	if done {
-		w.pop()
-	}
+	w.step()
 	return w.now, true
 }
 
@@ -143,25 +139,10 @@ func (w *Worker) StepOnce() (Duration, bool) {
 // shutdown to quiesce engines.
 func (w *Worker) RunUntilDrained() Duration {
 	for {
-		if w.QueueLen() == 0 && w.onIdle != nil {
-			if j := w.onIdle(); j != nil {
-				w.queue = append(w.queue, j)
-			}
-		}
+		w.pull()
 		if w.QueueLen() == 0 {
 			return w.now
 		}
-		job := w.queue[w.head]
-		end, done := job.Step(w.now)
-		if end < w.now {
-			end = w.now
-		}
-		if !done && end == w.now {
-			panic("sim: job made no progress on worker " + w.name)
-		}
-		w.now = end
-		if done {
-			w.pop()
-		}
+		w.step()
 	}
 }

@@ -53,15 +53,8 @@ func ExampleBuild() {
 		fmt.Printf("key %3d -> %q (found=%v)\n", id, val, found)
 	}
 
-	// Delete and verify. Delete is an optional engine surface (every
-	// built-in engine has it), so it is asserted, not assumed.
-	del, ok := db.(interface {
-		Delete(now sim.Duration, key []byte) (sim.Duration, error)
-	})
-	if !ok {
-		log.Fatal("engine does not support Delete")
-	}
-	now, err = del.Delete(now, kv.EncodeKey(500))
+	// Delete and verify.
+	now, err = db.Delete(now, kv.EncodeKey(500))
 	if err != nil {
 		log.Fatal(err)
 	}

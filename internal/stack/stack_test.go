@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/deverr"
 	_ "ptsbench/internal/engine/all"
+	"ptsbench/internal/faultdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/stack"
@@ -76,6 +78,40 @@ func TestBuildRejects(t *testing.T) {
 			st.Close()
 			t.Errorf("%s: Build succeeded", name)
 		}
+	}
+}
+
+// TestDevicesReportBounds: every device Build can mount a filesystem on
+// answers a write past its end and a read into a short buffer with a
+// typed bounds error, not a panic.
+func TestDevicesReportBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*stack.Layout)
+	}{
+		{"sim", func(*stack.Layout) {}},
+		{"sim+partition", func(l *stack.Layout) { l.PartitionPages = 4096 }},
+		{"sim+fault", func(l *stack.Layout) { l.Fault = &faultdev.Plan{} }},
+		{"file", func(l *stack.Layout) { l.File.Path = filepath.Join(t.TempDir(), "dev.img") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := stack.Small("", nil)
+			tc.edit(&l)
+			st, err := stack.Build(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			dev := st.FS.Device()
+			_, werr := dev.WriteErr(0, dev.Pages(), 1, nil)
+			_, rerr := dev.ReadErr(0, 0, 2, make([]byte, dev.PageSize()))
+			for what, err := range map[string]error{"write past the end": werr, "short read buffer": rerr} {
+				if de, ok := deverr.As(err); !ok || de.Kind != deverr.KindBounds {
+					t.Errorf("%s: got %v, want a %s error", what, err, deverr.KindBounds)
+				}
+			}
+		})
 	}
 }
 

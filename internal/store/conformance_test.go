@@ -8,6 +8,7 @@ import (
 	_ "ptsbench/internal/engine/all"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/kvtest"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/store"
@@ -78,7 +79,7 @@ func shardedFactory(engName string, shards int, tunables map[string]string) kvte
 		return &kvtest.Stack{
 			Engine: &store.Sync{S: st},
 			Dev:    parts[0].dev,
-			Reopen: func(now sim.Duration) (kvtest.Engine, sim.Duration, error) {
+			Reopen: func(now sim.Duration) (kv.Engine, sim.Duration, error) {
 				st.Close()
 				engs := make([]engine.Engine, shards)
 				starts := make([]sim.Duration, shards)

@@ -65,6 +65,14 @@ func (f *scriptedEngine) Get(now sim.Duration, key []byte) (sim.Duration, []byte
 	return now + f.cost, nil, true, nil
 }
 
+func (f *scriptedEngine) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
+	return f.Put(now, key, nil, 0)
+}
+
+func (f *scriptedEngine) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
+	return now, nil, nil
+}
+
 func (f *scriptedEngine) FlushAll(now sim.Duration) (sim.Duration, error) { return now, nil }
 func (f *scriptedEngine) Stats() kv.EngineStats                           { return kv.EngineStats{} }
 func (f *scriptedEngine) DiskUsageBytes() int64                           { return 0 }

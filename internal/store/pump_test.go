@@ -75,6 +75,10 @@ func (e *pureEngine) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 	return now + 200, nil
 }
 
+func (e *pureEngine) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
+	return now, nil, nil
+}
+
 func (e *pureEngine) FlushAll(now sim.Duration) (sim.Duration, error) { return now, nil }
 func (e *pureEngine) Stats() kv.EngineStats                           { return kv.EngineStats{} }
 func (e *pureEngine) DiskUsageBytes() int64                           { return 0 }
@@ -84,7 +88,6 @@ func (e *pureEngine) Close(now sim.Duration) (sim.Duration, error)    { return n
 var (
 	_ engine.Engine         = (*pureEngine)(nil)
 	_ engine.GroupCommitter = (*pureEngine)(nil)
-	_ store.Deleter         = (*pureEngine)(nil)
 )
 
 // pumpPair is two stores over identically scripted engines, fed the

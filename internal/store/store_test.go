@@ -55,8 +55,7 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 			done, _, _, err := direct.Engine.Get(now, key)
 			return done, err
 		case 2:
-			done, err := direct.Engine.(store.Deleter).Delete(now, key)
-			return done, err
+			return direct.Engine.Delete(now, key)
 		default:
 			return direct.Engine.Put(now, key, nil, 256)
 		}

@@ -222,9 +222,9 @@ func (w *Writer) Recycle(now sim.Duration) (sim.Duration, error) {
 // Replay reads a segment and invokes fn for each intact record, stopping
 // cleanly at the end of the log (a freshly recycled segment replays as
 // empty). It requires content mode — the block device must retain bytes —
-// and returns an error when the device demonstrably cannot.
+// and returns an error when the device does not.
 func Replay(fs *extfs.FS, name string, now sim.Duration, fn func(Record)) (sim.Duration, error) {
-	if c, ok := fs.Device().(interface{ ContentEnabled() bool }); ok && !c.ContentEnabled() {
+	if !fs.Device().ContentEnabled() {
 		return now, fmt.Errorf("wal: replay of %s requires a content-enabled device", name)
 	}
 	f, err := fs.Open(name)
