@@ -2,7 +2,6 @@ package flash
 
 import (
 	"testing"
-	"time"
 
 	"ptsbench/internal/sim"
 )
@@ -57,7 +56,7 @@ func sameFTLState(t *testing.T, a, b *ftl) {
 }
 
 // TestHostWriteRangeEquivalence drives twin FTLs through an identical
-// workload — one using hostWriteRange, the other per-page hostWrite — and
+// workload — one using hostWriteRange, the other the per-page writePage reference — and
 // requires identical state and identical aggregated GC work, including
 // phases where garbage collection triggers mid-range.
 func TestHostWriteRangeEquivalence(t *testing.T) {
@@ -72,7 +71,7 @@ func TestHostWriteRangeEquivalence(t *testing.T) {
 		lpn := int64(rng.Uint64n(uint64(total - n)))
 		wantWork := gcWork{}
 		for i := int64(0); i < n; i++ {
-			wantWork.add(paged.hostWrite(lpn + i))
+			wantWork.add(writePage(paged, lpn+i))
 		}
 		gotWork := ranged.hostWriteRange(lpn, n)
 		if gotWork != wantWork {
@@ -97,7 +96,7 @@ func TestHostWriteRangeStripedEquivalence(t *testing.T) {
 		lpn := int64(rng.Uint64n(uint64(total - n)))
 		var want [lanes]gcWork
 		for i := int64(0); i < n; i++ {
-			want[(lpn+i)%lanes].add(paged.hostWrite(lpn + i))
+			want[(lpn+i)%lanes].add(writePage(paged, lpn+i))
 		}
 		var got [lanes]gcWork
 		ranged.hostWriteRangeStriped(lpn, n, got[:])
@@ -107,58 +106,6 @@ func TestHostWriteRangeStripedEquivalence(t *testing.T) {
 		written += n
 	}
 	sameFTLState(t, ranged, paged)
-}
-
-// TestSubmitUniformMatchesPerPageStriping cross-checks the closed-form
-// per-lane page counts of submitUniform against a brute-force per-page
-// computation over many (lpn, n, lanes) combinations.
-func TestSubmitUniformMatchesPerPageStriping(t *testing.T) {
-	for _, lanes := range []int{1, 2, 3, 4, 8, 16} {
-		dev, err := NewDevice(Config{
-			LogicalBytes:  32 << 20,
-			PageSize:      4096,
-			PagesPerBlock: 64,
-			Profile:       ProfileSSD1().Scaled(4096).WithParallelism(lanes, 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Brute-force model of the pre-batching per-page dispatch.
-		brute := sim.NewMultiResource(lanes)
-		rng := sim.NewRNG(uint64(lanes))
-		var now sim.Duration
-		for iter := 0; iter < 500; iter++ {
-			n := 1 + int(rng.Uint64n(100))
-			lpn := int64(rng.Uint64n(uint64(dev.LogicalPages() - int64(n))))
-			got := dev.SubmitRead(now, lpn, n)
-
-			fixed := dev.cfg.Profile.ReadFixed
-			perPage := dev.laneReadPerPage
-			svc := make([]time.Duration, lanes)
-			touched := make([]bool, lanes)
-			lead := int(lpn % int64(lanes))
-			svc[lead] = fixed
-			touched[lead] = true
-			for i := 0; i < n; i++ {
-				lane := int((lpn + int64(i)) % int64(lanes))
-				svc[lane] += perPage
-				touched[lane] = true
-			}
-			want := now
-			for lane := 0; lane < lanes; lane++ {
-				if !touched[lane] {
-					continue
-				}
-				if end := brute.AcquireLane(lane, now, svc[lane]); end > want {
-					want = end
-				}
-			}
-			if got != want {
-				t.Fatalf("lanes=%d iter=%d lpn=%d n=%d: got %v want %v", lanes, iter, lpn, n, got, want)
-			}
-			now = got
-		}
-	}
 }
 
 // TestHostWriteRangeAllocFree asserts the batched FTL write path performs
@@ -194,7 +141,7 @@ func TestSequentialFillState(t *testing.T) {
 	// Overwriting after a fill must behave (GC keeps up, invariants hold).
 	rng := sim.NewRNG(5)
 	for i := int64(0); i < 2*f.logicalPages; i++ {
-		f.hostWrite(int64(rng.Uint64n(uint64(f.logicalPages))))
+		writePage(f, int64(rng.Uint64n(uint64(f.logicalPages))))
 	}
 	if err := f.checkInvariants(); err != nil {
 		t.Fatal(err)
