@@ -162,7 +162,7 @@ func TestDocCommandsResolve(t *testing.T) {
 // maxPanics is the number of panic calls non-test code outside
 // benchmark/ may hold; ROADMAP tracks each one. Lower it when a site
 // goes, never raise it to admit one.
-const maxPanics = 20
+const maxPanics = 18
 
 // TestPanicSitesRatchet counts the panic(...) calls in every non-test Go
 // file outside benchmark/ and fails when there are more than maxPanics,

@@ -263,17 +263,6 @@ func (d *Device) Discard(off int64, n int) {
 	d.ssd.Trim(off, n)
 }
 
-// BlkDiscardAll trims the entire device (the paper's "Trimmed" initial
-// state) and clears the content store.
-func (d *Device) BlkDiscardAll() {
-	if d.content != nil {
-		d.content = make(map[int64][]byte)
-	}
-	d.counters.DiscardOps++
-	d.counters.PagesDiscarded += d.Pages()
-	d.ssd.TrimAll()
-}
-
 // ResetInstrumentation zeroes the iostat counters and the LBA histogram.
 // The harness calls it after the load phase so that plots cover only the
 // measured run, as in the paper.
@@ -297,22 +286,15 @@ func (d *Device) checkErr(op deverr.Op, off int64, n int, buf []byte) error {
 	return nil
 }
 
-// WriteCDF returns the cumulative distribution of per-LBA write counts
-// with LBAs sorted by decreasing write count, exactly as the paper's
-// Fig 4 plots it: point i of the result is the fraction of all writes
-// that hit the i/len most-written fraction of the LBA space. The slice
-// has `points+1` entries covering x = 0..1 inclusive.
-func (d *Device) WriteCDF(points int) []float64 {
-	counts := make([]uint32, len(d.writeHist))
-	copy(counts, d.writeHist)
-	return writeCDFOf(counts, points)
-}
-
-// CombinedWriteCDF merges the write histograms of several devices (the
-// per-shard devices of a sharded store) into one WriteCDF: each shard's
-// LBAs keep their own counts, so the result is the distribution over
-// the union of the LBA spaces — what a single device serving the same
-// traffic would show. For a single device it is identical to WriteCDF.
+// CombinedWriteCDF returns the cumulative distribution of per-LBA write
+// counts with LBAs sorted by decreasing write count, exactly as the
+// paper's Fig 4 plots it: point i of the result is the fraction of all
+// writes that hit the i/points most-written fraction of the LBA space.
+// The slice has points+1 entries covering x = 0..1 inclusive. Several
+// devices (the per-shard devices of a sharded store) merge into one
+// distribution: each shard's LBAs keep their own counts, so the result
+// is the distribution over the union of the LBA spaces — what a single
+// device serving the same traffic would show.
 func CombinedWriteCDF(devs []Host, points int) []float64 {
 	var total int
 	for _, d := range devs {
@@ -325,8 +307,9 @@ func CombinedWriteCDF(devs []Host, points int) []float64 {
 	return writeCDFOf(counts, points)
 }
 
-// CombinedFractionLBAsWritten is FractionLBAsWritten over the union of
-// several devices' LBA spaces.
+// CombinedFractionLBAsWritten returns the fraction of the union of the
+// devices' LBA spaces written at least once — the paper's "WiredTiger
+// does not write to ≈45% of the LBAs" observation.
 func CombinedFractionLBAsWritten(devs []Host) float64 {
 	var written, total int64
 	for _, d := range devs {
@@ -373,19 +356,6 @@ func writeCDFOf(counts []uint32, points int) []float64 {
 		cdf[next] = 1
 	}
 	return cdf
-}
-
-// FractionLBAsWritten returns the fraction of the LBA space written at
-// least once — the paper's "WiredTiger does not write to ≈45% of the
-// LBAs" observation.
-func (d *Device) FractionLBAsWritten() float64 {
-	var written int64
-	for _, c := range d.writeHist {
-		if c > 0 {
-			written++
-		}
-	}
-	return float64(written) / float64(len(d.writeHist))
 }
 
 // Partition is a contiguous page range of a Device exposed as a Dev. The

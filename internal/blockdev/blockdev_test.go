@@ -130,35 +130,18 @@ func TestDiscardClearsContent(t *testing.T) {
 	}
 }
 
-func TestBlkDiscardAll(t *testing.T) {
-	d := newTestDev(t)
-	d.EnableContentStore()
-	mustWrite(t, d, 0, 0, 64, make([]byte, 64*4096))
-	d.BlkDiscardAll()
-	if d.SSD().MappedPages() != 0 {
-		t.Fatal("BlkDiscardAll should unmap everything")
-	}
-	buf := make([]byte, 4096)
-	mustRead(t, d, 0, 0, 1, buf)
-	for _, b := range buf {
-		if b != 0 {
-			t.Fatal("content should be cleared")
-		}
-	}
-}
-
 func TestWriteHistogramAndCDF(t *testing.T) {
 	d := newTestDev(t)
 	// Write the first half of the device once; CDF should reach 1.0 at
-	// x=0.5 and FractionLBAsWritten should be 0.5.
+	// x=0.5 and the fraction of LBAs written should be 0.5.
 	half := d.Pages() / 2
 	for p := int64(0); p < half; p++ {
 		mustWrite(t, d, 0, p, 1, nil)
 	}
-	if got := d.FractionLBAsWritten(); got < 0.49 || got > 0.51 {
-		t.Fatalf("FractionLBAsWritten = %v, want 0.5", got)
+	if got := CombinedFractionLBAsWritten([]Host{d}); got < 0.49 || got > 0.51 {
+		t.Fatalf("fraction of LBAs written = %v, want 0.5", got)
 	}
-	cdf := d.WriteCDF(100)
+	cdf := CombinedWriteCDF([]Host{d}, 100)
 	if cdf[0] != 0 {
 		t.Fatalf("cdf[0] = %v, want 0", cdf[0])
 	}
@@ -182,7 +165,7 @@ func TestWriteCDFSkewed(t *testing.T) {
 	for p := tenth; p < tenth*2; p++ {
 		mustWrite(t, d, 0, p, 1, nil)
 	}
-	cdf := d.WriteCDF(100)
+	cdf := CombinedWriteCDF([]Host{d}, 100)
 	if cdf[10] < 0.85 {
 		t.Fatalf("cdf at 0.1 = %v, want ~0.9 for skewed writes", cdf[10])
 	}
@@ -190,11 +173,36 @@ func TestWriteCDFSkewed(t *testing.T) {
 
 func TestWriteCDFEmpty(t *testing.T) {
 	d := newTestDev(t)
-	cdf := d.WriteCDF(10)
+	cdf := CombinedWriteCDF([]Host{d}, 10)
 	for _, v := range cdf {
 		if v != 0 {
 			t.Fatal("CDF of unwritten device should be all zeros")
 		}
+	}
+}
+
+// TestCombinedOverShards: several devices' histograms merge over the
+// union of their LBA spaces, as one device of the combined size would
+// show the same traffic.
+func TestCombinedOverShards(t *testing.T) {
+	a, b := newTestDev(t), newTestDev(t)
+	quarter := a.Pages() / 4
+	// a: its first quarter written three times; b: its first quarter once.
+	for rep := 0; rep < 3; rep++ {
+		mustWrite(t, a, 0, 0, int(quarter), nil)
+	}
+	mustWrite(t, b, 0, 0, int(quarter), nil)
+	devs := []Host{a, b}
+	if got := CombinedFractionLBAsWritten(devs); got != 0.25 {
+		t.Fatalf("fraction of LBAs written = %v, want 0.25", got)
+	}
+	cdf := CombinedWriteCDF(devs, 8)
+	// The most-written eighth of the union is a's quarter: 3 of 4 writes.
+	if cdf[1] != 0.75 || cdf[2] != 1 || cdf[8] != 1 {
+		t.Fatalf("cdf = %v, want 0.75 at 1/8 and 1 from 2/8", cdf)
+	}
+	if single := CombinedWriteCDF([]Host{a}, 8); single[2] != 1 || single[1] != 0.5 {
+		t.Fatalf("single-device cdf = %v, want 0.5 at 1/8 and 1 from 2/8", single)
 	}
 }
 
@@ -205,7 +213,7 @@ func TestResetInstrumentation(t *testing.T) {
 	if d.Counters() != (Counters{}) {
 		t.Fatal("counters not reset")
 	}
-	if d.FractionLBAsWritten() != 0 {
+	if CombinedFractionLBAsWritten([]Host{d}) != 0 {
 		t.Fatal("histogram not reset")
 	}
 }
@@ -221,7 +229,7 @@ func TestPartitionIsolation(t *testing.T) {
 	}
 	mustWrite(t, p, 0, 0, 1, nil)
 	// The write must land inside the device and be recorded.
-	if d.FractionLBAsWritten() == 0 {
+	if CombinedFractionLBAsWritten([]Host{d}) == 0 {
 		t.Fatal("partition write not recorded")
 	}
 	if d.Counters().WriteOps != 1 {

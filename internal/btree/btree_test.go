@@ -209,7 +209,7 @@ func TestConfinedLBAFootprint(t *testing.T) {
 	}
 	// LBA footprint confined: well under half the device was ever
 	// written.
-	if frac := dev.FractionLBAsWritten(); frac > 0.5 {
+	if frac := blockdev.CombinedFractionLBAsWritten([]blockdev.Host{dev}); frac > 0.5 {
 		t.Fatalf("LBA footprint %.0f%%, want well under 50%%", frac*100)
 	}
 }

@@ -232,7 +232,7 @@ func TestRotatingAllocatorSweepsLBARange(t *testing.T) {
 			names = names[1:]
 		}
 	}
-	if frac := dev.FractionLBAsWritten(); frac < 0.95 {
+	if frac := blockdev.CombinedFractionLBAsWritten([]blockdev.Host{dev}); frac < 0.95 {
 		t.Fatalf("file churn touched only %.0f%% of LBAs, want >95%%", frac*100)
 	}
 }

@@ -172,7 +172,6 @@ type Dev struct {
 	latent  map[int64]bool // sticky read-failing LBAs until rewritten
 
 	writes   int64
-	barriers int64
 	cut      bool
 	log      []WriteRecord
 	injected Injected
@@ -231,9 +230,6 @@ func (d *Dev) Cut() bool { return d.cut }
 // Writes returns the number of host writes acknowledged so far (the
 // unit CutAfterWrites counts in).
 func (d *Dev) Writes() int64 { return d.writes }
-
-// Barriers returns the number of sync barriers observed.
-func (d *Dev) Barriers() int64 { return d.barriers }
 
 // WriteLog returns the acknowledged write log, oldest first.
 func (d *Dev) WriteLog() []WriteRecord { return d.log }
@@ -424,7 +420,6 @@ func (d *Dev) SyncErr() error {
 	if d.cut {
 		return nil
 	}
-	d.barriers++
 	if d.armed() && d.plan.FsyncLieProb > 0 && d.errs.Float64() < d.plan.FsyncLieProb {
 		d.injected.FsyncLies++
 		return nil

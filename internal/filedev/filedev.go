@@ -7,11 +7,13 @@
 // fault-injecting wrapper run unchanged on either authority, and the
 // differential checker in internal/devdiff proves the two agree.
 //
-// Durability discipline is configurable (DisciplineNone /
-// DisciplineBarrier / DisciplineAlways), mirroring the fsync spectrum
-// real engines expose. Time accounting has two modes: fixed per-op
-// costs (deterministic, the test default) or measured wall-clock
-// latency folded into virtual time (for looking at real hardware).
+// I/O is buffered (no O_DIRECT); durability comes from the configurable
+// fsync discipline (DisciplineNone / DisciplineBarrier /
+// DisciplineAlways), mirroring the fsync spectrum real engines expose.
+// Time accounting has two modes: the fixed Default*Cost charges
+// (deterministic, the test default) or measured wall-clock latency
+// folded into virtual time (Config.Measure, for looking at real
+// hardware).
 // Host instrumentation — iostat Counters and the per-LBA write
 // histogram — matches the simulated blockdev.Device, so the Fig 4
 // plots work over either backend.
@@ -70,44 +72,16 @@ func (d Discipline) String() string {
 	}
 }
 
-// Costs are the fixed virtual-time charges used when Config.Measure is
-// off. Zero fields take the Default* values, loosely shaped like a
-// datacenter NVMe drive; tests rely only on their determinism.
-type Costs struct {
-	ReadOp    sim.Duration // per read command
-	ReadPage  sim.Duration // per page read
-	WriteOp   sim.Duration // per write command
-	WritePage sim.Duration // per page written
-	Sync      sim.Duration // per fsync
-}
-
-// Default fixed costs (see Costs).
+// The fixed virtual-time charges used when Config.Measure is off,
+// loosely shaped like a datacenter NVMe drive; tests rely only on their
+// determinism.
 const (
-	DefaultReadOpCost    = 60 * time.Microsecond
-	DefaultReadPageCost  = 2 * time.Microsecond
-	DefaultWriteOpCost   = 20 * time.Microsecond
-	DefaultWritePageCost = 3 * time.Microsecond
-	DefaultSyncCost      = 500 * time.Microsecond
+	DefaultReadOpCost    = 60 * time.Microsecond  // per read command
+	DefaultReadPageCost  = 2 * time.Microsecond   // per page read
+	DefaultWriteOpCost   = 20 * time.Microsecond  // per write command
+	DefaultWritePageCost = 3 * time.Microsecond   // per page written
+	DefaultSyncCost      = 500 * time.Microsecond // per fsync
 )
-
-func (c Costs) withDefaults() Costs {
-	if c.ReadOp == 0 {
-		c.ReadOp = DefaultReadOpCost
-	}
-	if c.ReadPage == 0 {
-		c.ReadPage = DefaultReadPageCost
-	}
-	if c.WriteOp == 0 {
-		c.WriteOp = DefaultWriteOpCost
-	}
-	if c.WritePage == 0 {
-		c.WritePage = DefaultWritePageCost
-	}
-	if c.Sync == 0 {
-		c.Sync = DefaultSyncCost
-	}
-	return c
-}
 
 // Config describes a file-backed device.
 type Config struct {
@@ -120,17 +94,10 @@ type Config struct {
 	PageSize int
 	// Fsync is the durability discipline (default DisciplineBarrier).
 	Fsync Discipline
-	// Direct requests O_DIRECT-style aligned I/O through a bounce
-	// buffer. Best-effort: filesystems that reject O_DIRECT (tmpfs)
-	// silently fall back to buffered I/O; Direct() reports the outcome.
-	Direct bool
 	// Measure folds measured wall-clock latencies into virtual time
-	// instead of charging the fixed Costs. Real-hardware mode; not
-	// deterministic.
+	// instead of charging the fixed Default*Cost values. Real-hardware
+	// mode; not deterministic.
 	Measure bool
-	// Costs are the fixed charges when Measure is off; zero fields
-	// take defaults.
-	Costs Costs
 }
 
 // Dev is an open file-backed device. It implements blockdev.Host. Like
@@ -139,14 +106,11 @@ type Config struct {
 // persistent typed deverr errors on the WriteErr/ReadErr/SyncErr
 // surface.
 type Dev struct {
-	f    *os.File
-	cfg  Config
-	ps   int
-	n    int64
-	cost Costs
-
-	direct bool   // O_DIRECT actually in effect
-	bounce []byte // aligned scratch for direct mode, zero-fill and nil-buf I/O
+	f      *os.File
+	cfg    Config
+	ps     int
+	n      int64
+	bounce []byte // scratch for zero-fill and nil-buf I/O
 
 	counters  blockdev.Counters
 	writeHist []uint32
@@ -162,7 +126,7 @@ type Dev struct {
 	closed bool
 }
 
-// bounceBytes is the chunk size for aligned/zero-fill I/O.
+// bounceBytes is the chunk size for zero-fill and nil-buf I/O.
 const bounceBytes = 256 << 10
 
 // Open creates (truncating any previous image) the backing file and
@@ -184,17 +148,10 @@ func Open(cfg Config) (*Dev, error) {
 	if err := os.MkdirAll(filepath.Dir(cfg.Path), 0o755); err != nil {
 		return nil, fmt.Errorf("filedev: %w", err)
 	}
-	d := &Dev{
-		cfg:  cfg,
-		ps:   cfg.PageSize,
-		n:    cfg.Pages,
-		cost: cfg.Costs.withDefaults(),
-	}
-	f, direct, err := openFile(cfg.Path, cfg.Direct)
+	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filedev: %w", err)
 	}
-	d.f, d.direct = f, direct
 	if err := f.Truncate(0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("filedev: %w", err)
@@ -203,23 +160,18 @@ func Open(cfg Config) (*Dev, error) {
 		f.Close()
 		return nil, fmt.Errorf("filedev: %w", err)
 	}
-	d.writeHist = make([]uint32, cfg.Pages)
-	// The bounce buffer must be a whole number of pages so every chunk
-	// of a split I/O stays aligned under O_DIRECT.
-	chunk := (bounceBytes / cfg.PageSize) * cfg.PageSize
-	if chunk == 0 {
-		chunk = cfg.PageSize
-	}
-	d.bounce = alignedBuf(chunk, cfg.PageSize)
-	return d, nil
+	return &Dev{
+		f:         f,
+		cfg:       cfg,
+		ps:        cfg.PageSize,
+		n:         cfg.Pages,
+		bounce:    make([]byte, bounceBytes),
+		writeHist: make([]uint32, cfg.Pages),
+	}, nil
 }
 
 // Path returns the backing file path.
 func (d *Dev) Path() string { return d.cfg.Path }
-
-// Direct reports whether O_DIRECT is actually in effect (the request
-// may have fallen back on filesystems that reject it).
-func (d *Dev) Direct() bool { return d.direct }
 
 // Discipline returns the configured fsync discipline.
 func (d *Dev) Discipline() Discipline { return d.cfg.Fsync }
@@ -277,12 +229,8 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 	var err error
 	if data == nil {
 		err = d.zeroFill(byteOff, int64(n)*int64(ps))
-	} else if d.direct {
-		err = d.writeBounced(byteOff, data)
-	} else {
-		if _, werr := d.f.WriteAt(data, byteOff); werr != nil {
-			err = werr
-		}
+	} else if _, werr := d.f.WriteAt(data, byteOff); werr != nil {
+		err = werr
 	}
 	if err != nil {
 		return now, &deverr.Error{Op: deverr.OpWrite, LBA: off, Kind: deverr.KindEIO, Cause: err}
@@ -298,9 +246,9 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 	if d.cfg.Measure {
 		return done + sim.Duration(time.Since(start)), nil
 	}
-	done += d.cost.WriteOp + sim.Duration(n)*d.cost.WritePage
+	done += DefaultWriteOpCost + sim.Duration(n)*DefaultWritePageCost
 	if d.cfg.Fsync == DisciplineAlways {
-		done += d.cost.Sync
+		done += DefaultSyncCost
 	}
 	return done, nil
 }
@@ -325,12 +273,10 @@ func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Durat
 	start := time.Now()
 	byteOff := off * int64(ps)
 	var err error
-	if buf == nil || d.direct {
-		err = d.readBounced(byteOff, int64(n)*int64(ps), buf)
-	} else {
-		if _, rerr := d.f.ReadAt(buf, byteOff); rerr != nil {
-			err = rerr
-		}
+	if buf == nil {
+		err = d.readBounced(byteOff, int64(n)*int64(ps))
+	} else if _, rerr := d.f.ReadAt(buf, byteOff); rerr != nil {
+		err = rerr
 	}
 	if err != nil {
 		return now, &deverr.Error{Op: deverr.OpRead, LBA: off, Kind: deverr.KindEIO, Cause: err}
@@ -341,7 +287,7 @@ func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Durat
 	if d.cfg.Measure {
 		return done + sim.Duration(time.Since(start)), nil
 	}
-	return done + d.cost.ReadOp + sim.Duration(n)*d.cost.ReadPage, nil
+	return done + DefaultReadOpCost + sim.Duration(n)*DefaultReadPageCost, nil
 }
 
 // Discard implements blockdev.Dev: punches a hole where the filesystem
@@ -389,13 +335,7 @@ func (d *Dev) Restore(off int64, n int, data []byte) error {
 		return &deverr.Error{Op: deverr.OpRestore, LBA: off, Kind: deverr.KindBounds,
 			Cause: fmt.Errorf("filedev: restore length %d != %d pages", len(data), n)}
 	}
-	var err error
-	if d.direct {
-		err = d.writeBounced(byteOff, data)
-	} else if _, werr := d.f.WriteAt(data, byteOff); werr != nil {
-		err = werr
-	}
-	if err != nil {
+	if _, err := d.f.WriteAt(data, byteOff); err != nil {
 		return &deverr.Error{Op: deverr.OpRestore, LBA: off, Kind: deverr.KindEIO, Cause: err}
 	}
 	return nil
@@ -415,7 +355,7 @@ func (d *Dev) SyncErr() error {
 	if d.cfg.Measure {
 		d.pendingSync += sim.Duration(time.Since(start))
 	} else {
-		d.pendingSync += d.cost.Sync
+		d.pendingSync += DefaultSyncCost
 	}
 	return nil
 }
@@ -451,11 +391,11 @@ func (d *Dev) Reopen() error {
 			return fmt.Errorf("filedev: %w", err)
 		}
 	}
-	f, direct, err := openFile(d.cfg.Path, d.cfg.Direct)
+	f, err := os.OpenFile(d.cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("filedev: %w", err)
 	}
-	d.f, d.direct, d.closed = f, direct, false
+	d.f, d.closed = f, false
 	return nil
 }
 
@@ -467,27 +407,9 @@ func (d *Dev) fsync() error {
 	return nil
 }
 
-// writeBounced copies data through the aligned bounce buffer in chunks
-// (O_DIRECT requires aligned user memory).
-func (d *Dev) writeBounced(byteOff int64, data []byte) error {
-	for len(data) > 0 {
-		n := len(data)
-		if n > len(d.bounce) {
-			n = len(d.bounce)
-		}
-		copy(d.bounce[:n], data[:n])
-		if _, err := d.f.WriteAt(d.bounce[:n], byteOff); err != nil {
-			return fmt.Errorf("filedev: write %s: %w", d.cfg.Path, err)
-		}
-		data = data[n:]
-		byteOff += int64(n)
-	}
-	return nil
-}
-
-// readBounced reads length bytes at byteOff through the bounce buffer,
-// copying into out when non-nil.
-func (d *Dev) readBounced(byteOff, length int64, out []byte) error {
+// readBounced reads length bytes at byteOff into the bounce buffer and
+// drops them: a nil-buf read still does the file I/O.
+func (d *Dev) readBounced(byteOff, length int64) error {
 	var done int64
 	for done < length {
 		n := length - done
@@ -497,16 +419,13 @@ func (d *Dev) readBounced(byteOff, length int64, out []byte) error {
 		if _, err := d.f.ReadAt(d.bounce[:n], byteOff+done); err != nil {
 			return fmt.Errorf("filedev: read %s: %w", d.cfg.Path, err)
 		}
-		if out != nil {
-			copy(out[done:done+n], d.bounce[:n])
-		}
 		done += n
 	}
 	return nil
 }
 
 // zeroFill writes zeros over [byteOff, byteOff+length) using the
-// bounce buffer (which writeBounced may have dirtied, so clear first).
+// bounce buffer (which readBounced may have dirtied, so clear first).
 func (d *Dev) zeroFill(byteOff, length int64) error {
 	clear(d.bounce)
 	var done int64

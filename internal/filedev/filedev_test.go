@@ -210,16 +210,20 @@ func TestOpenTruncatesPreviousImage(t *testing.T) {
 	}
 }
 
-func TestDirectRequestRoundTrips(t *testing.T) {
-	// O_DIRECT may or may not stick (tmpfs rejects it); either way the
-	// device must work and report the outcome truthfully.
-	d := open(t, Config{Direct: true})
-	t.Logf("O_DIRECT in effect: %v", d.Direct())
-	now := mustWrite(t, d, 0, 1, 2, append(page(d, 0x01), page(d, 0x02)...))
-	buf := make([]byte, 2*d.PageSize())
-	mustRead(t, d, now, 1, 2, buf)
-	if buf[0] != 0x01 || buf[d.PageSize()] != 0x02 {
-		t.Fatalf("direct-mode round trip failed")
+// TestNilBufIOSpansChunks: nil-data writes and nil-buf reads go through
+// the bounce buffer in chunks; a run several chunks long must zero (and
+// read) every page of it, including after a read has dirtied the buffer.
+func TestNilBufIOSpansChunks(t *testing.T) {
+	d := open(t, Config{Pages: 3*bounceBytes/4096 + 5})
+	n := int(d.Pages()) - 2
+	data := bytes.Repeat([]byte{0xAB}, n*d.PageSize())
+	now := mustWrite(t, d, 0, 1, n, data)
+	now = mustRead(t, d, now, 1, n, nil)
+	now = mustWrite(t, d, now, 1, n, nil)
+	buf := make([]byte, n*d.PageSize())
+	mustRead(t, d, now, 1, n, buf)
+	if !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatalf("nil-data write of %d pages left non-zero bytes", n)
 	}
 }
 

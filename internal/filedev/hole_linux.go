@@ -14,20 +14,6 @@ const (
 	fallocPunchHole = 0x02
 )
 
-// openFile opens path for read/write, attempting O_DIRECT when direct
-// is requested. Filesystems that reject O_DIRECT (tmpfs) fall back to
-// buffered I/O — the caller learns the outcome from the bool.
-func openFile(path string, direct bool) (*os.File, bool, error) {
-	if direct {
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|syscall.O_DIRECT, 0o644)
-		if err == nil {
-			return f, true, nil
-		}
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	return f, false, err
-}
-
 // punchHole deallocates [off, off+length) so it reads back as zeros.
 // Filesystems without hole punching return an error and the caller
 // zero-fills instead.

@@ -56,9 +56,10 @@ func sameFTLState(t *testing.T, a, b *ftl) {
 }
 
 // TestHostWriteRangeEquivalence drives twin FTLs through an identical
-// workload — one using hostWriteRange, the other the per-page writePage reference — and
-// requires identical state and identical aggregated GC work, including
-// phases where garbage collection triggers mid-range.
+// workload — one using ranged writes collecting their GC work in one
+// lane, the other the per-page writePage reference — and requires
+// identical state and identical aggregated GC work, including phases
+// where garbage collection triggers mid-range.
 func TestHostWriteRangeEquivalence(t *testing.T) {
 	ranged, paged := twinFTLs(t)
 	rng := sim.NewRNG(42)
@@ -73,8 +74,10 @@ func TestHostWriteRangeEquivalence(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			wantWork.add(writePage(paged, lpn+i))
 		}
-		gotWork := ranged.hostWriteRange(lpn, n)
-		if gotWork != wantWork {
+		var got [1]gcWork
+		ranged.write(lpn, n, got[:])
+		ranged.stats.HostPagesWritten += n
+		if gotWork := got[0]; gotWork != wantWork {
 			t.Fatalf("range [%d,+%d): gc work %+v, per-page %+v", lpn, n, gotWork, wantWork)
 		}
 		written += n
@@ -82,8 +85,8 @@ func TestHostWriteRangeEquivalence(t *testing.T) {
 	sameFTLState(t, ranged, paged)
 }
 
-// TestHostWriteRangeStripedEquivalence checks that the striped range
-// write attributes per-lane GC work exactly as per-page attribution
+// TestHostWriteRangeStripedEquivalence checks that a ranged write over
+// 16 lanes attributes per-lane GC work exactly as per-page attribution
 // would, and mutates the FTL identically.
 func TestHostWriteRangeStripedEquivalence(t *testing.T) {
 	const lanes = 16
@@ -99,7 +102,8 @@ func TestHostWriteRangeStripedEquivalence(t *testing.T) {
 			want[(lpn+i)%lanes].add(writePage(paged, lpn+i))
 		}
 		var got [lanes]gcWork
-		ranged.hostWriteRangeStriped(lpn, n, got[:])
+		ranged.write(lpn, n, got[:])
+		ranged.stats.HostPagesWritten += n
 		if got != want {
 			t.Fatalf("range [%d,+%d): striped gc work %v, per-page %v", lpn, n, got, want)
 		}
@@ -108,19 +112,20 @@ func TestHostWriteRangeStripedEquivalence(t *testing.T) {
 	sameFTLState(t, ranged, paged)
 }
 
-// TestHostWriteRangeAllocFree asserts the batched FTL write path performs
-// no heap allocation per range.
+// TestHostWriteRangeAllocFree asserts the FTL write path performs no heap
+// allocation per range.
 func TestHostWriteRangeAllocFree(t *testing.T) {
 	f, _ := twinFTLs(t)
 	total := f.logicalPages
 	f.sequentialFill(0, total)
 	rng := sim.NewRNG(3)
+	work := make([]gcWork, 16)
 	allocs := testing.AllocsPerRun(200, func() {
 		lpn := int64(rng.Uint64n(uint64(total - 64)))
-		f.hostWriteRange(lpn, 64)
+		f.write(lpn, 64, work)
 	})
 	if allocs > 0.02 {
-		t.Fatalf("hostWriteRange allocates %.2f objects per call, want 0", allocs)
+		t.Fatalf("write allocates %.2f objects per call, want 0", allocs)
 	}
 }
 

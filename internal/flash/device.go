@@ -30,12 +30,9 @@ type Device struct {
 	res  *sim.MultiResource
 	noGC bool
 
-	// Derived per-page service times. The host/internal rates are
-	// device-wide; the lane* variants are the per-lane cost of one page
-	// (device rate × lane count), which is what striped submission
-	// charges.
-	hostReadPerPage  time.Duration
-	hostWritePerPage time.Duration
+	// Derived per-page service times. The int* rates are device-wide;
+	// the lane* variants are the per-lane cost of one page (device rate
+	// × lane count), which is what striped submission charges.
 	intReadPerPage   time.Duration
 	intWritePerPage  time.Duration
 	cacheWritePage   time.Duration
@@ -54,8 +51,6 @@ type Device struct {
 	pending       []pendingRange
 	pendingHead   int // index of first live entry in pending
 	drainCursor   sim.Duration
-
-	noGCWrites int64 // host pages written in NoGC mode (no FTL)
 }
 
 type pendingRange struct {
@@ -78,16 +73,14 @@ func NewDevice(cfg Config) (*Device, error) {
 		laneWork: make([]gcWork, lanes),
 	}
 	// NoGC media still get an FTL: GC never runs for them (writes bypass
-	// hostWrite), but the l2p table backs the mapped-pages bookkeeping
+	// ftl.write), but the l2p table backs the mapped-pages bookkeeping
 	// used by the utilization metrics.
 	d.ftl = newFTL(cfg)
 	ps := int64(cfg.PageSize)
-	d.hostReadPerPage = bwTime(ps, cfg.Profile.ReadBW)
-	d.hostWritePerPage = bwTime(ps, cfg.Profile.WriteBW)
 	d.intReadPerPage = bwTime(ps, cfg.Profile.InternalReadBW)
 	d.intWritePerPage = bwTime(ps, cfg.Profile.InternalWriteBW)
-	d.laneReadPerPage = d.hostReadPerPage * time.Duration(lanes)
-	d.laneWritePerPage = d.hostWritePerPage * time.Duration(lanes)
+	d.laneReadPerPage = bwTime(ps, cfg.Profile.ReadBW) * time.Duration(lanes)
+	d.laneWritePerPage = bwTime(ps, cfg.Profile.WriteBW) * time.Duration(lanes)
 	d.laneIntRead = d.intReadPerPage * time.Duration(lanes)
 	d.laneIntWrite = d.intWritePerPage * time.Duration(lanes)
 	if cfg.Profile.CacheBytes > 0 {
@@ -118,14 +111,7 @@ func (d *Device) LogicalPages() int64 { return d.cfg.logicalPages() }
 func (d *Device) LogicalBytes() int64 { return d.cfg.LogicalBytes }
 
 // Stats returns a copy of the cumulative SMART-style counters.
-func (d *Device) Stats() Stats {
-	s := d.ftl.stats
-	if d.noGC {
-		s.HostPagesWritten = d.noGCWrites
-		s.FlashPagesWritten = d.noGCWrites
-	}
-	return s
-}
+func (d *Device) Stats() Stats { return d.ftl.stats }
 
 // WAD returns cumulative device write amplification since construction.
 func (d *Device) WAD() float64 { return d.Stats().WAD() }
@@ -157,34 +143,32 @@ func laneCount(n, k, lanes int) int {
 	return (n - k + lanes - 1) / lanes
 }
 
-// submitUniform dispatches an n-page request starting at logical page lpn
-// whose pages all cost the same perPage service time: page lpn+i lands on
-// lane (lpn+i) mod lanes (striped placement) and each involved lane is
-// charged its page count in closed form — O(min(n, lanes)) arithmetic, no
-// per-page work. The request's fixed command overhead (controller/command
+// submit dispatches an n-page request starting at logical page lpn whose
+// pages all cost the same perPage service time: page lpn+i lands on lane
+// (lpn+i) mod lanes (striped placement) and each involved lane is charged
+// its page count in closed form — O(min(n, lanes)) arithmetic, no
+// per-page work — plus, for a write, the GC work its pages caused
+// (work[lane], filled by ftl.write; work is nil for reads and for NoGC
+// media). The request's fixed command overhead (controller/command
 // processing) is charged once, on the lane holding the first page, rather
 // than per lane — so a multi-page request occupies the array for its
 // data-transfer time plus a single command setup, which is what lets
 // overlapping requests scale throughput up to the lane count instead of
 // drowning in replicated setup costs. All involved lanes start at now;
 // the request completes when its slowest lane finishes.
-func (d *Device) submitUniform(now sim.Duration, lpn int64, n int,
-	fixed, perPage time.Duration) sim.Duration {
+func (d *Device) submit(now sim.Duration, lpn int64, n int,
+	fixed, perPage time.Duration, work []gcWork) sim.Duration {
 	lanes := len(d.laneWork)
-	if lanes == 1 {
-		return d.res.AcquireLane(0, now, fixed+time.Duration(n)*perPage)
-	}
 	lead := int(lpn % int64(lanes))
-	m := lanes
-	if n < m {
-		m = n
-	}
 	done := now
-	for k := 0; k < m; k++ {
+	for k := 0; k < min(n, lanes); k++ {
 		lane := (lead + k) % lanes
 		svc := time.Duration(laneCount(n, k, lanes)) * perPage
 		if k == 0 {
 			svc += fixed
+		}
+		if work != nil {
+			svc += d.laneGCTime(work[lane])
 		}
 		if end := d.res.AcquireLane(lane, now, svc); end > done {
 			done = end
@@ -196,54 +180,35 @@ func (d *Device) submitUniform(now sim.Duration, lpn int64, n int,
 // SubmitWrite submits a write of n pages starting at logical page lpn at
 // virtual time now, and returns its completion time. Pages stripe over
 // the device's internal lanes; on a single-lane device the request is
-// FIFO-queued behind all previously submitted requests.
+// FIFO-queued behind all previously submitted requests. The n pages count
+// as host writes here, whichever path then programs them.
 func (d *Device) SubmitWrite(now sim.Duration, lpn int64, n int) sim.Duration {
 	if n <= 0 {
 		return now
 	}
 	d.checkRange(lpn, n)
+	d.ftl.stats.HostPagesWritten += int64(n)
 	if d.noGC {
-		d.noGCWrites += int64(n)
+		d.ftl.stats.FlashPagesWritten += int64(n)
 		d.ftl.markMappedRange(lpn, int64(n))
-		return d.submitUniform(now, lpn, n, d.cfg.Profile.WriteFixed, d.laneWritePerPage)
+		return d.submit(now, lpn, n, d.cfg.Profile.WriteFixed, d.laneWritePerPage, nil)
 	}
 	if d.cacheCapPages > 0 {
 		return d.cachedWrite(now, lpn, n)
 	}
-	lanes := len(d.laneWork)
-	if lanes == 1 {
-		w := d.ftl.hostWriteRange(lpn, int64(n))
-		service := d.cfg.Profile.WriteFixed +
-			time.Duration(n)*d.laneWritePerPage + d.laneGCTime(w)
-		return d.res.AcquireLane(0, now, service)
-	}
-	// Multi-lane: one FTL range write accumulates the GC work caused by
-	// each page into that page's lane, so the per-die attribution (and
-	// therefore every completion time) matches the per-page dispatch
-	// exactly — laneGCTime is linear in the work counts.
 	work := d.laneWork
-	for i := range work {
-		work[i] = gcWork{}
-	}
-	d.ftl.hostWriteRangeStriped(lpn, int64(n), work)
-	lead := int(lpn % int64(lanes))
-	m := lanes
-	if n < m {
-		m = n
-	}
-	done := now
-	for k := 0; k < m; k++ {
-		lane := (lead + k) % lanes
-		svc := time.Duration(laneCount(n, k, lanes))*d.laneWritePerPage +
-			d.laneGCTime(work[lane])
-		if k == 0 {
-			svc += d.cfg.Profile.WriteFixed
-		}
-		if end := d.res.AcquireLane(lane, now, svc); end > done {
-			done = end
-		}
-	}
-	return done
+	clear(work)
+	d.ftl.write(lpn, int64(n), work)
+	return d.submit(now, lpn, n, d.cfg.Profile.WriteFixed, d.laneWritePerPage, work)
+}
+
+// serialWrite is ftl.write with all the GC work summed into one value,
+// for the paths that charge it device-wide rather than per lane: the
+// write-back cache's write-through and destage, and preconditioning.
+func (d *Device) serialWrite(lpn, n int64) gcWork {
+	var w [1]gcWork
+	d.ftl.write(lpn, n, w[:])
+	return w[0]
 }
 
 // cachedWrite implements the write-back cache path: writes land in the
@@ -273,7 +238,7 @@ func (d *Device) cachedWrite(now sim.Duration, lpn int64, n int) sim.Duration {
 			// Request larger than the whole cache: write through the
 			// remainder at internal speed.
 			over := d.cacheFill + need - d.cacheCapPages
-			w := d.ftl.hostWriteRange(lpn, over)
+			w := d.serialWrite(lpn, over)
 			stall += time.Duration(over)*d.intWritePerPage + d.gcTime(w)
 			lpn += over
 			need -= over
@@ -282,7 +247,6 @@ func (d *Device) cachedWrite(now sim.Duration, lpn int64, n int) sim.Duration {
 	if need > 0 {
 		d.pending = append(d.pending, pendingRange{lpn: lpn, n: need})
 		d.cacheFill += need
-		d.ftl.stats.HostPagesWritten += need
 	}
 	service := stall + d.cfg.Profile.CacheWriteFixed + time.Duration(need)*d.cacheWritePage
 	// The write-back cache is a single controller front-end (DRAM/SLC
@@ -324,7 +288,7 @@ func (d *Device) advancePendingHead() {
 
 // destagePages moves exactly count cached pages (fewer only if the queue
 // empties) to the FTL in contiguous runs and returns the flash time
-// consumed. Each run is one FTL range write, so mapping updates and the
+// consumed. Each run is one FTL write, so mapping updates and the
 // GC check amortize over the run; total cost equals the per-page sum
 // because the time conversion is linear in the work counts.
 func (d *Device) destagePages(count int64) time.Duration {
@@ -338,7 +302,7 @@ func (d *Device) destagePages(count int64) time.Duration {
 		if k > count {
 			k = count
 		}
-		w := d.ftl.hostWriteCachedRange(r.lpn, k)
+		w := d.serialWrite(r.lpn, k)
 		cost += time.Duration(k)*d.intWritePerPage + d.gcTime(w)
 		r.lpn += k
 		r.n -= k
@@ -363,7 +327,7 @@ func (d *Device) destageTo(now sim.Duration) {
 		// now — but commit the queue bookkeeping once per run.
 		k := int64(0)
 		for k < r.n && d.drainCursor < now {
-			w := d.ftl.hostWriteCached(r.lpn + k)
+			w := d.serialWrite(r.lpn+k, 1)
 			d.drainCursor += d.intWritePerPage + d.gcTime(w)
 			k++
 		}
@@ -391,7 +355,7 @@ func (d *Device) SubmitRead(now sim.Duration, lpn int64, n int) sim.Duration {
 	}
 	d.checkRange(lpn, n)
 	d.ftl.stats.HostPagesRead += int64(n)
-	return d.submitUniform(now, lpn, n, d.cfg.Profile.ReadFixed, d.laneReadPerPage)
+	return d.submit(now, lpn, n, d.cfg.Profile.ReadFixed, d.laneReadPerPage, nil)
 }
 
 // Trim discards the mapping for n pages starting at lpn (like a ranged
@@ -443,22 +407,6 @@ func (d *Device) dropPendingIn(lpn int64, n int) {
 	d.cacheFill = fill
 }
 
-// TrimAll resets the device to a factory-fresh state (blkdiscard of the
-// whole drive), per the paper's "Trimmed" initial condition (§3.4).
-func (d *Device) TrimAll() {
-	d.pending = d.pending[:0]
-	d.pendingHead = 0
-	d.cacheFill = 0
-	if d.noGC {
-		for i := range d.ftl.l2p {
-			d.ftl.l2p[i] = unmapped
-		}
-		d.ftl.mappedPages = 0
-		return
-	}
-	d.ftl.trimAll()
-}
-
 // PreconditionRange ages the LBA range [firstPage, firstPage+pages) per
 // the paper's §3.4: first write the range sequentially, then issue
 // uniformly random single-page writes inside it totalling `multiple`
@@ -471,19 +419,23 @@ func (d *Device) TrimAll() {
 //
 // The sequential fill uses the FTL's O(blocks) block-sequential fast
 // path; the random phase — the part that actually drives GC to steady
-// state, and 2× the fill's size at the paper's setting — performs real
-// per-page writes.
+// state, and 2× the fill's size at the paper's setting — sends each page
+// through ftl.write, the path every host write takes. Every page counts
+// as a host write; on NoGC media it is also one flash write.
 func (d *Device) PreconditionRange(rng *sim.RNG, firstPage, pages int64, multiple int) {
 	d.checkRange(firstPage, int(pages))
 	if d.noGC {
 		d.ftl.markMappedRange(firstPage, pages)
-		d.noGCWrites += pages * int64(multiple+1)
+		d.ftl.stats.HostPagesWritten += pages * int64(multiple+1)
+		d.ftl.stats.FlashPagesWritten += pages * int64(multiple+1)
 		return
 	}
 	d.ftl.sequentialFill(firstPage, pages)
-	for i := int64(0); i < pages*int64(multiple); i++ {
-		d.ftl.hostWrite(firstPage + int64(rng.Uint64n(uint64(pages))))
+	random := pages * int64(multiple)
+	for i := int64(0); i < random; i++ {
+		d.serialWrite(firstPage+int64(rng.Uint64n(uint64(pages))), 1)
 	}
+	d.ftl.stats.HostPagesWritten += random
 }
 
 // Utilization returns the fraction of physical pages holding valid data.

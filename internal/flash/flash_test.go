@@ -267,31 +267,6 @@ func TestMoreOPLowersWAD(t *testing.T) {
 	}
 }
 
-func TestTrimAllResets(t *testing.T) {
-	d := newTestDevice(t, testConfig())
-	fillSequential(d)
-	if d.MappedPages() != d.LogicalPages() {
-		t.Fatalf("mapped %d, want full", d.MappedPages())
-	}
-	d.TrimAll()
-	if d.MappedPages() != 0 {
-		t.Fatalf("mapped %d after TrimAll, want 0", d.MappedPages())
-	}
-	if d.Utilization() != 0 {
-		t.Fatalf("utilization %v after TrimAll, want 0", d.Utilization())
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// After a full trim, sequential refill incurs no extra GC writes.
-	before := d.Stats()
-	fillSequential(d)
-	delta := d.Stats().Sub(before)
-	if delta.WAD() > 1.01 {
-		t.Fatalf("refill after trim WA-D = %v, want ~1", delta.WAD())
-	}
-}
-
 func TestTrimRange(t *testing.T) {
 	d := newTestDevice(t, testConfig())
 	d.SubmitWrite(0, 0, 128)
@@ -384,9 +359,50 @@ func TestNoGCDevice(t *testing.T) {
 	if wad := d.WAD(); wad != 1 {
 		t.Fatalf("NoGC device WAD after precondition = %v, want 1", wad)
 	}
-	d.TrimAll()
-	if d.MappedPages() != 0 {
-		t.Fatal("NoGC TrimAll failed")
+}
+
+// TestNoGCCountsEveryWrite: on NoGC media every host page — submitted or
+// preconditioned — is exactly one flash page, and nothing else moves.
+func TestNoGCCountsEveryWrite(t *testing.T) {
+	cfg := testConfig()
+	cfg.Profile.NoGC = true
+	d := newTestDevice(t, cfg)
+	var now sim.Duration
+	now = d.SubmitWrite(now, 0, 10)
+	d.SubmitWrite(now, 5, 20)
+	d.PreconditionRange(sim.NewRNG(1), 100, 50, 2)
+	want := Stats{HostPagesWritten: 10 + 20 + 50*3, FlashPagesWritten: 10 + 20 + 50*3}
+	if got := d.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+	if d.MappedPages() != 25+50 {
+		t.Fatalf("mapped %d, want %d", d.MappedPages(), 25+50)
+	}
+}
+
+// TestCachedWritesCountHostPagesOnce: a page counts as a host write once,
+// when the request is admitted, whether it lands in the cache, waits for
+// a forced destage or writes through past a full cache.
+func TestCachedWritesCountHostPagesOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.Profile.CacheBytes = 1 << 20 // 256-page cache
+	cfg.Profile.CacheWriteBW = 2 << 30
+	d := newTestDevice(t, cfg)
+	var now sim.Duration
+	var host int64
+	for _, n := range []int{100, 200, 1000, 30} { // fits, overflows, writes through, fits
+		now = d.SubmitWrite(now, host, n)
+		host += int64(n)
+		if got := d.Stats().HostPagesWritten; got != host {
+			t.Fatalf("after a %d-page write: host pages %d, want %d", n, got, host)
+		}
+	}
+	d.destageTo(now + time.Hour)
+	if s := d.Stats(); s.FlashPagesWritten != host || d.MappedPages() != host {
+		t.Fatalf("after destage: %+v, mapped %d; want %d flash pages mapped", s, d.MappedPages(), host)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

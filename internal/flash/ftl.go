@@ -238,8 +238,7 @@ func (f *ftl) program(frontier *int32, lpn int64) int32 {
 // writeOne performs the mapping update and flash program for one
 // host-destined page write: invalidate the old version (if any), program
 // the new one at a pseudo-randomly chosen stream frontier (modelling die
-// striping). It is the single page-write primitive behind every direct,
-// cached and ranged host-write path.
+// striping). It is the page-write primitive behind write.
 func (f *ftl) writeOne(lpn int64) {
 	if old := f.l2p[lpn]; old != unmapped {
 		f.invalidate(old)
@@ -250,76 +249,16 @@ func (f *ftl) writeOne(lpn int64) {
 	f.stats.FlashPagesWritten++
 }
 
-func (f *ftl) checkLPN(lpn int64) {
-	if lpn < 0 || lpn >= f.logicalPages {
-		panic("flash: logical page out of range")
-	}
-}
-
-func (f *ftl) checkLPNRange(lpn, n int64) {
-	if lpn < 0 || n < 0 || lpn+n > f.logicalPages {
-		panic("flash: logical page range out of range")
-	}
-}
-
-// hostWrite performs a host-destined page write at logical page lpn and
-// returns the internal GC work it triggered.
-func (f *ftl) hostWrite(lpn int64) gcWork {
-	f.checkLPN(lpn)
-	f.writeOne(lpn)
-	f.stats.HostPagesWritten++
-	return f.maybeGC()
-}
-
-// hostWriteCached is hostWrite for pages arriving via the write cache:
-// the host-page counter was already incremented at cache admission, so
-// only the flash program is accounted here.
-func (f *ftl) hostWriteCached(lpn int64) gcWork {
-	f.checkLPN(lpn)
-	f.writeOne(lpn)
-	return f.maybeGC()
-}
-
-// hostWriteRange performs n consecutive host page writes starting at lpn
-// and returns the aggregated GC work. State transitions are identical to
-// n sequential hostWrite calls — pages program in ascending order and the
-// GC trigger is evaluated after every program (a single comparison while
-// the free pool is healthy) — but the bounds check and the host-page
-// counter update amortize over the range.
-func (f *ftl) hostWriteRange(lpn, n int64) gcWork {
-	f.checkLPNRange(lpn, n)
-	var work gcWork
-	for i := int64(0); i < n; i++ {
-		f.writeOne(lpn + i)
-		if len(f.freeBlocks) < f.gcLowWater {
-			work.add(f.maybeGC())
-		}
-	}
-	f.stats.HostPagesWritten += n
-	return work
-}
-
-// hostWriteCachedRange is hostWriteRange for destaged cache pages (the
-// host-page counter was already incremented at cache admission).
-func (f *ftl) hostWriteCachedRange(lpn, n int64) gcWork {
-	f.checkLPNRange(lpn, n)
-	var work gcWork
-	for i := int64(0); i < n; i++ {
-		f.writeOne(lpn + i)
-		if len(f.freeBlocks) < f.gcLowWater {
-			work.add(f.maybeGC())
-		}
-	}
-	return work
-}
-
-// hostWriteRangeStriped is hostWriteRange for striped multi-lane
-// dispatch: the GC work caused by page lpn+i accumulates into
-// perLane[(lpn+i) mod len(perLane)], preserving the per-die attribution
-// of per-page dispatch (the device converts each lane's work to service
-// time with a linear function, so aggregation is exact).
-func (f *ftl) hostWriteRangeStriped(lpn, n int64, perLane []gcWork) {
-	f.checkLPNRange(lpn, n)
+// write programs the n host pages starting at lpn in ascending order —
+// the FTL's one host-write path. The GC trigger is evaluated after every
+// page (a single comparison while the free pool is healthy), and the GC
+// work page lpn+i causes accumulates into perLane[(lpn+i) mod
+// len(perLane)]: the lane (die) that page stripes to on a multi-lane
+// device, where the device converts each lane's work to service time
+// with a linear function, so the aggregation is exact. A one-element
+// perLane collects all the work. Host pages are counted by the caller,
+// where the request is admitted; the range is in bounds by then.
+func (f *ftl) write(lpn, n int64, perLane []gcWork) {
 	lanes := int64(len(perLane))
 	for i := int64(0); i < n; i++ {
 		f.writeOne(lpn + i)
@@ -327,14 +266,12 @@ func (f *ftl) hostWriteRangeStriped(lpn, n int64, perLane []gcWork) {
 			perLane[(lpn+i)%lanes].add(f.maybeGC())
 		}
 	}
-	f.stats.HostPagesWritten += n
 }
 
 // markMappedRange records presence for [lpn, lpn+n) without any flash
 // machinery — the NoGC (in-place update) write path, where only the
 // mapped-pages utilization bookkeeping applies.
 func (f *ftl) markMappedRange(lpn, n int64) {
-	f.checkLPNRange(lpn, n)
 	for p := lpn; p < lpn+n; p++ {
 		if f.l2p[p] == unmapped {
 			f.l2p[p] = 0 // presence marker
@@ -345,7 +282,6 @@ func (f *ftl) markMappedRange(lpn, n int64) {
 
 // unmarkMappedRange drops presence for [lpn, lpn+n) (NoGC trim).
 func (f *ftl) unmarkMappedRange(lpn, n int64) {
-	f.checkLPNRange(lpn, n)
 	for p := lpn; p < lpn+n; p++ {
 		if f.l2p[p] != unmapped {
 			f.l2p[p] = unmapped
@@ -364,7 +300,6 @@ func (f *ftl) unmarkMappedRange(lpn, n int64) {
 // trigger evaluated once per block — the only points at which the free
 // pool changes.
 func (f *ftl) sequentialFill(first, n int64) {
-	f.checkLPNRange(first, n)
 	ppb := int64(f.pagesPerBlock)
 	lpn := first
 	end := first + n
@@ -493,39 +428,6 @@ func (f *ftl) trim(lpn int64) {
 		f.mappedPages--
 		f.stats.TrimmedPages++
 	}
-}
-
-// trimAll resets the device to a factory-fresh block layout: every block
-// erased and free, all mappings dropped. Wear counters are preserved;
-// cumulative traffic counters are preserved too (the harness snapshots
-// stats at experiment start).
-func (f *ftl) trimAll() {
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
-	for b := 0; b < f.numBlocks; b++ {
-		f.validCount[int32(b)] = 0
-		f.writePtr[int32(b)] = 0
-		f.state[int32(b)] = blockFree
-		f.bucketPos[int32(b)] = -1
-	}
-	for i := range f.buckets {
-		f.buckets[i] = f.buckets[i][:0]
-	}
-	f.minBucket = f.pagesPerBlock + 1
-	f.freeBlocks = f.freeBlocks[:0]
-	for b := f.numBlocks - 1; b >= 0; b-- {
-		f.freeBlocks = append(f.freeBlocks, int32(b))
-	}
-	for i := range f.hostOpen {
-		f.hostOpen[i] = -1
-	}
-	f.gcOpen = -1
-	f.stats.TrimmedPages += f.mappedPages
-	f.mappedPages = 0
 }
 
 // validPages returns the total number of valid (mapped) physical pages.
