@@ -25,9 +25,7 @@ import (
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/lsm"
-	"ptsbench/internal/memtable"
 	"ptsbench/internal/sim"
-	"ptsbench/internal/sstable"
 )
 
 // benchOptions are the fast settings shared by figure benchmarks.
@@ -408,61 +406,6 @@ func BenchmarkAblationBTreeCache(b *testing.B) {
 }
 
 // ---- Micro-benchmarks for the core data structures ----
-
-func BenchmarkMemtablePut(b *testing.B) {
-	m := memtable.New(sim.NewRNG(1))
-	key := make([]byte, kv.KeySize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv.AppendKey(key, uint64(i%100000))
-		m.Put(key, nil, 128, uint64(i), false)
-	}
-}
-
-func BenchmarkMemtableGet(b *testing.B) {
-	m := memtable.New(sim.NewRNG(1))
-	for i := uint64(0); i < 100000; i++ {
-		m.Put(kv.EncodeKey(i), nil, 128, i, false)
-	}
-	key := make([]byte, kv.KeySize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv.AppendKey(key, uint64(i%100000))
-		if m.Get(key) == nil {
-			b.Fatal("missing key")
-		}
-	}
-}
-
-func BenchmarkSSTableBuild(b *testing.B) {
-	entries := make([]kv.Entry, 10000)
-	for i := range entries {
-		entries[i] = kv.Entry{Key: kv.EncodeKey(uint64(i)), ValueLen: 128, Seq: uint64(i)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld := sstable.NewBuilder(4096, sstable.DefaultBlockBytes, false)
-		for j := range entries {
-			if err := bld.Add(&entries[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		bld.Finish(uint64(i))
-	}
-}
-
-func BenchmarkBloomFilter(b *testing.B) {
-	bl := sstable.NewBloom(100000)
-	for i := uint64(0); i < 100000; i++ {
-		bl.Add(kv.EncodeKey(i))
-	}
-	key := make([]byte, kv.KeySize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv.AppendKey(key, uint64(i))
-		bl.MayContain(key)
-	}
-}
 
 func BenchmarkFTLRandomWrite(b *testing.B) {
 	dev, err := flash.NewDevice(flash.Config{

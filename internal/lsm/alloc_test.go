@@ -10,13 +10,13 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// TestSteadyStateOpAllocs pins the allocation-free op loop: once the
-// engine is warm, a QD-1 Get performs zero heap allocations and a Put
-// allocates nothing beyond the (amortized, >1/256 ops) memtable arena
-// chunk refills. The memtable is sized so no rotation fires during the
-// measured window — rotation/flush machinery is amortized background
-// work, not the op loop; the repository benchmark's lsm-write cell
-// (benchmark/, allocs_per_op) measures the two together.
+// TestSteadyStateOpAllocs pins the allocation-free write loop: once the
+// engine is warm, a Put allocates nothing beyond the (amortized, >1/256
+// ops) memtable arena chunk refills. The memtable is sized so no
+// rotation fires during the measured window — rotation/flush machinery
+// is amortized background work, not the op loop; the repository
+// benchmark's lsm-write cell (benchmark/, allocs_per_op) measures the two
+// together. TestGetAllocs gates the read side.
 func TestSteadyStateOpAllocs(t *testing.T) {
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  256 << 20,
@@ -59,26 +59,5 @@ func TestSteadyStateOpAllocs(t *testing.T) {
 	// Arena chunk refills amortize to well under 0.1 allocations per op.
 	if putAllocs > 0.1 {
 		t.Fatalf("steady-state Put allocates %.3f objects/op, want ~0", putAllocs)
-	}
-
-	// Warm every lookup structure (lazily built Bloom filters included),
-	// then require strictly zero allocations per Get.
-	for i := uint64(0); i < keys; i += 97 {
-		kv.AppendKey(key, i)
-		if now, _, _, err = db.Get(now, key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id = 0
-	getAllocs := testing.AllocsPerRun(500, func() {
-		kv.AppendKey(key, (id*97)%keys)
-		id++
-		var err error
-		if now, _, _, err = db.Get(now, key); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if getAllocs != 0 {
-		t.Fatalf("steady-state Get allocates %.3f objects/op, want 0", getAllocs)
 	}
 }

@@ -391,12 +391,15 @@ func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, erro
 			return d.foundEntry(now, e)
 		}
 	}
+	// One probe — the key's comparison words and Bloom hash — serves
+	// every table the lookup visits.
+	p := sstable.NewProbe(key)
 	if d.cfg.ProbeParallelism > 1 {
-		return d.getParallel(now, key)
+		return d.getParallel(now, &p)
 	}
 	// L0: newest first, files overlap.
 	for _, t := range d.levels[0] {
-		done, e, found, err := t.Get(now, key)
+		done, e, found, err := t.Get(now, &p)
 		now = done
 		if err != nil {
 			return now, nil, false, err
@@ -407,11 +410,11 @@ func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, erro
 	}
 	// Sorted levels: at most one candidate file per level.
 	for li := 1; li < len(d.levels); li++ {
-		t := findInLevel(d.levels[li], key)
+		t := findInLevel(d.levels[li], &p)
 		if t == nil {
 			continue
 		}
-		done, e, found, err := t.Get(now, key)
+		done, e, found, err := t.Get(now, &p)
 		now = done
 		if err != nil {
 			return now, nil, false, err
@@ -431,11 +434,11 @@ func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, erro
 // result of the sequential walk — the parallel path only trades
 // speculative read I/O for latency, as a real multi-queue read path
 // does.
-func (d *DB) getParallel(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
+func (d *DB) getParallel(now sim.Duration, p *sstable.Probe) (sim.Duration, []byte, bool, error) {
 	cands := d.probeCandidates[:0]
 	cands = append(cands, d.levels[0]...) // newest first, files overlap
 	for li := 1; li < len(d.levels); li++ {
-		if t := findInLevel(d.levels[li], key); t != nil {
+		if t := findInLevel(d.levels[li], p); t != nil {
 			cands = append(cands, t)
 		}
 	}
@@ -449,7 +452,7 @@ func (d *DB) getParallel(now sim.Duration, key []byte) (sim.Duration, []byte, bo
 		hit := -1
 		var hitEntry kv.Entry
 		for i := start; i < end; i++ {
-			done, e, found, err := cands[i].Get(now, key)
+			done, e, found, err := cands[i].Get(now, p)
 			if err != nil {
 				return done, nil, false, err
 			}
@@ -478,17 +481,18 @@ func (d *DB) foundEntry(now sim.Duration, e *kv.Entry) (sim.Duration, []byte, bo
 }
 
 // findInLevel locates the unique file in a sorted level whose range may
-// contain key.
-func findInLevel(level []*sstable.Table, key []byte) *sstable.Table {
+// contain the probe's key.
+func findInLevel(level []*sstable.Table, p *sstable.Probe) *sstable.Table {
 	lo, hi := 0, len(level)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		t := level[mid]
-		if kv.CompareKeys(t.Largest(), key) < 0 {
+		switch c := t.Position(p); {
+		case c > 0:
 			lo = mid + 1
-		} else if kv.CompareKeys(t.Smallest(), key) > 0 {
+		case c < 0:
 			hi = mid - 1
-		} else {
+		default:
 			return t
 		}
 	}

@@ -1,6 +1,9 @@
 package sstable
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // bloomBitsPerKey matches RocksDB's default full-filter sizing.
 const bloomBitsPerKey = 10
@@ -10,10 +13,16 @@ type Bloom struct {
 	bits  []byte
 	k     uint32 // number of probes
 	nbits uint32
+	mod   uint64 // ^uint64(0)/nbits + 1, modBits's multiplier
 }
 
-// NewBloom sizes a filter for n keys.
-func NewBloom(n int) *Bloom {
+// newBloomBits wraps a bit array of nbits bits probed k times.
+func newBloomBits(bitArray []byte, k, nbits uint32) Bloom {
+	return Bloom{bits: bitArray, k: k, nbits: nbits, mod: ^uint64(0)/uint64(nbits) + 1}
+}
+
+// newBloom sizes a filter for n keys.
+func newBloom(n int) Bloom {
 	if n < 1 {
 		n = 1
 	}
@@ -21,12 +30,8 @@ func NewBloom(n int) *Bloom {
 	if nbits < 64 {
 		nbits = 64
 	}
-	k := uint32(7) // ≈ 0.69 * bitsPerKey
-	return &Bloom{
-		bits:  make([]byte, (nbits+7)/8),
-		k:     k,
-		nbits: nbits,
-	}
+	const k = 7 // ≈ 0.69 * bitsPerKey
+	return newBloomBits(make([]byte, (nbits+7)/8), k, nbits)
 }
 
 // hash64 is FNV-1a over the key.
@@ -38,39 +43,44 @@ func hash64(key []byte) uint64 {
 	return h
 }
 
+// modBits returns x % nbits without a division: the high word of
+// (mod*x mod 2^64) * nbits is exact for every 32-bit x and divisor
+// (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation",
+// 2019).
+func (b *Bloom) modBits(x uint32) uint32 {
+	hi, _ := bits.Mul64(b.mod*uint64(x), uint64(b.nbits))
+	return uint32(hi)
+}
+
 // Add inserts a key.
 func (b *Bloom) Add(key []byte) {
 	h := hash64(key)
 	h1 := uint32(h)
 	h2 := uint32(h >> 32)
 	for i := uint32(0); i < b.k; i++ {
-		bit := (h1 + i*h2) % b.nbits
-		b.bits[bit/8] |= 1 << (bit % 8)
+		bit := b.modBits(h1 + i*h2)
+		b.bits[bit/8] |= 1 << (bit & 7)
 	}
 }
 
-// MayContain reports whether the key may be present (false positives are
-// possible, false negatives are not).
-func (b *Bloom) MayContain(key []byte) bool {
-	h := hash64(key)
+// mayContain reports whether the key whose hash64 is h may be present
+// (false positives are possible, false negatives are not).
+func (b *Bloom) mayContain(h uint64) bool {
 	h1 := uint32(h)
 	h2 := uint32(h >> 32)
 	for i := uint32(0); i < b.k; i++ {
-		bit := (h1 + i*h2) % b.nbits
-		if b.bits[bit/8]&(1<<(bit%8)) == 0 {
+		bit := b.modBits(h1 + i*h2)
+		if b.bits[bit/8]&(1<<(bit&7)) == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// SizeBytes returns the filter's serialized size.
-func (b *Bloom) SizeBytes() int { return len(b.bits) + 8 }
-
-// BloomSizeBytes returns the serialized size NewBloom(n) would produce,
-// without building the filter — the accounting path sizes the filter
-// section lazily.
-func BloomSizeBytes(n int) int {
+// bloomSizeBytes returns the serialized size of newBloom(n)'s filter,
+// without building it — the accounting path sizes the filter section
+// lazily.
+func bloomSizeBytes(n int) int {
 	if n < 1 {
 		n = 1
 	}
@@ -91,15 +101,15 @@ func (b *Bloom) encode() []byte {
 }
 
 // decodeBloom parses a serialized filter.
-func decodeBloom(buf []byte) (*Bloom, bool) {
+func decodeBloom(buf []byte) (Bloom, bool) {
 	if len(buf) < 8 {
-		return nil, false
+		return Bloom{}, false
 	}
 	k := binary.LittleEndian.Uint32(buf[0:])
 	nbits := binary.LittleEndian.Uint32(buf[4:])
 	need := int(nbits+7) / 8
-	if k == 0 || need > len(buf)-8 {
-		return nil, false
+	if k == 0 || nbits == 0 || need > len(buf)-8 {
+		return Bloom{}, false
 	}
-	return &Bloom{bits: append([]byte(nil), buf[8:8+need]...), k: k, nbits: nbits}, true
+	return newBloomBits(append([]byte(nil), buf[8:8+need]...), k, nbits), true
 }

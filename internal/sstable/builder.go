@@ -35,6 +35,7 @@ type Builder struct {
 	curBlockFirst int32 // first entry index of current block
 	nextPage      int32 // next file page to be assigned
 	lastKey       []byte
+	mixed         bool // some key is not kv.KeySize bytes (see Table.seal)
 
 	data      []byte // serialized data blocks (content mode only)
 	dataBytes int64  // logical payload bytes
@@ -117,6 +118,7 @@ func (b *Builder) Add(e *kv.Entry) error {
 	}
 	b.keyArena = append(b.keyArena, e.Key...)
 	b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
+	b.mixed = b.mixed || len(e.Key) != kv.KeySize
 	b.seqs = append(b.seqs, e.Seq)
 	b.vlens = append(b.vlens, uint32(vl))
 	var del byte
@@ -177,6 +179,7 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 		}
 		b.keyArena = append(b.keyArena, t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]...)
 		b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
+		b.mixed = b.mixed || keyLen != kv.KeySize
 		b.seqs = append(b.seqs, t.seqs[i])
 		b.vlens = append(b.vlens, t.vlens[i])
 		b.dels = append(b.dels, t.dels[i])
@@ -231,14 +234,14 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	b.finishBlock()
 	n := len(b.seqs)
 	// In accounting mode the Bloom filter is built lazily on the table's
-	// first probe (see Table.MayContain): write-heavy runs churn through
+	// first probe (see Table.mayContain): write-heavy runs churn through
 	// tables that die in compactions without ever serving a Get, and the
 	// per-key hashing + scattered bit-sets were the most expensive part
 	// of sealing a table. Content mode needs the bits now — they are
 	// serialized into the file image.
-	var bloom *Bloom
+	var bloom Bloom
 	if b.content {
-		bloom = NewBloom(n)
+		bloom = newBloom(n)
 		for i := 0; i < n; i++ {
 			bloom.Add(b.keyArena[b.keyOffsets[i]:b.keyOffsets[i+1]])
 		}
@@ -247,7 +250,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	// out below), filter, footer. They are written page-aligned after
 	// the data.
 	indexBytes := 4 + 16*len(b.blocks)
-	filterBytes := BloomSizeBytes(n)
+	filterBytes := bloomSizeBytes(n)
 	const footerBytes = 32
 	metaBytes := indexBytes + filterBytes + footerBytes
 	metaPages := int64((metaBytes + b.pageSize - 1) / b.pageSize)
@@ -273,6 +276,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		pageSize:   b.pageSize,
 		content:    b.content,
 	}
+	t.seal(b.mixed)
 
 	img := &FileImage{
 		Pages:     totalPages,
@@ -422,6 +426,7 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 	// Rebuild the per-entry side index by walking the data blocks (their
 	// extents are now known exactly from the index).
 	entries := 0
+	mixed := false
 	for bi, bm := range t.blocks {
 		pos := int(bm.startPage) * pageSize
 		last := bi == len(t.blocks)-1
@@ -443,6 +448,7 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 			key := data[pos+entryHeaderSize : pos+entryHeaderSize+kl]
 			t.keyArena = append(t.keyArena, key...)
 			t.keyOffsets = append(t.keyOffsets, uint32(len(t.keyArena)))
+			mixed = mixed || kl != kv.KeySize
 			t.seqs = append(t.seqs, seq)
 			t.vlens = append(t.vlens, uint32(vl))
 			t.dels = append(t.dels, del)
@@ -458,6 +464,7 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 	if entries != n {
 		return nil, fmt.Errorf("entry count %d disagrees with footer %d", entries, n)
 	}
+	t.seal(mixed)
 	var size int64
 	for i := 0; i < n; i++ {
 		size += int64(entryHeaderSize) + int64(t.keyOffsets[i+1]-t.keyOffsets[i]) + int64(t.vlens[i])

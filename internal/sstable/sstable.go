@@ -47,18 +47,29 @@ type blockMeta struct {
 // Table is an immutable on-disk sorted table plus its in-memory side
 // index.
 type Table struct {
+	// What a point lookup reads first, kept together at the front of
+	// the struct: the range check, the filter, the key arena.
+	//
+	// fixed is set when the table is non-empty and every key is
+	// kv.KeySize bytes: key i then sits at i*kv.KeySize in the arena, and
+	// the bounds' comparison words are valid.
+	fixed        bool
+	minHi, minLo uint64 // Smallest's words
+	maxHi, maxLo uint64 // Largest's words
+	numEntries   int
+	bloom        Bloom // bits nil until built (see mayContain)
+	keyArena     []byte
+
 	ID       uint64
 	file     *extfs.File
 	fileName string
 
 	// Side index (always in memory).
-	keyArena   []byte
 	keyOffsets []uint32 // len = numEntries+1
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte // 1 = tombstone
 	blocks     []blockMeta
-	bloom      *Bloom
 	// valArena/valOffsets hold the value bytes in content mode (nil in
 	// accounting mode), arena-packed like the keys. Compactions merge
 	// through the side index, so rebuilding well-formed blocks for the
@@ -66,11 +77,47 @@ type Table struct {
 	valArena   []byte
 	valOffsets []uint32 // len = numEntries+1
 
-	numEntries int
-	sizeBytes  int64 // logical bytes (payload + metadata sections)
-	filePages  int64
-	pageSize   int
-	content    bool
+	sizeBytes int64 // logical bytes (payload + metadata sections)
+	filePages int64
+	pageSize  int
+	content   bool
+}
+
+// seal records the key-width shape of a finished side index. mixed
+// reports that some key is not kv.KeySize bytes; builders track it key
+// by key, because the arena length cannot tell (8- and 24-byte keys in
+// equal numbers fill the same arena as 16-byte ones).
+func (t *Table) seal(mixed bool) {
+	t.fixed = t.numEntries > 0 && !mixed
+	if t.fixed {
+		t.minHi, t.minLo, _ = kv.DecomposeKey(t.key(0))
+		t.maxHi, t.maxLo, _ = kv.DecomposeKey(t.key(t.numEntries - 1))
+	}
+}
+
+// Probe is a point-lookup key prepared once for every table a lookup
+// visits: the key, its comparison words when it is kv.KeySize bytes, and
+// its Bloom hash.
+type Probe struct {
+	key    []byte
+	hi, lo uint64
+	fixed  bool
+	hash   uint64
+}
+
+// NewProbe prepares key for Table.Get and Table.Position. The probe
+// aliases key.
+func NewProbe(key []byte) Probe {
+	p := searchProbe(key)
+	p.hash = hash64(key)
+	return p
+}
+
+// searchProbe is a probe without its Bloom hash, for searches that never
+// consult the filter.
+func searchProbe(key []byte) Probe {
+	hi, lo, fixed := kv.DecomposeKey(key)
+	return Probe{key: key, hi: hi, lo: lo, fixed: fixed}
 }
 
 // NumEntries returns the number of entries.
@@ -92,6 +139,10 @@ func (t *Table) Smallest() []byte { return t.key(0) }
 func (t *Table) Largest() []byte { return t.key(t.numEntries - 1) }
 
 func (t *Table) key(i int) []byte {
+	if t.fixed {
+		o := i * kv.KeySize
+		return t.keyArena[o : o+kv.KeySize]
+	}
 	return t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]
 }
 
@@ -108,23 +159,36 @@ func (t *Table) entryAt(i int) kv.Entry {
 	return e
 }
 
-// search returns the index of the first entry with key >= target
-// (open-coded binary search; this sits under every Get and probe).
-func (t *Table) search(target []byte) int {
-	return t.searchRange(0, t.numEntries, target)
+// search returns the index of the first entry with key >= the probe's
+// key (open-coded binary search; this sits under every Get and probe).
+func (t *Table) search(p *Probe) int {
+	return t.searchRange(0, t.numEntries, p)
 }
 
-// searchRange binary-searches [lo, hi) for the first key >= target,
-// decomposing the target into comparison words once per search.
-func (t *Table) searchRange(lo, hi int, target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
+// searchRange binary-searches [lo, hi) for the first key >= the probe's
+// key. A fixed-width table searched with a fixed-width probe compares
+// words read at a stride of kv.KeySize; every other pairing compares
+// each key by width.
+func (t *Table) searchRange(lo, hi int, p *Probe) int {
+	if t.fixed && p.fixed {
+		arena := t.keyArena
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if kv.CompareKeyWords(arena[mid*kv.KeySize:], p.hi, p.lo) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		var c int
-		if mk := t.key(mid); fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, wHi, wLo)
+		if mk := t.key(mid); p.fixed && len(mk) == kv.KeySize {
+			c = kv.CompareKeyWords(mk, p.hi, p.lo)
 		} else {
-			c = kv.CompareKeys(mk, target)
+			c = kv.CompareKeys(mk, p.key)
 		}
 		if c < 0 {
 			lo = mid + 1
@@ -135,48 +199,59 @@ func (t *Table) searchRange(lo, hi int, target []byte) int {
 	return lo
 }
 
-// Overlaps reports whether the table's key range intersects [lo, hi]
-// (inclusive). A nil bound is unbounded.
-func (t *Table) Overlaps(lo, hi []byte) bool {
+// Position places the probe against the table's inclusive key range:
+// <0 when it sorts before Smallest, >0 after Largest, 0 inside. A
+// fixed-width probe against a fixed-width table compares only the bound
+// words stored at seal time. An empty table places every probe after it.
+func (t *Table) Position(p *Probe) int {
 	if t.numEntries == 0 {
-		return false
+		return 1
 	}
-	if hi != nil && kv.CompareKeys(t.Smallest(), hi) > 0 {
-		return false
-	}
-	if lo != nil && kv.CompareKeys(t.Largest(), lo) < 0 {
-		return false
-	}
-	return true
-}
-
-// MayContain consults the Bloom filter only (no I/O). In accounting mode
-// the filter is materialized here, on the table's first probe, from the
-// in-memory side index — its bits are a pure function of the key set, so
-// the lazy build answers exactly like an eager one while write-only runs
-// never pay for filters on tables that die unprobed.
-func (t *Table) MayContain(key []byte) bool {
-	if t.bloom == nil {
-		bloom := NewBloom(t.numEntries)
-		for i := 0; i < t.numEntries; i++ {
-			bloom.Add(t.key(i))
+	if t.fixed && p.fixed {
+		switch {
+		case p.hi > t.maxHi || p.hi == t.maxHi && p.lo > t.maxLo:
+			return 1
+		case p.hi < t.minHi || p.hi == t.minHi && p.lo < t.minLo:
+			return -1
 		}
-		t.bloom = bloom
+		return 0
 	}
-	return t.bloom.MayContain(key)
+	if kv.CompareKeys(t.Largest(), p.key) < 0 {
+		return 1
+	}
+	if kv.CompareKeys(t.Smallest(), p.key) > 0 {
+		return -1
+	}
+	return 0
 }
 
-// Get looks up key, charging the device for the data-block read when the
-// Bloom filter passes. found=false with no I/O charge is the fast
-// negative path. In content mode the value is parsed from the block
-// bytes; in accounting mode the value is nil (metadata only).
-func (t *Table) Get(now sim.Duration, key []byte) (done sim.Duration, e kv.Entry, found bool, err error) {
+// mayContain consults the Bloom filter with the probe's hash (no I/O).
+// In accounting mode the filter is materialized here, on the table's
+// first probe, from the in-memory side index — its bits are a pure
+// function of the key set, so the lazy build answers exactly like an
+// eager one while write-only runs never pay for filters on tables that
+// die unprobed.
+func (t *Table) mayContain(p *Probe) bool {
+	if t.bloom.bits == nil {
+		t.bloom = newBloom(t.numEntries)
+		for i := 0; i < t.numEntries; i++ {
+			t.bloom.Add(t.key(i))
+		}
+	}
+	return t.bloom.mayContain(p.hash)
+}
+
+// Get looks up the probe's key, charging the device for the data-block
+// read when the Bloom filter passes. found=false with no I/O charge is
+// the fast negative path. In content mode the value is parsed from the
+// block bytes; in accounting mode the value is nil (metadata only).
+func (t *Table) Get(now sim.Duration, p *Probe) (done sim.Duration, e kv.Entry, found bool, err error) {
 	done = now
-	if !t.MayContain(key) {
+	if !t.mayContain(p) {
 		return done, e, false, nil
 	}
-	i := t.search(key)
-	if i >= t.numEntries || !bytes.Equal(t.key(i), key) {
+	i := t.search(p)
+	if i >= t.numEntries || !bytes.Equal(t.key(i), p.key) {
 		// Bloom false positive: a real engine would still read the
 		// block to find out; charge that read.
 		bi := t.blockOf(min(i, t.numEntries-1))
@@ -258,7 +333,8 @@ func (t *Table) Iterator() kv.Iterator {
 // IteratorFrom returns an iterator positioned before the first entry with
 // key >= start.
 func (t *Table) IteratorFrom(start []byte) kv.Iterator {
-	return &tableIter{t: t, i: t.search(start) - 1}
+	p := searchProbe(start)
+	return &tableIter{t: t, i: t.search(&p) - 1}
 }
 
 // ReadRange charges the device reads for the data blocks covering entry
@@ -282,7 +358,10 @@ func (t *Table) ReadRange(now sim.Duration, first, last int) (sim.Duration, erro
 }
 
 // EntryIndex returns the index of the first entry with key >= target.
-func (t *Table) EntryIndex(target []byte) int { return t.search(target) }
+func (t *Table) EntryIndex(target []byte) int {
+	p := searchProbe(target)
+	return t.search(&p)
+}
 
 // KeyAt returns entry i's key (aliasing the table's arena; callers must
 // not mutate or retain it past the table's lifetime).
@@ -294,7 +373,8 @@ func (t *Table) SeqAt(i int) uint64 { return t.seqs[i] }
 // SearchFrom returns the index of the first entry in [start, NumEntries)
 // with key >= target — the galloping primitive of the bulk merge path.
 func (t *Table) SearchFrom(start int, target []byte) int {
-	return t.searchRange(start, t.numEntries, target)
+	p := searchProbe(target)
+	return t.searchRange(start, t.numEntries, &p)
 }
 
 type tableIter struct {

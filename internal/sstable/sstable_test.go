@@ -13,7 +13,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newTestFS(t *testing.T, content bool) (*extfs.FS, *blockdev.Device) {
+func newTestFS(t testing.TB, content bool) (*extfs.FS, *blockdev.Device) {
 	t.Helper()
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  64 << 20,
@@ -44,7 +44,7 @@ func newTestFS(t *testing.T, content bool) (*extfs.FS, *blockdev.Device) {
 }
 
 // buildTable builds and installs a table with the given entries.
-func buildTable(t *testing.T, fs *extfs.FS, name string, content bool, entries []kv.Entry) *Table {
+func buildTable(t testing.TB, fs *extfs.FS, name string, content bool, entries []kv.Entry) *Table {
 	t.Helper()
 	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content)
 	for i := range entries {
@@ -52,7 +52,12 @@ func buildTable(t *testing.T, fs *extfs.FS, name string, content bool, entries [
 			t.Fatal(err)
 		}
 	}
-	img := b.Finish(1)
+	return installImage(t, fs, name, b.Finish(1))
+}
+
+// installImage writes img to a new file and installs the table.
+func installImage(t testing.TB, fs *extfs.FS, name string, img *FileImage) *Table {
+	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +75,12 @@ func buildTable(t *testing.T, fs *extfs.FS, name string, content bool, entries [
 		}
 	}
 	return img.Install(f)
+}
+
+// get looks key up in tbl at time 0 through a fresh probe.
+func get(tbl *Table, key []byte) (sim.Duration, kv.Entry, bool, error) {
+	p := NewProbe(key)
+	return tbl.Get(0, &p)
 }
 
 func synthEntries(n int, valueLen int, content bool) []kv.Entry {
@@ -96,7 +107,7 @@ func TestBuildAndGetAccountingMode(t *testing.T) {
 	if tbl.NumEntries() != 500 {
 		t.Fatalf("NumEntries = %d", tbl.NumEntries())
 	}
-	done, e, found, err := tbl.Get(0, kv.EncodeKey(42*3))
+	done, e, found, err := get(tbl, kv.EncodeKey(42*3))
 	if err != nil || !found {
 		t.Fatalf("Get: found=%v err=%v", found, err)
 	}
@@ -117,7 +128,7 @@ func TestGetMissingKeyBloomNegative(t *testing.T) {
 	charged := 0
 	for i := 0; i < 500; i++ {
 		// Keys congruent to 1 mod 3 are absent.
-		_, _, found, err := tbl.Get(0, kv.EncodeKey(uint64(i*3+1)))
+		_, _, found, err := get(tbl, kv.EncodeKey(uint64(i*3+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +150,7 @@ func TestContentModeRoundTrip(t *testing.T) {
 	entries := synthEntries(300, 64, true)
 	tbl := buildTable(t, fs, "sst-1", true, entries)
 	for _, idx := range []int{0, 1, 150, 298, 299} {
-		_, e, found, err := tbl.Get(0, entries[idx].Key)
+		_, e, found, err := get(tbl, entries[idx].Key)
 		if err != nil || !found {
 			t.Fatalf("Get idx %d: found=%v err=%v", idx, found, err)
 		}
@@ -173,7 +184,7 @@ func TestOpenFromFile(t *testing.T) {
 		t.Fatal("key range mismatch after reopen")
 	}
 	// Values still readable through the reopened table.
-	_, e, found, err := reopened.Get(0, entries[123].Key)
+	_, e, found, err := get(reopened, entries[123].Key)
 	if err != nil || !found {
 		t.Fatalf("reopened Get: %v %v", found, err)
 	}
@@ -218,28 +229,56 @@ func TestBuilderRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
+func TestPosition(t *testing.T) {
 	fs, _ := newTestFS(t, false)
 	entries := synthEntries(100, 10, false) // keys 0,3,...,297
-	tbl := buildTable(t, fs, "sst-1", false, entries)
-	cases := []struct {
-		lo, hi uint64
-		want   bool
-	}{
-		{0, 5, true},
-		{297, 400, true},
-		{298, 400, false},
-		{100, 200, true},
+	for i := range entries {
+		entries[i].Key = kv.EncodeKey(uint64(5 + i*3)) // keys 5,8,...,302
 	}
-	for _, c := range cases {
-		got := tbl.Overlaps(kv.EncodeKey(c.lo), kv.EncodeKey(c.hi))
-		if got != c.want {
-			t.Fatalf("Overlaps(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
+	fixed := buildTable(t, fs, "sst-1", false, entries)
+	// The same range with one 24-byte key inside: the byte path.
+	entries[50].Key = append(kv.EncodeKey(5+50*3), 0, 0, 0, 0, 0, 0, 0, 0)
+	mixed := buildTable(t, fs, "sst-2", false, entries)
+	if !fixed.fixed || mixed.fixed {
+		t.Fatalf("fixed flags: %v, %v", fixed.fixed, mixed.fixed)
+	}
+	cases := []struct {
+		key  []byte
+		want int
+	}{
+		{kv.EncodeKey(0), -1},
+		{kv.EncodeKey(4), -1},
+		{kv.EncodeKey(5), 0},
+		{kv.EncodeKey(100), 0},
+		{kv.EncodeKey(302), 0},
+		{kv.EncodeKey(303), 1},
+		{kv.EncodeKey(1 << 62), 1},
+		{append(kv.EncodeKey(4), 0), -1}, // 17 bytes, below
+		{kv.EncodeKey(5)[:15], -1},       // a prefix of Smallest sorts before it
+		{append(kv.EncodeKey(5), 0), 0},
+		{append(kv.EncodeKey(302), 0), 1},
+		{[]byte{}, -1},
+		{[]byte{1}, 1},
+	}
+	for _, tbl := range []*Table{fixed, mixed} {
+		for _, c := range cases {
+			p := NewProbe(c.key)
+			got := tbl.Position(&p)
+			if sign(got) != c.want {
+				t.Fatalf("fixed=%v Position(%x) = %d, want %d", tbl.fixed, c.key, got, c.want)
+			}
 		}
 	}
-	if !tbl.Overlaps(nil, nil) {
-		t.Fatal("unbounded range must overlap")
+}
+
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
 	}
+	return 0
 }
 
 func TestTombstonesSurviveRoundTrip(t *testing.T) {
@@ -250,7 +289,7 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 		{Key: kv.EncodeKey(3), Value: []byte("also"), ValueLen: 4, Seq: 3},
 	}
 	tbl := buildTable(t, fs, "sst-1", true, entries)
-	_, e, found, err := tbl.Get(0, kv.EncodeKey(2))
+	_, e, found, err := get(tbl, kv.EncodeKey(2))
 	if err != nil || !found {
 		t.Fatalf("tombstone lookup: %v %v", found, err)
 	}
@@ -262,7 +301,7 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e2, found, err := re.Get(0, kv.EncodeKey(2))
+	_, e2, found, err := get(re, kv.EncodeKey(2))
 	if err != nil || !found || !e2.Deleted {
 		t.Fatal("tombstone lost after reopen")
 	}
@@ -335,10 +374,10 @@ func TestEmptyTable(t *testing.T) {
 	if tbl.NumEntries() != 0 {
 		t.Fatal("empty table should have 0 entries")
 	}
-	if tbl.Overlaps(nil, nil) {
-		t.Fatal("empty table overlaps nothing")
+	if p := NewProbe(kv.EncodeKey(1)); tbl.Position(&p) == 0 {
+		t.Fatal("empty table contains no key")
 	}
-	_, _, found, err := tbl.Get(0, kv.EncodeKey(1))
+	_, _, found, err := get(tbl, kv.EncodeKey(1))
 	if err != nil || found {
 		t.Fatalf("empty Get: %v %v", found, err)
 	}
@@ -353,7 +392,7 @@ func TestBlockSpanningEntries(t *testing.T) {
 		t.Fatalf("expected 10 single-entry blocks, got %d", len(tbl.blocks))
 	}
 	for i := range entries {
-		_, e, found, err := tbl.Get(0, entries[i].Key)
+		_, e, found, err := get(tbl, entries[i].Key)
 		if err != nil || !found {
 			t.Fatalf("big entry %d: %v %v", i, found, err)
 		}
@@ -390,13 +429,13 @@ func TestTableLookupProperty(t *testing.T) {
 		name := "sst-prop-" + string(rune('a'+id%26)) + string(rune('0'+id/26%10)) + string(rune('0'+id%10))
 		tbl := buildTable(t, fs, name, false, entries)
 		for _, kid := range ids {
-			_, _, found, err := tbl.Get(0, kv.EncodeKey(kid))
+			_, _, found, err := get(tbl, kv.EncodeKey(kid))
 			if err != nil || !found {
 				return false
 			}
 		}
 		// A key beyond the max must not be found.
-		_, _, found, _ := tbl.Get(0, kv.EncodeKey(10001))
+		_, _, found, _ := get(tbl, kv.EncodeKey(10001))
 		return !found
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -413,18 +452,18 @@ func sortUint64(s []uint64) {
 }
 
 func TestBloomFilterBasics(t *testing.T) {
-	b := NewBloom(100)
+	b := newBloom(100)
 	for i := 0; i < 100; i++ {
 		b.Add(kv.EncodeKey(uint64(i)))
 	}
 	for i := 0; i < 100; i++ {
-		if !b.MayContain(kv.EncodeKey(uint64(i))) {
+		if !b.mayContain(hash64(kv.EncodeKey(uint64(i)))) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
 	fp := 0
 	for i := 100; i < 1100; i++ {
-		if b.MayContain(kv.EncodeKey(uint64(i))) {
+		if b.mayContain(hash64(kv.EncodeKey(uint64(i)))) {
 			fp++
 		}
 	}
@@ -433,8 +472,35 @@ func TestBloomFilterBasics(t *testing.T) {
 	}
 }
 
+// TestBloomModBits pins the division-free remainder under every filter
+// probe against the % it replaces.
+func TestBloomModBits(t *testing.T) {
+	rng := sim.NewRNG(3)
+	xs := []uint32{0, 1, 2, 63, 64, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
+	for i := 0; i < 200; i++ {
+		xs = append(xs, uint32(rng.Uint64()))
+	}
+	check := func(d uint32) {
+		b := newBloomBits(nil, 1, d)
+		for _, x := range append(xs, d-1, d, d+1, 2*d, 3*d-1) {
+			if got, want := b.modBits(x), x%d; got != want {
+				t.Fatalf("modBits(%d) mod %d = %d, want %d", x, d, got, want)
+			}
+		}
+	}
+	for d := uint32(1); d <= 100; d++ {
+		check(d)
+	}
+	for i := 0; i < 2000; i++ {
+		if d := uint32(rng.Uint64()); d != 0 {
+			check(d)
+		}
+	}
+	check(1<<32 - 1)
+}
+
 func TestBloomEncodeDecode(t *testing.T) {
-	b := NewBloom(50)
+	b := newBloom(50)
 	for i := 0; i < 50; i++ {
 		b.Add(kv.EncodeKey(uint64(i * 7)))
 	}
@@ -444,7 +510,7 @@ func TestBloomEncodeDecode(t *testing.T) {
 		t.Fatal("decode failed")
 	}
 	for i := 0; i < 50; i++ {
-		if !d.MayContain(kv.EncodeKey(uint64(i * 7))) {
+		if !d.mayContain(hash64(kv.EncodeKey(uint64(i * 7)))) {
 			t.Fatal("decoded filter lost a key")
 		}
 	}

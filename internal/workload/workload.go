@@ -214,19 +214,20 @@ func (g *Generator) Key(id uint64) []byte { return kv.EncodeKey(id) }
 // keyspace rather than clustered at the low end.
 type zipfGen struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
 	zeta2 float64
+	rank1 float64 // 1 + 0.5^theta: next draws rank 1 below it
 }
 
 func newZipfGen(n uint64, theta float64) *zipfGen {
-	z := &zipfGen{n: n, theta: theta}
+	z := &zipfGen{n: n}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -247,7 +248,7 @@ func (z *zipfGen) next(rng *sim.RNG) uint64 {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
