@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ptsbench/internal/core"
@@ -164,46 +166,299 @@ func TestDocCommandsResolve(t *testing.T) {
 // goes, never raise it to admit one.
 const maxPanics = 18
 
+// sourceFile is one parsed non-test Go file of the repository; dir is
+// its directory relative to the repository root, slash-separated.
+type sourceFile struct {
+	dir string
+	f   *ast.File
+}
+
+var (
+	walkOnce  sync.Once
+	walkFset  = token.NewFileSet()
+	walkFiles []sourceFile
+	walkErr   error
+)
+
+// nonTestFiles parses every non-test Go file in the repository,
+// benchmark/ included, once for all the tests that scan source.
+func nonTestFiles(t *testing.T) []sourceFile {
+	t.Helper()
+	walkOnce.Do(func() {
+		root := filepath.Join("..", "..")
+		walkErr = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(walkFset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			walkFiles = append(walkFiles, sourceFile{dir: filepath.ToSlash(rel), f: f})
+			return nil
+		})
+	})
+	if walkErr != nil {
+		t.Fatal(walkErr)
+	}
+	return walkFiles
+}
+
+func inBenchmark(dir string) bool {
+	return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/")
+}
+
 // TestPanicSitesRatchet counts the panic(...) calls in every non-test Go
 // file outside benchmark/ and fails when there are more than maxPanics,
 // naming each site.
 func TestPanicSitesRatchet(t *testing.T) {
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
 	var sites []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, sf := range nonTestFiles(t) {
+		if inBenchmark(sf.dir) {
+			continue
 		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-					sites = append(sites, fset.Position(call.Pos()).String())
+					sites = append(sites, walkFset.Position(call.Pos()).String())
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(sites) > maxPanics {
 		t.Errorf("%d panic sites in non-test code outside benchmark/, at most %d allowed:\n%s",
 			len(sites), maxPanics, strings.Join(sites, "\n"))
+	}
+}
+
+// interfaceMethods are method names a type exports to satisfy a standard
+// interface (fmt.Stringer, error, json, sort, heap); the runtime or the
+// standard library calls them, so no caller in the repository names them.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// testSeams lists the exported names in internal/ that no non-test code
+// names, each with the test that reads it or the ROADMAP item that will
+// give it a caller. TestExportedNamesHaveCallers fails on an uncalled
+// name missing here and on an entry that has gained a caller or gone,
+// so the map only shrinks.
+var testSeams = map[string]string{
+	"betree.Tree.BufferedBytes":    "TestBufferModel; ROADMAP 2(i) gauge",
+	"betree.Tree.Depth":            "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
+	"betree.Tree.NodeCount":        "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
+	"btree.Tree.Depth":             "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
+	"btree.Tree.PageCount":         "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
+	"core.CUSUM.Reset":             "ROADMAP 13(b): delete",
+	"core.FormatDuration":          "ROADMAP 13(b): delete",
+	"core.LatencyHistogram.Merge":  "ROADMAP 13(b): delete",
+	"core.LatencyHistogram.Min":    "ROADMAP 13(b): delete; Percentile(0) is the same value",
+	"core.ReadResultsJSON":         "ROADMAP 13(b): delete; tests decode with json.Unmarshal",
+	"core.Series.Window":           "ROADMAP 13(b): delete",
+	"core.SteadyByCapacityRule":    "ROADMAP 7(a) steady-state note",
+	"core.SteadyStateIndex":        "ROADMAP 7(a) steady-state note",
+	"costmodel.Heatmap.WinnerAt":   "ROADMAP 13(b): delete",
+	"cowtree.Core.DirtyCount":      "TestFlushAllWritesEverything (btree, betree)",
+	"cowtree.EncodeMeta":           "ROADMAP 13(b): delete; tests call putMeta",
+	"extalloc.Manager.FreePages":   "ROADMAP 13(b): fold extalloc into cowtree",
+	"extfs.FS.CapacityPages":       "TestFileExtentsCoverPages",
+	"extfs.FS.FreePages":           "TestFileExtentsCoverPages, TestNoSpace",
+	"extfs.File.Extents":           "TestTornMetaSlotRecovery, FuzzMetaDecode's garbleSlot",
+	"faultdev.Dev.WriteLog":        "TestWriteLog, TestTornMetaSlotRecovery",
+	"filedev.Dev.Discipline":       "ROADMAP 13(b): delete",
+	"filedev.Dev.Fsyncs":           "TestCountersAndHist, TestDisciplines",
+	"flash.Device.CheckInvariants": "ROADMAP 5(1) stack.Check",
+	"flash.Device.MappedPages":     "TestTrimRange, blockdev's TestDiscardClearsContent",
+	"flash.Device.MaxEraseCount":   "ROADMAP 8(a) wear report",
+	"flash.Device.Utilization":     "ROADMAP 13(b): delete",
+	"flash.GCGreedy":               "the zero GCPolicy, named by BenchmarkAblationGCPolicy",
+	"kvtest.NewFaultyStack":        "TestEngineConformanceUnderEIO",
+	"kvtest.NewFileStack":          "filedev's TestEngineConformanceOverFiles",
+	"kvtest.Run":                   "the conformance suite every engine's tests run",
+	"lsm.DB.LevelSizes":            "TestCompactionsHappenAndLevelsFill, TestPointLookupsAcrossKeyWidths",
+	"replica.Group.Clock":          "ROADMAP 13(b): delete",
+	"replica.Group.Stale":          "ROADMAP 13(b): delete",
+	"sim.MultiResource.Acquire":    "ROADMAP 13(b): delete",
+	"sim.MultiResource.Idle":       "ROADMAP 13(b): delete",
+	"sim.MultiResource.NextIdle":   "ROADMAP 13(b): delete",
+	"sim.NewResource":              "ROADMAP 13(b): delete",
+	"sim.Resource.Acquire":         "ROADMAP 13(b): delete",
+	"sim.Resource.Idle":            "ROADMAP 13(b): delete",
+	"sstable.EncodedEntrySize":     "ROADMAP 13(b): delete",
+	"sstable.NewBuilder":           "ROADMAP 13(b): merge into NewBuilderHint",
+	"store.IsUnavailable":          "ROADMAP 13(b): delete; tests use errors.As",
+	"workload.NewGenerator":        "ROADMAP 13(b): delete; client 0 draws the same stream",
+	"workload.OpWrite":             "the zero OpKind, named by the workload and fault-model tests",
+}
+
+// TestExportedNamesHaveCallers keeps exported surface honest: every
+// exported top-level func, method, type, var and const in internal/ must
+// be named by some non-test file of the repository (benchmark/ and cmd/
+// count), or be listed in testSeams. A package-level name is called when
+// another package selects it (pkg.Name) or its own package names it
+// outside its declaration; a method, when any selector names it.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	files := nonTestFiles(t)
+	type decl struct{ key, pkgDir, name, method, pos string }
+	var decls []decl
+	pkgName := map[string]string{} // import path -> package name
+	for _, sf := range files {
+		pkgName["ptsbench/"+sf.dir] = sf.f.Name.Name
+		if !strings.HasPrefix(sf.dir, "internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(sf.dir, "internal/")
+		add := func(id *ast.Ident, recv string) {
+			if !id.IsExported() || (recv != "" && interfaceMethods[id.Name]) {
+				return
+			}
+			d := decl{key: pkg + "." + id.Name, pkgDir: sf.dir, name: id.Name, pos: walkFset.Position(id.Pos()).String()}
+			if recv != "" {
+				d.key, d.name, d.method = pkg+"."+recv+"."+id.Name, "", id.Name
+			}
+			decls = append(decls, d)
+		}
+		for _, dl := range sf.f.Decls {
+			switch dl := dl.(type) {
+			case *ast.FuncDecl:
+				add(dl.Name, receiverType(dl))
+			case *ast.GenDecl:
+				for _, spec := range dl.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, "")
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id, "")
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// What the non-test files name: selectors by the package they select
+	// from ("" for any selector), bare identifiers by the directory
+	// naming them.
+	selected := map[[2]string]bool{} // {import path or "", name}
+	bare := map[[2]string]bool{}     // {dir, name}
+	for _, sf := range files {
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range sf.f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			local := pkgName[path]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			if local != "" {
+				imports[local] = path
+			}
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, dl := range sf.f.Decls {
+			switch dl := dl.(type) {
+			case *ast.FuncDecl:
+				declared[dl.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range dl.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declared[s.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declared[id] = true
+						}
+					}
+				}
+			}
+		}
+		sels := map[*ast.Ident]bool{}
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sels[n.Sel] = true
+				selected[[2]string{"", n.Sel.Name}] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					selected[[2]string{imports[x.Name], n.Sel.Name}] = true
+				}
+			case *ast.Ident:
+				if !sels[n] && !declared[n] {
+					bare[[2]string{sf.dir, n.Name}] = true
+				}
+			}
+			return true
+		})
+	}
+
+	uncalled := map[string]string{}
+	for _, d := range decls {
+		var called bool
+		if d.method != "" {
+			called = selected[[2]string{"", d.method}]
+		} else {
+			called = selected[[2]string{"ptsbench/" + d.pkgDir, d.name}] || bare[[2]string{d.pkgDir, d.name}]
+		}
+		if !called {
+			uncalled[d.key] = d.pos
+		}
+	}
+	var missing, stale []string
+	for key, pos := range uncalled {
+		if _, ok := testSeams[key]; !ok {
+			missing = append(missing, pos+": "+key)
+		}
+	}
+	for key := range testSeams {
+		if _, ok := uncalled[key]; !ok {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("%d exported names have no non-test caller; give each a caller, delete it, or list it in testSeams with a reason:\n%s",
+			len(missing), strings.Join(missing, "\n"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d testSeams entries have a non-test caller now or no longer exist; delete them:\n%s",
+			len(stale), strings.Join(stale, "\n"))
+	}
+}
+
+// receiverType names a method's receiver type ("" for a plain func).
+func receiverType(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return ""
+	}
+	x := fn.Recv.List[0].Type
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
 	}
 }
 
