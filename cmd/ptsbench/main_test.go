@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -63,13 +64,12 @@ func TestExpSmoke(t *testing.T) {
 	if len(csvs) == 0 {
 		t.Fatal("no CSV files written")
 	}
-	f, err := os.Open(jsonOut)
+	data, err := os.ReadFile(jsonOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	results, err := core.ReadResultsJSON(f)
-	if err != nil {
+	var results []*core.Result
+	if err := json.Unmarshal(data, &results); err != nil {
 		t.Fatalf("results JSON unreadable: %v", err)
 	}
 	if len(results) != 3 {
@@ -264,45 +264,23 @@ var testSeams = map[string]string{
 	"betree.Tree.NodeCount":        "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
 	"btree.Tree.Depth":             "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
 	"btree.Tree.PageCount":         "TestGoldenEngineTrace; ROADMAP 2(i) gauge",
-	"core.CUSUM.Reset":             "ROADMAP 13(b): delete",
-	"core.FormatDuration":          "ROADMAP 13(b): delete",
-	"core.LatencyHistogram.Merge":  "ROADMAP 13(b): delete",
-	"core.LatencyHistogram.Min":    "ROADMAP 13(b): delete; Percentile(0) is the same value",
-	"core.ReadResultsJSON":         "ROADMAP 13(b): delete; tests decode with json.Unmarshal",
-	"core.Series.Window":           "ROADMAP 13(b): delete",
 	"core.SteadyByCapacityRule":    "ROADMAP 7(a) steady-state note",
 	"core.SteadyStateIndex":        "ROADMAP 7(a) steady-state note",
-	"costmodel.Heatmap.WinnerAt":   "ROADMAP 13(b): delete",
 	"cowtree.Core.DirtyCount":      "TestFlushAllWritesEverything (btree, betree)",
-	"cowtree.EncodeMeta":           "ROADMAP 13(b): delete; tests call putMeta",
 	"extalloc.Manager.FreePages":   "ROADMAP 13(b): fold extalloc into cowtree",
 	"extfs.FS.CapacityPages":       "TestFileExtentsCoverPages",
 	"extfs.FS.FreePages":           "TestFileExtentsCoverPages, TestNoSpace",
 	"extfs.File.Extents":           "TestTornMetaSlotRecovery, FuzzMetaDecode's garbleSlot",
 	"faultdev.Dev.WriteLog":        "TestWriteLog, TestTornMetaSlotRecovery",
-	"filedev.Dev.Discipline":       "ROADMAP 13(b): delete",
 	"filedev.Dev.Fsyncs":           "TestCountersAndHist, TestDisciplines",
 	"flash.Device.CheckInvariants": "ROADMAP 5(1) stack.Check",
 	"flash.Device.MappedPages":     "TestTrimRange, blockdev's TestDiscardClearsContent",
 	"flash.Device.MaxEraseCount":   "ROADMAP 8(a) wear report",
-	"flash.Device.Utilization":     "ROADMAP 13(b): delete",
 	"flash.GCGreedy":               "the zero GCPolicy, named by BenchmarkAblationGCPolicy",
 	"kvtest.NewFaultyStack":        "TestEngineConformanceUnderEIO",
 	"kvtest.NewFileStack":          "filedev's TestEngineConformanceOverFiles",
 	"kvtest.Run":                   "the conformance suite every engine's tests run",
 	"lsm.DB.LevelSizes":            "TestCompactionsHappenAndLevelsFill, TestPointLookupsAcrossKeyWidths",
-	"replica.Group.Clock":          "ROADMAP 13(b): delete",
-	"replica.Group.Stale":          "ROADMAP 13(b): delete",
-	"sim.MultiResource.Acquire":    "ROADMAP 13(b): delete",
-	"sim.MultiResource.Idle":       "ROADMAP 13(b): delete",
-	"sim.MultiResource.NextIdle":   "ROADMAP 13(b): delete",
-	"sim.NewResource":              "ROADMAP 13(b): delete",
-	"sim.Resource.Acquire":         "ROADMAP 13(b): delete",
-	"sim.Resource.Idle":            "ROADMAP 13(b): delete",
-	"sstable.EncodedEntrySize":     "ROADMAP 13(b): delete",
-	"sstable.NewBuilder":           "ROADMAP 13(b): merge into NewBuilderHint",
-	"store.IsUnavailable":          "ROADMAP 13(b): delete; tests use errors.As",
-	"workload.NewGenerator":        "ROADMAP 13(b): delete; client 0 draws the same stream",
 	"workload.OpWrite":             "the zero OpKind, named by the workload and fault-model tests",
 }
 

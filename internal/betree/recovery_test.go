@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -185,25 +184,6 @@ func TestRecoverWithoutMetaBootstraps(t *testing.T) {
 	}
 	if _, got, found, err := tr.Get(now+3, kv.EncodeKey(1)); err != nil || !found || string(got) != "a" {
 		t.Fatalf("key 1 after bootstrap put: %q %v %v", got, found, err)
-	}
-}
-
-func TestMetaEncodeDecode(t *testing.T) {
-	st := cowtree.Meta{Gen: 7, Seq: 1234, JournalID: 3, Root: fileExtent{Start: 99, Pages: 4}}
-	got, err := cowtree.DecodeMeta(cowtree.EncodeMeta(&st, metaMagic), metaMagic, "betree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != st {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, st)
-	}
-	enc := cowtree.EncodeMeta(&st, metaMagic)
-	enc[5] ^= 0xFF
-	if _, err := cowtree.DecodeMeta(enc, metaMagic, "betree"); err == nil {
-		t.Fatal("corrupted metadata should fail")
-	}
-	if _, err := cowtree.DecodeMeta([]byte{1}, metaMagic, "betree"); err == nil {
-		t.Fatal("short metadata should fail")
 	}
 }
 

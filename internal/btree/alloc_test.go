@@ -71,12 +71,13 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gen, err := workload.NewGenerator(workload.Spec{
+	gens, err := workload.NewClientGenerators(workload.Spec{
 		NumKeys: keys, ValueBytes: 4000, Dist: workload.Zipfian, ZipfTheta: 0.99,
-	}, sim.NewRNG(3))
+	}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := gens[0]
 	for i := 0; i < keys; i++ {
 		kv.AppendKey(key, gen.Next().KeyID)
 		if now, err = tr.Put(now, key, nil, 4000); err != nil {

@@ -171,14 +171,6 @@ func (p *page) insertLeaf(m *mem, key, val []byte, vlen int, seq uint64, del boo
 	return delta
 }
 
-// removeLeafAt deletes entry i outright (used by tombstone reclamation in
-// tests; normal deletes keep tombstoned entries until overwritten).
-func (p *page) removeLeafAt(i int) {
-	sz := p.entries[i].bytes()
-	p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	p.Serialized -= sz
-}
-
 // splitLeaf moves the upper half of the entries into right (a fresh,
 // registered page) and returns the separator key (first key of the new
 // page). Both halves end up in pooled arrays of the capacity

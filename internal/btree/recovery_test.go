@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -318,25 +317,6 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 		if err != nil || !found || got[0] != byte(id) {
 			t.Fatalf("key %d: %v found=%v err=%v", id, got, found, err)
 		}
-	}
-}
-
-func TestMetaEncodeDecode(t *testing.T) {
-	st := cowtree.Meta{Gen: 7, Seq: 1234, JournalID: 3, Root: fileExtent{Start: 99, Pages: 4}}
-	got, err := cowtree.DecodeMeta(cowtree.EncodeMeta(&st, metaMagic), metaMagic, "btree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != st {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, st)
-	}
-	enc := cowtree.EncodeMeta(&st, metaMagic)
-	enc[5] ^= 0xFF
-	if _, err := cowtree.DecodeMeta(enc, metaMagic, "btree"); err == nil {
-		t.Fatal("corrupted metadata should fail")
-	}
-	if _, err := cowtree.DecodeMeta([]byte{1}, metaMagic, "btree"); err == nil {
-		t.Fatal("short metadata should fail")
 	}
 }
 

@@ -44,24 +44,6 @@ func mkSeries(n int, opsRate float64) Series {
 	return ser
 }
 
-func TestSeriesWindow(t *testing.T) {
-	ser := mkSeries(10, 500) // 500 ops/s
-	ops, wr, rd := ser.Window(1)
-	if math.Abs(ops-500) > 1 {
-		t.Fatalf("ops rate %v, want 500", ops)
-	}
-	if wr <= 0 || rd != 0 {
-		t.Fatalf("rates: %v %v", wr, rd)
-	}
-	// Out-of-range windows are zero.
-	if o, _, _ := ser.Window(0); o != 0 {
-		t.Fatal("window 0 should be zero")
-	}
-	if o, _, _ := ser.Window(len(ser.Samples)); o != 0 {
-		t.Fatal("window past end should be zero")
-	}
-}
-
 func TestThroughputSeries(t *testing.T) {
 	ser := mkSeries(120, 1000)
 	tm, kops := ser.ThroughputSeries(60)
@@ -107,10 +89,6 @@ func TestCUSUMDetectsShift(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("CUSUM missed a sustained upward shift")
-	}
-	det.Reset(13)
-	if det.Add(13) {
-		t.Fatal("reset detector should not fire immediately")
 	}
 }
 
@@ -405,15 +383,6 @@ func TestCollectorBaselinesExcludeLoad(t *testing.T) {
 	}
 }
 
-func TestFormatDuration(t *testing.T) {
-	if got := FormatDuration(90 * time.Minute); got != "1.5h" {
-		t.Fatalf("FormatDuration = %q", got)
-	}
-	if got := FormatDuration(5 * time.Minute); got != "5m" {
-		t.Fatalf("FormatDuration = %q", got)
-	}
-}
-
 var _ = sim.Duration(0)
 
 func TestLatencyHistogramBasics(t *testing.T) {
@@ -427,8 +396,8 @@ func TestLatencyHistogramBasics(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Min() != time.Microsecond || h.Max() != time.Millisecond {
-		t.Fatalf("min/max: %v/%v", h.Min(), h.Max())
+	if h.Percentile(0) != time.Microsecond || h.Max() != time.Millisecond {
+		t.Fatalf("min/max: %v/%v", h.Percentile(0), h.Max())
 	}
 	// Log-bucket resolution is ~4%; allow 10% slack.
 	p50 := h.Percentile(0.50)
@@ -443,8 +412,8 @@ func TestLatencyHistogramBasics(t *testing.T) {
 	if mean < 480*time.Microsecond || mean > 520*time.Microsecond {
 		t.Fatalf("mean = %v, want ~500µs", mean)
 	}
-	if h.Percentile(0) != h.Min() || h.Percentile(1) != h.Max() {
-		t.Fatal("percentile extremes should clamp to min/max")
+	if h.Percentile(1) != h.Max() {
+		t.Fatal("percentile 1 should clamp to max")
 	}
 }
 
@@ -465,20 +434,6 @@ func TestLatencyHistogramTail(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("summary should render")
-	}
-}
-
-func TestLatencyHistogramMerge(t *testing.T) {
-	a, b := NewLatencyHistogram(), NewLatencyHistogram()
-	a.Record(time.Millisecond)
-	b.Record(time.Second)
-	b.Record(time.Microsecond)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	if a.Min() != time.Microsecond || a.Max() != time.Second {
-		t.Fatalf("merged extremes %v/%v", a.Min(), a.Max())
 	}
 }
 

@@ -87,9 +87,6 @@ func (h *LatencyHistogram) Mean() sim.Duration {
 	return sim.Duration(h.sum / float64(h.total))
 }
 
-// Min and Max return the observed extremes.
-func (h *LatencyHistogram) Min() sim.Duration { return h.min }
-
 // Max returns the largest observed latency.
 func (h *LatencyHistogram) Max() sim.Duration { return h.max }
 
@@ -127,23 +124,6 @@ func (h *LatencyHistogram) Percentiles() LatencySummary {
 		P999:  h.Percentile(0.999),
 		Max:   h.max,
 	}
-}
-
-// Merge adds another histogram's observations into h.
-func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if o.total > 0 {
-		if h.total == 0 || o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	h.total += o.total
-	h.sum += o.sum
 }
 
 // LatencySummary is a compact percentile report.

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"ptsbench/internal/blockdev"
@@ -68,23 +67,6 @@ func (s Sample) EndToEndWA() float64 { return s.WAA() * s.WAD() }
 // Series extracts windowed rates from consecutive samples.
 type Series struct {
 	Samples []Sample
-}
-
-// Window returns per-interval rates between samples i-1 and i.
-func (ser Series) Window(i int) (opsPerSec, writeMBps, readMBps float64) {
-	if i <= 0 || i >= len(ser.Samples) {
-		return 0, 0, 0
-	}
-	a, b := ser.Samples[i-1], ser.Samples[i]
-	dt := b.T - a.T
-	if dt <= 0 {
-		return 0, 0, 0
-	}
-	secs := dt.Seconds()
-	opsPerSec = float64(b.Ops-a.Ops) / secs
-	writeMBps = float64(b.HostWriteB-a.HostWriteB) / secs / (1 << 20)
-	readMBps = float64(b.HostReadB-a.HostReadB) / secs / (1 << 20)
-	return opsPerSec, writeMBps, readMBps
 }
 
 // ThroughputSeries returns (minutes, kops/s) averaged over windows of
@@ -282,17 +264,11 @@ func NewCUSUM(mean, slack, threshold float64) *CUSUM {
 }
 
 // Add feeds an observation; it returns true when a change is detected
-// (the detector then keeps reporting true until Reset).
+// (the detector then keeps reporting true).
 func (c *CUSUM) Add(x float64) bool {
 	c.pos = math.Max(0, c.pos+x-c.mean-c.slack)
 	c.neg = math.Max(0, c.neg+c.mean-x-c.slack)
 	return c.pos > c.threshold || c.neg > c.threshold
-}
-
-// Reset clears the accumulated sums and re-centres on a new mean.
-func (c *CUSUM) Reset(mean float64) {
-	c.mean = mean
-	c.pos, c.neg = 0, 0
 }
 
 // SteadyStateIndex locates the earliest index i such that a CUSUM
@@ -372,12 +348,4 @@ func SpaceAmplification(diskUsedBytes, datasetBytes int64) float64 {
 		return 0
 	}
 	return float64(diskUsedBytes) / float64(datasetBytes)
-}
-
-// FormatDuration renders a virtual duration compactly for reports.
-func FormatDuration(d sim.Duration) string {
-	if d >= 60e9*60 {
-		return fmt.Sprintf("%.1fh", d.Hours())
-	}
-	return fmt.Sprintf("%.0fm", d.Minutes())
 }

@@ -284,19 +284,6 @@ func WriteResultsJSON(w io.Writer, results []*Result) error {
 	return err
 }
 
-// ReadResultsJSON parses a WriteResultsJSON file.
-func ReadResultsJSON(r io.Reader) ([]*Result, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var results []*Result
-	if err := json.Unmarshal(data, &results); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // Experiment is the declarative description of an experiment grid: a
 // Spec template plus sweep lists. It is what a `ptsbench exp` spec file
 // parses into.

@@ -117,20 +117,3 @@ func (h *Heatmap) Render() string {
 	}
 	return b.String()
 }
-
-// WinnerAt returns the winning option name for the cell nearest to the
-// given dataset size and target.
-func (h *Heatmap) WinnerAt(datasetBytes, targetKOps float64) string {
-	di, ti := 0, 0
-	for i, d := range h.Datasets {
-		if math.Abs(d-datasetBytes) < math.Abs(h.Datasets[di]-datasetBytes) {
-			di = i
-		}
-	}
-	for i, t := range h.Targets {
-		if math.Abs(t-targetKOps) < math.Abs(h.Targets[ti]-targetKOps) {
-			ti = i
-		}
-	}
-	return h.Cells[ti][di].Winner
-}

@@ -56,10 +56,10 @@ func TestHeatmapShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := h.WinnerAt(1<<40, 25); w != "rocksdb" {
+	if w := h.Cells[4][0].Winner; w != "rocksdb" { // 25 KOps, 1 TB
 		t.Fatalf("high-throughput small-data winner = %s, want rocksdb", w)
 	}
-	if w := h.WinnerAt(5<<40, 5); w != "wiredtiger" {
+	if w := h.Cells[0][4].Winner; w != "wiredtiger" { // 5 KOps, 5 TB
 		t.Fatalf("low-throughput big-data winner = %s, want wiredtiger", w)
 	}
 }

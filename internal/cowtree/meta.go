@@ -29,13 +29,6 @@ type Meta struct {
 	Root      Extent
 }
 
-// EncodeMeta serializes a metadata record under the given magic.
-func EncodeMeta(m *Meta, magic uint32) []byte {
-	b := make([]byte, metaBytes)
-	putMeta(b, m, magic)
-	return b
-}
-
 // putMeta encodes m into b[:metaBytes].
 func putMeta(b []byte, m *Meta, magic uint32) {
 	binary.LittleEndian.PutUint32(b[0:], magic)

@@ -11,13 +11,53 @@ import (
 	"ptsbench/internal/filedev"
 )
 
+// TestMetaEncodeDecode round-trips a record under each engine's magic and
+// checks that corruption, truncation and another engine's magic are
+// refused.
+func TestMetaEncodeDecode(t *testing.T) {
+	magics := []struct {
+		name  string
+		magic uint32
+	}{
+		{"btree", 0x57544D54},  // "WTMT", btree.metaMagic
+		{"betree", 0x42454D54}, // "BEMT", betree.metaMagic
+		{"stub", stubMetaMagic},
+	}
+	st := Meta{Gen: 7, Seq: 1234, JournalID: 3, Root: Extent{Start: 99, Pages: 4}}
+	for i, m := range magics {
+		t.Run(m.name, func(t *testing.T) {
+			enc := make([]byte, metaBytes)
+			putMeta(enc, &st, m.magic)
+			got, err := DecodeMeta(enc, m.magic, m.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != st {
+				t.Fatalf("round trip mismatch: %+v vs %+v", got, st)
+			}
+			other := magics[(i+1)%len(magics)].magic
+			if _, err := DecodeMeta(enc, other, m.name); err == nil {
+				t.Fatal("another engine's magic should fail")
+			}
+			enc[5] ^= 0xFF
+			if _, err := DecodeMeta(enc, m.magic, m.name); err == nil {
+				t.Fatal("corrupted metadata should fail")
+			}
+			if _, err := DecodeMeta(enc[:1], m.magic, m.name); err == nil {
+				t.Fatal("short metadata should fail")
+			}
+		})
+	}
+}
+
 // FuzzMetaDecode hammers the checkpoint-metadata codec with arbitrary
 // bytes: DecodeMeta must never panic, and whenever it accepts an input
 // the decoded record must re-encode to exactly the bytes it came from —
 // a decode that "succeeds" on garbage it cannot reproduce would be a
 // silent corruption of the recovery root.
 func FuzzMetaDecode(f *testing.F) {
-	valid := EncodeMeta(&Meta{Gen: 7, Seq: 42, JournalID: 3, Root: Extent{Start: 128, Pages: 2}}, stubMetaMagic)
+	valid := make([]byte, metaBytes)
+	putMeta(valid, &Meta{Gen: 7, Seq: 42, JournalID: 3, Root: Extent{Start: 128, Pages: 2}}, stubMetaMagic)
 	f.Add(valid)
 	f.Add(valid[:20]) // truncated
 	flipped := append([]byte(nil), valid...)
@@ -33,7 +73,8 @@ func FuzzMetaDecode(f *testing.F) {
 		if m == nil {
 			t.Fatal("DecodeMeta returned nil meta without an error")
 		}
-		re := EncodeMeta(m, stubMetaMagic)
+		re := make([]byte, metaBytes)
+		putMeta(re, m, stubMetaMagic)
 		if !bytes.Equal(re, data[:metaBytes]) {
 			t.Fatalf("decode/encode roundtrip diverges:\n in  %x\n out %x", data[:metaBytes], re)
 		}

@@ -173,9 +173,6 @@ func Open(cfg Config) (*Dev, error) {
 // Path returns the backing file path.
 func (d *Dev) Path() string { return d.cfg.Path }
 
-// Discipline returns the configured fsync discipline.
-func (d *Dev) Discipline() Discipline { return d.cfg.Fsync }
-
 // Fsyncs returns the cumulative number of fsync calls issued.
 func (d *Dev) Fsyncs() int64 { return d.fsyncs }
 

@@ -438,12 +438,6 @@ func (d *Device) PreconditionRange(rng *sim.RNG, firstPage, pages int64, multipl
 	d.ftl.stats.HostPagesWritten += random
 }
 
-// Utilization returns the fraction of physical pages holding valid data.
-func (d *Device) Utilization() float64 {
-	phys := int64(d.ftl.numBlocks) * int64(d.ftl.pagesPerBlock)
-	return float64(d.ftl.validPages()) / float64(phys)
-}
-
 // MappedPages returns the number of logical pages with live data.
 func (d *Device) MappedPages() int64 { return d.ftl.mappedPages }
 

@@ -430,9 +430,6 @@ func (f *ftl) trim(lpn int64) {
 	}
 }
 
-// validPages returns the total number of valid (mapped) physical pages.
-func (f *ftl) validPages() int64 { return f.mappedPages }
-
 // checkInvariants verifies internal consistency; tests call it after
 // randomized operation sequences.
 func (f *ftl) checkInvariants() error {

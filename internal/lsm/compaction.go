@@ -262,7 +262,7 @@ func (j *compactionJob) merge() {
 			if remaining < hint {
 				hint = remaining
 			}
-			b = sstable.NewBuilderHint(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, hint)
+			b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, hint)
 		}
 		remaining--
 		if err := b.Add(e); err != nil {
@@ -320,7 +320,7 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 				if remaining < hint {
 					hint = remaining
 				}
-				b = sstable.NewBuilderHint(d.fs.PageSize(), d.cfg.BlockBytes, false, hint)
+				b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, false, hint)
 			}
 			next := b.AppendTableRange(t, lo, hi, drop, target)
 			remaining -= next - lo
@@ -430,7 +430,7 @@ func (j *compactionJob) Step(now sim.Duration) (sim.Duration, bool) {
 		img := j.images[j.imgIdx]
 		if j.imgWritten == 0 {
 			// The id was minted when the image was built; the file name
-			// must be derived from it, not from a fresh sstName draw.
+			// must be derived from it, not from a fresh id.
 			f, err := d.fs.Create(sstFileName(img.ID()))
 			if err != nil {
 				d.fatal = deverr.Latch(err)

@@ -182,11 +182,6 @@ func sstFileName(id uint64) string {
 	return fmt.Sprintf("sst-%06d", id)
 }
 
-func (d *DB) sstName() string {
-	d.nextFileID++
-	return sstFileName(d.nextFileID)
-}
-
 // Config returns the validated configuration.
 func (d *DB) Config() Config { return d.cfg }
 

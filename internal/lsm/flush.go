@@ -29,7 +29,7 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 	}
 	if j.img == nil {
 		// First step: lay out the table and create its file.
-		b := sstable.NewBuilderHint(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, j.im.mt.Len())
+		b := sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, j.im.mt.Len())
 		it := j.im.mt.Iterator()
 		for it.Next() {
 			if err := b.Add(it.Entry()); err != nil {

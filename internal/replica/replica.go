@@ -173,15 +173,9 @@ func (g *Group) Replicas() int { return len(g.reps) }
 // Alive reports whether replica i is live.
 func (g *Group) Alive(i int) bool { return g.reps[i].live }
 
-// Stale reports whether replica i is revived but not yet reconciled.
-func (g *Group) Stale(i int) bool { return g.reps[i].stale }
-
 // Engine returns replica i's engine (tests and harnesses inspect
 // replicas directly; the serving path never needs it).
 func (g *Group) Engine(i int) engine.Engine { return g.reps[i].eng }
-
-// Clock returns replica i's virtual clock.
-func (g *Group) Clock(i int) sim.Duration { return g.reps[i].clock }
 
 // majority is the write-acknowledgement quorum: ⌈R/2⌉+1 over the
 // CONFIGURED replica count — a constant, so a write can never ack on a

@@ -150,8 +150,8 @@ func TestChainPutAckAtTail(t *testing.T) {
 		t.Errorf("chain ack = %v, want 60", done)
 	}
 	for i, want := range []sim.Duration{10, 30, 60} {
-		if g.Clock(i) != want {
-			t.Errorf("replica %d clock = %v, want %v", i, g.Clock(i), want)
+		if g.reps[i].clock != want {
+			t.Errorf("replica %d clock = %v, want %v", i, g.reps[i].clock, want)
 		}
 	}
 	for i, s := range stubs {
@@ -301,7 +301,7 @@ func TestKillReviveReconcile(t *testing.T) {
 		if err := g.Revive(1, Member{Engine: blank, Start: 2000}); err != nil {
 			t.Fatalf("Revive: %v", err)
 		}
-		if !g.Stale(1) {
+		if !g.reps[1].stale {
 			t.Fatalf("revived replica is not stale")
 		}
 		// Stale replicas receive new writes but never serve.
@@ -314,7 +314,7 @@ func TestKillReviveReconcile(t *testing.T) {
 		if _, err := g.Reconcile(3000); err != nil {
 			t.Fatalf("%v Reconcile: %v", mode, err)
 		}
-		if g.Stale(1) {
+		if g.reps[1].stale {
 			t.Errorf("%v: replica still stale after Reconcile", mode)
 		}
 		// Every replica must now be byte-comparable.

@@ -2,15 +2,13 @@ package sim
 
 // MultiResource models a shared dispatch queue feeding N independent
 // FIFO service lanes — the internal parallelism of an SSD, where the
-// host-visible queue fans out over channels × ways (dies). Requests
-// submitted at overlapping virtual times run concurrently as long as
-// free lanes remain; once every lane is busy, later requests queue
-// behind the earliest-finishing lane, exactly like commands waiting in
-// an NVMe submission queue.
-//
-// A MultiResource with one lane is behaviourally identical to Resource.
-// Like all sim primitives it is single-threaded and deterministic: ties
-// between equally idle lanes break toward the lowest lane index.
+// host-visible queue fans out over channels × ways (dies). The caller
+// places each request on a lane; requests on different lanes run
+// concurrently, and each lane is strict FIFO: a request submitted at
+// virtual time t with service time s completes at max(t, lane busy-until)
+// + s, so later submitters wait behind everything the lane already
+// accepted, as commands queued on one die do. Like all sim primitives it
+// is single-threaded and deterministic.
 type MultiResource struct {
 	lanes     []Duration // per-lane busyUntil
 	busyTotal Duration
@@ -27,19 +25,6 @@ func NewMultiResource(n int) *MultiResource {
 
 // Lanes returns the number of service lanes.
 func (m *MultiResource) Lanes() int { return len(m.lanes) }
-
-// Acquire dispatches a request submitted at time now to the
-// earliest-available lane and returns its completion time. Service must
-// be >= 0.
-func (m *MultiResource) Acquire(now, service Duration) Duration {
-	best := 0
-	for i := 1; i < len(m.lanes); i++ {
-		if m.lanes[i] < m.lanes[best] {
-			best = i
-		}
-	}
-	return m.AcquireLane(best, now, service)
-}
 
 // AcquireLane queues a request on a specific lane (placement-aware
 // callers use it to model data striped over channels and ways) and
@@ -67,20 +52,6 @@ func (m *MultiResource) BusyUntil() Duration {
 	return max
 }
 
-// NextIdle reports the earliest time at which any lane becomes free.
-func (m *MultiResource) NextIdle() Duration {
-	min := m.lanes[0]
-	for _, b := range m.lanes[1:] {
-		if b < min {
-			min = b
-		}
-	}
-	return min
-}
-
 // BusyTotal reports the cumulative service time ever accepted, summed
 // over lanes. Dividing by (elapsed time × Lanes()) yields utilization.
 func (m *MultiResource) BusyTotal() Duration { return m.busyTotal }
-
-// Idle reports whether every lane is idle at time now.
-func (m *MultiResource) Idle(now Duration) bool { return m.BusyUntil() <= now }

@@ -2,45 +2,42 @@ package sim
 
 import (
 	"testing"
+	"testing/quick"
 	"time"
 )
 
-func TestMultiResourceSingleLaneMatchesResource(t *testing.T) {
-	r := NewResource()
-	m := NewMultiResource(1)
-	subs := []struct {
-		at, svc Duration
-	}{
-		{0, 10 * time.Millisecond},
-		{2 * time.Millisecond, 5 * time.Millisecond},
-		{time.Second, time.Millisecond},
+func TestMultiResourceLaneFIFO(t *testing.T) {
+	m := NewMultiResource(3)
+	// First request at t=0 with 10ms service completes at 10ms.
+	if done := m.AcquireLane(1, 0, 10*time.Millisecond); done != 10*time.Millisecond {
+		t.Fatalf("first completion %v, want 10ms", done)
 	}
-	for _, s := range subs {
-		want := r.Acquire(s.at, s.svc)
-		got := m.Acquire(s.at, s.svc)
-		if got != want {
-			t.Fatalf("single-lane MultiResource diverged: %v vs %v", got, want)
-		}
+	// Second request at t=2ms on the same lane queues behind the first.
+	if done := m.AcquireLane(1, 2*time.Millisecond, 5*time.Millisecond); done != 15*time.Millisecond {
+		t.Fatalf("second completion %v, want 15ms", done)
 	}
-	if m.BusyTotal() != r.BusyTotal() {
-		t.Fatalf("BusyTotal %v vs %v", m.BusyTotal(), r.BusyTotal())
+	// A request after the lane went idle starts immediately.
+	if done := m.AcquireLane(1, time.Second, time.Millisecond); done != time.Second+time.Millisecond {
+		t.Fatalf("third completion %v", done)
 	}
-	if m.BusyUntil() != r.BusyUntil() {
-		t.Fatalf("BusyUntil %v vs %v", m.BusyUntil(), r.BusyUntil())
+	if m.BusyTotal() != 16*time.Millisecond {
+		t.Fatalf("BusyTotal %v, want 16ms", m.BusyTotal())
+	}
+	if m.BusyUntil() != time.Second+time.Millisecond {
+		t.Fatalf("BusyUntil %v, want 1.001s", m.BusyUntil())
 	}
 }
 
 func TestMultiResourceOverlap(t *testing.T) {
 	m := NewMultiResource(2)
-	// Two requests at t=0 run on distinct lanes and overlap fully.
-	d1 := m.Acquire(0, 10*time.Millisecond)
-	d2 := m.Acquire(0, 10*time.Millisecond)
+	// Two requests at t=0 on distinct lanes overlap fully.
+	d1 := m.AcquireLane(0, 0, 10*time.Millisecond)
+	d2 := m.AcquireLane(1, 0, 10*time.Millisecond)
 	if d1 != 10*time.Millisecond || d2 != 10*time.Millisecond {
 		t.Fatalf("overlapping requests: %v, %v (want both 10ms)", d1, d2)
 	}
-	// A third queues behind the earliest-finishing lane.
-	d3 := m.Acquire(0, time.Millisecond)
-	if d3 != 11*time.Millisecond {
+	// A third on lane 0 queues behind the first.
+	if d3 := m.AcquireLane(0, 0, time.Millisecond); d3 != 11*time.Millisecond {
 		t.Fatalf("third request %v, want 11ms", d3)
 	}
 	if m.BusyTotal() != 21*time.Millisecond {
@@ -59,38 +56,47 @@ func TestMultiResourceAcquireLaneFIFO(t *testing.T) {
 	if d := m.AcquireLane(0, time.Millisecond, time.Millisecond); d != 2*time.Millisecond {
 		t.Fatalf("free lane should start immediately: %v", d)
 	}
-	if m.NextIdle() != 0 {
-		t.Fatalf("NextIdle %v, want 0 (lanes 1 and 3 never used)", m.NextIdle())
-	}
 	if m.BusyUntil() != 10*time.Millisecond {
 		t.Fatalf("BusyUntil %v, want 10ms", m.BusyUntil())
 	}
 }
 
-func TestMultiResourceDeterministicTieBreak(t *testing.T) {
-	a := NewMultiResource(3)
-	b := NewMultiResource(3)
-	for i := 0; i < 100; i++ {
-		at := Duration(i) * 100 * time.Microsecond
-		if a.Acquire(at, time.Millisecond) != b.Acquire(at, time.Millisecond) {
-			t.Fatalf("tie-break diverged at request %d", i)
+// Property: on every lane, completion times are non-decreasing in
+// submission order and never before submission, whatever the (time,
+// service, lane) sequence; BusyUntil is the latest completion and
+// BusyTotal the sum of the services.
+func TestMultiResourceMonotoneProperty(t *testing.T) {
+	f := func(times, services []uint32, lanes []uint8) bool {
+		m := NewMultiResource(4)
+		n := min(len(times), len(services), len(lanes))
+		prev := make([]Duration, m.Lanes())
+		var now, last, total Duration
+		for i := 0; i < n; i++ {
+			now += Duration(times[i] % 1000) // submissions move forward
+			lane, svc := int(lanes[i])%m.Lanes(), Duration(services[i]%100000)
+			done := m.AcquireLane(lane, now, svc)
+			if done < prev[lane] || done < now+svc {
+				return false
+			}
+			prev[lane], last, total = done, max(last, done), total+svc
 		}
+		return m.BusyUntil() == last && m.BusyTotal() == total
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestMultiResourceIdleAndLanes(t *testing.T) {
+func TestMultiResourceLanes(t *testing.T) {
 	m := NewMultiResource(0) // clamps to 1
 	if m.Lanes() != 1 {
 		t.Fatalf("Lanes = %d, want 1", m.Lanes())
 	}
-	if !m.Idle(0) {
+	if m.BusyUntil() != 0 {
 		t.Fatal("new resource should be idle")
 	}
-	m.Acquire(0, time.Millisecond)
-	if m.Idle(500 * time.Microsecond) {
-		t.Fatal("should be busy at 0.5ms")
-	}
-	if !m.Idle(time.Millisecond) {
-		t.Fatal("should be idle at 1ms")
+	m.AcquireLane(0, 0, 3*time.Millisecond)
+	if m.BusyUntil() != 3*time.Millisecond {
+		t.Fatalf("BusyUntil = %v, want 3ms", m.BusyUntil())
 	}
 }

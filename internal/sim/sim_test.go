@@ -2,71 +2,8 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestResourceFIFO(t *testing.T) {
-	r := NewResource()
-	// First request at t=0 with 10ms service completes at 10ms.
-	done1 := r.Acquire(0, 10*time.Millisecond)
-	if done1 != 10*time.Millisecond {
-		t.Fatalf("first completion %v, want 10ms", done1)
-	}
-	// Second request at t=2ms queues behind the first.
-	done2 := r.Acquire(2*time.Millisecond, 5*time.Millisecond)
-	if done2 != 15*time.Millisecond {
-		t.Fatalf("second completion %v, want 15ms", done2)
-	}
-	// A request after the resource went idle starts immediately.
-	done3 := r.Acquire(time.Second, time.Millisecond)
-	if done3 != time.Second+time.Millisecond {
-		t.Fatalf("third completion %v", done3)
-	}
-	if r.BusyTotal() != 16*time.Millisecond {
-		t.Fatalf("BusyTotal %v, want 16ms", r.BusyTotal())
-	}
-}
-
-func TestResourceIdle(t *testing.T) {
-	r := NewResource()
-	if !r.Idle(0) {
-		t.Fatal("new resource should be idle")
-	}
-	r.Acquire(0, time.Millisecond)
-	if r.Idle(500 * time.Microsecond) {
-		t.Fatal("resource should be busy at 0.5ms")
-	}
-	if !r.Idle(time.Millisecond) {
-		t.Fatal("resource should be idle at 1ms")
-	}
-}
-
-// Property: completion times from a FIFO resource are non-decreasing in
-// submission order, whatever the (time, service) sequence.
-func TestResourceMonotoneProperty(t *testing.T) {
-	f := func(times []uint32, services []uint32) bool {
-		r := NewResource()
-		n := len(times)
-		if len(services) < n {
-			n = len(services)
-		}
-		var prev Duration = -1
-		var now Duration
-		for i := 0; i < n; i++ {
-			now += Duration(times[i] % 1000) // submissions move forward
-			done := r.Acquire(now, Duration(services[i]%100000))
-			if done < prev || done < now {
-				return false
-			}
-			prev = done
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 type countJob struct {
 	chunks int
@@ -235,14 +172,6 @@ func TestWorkerAccessors(t *testing.T) {
 	}
 	if w.Now() != 0 {
 		t.Fatalf("Now = %v", w.Now())
-	}
-}
-
-func TestResourceBusyUntil(t *testing.T) {
-	r := NewResource()
-	r.Acquire(0, 3*time.Millisecond)
-	if r.BusyUntil() != 3*time.Millisecond {
-		t.Fatalf("BusyUntil = %v", r.BusyUntil())
 	}
 }
 

@@ -13,7 +13,7 @@ func BenchmarkSSTableBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld := NewBuilder(4096, DefaultBlockBytes, false)
+		bld := NewBuilder(4096, DefaultBlockBytes, false, 0)
 		for j := range entries {
 			if err := bld.Add(&entries[j]); err != nil {
 				b.Fatal(err)

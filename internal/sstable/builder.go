@@ -45,18 +45,14 @@ type Builder struct {
 const DefaultBlockBytes = 32 << 10
 
 // NewBuilder creates a builder. pageSize is the device page size; content
-// selects whether real bytes are produced.
-func NewBuilder(pageSize, targetBlockBytes int, content bool) *Builder {
-	return NewBuilderHint(pageSize, targetBlockBytes, content, 0)
-}
-
-// NewBuilderHint is NewBuilder with an expected entry count: the side
-// index under construction is presized for entryHint entries (16-byte
-// keys assumed — a high estimate just wastes some slack), which converts
-// the O(log n) reallocation churn of appending into a single right-sized
-// allocation per column. Flush and compaction jobs know their input entry
-// counts exactly, so their builder slices never regrow.
-func NewBuilderHint(pageSize, targetBlockBytes int, content bool, entryHint int) *Builder {
+// selects whether real bytes are produced. entryHint is the expected
+// entry count (0 if unknown): the side index under construction is
+// presized for that many entries (16-byte keys assumed — a high estimate
+// just wastes some slack), which converts the O(log n) reallocation churn
+// of appending into a single right-sized allocation per column. Flush and
+// compaction jobs know their input entry counts exactly, so their builder
+// slices never regrow.
+func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int) *Builder {
 	if targetBlockBytes <= 0 {
 		targetBlockBytes = DefaultBlockBytes
 	}

@@ -12,7 +12,7 @@ import (
 // build tables: n entries with SynthValue payloads through the content
 // builder. It returns the raw bytes of the first data block.
 func buildContentBlock(n, valLen int) []byte {
-	b := NewBuilder(4096, DefaultBlockBytes, true)
+	b := NewBuilder(4096, DefaultBlockBytes, true, 0)
 	val := make([]byte, valLen)
 	for i := 0; i < n; i++ {
 		k := kv.EncodeKey(uint64(i))
@@ -84,7 +84,7 @@ func FuzzTableLookup(f *testing.F) {
 			return 8 * int(1+id%3)
 		}
 		// Deterministic, strictly increasing key ids derived from seed.
-		b := NewBuilderHint(4096, 4096, false, int(n))
+		b := NewBuilder(4096, 4096, false, int(n))
 		ids := make([]uint64, 0, n)
 		seqOf := map[string]uint64{}
 		allFixed := true

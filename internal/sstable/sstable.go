@@ -27,16 +27,6 @@ const entryHeaderSize = 15
 // on-disk layout for simplicity.
 const footerMagic = 0x5354424C // "STBL"
 
-// EncodedEntrySize returns the on-disk bytes entry e occupies in a data
-// block.
-func EncodedEntrySize(e *kv.Entry) int {
-	vl := e.ValueLen
-	if e.Value != nil {
-		vl = len(e.Value)
-	}
-	return entryHeaderSize + len(e.Key) + vl
-}
-
 // blockMeta locates one data block inside the file.
 type blockMeta struct {
 	firstEntry int32 // index of the block's first entry

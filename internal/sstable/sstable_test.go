@@ -46,7 +46,7 @@ func newTestFS(t testing.TB, content bool) (*extfs.FS, *blockdev.Device) {
 // buildTable builds and installs a table with the given entries.
 func buildTable(t testing.TB, fs *extfs.FS, name string, content bool, entries []kv.Entry) *Table {
 	t.Helper()
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content, 0)
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestIteratorFullScan(t *testing.T) {
 }
 
 func TestBuilderRejectsOutOfOrder(t *testing.T) {
-	b := NewBuilder(4096, DefaultBlockBytes, false)
+	b := NewBuilder(4096, DefaultBlockBytes, false, 0)
 	if err := b.Add(&kv.Entry{Key: kv.EncodeKey(5), ValueLen: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 func TestSizeAccountingConsistency(t *testing.T) {
 	// Logical size must be identical in content and accounting modes.
 	build := func(content bool) (int64, int64) {
-		b := NewBuilder(4096, DefaultBlockBytes, content)
+		b := NewBuilder(4096, DefaultBlockBytes, content, 0)
 		for _, e := range synthEntries(250, 123, content) {
 			if err := b.Add(&e); err != nil {
 				t.Fatal(err)
@@ -330,7 +330,7 @@ func TestSizeAccountingConsistency(t *testing.T) {
 func TestChunkedWriteMatchesWholeWrite(t *testing.T) {
 	fs, dev := newTestFS(t, false)
 	entries := synthEntries(2000, 200, false)
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false, 0)
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
@@ -516,16 +516,5 @@ func TestBloomEncodeDecode(t *testing.T) {
 	}
 	if _, ok := decodeBloom([]byte{1, 2}); ok {
 		t.Fatal("short buffer should fail decode")
-	}
-}
-
-func TestEncodedEntrySize(t *testing.T) {
-	e := kv.Entry{Key: kv.EncodeKey(1), Value: make([]byte, 100)}
-	if got := EncodedEntrySize(&e); got != entryHeaderSize+16+100 {
-		t.Fatalf("EncodedEntrySize = %d", got)
-	}
-	e2 := kv.Entry{Key: kv.EncodeKey(1), ValueLen: 200}
-	if got := EncodedEntrySize(&e2); got != entryHeaderSize+16+200 {
-		t.Fatalf("EncodedEntrySize accounting mode = %d", got)
 	}
 }

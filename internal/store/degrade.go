@@ -44,8 +44,7 @@ const (
 
 // Unavailable is the sticky typed error a shard serves once its engine
 // has failed persistently and no failover could absorb it. Callers
-// detect it with IsUnavailable (or errors.As) and reach the root cause
-// through Unwrap.
+// detect it with errors.As and reach the root cause through Unwrap.
 type Unavailable struct {
 	Shard int
 	Cause error
@@ -58,13 +57,6 @@ func (u *Unavailable) Error() string {
 
 // Unwrap exposes the latching failure.
 func (u *Unavailable) Unwrap() error { return u.Cause }
-
-// IsUnavailable reports whether err (or anything it wraps) marks a
-// shard in unavailable mode.
-func IsUnavailable(err error) bool {
-	var u *Unavailable
-	return errors.As(err, &u)
-}
 
 // ErrorStats counts the serving layer's degraded-path events, summed
 // over shards by (*Store).ErrorStats.

@@ -41,6 +41,13 @@ type scriptedEngine struct {
 	killed   []int
 }
 
+// isUnavailable reports whether err (or anything it wraps) marks a shard
+// in unavailable mode.
+func isUnavailable(err error) bool {
+	var u *store.Unavailable
+	return errors.As(err, &u)
+}
+
 func (f *scriptedEngine) pop() error {
 	f.ops++
 	if len(f.verdicts) == 0 {
@@ -157,7 +164,7 @@ func TestDegradeRetryExhaustion(t *testing.T) {
 	if c.Err == nil || !deverr.IsTransient(c.Err) {
 		t.Fatalf("exhausted op should surface its transient error, got %v", c.Err)
 	}
-	if store.IsUnavailable(c.Err) {
+	if isUnavailable(c.Err) {
 		t.Fatal("a transient failure must not latch the shard")
 	}
 	es := st.ErrorStats()
@@ -176,14 +183,14 @@ func TestDegradeUnavailableLatch(t *testing.T) {
 	eng := &scriptedEngine{verdicts: []error{persistent}, cost: 10}
 	st := newDegradeStore(t, eng, false)
 	c := oneGet(st, 0)
-	if !store.IsUnavailable(c.Err) {
+	if !isUnavailable(c.Err) {
 		t.Fatalf("persistent error should latch unavailable, got %v", c.Err)
 	}
 	if !errors.Is(c.Err, persistent) {
 		t.Fatal("the latching cause must stay reachable through Unwrap")
 	}
 	c2 := oneGet(st, c.Done)
-	if !store.IsUnavailable(c2.Err) {
+	if !isUnavailable(c2.Err) {
 		t.Fatalf("latched shard served an op: %v", c2.Err)
 	}
 	es := st.ErrorStats()
@@ -243,7 +250,7 @@ func TestDegradeFailoverRespectsQuorum(t *testing.T) {
 	}
 	st := newDegradeStore(t, eng, true)
 	c := oneGet(st, 0)
-	if !store.IsUnavailable(c.Err) {
+	if !isUnavailable(c.Err) {
 		t.Fatalf("group at MinLive must latch, got %v", c.Err)
 	}
 	if len(eng.killed) != 0 {
@@ -261,7 +268,7 @@ func TestDegradeFailoverOptIn(t *testing.T) {
 	}
 	st := newDegradeStore(t, eng, false)
 	c := oneGet(st, 0)
-	if !store.IsUnavailable(c.Err) {
+	if !isUnavailable(c.Err) {
 		t.Fatalf("AutoFailover off must latch, got %v", c.Err)
 	}
 	if len(eng.killed) != 0 {
@@ -277,7 +284,7 @@ func TestDegradeLatchedNotRetried(t *testing.T) {
 	eng := &scriptedEngine{verdicts: []error{latched}, cost: 10}
 	st := newDegradeStore(t, eng, false)
 	c := oneGet(st, 0)
-	if !store.IsUnavailable(c.Err) {
+	if !isUnavailable(c.Err) {
 		t.Fatalf("latched error should latch the shard, got %v", c.Err)
 	}
 	es := st.ErrorStats()

@@ -273,7 +273,7 @@ func TestPumpMatchesReference(t *testing.T) {
 		}
 		return n
 	}
-	unavailable := func(c store.Completion) bool { return store.IsUnavailable(c.Err) }
+	unavailable := func(c store.Completion) bool { return isUnavailable(c.Err) }
 	transient := func(c store.Completion) bool { return c.Err != nil && deverr.IsTransient(c.Err) }
 	failures := []struct {
 		name string

@@ -113,19 +113,6 @@ type Generator struct {
 	hotKeys uint64
 }
 
-// NewGenerator builds a deterministic generator for the spec.
-func NewGenerator(spec Spec, rng *sim.RNG) (*Generator, error) {
-	spec, err := spec.Validate()
-	if err != nil {
-		return nil, err
-	}
-	g := &Generator{spec: spec, rng: rng, hotKeys: hotKeysOf(spec)}
-	if spec.Dist == Zipfian {
-		g.zipf = newZipfGen(spec.NumKeys, spec.ZipfTheta)
-	}
-	return g, nil
-}
-
 func hotKeysOf(spec Spec) uint64 {
 	hot := spec.NumKeys / 16
 	if hot == 0 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ptsbench/internal/kv"
-	"ptsbench/internal/sim"
 )
 
 func TestSpecValidation(t *testing.T) {
@@ -42,7 +41,7 @@ func TestZipfThetaDefault(t *testing.T) {
 }
 
 func TestUniformCoverage(t *testing.T) {
-	g, err := NewGenerator(Spec{NumKeys: 100, ValueBytes: 10}, sim.NewRNG(1))
+	g, err := newGenerator(Spec{NumKeys: 100, ValueBytes: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestUniformCoverage(t *testing.T) {
 }
 
 func TestReadFraction(t *testing.T) {
-	g, err := NewGenerator(Spec{NumKeys: 100, ValueBytes: 10, ReadFraction: 0.5}, sim.NewRNG(2))
+	g, err := newGenerator(Spec{NumKeys: 100, ValueBytes: 10, ReadFraction: 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestReadFraction(t *testing.T) {
 }
 
 func TestSequentialWraps(t *testing.T) {
-	g, err := NewGenerator(Spec{NumKeys: 5, ValueBytes: 1, Dist: SequentialDist}, sim.NewRNG(3))
+	g, err := newGenerator(Spec{NumKeys: 5, ValueBytes: 1, Dist: SequentialDist}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestSequentialWraps(t *testing.T) {
 
 func TestZipfianSkewAndBounds(t *testing.T) {
 	const n = 1000
-	g, err := NewGenerator(Spec{NumKeys: n, ValueBytes: 1, Dist: Zipfian}, sim.NewRNG(4))
+	g, err := newGenerator(Spec{NumKeys: n, ValueBytes: 1, Dist: Zipfian}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestZipfianSkewAndBounds(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	mk := func() []Op {
-		g, _ := NewGenerator(Spec{NumKeys: 50, ValueBytes: 1, ReadFraction: 0.3}, sim.NewRNG(7))
+		g, _ := newGenerator(Spec{NumKeys: 50, ValueBytes: 1, ReadFraction: 0.3}, 7)
 		ops := make([]Op, 1000)
 		for i := range ops {
 			ops[i] = g.Next()
@@ -156,7 +155,7 @@ func TestDistString(t *testing.T) {
 // key, byte for byte, across the id range — the encoding the engines
 // decode and every other caller shares.
 func TestKeyEncoding(t *testing.T) {
-	g, _ := NewGenerator(Spec{NumKeys: 10, ValueBytes: 1}, sim.NewRNG(1))
+	g, _ := newGenerator(Spec{NumKeys: 10, ValueBytes: 1}, 1)
 	if len(g.Key(3)) != 16 {
 		t.Fatal("key should be 16 bytes")
 	}
@@ -188,14 +187,24 @@ func TestClientSeedZeroIsBase(t *testing.T) {
 	}
 }
 
+// newGenerator is the single-client generator: client 0 of one, which
+// draws the historical stream of seed.
+func newGenerator(spec Spec, seed uint64) (*Generator, error) {
+	gens, err := NewClientGenerators(spec, seed, 1)
+	if err != nil {
+		return nil, err
+	}
+	return gens[0], nil
+}
+
 // TestClientGeneratorsFirstMatchesSingle: generator 0 of a multi-client
-// set produces the same ops as the historical single generator.
+// set produces the same ops as the single-client generator.
 func TestClientGeneratorsFirstMatchesSingle(t *testing.T) {
 	spec, err := Spec{NumKeys: 1000, ValueBytes: 64, ReadFraction: 0.5}.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewGenerator(spec, sim.NewRNG(42))
+	single, err := newGenerator(spec, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestClientGeneratorsFirstMatchesSingle(t *testing.T) {
 	}
 	// Sibling clients do not mirror client 0.
 	same := 0
-	g, err := NewGenerator(spec, sim.NewRNG(42))
+	g, err := newGenerator(spec, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +251,13 @@ func TestSkewDrawsNothingAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewGenerator(spec, sim.NewRNG(7))
+	plain, err := newGenerator(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zeroSkew := spec
 	zeroSkew.Skew = 0
-	viaZero, err := NewGenerator(zeroSkew, sim.NewRNG(7))
+	viaZero, err := newGenerator(zeroSkew, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +275,7 @@ func TestSkewConcentratesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGenerator(spec, sim.NewRNG(7))
+	g, err := newGenerator(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
