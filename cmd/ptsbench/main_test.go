@@ -267,7 +267,6 @@ var testSeams = map[string]string{
 	"core.SteadyByCapacityRule":    "ROADMAP 7(a) steady-state note",
 	"core.SteadyStateIndex":        "ROADMAP 7(a) steady-state note",
 	"cowtree.Core.DirtyCount":      "TestFlushAllWritesEverything (btree, betree)",
-	"extalloc.Manager.FreePages":   "ROADMAP 13(b): fold extalloc into cowtree",
 	"extfs.FS.CapacityPages":       "TestFileExtentsCoverPages",
 	"extfs.FS.FreePages":           "TestFileExtentsCoverPages, TestNoSpace",
 	"extfs.File.Extents":           "TestTornMetaSlotRecovery, FuzzMetaDecode's garbleSlot",

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -118,8 +117,7 @@ func newTree(fs *extfs.FS, f *extfs.File, cfg Config) *Tree {
 		fs:        fs,
 		nodes:     make([]*node, 1, 64), // index 0 is nilNode
 	}
-	bm := extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16)
-	t.core.Init(t, fs, f, bm, coreConfig(cfg))
+	t.core.Init(t, fs, f, int64(cfg.LeafPageBytes/fs.PageSize())*16, coreConfig(cfg))
 	return t
 }
 

@@ -5,12 +5,11 @@ import (
 	"slices"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/kv"
 )
 
-// fileExtent aliases the shared extent type; see internal/extalloc.
-type fileExtent = extalloc.Extent
+// fileExtent aliases the shared extent type.
+type fileExtent = cowtree.Extent
 
 // nodeID identifies an in-memory node. IDs are never reused. It aliases
 // the shared core's node id so nodes plug into internal/cowtree without

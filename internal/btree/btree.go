@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -98,8 +97,7 @@ func newTree(fs *extfs.FS, f *extfs.File, cfg Config) *Tree {
 		fs:    fs,
 		pages: make([]*page, 1, 64), // index 0 is nilPage
 	}
-	bm := extalloc.New(f, int64(cfg.LeafPageBytes/fs.PageSize())*16)
-	t.core.Init(t, fs, f, bm, coreConfig(cfg))
+	t.core.Init(t, fs, f, int64(cfg.LeafPageBytes/fs.PageSize())*16, coreConfig(cfg))
 	return t
 }
 

@@ -4,12 +4,11 @@ import (
 	"bytes"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/kv"
 )
 
-// fileExtent aliases the shared extent type; see internal/extalloc.
-type fileExtent = extalloc.Extent
+// fileExtent aliases the shared extent type.
+type fileExtent = cowtree.Extent
 
 // pageID identifies an in-memory page. IDs are never reused. It aliases
 // the shared core's node id so pages plug into internal/cowtree without

@@ -45,7 +45,7 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 		return nil, nil
 	}
 	job := c.getJob()
-	job.pendingMark = c.bm.PendingMark()
+	job.pendingMark = c.extents.pendingMark()
 	job.snapSeq = c.eng.Seq()
 	c.epoch++
 	stamp := c.epoch
@@ -225,7 +225,7 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 		c.Fail(err)
 		return now, true
 	}
-	c.bm.CommitPendingPrefix(j.pendingMark)
+	c.extents.commitPendingPrefix(j.pendingMark)
 	if now, err = c.fs.Sync(now); err != nil {
 		c.Fail(err)
 		return now, true

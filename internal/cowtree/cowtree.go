@@ -1,10 +1,12 @@
 // Package cowtree is the copy-on-write core shared by the page/node-based
-// tree engines (B+Tree, Bε-tree), the way internal/extalloc was
-// extracted for their extent allocator. It owns the state every node has
+// tree engines (B+Tree, Bε-tree). It owns the state every node has
 // whatever it carries — the Node header: identity, position in the tree,
 // dirty flag, on-disk extent, cache residency — and every mechanism that
 // acts on that state alone:
 //
+//   - the extent allocator that places node images inside the
+//     collection file (lowest-offset first fit, checkpoint-deferred
+//     release),
 //   - the id-indexed node table and the root id,
 //   - dirty-set tracking (append-order transition log, filtered on the
 //     node flag at snapshot time),
@@ -37,8 +39,8 @@ import (
 	"time"
 
 	"ptsbench/internal/deverr"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
+	"ptsbench/internal/freeset"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
@@ -50,8 +52,9 @@ type NodeID uint32
 // NilNode is the zero NodeID.
 const NilNode NodeID = 0
 
-// Extent aliases the shared allocator extent type.
-type Extent = extalloc.Extent
+// Extent is a contiguous run of pages inside the collection file.
+// Pages == 0 means "no extent" (a node never written).
+type Extent = freeset.Extent
 
 // Node is the header every tree node carries; engines embed it in their
 // node type beside the payload. The core reads and writes these fields
@@ -148,11 +151,11 @@ type IOStats struct {
 // Core owns the shared state of one tree. Engines embed it by value and
 // call Init once at construction.
 type Core struct {
-	eng  Engine
-	fs   *extfs.FS
-	file *extfs.File
-	bm   *extalloc.Manager
-	cfg  Config
+	eng     Engine
+	fs      *extfs.FS
+	file    *extfs.File
+	extents extentAllocator
+	cfg     Config
 
 	// nodes is indexed by NodeID (index 0 is NilNode). Engines keep a
 	// slice of their own node type parallel to it, so neither side pays
@@ -198,14 +201,16 @@ type Core struct {
 	segments []string
 }
 
-// Init wires the core to its engine and device state. The engine's
-// journal is not created here; call StartJournal once the tree shell is
-// ready (Open) or let FinishRecovery do it after replay (Recover).
-func (c *Core) Init(eng Engine, fs *extfs.FS, file *extfs.File, bm *extalloc.Manager, cfg Config) {
+// Init wires the core to its engine and device state; node images are
+// allocated inside file, which grows growChunk pages at a time. The
+// engine's journal is not created here; call StartJournal once the tree
+// shell is ready (Open) or let FinishRecovery do it after replay
+// (Recover).
+func (c *Core) Init(eng Engine, fs *extfs.FS, file *extfs.File, growChunk int64, cfg Config) {
 	c.eng = eng
 	c.fs = fs
 	c.file = file
-	c.bm = bm
+	c.extents = newExtentAllocator(file, growChunk)
 	c.cfg = cfg
 	c.nodes = make([]*Node, 1, 64) // index 0 is NilNode
 	c.metaSlots = metaSlots(cfg.MetaPrefix)
@@ -430,9 +435,9 @@ func (c *Core) Write(now sim.Duration, n *Node) (sim.Duration, error) {
 	ps := c.fs.PageSize()
 	pages := (n.Serialized + ps - 1) / ps
 	if n.Disk.Pages > 0 {
-		c.bm.ReleaseDeferred(n.Disk)
+		c.extents.releaseDeferred(n.Disk)
 	}
-	ext, err := c.bm.Alloc(int64(pages))
+	ext, err := c.extents.alloc(int64(pages))
 	if err != nil {
 		return now, err
 	}
@@ -575,7 +580,7 @@ func (c *Core) MaybeCheckpoint(now sim.Duration) {
 		return
 	}
 	intervalDue := now-c.lastCkpt >= c.cfg.CheckpointInterval
-	pendingDue := c.bm.PendingPages()*int64(c.fs.PageSize()) >= c.cfg.CheckpointPendingBytes
+	pendingDue := c.extents.pendingTotal*int64(c.fs.PageSize()) >= c.cfg.CheckpointPendingBytes
 	if !intervalDue && !pendingDue {
 		return
 	}

@@ -1,4 +1,4 @@
-package extalloc
+package cowtree
 
 import (
 	"testing"
@@ -40,20 +40,20 @@ func testFile(t *testing.T) *extfs.File {
 }
 
 func TestAllocReleaseReuse(t *testing.T) {
-	m := New(testFile(t), 64)
-	a, err := m.Alloc(8)
+	m := newExtentAllocator(testFile(t), 64)
+	a, err := m.alloc(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Alloc(8)
+	b, err := m.alloc(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Start == b.Start {
 		t.Fatal("overlapping allocations")
 	}
-	m.Release(a)
-	c, err := m.Alloc(4)
+	m.release(a)
+	c, err := m.alloc(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,9 @@ func TestAllocReleaseReuse(t *testing.T) {
 		t.Fatalf("lowest-first reuse broken: got %d, want %d", c.Start, a.Start)
 	}
 	// Free-list merging: release adjacent extents and allocate across.
-	m.Release(c)
-	m.Release(b)
-	d, err := m.Alloc(16)
+	m.release(c)
+	m.release(b)
+	d, err := m.alloc(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,27 +73,27 @@ func TestAllocReleaseReuse(t *testing.T) {
 }
 
 func TestDeferredReleaseWaitsForCommit(t *testing.T) {
-	m := New(testFile(t), 64)
-	a, err := m.Alloc(8)
+	m := newExtentAllocator(testFile(t), 64)
+	a, err := m.alloc(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseDeferred(a)
-	if m.PendingPages() != 8 {
-		t.Fatalf("pending %d, want 8", m.PendingPages())
+	m.releaseDeferred(a)
+	if m.pendingTotal != 8 {
+		t.Fatalf("pending %d, want 8", m.pendingTotal)
 	}
-	mark := m.PendingMark()
-	b, _ := m.Alloc(8)
+	mark := m.pendingMark()
+	b, _ := m.alloc(8)
 	if b.Start == a.Start {
 		t.Fatal("deferred extent reused before commit")
 	}
 	// An extent deferred after the mark must survive the commit.
-	m.ReleaseDeferred(b)
-	m.CommitPendingPrefix(mark)
-	if m.PendingPages() != 8 {
-		t.Fatalf("post-commit pending %d, want 8 (b still deferred)", m.PendingPages())
+	m.releaseDeferred(b)
+	m.commitPendingPrefix(mark)
+	if m.pendingTotal != 8 {
+		t.Fatalf("post-commit pending %d, want 8 (b still deferred)", m.pendingTotal)
 	}
-	c, _ := m.Alloc(8)
+	c, _ := m.alloc(8)
 	if c.Start != a.Start {
 		t.Fatalf("committed extent not reused: got %d, want %d", c.Start, a.Start)
 	}

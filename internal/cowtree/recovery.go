@@ -123,14 +123,14 @@ func (c *Core) rebuildFreeList(used []Extent) {
 	var cursor int64
 	for _, e := range used {
 		if e.Start > cursor {
-			c.bm.Release(Extent{Start: cursor, Pages: e.Start - cursor})
+			c.extents.release(Extent{Start: cursor, Pages: e.Start - cursor})
 		}
 		if end := e.Start + e.Pages; end > cursor {
 			cursor = end
 		}
 	}
 	if total := c.file.SizePages(); total > cursor {
-		c.bm.Release(Extent{Start: cursor, Pages: total - cursor})
+		c.extents.release(Extent{Start: cursor, Pages: total - cursor})
 	}
 }
 

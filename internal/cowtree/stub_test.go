@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
-	"ptsbench/internal/extalloc"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/sim"
@@ -88,7 +87,7 @@ func stubConfig(interval time.Duration, chunkPages int) Config {
 
 func newStub(fs *extfs.FS, f *extfs.File, cfg Config) *stubTree {
 	t := &stubTree{nodes: make([]*stubNode, 1, 16)} // index 0 is NilNode
-	t.core.Init(t, fs, f, extalloc.New(f, 64), cfg)
+	t.core.Init(t, fs, f, 64, cfg)
 	return t
 }
 

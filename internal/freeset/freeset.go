@@ -1,17 +1,17 @@
 // Package freeset is the ordered set of free extents under both
 // allocators: extfs's rotating first fit over the partition and
-// extalloc's lowest-offset first fit inside one collection file. The
-// set owns the structure, the allocators own the policy.
+// cowtree's lowest-offset first fit inside one collection file. The set
+// owns the structure, the allocators own the policy.
 //
 // It is a treap keyed by extent start and augmented with the subtree's
 // maximum extent size, so the leftmost extent that fits, the first
 // extent past a cursor, a carve and a merging release all cost
 // O(log n). Both allocators used to keep a sorted slice, whose O(n)
 // insert/delete memmoves were roughly a quarter of the fig2 B+Tree
-// cell's CPU (extalloc, with its linear first-fit scan) and 45 % of
-// the benchmark's lsm-write cell (extfs, 15–19 K extents under file
-// churn). Each policy is pinned to its sorted-slice implementation by a
-// differential test in its own package.
+// cell's CPU (cowtree's allocator, with its linear first-fit scan) and
+// 45 % of the benchmark's lsm-write cell (extfs, 15–19 K extents under
+// file churn). Each policy is pinned to its sorted-slice implementation
+// by a differential test in its own package.
 package freeset
 
 import "fmt"
