@@ -463,19 +463,20 @@ func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64
 	if total == 0 {
 		return 0, 0, 0
 	}
+	// Walk the candidates in (shard, replica) order until the draw falls
+	// inside one; pick <= total, so the last candidate takes whatever
+	// remains.
 	pick := 1 + int64(sim.NewRNG(seed).Uint64n(uint64(total)))
-	for i, row := range writes {
-		for r, w := range row {
-			if pick <= w {
-				if pinned {
-					pick = min(spec.CutWrite, w)
-				}
-				return first + i, r, pick
-			}
-			pick -= w
-		}
+	reps := len(writes[0])
+	k := 0
+	for ; k < len(writes)*reps-1 && pick > writes[k/reps][k%reps]; k++ {
+		pick -= writes[k/reps][k%reps]
 	}
-	panic("crash: sampled write beyond the calibrated total")
+	shard, r := k/reps, k%reps
+	if pinned {
+		pick = min(spec.CutWrite, writes[shard][r])
+	}
+	return first + shard, r, pick
 }
 
 // submitBatch submits ops[start:end) with strictly increasing submit
