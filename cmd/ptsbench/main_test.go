@@ -217,17 +217,13 @@ func nonTestFiles(t *testing.T) []sourceFile {
 	return walkFiles
 }
 
-func inBenchmark(dir string) bool {
-	return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/")
-}
-
 // TestPanicSitesRatchet counts the panic(...) calls in every non-test Go
 // file outside benchmark/ and fails when there are more than maxPanics,
 // naming each site.
 func TestPanicSitesRatchet(t *testing.T) {
 	var sites []string
 	for _, sf := range nonTestFiles(t) {
-		if inBenchmark(sf.dir) {
+		if sf.dir == "benchmark" || strings.HasPrefix(sf.dir, "benchmark/") {
 			continue
 		}
 		ast.Inspect(sf.f, func(n ast.Node) bool {
@@ -286,11 +282,42 @@ var testSeams = map[string]string{
 // TestExportedNamesHaveCallers keeps exported surface honest: every
 // exported top-level func, method, type, var and const in internal/ must
 // be named by some non-test file of the repository (benchmark/ and cmd/
-// count), or be listed in testSeams. A package-level name is called when
-// another package selects it (pkg.Name) or its own package names it
-// outside its declaration; a method, when any selector names it.
+// count), or be listed in testSeams.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	files := nonTestFiles(t)
+	uncalled := uncalledExported(nonTestFiles(t))
+	var missing, stale []string
+	for key, pos := range uncalled {
+		if _, ok := testSeams[key]; !ok {
+			missing = append(missing, pos+": "+key)
+		}
+	}
+	for key, reason := range testSeams {
+		if _, ok := uncalled[key]; !ok {
+			stale = append(stale, key)
+		}
+		if reason == "" {
+			t.Errorf("testSeams[%q] gives no reason", key)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("%d exported names have no non-test caller; give each a caller, delete it, or list it in testSeams with a reason:\n%s",
+			len(missing), strings.Join(missing, "\n"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d testSeams entries have a non-test caller now or no longer exist; delete them:\n%s",
+			len(stale), strings.Join(stale, "\n"))
+	}
+}
+
+// uncalledExported maps each exported top-level name declared under
+// internal/ that no file in files names ("pkg.Name", or "pkg.Type.Method"
+// for a method) to its declaration's position. A package-level name is
+// called when another package selects it (pkg.Name) or its own package
+// names it outside its declaration; a method, when any selector names
+// it. Methods in interfaceMethods are not listed.
+func uncalledExported(files []sourceFile) map[string]string {
 	type decl struct{ key, pkgDir, name, method, pos string }
 	var decls []decl
 	pkgName := map[string]string{} // import path -> package name
@@ -300,7 +327,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			continue
 		}
 		pkg := strings.TrimPrefix(sf.dir, "internal/")
-		add := func(id *ast.Ident, recv string) {
+		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
 			if !id.IsExported() || (recv != "" && interfaceMethods[id.Name]) {
 				return
 			}
@@ -309,29 +336,11 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				d.key, d.name, d.method = pkg+"."+recv+"."+id.Name, "", id.Name
 			}
 			decls = append(decls, d)
-		}
-		for _, dl := range sf.f.Decls {
-			switch dl := dl.(type) {
-			case *ast.FuncDecl:
-				add(dl.Name, receiverType(dl))
-			case *ast.GenDecl:
-				for _, spec := range dl.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, "")
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id, "")
-						}
-					}
-				}
-			}
-		}
+		})
 	}
 
-	// What the non-test files name: selectors by the package they select
-	// from ("" for any selector), bare identifiers by the directory
-	// naming them.
+	// What the files name: selectors by the package they select from (""
+	// for any selector), bare identifiers by the directory naming them.
 	selected := map[[2]string]bool{} // {import path or "", name}
 	bare := map[[2]string]bool{}     // {dir, name}
 	for _, sf := range files {
@@ -347,23 +356,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			}
 		}
 		declared := map[*ast.Ident]bool{}
-		for _, dl := range sf.f.Decls {
-			switch dl := dl.(type) {
-			case *ast.FuncDecl:
-				declared[dl.Name] = true
-			case *ast.GenDecl:
-				for _, spec := range dl.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						declared[s.Name] = true
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declared[id] = true
-						}
-					}
-				}
-			}
-		}
+		eachTopLevelName(sf.f, func(id *ast.Ident, _ string) { declared[id] = true })
 		sels := map[*ast.Ident]bool{}
 		ast.Inspect(sf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -394,26 +387,85 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			uncalled[d.key] = d.pos
 		}
 	}
-	var missing, stale []string
-	for key, pos := range uncalled {
-		if _, ok := testSeams[key]; !ok {
-			missing = append(missing, pos+": "+key)
+	return uncalled
+}
+
+// TestUncalledExportedRules pins what counts as a caller on a small
+// synthetic module: package a declares, package b (importing it as z)
+// calls. Own is named by a's helper and T by its methods' receivers, so
+// neither is ever listed.
+func TestUncalledExportedRules(t *testing.T) {
+	lib := `package a
+type T struct{}
+func (T) Called()        {}
+func (T) Uncalled()      {}
+func (T) String() string { return "" }
+type U struct{}
+func Used()   {}
+func Own()    {}
+func Lonely() {}
+func helper() { Own() }
+const Named = 1
+`
+	cases := []struct {
+		name, body string
+		want       string
+	}{
+		{"a selector from another package calls a func", "z.Used()",
+			"a.Lonely a.Named a.T.Called a.T.Uncalled a.U"},
+		{"any selector calls a method", "var x struct{ Called int }; _ = x.Called",
+			"a.Lonely a.Named a.T.Uncalled a.U a.Used"},
+		{"a type and a const are called when selected", "var _ z.U; _ = z.Named",
+			"a.Lonely a.T.Called a.T.Uncalled a.Used"},
+		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely",
+			"a.Lonely a.Named a.T.Called a.T.Uncalled a.U a.Used"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			files := []sourceFile{
+				parseSource(t, "internal/a", lib),
+				parseSource(t, "cmd/b", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
+			}
+			var got []string
+			for key := range uncalledExported(files) {
+				got = append(got, key)
+			}
+			sort.Strings(got)
+			if strings.Join(got, " ") != c.want {
+				t.Fatalf("uncalled = %v, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+func parseSource(t *testing.T, dir, src string) sourceFile {
+	t.Helper()
+	f, err := parser.ParseFile(walkFset, dir+"/x.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sourceFile{dir: dir, f: f}
+}
+
+// eachTopLevelName calls fn with every name a file declares at top level
+// and, for a method, its receiver type.
+func eachTopLevelName(f *ast.File, fn func(id *ast.Ident, recv string)) {
+	for _, dl := range f.Decls {
+		switch dl := dl.(type) {
+		case *ast.FuncDecl:
+			fn(dl.Name, receiverType(dl))
+		case *ast.GenDecl:
+			for _, spec := range dl.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					fn(s.Name, "")
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						fn(id, "")
+					}
+				}
+			}
 		}
-	}
-	for key := range testSeams {
-		if _, ok := uncalled[key]; !ok {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(stale)
-	if len(missing) > 0 {
-		t.Errorf("%d exported names have no non-test caller; give each a caller, delete it, or list it in testSeams with a reason:\n%s",
-			len(missing), strings.Join(missing, "\n"))
-	}
-	if len(stale) > 0 {
-		t.Errorf("%d testSeams entries have a non-test caller now or no longer exist; delete them:\n%s",
-			len(stale), strings.Join(stale, "\n"))
 	}
 }
 
