@@ -383,11 +383,16 @@ func (t *Tree) splitLeaf(leaf *page) {
 	t.core.MarkDirty(&right.Node)
 	t.core.MarkDirty(&leaf.Node)
 	t.io.LeafSplits++
-	t.core.Admit(&right.Node)
-	// Admit charged right.Serialized, but the moved entries were already
-	// counted while they lived in leaf (whose serialized size dropped by
-	// the same amount); only the new page header is genuinely new.
-	t.core.Resize(pageHeaderBytes - right.Serialized)
+	// Journal replay splits leaves recovery left out of the cache; the
+	// right half of such a leaf stays out too.
+	if leaf.Resident {
+		t.core.Admit(&right.Node)
+		// Admit charged right.Serialized, but the moved entries were
+		// already counted while they lived in leaf (whose serialized size
+		// dropped by the same amount); only the new page header is
+		// genuinely new.
+		t.core.Resize(pageHeaderBytes - right.Serialized)
+	}
 	t.insertIntoParent(leaf, sep, right)
 }
 

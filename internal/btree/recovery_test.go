@@ -320,6 +320,57 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 	}
 }
 
+// TestBTreeReplaySplitsEvictedLeaves: after recovery every leaf but a
+// root leaf is non-resident, so a replayed record that splits one must
+// leave both halves out of the cache. Admitting the right half there
+// while discounting the moved bytes as if the left had been counted made
+// the resident byte count fall short of the LRU list.
+func TestBTreeReplaySplitsEvictedLeaves(t *testing.T) {
+	tr, fs := recoveryEnv(t, func(c *Config) {
+		c.LeafPageBytes = 2 << 10
+		c.CacheBytes = 32 << 10
+		c.CheckpointInterval = time.Hour // only the explicit checkpoint
+		c.CheckpointPendingBytes = 1 << 30
+	})
+	var now sim.Duration
+	var err error
+	const keys = 400
+	for id := uint64(0); id < keys; id++ {
+		if now, err = tr.Put(now, kv.EncodeKey(id), []byte{byte(id)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err = tr.FlushAll(now); err != nil {
+		t.Fatal(err)
+	}
+	// Grow every value past what a leaf holds, journaled but never
+	// checkpointed: replay must split the recovered, evicted leaves.
+	big := bytes.Repeat([]byte{7}, 64)
+	for id := uint64(0); id < keys; id++ {
+		if now, err = tr.Put(now, kv.EncodeKey(id), big, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, rnow, err := Recover(fs, tr.cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.IO().LeafSplits == 0 {
+		t.Fatal("replay split no leaf; the test no longer reaches the case")
+	}
+	if err := re.Check(); err != nil {
+		t.Fatalf("after recovery: %v", err)
+	}
+	for id := uint64(0); id < keys; id++ {
+		if _, got, found, err := re.Get(rnow, kv.EncodeKey(id)); err != nil || !found || !bytes.Equal(got, big) {
+			t.Fatalf("key %d: %v found=%v err=%v", id, got, found, err)
+		}
+	}
+	if err := re.Check(); err != nil {
+		t.Fatalf("after reading every key back: %v", err)
+	}
+}
+
 func TestBTreeRecoverUnderEvictionChurn(t *testing.T) {
 	// Heavy eviction between checkpoints relocates leaves; the deferred
 	// extent release must keep the last checkpoint readable.
