@@ -45,6 +45,9 @@ type stubTree struct {
 	core  Core
 	nodes []*stubNode // parallel to the core's header table
 	seq   uint64
+	// imaged, when set, sees the id of every node image the core
+	// serializes (a content-mode write, just before it reaches the file).
+	imaged func(NodeID)
 }
 
 // stubEnv mounts a content-enabled simulated device.
@@ -134,6 +137,9 @@ func (t *stubTree) resized(n *stubNode) {
 // ---- Engine implementation ----
 
 func (t *stubTree) AppendImage(dst []byte, id NodeID) []byte {
+	if t.imaged != nil {
+		t.imaged(id)
+	}
 	return serializeStub(dst, t.nodes[id], func(c NodeID) Extent { return t.nodes[c].Disk })
 }
 
