@@ -307,8 +307,9 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 // it there (the ε = 1 degenerate path).
 func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
 	n := t.nodes[t.core.Root()]
+	target := kv.NewTarget(msg.key)
 	for !n.Leaf {
-		n = t.nodes[n.Children[n.childFor(msg.key)]]
+		n = t.nodes[n.Children[n.childFor(target)]]
 	}
 	var err error
 	now, err = t.core.Load(now, &n.Node)
@@ -459,9 +460,10 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	t.stats.Gets++
 
 	n := t.nodes[t.core.Root()]
+	target := kv.NewTarget(key)
 	for !n.Leaf {
-		ci := n.childFor(key)
-		if m := n.bufGet(ci, key); m != nil {
+		ci := n.childFor(target)
+		if m := n.bufGet(ci, target); m != nil {
 			t.io.BufferHits++
 			if m.del {
 				return now, nil, false, nil
@@ -481,7 +483,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if err != nil {
 		return now, nil, false, err
 	}
-	i := n.search(key)
+	i := n.search(target)
 	if i >= len(n.entries) || !bytes.Equal(n.entries[i].key, key) || n.entries[i].del {
 		return now, nil, false, nil
 	}
@@ -504,7 +506,8 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	t.core.Pump(now)
 	now += t.cfg.CPUGetTime
 
-	stream := t.newMsgStream(start)
+	target := kv.NewTarget(start)
+	stream := t.newMsgStream(target)
 	var out []kv.Entry
 
 	emit := func(m *message) {
@@ -527,9 +530,9 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	// Descend to the first leaf covering start.
 	leaf := t.nodes[t.core.Root()]
 	for !leaf.Leaf {
-		leaf = t.nodes[leaf.Children[leaf.childFor(start)]]
+		leaf = t.nodes[leaf.Children[leaf.childFor(target)]]
 	}
-	idx := leaf.search(start)
+	idx := leaf.search(target)
 	for limit > 0 && leaf != nil {
 		var err error
 		now, err = t.core.Load(now, &leaf.Node)
@@ -618,7 +621,7 @@ func (c *msgCursor) head() *message {
 // newMsgStream walks the interior nodes whose key range can intersect
 // [start, inf) — childFor(start) and everything to its right at each
 // level — and opens a cursor into each node with messages there.
-func (t *Tree) newMsgStream(start []byte) *msgStream {
+func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 	s := &msgStream{}
 	var walk func(id nodeID)
 	walk = func(id nodeID) {

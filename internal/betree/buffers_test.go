@@ -57,7 +57,7 @@ func checkInterior(t *testing.T, n *node) {
 	for ci, buf := range n.bufs {
 		bb := 0
 		for i := range buf {
-			if got := n.childFor(buf[i].key); got != ci {
+			if got := n.childFor(kv.NewTarget(buf[i].key)); got != ci {
 				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
 			}
 			if i > 0 && kv.CompareKeys(buf[i-1].key, buf[i].key) >= 0 {
@@ -218,9 +218,10 @@ func runBufferModel(t *testing.T, sh modelShape) {
 			want = want[:0]
 			if !root.Leaf && tr.bufferMax > 0 {
 				want = append(want, root.bufSizes...)
-				ci := root.childFor(key)
+				target := kv.NewTarget(key)
+				ci := root.childFor(target)
 				want[ci] += msgOverhead + len(key) + len(val)
-				if m := root.bufGet(ci, key); m != nil {
+				if m := root.bufGet(ci, target); m != nil {
 					want[ci] -= m.bytes()
 					reached.bufferedOverwrites++
 				}
@@ -408,7 +409,7 @@ type flatNode struct {
 
 // bufInsert is the old node.bufInsert.
 func (f *flatNode) bufInsert(mm *mem, m message, val []byte, owned bool) int {
-	i := searchMsgs(f.buf, m.key)
+	i := searchMsgs(f.buf, kv.NewTarget(m.key))
 	if i < len(f.buf) && bytes.Equal(f.buf[i].key, m.key) {
 		old := &f.buf[i]
 		if m.seq < old.seq {
@@ -440,7 +441,7 @@ func (f *flatNode) busiest() (bestCi, bestStart, bestEnd, bestBytes int) {
 	for ci := 0; ci <= len(f.seps); ci++ {
 		end := len(f.buf)
 		if ci < len(f.seps) {
-			end = searchMsgs(f.buf, f.seps[ci])
+			end = searchMsgs(f.buf, kv.NewTarget(f.seps[ci]))
 		}
 		if end > start {
 			b := 0
@@ -469,7 +470,7 @@ func (f *flatNode) split(mm *mem) *flatNode {
 	mid := len(f.seps) / 2
 	promoted := f.seps[mid]
 	right := &flatNode{seps: append([][]byte(nil), f.seps[mid+1:]...)}
-	cut := searchMsgs(f.buf, promoted)
+	cut := searchMsgs(f.buf, kv.NewTarget(promoted))
 	right.buf = mm.msgs.CloneTail(f.buf, cut)
 	for i := range right.buf {
 		right.bufBytes += right.buf[i].bytes()
@@ -547,7 +548,8 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			key := kv.EncodeKey(rng.Uint64n(keySpace))
 			m := makeMessage(key, seq, 0, false)
 			var val []byte
-			resident := n.bufGet(n.childFor(key), key)
+			target := kv.NewTarget(key)
+			resident := n.bufGet(n.childFor(target), target)
 			switch kind := rng.Intn(10); {
 			case kind < 4: // value-bearing (content mode); two sizes, so children tie
 				val = bytes.Repeat([]byte{byte(step)}, 8<<uint(rng.Intn(2)))
@@ -615,7 +617,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			if isSep(sep) || len(n.Children) >= 40 {
 				continue
 			}
-			idx := n.childFor(sep)
+			idx := n.childFor(kv.NewTarget(sep))
 			before := len(n.bufs[idx])
 			n.insertChild(&mm, idx, sep, nextChild)
 			nextChild++
@@ -828,7 +830,7 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 		buffers += len(n.bufs)
 	}
 	for from := uint64(0); from < keys; from += 97 {
-		if c := len(tr.newMsgStream(kv.EncodeKey(from)).cursors); c > interiors {
+		if c := len(tr.newMsgStream(kv.NewTarget(kv.EncodeKey(from))).cursors); c > interiors {
 			t.Fatalf("scan from %d opens %d cursors over %d interior nodes (%d child buffers)",
 				from, c, interiors, buffers)
 		}

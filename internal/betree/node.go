@@ -134,17 +134,16 @@ type node struct {
 }
 
 // searchMsgs returns the index of the first message in msgs with
-// key >= target.
-func searchMsgs(msgs []message, target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
+// key >= t.
+func searchMsgs(msgs []message, t kv.Target) int {
 	lo, hi := 0, len(msgs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		var c int
-		if mk := msgs[mid].key; fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, wHi, wLo)
+		if mk := msgs[mid].key; t.Fast && len(mk) == kv.KeySize {
+			c = kv.CompareKeyWords(mk, t.Hi, t.Lo)
 		} else {
-			c = kv.CompareKeys(mk, target)
+			c = kv.CompareKeys(mk, t.Key)
 		}
 		if c < 0 {
 			lo = mid + 1
@@ -155,36 +154,15 @@ func searchMsgs(msgs []message, target []byte) int {
 	return lo
 }
 
-// search returns the index of the first leaf entry with key >= target.
-func (n *node) search(target []byte) int { return searchMsgs(n.entries, target) }
+// search returns the index of the first leaf entry with key >= t.
+func (n *node) search(t kv.Target) int { return searchMsgs(n.entries, t) }
 
 // refreshSepCache rebuilds the separator word cache. Callers invoke it
 // after every seps mutation.
 func (n *node) refreshSepCache() { n.sepCache.Refresh(n.seps) }
 
-// childFor returns the index of the child covering target.
-func (n *node) childFor(target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
-	if fast && n.sepCache.Fast() {
-		return n.sepCache.UpperBound(wHi, wLo)
-	}
-	lo, hi := 0, len(n.seps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if sk := n.seps[mid]; fast && len(sk) == kv.KeySize {
-			c = kv.CompareKeyWords(sk, wHi, wLo)
-		} else {
-			c = kv.CompareKeys(sk, target)
-		}
-		if c <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+// childFor returns the index of the child covering t.
+func (n *node) childFor(t kv.Target) int { return n.sepCache.UpperBound(n.seps, t) }
 
 // childIndex returns the position of child id.
 func (n *node) childIndex(id nodeID) int {
@@ -196,11 +174,11 @@ func (n *node) childIndex(id nodeID) int {
 	return -1
 }
 
-// bufGet returns the message child ci's buffer holds for key, or nil; ci
-// is childFor(key), which the descent needs anyway.
-func (n *node) bufGet(ci int, key []byte) *message {
+// bufGet returns the message child ci's buffer holds for t, or nil; ci
+// is childFor(t), which the descent needs anyway.
+func (n *node) bufGet(ci int, t kv.Target) *message {
 	buf := n.bufs[ci]
-	if i := searchMsgs(buf, key); i < len(buf) && bytes.Equal(buf[i].key, key) {
+	if i := searchMsgs(buf, t); i < len(buf) && bytes.Equal(buf[i].key, t.Key) {
 		return &buf[i]
 	}
 	return nil
@@ -228,9 +206,10 @@ func (n *node) busiestChild() (ci, size int) {
 // least as new (flush batches always move the newest surviving version,
 // so the guard only matters on recovery replay).
 func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
-	ci := n.childFor(m.key)
+	t := kv.NewTarget(m.key)
+	ci := n.childFor(t)
 	buf := n.bufs[ci]
-	i := searchMsgs(buf, m.key)
+	i := searchMsgs(buf, t)
 	delta := m.bytes()
 	if i < len(buf) && bytes.Equal(buf[i].key, m.key) {
 		old := &buf[i]
@@ -259,7 +238,7 @@ func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
 // Stale messages (older seq than the stored entry) are dropped — they
 // can only reach a leaf through recovery replay.
 func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
-	i := n.search(m.key)
+	i := n.search(kv.NewTarget(m.key))
 	delta := m.bytes()
 	if i < len(n.entries) && bytes.Equal(n.entries[i].key, m.key) {
 		e := &n.entries[i]
@@ -288,7 +267,7 @@ func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
 func (n *node) insertBatch(mm *mem, batch []message) int {
 	delta := 0
 	toIns := mm.scratch[:0]
-	ei := n.search(batch[0].key)
+	ei := n.search(kv.NewTarget(batch[0].key))
 	for bi := range batch {
 		m := &batch[bi]
 		for ei < len(n.entries) && kv.CompareKeys(n.entries[ei].key, m.key) < 0 {
@@ -381,7 +360,7 @@ func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 	n.seps = slices.Insert(n.seps, idx, mm.arena.Clone(sep))
 	n.Children = slices.Insert(n.Children, idx+1, child)
 	buf := n.bufs[idx]
-	tail := mm.msgs.CloneTail(buf, searchMsgs(buf, sep))
+	tail := mm.msgs.CloneTail(buf, searchMsgs(buf, kv.NewTarget(sep)))
 	moved := 0
 	for i := range tail {
 		moved += tail[i].bytes()

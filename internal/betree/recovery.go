@@ -7,6 +7,7 @@ import (
 
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
@@ -141,14 +142,15 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		t.seq = r.Seq
 	}
 	n := t.nodes[t.core.Root()]
+	target := kv.NewTarget(r.Key)
 	for !n.Leaf {
-		ci := n.childFor(r.Key)
-		if m := n.bufGet(ci, r.Key); m != nil && m.seq >= r.Seq {
+		ci := n.childFor(target)
+		if m := n.bufGet(ci, target); m != nil && m.seq >= r.Seq {
 			return now, nil
 		}
 		n = t.nodes[n.Children[ci]]
 	}
-	if i := n.search(r.Key); i < len(n.entries) &&
+	if i := n.search(target); i < len(n.entries) &&
 		bytes.Equal(n.entries[i].key, r.Key) && n.entries[i].seq >= r.Seq {
 		return now, nil
 	}

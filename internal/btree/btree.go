@@ -195,14 +195,16 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 	return done, nil
 }
 
-// descend walks from the root to the leaf covering key. Internal pages
-// are treated as pinned (always cached): real WiredTiger strongly favours
-// keeping them resident, and at the paper's scale their footprint is
-// negligible next to the leaves.
+// descend walks from the root to the leaf covering key, decoding the key
+// once for every level's separator search. Internal pages are treated
+// as pinned (always cached): real WiredTiger strongly favours keeping
+// them resident, and at the paper's scale their footprint is negligible
+// next to the leaves.
 func (t *Tree) descend(key []byte) *page {
 	p := t.pages[t.core.Root()]
+	target := kv.NewTarget(key)
 	for !p.Leaf {
-		p = t.pages[p.childFor(key)]
+		p = t.pages[p.childFor(target)]
 	}
 	return p
 }

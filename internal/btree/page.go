@@ -108,29 +108,8 @@ func (p *page) search(target []byte) int {
 // after every seps mutation.
 func (p *page) refreshSepCache() { p.sepCache.Refresh(p.seps) }
 
-// childFor returns the child page covering target in an internal page.
-func (p *page) childFor(target []byte) pageID {
-	wHi, wLo, fast := kv.DecomposeKey(target)
-	if fast && p.sepCache.Fast() {
-		return p.Children[p.sepCache.UpperBound(wHi, wLo)]
-	}
-	lo, hi := 0, len(p.seps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if sk := p.seps[mid]; fast && len(sk) == kv.KeySize {
-			c = kv.CompareKeyWords(sk, wHi, wLo)
-		} else {
-			c = kv.CompareKeys(sk, target)
-		}
-		if c <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return p.Children[lo]
-}
+// childFor returns the child page covering t in an internal page.
+func (p *page) childFor(t kv.Target) pageID { return p.Children[p.sepCache.UpperBound(p.seps, t)] }
 
 // childIndex returns the position of child id in an internal page.
 func (p *page) childIndex(id pageID) int {

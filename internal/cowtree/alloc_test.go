@@ -65,3 +65,69 @@ func TestCheckpointCycleAllocs(t *testing.T) {
 		t.Fatalf("the measured cycles did not checkpoint: %+v -> %+v", before, after)
 	}
 }
+
+// BenchmarkCheckpoint measures one checkpoint of a wide stub tree whose
+// every interior node is dirty and whose leaves are all clean: a root
+// over 128 interiors of 128 leaves each, in accounting mode. Each
+// checkpoint writes the 129 interiors, and writeSubtreeClean tests all
+// 16,384 leaf references and writes none of them.
+func BenchmarkCheckpoint(b *testing.B) {
+	const fanout = 128
+	fs, err := stubEnvSized(128<<20, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := stubConfig(time.Hour, 64) // manual checkpoints only
+	cfg.Content = false
+	tr, err := openStub(fs, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := tr.newNode(false)
+	interiors := []*stubNode{root}
+	for i := uint64(0); i < fanout; i++ {
+		in := tr.newNode(false)
+		in.Parent = root.ID
+		root.Children = append(root.Children, in.ID)
+		if i > 0 {
+			root.seps = append(root.seps, i*fanout)
+		}
+		for j := uint64(0); j < fanout; j++ {
+			leaf := tr.newNode(true)
+			leaf.Parent = in.ID
+			in.Children = append(in.Children, leaf.ID)
+			if j > 0 {
+				in.seps = append(in.seps, i*fanout+j)
+			}
+		}
+		tr.resized(in)
+		interiors = append(interiors, in)
+	}
+	tr.resized(root)
+	tr.core.SetRoot(root.ID)
+	now, err := tr.flushAll(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := tr.core.IO().CheckpointPgs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range interiors {
+			tr.core.MarkDirty(&n.Node)
+		}
+		job, err := tr.core.NewCheckpointJob()
+		if err != nil || job == nil {
+			b.Fatalf("no checkpoint job: %v", err)
+		}
+		for done := false; !done; {
+			now, done = job.Step(now)
+		}
+	}
+	b.StopTimer()
+	if err := tr.core.Err(); err != nil {
+		b.Fatal(err)
+	}
+	if pages := tr.core.IO().CheckpointPgs - before; pages != int64(b.N)*int64(len(interiors)) {
+		b.Fatalf("%d checkpoints wrote %d nodes, want %d each", b.N, pages, len(interiors))
+	}
+}

@@ -53,7 +53,7 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	// header is evaluated once, so the appended ancestors — stamped
 	// already — are never revisited; the log is truncated only afterwards.
 	for _, id := range c.dirtyIDs {
-		if !c.nodes[id].Dirty || c.stampInJob(id, stamp) {
+		if !c.dirty[id] || c.stampInJob(id, stamp) {
 			continue
 		}
 		job.ids = append(job.ids, id)
@@ -155,11 +155,12 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 	budget := c.cfg.ChunkPages
 	ps := c.fs.PageSize()
 	for budget > 0 && j.idx < len(j.ids) {
-		n := c.nodes[j.ids[j.idx]]
+		id := j.ids[j.idx]
 		j.idx++
-		if !n.Dirty {
+		if !c.dirty[id] {
 			continue // evicted and written in the meantime
 		}
+		n := c.nodes[id]
 		// Foreground splits that ran since the snapshot may have hung
 		// children under the node that this job has never written (or
 		// even never-written brand-new nodes with a zero extent).
@@ -193,9 +194,11 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 	// would still release the previous checkpoint's extents and recycle
 	// the journal — destroying the only durable copies of recent updates.
 	// Write the current root (and its unwritten spine) first, so the
-	// metadata always points at a complete current tree.
+	// metadata always points at a complete current tree. A root without
+	// an extent is dirty (see Core.dirty).
 	var err error
-	if root := c.nodes[c.root]; root.needsWrite() {
+	if c.dirty[c.root] {
+		root := c.nodes[c.root]
 		// writeSubtreeClean counts the descendants it writes itself.
 		if now, _, err = c.writeSubtreeClean(now, root); err != nil {
 			c.Fail(err)
@@ -244,23 +247,25 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 	return now, true
 }
 
-// writeSubtreeClean writes every dirty or never-written descendant of a
-// node (deepest first), returning the pages written. Nodes registered by
-// splits that ran while the checkpoint was in flight are not in the
-// job's snapshot, and their ancestors' images must not be serialized
-// before they have on-disk extents. The scan covers every written
-// interior node's full fanout and almost always finds nothing. Writing a
-// child can only re-dirty its PARENT, never a sibling, and no foreground
-// work runs inside a step, so the children are tested as the loop
-// reaches them.
+// writeSubtreeClean writes every dirty descendant of a node (deepest
+// first), returning the pages written. Nodes registered by splits that
+// ran while the checkpoint was in flight are not in the job's snapshot,
+// and their ancestors' images must not be serialized before they have
+// on-disk extents. A never-written node is dirty (see Core.dirty), so
+// the dirty bitmap answers for both: the scan covers every written
+// interior node's full fanout and almost always finds nothing, reading
+// one byte per child and dereferencing only the children it writes.
+// Writing a child can only re-dirty its PARENT, never a sibling, and no
+// foreground work runs inside a step, so the children are tested as the
+// loop reaches them.
 func (c *Core) writeSubtreeClean(now sim.Duration, n *Node) (sim.Duration, int, error) {
 	ps := c.fs.PageSize()
 	pages := 0
 	for _, id := range n.Children {
-		child := c.nodes[id]
-		if !child.needsWrite() {
+		if !c.dirty[id] {
 			continue
 		}
+		child := c.nodes[id]
 		var err error
 		var extra int
 		now, extra, err = c.writeSubtreeClean(now, child)

@@ -1,15 +1,19 @@
 // Package cowtree is the copy-on-write core shared by the page/node-based
 // tree engines (B+Tree, Bε-tree). It owns the state every node has
 // whatever it carries — the Node header: identity, position in the tree,
-// dirty flag, on-disk extent, cache residency — and every mechanism that
-// acts on that state alone:
+// on-disk extent, cache residency — and every mechanism that acts on that
+// state alone:
 //
 //   - the extent allocator that places node images inside the
 //     collection file (lowest-offset first fit, checkpoint-deferred
 //     release),
 //   - the id-indexed node table and the root id,
-//   - dirty-set tracking (append-order transition log, filtered on the
-//     node flag at snapshot time),
+//   - dirty-set tracking: an id-indexed dirty bitmap beside the node
+//     table, and an append-order transition log filtered on it at
+//     snapshot time. A node with no extent is always dirty (engines
+//     mark every node they create, recovery gives every loaded node its
+//     extent), so the bitmap alone says which nodes a checkpoint must
+//     write,
 //   - the leaf cache: LRU list, resident byte count, hit/miss accounting
 //     and foreground eviction with write-back,
 //   - the copy-on-write node write (fresh extent, deferred release of the
@@ -66,9 +70,6 @@ type Node struct {
 	Next   NodeID // leaves chain left-to-right for range scans
 
 	Leaf bool
-	// Dirty means the node needs writing before eviction / at the next
-	// checkpoint. Set it through Core.MarkDirty only.
-	Dirty bool
 	// Resident leaves are on the core's LRU list (interior nodes are
 	// pinned and never listed).
 	Resident bool
@@ -87,10 +88,6 @@ type Node struct {
 
 	lruNewer, lruOlder NodeID
 }
-
-// needsWrite reports whether a checkpoint must write the node before an
-// image referencing it can be serialized.
-func (n *Node) needsWrite() bool { return n.Dirty || n.Disk.Pages == 0 }
 
 // Engine is what the core cannot do itself. Neither method sits on the
 // engine's steady-state op path in accounting mode — the core calls them
@@ -163,9 +160,16 @@ type Core struct {
 	nodes []*Node
 	root  NodeID
 
+	// dirty is indexed by NodeID like nodes: the node needs writing
+	// before eviction / at the next checkpoint. MarkDirty sets it, Write
+	// clears it. Every node without an extent is dirty, so it is also
+	// the whole answer to "must this child be written before an image
+	// referencing it is serialized" — a byte per id the checkpoint scans
+	// without touching the node headers.
+	dirty []bool
 	// dirtyIDs is the append-order log of false->true dirty
 	// transitions; dirtyCount tracks how many nodes are currently
-	// dirty. Snapshots filter stale entries on the node flag.
+	// dirty. Snapshots filter stale entries on the bitmap.
 	dirtyIDs   []NodeID
 	dirtyCount int
 
@@ -213,16 +217,20 @@ func (c *Core) Init(eng Engine, fs *extfs.FS, file *extfs.File, growChunk int64,
 	c.extents = newExtentAllocator(file, growChunk)
 	c.cfg = cfg
 	c.nodes = make([]*Node, 1, 64) // index 0 is NilNode
+	c.dirty = make([]bool, 1, 64)
 	c.metaSlots = metaSlots(cfg.MetaPrefix)
 	c.ckptW = sim.NewWorker(cfg.Name + "-checkpoint")
 }
 
 // Register enters a new node into the table under the next sequential
 // id, which it stores in n.ID. The engine appends its own node to its
-// parallel slice at the same moment.
+// parallel slice at the same moment. A node enters clean; the engine
+// marks a node it creates dirty, and recovery gives a node it loads its
+// extent (see dirty).
 func (c *Core) Register(n *Node) {
 	n.ID = NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, n)
+	c.dirty = append(c.dirty, false)
 }
 
 // Root returns the current root node id.
@@ -261,10 +269,10 @@ func (c *Core) Worker() *sim.Worker { return c.ckptW }
 // MarkDirty flags the node for the next checkpoint, logging the
 // false->true transition once.
 func (c *Core) MarkDirty(n *Node) {
-	if n.Dirty {
+	if c.dirty[n.ID] {
 		return // already tracked for the next checkpoint
 	}
-	n.Dirty = true
+	c.dirty[n.ID] = true
 	c.dirtyCount++
 	c.dirtyIDs = append(c.dirtyIDs, n.ID)
 }
@@ -371,7 +379,7 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 		c.unlink(victim)
 		victim.Resident = false
 		c.residentBytes -= int64(victim.Serialized)
-		if victim.Dirty {
+		if c.dirty[victim.ID] {
 			var err error
 			now, err = c.Write(now, victim)
 			if err != nil {
@@ -385,11 +393,27 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 	return now, nil
 }
 
-// CheckCache audits the leaf cache: the LRU list is linked consistently
-// both ways and ends at the tail, every listed node is a resident leaf,
-// every resident node is listed, and the listed sizes sum to the
-// resident byte count.
+// CheckCache audits the leaf cache and the dirty set: the LRU list is
+// linked consistently both ways and ends at the tail, every listed node
+// is a resident leaf, every resident node is listed, and the listed
+// sizes sum to the resident byte count; the dirty bitmap covers the
+// node table, counts dirtyCount nodes, and holds every node that has no
+// extent.
 func (c *Core) CheckCache() error {
+	if len(c.dirty) != len(c.nodes) {
+		return fmt.Errorf("%s: dirty bitmap covers %d ids, node table %d", c.cfg.Name, len(c.dirty), len(c.nodes))
+	}
+	dirty := 0
+	for id, n := range c.nodes[1:] {
+		if c.dirty[id+1] {
+			dirty++
+		} else if n.Disk.Pages == 0 {
+			return fmt.Errorf("%s: node %d has no extent and is not dirty", c.cfg.Name, id+1)
+		}
+	}
+	if dirty != c.dirtyCount {
+		return fmt.Errorf("%s: %d dirty nodes, dirtyCount says %d", c.cfg.Name, dirty, c.dirtyCount)
+	}
 	var bytes int64
 	listed, prev := 0, NilNode
 	for id := c.lruHead; id != NilNode; id = c.nodes[id].lruOlder {
@@ -450,10 +474,10 @@ func (c *Core) Write(now sim.Duration, n *Node) (sim.Duration, error) {
 		return now, err
 	}
 	n.Disk = ext
-	if n.Dirty {
+	if c.dirty[n.ID] {
 		// The node's entry in the transition log stays behind; checkpoint
-		// snapshots filter on the flag, so a stale id is skipped for free.
-		n.Dirty = false
+		// snapshots filter on the bitmap, so a stale id is skipped for free.
+		c.dirty[n.ID] = false
 		c.dirtyCount--
 	}
 	// Reconciling a child moves it on disk; the parent's reference

@@ -47,9 +47,8 @@ func (m *extentAllocator) alloc(n int64) (Extent, error) {
 	if n <= 0 {
 		return Extent{}, fmt.Errorf("cowtree: alloc of %d pages", n)
 	}
-	if e, ok := m.free.FirstFit(n); ok {
-		m.free.Carve(e.Start, n)
-		return Extent{Start: e.Start, Pages: n}, nil
+	if e, ok := m.free.Take(n); ok {
+		return e, nil
 	}
 	grow := n
 	if grow < m.growChunk {

@@ -50,10 +50,14 @@ type stubTree struct {
 	imaged func(NodeID)
 }
 
-// stubEnv mounts a content-enabled simulated device.
-func stubEnv() (*extfs.FS, error) {
+// stubEnv mounts a content-enabled 32 MiB simulated device.
+func stubEnv() (*extfs.FS, error) { return stubEnvSized(32<<20, true) }
+
+// stubEnvSized mounts a simulated device of the given logical size,
+// storing written bytes when content is set.
+func stubEnvSized(logicalBytes int64, content bool) (*extfs.FS, error) {
 	ssd, err := flash.NewDevice(flash.Config{
-		LogicalBytes:  32 << 20,
+		LogicalBytes:  logicalBytes,
 		PageSize:      4096,
 		PagesPerBlock: 32,
 		Profile: flash.Profile{
@@ -70,7 +74,9 @@ func stubEnv() (*extfs.FS, error) {
 		return nil, err
 	}
 	dev := blockdev.New(ssd)
-	dev.EnableContentStore()
+	if content {
+		dev.EnableContentStore()
+	}
 	return extfs.Mount(dev, extfs.Options{})
 }
 

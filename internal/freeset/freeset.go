@@ -110,57 +110,55 @@ func join(l, r *node) *node {
 	}
 }
 
-// insert adds nd (a detached single node) into the subtree.
-func insert(root, nd *node) *node {
-	if root == nil {
-		return nd
-	}
-	if nd.prio > root.prio {
-		// Split root's subtree around nd's key.
-		nd.left, nd.right = split(root, nd.ext.Start)
-		upd(nd)
-		return nd
-	}
-	if nd.ext.Start < root.ext.Start {
-		root.left = insert(root.left, nd)
-	} else {
-		root.right = insert(root.right, nd)
-	}
-	upd(root)
-	return root
-}
-
-// split partitions a treap into keys < at and keys >= at.
-func split(nd *node, at int64) (l, r *node) {
-	if nd == nil {
-		return nil, nil
-	}
-	if nd.ext.Start < at {
-		nd.right, r = split(nd.right, at)
-		upd(nd)
-		return nd, r
-	}
-	l, nd.left = split(nd.left, at)
+// rotateRight lifts nd's left child above it; rotateLeft its right one.
+func rotateRight(nd *node) *node {
+	l := nd.left
+	nd.left, l.right = l.right, nd
 	upd(nd)
-	return l, nd
+	upd(l)
+	return l
 }
 
-// FirstFit returns the lowest-offset extent of at least n > 0 pages.
-func (s *Set) FirstFit(n int64) (Extent, bool) {
-	nd := s.root
-	if nd.subMax() < n {
+func rotateLeft(nd *node) *node {
+	r := nd.right
+	nd.right, r.left = r.left, nd
+	upd(nd)
+	upd(r)
+	return r
+}
+
+// Take removes the first n > 0 pages of the lowest-offset extent that
+// holds at least n, and returns them: a first fit and a prefix carve in
+// one descent.
+func (s *Set) Take(n int64) (Extent, bool) {
+	if s.root.subMax() < n {
 		return Extent{}, false
 	}
-	for {
-		switch {
-		case nd.left.subMax() >= n:
-			nd = nd.left
-		case nd.ext.Pages >= n:
-			return nd.ext, true
-		default:
-			nd = nd.right
-		}
+	var got Extent
+	s.root = s.take(s.root, n, &got)
+	return got, true
+}
+
+// take descends toward the leftmost extent of at least n pages (the
+// subtree max says which side holds it) and cuts n pages off its front:
+// in place, which keeps the key order, or by joining out an exact fit.
+func (s *Set) take(nd *node, n int64, got *Extent) *node {
+	switch {
+	case nd.left.subMax() >= n:
+		nd.left = s.take(nd.left, n, got)
+	case nd.ext.Pages == n:
+		*got = nd.ext
+		merged := join(nd.left, nd.right)
+		s.recycle(nd)
+		return merged
+	case nd.ext.Pages > n:
+		*got = Extent{Start: nd.ext.Start, Pages: n}
+		nd.ext = Extent{Start: nd.ext.Start + n, Pages: nd.ext.Pages - n}
+	default:
+		nd.right = s.take(nd.right, n, got)
 	}
+	upd(nd)
+	return nd
 }
 
 // After returns the first extent that ends after page p: the one
@@ -183,7 +181,7 @@ func (s *Set) Carve(start, n int64) {
 	var rest Extent
 	s.root = s.carve(s.root, start, n, &rest)
 	if rest.Pages > 0 {
-		s.root = insert(s.root, s.newNode(rest))
+		s.Release(rest) // touches neither neighbour: a plain insert
 	}
 }
 
@@ -217,15 +215,70 @@ func (s *Set) carve(nd *node, start, n int64, rest *Extent) *node {
 // Release returns an extent to the set, merging it with the free
 // neighbours it touches. It must not overlap any extent of the set.
 func (s *Set) Release(e Extent) {
-	if pred, ok := s.After(e.Start - 1); ok && pred.Start+pred.Pages == e.Start {
-		s.Carve(pred.Start, pred.Pages)
-		e = Extent{Start: pred.Start, Pages: pred.Pages + e.Pages}
+	if s.root == nil {
+		s.root = s.newNode(e)
+		return
 	}
-	if succ, ok := s.After(e.Start); ok && succ.Start == e.Start+e.Pages {
-		s.Carve(succ.Start, succ.Pages)
-		e.Pages += succ.Pages
+	s.root = s.release(s.root, e, nil, nil)
+}
+
+// release makes Release's one descent. e's start is not a key of the
+// set, so its predecessor and successor both lie on its search path:
+// pred is the last node the descent leaves rightward, succ the last it
+// leaves leftward. At the path's last node, where e's slot is an empty
+// child, e either extends the neighbour it touches in place — a new
+// start for succ stays between its neighbours, like a carved prefix —
+// or, touching both, is folded with the deeper neighbour (the last node
+// itself, whose child on e's side is that empty slot) into the
+// shallower one, the deeper one's other child taking its place; or,
+// touching neither, fills the slot as a new node, rotated up past every
+// ancestor of lower priority. The subtree max is refreshed on the way
+// back up.
+func (s *Set) release(nd *node, e Extent, pred, succ *node) *node {
+	left := e.Start < nd.ext.Start
+	child := nd.right
+	if left {
+		succ, child = nd, nd.left
+	} else {
+		pred = nd
 	}
-	s.root = insert(s.root, s.newNode(e))
+	if child != nil {
+		child = s.release(child, e, pred, succ)
+	} else {
+		predTouches := pred != nil && pred.ext.Start+pred.ext.Pages == e.Start
+		succTouches := succ != nil && succ.ext.Start == e.Start+e.Pages
+		switch {
+		case predTouches && succTouches && left: // nd is succ
+			pred.ext.Pages += e.Pages + nd.ext.Pages
+			child = nd.right
+			s.recycle(nd)
+			return child
+		case predTouches && succTouches: // nd is pred
+			succ.ext = Extent{Start: nd.ext.Start, Pages: nd.ext.Pages + e.Pages + succ.ext.Pages}
+			child = nd.left
+			s.recycle(nd)
+			return child
+		case predTouches:
+			pred.ext.Pages += e.Pages
+		case succTouches:
+			succ.ext = Extent{Start: e.Start, Pages: e.Pages + succ.ext.Pages}
+		default:
+			child = s.newNode(e)
+		}
+	}
+	if left {
+		nd.left = child
+		if child != nil && child.prio > nd.prio {
+			return rotateRight(nd)
+		}
+	} else {
+		nd.right = child
+		if child != nil && child.prio > nd.prio {
+			return rotateLeft(nd)
+		}
+	}
+	upd(nd)
+	return nd
 }
 
 // Check verifies the set's invariants — extents in start order,

@@ -80,10 +80,28 @@ func mustMatch(t *testing.T, step int, s *Set, m model) {
 	}
 }
 
-// TestSetMatchesModel drives the four operations directly — the
-// allocators' differential tests reach them only through their policies
-// — against the linear model: random carves of any sub-range of any
-// extent, releases of what was carved, and queries at every boundary.
+// shape classifies the release of e into the set: bit 0 set when e
+// touches its predecessor, bit 1 when it touches its successor.
+func (m model) shape(e Extent) int {
+	k := 0
+	for _, f := range m {
+		if f.Start+f.Pages == e.Start {
+			k |= 1
+		}
+		if f.Start == e.Start+e.Pages {
+			k |= 2
+		}
+	}
+	return k
+}
+
+// TestSetMatchesModel drives the operations directly — the allocators'
+// differential tests reach them only through their policies — against
+// the linear model: random carves of any sub-range of any extent, takes
+// of random sizes (the model's first fit plus a prefix carve), releases
+// of what was carved or taken, and queries at every boundary, with
+// Check after every step. Each of Release's four shapes — touching the
+// predecessor, the successor, both or neither — must come up often.
 func TestSetMatchesModel(t *testing.T) {
 	const pages = 4096
 	var s Set
@@ -91,9 +109,11 @@ func TestSetMatchesModel(t *testing.T) {
 	s.Release(Extent{Start: 0, Pages: pages})
 	m = m.release(Extent{Start: 0, Pages: pages})
 	var held []Extent
+	var shapes [4]int
 	rng := sim.NewRNG(7)
-	for step := 0; step < 6000; step++ {
-		if len(m) > 0 && (rng.Uint64n(100) < 52 || len(held) == 0) {
+	for step := 0; step < 8000; step++ {
+		switch r := rng.Uint64n(100); {
+		case len(m) > 0 && (r < 40 || len(held) == 0):
 			from := m[rng.Uint64n(uint64(len(m)))]
 			off := int64(rng.Uint64n(uint64(from.Pages)))
 			if rng.Uint64n(2) == 0 {
@@ -106,31 +126,46 @@ func TestSetMatchesModel(t *testing.T) {
 			s.Carve(from.Start+off, n)
 			m = m.carve(from.Start+off, n)
 			held = append(held, Extent{Start: from.Start + off, Pages: n})
-		} else {
+		case r < 55:
+			n := int64(rng.Uint64n(40) + 1)
+			got, ok := s.Take(n)
+			want, wantOK := m.firstFit(n)
+			if wantOK {
+				want.Pages = n
+				m = m.carve(want.Start, n)
+			}
+			if got != want || ok != wantOK {
+				t.Fatalf("step %d: Take(%d) = %+v, %v; model %+v, %v", step, n, got, ok, want, wantOK)
+			}
+			if ok {
+				held = append(held, got)
+			}
+		default:
 			i := rng.Uint64n(uint64(len(held)))
+			shapes[m.shape(held[i])]++
 			s.Release(held[i])
 			m = m.release(held[i])
 			held[i] = held[len(held)-1]
 			held = held[:len(held)-1]
 		}
 		mustMatch(t, step, &s, m)
-		n := int64(rng.Uint64n(40) + 1)
-		got, ok := s.FirstFit(n)
-		if want, wantOK := m.firstFit(n); got != want || ok != wantOK {
-			t.Fatalf("step %d: FirstFit(%d) = %+v, %v; model %+v, %v", step, n, got, ok, want, wantOK)
-		}
 		p := int64(rng.Uint64n(pages+2)) - 1
-		got, ok = s.After(p)
+		got, ok := s.After(p)
 		if want, wantOK := m.after(p); got != want || ok != wantOK {
 			t.Fatalf("step %d: After(%d) = %+v, %v; model %+v, %v", step, p, got, ok, want, wantOK)
+		}
+	}
+	for k, name := range []string{"neither neighbour", "the predecessor", "the successor", "both neighbours"} {
+		if shapes[k] < 100 {
+			t.Errorf("%d releases touched %s, want at least 100 (shapes %v)", shapes[k], name, shapes)
 		}
 	}
 }
 
 func TestEmptySet(t *testing.T) {
 	var s Set
-	if e, ok := s.FirstFit(1); ok {
-		t.Fatalf("FirstFit on an empty set = %+v", e)
+	if e, ok := s.Take(1); ok {
+		t.Fatalf("Take on an empty set = %+v", e)
 	}
 	if e, ok := s.After(0); ok {
 		t.Fatalf("After on an empty set = %+v", e)
@@ -202,5 +237,82 @@ func TestNodePool(t *testing.T) {
 	}
 	if avg, want := testing.AllocsPerRun(1, grow), 20000.0/slabNodes+1; avg > want {
 		t.Fatalf("growing to 20000 extents = %v allocs, want <= %v slabs", avg, want)
+	}
+}
+
+// benchSet is a set holding about 8,000 two-page holes — roughly the
+// extent count of cowtree's allocator on the aged B+Tree cell, and half
+// of extfs's under the LSM — and above them one free run of span pages.
+func benchSet(span int64) *Set {
+	s := &Set{}
+	const holes = 8000
+	for i := int64(0); i < holes; i++ {
+		s.Release(Extent{Start: 3 * i, Pages: 2})
+	}
+	s.Release(Extent{Start: 3 * holes, Pages: span})
+	return s
+}
+
+func shuffle(rng *sim.RNG, xs []Extent) {
+	for i := len(xs) - 1; i > 0; i-- {
+		j := rng.Uint64n(uint64(i + 1))
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+}
+
+// BenchmarkRelease measures one Release, in a random order over pieces
+// of 1–8 pages that were taken back to back, so all four shapes
+// (merging with neither neighbour, either one or both) occur. Retaking
+// the pieces between rounds is not timed.
+func BenchmarkRelease(b *testing.B) {
+	const span = 1 << 15
+	s := benchSet(span)
+	rng := sim.NewRNG(3)
+	var pieces []Extent
+	retake := func() {
+		pieces = pieces[:0]
+		for left := int64(span); left > 0; {
+			e, _ := s.Take(min(int64(rng.Uint64n(8)+1), left))
+			pieces = append(pieces, e)
+			left -= e.Pages
+		}
+		shuffle(rng, pieces)
+	}
+	retake()
+	next := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(pieces) {
+			b.StopTimer()
+			retake()
+			next = 0
+			b.StartTimer()
+		}
+		s.Release(pieces[next])
+		next++
+	}
+}
+
+// BenchmarkTake measures one Take of 1–8 pages: the smallest sizes fill
+// holes, the larger ones must skip them. Releasing the taken pieces
+// between rounds, in a random order, is not timed.
+func BenchmarkTake(b *testing.B) {
+	const span = 1 << 15
+	s := benchSet(span)
+	rng := sim.NewRNG(5)
+	var taken []Extent
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(taken) == 4096 {
+			b.StopTimer()
+			shuffle(rng, taken)
+			for _, e := range taken {
+				s.Release(e)
+			}
+			taken = taken[:0]
+			b.StartTimer()
+		}
+		e, _ := s.Take(int64(i%8 + 1))
+		taken = append(taken, e)
 	}
 }

@@ -218,34 +218,47 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	}
 }
 
+// Target is a search key decoded once for a whole descent: its bytes
+// and, when it is KeySize bytes, the two words (DecomposeKey) every
+// level's binary search compares instead of re-decoding the key.
+type Target struct {
+	Key    []byte
+	Hi, Lo uint64
+	Fast   bool // Key is KeySize bytes; Hi and Lo are its words
+}
+
+// NewTarget decodes k for a descent.
+func NewTarget(k []byte) Target {
+	hi, lo, ok := DecomposeKey(k)
+	return Target{Key: k, Hi: hi, Lo: lo, Fast: ok}
+}
+
 // SepCache caches the big-endian word decomposition of a sorted set of
 // separator keys while every separator is a fixed-size key, so a
 // descent's binary search probes raw uint64 pairs instead of re-decoding
-// separator bytes on every comparison. The zero value is an inactive
-// cache (callers fall back to byte comparison); Refresh activates it.
-// The B-tree-family engines share it for their interior nodes — the
-// separators only change on splits, so the cache refresh is off the hot
-// path.
+// separator bytes on every comparison. A separator's two words sit side
+// by side, so a probe loads one cache line, not one per word. The zero
+// value is an inactive cache (UpperBound compares the separator bytes);
+// Refresh activates it. The B-tree-family engines share it for their
+// interior nodes — the separators only change on splits, so the cache
+// refresh is off the hot path.
 type SepCache struct {
-	hi, lo []uint64
-	fast   bool
+	words []sepWords
+	fast  bool
 }
 
-// Fast reports whether the cache is active (every separator decomposed).
-func (c *SepCache) Fast() bool { return c.fast }
+type sepWords struct{ hi, lo uint64 }
 
 // Refresh rebuilds the cache from the full separator set.
 func (c *SepCache) Refresh(seps [][]byte) {
-	c.hi = c.hi[:0]
-	c.lo = c.lo[:0]
+	c.words = c.words[:0]
 	for _, sep := range seps {
 		hi, lo, ok := DecomposeKey(sep)
 		if !ok {
 			c.fast = false
 			return
 		}
-		c.hi = append(c.hi, hi)
-		c.lo = append(c.lo, lo)
+		c.words = append(c.words, sepWords{hi, lo})
 	}
 	c.fast = true
 }
@@ -260,25 +273,43 @@ func (c *SepCache) Insert(idx int, sep []byte) {
 	hi, lo, ok := DecomposeKey(sep)
 	if !ok {
 		c.fast = false
-		c.hi, c.lo = c.hi[:0], c.lo[:0]
+		c.words = c.words[:0]
 		return
 	}
-	c.hi = append(c.hi, 0)
-	copy(c.hi[idx+1:], c.hi[idx:])
-	c.hi[idx] = hi
-	c.lo = append(c.lo, 0)
-	copy(c.lo[idx+1:], c.lo[idx:])
-	c.lo[idx] = lo
+	c.words = append(c.words, sepWords{})
+	copy(c.words[idx+1:], c.words[idx:])
+	c.words[idx] = sepWords{hi, lo}
 }
 
-// UpperBound returns the number of cached separators <= the target key
-// given by its decomposed words — which is exactly the child index a
-// B-tree descent takes (childFor sends key == sep to the right child).
-func (c *SepCache) UpperBound(wHi, wLo uint64) int {
-	lo, hi := 0, len(c.hi)
+// UpperBound returns the number of separators in seps — the set the
+// cache was built from — that are <= t, which is exactly the child index
+// a B-tree descent takes (a key equal to a separator goes right). It
+// probes the cached words when both the cache and t have them, and
+// compares separator bytes otherwise.
+func (c *SepCache) UpperBound(seps [][]byte, t Target) int {
+	if t.Fast && c.fast {
+		w := c.words
+		lo, hi := 0, len(w)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s := w[mid]; s.hi < t.Hi || (s.hi == t.Hi && s.lo <= t.Lo) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	lo, hi := 0, len(seps)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if h := c.hi[mid]; h < wHi || (h == wHi && c.lo[mid] <= wLo) {
+		var cmp int
+		if sk := seps[mid]; t.Fast && len(sk) == KeySize {
+			cmp = CompareKeyWords(sk, t.Hi, t.Lo)
+		} else {
+			cmp = CompareKeys(sk, t.Key)
+		}
+		if cmp <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -51,10 +51,11 @@ func audit(t *testing.T, e kv.Engine) {
 }
 
 // Run executes the conformance suite against the factory. Every engine a
-// scenario opens is audited when the scenario ends.
+// scenario opens is audited fresh, and again when the scenario ends.
 func Run(t *testing.T, factory Factory) {
 	open := func(t *testing.T, content bool) *Stack {
 		s := factory(t, content)
+		audit(t, s.Engine)
 		t.Cleanup(func() { audit(t, s.Engine) })
 		return s
 	}
