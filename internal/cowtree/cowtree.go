@@ -10,10 +10,10 @@
 //   - the id-indexed node table and the root id,
 //   - dirty-set tracking: an id-indexed dirty bitmap beside the node
 //     table, and an append-order transition log filtered on it at
-//     snapshot time. A node with no extent is always dirty (engines
-//     mark every node they create, recovery gives every loaded node its
-//     extent), so the bitmap alone says which nodes a checkpoint must
-//     write,
+//     snapshot time. A node with no extent is always dirty — engines
+//     mark every node they create, recovery gives every node it loads
+//     its extent, and CheckCache asserts it — so the bitmap alone says
+//     which nodes a checkpoint must write,
 //   - the leaf cache: LRU list, resident byte count, hit/miss accounting
 //     and foreground eviction with write-back,
 //   - the copy-on-write node write (fresh extent, deferred release of the

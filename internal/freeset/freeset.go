@@ -4,14 +4,18 @@
 // owns the structure, the allocators own the policy.
 //
 // It is a treap keyed by extent start and augmented with the subtree's
-// maximum extent size, so the leftmost extent that fits, the first
-// extent past a cursor, a carve and a merging release all cost
-// O(log n). Both allocators used to keep a sorted slice, whose O(n)
-// insert/delete memmoves were roughly a quarter of the fig2 B+Tree
-// cell's CPU (cowtree's allocator, with its linear first-fit scan) and
-// 45 % of the benchmark's lsm-write cell (extfs, 15–19 K extents under
-// file churn). Each policy is pinned to its sorted-slice implementation
-// by a differential test in its own package.
+// maximum extent size, and each operation is one root-to-leaf descent:
+// Take (the leftmost extent that fits, cut from its front), After (the
+// first extent past a cursor), Carve, and a merging Release, which finds
+// both neighbours of the extent on its own search path. Merges and cuts
+// edit nodes in place, so only a release that touches no neighbour or a
+// carve from the middle of an extent mints a node. Both allocators used
+// to keep a sorted slice, whose O(n) insert/delete memmoves were roughly
+// a quarter of the fig2 B+Tree cell's CPU (cowtree's allocator, with its
+// linear first-fit scan) and 45 % of the benchmark's lsm-write cell
+// (extfs, 15–19 K extents under file churn). Each policy is pinned to
+// its sorted-slice implementation by a differential test in its own
+// package.
 package freeset
 
 import "fmt"
@@ -23,7 +27,7 @@ type Extent struct {
 
 // node is one free extent. Priorities are minted from a deterministic
 // counter hash, so the tree shape — and therefore performance, but not
-// the allocation results, which depend only on the key order — is
+// the allocation results, which depend only on the set's contents — is
 // reproducible across runs.
 type node struct {
 	ext         Extent
