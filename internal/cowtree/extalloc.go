@@ -94,14 +94,16 @@ func (m *extentAllocator) releaseDeferred(e Extent) {
 // the next one.
 func (m *extentAllocator) pendingMark() int { return len(m.pending) }
 
-// commitPendingPrefix releases the first n deferred extents.
+// commitPendingPrefix releases the first n deferred extents, as one
+// batch: on an aged tree a checkpoint frees about as many extents as the
+// free set holds.
 func (m *extentAllocator) commitPendingPrefix(n int) {
 	if n > len(m.pending) {
 		n = len(m.pending)
 	}
 	for _, e := range m.pending[:n] {
 		m.pendingTotal -= e.Pages
-		m.release(e)
 	}
+	m.free.ReleaseAll(m.pending[:n])
 	m.pending = append(m.pending[:0], m.pending[n:]...)
 }

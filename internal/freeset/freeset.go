@@ -9,7 +9,9 @@
 // first extent past a cursor), Carve, and a merging Release, which finds
 // both neighbours of the extent on its own search path. Merges and cuts
 // edit nodes in place, so only a release that touches no neighbour or a
-// carve from the middle of an extent mints a node. Both allocators used
+// carve from the middle of an extent mints a node. ReleaseAll takes a
+// batch — a checkpoint commit returns about as many extents as the set
+// holds — and merges it in one in-order pass instead. Both allocators used
 // to keep a sorted slice, whose O(n) insert/delete memmoves were roughly
 // a quarter of the fig2 B+Tree cell's CPU (cowtree's allocator, with its
 // linear first-fit scan) and 45 % of the benchmark's lsm-write cell
@@ -18,7 +20,11 @@
 // package.
 package freeset
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Extent is a contiguous run of pages. Pages == 0 means "no extent".
 type Extent struct {
@@ -40,11 +46,14 @@ type node struct {
 // is empty and ready to use.
 type Set struct {
 	root *node
+	size int // extents in the set
 	// spare chains recycled nodes through their left pointers and fresh
 	// ones are cut from slab, so the steady state allocates no nodes.
 	spare    *node
 	slab     []node
 	prioSeed uint64
+	// walk and spine are ReleaseAll's stacks, kept for reuse.
+	walk, spine []*node
 }
 
 // slabNodes sizes a slab (12 KiB) for both kinds of benchmark cell: the
@@ -73,11 +82,13 @@ func (s *Set) newNode(e Extent) *node {
 		nd, s.slab = &s.slab[0], s.slab[1:]
 	}
 	s.prioSeed++
+	s.size++
 	*nd = node{ext: e, prio: splitmix64(s.prioSeed), max: e.Pages}
 	return nd
 }
 
 func (s *Set) recycle(nd *node) {
+	s.size--
 	nd.right = nil
 	nd.left = s.spare
 	s.spare = nd
@@ -283,6 +294,81 @@ func (s *Set) release(nd *node, e Extent, pred, succ *node) *node {
 	}
 	upd(nd)
 	return nd
+}
+
+// ReleaseAll releases every extent of es, leaving the set as Release
+// would one by one; es may be reordered. A batch of more than a
+// sixteenth of the set's size — a checkpoint commit frees thousands of
+// extents at once — is sorted and merged with the set in one in-order
+// walk instead, coalescing whatever touches, and the treap is rebuilt
+// from the merged run as it streams out: O(n + k) after the sort, where
+// k descents would each chase a root-to-leaf path.
+func (s *Set) ReleaseAll(es []Extent) {
+	if len(es)*16 <= s.size {
+		for _, e := range es {
+			s.Release(e)
+		}
+		return
+	}
+	slices.SortFunc(es, func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
+	walk, spine := s.walk[:0], s.spine[:0]
+	nd := s.root
+	for {
+		for ; nd != nil; nd = nd.left {
+			walk = append(walk, nd)
+		}
+		var next *node
+		if len(walk) > 0 {
+			next = walk[len(walk)-1]
+		}
+		for len(es) > 0 && (next == nil || es[0].Start < next.ext.Start) {
+			spine = s.pushRun(spine, nil, es[0])
+			es = es[1:]
+		}
+		if next == nil {
+			break
+		}
+		walk = walk[:len(walk)-1]
+		nd = next.right
+		spine = s.pushRun(spine, next, next.ext)
+	}
+	for i := len(spine) - 1; i >= 0; i-- {
+		upd(spine[i])
+	}
+	s.root = spine[0]
+	s.walk, s.spine = walk, spine[:0]
+}
+
+// pushRun appends extent e — held by node nd, or by no node yet — to the
+// treap being built in key order, of which spine is the right spine,
+// root first. An extent that touches the last one pushed (the spine's
+// end) is folded into it; otherwise its node pops every spine node of
+// lower priority, which become its left subtree, and hangs as the right
+// child of the spine node left above it (a Cartesian-tree build). A
+// node's max is refreshed as it leaves the spine, when its subtree is
+// final.
+func (s *Set) pushRun(spine []*node, nd *node, e Extent) []*node {
+	if k := len(spine); k > 0 && spine[k-1].ext.Start+spine[k-1].ext.Pages == e.Start {
+		spine[k-1].ext.Pages += e.Pages
+		if nd != nil {
+			s.recycle(nd)
+		}
+		return spine
+	}
+	if nd == nil {
+		nd = s.newNode(e)
+	}
+	var last *node
+	for k := len(spine); k > 0 && spine[k-1].prio < nd.prio; k-- {
+		last = spine[k-1]
+		upd(last)
+		spine = spine[:k-1]
+	}
+	nd.left, nd.right = last, nil
+	if k := len(spine); k > 0 {
+		spine[k-1].right = nd
+	}
+	return append(spine, nd)
 }
 
 // Check verifies the set's invariants — extents in start order,

@@ -1,6 +1,7 @@
 package freeset
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -99,21 +100,32 @@ func (m model) shape(e Extent) int {
 // differential tests reach them only through their policies — against
 // the linear model: random carves of any sub-range of any extent, takes
 // of random sizes (the model's first fit plus a prefix carve), releases
-// of what was carved or taken, and queries at every boundary, with
-// Check after every step. Each of Release's four shapes — touching the
-// predecessor, the successor, both or neither — must come up often.
+// of what was carved or taken, one at a time or as a ReleaseAll batch,
+// and queries at every boundary, with Check after every step. Each of
+// Release's four shapes — touching the predecessor, the successor, both
+// or neither — must come up often, and so must both of ReleaseAll's
+// paths: a batch large against the set, which rebuilds it, and a small
+// one, released extent by extent.
 func TestSetMatchesModel(t *testing.T) {
-	const pages = 4096
+	const pages = 1 << 14
 	var s Set
 	var m model
 	s.Release(Extent{Start: 0, Pages: pages})
 	m = m.release(Extent{Start: 0, Pages: pages})
 	var held []Extent
 	var shapes [4]int
+	batches := map[bool]int{} // ReleaseAll calls by path: rebuilt or not
 	rng := sim.NewRNG(7)
 	for step := 0; step < 8000; step++ {
+		// Phases that fragment the set, with small batches, alternate
+		// with phases that heal it, with batches of half of what is held.
+		carveP, takeP, batchP := uint64(30), uint64(40), uint64(48)
+		fragment := step/1000%2 == 0
+		if fragment {
+			carveP, takeP, batchP = 55, 65, 77
+		}
 		switch r := rng.Uint64n(100); {
-		case len(m) > 0 && (r < 40 || len(held) == 0):
+		case len(m) > 0 && (r < carveP || len(held) == 0):
 			from := m[rng.Uint64n(uint64(len(m)))]
 			off := int64(rng.Uint64n(uint64(from.Pages)))
 			if rng.Uint64n(2) == 0 {
@@ -126,7 +138,7 @@ func TestSetMatchesModel(t *testing.T) {
 			s.Carve(from.Start+off, n)
 			m = m.carve(from.Start+off, n)
 			held = append(held, Extent{Start: from.Start + off, Pages: n})
-		case r < 55:
+		case r < takeP:
 			n := int64(rng.Uint64n(40) + 1)
 			got, ok := s.Take(n)
 			want, wantOK := m.firstFit(n)
@@ -140,6 +152,21 @@ func TestSetMatchesModel(t *testing.T) {
 			if ok {
 				held = append(held, got)
 			}
+		case r < batchP && len(held) > 1:
+			k := 1 + int(rng.Uint64n(2))
+			if !fragment {
+				k = len(held)/2 + 1
+			}
+			var batch []Extent
+			for ; k > 0 && len(held) > 0; k-- {
+				i := rng.Uint64n(uint64(len(held)))
+				batch = append(batch, held[i])
+				m = m.release(held[i])
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+			}
+			batches[len(batch)*16 > s.size]++
+			s.ReleaseAll(batch)
 		default:
 			i := rng.Uint64n(uint64(len(held)))
 			shapes[m.shape(held[i])]++
@@ -159,6 +186,9 @@ func TestSetMatchesModel(t *testing.T) {
 		if shapes[k] < 100 {
 			t.Errorf("%d releases touched %s, want at least 100 (shapes %v)", shapes[k], name, shapes)
 		}
+	}
+	if batches[true] < 100 || batches[false] < 100 {
+		t.Errorf("ReleaseAll rebuilt the set %d times and released one by one %d times, want at least 100 each", batches[true], batches[false])
 	}
 }
 
@@ -212,20 +242,33 @@ func TestCheckCatchesCorruption(t *testing.T) {
 }
 
 // TestNodePool pins the allocation behaviour both allocators rely on:
-// recycled nodes make carve/release churn allocation-free, and slabs
-// make growing to n extents cost n/slabNodes allocations, not n.
+// recycled nodes make carve/release churn allocation-free, one extent at
+// a time or as a batch, and slabs make growing to n extents cost
+// n/slabNodes allocations, not n. Each measurement starts from a
+// collected heap: a collection that begins inside the measured run
+// allocates on the runtime's behalf, which is no allocation of the set's.
 func TestNodePool(t *testing.T) {
 	var s Set
 	s.Release(Extent{Start: 0, Pages: 1 << 20})
+	batch := make([]Extent, 0, 32)
 	churn := func() {
-		for i := int64(0); i < 32; i++ {
-			s.Carve(100*i+10, 5) // middle cut: a new node each
-		}
-		for i := int64(0); i < 32; i++ {
-			s.Release(Extent{Start: 100*i + 10, Pages: 5})
+		for round := 0; round < 2; round++ {
+			batch = batch[:0]
+			for i := int64(0); i < 32; i++ {
+				s.Carve(100*i+10, 5) // middle cut: a new node each
+				batch = append(batch, Extent{Start: 100*i + 10, Pages: 5})
+			}
+			if round == 0 {
+				for _, e := range batch {
+					s.Release(e)
+				}
+			} else {
+				s.ReleaseAll(batch) // 32 extents against 33: the rebuild
+			}
 		}
 	}
 	churn()
+	runtime.GC()
 	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
 		t.Fatalf("warm carve/release churn = %v allocs, want 0", avg)
 	}
@@ -235,6 +278,7 @@ func TestNodePool(t *testing.T) {
 			s.Release(Extent{Start: 2 * i, Pages: 1})
 		}
 	}
+	runtime.GC()
 	if avg, want := testing.AllocsPerRun(1, grow), 20000.0/slabNodes+1; avg > want {
 		t.Fatalf("growing to 20000 extents = %v allocs, want <= %v slabs", avg, want)
 	}
@@ -260,16 +304,16 @@ func shuffle(rng *sim.RNG, xs []Extent) {
 	}
 }
 
-// BenchmarkRelease measures one Release, in a random order over pieces
-// of 1–8 pages that were taken back to back, so all four shapes
-// (merging with neither neighbour, either one or both) occur. Retaking
-// the pieces between rounds is not timed.
-func BenchmarkRelease(b *testing.B) {
+// releaseRounds returns a benchmark set and a function that takes back
+// span pages from it as pieces of 1–8 pages, back to back, and returns
+// them shuffled: releasing a round merges with neither neighbour, either
+// one or both, in every mix.
+func releaseRounds() (*Set, func() []Extent) {
 	const span = 1 << 15
 	s := benchSet(span)
 	rng := sim.NewRNG(3)
 	var pieces []Extent
-	retake := func() {
+	return s, func() []Extent {
 		pieces = pieces[:0]
 		for left := int64(span); left > 0; {
 			e, _ := s.Take(min(int64(rng.Uint64n(8)+1), left))
@@ -277,20 +321,44 @@ func BenchmarkRelease(b *testing.B) {
 			left -= e.Pages
 		}
 		shuffle(rng, pieces)
+		return pieces
 	}
-	retake()
+}
+
+// BenchmarkRelease measures one Release of a round's pieces. Retaking
+// the pieces between rounds is not timed.
+func BenchmarkRelease(b *testing.B) {
+	s, retake := releaseRounds()
+	pieces := retake()
 	next := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if next == len(pieces) {
 			b.StopTimer()
-			retake()
+			pieces = retake()
 			next = 0
 			b.StartTimer()
 		}
 		s.Release(pieces[next])
 		next++
 	}
+}
+
+// BenchmarkReleaseAll releases each round as one batch (about 7,300
+// pieces against the set's 8,000 extents: the rebuild). Its ns/extent
+// compares with BenchmarkRelease's ns/op.
+func BenchmarkReleaseAll(b *testing.B) {
+	s, retake := releaseRounds()
+	extents := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pieces := retake()
+		extents += len(pieces)
+		b.StartTimer()
+		s.ReleaseAll(pieces)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(extents), "ns/extent")
 }
 
 // BenchmarkTake measures one Take of 1–8 pages: the smallest sizes fill
