@@ -296,15 +296,23 @@ func (s *Set) release(nd *node, e Extent, pred, succ *node) *node {
 	return nd
 }
 
+// rebuildShare is the batch size, as a fraction 1/rebuildShare of the
+// set's, from which ReleaseAll rebuilds the set rather than descending
+// once per extent. Per extent, the rebuild costs a sort (~130 ns at 4 K
+// extents) plus a share of an in-order pass over the set (~20 ns a
+// node), a descent ~300 ns (BenchmarkRelease, BenchmarkReleaseAll): they
+// break even near an eighth.
+const rebuildShare = 8
+
 // ReleaseAll releases every extent of es, leaving the set as Release
-// would one by one; es may be reordered. A batch of more than a
-// sixteenth of the set's size — a checkpoint commit frees thousands of
-// extents at once — is sorted and merged with the set in one in-order
-// walk instead, coalescing whatever touches, and the treap is rebuilt
-// from the merged run as it streams out: O(n + k) after the sort, where
-// k descents would each chase a root-to-leaf path.
+// would one by one; es may be reordered. A batch of more than an eighth
+// of the set's size — a checkpoint commit frees thousands of extents at
+// once — is sorted and merged with the set in one in-order walk instead,
+// coalescing whatever touches, and the treap is rebuilt from the merged
+// run as it streams out: O(n + k) after the sort, where k descents would
+// each chase a root-to-leaf path.
 func (s *Set) ReleaseAll(es []Extent) {
-	if len(es)*16 <= s.size {
+	if len(es)*rebuildShare <= s.size {
 		for _, e := range es {
 			s.Release(e)
 		}

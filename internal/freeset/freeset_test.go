@@ -165,7 +165,7 @@ func TestSetMatchesModel(t *testing.T) {
 				held[i] = held[len(held)-1]
 				held = held[:len(held)-1]
 			}
-			batches[len(batch)*16 > s.size]++
+			batches[len(batch)*rebuildShare > s.size]++
 			s.ReleaseAll(batch)
 		default:
 			i := rng.Uint64n(uint64(len(held)))
