@@ -319,6 +319,11 @@ func (s *Set) ReleaseAll(es []Extent) {
 		return
 	}
 	slices.SortFunc(es, func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
+	if s.walk == nil {
+		// Deeper than a treap of a few thousand nodes gets, so a growing
+		// set allocates its stacks once, not at every new depth.
+		s.walk, s.spine = make([]*node, 0, 64), make([]*node, 0, 64)
+	}
 	walk, spine := s.walk[:0], s.spine[:0]
 	nd := s.root
 	for {
