@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -589,6 +590,36 @@ func TestCrashErrorsSmoke(t *testing.T) {
 		Engine: "lsm", Replicas: 2, ErrorKinds: []string{"gremlins"},
 	}); err == nil {
 		t.Fatal("unknown error kind should error")
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engines.golden")
+
+// TestEnginesGolden freezes `ptsbench engines` byte for byte: every
+// engine's tunables, their order, kinds and doc lines. Regenerate with
+//
+//	go test ./cmd/ptsbench -run TestEnginesGolden -update-golden
+//
+// only for a deliberate change to a knob, and review the fixture diff.
+func TestEnginesGolden(t *testing.T) {
+	var buf bytes.Buffer
+	listEngines(&buf)
+	path := filepath.Join("testdata", "engines.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading fixture (run with -update-golden to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("`ptsbench engines` diverges from %s:\ngot:\n%s\nwant:\n%s", path, buf.Bytes(), want)
 	}
 }
 
