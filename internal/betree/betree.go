@@ -2,52 +2,37 @@ package betree
 
 import (
 	"bytes"
-	"errors"
-	"time"
 
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
-	"ptsbench/internal/wal"
 )
-
-// ErrClosed is returned after Close.
-var ErrClosed = errors.New("betree: tree is closed")
 
 // metaMagic tags the checkpoint metadata files ("BEMT").
 const metaMagic = 0x42454D54
 
-// coreConfig maps the engine configuration onto the shared core's knobs.
-// The naming fields reproduce the pre-extraction on-device footprint
-// exactly.
-func coreConfig(cfg Config) cowtree.Config {
-	return cowtree.Config{
-		Name:                   "betree",
-		MetaPrefix:             "bemeta",
-		MetaMagic:              metaMagic,
-		JournalPrefix:          "bjournal-",
-		ChunkPages:             cfg.ChunkPages,
-		CheckpointInterval:     cfg.CheckpointInterval,
-		CheckpointPendingBytes: cfg.CheckpointPendingBytes,
-		CacheBytes:             cfg.CacheBytes,
-		Content:                cfg.Content,
-		DisableJournal:         cfg.DisableJournal,
-	}
+// naming is the Bε-tree's on-device footprint.
+var naming = cowtree.Naming{
+	Name:          "betree",
+	File:          "collection.be",
+	MetaPrefix:    "bemeta",
+	MetaMagic:     metaMagic,
+	JournalPrefix: "bjournal-",
 }
 
 // Tree is the Bε-tree engine. The node table, the leaf cache (interior
-// nodes, with their buffers, are pinned), the copy-on-write node write
-// and the checkpoint/recovery discipline live in the embedded cowtree
-// core; the engine keeps the node payload, its codec and the
-// buffer/flush/split/scan paths, and implements cowtree.RecoveryEngine.
+// nodes, with their buffers, are pinned), the copy-on-write node write,
+// the checkpoint/recovery discipline and the kv.Engine lifecycle live in
+// the embedded cowtree core; the engine keeps the node payload, its
+// codec and the buffer/flush/split/scan paths, and implements
+// cowtree.Tree.
 type Tree struct {
+	cowtree.Core
+
 	cfg       Config
 	pivotMax  int // cached cfg.pivotBudget()
 	bufferMax int // cached cfg.bufferBudget()
-	fs        *extfs.FS
-
-	core cowtree.Core
 
 	// nodes is indexed by nodeID, parallel to the core's header table
 	// (nodes[id].Node is the header the core holds for id).
@@ -66,10 +51,7 @@ type Tree struct {
 	mem  mem
 	slab cowtree.Slab[node]
 
-	seq    uint64
-	stats  kv.EngineStats
-	io     IOStats
-	closed bool
+	io IOStats
 }
 
 // IOStats exposes internal activity counters: the core's cache and
@@ -95,37 +77,26 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := fs.Create("collection.be")
-	if err != nil {
-		return nil, err
-	}
-	t := newTree(fs, f, cfg)
-	t.newRootLeaf()
-	if err := t.core.StartJournal(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return cowtree.Open(fs, naming, cfg.Tuning, newTree(cfg))
 }
 
-// newTree builds the tree shell over an open collection file: no nodes
-// yet, no journal.
-func newTree(fs *extfs.FS, f *extfs.File, cfg Config) *Tree {
-	t := &Tree{
+// newTree builds the tree shell Open and Recover attach to the device:
+// no nodes yet, no journal.
+func newTree(cfg Config) *Tree {
+	return &Tree{
 		cfg:       cfg,
 		pivotMax:  cfg.pivotBudget(),
 		bufferMax: cfg.bufferBudget(),
-		fs:        fs,
 		nodes:     make([]*node, 1, 64), // index 0 is nilNode
 	}
-	t.core.Init(t, fs, f, int64(cfg.LeafPageBytes/fs.PageSize())*16, coreConfig(cfg))
-	return t
 }
 
-// newRootLeaf installs the empty, resident root leaf of a fresh tree.
-func (t *Tree) newRootLeaf() {
+// NewRootLeaf implements cowtree.Tree: the empty, resident root leaf of
+// a fresh tree.
+func (t *Tree) NewRootLeaf() {
 	root := t.newNode(true)
-	t.core.SetRoot(root.ID)
-	t.core.Admit(&root.Node)
+	t.Core.SetRoot(root.ID)
+	t.Core.Admit(&root.Node)
 }
 
 // newNode takes a zeroed node from the slab, registers it with the core
@@ -138,13 +109,13 @@ func (t *Tree) newNode(leaf bool) *node {
 		n.pivotBytes = pageHeaderBytes
 	}
 	t.register(n)
-	t.core.MarkDirty(&n.Node)
+	t.Core.MarkDirty(&n.Node)
 	return n
 }
 
 // register gives n its id and enters it in both tables.
 func (t *Tree) register(n *node) {
-	t.core.Register(&n.Node)
+	t.Core.Register(&n.Node)
 	t.nodes = append(t.nodes, n)
 }
 
@@ -155,31 +126,15 @@ func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
 	})
 }
 
-// Seq implements cowtree.Engine.
-func (t *Tree) Seq() uint64 { return t.seq }
-
 // Config returns the validated configuration.
 func (t *Tree) Config() Config { return t.cfg }
-
-// Stats implements kv.Engine.
-func (t *Tree) Stats() kv.EngineStats { return t.stats }
 
 // IO returns internal activity counters.
 func (t *Tree) IO() IOStats {
 	io := t.io
-	io.IOStats = t.core.IO()
+	io.IOStats = t.Core.IO()
 	return io
 }
-
-// DiskUsageBytes implements kv.Engine.
-func (t *Tree) DiskUsageBytes() int64 { return t.fs.UsedBytes() }
-
-// Err returns the sticky fatal error, if any.
-func (t *Tree) Err() error { return t.core.Err() }
-
-// Check audits the structure the core keeps for the tree (today: the
-// leaf cache).
-func (t *Tree) Check() error { return t.core.CheckCache() }
 
 // Put implements kv.Engine.
 func (t *Tree) Put(now sim.Duration, key, value []byte, valueLen int) (sim.Duration, error) {
@@ -191,64 +146,24 @@ func (t *Tree) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 	return t.write(now, key, nil, 0, true)
 }
 
+// write journals before the message enters the tree.
 func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
-	if t.closed {
-		return now, ErrClosed
-	}
-	if err := t.core.Err(); err != nil {
+	now, seq, valueLen, err := t.Core.BeginWrite(now, value, valueLen)
+	if err != nil {
 		return now, err
 	}
-	if value != nil {
-		valueLen = len(value)
+	if now, err = t.Core.AppendJournal(now, seq, key, value, valueLen, del); err != nil {
+		return now, err
 	}
-	t.core.Pump(now)
-	now += t.cfg.CPUPutTime + time.Duration(valueLen)*t.cfg.CPUPerByte
-	t.seq++
-
-	if w := t.core.Journal(); w != nil {
-		rec := wal.Record{Seq: t.seq, Key: key, Value: value, Deleted: del, ValueLen: valueLen}
-		var err error
-		now, err = w.Append(now, &rec, t.cfg.JournalSync && !t.core.GroupActive())
-		if err != nil {
-			t.core.Fail(err)
-			return now, err
-		}
-	}
-
 	// The caller reuses its key/value buffers, so the message does not
 	// own its bytes and the value travels beside it: the node inserts
 	// copy them only when actually retained (an accounting-mode overwrite
 	// keeps the resident key — no allocation).
-	msg := makeMessage(key, t.seq, valueLen, del)
-	var err error
-	now, err = t.apply(now, msg, value)
-	if err != nil {
-		t.core.Fail(err)
+	if now, err = t.apply(now, makeMessage(key, seq, valueLen, del), value); err != nil {
+		t.Core.Fail(err)
 		return now, err
 	}
-	t.stats.Puts++
-	t.stats.UserBytesWritten += int64(len(key) + valueLen)
-
-	now, err = t.core.EvictToFit(now)
-	if err != nil {
-		return now, err
-	}
-	t.core.MaybeCheckpoint(now)
-	return now, nil
-}
-
-// BeginGroupCommit implements engine.GroupCommitter: journal syncs are
-// deferred until EndGroupCommit so a multi-client write batch commits
-// with a single sync.
-func (t *Tree) BeginGroupCommit() { t.core.BeginGroup() }
-
-// EndGroupCommit closes the group and syncs the journal tail once.
-func (t *Tree) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
-	now, err := t.core.EndGroup(now, t.cfg.JournalSync)
-	if err != nil {
-		t.core.Fail(err)
-	}
-	return now, err
+	return t.Core.EndWrite(now, len(key), valueLen)
 }
 
 // apply routes one unowned message (val beside it, see mem.own) into the
@@ -256,15 +171,15 @@ func (t *Tree) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 // buffer capacity (flushing down when it overflows), or straight into
 // the root leaf / down the spine when buffering is off (ε = 1).
 func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
-	root := t.nodes[t.core.Root()]
+	root := t.nodes[t.Core.Root()]
 	if root.Leaf {
 		var err error
-		now, err = t.core.Load(now, &root.Node)
+		now, err = t.Core.Load(now, &root.Node)
 		if err != nil {
 			return now, err
 		}
-		t.core.Resize(root.insertLeaf(&t.mem, msg, val))
-		t.core.MarkDirty(&root.Node)
+		t.Core.Resize(root.insertLeaf(&t.mem, msg, val))
+		t.Core.MarkDirty(&root.Node)
 		t.splitLeafToFit(root)
 		return now, nil
 	}
@@ -273,7 +188,7 @@ func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, e
 		return t.applyToLeaf(now, msg, val)
 	}
 	root.bufInsert(&t.mem, msg, val, false)
-	t.core.MarkDirty(&root.Node)
+	t.Core.MarkDirty(&root.Node)
 	return t.drainOverflow(now)
 }
 
@@ -282,7 +197,7 @@ func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, e
 func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 	var err error
 	for {
-		root := t.nodes[t.core.Root()] // flushing can grow a new root
+		root := t.nodes[t.Core.Root()] // flushing can grow a new root
 		if !root.Leaf && root.bufBytes > t.bufferMax {
 			if now, err = t.flushInterior(now, root); err != nil {
 				return now, err
@@ -306,18 +221,18 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 // applyToLeaf descends to the leaf covering the message key and inserts
 // it there (the ε = 1 degenerate path).
 func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
-	n := t.nodes[t.core.Root()]
+	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(msg.key)
 	for !n.Leaf {
 		n = t.nodes[n.Children[n.childFor(target)]]
 	}
 	var err error
-	now, err = t.core.Load(now, &n.Node)
+	now, err = t.Core.Load(now, &n.Node)
 	if err != nil {
 		return now, err
 	}
-	t.core.Resize(n.insertLeaf(&t.mem, msg, val))
-	t.core.MarkDirty(&n.Node)
+	t.Core.Resize(n.insertLeaf(&t.mem, msg, val))
+	t.Core.MarkDirty(&n.Node)
 	t.splitLeafToFit(n)
 	return now, nil
 }
@@ -339,24 +254,24 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 
 	var err error
 	if child.Leaf {
-		now, err = t.core.Load(now, &child.Node)
+		now, err = t.Core.Load(now, &child.Node)
 		if err != nil {
 			return now, err
 		}
-		t.core.Resize(child.insertBatch(&t.mem, batch))
+		t.Core.Resize(child.insertBatch(&t.mem, batch))
 	} else {
 		for i := range batch {
 			child.bufInsert(&t.mem, batch[i], nil, true)
 		}
 	}
-	t.core.MarkDirty(&child.Node)
+	t.Core.MarkDirty(&child.Node)
 
 	// The batch's messages now live in the child: retire its array.
 	t.mem.msgs.Put(batch)
 	n.bufs[bestCi], n.bufSizes[bestCi] = nil, 0
 	n.bufBytes -= bestBytes
 	n.Serialized -= bestBytes
-	t.core.MarkDirty(&n.Node)
+	t.Core.MarkDirty(&n.Node)
 
 	if child.Leaf {
 		t.splitLeafToFit(child)
@@ -382,16 +297,10 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 		right := t.slab.Get()
 		t.register(right)
 		sep := leaf.splitLeaf(&t.mem, right)
-		t.core.MarkDirty(&right.Node)
-		t.core.MarkDirty(&leaf.Node)
+		t.Core.MarkDirty(&right.Node)
+		t.Core.MarkDirty(&leaf.Node)
 		t.io.LeafSplits++
-		if leaf.Resident {
-			t.core.Admit(&right.Node)
-			// Admit charged right.Serialized, but the moved entries were
-			// already counted while they lived in leaf; only the new page
-			// header is genuinely new.
-			t.core.Resize(pageHeaderBytes - right.Serialized)
-		}
+		t.Core.AdmitSplit(&leaf.Node, &right.Node, pageHeaderBytes)
 		t.insertIntoParent(leaf, sep, right)
 		t.splitLeafToFit(right)
 	}
@@ -400,7 +309,7 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 // insertIntoParent links a new right sibling under the parent, splitting
 // interiors (and growing a new root) as needed.
 func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
-	if left.ID == t.core.Root() {
+	if left.ID == t.Core.Root() {
 		newRoot := t.newNode(false)
 		newRoot.Children = []nodeID{left.ID, right.ID}
 		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
@@ -409,14 +318,14 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 		newRoot.refreshSepCache()
 		left.Parent = newRoot.ID
 		right.Parent = newRoot.ID
-		t.core.SetRoot(newRoot.ID)
+		t.Core.SetRoot(newRoot.ID)
 		return
 	}
 	parent := t.nodes[left.Parent]
 	idx := parent.childIndex(left.ID)
 	parent.insertChild(&t.mem, idx, sep, right.ID)
 	right.Parent = parent.ID
-	t.core.MarkDirty(&parent.Node)
+	t.Core.MarkDirty(&parent.Node)
 	if parent.pivotBytes > t.pivotMax {
 		t.splitInteriorNode(parent)
 	}
@@ -429,8 +338,8 @@ func (t *Tree) splitInteriorNode(n *node) {
 	right := t.slab.Get()
 	t.register(right)
 	promoted := n.splitInterior(right)
-	t.core.MarkDirty(&right.Node)
-	t.core.MarkDirty(&n.Node)
+	t.Core.MarkDirty(&right.Node)
+	t.Core.MarkDirty(&n.Node)
 	t.io.InteriorSplits++
 	for _, c := range right.Children {
 		t.nodes[c].Parent = right.ID
@@ -449,17 +358,12 @@ func (t *Tree) splitInteriorNode(n *node) {
 // (flushes only push messages down), so the topmost hit answers the
 // lookup without leaf I/O.
 func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
-	if t.closed {
-		return now, nil, false, ErrClosed
-	}
-	if err := t.core.Err(); err != nil {
+	now, err := t.Core.BeginGet(now)
+	if err != nil {
 		return now, nil, false, err
 	}
-	t.core.Pump(now)
-	now += t.cfg.CPUGetTime
-	t.stats.Gets++
 
-	n := t.nodes[t.core.Root()]
+	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(key)
 	for !n.Leaf {
 		ci := n.childFor(target)
@@ -468,19 +372,12 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 			if m.del {
 				return now, nil, false, nil
 			}
-			t.stats.UserBytesRead += int64(len(key)) + int64(m.vlen)
+			t.Core.CountRead(len(key) + int(m.vlen))
 			return now, m.val(), true, nil
 		}
 		n = t.nodes[n.Children[ci]]
 	}
-	var err error
-	now, err = t.core.Load(now, &n.Node)
-	if err != nil {
-		t.core.Fail(err)
-		return now, nil, false, err
-	}
-	now, err = t.core.EvictToFit(now)
-	if err != nil {
+	if now, err = t.Core.LoadForGet(now, &n.Node); err != nil {
 		return now, nil, false, err
 	}
 	i := n.search(target)
@@ -488,7 +385,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		return now, nil, false, nil
 	}
 	e := &n.entries[i]
-	t.stats.UserBytesRead += int64(len(key)) + int64(e.vlen)
+	t.Core.CountRead(len(key) + int(e.vlen))
 	return now, e.val(), true, nil
 }
 
@@ -497,14 +394,10 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 // pinned in memory and cost no I/O) with the leaf chain walk (which
 // charges a read per leaf crossed).
 func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
-	if t.closed {
-		return now, nil, ErrClosed
-	}
-	if err := t.core.Err(); err != nil {
+	now, err := t.Core.BeginRead(now)
+	if err != nil {
 		return now, nil, err
 	}
-	t.core.Pump(now)
-	now += t.cfg.CPUGetTime
 
 	target := kv.NewTarget(start)
 	stream := t.newMsgStream(target)
@@ -522,22 +415,21 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		if val := m.val(); val != nil {
 			e.Value = append([]byte(nil), val...)
 		}
-		t.stats.UserBytesRead += int64(len(e.Key) + e.ValueLen)
+		t.Core.CountRead(len(e.Key) + e.ValueLen)
 		out = append(out, e)
 		limit--
 	}
 
 	// Descend to the first leaf covering start.
-	leaf := t.nodes[t.core.Root()]
+	leaf := t.nodes[t.Core.Root()]
 	for !leaf.Leaf {
 		leaf = t.nodes[leaf.Children[leaf.childFor(target)]]
 	}
 	idx := leaf.search(target)
 	for limit > 0 && leaf != nil {
-		var err error
-		now, err = t.core.Load(now, &leaf.Node)
+		now, err = t.Core.Load(now, &leaf.Node)
 		if err != nil {
-			t.core.Fail(err)
+			t.Core.Fail(err)
 			return now, nil, err
 		}
 		for ; idx < len(leaf.entries) && limit > 0; idx++ {
@@ -567,7 +459,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 				emit(le)
 			}
 		}
-		if now, err = t.core.EvictToFit(now); err != nil {
+		if now, err = t.Core.EvictToFit(now); err != nil {
 			return now, nil, err
 		}
 		if limit <= 0 || leaf.Next == nilNode {
@@ -638,7 +530,7 @@ func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 			walk(n.Children[ci])
 		}
 	}
-	walk(t.core.Root())
+	walk(t.Core.Root())
 	return s
 }
 
@@ -675,62 +567,6 @@ func (s *msgStream) consume(key []byte) {
 			c.i++
 		}
 	}
-}
-
-// FlushAll implements kv.Engine: runs a full checkpoint synchronously.
-// Buffered messages are NOT pushed to the leaves — they are durable
-// inside the checkpointed interior node images, exactly as a real
-// Bε-tree persists its buffers.
-func (t *Tree) FlushAll(now sim.Duration) (sim.Duration, error) {
-	if t.closed {
-		return now, ErrClosed
-	}
-	return t.core.Checkpoint(now)
-}
-
-// Quiesce drains background checkpoint work.
-func (t *Tree) Quiesce(now sim.Duration) sim.Duration {
-	return t.core.Quiesce(now)
-}
-
-// JournalSyncCount exposes the active journal segment's device-reaching
-// sync count (group-commit accounting; see cowtree.Core).
-func (t *Tree) JournalSyncCount() int64 { return t.core.JournalSyncCount() }
-
-// Close checkpoints and shuts the tree down.
-func (t *Tree) Close(now sim.Duration) (sim.Duration, error) {
-	if t.closed {
-		return now, ErrClosed
-	}
-	end, err := t.FlushAll(now)
-	t.closed = true
-	return end, err
-}
-
-// Depth returns the tree height (1 = root leaf only).
-func (t *Tree) Depth() int {
-	d := 1
-	n := t.nodes[t.core.Root()]
-	for !n.Leaf {
-		d++
-		n = t.nodes[n.Children[0]]
-	}
-	return d
-}
-
-// NodeCount returns the numbers of leaf and interior nodes.
-func (t *Tree) NodeCount() (leaves, interiors int) {
-	for _, n := range t.nodes {
-		if n == nil {
-			continue
-		}
-		if n.Leaf {
-			leaves++
-		} else {
-			interiors++
-		}
-	}
-	return leaves, interiors
 }
 
 // BufferedBytes returns the total bytes currently buffered in interior

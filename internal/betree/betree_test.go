@@ -283,7 +283,7 @@ func TestFlushAllWritesEverything(t *testing.T) {
 	if end < now {
 		t.Fatal("FlushAll went back in time")
 	}
-	if n := tr.core.DirtyCount(); n != 0 {
+	if n := tr.Core.DirtyCount(); n != 0 {
 		t.Fatalf("%d dirty nodes after FlushAll", n)
 	}
 	// Buffered messages survive FlushAll in the interior images; reads
@@ -469,29 +469,29 @@ func TestCloseRejectsOps(t *testing.T) {
 	if _, err := tr.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Put(now, kv.EncodeKey(2), nil, 10); err != ErrClosed {
+	if _, err := tr.Put(now, kv.EncodeKey(2), nil, 10); err != cowtree.ErrClosed {
 		t.Fatalf("expected ErrClosed, got %v", err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := (Config{Epsilon: 0, LeafPageBytes: 1}).Validate(); err == nil {
+	if _, err := (Config{Epsilon: 0, Tuning: cowtree.Tuning{LeafPageBytes: 1}}).Validate(); err == nil {
 		t.Fatal("ε=0 should fail")
 	}
-	if _, err := (Config{Epsilon: 1.5, LeafPageBytes: 1}).Validate(); err == nil {
+	if _, err := (Config{Epsilon: 1.5, Tuning: cowtree.Tuning{LeafPageBytes: 1}}).Validate(); err == nil {
 		t.Fatal("ε>1 should fail")
 	}
 	if _, err := (Config{Epsilon: 0.5}).Validate(); err == nil {
 		t.Fatal("zero leaf size should fail")
 	}
-	c, err := (Config{Epsilon: 0.5, LeafPageBytes: 4 << 10}).Validate()
+	c, err := (Config{Epsilon: 0.5, Tuning: cowtree.Tuning{LeafPageBytes: 4 << 10}}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.pivotBudget() < minPivotBytes || c.bufferBudget() < 0 {
 		t.Fatalf("budgets out of range: pivot %d buffer %d", c.pivotBudget(), c.bufferBudget())
 	}
-	one, err := (Config{Epsilon: 1, LeafPageBytes: 4 << 10}).Validate()
+	one, err := (Config{Epsilon: 1, Tuning: cowtree.Tuning{LeafPageBytes: 4 << 10}}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 				binary.LittleEndian.PutUint32(val, uint32(step))
 			}
 			// Predict the flush this step's root insert may trigger.
-			root := tr.nodes[tr.core.Root()]
+			root := tr.nodes[tr.Core.Root()]
 			want = want[:0]
 			if !root.Leaf && tr.bufferMax > 0 {
 				want = append(want, root.bufSizes...)
@@ -238,7 +238,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if len(want) > 0 && tr.core.Root() == root.ID && len(root.bufSizes) == len(want) {
+			if len(want) > 0 && tr.Core.Root() == root.ID && len(root.bufSizes) == len(want) {
 				// No child of the root split, so its buffers changed only
 				// by its own flushes (whatever cascaded below): while it
 				// is over budget the busiest child's buffer goes, the
@@ -268,7 +268,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 					// A new interior node that is not the root is a split's
 					// right half; nothing flushes into it within the step
 					// that made it, so what it holds it took with it.
-					if !n.Leaf && n.ID != tr.core.Root() && n.bufBytes > 0 {
+					if !n.Leaf && n.ID != tr.Core.Root() && n.bufBytes > 0 {
 						reached.rightTookBuffers++
 					}
 				}
@@ -802,13 +802,13 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 	}
 	// Both interior levels hold overwrites (of a key some leaf has) and
 	// tombstones.
-	level := map[nodeID]int{tr.core.Root(): 0}
+	level := map[nodeID]int{tr.Core.Root(): 0}
 	var live, dead [2]int
 	for _, n := range tr.nodes[1:] {
 		if n.Leaf {
 			continue
 		}
-		if n.ID != tr.core.Root() {
+		if n.ID != tr.Core.Root() {
 			level[n.ID] = 1 // any interior below the root
 		}
 		for _, buf := range n.bufs {

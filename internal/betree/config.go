@@ -25,15 +25,28 @@
 // cold data, which is why the Bε-tree's device write amplification sits
 // below the LSM's at high update rates while keeping B+Tree-like point
 // reads.
+//
+// Everything the Bε-tree shares with the B+Tree lives in internal/cowtree,
+// whose Core the Tree embeds: the node table, leaf cache, copy-on-write
+// write, checkpoints, Open/Recover, the kv.Engine lifecycle, the
+// operation bracket and the shared Tuning. This package keeps the node
+// payload (buffers included) and its codec, the buffer, flush, split and
+// scan paths, the two recovery hooks, and its own knobs (epsilon,
+// node_bytes). A checkpoint does not push buffered messages to the
+// leaves: they are durable inside the checkpointed interior node images,
+// as a real Bε-tree persists its buffers.
 package betree
 
 import (
 	"fmt"
 	"math"
 	"time"
+
+	"ptsbench/internal/cowtree"
 )
 
-// Config holds the engine's tuning knobs.
+// Config holds the engine's tuning knobs: the tuning every copy-on-write
+// tree shares, plus the two that shape the Bε-tree's interior nodes.
 type Config struct {
 	// Epsilon is the Bε-tree design parameter in (0, 1]: interior nodes
 	// of NodeBytes capacity spend NodeBytes^Epsilon bytes on pivots
@@ -48,58 +61,16 @@ type Config struct {
 	// (pivot section + message buffer).
 	NodeBytes int
 
-	// LeafPageBytes is the maximum serialized leaf size.
-	LeafPageBytes int
-
-	// CacheBytes bounds the leaf cache (interior nodes, including their
-	// buffers, are pinned — the classic Bε-tree assumption that the
-	// upper tree fits in RAM).
-	CacheBytes int64
-
-	// CheckpointInterval triggers a checkpoint when this much virtual
-	// time has passed since the last one.
-	CheckpointInterval time.Duration
-
-	// CheckpointPendingBytes triggers a checkpoint when this many bytes
-	// of freed extents await release (they only return to the allocator
-	// at checkpoint commit).
-	CheckpointPendingBytes int64
-
-	// JournalSync syncs the journal on every update.
-	JournalSync bool
-	// DisableJournal turns journaling off entirely (ablations).
-	DisableJournal bool
-
-	// CPUPutTime / CPUGetTime model per-operation engine CPU cost;
-	// CPUPerByte adds the payload-dependent part.
-	CPUPutTime time.Duration
-	CPUGetTime time.Duration
-	CPUPerByte time.Duration
-
-	// ChunkPages is the checkpoint I/O granularity per job step.
-	ChunkPages int
-
-	// Content selects content mode (values materialized and written
-	// through; required for recovery).
-	Content bool
+	cowtree.Tuning
 }
 
 // NewConfig returns Bε-tree defaults for a dataset of roughly
-// datasetBytes. The cache is deliberately tiny relative to the dataset
-// (the paper's 10 MiB cache vs 200 GiB dataset), like the B+Tree's.
-// NodeBytes scales with the dataset (clamped): with the paper's 4 KB
-// values a buffer must hold many messages per child for flushes to
-// batch, which is why real Bε-trees (BetrFS) run multi-megabyte nodes —
-// far larger than B+Tree pages.
+// datasetBytes (see cowtree.NewTuning). NodeBytes scales with the
+// dataset (clamped): with the paper's 4 KB values a buffer must hold
+// many messages per child for flushes to batch, which is why real
+// Bε-trees (BetrFS) run multi-megabyte nodes — far larger than B+Tree
+// pages.
 func NewConfig(datasetBytes int64) Config {
-	cache := datasetBytes / 20000
-	if cache < 256<<10 {
-		cache = 256 << 10
-	}
-	pending := datasetBytes / 16
-	if pending < 512<<10 {
-		pending = 512 << 10
-	}
 	nodeBytes := datasetBytes / 256
 	if nodeBytes < 128<<10 {
 		nodeBytes = 128 << 10
@@ -108,17 +79,9 @@ func NewConfig(datasetBytes int64) Config {
 		nodeBytes = 8 << 20
 	}
 	return Config{
-		Epsilon:                0.5,
-		NodeBytes:              int(nodeBytes),
-		LeafPageBytes:          48 << 10,
-		CacheBytes:             cache,
-		CheckpointInterval:     60 * time.Second,
-		CheckpointPendingBytes: pending,
-		JournalSync:            true,
-		CPUPutTime:             250 * time.Microsecond,
-		CPUGetTime:             130 * time.Microsecond,
-		CPUPerByte:             65 * time.Nanosecond,
-		ChunkPages:             32,
+		Epsilon:   0.5,
+		NodeBytes: int(nodeBytes),
+		Tuning:    cowtree.NewTuning(datasetBytes, 250*time.Microsecond, 130*time.Microsecond),
 	}
 }
 
@@ -134,23 +97,12 @@ func (c Config) Validate() (Config, error) {
 	if c.NodeBytes <= 0 {
 		c.NodeBytes = 64 << 10
 	}
-	if c.LeafPageBytes <= 0 {
-		return c, fmt.Errorf("betree: LeafPageBytes must be positive")
+	var err error
+	if c.Tuning, err = c.Tuning.Validate("betree"); err != nil {
+		return c, err
 	}
 	if c.NodeBytes < 2*minPivotBytes {
 		return c, fmt.Errorf("betree: NodeBytes %d too small", c.NodeBytes)
-	}
-	if c.CacheBytes <= int64(2*c.LeafPageBytes) {
-		c.CacheBytes = int64(8 * c.LeafPageBytes)
-	}
-	if c.CheckpointInterval <= 0 {
-		c.CheckpointInterval = 60 * time.Second
-	}
-	if c.CheckpointPendingBytes <= 0 {
-		c.CheckpointPendingBytes = 8 << 20
-	}
-	if c.ChunkPages <= 0 {
-		c.ChunkPages = 32
 	}
 	return c, nil
 }

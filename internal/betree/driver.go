@@ -36,15 +36,7 @@ func (c *Config) knobs() *engine.Knobs {
 	k.Float("epsilon", "pivot/buffer split of interior nodes in (0,1]; 1 degenerates to a B+Tree", &c.Epsilon)
 	k.Int("node_bytes", "total serialized budget of an interior node (bytes)", &c.NodeBytes)
 	k.Int("leaf_page_bytes", "maximum serialized leaf size (bytes)", &c.LeafPageBytes)
-	k.Int64("cache_bytes", "leaf cache bound (bytes)", &c.CacheBytes)
-	k.Duration("checkpoint_interval", "virtual time between checkpoints", &c.CheckpointInterval)
-	k.Int64("checkpoint_pending_bytes", "freed bytes awaiting release that force a checkpoint", &c.CheckpointPendingBytes)
-	k.Bool("journal_sync", "sync the journal on every update", &c.JournalSync)
-	k.Bool("disable_journal", "turn journaling off entirely", &c.DisableJournal)
-	k.Duration("cpu_put_time", "per-put engine CPU cost", &c.CPUPutTime)
-	k.Duration("cpu_get_time", "per-get engine CPU cost", &c.CPUGetTime)
-	k.Duration("cpu_per_byte", "payload-size-dependent CPU cost per byte", &c.CPUPerByte)
-	k.Int("chunk_pages", "checkpoint I/O granularity (pages per job step)", &c.ChunkPages)
+	c.Tuning.Bind(k)
 	return k
 }
 

@@ -293,13 +293,13 @@ func TestRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 	// submitted only after the root has grown, so the commit provably
 	// runs against a root the snapshot has never seen (submitting first
 	// would let the foreground Pump drain the job before the growth).
-	job, err := tr.core.NewCheckpointJob()
+	job, err := tr.Core.NewCheckpointJob()
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
 	// Grow the root while the checkpoint is logically in flight.
-	rootBefore := tr.core.Root()
-	for tr.core.Root() == rootBefore {
+	rootBefore := tr.Core.Root()
+	for tr.Core.Root() == rootBefore {
 		if id > 100000 {
 			t.Fatal("root never grew; tighten the config")
 		}
@@ -310,7 +310,7 @@ func TestRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 		id++
 	}
 	total := id
-	tr.core.Worker().Submit(job)
+	tr.Core.Worker().Submit(job)
 	now = tr.Quiesce(now) // the racy checkpoint commits here
 	_ = now
 	re, rnow, err := Recover(fs, tr.cfg, 0)
@@ -360,5 +360,129 @@ func TestRecoverySequenceGuard(t *testing.T) {
 	_, got, found, err := re.Get(rnow, kv.EncodeKey(7))
 	if err != nil || !found || got[0] != 3 {
 		t.Fatalf("key 7 after recovery: %v found=%v err=%v, want value 3", got, found, err)
+	}
+}
+
+// TestReplaySplitsEvictedLeaves: after recovery every leaf but a root
+// leaf is non-resident, and replay runs without eviction, so the
+// batches a replayed record's flush cascade applies load and split
+// leaves the cache had dropped. The resident byte count must still
+// match the LRU list afterwards, and again once reads have evicted
+// down to the bound.
+func TestReplaySplitsEvictedLeaves(t *testing.T) {
+	for _, eps := range []float64{0.6, 1.0} {
+		tr, fs := recoveryEnv(t, func(c *Config) {
+			c.Epsilon = eps
+			c.CacheBytes = 8 << 10           // eight leaves
+			c.CheckpointInterval = time.Hour // only the explicit checkpoint
+			c.CheckpointPendingBytes = 1 << 30
+		})
+		var now sim.Duration
+		var err error
+		const keys = 400
+		for id := uint64(0); id < keys; id++ {
+			if now, err = tr.Put(now, kv.EncodeKey(id), []byte{byte(id)}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now, err = tr.FlushAll(now); err != nil {
+			t.Fatal(err)
+		}
+		// Grow every value past what a leaf holds, journaled but never
+		// checkpointed: replay must split the recovered, evicted leaves.
+		big := bytes.Repeat([]byte{7}, 64)
+		for id := uint64(0); id < keys; id++ {
+			if now, err = tr.Put(now, kv.EncodeKey(id), big, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re, rnow, err := Recover(fs, tr.cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.IO().LeafSplits == 0 {
+			t.Fatalf("ε=%v: replay split no leaf; the test no longer reaches the case", eps)
+		}
+		if err := re.Check(); err != nil {
+			t.Fatalf("ε=%v after recovery: %v", eps, err)
+		}
+		for id := uint64(0); id < keys; id++ {
+			if _, got, found, err := re.Get(rnow, kv.EncodeKey(id)); err != nil || !found || !bytes.Equal(got, big) {
+				t.Fatalf("ε=%v key %d: %v found=%v err=%v", eps, id, got, found, err)
+			}
+		}
+		if err := re.Check(); err != nil {
+			t.Fatalf("ε=%v after reading every key back: %v", eps, err)
+		}
+	}
+}
+
+// TestRecoverUnderEvictionChurn: heavy eviction between checkpoints
+// relocates leaves; the deferred extent release must keep the last
+// checkpoint readable, and replaying the churn must leave the cache
+// consistent. With ε < 1 the churn must be long enough for flush
+// cascades to reach the leaves.
+func TestRecoverUnderEvictionChurn(t *testing.T) {
+	for _, eps := range []float64{0.6, 1.0} {
+		tr, fs := recoveryEnv(t, func(c *Config) {
+			c.Epsilon = eps
+			c.CacheBytes = 8 << 10           // eight leaves
+			c.CheckpointInterval = time.Hour // only the explicit checkpoint
+			c.CheckpointPendingBytes = 1 << 30
+		})
+		var now sim.Duration
+		var err error
+		rng := sim.NewRNG(8)
+		for id := uint64(0); id < 500; id++ {
+			if now, err = tr.Put(now, kv.EncodeKey(id), []byte{byte(id)}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now, err = tr.FlushAll(now); err != nil {
+			t.Fatal(err)
+		}
+		// Churn: random overwrites, too large for the interior buffers
+		// to absorb, cause evictions and relocations but NO new
+		// checkpoint.
+		before := tr.IO()
+		churned := make([]byte, 48)
+		for i := range churned {
+			churned[i] = 9
+		}
+		for i := 0; i < 2000; i++ {
+			id := rng.Uint64n(500)
+			churned[0] = byte(id)
+			if now, err = tr.Put(now, kv.EncodeKey(id), churned, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if io := tr.IO(); io.EvictionWrites == before.EvictionWrites || io.Checkpoints != before.Checkpoints {
+			t.Fatalf("ε=%v: churn wrote back %d evicted leaves over %d checkpoints; want some and none",
+				eps, io.EvictionWrites-before.EvictionWrites, io.Checkpoints-before.Checkpoints)
+		}
+		re, rnow, err := Recover(fs, tr.cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Check(); err != nil {
+			t.Fatalf("ε=%v after recovery: %v", eps, err)
+		}
+		// Every key readable; values are either the checkpointed or the
+		// journal-replayed version.
+		for id := uint64(0); id < 500; id++ {
+			_, got, found, err := re.Get(rnow, kv.EncodeKey(id))
+			if err != nil || !found {
+				t.Fatalf("ε=%v key %d lost: %v %v", eps, id, found, err)
+			}
+			if len(got) == len(churned) && (got[0] != byte(id) || !bytes.Equal(got[1:], churned[1:])) {
+				t.Fatalf("ε=%v key %d journal version corrupted", eps, id)
+			}
+			if len(got) == 1 && got[0] != byte(id) {
+				t.Fatalf("ε=%v key %d checkpoint version corrupted", eps, id)
+			}
+		}
+		if err := re.Check(); err != nil {
+			t.Fatalf("ε=%v after reading every key back: %v", eps, err)
+		}
 	}
 }

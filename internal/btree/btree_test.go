@@ -83,7 +83,7 @@ func TestSplitsAndDepthGrowth(t *testing.T) {
 			t.Fatalf("key %d lost after splits: %v %v", i, found, err)
 		}
 	}
-	leaves, internals := tr.PageCount()
+	leaves, internals := tr.NodeCount()
 	if leaves < 10 || internals < 2 {
 		t.Fatalf("page counts: %d leaves, %d internals", leaves, internals)
 	}
@@ -168,7 +168,7 @@ func TestFlushAllWritesEverything(t *testing.T) {
 	if end < now {
 		t.Fatal("FlushAll went back in time")
 	}
-	if n := tr.core.DirtyCount(); n != 0 {
+	if n := tr.Core.DirtyCount(); n != 0 {
 		t.Fatalf("%d dirty pages after FlushAll", n)
 	}
 }
@@ -313,7 +313,7 @@ func TestCloseRejectsOps(t *testing.T) {
 	if _, err := tr.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Put(now, kv.EncodeKey(2), nil, 10); err != ErrClosed {
+	if _, err := tr.Put(now, kv.EncodeKey(2), nil, 10); err != cowtree.ErrClosed {
 		t.Fatalf("expected ErrClosed, got %v", err)
 	}
 }

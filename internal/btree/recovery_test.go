@@ -288,13 +288,13 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 	// submitted only after the root has grown, so the commit provably
 	// runs against a root the snapshot has never seen (submitting first
 	// would let the foreground Pump drain the job before the growth).
-	job, err := tr.core.NewCheckpointJob()
+	job, err := tr.Core.NewCheckpointJob()
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
 	// Grow the root while the checkpoint is logically in flight.
-	rootBefore := tr.core.Root()
-	for tr.core.Root() == rootBefore {
+	rootBefore := tr.Core.Root()
+	for tr.Core.Root() == rootBefore {
 		if id > 100000 {
 			t.Fatal("root never grew; tighten the config")
 		}
@@ -305,7 +305,7 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 		id++
 	}
 	total := id
-	tr.core.Worker().Submit(job)
+	tr.Core.Worker().Submit(job)
 	now = tr.Quiesce(now) // the racy checkpoint commits here
 	_ = now
 	re, rnow, err := Recover(fs, tr.cfg, 0)

@@ -40,27 +40,27 @@ func TestCheckpointCycleAllocs(t *testing.T) {
 	cycle := func() {
 		// Every fourth leaf is dirty: the closure pulls in their spines.
 		for i := 0; i < len(leaves); i += 4 {
-			tr.core.MarkDirty(leaves[i])
+			tr.Core.MarkDirty(leaves[i])
 		}
-		job, err := tr.core.NewCheckpointJob()
+		job, err := tr.Core.NewCheckpointJob()
 		if err != nil || job == nil {
 			t.Fatalf("no checkpoint job: %v", err)
 		}
 		for done := false; !done; {
 			now, done = job.Step(now)
 		}
-		if err := tr.core.Err(); err != nil {
+		if err := tr.Core.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		cycle()
 	}
-	before := tr.core.IO()
+	before := tr.Core.IO()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("a warm checkpoint cycle allocates %.1f objects, want 0", allocs)
 	}
-	after := tr.core.IO()
+	after := tr.Core.IO()
 	if after.Checkpoints != before.Checkpoints+21 || after.CheckpointPgs <= before.CheckpointPgs {
 		t.Fatalf("the measured cycles did not checkpoint: %+v -> %+v", before, after)
 	}
@@ -104,18 +104,18 @@ func BenchmarkCheckpoint(b *testing.B) {
 		interiors = append(interiors, in)
 	}
 	tr.resized(root)
-	tr.core.SetRoot(root.ID)
+	tr.Core.SetRoot(root.ID)
 	now, err := tr.flushAll(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	before := tr.core.IO().CheckpointPgs
+	before := tr.Core.IO().CheckpointPgs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range interiors {
-			tr.core.MarkDirty(&n.Node)
+			tr.Core.MarkDirty(&n.Node)
 		}
-		job, err := tr.core.NewCheckpointJob()
+		job, err := tr.Core.NewCheckpointJob()
 		if err != nil || job == nil {
 			b.Fatalf("no checkpoint job: %v", err)
 		}
@@ -124,10 +124,10 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if err := tr.core.Err(); err != nil {
+	if err := tr.Core.Err(); err != nil {
 		b.Fatal(err)
 	}
-	if pages := tr.core.IO().CheckpointPgs - before; pages != int64(b.N)*int64(len(interiors)) {
+	if pages := tr.Core.IO().CheckpointPgs - before; pages != int64(b.N)*int64(len(interiors)) {
 		b.Fatalf("%d checkpoints wrote %d nodes, want %d each", b.N, pages, len(interiors))
 	}
 }

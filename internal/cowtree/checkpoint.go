@@ -46,7 +46,7 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	}
 	job := c.getJob()
 	job.pendingMark = c.extents.pendingMark()
-	job.snapSeq = c.eng.Seq()
+	job.snapSeq = c.seq
 	c.epoch++
 	stamp := c.epoch
 	// MarkDirty appends to the log this loop ranges over. The range

@@ -93,10 +93,10 @@ func TestStubSplitDuringCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.core.IO().Checkpoints < 2 {
-		t.Fatalf("only %d checkpoints ran; the race never happened", tr.core.IO().Checkpoints)
+	if tr.Core.IO().Checkpoints < 2 {
+		t.Fatalf("only %d checkpoints ran; the race never happened", tr.Core.IO().Checkpoints)
 	}
-	now = tr.core.Quiesce(now)
+	now = tr.Core.Quiesce(now)
 	_ = now
 	re, _, err := recoverStub(fs, cfg, 0)
 	if err != nil {
@@ -139,12 +139,12 @@ func TestStubRootGrowthDuringCheckpoint(t *testing.T) {
 	// Snapshot the dirty set and rotate the journal now; submit only
 	// after the root has grown, so the commit provably runs against a
 	// root the snapshot has never seen.
-	job, err := tr.core.NewCheckpointJob()
+	job, err := tr.Core.NewCheckpointJob()
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
-	rootBefore := tr.core.Root()
-	for tr.core.Root() == rootBefore {
+	rootBefore := tr.Core.Root()
+	for tr.Core.Root() == rootBefore {
 		if k > 100000 {
 			t.Fatal("root never grew; tighten the stub limits")
 		}
@@ -154,8 +154,8 @@ func TestStubRootGrowthDuringCheckpoint(t *testing.T) {
 		k++
 	}
 	total := k
-	tr.core.Worker().Submit(job)
-	now = tr.core.Quiesce(now) // the racy checkpoint commits here
+	tr.Core.Worker().Submit(job)
+	now = tr.Core.Quiesce(now) // the racy checkpoint commits here
 	_ = now
 	re, _, err := recoverStub(fs, cfg, 0)
 	if err != nil {
@@ -191,7 +191,7 @@ func stubOverlapStress(t *testing.T, seed uint64, cache int64) {
 	tight := cache < 1<<20
 	check := func(tr *stubTree, when string) {
 		t.Helper()
-		if err := tr.core.CheckCache(); err != nil {
+		if err := tr.Core.Check(); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 	}
@@ -223,10 +223,10 @@ func stubOverlapStress(t *testing.T, seed uint64, cache int64) {
 			}
 		}
 	}
-	if tr.core.IO().Checkpoints < 3 {
-		t.Fatalf("only %d checkpoints ran; stress shape wrong", tr.core.IO().Checkpoints)
+	if tr.Core.IO().Checkpoints < 3 {
+		t.Fatalf("only %d checkpoints ran; stress shape wrong", tr.Core.IO().Checkpoints)
 	}
-	if io := tr.core.IO(); tight && (io.EvictionWrites < 1000 || io.CacheMisses < 1000) {
+	if io := tr.Core.IO(); tight && (io.EvictionWrites < 1000 || io.CacheMisses < 1000) {
 		t.Fatalf("tight cache barely evicted: %+v", io)
 	}
 	check(tr, "before the crash")

@@ -12,7 +12,7 @@
 //     table, and an append-order transition log filtered on it at
 //     snapshot time. A node with no extent is always dirty — engines
 //     mark every node they create, recovery gives every node it loads
-//     its extent, and CheckCache asserts it — so the bitmap alone says
+//     its extent, and Check asserts it — so the bitmap alone says
 //     which nodes a checkpoint must write,
 //   - the leaf cache: LRU list, resident byte count, hit/miss accounting
 //     and foreground eviction with write-back,
@@ -25,26 +25,37 @@
 //   - the double-buffered checkpoint metadata codec,
 //   - the journal segment pool,
 //   - recovery: tree walk from the checkpointed root, free-list
-//     reconstruction, leaf-chain rebuild, sequence-sorted journal replay
-//     and stale-segment retirement.
+//     reconstruction, leaf-chain rebuild, sequence-sorted journal replay,
+//     the checkpoint-floor ("fsync lie") refusal and stale-segment
+//     retirement,
+//   - the tree shell (shell.go): the configuration both engines share
+//     (Tuning, with its defaults, Validate and knob binder), Open and
+//     Recover, the kv.Engine lifecycle (FlushAll, Quiesce, Close, group
+//     commit, Stats, DiskUsageBytes, Err), the KV sequence counter, and
+//     the bracket around every operation (BeginWrite, AppendJournal,
+//     EndWrite, BeginGet/BeginRead, LoadForGet).
 //
-// An engine embeds Node in its node type and a Core in its tree, keeps
-// only its payload (entries, separators, buffers), and implements the
-// four methods the core cannot do for it: serialize a node, parse one,
-// apply a replayed journal record, report its sequence. PR 3 fixed three
-// crash-recovery bugs twice — once per copied implementation; the
-// discipline lives here once, pinned by engine-agnostic tests over a
-// stub engine in this package, by the golden engine trace over both real
-// engines and by their recovery regression suites.
+// An engine embeds Node in its node type and Core in its tree — so the
+// core's lifecycle methods are the engine's kv.Engine methods — keeps
+// only its payload (entries, separators, buffers) with its codec and its
+// insert, split, flush and scan paths, and implements the four Tree
+// methods the core cannot do for it: serialize a node (AppendImage),
+// parse one (MaterializeNode), apply a replayed journal record
+// (ApplyRecovered) and install a fresh tree's root leaf (NewRootLeaf).
+// Three crash-recovery bugs once had to be fixed twice, once per copied
+// implementation; the discipline lives here once, pinned by
+// engine-agnostic tests over a stub engine in this package, by the
+// golden engine trace over both real engines and by their recovery
+// regression suites.
 package cowtree
 
 import (
 	"fmt"
-	"time"
 
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/freeset"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
@@ -89,50 +100,22 @@ type Node struct {
 	lruNewer, lruOlder NodeID
 }
 
-// Engine is what the core cannot do itself. Neither method sits on the
-// engine's steady-state op path in accounting mode — the core calls them
-// while writing a node in content mode and while snapshotting a
-// checkpoint — so the interface indirection costs nothing per Put/Get.
+// Engine is what the core cannot do itself outside recovery. It is not
+// on the engine's steady-state op path in accounting mode — the core
+// calls it while writing a node in content mode — so the interface
+// indirection costs nothing per Put/Get.
 type Engine interface {
 	// AppendImage appends the serialized image of the node with the given
 	// id to dst and returns it; child references are the children's
 	// current Disk extents. Content mode only.
 	AppendImage(dst []byte, id NodeID) []byte
-	// Seq returns the KV sequence high-water mark (persisted in the
-	// checkpoint metadata).
-	Seq() uint64
 }
 
-// Config carries the engine-specific constants and tuning the core
-// needs. The naming fields keep each engine's on-device footprint
-// exactly what it was before the extraction.
-type Config struct {
-	// Name tags errors and the checkpoint worker ("btree", "betree").
-	Name string
-	// MetaPrefix names the double-buffered metadata files
-	// ("<prefix>-A"/"<prefix>-B").
-	MetaPrefix string
-	// MetaMagic is the 32-bit magic of the metadata codec.
-	MetaMagic uint32
-	// JournalPrefix prefixes journal segment file names; segments are
-	// "<prefix>NNNNNN".
-	JournalPrefix string
-
-	// ChunkPages is the checkpoint I/O granularity per job step.
-	ChunkPages int
-	// CheckpointInterval triggers a checkpoint when this much virtual
-	// time passed since the last one.
-	CheckpointInterval time.Duration
-	// CheckpointPendingBytes triggers a checkpoint when this many bytes
-	// of freed extents await release.
-	CheckpointPendingBytes int64
-	// CacheBytes bounds the serialized bytes of resident leaves.
-	CacheBytes int64
-	// Content selects content mode (values materialized and written
-	// through).
-	Content bool
-	// DisableJournal turns journaling off entirely.
-	DisableJournal bool
+// config is the core's view of its engine: the on-device names and the
+// shared tuning.
+type config struct {
+	Naming
+	Tuning
 }
 
 // IOStats counts the core's cache and checkpoint activity.
@@ -145,14 +128,20 @@ type IOStats struct {
 	CheckpointPgs  int64 // nodes written by checkpoints
 }
 
-// Core owns the shared state of one tree. Engines embed it by value and
-// call Init once at construction.
+// Core owns the shared state of one tree. Engines embed it by value;
+// Open or Recover attaches it to the device.
 type Core struct {
 	eng     Engine
 	fs      *extfs.FS
 	file    *extfs.File
 	extents extentAllocator
-	cfg     Config
+	cfg     config
+
+	// seq is the KV sequence high-water mark (persisted in the
+	// checkpoint metadata); stats counts the kv.Engine operations.
+	seq    uint64
+	stats  kv.EngineStats
+	closed bool
 
 	// nodes is indexed by NodeID (index 0 is NilNode). Engines keep a
 	// slice of their own node type parallel to it, so neither side pays
@@ -201,25 +190,24 @@ type Core struct {
 	epoch   uint32
 
 	// recovered segment names, kept between journal replay and
-	// FinishRecovery.
+	// finishRecovery.
 	segments []string
 }
 
-// Init wires the core to its engine and device state; node images are
-// allocated inside file, which grows growChunk pages at a time. The
-// engine's journal is not created here; call StartJournal once the tree
-// shell is ready (Open) or let FinishRecovery do it after replay
-// (Recover).
-func (c *Core) Init(eng Engine, fs *extfs.FS, file *extfs.File, growChunk int64, cfg Config) {
+// setup wires the core to its engine and device state; node images are
+// allocated inside file, which grows sixteen leaves at a time. The
+// journal is not created here: Open starts it once the root leaf is in
+// place, finishRecovery after replay.
+func (c *Core) setup(eng Engine, fs *extfs.FS, file *extfs.File, n Naming, tune Tuning) {
 	c.eng = eng
 	c.fs = fs
 	c.file = file
-	c.extents = newExtentAllocator(file, growChunk)
-	c.cfg = cfg
+	c.extents = newExtentAllocator(file, int64(tune.LeafPageBytes/fs.PageSize())*16)
+	c.cfg = config{n, tune}
 	c.nodes = make([]*Node, 1, 64) // index 0 is NilNode
 	c.dirty = make([]bool, 1, 64)
-	c.metaSlots = metaSlots(cfg.MetaPrefix)
-	c.ckptW = sim.NewWorker(cfg.Name + "-checkpoint")
+	c.metaSlots = metaSlots(n.MetaPrefix)
+	c.ckptW = sim.NewWorker(n.Name + "-checkpoint")
 }
 
 // Register enters a new node into the table under the next sequential
@@ -364,6 +352,19 @@ func (c *Core) Fetch(now sim.Duration, n *Node) (sim.Duration, error) {
 // whose Serialized the engine just changed by as much.
 func (c *Core) Resize(delta int) { c.residentBytes += int64(delta) }
 
+// AdmitSplit admits right, the new right half of a split leaf, when the
+// leaf it split from is resident; journal replay splits leaves recovery
+// left out of the cache, and their right halves stay out too. Admit
+// charges right.Serialized, but the moved entries were already counted
+// while they lived in left (whose Serialized dropped by as much); only
+// the new node's header, headerBytes, is genuinely new.
+func (c *Core) AdmitSplit(left, right *Node, headerBytes int) {
+	if left.Resident {
+		c.Admit(right)
+		c.Resize(headerBytes - right.Serialized)
+	}
+}
+
 // EvictToFit writes back and drops LRU leaves until the cache fits,
 // charging the eviction I/O to the foreground — WiredTiger's application
 // threads do exactly this under cache pressure. A write-back error is
@@ -393,13 +394,13 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 	return now, nil
 }
 
-// CheckCache audits the leaf cache and the dirty set: the LRU list is
+// Check audits the leaf cache and the dirty set: the LRU list is
 // linked consistently both ways and ends at the tail, every listed node
 // is a resident leaf, every resident node is listed, and the listed
 // sizes sum to the resident byte count; the dirty bitmap covers the
 // node table, counts dirtyCount nodes, and holds every node that has no
 // extent.
-func (c *Core) CheckCache() error {
+func (c *Core) Check() error {
 	if len(c.dirty) != len(c.nodes) {
 		return fmt.Errorf("%s: dirty bitmap covers %d ids, node table %d", c.cfg.Name, len(c.dirty), len(c.nodes))
 	}
@@ -509,37 +510,15 @@ func (c *Core) image(id NodeID, size int) []byte {
 
 // ---- journal ----
 
-// Journal returns the active journal segment writer, or nil when
-// journaling is disabled.
-func (c *Core) Journal() *wal.Writer { return c.journal }
-
-// JournalSyncCount returns the number of device-reaching syncs issued on
-// the active journal segment (see wal.Writer.SyncCount). The count does
-// not carry across journal rotations; tests reading it bracket a window
-// short enough that no checkpoint rotates the segment.
-func (c *Core) JournalSyncCount() int64 {
-	if c.journal == nil {
-		return 0
-	}
-	return c.journal.SyncCount()
-}
-
-// SetJournalState seeds the journal id and metadata generation from
-// recovered checkpoint metadata.
-func (c *Core) SetJournalState(journalID, metaGen uint64) {
-	c.journalID = journalID
-	c.metaGen = metaGen
-}
-
 // journalName mints the next segment name.
 func (c *Core) journalName() string {
 	c.journalID++
 	return fmt.Sprintf("%s%06d", c.cfg.JournalPrefix, c.journalID)
 }
 
-// StartJournal creates the initial journal segment (no-op when
+// startJournal creates the initial journal segment (no-op when
 // journaling is disabled).
-func (c *Core) StartJournal() error {
+func (c *Core) startJournal() error {
 	if c.cfg.DisableJournal {
 		return nil
 	}
@@ -549,28 +528,6 @@ func (c *Core) StartJournal() error {
 	}
 	c.journal = w
 	return nil
-}
-
-// BeginGroup opens a group commit: while it is active, engines skip
-// their per-record journal syncs (they consult GroupActive at the
-// append site) so a batch of writes from independent clients commits
-// with one sync. The serving layer brackets multi-write intake batches
-// with BeginGroup/EndGroup.
-func (c *Core) BeginGroup() { c.group = true }
-
-// GroupActive reports whether a group commit is open.
-func (c *Core) GroupActive() bool { return c.group }
-
-// EndGroup closes the group and, when sync is set, durably syncs the
-// journal tail once, returning the sync completion time. Records whose
-// segment was rotated away by an intervening checkpoint need no sync —
-// the checkpoint superseded them.
-func (c *Core) EndGroup(now sim.Duration, sync bool) (sim.Duration, error) {
-	c.group = false
-	if !sync || c.journal == nil {
-		return now, nil
-	}
-	return c.journal.Sync(now)
 }
 
 // wrapJournal opens the next journal segment, reusing a recycled one

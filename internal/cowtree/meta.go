@@ -120,10 +120,10 @@ func (c *Core) writeMeta(now sim.Duration, floor uint64) (sim.Duration, error) {
 // the alternating slot writes never tear both generations at once), and
 // ReadMeta fails loudly instead of silently bootstrapping an empty tree
 // over real data.
-func ReadMeta(fs *extfs.FS, prefix string, magic uint32, name string, now sim.Duration) (*Meta, sim.Duration, error) {
+func ReadMeta(fs *extfs.FS, n Naming, now sim.Duration) (*Meta, sim.Duration, error) {
 	var best *Meta
 	slots, garbled := 0, 0
-	for _, slot := range metaSlots(prefix) {
+	for _, slot := range metaSlots(n.MetaPrefix) {
 		f, err := fs.Open(slot)
 		if err != nil {
 			continue
@@ -134,7 +134,7 @@ func ReadMeta(fs *extfs.FS, prefix string, magic uint32, name string, now sim.Du
 		if err != nil {
 			return nil, now, err
 		}
-		m, err := DecodeMeta(buf, magic, name)
+		m, err := DecodeMeta(buf, n.MetaMagic, n.Name)
 		if err != nil {
 			if !allZero(buf) {
 				garbled++
@@ -146,7 +146,7 @@ func ReadMeta(fs *extfs.FS, prefix string, magic uint32, name string, now sim.Du
 		}
 	}
 	if best == nil && slots == 2 && garbled > 0 {
-		return nil, now, fmt.Errorf("%s: checkpoint metadata corrupt in both slots", name)
+		return nil, now, fmt.Errorf("%s: checkpoint metadata corrupt in both slots", n.Name)
 	}
 	return best, now, nil
 }

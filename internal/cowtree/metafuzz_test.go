@@ -179,7 +179,7 @@ func TestMetaSlotCorruptionOnFileDevice(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m, _, err := ReadMeta(fs, "stmeta", stubMetaMagic, "stub", 0)
+		m, _, err := ReadMeta(fs, stubNaming, 0)
 		if err != nil {
 			t.Fatalf("all-zero slots must bootstrap, got error: %v", err)
 		}

@@ -22,16 +22,18 @@ type RecoveryEngine interface {
 	// parallel slice). It returns the node's header — Leaf, Serialized
 	// and, for an interior node, Children sized to the fanout set; the
 	// core fills in Parent, Disk and the child ids — and the on-disk
-	// extents of the children in child order (nil for leaves).
+	// extents of the children in child order (nil for leaves). It
+	// reports every sequence number the image holds to Core.NoteSeq.
 	MaterializeNode(data []byte) (*Node, []Extent, error)
 	// ApplyRecovered replays one journal record through the engine's
 	// insert path (without journaling, CPU costs or eviction),
 	// sequence-guarded so stale records never overwrite newer on-disk
-	// state. The engine also advances its sequence high-water mark.
+	// state. The core has already raised the sequence high-water mark
+	// to the record's.
 	ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error)
 }
 
-// RecoverTree rebuilds the engine's in-memory tree from the checkpoint
+// recoverTree rebuilds the engine's in-memory tree from the checkpoint
 // root extent and replays surviving journal segments on top: the tree
 // is parsed top-down (extents seen during the walk are live; everything
 // else inside the collection file is free space), the block manager's
@@ -39,7 +41,7 @@ type RecoveryEngine interface {
 // left-to-right, and journal records are replayed in sequence order. A
 // recovered root leaf is admitted to the cache, as a fresh tree's is;
 // every other leaf starts non-resident.
-func (c *Core) RecoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine) (sim.Duration, error) {
+func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine) (sim.Duration, error) {
 	used := []Extent{}
 	root, now, err := c.loadSubtree(now, rootExt, NilNode, eng, &used)
 	if err != nil {
@@ -55,7 +57,7 @@ func (c *Core) RecoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine)
 	return c.replayJournals(now, eng)
 }
 
-// RecoverBootstrap rebuilds recovery state for a tree that crashed
+// recoverBootstrap rebuilds recovery state for a tree that crashed
 // before its first checkpoint ever committed: both metadata slots are
 // empty or torn, so nothing inside the collection file is live and the
 // synced journal is the only durable state. The engine installs a fresh
@@ -64,17 +66,17 @@ func (c *Core) RecoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine)
 // slot writes mean a tree with a committed checkpoint can never lose
 // both slots to one torn write, so reaching this path implies there is
 // no older checkpoint to roll back to.
-func (c *Core) RecoverBootstrap(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
+func (c *Core) recoverBootstrap(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
 	c.rebuildFreeList(nil)
 	return c.replayJournals(now, eng)
 }
 
-// FinishRecovery closes out either recovery path: a fresh journal, a
+// finishRecovery closes out either recovery path: a fresh journal, a
 // full checkpoint that makes the replayed state durable, and only then
 // the removal of the replayed segments, so the next crash finds valid
 // metadata and no stale record.
-func (c *Core) FinishRecovery(now sim.Duration) (sim.Duration, error) {
-	if err := c.StartJournal(); err != nil {
+func (c *Core) finishRecovery(now sim.Duration) (sim.Duration, error) {
+	if err := c.startJournal(); err != nil {
 		return now, err
 	}
 	end, err := c.Checkpoint(now)
@@ -151,7 +153,7 @@ func (c *Core) rebuildLeafChain(n *Node, prev *NodeID) {
 
 // replayJournals collects every surviving journal segment, replays the
 // records in global sequence order through the engine's recovery apply
-// path, and remembers the segment names so FinishRecovery can remove
+// path, and remembers the segment names so finishRecovery can remove
 // them once the replayed state is durable again.
 func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
 	var records []wal.Record
@@ -164,7 +166,7 @@ func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duratio
 		// that survived on disk (a cut can land after a journal rotation
 		// but before the checkpoint that would record it commits). Minting
 		// names from the metadata's journal id alone would collide with
-		// such a survivor and fail StartJournal with ErrExist — advance the
+		// such a survivor and fail startJournal with ErrExist — advance the
 		// counter past every name actually present.
 		if id, err := strconv.ParseUint(name[len(c.cfg.JournalPrefix):], 10, 64); err == nil && id > c.journalID {
 			c.journalID = id
@@ -181,6 +183,7 @@ func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duratio
 	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	for i := range records {
 		var err error
+		c.NoteSeq(records[i].Seq)
 		now, err = eng.ApplyRecovered(now, &records[i])
 		if err != nil {
 			return now, err

@@ -3,7 +3,6 @@ package cowtree
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"ptsbench/internal/blockdev"
@@ -17,8 +16,9 @@ import (
 // engine over the Core — fixed fanout, uint64 keys, no buffers —
 // exercised by the engine-agnostic regression tests in
 // checkpoint_test.go. It is also the reference answer to "what must an
-// engine implement": the four Engine/RecoveryEngine methods below plus a
-// node codec and an insert path are the entire integration surface.
+// engine implement": the four Tree methods below plus a node codec and
+// an insert path are the entire integration surface; Open and Recover
+// do the rest, for the stub as for the real engines.
 
 const (
 	stubLeafMax   = 8          // entries per leaf before a split
@@ -42,9 +42,8 @@ type stubNode struct {
 }
 
 type stubTree struct {
-	core  Core
+	Core
 	nodes []*stubNode // parallel to the core's header table
-	seq   uint64
 	// imaged, when set, sees the id of every node image the core
 	// serializes (a content-mode write, just before it reaches the file).
 	imaged func(NodeID)
@@ -80,55 +79,58 @@ func stubEnvSized(logicalBytes int64, content bool) (*extfs.FS, error) {
 	return extfs.Mount(dev, extfs.Options{})
 }
 
-func stubConfig(interval time.Duration, chunkPages int) Config {
-	return Config{
-		Name:                   "stub",
-		MetaPrefix:             "stmeta",
-		MetaMagic:              stubMetaMagic,
-		JournalPrefix:          "sjournal-",
+var stubNaming = Naming{
+	Name:          "stub",
+	File:          "collection.stub",
+	MetaPrefix:    "stmeta",
+	MetaMagic:     stubMetaMagic,
+	JournalPrefix: "sjournal-",
+}
+
+func stubConfig(interval time.Duration, chunkPages int) config {
+	return config{stubNaming, Tuning{
+		LeafPageBytes:          16 << 10, // the collection file grows 64 pages at a time
 		ChunkPages:             chunkPages,
 		CheckpointInterval:     interval,
 		CheckpointPendingBytes: 1 << 30, // interval-driven only
 		CacheBytes:             1 << 30, // nothing evicted unless a test shrinks it
 		Content:                true,
-	}
+	}}
 }
 
-func newStub(fs *extfs.FS, f *extfs.File, cfg Config) *stubTree {
-	t := &stubTree{nodes: make([]*stubNode, 1, 16)} // index 0 is NilNode
-	t.core.Init(t, fs, f, 64, cfg)
-	return t
+func newStub() *stubTree {
+	return &stubTree{nodes: make([]*stubNode, 1, 16)} // index 0 is NilNode
 }
 
-func openStub(fs *extfs.FS, cfg Config) (*stubTree, error) {
-	f, err := fs.Create("collection.stub")
-	if err != nil {
-		return nil, err
-	}
-	t := newStub(fs, f, cfg)
+func openStub(fs *extfs.FS, cfg config) (*stubTree, error) {
+	return Open(fs, cfg.Naming, cfg.Tuning, newStub())
+}
+
+// recoverStub reopens a stub tree from its on-device state.
+func recoverStub(fs *extfs.FS, cfg config, now sim.Duration) (*stubTree, sim.Duration, error) {
+	return Recover(fs, cfg.Naming, cfg.Tuning, now, newStub())
+}
+
+func (t *stubTree) NewRootLeaf() {
 	root := t.newNode(true)
-	t.core.SetRoot(root.ID)
-	t.core.Admit(&root.Node)
-	if err := t.core.StartJournal(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t.Core.SetRoot(root.ID)
+	t.Core.Admit(&root.Node)
 }
 
 func (t *stubTree) newNode(leaf bool) *stubNode {
 	n := &stubNode{Node: Node{Leaf: leaf}}
 	n.Serialized = n.size()
 	t.register(n)
-	t.core.MarkDirty(&n.Node)
+	t.Core.MarkDirty(&n.Node)
 	return n
 }
 
 func (t *stubTree) register(n *stubNode) {
-	t.core.Register(&n.Node)
+	t.Core.Register(&n.Node)
 	t.nodes = append(t.nodes, n)
 }
 
-func (t *stubTree) root() *stubNode { return t.nodes[t.core.Root()] }
+func (t *stubTree) root() *stubNode { return t.nodes[t.Core.Root()] }
 
 // resized brings a node's Serialized (and, for a resident leaf, the
 // cache's byte count) up to date after its payload changed.
@@ -136,7 +138,7 @@ func (t *stubTree) resized(n *stubNode) {
 	delta := n.size() - n.Serialized
 	n.Serialized += delta
 	if n.Resident {
-		t.core.Resize(delta)
+		t.Core.Resize(delta)
 	}
 }
 
@@ -149,8 +151,6 @@ func (t *stubTree) AppendImage(dst []byte, id NodeID) []byte {
 	return serializeStub(dst, t.nodes[id], func(c NodeID) Extent { return t.nodes[c].Disk })
 }
 
-func (t *stubTree) Seq() uint64 { return t.seq }
-
 // ---- RecoveryEngine implementation ----
 
 func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
@@ -159,6 +159,9 @@ func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
 		return nil, nil, errors.New("stub: corrupt node")
 	}
 	n.Serialized = n.size()
+	for _, seq := range n.seqs {
+		t.Core.NoteSeq(seq)
+	}
 	t.register(n)
 	exts := n.childExtents
 	n.childExtents = nil
@@ -166,9 +169,6 @@ func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
 }
 
 func (t *stubTree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
-	if r.Seq > t.seq {
-		t.seq = r.Seq
-	}
 	key := binary.BigEndian.Uint64(r.Key)
 	leaf := t.descend(key)
 	i := leafSearch(leaf, key)
@@ -223,26 +223,26 @@ func (t *stubTree) insertLeaf(leaf *stubNode, key uint64, val []byte, seq uint64
 		leaf.seqs[i] = seq
 	}
 	t.resized(leaf)
-	t.core.MarkDirty(&leaf.Node)
+	t.Core.MarkDirty(&leaf.Node)
 	if len(leaf.keys) > stubLeafMax {
 		t.splitLeaf(leaf)
 	}
 }
 
 func (t *stubTree) put(now sim.Duration, key uint64, val []byte) (sim.Duration, error) {
-	if err := t.core.Err(); err != nil {
+	if err := t.Core.Err(); err != nil {
 		return now, err
 	}
-	t.core.Pump(now)
+	t.Core.Pump(now)
 	now += time.Microsecond
 	t.seq++
 	leaf := t.descend(key)
 	var err error
-	if now, err = t.core.Load(now, &leaf.Node); err != nil {
+	if now, err = t.Core.Load(now, &leaf.Node); err != nil {
 		return now, err
 	}
 	t.insertLeaf(leaf, key, val, t.seq)
-	if w := t.core.Journal(); w != nil {
+	if w := t.journal; w != nil {
 		var kb [8]byte
 		binary.BigEndian.PutUint64(kb[:], key)
 		rec := wal.Record{Seq: t.seq, Key: kb[:], Value: val, ValueLen: len(val)}
@@ -251,10 +251,10 @@ func (t *stubTree) put(now sim.Duration, key uint64, val []byte) (sim.Duration, 
 			return now, err
 		}
 	}
-	if now, err = t.core.EvictToFit(now); err != nil {
+	if now, err = t.Core.EvictToFit(now); err != nil {
 		return now, err
 	}
-	t.core.MaybeCheckpoint(now)
+	t.Core.MaybeCheckpoint(now)
 	return now, nil
 }
 
@@ -282,21 +282,21 @@ func (t *stubTree) splitLeaf(leaf *stubNode) {
 	t.resized(leaf)
 	t.resized(right)
 	if leaf.Resident {
-		t.core.Admit(&right.Node)
+		t.Core.Admit(&right.Node)
 	}
-	t.core.MarkDirty(&leaf.Node)
+	t.Core.MarkDirty(&leaf.Node)
 	t.insertIntoParent(leaf, right.keys[0], right)
 }
 
 func (t *stubTree) insertIntoParent(left *stubNode, sep uint64, right *stubNode) {
-	if left.ID == t.core.Root() {
+	if left.ID == t.Core.Root() {
 		newRoot := t.newNode(false)
 		newRoot.seps = []uint64{sep}
 		newRoot.Children = []NodeID{left.ID, right.ID}
 		t.resized(newRoot)
 		left.Parent = newRoot.ID
 		right.Parent = newRoot.ID
-		t.core.SetRoot(newRoot.ID)
+		t.Core.SetRoot(newRoot.ID)
 		return
 	}
 	parent := t.nodes[left.Parent]
@@ -312,7 +312,7 @@ func (t *stubTree) insertIntoParent(left *stubNode, sep uint64, right *stubNode)
 	parent.Children[idx+1] = right.ID
 	right.Parent = parent.ID
 	t.resized(parent)
-	t.core.MarkDirty(&parent.Node)
+	t.Core.MarkDirty(&parent.Node)
 	if len(parent.Children) > stubFanoutMax {
 		t.splitInterior(parent)
 	}
@@ -332,38 +332,12 @@ func (t *stubTree) splitInterior(n *stubNode) {
 	}
 	t.resized(n)
 	t.resized(right)
-	t.core.MarkDirty(&n.Node)
+	t.Core.MarkDirty(&n.Node)
 	t.insertIntoParent(n, promoted, right)
 }
 
 func (t *stubTree) flushAll(now sim.Duration) (sim.Duration, error) {
-	return t.core.Checkpoint(now)
-}
-
-// recoverStub reopens a stub tree from its on-device state, mirroring
-// the engines' Recover entry points step by step.
-func recoverStub(fs *extfs.FS, cfg Config, now sim.Duration) (*stubTree, sim.Duration, error) {
-	st, now, err := ReadMeta(fs, cfg.MetaPrefix, cfg.MetaMagic, cfg.Name, now)
-	if err != nil {
-		return nil, now, err
-	}
-	if st == nil {
-		return nil, now, fmt.Errorf("stub: no valid checkpoint metadata")
-	}
-	f, err := fs.Open("collection.stub")
-	if err != nil {
-		return nil, now, err
-	}
-	t := newStub(fs, f, cfg)
-	t.seq = st.Seq
-	t.core.SetJournalState(st.JournalID, st.Gen)
-	if now, err = t.core.RecoverTree(now, st.Root, t); err != nil {
-		return nil, now, err
-	}
-	if now, err = t.core.FinishRecovery(now); err != nil {
-		return nil, now, err
-	}
-	return t, now, nil
+	return t.Core.Checkpoint(now)
 }
 
 // ---- codec ----

@@ -182,7 +182,7 @@ func TestJournalIDCollisionAfterRecovery(t *testing.T) {
 	if now, err = tree.put(now, 100, tornVal(9, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.core.NewCheckpointJob(); err != nil {
+	if _, err := tree.Core.NewCheckpointJob(); err != nil {
 		t.Fatal(err)
 	}
 	// Recovery must replay both segments and start a journal whose name

@@ -52,6 +52,7 @@ const (
 type tree interface {
 	engine.Engine
 	Depth() int
+	NodeCount() (leaves, interiors int)
 }
 
 type traceCase struct {
@@ -131,15 +132,13 @@ func flat(v any) string {
 // describe renders a tree's counters and shape.
 func describe(e tree, dev any, disk int64) string {
 	var io any
-	var leaves, interiors int
 	switch t := e.(type) {
 	case *btree.Tree:
 		io = t.IO()
-		leaves, interiors = t.PageCount()
 	case *betree.Tree:
 		io = t.IO()
-		leaves, interiors = t.NodeCount()
 	}
+	leaves, interiors := e.NodeCount()
 	return fmt.Sprintf("  io: %s\n  stats: %s\n  dev: %s\n  disk=%d depth=%d leaves=%d interiors=%d\n",
 		flat(io), flat(e.Stats()), flat(dev), disk, e.Depth(), leaves, interiors)
 }

@@ -82,7 +82,7 @@ func TestCheckpointWriteOrder(t *testing.T) {
 		}
 	}
 
-	job, err := tr.core.NewCheckpointJob()
+	job, err := tr.Core.NewCheckpointJob()
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
 	}
@@ -90,14 +90,14 @@ func TestCheckpointWriteOrder(t *testing.T) {
 	for _, id := range job.ids {
 		inSnapshot[id] = true
 	}
-	rootBefore := tr.core.Root()
+	rootBefore := tr.Core.Root()
 	redirtied := 0
 	for done := false; !done; step++ {
 		tr.imaged = record
 		now, done = job.Step(now)
 		settle()
 		tr.imaged = nil
-		if err := tr.core.Err(); err != nil {
+		if err := tr.Core.Err(); err != nil {
 			t.Fatal(err)
 		}
 		if done {
@@ -106,7 +106,7 @@ func TestCheckpointWriteOrder(t *testing.T) {
 		switch {
 		case step == 12: // grow the root under the running job
 			base := rng.Uint64n(space)
-			for k := base; tr.core.Root() == rootBefore; k++ {
+			for k := base; tr.Core.Root() == rootBefore; k++ {
 				if k > base+100000 {
 					t.Fatal("root never grew; tighten the stub limits")
 				}
@@ -135,15 +135,15 @@ func TestCheckpointWriteOrder(t *testing.T) {
 			fresh++
 		}
 	}
-	if tr.core.Root() == rootBefore || writes[tr.core.Root()] == 0 || redirtied == 0 || twice == 0 || fresh == 0 {
+	if tr.Core.Root() == rootBefore || writes[tr.Core.Root()] == 0 || redirtied == 0 || twice == 0 || fresh == 0 {
 		t.Fatalf("scenario too tame: root %d -> %d (written %d times), %d re-dirtied, %d nodes written twice, %d outside the snapshot",
-			rootBefore, tr.core.Root(), writes[tr.core.Root()], redirtied, twice, fresh)
+			rootBefore, tr.Core.Root(), writes[tr.Core.Root()], redirtied, twice, fresh)
 	}
-	if err := tr.core.CheckCache(); err != nil {
+	if err := tr.Core.Check(); err != nil {
 		t.Fatal(err)
 	}
 	got := fmt.Sprintf("snapshot=%d steps=%d writes=%d twice=%d outside-snapshot=%d root=%d->%d\n%s\n",
-		len(inSnapshot), step, len(lines), twice, fresh, rootBefore, tr.core.Root(), strings.Join(lines, "\n"))
+		len(inSnapshot), step, len(lines), twice, fresh, rootBefore, tr.Core.Root(), strings.Join(lines, "\n"))
 
 	// The committed checkpoint plus the journal written since hold
 	// everything.
