@@ -28,7 +28,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	return cowtree.Recover(fs, naming, cfg.Tuning, now, newTree(cfg))
 }
 
-// MaterializeNode implements cowtree.RecoveryEngine: parse one on-disk
+// MaterializeNode implements cowtree.Tree: parse one on-disk
 // image (interior buffers included), register the node and return its
 // child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
@@ -58,7 +58,7 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 	return &n.Node, childExts, nil
 }
 
-// ApplyRecovered implements cowtree.RecoveryEngine: replay one journal
+// ApplyRecovered implements cowtree.Tree: replay one journal
 // record through the message path (without journaling, CPU costs or
 // eviction), threading the recovery clock so leaf loads triggered by
 // flush cascades are charged. A record is dropped when ANY version along

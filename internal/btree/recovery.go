@@ -27,7 +27,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	return cowtree.Recover(fs, naming, cfg.Tuning, now, newTree(cfg))
 }
 
-// MaterializeNode implements cowtree.RecoveryEngine: parse one on-disk
+// MaterializeNode implements cowtree.Tree: parse one on-disk
 // image, register the page and return its child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
 	p, ok := parsePage(data)
@@ -51,7 +51,7 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 	return &p.Node, childExts, nil
 }
 
-// ApplyRecovered implements cowtree.RecoveryEngine: replay one journal
+// ApplyRecovered implements cowtree.Tree: replay one journal
 // record through the insert path (without journaling, CPU costs or
 // eviction), guarded by sequence so stale records never overwrite newer
 // on-disk state.

@@ -10,29 +10,6 @@ import (
 	"ptsbench/internal/wal"
 )
 
-// RecoveryEngine extends Engine with the two hooks recovery needs: the
-// engine materializes nodes from their serialized images (its codec)
-// and applies replayed journal records (its insert path); the core
-// drives the tree walk, free-list reconstruction, leaf-chain rebuild
-// and sequence-ordered replay.
-type RecoveryEngine interface {
-	Engine
-	// MaterializeNode parses one on-disk image into a node of the
-	// engine's type and registers it (Core.Register plus the engine's own
-	// parallel slice). It returns the node's header — Leaf, Serialized
-	// and, for an interior node, Children sized to the fanout set; the
-	// core fills in Parent, Disk and the child ids — and the on-disk
-	// extents of the children in child order (nil for leaves). It
-	// reports every sequence number the image holds to Core.NoteSeq.
-	MaterializeNode(data []byte) (*Node, []Extent, error)
-	// ApplyRecovered replays one journal record through the engine's
-	// insert path (without journaling, CPU costs or eviction),
-	// sequence-guarded so stale records never overwrite newer on-disk
-	// state. The core has already raised the sequence high-water mark
-	// to the record's.
-	ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error)
-}
-
 // recoverTree rebuilds the engine's in-memory tree from the checkpoint
 // root extent and replays surviving journal segments on top: the tree
 // is parsed top-down (extents seen during the walk are live; everything
@@ -41,7 +18,7 @@ type RecoveryEngine interface {
 // left-to-right, and journal records are replayed in sequence order. A
 // recovered root leaf is admitted to the cache, as a fresh tree's is;
 // every other leaf starts non-resident.
-func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine) (sim.Duration, error) {
+func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng Tree) (sim.Duration, error) {
 	used := []Extent{}
 	root, now, err := c.loadSubtree(now, rootExt, NilNode, eng, &used)
 	if err != nil {
@@ -66,7 +43,7 @@ func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng RecoveryEngine)
 // slot writes mean a tree with a committed checkpoint can never lose
 // both slots to one torn write, so reaching this path implies there is
 // no older checkpoint to roll back to.
-func (c *Core) recoverBootstrap(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
+func (c *Core) recoverBootstrap(now sim.Duration, eng Tree) (sim.Duration, error) {
 	c.rebuildFreeList(nil)
 	return c.replayJournals(now, eng)
 }
@@ -91,7 +68,7 @@ func (c *Core) finishRecovery(now sim.Duration) (sim.Duration, error) {
 
 // loadSubtree reads and parses the node at ext, recursing into children,
 // and returns the registered node.
-func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng RecoveryEngine, used *[]Extent) (*Node, sim.Duration, error) {
+func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng Tree, used *[]Extent) (*Node, sim.Duration, error) {
 	if ext.Pages <= 0 {
 		return nil, now, fmt.Errorf("%s: empty extent in tree walk", c.cfg.Name)
 	}
@@ -155,7 +132,7 @@ func (c *Core) rebuildLeafChain(n *Node, prev *NodeID) {
 // records in global sequence order through the engine's recovery apply
 // path, and remembers the segment names so finishRecovery can remove
 // them once the replayed state is durable again.
-func (c *Core) replayJournals(now sim.Duration, eng RecoveryEngine) (sim.Duration, error) {
+func (c *Core) replayJournals(now sim.Duration, eng Tree) (sim.Duration, error) {
 	var records []wal.Record
 	c.segments = c.segments[:0]
 	for _, name := range c.fs.List() {

@@ -143,11 +143,29 @@ func (t *Tuning) Bind(k *engine.Knobs) {
 	k.Int("chunk_pages", "checkpoint I/O granularity (pages per job step)", &t.ChunkPages)
 }
 
-// Tree is an engine's tree as Open and Recover see it: the recovery
-// hooks, a constructor for the empty root leaf of a fresh tree, and the
-// Core — which the tree provides by embedding it.
+// Tree is an engine's tree as Open and Recover see it: the node codec,
+// the two recovery hooks, a constructor for the empty root leaf of a
+// fresh tree, and the Core — which the tree provides by embedding it.
+// The core drives the tree walk, free-list reconstruction, leaf-chain
+// rebuild and sequence-ordered replay; the engine materializes nodes
+// from their images (its codec) and applies replayed journal records
+// (its insert path).
 type Tree interface {
-	RecoveryEngine
+	Engine
+	// MaterializeNode parses one on-disk image into a node of the
+	// engine's type and registers it (Core.Register plus the engine's own
+	// parallel slice). It returns the node's header — Leaf, Serialized
+	// and, for an interior node, Children sized to the fanout set; the
+	// core fills in Parent, Disk and the child ids — and the on-disk
+	// extents of the children in child order (nil for leaves). It
+	// reports every sequence number the image holds to Core.NoteSeq.
+	MaterializeNode(data []byte) (*Node, []Extent, error)
+	// ApplyRecovered replays one journal record through the engine's
+	// insert path (without journaling, CPU costs or eviction),
+	// sequence-guarded so stale records never overwrite newer on-disk
+	// state. The core has already raised the sequence high-water mark
+	// to the record's.
+	ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error)
 	// NewRootLeaf installs the empty, resident root leaf of a fresh
 	// tree (Core.SetRoot plus Core.Admit).
 	NewRootLeaf()
@@ -267,7 +285,7 @@ func (c *Core) BeginWrite(now sim.Duration, value []byte, valueLen int) (sim.Dur
 	if value != nil {
 		valueLen = len(value)
 	}
-	c.ckptW.Pump(now)
+	c.Pump(now)
 	now += c.cfg.CPUPutTime + time.Duration(valueLen)*c.cfg.CPUPerByte
 	c.seq++
 	return now, c.seq, valueLen, nil
@@ -310,7 +328,7 @@ func (c *Core) BeginRead(now sim.Duration) (sim.Duration, error) {
 	if c.fatal != nil {
 		return now, c.fatal
 	}
-	c.ckptW.Pump(now)
+	c.Pump(now)
 	return now + c.cfg.CPUGetTime, nil
 }
 

@@ -151,7 +151,7 @@ func (t *stubTree) AppendImage(dst []byte, id NodeID) []byte {
 	return serializeStub(dst, t.nodes[id], func(c NodeID) Extent { return t.nodes[c].Disk })
 }
 
-// ---- RecoveryEngine implementation ----
+// ---- the rest of the Tree implementation ----
 
 func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
 	n, ok := parseStub(data)
