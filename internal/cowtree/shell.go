@@ -207,28 +207,27 @@ func Recover[T Tree](fs *extfs.FS, n Naming, tune Tuning, now sim.Duration, t T)
 	if err != nil {
 		return none, now, err
 	}
+	f, err := fs.Open(n.File)
+	switch {
+	case err == nil:
+	case st != nil:
+		return none, now, fmt.Errorf("%s: collection file missing: %w", n.Name, err)
+	default:
+		if f, err = fs.Create(n.File); err != nil {
+			return none, now, err
+		}
+	}
 	c := t.shell()
+	c.setup(t, fs, f, n, tune)
 	if st == nil {
 		// The tree died before its first checkpoint committed: the
 		// synced journal is the only durable state. Rebuild from an
 		// empty root and replay it (see recoverBootstrap).
-		f, err := fs.Open(n.File)
-		if err != nil {
-			if f, err = fs.Create(n.File); err != nil {
-				return none, now, err
-			}
-		}
-		c.setup(t, fs, f, n, tune)
 		t.NewRootLeaf()
 		if now, err = c.recoverBootstrap(now, t); err != nil {
 			return none, now, err
 		}
 	} else {
-		f, err := fs.Open(n.File)
-		if err != nil {
-			return none, now, fmt.Errorf("%s: collection file missing: %w", n.Name, err)
-		}
-		c.setup(t, fs, f, n, tune)
 		c.journalID, c.metaGen = st.JournalID, st.Gen
 		// Rebuild the tree from the root (extents seen during the walk
 		// are live; everything else inside the file is free space), then
