@@ -901,61 +901,118 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	}
 }
 
-// BenchmarkBufferInsert is the layer-level number behind the partition:
-// upserting uniformly random keys into one interior node shaped like the
-// benchmark tree's root (33 children, a budget of 2,080 messages of
-// 4,000 accounted bytes), draining the busiest child whenever the node
-// goes over — on the partitioned node and on the flat sorted array it
-// replaced, whose every insert shifts half the buffer.
-func BenchmarkBufferInsert(b *testing.B) {
-	const (
-		children = 33
-		keySpace = 1 << 20
-		vlen     = 4000
-		budget   = 2080 * (msgOverhead + kv.KeySize + vlen)
-	)
-	seps := make([][]byte, children-1)
+// The node BenchmarkBufferInsert and BenchmarkBufferGet drive is shaped
+// like the benchmark tree's root: 33 children over a 2^20 key space and
+// a budget of 2,080 messages of 4,000 accounted bytes.
+const (
+	benchChildren = 33
+	benchKeySpace = 1 << 20
+	benchVlen     = 4000
+	benchBudget   = 2080 * (msgOverhead + kv.KeySize + benchVlen)
+)
+
+// benchSeps returns the benchmark node's separators, evenly spaced.
+func benchSeps() [][]byte {
+	seps := make([][]byte, benchChildren-1)
 	for i := range seps {
-		seps[i] = kv.EncodeKey(uint64(i+1) * keySpace / children)
+		seps[i] = kv.EncodeKey(uint64(i+1) * benchKeySpace / benchChildren)
 	}
+	return seps
+}
+
+// benchNode returns the partitioned benchmark node, empty.
+func benchNode() *node {
+	n := &node{seps: benchSeps(), Node: cowtree.Node{Children: make([]nodeID, benchChildren)},
+		bufs: make([][]message, benchChildren), bufSizes: make([]int, benchChildren)}
+	n.refreshSepCache()
+	return n
+}
+
+// benchUpsert upserts one accounting-mode message for key into the
+// benchmark node, draining the busiest child while the node is over its
+// budget.
+func benchUpsert(mm *mem, n *node, key []byte, seq int) {
+	n.bufInsert(mm, makeMessage(key, uint64(seq), benchVlen, false), nil, false)
+	for n.bufBytes > benchBudget {
+		ci, size := n.busiestChild()
+		dropBuffer(mm, n, ci, size)
+	}
+}
+
+// BenchmarkBufferInsert is the layer-level number behind the partition:
+// upserting uniformly random keys into the benchmark node, draining the
+// busiest child whenever the node goes over — on the partitioned node
+// and on the flat sorted array it replaced, whose every insert shifts
+// half the buffer.
+func BenchmarkBufferInsert(b *testing.B) {
 	key := make([]byte, kv.KeySize)
-	run := func(b *testing.B, upsert func(m message)) {
+	run := func(b *testing.B, upsert func(seq int)) {
 		rng := sim.NewRNG(1)
-		next := func(seq int) message {
-			kv.AppendKey(key, rng.Uint64n(keySpace))
-			return makeMessage(key, uint64(seq), vlen, false)
+		next := func(seq int) {
+			kv.AppendKey(key, rng.Uint64n(benchKeySpace))
+			upsert(seq)
 		}
 		for i := 0; i < 3*2080; i++ { // to the budget, and past load-time growth
-			upsert(next(i))
+			next(i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			upsert(next(i))
+			next(i)
 		}
 	}
 	b.Run("partitioned", func(b *testing.B) {
 		var mm mem
-		n := &node{seps: seps, Node: cowtree.Node{Children: make([]nodeID, children)},
-			bufs: make([][]message, children), bufSizes: make([]int, children)}
-		n.refreshSepCache()
-		run(b, func(m message) {
-			n.bufInsert(&mm, m, nil, false)
-			for n.bufBytes > budget {
-				ci, size := n.busiestChild()
-				dropBuffer(&mm, n, ci, size)
-			}
-		})
+		n := benchNode()
+		run(b, func(seq int) { benchUpsert(&mm, n, key, seq) })
 	})
 	b.Run("flat", func(b *testing.B) {
 		var mm mem
-		f := &flatNode{seps: seps}
-		run(b, func(m message) {
-			f.bufInsert(&mm, m, nil, false)
-			for f.bufBytes > budget {
+		f := &flatNode{seps: benchSeps()}
+		run(b, func(seq int) {
+			f.bufInsert(&mm, makeMessage(key, uint64(seq), benchVlen, false), nil, false)
+			for f.bufBytes > benchBudget {
 				_, start, end, size := f.busiest()
 				f.remove(start, end, size)
 			}
 		})
 	})
+}
+
+// benchHit keeps BenchmarkBufferGet's lookups observable.
+var benchHit *message
+
+// BenchmarkBufferGet is the read side: on the benchmark node filled to
+// its budget by BenchmarkBufferInsert's upserts, a buffer-answered lookup
+// of a random resident key — the key's decoding, childFor and bufGet,
+// what Get does at each interior level it searches.
+func BenchmarkBufferGet(b *testing.B) {
+	var mm mem
+	n := benchNode()
+	rng := sim.NewRNG(1)
+	var ids []uint64
+	key := make([]byte, kv.KeySize)
+	for i := 0; i < 3*2080; i++ {
+		ids = append(ids, rng.Uint64n(benchKeySpace))
+		kv.AppendKey(key, ids[i])
+		benchUpsert(&mm, n, key, i)
+	}
+	var resident [][]byte
+	for _, id := range ids {
+		k := kv.EncodeKey(id)
+		if t := kv.NewTarget(k); n.bufGet(n.childFor(t), t) != nil {
+			resident = append(resident, k)
+		}
+	}
+	if len(resident) < 1000 {
+		b.Fatalf("%d resident keys", len(resident))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := kv.NewTarget(resident[rng.Intn(len(resident))])
+		if benchHit = n.bufGet(n.childFor(t), t); benchHit == nil {
+			b.Fatal("a resident key missed")
+		}
+	}
 }
