@@ -1,8 +1,6 @@
 package betree
 
 import (
-	"bytes"
-
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
@@ -44,10 +42,11 @@ type Tree struct {
 	// drains it.
 	overfull []nodeID
 
-	// mem bundles the key/value arena and the recycled message-array
-	// pool; slab backs node structs. Node structs and retained keys are
-	// immortal in this design (ids are never reused), so bump and pool
-	// allocation keep the steady-state op path allocation-free.
+	// mem bundles the key/value arena, the msgBytes slab and the
+	// recycled message-array pool; slab backs node structs. Node structs
+	// and retained bytes are immortal in this design (ids are never
+	// reused), so bump and pool allocation keep the steady-state op path
+	// allocation-free.
 	mem  mem
 	slab cowtree.Slab[node]
 
@@ -156,21 +155,22 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 		return now, err
 	}
 	// The caller reuses its key/value buffers, so the message does not
-	// own its bytes and the value travels beside it: the node inserts
-	// copy them only when actually retained (an accounting-mode overwrite
-	// keeps the resident key — no allocation).
-	if now, err = t.apply(now, makeMessage(key, seq, valueLen, del), value); err != nil {
+	// own its bytes and key and value travel beside it: the node inserts
+	// copy them only when actually retained (an accounting-mode put of a
+	// kv.KeySize key retains nothing).
+	if now, err = t.apply(now, makeMessage(key, seq, valueLen, del), key, value); err != nil {
 		t.Core.Fail(err)
 		return now, err
 	}
 	return t.Core.EndWrite(now, len(key), valueLen)
 }
 
-// apply routes one unowned message (val beside it, see mem.own) into the
-// tree: into the root's buffer when the root is an interior node with
-// buffer capacity (flushing down when it overflows), or straight into
-// the root leaf / down the spine when buffering is off (ε = 1).
-func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
+// apply routes one unowned message (key and val beside it, see mem.own)
+// into the tree: into the root's buffer when the root is an interior
+// node with buffer capacity (flushing down when it overflows), or
+// straight into the root leaf / down the spine when buffering is off
+// (ε = 1).
+func (t *Tree) apply(now sim.Duration, msg message, key, val []byte) (sim.Duration, error) {
 	root := t.nodes[t.Core.Root()]
 	if root.Leaf {
 		var err error
@@ -178,16 +178,16 @@ func (t *Tree) apply(now sim.Duration, msg message, val []byte) (sim.Duration, e
 		if err != nil {
 			return now, err
 		}
-		t.Core.Resize(root.insertLeaf(&t.mem, msg, val))
+		t.Core.Resize(root.insertLeaf(&t.mem, msg, key, val))
 		t.Core.MarkDirty(&root.Node)
 		t.splitLeafToFit(root)
 		return now, nil
 	}
 	if t.bufferMax <= 0 {
 		// Degenerate B+Tree mode: descend to the leaf directly.
-		return t.applyToLeaf(now, msg, val)
+		return t.applyToLeaf(now, msg, key, val)
 	}
-	root.bufInsert(&t.mem, msg, val, false)
+	root.bufInsert(&t.mem, msg, key, val, false)
 	t.Core.MarkDirty(&root.Node)
 	return t.drainOverflow(now)
 }
@@ -220,9 +220,9 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 
 // applyToLeaf descends to the leaf covering the message key and inserts
 // it there (the ε = 1 degenerate path).
-func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Duration, error) {
+func (t *Tree) applyToLeaf(now sim.Duration, msg message, key, val []byte) (sim.Duration, error) {
 	n := t.nodes[t.Core.Root()]
-	target := kv.NewTarget(msg.key)
+	target := kv.NewTarget(key)
 	for !n.Leaf {
 		n = t.nodes[n.Children[n.childFor(target)]]
 	}
@@ -231,7 +231,7 @@ func (t *Tree) applyToLeaf(now sim.Duration, msg message, val []byte) (sim.Durat
 	if err != nil {
 		return now, err
 	}
-	t.Core.Resize(n.insertLeaf(&t.mem, msg, val))
+	t.Core.Resize(n.insertLeaf(&t.mem, msg, key, val))
 	t.Core.MarkDirty(&n.Node)
 	t.splitLeafToFit(n)
 	return now, nil
@@ -261,7 +261,7 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 		t.Core.Resize(child.insertBatch(&t.mem, batch))
 	} else {
 		for i := range batch {
-			child.bufInsert(&t.mem, batch[i], nil, true)
+			child.bufInsert(&t.mem, batch[i], nil, nil, true)
 		}
 	}
 	t.Core.MarkDirty(&child.Node)
@@ -312,7 +312,7 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 	if left.ID == t.Core.Root() {
 		newRoot := t.newNode(false)
 		newRoot.Children = []nodeID{left.ID, right.ID}
-		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
+		newRoot.seps = [][]byte{sep}
 		newRoot.bufs, newRoot.bufSizes = make([][]message, 2), make([]int, 2)
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
@@ -381,7 +381,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		return now, nil, false, err
 	}
 	i := n.search(target)
-	if i >= len(n.entries) || !bytes.Equal(n.entries[i].key, key) || n.entries[i].del {
+	if i >= len(n.entries) || !n.entries[i].is(&target) || n.entries[i].del {
 		return now, nil, false, nil
 	}
 	e := &n.entries[i]
@@ -403,12 +403,13 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	stream := t.newMsgStream(target)
 	var out []kv.Entry
 
+	var kb [kv.KeySize]byte
 	emit := func(m *message) {
 		if m.del {
 			return
 		}
 		e := kv.Entry{
-			Key:      append([]byte(nil), m.key...),
+			Key:      append([]byte(nil), m.keyBytes(&kb)...),
 			ValueLen: int(m.vlen),
 			Seq:      m.seq,
 		}
@@ -442,7 +443,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 				if m == nil {
 					break
 				}
-				c := kv.CompareKeys(m.key, le.key)
+				c := compareMsgs(m, le)
 				if c > 0 {
 					break
 				}
@@ -450,7 +451,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 					shadowed = true
 				}
 				emit(m)
-				stream.consume(m.key)
+				stream.consume(m)
 			}
 			if limit <= 0 {
 				break
@@ -475,7 +476,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 			break
 		}
 		emit(m)
-		stream.consume(m.key)
+		stream.consume(m)
 	}
 	return now, out, nil
 }
@@ -548,7 +549,7 @@ func (s *msgStream) peek() *message {
 			best = m
 			continue
 		}
-		switch cmp := kv.CompareKeys(m.key, best.key); {
+		switch cmp := compareMsgs(m, best); {
 		case cmp < 0:
 			best = m
 		case cmp == 0 && m.seq > best.seq:
@@ -558,12 +559,12 @@ func (s *msgStream) peek() *message {
 	return best
 }
 
-// consume advances every cursor past key, discarding the shadowed older
-// duplicates along with the consumed message.
-func (s *msgStream) consume(key []byte) {
+// consume advances every cursor past m's key, discarding the shadowed
+// older duplicates along with the consumed message m.
+func (s *msgStream) consume(m *message) {
 	for ci := range s.cursors {
 		c := &s.cursors[ci]
-		for m := c.head(); m != nil && kv.CompareKeys(m.key, key) <= 0; m = c.head() {
+		for h := c.head(); h != nil && compareMsgs(h, m) <= 0; h = c.head() {
 			c.i++
 		}
 	}

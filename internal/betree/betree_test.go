@@ -13,7 +13,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func testEnv(t *testing.T, capacityMiB int64, content bool, tweak func(*Config)) (*Tree, *blockdev.Device, *extfs.FS) {
+func testEnv(t testing.TB, capacityMiB int64, content bool, tweak func(*Config)) (*Tree, *blockdev.Device, *extfs.FS) {
 	t.Helper()
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  capacityMiB << 20,
@@ -341,14 +341,15 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 func TestNodeSerializationRoundTrip(t *testing.T) {
 	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
 	var m mem
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(1), seq: 7, vlen: 3}, []byte("abc"))
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(2), seq: 9, vlen: 64, del: true}, nil)
+	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
+	leaf.insertLeaf(&m, makeMessage(k1, 7, 3, false), k1, []byte("abc"))
+	leaf.insertLeaf(&m, makeMessage(k2, 9, 64, true), k2, nil)
 	data := serializeNode(nil, leaf, nil)
 	got, ok := parseNode(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].key, kv.EncodeKey(1)) {
+	if len(got.entries) != 2 || !bytes.Equal(msgKey(&got.entries[0]), k1) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
 	if string(got.entries[0].val()) != "abc" || got.entries[0].seq != 7 {
@@ -364,8 +365,8 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		bufs:     make([][]message, 3),
 		bufSizes: make([]int, 3),
 	}
-	interior.bufInsert(&m, message{key: kv.EncodeKey(5), seq: 11, vlen: 32}, nil, true)
-	interior.bufInsert(&m, message{key: kv.EncodeKey(15), seq: 12, vlen: 16, del: true}, nil, true)
+	interior.bufInsert(&m, makeMessage(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
+	interior.bufInsert(&m, makeMessage(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
 	interior.recomputeSerialized()
 	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}

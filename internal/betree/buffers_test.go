@@ -57,10 +57,10 @@ func checkInterior(t *testing.T, n *node) {
 	for ci, buf := range n.bufs {
 		bb := 0
 		for i := range buf {
-			if got := n.childFor(kv.NewTarget(buf[i].key)); got != ci {
+			if got := n.childFor(kv.NewTarget(msgKey(&buf[i]))); got != ci {
 				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
 			}
-			if i > 0 && kv.CompareKeys(buf[i-1].key, buf[i].key) >= 0 {
+			if i > 0 && compareMsgs(&buf[i-1], &buf[i]) >= 0 {
 				t.Fatalf("node %d buffer %d out of order", n.ID, ci)
 			}
 			bb += buf[i].bytes()
@@ -85,10 +85,16 @@ func checkInterior(t *testing.T, n *node) {
 	}
 }
 
+// msgKey returns a copy of a message's key bytes.
+func msgKey(m *message) []byte {
+	var kb [kv.KeySize]byte
+	return append([]byte(nil), m.keyBytes(&kb)...)
+}
+
 // sameMessage reports whether two messages are equal field for field,
-// value bytes included.
+// key and value bytes included.
 func sameMessage(a, b *message) bool {
-	return bytes.Equal(a.key, b.key) && bytes.Equal(a.val(), b.val()) &&
+	return bytes.Equal(msgKey(a), msgKey(b)) && bytes.Equal(a.val(), b.val()) &&
 		a.seq == b.seq && a.vlen == b.vlen && a.del == b.del
 }
 
@@ -126,7 +132,7 @@ func checkRoundTrip(t *testing.T, n *node) {
 		for i := range n.bufs[ci] {
 			want := n.bufs[ci][i]
 			if want.val() == nil && want.vlen > 0 {
-				want.key = append(want.key[:len(want.key):len(want.key)], make([]byte, want.vlen)...)[:len(want.key)]
+				want.ext = &msgBytes{b: append(msgKey(&want)[:want.outKey()], make([]byte, want.vlen)...)}
 			}
 			if !sameMessage(&got.bufs[ci][i], &want) {
 				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.ID, ci, i)
@@ -398,7 +404,7 @@ func checkScan(t *testing.T, got []kv.Entry, oracle map[uint64][]byte, from, key
 
 // flatNode is the interior buffer as it was before the partition — ONE
 // key-sorted array for the whole node, with the code that maintained it
-// moved here verbatim (adapted only to the one-slice message): it is the
+// moved here verbatim (adapted only to the message's representation): it is the
 // reference TestNodeMatchesFlatReference holds the partitioned node to,
 // and the baseline BenchmarkBufferInsert measures it against.
 type flatNode struct {
@@ -408,23 +414,28 @@ type flatNode struct {
 }
 
 // bufInsert is the old node.bufInsert.
-func (f *flatNode) bufInsert(mm *mem, m message, val []byte, owned bool) int {
-	i := searchMsgs(f.buf, kv.NewTarget(m.key))
-	if i < len(f.buf) && bytes.Equal(f.buf[i].key, m.key) {
+func (f *flatNode) bufInsert(mm *mem, m message, key, val []byte, owned bool) int {
+	var kb [kv.KeySize]byte
+	if owned {
+		key = m.keyBytes(&kb)
+	}
+	t := kv.NewTarget(key)
+	i := searchMsgs(f.buf, t)
+	if i < len(f.buf) && f.buf[i].is(&t) {
 		old := &f.buf[i]
 		if m.seq < old.seq {
 			return 0
 		}
 		delta := m.bytes() - old.bytes()
 		if !owned {
-			mm.own(&m, val, old.key)
+			mm.own(&m, key, val, old)
 		}
 		*old = m
 		f.bufBytes += delta
 		return delta
 	}
 	if !owned {
-		mm.own(&m, val, nil)
+		mm.own(&m, key, val, nil)
 	}
 	f.buf = mm.msgs.GrowInsert(f.buf, i, m)
 	delta := m.bytes()
@@ -572,8 +583,8 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			owned := rng.Intn(4) == 0
 			fmsg := m
 			if owned { // as a flush hands it down: bytes already fused
-				mm.own(&m, val, nil)
-				fm.own(&fmsg, val, nil)
+				mm.own(&m, key, val, nil)
+				fm.own(&fmsg, key, val, nil)
 				val = nil
 				reached.owned++
 			}
@@ -582,7 +593,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			} else {
 				reached.fresh++
 			}
-			if d, fd := n.bufInsert(&mm, m, val, owned), f.bufInsert(&fm, fmsg, val, owned); d != fd {
+			if d, fd := n.bufInsert(&mm, m, key, val, owned), f.bufInsert(&fm, fmsg, key, val, owned); d != fd {
 				t.Fatalf("%s: delta %d, reference %d", what, d, fd)
 			}
 		case op < 90: // drain the busiest child, as flushInterior does
@@ -648,7 +659,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			promoted := n.splitInterior(right)
 			fright := f.split(&fm)
 			for ci, buf := range right.bufs {
-				if len(buf) > 0 && kv.CompareKeys(buf[0].key, promoted) < 0 {
+				if len(buf) > 0 && buf[0].compareKey(promoted) < 0 {
 					t.Fatalf("%s: right buffer %d holds a key below the promoted separator", what, ci)
 				}
 			}
@@ -687,14 +698,37 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 	}
 }
 
+// arenaTaken returns how many bytes the arena handed out while f ran,
+// from the distance between a one-byte allocation before f and one
+// after it.
+func arenaTaken(mm *mem, f func()) int {
+	before := mm.arena.Alloc(1)
+	f()
+	after := mm.arena.Alloc(1)
+	return int(uintptr(unsafe.Pointer(&after[0])) - uintptr(unsafe.Pointer(&before[0])) - 1)
+}
+
 // TestMessageCodecKinds round-trips each message kind through
-// putMessage/parseMessage: a value-bearing message, a value-bearing
-// overwrite of it, a tombstone, and an accounting-mode message (no value
-// bytes in memory, zeros of its accounted length on disk).
+// putMessage/parseMessage at 8-, 16- and 24-byte keys — a value-bearing
+// message, a value-bearing overwrite of it, a tombstone, and an
+// accounting-mode message (no value bytes in memory, zeros of its
+// accounted length on disk) — and pins what a stored message owns: a
+// kv.KeySize key lives in the words alone, so its accounting-mode
+// messages have no msgBytes and a fresh one takes nothing from the
+// arena; other keys and all values are copied, never aliasing the
+// caller's buffers; a tombstone or an accounting-mode overwrite keeps
+// the resident key bytes and allocates nothing.
 func TestMessageCodecKinds(t *testing.T) {
+	for _, width := range []int{8, kv.KeySize, 24} {
+		t.Run(fmt.Sprint(width), func(t *testing.T) { runMessageCodecKinds(t, width) })
+	}
+}
+
+func runMessageCodecKinds(t *testing.T, width int) {
 	var mm mem
 	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
-	key := kv.EncodeKey(9)
+	key := bytes.Repeat([]byte{9}, width)
+	wide := width != kv.KeySize
 	roundTrip := func(m *message) message {
 		t.Helper()
 		img := putMessage(nil, m)
@@ -702,47 +736,75 @@ func TestMessageCodecKinds(t *testing.T) {
 		if used != len(img) || used != m.bytes() {
 			t.Fatalf("message of %d accounted bytes: wrote %d, parsed %d", m.bytes(), len(img), used)
 		}
-		if !bytes.Equal(got.key, m.key) || got.seq != m.seq || got.vlen != m.vlen || got.del != m.del {
+		if !bytes.Equal(msgKey(&got), key) || !bytes.Equal(msgKey(m), key) || got.seq != m.seq ||
+			got.vlen != m.vlen || got.del != m.del || got.klen != m.klen || got.hi != m.hi || got.lo != m.lo {
 			t.Fatalf("round trip changed %+v into %+v", *m, got)
 		}
 		return got
 	}
+	insert := func(m message, val []byte) (taken int) {
+		return arenaTaken(&mm, func() { n.bufInsert(&mm, m, key, val, false) })
+	}
 
-	n.bufInsert(&mm, makeMessage(key, 1, 5, false), []byte("first"), false)
+	// A fresh accounting-mode message: the words are a kv.KeySize key,
+	// so it owns nothing; any other key is copied out of line.
+	if taken := insert(makeMessage(key, 1, 4000, false), nil); taken != width && wide || taken != 0 && !wide {
+		t.Fatalf("a fresh accounting-mode message took %d arena bytes", taken)
+	}
+	if m := &n.bufs[0][0]; (m.ext == nil) == wide || m.val() != nil {
+		t.Fatalf("fresh accounting-mode message: %+v", *m)
+	}
+	roundTrip(&n.bufs[0][0])
+	mm.msgs.Put(n.bufs[0])
+	n.bufs[0], n.bufSizes[0], n.bufBytes = nil, 0, 0
+
+	val := []byte("first")
+	if taken := insert(makeMessage(key, 2, 5, false), val); taken != len(val)+width && wide || taken != len(val) && !wide {
+		t.Fatalf("a fresh value-bearing message took %d arena bytes", taken)
+	}
 	if got := roundTrip(&n.bufs[0][0]); string(got.val()) != "first" {
 		t.Fatalf("value %q", got.val())
 	}
-	// The caller reuses its key buffer; the stored message must not alias it.
-	key[15] ^= 0xff
-	if bytes.Equal(n.bufs[0][0].key, key) {
-		t.Fatal("the stored message aliases the caller's key buffer")
+	// The caller reuses its buffers; the stored message must not alias them.
+	key[width-1] ^= 0xff
+	val[0] = 'F'
+	if bytes.Equal(msgKey(&n.bufs[0][0]), key) || string(n.bufs[0][0].val()) != "first" {
+		t.Fatal("the stored message aliases the caller's key or value buffer")
 	}
-	key[15] ^= 0xff
-	n.bufInsert(&mm, makeMessage(key, 2, 11, false), []byte("second, long"[:11]), false)
+	key[width-1] ^= 0xff
+	insert(makeMessage(key, 3, 11, false), []byte("second, long"[:11]))
 	if got := roundTrip(&n.bufs[0][0]); string(got.val()) != "second, lon" || len(n.bufs[0]) != 1 {
 		t.Fatalf("overwrite: value %q in %d messages", got.val(), len(n.bufs[0]))
 	}
-	if n.bufSizes[0] != msgOverhead+len(key)+11 {
+	if n.bufSizes[0] != msgOverhead+width+11 {
 		t.Fatalf("overwrite left %d bytes accounted", n.bufSizes[0])
 	}
-	// A tombstone keeps the resident key bytes and drops the value.
-	stored := n.bufs[0][0].key
-	n.bufInsert(&mm, makeMessage(key, 3, 0, true), nil, false)
-	if m := &n.bufs[0][0]; !m.del || m.val() != nil || &m.key[0] != &stored[0] {
+
+	// A tombstone drops the value and keeps the resident key bytes: a
+	// kv.KeySize key's message owns nothing, any other keeps its bytes.
+	stored := n.bufs[0][0].ext.b
+	if taken := insert(makeMessage(key, 4, 0, true), nil); taken != 0 {
+		t.Fatalf("a tombstone took %d arena bytes", taken)
+	}
+	m := &n.bufs[0][0]
+	if !m.del || m.val() != nil || wide && &m.ext.b[0] != &stored[0] || !wide && m.ext != nil {
 		t.Fatalf("tombstone: %+v", *m)
 	}
-	if got := roundTrip(&n.bufs[0][0]); !got.del || len(got.val()) != 0 {
+	if got := roundTrip(m); !got.del || len(got.val()) != 0 {
 		t.Fatalf("tombstone round trip: %+v", got)
 	}
+
 	// Accounting mode: an overwrite allocates nothing and keeps the key.
-	resident := n.bufs[0][0].key
 	if allocs := testing.AllocsPerRun(100, func() {
-		n.bufInsert(&mm, makeMessage(key, 4, 4000, false), nil, false)
+		n.bufInsert(&mm, makeMessage(key, 5, 4000, false), key, nil, false)
 	}); allocs != 0 {
 		t.Fatalf("accounting-mode overwrite allocates %.1f objects", allocs)
 	}
-	m := &n.bufs[0][0]
-	if &m.key[0] != &resident[0] || m.val() != nil || m.vlen != 4000 {
+	if taken := insert(makeMessage(key, 6, 4000, false), nil); taken != 0 {
+		t.Fatalf("an accounting-mode overwrite took %d arena bytes", taken)
+	}
+	m = &n.bufs[0][0]
+	if m.val() != nil || m.vlen != 4000 || wide && &m.ext.b[0] != &stored[0] || !wide && m.ext != nil {
 		t.Fatalf("accounting-mode overwrite: %+v", *m)
 	}
 	img := putMessage(nil, m)
@@ -751,9 +813,10 @@ func TestMessageCodecKinds(t *testing.T) {
 	}
 }
 
-// TestMessageSize pins the message at 40 bytes: one slice, a sequence
-// and the packed length and flag. A second slice makes it 64 and costs
-// betree-mixed +17 % allocated bytes per op in message arrays alone.
+// TestMessageSize pins the message at 40 bytes: the key's two words, a
+// sequence, one pointer to out-of-line bytes and the packed lengths and
+// flag. Growing it (a 56-byte form kept a key slice beside the words)
+// costs betree-mixed +19 % allocated bytes per op in message arrays.
 func TestMessageSize(t *testing.T) {
 	if sz := unsafe.Sizeof(message{}); sz != 40 {
 		t.Fatalf("message is %d bytes, want 40", sz)
@@ -932,7 +995,7 @@ func benchNode() *node {
 // benchmark node, draining the busiest child while the node is over its
 // budget.
 func benchUpsert(mm *mem, n *node, key []byte, seq int) {
-	n.bufInsert(mm, makeMessage(key, uint64(seq), benchVlen, false), nil, false)
+	n.bufInsert(mm, makeMessage(key, uint64(seq), benchVlen, false), key, nil, false)
 	for n.bufBytes > benchBudget {
 		ci, size := n.busiestChild()
 		dropBuffer(mm, n, ci, size)
@@ -970,7 +1033,7 @@ func BenchmarkBufferInsert(b *testing.B) {
 		var mm mem
 		f := &flatNode{seps: benchSeps()}
 		run(b, func(seq int) {
-			f.bufInsert(&mm, makeMessage(key, uint64(seq), benchVlen, false), nil, false)
+			f.bufInsert(&mm, makeMessage(key, uint64(seq), benchVlen, false), key, nil, false)
 			for f.bufBytes > benchBudget {
 				_, start, end, size := f.busiest()
 				f.remove(start, end, size)

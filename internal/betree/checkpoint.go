@@ -20,7 +20,7 @@ const nodeMagic = 0x42455047
 // value (zeros in accounting mode).
 func putMessage(out []byte, m *message) []byte {
 	var hdr [msgOverhead]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(len(m.key)))
+	binary.LittleEndian.PutUint16(hdr[0:], m.klen)
 	vl := int(m.vlen)
 	binary.LittleEndian.PutUint32(hdr[2:], uint32(vl))
 	seq := m.seq
@@ -29,7 +29,8 @@ func putMessage(out []byte, m *message) []byte {
 	}
 	binary.LittleEndian.PutUint64(hdr[6:], seq)
 	out = append(out, hdr[:]...)
-	out = append(out, m.key...)
+	var kb [kv.KeySize]byte
+	out = append(out, m.keyBytes(&kb)...)
 	if val := m.val(); val != nil {
 		out = append(out, val...)
 	} else {
@@ -38,8 +39,9 @@ func putMessage(out []byte, m *message) []byte {
 	return out
 }
 
-// parseMessage decodes one owned message (key and value bytes in one
-// allocation), returning it and the bytes consumed (0 on corruption).
+// parseMessage decodes one owned message, returning it and the bytes
+// consumed (0 on corruption). Its out-of-line key and value bytes, if it
+// has any, are copied into one allocation behind a msgBytes of its own.
 func parseMessage(data []byte) (message, int) {
 	if len(data) < msgOverhead {
 		return message{}, 0
@@ -50,9 +52,12 @@ func parseMessage(data []byte) (message, int) {
 	if msgOverhead+kl+vl > len(data) {
 		return message{}, 0
 	}
-	m := makeMessage(cloneBytes(data[msgOverhead : msgOverhead+kl+vl])[:kl],
-		seq&^(1<<63), vl, seq&(1<<63) != 0)
-	return m, msgOverhead + kl + vl
+	end := msgOverhead + kl + vl
+	m := makeMessage(data[msgOverhead:msgOverhead+kl], seq&^(1<<63), vl, seq&(1<<63) != 0)
+	if start := msgOverhead + kl - m.outKey(); start < end {
+		m.ext = &msgBytes{b: cloneBytes(data[start:end])}
+	}
+	return m, end
 }
 
 // serializeNode appends the on-disk image of a node (content mode) to
@@ -158,7 +163,7 @@ func parseNode(data []byte) (*node, bool) {
 			return nil, false
 		}
 		// childFor's rule: a key equal to a separator routes right.
-		for ci < count && kv.CompareKeys(n.seps[ci], m.key) <= 0 {
+		for ci < count && m.compareKey(n.seps[ci]) >= 0 {
 			ci++
 		}
 		n.bufs[ci] = append(n.bufs[ci], m)

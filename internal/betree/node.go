@@ -2,6 +2,7 @@ package betree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 
 	"ptsbench/internal/cowtree"
@@ -30,12 +31,14 @@ const pageHeaderBytes = 64
 const childRefBytes = 12
 
 // mem bundles the tree's allocation helpers handed to node methods: the
-// arena backs retained key/value copies, the pool recycles the message
-// arrays (leaf entries and child buffers) displaced by growth, splits
-// and flushes, and scratch holds a flush batch's fresh inserts between
-// insertBatch's classify and merge passes.
+// arena backs retained key/value copies and exts the msgBytes headers
+// that point at them, the pool recycles the message arrays (leaf entries
+// and child buffers) displaced by growth, splits and flushes, and
+// scratch holds a flush batch's fresh inserts between insertBatch's
+// classify and merge passes.
 type mem struct {
 	arena   cowtree.Arena
+	exts    cowtree.Slab[msgBytes]
 	msgs    cowtree.Pool[message]
 	scratch []message
 }
@@ -43,53 +46,159 @@ type mem struct {
 // message is one buffered update or leaf entry: key, optional value
 // bytes (content mode), accounted value length, sequence and tombstone
 // flag. Buffers and leaves share the representation because a flush
-// moves messages unchanged until they land in a leaf. A stored message
-// owns one byte slice: key holds the key bytes and, in content mode, the
-// value bytes follow them in the same allocation as key[len:cap] (see
-// val). Two slices made a message 64 bytes; at 40 the arrays the tree
-// keeps allocating for buffers cost a third less.
+// moves messages unchanged until they land in a leaf. A kv.KeySize key —
+// every key the workloads generate — is held only as its two big-endian
+// words (hi, lo): a binary-search probe compares them without leaving
+// the message, and an accounting-mode message owns no bytes at all. A
+// key of any other width (klen bytes), and content-mode value bytes,
+// live out of line in ext. The message stays 40 bytes: the arrays the
+// tree keeps allocating for buffers are what a larger one would cost.
+// (Keys are at most 65,535 bytes, the limit of every image and journal
+// codec.)
 type message struct {
-	key  []byte
-	seq  uint64
-	vlen int32
-	del  bool
+	hi, lo uint64
+	seq    uint64
+	ext    *msgBytes
+	vlen   int32
+	klen   uint16
+	del    bool
 }
 
-// makeMessage builds a message value (one construction point keeps the
-// field order in one place).
+// msgBytes is a message's out-of-line storage, one arena allocation: the
+// key bytes when the key is not kv.KeySize long, then the value bytes in
+// content mode. A stored message owns its msgBytes alone, so a message
+// that replaces it may reuse it.
+type msgBytes struct{ b []byte }
+
+// makeMessage builds an unowned message for key: its words when it is a
+// kv.KeySize key, no bytes. The key's bytes travel beside it until
+// mem.own copies what must be kept.
 func makeMessage(key []byte, seq uint64, vlen int, del bool) message {
-	return message{key: key, seq: seq, vlen: int32(vlen), del: del}
+	hi, lo, _ := kv.DecomposeKey(key)
+	return message{hi: hi, lo: lo, seq: seq, vlen: int32(vlen), klen: uint16(len(key)), del: del}
 }
 
 // bytes returns the message's serialized footprint.
 func (m *message) bytes() int {
-	return msgOverhead + len(m.key) + int(m.vlen)
+	return msgOverhead + int(m.klen) + int(m.vlen)
+}
+
+// inline reports whether the key is held in the words.
+func (m *message) inline() bool { return m.klen == kv.KeySize }
+
+// outKey returns how many key bytes the message keeps out of line.
+func (m *message) outKey() int {
+	if m.inline() {
+		return 0
+	}
+	return int(m.klen)
+}
+
+// keyBytes returns the key: buf filled from the words when the key is
+// inline, the out-of-line bytes otherwise.
+func (m *message) keyBytes(buf *[kv.KeySize]byte) []byte {
+	if m.inline() {
+		binary.BigEndian.PutUint64(buf[:8], m.hi)
+		binary.BigEndian.PutUint64(buf[8:], m.lo)
+		return buf[:]
+	}
+	return m.wideKey()
+}
+
+// wideKey returns the out-of-line bytes of a key that is not inline.
+func (m *message) wideKey() []byte {
+	if m.ext == nil {
+		return nil // the empty key, no value
+	}
+	return m.ext.b[:m.klen]
 }
 
 // val returns an owned message's value bytes, or nil when it carries
 // none (accounting mode, tombstones).
 func (m *message) val() []byte {
-	if cap(m.key) == len(m.key) {
+	if m.ext == nil || len(m.ext.b) == m.outKey() {
 		return nil
 	}
-	return m.key[len(m.key):cap(m.key)]
+	return m.ext.b[m.outKey():]
 }
 
-// own gives an unowned message — the Put boundary's, whose key aliases
-// the caller's reused buffer and whose value travels beside it as val —
-// bytes of its own: key and value fused in one arena allocation (no heap
-// allocation). resident is the key of the stored message it overwrites,
-// or nil; with no value bytes to keep (accounting mode, a tombstone) the
-// resident key bytes are kept and nothing is allocated.
-func (mm *mem) own(m *message, val, resident []byte) {
-	if resident != nil && val == nil {
-		m.key = resident[:len(resident):len(resident)]
+// target returns the key as a search target, its bytes in buf when the
+// key is inline.
+func (m *message) target(buf *[kv.KeySize]byte) kv.Target {
+	return kv.Target{Key: m.keyBytes(buf), Hi: m.hi, Lo: m.lo, Fast: m.inline()}
+}
+
+// is reports whether the message's key is t's.
+func (m *message) is(t *kv.Target) bool {
+	if m.inline() != t.Fast {
+		return false
+	}
+	if t.Fast {
+		return m.hi == t.Hi && m.lo == t.Lo
+	}
+	return bytes.Equal(m.wideKey(), t.Key)
+}
+
+// compareKey orders the message's key against k like bytes.Compare,
+// on the words when both are kv.KeySize keys.
+func (m *message) compareKey(k []byte) int {
+	if m.inline() && len(k) == kv.KeySize {
+		return -kv.CompareKeyWords(k, m.hi, m.lo)
+	}
+	var buf [kv.KeySize]byte
+	return bytes.Compare(m.keyBytes(&buf), k)
+}
+
+// compareMsgs orders two messages by key like bytes.Compare, on the
+// words when both keys are inline.
+func compareMsgs(a, b *message) int {
+	if a.inline() && b.inline() {
+		switch {
+		case a.hi != b.hi:
+			if a.hi < b.hi {
+				return -1
+			}
+			return 1
+		case a.lo < b.lo:
+			return -1
+		case a.lo > b.lo:
+			return 1
+		}
+		return 0
+	}
+	var buf [kv.KeySize]byte
+	return a.compareKey(b.keyBytes(&buf))
+}
+
+// own gives an unowned message — the Put boundary's, whose key and value
+// bytes travel beside it as key and val in the caller's reused buffers —
+// what it must keep. An inline key with no value keeps nothing: an
+// accounting-mode put of a kv.KeySize key takes nothing from the arena.
+// Otherwise the out-of-line key and the value are copied into one arena
+// allocation behind a msgBytes. resident is the stored message m
+// overwrites, or nil; m takes over its msgBytes, and with no value to
+// keep, its key bytes too, so such an overwrite allocates nothing.
+func (mm *mem) own(m *message, key, val []byte, resident *message) {
+	out := m.outKey()
+	if out+len(val) == 0 {
 		return
 	}
-	b := mm.arena.Alloc(len(m.key) + len(val))
-	copy(b, m.key)
-	copy(b[len(m.key):], val)
-	m.key = b[:len(m.key)]
+	var e *msgBytes
+	if resident != nil {
+		e = resident.ext
+	}
+	if e != nil && len(val) == 0 {
+		e.b = e.b[:out:out]
+		m.ext = e
+		return
+	}
+	if e == nil {
+		e = mm.exts.Get()
+	}
+	e.b = mm.arena.Alloc(out + len(val))
+	copy(e.b, key[:out])
+	copy(e.b[out:], val)
+	m.ext = e
 }
 
 // node is an in-memory Bε-tree node: the shared node header (identity,
@@ -134,18 +243,20 @@ type node struct {
 }
 
 // searchMsgs returns the index of the first message in msgs with
-// key >= t.
+// key >= t. Inline keys are compared on their words, so a probe touches
+// nothing beyond the message it reads.
 func searchMsgs(msgs []message, t kv.Target) int {
 	lo, hi := 0, len(msgs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if mk := msgs[mid].key; t.Fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, t.Hi, t.Lo)
+		m := &msgs[mid]
+		var less bool
+		if t.Fast && m.klen == kv.KeySize {
+			less = m.hi < t.Hi || (m.hi == t.Hi && m.lo < t.Lo)
 		} else {
-			c = kv.CompareKeys(mk, t.Key)
+			less = m.compareKey(t.Key) < 0
 		}
-		if c < 0 {
+		if less {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -178,7 +289,7 @@ func (n *node) childIndex(id nodeID) int {
 // is childFor(t), which the descent needs anyway.
 func (n *node) bufGet(ci int, t kv.Target) *message {
 	buf := n.bufs[ci]
-	if i := searchMsgs(buf, t); i < len(buf) && bytes.Equal(buf[i].key, t.Key) {
+	if i := searchMsgs(buf, t); i < len(buf) && buf[i].is(&t) {
 		return &buf[i]
 	}
 	return nil
@@ -199,31 +310,37 @@ func (n *node) busiestChild() (ci, size int) {
 // key, returning the serialized size delta. owned says the message owns
 // its bytes (flushes move already-owned messages down, and one simply
 // replaces the resident message); with owned=false — the Put boundary,
-// where callers reuse their buffers and val is the value beside the
-// message — mem.own copies bytes only when they are actually retained,
-// so an accounting-mode overwrite costs no copy at all. An existing
-// message for the same key is overwritten when the incoming one is at
-// least as new (flush batches always move the newest surviving version,
-// so the guard only matters on recovery replay).
-func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
-	t := kv.NewTarget(m.key)
+// where callers reuse their buffers and key and val are the bytes beside
+// the message — mem.own copies bytes only when they are actually
+// retained, so an accounting-mode overwrite costs no copy at all. An
+// existing message for the same key is overwritten when the incoming one
+// is at least as new (flush batches always move the newest surviving
+// version, so the guard only matters on recovery replay).
+func (n *node) bufInsert(mm *mem, m message, key, val []byte, owned bool) int {
+	var t kv.Target
+	var kb [kv.KeySize]byte
+	if owned {
+		t = m.target(&kb)
+	} else {
+		t = kv.NewTarget(key)
+	}
 	ci := n.childFor(t)
 	buf := n.bufs[ci]
 	i := searchMsgs(buf, t)
 	delta := m.bytes()
-	if i < len(buf) && bytes.Equal(buf[i].key, m.key) {
+	if i < len(buf) && buf[i].is(&t) {
 		old := &buf[i]
 		if m.seq < old.seq {
 			return 0
 		}
 		delta -= old.bytes()
 		if !owned {
-			mm.own(&m, val, old.key)
+			mm.own(&m, key, val, old)
 		}
 		*old = m
 	} else {
 		if !owned {
-			mm.own(&m, val, nil)
+			mm.own(&m, key, val, nil)
 		}
 		n.bufs[ci] = mm.msgs.GrowInsert(buf, i, m)
 	}
@@ -234,22 +351,23 @@ func (n *node) bufInsert(mm *mem, m message, val []byte, owned bool) int {
 }
 
 // insertLeaf inserts or replaces a leaf entry with an unowned message
-// (val beside it, as in bufInsert), returning the serialized size delta.
-// Stale messages (older seq than the stored entry) are dropped — they
-// can only reach a leaf through recovery replay.
-func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
-	i := n.search(kv.NewTarget(m.key))
+// (key and val beside it, as in bufInsert), returning the serialized
+// size delta. Stale messages (older seq than the stored entry) are
+// dropped — they can only reach a leaf through recovery replay.
+func (n *node) insertLeaf(mm *mem, m message, key, val []byte) int {
+	t := kv.NewTarget(key)
+	i := n.search(t)
 	delta := m.bytes()
-	if i < len(n.entries) && bytes.Equal(n.entries[i].key, m.key) {
+	if i < len(n.entries) && n.entries[i].is(&t) {
 		e := &n.entries[i]
 		if m.seq < e.seq {
 			return 0
 		}
 		delta -= e.bytes()
-		mm.own(&m, val, e.key)
+		mm.own(&m, key, val, e)
 		*e = m
 	} else {
-		mm.own(&m, val, nil)
+		mm.own(&m, key, val, nil)
 		n.entries = mm.msgs.GrowInsert(n.entries, i, m)
 	}
 	n.Serialized += delta
@@ -267,13 +385,17 @@ func (n *node) insertLeaf(mm *mem, m message, val []byte) int {
 func (n *node) insertBatch(mm *mem, batch []message) int {
 	delta := 0
 	toIns := mm.scratch[:0]
-	ei := n.search(kv.NewTarget(batch[0].key))
+	var kb [kv.KeySize]byte
+	ei := n.search(batch[0].target(&kb))
 	for bi := range batch {
 		m := &batch[bi]
-		for ei < len(n.entries) && kv.CompareKeys(n.entries[ei].key, m.key) < 0 {
-			ei++
+		c := 1
+		for ; ei < len(n.entries); ei++ {
+			if c = compareMsgs(&n.entries[ei], m); c >= 0 {
+				break
+			}
 		}
-		if ei < len(n.entries) && bytes.Equal(n.entries[ei].key, m.key) {
+		if c == 0 {
 			e := &n.entries[ei]
 			if m.seq < e.seq {
 				continue // stale (recovery replay only)
@@ -297,7 +419,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 		n.entries = n.entries[:oldLen+len(toIns)]
 		si, bi := oldLen-1, len(toIns)-1
 		for dst := len(n.entries) - 1; bi >= 0; dst-- {
-			if si >= 0 && kv.CompareKeys(n.entries[si].key, toIns[bi].key) > 0 {
+			if si >= 0 && compareMsgs(&n.entries[si], &toIns[bi]) > 0 {
 				n.entries[dst] = n.entries[si]
 				si--
 			} else {
@@ -314,7 +436,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 		case si >= oldLen:
 			grown[dst] = toIns[bi]
 			bi++
-		case bi >= len(toIns) || kv.CompareKeys(n.entries[si].key, toIns[bi].key) < 0:
+		case bi >= len(toIns) || compareMsgs(&n.entries[si], &toIns[bi]) < 0:
 			grown[dst] = n.entries[si]
 			si++
 		default:
@@ -329,7 +451,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 
 // splitLeaf moves the upper half of the entries into right (a fresh,
 // registered node) and returns the separator key (first key of the new
-// node). Each half ends up in a pooled array of the capacity
+// node) in bytes of its own from the arena. Each half ends up in a pooled array of the capacity
 // class its length calls for: a batch flush grows a leaf to the batch
 // size and splitLeafToFit then halves it repeatedly, so a left half that
 // kept the array it was cut from would leave N log N slots for N entries.
@@ -347,7 +469,8 @@ func (n *node) splitLeaf(mm *mem, right *node) []byte {
 	n.Serialized -= movedBytes
 	right.Next = n.Next
 	n.Next = right.ID
-	return right.entries[0].key
+	var kb [kv.KeySize]byte
+	return mm.arena.Clone(right.entries[0].keyBytes(&kb))
 }
 
 // insertChild adds a separator and child after position idx — child idx
@@ -355,9 +478,9 @@ func (n *node) splitLeaf(mm *mem, right *node) []byte {
 // key >= sep now route to the new child. (Every split the tree performs
 // follows a flush that has just emptied that buffer, so today the cut
 // moves nothing; it keeps the partition right without leaning on that.)
-// The separator copy comes from the tree's arena.
+// The node keeps sep itself: a split hands over bytes the tree owns.
 func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
-	n.seps = slices.Insert(n.seps, idx, mm.arena.Clone(sep))
+	n.seps = slices.Insert(n.seps, idx, sep)
 	n.Children = slices.Insert(n.Children, idx+1, child)
 	buf := n.bufs[idx]
 	tail := mm.msgs.CloneTail(buf, searchMsgs(buf, kv.NewTarget(sep)))

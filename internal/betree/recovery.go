@@ -1,7 +1,6 @@
 package betree
 
 import (
-	"bytes"
 	"errors"
 
 	"ptsbench/internal/cowtree"
@@ -76,14 +75,14 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		n = t.nodes[n.Children[ci]]
 	}
 	if i := n.search(target); i < len(n.entries) &&
-		bytes.Equal(n.entries[i].key, r.Key) && n.entries[i].seq >= r.Seq {
+		n.entries[i].is(&target) && n.entries[i].seq >= r.Seq {
 		return now, nil
 	}
 	vlen := r.ValueLen
 	if r.Value != nil {
 		vlen = len(r.Value)
 	}
-	// A record's key and value are separate slices, so it enters as an
-	// unowned message and the node insert fuses them (see mem.own).
-	return t.apply(now, makeMessage(r.Key, r.Seq, vlen, r.Deleted), r.Value)
+	// A record's key and value are the journal reader's bytes, so it
+	// enters as an unowned message (see mem.own).
+	return t.apply(now, makeMessage(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
 }
