@@ -404,9 +404,9 @@ func checkScan(t *testing.T, got []kv.Entry, oracle map[uint64][]byte, from, key
 
 // flatNode is the interior buffer as it was before the partition — ONE
 // key-sorted array for the whole node, with the code that maintained it
-// moved here verbatim (adapted only to the message's representation): it is the
-// reference TestNodeMatchesFlatReference holds the partitioned node to,
-// and the baseline BenchmarkBufferInsert measures it against.
+// moved here verbatim (adapted only to the message's representation):
+// it is the reference TestNodeMatchesFlatReference holds the partitioned
+// node to, and the baseline BenchmarkBufferInsert measures it against.
 type flatNode struct {
 	seps     [][]byte
 	buf      []message
