@@ -13,7 +13,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func testEnv(t *testing.T, capacityMiB int64, content bool, tweak func(*Config)) (*Tree, *blockdev.Device, *extfs.FS) {
+func testEnv(t testing.TB, capacityMiB int64, content bool, tweak func(*Config)) (*Tree, *blockdev.Device, *extfs.FS) {
 	t.Helper()
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  capacityMiB << 20,
