@@ -42,11 +42,11 @@ type Tree struct {
 	// drains it.
 	overfull []nodeID
 
-	// mem bundles the key/value arena, the msgBytes slab and the
-	// recycled message-array pool; slab backs node structs. Node structs
-	// and retained bytes are immortal in this design (ids are never
-	// reused), so bump and pool allocation keep the steady-state op path
-	// allocation-free.
+	// mem bundles the record arena (key/value bytes and the headers
+	// that point at them) and the recycled record-array pool; slab
+	// backs node structs. Node structs and retained bytes are immortal
+	// in this design (ids are never reused), so bump and pool
+	// allocation keep the steady-state op path allocation-free.
 	mem  mem
 	slab cowtree.Slab[node]
 
@@ -158,19 +158,19 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	// own its bytes and key and value travel beside it: the node inserts
 	// copy them only when actually retained (an accounting-mode put of a
 	// kv.KeySize key retains nothing).
-	if now, err = t.apply(now, makeMessage(key, seq, valueLen, del), key, value); err != nil {
+	if now, err = t.apply(now, cowtree.MakeRecord(key, seq, valueLen, del), key, value); err != nil {
 		t.Core.Fail(err)
 		return now, err
 	}
 	return t.Core.EndWrite(now, len(key), valueLen)
 }
 
-// apply routes one unowned message (key and val beside it, see mem.own)
-// into the tree: into the root's buffer when the root is an interior
-// node with buffer capacity (flushing down when it overflows), or
-// straight into the root leaf / down the spine when buffering is off
-// (ε = 1).
-func (t *Tree) apply(now sim.Duration, msg message, key, val []byte) (sim.Duration, error) {
+// apply routes one unowned message (key and val beside it, see
+// cowtree.RecordArena.Own) into the tree: into the root's buffer when
+// the root is an interior node with buffer capacity (flushing down when
+// it overflows), or straight into the root leaf / down the spine when
+// buffering is off (ε = 1).
+func (t *Tree) apply(now sim.Duration, msg cowtree.Record, key, val []byte) (sim.Duration, error) {
 	root := t.nodes[t.Core.Root()]
 	if root.Leaf {
 		var err error
@@ -220,7 +220,7 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 
 // applyToLeaf descends to the leaf covering the message key and inserts
 // it there (the ε = 1 degenerate path).
-func (t *Tree) applyToLeaf(now sim.Duration, msg message, key, val []byte) (sim.Duration, error) {
+func (t *Tree) applyToLeaf(now sim.Duration, msg cowtree.Record, key, val []byte) (sim.Duration, error) {
 	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(key)
 	for !n.Leaf {
@@ -313,7 +313,7 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 		newRoot := t.newNode(false)
 		newRoot.Children = []nodeID{left.ID, right.ID}
 		newRoot.seps = [][]byte{sep}
-		newRoot.bufs, newRoot.bufSizes = make([][]message, 2), make([]int, 2)
+		newRoot.bufs, newRoot.bufSizes = make([][]cowtree.Record, 2), make([]int, 2)
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
 		left.Parent = newRoot.ID
@@ -369,11 +369,11 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		ci := n.childFor(target)
 		if m := n.bufGet(ci, target); m != nil {
 			t.io.BufferHits++
-			if m.del {
+			if m.Del() {
 				return now, nil, false, nil
 			}
-			t.Core.CountRead(len(key) + int(m.vlen))
-			return now, m.val(), true, nil
+			t.Core.CountRead(len(key) + m.Vlen())
+			return now, m.Val(), true, nil
 		}
 		n = t.nodes[n.Children[ci]]
 	}
@@ -381,12 +381,12 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		return now, nil, false, err
 	}
 	i := n.search(target)
-	if i >= len(n.entries) || !n.entries[i].is(&target) || n.entries[i].del {
+	if i >= len(n.entries) || !n.entries[i].Is(&target) || n.entries[i].Del() {
 		return now, nil, false, nil
 	}
 	e := &n.entries[i]
-	t.Core.CountRead(len(key) + int(e.vlen))
-	return now, e.val(), true, nil
+	t.Core.CountRead(len(key) + e.Vlen())
+	return now, e.Val(), true, nil
 }
 
 // Scan returns up to limit live entries with key >= start, in key order,
@@ -404,16 +404,16 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	var out []kv.Entry
 
 	var kb [kv.KeySize]byte
-	emit := func(m *message) {
-		if m.del {
+	emit := func(m *cowtree.Record) {
+		if m.Del() {
 			return
 		}
 		e := kv.Entry{
-			Key:      append([]byte(nil), m.keyBytes(&kb)...),
-			ValueLen: int(m.vlen),
-			Seq:      m.seq,
+			Key:      append([]byte(nil), m.Key(&kb)...),
+			ValueLen: m.Vlen(),
+			Seq:      m.Seq(),
 		}
-		if val := m.val(); val != nil {
+		if val := m.Val(); val != nil {
 			e.Value = append([]byte(nil), val...)
 		}
 		t.Core.CountRead(len(e.Key) + e.ValueLen)
@@ -443,7 +443,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 				if m == nil {
 					break
 				}
-				c := compareMsgs(m, le)
+				c := cowtree.CompareRecords(m, le)
 				if c > 0 {
 					break
 				}
@@ -496,13 +496,13 @@ type msgStream struct {
 // msgCursor walks one node's messages in key order: position i of child
 // buffer ci, then the following buffers.
 type msgCursor struct {
-	bufs  [][]message
+	bufs  [][]cowtree.Record
 	ci, i int
 }
 
 // head returns the cursor's current message, stepping over exhausted and
 // empty child buffers, or nil at the end of the node.
-func (c *msgCursor) head() *message {
+func (c *msgCursor) head() *cowtree.Record {
 	for ; c.ci < len(c.bufs); c.ci, c.i = c.ci+1, 0 {
 		if buf := c.bufs[c.ci]; c.i < len(buf) {
 			return &buf[c.i]
@@ -523,7 +523,7 @@ func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 			return
 		}
 		first := n.childFor(start)
-		c := msgCursor{bufs: n.bufs, ci: first, i: searchMsgs(n.bufs[first], start)}
+		c := msgCursor{bufs: n.bufs, ci: first, i: cowtree.SearchRecords(n.bufs[first], start)}
 		if c.head() != nil {
 			s.cursors = append(s.cursors, c)
 		}
@@ -538,8 +538,8 @@ func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 // peek returns the next message — smallest key; for duplicate keys
 // across levels, the newest (highest seq) version — without consuming
 // it, or nil when the stream is exhausted.
-func (s *msgStream) peek() *message {
-	var best *message
+func (s *msgStream) peek() *cowtree.Record {
+	var best *cowtree.Record
 	for ci := range s.cursors {
 		m := s.cursors[ci].head()
 		if m == nil {
@@ -549,10 +549,10 @@ func (s *msgStream) peek() *message {
 			best = m
 			continue
 		}
-		switch cmp := compareMsgs(m, best); {
+		switch cmp := cowtree.CompareRecords(m, best); {
 		case cmp < 0:
 			best = m
-		case cmp == 0 && m.seq > best.seq:
+		case cmp == 0 && m.Seq() > best.Seq():
 			best = m
 		}
 	}
@@ -561,10 +561,10 @@ func (s *msgStream) peek() *message {
 
 // consume advances every cursor past m's key, discarding the shadowed
 // older duplicates along with the consumed message m.
-func (s *msgStream) consume(m *message) {
+func (s *msgStream) consume(m *cowtree.Record) {
 	for ci := range s.cursors {
 		c := &s.cursors[ci]
-		for h := c.head(); h != nil && compareMsgs(h, m) <= 0; h = c.head() {
+		for h := c.head(); h != nil && cowtree.CompareRecords(h, m) <= 0; h = c.head() {
 			c.i++
 		}
 	}

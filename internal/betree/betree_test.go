@@ -342,8 +342,8 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
 	var m mem
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
-	leaf.insertLeaf(&m, makeMessage(k1, 7, 3, false), k1, []byte("abc"))
-	leaf.insertLeaf(&m, makeMessage(k2, 9, 64, true), k2, nil)
+	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := serializeNode(nil, leaf, nil)
 	got, ok := parseNode(data)
 	if !ok {
@@ -352,21 +352,21 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if len(got.entries) != 2 || !bytes.Equal(msgKey(&got.entries[0]), k1) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
-	if string(got.entries[0].val()) != "abc" || got.entries[0].seq != 7 {
+	if string(got.entries[0].Val()) != "abc" || got.entries[0].Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].del || got.entries[1].seq != 9 || got.entries[1].vlen != 64 {
+	if !got.entries[1].Del() || got.entries[1].Seq() != 9 || got.entries[1].Vlen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
 
 	interior := &node{
 		Node:     cowtree.Node{Children: []nodeID{1, 2, 3}},
 		seps:     [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)},
-		bufs:     make([][]message, 3),
+		bufs:     make([][]cowtree.Record, 3),
 		bufSizes: make([]int, 3),
 	}
-	interior.bufInsert(&m, makeMessage(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
-	interior.bufInsert(&m, makeMessage(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
+	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
+	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
 	interior.recomputeSerialized()
 	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
@@ -378,8 +378,8 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 {
 		t.Fatal("child extents wrong")
 	}
-	if len(got.bufs) != 3 || len(got.bufs[0]) != 1 || got.bufs[0][0].seq != 11 ||
-		len(got.bufs[1]) != 1 || !got.bufs[1][0].del || got.bufs[2] != nil {
+	if len(got.bufs) != 3 || len(got.bufs[0]) != 1 || got.bufs[0][0].Seq() != 11 ||
+		len(got.bufs[1]) != 1 || !got.bufs[1][0].Del() || got.bufs[2] != nil {
 		t.Fatalf("buffer round trip wrong: %+v", got.bufs)
 	}
 	if got.bufBytes != interior.bufBytes {

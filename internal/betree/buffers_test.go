@@ -28,7 +28,7 @@ func checkTree(t *testing.T, tr *Tree) {
 		if n.Leaf {
 			sz := pageHeaderBytes
 			for i := range n.entries {
-				sz += n.entries[i].bytes()
+				sz += n.entries[i].Size()
 			}
 			if sz != n.Serialized {
 				t.Fatalf("leaf %d serialized %d, recomputed %d", n.ID, n.Serialized, sz)
@@ -60,10 +60,10 @@ func checkInterior(t *testing.T, n *node) {
 			if got := n.childFor(kv.NewTarget(msgKey(&buf[i]))); got != ci {
 				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
 			}
-			if i > 0 && compareMsgs(&buf[i-1], &buf[i]) >= 0 {
+			if i > 0 && cowtree.CompareRecords(&buf[i-1], &buf[i]) >= 0 {
 				t.Fatalf("node %d buffer %d out of order", n.ID, ci)
 			}
-			bb += buf[i].bytes()
+			bb += buf[i].Size()
 		}
 		if bb != n.bufSizes[ci] {
 			t.Fatalf("node %d bufSizes[%d] %d, recomputed %d", n.ID, ci, n.bufSizes[ci], bb)
@@ -86,16 +86,16 @@ func checkInterior(t *testing.T, n *node) {
 }
 
 // msgKey returns a copy of a message's key bytes.
-func msgKey(m *message) []byte {
+func msgKey(m *cowtree.Record) []byte {
 	var kb [kv.KeySize]byte
-	return append([]byte(nil), m.keyBytes(&kb)...)
+	return append([]byte(nil), m.Key(&kb)...)
 }
 
 // sameMessage reports whether two messages are equal field for field,
 // key and value bytes included.
-func sameMessage(a, b *message) bool {
-	return bytes.Equal(msgKey(a), msgKey(b)) && bytes.Equal(a.val(), b.val()) &&
-		a.seq == b.seq && a.vlen == b.vlen && a.del == b.del
+func sameMessage(a, b *cowtree.Record) bool {
+	return bytes.Equal(msgKey(a), msgKey(b)) && bytes.Equal(a.Val(), b.Val()) &&
+		a.Seq() == b.Seq() && a.Vlen() == b.Vlen() && a.Del() == b.Del()
 }
 
 // checkRoundTrip serializes an interior node and parses the image back:
@@ -131,8 +131,11 @@ func checkRoundTrip(t *testing.T, n *node) {
 		}
 		for i := range n.bufs[ci] {
 			want := n.bufs[ci][i]
-			if want.val() == nil && want.vlen > 0 {
-				want.ext = &msgBytes{b: append(msgKey(&want)[:want.outKey()], make([]byte, want.vlen)...)}
+			if want.Val() == nil && want.Vlen() > 0 {
+				key := msgKey(&want)
+				want = cowtree.MakeRecord(key, want.Seq(), want.Vlen(), want.Del())
+				var zeros cowtree.RecordArena
+				zeros.Own(&want, key, make([]byte, want.Vlen()), nil)
 			}
 			if !sameMessage(&got.bufs[ci][i], &want) {
 				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.ID, ci, i)
@@ -226,9 +229,9 @@ func runBufferModel(t *testing.T, sh modelShape) {
 				want = append(want, root.bufSizes...)
 				target := kv.NewTarget(key)
 				ci := root.childFor(target)
-				want[ci] += msgOverhead + len(key) + len(val)
+				want[ci] += recordHeader + len(key) + len(val)
 				if m := root.bufGet(ci, target); m != nil {
-					want[ci] -= m.bytes()
+					want[ci] -= m.Size()
 					reached.bufferedOverwrites++
 				}
 			}
@@ -409,36 +412,36 @@ func checkScan(t *testing.T, got []kv.Entry, oracle map[uint64][]byte, from, key
 // node to, and the baseline BenchmarkBufferInsert measures it against.
 type flatNode struct {
 	seps     [][]byte
-	buf      []message
+	buf      []cowtree.Record
 	bufBytes int
 }
 
 // bufInsert is the old node.bufInsert.
-func (f *flatNode) bufInsert(mm *mem, m message, key, val []byte, owned bool) int {
+func (f *flatNode) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool) int {
 	var kb [kv.KeySize]byte
 	if owned {
-		key = m.keyBytes(&kb)
+		key = m.Key(&kb)
 	}
 	t := kv.NewTarget(key)
-	i := searchMsgs(f.buf, t)
-	if i < len(f.buf) && f.buf[i].is(&t) {
+	i := cowtree.SearchRecords(f.buf, t)
+	if i < len(f.buf) && f.buf[i].Is(&t) {
 		old := &f.buf[i]
-		if m.seq < old.seq {
+		if m.Seq() < old.Seq() {
 			return 0
 		}
-		delta := m.bytes() - old.bytes()
+		delta := m.Size() - old.Size()
 		if !owned {
-			mm.own(&m, key, val, old)
+			mm.arena.Own(&m, key, val, old)
 		}
 		*old = m
 		f.bufBytes += delta
 		return delta
 	}
 	if !owned {
-		mm.own(&m, key, val, nil)
+		mm.arena.Own(&m, key, val, nil)
 	}
 	f.buf = mm.msgs.GrowInsert(f.buf, i, m)
-	delta := m.bytes()
+	delta := m.Size()
 	f.bufBytes += delta
 	return delta
 }
@@ -452,12 +455,12 @@ func (f *flatNode) busiest() (bestCi, bestStart, bestEnd, bestBytes int) {
 	for ci := 0; ci <= len(f.seps); ci++ {
 		end := len(f.buf)
 		if ci < len(f.seps) {
-			end = searchMsgs(f.buf, kv.NewTarget(f.seps[ci]))
+			end = cowtree.SearchRecords(f.buf, kv.NewTarget(f.seps[ci]))
 		}
 		if end > start {
 			b := 0
 			for i := start; i < end; i++ {
-				b += f.buf[i].bytes()
+				b += f.buf[i].Size()
 			}
 			if b > bestBytes {
 				bestBytes, bestCi = b, ci
@@ -481,10 +484,10 @@ func (f *flatNode) split(mm *mem) *flatNode {
 	mid := len(f.seps) / 2
 	promoted := f.seps[mid]
 	right := &flatNode{seps: append([][]byte(nil), f.seps[mid+1:]...)}
-	cut := searchMsgs(f.buf, kv.NewTarget(promoted))
+	cut := cowtree.SearchRecords(f.buf, kv.NewTarget(promoted))
 	right.buf = mm.msgs.CloneTail(f.buf, cut)
 	for i := range right.buf {
-		right.bufBytes += right.buf[i].bytes()
+		right.bufBytes += right.buf[i].Size()
 	}
 	f.buf = f.buf[:cut]
 	f.bufBytes -= right.bufBytes
@@ -540,7 +543,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 		cutBoth, cutAllLeft, cutAllRight, cutEmpty                            int
 		nodeSplits, splitMovedBuffers                                         int
 	}
-	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
+	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
 	n.recomputeSerialized()
 	n.refreshSepCache()
 	f := &flatNode{}
@@ -557,34 +560,35 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 		case op < 80: // upsert
 			seq++
 			key := kv.EncodeKey(rng.Uint64n(keySpace))
-			m := makeMessage(key, seq, 0, false)
+			mseq, vlen, del := seq, 0, false
 			var val []byte
 			target := kv.NewTarget(key)
 			resident := n.bufGet(n.childFor(target), target)
 			switch kind := rng.Intn(10); {
 			case kind < 4: // value-bearing (content mode); two sizes, so children tie
 				val = bytes.Repeat([]byte{byte(step)}, 8<<uint(rng.Intn(2)))
-				m.vlen = int32(len(val))
-				if resident != nil && resident.val() != nil {
+				vlen = len(val)
+				if resident != nil && resident.Val() != nil {
 					reached.valueOverwrite++
 				}
 			case kind < 7: // accounting mode: a length, no bytes
-				m.vlen = 16
+				vlen = 16
 				reached.accounting++
 			case kind < 9:
-				m.del = true
+				del = true
 				reached.tombstone++
 			default: // older than what is buffered: must be dropped
-				m.seq = 0
+				mseq = 0
 				if resident != nil {
 					reached.stale++
 				}
 			}
+			m := cowtree.MakeRecord(key, mseq, vlen, del)
 			owned := rng.Intn(4) == 0
 			fmsg := m
 			if owned { // as a flush hands it down: bytes already fused
-				mm.own(&m, key, val, nil)
-				fm.own(&fmsg, key, val, nil)
+				mm.arena.Own(&m, key, val, nil)
+				fm.arena.Own(&fmsg, key, val, nil)
 				val = nil
 				reached.owned++
 			}
@@ -659,7 +663,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			promoted := n.splitInterior(right)
 			fright := f.split(&fm)
 			for ci, buf := range right.bufs {
-				if len(buf) > 0 && buf[0].compareKey(promoted) < 0 {
+				if len(buf) > 0 && buf[0].CompareKey(promoted) < 0 {
 					t.Fatalf("%s: right buffer %d holds a key below the promoted separator", what, ci)
 				}
 			}
@@ -698,6 +702,19 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 	}
 }
 
+// recordHeader is a serialized record's header: keyLen(2) +
+// valueLen(4) + seq(8).
+const recordHeader = 14
+
+// ownsBytes reports whether a stored message keeps bytes out of line: a
+// value, or a key that is not kv.KeySize long (a kv.KeySize key is held
+// as its words alone, so Key fills the caller's buffer instead).
+func ownsBytes(m *cowtree.Record) bool {
+	var kb [kv.KeySize]byte
+	k := m.Key(&kb)
+	return m.Val() != nil || len(k) > 0 && &k[0] != &kb[0]
+}
+
 // arenaTaken returns how many bytes the arena handed out while f ran,
 // from the distance between a one-byte allocation before f and one
 // after it.
@@ -709,12 +726,12 @@ func arenaTaken(mm *mem, f func()) int {
 }
 
 // TestMessageCodecKinds round-trips each message kind through
-// putMessage/parseMessage at 8-, 16- and 24-byte keys — a value-bearing
+// cowtree.AppendRecord/ParseRecord at 8-, 16- and 24-byte keys — a value-bearing
 // message, a value-bearing overwrite of it, a tombstone, and an
 // accounting-mode message (no value bytes in memory, zeros of its
 // accounted length on disk) — and pins what a stored message owns: a
 // kv.KeySize key lives in the words alone, so its accounting-mode
-// messages have no msgBytes and a fresh one takes nothing from the
+// messages own no bytes and a fresh one takes nothing from the
 // arena; other keys and all values are copied, never aliasing the
 // caller's buffers; a tombstone or an accounting-mode overwrite keeps
 // the resident key bytes and allocates nothing.
@@ -726,32 +743,34 @@ func TestMessageCodecKinds(t *testing.T) {
 
 func runMessageCodecKinds(t *testing.T, width int) {
 	var mm mem
-	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]message, 1), bufSizes: make([]int, 1)}
+	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
 	key := bytes.Repeat([]byte{9}, width)
 	wide := width != kv.KeySize
-	roundTrip := func(m *message) message {
+	roundTrip := func(m *cowtree.Record) cowtree.Record {
 		t.Helper()
-		img := putMessage(nil, m)
-		got, used := parseMessage(img)
-		if used != len(img) || used != m.bytes() {
-			t.Fatalf("message of %d accounted bytes: wrote %d, parsed %d", m.bytes(), len(img), used)
+		img := cowtree.AppendRecord(nil, m)
+		got, used := cowtree.ParseRecord(img)
+		if used != len(img) || used != m.Size() {
+			t.Fatalf("message of %d accounted bytes: wrote %d, parsed %d", m.Size(), len(img), used)
 		}
-		if !bytes.Equal(msgKey(&got), key) || !bytes.Equal(msgKey(m), key) || got.seq != m.seq ||
-			got.vlen != m.vlen || got.del != m.del || got.klen != m.klen || got.hi != m.hi || got.lo != m.lo {
+		var gb, mb [kv.KeySize]byte
+		gt, mt := got.Target(&gb), m.Target(&mb)
+		if !bytes.Equal(msgKey(&got), key) || !bytes.Equal(msgKey(m), key) || got.Seq() != m.Seq() ||
+			got.Vlen() != m.Vlen() || got.Del() != m.Del() || gt.Fast != mt.Fast || gt.Hi != mt.Hi || gt.Lo != mt.Lo {
 			t.Fatalf("round trip changed %+v into %+v", *m, got)
 		}
 		return got
 	}
-	insert := func(m message, val []byte) (taken int) {
+	insert := func(m cowtree.Record, val []byte) (taken int) {
 		return arenaTaken(&mm, func() { n.bufInsert(&mm, m, key, val, false) })
 	}
 
 	// A fresh accounting-mode message: the words are a kv.KeySize key,
 	// so it owns nothing; any other key is copied out of line.
-	if taken := insert(makeMessage(key, 1, 4000, false), nil); taken != width && wide || taken != 0 && !wide {
+	if taken := insert(cowtree.MakeRecord(key, 1, 4000, false), nil); taken != width && wide || taken != 0 && !wide {
 		t.Fatalf("a fresh accounting-mode message took %d arena bytes", taken)
 	}
-	if m := &n.bufs[0][0]; (m.ext == nil) == wide || m.val() != nil {
+	if m := &n.bufs[0][0]; !ownsBytes(m) == wide || m.Val() != nil {
 		t.Fatalf("fresh accounting-mode message: %+v", *m)
 	}
 	roundTrip(&n.bufs[0][0])
@@ -759,67 +778,58 @@ func runMessageCodecKinds(t *testing.T, width int) {
 	n.bufs[0], n.bufSizes[0], n.bufBytes = nil, 0, 0
 
 	val := []byte("first")
-	if taken := insert(makeMessage(key, 2, 5, false), val); taken != len(val)+width && wide || taken != len(val) && !wide {
+	if taken := insert(cowtree.MakeRecord(key, 2, 5, false), val); taken != len(val)+width && wide || taken != len(val) && !wide {
 		t.Fatalf("a fresh value-bearing message took %d arena bytes", taken)
 	}
-	if got := roundTrip(&n.bufs[0][0]); string(got.val()) != "first" {
-		t.Fatalf("value %q", got.val())
+	if got := roundTrip(&n.bufs[0][0]); string(got.Val()) != "first" {
+		t.Fatalf("value %q", got.Val())
 	}
 	// The caller reuses its buffers; the stored message must not alias them.
 	key[width-1] ^= 0xff
 	val[0] = 'F'
-	if bytes.Equal(msgKey(&n.bufs[0][0]), key) || string(n.bufs[0][0].val()) != "first" {
+	if bytes.Equal(msgKey(&n.bufs[0][0]), key) || string(n.bufs[0][0].Val()) != "first" {
 		t.Fatal("the stored message aliases the caller's key or value buffer")
 	}
 	key[width-1] ^= 0xff
-	insert(makeMessage(key, 3, 11, false), []byte("second, long"[:11]))
-	if got := roundTrip(&n.bufs[0][0]); string(got.val()) != "second, lon" || len(n.bufs[0]) != 1 {
-		t.Fatalf("overwrite: value %q in %d messages", got.val(), len(n.bufs[0]))
+	insert(cowtree.MakeRecord(key, 3, 11, false), []byte("second, long"[:11]))
+	if got := roundTrip(&n.bufs[0][0]); string(got.Val()) != "second, lon" || len(n.bufs[0]) != 1 {
+		t.Fatalf("overwrite: value %q in %d messages", got.Val(), len(n.bufs[0]))
 	}
-	if n.bufSizes[0] != msgOverhead+width+11 {
+	if n.bufSizes[0] != recordHeader+width+11 {
 		t.Fatalf("overwrite left %d bytes accounted", n.bufSizes[0])
 	}
 
 	// A tombstone drops the value and keeps the resident key bytes: a
 	// kv.KeySize key's message owns nothing, any other keeps its bytes.
-	stored := n.bufs[0][0].ext.b
-	if taken := insert(makeMessage(key, 4, 0, true), nil); taken != 0 {
+	var kb [kv.KeySize]byte
+	stored := n.bufs[0][0].Key(&kb) // a wide key's out-of-line bytes
+	if taken := insert(cowtree.MakeRecord(key, 4, 0, true), nil); taken != 0 {
 		t.Fatalf("a tombstone took %d arena bytes", taken)
 	}
 	m := &n.bufs[0][0]
-	if !m.del || m.val() != nil || wide && &m.ext.b[0] != &stored[0] || !wide && m.ext != nil {
+	if !m.Del() || m.Val() != nil || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
 		t.Fatalf("tombstone: %+v", *m)
 	}
-	if got := roundTrip(m); !got.del || len(got.val()) != 0 {
+	if got := roundTrip(m); !got.Del() || len(got.Val()) != 0 {
 		t.Fatalf("tombstone round trip: %+v", got)
 	}
 
 	// Accounting mode: an overwrite allocates nothing and keeps the key.
 	if allocs := testing.AllocsPerRun(100, func() {
-		n.bufInsert(&mm, makeMessage(key, 5, 4000, false), key, nil, false)
+		n.bufInsert(&mm, cowtree.MakeRecord(key, 5, 4000, false), key, nil, false)
 	}); allocs != 0 {
 		t.Fatalf("accounting-mode overwrite allocates %.1f objects", allocs)
 	}
-	if taken := insert(makeMessage(key, 6, 4000, false), nil); taken != 0 {
+	if taken := insert(cowtree.MakeRecord(key, 6, 4000, false), nil); taken != 0 {
 		t.Fatalf("an accounting-mode overwrite took %d arena bytes", taken)
 	}
 	m = &n.bufs[0][0]
-	if m.val() != nil || m.vlen != 4000 || wide && &m.ext.b[0] != &stored[0] || !wide && m.ext != nil {
+	if m.Val() != nil || m.Vlen() != 4000 || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
 		t.Fatalf("accounting-mode overwrite: %+v", *m)
 	}
-	img := putMessage(nil, m)
-	if got, _ := parseMessage(img); len(img) != m.bytes() || !bytes.Equal(got.val(), make([]byte, 4000)) {
+	img := cowtree.AppendRecord(nil, m)
+	if got, _ := cowtree.ParseRecord(img); len(img) != m.Size() || !bytes.Equal(got.Val(), make([]byte, 4000)) {
 		t.Fatalf("accounting-mode image: %d bytes", len(img))
-	}
-}
-
-// TestMessageSize pins the message at 40 bytes: the key's two words, a
-// sequence, one pointer to out-of-line bytes and the packed lengths and
-// flag. Growing it (a 56-byte form kept a key slice beside the words)
-// costs betree-mixed +19 % allocated bytes per op in message arrays.
-func TestMessageSize(t *testing.T) {
-	if sz := unsafe.Sizeof(message{}); sz != 40 {
-		t.Fatalf("message is %d bytes, want 40", sz)
 	}
 }
 
@@ -876,7 +886,7 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 		}
 		for _, buf := range n.bufs {
 			for i := range buf {
-				if buf[i].del {
+				if buf[i].Del() {
 					dead[level[n.ID]]++
 				} else {
 					live[level[n.ID]]++
@@ -971,7 +981,7 @@ const (
 	benchChildren = 33
 	benchKeySpace = 1 << 20
 	benchVlen     = 4000
-	benchBudget   = 2080 * (msgOverhead + kv.KeySize + benchVlen)
+	benchBudget   = 2080 * (recordHeader + kv.KeySize + benchVlen)
 )
 
 // benchSeps returns the benchmark node's separators, evenly spaced.
@@ -986,7 +996,7 @@ func benchSeps() [][]byte {
 // benchNode returns the partitioned benchmark node, empty.
 func benchNode() *node {
 	n := &node{seps: benchSeps(), Node: cowtree.Node{Children: make([]nodeID, benchChildren)},
-		bufs: make([][]message, benchChildren), bufSizes: make([]int, benchChildren)}
+		bufs: make([][]cowtree.Record, benchChildren), bufSizes: make([]int, benchChildren)}
 	n.refreshSepCache()
 	return n
 }
@@ -995,7 +1005,7 @@ func benchNode() *node {
 // benchmark node, draining the busiest child while the node is over its
 // budget.
 func benchUpsert(mm *mem, n *node, key []byte, seq int) {
-	n.bufInsert(mm, makeMessage(key, uint64(seq), benchVlen, false), key, nil, false)
+	n.bufInsert(mm, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
 	for n.bufBytes > benchBudget {
 		ci, size := n.busiestChild()
 		dropBuffer(mm, n, ci, size)
@@ -1033,7 +1043,7 @@ func BenchmarkBufferInsert(b *testing.B) {
 		var mm mem
 		f := &flatNode{seps: benchSeps()}
 		run(b, func(seq int) {
-			f.bufInsert(&mm, makeMessage(key, uint64(seq), benchVlen, false), key, nil, false)
+			f.bufInsert(&mm, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
 			for f.bufBytes > benchBudget {
 				_, start, end, size := f.busiest()
 				f.remove(start, end, size)
@@ -1043,7 +1053,7 @@ func BenchmarkBufferInsert(b *testing.B) {
 }
 
 // benchHit keeps BenchmarkBufferGet's lookups observable.
-var benchHit *message
+var benchHit *cowtree.Record
 
 // BenchmarkBufferGet is the read side: on the benchmark node filled to
 // its budget by BenchmarkBufferInsert's upserts, a buffer-answered lookup

@@ -1,10 +1,10 @@
 package betree
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"ptsbench/internal/cowtree"
-	"ptsbench/internal/kv"
 )
 
 // The checkpoint discipline and the copy-on-write node write live in
@@ -14,51 +14,6 @@ import (
 
 // nodeMagic marks a serialized Bε-tree node ("BEPG").
 const nodeMagic = 0x42455047
-
-// putMessage appends one serialized message (buffer message or leaf
-// entry): keyLen(2) + valueLen(4) + seq(8, tombstone bit 63) + key +
-// value (zeros in accounting mode).
-func putMessage(out []byte, m *message) []byte {
-	var hdr [msgOverhead]byte
-	binary.LittleEndian.PutUint16(hdr[0:], m.klen)
-	vl := int(m.vlen)
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(vl))
-	seq := m.seq
-	if m.del {
-		seq |= 1 << 63
-	}
-	binary.LittleEndian.PutUint64(hdr[6:], seq)
-	out = append(out, hdr[:]...)
-	var kb [kv.KeySize]byte
-	out = append(out, m.keyBytes(&kb)...)
-	if val := m.val(); val != nil {
-		out = append(out, val...)
-	} else {
-		out = cowtree.AppendZeros(out, vl)
-	}
-	return out
-}
-
-// parseMessage decodes one owned message, returning it and the bytes
-// consumed (0 on corruption). Its out-of-line key and value bytes, if it
-// has any, are copied into one allocation behind a msgBytes of its own.
-func parseMessage(data []byte) (message, int) {
-	if len(data) < msgOverhead {
-		return message{}, 0
-	}
-	kl := int(binary.LittleEndian.Uint16(data[0:]))
-	vl := int(binary.LittleEndian.Uint32(data[2:]))
-	seq := binary.LittleEndian.Uint64(data[6:])
-	if msgOverhead+kl+vl > len(data) {
-		return message{}, 0
-	}
-	end := msgOverhead + kl + vl
-	m := makeMessage(data[msgOverhead:msgOverhead+kl], seq&^(1<<63), vl, seq&(1<<63) != 0)
-	if start := msgOverhead + kl - m.outKey(); start < end {
-		m.ext = &msgBytes{b: cloneBytes(data[start:end])}
-	}
-	return m, end
-}
 
 // serializeNode appends the on-disk image of a node (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count,
@@ -75,7 +30,7 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		out[base+4] = 1
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(n.entries)))
 		for i := range n.entries {
-			out = putMessage(out, &n.entries[i])
+			out = cowtree.AppendRecord(out, &n.entries[i])
 		}
 		return out
 	}
@@ -103,7 +58,7 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 	}
 	for _, buf := range n.bufs {
 		for i := range buf {
-			out = putMessage(out, &buf[i])
+			out = cowtree.AppendRecord(out, &buf[i])
 		}
 	}
 	return out
@@ -123,7 +78,7 @@ func parseNode(data []byte) (*node, bool) {
 	off := pageHeaderBytes
 	if n.Leaf {
 		for i := 0; i < count; i++ {
-			m, used := parseMessage(data[off:])
+			m, used := cowtree.ParseRecord(data[off:])
 			if used == 0 {
 				return nil, false
 			}
@@ -142,7 +97,7 @@ func parseNode(data []byte) (*node, bool) {
 		if off+sl > len(data) {
 			return nil, false
 		}
-		n.seps = append(n.seps, cloneBytes(data[off:off+sl]))
+		n.seps = append(n.seps, bytes.Clone(data[off:off+sl]))
 		off += sl
 	}
 	for i := 0; i <= count; i++ {
@@ -156,19 +111,19 @@ func parseNode(data []byte) (*node, bool) {
 		n.Children = append(n.Children, nilNode) // assigned during rebuild
 		off += childRefBytes
 	}
-	n.bufs, n.bufSizes = make([][]message, count+1), make([]int, count+1)
+	n.bufs, n.bufSizes = make([][]cowtree.Record, count+1), make([]int, count+1)
 	for i, ci := 0, 0; i < bufCount; i++ {
-		m, used := parseMessage(data[off:])
+		m, used := cowtree.ParseRecord(data[off:])
 		if used == 0 {
 			return nil, false
 		}
 		// childFor's rule: a key equal to a separator routes right.
-		for ci < count && m.compareKey(n.seps[ci]) >= 0 {
+		for ci < count && m.CompareKey(n.seps[ci]) >= 0 {
 			ci++
 		}
 		n.bufs[ci] = append(n.bufs[ci], m)
-		n.bufSizes[ci] += m.bytes()
-		n.bufBytes += m.bytes()
+		n.bufSizes[ci] += m.Size()
+		n.bufBytes += m.Size()
 		off += used
 	}
 	return n, true

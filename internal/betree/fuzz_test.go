@@ -6,13 +6,14 @@ import (
 	"slices"
 	"testing"
 
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/sim"
 )
 
 // imageKey returns a message's key as its serialized form spells it.
-func imageKey(m *message) []byte {
-	img := putMessage(nil, m)
-	return img[msgOverhead : msgOverhead+int(binary.LittleEndian.Uint16(img))]
+func imageKey(m *cowtree.Record) []byte {
+	img := cowtree.AppendRecord(nil, m)
+	return img[recordHeader : recordHeader+int(binary.LittleEndian.Uint16(img))]
 }
 
 // sameNodeImage reports the first difference between two parsed nodes:
@@ -20,13 +21,13 @@ func imageKey(m *message) []byte {
 // message by message (key, sequence, tombstone, value length, value
 // bytes), with the buffers' byte counts.
 func sameNodeImage(a, b *node) string {
-	sameMsgs := func(x, y []message) bool {
+	sameMsgs := func(x, y []cowtree.Record) bool {
 		if len(x) != len(y) {
 			return false
 		}
 		for i := range x {
-			if !bytes.Equal(imageKey(&x[i]), imageKey(&y[i])) || x[i].seq != y[i].seq || x[i].del != y[i].del ||
-				x[i].vlen != y[i].vlen || !bytes.Equal(x[i].val(), y[i].val()) {
+			if !bytes.Equal(imageKey(&x[i]), imageKey(&y[i])) || x[i].Seq() != y[i].Seq() || x[i].Del() != y[i].Del() ||
+				x[i].Vlen() != y[i].Vlen() || !bytes.Equal(x[i].Val(), y[i].Val()) {
 				return false
 			}
 		}

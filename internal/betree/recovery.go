@@ -38,14 +38,14 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 	if n.Leaf {
 		var sz int
 		for i := range n.entries {
-			sz += n.entries[i].bytes()
-			t.Core.NoteSeq(n.entries[i].seq) // recompute the counter from disk state
+			sz += n.entries[i].Size()
+			t.Core.NoteSeq(n.entries[i].Seq()) // recompute the counter from disk state
 		}
 		n.Serialized = pageHeaderBytes + sz
 	} else {
 		for _, buf := range n.bufs {
 			for i := range buf {
-				t.Core.NoteSeq(buf[i].seq) // buffered messages count toward the max too
+				t.Core.NoteSeq(buf[i].Seq()) // buffered messages count toward the max too
 			}
 		}
 		n.recomputeSerialized()
@@ -69,13 +69,13 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	target := kv.NewTarget(r.Key)
 	for !n.Leaf {
 		ci := n.childFor(target)
-		if m := n.bufGet(ci, target); m != nil && m.seq >= r.Seq {
+		if m := n.bufGet(ci, target); m != nil && m.Seq() >= r.Seq {
 			return now, nil
 		}
 		n = t.nodes[n.Children[ci]]
 	}
 	if i := n.search(target); i < len(n.entries) &&
-		n.entries[i].is(&target) && n.entries[i].seq >= r.Seq {
+		n.entries[i].Is(&target) && n.entries[i].Seq() >= r.Seq {
 		return now, nil
 	}
 	vlen := r.ValueLen
@@ -83,6 +83,6 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		vlen = len(r.Value)
 	}
 	// A record's key and value are the journal reader's bytes, so it
-	// enters as an unowned message (see mem.own).
-	return t.apply(now, makeMessage(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
+	// enters as an unowned message (see cowtree.RecordArena.Own).
+	return t.apply(now, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
 }

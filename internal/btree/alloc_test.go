@@ -3,6 +3,7 @@ package btree
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -51,6 +52,40 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	if tr.IO().Checkpoints != before {
 		t.Fatal("a checkpoint ran inside the measured window")
 	}
+
+	// A fresh accounting-mode put of a kv.KeySize key keeps the key as
+	// its record's words: it takes nothing from the arena. (A put that
+	// splits its leaf takes the separator's bytes, so those are skipped.)
+	checked := 0
+	for id := uint64(keys); id < keys+100; id++ {
+		splits := tr.IO().LeafSplits
+		kv.AppendKey(key, id)
+		taken := arenaTaken(&tr.mem, func() {
+			if now, err = tr.Put(now, key, nil, 400); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tr.IO().LeafSplits != splits {
+			continue
+		}
+		if taken != 0 {
+			t.Fatalf("a fresh accounting-mode put of a %d-byte key took %d arena bytes", kv.KeySize, taken)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("every fresh put split its leaf")
+	}
+}
+
+// arenaTaken returns how many bytes the arena handed out while f ran,
+// from the distance between a one-byte allocation before f and one
+// after it.
+func arenaTaken(m *mem, f func()) int {
+	before := m.arena.Alloc(1)
+	f()
+	after := m.arena.Alloc(1)
+	return int(uintptr(unsafe.Pointer(&after[0])) - uintptr(unsafe.Pointer(&before[0])) - 1)
 }
 
 // TestArraysSizedToWhatTheyHold is the footprint gate peak_rss_mb is too

@@ -25,19 +25,19 @@ func BenchmarkLeafGet(b *testing.B) {
 	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
 	rng := sim.NewRNG(1)
 	var keys [][]byte
-	for leaf.Serialized+entryOverhead+kv.KeySize+benchLeafVlen <= NewConfig(1<<30).LeafPageBytes {
+	entry := cowtree.MakeRecord(kv.EncodeKey(0), 0, benchLeafVlen, false)
+	for leaf.Serialized+entry.Size() <= NewConfig(1<<30).LeafPageBytes {
 		k := kv.EncodeKey(rng.Uint64())
 		keys = append(keys, k)
-		leaf.insertLeaf(&m, k, nil, benchLeafVlen, uint64(len(keys)), false)
+		leaf.insertLeaf(&m, cowtree.MakeRecord(k, uint64(len(keys)), benchLeafVlen, false), k, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := keys[rng.Intn(len(keys))]
-		j := leaf.search(key)
-		if j >= len(leaf.entries) || !equalBytes(leaf.entries[j].key, key) {
+		e := leaf.lookup(kv.NewTarget(keys[rng.Intn(len(keys))]))
+		if e == nil {
 			b.Fatal("a resident key missed")
 		}
-		benchLeafHit += int(leaf.entries[j].vlen)
+		benchLeafHit += e.Vlen()
 	}
 }

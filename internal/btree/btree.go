@@ -33,8 +33,8 @@ type Tree struct {
 	// (pages[id].Node is the header the core holds for id).
 	pages []*page
 
-	// mem bundles the key/value arena and the recycled entry-array
-	// pool; slab backs page structs. Page structs and retained keys are
+	// mem bundles the record arena and the recycled entry-array pool;
+	// slab backs page structs. Page structs and retained bytes are
 	// immortal in this design (ids are never reused), so bump and pool
 	// allocation keep the steady-state op path allocation-free.
 	mem  mem
@@ -148,14 +148,13 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 	return done, nil
 }
 
-// descend walks from the root to the leaf covering key, decoding the key
-// once for every level's separator search. Internal pages are treated
-// as pinned (always cached): real WiredTiger strongly favours keeping
-// them resident, and at the paper's scale their footprint is negligible
-// next to the leaves.
-func (t *Tree) descend(key []byte) *page {
+// descend walks from the root to the leaf covering target, the key
+// decoded once for every level's separator search (and the leaf's).
+// Internal pages are treated as pinned (always cached): real WiredTiger
+// strongly favours keeping them resident, and at the paper's scale
+// their footprint is negligible next to the leaves.
+func (t *Tree) descend(target kv.Target) *page {
 	p := t.pages[t.Core.Root()]
-	target := kv.NewTarget(key)
 	for !p.Leaf {
 		p = t.pages[p.childFor(target)]
 	}
@@ -181,13 +180,15 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	if err != nil {
 		return now, err
 	}
-	leaf := t.descend(key)
+	leaf := t.descend(kv.NewTarget(key))
 	now, err = t.Core.Load(now, &leaf.Node)
 	if err != nil {
 		t.Core.Fail(err)
 		return now, err
 	}
-	t.Core.Resize(leaf.insertLeaf(&t.mem, key, value, valueLen, seq, del))
+	// The caller reuses its key/value buffers: the record does not own
+	// its bytes, and insertLeaf copies only what the leaf keeps.
+	t.Core.Resize(leaf.insertLeaf(&t.mem, cowtree.MakeRecord(key, seq, valueLen, del), key, value))
 	t.Core.MarkDirty(&leaf.Node)
 	if now, err = t.Core.AppendJournal(now, seq, key, value, valueLen, del); err != nil {
 		return now, err
@@ -204,29 +205,17 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if err != nil {
 		return now, nil, false, err
 	}
-	leaf := t.descend(key)
+	target := kv.NewTarget(key)
+	leaf := t.descend(target)
 	if now, err = t.Core.LoadForGet(now, &leaf.Node); err != nil {
 		return now, nil, false, err
 	}
-	i := leaf.search(key)
-	if i >= len(leaf.entries) || !equalBytes(leaf.entries[i].key, key) || leaf.entries[i].del {
+	e := leaf.lookup(target)
+	if e == nil || e.Del() {
 		return now, nil, false, nil
 	}
-	e := &leaf.entries[i]
-	t.Core.CountRead(len(key) + int(e.vlen))
-	return now, e.val, true, nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	t.Core.CountRead(len(key) + e.Vlen())
+	return now, e.Val(), true, nil
 }
 
 // Scan returns up to limit live entries with key >= start, in key order,
@@ -239,8 +228,10 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		return now, nil, err
 	}
 	var out []kv.Entry
-	leaf := t.descend(start)
-	idx := leaf.search(start)
+	target := kv.NewTarget(start)
+	leaf := t.descend(target)
+	idx := cowtree.SearchRecords(leaf.entries, target)
+	var kb [kv.KeySize]byte
 	for limit > 0 && leaf != nil {
 		now, err = t.loadLeafPrefetching(now, leaf)
 		if err != nil {
@@ -249,16 +240,16 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		}
 		for ; idx < len(leaf.entries) && limit > 0; idx++ {
 			le := &leaf.entries[idx]
-			if le.del {
+			if le.Del() {
 				continue
 			}
 			e := kv.Entry{
-				Key:      append([]byte(nil), le.key...),
-				ValueLen: int(le.vlen),
-				Seq:      le.seq,
+				Key:      append([]byte(nil), le.Key(&kb)...),
+				ValueLen: le.Vlen(),
+				Seq:      le.Seq(),
 			}
-			if le.val != nil {
-				e.Value = append([]byte(nil), le.val...)
+			if val := le.Val(); val != nil {
+				e.Value = append([]byte(nil), val...)
 			}
 			t.Core.CountRead(len(e.Key) + e.ValueLen)
 			out = append(out, e)
@@ -289,12 +280,13 @@ func (t *Tree) splitLeaf(leaf *page) {
 }
 
 // insertIntoParent links a new right sibling under the parent, splitting
-// internals (and growing a new root) as needed.
+// internals (and growing a new root) as needed. sep is bytes the tree
+// owns (a split's), kept without a copy.
 func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 	if left.ID == t.Core.Root() {
 		newRoot := t.newPage(false)
 		newRoot.Children = []pageID{left.ID, right.ID}
-		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
+		newRoot.seps = [][]byte{sep}
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
 		left.Parent = newRoot.ID
@@ -304,7 +296,7 @@ func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 	}
 	parent := t.pages[left.Parent]
 	idx := parent.childIndex(left.ID)
-	parent.insertChild(&t.mem, idx, sep, right.ID)
+	parent.insertChild(idx, sep, right.ID)
 	right.Parent = parent.ID
 	t.Core.MarkDirty(&parent.Node)
 	if parent.Serialized > t.cfg.InternalPageBytes {

@@ -254,20 +254,22 @@ func TestWAAStableOverTime(t *testing.T) {
 func TestPageSerializationRoundTrip(t *testing.T) {
 	var m mem
 	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
-	leaf.insertLeaf(&m, kv.EncodeKey(1), []byte("abc"), 0, 7, false)
-	leaf.insertLeaf(&m, kv.EncodeKey(2), nil, 64, 9, true)
+	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
+	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := serializePage(nil, leaf, nil)
 	got, ok := parsePage(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].key, kv.EncodeKey(1)) {
+	var kb [kv.KeySize]byte
+	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].Key(&kb), k1) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
-	if string(got.entries[0].val) != "abc" || got.entries[0].seq != 7 {
+	if string(got.entries[0].Val()) != "abc" || got.entries[0].Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].del || got.entries[1].seq != 9 || got.entries[1].vlen != 64 {
+	if !got.entries[1].Del() || got.entries[1].Seq() != 9 || got.entries[1].Vlen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
 

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"ptsbench/internal/cowtree"
@@ -11,9 +12,10 @@ import (
 
 // serializePage appends the on-disk image of a page (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count}, then
-// entries (leaf) or separators + child extent references (internal),
-// zero-padded by the caller to the extent size. resolve maps a child
-// pageID to its current on-disk extent; it may be nil for leaves.
+// entries (leaf, in cowtree.AppendRecord's format) or separators +
+// child extent references (internal), zero-padded by the caller to the
+// extent size. resolve maps a child pageID to its current on-disk
+// extent; it may be nil for leaves.
 func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte {
 	var hdr [pageHeaderBytes]byte
 	base := len(out)
@@ -21,27 +23,9 @@ func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte 
 	binary.LittleEndian.PutUint32(out[base:], 0x42545047) // "BTPG"
 	if p.Leaf {
 		out[base+4] = 1
-	}
-	if p.Leaf {
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(p.entries)))
 		for i := range p.entries {
-			e := &p.entries[i]
-			var eh [entryOverhead]byte
-			binary.LittleEndian.PutUint16(eh[0:], uint16(len(e.key)))
-			vl := int(e.vlen)
-			binary.LittleEndian.PutUint32(eh[2:], uint32(vl))
-			seq := e.seq
-			if e.del {
-				seq |= 1 << 63 // tombstone bit
-			}
-			binary.LittleEndian.PutUint64(eh[6:], seq)
-			out = append(out, eh[:]...)
-			out = append(out, e.key...)
-			if e.val != nil {
-				out = append(out, e.val...)
-			} else {
-				out = cowtree.AppendZeros(out, vl)
-			}
+			out = cowtree.AppendRecord(out, &p.entries[i])
 		}
 		return out
 	}
@@ -79,23 +63,12 @@ func parsePage(data []byte) (*page, bool) {
 	off := pageHeaderBytes
 	if p.Leaf {
 		for i := 0; i < n; i++ {
-			if off+entryOverhead > len(data) {
+			r, used := cowtree.ParseRecord(data[off:])
+			if used == 0 {
 				return nil, false
 			}
-			kl := int(binary.LittleEndian.Uint16(data[off:]))
-			vl := int(binary.LittleEndian.Uint32(data[off+2:]))
-			seq := binary.LittleEndian.Uint64(data[off+6:])
-			del := seq&(1<<63) != 0
-			seq &^= 1 << 63
-			off += entryOverhead
-			if off+kl+vl > len(data) {
-				return nil, false
-			}
-			p.entries = append(p.entries, makeEntry(
-				cloneBytes(data[off:off+kl]),
-				cloneBytes(data[off+kl:off+kl+vl]),
-				seq, vl, del))
-			off += kl + vl
+			p.entries = append(p.entries, r)
+			off += used
 		}
 		return p, true
 	}
@@ -108,7 +81,7 @@ func parsePage(data []byte) (*page, bool) {
 		if off+sl > len(data) {
 			return nil, false
 		}
-		p.seps = append(p.seps, cloneBytes(data[off:off+sl]))
+		p.seps = append(p.seps, bytes.Clone(data[off:off+sl]))
 		off += sl
 	}
 	for i := 0; i <= n; i++ {

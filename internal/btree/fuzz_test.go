@@ -15,7 +15,8 @@ func leafRecords(p *page) []kv.Entry {
 	out := make([]kv.Entry, len(p.entries))
 	for i := range p.entries {
 		e := &p.entries[i]
-		out[i] = kv.Entry{Key: e.key, Value: e.val, ValueLen: int(e.vlen), Seq: e.seq, Deleted: e.del}
+		var kb [kv.KeySize]byte
+		out[i] = kv.Entry{Key: bytes.Clone(e.Key(&kb)), Value: e.Val(), ValueLen: e.Vlen(), Seq: e.Seq(), Deleted: e.Del()}
 	}
 	return out
 }

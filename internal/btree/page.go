@@ -1,7 +1,7 @@
 package btree
 
 import (
-	"bytes"
+	"slices"
 
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/kv"
@@ -17,10 +17,6 @@ type pageID = cowtree.NodeID
 
 const nilPage = cowtree.NilNode
 
-// entryOverhead is the serialized per-entry header in a leaf:
-// keyLen(2) + valueLen(4) + seq(8).
-const entryOverhead = 14
-
 // pageHeaderBytes is the serialized page header size.
 const pageHeaderBytes = 64
 
@@ -33,11 +29,9 @@ const pageHeaderBytes = 64
 type page struct {
 	cowtree.Node
 
-	// Leaf payload, sorted by key. entry.val may be nil in accounting
-	// mode with entry.vlen carrying the accounted size. A single entry
-	// slice (instead of five parallel column slices) keeps an insert to
-	// one shift and a split to one allocation.
-	entries []leafEntry
+	// Leaf payload, sorted by key (see cowtree.Record). A single record
+	// slice keeps an insert to one shift and a split to one allocation.
+	entries []cowtree.Record
 
 	// Internal payload: Children[i] holds keys < seps[i] for
 	// i < len(seps); Children[len(seps)] holds the rest.
@@ -54,54 +48,20 @@ type page struct {
 }
 
 // mem bundles the tree's allocation helpers handed to page methods: the
-// arena backs retained key/value copies, the pool recycles leaf entry
-// arrays displaced by growth and splits.
+// arena backs what stored records keep (see cowtree.RecordArena) and
+// the separator copies, the pool recycles leaf record arrays displaced
+// by growth and splits.
 type mem struct {
-	arena   cowtree.Arena
-	entries cowtree.Pool[leafEntry]
+	arena   cowtree.RecordArena
+	entries cowtree.Pool[cowtree.Record]
 }
 
-// leafEntry is one key-value record inside a leaf page.
-type leafEntry struct {
-	key  []byte
-	val  []byte
-	seq  uint64
-	vlen int32
-	del  bool
-}
-
-// makeEntry builds a leafEntry value (one construction point keeps the
-// field order in one place).
-func makeEntry(key, val []byte, seq uint64, vlen int, del bool) leafEntry {
-	return leafEntry{key: key, val: val, seq: seq, vlen: int32(vlen), del: del}
-}
-
-// bytes returns the entry's serialized footprint.
-func (e *leafEntry) bytes() int {
-	return entryOverhead + len(e.key) + int(e.vlen)
-}
-
-// search returns the index of the first key >= target in a leaf. Open-
-// coded binary search: the closure-based sort.Search showed up in every
-// descend/insert profile.
-func (p *page) search(target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
-	lo, hi := 0, len(p.entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if mk := p.entries[mid].key; fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, wHi, wLo)
-		} else {
-			c = kv.CompareKeys(mk, target)
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// lookup returns the leaf entry whose key is t's, or nil.
+func (p *page) lookup(t kv.Target) *cowtree.Record {
+	if i := cowtree.SearchRecords(p.entries, t); i < len(p.entries) && p.entries[i].Is(&t) {
+		return &p.entries[i]
 	}
-	return lo
+	return nil
 }
 
 // refreshSepCache rebuilds the separator word cache. Callers invoke it
@@ -121,43 +81,39 @@ func (p *page) childIndex(id pageID) int {
 	return -1
 }
 
-// insertLeaf inserts or replaces an entry, returning the serialized size
-// delta. When val is non-nil it overrides vlen, keeping the stored bytes
-// and the accounted size consistent. Retained key/value copies come from
-// the tree's arena and array growth recycles through the entry pool, so
-// the steady-state path costs no heap allocation.
-func (p *page) insertLeaf(m *mem, key, val []byte, vlen int, seq uint64, del bool) int {
-	if val != nil {
-		vlen = len(val)
-	}
-	i := p.search(key)
-	if i < len(p.entries) && bytes.Equal(p.entries[i].key, key) {
+// insertLeaf inserts or replaces a leaf entry with an unowned record —
+// key and val, the caller's reused buffers, travel beside it (see
+// cowtree.RecordArena.Own) — returning the serialized size delta. Only
+// the bytes a record must keep are copied, into the tree's arena, and
+// array growth recycles through the entry pool, so the steady-state
+// path costs no heap allocation (and an accounting-mode put of a
+// kv.KeySize key takes nothing from the arena).
+func (p *page) insertLeaf(m *mem, r cowtree.Record, key, val []byte) int {
+	t := kv.NewTarget(key)
+	i := cowtree.SearchRecords(p.entries, t)
+	delta := r.Size()
+	if i < len(p.entries) && p.entries[i].Is(&t) {
 		e := &p.entries[i]
-		old := e.bytes()
-		e.val = m.arena.Clone(val)
-		e.vlen = int32(vlen)
-		e.seq = seq
-		e.del = del
-		delta := entryOverhead + len(key) + vlen - old
-		p.Serialized += delta
-		return delta
+		delta -= e.Size()
+		m.arena.Own(&r, key, val, e)
+		*e = r
+	} else {
+		m.arena.Own(&r, key, val, nil)
+		p.entries = m.entries.GrowInsert(p.entries, i, r)
 	}
-	p.entries = m.entries.GrowInsert(p.entries, i,
-		makeEntry(m.arena.Clone(key), m.arena.Clone(val), seq, vlen, del))
-	delta := entryOverhead + len(key) + vlen
 	p.Serialized += delta
 	return delta
 }
 
 // splitLeaf moves the upper half of the entries into right (a fresh,
 // registered page) and returns the separator key (first key of the new
-// page). Both halves end up in pooled arrays of the capacity
-// class their length calls for (next power of two), which leaves room
-// to refill toward the page's own split without regrowing: the moved
-// half draws one, and the half that stays is re-homed when the array it
-// was cut from is a class larger (a 9-entry leaf in 16 slots would
-// otherwise split into 4 entries still holding 16), the big array going
-// back to the pool.
+// page) in bytes of its own from the arena. Both halves end up in
+// pooled arrays of the capacity class their length calls for (next
+// power of two), which leaves room to refill toward the page's own
+// split without regrowing: the moved half draws one, and the half that
+// stays is re-homed when the array it was cut from is a class larger (a
+// 9-entry leaf in 16 slots would otherwise split into 4 entries still
+// holding 16), the big array going back to the pool.
 func (p *page) splitLeaf(m *mem, right *page) []byte {
 	mid := len(p.entries) / 2
 	right.Parent = p.Parent
@@ -165,7 +121,7 @@ func (p *page) splitLeaf(m *mem, right *page) []byte {
 	right.entries = m.entries.CloneTail(p.entries, mid)
 	var movedBytes int
 	for i := mid; i < len(p.entries); i++ {
-		movedBytes += p.entries[i].bytes()
+		movedBytes += p.entries[i].Size()
 	}
 	right.Serialized = pageHeaderBytes + movedBytes
 	p.entries = m.entries.Fit(p.entries[:mid])
@@ -173,7 +129,8 @@ func (p *page) splitLeaf(m *mem, right *page) []byte {
 	// Maintain the leaf chain.
 	right.Next = p.Next
 	p.Next = right.ID
-	return right.entries[0].key
+	var kb [kv.KeySize]byte
+	return m.arena.Clone(right.entries[0].Key(&kb))
 }
 
 // childRefBytes is the serialized size of one child reference in an
@@ -182,14 +139,11 @@ func (p *page) splitLeaf(m *mem, right *page) []byte {
 const childRefBytes = 12
 
 // insertChild adds a separator and child after position idx in an
-// internal page. The separator copy comes from the tree's arena.
-func (p *page) insertChild(m *mem, idx int, sep []byte, child pageID) {
-	p.seps = append(p.seps, nil)
-	copy(p.seps[idx+1:], p.seps[idx:])
-	p.seps[idx] = m.arena.Clone(sep)
-	p.Children = append(p.Children, nilPage)
-	copy(p.Children[idx+2:], p.Children[idx+1:])
-	p.Children[idx+1] = child
+// internal page. The page keeps sep itself: a split hands over bytes
+// the tree owns.
+func (p *page) insertChild(idx int, sep []byte, child pageID) {
+	p.seps = slices.Insert(p.seps, idx, sep)
+	p.Children = slices.Insert(p.Children, idx+1, child)
 	p.Serialized += 2 + len(sep) + childRefBytes
 	p.insertSepCache(idx, p.seps[idx])
 }
@@ -223,13 +177,4 @@ func (p *page) recomputeSerialized() {
 		s += 2 + len(sep)
 	}
 	p.Serialized = s
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

@@ -1,11 +1,11 @@
 package btree
 
 import (
-	"bytes"
 	"errors"
 
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
@@ -37,8 +37,8 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 	if p.Leaf {
 		var sz int
 		for i := range p.entries {
-			sz += p.entries[i].bytes()
-			t.Core.NoteSeq(p.entries[i].seq) // recompute the counter from disk state
+			sz += p.entries[i].Size()
+			t.Core.NoteSeq(p.entries[i].Seq()) // recompute the counter from disk state
 		}
 		p.Serialized = pageHeaderBytes + sz
 	} else {
@@ -56,16 +56,18 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 // eviction), guarded by sequence so stale records never overwrite newer
 // on-disk state.
 func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
-	leaf := t.descend(r.Key)
-	i := leaf.search(r.Key)
-	if i < len(leaf.entries) && bytes.Equal(leaf.entries[i].key, r.Key) && leaf.entries[i].seq >= r.Seq {
+	target := kv.NewTarget(r.Key)
+	leaf := t.descend(target)
+	if e := leaf.lookup(target); e != nil && e.Seq() >= r.Seq {
 		return now, nil // on-disk state is as new or newer
 	}
 	vlen := r.ValueLen
 	if r.Value != nil {
 		vlen = len(r.Value)
 	}
-	delta := leaf.insertLeaf(&t.mem, r.Key, r.Value, vlen, r.Seq, r.Deleted)
+	// A record's key and value are the journal reader's bytes, so it
+	// enters as an unowned record (see cowtree.RecordArena.Own).
+	delta := leaf.insertLeaf(&t.mem, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
 	if leaf.Resident {
 		t.Core.Resize(delta)
 	}

@@ -33,7 +33,10 @@
 //     Recover, the kv.Engine lifecycle (FlushAll, Quiesce, Close, group
 //     commit, Stats, DiskUsageBytes, Err), the KV sequence counter, and
 //     the bracket around every operation (BeginWrite, AppendJournal,
-//     EndWrite, BeginGet/BeginRead, LoadForGet).
+//     EndWrite, BeginGet/BeginRead, LoadForGet),
+//   - the leaf record both engines store (record.go): its inline-word
+//     key, its word-or-byte compares and search, the copy-on-retain rule
+//     (RecordArena.Own) and the entry codec both images share.
 //
 // An engine embeds Node in its node type and Core in its tree — so the
 // core's lifecycle methods are the engine's kv.Engine methods — keeps
