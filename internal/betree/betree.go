@@ -380,11 +380,10 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if now, err = t.Core.LoadForGet(now, &n.Node); err != nil {
 		return now, nil, false, err
 	}
-	i := n.search(target)
-	if i >= len(n.entries) || !n.entries[i].Is(&target) || n.entries[i].Del() {
+	e := cowtree.FindRecord(n.entries, target)
+	if e == nil || e.Del() {
 		return now, nil, false, nil
 	}
-	e := &n.entries[i]
 	t.Core.CountRead(len(key) + e.Vlen())
 	return now, e.Val(), true, nil
 }

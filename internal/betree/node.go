@@ -101,13 +101,7 @@ func (n *node) childIndex(id nodeID) int {
 
 // bufGet returns the message child ci's buffer holds for t, or nil; ci
 // is childFor(t), which the descent needs anyway.
-func (n *node) bufGet(ci int, t kv.Target) *cowtree.Record {
-	buf := n.bufs[ci]
-	if i := cowtree.SearchRecords(buf, t); i < len(buf) && buf[i].Is(&t) {
-		return &buf[i]
-	}
-	return nil
-}
+func (n *node) bufGet(ci int, t kv.Target) *cowtree.Record { return cowtree.FindRecord(n.bufs[ci], t) }
 
 // busiestChild returns the child whose buffer holds the most bytes — the
 // first of them on a tie — and that byte count (0: nothing buffered).

@@ -74,8 +74,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		}
 		n = t.nodes[n.Children[ci]]
 	}
-	if i := n.search(target); i < len(n.entries) &&
-		n.entries[i].Is(&target) && n.entries[i].Seq() >= r.Seq {
+	if e := cowtree.FindRecord(n.entries, target); e != nil && e.Seq() >= r.Seq {
 		return now, nil
 	}
 	vlen := r.ValueLen

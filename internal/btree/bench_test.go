@@ -34,7 +34,7 @@ func BenchmarkLeafGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := leaf.lookup(kv.NewTarget(keys[rng.Intn(len(keys))]))
+		e := cowtree.FindRecord(leaf.entries, kv.NewTarget(keys[rng.Intn(len(keys))]))
 		if e == nil {
 			b.Fatal("a resident key missed")
 		}

@@ -210,7 +210,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if now, err = t.Core.LoadForGet(now, &leaf.Node); err != nil {
 		return now, nil, false, err
 	}
-	e := leaf.lookup(target)
+	e := cowtree.FindRecord(leaf.entries, target)
 	if e == nil || e.Del() {
 		return now, nil, false, nil
 	}

@@ -56,14 +56,6 @@ type mem struct {
 	entries cowtree.Pool[cowtree.Record]
 }
 
-// lookup returns the leaf entry whose key is t's, or nil.
-func (p *page) lookup(t kv.Target) *cowtree.Record {
-	if i := cowtree.SearchRecords(p.entries, t); i < len(p.entries) && p.entries[i].Is(&t) {
-		return &p.entries[i]
-	}
-	return nil
-}
-
 // refreshSepCache rebuilds the separator word cache. Callers invoke it
 // after every seps mutation.
 func (p *page) refreshSepCache() { p.sepCache.Refresh(p.seps) }

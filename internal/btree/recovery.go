@@ -58,7 +58,7 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
 	target := kv.NewTarget(r.Key)
 	leaf := t.descend(target)
-	if e := leaf.lookup(target); e != nil && e.Seq() >= r.Seq {
+	if e := cowtree.FindRecord(leaf.entries, target); e != nil && e.Seq() >= r.Seq {
 		return now, nil // on-disk state is as new or newer
 	}
 	vlen := r.ValueLen

@@ -169,6 +169,15 @@ func SearchRecords(rs []Record, t kv.Target) int {
 	return lo
 }
 
+// FindRecord returns the record in rs (sorted by key) whose key is t's,
+// or nil.
+func FindRecord(rs []Record, t kv.Target) *Record {
+	if i := SearchRecords(rs, t); i < len(rs) && rs[i].Is(&t) {
+		return &rs[i]
+	}
+	return nil
+}
+
 // RecordArena backs what stored records keep: the byte arena (which the
 // trees also draw separator copies from) and the slab of recordBytes
 // headers that point into it.
