@@ -229,7 +229,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 				want = append(want, root.bufSizes...)
 				target := kv.NewTarget(key)
 				ci := root.childFor(target)
-				want[ci] += recordHeader + len(key) + len(val)
+				want[ci] += cowtree.RecordOverhead + len(key) + len(val)
 				if m := root.bufGet(ci, target); m != nil {
 					want[ci] -= m.Size()
 					reached.bufferedOverwrites++
@@ -416,32 +416,15 @@ type flatNode struct {
 	bufBytes int
 }
 
-// bufInsert is the old node.bufInsert.
+// bufInsert is the old node.bufInsert, on the shared upsert.
 func (f *flatNode) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool) int {
 	var kb [kv.KeySize]byte
+	arena := &mm.arena
 	if owned {
-		key = m.Key(&kb)
+		key, arena = m.Key(&kb), nil
 	}
-	t := kv.NewTarget(key)
-	i := cowtree.SearchRecords(f.buf, t)
-	if i < len(f.buf) && f.buf[i].Is(&t) {
-		old := &f.buf[i]
-		if m.Seq() < old.Seq() {
-			return 0
-		}
-		delta := m.Size() - old.Size()
-		if !owned {
-			mm.arena.Own(&m, key, val, old)
-		}
-		*old = m
-		f.bufBytes += delta
-		return delta
-	}
-	if !owned {
-		mm.arena.Own(&m, key, val, nil)
-	}
-	f.buf = mm.msgs.GrowInsert(f.buf, i, m)
-	delta := m.Size()
+	var delta int
+	f.buf, delta = cowtree.InsertRecord(&mm.msgs, arena, f.buf, m, kv.NewTarget(key), val)
 	f.bufBytes += delta
 	return delta
 }
@@ -702,10 +685,6 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// recordHeader is a serialized record's header: keyLen(2) +
-// valueLen(4) + seq(8).
-const recordHeader = 14
-
 // ownsBytes reports whether a stored message keeps bytes out of line: a
 // value, or a key that is not kv.KeySize long (a kv.KeySize key is held
 // as its words alone, so Key fills the caller's buffer instead).
@@ -795,7 +774,7 @@ func runMessageCodecKinds(t *testing.T, width int) {
 	if got := roundTrip(&n.bufs[0][0]); string(got.Val()) != "second, lon" || len(n.bufs[0]) != 1 {
 		t.Fatalf("overwrite: value %q in %d messages", got.Val(), len(n.bufs[0]))
 	}
-	if n.bufSizes[0] != recordHeader+width+11 {
+	if n.bufSizes[0] != cowtree.RecordOverhead+width+11 {
 		t.Fatalf("overwrite left %d bytes accounted", n.bufSizes[0])
 	}
 
@@ -981,7 +960,7 @@ const (
 	benchChildren = 33
 	benchKeySpace = 1 << 20
 	benchVlen     = 4000
-	benchBudget   = 2080 * (recordHeader + kv.KeySize + benchVlen)
+	benchBudget   = 2080 * (cowtree.RecordOverhead + kv.KeySize + benchVlen)
 )
 
 // benchSeps returns the benchmark node's separators, evenly spaced.

@@ -13,7 +13,7 @@ import (
 // imageKey returns a message's key as its serialized form spells it.
 func imageKey(m *cowtree.Record) []byte {
 	img := cowtree.AppendRecord(nil, m)
-	return img[recordHeader : recordHeader+int(binary.LittleEndian.Uint16(img))]
+	return img[cowtree.RecordOverhead : cowtree.RecordOverhead+int(binary.LittleEndian.Uint16(img))]
 }
 
 // sameNodeImage reports the first difference between two parsed nodes:

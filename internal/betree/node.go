@@ -116,68 +116,34 @@ func (n *node) busiestChild() (ci, size int) {
 
 // bufInsert upserts a message into the buffer of the child covering its
 // key, returning the serialized size delta. owned says the message owns
-// its bytes (flushes move already-owned messages down, and one simply
-// replaces the resident message); with owned=false — the Put boundary,
-// where callers reuse their buffers and key and val are the bytes beside
-// the message — the arena's Own copies bytes only when they are
-// actually retained, so an accounting-mode overwrite costs no copy at all. An
-// existing message for the same key is overwritten when the incoming one
-// is at least as new (flush batches always move the newest surviving
-// version, so the guard only matters on recovery replay).
+// its bytes (flushes move already-owned messages down); with
+// owned=false — the Put boundary, where key and val are the caller's
+// reused buffers beside the message — only the bytes actually retained
+// are copied (see cowtree.InsertRecord), so an accounting-mode overwrite
+// costs no copy at all.
 func (n *node) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool) int {
 	var t kv.Target
 	var kb [kv.KeySize]byte
+	arena := &mm.arena
 	if owned {
-		t = m.Target(&kb)
+		t, arena = m.Target(&kb), nil
 	} else {
 		t = kv.NewTarget(key)
 	}
 	ci := n.childFor(t)
-	buf := n.bufs[ci]
-	i := cowtree.SearchRecords(buf, t)
-	delta := m.Size()
-	if i < len(buf) && buf[i].Is(&t) {
-		old := &buf[i]
-		if m.Seq() < old.Seq() {
-			return 0
-		}
-		delta -= old.Size()
-		if !owned {
-			mm.arena.Own(&m, key, val, old)
-		}
-		*old = m
-	} else {
-		if !owned {
-			mm.arena.Own(&m, key, val, nil)
-		}
-		n.bufs[ci] = mm.msgs.GrowInsert(buf, i, m)
-	}
+	var delta int
+	n.bufs[ci], delta = cowtree.InsertRecord(&mm.msgs, arena, n.bufs[ci], m, t, val)
 	n.bufSizes[ci] += delta
 	n.bufBytes += delta
 	n.Serialized += delta
 	return delta
 }
 
-// insertLeaf inserts or replaces a leaf entry with an unowned message
-// (key and val beside it, as in bufInsert), returning the serialized
-// size delta. Stale messages (older seq than the stored entry) are
-// dropped — they can only reach a leaf through recovery replay.
+// insertLeaf upserts an unowned message (key and val beside it, as in
+// bufInsert) into the leaf, returning the serialized size delta.
 func (n *node) insertLeaf(mm *mem, m cowtree.Record, key, val []byte) int {
-	t := kv.NewTarget(key)
-	i := n.search(t)
-	delta := m.Size()
-	if i < len(n.entries) && n.entries[i].Is(&t) {
-		e := &n.entries[i]
-		if m.Seq() < e.Seq() {
-			return 0
-		}
-		delta -= e.Size()
-		mm.arena.Own(&m, key, val, e)
-		*e = m
-	} else {
-		mm.arena.Own(&m, key, val, nil)
-		n.entries = mm.msgs.GrowInsert(n.entries, i, m)
-	}
+	var delta int
+	n.entries, delta = cowtree.InsertRecord(&mm.msgs, &mm.arena, n.entries, m, kv.NewTarget(key), val)
 	n.Serialized += delta
 	return delta
 }

@@ -73,26 +73,13 @@ func (p *page) childIndex(id pageID) int {
 	return -1
 }
 
-// insertLeaf inserts or replaces a leaf entry with an unowned record —
-// key and val, the caller's reused buffers, travel beside it (see
-// cowtree.RecordArena.Own) — returning the serialized size delta. Only
-// the bytes a record must keep are copied, into the tree's arena, and
-// array growth recycles through the entry pool, so the steady-state
-// path costs no heap allocation (and an accounting-mode put of a
-// kv.KeySize key takes nothing from the arena).
+// insertLeaf upserts an unowned record — key and val, the caller's
+// reused buffers, travel beside it (see cowtree.InsertRecord) — into the
+// leaf, returning the serialized size delta. An accounting-mode put of a
+// kv.KeySize key takes nothing from the arena.
 func (p *page) insertLeaf(m *mem, r cowtree.Record, key, val []byte) int {
-	t := kv.NewTarget(key)
-	i := cowtree.SearchRecords(p.entries, t)
-	delta := r.Size()
-	if i < len(p.entries) && p.entries[i].Is(&t) {
-		e := &p.entries[i]
-		delta -= e.Size()
-		m.arena.Own(&r, key, val, e)
-		*e = r
-	} else {
-		m.arena.Own(&r, key, val, nil)
-		p.entries = m.entries.GrowInsert(p.entries, i, r)
-	}
+	var delta int
+	p.entries, delta = cowtree.InsertRecord(&m.entries, &m.arena, p.entries, r, kv.NewTarget(key), val)
 	p.Serialized += delta
 	return delta
 }

@@ -7,9 +7,9 @@ import (
 	"ptsbench/internal/kv"
 )
 
-// recordOverhead is a record's serialized header: keyLen(2) +
+// RecordOverhead is a record's serialized header: keyLen(2) +
 // valueLen(4) + seq(8).
-const recordOverhead = 14
+const RecordOverhead = 14
 
 // Record is the one leaf entry of both trees, and the Bε-tree's buffered
 // message: key, optional value bytes (content mode), accounted value
@@ -56,7 +56,7 @@ func (r *Record) Vlen() int { return int(r.vlen) }
 
 // Size returns the record's serialized footprint.
 func (r *Record) Size() int {
-	return recordOverhead + int(r.klen) + int(r.vlen)
+	return RecordOverhead + int(r.klen) + int(r.vlen)
 }
 
 // inline reports whether the key is held in the words.
@@ -178,6 +178,36 @@ func FindRecord(rs []Record, t kv.Target) *Record {
 	return nil
 }
 
+// InsertRecord upserts r into rs (sorted by key), returning the array
+// and the serialized size delta: the one upsert of both trees' leaves
+// and the Bε-tree's buffers. t is r's key as a search target. With a
+// non-nil arena r is unowned — t.Key and val are the caller's reused
+// buffers beside it — and arena.Own copies only what must be kept; with
+// a nil arena r already owns its bytes (a message moving down). A record
+// for the same key is overwritten when r is at least as new; an older r
+// (only recovery replay can bring one) is dropped. Array growth recycles
+// through pool, so the steady-state upsert costs no heap allocation.
+func InsertRecord(pool *Pool[Record], arena *RecordArena, rs []Record, r Record, t kv.Target, val []byte) ([]Record, int) {
+	i := SearchRecords(rs, t)
+	delta := r.Size()
+	var resident *Record
+	if i < len(rs) && rs[i].Is(&t) {
+		resident = &rs[i]
+		if r.seq < resident.seq {
+			return rs, 0
+		}
+		delta -= resident.Size()
+	}
+	if arena != nil {
+		arena.Own(&r, t.Key, val, resident)
+	}
+	if resident != nil {
+		*resident = r
+		return rs, delta
+	}
+	return pool.GrowInsert(rs, i, r), delta
+}
+
 // RecordArena backs what stored records keep: the byte arena (which the
 // trees also draw separator copies from) and the slab of recordBytes
 // headers that point into it.
@@ -221,7 +251,7 @@ func (a *RecordArena) Own(r *Record, key, val []byte, resident *Record) {
 // trees' images share: keyLen(2) + valueLen(4) + seq(8, tombstone bit
 // 63) + key + value (zeros in accounting mode).
 func AppendRecord(out []byte, r *Record) []byte {
-	var hdr [recordOverhead]byte
+	var hdr [RecordOverhead]byte
 	binary.LittleEndian.PutUint16(hdr[0:], r.klen)
 	vl := int(r.vlen)
 	binary.LittleEndian.PutUint32(hdr[2:], uint32(vl))
@@ -246,18 +276,18 @@ func AppendRecord(out []byte, r *Record) []byte {
 // has any, are copied into one allocation behind a recordBytes of its
 // own.
 func ParseRecord(data []byte) (Record, int) {
-	if len(data) < recordOverhead {
+	if len(data) < RecordOverhead {
 		return Record{}, 0
 	}
 	kl := int(binary.LittleEndian.Uint16(data[0:]))
 	vl := int(binary.LittleEndian.Uint32(data[2:]))
 	seq := binary.LittleEndian.Uint64(data[6:])
-	if recordOverhead+kl+vl > len(data) {
+	if RecordOverhead+kl+vl > len(data) {
 		return Record{}, 0
 	}
-	end := recordOverhead + kl + vl
-	r := MakeRecord(data[recordOverhead:recordOverhead+kl], seq&^(1<<63), vl, seq&(1<<63) != 0)
-	if start := recordOverhead + kl - r.outKey(); start < end {
+	end := RecordOverhead + kl + vl
+	r := MakeRecord(data[RecordOverhead:RecordOverhead+kl], seq&^(1<<63), vl, seq&(1<<63) != 0)
+	if start := RecordOverhead + kl - r.outKey(); start < end {
 		r.ext = &recordBytes{b: bytes.Clone(data[start:end])}
 	}
 	return r, end

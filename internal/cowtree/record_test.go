@@ -1,8 +1,11 @@
 package cowtree
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
+
+	"ptsbench/internal/kv"
 )
 
 // TestRecordSize pins the record at 40 bytes: the key's two words, a
@@ -13,5 +16,114 @@ import (
 func TestRecordSize(t *testing.T) {
 	if sz := unsafe.Sizeof(Record{}); sz != 40 {
 		t.Fatalf("Record is %d bytes, want 40", sz)
+	}
+}
+
+// TestRecordOwn pins what RecordArena.Own keeps. A kv.KeySize key with
+// no value keeps no out-of-line header at all — fresh, or over a
+// resident that carried a value — and takes nothing from the arena or
+// the header slab. Any other key, and every value, is copied into the
+// arena, never aliasing the caller's buffers; a record without a value
+// that overwrites a resident takes over its header and key bytes.
+func TestRecordOwn(t *testing.T) {
+	var a RecordArena
+	untouched := func(what string) {
+		t.Helper()
+		if len(a.chunk) != 0 || len(a.exts.block) != 0 {
+			t.Fatalf("%s took %d arena bytes and %d headers", what, arenaChunkBytes-len(a.chunk), slabBlock-len(a.exts.block))
+		}
+	}
+	key := bytes.Repeat([]byte{7}, kv.KeySize)
+
+	r := MakeRecord(key, 1, 4000, false)
+	a.Own(&r, key, nil, nil)
+	if r.ext != nil {
+		t.Fatalf("a fresh accounting-mode record of a %d-byte key keeps a header", kv.KeySize)
+	}
+	untouched("a fresh accounting-mode record")
+	tomb := MakeRecord(key, 2, 0, true)
+	a.Own(&tomb, key, nil, nil)
+	if tomb.ext != nil {
+		t.Fatal("a fresh tombstone keeps a header")
+	}
+	untouched("a fresh tombstone")
+
+	withVal := MakeRecord(key, 3, 5, false)
+	val := []byte("value")
+	a.Own(&withVal, key, val, nil)
+	if withVal.ext == nil || string(withVal.Val()) != "value" {
+		t.Fatalf("a value-bearing record kept %v", withVal.ext)
+	}
+	val[0] = 'V'
+	if string(withVal.Val()) != "value" {
+		t.Fatal("the stored value aliases the caller's buffer")
+	}
+	for _, over := range []Record{MakeRecord(key, 4, 0, true), MakeRecord(key, 4, 4000, false)} {
+		resident := withVal
+		a.Own(&over, key, nil, &resident)
+		if over.ext != nil {
+			t.Fatalf("a record without a value over a value-bearing resident keeps a header: %+v", over)
+		}
+	}
+
+	for _, width := range []int{0, 8, 24} {
+		wide := bytes.Repeat([]byte{9}, width)
+		r := MakeRecord(wide, 1, 4000, false)
+		a.Own(&r, wide, nil, nil)
+		var kb [kv.KeySize]byte
+		if got := r.Key(&kb); !bytes.Equal(got, wide) || width > 0 && (r.ext == nil || &got[0] == &wide[0]) || r.Val() != nil {
+			t.Fatalf("a %d-byte key was not copied: %+v", width, r)
+		}
+		over := MakeRecord(wide, 2, 0, true)
+		a.Own(&over, wide, nil, &r)
+		if over.ext != r.ext || !bytes.Equal(over.Key(&kb), wide) {
+			t.Fatalf("a %d-byte tombstone did not take over the resident header", width)
+		}
+	}
+}
+
+// TestInsertRecord pins the shared upsert: records land in key order,
+// an overwrite replaces the resident and returns the size difference, a
+// record older than the resident (recovery replay) is dropped with a
+// zero delta, and a nil arena stores an owned record as it is.
+func TestInsertRecord(t *testing.T) {
+	var pool Pool[Record]
+	var a RecordArena
+	var rs []Record
+	put := func(id uint64, seq uint64, val string) int {
+		key := kv.EncodeKey(id)
+		var delta int
+		rs, delta = InsertRecord(&pool, &a, rs, MakeRecord(key, seq, len(val), false), kv.NewTarget(key), []byte(val))
+		return delta
+	}
+	for _, id := range []uint64{5, 1, 9, 3} {
+		if d := put(id, id, "v"); d != RecordOverhead+kv.KeySize+1 {
+			t.Fatalf("fresh insert of %d: delta %d", id, d)
+		}
+	}
+	for i := 1; i < len(rs); i++ {
+		if CompareRecords(&rs[i-1], &rs[i]) >= 0 {
+			t.Fatalf("records out of order at %d", i)
+		}
+	}
+	if d := put(9, 20, "longer"); d != 5 || len(rs) != 4 || string(rs[3].Val()) != "longer" {
+		t.Fatalf("overwrite: delta %d, %d records, value %q", d, len(rs), rs[3].Val())
+	}
+	if d := put(9, 19, "stale"); d != 0 || rs[3].Seq() != 20 || string(rs[3].Val()) != "longer" {
+		t.Fatalf("a stale record replaced seq 20 (delta %d, now seq %d)", d, rs[3].Seq())
+	}
+	if d := put(9, 20, "same"); d != -2 || string(rs[3].Val()) != "same" {
+		t.Fatalf("a record as new as the resident: delta %d, value %q", d, rs[3].Val())
+	}
+
+	owned := rs[0]
+	key := kv.EncodeKey(4)
+	moved := MakeRecord(key, 30, owned.Vlen(), false)
+	moved.ext = owned.ext
+	before := len(a.chunk)
+	var delta int
+	rs, delta = InsertRecord(&pool, nil, rs, moved, kv.NewTarget(key), nil)
+	if i := SearchRecords(rs, kv.NewTarget(key)); delta != moved.Size() || rs[i].ext != owned.ext || len(a.chunk) != before {
+		t.Fatalf("an owned record was not stored as it is (delta %d)", delta)
 	}
 }
