@@ -36,7 +36,8 @@
 //     EndWrite, BeginGet/BeginRead, LoadForGet),
 //   - the leaf record both engines store (record.go): its inline-word
 //     key, its word-or-byte compares and search, the copy-on-retain rule
-//     (RecordArena.Own) and the entry codec both images share.
+//     (RecordArena.Own), the one upsert of leaves and buffers
+//     (InsertRecord) and the entry codec both images share.
 //
 // An engine embeds Node in its node type and Core in its tree — so the
 // core's lifecycle methods are the engine's kv.Engine methods — keeps
