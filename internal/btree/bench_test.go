@@ -41,3 +41,45 @@ func BenchmarkLeafGet(b *testing.B) {
 		benchLeafHit += e.Vlen()
 	}
 }
+
+// benchDescendKeys is how many keys BenchmarkDescend's tree holds:
+// with 8 KiB leaves and the default 4 KiB internal pages, enough for a
+// root over internal pages over leaves.
+const benchDescendKeys = 100000
+
+// benchDescendLeaf keeps BenchmarkDescend's descents observable.
+var benchDescendLeaf *page
+
+// BenchmarkDescend is the interior half of a B+Tree point read: in an
+// accounting-mode tree of depth >= 3 whose pages are all resident, the
+// walk from the root to the leaf covering a random resident key — the
+// key's decoding and one separator search per internal page.
+func BenchmarkDescend(b *testing.B) {
+	tr, _, _ := testEnv(b, 256, false, func(c *Config) {
+		c.LeafPageBytes = 8 << 10
+		c.CacheBytes = 1 << 30
+	})
+	rng := sim.NewRNG(1)
+	keys := make([][]byte, benchDescendKeys)
+	var now sim.Duration
+	var err error
+	for i := range keys {
+		keys[i] = kv.EncodeKey(rng.Uint64())
+		if now, err = tr.Put(now, keys[i], nil, benchLeafVlen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if d := tr.Depth(); d < 3 {
+		b.Fatalf("depth %d, want >= 3", d)
+	}
+	for _, p := range tr.pages[1:] {
+		if p.Leaf && !p.Resident {
+			b.Fatalf("leaf %d is not resident", p.ID)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDescendLeaf = tr.descend(kv.NewTarget(keys[rng.Intn(len(keys))]))
+	}
+}

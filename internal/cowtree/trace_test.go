@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"ptsbench/internal/betree"
+	"ptsbench/internal/blockdev"
 	"ptsbench/internal/btree"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/kv"
@@ -160,10 +162,33 @@ func hashEntries(h interface{ Write([]byte) (int, error) }, entries []kv.Entry) 
 	}
 }
 
+// writeHasher folds every write a device takes into h: page offset,
+// page count and the bytes written.
+type writeHasher struct {
+	blockdev.Dev
+	h hash.Hash
+}
+
+func (w *writeHasher) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
+	var b [12]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(off))
+	binary.LittleEndian.PutUint32(b[8:], uint32(n))
+	w.h.Write(b[:])
+	w.h.Write(data)
+	return w.Dev.WriteErr(now, off, n, data)
+}
+
 func runTrace(t *testing.T, c traceCase) string {
 	l := stack.Small(c.engine, c.tunables)
 	l.Content = c.content
 	l.RNG = sim.NewRNG(1)
+	writes := &writeHasher{h: sha256.New()}
+	if c.content {
+		l.WrapDev = func(d blockdev.Dev) blockdev.Dev {
+			writes.Dev = d
+			return writes
+		}
+	}
 	built, err := stack.Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +279,7 @@ func runTrace(t *testing.T, c traceCase) string {
 	hashEntries(rh, entries)
 	fmt.Fprintf(&out, "  recovered: end=%d entries=%d scan=%x\n", rnow, len(entries), rh.Sum(nil))
 	out.WriteString(describe(r, built.Host.Counters(), r.DiskUsageBytes()))
+	fmt.Fprintf(&out, "  writes=%x\n", writes.h.Sum(nil))
 	return out.String()
 }
 
