@@ -3,6 +3,7 @@ package betree
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -49,5 +50,15 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	}
 	if tr.IO().Checkpoints != before {
 		t.Fatal("a checkpoint ran inside the measured window")
+	}
+}
+
+// TestNodeSize bounds the in-memory node, one per leaf and interior:
+// 240 bytes when the separators, their word cache, the pivot footprint
+// and the recovery-time child extents were node fields. The bound may
+// come down; raising it must be deliberate.
+func TestNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz > 240 {
+		t.Fatalf("node is %d bytes, bound 240", sz)
 	}
 }

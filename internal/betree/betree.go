@@ -103,10 +103,7 @@ func (t *Tree) NewRootLeaf() {
 func (t *Tree) newNode(leaf bool) *node {
 	n := t.slab.Get()
 	n.Leaf = leaf
-	n.Serialized = pageHeaderBytes
-	if !leaf {
-		n.pivotBytes = pageHeaderBytes
-	}
+	n.Serialized = cowtree.PageHeaderBytes
 	t.register(n)
 	t.Core.MarkDirty(&n.Node)
 	return n
@@ -224,7 +221,7 @@ func (t *Tree) applyToLeaf(now sim.Duration, msg cowtree.Record, key, val []byte
 	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(key)
 	for !n.Leaf {
-		n = t.nodes[n.Children[n.childFor(target)]]
+		n = t.nodes[n.Children[n.ChildFor(target)]]
 	}
 	var err error
 	now, err = t.Core.Load(now, &n.Node)
@@ -300,7 +297,7 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 		t.Core.MarkDirty(&right.Node)
 		t.Core.MarkDirty(&leaf.Node)
 		t.io.LeafSplits++
-		t.Core.AdmitSplit(&leaf.Node, &right.Node, pageHeaderBytes)
+		t.Core.AdmitSplit(&leaf.Node, &right.Node, cowtree.PageHeaderBytes)
 		t.insertIntoParent(leaf, sep, right)
 		t.splitLeafToFit(right)
 	}
@@ -311,22 +308,19 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 	if left.ID == t.Core.Root() {
 		newRoot := t.newNode(false)
-		newRoot.Children = []nodeID{left.ID, right.ID}
-		newRoot.seps = [][]byte{sep}
+		newRoot.InitRoot(left.ID, sep, right.ID)
 		newRoot.bufs, newRoot.bufSizes = make([][]cowtree.Record, 2), make([]int, 2)
-		newRoot.recomputeSerialized()
-		newRoot.refreshSepCache()
+		newRoot.Serialized = newRoot.PivotBytes()
 		left.Parent = newRoot.ID
 		right.Parent = newRoot.ID
 		t.Core.SetRoot(newRoot.ID)
 		return
 	}
 	parent := t.nodes[left.Parent]
-	idx := parent.childIndex(left.ID)
-	parent.insertChild(&t.mem, idx, sep, right.ID)
+	parent.insertChild(&t.mem, parent.ChildIndex(left.ID), sep, right.ID)
 	right.Parent = parent.ID
 	t.Core.MarkDirty(&parent.Node)
-	if parent.pivotBytes > t.pivotMax {
+	if parent.PivotBytes() > t.pivotMax {
 		t.splitInteriorNode(parent)
 	}
 }
@@ -366,7 +360,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(key)
 	for !n.Leaf {
-		ci := n.childFor(target)
+		ci := n.ChildFor(target)
 		if m := n.bufGet(ci, target); m != nil {
 			t.io.BufferHits++
 			if m.Del() {
@@ -423,7 +417,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	// Descend to the first leaf covering start.
 	leaf := t.nodes[t.Core.Root()]
 	for !leaf.Leaf {
-		leaf = t.nodes[leaf.Children[leaf.childFor(target)]]
+		leaf = t.nodes[leaf.Children[leaf.ChildFor(target)]]
 	}
 	idx := leaf.search(target)
 	for limit > 0 && leaf != nil {
@@ -511,7 +505,7 @@ func (c *msgCursor) head() *cowtree.Record {
 }
 
 // newMsgStream walks the interior nodes whose key range can intersect
-// [start, inf) — childFor(start) and everything to its right at each
+// [start, inf) — ChildFor(start) and everything to its right at each
 // level — and opens a cursor into each node with messages there.
 func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 	s := &msgStream{}
@@ -521,7 +515,7 @@ func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 		if n.Leaf {
 			return
 		}
-		first := n.childFor(start)
+		first := n.ChildFor(start)
 		c := msgCursor{bufs: n.bufs, ci: first, i: cowtree.SearchRecords(n.bufs[first], start)}
 		if c.head() != nil {
 			s.cursors = append(s.cursors, c)

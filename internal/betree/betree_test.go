@@ -339,13 +339,13 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 }
 
 func TestNodeSerializationRoundTrip(t *testing.T) {
-	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
+	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
 	var m mem
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
 	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
 	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := serializeNode(nil, leaf, nil)
-	got, ok := parseNode(data)
+	got, _, ok := parseNode(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
@@ -359,23 +359,20 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		t.Fatal("tombstone entry wrong")
 	}
 
-	interior := &node{
-		Node:     cowtree.Node{Children: []nodeID{1, 2, 3}},
-		seps:     [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)},
-		bufs:     make([][]cowtree.Record, 3),
-		bufSizes: make([]int, 3),
-	}
+	interior := &node{bufs: make([][]cowtree.Record, 3), bufSizes: make([]int, 3)}
+	interior.InitRoot(1, kv.EncodeKey(10), 2)
+	interior.InsertChild(1, kv.EncodeKey(20), 3)
 	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
 	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
-	interior.recomputeSerialized()
+	interior.Serialized = interior.PivotBytes() + interior.bufBytes
 	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
-	got, ok = parseNode(data)
-	if !ok || len(got.Children) != 3 || len(got.seps) != 2 {
+	got, exts, ok := parseNode(data)
+	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
 		t.Fatalf("interior round trip: %+v %v", got, ok)
 	}
-	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 {
+	if exts[2].Start != 300 || exts[2].Pages != 4 {
 		t.Fatal("child extents wrong")
 	}
 	if len(got.bufs) != 3 || len(got.bufs[0]) != 1 || got.bufs[0][0].Seq() != 11 ||
@@ -390,11 +387,11 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, ok := parseNode(prefixed[6:]); !ok || len(got.bufs[0])+len(got.bufs[1]) != 2 {
+	if got, _, ok := parseNode(prefixed[6:]); !ok || len(got.bufs[0])+len(got.bufs[1]) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 
-	if _, ok := parseNode([]byte{1, 2, 3}); ok {
+	if _, _, ok := parseNode([]byte{1, 2, 3}); ok {
 		t.Fatal("short node should fail")
 	}
 }

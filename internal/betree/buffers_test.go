@@ -17,7 +17,7 @@ import (
 
 // checkTree asserts every node's structural invariants: the serialized
 // footprints match a recount and, on interior nodes, the per-child
-// buffers are the partition of the node's messages that childFor
+// buffers are the partition of the node's messages that ChildFor
 // defines — one buffer and one byte count per child, every message in
 // the buffer of the child covering its key, each buffer strictly
 // sorted, the byte counts exact — and, between operations (after
@@ -26,7 +26,7 @@ func checkTree(t *testing.T, tr *Tree) {
 	t.Helper()
 	for _, n := range tr.nodes[1:] {
 		if n.Leaf {
-			sz := pageHeaderBytes
+			sz := cowtree.PageHeaderBytes
 			for i := range n.entries {
 				sz += n.entries[i].Size()
 			}
@@ -49,15 +49,15 @@ func checkTree(t *testing.T, tr *Tree) {
 // invariants (see checkTree).
 func checkInterior(t *testing.T, n *node) {
 	t.Helper()
-	if len(n.bufs) != len(n.Children) || len(n.bufSizes) != len(n.Children) || len(n.seps)+1 != len(n.Children) {
+	if len(n.bufs) != len(n.Children) || len(n.bufSizes) != len(n.Children) || len(n.Seps)+1 != len(n.Children) {
 		t.Fatalf("node %d: %d bufs, %d bufSizes, %d seps for %d children",
-			n.ID, len(n.bufs), len(n.bufSizes), len(n.seps), len(n.Children))
+			n.ID, len(n.bufs), len(n.bufSizes), len(n.Seps), len(n.Children))
 	}
 	total := 0
 	for ci, buf := range n.bufs {
 		bb := 0
 		for i := range buf {
-			if got := n.childFor(kv.NewTarget(msgKey(&buf[i]))); got != ci {
+			if got := n.ChildFor(kv.NewTarget(msgKey(&buf[i]))); got != ci {
 				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
 			}
 			if i > 0 && cowtree.CompareRecords(&buf[i-1], &buf[i]) >= 0 {
@@ -73,12 +73,12 @@ func checkInterior(t *testing.T, n *node) {
 	if total != n.bufBytes {
 		t.Fatalf("node %d bufBytes %d, recomputed %d", n.ID, n.bufBytes, total)
 	}
-	pv := pageHeaderBytes + childRefBytes*len(n.Children)
-	for _, sep := range n.seps {
+	pv := cowtree.PageHeaderBytes + cowtree.ChildRefBytes*len(n.Children)
+	for _, sep := range n.Seps {
 		pv += 2 + len(sep)
 	}
-	if pv != n.pivotBytes {
-		t.Fatalf("node %d pivotBytes %d, recomputed %d", n.ID, n.pivotBytes, pv)
+	if pv != n.PivotBytes() {
+		t.Fatalf("node %d PivotBytes %d, recomputed %d", n.ID, n.PivotBytes(), pv)
 	}
 	if n.Serialized != pv+total {
 		t.Fatalf("node %d serialized %d != pivot %d + buf %d", n.ID, n.Serialized, pv, total)
@@ -116,7 +116,7 @@ func checkRoundTrip(t *testing.T, n *node) {
 	if got := int(binary.LittleEndian.Uint32(img[12:])); got != msgs {
 		t.Fatalf("node %d header counts %d messages, buffers hold %d", n.ID, got, msgs)
 	}
-	got, ok := parseNode(img)
+	got, _, ok := parseNode(img)
 	if !ok {
 		t.Fatalf("node %d image does not parse", n.ID)
 	}
@@ -228,7 +228,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 			if !root.Leaf && tr.bufferMax > 0 {
 				want = append(want, root.bufSizes...)
 				target := kv.NewTarget(key)
-				ci := root.childFor(target)
+				ci := root.ChildFor(target)
 				want[ci] += cowtree.RecordOverhead + len(key) + len(val)
 				if m := root.bufGet(ci, target); m != nil {
 					want[ci] -= m.Size()
@@ -526,16 +526,15 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 		cutBoth, cutAllLeft, cutAllRight, cutEmpty                            int
 		nodeSplits, splitMovedBuffers                                         int
 	}
-	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
-	n.recomputeSerialized()
-	n.refreshSepCache()
+	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: []nodeID{1}}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
+	n.Serialized = n.PivotBytes()
 	f := &flatNode{}
 	nextChild := nodeID(2)
 	rng := sim.NewRNG(77)
 	seq := uint64(0)
 
 	isSep := func(key []byte) bool {
-		return slices.ContainsFunc(n.seps, func(s []byte) bool { return bytes.Equal(s, key) })
+		return slices.ContainsFunc(n.Seps, func(s []byte) bool { return bytes.Equal(s, key) })
 	}
 	for step := 0; step < 30000; step++ {
 		what := fmt.Sprintf("step %d", step)
@@ -546,7 +545,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			mseq, vlen, del := seq, 0, false
 			var val []byte
 			target := kv.NewTarget(key)
-			resident := n.bufGet(n.childFor(target), target)
+			resident := n.bufGet(n.ChildFor(target), target)
 			switch kind := rng.Intn(10); {
 			case kind < 4: // value-bearing (content mode); two sizes, so children tie
 				val = bytes.Repeat([]byte{byte(step)}, 8<<uint(rng.Intn(2)))
@@ -615,7 +614,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			if isSep(sep) || len(n.Children) >= 40 {
 				continue
 			}
-			idx := n.childFor(kv.NewTarget(sep))
+			idx := n.ChildFor(kv.NewTarget(sep))
 			before := len(n.bufs[idx])
 			n.insertChild(&mm, idx, sep, nextChild)
 			nextChild++
@@ -639,7 +638,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 				}
 			}
 		default: // the node splits; carry on with one of the halves
-			if len(n.seps) < 3 {
+			if len(n.Seps) < 3 {
 				continue
 			}
 			right := &node{}
@@ -722,7 +721,7 @@ func TestMessageCodecKinds(t *testing.T) {
 
 func runMessageCodecKinds(t *testing.T, width int) {
 	var mm mem
-	n := &node{Node: cowtree.Node{Children: []nodeID{1}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
+	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: []nodeID{1}}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
 	key := bytes.Repeat([]byte{9}, width)
 	wide := width != kv.KeySize
 	roundTrip := func(m *cowtree.Record) cowtree.Record {
@@ -974,9 +973,11 @@ func benchSeps() [][]byte {
 
 // benchNode returns the partitioned benchmark node, empty.
 func benchNode() *node {
-	n := &node{seps: benchSeps(), Node: cowtree.Node{Children: make([]nodeID, benchChildren)},
+	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: make([]nodeID, 1)}},
 		bufs: make([][]cowtree.Record, benchChildren), bufSizes: make([]int, benchChildren)}
-	n.refreshSepCache()
+	for i, sep := range benchSeps() {
+		n.InsertChild(i, sep, 0)
+	}
 	return n
 }
 
@@ -1036,7 +1037,7 @@ var benchHit *cowtree.Record
 
 // BenchmarkBufferGet is the read side: on the benchmark node filled to
 // its budget by BenchmarkBufferInsert's upserts, a buffer-answered lookup
-// of a random resident key — the key's decoding, childFor and bufGet,
+// of a random resident key — the key's decoding, ChildFor and bufGet,
 // what Get does at each interior level it searches.
 func BenchmarkBufferGet(b *testing.B) {
 	var mm mem
@@ -1052,7 +1053,7 @@ func BenchmarkBufferGet(b *testing.B) {
 	var resident [][]byte
 	for _, id := range ids {
 		k := kv.EncodeKey(id)
-		if t := kv.NewTarget(k); n.bufGet(n.childFor(t), t) != nil {
+		if t := kv.NewTarget(k); n.bufGet(n.ChildFor(t), t) != nil {
 			resident = append(resident, k)
 		}
 	}
@@ -1063,7 +1064,7 @@ func BenchmarkBufferGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := kv.NewTarget(resident[rng.Intn(len(resident))])
-		if benchHit = n.bufGet(n.childFor(t), t); benchHit == nil {
+		if benchHit = n.bufGet(n.ChildFor(t), t); benchHit == nil {
 			b.Fatal("a resident key missed")
 		}
 	}

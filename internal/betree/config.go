@@ -87,7 +87,7 @@ func NewConfig(datasetBytes int64) Config {
 
 // minPivotBytes is the smallest pivot section: the header plus room for
 // two children of 16-byte separator keys.
-const minPivotBytes = pageHeaderBytes + 2*(2+16+childRefBytes)
+const minPivotBytes = cowtree.PageHeaderBytes + 2*(2+16+cowtree.ChildRefBytes)
 
 // Validate fills defaults and rejects nonsense.
 func (c Config) Validate() (Config, error) {

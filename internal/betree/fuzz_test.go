@@ -16,11 +16,11 @@ func imageKey(m *cowtree.Record) []byte {
 	return img[cowtree.RecordOverhead : cowtree.RecordOverhead+int(binary.LittleEndian.Uint16(img))]
 }
 
-// sameNodeImage reports the first difference between two parsed nodes:
-// kind, leaf entries, separators, child extents and the child buffers
+// sameNodeImage reports the first difference between two parsed nodes
+// and the child extents parseNode returned with them: kind, leaf entries, separators, child extents and the child buffers
 // message by message (key, sequence, tombstone, value length, value
 // bytes), with the buffers' byte counts.
-func sameNodeImage(a, b *node) string {
+func sameNodeImage(a, b *node, aExts, bExts []fileExtent) string {
 	sameMsgs := func(x, y []cowtree.Record) bool {
 		if len(x) != len(y) {
 			return false
@@ -38,9 +38,9 @@ func sameNodeImage(a, b *node) string {
 		return "leaf flag"
 	case !sameMsgs(a.entries, b.entries):
 		return "leaf entries"
-	case !slices.EqualFunc(a.seps, b.seps, bytes.Equal):
+	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
 		return "separators"
-	case !slices.Equal(a.childExtents, b.childExtents) || len(a.Children) != len(b.Children):
+	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
 	case len(a.bufs) != len(b.bufs) || !slices.Equal(a.bufSizes, b.bufSizes) || a.bufBytes != b.bufBytes:
 		return "buffer partition"
@@ -55,10 +55,10 @@ func sameNodeImage(a, b *node) string {
 
 // parsedExtents resolves a parsed node's children to the extents its
 // image named, in child order (parsed children have no ids yet).
-func parsedExtents(n *node) func(nodeID) fileExtent {
+func parsedExtents(exts []fileExtent) func(nodeID) fileExtent {
 	i := 0
 	return func(nodeID) fileExtent {
-		e := n.childExtents[i]
+		e := exts[i]
 		i++
 		return e
 	}
@@ -102,7 +102,7 @@ func FuzzNodeImage(f *testing.F) {
 			if leaves+interiors == 1 || leaves+interiors == 6 {
 				f.Add(img[:len(img)-5])
 				bad := slices.Clone(img)
-				bad[pageHeaderBytes] ^= 0x40 // the first length field
+				bad[cowtree.PageHeaderBytes] ^= 0x40 // the first length field
 				f.Add(bad)
 			}
 		}
@@ -111,19 +111,19 @@ func FuzzNodeImage(f *testing.F) {
 		f.Fatalf("seed tree has %d leaves and %d interiors", leaves, interiors)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, ok := parseNode(data)
+		n, exts, ok := parseNode(data)
 		if !ok {
 			return
 		}
-		img := serializeNode(nil, n, parsedExtents(n))
-		got, ok := parseNode(img)
+		img := serializeNode(nil, n, parsedExtents(exts))
+		got, gotExts, ok := parseNode(img)
 		if !ok {
 			t.Fatal("the re-serialized image does not parse")
 		}
-		if diff := sameNodeImage(n, got); diff != "" {
+		if diff := sameNodeImage(n, got, exts, gotExts); diff != "" {
 			t.Fatalf("the round trip changed the node's %s", diff)
 		}
-		if again := serializeNode(nil, got, parsedExtents(got)); !bytes.Equal(again, img) {
+		if again := serializeNode(nil, got, parsedExtents(gotExts)); !bytes.Equal(again, img) {
 			t.Fatal("serializing the re-parsed node gave different bytes")
 		}
 	})

@@ -17,13 +17,6 @@ type nodeID = cowtree.NodeID
 
 const nilNode = cowtree.NilNode
 
-// pageHeaderBytes is the serialized node header size.
-const pageHeaderBytes = 64
-
-// childRefBytes is the serialized size of one child reference in an
-// interior node: extent start (8) + extent pages (4).
-const childRefBytes = 12
-
 // mem bundles the tree's allocation helpers handed to node methods: the
 // arena backs what stored records keep (see cowtree.RecordArena) and
 // the separator copies, the pool recycles the record arrays (leaf
@@ -39,68 +32,34 @@ type mem struct {
 }
 
 // node is an in-memory Bε-tree node: the shared node header (identity,
-// tree position, child ids, dirty flag, on-disk extent, cache residency
-// — see cowtree.Node) plus the payload. Leaves carry entries; interior
-// nodes carry separator keys beside the header's Children and one
-// message buffer per child (one message per key — a newer update
-// overwrites the buffered older one, which is the classic upsert
-// collapse).
+// tree position, pivots, dirty flag, on-disk extent, cache residency —
+// see cowtree.Node) plus the payload. Leaves carry entries; interior
+// nodes carry one message buffer per child beside the header's Pivots
+// (one message per key — a newer update overwrites the buffered older
+// one, which is the classic upsert collapse). The header's Serialized
+// is the full serialized size: header + entries for leaves, PivotBytes
+// + bufBytes for interiors (PivotBytes alone is what the fanout budget
+// bounds).
 type node struct {
 	cowtree.Node
 
 	// Leaf payload, sorted by key.
 	entries []cowtree.Record
 
-	// Interior payload: Children[i] holds keys < seps[i] for
-	// i < len(seps); Children[len(seps)] holds the rest.
-	seps [][]byte
-
-	// sepCache holds the separators' word decomposition so descents
-	// probe raw uint64 pairs (see kv.SepCache); maintained by
-	// refreshSepCache/insertSepCache after any seps mutation.
-	sepCache kv.SepCache
-
-	// bufs[ci] buffers exactly the messages childFor routes to
+	// bufs[ci] buffers exactly the messages ChildFor routes to
 	// Children[ci], sorted by key, in an array sized to what it holds, so
 	// the buffers in child order are the node's messages in key order.
 	// bufSizes[ci] is its serialized footprint and bufBytes their sum.
 	bufs     [][]cowtree.Record
 	bufSizes []int
 	bufBytes int
-
-	// childExtents is only populated on nodes reconstructed from disk
-	// (recovery): the on-disk locations of the children, in child order.
-	childExtents []fileExtent
-
-	// The header's Serialized is the full serialized size (pivot section
-	// + buffer for interiors; header + entries for leaves). pivotBytes
-	// tracks the pivot section alone — the quantity the fanout budget
-	// bounds.
-	pivotBytes int
 }
 
 // search returns the index of the first leaf entry with key >= t.
 func (n *node) search(t kv.Target) int { return cowtree.SearchRecords(n.entries, t) }
 
-// refreshSepCache rebuilds the separator word cache. Callers invoke it
-// after every seps mutation.
-func (n *node) refreshSepCache() { n.sepCache.Refresh(n.seps) }
-
-// childFor returns the index of the child covering t.
-func (n *node) childFor(t kv.Target) int { return n.sepCache.UpperBound(n.seps, t) }
-
-// childIndex returns the position of child id.
-func (n *node) childIndex(id nodeID) int {
-	for i, c := range n.Children {
-		if c == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // bufGet returns the message child ci's buffer holds for t, or nil; ci
-// is childFor(t), which the descent needs anyway.
+// is ChildFor(t), which the descent needs anyway.
 func (n *node) bufGet(ci int, t kv.Target) *cowtree.Record { return cowtree.FindRecord(n.bufs[ci], t) }
 
 // busiestChild returns the child whose buffer holds the most bytes — the
@@ -130,7 +89,7 @@ func (n *node) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool)
 	} else {
 		t = kv.NewTarget(key)
 	}
-	ci := n.childFor(t)
+	ci := n.ChildFor(t)
 	var delta int
 	n.bufs[ci], delta = cowtree.InsertRecord(&mm.msgs, arena, n.bufs[ci], m, t, val)
 	n.bufSizes[ci] += delta
@@ -238,7 +197,7 @@ func (n *node) splitLeaf(mm *mem, right *node) []byte {
 	for i := mid; i < len(n.entries); i++ {
 		movedBytes += n.entries[i].Size()
 	}
-	right.Serialized = pageHeaderBytes + movedBytes
+	right.Serialized = cowtree.PageHeaderBytes + movedBytes
 	n.entries = mm.msgs.Fit(n.entries[:mid])
 	n.Serialized -= movedBytes
 	right.Next = n.Next
@@ -248,14 +207,13 @@ func (n *node) splitLeaf(mm *mem, right *node) []byte {
 }
 
 // insertChild adds a separator and child after position idx — child idx
-// has split at sep — and cuts child idx's buffer there: messages with
-// key >= sep now route to the new child. (Every split the tree performs
-// follows a flush that has just emptied that buffer, so today the cut
-// moves nothing; it keeps the partition right without leaning on that.)
-// The node keeps sep itself: a split hands over bytes the tree owns.
+// has split at sep (see cowtree.Pivots.InsertChild) — and cuts child
+// idx's buffer there: messages with key >= sep now route to the new
+// child. (Every split the tree performs follows a flush that has just
+// emptied that buffer, so today the cut moves nothing; it keeps the
+// partition right without leaning on that.)
 func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
-	n.seps = slices.Insert(n.seps, idx, sep)
-	n.Children = slices.Insert(n.Children, idx+1, child)
+	n.Serialized += n.InsertChild(idx, sep, child)
 	buf := n.bufs[idx]
 	tail := mm.msgs.CloneTail(buf, cowtree.SearchRecords(buf, kv.NewTarget(sep)))
 	moved := 0
@@ -266,50 +224,24 @@ func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 	n.bufs = slices.Insert(n.bufs, idx+1, tail)
 	n.bufSizes[idx] -= moved
 	n.bufSizes = slices.Insert(n.bufSizes, idx+1, moved)
-	delta := 2 + len(sep) + childRefBytes
-	n.pivotBytes += delta
-	n.Serialized += delta
-	n.insertSepCache(idx, n.seps[idx])
 }
-
-// insertSepCache splices one separator's decomposed words into the word
-// cache.
-func (n *node) insertSepCache(idx int, sep []byte) { n.sepCache.Insert(idx, sep) }
 
 // splitInterior moves the upper half of an interior node (pivots AND
 // their children's buffers, whole) into right (a fresh, registered
 // node), returning the separator promoted to the parent.
 func (n *node) splitInterior(right *node) []byte {
-	mid := len(n.seps) / 2
-	promoted := n.seps[mid]
 	right.Parent = n.Parent
-	right.seps = append([][]byte(nil), n.seps[mid+1:]...)
-	right.Children = append([]nodeID(nil), n.Children[mid+1:]...)
-	right.bufs = append([][]cowtree.Record(nil), n.bufs[mid+1:]...)
-	right.bufSizes = append([]int(nil), n.bufSizes[mid+1:]...)
+	promoted := n.SplitHalf(&right.Pivots)
+	cut := len(n.Children)
+	right.bufs = append([][]cowtree.Record(nil), n.bufs[cut:]...)
+	right.bufSizes = append([]int(nil), n.bufSizes[cut:]...)
 	for _, b := range right.bufSizes {
 		right.bufBytes += b
 	}
 	n.bufBytes -= right.bufBytes
-
-	n.seps = n.seps[:mid]
-	n.Children = n.Children[:mid+1]
-	n.bufs = n.bufs[:mid+1]
-	n.bufSizes = n.bufSizes[:mid+1]
-	n.recomputeSerialized()
-	n.refreshSepCache()
-	right.recomputeSerialized()
-	right.refreshSepCache()
+	n.bufs = n.bufs[:cut]
+	n.bufSizes = n.bufSizes[:cut]
+	n.Serialized = n.PivotBytes() + n.bufBytes
+	right.Serialized = right.PivotBytes() + right.bufBytes
 	return promoted
-}
-
-// recomputeSerialized recalculates an interior node's pivot and total
-// footprints from scratch.
-func (n *node) recomputeSerialized() {
-	s := pageHeaderBytes + childRefBytes*len(n.Children)
-	for _, sep := range n.seps {
-		s += 2 + len(sep)
-	}
-	n.pivotBytes = s
-	n.Serialized = s + n.bufBytes
 }

@@ -31,7 +31,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 // image (interior buffers included), register the node and return its
 // child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
-	n, ok := parseNode(data)
+	n, childExts, ok := parseNode(data)
 	if !ok {
 		return nil, nil, errors.New("betree: corrupt node")
 	}
@@ -41,19 +41,16 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 			sz += n.entries[i].Size()
 			t.Core.NoteSeq(n.entries[i].Seq()) // recompute the counter from disk state
 		}
-		n.Serialized = pageHeaderBytes + sz
+		n.Serialized = cowtree.PageHeaderBytes + sz
 	} else {
 		for _, buf := range n.bufs {
 			for i := range buf {
 				t.Core.NoteSeq(buf[i].Seq()) // buffered messages count toward the max too
 			}
 		}
-		n.recomputeSerialized()
-		n.refreshSepCache()
+		n.Serialized = n.PivotBytes() + n.bufBytes
 	}
 	t.register(n)
-	childExts := n.childExtents
-	n.childExtents = nil
 	return &n.Node, childExts, nil
 }
 
@@ -68,7 +65,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	n := t.nodes[t.Core.Root()]
 	target := kv.NewTarget(r.Key)
 	for !n.Leaf {
-		ci := n.childFor(target)
+		ci := n.ChildFor(target)
 		if m := n.bufGet(ci, target); m != nil && m.Seq() >= r.Seq {
 			return now, nil
 		}

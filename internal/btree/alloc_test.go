@@ -132,3 +132,13 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 		t.Errorf("leaf entry arrays keep %d slots for %d entries", slots, entries)
 	}
 }
+
+// TestPageSize bounds the in-memory page, one per leaf and internal
+// page: 176 bytes when the separators, their word cache and the
+// recovery-time child extents were page fields. The bound may come
+// down; raising it must be deliberate.
+func TestPageSize(t *testing.T) {
+	if sz := unsafe.Sizeof(page{}); sz > 176 {
+		t.Fatalf("page is %d bytes, bound 176", sz)
+	}
+}

@@ -22,7 +22,7 @@ var benchLeafHit int
 // the key match Get does once the descent has reached the leaf.
 func BenchmarkLeafGet(b *testing.B) {
 	var m mem
-	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
+	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
 	rng := sim.NewRNG(1)
 	var keys [][]byte
 	entry := cowtree.MakeRecord(kv.EncodeKey(0), 0, benchLeafVlen, false)

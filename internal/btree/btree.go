@@ -82,7 +82,7 @@ func (t *Tree) NewRootLeaf() {
 func (t *Tree) newPage(leaf bool) *page {
 	p := t.slab.Get()
 	p.Leaf = leaf
-	p.Serialized = pageHeaderBytes
+	p.Serialized = cowtree.PageHeaderBytes
 	t.register(p)
 	t.Core.MarkDirty(&p.Node)
 	return p
@@ -156,7 +156,7 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 func (t *Tree) descend(target kv.Target) *page {
 	p := t.pages[t.Core.Root()]
 	for !p.Leaf {
-		p = t.pages[p.childFor(target)]
+		p = t.pages[p.Children[p.ChildFor(target)]]
 	}
 	return p
 }
@@ -275,7 +275,7 @@ func (t *Tree) splitLeaf(leaf *page) {
 	t.Core.MarkDirty(&right.Node)
 	t.Core.MarkDirty(&leaf.Node)
 	t.io.LeafSplits++
-	t.Core.AdmitSplit(&leaf.Node, &right.Node, pageHeaderBytes)
+	t.Core.AdmitSplit(&leaf.Node, &right.Node, cowtree.PageHeaderBytes)
 	t.insertIntoParent(leaf, sep, right)
 }
 
@@ -285,18 +285,15 @@ func (t *Tree) splitLeaf(leaf *page) {
 func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 	if left.ID == t.Core.Root() {
 		newRoot := t.newPage(false)
-		newRoot.Children = []pageID{left.ID, right.ID}
-		newRoot.seps = [][]byte{sep}
-		newRoot.recomputeSerialized()
-		newRoot.refreshSepCache()
+		newRoot.InitRoot(left.ID, sep, right.ID)
+		newRoot.Serialized = newRoot.PivotBytes()
 		left.Parent = newRoot.ID
 		right.Parent = newRoot.ID
 		t.Core.SetRoot(newRoot.ID)
 		return
 	}
 	parent := t.pages[left.Parent]
-	idx := parent.childIndex(left.ID)
-	parent.insertChild(idx, sep, right.ID)
+	parent.Serialized += parent.InsertChild(parent.ChildIndex(left.ID), sep, right.ID)
 	right.Parent = parent.ID
 	t.Core.MarkDirty(&parent.Node)
 	if parent.Serialized > t.cfg.InternalPageBytes {
@@ -308,7 +305,9 @@ func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 func (t *Tree) splitInternalPage(p *page) {
 	right := t.slab.Get()
 	t.register(right)
-	promoted := p.splitInternal(right)
+	right.Parent = p.Parent
+	promoted := p.SplitHalf(&right.Pivots)
+	p.Serialized, right.Serialized = p.PivotBytes(), right.PivotBytes()
 	t.Core.MarkDirty(&right.Node)
 	t.Core.MarkDirty(&p.Node)
 	t.io.InternalSplits++

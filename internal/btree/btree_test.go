@@ -253,12 +253,12 @@ func TestWAAStableOverTime(t *testing.T) {
 
 func TestPageSerializationRoundTrip(t *testing.T) {
 	var m mem
-	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: pageHeaderBytes}}
+	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
 	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
 	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := serializePage(nil, leaf, nil)
-	got, ok := parsePage(data)
+	got, _, ok := parsePage(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
@@ -273,23 +273,25 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 		t.Fatal("tombstone entry wrong")
 	}
 
-	internal := &page{Node: cowtree.Node{Children: []pageID{1, 2, 3}}, seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)}}
-	internal.recomputeSerialized()
+	internal := &page{}
+	internal.InitRoot(1, kv.EncodeKey(10), 2)
+	internal.InsertChild(1, kv.EncodeKey(20), 3)
+	internal.Serialized = internal.PivotBytes()
 	data = serializePage(nil, internal, func(id pageID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
-	got, ok = parsePage(data)
-	if !ok || len(got.Children) != 3 || len(got.seps) != 2 {
+	got, exts, ok := parsePage(data)
+	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
 		t.Fatalf("internal round trip: %+v %v", got, ok)
 	}
 	// Parsed internal pages carry child disk extents (in-memory ids are
 	// assigned during the recovery rebuild).
-	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 ||
-		!bytes.Equal(got.seps[1], kv.EncodeKey(20)) {
+	if exts[2].Start != 300 || exts[2].Pages != 4 ||
+		!bytes.Equal(got.Seps[1], kv.EncodeKey(20)) {
 		t.Fatal("internal content wrong")
 	}
 
-	if _, ok := parsePage([]byte{1, 2, 3}); ok {
+	if _, _, ok := parsePage([]byte{1, 2, 3}); ok {
 		t.Fatal("short page should fail")
 	}
 
@@ -300,7 +302,7 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, ok := parsePage(prefixed[6:]); !ok || len(got.entries) != 2 {
+	if got, _, ok := parsePage(prefixed[6:]); !ok || len(got.entries) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 }

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 
 	"ptsbench/internal/cowtree"
@@ -10,17 +9,20 @@ import (
 // The checkpoint discipline and the copy-on-write page write live in
 // internal/cowtree. This file keeps only the engine's page codec.
 
+// pageMagic marks a serialized B+Tree page ("BTPG").
+const pageMagic = 0x42545047
+
 // serializePage appends the on-disk image of a page (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count}, then
-// entries (leaf, in cowtree.AppendRecord's format) or separators +
-// child extent references (internal), zero-padded by the caller to the
-// extent size. resolve maps a child pageID to its current on-disk
+// entries (leaf, in cowtree.AppendRecord's format) or the pivot section
+// (internal, cowtree.Pivots.AppendPivots), zero-padded by the caller to
+// the extent size. resolve maps a child pageID to its current on-disk
 // extent; it may be nil for leaves.
 func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte {
-	var hdr [pageHeaderBytes]byte
+	var hdr [cowtree.PageHeaderBytes]byte
 	base := len(out)
 	out = append(out, hdr[:]...)
-	binary.LittleEndian.PutUint32(out[base:], 0x42545047) // "BTPG"
+	binary.LittleEndian.PutUint32(out[base:], pageMagic)
 	if p.Leaf {
 		out[base+4] = 1
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(p.entries)))
@@ -29,71 +31,37 @@ func serializePage(out []byte, p *page, resolve func(pageID) fileExtent) []byte 
 		}
 		return out
 	}
-	binary.LittleEndian.PutUint32(out[base+8:], uint32(len(p.seps)))
-	for _, sep := range p.seps {
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], uint16(len(sep)))
-		out = append(out, l[:]...)
-		out = append(out, sep...)
-	}
-	for _, c := range p.Children {
-		var ext fileExtent
-		if resolve != nil {
-			ext = resolve(c)
-		}
-		var b [childRefBytes]byte
-		binary.LittleEndian.PutUint64(b[0:], uint64(ext.Start))
-		binary.LittleEndian.PutUint32(b[8:], uint32(ext.Pages))
-		out = append(out, b[:]...)
-	}
-	return out
+	binary.LittleEndian.PutUint32(out[base+8:], uint32(len(p.Seps)))
+	return p.AppendPivots(out, resolve)
 }
 
-// parsePage reconstructs a page from its serialized image (tests verify
-// the round trip; the hot path keeps structures in memory).
-func parsePage(data []byte) (*page, bool) {
-	if len(data) < pageHeaderBytes {
-		return nil, false
+// parsePage reconstructs a page from its serialized image, returning an
+// internal page's child extents in child order (its children get ids as
+// recovery loads them).
+func parsePage(data []byte) (*page, []fileExtent, bool) {
+	if len(data) < cowtree.PageHeaderBytes {
+		return nil, nil, false
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != 0x42545047 {
-		return nil, false
+	if binary.LittleEndian.Uint32(data[0:]) != pageMagic {
+		return nil, nil, false
 	}
 	p := &page{Node: cowtree.Node{Leaf: data[4] == 1}}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
-	off := pageHeaderBytes
+	off := cowtree.PageHeaderBytes
 	if p.Leaf {
 		for i := 0; i < n; i++ {
 			r, used := cowtree.ParseRecord(data[off:])
 			if used == 0 {
-				return nil, false
+				return nil, nil, false
 			}
 			p.entries = append(p.entries, r)
 			off += used
 		}
-		return p, true
+		return p, nil, true
 	}
-	for i := 0; i < n; i++ {
-		if off+2 > len(data) {
-			return nil, false
-		}
-		sl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+sl > len(data) {
-			return nil, false
-		}
-		p.seps = append(p.seps, bytes.Clone(data[off:off+sl]))
-		off += sl
+	exts, _, ok := p.ParsePivots(data[off:], n)
+	if !ok {
+		return nil, nil, false
 	}
-	for i := 0; i <= n; i++ {
-		if off+childRefBytes > len(data) {
-			return nil, false
-		}
-		p.childExtents = append(p.childExtents, fileExtent{
-			Start: int64(binary.LittleEndian.Uint64(data[off:])),
-			Pages: int64(binary.LittleEndian.Uint32(data[off+8:])),
-		})
-		p.Children = append(p.Children, nilPage) // assigned during rebuild
-		off += childRefBytes
-	}
-	return p, true
+	return p, exts, true
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
@@ -21,9 +22,10 @@ func leafRecords(p *page) []kv.Entry {
 	return out
 }
 
-// samePageImage reports the first difference between two parsed pages:
-// kind, leaf entries, separators or child extents.
-func samePageImage(a, b *page) string {
+// samePageImage reports the first difference between two parsed pages
+// and the child extents parsePage returned with them: kind, leaf
+// entries, separators or child extents.
+func samePageImage(a, b *page, aExts, bExts []fileExtent) string {
 	sameEntry := func(x, y kv.Entry) bool {
 		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Value, y.Value) &&
 			x.ValueLen == y.ValueLen && x.Seq == y.Seq && x.Deleted == y.Deleted
@@ -33,9 +35,9 @@ func samePageImage(a, b *page) string {
 		return "leaf flag"
 	case !slices.EqualFunc(leafRecords(a), leafRecords(b), sameEntry):
 		return "leaf entries"
-	case !slices.EqualFunc(a.seps, b.seps, bytes.Equal):
+	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
 		return "separators"
-	case !slices.Equal(a.childExtents, b.childExtents) || len(a.Children) != len(b.Children):
+	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
 	}
 	return ""
@@ -43,10 +45,10 @@ func samePageImage(a, b *page) string {
 
 // parsedExtents resolves a parsed page's children to the extents its
 // image named, in child order (parsed children have no ids yet).
-func parsedExtents(p *page) func(pageID) fileExtent {
+func parsedExtents(exts []fileExtent) func(pageID) fileExtent {
 	i := 0
 	return func(pageID) fileExtent {
-		e := p.childExtents[i]
+		e := exts[i]
 		i++
 		return e
 	}
@@ -90,7 +92,7 @@ func FuzzPageImage(f *testing.F) {
 			if leaves+internals == 1 || leaves+internals == 6 {
 				f.Add(img[:len(img)-5])
 				bad := slices.Clone(img)
-				bad[pageHeaderBytes] ^= 0x40 // the first length field
+				bad[cowtree.PageHeaderBytes] ^= 0x40 // the first length field
 				f.Add(bad)
 			}
 		}
@@ -99,19 +101,19 @@ func FuzzPageImage(f *testing.F) {
 		f.Fatalf("seed tree has %d leaves and %d internal pages", leaves, internals)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, ok := parsePage(data)
+		p, exts, ok := parsePage(data)
 		if !ok {
 			return
 		}
-		img := serializePage(nil, p, parsedExtents(p))
-		got, ok := parsePage(img)
+		img := serializePage(nil, p, parsedExtents(exts))
+		got, gotExts, ok := parsePage(img)
 		if !ok {
 			t.Fatal("the re-serialized image does not parse")
 		}
-		if diff := samePageImage(p, got); diff != "" {
+		if diff := samePageImage(p, got, exts, gotExts); diff != "" {
 			t.Fatalf("the round trip changed the page's %s", diff)
 		}
-		if again := serializePage(nil, got, parsedExtents(got)); !bytes.Equal(again, img) {
+		if again := serializePage(nil, got, parsedExtents(gotExts)); !bytes.Equal(again, img) {
 			t.Fatal("serializing the re-parsed page gave different bytes")
 		}
 	})

@@ -30,7 +30,7 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 // MaterializeNode implements cowtree.Tree: parse one on-disk
 // image, register the page and return its child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
-	p, ok := parsePage(data)
+	p, childExts, ok := parsePage(data)
 	if !ok {
 		return nil, nil, errors.New("btree: corrupt page")
 	}
@@ -40,14 +40,11 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 			sz += p.entries[i].Size()
 			t.Core.NoteSeq(p.entries[i].Seq()) // recompute the counter from disk state
 		}
-		p.Serialized = pageHeaderBytes + sz
+		p.Serialized = cowtree.PageHeaderBytes + sz
 	} else {
-		p.recomputeSerialized()
-		p.refreshSepCache()
+		p.Serialized = p.PivotBytes()
 	}
 	t.register(p)
-	childExts := p.childExtents
-	p.childExtents = nil
 	return &p.Node, childExts, nil
 }
 

@@ -37,12 +37,16 @@
 //   - the leaf record both engines store (record.go): its inline-word
 //     key, its word-or-byte compares and search, the copy-on-retain rule
 //     (RecordArena.Own), the one upsert of leaves and buffers
-//     (InsertRecord) and the entry codec both images share.
+//     (InsertRecord) and the entry codec both images share,
+//   - the interior pivot section both engines keep (pivots.go, embedded
+//     in Node): separators, child ids, the separator word cache, child
+//     lookup, child insert, the half split, the section's footprint and
+//     its codec.
 //
 // An engine embeds Node in its node type and Core in its tree — so the
 // core's lifecycle methods are the engine's kv.Engine methods — keeps
-// only its payload (entries, separators, buffers) with its codec and its
-// insert, split, flush and scan paths, and implements the four Tree
+// only its payload (leaf entries, the Bε-tree's buffers) with its image
+// header and its insert, split, flush and scan paths, and implements the four Tree
 // methods the core cannot do for it: serialize a node (AppendImage),
 // parse one (MaterializeNode), apply a replayed journal record
 // (ApplyRecovered) and install a fresh tree's root leaf (NewRootLeaf).
@@ -89,9 +93,9 @@ type Node struct {
 	// pinned and never listed).
 	Resident bool
 
-	// Children are an interior node's child ids, in key order (nil for
-	// leaves). The engine maintains them together with its separators.
-	Children []NodeID
+	// Pivots are an interior node's separators and child ids (empty for
+	// leaves).
+	Pivots
 
 	// Serialized is the node's current serialized size in bytes, which
 	// the engine tracks incrementally.
@@ -403,7 +407,7 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 // is a resident leaf, every resident node is listed, and the listed
 // sizes sum to the resident byte count; the dirty bitmap covers the
 // node table, counts dirtyCount nodes, and holds every node that has no
-// extent.
+// extent; every child's Parent is the node listing it.
 func (c *Core) Check() error {
 	if len(c.dirty) != len(c.nodes) {
 		return fmt.Errorf("%s: dirty bitmap covers %d ids, node table %d", c.cfg.Name, len(c.dirty), len(c.nodes))
@@ -418,6 +422,13 @@ func (c *Core) Check() error {
 	}
 	if dirty != c.dirtyCount {
 		return fmt.Errorf("%s: %d dirty nodes, dirtyCount says %d", c.cfg.Name, dirty, c.dirtyCount)
+	}
+	for id, n := range c.nodes[1:] {
+		for _, ch := range n.Children {
+			if p := c.nodes[ch].Parent; p != NodeID(id+1) {
+				return fmt.Errorf("%s: node %d lists child %d, whose parent is %d", c.cfg.Name, id+1, ch, p)
+			}
+		}
 	}
 	var bytes int64
 	listed, prev := 0, NilNode

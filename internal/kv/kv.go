@@ -232,88 +232,3 @@ func NewTarget(k []byte) Target {
 	hi, lo, ok := DecomposeKey(k)
 	return Target{Key: k, Hi: hi, Lo: lo, Fast: ok}
 }
-
-// SepCache caches the big-endian word decomposition of a sorted set of
-// separator keys while every separator is a fixed-size key, so a
-// descent's binary search probes raw uint64 pairs instead of re-decoding
-// separator bytes on every comparison. A separator's two words sit side
-// by side, so a probe loads one cache line, not one per word. The zero
-// value is an inactive cache (UpperBound compares the separator bytes);
-// Refresh activates it. The B-tree-family engines share it for their
-// interior nodes — the separators only change on splits, so the cache
-// refresh is off the hot path.
-type SepCache struct {
-	words []sepWords
-	fast  bool
-}
-
-type sepWords struct{ hi, lo uint64 }
-
-// Refresh rebuilds the cache from the full separator set.
-func (c *SepCache) Refresh(seps [][]byte) {
-	c.words = c.words[:0]
-	for _, sep := range seps {
-		hi, lo, ok := DecomposeKey(sep)
-		if !ok {
-			c.fast = false
-			return
-		}
-		c.words = append(c.words, sepWords{hi, lo})
-	}
-	c.fast = true
-}
-
-// Insert splices one separator's words in at idx (a full Refresh per
-// child insert would re-decode the whole fanout on every leaf split).
-// A non-fixed-size separator deactivates the cache.
-func (c *SepCache) Insert(idx int, sep []byte) {
-	if !c.fast {
-		return
-	}
-	hi, lo, ok := DecomposeKey(sep)
-	if !ok {
-		c.fast = false
-		c.words = c.words[:0]
-		return
-	}
-	c.words = append(c.words, sepWords{})
-	copy(c.words[idx+1:], c.words[idx:])
-	c.words[idx] = sepWords{hi, lo}
-}
-
-// UpperBound returns the number of separators in seps — the set the
-// cache was built from — that are <= t, which is exactly the child index
-// a B-tree descent takes (a key equal to a separator goes right). It
-// probes the cached words when both the cache and t have them, and
-// compares separator bytes otherwise.
-func (c *SepCache) UpperBound(seps [][]byte, t Target) int {
-	if t.Fast && c.fast {
-		w := c.words
-		lo, hi := 0, len(w)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s := w[mid]; s.hi < t.Hi || (s.hi == t.Hi && s.lo <= t.Lo) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	lo, hi := 0, len(seps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var cmp int
-		if sk := seps[mid]; t.Fast && len(sk) == KeySize {
-			cmp = CompareKeyWords(sk, t.Hi, t.Lo)
-		} else {
-			cmp = CompareKeys(sk, t.Key)
-		}
-		if cmp <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -39,8 +39,9 @@ type Stack struct {
 type Factory func(t *testing.T, content bool) *Stack
 
 // audit runs the structural self-check of an engine that has one (the
-// tree engines audit the leaf cache their shared core keeps), so every
-// scenario ends by checking structure, not just contents.
+// tree engines audit the leaf cache, dirty set and parent links their
+// shared core keeps), so every scenario ends by checking structure, not
+// just contents.
 func audit(t *testing.T, e kv.Engine) {
 	t.Helper()
 	if c, ok := e.(interface{ Check() error }); ok {
