@@ -53,10 +53,10 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeSize bounds the in-memory node, one per leaf and interior:
-// 240 bytes when the separators, their word cache, the pivot footprint
-// and the recovery-time child extents were node fields. The bound may
-// come down; raising it must be deliberate.
+// TestNodeSize bounds the in-memory node, of which the tree keeps one
+// per leaf and interior. 240 bytes is its size before the pivot section
+// moved into cowtree.Node: the bound may come down, and raising it must
+// be a deliberate edit here.
 func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(node{}); sz > 240 {
 		t.Fatalf("node is %d bytes, bound 240", sz)

@@ -133,10 +133,10 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	}
 }
 
-// TestPageSize bounds the in-memory page, one per leaf and internal
-// page: 176 bytes when the separators, their word cache and the
-// recovery-time child extents were page fields. The bound may come
-// down; raising it must be deliberate.
+// TestPageSize bounds the in-memory page, of which the tree keeps one
+// per leaf and internal page. 176 bytes is its size before the pivot
+// section moved into cowtree.Node: the bound may come down, and raising
+// it must be a deliberate edit here.
 func TestPageSize(t *testing.T) {
 	if sz := unsafe.Sizeof(page{}); sz > 176 {
 		t.Fatalf("page is %d bytes, bound 176", sz)

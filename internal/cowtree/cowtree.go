@@ -46,10 +46,11 @@
 // An engine embeds Node in its node type and Core in its tree — so the
 // core's lifecycle methods are the engine's kv.Engine methods — keeps
 // only its payload (leaf entries, the Bε-tree's buffers) with its image
-// header and its insert, split, flush and scan paths, and implements the four Tree
-// methods the core cannot do for it: serialize a node (AppendImage),
-// parse one (MaterializeNode), apply a replayed journal record
-// (ApplyRecovered) and install a fresh tree's root leaf (NewRootLeaf).
+// header and its insert, split, flush and scan paths, and implements
+// the four Tree methods the core cannot do for it: serialize a node
+// (AppendImage), parse one (MaterializeNode), apply a replayed journal
+// record (ApplyRecovered) and install a fresh tree's root leaf
+// (NewRootLeaf).
 // Three crash-recovery bugs once had to be fixed twice, once per copied
 // implementation; the discipline lives here once, pinned by
 // engine-agnostic tests over a stub engine in this package, by the
