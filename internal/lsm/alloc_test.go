@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"runtime"
 	"testing"
 
 	"ptsbench/internal/blockdev"
@@ -59,5 +60,61 @@ func TestSteadyStateOpAllocs(t *testing.T) {
 	// Arena chunk refills amortize to well under 0.1 allocations per op.
 	if putAllocs > 0.1 {
 		t.Fatalf("steady-state Put allocates %.3f objects/op, want ~0", putAllocs)
+	}
+}
+
+// TestSteadyStatePutBytes gates the bytes a Put allocates over a window
+// long enough to rotate, flush and compact many times: flushed
+// memtables' arena chunks and compacted tables' side-index arrays are
+// recycled within the DB, so the background work that TestSteadyStateOpAllocs
+// keeps out of its window allocates almost nothing either.
+func TestSteadyStatePutBytes(t *testing.T) {
+	ssd, err := flash.NewDevice(flash.Config{
+		LogicalBytes:  256 << 20,
+		PageSize:      4096,
+		PagesPerBlock: 256,
+		Profile:       flash.ProfileSSD1().Scaled(1024),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := extfs.Mount(blockdev.New(ssd), extfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(fs, NewConfig(64<<20), sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 40000
+	rng := sim.NewRNG(2)
+	key := make([]byte, kv.KeySize)
+	var now sim.Duration
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			kv.AppendKey(key, rng.Uint64n(keys))
+			if now, err = db.Put(now, key, nil, 400); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(4 * keys) // fill the levels and the free lists
+
+	const window = 2 * keys
+	before := db.IO()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	put(window)
+	runtime.ReadMemStats(&m1)
+	after := db.IO()
+	if after.Flushes-before.Flushes < 20 || after.Compactions-before.Compactions < 10 {
+		t.Fatalf("window ran %d flushes and %d compactions, want a steady state with many of each",
+			after.Flushes-before.Flushes, after.Compactions-before.Compactions)
+	}
+	perPut := float64(m1.TotalAlloc-m0.TotalAlloc) / window
+	t.Logf("%.1f B/Put over %d puts, %d flushes, %d compactions", perPut, window,
+		after.Flushes-before.Flushes, after.Compactions-before.Compactions)
+	if perPut > 100 {
+		t.Fatalf("steady-state Put allocates %.1f B/op with flushes and compactions, want < 100", perPut)
 	}
 }

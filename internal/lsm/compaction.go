@@ -262,7 +262,7 @@ func (j *compactionJob) merge() {
 			if remaining < hint {
 				hint = remaining
 			}
-			b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, hint)
+			b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, hint, &d.spares)
 		}
 		remaining--
 		if err := b.Add(e); err != nil {
@@ -306,6 +306,7 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 	perFileHint := j.perFileEntryHint(remaining, inputBytes)
 
 	var b *sstable.Builder
+	var err error
 	flushImage := func() {
 		if b != nil && b.NumEntries() > 0 {
 			d.nextFileID++
@@ -314,15 +315,16 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 		b = nil
 	}
 	emitRange := func(t *sstable.Table, lo, hi int) {
-		for lo < hi {
+		for lo < hi && err == nil {
 			if b == nil {
 				hint := perFileHint
 				if remaining < hint {
 					hint = remaining
 				}
-				b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, false, hint)
+				b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, false, hint, &d.spares)
 			}
-			next := b.AppendTableRange(t, lo, hi, drop, target)
+			var next int
+			next, err = b.AppendTableRange(t, lo, hi, drop, target)
 			remaining -= next - lo
 			lo = next
 			if b.EstimatedBytes() >= target {
@@ -333,7 +335,7 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 
 	fi, fn := 0, from.NumEntries()
 	tIdx, ti := 0, 0
-	for {
+	for err == nil {
 		if tIdx >= len(toTables) {
 			emitRange(from, fi, fn)
 			break
@@ -372,6 +374,10 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 			fi++
 			ti++
 		}
+	}
+	if err != nil {
+		d.fatal = deverr.Latch(err)
+		return
 	}
 	flushImage()
 }
@@ -579,6 +585,11 @@ func (j *compactionJob) commit(now sim.Duration) sim.Duration {
 			return now
 		}
 		removeInputs()
+	}
+	// Nothing reads the inputs any more: their side-index arrays go to
+	// the spares the next builders take from.
+	for _, t := range j.inputs {
+		t.Release()
 	}
 	d.ioStats.Compactions++
 	return now

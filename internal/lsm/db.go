@@ -30,6 +30,13 @@ type DB struct {
 	imm  []*immutable // rotated memtables awaiting flush, oldest first
 	walW *wal.Writer  // segment for the active memtable
 
+	// chunks and spares recycle memory within this DB: a flushed
+	// memtable's arena chunks feed the next memtable, a compacted-away
+	// table's side-index arrays feed the next builders. They are per DB
+	// because each shard's DB runs on its own goroutine.
+	chunks memtable.Chunks
+	spares sstable.Spares
+
 	// levels[0] is L0 (overlapping, newest first); levels[i>=1] are
 	// sorted runs ordered by smallest key.
 	levels [][]*sstable.Table
@@ -119,7 +126,7 @@ func Open(fs *extfs.FS, cfg Config, rng *sim.RNG) (*DB, error) {
 		compactWD:  sim.NewWorker("lsm-compact-deep"),
 	}
 	d.shapeL0 = 1
-	d.mem = memtable.New(rng.Split())
+	d.mem = memtable.New(rng.Split(), &d.chunks)
 	if !cfg.DisableWAL {
 		w, err := wal.Create(fs, d.walName(), cfg.Content)
 		if err != nil {
@@ -361,12 +368,13 @@ func (d *DB) rotateMemtable() error {
 		}
 	}
 	d.imm = append(d.imm, im)
-	d.mem = memtable.New(d.rng.Split())
+	d.mem = memtable.New(d.rng.Split(), &d.chunks)
 	d.flushW.Submit(newFlushJob(d, im))
 	return nil
 }
 
-// Get implements kv.Engine.
+// Get implements kv.Engine. The value belongs to the caller: the
+// memtable or table it was read from may be recycled by later writes.
 func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
 	if d.closed {
 		return now, nil, false, ErrClosed
@@ -472,7 +480,7 @@ func (d *DB) foundEntry(now sim.Duration, e *kv.Entry) (sim.Duration, []byte, bo
 		return now, nil, false, nil
 	}
 	d.stats.UserBytesRead += int64(len(e.Key) + e.ValueLen)
-	return now, e.Value, true, nil
+	return now, bytes.Clone(e.Value), true, nil
 }
 
 // findInLevel locates the unique file in a sorted level whose range may
@@ -498,7 +506,7 @@ func findInLevel(level []*sstable.Table, p *sstable.Probe) *sstable.Table {
 // merging the memtable, immutable memtables and every level. Reads are
 // charged per table for the data blocks the scan range covers — the
 // range-query capability that motivates tree structures in the paper's
-// introduction.
+// introduction. Keys and values belong to the caller, as Get's do.
 func (d *DB) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
 	if d.closed {
 		return now, nil, ErrClosed
@@ -547,7 +555,7 @@ func (d *DB) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv
 		}
 		out = append(out, kv.Entry{
 			Key:      append([]byte(nil), e.Key...),
-			Value:    e.Value,
+			Value:    bytes.Clone(e.Value),
 			ValueLen: e.ValueLen,
 			Seq:      e.Seq,
 		})

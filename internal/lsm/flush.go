@@ -29,7 +29,7 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 	}
 	if j.img == nil {
 		// First step: lay out the table and create its file.
-		b := sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, j.im.mt.Len())
+		b := sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, j.im.mt.Len(), &d.spares)
 		it := j.im.mt.Iterator()
 		for it.Next() {
 			if err := b.Add(it.Entry()); err != nil {
@@ -58,8 +58,8 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 		return now, false
 	}
 	// Commit: sync metadata, install in L0 (newest first), persist the
-	// new version in the manifest, release the memtable and its WAL
-	// segment.
+	// new version in the manifest, release the memtable's arena chunks
+	// and its WAL segment.
 	if now, err = d.fs.Sync(now); err != nil {
 		d.fatal = deverr.Latch(err)
 		j.abort()
@@ -91,6 +91,7 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 			break
 		}
 	}
+	j.im.mt.Release()
 	if j.im.walW != nil {
 		var err error
 		now, err = j.im.walW.Recycle(now)

@@ -275,7 +275,7 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 		walID:       st.walID,
 		manifestSeq: st.writeSeq,
 	}
-	d.mem = memtable.New(rng.Split())
+	d.mem = memtable.New(rng.Split(), &d.chunks)
 	// Reopen every table named by the manifest.
 	for li, names := range st.levels {
 		if li >= len(d.levels) {

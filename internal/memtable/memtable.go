@@ -3,6 +3,11 @@
 // footprint so the engine can rotate memtables at the configured size,
 // which is what paces flushes — and therefore the whole write path — in
 // the simulation.
+//
+// A memtable carves its nodes, towers and key/value bytes from
+// fixed-size arena chunks taken from a Chunks free list; Release gives
+// them back once the memtable has been flushed, so the next memtable
+// reuses them instead of allocating its own.
 package memtable
 
 import (
@@ -15,13 +20,55 @@ import (
 const maxHeight = 16
 
 // Arena chunk sizes. Chunks are fixed-size and never reallocated, so
-// pointers into them stay valid; a memtable's entire footprint is a
-// handful of chunks that die together when the memtable is flushed.
+// pointers into them stay valid for the memtable's lifetime; only a
+// value longer than byteChunk gets a chunk of its own size, which is
+// never recycled.
 const (
 	nodeChunk = 256      // nodes per chunk
 	ptrChunk  = 1024     // tower pointers per chunk
 	byteChunk = 16 << 10 // key/value bytes per chunk
 )
+
+// maxFreeChunks bounds each kind of a Chunks list: at most 6 MiB of
+// node chunks, 2 MiB of tower-pointer chunks and 4 MiB of byte chunks,
+// more than one memtable of the benchmark's LSM cells carves (26, 9 and
+// 7 chunks at lsm-write). A larger memtable recycles this many and
+// leaves the rest to the garbage collector.
+const maxFreeChunks = 256
+
+// Chunks is a free list of arena chunks, one per kind. A DB keeps one
+// for all its memtables: Release returns a flushed memtable's chunks,
+// New's memtables carve from them. It is not safe for concurrent use.
+type Chunks struct {
+	nodes [][]node
+	ptrs  [][]*node
+	bytes [][]byte
+}
+
+// takeChunk pops a chunk from list, cleared so no stale pointer
+// survives into the new memtable, or makes one of size when list is
+// empty.
+func takeChunk[T any](list *[][]T, size int) []T {
+	if len(*list) == 0 {
+		return make([]T, 0, size)
+	}
+	n := len(*list) - 1
+	c := (*list)[n]
+	(*list)[n] = nil
+	*list = (*list)[:n]
+	clear(c[:cap(c)])
+	return c[:0]
+}
+
+// putChunks appends chunks to list, up to maxFreeChunks.
+func putChunks[T any](list *[][]T, chunks [][]T) {
+	for _, c := range chunks {
+		if len(*list) == maxFreeChunks {
+			return
+		}
+		*list = append(*list, c[:0])
+	}
+}
 
 // node is one skiplist entry. The tower is a variable-height slice carved
 // from the memtable's pointer arena: the average tower height is 4/3
@@ -39,43 +86,66 @@ type node struct {
 // this matches RocksDB's effective behaviour while keeping byte
 // accounting simple.
 //
-// All node, tower and key storage comes from per-memtable arenas, so the
-// steady-state Put path performs no heap allocation beyond the amortized
-// arena chunk refills.
+// All node, tower and key/value storage comes from arena chunks, so the
+// steady-state Put path performs no heap allocation beyond taking a
+// chunk when the current one is full — and none at all once its DB's
+// Chunks list holds a flushed memtable's chunks.
 type Memtable struct {
 	head   *node
 	height int
 	rng    *sim.RNG
+	free   *Chunks // where chunks come from and where Release returns them
 
 	entries  int
 	sizeEst  int64 // approximate payload bytes (keys + values + overhead)
 	overhead int64 // per-entry bookkeeping estimate
 
-	nodes []node  // current node chunk; nodesUsed entries consumed
-	ptrs  []*node // current tower-pointer chunk
-	bytes []byte  // current key/value byte chunk
+	// The current chunk of each kind; its length counts what has been
+	// carved from it.
+	nodes []node
+	ptrs  []*node
+	bytes []byte
+	// own lists every recyclable chunk taken, current ones included.
+	own Chunks
 }
 
-// New creates an empty memtable; rng drives skiplist tower heights.
-func New(rng *sim.RNG) *Memtable {
+// New creates an empty memtable; rng drives skiplist tower heights and
+// free supplies the arena chunks (nil gives the memtable a list of its
+// own).
+func New(rng *sim.RNG, free *Chunks) *Memtable {
+	if free == nil {
+		free = new(Chunks)
+	}
 	m := &Memtable{
 		height:   1,
 		rng:      rng,
+		free:     free,
 		overhead: 32,
 	}
 	m.head = m.newNode(maxHeight)
 	return m
 }
 
+// Release returns the memtable's chunks to its free list. The memtable
+// and every entry, key and value read from it must not be used again.
+func (m *Memtable) Release() {
+	putChunks(&m.free.nodes, m.own.nodes)
+	putChunks(&m.free.ptrs, m.own.ptrs)
+	putChunks(&m.free.bytes, m.own.bytes)
+	*m = Memtable{}
+}
+
 // newNode carves a node with a tower of the given height from the arenas.
 func (m *Memtable) newNode(height int) *node {
 	if len(m.nodes) == cap(m.nodes) {
-		m.nodes = make([]node, 0, nodeChunk)
+		m.nodes = takeChunk(&m.free.nodes, nodeChunk)
+		m.own.nodes = append(m.own.nodes, m.nodes)
 	}
 	m.nodes = m.nodes[:len(m.nodes)+1]
 	n := &m.nodes[len(m.nodes)-1]
 	if cap(m.ptrs)-len(m.ptrs) < height {
-		m.ptrs = make([]*node, 0, ptrChunk)
+		m.ptrs = takeChunk(&m.free.ptrs, ptrChunk)
+		m.own.ptrs = append(m.own.ptrs, m.ptrs)
 	}
 	u := len(m.ptrs)
 	m.ptrs = m.ptrs[:u+height]
@@ -89,11 +159,12 @@ func (m *Memtable) cloneBytes(b []byte) []byte {
 		return nil
 	}
 	if cap(m.bytes)-len(m.bytes) < len(b) {
-		size := byteChunk
-		if len(b) > size {
-			size = len(b)
+		if len(b) > byteChunk {
+			m.bytes = make([]byte, 0, len(b))
+		} else {
+			m.bytes = takeChunk(&m.free.bytes, byteChunk)
+			m.own.bytes = append(m.own.bytes, m.bytes)
 		}
-		m.bytes = make([]byte, 0, size)
 	}
 	u := len(m.bytes)
 	m.bytes = m.bytes[:u+len(b)]

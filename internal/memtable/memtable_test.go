@@ -10,7 +10,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newMT() *Memtable { return New(sim.NewRNG(1)) }
+func newMT() *Memtable { return New(sim.NewRNG(1), nil) }
 
 func TestPutGet(t *testing.T) {
 	m := newMT()
@@ -127,7 +127,7 @@ func TestKeyIsCopied(t *testing.T) {
 // Property: memtable matches a reference map under random workloads.
 func TestMemtableMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
-		m := New(sim.NewRNG(seed))
+		m := New(sim.NewRNG(seed), nil)
 		ref := map[uint64]uint64{} // id -> latest seq
 		seq := uint64(0)
 		rng := sim.NewRNG(seed + 1)
@@ -182,5 +182,95 @@ func TestPutAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20000, put); allocs > 0.1 {
 		t.Fatalf("Put allocates %.3f objects/op, want ~0", allocs)
+	}
+}
+
+// TestRecycledChunksMatchFresh fills a memtable past several chunks of
+// each kind, releases it, and replays one operation sequence into a
+// memtable carved from the released chunks and into a fresh one with
+// the same RNG: every Get and the full iteration must agree, and no
+// pointer from the released memtable may survive in the reused chunks.
+func TestRecycledChunksMatchFresh(t *testing.T) {
+	free := new(Chunks)
+	value := func(id, gen uint64) []byte {
+		if id%5 == 0 {
+			return nil // accounting-mode entry
+		}
+		v := make([]byte, 1+id%200)
+		kv.SynthValue(v, kv.EncodeKey(id), gen)
+		return v
+	}
+	old := New(sim.NewRNG(3), free)
+	for id := uint64(0); id < 3000; id++ {
+		old.Put(kv.EncodeKey(id*3), value(id, 1), 64, id, false)
+	}
+	if len(old.own.nodes) < 2 || len(old.own.ptrs) < 2 || len(old.own.bytes) < 2 {
+		t.Fatalf("old memtable spans %d/%d/%d chunks, want several of each",
+			len(old.own.nodes), len(old.own.ptrs), len(old.own.bytes))
+	}
+	released := map[*node]bool{}
+	for _, c := range old.own.nodes {
+		released[&c[:1][0]] = true
+	}
+	old.Release()
+
+	reused := New(sim.NewRNG(9), free)
+	fresh := New(sim.NewRNG(9), nil)
+	rng := sim.NewRNG(11)
+	for seq := uint64(1); seq <= 4000; seq++ {
+		id := rng.Uint64n(2500)
+		del := rng.Uint64n(10) == 0
+		v := value(id, seq)
+		if del {
+			v = nil
+		}
+		reused.Put(kv.EncodeKey(id*2), v, 32, seq, del)
+		fresh.Put(kv.EncodeKey(id*2), v, 32, seq, del)
+	}
+	for _, c := range reused.own.nodes {
+		if !released[&c[:1][0]] {
+			t.Fatal("the new memtable took a fresh node chunk while released ones were free")
+		}
+	}
+	for _, n := range reused.nodes[len(reused.nodes):cap(reused.nodes)] {
+		if n.tower != nil || n.entry.Key != nil || n.entry.Value != nil {
+			t.Fatal("an uncarved node still holds a released memtable's pointers")
+		}
+	}
+	for _, p := range reused.ptrs[len(reused.ptrs):cap(reused.ptrs)] {
+		if p != nil {
+			t.Fatal("an uncarved tower slot still points into a released memtable")
+		}
+	}
+	if reused.Len() != fresh.Len() || reused.SizeBytes() != fresh.SizeBytes() {
+		t.Fatalf("reused holds %d entries / %d bytes, fresh %d / %d",
+			reused.Len(), reused.SizeBytes(), fresh.Len(), fresh.SizeBytes())
+	}
+	sameEntry := func(a, b *kv.Entry) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value) &&
+			(a.Value == nil) == (b.Value == nil) && a.ValueLen == b.ValueLen &&
+			a.Seq == b.Seq && a.Deleted == b.Deleted
+	}
+	for id := uint64(0); id < 9000; id++ {
+		k := kv.EncodeKey(id)
+		if a, b := reused.Get(k), fresh.Get(k); !sameEntry(a, b) {
+			t.Fatalf("Get(%d): reused %+v, fresh %+v", id, a, b)
+		}
+	}
+	ri, fi := reused.Iterator(), fresh.Iterator()
+	for n := 0; ; n++ {
+		rok, fok := ri.Next(), fi.Next()
+		if rok != fok {
+			t.Fatalf("iterations differ in length at entry %d", n)
+		}
+		if !rok {
+			break
+		}
+		if !sameEntry(ri.Entry(), fi.Entry()) {
+			t.Fatalf("entry %d: reused %+v, fresh %+v", n, ri.Entry(), fi.Entry())
+		}
 	}
 }

@@ -13,7 +13,7 @@ func BenchmarkSSTableBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld := NewBuilder(4096, DefaultBlockBytes, false, 0)
+		bld := NewBuilder(4096, DefaultBlockBytes, false, 0, nil)
 		for j := range entries {
 			if err := bld.Add(&entries[j]); err != nil {
 				b.Fatal(err)
@@ -24,7 +24,7 @@ func BenchmarkSSTableBuild(b *testing.B) {
 }
 
 func BenchmarkBloomFilter(b *testing.B) {
-	bl := newBloom(100000)
+	bl := newBloom(100000, new(Spares))
 	for i := uint64(0); i < 100000; i++ {
 		bl.Add(kv.EncodeKey(i))
 	}

@@ -8,6 +8,15 @@ import (
 // bloomBitsPerKey matches RocksDB's default full-filter sizing.
 const bloomBitsPerKey = 10
 
+// bloomProbes is the probe count writers use (≈ 0.69 * bitsPerKey).
+// maxBloomProbes bounds what a table file may declare: each probe is a
+// loop iteration of every lookup, so a damaged count near 2^32 would
+// make one lookup spin for seconds.
+const (
+	bloomProbes    = 7
+	maxBloomProbes = 32
+)
+
 // Bloom is a split-free classic Bloom filter with double hashing.
 type Bloom struct {
 	bits  []byte
@@ -21,17 +30,19 @@ func newBloomBits(bitArray []byte, k, nbits uint32) Bloom {
 	return Bloom{bits: bitArray, k: k, nbits: nbits, mod: ^uint64(0)/uint64(nbits) + 1}
 }
 
-// newBloom sizes a filter for n keys.
-func newBloom(n int) Bloom {
-	if n < 1 {
-		n = 1
-	}
-	nbits := uint32(n * bloomBitsPerKey)
-	if nbits < 64 {
-		nbits = 64
-	}
-	const k = 7 // ≈ 0.69 * bitsPerKey
-	return newBloomBits(make([]byte, (nbits+7)/8), k, nbits)
+// bloomBitCount is the one sizing rule: bloomBitsPerKey bits per key,
+// at least 64 bits.
+func bloomBitCount(n int) uint32 {
+	return uint32(max(n*bloomBitsPerKey, 64))
+}
+
+// newBloom makes an empty filter for n keys, its bits taken from spares.
+func newBloom(n int, spares *Spares) Bloom {
+	nbits := bloomBitCount(n)
+	size := int(nbits+7) / 8
+	bits := spares.bloom.take(size)[:size]
+	clear(bits)
+	return newBloomBits(bits, bloomProbes, nbits)
 }
 
 // hash64 is FNV-1a over the key.
@@ -81,14 +92,7 @@ func (b *Bloom) mayContain(h uint64) bool {
 // without building it — the accounting path sizes the filter section
 // lazily.
 func bloomSizeBytes(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	nbits := uint32(n * bloomBitsPerKey)
-	if nbits < 64 {
-		nbits = 64
-	}
-	return int(nbits+7)/8 + 8
+	return int(bloomBitCount(n)+7)/8 + 8
 }
 
 // encode serializes the filter (k, nbits, bits).
@@ -108,7 +112,7 @@ func decodeBloom(buf []byte) (Bloom, bool) {
 	k := binary.LittleEndian.Uint32(buf[0:])
 	nbits := binary.LittleEndian.Uint32(buf[4:])
 	need := int(nbits+7) / 8
-	if k == 0 || nbits == 0 || need > len(buf)-8 {
+	if k == 0 || k > maxBloomProbes || nbits == 0 || need > len(buf)-8 {
 		return Bloom{}, false
 	}
 	return newBloomBits(append([]byte(nil), buf[8:8+need]...), k, nbits), true

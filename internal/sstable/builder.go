@@ -3,8 +3,8 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
 
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
@@ -20,6 +20,7 @@ type Builder struct {
 	pageSize    int
 	targetBlock int // data block payload target, bytes
 	content     bool
+	spares      *Spares // where the side index's arrays come from
 
 	// Side index under construction.
 	keyArena   []byte
@@ -37,7 +38,7 @@ type Builder struct {
 	lastKey       []byte
 	mixed         bool // some key is not kv.KeySize bytes (see Table.seal)
 
-	data      []byte // serialized data blocks (content mode only)
+	data      []byte // serialized data blocks (content mode only; scratch from spares)
 	dataBytes int64  // logical payload bytes
 }
 
@@ -46,46 +47,41 @@ const DefaultBlockBytes = 32 << 10
 
 // NewBuilder creates a builder. pageSize is the device page size; content
 // selects whether real bytes are produced. entryHint is the expected
-// entry count (0 if unknown): the side index under construction is
-// presized for that many entries (16-byte keys assumed — a high estimate
-// just wastes some slack), which converts the O(log n) reallocation churn
-// of appending into a single right-sized allocation per column. Flush and
-// compaction jobs know their input entry counts exactly, so their builder
-// slices never regrow.
-func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int) *Builder {
+// entry count (0 if unknown): each per-entry column of the side index
+// under construction is the smallest array in spares with room for that
+// many entries (16-byte keys assumed — a high estimate just wastes some
+// slack), so appending never regrows it. Flush and compaction jobs know
+// their input entry counts, and their DB's spares hold the arrays of the
+// tables its compactions removed, so in steady state a builder allocates
+// no column. The block index and content mode's value arena and data
+// scratch, whose sizes the hint does not give, grow by trading arrays
+// with spares. A nil spares gives the builder a list of its own.
+func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spares *Spares) *Builder {
 	if targetBlockBytes <= 0 {
 		targetBlockBytes = DefaultBlockBytes
 	}
 	if entryHint < 0 {
 		entryHint = 0
 	}
+	if spares == nil {
+		spares = new(Spares)
+	}
 	b := &Builder{
 		pageSize:    pageSize,
 		targetBlock: targetBlockBytes,
 		content:     content,
-	}
-	if entryHint > 0 {
-		b.keyArena = make([]byte, 0, entryHint*16)
-		b.keyOffsets = append(make([]uint32, 0, entryHint+1), 0)
-		b.seqs = make([]uint64, 0, entryHint)
-		b.vlens = make([]uint32, 0, entryHint)
-		b.dels = make([]byte, 0, entryHint)
-	} else {
-		b.keyOffsets = []uint32{0}
+		spares:      spares,
+		keyArena:    spares.keyArena.take(entryHint * kv.KeySize),
+		keyOffsets:  append(spares.keyOffsets.take(entryHint+1), 0),
+		seqs:        spares.seqs.take(entryHint),
+		vlens:       spares.vlens.take(entryHint),
+		dels:        spares.dels.take(entryHint),
 	}
 	if content {
-		b.data = (*contentBufPool.Get().(*[]byte))[:0]
+		b.valOffsets = append(spares.valOffsets.take(entryHint+1), 0)
+		b.data = spares.data.take(0)
 	}
 	return b
-}
-
-// contentBufPool recycles the serialized-data scratch of content-mode
-// builders (block buffers): Finish copies the laid-out bytes into the
-// final image and returns the scratch here. Pointers to slices are
-// pooled (not slice values) so Put/Get do not box a fresh interface
-// allocation per cycle.
-var contentBufPool = sync.Pool{
-	New: func() any { return new([]byte) },
 }
 
 // NumEntries returns the number of entries added so far.
@@ -130,15 +126,14 @@ func (b *Builder) Add(e *kv.Entry) error {
 		binary.LittleEndian.PutUint16(hdr[1:], uint16(len(e.Key)))
 		binary.LittleEndian.PutUint32(hdr[3:], uint32(vl))
 		binary.LittleEndian.PutUint64(hdr[7:], e.Seq)
+		b.data = b.spares.data.grow(b.data, sz)
 		b.data = append(b.data, hdr[:]...)
 		b.data = append(b.data, e.Key...)
 		b.data = append(b.data, e.Value...)
 		// Retain the value in the side index (arena-packed, like keys):
 		// compactions merge through it, and their output blocks must
 		// carry the real bytes.
-		if b.valOffsets == nil {
-			b.valOffsets = []uint32{0}
-		}
+		b.valArena = b.spares.valArena.grow(b.valArena, len(e.Value))
 		b.valArena = append(b.valArena, e.Value...)
 		b.valOffsets = append(b.valOffsets, uint32(len(b.valArena)))
 	}
@@ -155,10 +150,11 @@ func (b *Builder) Add(e *kv.Entry) error {
 // layout, matching the merge loop's skip-before-Add). The walk stops
 // once the builder's data bytes reach limitBytes (checked after each
 // appended entry, mirroring the per-entry roll check) and returns the
-// next unconsumed index. Accounting mode only.
-func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int64) int {
+// next unconsumed index. Accounting mode only: a content-mode builder or
+// table is an error, and appends nothing.
+func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int64) (int, error) {
 	if b.content || t.content {
-		panic("sstable: AppendTableRange is accounting-mode only")
+		return i, errors.New("sstable: AppendTableRange is accounting-mode only")
 	}
 	for ; i < j; i++ {
 		if drop && t.dels[i] == 1 {
@@ -189,7 +185,7 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 	if n := len(b.seqs); n > 0 {
 		b.lastKey = b.keyArena[b.keyOffsets[n-1]:b.keyOffsets[n]]
 	}
-	return i
+	return i, nil
 }
 
 // finishBlock closes the current data block, page-aligning the next one.
@@ -198,6 +194,7 @@ func (b *Builder) finishBlock() {
 		return
 	}
 	pages := int32((b.curBlockBytes + b.pageSize - 1) / b.pageSize)
+	b.blocks = b.spares.blocks.grow(b.blocks, 1)
 	b.blocks = append(b.blocks, blockMeta{
 		firstEntry: b.curBlockFirst,
 		startPage:  b.nextPage,
@@ -208,6 +205,7 @@ func (b *Builder) finishBlock() {
 		// Pad the serialized data to the page boundary.
 		pad := int(int64(b.nextPage)*int64(b.pageSize)) - len(b.data)
 		if pad > 0 {
+			b.data = b.spares.data.grow(b.data, pad)
 			b.data = append(b.data, make([]byte, pad)...)
 		}
 	}
@@ -237,7 +235,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	// serialized into the file image.
 	var bloom Bloom
 	if b.content {
-		bloom = newBloom(n)
+		bloom = newBloom(n, b.spares)
 		for i := 0; i < n; i++ {
 			bloom.Add(b.keyArena[b.keyOffsets[i]:b.keyOffsets[i+1]])
 		}
@@ -271,6 +269,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		filePages:  totalPages,
 		pageSize:   b.pageSize,
 		content:    b.content,
+		spares:     b.spares,
 	}
 	t.seal(b.mixed)
 
@@ -282,8 +281,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	if b.content {
 		data := make([]byte, totalPages*int64(b.pageSize))
 		copy(data, b.data)
-		scratch := b.data[:0]
-		contentBufPool.Put(&scratch)
+		b.spares.data.put(b.data)
 		b.data = nil
 		off := int64(b.nextPage) * int64(b.pageSize)
 		// Index block: count then 16 bytes per block.

@@ -71,6 +71,7 @@ type Table struct {
 	filePages int64
 	pageSize  int
 	content   bool
+	spares    *Spares // the builder's free list; nil for a table opened from a file
 }
 
 // seal records the key-width shape of a finished side index. mixed
@@ -220,10 +221,10 @@ func (t *Table) Position(p *Probe) int {
 // first probe, from the in-memory side index — its bits are a pure
 // function of the key set, so the lazy build answers exactly like an
 // eager one while write-only runs never pay for filters on tables that
-// die unprobed.
+// die unprobed. The bits come from the table's spares.
 func (t *Table) mayContain(p *Probe) bool {
 	if t.bloom.bits == nil {
-		t.bloom = newBloom(t.numEntries)
+		t.bloom = newBloom(t.numEntries, t.spares)
 		for i := 0; i < t.numEntries; i++ {
 			t.bloom.Add(t.key(i))
 		}
@@ -234,7 +235,8 @@ func (t *Table) mayContain(p *Probe) bool {
 // Get looks up the probe's key, charging the device for the data-block
 // read when the Bloom filter passes. found=false with no I/O charge is
 // the fast negative path. In content mode the value is parsed from the
-// block bytes; in accounting mode the value is nil (metadata only).
+// block bytes, read into a buffer of this call's own; in accounting mode
+// the value is nil (metadata only).
 func (t *Table) Get(now sim.Duration, p *Probe) (done sim.Duration, e kv.Entry, found bool, err error) {
 	done = now
 	if !t.mayContain(p) {
@@ -270,8 +272,8 @@ func (t *Table) Get(now sim.Duration, p *Probe) (done sim.Duration, e kv.Entry, 
 	return done, e, true, nil
 }
 
-// blockEntryValue walks a serialized data block and returns a copy of the
-// value of the idx-th entry in it.
+// blockEntryValue walks a serialized data block and returns the value of
+// the idx-th entry in it, aliasing block.
 func blockEntryValue(block []byte, idx int) ([]byte, error) {
 	off := 0
 	for i := 0; ; i++ {
@@ -284,9 +286,7 @@ func blockEntryValue(block []byte, idx int) ([]byte, error) {
 			return nil, fmt.Errorf("sstable: corrupt block (entry %d overruns block)", i)
 		}
 		if i == idx {
-			v := make([]byte, vl)
-			copy(v, block[off+entryHeaderSize+kl:off+entryHeaderSize+kl+vl])
-			return v, nil
+			return block[off+entryHeaderSize+kl : off+entryHeaderSize+kl+vl], nil
 		}
 		off += entryHeaderSize + kl + vl
 	}

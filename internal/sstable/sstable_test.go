@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,7 +47,7 @@ func newTestFS(t testing.TB, content bool) (*extfs.FS, *blockdev.Device) {
 // buildTable builds and installs a table with the given entries.
 func buildTable(t testing.TB, fs *extfs.FS, name string, content bool, entries []kv.Entry) *Table {
 	t.Helper()
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content, 0)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content, 0, nil)
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
@@ -217,7 +218,7 @@ func TestIteratorFullScan(t *testing.T) {
 }
 
 func TestBuilderRejectsOutOfOrder(t *testing.T) {
-	b := NewBuilder(4096, DefaultBlockBytes, false, 0)
+	b := NewBuilder(4096, DefaultBlockBytes, false, 0, nil)
 	if err := b.Add(&kv.Entry{Key: kv.EncodeKey(5), ValueLen: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 func TestSizeAccountingConsistency(t *testing.T) {
 	// Logical size must be identical in content and accounting modes.
 	build := func(content bool) (int64, int64) {
-		b := NewBuilder(4096, DefaultBlockBytes, content, 0)
+		b := NewBuilder(4096, DefaultBlockBytes, content, 0, nil)
 		for _, e := range synthEntries(250, 123, content) {
 			if err := b.Add(&e); err != nil {
 				t.Fatal(err)
@@ -330,7 +331,7 @@ func TestSizeAccountingConsistency(t *testing.T) {
 func TestChunkedWriteMatchesWholeWrite(t *testing.T) {
 	fs, dev := newTestFS(t, false)
 	entries := synthEntries(2000, 200, false)
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false, 0)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false, 0, nil)
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
@@ -452,7 +453,7 @@ func sortUint64(s []uint64) {
 }
 
 func TestBloomFilterBasics(t *testing.T) {
-	b := newBloom(100)
+	b := newBloom(100, new(Spares))
 	for i := 0; i < 100; i++ {
 		b.Add(kv.EncodeKey(uint64(i)))
 	}
@@ -500,7 +501,7 @@ func TestBloomModBits(t *testing.T) {
 }
 
 func TestBloomEncodeDecode(t *testing.T) {
-	b := newBloom(50)
+	b := newBloom(50, new(Spares))
 	for i := 0; i < 50; i++ {
 		b.Add(kv.EncodeKey(uint64(i * 7)))
 	}
@@ -516,5 +517,22 @@ func TestBloomEncodeDecode(t *testing.T) {
 	}
 	if _, ok := decodeBloom([]byte{1, 2}); ok {
 		t.Fatal("short buffer should fail decode")
+	}
+	// A damaged probe count near 2^32 over all-ones bits would make every
+	// lookup loop billions of times; it must not decode.
+	for i := range enc[8:] {
+		enc[8+i] = 0xFF
+	}
+	binary.LittleEndian.PutUint32(enc, 0xFFFFFFF0)
+	if _, ok := decodeBloom(enc); ok {
+		t.Fatal("a probe count near 2^32 should fail decode")
+	}
+	binary.LittleEndian.PutUint32(enc, maxBloomProbes+1)
+	if _, ok := decodeBloom(enc); ok {
+		t.Fatalf("a probe count of %d should fail decode", maxBloomProbes+1)
+	}
+	binary.LittleEndian.PutUint32(enc, maxBloomProbes)
+	if _, ok := decodeBloom(enc); !ok {
+		t.Fatalf("a probe count of %d should decode", maxBloomProbes)
 	}
 }
