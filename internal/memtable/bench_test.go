@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkMemtablePut(b *testing.B) {
-	m := New(sim.NewRNG(1), nil)
+	m := New(sim.NewRNG(1), new(Chunks))
 	key := make([]byte, kv.KeySize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -18,7 +18,7 @@ func BenchmarkMemtablePut(b *testing.B) {
 }
 
 func BenchmarkMemtableGet(b *testing.B) {
-	m := New(sim.NewRNG(1), nil)
+	m := New(sim.NewRNG(1), new(Chunks))
 	for i := uint64(0); i < 100000; i++ {
 		m.Put(kv.EncodeKey(i), nil, 128, i, false)
 	}

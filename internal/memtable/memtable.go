@@ -110,12 +110,8 @@ type Memtable struct {
 }
 
 // New creates an empty memtable; rng drives skiplist tower heights and
-// free supplies the arena chunks (nil gives the memtable a list of its
-// own).
+// free supplies the arena chunks.
 func New(rng *sim.RNG, free *Chunks) *Memtable {
-	if free == nil {
-		free = new(Chunks)
-	}
 	m := &Memtable{
 		height:   1,
 		rng:      rng,

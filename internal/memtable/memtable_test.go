@@ -10,7 +10,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newMT() *Memtable { return New(sim.NewRNG(1), nil) }
+func newMT() *Memtable { return New(sim.NewRNG(1), new(Chunks)) }
 
 func TestPutGet(t *testing.T) {
 	m := newMT()
@@ -127,7 +127,7 @@ func TestKeyIsCopied(t *testing.T) {
 // Property: memtable matches a reference map under random workloads.
 func TestMemtableMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
-		m := New(sim.NewRNG(seed), nil)
+		m := New(sim.NewRNG(seed), new(Chunks))
 		ref := map[uint64]uint64{} // id -> latest seq
 		seq := uint64(0)
 		rng := sim.NewRNG(seed + 1)
@@ -215,7 +215,7 @@ func TestRecycledChunksMatchFresh(t *testing.T) {
 	old.Release()
 
 	reused := New(sim.NewRNG(9), free)
-	fresh := New(sim.NewRNG(9), nil)
+	fresh := New(sim.NewRNG(9), new(Chunks))
 	rng := sim.NewRNG(11)
 	for seq := uint64(1); seq <= 4000; seq++ {
 		id := rng.Uint64n(2500)

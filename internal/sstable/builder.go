@@ -55,16 +55,13 @@ const DefaultBlockBytes = 32 << 10
 // tables its compactions removed, so in steady state a builder allocates
 // no column. The block index and content mode's value arena and data
 // scratch, whose sizes the hint does not give, grow by trading arrays
-// with spares. A nil spares gives the builder a list of its own.
+// with spares.
 func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spares *Spares) *Builder {
 	if targetBlockBytes <= 0 {
 		targetBlockBytes = DefaultBlockBytes
 	}
 	if entryHint < 0 {
 		entryHint = 0
-	}
-	if spares == nil {
-		spares = new(Spares)
 	}
 	b := &Builder{
 		pageSize:    pageSize,

@@ -41,6 +41,24 @@ func buildWith(t *testing.T, spares *Spares, content bool, entries []kv.Entry) *
 // base is the address of the first element of s's array.
 func base[T any](s []T) *T { return &s[:1][0] }
 
+// spareBases returns the base of every array spares retains.
+func spareBases(s *Spares) map[any]bool {
+	m := map[any]bool{}
+	addBases(m, s.keyArena, s.dels, s.bloom, s.valArena, s.data)
+	addBases(m, s.keyOffsets, s.vlens, s.valOffsets)
+	addBases(m, s.seqs)
+	addBases(m, s.blocks)
+	return m
+}
+
+func addBases[T any](m map[any]bool, lists ...freeList[T]) {
+	for _, l := range lists {
+		for _, a := range l.arrays {
+			m[base(a)] = true
+		}
+	}
+}
+
 // TestRecycledArraysMatchFresh releases a table's side-index arrays (its
 // lazily built Bloom bits included) and builds the next table from them:
 // the image must equal a freshly built one byte for byte, and every
@@ -53,27 +71,11 @@ func TestRecycledArraysMatchFresh(t *testing.T) {
 			old := installImage(t, fs, "sst-old", buildWith(t, spares, content, recycleEntries(3000, 2, 0, content)))
 			get(old, kv.EncodeKey(1)) // builds the lazy filter in accounting mode
 			old.Release()
-			released := map[any]bool{}
-			for _, l := range []freeList[byte]{spares.keyArena, spares.dels, spares.bloom, spares.valArena} {
-				for _, a := range l.arrays {
-					released[base(a)] = true
-				}
-			}
-			for _, l := range []freeList[uint32]{spares.keyOffsets, spares.vlens, spares.valOffsets} {
-				for _, a := range l.arrays {
-					released[base(a)] = true
-				}
-			}
-			for _, a := range spares.seqs.arrays {
-				released[base(a)] = true
-			}
-			for _, a := range spares.blocks.arrays {
-				released[base(a)] = true
-			}
+			released := spareBases(spares)
 
 			entries := recycleEntries(2000, 3, 1, content)
 			img := buildWith(t, spares, content, entries)
-			want := buildWith(t, nil, content, entries)
+			want := buildWith(t, new(Spares), content, entries)
 			if img.Pages != want.Pages || img.SizeBytes != want.SizeBytes || !bytes.Equal(img.Data, want.Data) {
 				t.Fatalf("recycled image (%d pages, %d B) differs from fresh (%d pages, %d B)",
 					img.Pages, img.SizeBytes, want.Pages, want.SizeBytes)
@@ -148,7 +150,7 @@ func TestAppendTableRangeRefusesContent(t *testing.T) {
 	fs, _ := newTestFS(t, true)
 	tbl := buildTable(t, fs, "sst-content", true, synthEntries(10, 8, true))
 	for _, content := range []bool{false, true} {
-		b := NewBuilder(4096, DefaultBlockBytes, content, 0, nil)
+		b := NewBuilder(4096, DefaultBlockBytes, content, 0, new(Spares))
 		next, err := b.AppendTableRange(tbl, 2, 8, false, 1<<62)
 		if err == nil || next != 2 || b.NumEntries() != 0 {
 			t.Fatalf("content builder=%v: AppendTableRange = %d, %v with %d entries appended", content, next, err, b.NumEntries())

@@ -47,7 +47,7 @@ func newTestFS(t testing.TB, content bool) (*extfs.FS, *blockdev.Device) {
 // buildTable builds and installs a table with the given entries.
 func buildTable(t testing.TB, fs *extfs.FS, name string, content bool, entries []kv.Entry) *Table {
 	t.Helper()
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content, 0, nil)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, content, 0, new(Spares))
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestIteratorFullScan(t *testing.T) {
 }
 
 func TestBuilderRejectsOutOfOrder(t *testing.T) {
-	b := NewBuilder(4096, DefaultBlockBytes, false, 0, nil)
+	b := NewBuilder(4096, DefaultBlockBytes, false, 0, new(Spares))
 	if err := b.Add(&kv.Entry{Key: kv.EncodeKey(5), ValueLen: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 func TestSizeAccountingConsistency(t *testing.T) {
 	// Logical size must be identical in content and accounting modes.
 	build := func(content bool) (int64, int64) {
-		b := NewBuilder(4096, DefaultBlockBytes, content, 0, nil)
+		b := NewBuilder(4096, DefaultBlockBytes, content, 0, new(Spares))
 		for _, e := range synthEntries(250, 123, content) {
 			if err := b.Add(&e); err != nil {
 				t.Fatal(err)
@@ -331,7 +331,7 @@ func TestSizeAccountingConsistency(t *testing.T) {
 func TestChunkedWriteMatchesWholeWrite(t *testing.T) {
 	fs, dev := newTestFS(t, false)
 	entries := synthEntries(2000, 200, false)
-	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false, 0, nil)
+	b := NewBuilder(fs.PageSize(), DefaultBlockBytes, false, 0, new(Spares))
 	for i := range entries {
 		if err := b.Add(&entries[i]); err != nil {
 			t.Fatal(err)
