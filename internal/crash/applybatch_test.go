@@ -82,7 +82,7 @@ func TestApplyBatchClassifies(t *testing.T) {
 							}
 							model := kvtest.NewModel()
 							model.Put(id, oldVal)
-							ops := []opRec{{kind: kind, id: id, val: newVal}}
+							ops := []kvtest.Op{{Kind: kind, ID: id, Val: newVal}}
 							// The scripted read returns a value the model
 							// does not allow, so a checked read fails the
 							// trial and a skipped one cannot.
@@ -127,7 +127,7 @@ func TestApplyBatchClassifies(t *testing.T) {
 	model := kvtest.NewModel()
 	model.Put(keyOn[0], oldVal)
 	ok := store.Completion{Kind: store.Get, Found: true, Value: oldVal}
-	if err := applyBatch(ReplicaKill, model, []opRec{{kind: store.Get, id: keyOn[0]}}, []store.Completion{ok}, false, victimShard, shards); err != nil {
+	if err := applyBatch(ReplicaKill, model, []kvtest.Op{{Kind: store.Get, ID: keyOn[0]}}, []store.Completion{ok}, false, victimShard, shards); err != nil {
 		t.Fatalf("allowed read rejected: %v", err)
 	}
 }

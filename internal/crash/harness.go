@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"path/filepath"
@@ -80,37 +79,6 @@ func Run(spec Spec) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// opRec is one recorded op of the deterministic log.
-type opRec struct {
-	kind store.OpKind
-	id   uint64
-	val  []byte
-}
-
-// genOps builds the seed-determined op log: mostly puts, some deletes
-// and reads, values self-describing (key id, op index, seed) so any
-// stale or cross-wired value is visible on inspection.
-func genOps(spec Spec, seed uint64) []opRec {
-	rng := sim.NewRNG(seed ^ 0x9E3779B97F4A7C15)
-	ops := make([]opRec, spec.Ops)
-	for i := range ops {
-		id := rng.Uint64n(uint64(spec.Keys))
-		switch r := rng.Uint64n(100); {
-		case r < 15:
-			ops[i] = opRec{kind: store.Get, id: id}
-		case r < 30:
-			ops[i] = opRec{kind: store.Delete, id: id}
-		default:
-			val := make([]byte, 24)
-			binary.LittleEndian.PutUint64(val[0:], id)
-			binary.LittleEndian.PutUint64(val[8:], uint64(i))
-			binary.LittleEndian.PutUint64(val[16:], seed)
-			ops[i] = opRec{kind: store.Put, id: id, val: val}
-		}
-	}
-	return ops
 }
 
 // streamSeed numbers a stack's engine RNG stream off base (100 at
@@ -215,7 +183,8 @@ type trial struct {
 // scenario's plan, follows it with the scenario's aftermath and checks
 // the store that results against the model.
 func runTrial(spec Spec, seed uint64, sc *Scenario) (*Report, error) {
-	ops := genOps(spec, seed)
+	ops := kvtest.OpLog{Ops: spec.Ops, Keys: spec.Keys, GetPct: 15, DeletePct: 15, Tag: seed}.
+		Gen(sim.NewRNG(seed ^ 0x9E3779B97F4A7C15))
 	dir, cleanup, err := trialDir(spec, seed)
 	if err != nil {
 		return nil, err
@@ -265,7 +234,7 @@ func runTrial(spec Spec, seed uint64, sc *Scenario) (*Report, error) {
 // whole-log scenario has no cut to wait for: its errors fire
 // probabilistically from the arm point on while the serving layer
 // retries and fails the victim over by itself.
-func (t *trial) serve(ops []opRec) error {
+func (t *trial) serve(ops []kvtest.Op) error {
 	victim := t.env.Stacks[t.rep.CutShard][t.rep.CutReplica].Fault
 	fired := false
 	for start := 0; start < len(ops); start += batchSize {
@@ -420,7 +389,7 @@ func (t *trial) replicaRejoin() error {
 
 // calibrate runs the op log fault-free and returns per-shard,
 // per-replica device write counts.
-func calibrate(spec Spec, ops []opRec, dir string) ([][]int64, error) {
+func calibrate(spec Spec, ops []kvtest.Op, dir string) ([][]int64, error) {
 	env, err := buildEnv(spec, noFaults(spec), dir, false)
 	if err != nil {
 		return nil, err
@@ -481,24 +450,15 @@ func sampleReplicaCut(spec Spec, seed uint64, writes [][]int64) (int, int, int64
 
 // submitBatch submits ops[start:end) with strictly increasing submit
 // times and pumps them to completion.
-func submitBatch(st *store.Store, ops []opRec, start, end int) []store.Completion {
-	for i := start; i < end; i++ {
-		op := store.Op{
-			Client: 0,
-			Submit: sim.Duration(i+1) * 1000, // 1µs apart
-			KeyID:  ops[i].id,
-			Key:    kv.EncodeKey(ops[i].id),
-		}
-		switch ops[i].kind {
-		case store.Put:
-			op.Kind = store.Put
-			op.Value = ops[i].val
-		case store.Delete:
-			op.Kind = store.Delete
-		default:
-			op.Kind = store.Get
-		}
-		st.Submit(op)
+func submitBatch(st *store.Store, ops []kvtest.Op, start, end int) []store.Completion {
+	for i, op := range ops[start:end] {
+		st.Submit(store.Op{
+			Kind:   op.Kind,
+			Submit: sim.Duration(start+i+1) * 1000, // 1µs apart
+			KeyID:  op.ID,
+			Key:    kv.EncodeKey(op.ID),
+			Value:  op.Val,
+		})
 	}
 	return st.Pump()
 }
@@ -518,35 +478,35 @@ func submitBatch(st *store.Store, ops []opRec, start, end int) []store.Completio
 // the window every op must succeed, writes are exact, and reads are
 // held to each key's allowed states (keys from the window stay
 // ambiguous until a later write pins them).
-func applyBatch(sc *Scenario, model *kvtest.Model, ops []opRec, comps []store.Completion, cutBatch bool, victimShard, shards int) error {
+func applyBatch(sc *Scenario, model *kvtest.Model, ops []kvtest.Op, comps []store.Completion, cutBatch bool, victimShard, shards int) error {
 	for _, c := range comps {
 		idx := int(c.Seq)
 		op := ops[idx]
-		inWindow := (cutBatch || sc.wholeLog) && store.ShardOf(op.id, shards) == victimShard
+		inWindow := (cutBatch || sc.wholeLog) && store.ShardOf(op.ID, shards) == victimShard
 		if c.Err != nil && !inWindow {
-			return fmt.Errorf("op %d (%v key %d) failed outside the fault window: %w", idx, op.kind, op.id, c.Err)
+			return fmt.Errorf("op %d (%v key %d) failed outside the fault window: %w", idx, op.Kind, op.ID, c.Err)
 		}
 		ambiguous := inWindow && (sc.machine || c.Err != nil)
-		switch op.kind {
+		switch op.Kind {
 		case store.Put:
 			if ambiguous {
-				model.AllowPut(op.id, op.val)
+				model.AllowPut(op.ID, op.Val)
 			} else {
-				model.Put(op.id, op.val)
+				model.Put(op.ID, op.Val)
 			}
 		case store.Delete:
 			if ambiguous {
-				model.AllowDelete(op.id)
+				model.AllowDelete(op.ID)
 			} else {
-				model.Delete(op.id)
+				model.Delete(op.ID)
 			}
 		default: // Get
 			if inWindow {
 				continue
 			}
-			if !model.Check(op.id, c.Value, c.Found) {
+			if !model.Check(op.ID, c.Value, c.Found) {
 				return fmt.Errorf("op %d: get key %d outside its allowed states (found=%v, ambiguous=%v)",
-					idx, op.id, c.Found, model.Ambiguous(op.id))
+					idx, op.ID, c.Found, model.Ambiguous(op.ID))
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Package crash is the randomized crash-recovery harness: it runs a
-// seed-determined op log against an engine over fault-injecting devices
-// (internal/faultdev), lands a fault on one stack at a sampled write
-// boundary, recovers what the fault took down through the engine
+// seed-determined kvtest.OpLog — 15 % gets, 15 % deletes, the rest puts
+// whose values carry the seed — against an engine over fault-injecting
+// devices (internal/faultdev), lands a fault on one stack at a sampled
+// write boundary, recovers what the fault took down through the engine
 // registry's Recover path, and checks the resulting store against the
 // internal/kvtest reference model — every acknowledged-and-synced write
 // present, every in-flight write either absent or fully intact, scans
@@ -18,6 +19,7 @@ import (
 	"fmt"
 
 	"ptsbench/internal/engine"
+	"ptsbench/internal/kvtest"
 )
 
 // Spec declares one crash-recovery experiment. The zero value is not
@@ -112,18 +114,11 @@ func (s Spec) Validate() (Spec, error) {
 	if s.Ops == 0 {
 		s.Ops = 400
 	}
-	if s.Ops < 1 {
-		return s, fmt.Errorf("crash: ops must be positive (got %d)", s.Ops)
+	log, err := kvtest.OpLog{Ops: s.Ops, Keys: s.Keys}.Validate()
+	if err != nil {
+		return s, fmt.Errorf("crash: %w", err)
 	}
-	if s.Keys == 0 {
-		s.Keys = s.Ops / 8
-		if s.Keys < 16 {
-			s.Keys = 16
-		}
-	}
-	if s.Keys < 1 {
-		return s, fmt.Errorf("crash: keys must be positive (got %d)", s.Keys)
-	}
+	s.Keys = log.Keys
 	if s.Trials == 0 {
 		s.Trials = 1
 	}

@@ -1,5 +1,6 @@
 // Package devdiff is the differential checker between the two device
-// authorities: the same seeded op log is driven through two identical
+// authorities: the same seeded kvtest.OpLog — 15 % gets, 15 % deletes,
+// the rest puts whose values carry the seed — drives two identical
 // engine stacks, one over the simulated flash block device
 // (internal/blockdev with its content store) and one over a real
 // backing file (internal/filedev), and everything logically observable
@@ -18,7 +19,6 @@ package devdiff
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"path/filepath"
@@ -29,6 +29,7 @@ import (
 	"ptsbench/internal/crash"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/kv"
+	"ptsbench/internal/kvtest"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/stack"
 )
@@ -83,18 +84,11 @@ func (s Spec) validate() (Spec, error) {
 	if s.Ops == 0 {
 		s.Ops = 600
 	}
-	if s.Ops < 1 {
-		return s, fmt.Errorf("devdiff: ops must be positive (got %d)", s.Ops)
+	log, err := kvtest.OpLog{Ops: s.Ops, Keys: s.Keys}.Validate()
+	if err != nil {
+		return s, fmt.Errorf("devdiff: %w", err)
 	}
-	if s.Keys == 0 {
-		s.Keys = s.Ops / 8
-		if s.Keys < 16 {
-			s.Keys = 16
-		}
-	}
-	if s.Keys < 1 {
-		return s, fmt.Errorf("devdiff: keys must be positive (got %d)", s.Keys)
-	}
+	s.Keys = log.Keys
 	return s, nil
 }
 
@@ -170,39 +164,16 @@ func diffTunables(eng string) map[string]string {
 // comparing every per-op result, then quiesces both.
 func drive(spec Spec, sstk, fstk *stack.Stack) error {
 	seng, feng := sstk.Engine, fstk.Engine
-	rng := sim.NewRNG(spec.Seed ^ 0xD1FFD1FFD1FFD1FF)
-	val := make([]byte, 24)
-	for i := 0; i < spec.Ops; i++ {
+	log := kvtest.OpLog{Ops: spec.Ops, Keys: spec.Keys, GetPct: 15, DeletePct: 15, Tag: spec.Seed}
+	for i, op := range log.Gen(sim.NewRNG(spec.Seed ^ 0xD1FFD1FFD1FFD1FF)) {
 		now := sim.Duration(i+1) * gridStep
-		id := rng.Uint64n(uint64(spec.Keys))
-		key := kv.EncodeKey(id)
-		switch r := rng.Uint64n(100); {
-		case r < 15:
-			_, sv, sfound, serr := seng.Get(now, key)
-			_, fv, ffound, ferr := feng.Get(now, key)
-			if serr != nil || ferr != nil {
-				return fmt.Errorf("devdiff: op %d get key %d: sim %v, file %v", i, id, serr, ferr)
-			}
-			if sfound != ffound || !bytes.Equal(sv, fv) {
-				return fmt.Errorf("devdiff: op %d get key %d diverged: sim found=%v, file found=%v", i, id, sfound, ffound)
-			}
-		case r < 30:
-			if _, err := seng.Delete(now, key); err != nil {
-				return fmt.Errorf("devdiff: op %d sim delete: %w", i, err)
-			}
-			if _, err := feng.Delete(now, key); err != nil {
-				return fmt.Errorf("devdiff: op %d file delete: %w", i, err)
-			}
-		default:
-			binary.LittleEndian.PutUint64(val[0:], id)
-			binary.LittleEndian.PutUint64(val[8:], uint64(i))
-			binary.LittleEndian.PutUint64(val[16:], spec.Seed)
-			if _, err := seng.Put(now, key, val, 0); err != nil {
-				return fmt.Errorf("devdiff: op %d sim put: %w", i, err)
-			}
-			if _, err := feng.Put(now, key, val, 0); err != nil {
-				return fmt.Errorf("devdiff: op %d file put: %w", i, err)
-			}
+		_, sv, sfound, serr := log.Apply(seng, now, op)
+		_, fv, ffound, ferr := log.Apply(feng, now, op)
+		if serr != nil || ferr != nil {
+			return fmt.Errorf("devdiff: op %d (%v key %d): sim %v, file %v", i, op.Kind, op.ID, serr, ferr)
+		}
+		if sfound != ffound || !bytes.Equal(sv, fv) {
+			return fmt.Errorf("devdiff: op %d (%v key %d) diverged: sim found=%v, file found=%v", i, op.Kind, op.ID, sfound, ffound)
 		}
 		if (i+1)%flushEvery == 0 {
 			// A full flush forces real structure — SSTs, leaves,

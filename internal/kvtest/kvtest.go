@@ -19,6 +19,7 @@ import (
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/store"
 )
 
 // Stack is one freshly opened engine on its own device — simulated
@@ -287,34 +288,31 @@ func testSynthValues(t *testing.T, open Factory) {
 func testReferenceMap(t *testing.T, open Factory) {
 	s := open(t, false) // accounting mode: presence/absence only
 	e := s.Engine
-	rng := sim.NewRNG(77)
-	ref := map[uint64]bool{}
+	log := OpLog{Ops: 3000, Keys: 500, DeletePct: 20, ValueLen: 200}
+	ref := NewModel()
 	var now sim.Duration
 	var err error
-	for i := 0; i < 3000; i++ {
-		id := rng.Uint64n(500)
-		if rng.Uint64n(10) < 2 {
-			now, err = e.Delete(now, kv.EncodeKey(id))
-			ref[id] = false
-		} else {
-			now, err = e.Put(now, kv.EncodeKey(id), nil, 200)
-			ref[id] = true
-		}
-		if err != nil {
+	for _, op := range log.Gen(sim.NewRNG(77)) {
+		if now, _, _, err = log.Apply(e, now, op); err != nil {
 			t.Fatal(err)
+		}
+		if op.Kind == store.Put {
+			ref.Put(op.ID, op.Val)
+		} else {
+			ref.Delete(op.ID)
 		}
 	}
 	now, err = e.FlushAll(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, want := range ref {
-		_, _, found, err := e.Get(now, kv.EncodeKey(id))
+	for _, id := range ref.IDs() {
+		_, v, found, err := e.Get(now, kv.EncodeKey(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if found != want {
-			t.Fatalf("key %d: found=%v, want %v", id, found, want)
+		if !ref.Check(id, v, found) {
+			t.Fatalf("key %d: found=%v, want %v", id, found, ref.MustContain(id))
 		}
 	}
 }
@@ -398,22 +396,11 @@ func testRecovery(t *testing.T, open Factory) {
 // counters.
 func replayScript(t *testing.T, s *Stack) string {
 	e := s.Engine
-	rng := sim.NewRNG(123)
+	log := OpLog{Ops: 4000, Keys: 800, GetPct: 20, DeletePct: 4, ValueLen: 256}
 	var now sim.Duration
 	var err error
-	key := make([]byte, kv.KeySize)
-	for i := 0; i < 4000; i++ {
-		id := rng.Uint64n(800)
-		kv.AppendKey(key, id)
-		switch {
-		case rng.Uint64n(10) < 2:
-			now, _, _, err = e.Get(now, key)
-		case rng.Uint64n(20) == 0:
-			now, err = e.Delete(now, key)
-		default:
-			now, err = e.Put(now, key, nil, 256)
-		}
-		if err != nil {
+	for _, op := range log.Gen(sim.NewRNG(123)) {
+		if now, _, _, err = log.Apply(e, now, op); err != nil {
 			t.Fatal(err)
 		}
 	}
