@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -117,7 +118,32 @@ var (
 	mdSpan     = regexp.MustCompile("`([^`]+)`")
 	goRunDir   = regexp.MustCompile("go run \\./([^\\s`]+)")
 	subcommand = regexp.MustCompile(`(?m)(?:^|[\s/])ptsbench ([a-z][a-z-]*)`)
+	// docName is a pkg.Name or pkg.Type.Member reference that is not
+	// part of a path.
+	docName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 )
+
+// checkedDocs are the documents whose commands and names the doc tests
+// keep resolving, relative to the repository root.
+var checkedDocs = []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// readDoc returns a document's fenced code blocks and the inline code
+// spans outside them.
+func readDoc(t *testing.T, doc string) (fenced, spans []string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	for _, m := range mdFence.FindAllStringSubmatch(text, -1) {
+		fenced = append(fenced, m[1])
+	}
+	for _, m := range mdSpan.FindAllStringSubmatch(mdFence.ReplaceAllString(text, ""), -1) {
+		spans = append(spans, m[1])
+	}
+	return fenced, spans
+}
 
 // TestDocCommandsResolve keeps the commands the docs tell a reader to
 // run pointing at code that exists: in the fenced blocks and inline code
@@ -128,21 +154,10 @@ var (
 func TestDocCommandsResolve(t *testing.T) {
 	root := filepath.Join("..", "..")
 	dispatched := dispatchedSubcommands(t)
-	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
-		data, err := os.ReadFile(filepath.Join(root, doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(data)
-		var code []string
-		for _, m := range mdFence.FindAllStringSubmatch(text, -1) {
-			code = append(code, m[1])
-		}
-		for _, m := range mdSpan.FindAllStringSubmatch(mdFence.ReplaceAllString(text, ""), -1) {
-			code = append(code, m[1])
-		}
+	for _, doc := range checkedDocs {
+		fenced, spans := readDoc(t, doc)
 		runs, cmds := 0, 0
-		for _, c := range code {
+		for _, c := range append(fenced, spans...) {
 			for _, m := range goRunDir.FindAllStringSubmatch(c, -1) {
 				runs++
 				if pkg, err := build.ImportDir(filepath.Join(root, m[1]), 0); err != nil || pkg.Name != "main" {
@@ -160,6 +175,104 @@ func TestDocCommandsResolve(t *testing.T) {
 			t.Errorf("%s: found %d go run and %d ptsbench commands; the scan is broken", doc, runs, cmds)
 		}
 	}
+}
+
+// TestDocNamesResolve keeps the names the docs cite pointing at code
+// that exists: every backticked pkg.Name or pkg.Type.Member in
+// README.md and the verify skill whose pkg is a directory under
+// internal/ must name a top-level declaration of that package's
+// non-test files, or a method, field or interface method of one of its
+// types. A Name is Go when it has an upper-case letter and no
+// underscore: file names (`stack.go`) and the ledger's layer-prefixed
+// metrics (`lsm.flushes`, `engine.put_ns`) are not. Renamed and deleted
+// names are how stale docs used to survive.
+func TestDocNamesResolve(t *testing.T) {
+	names := declaredNames(nonTestFiles(t))
+	for _, doc := range checkedDocs {
+		_, spans := readDoc(t, doc)
+		refs := 0
+		for _, span := range spans {
+			for _, m := range docName.FindAllStringSubmatch(span, -1) {
+				if !names[m[1]] || strings.ToLower(m[2]) == m[2] || strings.Contains(m[2], "_") {
+					continue
+				}
+				refs++
+				ref := m[1] + "." + m[2]
+				if m[3] != "" {
+					ref += "." + m[3]
+				}
+				if !names[ref] {
+					t.Errorf("%s: `%s` names nothing in internal/%s", doc, ref, m[1])
+				}
+			}
+		}
+		if refs == 0 {
+			t.Errorf("%s: found no internal/ names; the scan is broken", doc)
+		}
+	}
+}
+
+// declaredNames is the set of names the docs may cite: each package
+// under internal/ by its directory's base name ("pkg"), its top-level
+// declarations ("pkg.Name"), and its types' methods, struct fields
+// (embedded ones by type name) and interface methods ("pkg.Type.Member").
+func declaredNames(files []sourceFile) map[string]bool {
+	names := map[string]bool{}
+	for _, sf := range files {
+		if !strings.HasPrefix(sf.dir, "internal/") {
+			continue
+		}
+		pkg := path.Base(sf.dir)
+		names[pkg] = true
+		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
+			if recv != "" {
+				names[pkg+"."+recv+"."+id.Name] = true
+			} else {
+				names[pkg+"."+id.Name] = true
+			}
+		})
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			var fields *ast.FieldList
+			switch typ := ts.Type.(type) {
+			case *ast.StructType:
+				fields = typ.Fields
+			case *ast.InterfaceType:
+				fields = typ.Methods
+			default:
+				return false
+			}
+			for _, f := range fields.List {
+				for _, id := range f.Names {
+					names[pkg+"."+ts.Name.Name+"."+id.Name] = true
+				}
+				if len(f.Names) == 0 { // embedded: named by its type
+					if id := typeIdent(f.Type); id != "" {
+						names[pkg+"."+ts.Name.Name+"."+id] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	return names
+}
+
+// typeIdent is the name of a (possibly pointer or qualified) type
+// expression, "" for anything else.
+func typeIdent(x ast.Expr) string {
+	switch e := x.(type) {
+	case *ast.StarExpr:
+		return typeIdent(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
 }
 
 // maxPanics is the number of panic calls non-test code outside
