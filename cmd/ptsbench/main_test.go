@@ -389,6 +389,7 @@ var testSeams = map[string]string{
 	"kvtest.NewFileStack":           "filedev's TestEngineConformanceOverFiles",
 	"kvtest.Run":                    "the conformance suite every engine's tests run",
 	"lsm.DB.LevelSizes":             "TestCompactionsHappenAndLevelsFill, TestPointLookupsAcrossKeyWidths",
+	"store.Sync":                    "the store and replica conformance suites (TestShardedConformance, TestReplicatedConformance)",
 	"workload.OpWrite":              "the zero OpKind, named by the workload and fault-model tests",
 }
 
@@ -428,8 +429,9 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 // internal/ that no file in files names ("pkg.Name", or "pkg.Type.Method"
 // for a method) to its declaration's position. A package-level name is
 // called when another package selects it (pkg.Name) or its own package
-// names it outside its declaration; a method, when any selector names
-// it. Methods in interfaceMethods are not listed.
+// names it outside its declaration and its methods' receivers; a
+// method, when any selector names it. Methods in interfaceMethods are
+// not listed.
 func uncalledExported(files []sourceFile) map[string]string {
 	type decl struct{ key, pkgDir, name, method, pos string }
 	var decls []decl
@@ -470,6 +472,17 @@ func uncalledExported(files []sourceFile) map[string]string {
 		}
 		declared := map[*ast.Ident]bool{}
 		eachTopLevelName(sf.f, func(id *ast.Ident, _ string) { declared[id] = true })
+		for _, dl := range sf.f.Decls {
+			if fn, ok := dl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				// A receiver names the type its method belongs to, not a use.
+				ast.Inspect(fn.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						declared[id] = true
+					}
+					return true
+				})
+			}
+		}
 		sels := map[*ast.Ident]bool{}
 		ast.Inspect(sf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -505,8 +518,9 @@ func uncalledExported(files []sourceFile) map[string]string {
 
 // TestUncalledExportedRules pins what counts as a caller on a small
 // synthetic module: package a declares, package b (importing it as z)
-// calls. Own is named by a's helper and T by its methods' receivers, so
-// neither is ever listed.
+// calls. Own is named by a's helper, so it is never listed; T is named
+// only by its methods' receivers, which are no callers, so it is listed
+// until another package selects it.
 func TestUncalledExportedRules(t *testing.T) {
 	lib := `package a
 type T struct{}
@@ -525,13 +539,13 @@ const Named = 1
 		want       string
 	}{
 		{"a selector from another package calls a func", "z.Used()",
-			"a.Lonely a.Named a.T.Called a.T.Uncalled a.U"},
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U"},
 		{"any selector calls a method", "var x struct{ Called int }; _ = x.Called",
-			"a.Lonely a.Named a.T.Uncalled a.U a.Used"},
-		{"a type and a const are called when selected", "var _ z.U; _ = z.Named",
+			"a.Lonely a.Named a.T a.T.Uncalled a.U a.Used"},
+		{"a type and a const are called when selected", "var _ z.U; var _ z.T; _ = z.Named",
 			"a.Lonely a.T.Called a.T.Uncalled a.Used"},
 		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely",
-			"a.Lonely a.Named a.T.Called a.T.Uncalled a.U a.Used"},
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

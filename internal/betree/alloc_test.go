@@ -54,11 +54,11 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 }
 
 // TestNodeSize bounds the in-memory node, of which the tree keeps one
-// per leaf and interior. 240 bytes is its size before the pivot section
-// moved into cowtree.Node: the bound may come down, and raising it must
-// be a deliberate edit here.
+// per leaf and interior. 208 bytes is its size since the pivot section
+// and the leaf entries moved into cowtree.Node: the bound may come down,
+// and raising it must be a deliberate edit here.
 func TestNodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz > 240 {
-		t.Fatalf("node is %d bytes, bound 240", sz)
+	if sz := unsafe.Sizeof(node{}); sz > 208 {
+		t.Fatalf("node is %d bytes, bound 208", sz)
 	}
 }

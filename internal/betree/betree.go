@@ -175,7 +175,7 @@ func (t *Tree) apply(now sim.Duration, msg cowtree.Record, key, val []byte) (sim
 		if err != nil {
 			return now, err
 		}
-		t.Core.Resize(root.insertLeaf(&t.mem, msg, key, val))
+		t.Core.Resize(root.InsertLeaf(&t.mem.msgs, &t.mem.arena, msg, key, val))
 		t.Core.MarkDirty(&root.Node)
 		t.splitLeafToFit(root)
 		return now, nil
@@ -228,7 +228,7 @@ func (t *Tree) applyToLeaf(now sim.Duration, msg cowtree.Record, key, val []byte
 	if err != nil {
 		return now, err
 	}
-	t.Core.Resize(n.insertLeaf(&t.mem, msg, key, val))
+	t.Core.Resize(n.InsertLeaf(&t.mem.msgs, &t.mem.arena, msg, key, val))
 	t.Core.MarkDirty(&n.Node)
 	t.splitLeafToFit(n)
 	return now, nil
@@ -286,18 +286,15 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 	return now, nil
 }
 
-// splitLeafToFit splits an oversized leaf (repeatedly — a batch apply
-// can leave it several times over budget) and propagates interior
-// splits.
+// splitLeafToFit splits an overfull leaf (see cowtree.Core.SplitLeaf)
+// repeatedly — a batch apply can leave it several times over budget —
+// and propagates interior splits.
 func (t *Tree) splitLeafToFit(leaf *node) {
-	for leaf.Serialized > t.cfg.LeafPageBytes && len(leaf.entries) > 1 {
+	for t.Core.LeafOverfull(&leaf.Node) {
 		right := t.slab.Get()
 		t.register(right)
-		sep := leaf.splitLeaf(&t.mem, right)
-		t.Core.MarkDirty(&right.Node)
-		t.Core.MarkDirty(&leaf.Node)
+		sep := t.Core.SplitLeaf(&t.mem.msgs, &t.mem.arena, &leaf.Node, &right.Node)
 		t.io.LeafSplits++
-		t.Core.AdmitSplit(&leaf.Node, &right.Node, cowtree.PageHeaderBytes)
 		t.insertIntoParent(leaf, sep, right)
 		t.splitLeafToFit(right)
 	}
@@ -374,7 +371,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if now, err = t.Core.LoadForGet(now, &n.Node); err != nil {
 		return now, nil, false, err
 	}
-	e := cowtree.FindRecord(n.entries, target)
+	e := cowtree.FindRecord(n.Entries, target)
 	if e == nil || e.Del() {
 		return now, nil, false, nil
 	}
@@ -419,15 +416,15 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	for !leaf.Leaf {
 		leaf = t.nodes[leaf.Children[leaf.ChildFor(target)]]
 	}
-	idx := leaf.search(target)
+	idx := cowtree.SearchRecords(leaf.Entries, target)
 	for limit > 0 && leaf != nil {
 		now, err = t.Core.Load(now, &leaf.Node)
 		if err != nil {
 			t.Core.Fail(err)
 			return now, nil, err
 		}
-		for ; idx < len(leaf.entries) && limit > 0; idx++ {
-			le := &leaf.entries[idx]
+		for ; idx < len(leaf.Entries) && limit > 0; idx++ {
+			le := &leaf.Entries[idx]
 			// Messages strictly before this key come first; a message for
 			// the same key shadows the leaf entry (it is newer).
 			shadowed := false

@@ -342,20 +342,20 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
 	var m mem
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
-	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
-	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
+	leaf.InsertLeaf(&m.msgs, &m.arena, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	leaf.InsertLeaf(&m.msgs, &m.arena, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := serializeNode(nil, leaf, nil)
 	got, _, ok := parseNode(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	if len(got.entries) != 2 || !bytes.Equal(msgKey(&got.entries[0]), k1) {
-		t.Fatalf("entries wrong: %v", got.entries)
+	if len(got.Entries) != 2 || !bytes.Equal(msgKey(&got.Entries[0]), k1) {
+		t.Fatalf("entries wrong: %v", got.Entries)
 	}
-	if string(got.entries[0].Val()) != "abc" || got.entries[0].Seq() != 7 {
+	if string(got.Entries[0].Val()) != "abc" || got.Entries[0].Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].Del() || got.entries[1].Seq() != 9 || got.entries[1].Vlen() != 64 {
+	if !got.Entries[1].Del() || got.Entries[1].Seq() != 9 || got.Entries[1].Vlen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
 

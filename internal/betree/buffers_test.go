@@ -27,8 +27,8 @@ func checkTree(t *testing.T, tr *Tree) {
 	for _, n := range tr.nodes[1:] {
 		if n.Leaf {
 			sz := cowtree.PageHeaderBytes
-			for i := range n.entries {
-				sz += n.entries[i].Size()
+			for i := range n.Entries {
+				sz += n.Entries[i].Size()
 			}
 			if sz != n.Serialized {
 				t.Fatalf("leaf %d serialized %d, recomputed %d", n.ID, n.Serialized, sz)
@@ -932,8 +932,8 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	}
 	var entryLen, entryCap, msgLen, msgCap int
 	for _, n := range tr.nodes[1:] {
-		entryLen += len(n.entries)
-		entryCap += cap(n.entries)
+		entryLen += len(n.Entries)
+		entryCap += cap(n.Entries)
 		for _, buf := range n.bufs {
 			msgLen += len(buf)
 			msgCap += cap(buf)

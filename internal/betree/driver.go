@@ -1,6 +1,7 @@
 package betree
 
 import (
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/sim"
 )
@@ -22,11 +23,7 @@ func (Driver) Name() string { return "betree" }
 // level read batching is handled by the runner.
 func (Driver) Configure(s engine.Sizing) engine.Config {
 	cfg := NewConfig(s.DatasetBytes)
-	if f := s.CPUScale(); f > 1 {
-		cfg.CPUPutTime *= f
-		cfg.CPUGetTime *= f
-		cfg.CPUPerByte *= f
-	}
+	cfg.ScaleCPU(s)
 	return &cfg
 }
 
@@ -51,14 +48,10 @@ func (c *Config) ApplyTunables(tunables map[string]string) error {
 // Open implements engine.Config. The Bε-tree is deterministic and does
 // not consume env.RNG.
 func (c *Config) Open(env engine.Env) (engine.Engine, error) {
-	cfg := *c
-	cfg.Content = env.Content
-	return Open(env.FS, cfg)
+	return Open(env.FS, cowtree.WithEnv(c, env))
 }
 
 // Recover implements engine.Config.
 func (c *Config) Recover(env engine.Env, now sim.Duration) (engine.Engine, sim.Duration, error) {
-	cfg := *c
-	cfg.Content = env.Content
-	return Recover(env.FS, cfg, now)
+	return Recover(env.FS, cowtree.WithEnv(c, env), now)
 }

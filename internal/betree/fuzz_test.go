@@ -36,7 +36,7 @@ func sameNodeImage(a, b *node, aExts, bExts []fileExtent) string {
 	switch {
 	case a.Leaf != b.Leaf:
 		return "leaf flag"
-	case !sameMsgs(a.entries, b.entries):
+	case !sameMsgs(a.Entries, b.Entries):
 		return "leaf entries"
 	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
 		return "separators"

@@ -31,20 +31,16 @@ type mem struct {
 	scratch []cowtree.Record
 }
 
-// node is an in-memory Bε-tree node: the shared node header (identity,
-// tree position, pivots, dirty flag, on-disk extent, cache residency —
-// see cowtree.Node) plus the payload. Leaves carry entries; interior
-// nodes carry one message buffer per child beside the header's Pivots
-// (one message per key — a newer update overwrites the buffered older
-// one, which is the classic upsert collapse). The header's Serialized
-// is the full serialized size: header + entries for leaves, PivotBytes
-// + bufBytes for interiors (PivotBytes alone is what the fanout budget
-// bounds).
+// node is an in-memory Bε-tree node: the shared node (identity, tree
+// position, pivots, on-disk extent, cache residency and a leaf's
+// entries — see cowtree.Node) plus the interior payload, one message
+// buffer per child beside the Pivots (one message per key — a newer
+// update overwrites the buffered older one, which is the classic upsert
+// collapse). Serialized is the full serialized size: header + entries
+// for leaves, PivotBytes + bufBytes for interiors (PivotBytes alone is
+// what the fanout budget bounds).
 type node struct {
 	cowtree.Node
-
-	// Leaf payload, sorted by key.
-	entries []cowtree.Record
 
 	// bufs[ci] buffers exactly the messages ChildFor routes to
 	// Children[ci], sorted by key, in an array sized to what it holds, so
@@ -54,9 +50,6 @@ type node struct {
 	bufSizes []int
 	bufBytes int
 }
-
-// search returns the index of the first leaf entry with key >= t.
-func (n *node) search(t kv.Target) int { return cowtree.SearchRecords(n.entries, t) }
 
 // bufGet returns the message child ci's buffer holds for t, or nil; ci
 // is ChildFor(t), which the descent needs anyway.
@@ -98,38 +91,29 @@ func (n *node) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool)
 	return delta
 }
 
-// insertLeaf upserts an unowned message (key and val beside it, as in
-// bufInsert) into the leaf, returning the serialized size delta.
-func (n *node) insertLeaf(mm *mem, m cowtree.Record, key, val []byte) int {
-	var delta int
-	n.entries, delta = cowtree.InsertRecord(&mm.msgs, &mm.arena, n.entries, m, kv.NewTarget(key), val)
-	n.Serialized += delta
-	return delta
-}
-
 // insertBatch applies a sorted run of owned messages (distinct keys —
 // the buffer upsert-collapses duplicates) to a leaf in two passes: one
 // classify pass that applies overwrites in place and collects fresh
 // inserts, then one merge pass that splices all inserts in a single
-// sweep. It replaces the per-message insertLeaf loop of a buffer flush,
+// sweep. It replaces the per-message InsertLeaf loop of a buffer flush,
 // whose repeated binary search + entry shift made flush cascades the
 // Bε-tree cell's hottest CPU path. The returned serialized delta equals
-// the sum insertLeaf would have returned message by message.
+// the sum InsertLeaf would have returned message by message.
 func (n *node) insertBatch(mm *mem, batch []cowtree.Record) int {
 	delta := 0
 	toIns := mm.scratch[:0]
 	var kb [kv.KeySize]byte
-	ei := n.search(batch[0].Target(&kb))
+	ei := cowtree.SearchRecords(n.Entries, batch[0].Target(&kb))
 	for bi := range batch {
 		m := &batch[bi]
 		c := 1
-		for ; ei < len(n.entries); ei++ {
-			if c = cowtree.CompareRecords(&n.entries[ei], m); c >= 0 {
+		for ; ei < len(n.Entries); ei++ {
+			if c = cowtree.CompareRecords(&n.Entries[ei], m); c >= 0 {
 				break
 			}
 		}
 		if c == 0 {
-			e := &n.entries[ei]
+			e := &n.Entries[ei]
 			if m.Seq() < e.Seq() {
 				continue // stale (recovery replay only)
 			}
@@ -145,18 +129,18 @@ func (n *node) insertBatch(mm *mem, batch []cowtree.Record) int {
 	if len(toIns) == 0 {
 		return delta
 	}
-	oldLen := len(n.entries)
-	if cap(n.entries) >= oldLen+len(toIns) {
+	oldLen := len(n.Entries)
+	if cap(n.Entries) >= oldLen+len(toIns) {
 		// Backward in-place merge: walk both runs from the end so no
 		// surviving entry is overwritten before it moves.
-		n.entries = n.entries[:oldLen+len(toIns)]
+		n.Entries = n.Entries[:oldLen+len(toIns)]
 		si, bi := oldLen-1, len(toIns)-1
-		for dst := len(n.entries) - 1; bi >= 0; dst-- {
-			if si >= 0 && cowtree.CompareRecords(&n.entries[si], &toIns[bi]) > 0 {
-				n.entries[dst] = n.entries[si]
+		for dst := len(n.Entries) - 1; bi >= 0; dst-- {
+			if si >= 0 && cowtree.CompareRecords(&n.Entries[si], &toIns[bi]) > 0 {
+				n.Entries[dst] = n.Entries[si]
 				si--
 			} else {
-				n.entries[dst] = toIns[bi]
+				n.Entries[dst] = toIns[bi]
 				bi--
 			}
 		}
@@ -169,41 +153,17 @@ func (n *node) insertBatch(mm *mem, batch []cowtree.Record) int {
 		case si >= oldLen:
 			grown[dst] = toIns[bi]
 			bi++
-		case bi >= len(toIns) || cowtree.CompareRecords(&n.entries[si], &toIns[bi]) < 0:
-			grown[dst] = n.entries[si]
+		case bi >= len(toIns) || cowtree.CompareRecords(&n.Entries[si], &toIns[bi]) < 0:
+			grown[dst] = n.Entries[si]
 			si++
 		default:
 			grown[dst] = toIns[bi]
 			bi++
 		}
 	}
-	mm.msgs.Put(n.entries)
-	n.entries = grown
+	mm.msgs.Put(n.Entries)
+	n.Entries = grown
 	return delta
-}
-
-// splitLeaf moves the upper half of the entries into right (a fresh,
-// registered node) and returns the separator key (first key of the new
-// node) in bytes of its own from the arena. Each half ends up in a pooled array of the capacity
-// class its length calls for: a batch flush grows a leaf to the batch
-// size and splitLeafToFit then halves it repeatedly, so a left half that
-// kept the array it was cut from would leave N log N slots for N entries.
-func (n *node) splitLeaf(mm *mem, right *node) []byte {
-	mid := len(n.entries) / 2
-	right.Parent = n.Parent
-	right.Leaf = true
-	right.entries = mm.msgs.CloneTail(n.entries, mid)
-	var movedBytes int
-	for i := mid; i < len(n.entries); i++ {
-		movedBytes += n.entries[i].Size()
-	}
-	right.Serialized = cowtree.PageHeaderBytes + movedBytes
-	n.entries = mm.msgs.Fit(n.entries[:mid])
-	n.Serialized -= movedBytes
-	right.Next = n.Next
-	n.Next = right.ID
-	var kb [kv.KeySize]byte
-	return mm.arena.Clone(right.entries[0].Key(&kb))
 }
 
 // insertChild adds a separator and child after position idx — child idx

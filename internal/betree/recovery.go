@@ -29,26 +29,17 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 
 // MaterializeNode implements cowtree.Tree: parse one on-disk
 // image (interior buffers included), register the node and return its
-// child extents for the walk.
+// child extents for the walk. The core notes a leaf's sequence numbers;
+// the buffered messages' are noted here.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
 	n, childExts, ok := parseNode(data)
 	if !ok {
 		return nil, nil, errors.New("betree: corrupt node")
 	}
-	if n.Leaf {
-		var sz int
-		for i := range n.entries {
-			sz += n.entries[i].Size()
-			t.Core.NoteSeq(n.entries[i].Seq()) // recompute the counter from disk state
+	for _, buf := range n.bufs {
+		for i := range buf {
+			t.Core.NoteSeq(buf[i].Seq()) // buffered messages count toward the max too
 		}
-		n.Serialized = cowtree.PageHeaderBytes + sz
-	} else {
-		for _, buf := range n.bufs {
-			for i := range buf {
-				t.Core.NoteSeq(buf[i].Seq()) // buffered messages count toward the max too
-			}
-		}
-		n.Serialized = n.PivotBytes() + n.bufBytes
 	}
 	t.register(n)
 	return &n.Node, childExts, nil
@@ -71,7 +62,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		}
 		n = t.nodes[n.Children[ci]]
 	}
-	if e := cowtree.FindRecord(n.entries, target); e != nil && e.Seq() >= r.Seq {
+	if e := cowtree.FindRecord(n.Entries, target); e != nil && e.Seq() >= r.Seq {
 		return now, nil
 	}
 	vlen := r.ValueLen

@@ -5,6 +5,7 @@ import (
 	"time"
 	"unsafe"
 
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/workload"
@@ -60,7 +61,7 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	for id := uint64(keys); id < keys+100; id++ {
 		splits := tr.IO().LeafSplits
 		kv.AppendKey(key, id)
-		taken := arenaTaken(&tr.mem, func() {
+		taken := arenaTaken(&tr.arena, func() {
 			if now, err = tr.Put(now, key, nil, 400); err != nil {
 				t.Fatal(err)
 			}
@@ -81,10 +82,10 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 // arenaTaken returns how many bytes the arena handed out while f ran,
 // from the distance between a one-byte allocation before f and one
 // after it.
-func arenaTaken(m *mem, f func()) int {
-	before := m.arena.Alloc(1)
+func arenaTaken(a *cowtree.RecordArena, f func()) int {
+	before := a.Alloc(1)
 	f()
-	after := m.arena.Alloc(1)
+	after := a.Alloc(1)
 	return int(uintptr(unsafe.Pointer(&after[0])) - uintptr(unsafe.Pointer(&before[0])) - 1)
 }
 
@@ -120,9 +121,9 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 		}
 	}
 	var entries, slots int
-	for _, p := range tr.pages[1:] {
-		entries += len(p.entries)
-		slots += cap(p.entries)
+	for _, p := range pages(tr) {
+		entries += len(p.Entries)
+		slots += cap(p.Entries)
 	}
 	t.Logf("leaf entries: %d in %d slots (%.2fx)", entries, slots, float64(slots)/float64(entries))
 	if entries != keys {
@@ -133,12 +134,13 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	}
 }
 
-// TestPageSize bounds the in-memory page, of which the tree keeps one
-// per leaf and internal page. 176 bytes is its size before the pivot
-// section moved into cowtree.Node: the bound may come down, and raising
-// it must be a deliberate edit here.
+// TestPageSize bounds the in-memory page, a plain cowtree.Node, of which
+// the tree keeps one per leaf and internal page. 152 bytes is its size
+// since the pivot section and the leaf entries moved into cowtree.Node:
+// the bound may come down, and raising it must be a deliberate edit
+// here.
 func TestPageSize(t *testing.T) {
-	if sz := unsafe.Sizeof(page{}); sz > 176 {
-		t.Fatalf("page is %d bytes, bound 176", sz)
+	if sz := unsafe.Sizeof(cowtree.Node{}); sz > 152 {
+		t.Fatalf("cowtree.Node is %d bytes, bound 152", sz)
 	}
 }

@@ -21,20 +21,21 @@ var benchLeafHit int
 // 16-byte keys, a lookup of a random resident key — the leaf search and
 // the key match Get does once the descent has reached the leaf.
 func BenchmarkLeafGet(b *testing.B) {
-	var m mem
-	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
+	var pool cowtree.Pool[cowtree.Record]
+	var arena cowtree.RecordArena
+	leaf := &cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}
 	rng := sim.NewRNG(1)
 	var keys [][]byte
 	entry := cowtree.MakeRecord(kv.EncodeKey(0), 0, benchLeafVlen, false)
 	for leaf.Serialized+entry.Size() <= NewConfig(1<<30).LeafPageBytes {
 		k := kv.EncodeKey(rng.Uint64())
 		keys = append(keys, k)
-		leaf.insertLeaf(&m, cowtree.MakeRecord(k, uint64(len(keys)), benchLeafVlen, false), k, nil)
+		leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k, uint64(len(keys)), benchLeafVlen, false), k, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := cowtree.FindRecord(leaf.entries, kv.NewTarget(keys[rng.Intn(len(keys))]))
+		e := cowtree.FindRecord(leaf.Entries, kv.NewTarget(keys[rng.Intn(len(keys))]))
 		if e == nil {
 			b.Fatal("a resident key missed")
 		}
@@ -48,7 +49,7 @@ func BenchmarkLeafGet(b *testing.B) {
 const benchDescendKeys = 100000
 
 // benchDescendLeaf keeps BenchmarkDescend's descents observable.
-var benchDescendLeaf *page
+var benchDescendLeaf *cowtree.Node
 
 // BenchmarkDescend is the interior half of a B+Tree point read: in an
 // accounting-mode tree of depth >= 3 whose pages are all resident, the
@@ -72,7 +73,7 @@ func BenchmarkDescend(b *testing.B) {
 	if d := tr.Depth(); d < 3 {
 		b.Fatalf("depth %d, want >= 3", d)
 	}
-	for _, p := range tr.pages[1:] {
+	for _, p := range pages(tr) {
 		if p.Leaf && !p.Resident {
 			b.Fatalf("leaf %d is not resident", p.ID)
 		}

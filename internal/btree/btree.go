@@ -19,26 +19,27 @@ var naming = cowtree.Naming{
 	JournalPrefix: "journal-",
 }
 
-// Tree is the WiredTiger-style B+Tree engine. The node table, the leaf
-// cache, the copy-on-write page write, the checkpoint/recovery
-// discipline and the kv.Engine lifecycle live in the embedded cowtree
-// core; the engine keeps the page payload, its codec and the
-// insert/split/scan paths, and implements cowtree.Tree.
+// Tree is the WiredTiger-style B+Tree engine. Its pages are plain
+// cowtree.Nodes — the header, the pivot section and the leaf entries —
+// and the node table, the leaf cache, the copy-on-write page write, the
+// checkpoint/recovery discipline and the kv.Engine lifecycle live in
+// the embedded cowtree core; the engine keeps its page magic, the
+// descent, the split propagation and the scan path, and implements
+// cowtree.Tree.
 type Tree struct {
 	cowtree.Core
 
 	cfg Config
 
-	// pages is indexed by pageID, parallel to the core's header table
-	// (pages[id].Node is the header the core holds for id).
-	pages []*page
-
-	// mem bundles the record arena and the recycled entry-array pool;
-	// slab backs page structs. Page structs and retained bytes are
-	// immortal in this design (ids are never reused), so bump and pool
-	// allocation keep the steady-state op path allocation-free.
-	mem  mem
-	slab cowtree.Slab[page]
+	// arena backs what stored records keep (see cowtree.RecordArena) and
+	// the separator copies, records recycles the leaf record arrays
+	// displaced by growth and splits, and slab backs page structs. Page
+	// structs and retained bytes are immortal in this design (ids are
+	// never reused), so bump and pool allocation keep the steady-state op
+	// path allocation-free.
+	arena   cowtree.RecordArena
+	records cowtree.Pool[cowtree.Record]
+	slab    cowtree.Slab[cowtree.Node]
 
 	io IOStats
 }
@@ -62,42 +63,31 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 
 // newTree builds the tree shell Open and Recover attach to the device:
 // no pages yet, no journal.
-func newTree(cfg Config) *Tree {
-	return &Tree{
-		cfg:   cfg,
-		pages: make([]*page, 1, 64), // index 0 is nilPage
-	}
-}
+func newTree(cfg Config) *Tree { return &Tree{cfg: cfg} }
 
 // NewRootLeaf implements cowtree.Tree: the empty, resident root leaf of
 // a fresh tree.
 func (t *Tree) NewRootLeaf() {
 	root := t.newPage(true)
 	t.Core.SetRoot(root.ID)
-	t.Core.Admit(&root.Node)
+	t.Core.Admit(root)
 }
 
 // newPage takes a zeroed page from the slab, registers it with the core
-// and the parallel slice, and marks it dirty.
-func (t *Tree) newPage(leaf bool) *page {
+// and marks it dirty.
+func (t *Tree) newPage(leaf bool) *cowtree.Node {
 	p := t.slab.Get()
 	p.Leaf = leaf
 	p.Serialized = cowtree.PageHeaderBytes
-	t.register(p)
-	t.Core.MarkDirty(&p.Node)
+	t.Core.Register(p)
+	t.Core.MarkDirty(p)
 	return p
-}
-
-// register gives p its id and enters it in both tables.
-func (t *Tree) register(p *page) {
-	t.Core.Register(&p.Node)
-	t.pages = append(t.pages, p)
 }
 
 // AppendImage implements cowtree.Engine.
 func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
-	return serializePage(dst, t.pages[id], func(id pageID) fileExtent {
-		return t.pages[id].Disk
+	return t.Core.Node(id).AppendImage(dst, pageMagic, func(id cowtree.NodeID) cowtree.Extent {
+		return t.Core.Node(id).Disk
 	})
 }
 
@@ -118,9 +108,9 @@ func (t *Tree) IO() IOStats {
 // as loading each sibling on demand (every prefetched leaf counts one
 // cache miss and one read); only the completion times overlap. Scans use
 // it because they know they will cross into the siblings next.
-func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, error) {
+func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *cowtree.Node) (sim.Duration, error) {
 	if leaf.Resident || t.cfg.PrefetchDepth <= 1 {
-		return t.Core.Load(now, &leaf.Node)
+		return t.Core.Load(now, leaf)
 	}
 	done := now
 	p := leaf
@@ -129,7 +119,7 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 	// never ranges past the leaves the scan is about to visit.
 	for seen := 0; p != nil && seen < t.cfg.PrefetchDepth; seen++ {
 		if !p.Resident {
-			end, err := t.Core.Fetch(now, &p.Node)
+			end, err := t.Core.Fetch(now, p)
 			if err != nil {
 				return now, err
 			}
@@ -137,14 +127,14 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 				done = end
 			}
 		}
-		if p.Next == nilPage {
+		if p.Next == cowtree.NilNode {
 			break
 		}
-		p = t.pages[p.Next]
+		p = t.Core.Node(p.Next)
 	}
 	// Admission order put the last prefetched sibling at the LRU head;
 	// re-touch the leaf the scan is about to consume.
-	t.Core.Touch(&leaf.Node)
+	t.Core.Touch(leaf)
 	return done, nil
 }
 
@@ -153,10 +143,10 @@ func (t *Tree) loadLeafPrefetching(now sim.Duration, leaf *page) (sim.Duration, 
 // Internal pages are treated as pinned (always cached): real WiredTiger
 // strongly favours keeping them resident, and at the paper's scale
 // their footprint is negligible next to the leaves.
-func (t *Tree) descend(target kv.Target) *page {
-	p := t.pages[t.Core.Root()]
+func (t *Tree) descend(target kv.Target) *cowtree.Node {
+	p := t.Core.Node(t.Core.Root())
 	for !p.Leaf {
-		p = t.pages[p.Children[p.ChildFor(target)]]
+		p = t.Core.Node(p.Children[p.ChildFor(target)])
 	}
 	return p
 }
@@ -181,19 +171,19 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 		return now, err
 	}
 	leaf := t.descend(kv.NewTarget(key))
-	now, err = t.Core.Load(now, &leaf.Node)
+	now, err = t.Core.Load(now, leaf)
 	if err != nil {
 		t.Core.Fail(err)
 		return now, err
 	}
 	// The caller reuses its key/value buffers: the record does not own
-	// its bytes, and insertLeaf copies only what the leaf keeps.
-	t.Core.Resize(leaf.insertLeaf(&t.mem, cowtree.MakeRecord(key, seq, valueLen, del), key, value))
-	t.Core.MarkDirty(&leaf.Node)
+	// its bytes, and InsertLeaf copies only what the leaf keeps.
+	t.Core.Resize(leaf.InsertLeaf(&t.records, &t.arena, cowtree.MakeRecord(key, seq, valueLen, del), key, value))
+	t.Core.MarkDirty(leaf)
 	if now, err = t.Core.AppendJournal(now, seq, key, value, valueLen, del); err != nil {
 		return now, err
 	}
-	if leaf.Serialized > t.cfg.LeafPageBytes {
+	if t.Core.LeafOverfull(leaf) {
 		t.splitLeaf(leaf)
 	}
 	return t.Core.EndWrite(now, len(key), valueLen)
@@ -207,10 +197,10 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	}
 	target := kv.NewTarget(key)
 	leaf := t.descend(target)
-	if now, err = t.Core.LoadForGet(now, &leaf.Node); err != nil {
+	if now, err = t.Core.LoadForGet(now, leaf); err != nil {
 		return now, nil, false, err
 	}
-	e := cowtree.FindRecord(leaf.entries, target)
+	e := cowtree.FindRecord(leaf.Entries, target)
 	if e == nil || e.Del() {
 		return now, nil, false, nil
 	}
@@ -230,7 +220,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	var out []kv.Entry
 	target := kv.NewTarget(start)
 	leaf := t.descend(target)
-	idx := cowtree.SearchRecords(leaf.entries, target)
+	idx := cowtree.SearchRecords(leaf.Entries, target)
 	var kb [kv.KeySize]byte
 	for limit > 0 && leaf != nil {
 		now, err = t.loadLeafPrefetching(now, leaf)
@@ -238,8 +228,8 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 			t.Core.Fail(err)
 			return now, nil, err
 		}
-		for ; idx < len(leaf.entries) && limit > 0; idx++ {
-			le := &leaf.entries[idx]
+		for ; idx < len(leaf.Entries) && limit > 0; idx++ {
+			le := &leaf.Entries[idx]
 			if le.Del() {
 				continue
 			}
@@ -258,31 +248,29 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		if now, err = t.Core.EvictToFit(now); err != nil {
 			return now, nil, err
 		}
-		if leaf.Next == nilPage {
+		if leaf.Next == cowtree.NilNode {
 			break
 		}
-		leaf = t.pages[leaf.Next]
+		leaf = t.Core.Node(leaf.Next)
 		idx = 0
 	}
 	return now, out, nil
 }
 
-// splitLeaf splits an oversized leaf and propagates internal splits.
-func (t *Tree) splitLeaf(leaf *page) {
+// splitLeaf splits an overfull leaf (see cowtree.Core.SplitLeaf) and
+// propagates internal splits.
+func (t *Tree) splitLeaf(leaf *cowtree.Node) {
 	right := t.slab.Get()
-	t.register(right)
-	sep := leaf.splitLeaf(&t.mem, right)
-	t.Core.MarkDirty(&right.Node)
-	t.Core.MarkDirty(&leaf.Node)
+	t.Core.Register(right)
+	sep := t.Core.SplitLeaf(&t.records, &t.arena, leaf, right)
 	t.io.LeafSplits++
-	t.Core.AdmitSplit(&leaf.Node, &right.Node, cowtree.PageHeaderBytes)
 	t.insertIntoParent(leaf, sep, right)
 }
 
 // insertIntoParent links a new right sibling under the parent, splitting
 // internals (and growing a new root) as needed. sep is bytes the tree
 // owns (a split's), kept without a copy.
-func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
+func (t *Tree) insertIntoParent(left *cowtree.Node, sep []byte, right *cowtree.Node) {
 	if left.ID == t.Core.Root() {
 		newRoot := t.newPage(false)
 		newRoot.InitRoot(left.ID, sep, right.ID)
@@ -292,27 +280,27 @@ func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 		t.Core.SetRoot(newRoot.ID)
 		return
 	}
-	parent := t.pages[left.Parent]
+	parent := t.Core.Node(left.Parent)
 	parent.Serialized += parent.InsertChild(parent.ChildIndex(left.ID), sep, right.ID)
 	right.Parent = parent.ID
-	t.Core.MarkDirty(&parent.Node)
+	t.Core.MarkDirty(parent)
 	if parent.Serialized > t.cfg.InternalPageBytes {
 		t.splitInternalPage(parent)
 	}
 }
 
 // splitInternalPage splits an internal page and reparents moved children.
-func (t *Tree) splitInternalPage(p *page) {
+func (t *Tree) splitInternalPage(p *cowtree.Node) {
 	right := t.slab.Get()
-	t.register(right)
+	t.Core.Register(right)
 	right.Parent = p.Parent
 	promoted := p.SplitHalf(&right.Pivots)
 	p.Serialized, right.Serialized = p.PivotBytes(), right.PivotBytes()
-	t.Core.MarkDirty(&right.Node)
-	t.Core.MarkDirty(&p.Node)
+	t.Core.MarkDirty(right)
+	t.Core.MarkDirty(p)
 	t.io.InternalSplits++
 	for _, c := range right.Children {
-		t.pages[c].Parent = right.ID
+		t.Core.Node(c).Parent = right.ID
 	}
 	t.insertIntoParent(p, promoted, right)
 }

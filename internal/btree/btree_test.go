@@ -251,34 +251,55 @@ func TestWAAStableOverTime(t *testing.T) {
 	}
 }
 
+// parsePage parses a B+Tree page image.
+func parsePage(data []byte) (*cowtree.Node, []cowtree.Extent, bool) {
+	p := &cowtree.Node{}
+	exts, _, ok := p.ParseImage(data, pageMagic)
+	return p, exts, ok
+}
+
+// pages returns every page of tr in id order.
+func pages(tr *Tree) []*cowtree.Node {
+	leaves, internals := tr.NodeCount()
+	out := make([]*cowtree.Node, leaves+internals)
+	for i := range out {
+		out[i] = tr.Node(cowtree.NodeID(i + 1))
+	}
+	return out
+}
+
 func TestPageSerializationRoundTrip(t *testing.T) {
-	var m mem
-	leaf := &page{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
+	var pool cowtree.Pool[cowtree.Record]
+	var arena cowtree.RecordArena
+	leaf := &cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
-	leaf.insertLeaf(&m, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
-	leaf.insertLeaf(&m, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
-	data := serializePage(nil, leaf, nil)
+	leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
+	data := leaf.AppendImage(nil, pageMagic, nil)
 	got, _, ok := parsePage(data)
 	if !ok {
 		t.Fatal("parse failed")
 	}
 	var kb [kv.KeySize]byte
-	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].Key(&kb), k1) {
-		t.Fatalf("entries wrong: %v", got.entries)
+	if len(got.Entries) != 2 || !bytes.Equal(got.Entries[0].Key(&kb), k1) {
+		t.Fatalf("entries wrong: %v", got.Entries)
 	}
-	if string(got.entries[0].Val()) != "abc" || got.entries[0].Seq() != 7 {
+	if string(got.Entries[0].Val()) != "abc" || got.Entries[0].Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].Del() || got.entries[1].Seq() != 9 || got.entries[1].Vlen() != 64 {
+	if !got.Entries[1].Del() || got.Entries[1].Seq() != 9 || got.Entries[1].Vlen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
+	if got.Serialized != leaf.Serialized {
+		t.Fatalf("parsed leaf accounts %d bytes, the original %d", got.Serialized, leaf.Serialized)
+	}
 
-	internal := &page{}
+	internal := &cowtree.Node{}
 	internal.InitRoot(1, kv.EncodeKey(10), 2)
 	internal.InsertChild(1, kv.EncodeKey(20), 3)
 	internal.Serialized = internal.PivotBytes()
-	data = serializePage(nil, internal, func(id pageID) fileExtent {
-		return fileExtent{Start: int64(id) * 100, Pages: 4}
+	data = internal.AppendImage(nil, pageMagic, func(id cowtree.NodeID) cowtree.Extent {
+		return cowtree.Extent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, exts, ok := parsePage(data)
 	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
@@ -298,11 +319,11 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 	// Appending to a non-empty buffer must leave the prefix intact and
 	// produce a parseable image after it (the serializer writes its
 	// header relative to the append point, not index 0).
-	prefixed := serializePage([]byte("prefix"), leaf, nil)
+	prefixed := leaf.AppendImage([]byte("prefix"), pageMagic, nil)
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, _, ok := parsePage(prefixed[6:]); !ok || len(got.entries) != 2 {
+	if got, _, ok := parsePage(prefixed[6:]); !ok || len(got.Entries) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 }
@@ -340,7 +361,7 @@ func TestLRUConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resident int64
-	for _, p := range tr.pages[1:] {
+	for _, p := range pages(tr) {
 		if p.Resident {
 			resident += int64(p.Serialized)
 		}

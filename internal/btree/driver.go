@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/sim"
 )
@@ -21,11 +22,7 @@ func (Driver) Name() string { return "btree" }
 // bit-identically.
 func (Driver) Configure(s engine.Sizing) engine.Config {
 	cfg := NewConfig(s.DatasetBytes)
-	if f := s.CPUScale(); f > 1 {
-		cfg.CPUPutTime *= f
-		cfg.CPUGetTime *= f
-		cfg.CPUPerByte *= f
-	}
+	cfg.ScaleCPU(s)
 	if s.QueueDepth > 1 {
 		cfg.PrefetchDepth = s.QueueDepth
 	}
@@ -53,14 +50,10 @@ func (c *Config) ApplyTunables(tunables map[string]string) error {
 // Open implements engine.Config. The B+Tree is deterministic and does
 // not consume env.RNG.
 func (c *Config) Open(env engine.Env) (engine.Engine, error) {
-	cfg := *c
-	cfg.Content = env.Content
-	return Open(env.FS, cfg)
+	return Open(env.FS, cowtree.WithEnv(c, env))
 }
 
 // Recover implements engine.Config.
 func (c *Config) Recover(env engine.Env, now sim.Duration) (engine.Engine, sim.Duration, error) {
-	cfg := *c
-	cfg.Content = env.Content
-	return Recover(env.FS, cfg, now)
+	return Recover(env.FS, cowtree.WithEnv(c, env), now)
 }

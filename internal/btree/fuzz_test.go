@@ -12,10 +12,10 @@ import (
 
 // leafRecords returns a leaf's entries field by field: key, value
 // bytes, accounted value length, sequence and tombstone flag.
-func leafRecords(p *page) []kv.Entry {
-	out := make([]kv.Entry, len(p.entries))
-	for i := range p.entries {
-		e := &p.entries[i]
+func leafRecords(p *cowtree.Node) []kv.Entry {
+	out := make([]kv.Entry, len(p.Entries))
+	for i := range p.Entries {
+		e := &p.Entries[i]
 		var kb [kv.KeySize]byte
 		out[i] = kv.Entry{Key: bytes.Clone(e.Key(&kb)), Value: e.Val(), ValueLen: e.Vlen(), Seq: e.Seq(), Deleted: e.Del()}
 	}
@@ -25,7 +25,7 @@ func leafRecords(p *page) []kv.Entry {
 // samePageImage reports the first difference between two parsed pages
 // and the child extents parsePage returned with them: kind, leaf
 // entries, separators or child extents.
-func samePageImage(a, b *page, aExts, bExts []fileExtent) string {
+func samePageImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 	sameEntry := func(x, y kv.Entry) bool {
 		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Value, y.Value) &&
 			x.ValueLen == y.ValueLen && x.Seq == y.Seq && x.Deleted == y.Deleted
@@ -45,19 +45,20 @@ func samePageImage(a, b *page, aExts, bExts []fileExtent) string {
 
 // parsedExtents resolves a parsed page's children to the extents its
 // image named, in child order (parsed children have no ids yet).
-func parsedExtents(exts []fileExtent) func(pageID) fileExtent {
+func parsedExtents(exts []cowtree.Extent) func(cowtree.NodeID) cowtree.Extent {
 	i := 0
-	return func(pageID) fileExtent {
+	return func(cowtree.NodeID) cowtree.Extent {
 		e := exts[i]
 		i++
 		return e
 	}
 }
 
-// FuzzPageImage feeds arbitrary bytes to parsePage, which must never
-// panic. An image it accepts must survive the codec: serializePage of
-// the parsed page parses back to the same page, and serializing that
-// again gives the same bytes. The corpus is the leaf and internal
+// FuzzPageImage feeds arbitrary bytes to the page image parser
+// (cowtree.Node.ParseImage under pageMagic), which must never panic. An
+// image it accepts must survive the codec: the image of the parsed page
+// parses back to the same page, and imaging that again gives the same
+// bytes. The corpus is the leaf and internal
 // images of a small content-mode tree holding 8-, 16- and 24-byte keys,
 // plus damaged copies of two of them.
 func FuzzPageImage(f *testing.F) {
@@ -80,7 +81,7 @@ func FuzzPageImage(f *testing.F) {
 		}
 	}
 	var leaves, internals int
-	for _, p := range tr.pages[1:] {
+	for _, p := range pages(tr) {
 		if p.Leaf && leaves < 4 || !p.Leaf && internals < 4 {
 			img := tr.AppendImage(nil, p.ID)
 			f.Add(img)
@@ -105,7 +106,7 @@ func FuzzPageImage(f *testing.F) {
 		if !ok {
 			return
 		}
-		img := serializePage(nil, p, parsedExtents(exts))
+		img := p.AppendImage(nil, pageMagic, parsedExtents(exts))
 		got, gotExts, ok := parsePage(img)
 		if !ok {
 			t.Fatal("the re-serialized image does not parse")
@@ -113,7 +114,7 @@ func FuzzPageImage(f *testing.F) {
 		if diff := samePageImage(p, got, exts, gotExts); diff != "" {
 			t.Fatalf("the round trip changed the page's %s", diff)
 		}
-		if again := serializePage(nil, got, parsedExtents(gotExts)); !bytes.Equal(again, img) {
+		if again := got.AppendImage(nil, pageMagic, parsedExtents(gotExts)); !bytes.Equal(again, img) {
 			t.Fatal("serializing the re-parsed page gave different bytes")
 		}
 	})

@@ -44,8 +44,8 @@ type widthEntry struct {
 // its image.
 func checkImages(t *testing.T, tr *Tree, phase string) {
 	t.Helper()
-	for _, p := range tr.pages[1:] {
-		if n := len(serializePage(nil, p, nil)); n != p.Serialized {
+	for _, p := range pages(tr) {
+		if n := len(p.AppendImage(nil, pageMagic, nil)); n != p.Serialized {
 			t.Fatalf("%s: page %d (leaf %v) image is %d bytes, accounted %d", phase, p.ID, p.Leaf, n, p.Serialized)
 		}
 	}

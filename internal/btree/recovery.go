@@ -30,22 +30,13 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 // MaterializeNode implements cowtree.Tree: parse one on-disk
 // image, register the page and return its child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
-	p, childExts, ok := parsePage(data)
+	p := &cowtree.Node{}
+	childExts, _, ok := p.ParseImage(data, pageMagic)
 	if !ok {
 		return nil, nil, errors.New("btree: corrupt page")
 	}
-	if p.Leaf {
-		var sz int
-		for i := range p.entries {
-			sz += p.entries[i].Size()
-			t.Core.NoteSeq(p.entries[i].Seq()) // recompute the counter from disk state
-		}
-		p.Serialized = cowtree.PageHeaderBytes + sz
-	} else {
-		p.Serialized = p.PivotBytes()
-	}
-	t.register(p)
-	return &p.Node, childExts, nil
+	t.Core.Register(p)
+	return p, childExts, nil
 }
 
 // ApplyRecovered implements cowtree.Tree: replay one journal
@@ -55,7 +46,7 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
 	target := kv.NewTarget(r.Key)
 	leaf := t.descend(target)
-	if e := cowtree.FindRecord(leaf.entries, target); e != nil && e.Seq() >= r.Seq {
+	if e := cowtree.FindRecord(leaf.Entries, target); e != nil && e.Seq() >= r.Seq {
 		return now, nil // on-disk state is as new or newer
 	}
 	vlen := r.ValueLen
@@ -64,12 +55,12 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	}
 	// A record's key and value are the journal reader's bytes, so it
 	// enters as an unowned record (see cowtree.RecordArena.Own).
-	delta := leaf.insertLeaf(&t.mem, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
+	delta := leaf.InsertLeaf(&t.records, &t.arena, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
 	if leaf.Resident {
 		t.Core.Resize(delta)
 	}
-	t.Core.MarkDirty(&leaf.Node)
-	if leaf.Serialized > t.cfg.LeafPageBytes {
+	t.Core.MarkDirty(leaf)
+	if t.Core.LeafOverfull(leaf) {
 		t.splitLeaf(leaf)
 	}
 	return now, nil

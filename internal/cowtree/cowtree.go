@@ -107,6 +107,11 @@ type Node struct {
 	Disk Extent
 
 	lruNewer, lruOlder NodeID
+
+	// Entries are a leaf's records, sorted by key (empty for interior
+	// nodes; see leaf.go). A single record slice keeps an insert to one
+	// shift and a split to one allocation.
+	Entries []Record
 }
 
 // Engine is what the core cannot do itself outside recovery. It is not
@@ -229,6 +234,9 @@ func (c *Core) Register(n *Node) {
 	c.nodes = append(c.nodes, n)
 	c.dirty = append(c.dirty, false)
 }
+
+// Node returns the node registered under id.
+func (c *Core) Node(id NodeID) *Node { return c.nodes[id] }
 
 // Root returns the current root node id.
 func (c *Core) Root() NodeID { return c.root }
@@ -360,19 +368,6 @@ func (c *Core) Fetch(now sim.Duration, n *Node) (sim.Duration, error) {
 // Resize adjusts the resident byte count by delta, for a resident leaf
 // whose Serialized the engine just changed by as much.
 func (c *Core) Resize(delta int) { c.residentBytes += int64(delta) }
-
-// AdmitSplit admits right, the new right half of a split leaf, when the
-// leaf it split from is resident; journal replay splits leaves recovery
-// left out of the cache, and their right halves stay out too. Admit
-// charges right.Serialized, but the moved entries were already counted
-// while they lived in left (whose Serialized dropped by as much); only
-// the new node's header, headerBytes, is genuinely new.
-func (c *Core) AdmitSplit(left, right *Node, headerBytes int) {
-	if left.Resident {
-		c.Admit(right)
-		c.Resize(headerBytes - right.Serialized)
-	}
-}
 
 // EvictToFit writes back and drops LRU leaves until the cache fits,
 // charging the eviction I/O to the foreground — WiredTiger's application

@@ -1,0 +1,123 @@
+package cowtree
+
+import (
+	"encoding/binary"
+
+	"ptsbench/internal/kv"
+)
+
+// The leaf payload both engines share — Node.Entries, a leaf's records
+// sorted by key — with its upsert, its split guard and half split, and
+// the node image both engines write: the header, then a leaf's entries
+// or an interior's pivot section. An engine passes only its image
+// magic; the Bε-tree appends an interior's buffered messages after the
+// pivots and keeps their count in the header.
+
+// InsertLeaf upserts an unowned record — key and val, the caller's
+// reused buffers, travel beside it (see InsertRecord) — into the leaf,
+// returning the serialized size delta. An accounting-mode put of a
+// kv.KeySize key takes nothing from the arena.
+func (n *Node) InsertLeaf(pool *Pool[Record], arena *RecordArena, r Record, key, val []byte) int {
+	var delta int
+	n.Entries, delta = InsertRecord(pool, arena, n.Entries, r, kv.NewTarget(key), val)
+	n.Serialized += delta
+	return delta
+}
+
+// LeafOverfull reports whether a leaf is over LeafPageBytes and can be
+// split. A leaf holding one record stays whole however large it is: its
+// half split would leave the leaf empty and the new one as large.
+func (c *Core) LeafOverfull(leaf *Node) bool {
+	return leaf.Serialized > c.cfg.LeafPageBytes && len(leaf.Entries) > 1
+}
+
+// SplitLeaf moves the upper half of leaf's entries into right — a zeroed
+// node the engine has just registered — chains right after leaf, marks
+// both dirty and admits right when leaf is resident (journal replay
+// splits leaves recovery left out of the cache, and their right halves
+// stay out too). It returns the separator, the first key of right, in
+// bytes of its own from the arena; the engine links right under the
+// parent. Both halves end up in pooled arrays of the capacity class
+// their length calls for, which leaves room to refill toward the next
+// split without regrowing: the moved half draws one, and the half that
+// stays is re-homed when the array it was cut from is a class larger (a
+// 9-entry leaf in 16 slots would otherwise split into 4 entries still
+// holding 16, and a batch-grown Bε-tree leaf halved repeatedly would
+// keep N log N slots for N entries).
+func (c *Core) SplitLeaf(pool *Pool[Record], arena *RecordArena, leaf, right *Node) []byte {
+	mid := len(leaf.Entries) / 2
+	right.Parent = leaf.Parent
+	right.Leaf = true
+	right.Entries = pool.CloneTail(leaf.Entries, mid)
+	var moved int
+	for i := range right.Entries {
+		moved += right.Entries[i].Size()
+	}
+	right.Serialized = PageHeaderBytes + moved
+	leaf.Entries = pool.Fit(leaf.Entries[:mid])
+	leaf.Serialized -= moved
+	right.Next = leaf.Next
+	leaf.Next = right.ID
+	c.MarkDirty(right)
+	c.MarkDirty(leaf)
+	if leaf.Resident {
+		// The moved entries were counted while they lived in leaf; only
+		// right's header is new to the cache.
+		c.Admit(right)
+		c.Resize(PageHeaderBytes - right.Serialized)
+	}
+	var kb [kv.KeySize]byte
+	return arena.Clone(right.Entries[0].Key(&kb))
+}
+
+// AppendImage appends n's image to out: the PageHeaderBytes header —
+// magic, the leaf flag at byte 4, the count at byte 8 (a leaf's entries,
+// an interior's separators), zeros after it for the engine's own fields
+// — then a leaf's entries (AppendRecord) or an interior's pivot section
+// (AppendPivots, with resolve). The caller zero-pads the image to its
+// extent.
+func (n *Node) AppendImage(out []byte, magic uint32, resolve func(NodeID) Extent) []byte {
+	var hdr [PageHeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:], magic)
+	if !n.Leaf {
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(n.Seps)))
+		return n.AppendPivots(append(out, hdr[:]...), resolve)
+	}
+	hdr[4] = 1
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(n.Entries)))
+	out = append(out, hdr[:]...)
+	for i := range n.Entries {
+		out = AppendRecord(out, &n.Entries[i])
+	}
+	return out
+}
+
+// ParseImage fills n, a zero node, from an image AppendImage wrote under
+// magic, Serialized included (an interior's counts its pivot section;
+// the engine adds its payload). It returns an interior's child extents
+// in child order (its children get ids as recovery loads them) and the
+// bytes read, after which an interior's payload starts. ok is false for
+// another magic or a short or corrupt image.
+func (n *Node) ParseImage(data []byte, magic uint32) (exts []Extent, used int, ok bool) {
+	if len(data) < PageHeaderBytes || binary.LittleEndian.Uint32(data[0:]) != magic {
+		return nil, 0, false
+	}
+	n.Leaf = data[4] == 1
+	count := int(binary.LittleEndian.Uint32(data[8:]))
+	off := PageHeaderBytes
+	if !n.Leaf {
+		exts, used, ok = n.ParsePivots(data[off:], count)
+		n.Serialized = n.PivotBytes()
+		return exts, off + used, ok
+	}
+	for i := 0; i < count; i++ {
+		r, used := ParseRecord(data[off:])
+		if used == 0 {
+			return nil, 0, false
+		}
+		n.Entries = append(n.Entries, r)
+		off += used
+	}
+	n.Serialized = off
+	return nil, off, true
+}

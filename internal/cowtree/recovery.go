@@ -81,6 +81,9 @@ func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng Tree
 	if err != nil {
 		return nil, now, fmt.Errorf("%w at extent %d+%d", err, ext.Start, ext.Pages)
 	}
+	for i := range n.Entries {
+		c.NoteSeq(n.Entries[i].Seq()) // recompute the counter from disk state
+	}
 	n.Parent = parent
 	n.Disk = ext
 	*used = append(*used, ext)

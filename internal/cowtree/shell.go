@@ -128,6 +128,30 @@ func (t Tuning) Validate(name string) (Tuning, error) {
 	return t, nil
 }
 
+// ScaleCPU dilates the CPU costs by the simulation scale (see
+// engine.Sizing.CPUScale): the sizing rule both tree drivers apply to
+// their dataset-sized defaults.
+func (t *Tuning) ScaleCPU(s engine.Sizing) {
+	f := s.CPUScale()
+	t.CPUPutTime *= f
+	t.CPUGetTime *= f
+	t.CPUPerByte *= f
+}
+
+func (t *Tuning) tuning() *Tuning { return t }
+
+// WithEnv returns a copy of an engine's configuration — a struct
+// embedding Tuning — in env's content mode: the configuration both tree
+// drivers open and recover their engine with.
+func WithEnv[C any, P interface {
+	*C
+	tuning() *Tuning
+}](c P, env engine.Env) C {
+	cfg := *c
+	P(&cfg).tuning().Content = env.Content
+	return cfg
+}
+
 // Bind binds the declarative names of the cache, checkpoint, journal and
 // CPU knobs to t's fields. leaf_page_bytes is left to the engine, which
 // lists it among the knobs that size its nodes.

@@ -216,10 +216,7 @@ func (j *compactionJob) merge() {
 		return
 	}
 	// The toLevel inputs are a sorted, non-overlapping run: concatenate
-	// them (no comparisons) and merge against the fromLevel files. The
-	// common deep compaction — one input file against its overlap run —
-	// becomes a two-way merge with a single comparison per entry instead
-	// of a heap.
+	// them (no comparisons) and merge against the fromLevel files.
 	its := make([]kv.Iterator, 0, j.fromCount+1)
 	for _, t := range j.inputs[:j.fromCount] {
 		its = append(its, t.Iterator())
@@ -227,15 +224,7 @@ func (j *compactionJob) merge() {
 	if len(j.inputs) > j.fromCount {
 		its = append(its, newConcatIter(j.inputs[j.fromCount:]))
 	}
-	var m kv.Iterator
-	switch len(its) {
-	case 1:
-		m = its[0]
-	case 2:
-		m = newTwoWayMergeIter(its[0], its[1])
-	default:
-		m = newMergeIter(its)
-	}
+	m := newMergeIter(its)
 	// Presize each output builder for the entries one target-size file
 	// holds (remaining entries when fewer) — dedup only shrinks the need.
 	perFileHint := j.perFileEntryHint(remaining, inputBytes)
@@ -697,48 +686,3 @@ func (c *concatIter) Next() bool {
 }
 
 func (c *concatIter) Entry() *kv.Entry { return c.cur.Entry() }
-
-// twoWayMergeIter merges two (key asc, seq desc)-ordered iterators with
-// one comparison per emitted entry — the shape of every deep compaction
-// (one input file against its next-level overlap run).
-type twoWayMergeIter struct {
-	a, b     kv.Iterator
-	aOK, bOK bool
-	last     int // 1 = a emitted last, 2 = b, 0 = none
-}
-
-func newTwoWayMergeIter(a, b kv.Iterator) *twoWayMergeIter {
-	return &twoWayMergeIter{a: a, b: b, aOK: a.Next(), bOK: b.Next()}
-}
-
-func (m *twoWayMergeIter) Next() bool {
-	switch m.last {
-	case 1:
-		m.aOK = m.a.Next()
-	case 2:
-		m.bOK = m.b.Next()
-	}
-	switch {
-	case m.aOK && m.bOK:
-		if kv.Compare(m.a.Entry(), m.b.Entry()) <= 0 {
-			m.last = 1
-		} else {
-			m.last = 2
-		}
-	case m.aOK:
-		m.last = 1
-	case m.bOK:
-		m.last = 2
-	default:
-		m.last = 0
-		return false
-	}
-	return true
-}
-
-func (m *twoWayMergeIter) Entry() *kv.Entry {
-	if m.last == 1 {
-		return m.a.Entry()
-	}
-	return m.b.Entry()
-}

@@ -74,9 +74,14 @@ func TestWorkerStuckJobPanics(t *testing.T) {
 		}
 	}()
 	w := NewWorker("stuck")
-	w.Submit(JobFunc(func(now Duration) (Duration, bool) { return now, false }))
+	w.Submit(stuckJob{})
 	w.Pump(time.Second)
 }
+
+// stuckJob never finishes and never advances the clock.
+type stuckJob struct{}
+
+func (stuckJob) Step(now Duration) (Duration, bool) { return now, false }
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)

@@ -13,12 +13,6 @@ type Job interface {
 	Step(now Duration) (end Duration, done bool)
 }
 
-// JobFunc adapts an ordinary function to the Job interface.
-type JobFunc func(now Duration) (Duration, bool)
-
-// Step implements Job.
-func (f JobFunc) Step(now Duration) (Duration, bool) { return f(now) }
-
 // Worker is a background actor with its own local clock and a FIFO queue
 // of jobs. Pump drives the worker until its local clock catches up with
 // the foreground clock; jobs execute in submission order, one at a time,
