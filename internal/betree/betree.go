@@ -20,11 +20,11 @@ var naming = cowtree.Naming{
 }
 
 // Tree is the Bε-tree engine. The node table, the leaf cache (interior
-// nodes, with their buffers, are pinned), the copy-on-write node write,
-// the checkpoint/recovery discipline and the kv.Engine lifecycle live in
-// the embedded cowtree core; the engine keeps the node payload, its
-// codec and the buffer/flush/split/scan paths, and implements
-// cowtree.Tree.
+// nodes, with their buffers, are pinned), the leaf payload, the
+// copy-on-write node write, the checkpoint/recovery discipline and the
+// kv.Engine lifecycle live in the embedded cowtree core; the engine
+// keeps the interior buffers, their codec and the
+// buffer/flush/split/scan paths, and implements cowtree.Tree.
 type Tree struct {
 	cowtree.Core
 

@@ -29,10 +29,12 @@
 // Everything the Bε-tree shares with the B+Tree lives in internal/cowtree,
 // whose Core the Tree embeds: the node table, leaf cache, copy-on-write
 // write, checkpoints, Open/Recover, the kv.Engine lifecycle, the
-// operation bracket and the shared Tuning. This package keeps the node
-// payload (buffers included) and its codec, the buffer, flush, split and
-// scan paths, the two recovery hooks, and its own knobs (epsilon,
-// node_bytes). A checkpoint does not push buffered messages to the
+// operation bracket, the shared Tuning and the cowtree.Node its node
+// embeds — the leaf entries with their upsert, half split and image are
+// cowtree's. This package keeps the interior buffers with their
+// header count and codec, the buffer, flush (batch apply), interior
+// split and scan-merge paths, the two recovery hooks, and its own knobs
+// (epsilon, node_bytes). A checkpoint does not push buffered messages to the
 // leaves: they are durable inside the checkpointed interior node images,
 // as a real Bε-tree persists its buffers.
 package betree

@@ -13,10 +13,12 @@
 // Everything the B+Tree shares with the Bε-tree lives in internal/cowtree,
 // whose Core the Tree embeds: the node table, leaf cache, copy-on-write
 // write, checkpoints, Open/Recover, the kv.Engine lifecycle, the
-// operation bracket and the shared Tuning. This package keeps the page
-// payload and its codec, the insert, split and scan paths, the two
-// recovery hooks, and its own knobs (internal_page_bytes,
-// prefetch_depth).
+// operation bracket, the shared Tuning and the node itself — a B+Tree
+// page is a plain cowtree.Node, whose leaf entries, upsert, half split
+// and image are cowtree's. This package keeps its page magic, the
+// descent, the internal-page split propagation, the scan path with its
+// prefetch, the two recovery hooks, and its own knobs
+// (internal_page_bytes, prefetch_depth).
 package btree
 
 import (

@@ -1,8 +1,8 @@
 // Package cowtree is the copy-on-write core shared by the page/node-based
-// tree engines (B+Tree, Bε-tree). It owns the state every node has
-// whatever it carries — the Node header: identity, position in the tree,
-// on-disk extent, cache residency — and every mechanism that acts on that
-// state alone:
+// tree engines (B+Tree, Bε-tree). It owns the Node both engines build on
+// — identity, position in the tree, on-disk extent, cache residency, an
+// interior's pivot section and a leaf's entries — and every mechanism
+// that acts on it alone:
 //
 //   - the extent allocator that places node images inside the
 //     collection file (lowest-offset first fit, checkpoint-deferred
@@ -41,15 +41,22 @@
 //   - the interior pivot section both engines keep (pivots.go, embedded
 //     in Node): separators, child ids, the separator word cache, child
 //     lookup, child insert, the half split, the section's footprint and
-//     its codec.
+//     its codec,
+//   - the leaf payload both engines keep (leaf.go, Node.Entries): the
+//     leaf upsert, the split guard and the half split, and the node
+//     image — header, then a leaf's entries or an interior's pivot
+//     section — written and parsed under the engine's magic; recovery
+//     notes a parsed leaf's sequence numbers itself.
 //
-// An engine embeds Node in its node type and Core in its tree — so the
-// core's lifecycle methods are the engine's kv.Engine methods — keeps
-// only its payload (leaf entries, the Bε-tree's buffers) with its image
-// header and its insert, split, flush and scan paths, and implements
-// the four Tree methods the core cannot do for it: serialize a node
-// (AppendImage), parse one (MaterializeNode), apply a replayed journal
-// record (ApplyRecovered) and install a fresh tree's root leaf
+// The B+Tree's page is a plain Node; the Bε-tree embeds Node in its node
+// type beside the interior message buffers. Both embed Core in their
+// tree — so the core's lifecycle methods are the engine's kv.Engine
+// methods — keep only their magic, their interior header fields (the
+// Bε-tree's buffer count) and their descent, split propagation, flush
+// and scan paths, and implement the four Tree methods the core cannot
+// do for them: serialize a node (AppendImage, the shared image plus any
+// interior payload), parse one (MaterializeNode), apply a replayed
+// journal record (ApplyRecovered) and install a fresh tree's root leaf
 // (NewRootLeaf).
 // Three crash-recovery bugs once had to be fixed twice, once per copied
 // implementation; the discipline lives here once, pinned by
@@ -80,10 +87,12 @@ const NilNode NodeID = 0
 // Pages == 0 means "no extent" (a node never written).
 type Extent = freeset.Extent
 
-// Node is the header every tree node carries; engines embed it in their
-// node type beside the payload. The core reads and writes these fields
-// directly — on the engine's op path too, where a method call per
-// descent step or per child scanned would be the cost.
+// Node is every tree node's shared state: the header, an interior's
+// pivots and a leaf's entries. The B+Tree's pages are Nodes; the
+// Bε-tree embeds Node in its node type beside the interior buffers. The
+// core reads and writes these fields directly — on the engine's op path
+// too, where a method call per descent step or per child scanned would
+// be the cost.
 type Node struct {
 	ID     NodeID
 	Parent NodeID // NilNode for the root
@@ -157,9 +166,10 @@ type Core struct {
 	stats  kv.EngineStats
 	closed bool
 
-	// nodes is indexed by NodeID (index 0 is NilNode). Engines keep a
-	// slice of their own node type parallel to it, so neither side pays
-	// an interface call or a type assertion to reach a node.
+	// nodes is indexed by NodeID (index 0 is NilNode). The B+Tree reaches
+	// its pages through Node; the Bε-tree keeps a slice of its own node
+	// type parallel to it, so neither side pays an interface call or a
+	// type assertion to reach a node.
 	nodes []*Node
 	root  NodeID
 
@@ -225,10 +235,10 @@ func (c *Core) setup(eng Engine, fs *extfs.FS, file *extfs.File, n Naming, tune 
 }
 
 // Register enters a new node into the table under the next sequential
-// id, which it stores in n.ID. The engine appends its own node to its
-// parallel slice at the same moment. A node enters clean; the engine
-// marks a node it creates dirty, and recovery gives a node it loads its
-// extent (see dirty).
+// id, which it stores in n.ID. An engine with a node type of its own
+// appends it to its parallel slice at the same moment. A node enters
+// clean; the engine marks a node it creates dirty, and recovery gives a
+// node it loads its extent (see dirty).
 func (c *Core) Register(n *Node) {
 	n.ID = NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, n)
