@@ -138,6 +138,7 @@ func (t *Tuning) ScaleCPU(s engine.Sizing) {
 	t.CPUPerByte *= f
 }
 
+// tuning lets WithEnv reach the Tuning an engine's configuration embeds.
 func (t *Tuning) tuning() *Tuning { return t }
 
 // WithEnv returns a copy of an engine's configuration — a struct
