@@ -372,6 +372,7 @@ var testSeams = map[string]string{
 	"betree.Tree.BufferedBytes":     "TestBufferModel; ROADMAP 2(i) gauge",
 	"core.SteadyByCapacityRule":     "ROADMAP 7(a) steady-state note",
 	"core.SteadyStateIndex":         "ROADMAP 7(a) steady-state note",
+	"cowtree.Core.Arena":            "arena bytes a put or a buffer upsert takes: btree's TestSteadyStatePutAllocs, betree's TestMessageCodecKinds",
 	"cowtree.Core.Depth":            "both engines' Depth: TestGoldenEngineTrace; ROADMAP 2(i) gauge",
 	"cowtree.Core.DirtyCount":       "TestFlushAllWritesEverything (btree, betree)",
 	"cowtree.Core.JournalSyncCount": "both engines' journal sync count: TestGroupCommitSingleSync, benchmark's TestEngineShimGroupCommits",

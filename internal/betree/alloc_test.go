@@ -5,6 +5,7 @@ import (
 	"time"
 	"unsafe"
 
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
@@ -54,11 +55,16 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 }
 
 // TestNodeSize bounds the in-memory node, of which the tree keeps one
-// per leaf and interior. 208 bytes is its size since the pivot section
-// and the leaf entries moved into cowtree.Node: the bound may come down,
-// and raising it must be a deliberate edit here.
+// per leaf and interior: a leaf is a bare cowtree.Node (152 bytes), an
+// interior that plus its cowtree.Buffers (208 bytes together). These are
+// the sizes since the buffers moved off the leaves: the bounds may come
+// down, and raising one must be a deliberate edit here.
 func TestNodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz > 208 {
-		t.Fatalf("node is %d bytes, bound 208", sz)
+	leaf := unsafe.Sizeof(cowtree.Node{})
+	if leaf > 152 {
+		t.Fatalf("a leaf is %d bytes, bound 152", leaf)
+	}
+	if interior := leaf + unsafe.Sizeof(cowtree.Buffers{}); interior > 208 {
+		t.Fatalf("an interior is %d bytes, bound 208", interior)
 	}
 }

@@ -7,8 +7,14 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// metaMagic tags the checkpoint metadata files ("BEMT").
-const metaMagic = 0x42454D54
+// metaMagic tags the checkpoint metadata files ("BEMT"), nodeMagic the
+// node images ("BEPG"; see cowtree.Node.AppendImage). Interior images
+// carry their message buffers, which is what makes buffered but
+// unflushed updates durable.
+const (
+	metaMagic = 0x42454D54
+	nodeMagic = 0x42455047
+)
 
 // naming is the Bε-tree's on-device footprint.
 var naming = cowtree.Naming{
@@ -19,12 +25,13 @@ var naming = cowtree.Naming{
 	JournalPrefix: "bjournal-",
 }
 
-// Tree is the Bε-tree engine. The node table, the leaf cache (interior
-// nodes, with their buffers, are pinned), the leaf payload, the
-// copy-on-write node write, the checkpoint/recovery discipline and the
-// kv.Engine lifecycle live in the embedded cowtree core; the engine
-// keeps the interior buffers, their codec and the
-// buffer/flush/split/scan paths, and implements cowtree.Tree.
+// Tree is the Bε-tree engine. Its nodes are plain cowtree.Nodes, and the
+// node table, the leaf cache (interior nodes, with their buffers, are
+// pinned), the leaf payload, the buffers, the copy-on-write node write,
+// the checkpoint/recovery discipline and the kv.Engine lifecycle live in
+// the embedded cowtree core. The engine keeps the policy — the ε
+// budgets, when and what to flush, the batch apply to a leaf and the
+// scan merge — and implements cowtree.Tree.
 type Tree struct {
 	cowtree.Core
 
@@ -32,23 +39,15 @@ type Tree struct {
 	pivotMax  int // cached cfg.pivotBudget()
 	bufferMax int // cached cfg.bufferBudget()
 
-	// nodes is indexed by nodeID, parallel to the core's header table
-	// (nodes[id].Node is the header the core holds for id).
-	nodes []*node
-
 	// overfull queues interior nodes whose buffers exceeded the node's
 	// budget through an interior split (the split divides the child
 	// buffers, and one half can keep most of the bytes); the apply path
 	// drains it.
-	overfull []nodeID
+	overfull []cowtree.NodeID
 
-	// mem bundles the record arena (key/value bytes and the headers
-	// that point at them) and the recycled record-array pool; slab
-	// backs node structs. Node structs and retained bytes are immortal
-	// in this design (ids are never reused), so bump and pool
-	// allocation keep the steady-state op path allocation-free.
-	mem  mem
-	slab cowtree.Slab[node]
+	// scratch holds a flush batch's fresh inserts between insertBatch's
+	// classify and merge passes.
+	scratch []cowtree.Record
 
 	io IOStats
 }
@@ -82,43 +81,21 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 // newTree builds the tree shell Open and Recover attach to the device:
 // no nodes yet, no journal.
 func newTree(cfg Config) *Tree {
-	return &Tree{
-		cfg:       cfg,
-		pivotMax:  cfg.pivotBudget(),
-		bufferMax: cfg.bufferBudget(),
-		nodes:     make([]*node, 1, 64), // index 0 is nilNode
-	}
+	return &Tree{cfg: cfg, pivotMax: cfg.pivotBudget(), bufferMax: cfg.bufferBudget()}
 }
 
 // NewRootLeaf implements cowtree.Tree: the empty, resident root leaf of
 // a fresh tree.
 func (t *Tree) NewRootLeaf() {
-	root := t.newNode(true)
+	root := t.Core.NewNode(true)
 	t.Core.SetRoot(root.ID)
-	t.Core.Admit(&root.Node)
-}
-
-// newNode takes a zeroed node from the slab, registers it with the core
-// and the parallel slice, and marks it dirty.
-func (t *Tree) newNode(leaf bool) *node {
-	n := t.slab.Get()
-	n.Leaf = leaf
-	n.Serialized = cowtree.PageHeaderBytes
-	t.register(n)
-	t.Core.MarkDirty(&n.Node)
-	return n
-}
-
-// register gives n its id and enters it in both tables.
-func (t *Tree) register(n *node) {
-	t.Core.Register(&n.Node)
-	t.nodes = append(t.nodes, n)
+	t.Core.Admit(root)
 }
 
 // AppendImage implements cowtree.Engine.
 func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
-	return serializeNode(dst, t.nodes[id], func(id nodeID) fileExtent {
-		return t.nodes[id].Disk
+	return t.Core.Node(id).AppendImage(dst, nodeMagic, func(id cowtree.NodeID) cowtree.Extent {
+		return t.Core.Node(id).Disk
 	})
 }
 
@@ -168,24 +145,13 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 // it overflows), or straight into the root leaf / down the spine when
 // buffering is off (ε = 1).
 func (t *Tree) apply(now sim.Duration, msg cowtree.Record, key, val []byte) (sim.Duration, error) {
-	root := t.nodes[t.Core.Root()]
-	if root.Leaf {
-		var err error
-		now, err = t.Core.Load(now, &root.Node)
-		if err != nil {
-			return now, err
-		}
-		t.Core.Resize(root.InsertLeaf(&t.mem.msgs, &t.mem.arena, msg, key, val))
-		t.Core.MarkDirty(&root.Node)
-		t.splitLeafToFit(root)
-		return now, nil
-	}
-	if t.bufferMax <= 0 {
-		// Degenerate B+Tree mode: descend to the leaf directly.
+	root := t.Core.Node(t.Core.Root())
+	if root.Leaf || t.bufferMax <= 0 {
+		// A root leaf, or degenerate B+Tree mode: straight to the leaf.
 		return t.applyToLeaf(now, msg, key, val)
 	}
-	root.bufInsert(&t.mem, msg, key, val, false)
-	t.Core.MarkDirty(&root.Node)
+	t.Core.InsertMessage(root, msg, key, val, false)
+	t.Core.MarkDirty(root)
 	return t.drainOverflow(now)
 }
 
@@ -194,8 +160,8 @@ func (t *Tree) apply(now sim.Duration, msg cowtree.Record, key, val []byte) (sim
 func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 	var err error
 	for {
-		root := t.nodes[t.Core.Root()] // flushing can grow a new root
-		if !root.Leaf && root.bufBytes > t.bufferMax {
+		root := t.Core.Node(t.Core.Root()) // flushing can grow a new root
+		if !root.Leaf && root.Buf.Bytes > t.bufferMax {
 			if now, err = t.flushInterior(now, root); err != nil {
 				return now, err
 			}
@@ -206,8 +172,8 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 		}
 		id := t.overfull[len(t.overfull)-1]
 		t.overfull = t.overfull[:len(t.overfull)-1]
-		n := t.nodes[id]
-		for !n.Leaf && n.bufBytes > t.bufferMax {
+		n := t.Core.Node(id)
+		for !n.Leaf && n.Buf.Bytes > t.bufferMax {
 			if now, err = t.flushInterior(now, n); err != nil {
 				return now, err
 			}
@@ -216,20 +182,20 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 }
 
 // applyToLeaf descends to the leaf covering the message key and inserts
-// it there (the ε = 1 degenerate path).
+// it there (a root leaf, or the ε = 1 degenerate path).
 func (t *Tree) applyToLeaf(now sim.Duration, msg cowtree.Record, key, val []byte) (sim.Duration, error) {
-	n := t.nodes[t.Core.Root()]
+	n := t.Core.Node(t.Core.Root())
 	target := kv.NewTarget(key)
 	for !n.Leaf {
-		n = t.nodes[n.Children[n.ChildFor(target)]]
+		n = t.Core.Node(n.Children[n.ChildFor(target)])
 	}
 	var err error
-	now, err = t.Core.Load(now, &n.Node)
+	now, err = t.Core.Load(now, n)
 	if err != nil {
 		return now, err
 	}
-	t.Core.Resize(n.InsertLeaf(&t.mem.msgs, &t.mem.arena, msg, key, val))
-	t.Core.MarkDirty(&n.Node)
+	t.Core.Resize(t.Core.InsertLeaf(n, msg, key, val))
+	t.Core.MarkDirty(n)
 	t.splitLeafToFit(n)
 	return now, nil
 }
@@ -239,36 +205,33 @@ func (t *Tree) applyToLeaf(now sim.Duration, msg cowtree.Record, key, val []byte
 // overflows) or applied to the child leaf. This is the Bε-tree's
 // characteristic I/O pattern — each leaf write triggered downstream
 // carries a whole batch of updates instead of one.
-func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
-	bestCi, bestBytes := n.busiestChild()
+func (t *Tree) flushInterior(now sim.Duration, n *cowtree.Node) (sim.Duration, error) {
+	bestCi, bestBytes := n.Buf.Busiest()
 	if bestBytes == 0 {
 		return now, nil
 	}
-	batch := n.bufs[bestCi]
-	child := t.nodes[n.Children[bestCi]]
+	batch := n.Buf.Msgs[bestCi]
+	child := t.Core.Node(n.Children[bestCi])
 	t.io.BufferFlushes++
 	t.io.FlushedMessages += int64(len(batch))
 
 	var err error
 	if child.Leaf {
-		now, err = t.Core.Load(now, &child.Node)
+		now, err = t.Core.Load(now, child)
 		if err != nil {
 			return now, err
 		}
-		t.Core.Resize(child.insertBatch(&t.mem, batch))
+		t.Core.Resize(t.insertBatch(child, batch))
 	} else {
 		for i := range batch {
-			child.bufInsert(&t.mem, batch[i], nil, nil, true)
+			t.Core.InsertMessage(child, batch[i], nil, nil, true)
 		}
 	}
-	t.Core.MarkDirty(&child.Node)
+	t.Core.MarkDirty(child)
 
 	// The batch's messages now live in the child: retire its array.
-	t.mem.msgs.Put(batch)
-	n.bufs[bestCi], n.bufSizes[bestCi] = nil, 0
-	n.bufBytes -= bestBytes
-	n.Serialized -= bestBytes
-	t.Core.MarkDirty(&n.Node)
+	t.Core.DropBuffer(n, bestCi)
+	t.Core.MarkDirty(n)
 
 	if child.Leaf {
 		t.splitLeafToFit(child)
@@ -276,7 +239,7 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 		// One batch may not be enough when the child was already near
 		// its budget; keep flushing (each pass removes the then-busiest
 		// batch) until it fits.
-		for child.bufBytes > t.bufferMax {
+		for child.Buf.Bytes > t.bufferMax {
 			now, err = t.flushInterior(now, child)
 			if err != nil {
 				return now, err
@@ -286,14 +249,88 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 	return now, nil
 }
 
+// insertBatch applies a sorted run of owned messages (distinct keys —
+// the buffer upsert-collapses duplicates) to leaf n in two passes: one
+// classify pass that applies overwrites in place and collects fresh
+// inserts, then one merge pass that splices all inserts in a single
+// sweep. It replaces the per-message InsertLeaf loop of a buffer flush,
+// whose repeated binary search + entry shift made flush cascades the
+// Bε-tree cell's hottest CPU path. The returned serialized delta equals
+// the sum InsertLeaf would have returned message by message.
+func (t *Tree) insertBatch(n *cowtree.Node, batch []cowtree.Record) int {
+	delta := 0
+	toIns := t.scratch[:0]
+	var kb [kv.KeySize]byte
+	ei := cowtree.SearchRecords(n.Entries, batch[0].Target(&kb))
+	for bi := range batch {
+		m := &batch[bi]
+		c := 1
+		for ; ei < len(n.Entries); ei++ {
+			if c = cowtree.CompareRecords(&n.Entries[ei], m); c >= 0 {
+				break
+			}
+		}
+		if c == 0 {
+			e := &n.Entries[ei]
+			if m.Seq() < e.Seq() {
+				continue // stale (recovery replay only)
+			}
+			delta += m.Size() - e.Size()
+			*e = *m
+			continue
+		}
+		toIns = append(toIns, *m)
+		delta += m.Size()
+	}
+	t.scratch = toIns[:0]
+	n.Serialized += delta
+	if len(toIns) == 0 {
+		return delta
+	}
+	oldLen := len(n.Entries)
+	if cap(n.Entries) >= oldLen+len(toIns) {
+		// Backward in-place merge: walk both runs from the end so no
+		// surviving entry is overwritten before it moves.
+		n.Entries = n.Entries[:oldLen+len(toIns)]
+		si, bi := oldLen-1, len(toIns)-1
+		for dst := len(n.Entries) - 1; bi >= 0; dst-- {
+			if si >= 0 && cowtree.CompareRecords(&n.Entries[si], &toIns[bi]) > 0 {
+				n.Entries[dst] = n.Entries[si]
+				si--
+			} else {
+				n.Entries[dst] = toIns[bi]
+				bi--
+			}
+		}
+		return delta
+	}
+	pool := t.Core.Records()
+	grown := pool.Get(oldLen + len(toIns))
+	si, bi := 0, 0
+	for dst := 0; dst < len(grown); dst++ {
+		switch {
+		case si >= oldLen:
+			grown[dst] = toIns[bi]
+			bi++
+		case bi >= len(toIns) || cowtree.CompareRecords(&n.Entries[si], &toIns[bi]) < 0:
+			grown[dst] = n.Entries[si]
+			si++
+		default:
+			grown[dst] = toIns[bi]
+			bi++
+		}
+	}
+	pool.Put(n.Entries)
+	n.Entries = grown
+	return delta
+}
+
 // splitLeafToFit splits an overfull leaf (see cowtree.Core.SplitLeaf)
 // repeatedly — a batch apply can leave it several times over budget —
 // and propagates interior splits.
-func (t *Tree) splitLeafToFit(leaf *node) {
-	for t.Core.LeafOverfull(&leaf.Node) {
-		right := t.slab.Get()
-		t.register(right)
-		sep := t.Core.SplitLeaf(&t.mem.msgs, &t.mem.arena, &leaf.Node, &right.Node)
+func (t *Tree) splitLeafToFit(leaf *cowtree.Node) {
+	for t.Core.LeafOverfull(leaf) {
+		right, sep := t.Core.SplitLeaf(leaf)
 		t.io.LeafSplits++
 		t.insertIntoParent(leaf, sep, right)
 		t.splitLeafToFit(right)
@@ -301,47 +338,28 @@ func (t *Tree) splitLeafToFit(leaf *node) {
 }
 
 // insertIntoParent links a new right sibling under the parent, splitting
-// interiors (and growing a new root) as needed.
-func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
+// an interior whose pivots outgrow their budget — pivots and child
+// buffers, see cowtree.Core.SplitInterior — and growing a new root, with
+// its buffers, as needed. A split half left over its buffer budget is
+// queued for the apply path to flush.
+func (t *Tree) insertIntoParent(left *cowtree.Node, sep []byte, right *cowtree.Node) {
 	if left.ID == t.Core.Root() {
-		newRoot := t.newNode(false)
-		newRoot.InitRoot(left.ID, sep, right.ID)
-		newRoot.bufs, newRoot.bufSizes = make([][]cowtree.Record, 2), make([]int, 2)
-		newRoot.Serialized = newRoot.PivotBytes()
-		left.Parent = newRoot.ID
-		right.Parent = newRoot.ID
-		t.Core.SetRoot(newRoot.ID)
+		t.Core.NewBuffers(t.Core.NewRoot(left, sep, right))
 		return
 	}
-	parent := t.nodes[left.Parent]
-	parent.insertChild(&t.mem, parent.ChildIndex(left.ID), sep, right.ID)
-	right.Parent = parent.ID
-	t.Core.MarkDirty(&parent.Node)
-	if parent.PivotBytes() > t.pivotMax {
-		t.splitInteriorNode(parent)
+	parent := t.Core.LinkChild(left, sep, right)
+	if parent.PivotBytes() <= t.pivotMax {
+		return
 	}
-}
-
-// splitInteriorNode splits an interior node (pivots and child buffers)
-// and reparents moved children. A half left over its buffer budget is
-// queued for the apply path to flush.
-func (t *Tree) splitInteriorNode(n *node) {
-	right := t.slab.Get()
-	t.register(right)
-	promoted := n.splitInterior(right)
-	t.Core.MarkDirty(&right.Node)
-	t.Core.MarkDirty(&n.Node)
+	half, promoted := t.Core.SplitInterior(parent)
 	t.io.InteriorSplits++
-	for _, c := range right.Children {
-		t.nodes[c].Parent = right.ID
+	if parent.Buf.Bytes > t.bufferMax {
+		t.overfull = append(t.overfull, parent.ID)
 	}
-	if n.bufBytes > t.bufferMax {
-		t.overfull = append(t.overfull, n.ID)
+	if half.Buf.Bytes > t.bufferMax {
+		t.overfull = append(t.overfull, half.ID)
 	}
-	if right.bufBytes > t.bufferMax {
-		t.overfull = append(t.overfull, right.ID)
-	}
-	t.insertIntoParent(n, promoted, right)
+	t.insertIntoParent(parent, promoted, half)
 }
 
 // Get implements kv.Engine. The descent consults each interior node's
@@ -354,11 +372,11 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		return now, nil, false, err
 	}
 
-	n := t.nodes[t.Core.Root()]
+	n := t.Core.Node(t.Core.Root())
 	target := kv.NewTarget(key)
 	for !n.Leaf {
 		ci := n.ChildFor(target)
-		if m := n.bufGet(ci, target); m != nil {
+		if m := n.Buf.Get(ci, target); m != nil {
 			t.io.BufferHits++
 			if m.Del() {
 				return now, nil, false, nil
@@ -366,9 +384,9 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 			t.Core.CountRead(len(key) + m.Vlen())
 			return now, m.Val(), true, nil
 		}
-		n = t.nodes[n.Children[ci]]
+		n = t.Core.Node(n.Children[ci])
 	}
-	if now, err = t.Core.LoadForGet(now, &n.Node); err != nil {
+	if now, err = t.Core.LoadForGet(now, n); err != nil {
 		return now, nil, false, err
 	}
 	e := cowtree.FindRecord(n.Entries, target)
@@ -412,13 +430,13 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	}
 
 	// Descend to the first leaf covering start.
-	leaf := t.nodes[t.Core.Root()]
+	leaf := t.Core.Node(t.Core.Root())
 	for !leaf.Leaf {
-		leaf = t.nodes[leaf.Children[leaf.ChildFor(target)]]
+		leaf = t.Core.Node(leaf.Children[leaf.ChildFor(target)])
 	}
 	idx := cowtree.SearchRecords(leaf.Entries, target)
 	for limit > 0 && leaf != nil {
-		now, err = t.Core.Load(now, &leaf.Node)
+		now, err = t.Core.Load(now, leaf)
 		if err != nil {
 			t.Core.Fail(err)
 			return now, nil, err
@@ -453,10 +471,10 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		if now, err = t.Core.EvictToFit(now); err != nil {
 			return now, nil, err
 		}
-		if limit <= 0 || leaf.Next == nilNode {
+		if limit <= 0 || leaf.Next == cowtree.NilNode {
 			break
 		}
-		leaf = t.nodes[leaf.Next]
+		leaf = t.Core.Node(leaf.Next)
 		idx = 0
 	}
 	// Buffered keys beyond the last leaf entry.
@@ -506,14 +524,14 @@ func (c *msgCursor) head() *cowtree.Record {
 // level — and opens a cursor into each node with messages there.
 func (t *Tree) newMsgStream(start kv.Target) *msgStream {
 	s := &msgStream{}
-	var walk func(id nodeID)
-	walk = func(id nodeID) {
-		n := t.nodes[id]
+	var walk func(id cowtree.NodeID)
+	walk = func(id cowtree.NodeID) {
+		n := t.Core.Node(id)
 		if n.Leaf {
 			return
 		}
 		first := n.ChildFor(start)
-		c := msgCursor{bufs: n.bufs, ci: first, i: cowtree.SearchRecords(n.bufs[first], start)}
+		c := msgCursor{bufs: n.Buf.Msgs, ci: first, i: cowtree.SearchRecords(n.Buf.Msgs[first], start)}
 		if c.head() != nil {
 			s.cursors = append(s.cursors, c)
 		}
@@ -561,12 +579,13 @@ func (s *msgStream) consume(m *cowtree.Record) {
 }
 
 // BufferedBytes returns the total bytes currently buffered in interior
-// nodes (tests and examples use it to observe the ε trade-off).
+// nodes: the gauge of the ε trade-off (ROADMAP 2(i)), read by the buffer
+// model test until a report takes it.
 func (t *Tree) BufferedBytes() int64 {
 	var b int64
-	for _, n := range t.nodes {
-		if n != nil && !n.Leaf {
-			b += int64(n.bufBytes)
+	for _, n := range t.Core.Nodes() {
+		if n.Buf != nil {
+			b += int64(n.Buf.Bytes)
 		}
 	}
 	return b

@@ -339,12 +339,12 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 }
 
 func TestNodeSerializationRoundTrip(t *testing.T) {
-	leaf := &node{Node: cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}}
-	var m mem
+	var c cowtree.Core
+	leaf := &cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
-	leaf.InsertLeaf(&m.msgs, &m.arena, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
-	leaf.InsertLeaf(&m.msgs, &m.arena, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
-	data := serializeNode(nil, leaf, nil)
+	c.InsertLeaf(leaf, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	c.InsertLeaf(leaf, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
+	data := leaf.AppendImage(nil, nodeMagic, nil)
 	got, _, ok := parseNode(data)
 	if !ok {
 		t.Fatal("parse failed")
@@ -359,14 +359,15 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		t.Fatal("tombstone entry wrong")
 	}
 
-	interior := &node{bufs: make([][]cowtree.Record, 3), bufSizes: make([]int, 3)}
+	interior := &cowtree.Node{}
 	interior.InitRoot(1, kv.EncodeKey(10), 2)
 	interior.InsertChild(1, kv.EncodeKey(20), 3)
-	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
-	interior.bufInsert(&m, cowtree.MakeRecord(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
-	interior.Serialized = interior.PivotBytes() + interior.bufBytes
-	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
-		return fileExtent{Start: int64(id) * 100, Pages: 4}
+	c.NewBuffers(interior)
+	c.InsertMessage(interior, cowtree.MakeRecord(kv.EncodeKey(5), 11, 32, false), nil, nil, true)
+	c.InsertMessage(interior, cowtree.MakeRecord(kv.EncodeKey(15), 12, 16, true), nil, nil, true)
+	interior.Serialized = interior.PivotBytes() + interior.Buf.Bytes
+	data = interior.AppendImage(nil, nodeMagic, func(id cowtree.NodeID) cowtree.Extent {
+		return cowtree.Extent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, exts, ok := parseNode(data)
 	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
@@ -375,19 +376,19 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if exts[2].Start != 300 || exts[2].Pages != 4 {
 		t.Fatal("child extents wrong")
 	}
-	if len(got.bufs) != 3 || len(got.bufs[0]) != 1 || got.bufs[0][0].Seq() != 11 ||
-		len(got.bufs[1]) != 1 || !got.bufs[1][0].Del() || got.bufs[2] != nil {
-		t.Fatalf("buffer round trip wrong: %+v", got.bufs)
+	if msgs := got.Buf.Msgs; len(msgs) != 3 || len(msgs[0]) != 1 || msgs[0][0].Seq() != 11 ||
+		len(msgs[1]) != 1 || !msgs[1][0].Del() || msgs[2] != nil {
+		t.Fatalf("buffer round trip wrong: %+v", msgs)
 	}
-	if got.bufBytes != interior.bufBytes {
-		t.Fatalf("bufBytes %d != %d", got.bufBytes, interior.bufBytes)
+	if got.Buf.Bytes != interior.Buf.Bytes {
+		t.Fatalf("buffered bytes %d != %d", got.Buf.Bytes, interior.Buf.Bytes)
 	}
 
-	prefixed := serializeNode([]byte("prefix"), interior, nil)
+	prefixed := interior.AppendImage([]byte("prefix"), nodeMagic, nil)
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, _, ok := parseNode(prefixed[6:]); !ok || len(got.bufs[0])+len(got.bufs[1]) != 2 {
+	if got, _, ok := parseNode(prefixed[6:]); !ok || len(got.Buf.Msgs[0])+len(got.Buf.Msgs[1]) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 

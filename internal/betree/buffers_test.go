@@ -15,29 +15,26 @@ import (
 	"ptsbench/internal/workload"
 )
 
-// checkTree asserts every node's structural invariants: the serialized
-// footprints match a recount and, on interior nodes, the per-child
-// buffers are the partition of the node's messages that ChildFor
-// defines — one buffer and one byte count per child, every message in
-// the buffer of the child covering its key, each buffer strictly
-// sorted, the byte counts exact — and, between operations (after
-// drainOverflow), no node is left over its buffer budget.
+// checkTree asserts the tree's invariants: Core.Check's — among them
+// that each interior's buffers are the partition of its messages that
+// ChildFor defines, sorted and exactly counted — the leaves' footprints
+// against a recount, and what is the Bε-tree's own (checkInterior).
 func checkTree(t *testing.T, tr *Tree) {
 	t.Helper()
-	for _, n := range tr.nodes[1:] {
-		if n.Leaf {
-			sz := cowtree.PageHeaderBytes
-			for i := range n.Entries {
-				sz += n.Entries[i].Size()
-			}
-			if sz != n.Serialized {
-				t.Fatalf("leaf %d serialized %d, recomputed %d", n.ID, n.Serialized, sz)
-			}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range tr.Nodes() {
+		if !n.Leaf {
+			checkInterior(t, tr, n)
 			continue
 		}
-		checkInterior(t, n)
-		if n.bufBytes > tr.bufferMax {
-			t.Fatalf("node %d buffer %d over budget %d", n.ID, n.bufBytes, tr.bufferMax)
+		sz := cowtree.PageHeaderBytes
+		for i := range n.Entries {
+			sz += n.Entries[i].Size()
+		}
+		if sz != n.Serialized {
+			t.Fatalf("leaf %d serialized %d, recomputed %d", n.ID, n.Serialized, sz)
 		}
 	}
 	if len(tr.overfull) != 0 {
@@ -45,43 +42,12 @@ func checkTree(t *testing.T, tr *Tree) {
 	}
 }
 
-// checkInterior asserts one interior node's buffer and footprint
-// invariants (see checkTree).
-func checkInterior(t *testing.T, n *node) {
+// checkInterior asserts what Core.Check cannot know of an interior node:
+// between operations (after drainOverflow) it is within the ε budgets.
+func checkInterior(t *testing.T, tr *Tree, n *cowtree.Node) {
 	t.Helper()
-	if len(n.bufs) != len(n.Children) || len(n.bufSizes) != len(n.Children) || len(n.Seps)+1 != len(n.Children) {
-		t.Fatalf("node %d: %d bufs, %d bufSizes, %d seps for %d children",
-			n.ID, len(n.bufs), len(n.bufSizes), len(n.Seps), len(n.Children))
-	}
-	total := 0
-	for ci, buf := range n.bufs {
-		bb := 0
-		for i := range buf {
-			if got := n.ChildFor(kv.NewTarget(msgKey(&buf[i]))); got != ci {
-				t.Fatalf("node %d: buffer %d holds a key of child %d", n.ID, ci, got)
-			}
-			if i > 0 && cowtree.CompareRecords(&buf[i-1], &buf[i]) >= 0 {
-				t.Fatalf("node %d buffer %d out of order", n.ID, ci)
-			}
-			bb += buf[i].Size()
-		}
-		if bb != n.bufSizes[ci] {
-			t.Fatalf("node %d bufSizes[%d] %d, recomputed %d", n.ID, ci, n.bufSizes[ci], bb)
-		}
-		total += bb
-	}
-	if total != n.bufBytes {
-		t.Fatalf("node %d bufBytes %d, recomputed %d", n.ID, n.bufBytes, total)
-	}
-	pv := cowtree.PageHeaderBytes + cowtree.ChildRefBytes*len(n.Children)
-	for _, sep := range n.Seps {
-		pv += 2 + len(sep)
-	}
-	if pv != n.PivotBytes() {
-		t.Fatalf("node %d PivotBytes %d, recomputed %d", n.ID, n.PivotBytes(), pv)
-	}
-	if n.Serialized != pv+total {
-		t.Fatalf("node %d serialized %d != pivot %d + buf %d", n.ID, n.Serialized, pv, total)
+	if n.Buf.Bytes > tr.bufferMax {
+		t.Fatalf("node %d buffer %d over budget %d", n.ID, n.Buf.Bytes, tr.bufferMax)
 	}
 }
 
@@ -103,14 +69,14 @@ func sameMessage(a, b *cowtree.Record) bool {
 // counts exactly the buffered messages, and parseNode's re-partition by
 // separator equals the original buffers slice for slice (an
 // accounting-mode message comes back with the zeros written for it).
-func checkRoundTrip(t *testing.T, n *node) {
+func checkRoundTrip(t *testing.T, n *cowtree.Node) {
 	t.Helper()
-	img := serializeNode(nil, n, nil)
+	img := n.AppendImage(nil, nodeMagic, nil)
 	if len(img) != n.Serialized {
 		t.Fatalf("node %d image is %d bytes, accounted %d", n.ID, len(img), n.Serialized)
 	}
 	msgs := 0
-	for _, buf := range n.bufs {
+	for _, buf := range n.Buf.Msgs {
 		msgs += len(buf)
 	}
 	if got := int(binary.LittleEndian.Uint32(img[12:])); got != msgs {
@@ -120,24 +86,25 @@ func checkRoundTrip(t *testing.T, n *node) {
 	if !ok {
 		t.Fatalf("node %d image does not parse", n.ID)
 	}
-	if len(got.bufs) != len(n.bufs) || !slices.Equal(got.bufSizes, n.bufSizes) || got.bufBytes != n.bufBytes {
+	gb, nb := got.Buf, n.Buf
+	if len(gb.Msgs) != len(nb.Msgs) || !slices.Equal(gb.Sizes, nb.Sizes) || gb.Bytes != nb.Bytes {
 		t.Fatalf("node %d re-partition: %d buffers sizes %v total %d, want %d %v %d",
-			n.ID, len(got.bufs), got.bufSizes, got.bufBytes, len(n.bufs), n.bufSizes, n.bufBytes)
+			n.ID, len(gb.Msgs), gb.Sizes, gb.Bytes, len(nb.Msgs), nb.Sizes, nb.Bytes)
 	}
-	for ci := range n.bufs {
-		if len(got.bufs[ci]) != len(n.bufs[ci]) {
+	for ci := range nb.Msgs {
+		if len(gb.Msgs[ci]) != len(nb.Msgs[ci]) {
 			t.Fatalf("node %d buffer %d: %d messages after the round trip, want %d",
-				n.ID, ci, len(got.bufs[ci]), len(n.bufs[ci]))
+				n.ID, ci, len(gb.Msgs[ci]), len(nb.Msgs[ci]))
 		}
-		for i := range n.bufs[ci] {
-			want := n.bufs[ci][i]
+		for i := range nb.Msgs[ci] {
+			want := nb.Msgs[ci][i]
 			if want.Val() == nil && want.Vlen() > 0 {
 				key := msgKey(&want)
 				want = cowtree.MakeRecord(key, want.Seq(), want.Vlen(), want.Del())
 				var zeros cowtree.RecordArena
 				zeros.Own(&want, key, make([]byte, want.Vlen()), nil)
 			}
-			if !sameMessage(&got.bufs[ci][i], &want) {
+			if !sameMessage(&gb.Msgs[ci][i], &want) {
 				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.ID, ci, i)
 			}
 		}
@@ -162,7 +129,7 @@ type modelShape struct {
 // non-empty child buffers to the new right node, splits that queued an
 // over-budget half for the overfull drain, and round trips of nodes with
 // several populated buffers. (The one seam no operation sequence can
-// reach — insertChild cutting a non-empty buffer — is driven directly in
+// reach — LinkChild cutting a non-empty buffer — is driven directly in
 // TestNodeMatchesFlatReference.)
 func TestBufferModel(t *testing.T) {
 	for _, sh := range []modelShape{
@@ -223,19 +190,19 @@ func runBufferModel(t *testing.T, sh modelShape) {
 				binary.LittleEndian.PutUint32(val, uint32(step))
 			}
 			// Predict the flush this step's root insert may trigger.
-			root := tr.nodes[tr.Core.Root()]
+			root := tr.Node(tr.Root())
 			want = want[:0]
 			if !root.Leaf && tr.bufferMax > 0 {
-				want = append(want, root.bufSizes...)
+				want = append(want, root.Buf.Sizes...)
 				target := kv.NewTarget(key)
 				ci := root.ChildFor(target)
 				want[ci] += cowtree.RecordOverhead + len(key) + len(val)
-				if m := root.bufGet(ci, target); m != nil {
+				if m := root.Buf.Get(ci, target); m != nil {
 					want[ci] -= m.Size()
 					reached.bufferedOverwrites++
 				}
 			}
-			splits, nodes := tr.io.InteriorSplits, len(tr.nodes)
+			splits, nodes := tr.io.InteriorSplits, len(tr.Nodes())
 			if del {
 				now, err = tr.Delete(now, key)
 				delete(oracle, id)
@@ -247,7 +214,7 @@ func runBufferModel(t *testing.T, sh modelShape) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if len(want) > 0 && tr.Core.Root() == root.ID && len(root.bufSizes) == len(want) {
+			if len(want) > 0 && tr.Core.Root() == root.ID && len(root.Buf.Sizes) == len(want) {
 				// No child of the root split, so its buffers changed only
 				// by its own flushes (whatever cascaded below): while it
 				// is over budget the busiest child's buffer goes, the
@@ -268,16 +235,16 @@ func runBufferModel(t *testing.T, sh modelShape) {
 					}
 					want[best] = 0
 				}
-				if !slices.Equal(root.bufSizes, want) {
-					t.Fatalf("step %d: root buffers hold %v bytes, predicted %v", step, root.bufSizes, want)
+				if !slices.Equal(root.Buf.Sizes, want) {
+					t.Fatalf("step %d: root buffers hold %v bytes, predicted %v", step, root.Buf.Sizes, want)
 				}
 			}
 			if tr.io.InteriorSplits > splits {
-				for _, n := range tr.nodes[nodes:] {
+				for _, n := range tr.Nodes()[nodes:] {
 					// A new interior node that is not the root is a split's
 					// right half; nothing flushes into it within the step
 					// that made it, so what it holds it took with it.
-					if !n.Leaf && n.ID != tr.Core.Root() && n.bufBytes > 0 {
+					if !n.Leaf && n.ID != tr.Core.Root() && n.Buf.Bytes > 0 {
 						reached.rightTookBuffers++
 					}
 				}
@@ -309,14 +276,14 @@ func runBufferModel(t *testing.T, sh modelShape) {
 		}
 		if step%checkEvery == checkEvery-1 {
 			checkTree(t, tr)
-			for _, n := range tr.nodes[1:] {
+			for _, n := range tr.Nodes() {
 				if n.Leaf {
 					continue
 				}
 				checkRoundTrip(t, n)
 				reached.roundTrips++
 				populated := 0
-				for _, buf := range n.bufs {
+				for _, buf := range n.Buf.Msgs {
 					if len(buf) > 0 {
 						populated++
 					}
@@ -416,15 +383,16 @@ type flatNode struct {
 	bufBytes int
 }
 
-// bufInsert is the old node.bufInsert, on the shared upsert.
-func (f *flatNode) bufInsert(mm *mem, m cowtree.Record, key, val []byte, owned bool) int {
+// bufInsert is the old node.bufInsert, on the shared upsert; c is the
+// reference's allocator.
+func (f *flatNode) bufInsert(c *cowtree.Core, m cowtree.Record, key, val []byte, owned bool) int {
 	var kb [kv.KeySize]byte
-	arena := &mm.arena
+	arena := c.Arena()
 	if owned {
 		key, arena = m.Key(&kb), nil
 	}
 	var delta int
-	f.buf, delta = cowtree.InsertRecord(&mm.msgs, arena, f.buf, m, kv.NewTarget(key), val)
+	f.buf, delta = cowtree.InsertRecord(c.Records(), arena, f.buf, m, kv.NewTarget(key), val)
 	f.bufBytes += delta
 	return delta
 }
@@ -463,12 +431,12 @@ func (f *flatNode) remove(start, end, size int) {
 
 // split is the old splitInterior's buffer cut: messages with key >=
 // promoted go to the right node.
-func (f *flatNode) split(mm *mem) *flatNode {
+func (f *flatNode) split(c *cowtree.Core) *flatNode {
 	mid := len(f.seps) / 2
 	promoted := f.seps[mid]
 	right := &flatNode{seps: append([][]byte(nil), f.seps[mid+1:]...)}
 	cut := cowtree.SearchRecords(f.buf, kv.NewTarget(promoted))
-	right.buf = mm.msgs.CloneTail(f.buf, cut)
+	right.buf = c.Records().CloneTail(f.buf, cut)
 	for i := range right.buf {
 		right.bufBytes += right.buf[i].Size()
 	}
@@ -478,25 +446,19 @@ func (f *flatNode) split(mm *mem) *flatNode {
 	return right
 }
 
-// dropBuffer removes child ci's buffer of size bytes from the node the
-// way flushInterior does once the batch has moved down.
-func dropBuffer(mm *mem, n *node, ci, size int) {
-	mm.msgs.Put(n.bufs[ci])
-	n.bufs[ci], n.bufSizes[ci] = nil, 0
-	n.bufBytes -= size
-	n.Serialized -= size
-}
-
-// checkAgainstFlat asserts the node's buffers, read in child order, are
-// the reference's one sorted array message for message.
-func checkAgainstFlat(t *testing.T, n *node, f *flatNode, what string) {
+// checkAgainstFlat asserts the tree passes Core.Check — which audits
+// the node's partition — and that the node's buffers, read in child
+// order, are the reference's one sorted array message for message.
+func checkAgainstFlat(t *testing.T, tr *Tree, n *cowtree.Node, f *flatNode, what string) {
 	t.Helper()
-	checkInterior(t, n)
-	if n.bufBytes != f.bufBytes {
-		t.Fatalf("%s: bufBytes %d, reference %d", what, n.bufBytes, f.bufBytes)
+	if err := tr.Check(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if n.Buf.Bytes != f.bufBytes {
+		t.Fatalf("%s: buffered bytes %d, reference %d", what, n.Buf.Bytes, f.bufBytes)
 	}
 	i := 0
-	for ci, buf := range n.bufs {
+	for ci, buf := range n.Buf.Msgs {
 		for j := range buf {
 			if i >= len(f.buf) || !sameMessage(&buf[j], &f.buf[i]) {
 				t.Fatalf("%s: buffer %d message %d is not the reference's message %d", what, ci, j, i)
@@ -511,25 +473,30 @@ func checkAgainstFlat(t *testing.T, n *node, f *flatNode, what string) {
 
 // TestNodeMatchesFlatReference drives an interior node and the flat
 // reference in lockstep through every buffer operation — upserts of all
-// message kinds, busiest-child drains, child splits (insertChild) and
-// node splits (splitInterior) — and asserts after each that the
+// message kinds, busiest-child drains, child splits (LinkChild) and
+// node splits (SplitInterior) — and asserts after each that the
 // partitioned buffers are the flat array cut at the separators, that the
 // flush choice is the old scan's, and that the image round-trips. Unlike
 // the tree, the driver splits children whose buffers are populated, so
-// insertChild's cut is reached in all its shapes.
+// LinkChild's cut is reached in all its shapes. The node lives in a
+// tree's node table, beside the tree proper, with empty leaves for
+// children, so that Core.Check audits it.
 func TestNodeMatchesFlatReference(t *testing.T) {
 	const keySpace = 1000
-	var mm, fm mem
+	tr, _, _ := testEnv(t, 64, false, nil)
+	c := &tr.Core
+	var fc cowtree.Core // the reference's allocator
 	var reached struct {
 		fresh, overwrite, valueOverwrite, tombstone, accounting, stale, owned int
 		drains, drainNotFirst, drainTie                                       int
 		cutBoth, cutAllLeft, cutAllRight, cutEmpty                            int
 		nodeSplits, splitMovedBuffers                                         int
 	}
-	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: []nodeID{1}}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
+	n, child := c.NewNode(false), c.NewNode(true)
+	n.Children, child.Parent = []cowtree.NodeID{child.ID}, n.ID
+	c.NewBuffers(n)
 	n.Serialized = n.PivotBytes()
 	f := &flatNode{}
-	nextChild := nodeID(2)
 	rng := sim.NewRNG(77)
 	seq := uint64(0)
 
@@ -545,7 +512,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			mseq, vlen, del := seq, 0, false
 			var val []byte
 			target := kv.NewTarget(key)
-			resident := n.bufGet(n.ChildFor(target), target)
+			resident := n.Buf.Get(n.ChildFor(target), target)
 			switch kind := rng.Intn(10); {
 			case kind < 4: // value-bearing (content mode); two sizes, so children tie
 				val = bytes.Repeat([]byte{byte(step)}, 8<<uint(rng.Intn(2)))
@@ -569,8 +536,8 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			owned := rng.Intn(4) == 0
 			fmsg := m
 			if owned { // as a flush hands it down: bytes already fused
-				mm.arena.Own(&m, key, val, nil)
-				fm.arena.Own(&fmsg, key, val, nil)
+				c.Arena().Own(&m, key, val, nil)
+				fc.Arena().Own(&fmsg, key, val, nil)
 				val = nil
 				reached.owned++
 			}
@@ -579,11 +546,11 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			} else {
 				reached.fresh++
 			}
-			if d, fd := n.bufInsert(&mm, m, key, val, owned), f.bufInsert(&fm, fmsg, key, val, owned); d != fd {
+			if d, fd := c.InsertMessage(n, m, key, val, owned), f.bufInsert(&fc, fmsg, key, val, owned); d != fd {
 				t.Fatalf("%s: delta %d, reference %d", what, d, fd)
 			}
 		case op < 90: // drain the busiest child, as flushInterior does
-			ci, size := n.busiestChild()
+			ci, size := n.Buf.Busiest()
 			fci, start, end, fsize := f.busiest()
 			if size == 0 {
 				if fsize > 0 {
@@ -591,12 +558,12 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 				}
 				continue
 			}
-			if ci != fci || size != fsize || len(n.bufs[ci]) != end-start {
+			if ci != fci || size != fsize || len(n.Buf.Msgs[ci]) != end-start {
 				t.Fatalf("%s: busiest child %d (%d bytes, %d messages), reference %d (%d bytes, %d messages)",
-					what, ci, size, len(n.bufs[ci]), fci, fsize, end-start)
+					what, ci, size, len(n.Buf.Msgs[ci]), fci, fsize, end-start)
 			}
-			for i := range n.bufs[ci] {
-				if !sameMessage(&n.bufs[ci][i], &f.buf[start+i]) {
+			for i := range n.Buf.Msgs[ci] {
+				if !sameMessage(&n.Buf.Msgs[ci][i], &f.buf[start+i]) {
 					t.Fatalf("%s: batch message %d differs from the reference's", what, i)
 				}
 			}
@@ -604,10 +571,10 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			if ci != 0 {
 				reached.drainNotFirst++
 			}
-			if slices.Index(n.bufSizes[ci+1:], size) >= 0 {
+			if slices.Index(n.Buf.Sizes[ci+1:], size) >= 0 {
 				reached.drainTie++
 			}
-			dropBuffer(&mm, n, ci, size)
+			c.DropBuffer(n, ci)
 			f.remove(start, end, fsize)
 		case op < 98: // a child splits at a fresh separator
 			sep := kv.EncodeKey(rng.Uint64n(keySpace))
@@ -615,11 +582,10 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 				continue
 			}
 			idx := n.ChildFor(kv.NewTarget(sep))
-			before := len(n.bufs[idx])
-			n.insertChild(&mm, idx, sep, nextChild)
-			nextChild++
+			before := len(n.Buf.Msgs[idx])
+			c.LinkChild(c.Node(n.Children[idx]), sep, c.NewNode(true))
 			f.seps = slices.Insert(f.seps, idx, sep)
-			switch left, right := len(n.bufs[idx]), len(n.bufs[idx+1]); {
+			switch left, right := len(n.Buf.Msgs[idx]), len(n.Buf.Msgs[idx+1]); {
 			case left+right != before:
 				t.Fatalf("%s: cut %d messages into %d + %d", what, before, left, right)
 			case before == 0:
@@ -632,7 +598,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 				reached.cutBoth++
 			}
 			// Neither half keeps an array a class too large.
-			for _, buf := range n.bufs[idx : idx+2] {
+			for _, buf := range n.Buf.Msgs[idx : idx+2] {
 				if cap(buf) >= 2*len(buf) && cap(buf) > 1 {
 					t.Fatalf("%s: a cut half holds %d messages in %d slots", what, len(buf), cap(buf))
 				}
@@ -641,25 +607,30 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			if len(n.Seps) < 3 {
 				continue
 			}
-			right := &node{}
-			promoted := n.splitInterior(right)
-			fright := f.split(&fm)
-			for ci, buf := range right.bufs {
+			right, promoted := c.SplitInterior(n)
+			fright := f.split(&fc)
+			for ci, buf := range right.Buf.Msgs {
 				if len(buf) > 0 && buf[0].CompareKey(promoted) < 0 {
 					t.Fatalf("%s: right buffer %d holds a key below the promoted separator", what, ci)
 				}
 			}
 			reached.nodeSplits++
-			if right.bufBytes > 0 && n.bufBytes > 0 {
+			if right.Buf.Bytes > 0 && n.Buf.Bytes > 0 {
 				reached.splitMovedBuffers++
 			}
-			checkAgainstFlat(t, n, f, what+" (left half)")
-			checkAgainstFlat(t, right, fright, what+" (right half)")
+			checkAgainstFlat(t, tr, n, f, what+" (left half)")
+			checkAgainstFlat(t, tr, right, fright, what+" (right half)")
+			behind := right
 			if rng.Intn(2) == 0 {
-				n, f = right, fright
+				behind, n, f = n, right, fright
+			}
+			// Empty the half left behind, so that every step's Check
+			// stays linear in the node carried on with.
+			for ci := range behind.Buf.Msgs {
+				c.DropBuffer(behind, ci)
 			}
 		}
-		checkAgainstFlat(t, n, f, what)
+		checkAgainstFlat(t, tr, n, f, what)
 		if step%64 == 0 {
 			checkRoundTrip(t, n)
 		}
@@ -672,11 +643,11 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 		"owned (moved-down) message":                      reached.owned,
 		"drain of a child other than child 0":             reached.drainNotFirst,
 		"drain decided by the first-maximum tie rule":     reached.drainTie,
-		"insertChild cut with messages on both sides":     reached.cutBoth,
-		"insertChild cut leaving everything left":         reached.cutAllLeft,
-		"insertChild cut moving everything right":         reached.cutAllRight,
-		"insertChild on an empty buffer":                  reached.cutEmpty,
-		"splitInterior moving non-empty buffers to right": reached.splitMovedBuffers,
+		"LinkChild cut with messages on both sides":       reached.cutBoth,
+		"LinkChild cut leaving everything left":           reached.cutAllLeft,
+		"LinkChild cut moving everything right":           reached.cutAllRight,
+		"LinkChild on an empty buffer":                    reached.cutEmpty,
+		"SplitInterior moving non-empty buffers to right": reached.splitMovedBuffers,
 	} {
 		if c == 0 {
 			t.Errorf("the run never reached: %s", name)
@@ -696,10 +667,10 @@ func ownsBytes(m *cowtree.Record) bool {
 // arenaTaken returns how many bytes the arena handed out while f ran,
 // from the distance between a one-byte allocation before f and one
 // after it.
-func arenaTaken(mm *mem, f func()) int {
-	before := mm.arena.Alloc(1)
+func arenaTaken(a *cowtree.RecordArena, f func()) int {
+	before := a.Alloc(1)
 	f()
-	after := mm.arena.Alloc(1)
+	after := a.Alloc(1)
 	return int(uintptr(unsafe.Pointer(&after[0])) - uintptr(unsafe.Pointer(&before[0])) - 1)
 }
 
@@ -720,8 +691,9 @@ func TestMessageCodecKinds(t *testing.T) {
 }
 
 func runMessageCodecKinds(t *testing.T, width int) {
-	var mm mem
-	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: []nodeID{1}}}, bufs: make([][]cowtree.Record, 1), bufSizes: make([]int, 1)}
+	var c cowtree.Core
+	n := &cowtree.Node{Pivots: cowtree.Pivots{Children: []cowtree.NodeID{1}}}
+	c.NewBuffers(n)
 	key := bytes.Repeat([]byte{9}, width)
 	wide := width != kv.KeySize
 	roundTrip := func(m *cowtree.Record) cowtree.Record {
@@ -740,7 +712,7 @@ func runMessageCodecKinds(t *testing.T, width int) {
 		return got
 	}
 	insert := func(m cowtree.Record, val []byte) (taken int) {
-		return arenaTaken(&mm, func() { n.bufInsert(&mm, m, key, val, false) })
+		return arenaTaken(c.Arena(), func() { c.InsertMessage(n, m, key, val, false) })
 	}
 
 	// A fresh accounting-mode message: the words are a kv.KeySize key,
@@ -748,43 +720,42 @@ func runMessageCodecKinds(t *testing.T, width int) {
 	if taken := insert(cowtree.MakeRecord(key, 1, 4000, false), nil); taken != width && wide || taken != 0 && !wide {
 		t.Fatalf("a fresh accounting-mode message took %d arena bytes", taken)
 	}
-	if m := &n.bufs[0][0]; !ownsBytes(m) == wide || m.Val() != nil {
+	if m := &n.Buf.Msgs[0][0]; !ownsBytes(m) == wide || m.Val() != nil {
 		t.Fatalf("fresh accounting-mode message: %+v", *m)
 	}
-	roundTrip(&n.bufs[0][0])
-	mm.msgs.Put(n.bufs[0])
-	n.bufs[0], n.bufSizes[0], n.bufBytes = nil, 0, 0
+	roundTrip(&n.Buf.Msgs[0][0])
+	c.DropBuffer(n, 0)
 
 	val := []byte("first")
 	if taken := insert(cowtree.MakeRecord(key, 2, 5, false), val); taken != len(val)+width && wide || taken != len(val) && !wide {
 		t.Fatalf("a fresh value-bearing message took %d arena bytes", taken)
 	}
-	if got := roundTrip(&n.bufs[0][0]); string(got.Val()) != "first" {
+	if got := roundTrip(&n.Buf.Msgs[0][0]); string(got.Val()) != "first" {
 		t.Fatalf("value %q", got.Val())
 	}
 	// The caller reuses its buffers; the stored message must not alias them.
 	key[width-1] ^= 0xff
 	val[0] = 'F'
-	if bytes.Equal(msgKey(&n.bufs[0][0]), key) || string(n.bufs[0][0].Val()) != "first" {
+	if bytes.Equal(msgKey(&n.Buf.Msgs[0][0]), key) || string(n.Buf.Msgs[0][0].Val()) != "first" {
 		t.Fatal("the stored message aliases the caller's key or value buffer")
 	}
 	key[width-1] ^= 0xff
 	insert(cowtree.MakeRecord(key, 3, 11, false), []byte("second, long"[:11]))
-	if got := roundTrip(&n.bufs[0][0]); string(got.Val()) != "second, lon" || len(n.bufs[0]) != 1 {
-		t.Fatalf("overwrite: value %q in %d messages", got.Val(), len(n.bufs[0]))
+	if got := roundTrip(&n.Buf.Msgs[0][0]); string(got.Val()) != "second, lon" || len(n.Buf.Msgs[0]) != 1 {
+		t.Fatalf("overwrite: value %q in %d messages", got.Val(), len(n.Buf.Msgs[0]))
 	}
-	if n.bufSizes[0] != cowtree.RecordOverhead+width+11 {
-		t.Fatalf("overwrite left %d bytes accounted", n.bufSizes[0])
+	if n.Buf.Sizes[0] != cowtree.RecordOverhead+width+11 {
+		t.Fatalf("overwrite left %d bytes accounted", n.Buf.Sizes[0])
 	}
 
 	// A tombstone drops the value and keeps the resident key bytes: a
 	// kv.KeySize key's message owns nothing, any other keeps its bytes.
 	var kb [kv.KeySize]byte
-	stored := n.bufs[0][0].Key(&kb) // a wide key's out-of-line bytes
+	stored := n.Buf.Msgs[0][0].Key(&kb) // a wide key's out-of-line bytes
 	if taken := insert(cowtree.MakeRecord(key, 4, 0, true), nil); taken != 0 {
 		t.Fatalf("a tombstone took %d arena bytes", taken)
 	}
-	m := &n.bufs[0][0]
+	m := &n.Buf.Msgs[0][0]
 	if !m.Del() || m.Val() != nil || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
 		t.Fatalf("tombstone: %+v", *m)
 	}
@@ -794,14 +765,14 @@ func runMessageCodecKinds(t *testing.T, width int) {
 
 	// Accounting mode: an overwrite allocates nothing and keeps the key.
 	if allocs := testing.AllocsPerRun(100, func() {
-		n.bufInsert(&mm, cowtree.MakeRecord(key, 5, 4000, false), key, nil, false)
+		c.InsertMessage(n, cowtree.MakeRecord(key, 5, 4000, false), key, nil, false)
 	}); allocs != 0 {
 		t.Fatalf("accounting-mode overwrite allocates %.1f objects", allocs)
 	}
 	if taken := insert(cowtree.MakeRecord(key, 6, 4000, false), nil); taken != 0 {
 		t.Fatalf("an accounting-mode overwrite took %d arena bytes", taken)
 	}
-	m = &n.bufs[0][0]
+	m = &n.Buf.Msgs[0][0]
 	if m.Val() != nil || m.Vlen() != 4000 || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
 		t.Fatalf("accounting-mode overwrite: %+v", *m)
 	}
@@ -853,16 +824,16 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 	}
 	// Both interior levels hold overwrites (of a key some leaf has) and
 	// tombstones.
-	level := map[nodeID]int{tr.Core.Root(): 0}
+	level := map[cowtree.NodeID]int{tr.Core.Root(): 0}
 	var live, dead [2]int
-	for _, n := range tr.nodes[1:] {
+	for _, n := range tr.Nodes() {
 		if n.Leaf {
 			continue
 		}
 		if n.ID != tr.Core.Root() {
 			level[n.ID] = 1 // any interior below the root
 		}
-		for _, buf := range n.bufs {
+		for _, buf := range n.Buf.Msgs {
 			for i := range buf {
 				if buf[i].Del() {
 					dead[level[n.ID]]++
@@ -877,8 +848,10 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 	}
 	_, interiors := tr.NodeCount()
 	buffers := 0
-	for _, n := range tr.nodes[1:] {
-		buffers += len(n.bufs)
+	for _, n := range tr.Nodes() {
+		if n.Buf != nil {
+			buffers += len(n.Buf.Msgs)
+		}
 	}
 	for from := uint64(0); from < keys; from += 97 {
 		if c := len(tr.newMsgStream(kv.NewTarget(kv.EncodeKey(from))).cursors); c > interiors {
@@ -931,10 +904,13 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 		}
 	}
 	var entryLen, entryCap, msgLen, msgCap int
-	for _, n := range tr.nodes[1:] {
+	for _, n := range tr.Nodes() {
 		entryLen += len(n.Entries)
 		entryCap += cap(n.Entries)
-		for _, buf := range n.bufs {
+		if n.Buf == nil {
+			continue
+		}
+		for _, buf := range n.Buf.Msgs {
 			msgLen += len(buf)
 			msgCap += cap(buf)
 		}
@@ -971,24 +947,25 @@ func benchSeps() [][]byte {
 	return seps
 }
 
-// benchNode returns the partitioned benchmark node, empty.
-func benchNode() *node {
-	n := &node{Node: cowtree.Node{Pivots: cowtree.Pivots{Children: make([]nodeID, 1)}},
-		bufs: make([][]cowtree.Record, benchChildren), bufSizes: make([]int, benchChildren)}
+// benchNode returns the partitioned benchmark node, empty, its buffers
+// from c.
+func benchNode(c *cowtree.Core) *cowtree.Node {
+	n := &cowtree.Node{Pivots: cowtree.Pivots{Children: make([]cowtree.NodeID, 1)}}
 	for i, sep := range benchSeps() {
 		n.InsertChild(i, sep, 0)
 	}
+	c.NewBuffers(n)
 	return n
 }
 
 // benchUpsert upserts one accounting-mode message for key into the
 // benchmark node, draining the busiest child while the node is over its
 // budget.
-func benchUpsert(mm *mem, n *node, key []byte, seq int) {
-	n.bufInsert(mm, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
-	for n.bufBytes > benchBudget {
-		ci, size := n.busiestChild()
-		dropBuffer(mm, n, ci, size)
+func benchUpsert(c *cowtree.Core, n *cowtree.Node, key []byte, seq int) {
+	c.InsertMessage(n, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
+	for n.Buf.Bytes > benchBudget {
+		ci, _ := n.Buf.Busiest()
+		c.DropBuffer(n, ci)
 	}
 }
 
@@ -1015,15 +992,15 @@ func BenchmarkBufferInsert(b *testing.B) {
 		}
 	}
 	b.Run("partitioned", func(b *testing.B) {
-		var mm mem
-		n := benchNode()
-		run(b, func(seq int) { benchUpsert(&mm, n, key, seq) })
+		var c cowtree.Core
+		n := benchNode(&c)
+		run(b, func(seq int) { benchUpsert(&c, n, key, seq) })
 	})
 	b.Run("flat", func(b *testing.B) {
-		var mm mem
+		var c cowtree.Core
 		f := &flatNode{seps: benchSeps()}
 		run(b, func(seq int) {
-			f.bufInsert(&mm, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
+			f.bufInsert(&c, cowtree.MakeRecord(key, uint64(seq), benchVlen, false), key, nil, false)
 			for f.bufBytes > benchBudget {
 				_, start, end, size := f.busiest()
 				f.remove(start, end, size)
@@ -1037,23 +1014,23 @@ var benchHit *cowtree.Record
 
 // BenchmarkBufferGet is the read side: on the benchmark node filled to
 // its budget by BenchmarkBufferInsert's upserts, a buffer-answered lookup
-// of a random resident key — the key's decoding, ChildFor and bufGet,
-// what Get does at each interior level it searches.
+// of a random resident key — the key's decoding, ChildFor and
+// Buffers.Get, what Get does at each interior level it searches.
 func BenchmarkBufferGet(b *testing.B) {
-	var mm mem
-	n := benchNode()
+	var c cowtree.Core
+	n := benchNode(&c)
 	rng := sim.NewRNG(1)
 	var ids []uint64
 	key := make([]byte, kv.KeySize)
 	for i := 0; i < 3*2080; i++ {
 		ids = append(ids, rng.Uint64n(benchKeySpace))
 		kv.AppendKey(key, ids[i])
-		benchUpsert(&mm, n, key, i)
+		benchUpsert(&c, n, key, i)
 	}
 	var resident [][]byte
 	for _, id := range ids {
 		k := kv.EncodeKey(id)
-		if t := kv.NewTarget(k); n.bufGet(n.ChildFor(t), t) != nil {
+		if t := kv.NewTarget(k); n.Buf.Get(n.ChildFor(t), t) != nil {
 			resident = append(resident, k)
 		}
 	}
@@ -1064,7 +1041,7 @@ func BenchmarkBufferGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := kv.NewTarget(resident[rng.Intn(len(resident))])
-		if benchHit = n.bufGet(n.ChildFor(t), t); benchHit == nil {
+		if benchHit = n.Buf.Get(n.ChildFor(t), t); benchHit == nil {
 			b.Fatal("a resident key missed")
 		}
 	}

@@ -29,14 +29,15 @@
 // Everything the Bε-tree shares with the B+Tree lives in internal/cowtree,
 // whose Core the Tree embeds: the node table, leaf cache, copy-on-write
 // write, checkpoints, Open/Recover, the kv.Engine lifecycle, the
-// operation bracket, the shared Tuning and the cowtree.Node its node
-// embeds — the leaf entries with their upsert, half split and image are
-// cowtree's. This package keeps the interior buffers with their
-// header count and codec, the buffer, flush (batch apply), interior
-// split and scan-merge paths, the two recovery hooks, and its own knobs
-// (epsilon, node_bytes). A checkpoint does not push buffered messages to the
-// leaves: they are durable inside the checkpointed interior node images,
-// as a real Bε-tree persists its buffers.
+// operation bracket, the shared Tuning and the node itself — a Bε-tree
+// node is a plain cowtree.Node, whose leaf entries, interior buffers
+// (cowtree.Buffers, behind Node.Buf), upserts, splits and image are
+// cowtree's. This package keeps its node magic and the policy: the ε
+// budgets, when and what to flush, the batch apply to a leaf, the
+// overfull drain, the scan merge, the two recovery hooks, and its own
+// knobs (epsilon, node_bytes). A checkpoint does not push buffered
+// messages to the leaves: they are durable inside the checkpointed
+// interior node images, as a real Bε-tree persists its buffers.
 package betree
 
 import (

@@ -20,7 +20,7 @@ func imageKey(m *cowtree.Record) []byte {
 // and the child extents parseNode returned with them: kind, leaf entries, separators, child extents and the child buffers
 // message by message (key, sequence, tombstone, value length, value
 // bytes), with the buffers' byte counts.
-func sameNodeImage(a, b *node, aExts, bExts []fileExtent) string {
+func sameNodeImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 	sameMsgs := func(x, y []cowtree.Record) bool {
 		if len(x) != len(y) {
 			return false
@@ -42,11 +42,15 @@ func sameNodeImage(a, b *node, aExts, bExts []fileExtent) string {
 		return "separators"
 	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
-	case len(a.bufs) != len(b.bufs) || !slices.Equal(a.bufSizes, b.bufSizes) || a.bufBytes != b.bufBytes:
+	case (a.Buf == nil) != (b.Buf == nil):
+		return "buffers"
+	case a.Buf == nil:
+		return ""
+	case len(a.Buf.Msgs) != len(b.Buf.Msgs) || !slices.Equal(a.Buf.Sizes, b.Buf.Sizes) || a.Buf.Bytes != b.Buf.Bytes:
 		return "buffer partition"
 	}
-	for ci := range a.bufs {
-		if !sameMsgs(a.bufs[ci], b.bufs[ci]) {
+	for ci := range a.Buf.Msgs {
+		if !sameMsgs(a.Buf.Msgs[ci], b.Buf.Msgs[ci]) {
 			return "buffered messages"
 		}
 	}
@@ -55,9 +59,9 @@ func sameNodeImage(a, b *node, aExts, bExts []fileExtent) string {
 
 // parsedExtents resolves a parsed node's children to the extents its
 // image named, in child order (parsed children have no ids yet).
-func parsedExtents(exts []fileExtent) func(nodeID) fileExtent {
+func parsedExtents(exts []cowtree.Extent) func(cowtree.NodeID) cowtree.Extent {
 	i := 0
-	return func(nodeID) fileExtent {
+	return func(cowtree.NodeID) cowtree.Extent {
 		e := exts[i]
 		i++
 		return e
@@ -65,7 +69,7 @@ func parsedExtents(exts []fileExtent) func(nodeID) fileExtent {
 }
 
 // FuzzNodeImage feeds arbitrary bytes to parseNode, which must never
-// panic. An image it accepts must survive the codec: serializeNode of
+// panic. An image it accepts must survive the codec: AppendImage of
 // the parsed node parses back to the same node, and serializing that
 // again gives the same bytes. The corpus is the leaf and interior images
 // of a small content-mode tree holding 8-, 16- and 24-byte keys, plus
@@ -90,7 +94,7 @@ func FuzzNodeImage(f *testing.F) {
 		}
 	}
 	var leaves, interiors int
-	for _, n := range tr.nodes[1:] {
+	for _, n := range tr.Nodes() {
 		if n.Leaf && leaves < 4 || !n.Leaf && interiors < 4 {
 			img := tr.AppendImage(nil, n.ID)
 			f.Add(img)
@@ -115,7 +119,7 @@ func FuzzNodeImage(f *testing.F) {
 		if !ok {
 			return
 		}
-		img := serializeNode(nil, n, parsedExtents(exts))
+		img := n.AppendImage(nil, nodeMagic, parsedExtents(exts))
 		got, gotExts, ok := parseNode(img)
 		if !ok {
 			t.Fatal("the re-serialized image does not parse")
@@ -123,7 +127,7 @@ func FuzzNodeImage(f *testing.F) {
 		if diff := sameNodeImage(n, got, exts, gotExts); diff != "" {
 			t.Fatalf("the round trip changed the node's %s", diff)
 		}
-		if again := serializeNode(nil, got, parsedExtents(gotExts)); !bytes.Equal(again, img) {
+		if again := got.AppendImage(nil, nodeMagic, parsedExtents(gotExts)); !bytes.Equal(again, img) {
 			t.Fatal("serializing the re-parsed node gave different bytes")
 		}
 	})

@@ -13,8 +13,9 @@ import (
 // Recovery — metadata selection, the top-down tree walk, free-list
 // reconstruction, leaf-chain rebuild, sequence-ordered journal replay,
 // the checkpoint-floor check, the closing checkpoint and stale-segment
-// retirement — lives in internal/cowtree. This file provides the two
-// engine-specific hooks: node materialization (the codec, interior
+// retirement — lives in internal/cowtree, as do the checkpoint
+// discipline and the node image. This file provides the two
+// engine-specific hooks: node materialization (the image, interior
 // buffers included) and the journal-record apply path.
 
 // Recover reopens a Bε-tree from its on-device state, interior buffers
@@ -27,22 +28,29 @@ func Recover(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration, e
 	return cowtree.Recover(fs, naming, cfg.Tuning, now, newTree(cfg))
 }
 
+// parseNode reconstructs a node from its image: the shared image under
+// nodeMagic and, for an interior, the buffered messages dealt out to its
+// child buffers. It returns the child extents in child order (the
+// children get ids as recovery loads them).
+func parseNode(data []byte) (*cowtree.Node, []cowtree.Extent, bool) {
+	n := &cowtree.Node{}
+	exts, off, ok := n.ParseImage(data, nodeMagic)
+	if ok && !n.Leaf {
+		ok = n.ParseBuffers(data, off)
+	}
+	return n, exts, ok
+}
+
 // MaterializeNode implements cowtree.Tree: parse one on-disk
 // image (interior buffers included), register the node and return its
-// child extents for the walk. The core notes a leaf's sequence numbers;
-// the buffered messages' are noted here.
+// child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, error) {
 	n, childExts, ok := parseNode(data)
 	if !ok {
 		return nil, nil, errors.New("betree: corrupt node")
 	}
-	for _, buf := range n.bufs {
-		for i := range buf {
-			t.Core.NoteSeq(buf[i].Seq()) // buffered messages count toward the max too
-		}
-	}
-	t.register(n)
-	return &n.Node, childExts, nil
+	t.Core.Register(n)
+	return n, childExts, nil
 }
 
 // ApplyRecovered implements cowtree.Tree: replay one journal
@@ -53,14 +61,14 @@ func (t *Tree) MaterializeNode(data []byte) (*cowtree.Node, []cowtree.Extent, er
 // is at least as new: inserting an older message at the root would
 // shadow the newer deeper version on reads.
 func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
-	n := t.nodes[t.Core.Root()]
+	n := t.Core.Node(t.Core.Root())
 	target := kv.NewTarget(r.Key)
 	for !n.Leaf {
 		ci := n.ChildFor(target)
-		if m := n.bufGet(ci, target); m != nil && m.Seq() >= r.Seq {
+		if m := n.Buf.Get(ci, target); m != nil && m.Seq() >= r.Seq {
 			return now, nil
 		}
-		n = t.nodes[n.Children[ci]]
+		n = t.Core.Node(n.Children[ci])
 	}
 	if e := cowtree.FindRecord(n.Entries, target); e != nil && e.Seq() >= r.Seq {
 		return now, nil

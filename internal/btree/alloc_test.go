@@ -61,7 +61,7 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	for id := uint64(keys); id < keys+100; id++ {
 		splits := tr.IO().LeafSplits
 		kv.AppendKey(key, id)
-		taken := arenaTaken(&tr.arena, func() {
+		taken := arenaTaken(tr.Core.Arena(), func() {
 			if now, err = tr.Put(now, key, nil, 400); err != nil {
 				t.Fatal(err)
 			}

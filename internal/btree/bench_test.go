@@ -21,8 +21,7 @@ var benchLeafHit int
 // 16-byte keys, a lookup of a random resident key — the leaf search and
 // the key match Get does once the descent has reached the leaf.
 func BenchmarkLeafGet(b *testing.B) {
-	var pool cowtree.Pool[cowtree.Record]
-	var arena cowtree.RecordArena
+	var c cowtree.Core
 	leaf := &cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}
 	rng := sim.NewRNG(1)
 	var keys [][]byte
@@ -30,7 +29,7 @@ func BenchmarkLeafGet(b *testing.B) {
 	for leaf.Serialized+entry.Size() <= NewConfig(1<<30).LeafPageBytes {
 		k := kv.EncodeKey(rng.Uint64())
 		keys = append(keys, k)
-		leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k, uint64(len(keys)), benchLeafVlen, false), k, nil)
+		c.InsertLeaf(leaf, cowtree.MakeRecord(k, uint64(len(keys)), benchLeafVlen, false), k, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

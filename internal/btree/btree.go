@@ -7,8 +7,12 @@ import (
 	"ptsbench/internal/sim"
 )
 
-// metaMagic tags the checkpoint metadata files ("WTMT").
-const metaMagic = 0x57544D54
+// metaMagic tags the checkpoint metadata files ("WTMT"), pageMagic the
+// page images ("BTPG"; see cowtree.Node.AppendImage).
+const (
+	metaMagic = 0x57544D54
+	pageMagic = 0x42545047
+)
 
 // naming is the B+Tree's on-device footprint.
 var naming = cowtree.Naming{
@@ -30,18 +34,7 @@ type Tree struct {
 	cowtree.Core
 
 	cfg Config
-
-	// arena backs what stored records keep (see cowtree.RecordArena) and
-	// the separator copies, records recycles the leaf record arrays
-	// displaced by growth and splits, and slab backs page structs. Page
-	// structs and retained bytes are immortal in this design (ids are
-	// never reused), so bump and pool allocation keep the steady-state op
-	// path allocation-free.
-	arena   cowtree.RecordArena
-	records cowtree.Pool[cowtree.Record]
-	slab    cowtree.Slab[cowtree.Node]
-
-	io IOStats
+	io  IOStats
 }
 
 // IOStats exposes internal activity counters: the core's cache and
@@ -68,20 +61,9 @@ func newTree(cfg Config) *Tree { return &Tree{cfg: cfg} }
 // NewRootLeaf implements cowtree.Tree: the empty, resident root leaf of
 // a fresh tree.
 func (t *Tree) NewRootLeaf() {
-	root := t.newPage(true)
+	root := t.Core.NewNode(true)
 	t.Core.SetRoot(root.ID)
 	t.Core.Admit(root)
-}
-
-// newPage takes a zeroed page from the slab, registers it with the core
-// and marks it dirty.
-func (t *Tree) newPage(leaf bool) *cowtree.Node {
-	p := t.slab.Get()
-	p.Leaf = leaf
-	p.Serialized = cowtree.PageHeaderBytes
-	t.Core.Register(p)
-	t.Core.MarkDirty(p)
-	return p
 }
 
 // AppendImage implements cowtree.Engine.
@@ -178,7 +160,7 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	}
 	// The caller reuses its key/value buffers: the record does not own
 	// its bytes, and InsertLeaf copies only what the leaf keeps.
-	t.Core.Resize(leaf.InsertLeaf(&t.records, &t.arena, cowtree.MakeRecord(key, seq, valueLen, del), key, value))
+	t.Core.Resize(t.Core.InsertLeaf(leaf, cowtree.MakeRecord(key, seq, valueLen, del), key, value))
 	t.Core.MarkDirty(leaf)
 	if now, err = t.Core.AppendJournal(now, seq, key, value, valueLen, del); err != nil {
 		return now, err
@@ -260,47 +242,22 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 // splitLeaf splits an overfull leaf (see cowtree.Core.SplitLeaf) and
 // propagates internal splits.
 func (t *Tree) splitLeaf(leaf *cowtree.Node) {
-	right := t.slab.Get()
-	t.Core.Register(right)
-	sep := t.Core.SplitLeaf(&t.records, &t.arena, leaf, right)
+	right, sep := t.Core.SplitLeaf(leaf)
 	t.io.LeafSplits++
 	t.insertIntoParent(leaf, sep, right)
 }
 
 // insertIntoParent links a new right sibling under the parent, splitting
-// internals (and growing a new root) as needed. sep is bytes the tree
-// owns (a split's), kept without a copy.
+// an internal page that outgrows InternalPageBytes (see
+// cowtree.Core.SplitInterior) and growing a new root as needed.
 func (t *Tree) insertIntoParent(left *cowtree.Node, sep []byte, right *cowtree.Node) {
 	if left.ID == t.Core.Root() {
-		newRoot := t.newPage(false)
-		newRoot.InitRoot(left.ID, sep, right.ID)
-		newRoot.Serialized = newRoot.PivotBytes()
-		left.Parent = newRoot.ID
-		right.Parent = newRoot.ID
-		t.Core.SetRoot(newRoot.ID)
+		t.Core.NewRoot(left, sep, right)
 		return
 	}
-	parent := t.Core.Node(left.Parent)
-	parent.Serialized += parent.InsertChild(parent.ChildIndex(left.ID), sep, right.ID)
-	right.Parent = parent.ID
-	t.Core.MarkDirty(parent)
-	if parent.Serialized > t.cfg.InternalPageBytes {
-		t.splitInternalPage(parent)
+	if parent := t.Core.LinkChild(left, sep, right); parent.Serialized > t.cfg.InternalPageBytes {
+		half, promoted := t.Core.SplitInterior(parent)
+		t.io.InternalSplits++
+		t.insertIntoParent(parent, promoted, half)
 	}
-}
-
-// splitInternalPage splits an internal page and reparents moved children.
-func (t *Tree) splitInternalPage(p *cowtree.Node) {
-	right := t.slab.Get()
-	t.Core.Register(right)
-	right.Parent = p.Parent
-	promoted := p.SplitHalf(&right.Pivots)
-	p.Serialized, right.Serialized = p.PivotBytes(), right.PivotBytes()
-	t.Core.MarkDirty(right)
-	t.Core.MarkDirty(p)
-	t.io.InternalSplits++
-	for _, c := range right.Children {
-		t.Core.Node(c).Parent = right.ID
-	}
-	t.insertIntoParent(p, promoted, right)
 }

@@ -269,12 +269,11 @@ func pages(tr *Tree) []*cowtree.Node {
 }
 
 func TestPageSerializationRoundTrip(t *testing.T) {
-	var pool cowtree.Pool[cowtree.Record]
-	var arena cowtree.RecordArena
+	var c cowtree.Core
 	leaf := &cowtree.Node{Leaf: true, Serialized: cowtree.PageHeaderBytes}
 	k1, k2 := kv.EncodeKey(1), kv.EncodeKey(2)
-	leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
-	leaf.InsertLeaf(&pool, &arena, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
+	c.InsertLeaf(leaf, cowtree.MakeRecord(k1, 7, 3, false), k1, []byte("abc"))
+	c.InsertLeaf(leaf, cowtree.MakeRecord(k2, 9, 64, true), k2, nil)
 	data := leaf.AppendImage(nil, pageMagic, nil)
 	got, _, ok := parsePage(data)
 	if !ok {

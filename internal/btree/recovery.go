@@ -13,9 +13,10 @@ import (
 // Recovery — metadata selection, the top-down tree walk, free-list
 // reconstruction, leaf-chain rebuild, sequence-ordered journal replay,
 // the checkpoint-floor check, the closing checkpoint and stale-segment
-// retirement — lives in internal/cowtree. This file provides the two
-// engine-specific hooks: page materialization (the codec) and the
-// journal-record apply path.
+// retirement — lives in internal/cowtree, as do the checkpoint
+// discipline and the page image. This file provides the two
+// engine-specific hooks: page materialization (the image under
+// pageMagic) and the journal-record apply path.
 
 // Recover reopens a B+Tree from its on-device state (see
 // cowtree.Recover). It requires content mode.
@@ -55,7 +56,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	}
 	// A record's key and value are the journal reader's bytes, so it
 	// enters as an unowned record (see cowtree.RecordArena.Own).
-	delta := leaf.InsertLeaf(&t.records, &t.arena, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
+	delta := t.Core.InsertLeaf(leaf, cowtree.MakeRecord(r.Key, r.Seq, vlen, r.Deleted), r.Key, r.Value)
 	if leaf.Resident {
 		t.Core.Resize(delta)
 	}

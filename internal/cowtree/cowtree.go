@@ -1,17 +1,20 @@
 // Package cowtree is the copy-on-write core shared by the page/node-based
-// tree engines (B+Tree, Bε-tree). It owns the Node both engines build on
-// — identity, position in the tree, on-disk extent, cache residency, an
-// interior's pivot section and a leaf's entries — and every mechanism
-// that acts on it alone:
+// tree engines (B+Tree, Bε-tree). It owns the Node that is every node of
+// both trees — identity, position in the tree, on-disk extent, cache
+// residency, an interior's pivot section and, in a Bε-tree, its message
+// buffers, and a leaf's entries — and every mechanism that acts on it
+// alone:
 //
 //   - the extent allocator that places node images inside the
 //     collection file (lowest-offset first fit, checkpoint-deferred
 //     release),
-//   - the id-indexed node table and the root id,
+//   - the one id-indexed node table (NewNode makes every node the
+//     engines create) and the root id, with the allocators nodes and
+//     records are drawn from,
 //   - dirty-set tracking: an id-indexed dirty bitmap beside the node
 //     table, and an append-order transition log filtered on it at
-//     snapshot time. A node with no extent is always dirty — engines
-//     mark every node they create, recovery gives every node it loads
+//     snapshot time. A node with no extent is always dirty — NewNode
+//     marks every node it makes, recovery gives every node it loads
 //     its extent, and Check asserts it — so the bitmap alone says
 //     which nodes a checkpoint must write,
 //   - the leaf cache: LRU list, resident byte count, hit/miss accounting
@@ -41,21 +44,24 @@
 //   - the interior pivot section both engines keep (pivots.go, embedded
 //     in Node): separators, child ids, the separator word cache, child
 //     lookup, child insert, the half split, the section's footprint and
-//     its codec,
+//     its codec; and the new root, child link and interior split built
+//     on it,
+//   - the Bε-tree's message buffers (buffers.go, Node.Buf) with their
+//     lookup, upsert, cut, split and codec,
 //   - the leaf payload both engines keep (leaf.go, Node.Entries): the
 //     leaf upsert, the split guard and the half split, and the node
 //     image — header, then a leaf's entries or an interior's pivot
-//     section — written and parsed under the engine's magic; recovery
-//     notes a parsed leaf's sequence numbers itself.
+//     section and buffered messages — written and parsed under the
+//     engine's magic; recovery notes a parsed node's sequence numbers
+//     itself.
 //
-// The B+Tree's page is a plain Node; the Bε-tree embeds Node in its node
-// type beside the interior message buffers. Both embed Core in their
-// tree — so the core's lifecycle methods are the engine's kv.Engine
-// methods — keep only their magic, their interior header fields (the
-// Bε-tree's buffer count) and their descent, split propagation, flush
-// and scan paths, and implement the four Tree methods the core cannot
-// do for them: serialize a node (AppendImage, the shared image plus any
-// interior payload), parse one (MaterializeNode), apply a replayed
+// Both engines' nodes are plain Nodes, reached through Core.Node. Both
+// embed Core in their tree — so the core's lifecycle methods are the
+// engine's kv.Engine methods — keep only their magic and their policy
+// (descent, when to split, the Bε-tree's flush, batch apply and scan
+// merge), and implement the four Tree methods the core cannot do for
+// them: serialize a node (AppendImage, the shared image under the
+// engine's magic), parse one (MaterializeNode), apply a replayed
 // journal record (ApplyRecovered) and install a fresh tree's root leaf
 // (NewRootLeaf).
 // Three crash-recovery bugs once had to be fixed twice, once per copied
@@ -87,12 +93,11 @@ const NilNode NodeID = 0
 // Pages == 0 means "no extent" (a node never written).
 type Extent = freeset.Extent
 
-// Node is every tree node's shared state: the header, an interior's
-// pivots and a leaf's entries. The B+Tree's pages are Nodes; the
-// Bε-tree embeds Node in its node type beside the interior buffers. The
-// core reads and writes these fields directly — on the engine's op path
-// too, where a method call per descent step or per child scanned would
-// be the cost.
+// Node is every tree node, in both engines: the header, an interior's
+// pivots (and, in a Bε-tree, its message buffers) and a leaf's entries.
+// The core reads and writes these fields directly — on the engine's op
+// path too, where a method call per descent step or per child scanned
+// would be the cost.
 type Node struct {
 	ID     NodeID
 	Parent NodeID // NilNode for the root
@@ -106,6 +111,8 @@ type Node struct {
 	// Pivots are an interior node's separators and child ids (empty for
 	// leaves).
 	Pivots
+	// Buf is a Bε-tree interior's message buffers; nil on other nodes.
+	Buf *Buffers
 
 	// Serialized is the node's current serialized size in bytes, which
 	// the engine tracks incrementally.
@@ -166,12 +173,17 @@ type Core struct {
 	stats  kv.EngineStats
 	closed bool
 
-	// nodes is indexed by NodeID (index 0 is NilNode). The B+Tree reaches
-	// its pages through Node; the Bε-tree keeps a slice of its own node
-	// type parallel to it, so neither side pays an interface call or a
-	// type assertion to reach a node.
-	nodes []*Node
-	root  NodeID
+	// nodes is indexed by NodeID (index 0 is NilNode). The slabs back the
+	// nodes NewNode makes and their buffers, arena and records what the
+	// stored records keep and their arrays: nodes and retained bytes are
+	// immortal (ids are never reused), so bump and pool allocation keep
+	// the steady-state op path allocation-free.
+	nodes   []*Node
+	root    NodeID
+	slab    Slab[Node]
+	bufSlab Slab[Buffers]
+	arena   RecordArena
+	records Pool[Record]
 
 	// dirty is indexed by NodeID like nodes: the node needs writing
 	// before eviction / at the next checkpoint. MarkDirty sets it, Write
@@ -234,19 +246,37 @@ func (c *Core) setup(eng Engine, fs *extfs.FS, file *extfs.File, n Naming, tune 
 	c.ckptW = sim.NewWorker(n.Name + "-checkpoint")
 }
 
-// Register enters a new node into the table under the next sequential
-// id, which it stores in n.ID. An engine with a node type of its own
-// appends it to its parallel slice at the same moment. A node enters
-// clean; the engine marks a node it creates dirty, and recovery gives a
-// node it loads its extent (see dirty).
+// Register enters a node into the table under the next sequential id,
+// which it stores in n.ID. A node enters clean: NewNode marks the nodes
+// it makes dirty, and recovery gives a node it loads its extent.
 func (c *Core) Register(n *Node) {
 	n.ID = NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, n)
 	c.dirty = append(c.dirty, false)
 }
 
+// NewNode makes every node the engines create: a zeroed leaf or
+// interior from the slab, the bare header's size, registered and dirty.
+func (c *Core) NewNode(leaf bool) *Node {
+	n := c.slab.Get()
+	n.Leaf = leaf
+	n.Serialized = PageHeaderBytes
+	c.Register(n)
+	c.MarkDirty(n)
+	return n
+}
+
 // Node returns the node registered under id.
 func (c *Core) Node(id NodeID) *Node { return c.nodes[id] }
+
+// Nodes returns the node table in id order, without the nil node.
+func (c *Core) Nodes() []*Node { return c.nodes[1:] }
+
+// Records returns the pool that recycles the tree's record arrays.
+func (c *Core) Records() *Pool[Record] { return &c.records }
+
+// Arena returns the arena backing what stored records keep.
+func (c *Core) Arena() *RecordArena { return &c.arena }
 
 // Root returns the current root node id.
 func (c *Core) Root() NodeID { return c.root }
@@ -413,7 +443,9 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 // is a resident leaf, every resident node is listed, and the listed
 // sizes sum to the resident byte count; the dirty bitmap covers the
 // node table, counts dirtyCount nodes, and holds every node that has no
-// extent; every child's Parent is the node listing it.
+// extent; every child's Parent is the node listing it; a Bε-tree's
+// buffers are where ChildFor routes their messages, sorted and exactly
+// counted (checkBuffers).
 func (c *Core) Check() error {
 	if len(c.dirty) != len(c.nodes) {
 		return fmt.Errorf("%s: dirty bitmap covers %d ids, node table %d", c.cfg.Name, len(c.dirty), len(c.nodes))
@@ -434,6 +466,9 @@ func (c *Core) Check() error {
 			if p := c.nodes[ch].Parent; p != NodeID(id+1) {
 				return fmt.Errorf("%s: node %d lists child %d, whose parent is %d", c.cfg.Name, id+1, ch, p)
 			}
+		}
+		if err := n.checkBuffers(); err != nil {
+			return fmt.Errorf("%s: %w", c.cfg.Name, err)
 		}
 	}
 	var bytes int64

@@ -37,15 +37,19 @@ type Pivots struct {
 	// every separator is a kv.KeySize key, so a descent's binary search
 	// probes raw uint64 pairs instead of re-decoding separator bytes on
 	// every comparison; a separator's two words sit side by side, so a
-	// probe loads one cache line, not one per word. mixed is set (and
-	// words empty) while some separator has another width: searches
-	// then compare the separator bytes. The separators only change on
-	// splits, so keeping the cache is off the hot path.
+	// probe loads one cache line, not one per word. While some separator
+	// has another width, words is empty (see mixed) and searches compare
+	// the separator bytes. The separators only change on splits, so
+	// keeping the cache is off the hot path.
 	words []sepWords
-	mixed bool
 }
 
 type sepWords struct{ hi, lo uint64 }
+
+// mixed reports that the word cache is off: some separator is not a
+// kv.KeySize key. It is derived rather than stored, which keeps Node at
+// its size.
+func (p *Pivots) mixed() bool { return len(p.words) != len(p.Seps) }
 
 // ChildFor returns the index of the child covering t: the number of
 // separators <= t (a key equal to a separator goes right). It inlines
@@ -55,7 +59,7 @@ func (p *Pivots) ChildFor(t kv.Target) int { return p.upperBound(t) }
 // upperBound is ChildFor's search: over the word cache when both it and
 // t have words, over the separator bytes otherwise.
 func (p *Pivots) upperBound(t kv.Target) int {
-	if t.Fast && !p.mixed {
+	if t.Fast && !p.mixed() {
 		w := p.words
 		lo, hi := 0, len(w)
 		for lo < hi {
@@ -106,17 +110,17 @@ func (p *Pivots) InitRoot(left NodeID, sep []byte, right NodeID) {
 // split at sep — and returns the serialized size delta. The set keeps
 // sep itself: a split hands over bytes the tree owns.
 func (p *Pivots) InsertChild(idx int, sep []byte, child NodeID) int {
-	p.Seps = slices.Insert(p.Seps, idx, sep)
-	p.Children = slices.Insert(p.Children, idx+1, child)
 	// Splice the separator's words in (a full refresh per child insert
 	// would re-decode the whole fanout on every leaf split).
-	if !p.mixed {
+	if !p.mixed() {
 		if hi, lo, ok := kv.DecomposeKey(sep); ok {
 			p.words = slices.Insert(p.words, idx, sepWords{hi, lo})
 		} else {
-			p.mixed, p.words = true, p.words[:0]
+			p.words = p.words[:0]
 		}
 	}
+	p.Seps = slices.Insert(p.Seps, idx, sep)
+	p.Children = slices.Insert(p.Children, idx+1, child)
 	return 2 + len(sep) + ChildRefBytes
 }
 
@@ -136,11 +140,11 @@ func (p *Pivots) SplitHalf(right *Pivots) []byte {
 
 // refresh rebuilds the word cache from the separators.
 func (p *Pivots) refresh() {
-	p.words, p.mixed = p.words[:0], false
+	p.words = p.words[:0]
 	for _, sep := range p.Seps {
 		hi, lo, ok := kv.DecomposeKey(sep)
 		if !ok {
-			p.words, p.mixed = p.words[:0], true
+			p.words = p.words[:0]
 			return
 		}
 		p.words = append(p.words, sepWords{hi, lo})
@@ -210,4 +214,52 @@ func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, o
 	p.Children = make([]NodeID, count+1)
 	p.refresh()
 	return exts, off, true
+}
+
+// NewRoot grows the tree by a level: a new interior root over left and
+// its new right sibling at sep (kept without a copy).
+func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
+	root := c.NewNode(false)
+	root.InitRoot(left.ID, sep, right.ID)
+	root.Serialized = root.PivotBytes()
+	left.Parent, right.Parent = root.ID, root.ID
+	c.root = root.ID
+	return root
+}
+
+// LinkChild links right, left's new right sibling, under left's parent
+// at sep (kept without a copy), cuts a Bε-tree parent's buffer of left
+// there, and marks the parent dirty. It returns the parent.
+func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
+	parent := c.nodes[left.Parent]
+	idx := parent.ChildIndex(left.ID)
+	parent.Serialized += parent.InsertChild(idx, sep, right.ID)
+	if parent.Buf != nil {
+		c.cutBuffer(parent.Buf, idx, sep)
+	}
+	right.Parent = parent.ID
+	c.MarkDirty(parent)
+	return parent
+}
+
+// SplitInterior moves the upper half of interior n — pivots and, in a
+// Bε-tree, those children's buffers whole — into a new node, reparents
+// the moved children and marks both halves dirty. It returns the new
+// node and the separator promoted between them.
+func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
+	right = c.NewNode(false)
+	right.Parent = n.Parent
+	promoted = n.SplitHalf(&right.Pivots)
+	n.Serialized, right.Serialized = n.PivotBytes(), right.PivotBytes()
+	if n.Buf != nil {
+		right.Buf = c.bufSlab.Get()
+		n.Buf.splitAt(len(n.Children), right.Buf)
+		n.Serialized += n.Buf.Bytes
+		right.Serialized += right.Buf.Bytes
+	}
+	c.MarkDirty(n)
+	for _, ch := range right.Children {
+		c.nodes[ch].Parent = right.ID
+	}
+	return right, promoted
 }

@@ -28,7 +28,7 @@ import (
 // the workload keys never use it.
 func TestPivots(t *testing.T) {
 	var zero Pivots
-	if zero.mixed {
+	if zero.mixed() {
 		t.Fatal("the zero value must be an empty set with its word cache on")
 	}
 	for _, k := range [][]byte{kv.EncodeKey(5), []byte("x")} {
@@ -38,7 +38,7 @@ func TestPivots(t *testing.T) {
 	}
 	p := Pivots{Seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20), kv.EncodeKey(30)}, Children: []NodeID{1, 2, 3, 4}}
 	p.refresh()
-	if p.mixed {
+	if p.mixed() {
 		t.Fatal("cache off after a rebuild over kv.KeySize separators")
 	}
 	for _, tc := range []struct {
@@ -62,12 +62,12 @@ func TestPivots(t *testing.T) {
 	}
 	// A non-kv.KeySize separator switches the cache off.
 	p.InsertChild(0, []byte("short"), 6)
-	if !p.mixed {
+	if !p.mixed() {
 		t.Fatal("cache must switch off on a non-kv.KeySize separator")
 	}
 	p = Pivots{Seps: [][]byte{[]byte("x")}}
 	p.refresh()
-	if !p.mixed {
+	if !p.mixed() {
 		t.Fatal("a rebuild over other widths must leave the cache off")
 	}
 
@@ -93,7 +93,7 @@ func TestPivots(t *testing.T) {
 	}
 	check := func(step int, p *Pivots, children []NodeID) {
 		t.Helper()
-		off := Pivots{Seps: p.Seps, mixed: true}
+		off := Pivots{Seps: p.Seps} // no words: the cache is off
 		probes := [][]byte{key(false), key(false)[:8], append(key(false), 7)}
 		mixed := false
 		for _, s := range p.Seps {
@@ -109,14 +109,14 @@ func TestPivots(t *testing.T) {
 		for _, k := range probes {
 			w := want(p.Seps, k)
 			if got := p.ChildFor(kv.NewTarget(k)); got != w {
-				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (mixed=%v, %d seps)", step, k, got, w, p.mixed, len(p.Seps))
+				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (mixed=%v, %d seps)", step, k, got, w, p.mixed(), len(p.Seps))
 			}
 			if got := off.ChildFor(kv.NewTarget(k)); got != w {
 				t.Fatalf("step %d: cache off: ChildFor(%x) = %d, sort.Search %d", step, k, got, w)
 			}
 		}
-		if p.mixed != mixed {
-			t.Fatalf("step %d: cache mixed=%v, separators mixed=%v", step, p.mixed, mixed)
+		if p.mixed() != mixed {
+			t.Fatalf("step %d: cache mixed=%v, separators mixed=%v", step, p.mixed(), mixed)
 		}
 		if !mixed {
 			if len(p.words) != len(p.Seps) {
@@ -157,7 +157,7 @@ func TestPivots(t *testing.T) {
 		if !ok || used != len(img) {
 			t.Fatalf("step %d: ParsePivots ok=%v used %d of %d", step, ok, used, len(img))
 		}
-		if !slices.EqualFunc(got.Seps, p.Seps, bytes.Equal) || len(got.Children) != len(p.Children) || got.mixed != p.mixed {
+		if !slices.EqualFunc(got.Seps, p.Seps, bytes.Equal) || len(got.Children) != len(p.Children) || got.mixed() != p.mixed() {
 			t.Fatalf("step %d: the round trip changed the separators or children", step)
 		}
 		for i, c := range p.Children {
@@ -169,7 +169,7 @@ func TestPivots(t *testing.T) {
 			t.Fatalf("step %d: a section one byte short parsed", step)
 		}
 		reached["codec"]++
-		if p.mixed && !slices.ContainsFunc(p.Seps, func(s []byte) bool { return len(s) == 5 }) {
+		if p.mixed() && !slices.ContainsFunc(p.Seps, func(s []byte) bool { return len(s) == 5 }) {
 			reached["codec over 8/16/24-byte separators"]++
 		}
 	}
@@ -192,7 +192,7 @@ func TestPivots(t *testing.T) {
 				check(step, &p, oldChildren[:mid+1])
 				check(step, &right, oldChildren[mid+1:])
 				for _, half := range []*Pivots{&p, &right} {
-					if !half.mixed && slices.ContainsFunc(old, func(s []byte) bool { return len(s) == 5 }) {
+					if !half.mixed() && slices.ContainsFunc(old, func(s []byte) bool { return len(s) == 5 }) {
 						reached["cache back on after the short separator moved away"]++
 					}
 				}

@@ -81,8 +81,16 @@ func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng Tree
 	if err != nil {
 		return nil, now, fmt.Errorf("%w at extent %d+%d", err, ext.Start, ext.Pages)
 	}
+	// Recompute the counter from disk state, buffered messages included.
 	for i := range n.Entries {
-		c.NoteSeq(n.Entries[i].Seq()) // recompute the counter from disk state
+		c.NoteSeq(n.Entries[i].Seq())
+	}
+	if n.Buf != nil {
+		for _, buf := range n.Buf.Msgs {
+			for i := range buf {
+				c.NoteSeq(buf[i].Seq())
+			}
+		}
 	}
 	n.Parent = parent
 	n.Disk = ext

@@ -172,22 +172,23 @@ func (t *Tuning) Bind(k *engine.Knobs) {
 // the two recovery hooks, a constructor for the empty root leaf of a
 // fresh tree, and the Core — which the tree provides by embedding it.
 // The core drives the tree walk, free-list reconstruction, leaf-chain
-// rebuild and sequence-ordered replay, and owns the leaf payload and the
-// shared node image (Node.AppendImage, Node.ParseImage); the engine
-// adds its magic and any interior payload to the codec and applies
-// replayed journal records (its insert path).
+// rebuild and sequence-ordered replay, and owns the node table, the leaf
+// payload, the Bε-tree's buffers and the shared node image
+// (Node.AppendImage, Node.ParseImage, Node.ParseBuffers); the engine
+// adds its magic to the codec and applies replayed journal records (its
+// insert path).
 type Tree interface {
 	Engine
-	// MaterializeNode parses one on-disk image into a node of the
-	// engine's type (Node.ParseImage under the engine's magic, plus any
-	// interior payload) and registers it (Core.Register, plus the
-	// engine's own parallel slice if it keeps one). It returns the Node —
-	// Leaf, Serialized, a leaf's Entries and, for an interior node,
-	// Children sized to the fanout set; the core fills in Parent, Disk
-	// and the child ids and notes the entries' sequence numbers — and the
-	// on-disk extents of the children in child order (nil for leaves). It
-	// reports every other sequence number the image holds (the Bε-tree's
-	// buffered messages) to Core.NoteSeq.
+	// MaterializeNode parses one on-disk image into a Node
+	// (Node.ParseImage under the engine's magic, and Node.ParseBuffers
+	// for a Bε-tree interior) and registers it (Core.Register). It
+	// returns the Node — Leaf, Serialized, a leaf's Entries and, for an
+	// interior node, Children sized to the fanout set and any Buf; the
+	// core fills in Parent, Disk and the child ids and notes the
+	// sequence numbers of the entries and buffered messages — and the
+	// on-disk extents of the children in child order (nil for leaves). An
+	// engine with a payload of its own reports the sequence numbers it
+	// holds to Core.NoteSeq.
 	MaterializeNode(data []byte) (*Node, []Extent, error)
 	// ApplyRecovered replays one journal record through the engine's
 	// insert path (without journaling, CPU costs or eviction),
@@ -289,8 +290,8 @@ func Recover[T Tree](fs *extfs.FS, n Naming, tune Tuning, now sim.Duration, t T)
 }
 
 // NoteSeq raises the sequence high-water mark to seq; recovery calls it
-// for every leaf entry MaterializeNode returns, and an engine for every
-// other sequence it parses.
+// for every leaf entry and buffered message MaterializeNode returns, and
+// an engine for every other sequence it parses.
 func (c *Core) NoteSeq(seq uint64) {
 	if seq > c.seq {
 		c.seq = seq
