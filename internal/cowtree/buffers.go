@@ -160,8 +160,9 @@ func (n *Node) ParseBuffers(data []byte, off int) bool {
 }
 
 // checkBuffers audits n's buffers for Core.Check: none on a leaf; one
-// buffer and size per child, each strictly sorted and routed by
-// ChildFor, the sizes, their total and Serialized exact.
+// buffer and size per child (and one child more than separators), each
+// strictly sorted and routed by ChildFor, the sizes, their total and
+// Serialized exact.
 func (n *Node) checkBuffers() error {
 	b := n.Buf
 	switch {
@@ -169,8 +170,8 @@ func (n *Node) checkBuffers() error {
 		return nil
 	case n.Leaf:
 		return fmt.Errorf("leaf %d has buffers", n.ID)
-	case len(b.Msgs) != len(n.Children) || len(b.Sizes) != len(n.Children):
-		return fmt.Errorf("node %d: %d buffers and %d sizes for %d children", n.ID, len(b.Msgs), len(b.Sizes), len(n.Children))
+	case len(b.Msgs) != len(n.Children) || len(b.Sizes) != len(n.Children) || len(n.Seps)+1 != len(n.Children):
+		return fmt.Errorf("node %d: %d buffers, %d sizes and %d separators for %d children", n.ID, len(b.Msgs), len(b.Sizes), len(n.Seps), len(n.Children))
 	}
 	total := 0
 	var kb [kv.KeySize]byte
