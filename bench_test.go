@@ -407,29 +407,6 @@ func BenchmarkAblationBTreeCache(b *testing.B) {
 
 // ---- Micro-benchmarks for the core data structures ----
 
-func BenchmarkFTLRandomWrite(b *testing.B) {
-	dev, err := flash.NewDevice(flash.Config{
-		LogicalBytes:  256 << 20,
-		PageSize:      4096,
-		PagesPerBlock: 256,
-		Profile:       flash.ProfileSSD1().Scaled(1024),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Pre-fill so GC participates.
-	pages := dev.LogicalPages()
-	var now sim.Duration
-	for p := int64(0); p < pages; p += 256 {
-		now = dev.SubmitWrite(now, p, 256)
-	}
-	rng := sim.NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = dev.SubmitWrite(now, int64(rng.Uint64n(uint64(pages))), 1)
-	}
-}
-
 func BenchmarkBTreePut(b *testing.B) {
 	ssd, err := flash.NewDevice(flash.Config{
 		LogicalBytes:  512 << 20,

@@ -9,7 +9,7 @@
 //	ptsbench run -figure fig2 [-engine lsm,btree,betree] [-scale 128] [-quick] [-seed 1] [-csv DIR]
 //	ptsbench exp -spec FILE [-quick] [-csv DIR] [-json FILE] [-workers N]
 //	ptsbench qdsweep [-scale 512] [-quick] [-seed 1] [-csv DIR]
-//	ptsbench crash -engine lsm [-shards 4] [-ops 400] [-seed 1] [-trials 8] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-device sim|file] [-dir DIR]
+//	ptsbench crash -engine lsm [-shards 4] [-ops 400] [-seed 1] [-trials 8] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-tunable K=V]... [-device sim|file] [-dir DIR]
 //	ptsbench devdiff [-engine lsm,btree,betree] [-ops 600] [-seed 1] [-dir DIR]
 //	ptsbench all [-quick] [-csv DIR]
 //
@@ -35,7 +35,8 @@
 // additionally verifies the file matches the resolved durable image
 // after every power-on; -dir keeps the per-trial images for inspection.
 // -cut-shard S -cut-write W (both or neither) pin where the fault lands
-// instead of sampling it.
+// instead of sampling it. -tunable K=V, repeatable, overrides one engine
+// knob on top of the harness's durability settings.
 // -replicas R (with -repl-mode chain or quorum) turns every shard into
 // a replica group of R full engine stacks and changes the failure: one
 // replica's device is killed mid-batch while the machine keeps serving,
@@ -63,6 +64,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,7 +74,6 @@ import (
 	"time"
 
 	"ptsbench/internal/core"
-	"ptsbench/internal/crash"
 	"ptsbench/internal/engine"
 	"ptsbench/internal/figures"
 )
@@ -128,52 +129,15 @@ func main() {
 			os.Exit(1)
 		}
 	case "crash":
-		fs := flag.NewFlagSet("crash", flag.ExitOnError)
-		eng := fs.String("engine", "", "engine to crash-test (lsm, btree, betree)")
-		shards := fs.Int("shards", 1, "store shard count")
-		ops := fs.Int("ops", 400, "recorded op-log length")
-		keys := fs.Int("keys", 0, "key-space bound (0 = ops/8, min 16)")
-		seed := fs.Uint64("seed", 1, "trial seed (trial t runs with seed+t)")
-		trials := fs.Int("trials", 1, "independent seeds to run")
-		cutShard := fs.Int("cut-shard", -1, "pin the cut shard; needs -cut-write (-1 = sample shard and write by write traffic)")
-		cutWrite := fs.Int64("cut-write", 0, "pin the 1-based cut write within -cut-shard; needs -cut-shard (0 = sample)")
-		replicas := fs.Int("replicas", 1, "replicas per shard (>1 kills one replica's device instead of the machine)")
-		replMode := fs.String("repl-mode", "", "replication mode for -replicas >1: chain (default) or quorum (needs >=3)")
-		errKinds := fs.String("errors", "", "comma-separated error kinds to arm on one replica (eio, short, misdirect, fsynclie); needs -replicas >=2")
-		errProb := fs.Float64("error-prob", 0, "per-op probability of each armed error kind (0 = default 0.05)")
-		device := fs.String("device", "sim", "backing device: sim (flash simulator) or file (real files via internal/filedev)")
-		dir := fs.String("dir", "", "file device only: keep per-trial shard images under this directory (default: temp, removed)")
-		_ = fs.Parse(os.Args[2:])
-		if *eng == "" {
-			fmt.Fprintln(os.Stderr, "crash: -engine is required")
+		spec, err := parseCrashArgs(os.Args[2:])
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "crash:", err)
 			os.Exit(2)
 		}
-		if *cutShard == 0 && *cutWrite == 0 {
-			// As a Spec this is the zero value, which samples; on the
-			// command line it is an explicit half pin like any other.
-			fmt.Fprintln(os.Stderr, "crash: -cut-shard needs -cut-write (pin both or neither)")
-			os.Exit(2)
-		}
-		var kinds []string
-		if *errKinds != "" {
-			kinds = strings.Split(*errKinds, ",")
-		}
-		if err := runCrash(crash.Spec{
-			Engine:     *eng,
-			Shards:     *shards,
-			Ops:        *ops,
-			Keys:       *keys,
-			Seed:       *seed,
-			Trials:     *trials,
-			CutShard:   *cutShard,
-			CutWrite:   *cutWrite,
-			Replicas:   *replicas,
-			ReplMode:   *replMode,
-			ErrorKinds: kinds,
-			ErrorProb:  *errProb,
-			Device:     *device,
-			Dir:        *dir,
-		}); err != nil {
+		if err := runCrash(spec); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -329,7 +293,7 @@ func usage() {
   ptsbench run -figure figN [-engine lsm,btree,betree] [-scale N] [-quick] [-seed N] [-csv DIR]
   ptsbench exp -spec FILE [-quick] [-csv DIR] [-json FILE] [-workers N]
   ptsbench qdsweep [-scale N] [-quick] [-seed N] [-csv DIR]
-  ptsbench crash -engine NAME [-shards N] [-ops N] [-keys N] [-seed N] [-trials N] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-device sim|file] [-dir DIR]
+  ptsbench crash -engine NAME [-shards N] [-ops N] [-keys N] [-seed N] [-trials N] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-tunable K=V]... [-device sim|file] [-dir DIR]
   ptsbench devdiff [-engine NAME,NAME] [-ops N] [-keys N] [-seed N] [-dir DIR]
   ptsbench all [-quick] [-csv DIR]`)
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -699,6 +700,52 @@ func TestCrashSmoke(t *testing.T) {
 	}
 	if err := runCrash(crash.Spec{Engine: "fractal"}); err == nil {
 		t.Fatal("unknown engine should error")
+	}
+}
+
+// TestCrashReproLineParses feeds crash.ReproLine's output back through
+// the crash subcommand's flags: each line must parse into the spec it
+// was printed from, run as one trial at the printed seed, tunables
+// included.
+func TestCrashReproLineParses(t *testing.T) {
+	for _, in := range []crash.Spec{
+		{Engine: "lsm", Shards: 4, Ops: 300},
+		{Engine: "btree", Tunables: map[string]string{"checkpoint_interval": "200us", "leaf_page_bytes": "4096"}},
+		{Engine: "betree", Shards: 2, Keys: 64, CutShard: 1, CutWrite: 5, Tunables: map[string]string{"epsilon": "0.5"}},
+		{Engine: "btree", Shards: 2, Replicas: 3, ReplMode: "quorum", Trials: 8, Seed: 4},
+		{Engine: "lsm", Replicas: 2, ErrorKinds: []string{"eio", "fsynclie"}, ErrorProb: 0.1},
+		{Engine: "lsm", Device: "file", Dir: t.TempDir()},
+	} {
+		want, err := in.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Seed, want.Trials = 7, 1
+		line := crash.ReproLine(want, want.Seed)
+		args, ok := strings.CutPrefix(line, "ptsbench crash ")
+		if !ok {
+			t.Fatalf("repro line %q does not start with the subcommand", line)
+		}
+		parsed, err := parseCrashArgs(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		got, err := parsed.Validate()
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\nparsed %+v\nwant   %+v", line, got, want)
+		}
+	}
+	for _, bad := range [][]string{
+		{"-engine", "lsm", "-tunable", "novalue"},
+		{"-engine", "lsm", "-cut-shard", "0"},
+		{"-shards", "2"},
+	} {
+		if _, err := parseCrashArgs(bad); err == nil {
+			t.Errorf("%v parsed", bad)
+		}
 	}
 }
 

@@ -139,4 +139,18 @@ func TestReproLine(t *testing.T) {
 	if got != want {
 		t.Fatalf("replicated repro line %q, want %q", got, want)
 	}
+
+	s, err = Spec{
+		Engine:   "btree",
+		Tunables: map[string]string{"leaf_page_bytes": "4096", "checkpoint_interval": "200us"},
+	}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = ReproLine(s, 3)
+	want = "ptsbench crash -engine btree -shards 1 -ops 400 -keys 50 -seed 3" +
+		" -tunable checkpoint_interval=200us -tunable leaf_page_bytes=4096"
+	if got != want {
+		t.Fatalf("tunables repro line %q, want %q", got, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ptsbench/internal/engine"
@@ -38,9 +39,9 @@ type Report struct {
 }
 
 // ReproLine renders the CLI invocation that replays a trial exactly:
-// every knob that shapes the op log, the cut sampling or the device
-// stack appears, so the line works without consulting the spec it came
-// from.
+// every knob that shapes the op log, the cut sampling, the engines
+// (Tunables, sorted by key) or the device stack appears, so the line
+// works without consulting the spec it came from.
 func ReproLine(spec Spec, seed uint64) string {
 	line := fmt.Sprintf("ptsbench crash -engine %s -shards %d -ops %d -keys %d -seed %d",
 		spec.Engine, spec.Shards, spec.Ops, spec.Keys, seed)
@@ -53,6 +54,14 @@ func ReproLine(spec Spec, seed uint64) string {
 	}
 	if spec.CutShard >= 0 && spec.CutWrite > 0 {
 		line += fmt.Sprintf(" -cut-shard %d -cut-write %d", spec.CutShard, spec.CutWrite)
+	}
+	keys := make([]string, 0, len(spec.Tunables))
+	for k := range spec.Tunables {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		line += fmt.Sprintf(" -tunable %s=%s", k, spec.Tunables[k])
 	}
 	if spec.Device == "file" {
 		line += " -device file"

@@ -432,8 +432,16 @@ func (d *Device) PreconditionRange(rng *sim.RNG, firstPage, pages int64, multipl
 	}
 	d.ftl.sequentialFill(firstPage, pages)
 	random := pages * int64(multiple)
-	for i := int64(0); i < random; i++ {
-		d.serialWrite(firstPage+int64(rng.Uint64n(uint64(pages))), 1)
+	var batch [touchBatch]int64
+	for done := int64(0); done < random; done += touchBatch {
+		lpns := batch[:min(touchBatch, random-done)]
+		for i := range lpns {
+			lpns[i] = firstPage + int64(rng.Uint64n(uint64(pages)))
+		}
+		d.ftl.touchPages(lpns)
+		for _, lpn := range lpns {
+			d.serialWrite(lpn, 1)
+		}
 	}
 	d.ftl.stats.HostPagesWritten += random
 }

@@ -70,7 +70,17 @@ type ftl struct {
 	mappedPages int64 // logical pages with a valid mapping
 
 	stats Stats
+
+	// sink receives the sum of every touch pass's loads, so the compiler
+	// keeps them. Nothing reads it.
+	sink int32
 }
+
+// touchBatch is how many mapping entries a touch pass loads ahead of the
+// loop that uses them: enough independent cache misses to keep a core's
+// memory pipeline busy, few enough that the lines are still cached when
+// the loop reaches them.
+const touchBatch = 32
 
 // Stats are the device's SMART-style cumulative counters. All counts are
 // in pages except Erases (blocks).
@@ -235,6 +245,51 @@ func (f *ftl) program(frontier *int32, lpn int64) int32 {
 	return ppn
 }
 
+// The touch passes below load the mapping entries a loop is about to
+// read, before it reads them. The loads do not depend on each other, so
+// the CPU overlaps their cache misses; the loop that follows, where each
+// page's loads wait on the previous page's updates, then hits cache. A
+// touch pass reads only and changes no state and no counter: only the
+// host's time moves.
+
+// touchPages loads l2p[lpn] for every page in lpns, then p2l of each one
+// that is mapped — what writeOne reads for those pages.
+func (f *ftl) touchPages(lpns []int64) {
+	var sum int32
+	for _, lpn := range lpns {
+		sum += f.l2p[lpn]
+	}
+	for _, lpn := range lpns {
+		if old := f.l2p[lpn]; old != unmapped {
+			sum += f.p2l[old]
+		}
+	}
+	f.sink += sum
+}
+
+// touchRange is touchPages for the n pages starting at lpn.
+func (f *ftl) touchRange(lpn, n int64) {
+	var sum int32
+	for _, old := range f.l2p[lpn : lpn+n] {
+		if old != unmapped {
+			sum += f.p2l[old]
+		}
+	}
+	f.sink += sum
+}
+
+// touchVictim loads l2p of every valid page in the block starting at
+// physical page base — what relocating the block writes.
+func (f *ftl) touchVictim(base int32) {
+	var sum int32
+	for _, lpn := range f.p2l[base : base+int32(f.pagesPerBlock)] {
+		if lpn != unmapped {
+			sum += f.l2p[lpn]
+		}
+	}
+	f.sink += sum
+}
+
 // writeOne performs the mapping update and flash program for one
 // host-destined page write: invalidate the old version (if any), program
 // the new one at a pseudo-randomly chosen stream frontier (modelling die
@@ -261,6 +316,9 @@ func (f *ftl) writeOne(lpn int64) {
 func (f *ftl) write(lpn, n int64, perLane []gcWork) {
 	lanes := int64(len(perLane))
 	for i := int64(0); i < n; i++ {
+		if n > 1 && i%touchBatch == 0 {
+			f.touchRange(lpn+i, min(touchBatch, n-i))
+		}
 		f.writeOne(lpn + i)
 		if len(f.freeBlocks) < f.gcLowWater {
 			perLane[(lpn+i)%lanes].add(f.maybeGC())
@@ -390,6 +448,7 @@ func (f *ftl) maybeGC() gcWork {
 		f.bucketRemove(v)
 		f.state[v] = blockOpen // transitional: not a candidate while moving
 		base := v * int32(f.pagesPerBlock)
+		f.touchVictim(base)
 		for i := int32(0); i < int32(f.pagesPerBlock); i++ {
 			ppn := base + i
 			lpn := f.p2l[ppn]

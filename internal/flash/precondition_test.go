@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"reflect"
 	"testing"
 
 	"ptsbench/internal/sim"
@@ -71,5 +72,34 @@ func TestPreconditionMatchesPerPageReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTouchPassesAreReadOnly runs every touch pass over every page and
+// block of an aged FTL and requires the whole FTL, counters and RNG
+// included, to equal an identically aged twin's: the passes only load.
+func TestTouchPassesAreReadOnly(t *testing.T) {
+	touched, twin := twinFTLs(t)
+	for _, f := range []*ftl{touched, twin} {
+		f.sequentialFill(0, f.logicalPages)
+		rng := sim.NewRNG(23)
+		for i := int64(0); i < f.logicalPages; i++ {
+			writePage(f, int64(rng.Uint64n(uint64(f.logicalPages))))
+		}
+	}
+	lpns := make([]int64, touchBatch)
+	for lpn := int64(0); lpn+touchBatch <= touched.logicalPages; lpn += touchBatch {
+		for i := range lpns {
+			lpns[i] = lpn + int64(i)
+		}
+		touched.touchPages(lpns)
+		touched.touchRange(lpn, touchBatch)
+	}
+	for b := 0; b < touched.numBlocks; b++ {
+		touched.touchVictim(int32(b * touched.pagesPerBlock))
+	}
+	touched.sink = twin.sink
+	if !reflect.DeepEqual(touched, twin) {
+		t.Fatal("a touch pass changed the FTL")
 	}
 }
