@@ -4,7 +4,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -14,14 +13,7 @@ import (
 // tunableFlags collects repeated -tunable K=V flags into a map.
 type tunableFlags map[string]string
 
-func (t tunableFlags) String() string {
-	kv := make([]string, 0, len(t))
-	for k, v := range t {
-		kv = append(kv, k+"="+v)
-	}
-	sort.Strings(kv)
-	return strings.Join(kv, ",")
-}
+func (t tunableFlags) String() string { return fmt.Sprint(map[string]string(t)) }
 
 func (t tunableFlags) Set(s string) error {
 	k, v, ok := strings.Cut(s, "=")

@@ -267,7 +267,9 @@ func (f *ftl) touchPages(lpns []int64) {
 	f.sink += sum
 }
 
-// touchRange is touchPages for the n pages starting at lpn.
+// touchRange loads p2l of the old mapping of each of the n pages
+// starting at lpn. Their l2p entries are contiguous, so one pass over
+// them is enough.
 func (f *ftl) touchRange(lpn, n int64) {
 	var sum int32
 	for _, old := range f.l2p[lpn : lpn+n] {
