@@ -24,6 +24,12 @@ func (t tunableFlags) Set(s string) error {
 	return nil
 }
 
+// parsedError is an error fs.Parse returned. The flag package has
+// already printed it with the usage, so main only exits.
+type parsedError struct{ error }
+
+func (e parsedError) Unwrap() error { return e.error }
+
 // parseCrashArgs reads the crash subcommand's flags into a Spec: the
 // inverse of crash.ReproLine.
 func parseCrashArgs(args []string) (crash.Spec, error) {
@@ -45,7 +51,7 @@ func parseCrashArgs(args []string) (crash.Spec, error) {
 	device := fs.String("device", "sim", "backing device: sim (flash simulator) or file (real files via internal/filedev)")
 	dir := fs.String("dir", "", "file device only: keep per-trial shard images under this directory (default: temp, removed)")
 	if err := fs.Parse(args); err != nil {
-		return crash.Spec{}, err
+		return crash.Spec{}, parsedError{err}
 	}
 	if *eng == "" {
 		return crash.Spec{}, errors.New("-engine is required")

@@ -130,10 +130,13 @@ func main() {
 		}
 	case "crash":
 		spec, err := parseCrashArgs(os.Args[2:])
-		if errors.Is(err, flag.ErrHelp) {
+		var printed parsedError
+		switch {
+		case errors.Is(err, flag.ErrHelp):
 			os.Exit(0)
-		}
-		if err != nil {
+		case errors.As(err, &printed):
+			os.Exit(2)
+		case err != nil:
 			fmt.Fprintln(os.Stderr, "crash:", err)
 			os.Exit(2)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"go/ast"
 	"go/build"
@@ -738,13 +739,22 @@ func TestCrashReproLineParses(t *testing.T) {
 			t.Fatalf("%s\nparsed %+v\nwant   %+v", line, got, want)
 		}
 	}
-	for _, bad := range [][]string{
-		{"-engine", "lsm", "-tunable", "novalue"},
-		{"-engine", "lsm", "-cut-shard", "0"},
-		{"-shards", "2"},
+	// The flag package prints its own errors; main prints only the
+	// ones raised after parsing, so each error is printed once.
+	for _, bad := range []struct {
+		args    []string
+		printed bool
+	}{
+		{[]string{"-engine", "lsm", "-tunable", "novalue"}, true},
+		{[]string{"-engine", "lsm", "-nosuchflag"}, true},
+		{[]string{"-engine", "lsm", "-cut-shard", "0"}, false},
+		{[]string{"-shards", "2"}, false},
 	} {
-		if _, err := parseCrashArgs(bad); err == nil {
-			t.Errorf("%v parsed", bad)
+		_, err := parseCrashArgs(bad.args)
+		if err == nil {
+			t.Errorf("%v parsed", bad.args)
+		} else if printed := errors.As(err, new(parsedError)); printed != bad.printed {
+			t.Errorf("%v: %v counts as printed by the flag package: %v, want %v", bad.args, err, printed, bad.printed)
 		}
 	}
 }

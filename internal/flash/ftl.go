@@ -71,13 +71,13 @@ type ftl struct {
 
 	stats Stats
 
-	// sink receives the sum of every touch pass's loads, so the compiler
-	// keeps them. Nothing reads it.
+	// sink receives the sum of touchPages' loads, so the compiler keeps
+	// them. Nothing reads it.
 	sink int32
 }
 
-// touchBatch is how many mapping entries a touch pass loads ahead of the
-// loop that uses them: enough independent cache misses to keep a core's
+// touchBatch is how many pages' mapping entries touchPages loads ahead
+// of the loop that uses them: enough independent cache misses to keep a core's
 // memory pipeline busy, few enough that the lines are still cached when
 // the loop reaches them.
 const touchBatch = 32
@@ -245,15 +245,12 @@ func (f *ftl) program(frontier *int32, lpn int64) int32 {
 	return ppn
 }
 
-// The touch passes below load the mapping entries a loop is about to
-// read, before it reads them. The loads do not depend on each other, so
-// the CPU overlaps their cache misses; the loop that follows, where each
-// page's loads wait on the previous page's updates, then hits cache. A
-// touch pass reads only and changes no state and no counter: only the
-// host's time moves.
-
 // touchPages loads l2p[lpn] for every page in lpns, then p2l of each one
-// that is mapped — what writeOne reads for those pages.
+// that is mapped: what writeOne reads for those pages, before it reads
+// them. The loads do not depend on each other, so the CPU overlaps their
+// cache misses; writeOne's loop, where each page's loads wait on the
+// previous page's updates, then hits cache. The pass reads only and
+// changes no state and no counter: only the host's time moves.
 func (f *ftl) touchPages(lpns []int64) {
 	var sum int32
 	for _, lpn := range lpns {
@@ -262,31 +259,6 @@ func (f *ftl) touchPages(lpns []int64) {
 	for _, lpn := range lpns {
 		if old := f.l2p[lpn]; old != unmapped {
 			sum += f.p2l[old]
-		}
-	}
-	f.sink += sum
-}
-
-// touchRange loads p2l of the old mapping of each of the n pages
-// starting at lpn. Their l2p entries are contiguous, so one pass over
-// them is enough.
-func (f *ftl) touchRange(lpn, n int64) {
-	var sum int32
-	for _, old := range f.l2p[lpn : lpn+n] {
-		if old != unmapped {
-			sum += f.p2l[old]
-		}
-	}
-	f.sink += sum
-}
-
-// touchVictim loads l2p of every valid page in the block starting at
-// physical page base — what relocating the block writes.
-func (f *ftl) touchVictim(base int32) {
-	var sum int32
-	for _, lpn := range f.p2l[base : base+int32(f.pagesPerBlock)] {
-		if lpn != unmapped {
-			sum += f.l2p[lpn]
 		}
 	}
 	f.sink += sum
@@ -318,9 +290,6 @@ func (f *ftl) writeOne(lpn int64) {
 func (f *ftl) write(lpn, n int64, perLane []gcWork) {
 	lanes := int64(len(perLane))
 	for i := int64(0); i < n; i++ {
-		if n > 1 && i%touchBatch == 0 {
-			f.touchRange(lpn+i, min(touchBatch, n-i))
-		}
 		f.writeOne(lpn + i)
 		if len(f.freeBlocks) < f.gcLowWater {
 			perLane[(lpn+i)%lanes].add(f.maybeGC())
@@ -450,7 +419,6 @@ func (f *ftl) maybeGC() gcWork {
 		f.bucketRemove(v)
 		f.state[v] = blockOpen // transitional: not a candidate while moving
 		base := v * int32(f.pagesPerBlock)
-		f.touchVictim(base)
 		for i := int32(0); i < int32(f.pagesPerBlock); i++ {
 			ppn := base + i
 			lpn := f.p2l[ppn]
