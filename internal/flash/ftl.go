@@ -77,9 +77,9 @@ type ftl struct {
 }
 
 // touchBatch is how many pages' mapping entries touchPages loads ahead
-// of the loop that uses them: enough independent cache misses to keep a core's
-// memory pipeline busy, few enough that the lines are still cached when
-// the loop reaches them.
+// of the loop that uses them: enough independent cache misses to keep a
+// core's memory pipeline busy, few enough that the lines are still
+// cached when the loop reaches them.
 const touchBatch = 32
 
 // Stats are the device's SMART-style cumulative counters. All counts are
