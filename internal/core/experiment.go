@@ -415,7 +415,12 @@ func (r *Result) MeanScaledKOps() float64 {
 // result. With the default 1 shard / 1 client the submission schedule
 // collapses to the historical synchronous op loop and the result is
 // bit-identical to it (the golden fixtures pin this).
-func Run(spec Spec) (*Result, error) {
+func Run(spec Spec) (*Result, error) { return run(spec, nil) }
+
+// run is Run. A non-nil final is handed the store's devices once the
+// measured phase has ended, which is how TestGoldenFlashStats reads
+// every device's FTL counters.
+func run(spec Spec, final func(devs []blockdev.Host)) (*Result, error) {
 	spec, err := spec.Validate()
 	if err != nil {
 		return nil, err
@@ -543,6 +548,9 @@ func Run(spec Spec) (*Result, error) {
 	measDev, _, _ := sumDevs(devs)
 	res.DiscardOps = measDev.DiscardOps
 	res.PagesDiscarded = measDev.PagesDiscarded
+	if final != nil {
+		final(devs)
+	}
 	return res, nil
 }
 
