@@ -226,10 +226,9 @@ func (f *ftl) closeBlock(b int32) {
 	f.bucketInsert(b)
 }
 
-// program writes one page into the given frontier (host or GC), returning
-// the physical page used. The frontier is replaced from the free pool as
-// blocks fill. The bool reports whether lpn was programmed for GC.
-func (f *ftl) program(frontier *int32, lpn int64) int32 {
+// program writes one page into the given frontier (host or GC) and maps
+// lpn to it. The frontier is replaced from the free pool as blocks fill.
+func (f *ftl) program(frontier *int32, lpn int64) {
 	if *frontier < 0 || f.writePtr[*frontier] >= int32(f.pagesPerBlock) {
 		if *frontier >= 0 {
 			f.closeBlock(*frontier)
@@ -242,7 +241,6 @@ func (f *ftl) program(frontier *int32, lpn int64) int32 {
 	f.p2l[ppn] = int32(lpn)
 	f.validCount[b]++
 	f.l2p[lpn] = ppn
-	return ppn
 }
 
 // touchPages loads l2p[lpn] for every page in lpns, then p2l of each one
