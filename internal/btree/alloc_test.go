@@ -79,6 +79,60 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	}
 }
 
+// TestPlannedWaveAllocs pins the planned read path at zero allocations:
+// on a loaded, checkpointed tree whose cache holds a sixteenth of it, a
+// read wave of 16 keys — PlanGets, then the 16 Gets taking the planned
+// leaves, missing and evicting — allocates nothing once the plan's
+// arrays have grown.
+func TestPlannedWaveAllocs(t *testing.T) {
+	const keys = 20000
+	tr, _, _ := testEnv(t, 256, false, func(c *Config) {
+		c.CacheBytes = keys * 400 / 16
+		c.CheckpointInterval = 1000 * time.Hour
+		c.CheckpointPendingBytes = 1 << 40
+	})
+	key := make([]byte, kv.KeySize)
+	var now sim.Duration
+	var err error
+	for id := uint64(0); id < keys; id++ {
+		kv.AppendKey(key, id)
+		if now, err = tr.Put(now, key, nil, 400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err = tr.FlushAll(now); err != nil {
+		t.Fatal(err)
+	}
+	wave := make([][]byte, 16)
+	for i := range wave {
+		wave[i] = make([]byte, kv.KeySize)
+	}
+	rng := sim.NewRNG(4)
+	read := func() {
+		for _, k := range wave {
+			kv.AppendKey(k, rng.Uint64n(keys))
+		}
+		tr.PlanGets(wave)
+		for _, k := range wave {
+			var found bool
+			if now, _, found, err = tr.Get(now, k); err != nil || !found {
+				t.Fatalf("get %x: found %v, %v", k, found, err)
+			}
+		}
+		if tr.next != len(wave) {
+			t.Fatalf("%d of %d planned leaves taken", tr.next, len(wave))
+		}
+	}
+	read()
+	misses := tr.IO().CacheMisses
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("a planned wave of %d Gets allocates %.3f objects, want 0", len(wave), allocs)
+	}
+	if tr.IO().CacheMisses == misses {
+		t.Fatal("the measured waves never missed the cache")
+	}
+}
+
 // arenaTaken returns how many bytes the arena handed out while f ran,
 // from the distance between a one-byte allocation before f and one
 // after it.

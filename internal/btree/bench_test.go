@@ -55,6 +55,37 @@ var benchDescendLeaf *cowtree.Node
 // walk from the root to the leaf covering a random resident key — the
 // key's decoding and one separator search per internal page.
 func BenchmarkDescend(b *testing.B) {
+	tr, keys := descendTree(b)
+	rng := sim.NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDescendLeaf = tr.descend(kv.NewTarget(keys[rng.Intn(len(keys))]))
+	}
+}
+
+// BenchmarkDescendWave is BenchmarkDescend for a read wave: the same
+// tree, and per iteration 16 random resident keys planned together
+// (PlanGets: each key's decoding and the lockstep descent). ns/key is
+// comparable with BenchmarkDescend's ns/op.
+func BenchmarkDescendWave(b *testing.B) {
+	tr, keys := descendTree(b)
+	rng := sim.NewRNG(1)
+	wave := make([][]byte, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range wave {
+			wave[j] = keys[rng.Intn(len(keys))]
+		}
+		tr.PlanGets(wave)
+	}
+	benchDescendLeaf = tr.planned[0]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(wave)), "ns/key")
+}
+
+// descendTree is BenchmarkDescend's tree and the keys it holds.
+func descendTree(b *testing.B) (*Tree, [][]byte) {
 	tr, _, _ := testEnv(b, 256, false, func(c *Config) {
 		c.LeafPageBytes = 8 << 10
 		c.CacheBytes = 1 << 30
@@ -77,9 +108,5 @@ func BenchmarkDescend(b *testing.B) {
 			b.Fatalf("leaf %d is not resident", p.ID)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchDescendLeaf = tr.descend(kv.NewTarget(keys[rng.Intn(len(keys))]))
-	}
+	return tr, keys
 }

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"slices"
+
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
@@ -35,6 +37,13 @@ type Tree struct {
 
 	cfg Config
 	io  IOStats
+
+	// plan holds the targets of the read wave PlanGets was last handed
+	// and planned the leaves it found for them; next is the first not
+	// yet taken by a Get.
+	plan    []kv.Target
+	planned []*cowtree.Node
+	next    int
 }
 
 // IOStats exposes internal activity counters: the core's cache and
@@ -133,6 +142,42 @@ func (t *Tree) descend(target kv.Target) *cowtree.Node {
 	return p
 }
 
+// PlanGets implements engine.WaveReader: it finds the leaves of a read
+// wave's keys in one lockstep descent (cowtree.Core.DescendAll), and
+// the wave's Gets, arriving in the same order, take them instead of
+// descending one by one. The plan holds while only Gets run, because
+// only a write's splits change the interior pages; a write drops it
+// (see write), and so does a Get for any key but the next planned one.
+func (t *Tree) PlanGets(keys [][]byte) {
+	t.plan = t.plan[:0]
+	for _, k := range keys {
+		t.plan = append(t.plan, kv.NewTarget(k))
+	}
+	t.planned = slices.Grow(t.planned[:0], len(keys))[:len(keys)]
+	t.Core.DescendAll(t.plan, t.planned)
+	t.next = 0
+}
+
+// leafFor returns the leaf covering target: the planned one when
+// target is the plan's next key (compared by its words, which the plan
+// decoded when it was made, so a key buffer rewritten since cannot
+// match by mistake), otherwise descend's, after dropping the plan.
+func (t *Tree) leafFor(target kv.Target) *cowtree.Node {
+	if t.next < len(t.plan) {
+		if p := &t.plan[t.next]; p.Fast && target.Fast && p.Hi == target.Hi && p.Lo == target.Lo {
+			t.next++
+			return t.planned[t.next-1]
+		}
+	}
+	t.dropPlan()
+	return t.descend(target)
+}
+
+// dropPlan forgets the planned wave.
+func (t *Tree) dropPlan() {
+	t.plan, t.planned, t.next = t.plan[:0], t.planned[:0], 0
+}
+
 // Put implements kv.Engine.
 func (t *Tree) Put(now sim.Duration, key, value []byte, valueLen int) (sim.Duration, error) {
 	return t.write(now, key, value, valueLen, false)
@@ -148,6 +193,7 @@ func (t *Tree) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 // write journals after the leaf insert and splits before the
 // epilogue's eviction.
 func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
+	t.dropPlan()
 	now, seq, valueLen, err := t.Core.BeginWrite(now, value, valueLen)
 	if err != nil {
 		return now, err
@@ -178,7 +224,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 		return now, nil, false, err
 	}
 	target := kv.NewTarget(key)
-	leaf := t.descend(target)
+	leaf := t.leafFor(target)
 	if now, err = t.Core.LoadForGet(now, leaf); err != nil {
 		return now, nil, false, err
 	}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -116,6 +117,93 @@ func FuzzPageImage(f *testing.F) {
 		}
 		if again := got.AppendImage(nil, pageMagic, parsedExtents(gotExts)); !bytes.Equal(again, img) {
 			t.Fatal("serializing the re-parsed page gave different bytes")
+		}
+	})
+}
+
+// fuzzTree builds FuzzDescendAll's tree: n keys drawn from seed, each
+// 8, 16 or 24 bytes wide as widths allows (bit 0, 1, 2; none set means
+// 16 only), so with more than one width some internal pages hold
+// separators of other widths than kv.KeySize and search their bytes.
+// The keys come from a few hundred prefixes, and a 24-byte key extends
+// a 16-byte one, so widths interleave and sit next to their prefixes.
+// Pages are small, so a few hundred keys reach depth 3.
+func fuzzTree(tb testing.TB, seed uint64, n int, widths uint8) (*Tree, [][]byte) {
+	tr, _, _ := testEnv(tb, 64, false, func(c *Config) {
+		c.LeafPageBytes, c.InternalPageBytes = 512, 256
+	})
+	var allowed []int
+	for bit, w := range []int{8, kv.KeySize, 24} {
+		if widths&(1<<bit) != 0 {
+			allowed = append(allowed, w)
+		}
+	}
+	if len(allowed) == 0 {
+		allowed = []int{kv.KeySize}
+	}
+	rng := sim.NewRNG(seed)
+	keys := make([][]byte, n)
+	var now sim.Duration
+	var err error
+	for i := range keys {
+		k := binary.BigEndian.AppendUint64(nil, rng.Uint64n(400)*0x0101010101)
+		k = binary.BigEndian.AppendUint64(k, rng.Uint64n(8))
+		k = binary.BigEndian.AppendUint64(k, rng.Uint64n(4))
+		keys[i] = k[:allowed[rng.Intn(len(allowed))]]
+		if now, err = tr.Put(now, keys[i], nil, 20); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr, keys
+}
+
+// FuzzDescendAll holds the lockstep descent (cowtree.Core.DescendAll)
+// to the single-key one: over a tree of fuzzed keys of mixed widths,
+// every target of a fuzzed batch of up to 64 must reach exactly the
+// leaf descend reaches. Each 3-byte group of probes makes one target:
+// its first byte picks how (a stored key as it is, or with its last
+// byte moved up or down, cut to 8 bytes or grown to 24; or the two
+// other bytes as a key of their own), the other two pick the key.
+func FuzzDescendAll(f *testing.F) {
+	tr, _ := fuzzTree(f, 1, 600, 7)
+	mixed := false
+	for _, p := range pages(tr) {
+		for _, sep := range p.Seps {
+			mixed = mixed || len(sep) != kv.KeySize
+		}
+	}
+	if !mixed || tr.Depth() < 3 {
+		f.Fatalf("seed tree: depth %d, separators of mixed widths %v", tr.Depth(), mixed)
+	}
+	f.Add(uint64(1), uint16(600), uint8(7), []byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 1, 0})
+	f.Add(uint64(2), uint16(690), uint8(2), bytes.Repeat([]byte{0, 1, 7, 1, 9, 2, 2, 3, 3}, 22))
+	f.Add(uint64(3), uint16(300), uint8(5), []byte{3, 1, 1, 4, 2, 2, 5, 3, 3})
+	f.Add(uint64(4), uint16(50), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, widths uint8, probes []byte) {
+		tr, keys := fuzzTree(t, seed, 1+int(n)%700, widths)
+		var ts []kv.Target
+		for i := 0; i+3 <= len(probes) && len(ts) < 64; i += 3 {
+			k := bytes.Clone(keys[int(binary.BigEndian.Uint16(probes[i+1:]))%len(keys)])
+			switch probes[i] % 6 {
+			case 1:
+				k[len(k)-1]++
+			case 2:
+				k[len(k)-1]--
+			case 3:
+				k = k[:8]
+			case 4:
+				k = append(k, make([]byte, 24-len(k))...)
+			case 5:
+				k = probes[i+1 : i+3]
+			}
+			ts = append(ts, kv.NewTarget(k))
+		}
+		leaves := make([]*cowtree.Node, len(ts))
+		tr.DescendAll(ts, leaves)
+		for i, target := range ts {
+			if want := tr.descend(target); leaves[i] != want {
+				t.Fatalf("target %d (%x) of %d: DescendAll reached page %d, descend page %d", i, target.Key, len(ts), leaves[i].ID, want.ID)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package cowtree
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"ptsbench/internal/kv"
@@ -88,6 +89,94 @@ func (p *Pivots) upperBound(t kv.Target) int {
 		}
 	}
 	return lo
+}
+
+// lockstep is how many targets DescendAll searches side by side: a
+// read wave at the benchmark's queue depth, and about as many cache
+// misses as a core keeps in flight.
+const lockstep = 16
+
+// DescendAll sets leaves[i] to the leaf covering ts[i], for every i —
+// ChildFor at each level, root to leaf, as a single-key descent finds
+// it. The targets go down together, lockstep at a time: level by level,
+// and within a level one binary-search step at a time for each target.
+// A step over the word cache is branch-free (the borrow of a 128-bit
+// subtraction picks the half), so the CPU issues every target's probe
+// before the first one's cache miss returns, where a lone search waits
+// on each miss in turn. A target without words, or a node whose cache
+// is off, takes upperBound for that level. leaves must be as long as
+// ts.
+func (c *Core) DescendAll(ts []kv.Target, leaves []*Node) {
+	for len(ts) > lockstep {
+		c.descendGroup(ts[:lockstep], leaves[:lockstep])
+		ts, leaves = ts[lockstep:], leaves[lockstep:]
+	}
+	c.descendGroup(ts, leaves)
+}
+
+// descendGroup is DescendAll for at most lockstep targets. For target
+// i at an interior, the child index lies in [base[i], base[i]+n[i]]
+// and every separator before base[i] is <= the target; a step halves n
+// (Khuong and Morin's branch-free search), and once n is 1 the
+// separator at base decides between the two.
+func (c *Core) descendGroup(ts []kv.Target, leaves []*Node) {
+	var (
+		base, n [lockstep]int
+		words   [lockstep][]sepWords
+	)
+	root := c.nodes[c.root]
+	for i := range ts {
+		leaves[i] = root
+	}
+	for {
+		interior, steps := false, 0
+		for i, t := range ts {
+			p := leaves[i]
+			base[i], n[i], words[i] = 0, 0, nil
+			if p.Leaf {
+				continue
+			}
+			interior = true
+			if !t.Fast || p.mixed() {
+				base[i] = p.upperBound(t)
+				continue
+			}
+			words[i] = p.words
+			n[i] = len(p.words)
+			steps = max(steps, bits.Len(uint(n[i]-1)))
+		}
+		if !interior {
+			return
+		}
+		for ; steps > 0; steps-- {
+			for i := range ts {
+				if n[i] <= 1 {
+					continue
+				}
+				half := n[i] >> 1
+				base[i] += half &^ -sepAbove(words[i][base[i]+half], ts[i])
+				n[i] -= half
+			}
+		}
+		for i, t := range ts {
+			p := leaves[i]
+			if p.Leaf {
+				continue
+			}
+			if n[i] > 0 {
+				base[i] += 1 - sepAbove(words[i][base[i]], t)
+			}
+			leaves[i] = c.nodes[p.Children[base[i]]]
+		}
+	}
+}
+
+// sepAbove is 1 when separator s is above t and 0 when it is <= t: the
+// borrow out of t - s over the two words, without a branch.
+func sepAbove(s sepWords, t kv.Target) int {
+	_, b := bits.Sub64(t.Lo, s.lo, 0)
+	_, b = bits.Sub64(t.Hi, s.hi, b)
+	return int(b)
 }
 
 // ChildIndex returns the position of child id. id must be one of the

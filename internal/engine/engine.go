@@ -53,6 +53,19 @@ type GroupCommitter interface {
 	EndGroupCommit(now sim.Duration) (sim.Duration, error)
 }
 
+// WaveReader is the optional surface of engines that can find a read
+// wave's data together. The store hands a shard's read wave of two or
+// more Gets to PlanGets once, then runs the wave's Gets one by one in
+// the same order, as it would without it; retries and redos stay per
+// Get. The plan changes what the engine's host does, never what it
+// answers or when: an engine must answer every Get exactly as it would
+// unplanned, also one for a key out of plan order or after a write.
+type WaveReader interface {
+	// PlanGets prepares the Gets of keys, in order. The store keeps
+	// the key bytes unchanged until the wave's Gets have run.
+	PlanGets(keys [][]byte)
+}
+
 // Env is the environment an engine opens on.
 type Env struct {
 	// FS is the filesystem the engine stores its files in.

@@ -27,7 +27,8 @@
 // slowest completion, reproducing the harness's QueueDepth batching.
 // Intake batches carrying more than one write are bracketed with the
 // engine's optional group commit (engine.GroupCommitter), so concurrent
-// clients share one journal sync.
+// clients share one journal sync, and a read wave of two or more Gets
+// is first handed whole to the engine's optional engine.WaveReader.
 package store
 
 import (
@@ -139,6 +140,7 @@ type shard struct {
 	intake   []request // reused across Pumps
 	unsorted bool      // intake submit times observed out of order
 	comps    []Completion
+	waveKeys [][]byte // a read wave's keys for engine.WaveReader, reused
 
 	err error // scratch for lifecycle operations (Load, FlushAll, Scan)
 }
@@ -326,6 +328,15 @@ func (sh *shard) process() {
 					break
 				}
 				j++
+			}
+			if j-i > 1 && sh.failed == nil {
+				if wr, ok := sh.eng.(engine.WaveReader); ok {
+					sh.waveKeys = sh.waveKeys[:0]
+					for k := i; k < j; k++ {
+						sh.waveKeys = append(sh.waveKeys, sh.intake[k].op.Key)
+					}
+					wr.PlanGets(sh.waveKeys)
+				}
 			}
 			start := max(sh.clock, r.op.Submit)
 			end := start
