@@ -10,6 +10,7 @@ package store_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ptsbench/internal/deverr"
@@ -372,4 +373,75 @@ func repeatErr(err error, n int) []error {
 		errs[i] = err
 	}
 	return errs
+}
+
+// planEngine is a pureEngine that implements engine.WaveReader and logs
+// every plan and Get by key id.
+type planEngine struct {
+	*pureEngine
+	log []string
+}
+
+func (e *planEngine) PlanGets(keys [][]byte) {
+	entry := "plan"
+	for _, k := range keys {
+		entry += fmt.Sprintf(" %d", k[len(k)-1])
+	}
+	e.log = append(e.log, entry)
+}
+
+func (e *planEngine) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
+	e.log = append(e.log, fmt.Sprintf("get %d", key[len(key)-1]))
+	return e.pureEngine.Get(now, key)
+}
+
+var _ engine.WaveReader = (*planEngine)(nil)
+
+// TestReadWavesArePlanned checks what the store hands an
+// engine.WaveReader: each read wave of two or more Gets once, whole and
+// in order, before its Gets, which then run as before — a failed one
+// retried in place, right after itself. A lone wave member, a serial
+// Get and a write are never planned, and a shard that has failed plans
+// nothing.
+func TestReadWavesArePlanned(t *testing.T) {
+	eng := &planEngine{pureEngine: &pureEngine{fail: map[int]error{
+		2: &deverr.Error{Op: deverr.OpRead, Kind: deverr.KindEIO, Transient: true},
+	}}}
+	st, err := store.New(1, func(int) (store.Stack, error) { return store.Stack{Engine: eng}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(client int, submit sim.Duration, id uint64, wave bool) store.Op {
+		return store.Op{Kind: store.Get, Client: client, Submit: submit, KeyID: id, Key: kv.EncodeKey(id), Wave: wave}
+	}
+	for _, op := range []store.Op{
+		get(0, 10, 1, true), get(0, 10, 2, true), get(0, 10, 3, true), // a wave of 3, its second Get retried
+		get(1, 10, 4, true),  // a wave of 1
+		get(1, 20, 5, false), // a serial Get
+		{Kind: store.Put, Client: 1, Submit: 20, KeyID: 6, Key: kv.EncodeKey(6)},
+		get(2, 30, 7, true), get(2, 30, 8, true), // a wave of 2
+	} {
+		st.Submit(op)
+	}
+	for _, c := range st.Pump() {
+		if c.Err != nil {
+			t.Fatalf("completion %d: %v", c.Seq, c.Err)
+		}
+	}
+	want := "plan 1 2 3,get 1,get 2,get 2,get 3,get 4,get 5,plan 7 8,get 7,get 8"
+	if got := strings.Join(eng.log, ","); got != want {
+		t.Fatalf("engine saw %s\nwant        %s", got, want)
+	}
+
+	eng.log, eng.always = nil, &deverr.Error{Op: deverr.OpRead, Kind: deverr.KindLatent}
+	st.Submit(get(0, 40, 9, true))
+	st.Submit(get(0, 40, 10, true))
+	st.Pump()
+	eng.always = nil
+	st.Submit(get(0, 50, 11, true))
+	st.Submit(get(0, 50, 12, true))
+	st.Pump()
+	if got := strings.Join(eng.log, ","); got != "plan 9 10,get 9" {
+		t.Fatalf("around a shard failure the engine saw %s, want plan 9 10,get 9", got)
+	}
 }
