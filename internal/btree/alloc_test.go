@@ -1,11 +1,13 @@
 package btree
 
 import (
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 
 	"ptsbench/internal/cowtree"
+	"ptsbench/internal/engine"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/workload"
@@ -81,9 +83,9 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 
 // TestPlannedWaveAllocs pins the planned read path at zero allocations:
 // on a loaded, checkpointed tree whose cache holds a sixteenth of it, a
-// read wave of 16 keys — PlanGets, then the 16 Gets taking the planned
-// leaves, missing and evicting — allocates nothing once the plan's
-// arrays have grown.
+// read wave of engine.PlanWave keys — PlanGets, then the Gets taking
+// the planned leaves, missing and evicting — allocates nothing: the
+// plan's arrays were sized for it when the tree was made.
 func TestPlannedWaveAllocs(t *testing.T) {
 	const keys = 20000
 	tr, _, _ := testEnv(t, 256, false, func(c *Config) {
@@ -103,7 +105,7 @@ func TestPlannedWaveAllocs(t *testing.T) {
 	if now, err = tr.FlushAll(now); err != nil {
 		t.Fatal(err)
 	}
-	wave := make([][]byte, 16)
+	wave := make([][]byte, engine.PlanWave)
 	for i := range wave {
 		wave[i] = make([]byte, kv.KeySize)
 	}
@@ -123,8 +125,14 @@ func TestPlannedWaveAllocs(t *testing.T) {
 			t.Fatalf("%d of %d planned leaves taken", tr.next, len(wave))
 		}
 	}
-	read()
 	misses := tr.IO().CacheMisses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("the first planned wave allocates %d objects, want 0", n)
+	}
 	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
 		t.Fatalf("a planned wave of %d Gets allocates %.3f objects, want 0", len(wave), allocs)
 	}

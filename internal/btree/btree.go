@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"ptsbench/internal/cowtree"
+	"ptsbench/internal/engine"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
@@ -64,8 +65,15 @@ func Open(fs *extfs.FS, cfg Config) (*Tree, error) {
 }
 
 // newTree builds the tree shell Open and Recover attach to the device:
-// no pages yet, no journal.
-func newTree(cfg Config) *Tree { return &Tree{cfg: cfg} }
+// no pages yet, no journal, and the plan's arrays sized for a wave of
+// engine.PlanWave Gets.
+func newTree(cfg Config) *Tree {
+	return &Tree{
+		cfg:     cfg,
+		plan:    make([]kv.Target, 0, engine.PlanWave),
+		planned: make([]*cowtree.Node, 0, engine.PlanWave),
+	}
+}
 
 // NewRootLeaf implements cowtree.Tree: the empty, resident root leaf of
 // a fresh tree.

@@ -66,6 +66,12 @@ type WaveReader interface {
 	PlanGets(keys [][]byte)
 }
 
+// PlanWave is the wave the store and a WaveReader size their plan
+// arrays for when they are made, so that planning a wave of up to
+// PlanWave Gets never allocates: QueueDepth 16, the deepest the
+// experiments use. A longer wave grows them once.
+const PlanWave = 16
+
 // Env is the environment an engine opens on.
 type Env struct {
 	// FS is the filesystem the engine stores its files in.

@@ -171,6 +171,7 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 		sh := &shard{
 			idx: i, eng: st.Engine, devs: st.Devs, clock: st.Start,
 			autoFailover: st.AutoFailover,
+			waveKeys:     make([][]byte, 0, engine.PlanWave),
 		}
 		if sh.devs == nil {
 			sh.devs = []blockdev.Host{st.Dev}
