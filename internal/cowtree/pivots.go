@@ -132,7 +132,7 @@ func (c *Core) descendGroup(ts []kv.Target, leaves []*Node) {
 		interior, steps := false, 0
 		for i, t := range ts {
 			p := leaves[i]
-			base[i], n[i], words[i] = 0, 0, nil
+			base[i], n[i] = 0, 0
 			if p.Leaf {
 				continue
 			}
