@@ -140,7 +140,11 @@ type shard struct {
 	intake   []request // reused across Pumps
 	unsorted bool      // intake submit times observed out of order
 	comps    []Completion
-	waveKeys [][]byte // a read wave's keys for engine.WaveReader, reused
+	waveKeys [][]byte // a read wave's keys for planner, reused
+
+	// planner is the engine as an engine.WaveReader, nil when it is not
+	// one, asserted once here rather than per wave.
+	planner engine.WaveReader
 
 	err error // scratch for lifecycle operations (Load, FlushAll, Scan)
 }
@@ -173,6 +177,7 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 			autoFailover: st.AutoFailover,
 			waveKeys:     make([][]byte, 0, engine.PlanWave),
 		}
+		sh.planner, _ = st.Engine.(engine.WaveReader)
 		if sh.devs == nil {
 			sh.devs = []blockdev.Host{st.Dev}
 		}
@@ -330,14 +335,12 @@ func (sh *shard) process() {
 				}
 				j++
 			}
-			if j-i > 1 && sh.failed == nil {
-				if wr, ok := sh.eng.(engine.WaveReader); ok {
-					sh.waveKeys = sh.waveKeys[:0]
-					for k := i; k < j; k++ {
-						sh.waveKeys = append(sh.waveKeys, sh.intake[k].op.Key)
-					}
-					wr.PlanGets(sh.waveKeys)
+			if j-i > 1 && sh.planner != nil && sh.failed == nil {
+				sh.waveKeys = sh.waveKeys[:0]
+				for k := i; k < j; k++ {
+					sh.waveKeys = append(sh.waveKeys, sh.intake[k].op.Key)
 				}
+				sh.planner.PlanGets(sh.waveKeys)
 			}
 			start := max(sh.clock, r.op.Submit)
 			end := start
