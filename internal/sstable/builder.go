@@ -116,49 +116,55 @@ func (b *Builder) Add(e *kv.Entry) error {
 	}
 	b.dels = append(b.dels, del)
 	b.lastKey = b.keyArena[b.keyOffsets[idx]:b.keyOffsets[idx+1]]
-
 	if b.content {
-		var hdr [entryHeaderSize]byte
-		hdr[0] = del
-		binary.LittleEndian.PutUint16(hdr[1:], uint16(len(e.Key)))
-		binary.LittleEndian.PutUint32(hdr[3:], uint32(vl))
-		binary.LittleEndian.PutUint64(hdr[7:], e.Seq)
-		b.data = b.spares.data.grow(b.data, sz)
-		b.data = append(b.data, hdr[:]...)
-		b.data = append(b.data, e.Key...)
-		b.data = append(b.data, e.Value...)
-		// Retain the value in the side index (arena-packed, like keys):
-		// compactions merge through it, and their output blocks must
-		// carry the real bytes.
-		b.valArena = b.spares.valArena.grow(b.valArena, len(e.Value))
-		b.valArena = append(b.valArena, e.Value...)
-		b.valOffsets = append(b.valOffsets, uint32(len(b.valArena)))
+		b.appendContent(e.Key, e.Value, vl, e.Seq, del)
 	}
 	b.curBlockBytes += sz
 	b.dataBytes += int64(sz)
 	return nil
 }
 
+// appendContent writes one entry — header, key, value — into the
+// serialized data blocks and retains its value in the side index
+// (arena-packed, like keys): compactions merge through it, and their
+// output blocks must carry the real bytes. vl is the value length the
+// header records. Content mode only.
+func (b *Builder) appendContent(key, value []byte, vl int, seq uint64, del byte) {
+	var hdr [entryHeaderSize]byte
+	hdr[0] = del
+	binary.LittleEndian.PutUint16(hdr[1:], uint16(len(key)))
+	binary.LittleEndian.PutUint32(hdr[3:], uint32(vl))
+	binary.LittleEndian.PutUint64(hdr[7:], seq)
+	b.data = b.spares.data.grow(b.data, entryHeaderSize+len(key)+vl)
+	b.data = append(b.data, hdr[:]...)
+	b.data = append(b.data, key...)
+	b.data = append(b.data, value...)
+	b.valArena = b.spares.valArena.grow(b.valArena, len(value))
+	b.valArena = append(b.valArena, value...)
+	b.valOffsets = append(b.valOffsets, uint32(len(b.valArena)))
+}
+
 // AppendTableRange bulk-appends entries [i, j) of table t (which must
 // all sort after the builder's current contents — the merge guarantees
 // it). Entries land exactly as a sequence of per-entry Add calls would:
-// identical block boundaries, identical byte accounting. When drop is
+// identical block boundaries, identical byte accounting, and in content
+// mode identical serialized entries and retained values. When drop is
 // set, tombstones are skipped (they do not contribute to size or block
 // layout, matching the merge loop's skip-before-Add). The walk stops
 // once the builder's data bytes reach limitBytes (checked after each
 // appended entry, mirroring the per-entry roll check) and returns the
-// next unconsumed index. Accounting mode only: a content-mode builder or
-// table is an error, and appends nothing.
+// next unconsumed index. A table whose mode differs from the builder's
+// is an error, and appends nothing.
 func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int64) (int, error) {
-	if b.content || t.content {
-		return i, errors.New("sstable: AppendTableRange is accounting-mode only")
+	if b.content != t.content {
+		return i, errors.New("sstable: AppendTableRange across content and accounting mode")
 	}
 	for ; i < j; i++ {
 		if drop && t.dels[i] == 1 {
 			continue
 		}
-		keyLen := int(t.keyOffsets[i+1] - t.keyOffsets[i])
-		sz := entryHeaderSize + keyLen + int(t.vlens[i])
+		key := t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]
+		sz := entryHeaderSize + len(key) + int(t.vlens[i])
 		if b.curBlockBytes > 0 && b.curBlockBytes+sz > b.targetBlock {
 			b.finishBlock()
 		}
@@ -166,12 +172,15 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 		if b.curBlockBytes == 0 {
 			b.curBlockFirst = idx
 		}
-		b.keyArena = append(b.keyArena, t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]...)
+		b.keyArena = append(b.keyArena, key...)
 		b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
-		b.mixed = b.mixed || keyLen != kv.KeySize
+		b.mixed = b.mixed || len(key) != kv.KeySize
 		b.seqs = append(b.seqs, t.seqs[i])
 		b.vlens = append(b.vlens, t.vlens[i])
 		b.dels = append(b.dels, t.dels[i])
+		if b.content {
+			b.appendContent(key, t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], int(t.vlens[i]), t.seqs[i], t.dels[i])
+		}
 		b.curBlockBytes += sz
 		b.dataBytes += int64(sz)
 		if b.dataBytes >= limitBytes {

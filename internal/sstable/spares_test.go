@@ -107,17 +107,15 @@ func TestRecycledArraysMatchFresh(t *testing.T) {
 			}
 			checkSameIteration(t, got, ref)
 
-			if !content {
-				// The bulk path of deep compactions draws on the same
-				// spares: release the recycled table and append the fresh
-				// one's entries through them.
-				got.Release()
-				b := NewBuilder(4096, DefaultBlockBytes, false, ref.NumEntries(), spares)
-				if next, err := b.AppendTableRange(ref, 0, ref.NumEntries(), false, 1<<62); err != nil || next != ref.NumEntries() {
-					t.Fatalf("AppendTableRange = %d, %v", next, err)
-				}
-				checkSameIteration(t, installImage(t, fs, "sst-appended", b.Finish(7)), ref)
+			// The compaction merge's bulk path draws on the same spares:
+			// release the recycled table and append the fresh one's
+			// entries through them.
+			got.Release()
+			b := NewBuilder(4096, DefaultBlockBytes, content, ref.NumEntries(), spares)
+			if next, err := b.AppendTableRange(ref, 0, ref.NumEntries(), false, 1<<62); err != nil || next != ref.NumEntries() {
+				t.Fatalf("AppendTableRange = %d, %v", next, err)
 			}
+			checkSameIteration(t, installImage(t, fs, "sst-appended", b.Finish(7)), ref)
 		})
 	}
 }
@@ -129,7 +127,7 @@ func sameEntry(a, b *kv.Entry) bool {
 
 func checkSameIteration(t *testing.T, got, ref *Table) {
 	t.Helper()
-	gi, ri := got.Iterator(), ref.Iterator()
+	gi, ri := got.IteratorFrom(nil), ref.IteratorFrom(nil)
 	for n := 0; ; n++ {
 		gok, rok := gi.Next(), ri.Next()
 		if gok != rok {
@@ -144,16 +142,65 @@ func checkSameIteration(t *testing.T, got, ref *Table) {
 	}
 }
 
-// TestAppendTableRangeRefusesContent: the bulk append copies no values,
-// so a content-mode table or builder is an error that appends nothing.
-func TestAppendTableRangeRefusesContent(t *testing.T) {
-	fs, _ := newTestFS(t, true)
-	tbl := buildTable(t, fs, "sst-content", true, synthEntries(10, 8, true))
+// TestAppendTableRangeMatchesAdd: appending ranges of a table in bulk
+// builds the image a per-entry Add of the same entries builds — blocks,
+// sizes and, in content mode, bytes — with tombstones skipped under
+// drop and the walk stopping at the first entry that brings the data
+// bytes to the limit. A table of the other mode is refused, and nothing
+// is appended.
+func TestAppendTableRangeMatchesAdd(t *testing.T) {
 	for _, content := range []bool{false, true} {
+		fs, _ := newTestFS(t, content)
+		entries := recycleEntries(600, 3, 1, content)
+		tbl := buildTable(t, fs, fmt.Sprintf("sst-src-%v", content), content, entries)
+		for ci, c := range []struct {
+			cuts  []int // the ranges [cuts[k], cuts[k+1]) are appended in turn
+			drop  bool
+			limit int64
+		}{
+			{[]int{0, 600}, false, 1 << 62},
+			{[]int{0, 600}, true, 1 << 62},
+			{[]int{17, 18, 19, 250, 251, 599}, true, 1 << 62},
+			{[]int{0, 1, 300, 600}, false, 20 << 10},
+			{[]int{5, 400, 600}, true, 50 << 10},
+		} {
+			bulk := NewBuilder(4096, 4<<10, content, 0, new(Spares))
+			each := NewBuilder(4096, 4<<10, content, 0, new(Spares))
+			for k := 0; k+1 < len(c.cuts); k++ {
+				lo, hi := c.cuts[k], c.cuts[k+1]
+				next, err := bulk.AppendTableRange(tbl, lo, hi, c.drop, c.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := hi
+				for i := lo; i < hi; i++ {
+					if c.drop && entries[i].Deleted {
+						continue
+					}
+					if err := each.Add(&entries[i]); err != nil {
+						t.Fatal(err)
+					}
+					if each.EstimatedBytes() >= c.limit {
+						want = i + 1
+						break
+					}
+				}
+				if next != want {
+					t.Fatalf("content=%v case %d: AppendTableRange(%d, %d) = %d, want %d", content, ci, lo, hi, next, want)
+				}
+			}
+			gotImg, wantImg := bulk.Finish(9), each.Finish(9)
+			if gotImg.Pages != wantImg.Pages || gotImg.SizeBytes != wantImg.SizeBytes || !bytes.Equal(gotImg.Data, wantImg.Data) {
+				t.Fatalf("content=%v case %d: bulk image (%d pages, %d B) differs from per-entry (%d pages, %d B)",
+					content, ci, gotImg.Pages, gotImg.SizeBytes, wantImg.Pages, wantImg.SizeBytes)
+			}
+			name := fmt.Sprintf("sst-%v-%d", content, ci)
+			checkSameIteration(t, installImage(t, fs, name+"-bulk", gotImg), installImage(t, fs, name+"-each", wantImg))
+		}
+		other := buildTable(t, fs, fmt.Sprintf("sst-other-%v", content), !content, recycleEntries(10, 3, 1, !content))
 		b := NewBuilder(4096, DefaultBlockBytes, content, 0, new(Spares))
-		next, err := b.AppendTableRange(tbl, 2, 8, false, 1<<62)
-		if err == nil || next != 2 || b.NumEntries() != 0 {
-			t.Fatalf("content builder=%v: AppendTableRange = %d, %v with %d entries appended", content, next, err, b.NumEntries())
+		if next, err := b.AppendTableRange(other, 2, 8, false, 1<<62); err == nil || next != 2 || b.NumEntries() != 0 {
+			t.Fatalf("content builder=%v: AppendTableRange of the other mode = %d, %v with %d entries appended", content, next, err, b.NumEntries())
 		}
 	}
 }

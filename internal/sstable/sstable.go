@@ -175,19 +175,22 @@ func (t *Table) searchRange(lo, hi int, p *Probe) int {
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if mk := t.key(mid); p.fixed && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, p.hi, p.lo)
-		} else {
-			c = kv.CompareKeys(mk, p.key)
-		}
-		if c < 0 {
+		if t.keyBefore(mid, p) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// keyBefore reports whether entry i's key sorts before the probe's key.
+func (t *Table) keyBefore(i int, p *Probe) bool {
+	k := t.key(i)
+	if p.fixed && len(k) == kv.KeySize {
+		return kv.CompareKeyWords(k, p.hi, p.lo) < 0
+	}
+	return kv.CompareKeys(k, p.key) < 0
 }
 
 // Position places the probe against the table's inclusive key range:
@@ -313,15 +316,9 @@ func (t *Table) ReadPages(now sim.Duration, pageOff int64, n int) (sim.Duration,
 	return t.file.ReadAt(now, pageOff, n, nil)
 }
 
-// Iterator returns an in-memory iterator over all entries (metadata
-// only; no I/O is charged — compaction jobs charge bulk reads
-// explicitly).
-func (t *Table) Iterator() kv.Iterator {
-	return &tableIter{t: t, i: -1}
-}
-
-// IteratorFrom returns an iterator positioned before the first entry with
-// key >= start.
+// IteratorFrom returns an in-memory iterator positioned before the first
+// entry with key >= start (nil: the first entry). It reads the side
+// index and charges no I/O; Scan charges its block reads itself.
 func (t *Table) IteratorFrom(start []byte) kv.Iterator {
 	p := searchProbe(start)
 	return &tableIter{t: t, i: t.search(&p) - 1}
@@ -361,10 +358,27 @@ func (t *Table) KeyAt(i int) []byte { return t.key(i) }
 func (t *Table) SeqAt(i int) uint64 { return t.seqs[i] }
 
 // SearchFrom returns the index of the first entry in [start, NumEntries)
-// with key >= target — the galloping primitive of the bulk merge path.
+// with key >= target: the compaction merge's step to the next run
+// boundary. It gallops — probes start, then start+1, +3, +7, … — and
+// binary-searches only the last gap, so a boundary a few entries ahead,
+// the common case when L0's short runs interleave, costs a few compares
+// instead of a search of the whole rest of the table.
 func (t *Table) SearchFrom(start int, target []byte) int {
 	p := searchProbe(target)
-	return t.searchRange(start, t.numEntries, &p)
+	if start >= t.numEntries || !t.keyBefore(start, &p) {
+		return start
+	}
+	lo := start // key(lo) < target
+	for step := 1; ; step = 2*step + 1 {
+		i := start + step
+		if i >= t.numEntries {
+			return t.searchRange(lo+1, t.numEntries, &p)
+		}
+		if !t.keyBefore(i, &p) {
+			return t.searchRange(lo+1, i, &p)
+		}
+		lo = i
+	}
 }
 
 type tableIter struct {

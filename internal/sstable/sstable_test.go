@@ -198,7 +198,7 @@ func TestIteratorFullScan(t *testing.T) {
 	fs, _ := newTestFS(t, false)
 	entries := synthEntries(777, 32, false)
 	tbl := buildTable(t, fs, "sst-1", false, entries)
-	it := tbl.Iterator()
+	it := tbl.IteratorFrom(nil)
 	i := 0
 	var prev []byte
 	for it.Next() {
@@ -267,6 +267,32 @@ func TestPosition(t *testing.T) {
 			got := tbl.Position(&p)
 			if sign(got) != c.want {
 				t.Fatalf("fixed=%v Position(%x) = %d, want %d", tbl.fixed, c.key, got, c.want)
+			}
+		}
+	}
+
+	// SearchFrom gallops from start (+1, +3, +7, …) before its binary
+	// search: every start against every target between, on and beside
+	// the keys — a start at the end, targets before start and past the
+	// last entry included — must land where a linear walk does.
+	var targets [][]byte
+	for _, c := range cases {
+		targets = append(targets, c.key)
+	}
+	for id := uint64(3); id <= 304; id++ {
+		targets = append(targets, kv.EncodeKey(id), append(kv.EncodeKey(id), 0, 0, 0, 0, 0, 0, 0, 0))
+	}
+	for _, tbl := range []*Table{fixed, mixed} {
+		n := tbl.NumEntries()
+		for start := 0; start <= n; start++ {
+			for _, target := range targets {
+				want := start
+				for want < n && bytes.Compare(tbl.KeyAt(want), target) < 0 {
+					want++
+				}
+				if got := tbl.SearchFrom(start, target); got != want {
+					t.Fatalf("fixed=%v SearchFrom(%d, %x) = %d, want %d", tbl.fixed, start, target, got, want)
+				}
 			}
 		}
 	}
