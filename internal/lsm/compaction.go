@@ -194,9 +194,16 @@ func (d *DB) newCompactionJob(from, to int, fromTables, toTables []*sstable.Tabl
 }
 
 // merge computes the output images (CPU-instant; I/O is charged in
-// Step). Duplicate user keys keep only the highest sequence number;
-// tombstones are dropped when the output level is the deepest populated
-// level.
+// Step). It merges sorted runs of tables: each fromLevel table is a run
+// of its own (L0 files overlap), the toLevel tables form one. The run
+// holding the smallest key is appended in bulk, straight from its side
+// index, up to the smallest head key of the other runs; a user key that
+// several runs hold is emitted once, in its highest-seq version, and
+// every one of those runs steps past it. Tombstones are dropped when the
+// output level is the deepest populated level. The outputs are exactly
+// what a per-entry merge in (key asc, seq desc) order with last-key
+// dedup and Builder.Add would build: the same entries, blocks and
+// file-roll points.
 func (j *compactionJob) merge() {
 	d := j.d
 	drop := j.toLevel >= d.deepestPopulatedLevel()
@@ -206,92 +213,9 @@ func (j *compactionJob) merge() {
 		remaining += t.NumEntries()
 		inputBytes += t.SizeBytes()
 	}
-	if j.fromCount == 1 && !d.cfg.Content {
-		// Deep compactions (one input file against its sorted overlap
-		// run) take the galloping bulk path: runs of entries between
-		// merge boundaries are appended straight from the input tables'
-		// side indexes, with binary-searched boundaries instead of a
-		// per-entry compare-and-copy.
-		j.mergeFast(drop, remaining, inputBytes)
-		return
-	}
-	// The toLevel inputs are a sorted, non-overlapping run: concatenate
-	// them (no comparisons) and merge against the fromLevel files.
-	its := make([]kv.Iterator, 0, j.fromCount+1)
-	for _, t := range j.inputs[:j.fromCount] {
-		its = append(its, t.Iterator())
-	}
-	if len(j.inputs) > j.fromCount {
-		its = append(its, newConcatIter(j.inputs[j.fromCount:]))
-	}
-	m := newMergeIter(its)
+	target := d.cfg.TargetFileBytes
 	// Presize each output builder for the entries one target-size file
 	// holds (remaining entries when fewer) — dedup only shrinks the need.
-	perFileHint := j.perFileEntryHint(remaining, inputBytes)
-	var b *sstable.Builder
-	var lastKey []byte
-	flushImage := func() {
-		if b != nil && b.NumEntries() > 0 {
-			d.nextFileID++
-			j.images = append(j.images, b.Finish(d.nextFileID))
-		}
-		b = nil
-	}
-	for m.Next() {
-		e := m.Entry()
-		if lastKey != nil && bytes.Equal(e.Key, lastKey) {
-			continue // older duplicate
-		}
-		lastKey = append(lastKey[:0], e.Key...)
-		if e.Deleted && drop {
-			continue
-		}
-		if b == nil {
-			hint := perFileHint
-			if remaining < hint {
-				hint = remaining
-			}
-			b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, hint, &d.spares)
-		}
-		remaining--
-		if err := b.Add(e); err != nil {
-			d.fatal = deverr.Latch(err)
-			return
-		}
-		if b.EstimatedBytes() >= d.cfg.TargetFileBytes {
-			flushImage()
-		}
-	}
-	flushImage()
-}
-
-// perFileEntryHint sizes an output builder for one target-size file.
-func (j *compactionJob) perFileEntryHint(remaining int, inputBytes int64) int {
-	perFileHint := remaining
-	if remaining > 0 && inputBytes > 0 {
-		avg := inputBytes / int64(remaining)
-		if avg > 0 {
-			if h := int(j.d.cfg.TargetFileBytes/avg) + 16; h < perFileHint {
-				perFileHint = h
-			}
-		}
-	}
-	return perFileHint
-}
-
-// mergeFast is merge for the deep-compaction shape (one fromLevel file,
-// a sorted non-overlapping toLevel run) in accounting mode. It produces
-// bit-identical output images to the per-entry heap merge: the same
-// entries in the same order with the same file-roll points — runs
-// between merge boundaries are just appended in bulk, and only the
-// boundary entries (equal user keys across the two sides) are compared
-// individually. Equal keys keep the newer (higher-seq) version, exactly
-// like the heap's (key asc, seq desc) order plus last-key dedup.
-func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
-	d := j.d
-	from := j.inputs[0]
-	toTables := j.inputs[1:]
-	target := d.cfg.TargetFileBytes
 	perFileHint := j.perFileEntryHint(remaining, inputBytes)
 
 	var b *sstable.Builder
@@ -306,11 +230,7 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 	emitRange := func(t *sstable.Table, lo, hi int) {
 		for lo < hi && err == nil {
 			if b == nil {
-				hint := perFileHint
-				if remaining < hint {
-					hint = remaining
-				}
-				b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, false, hint, &d.spares)
+				b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, min(perFileHint, remaining), &d.spares)
 			}
 			var next int
 			next, err = b.AppendTableRange(t, lo, hi, drop, target)
@@ -322,53 +242,104 @@ func (j *compactionJob) mergeFast(drop bool, remaining int, inputBytes int64) {
 		}
 	}
 
-	fi, fn := 0, from.NumEntries()
-	tIdx, ti := 0, 0
+	runs := make([]mergeRun, 0, j.fromCount+1)
+	for i := 0; i < j.fromCount; i++ {
+		runs = append(runs, mergeRun{tables: j.inputs[i : i+1]})
+	}
+	if len(j.inputs) > j.fromCount {
+		runs = append(runs, mergeRun{tables: j.inputs[j.fromCount:]})
+	}
 	for err == nil {
-		if tIdx >= len(toTables) {
-			emitRange(from, fi, fn)
+		live := runs[:0]
+		for _, r := range runs {
+			if r.live() {
+				live = append(live, r)
+			}
+		}
+		if runs = live; len(runs) == 0 {
 			break
 		}
-		tt := toTables[tIdx]
-		tn := tt.NumEntries()
-		if ti >= tn {
-			tIdx++
-			ti = 0
-			continue
-		}
-		if fi >= fn {
-			emitRange(tt, ti, tn)
-			tIdx++
-			ti = 0
-			continue
-		}
-		switch c := kv.CompareKeys(from.KeyAt(fi), tt.KeyAt(ti)); {
-		case c > 0:
-			upper := tt.SearchFrom(ti, from.KeyAt(fi))
-			emitRange(tt, ti, upper)
-			ti = upper
-		case c < 0:
-			upper := from.SearchFrom(fi, tt.KeyAt(ti))
-			emitRange(from, fi, upper)
-			fi = upper
-		default:
-			// Same user key on both sides: keep the newer version, drop
-			// the older (the heap emitted newer first and deduped).
-			if from.SeqAt(fi) >= tt.SeqAt(ti) {
-				emitRange(from, fi, fi+1)
-			} else {
-				emitRange(tt, ti, ti+1)
+		// Run m holds the smallest head key, head; bound is the smallest
+		// head key of the other runs (nil when m is the only run left),
+		// and tie says it equals head.
+		m, head, tie := 0, runs[0].key(), false
+		var bound []byte
+		for k := 1; k < len(runs); k++ {
+			key := runs[k].key()
+			if c := kv.CompareKeys(key, head); c < 0 {
+				m, head, bound, tie = k, key, head, false
+			} else if bound == nil || kv.CompareKeys(key, bound) < 0 {
+				bound, tie = key, c == 0
 			}
-			remaining-- // the shadowed version is consumed without output
-			fi++
-			ti++
 		}
+		r := &runs[m]
+		if !tie {
+			// Only m's run holds keys below bound, its head first:
+			// append them in bulk, searching from past the head.
+			t := r.tables[0]
+			upper := t.NumEntries()
+			if bound != nil {
+				upper = t.SearchFrom(r.i+1, bound)
+			}
+			emitRange(t, r.i, upper)
+			r.i = upper
+			continue
+		}
+		// Several runs hold this user key: keep the newest version, and
+		// the older ones are consumed without output.
+		newest := r
+		for k := range runs {
+			if o := &runs[k]; bytes.Equal(o.key(), head) && o.seq() > newest.seq() {
+				newest = o
+			}
+		}
+		emitRange(newest.tables[0], newest.i, newest.i+1)
+		for k := range runs {
+			if o := &runs[k]; o != newest && bytes.Equal(o.key(), head) {
+				o.i++
+				remaining--
+			}
+		}
+		newest.i++
 	}
 	if err != nil {
 		d.fatal = deverr.Latch(err)
 		return
 	}
 	flushImage()
+}
+
+// mergeRun is a merge cursor over a sorted run of non-overlapping
+// tables: entry i of tables[0] is its head.
+type mergeRun struct {
+	tables []*sstable.Table
+	i      int
+}
+
+// live moves the cursor past exhausted tables and reports whether the
+// run has entries left.
+func (r *mergeRun) live() bool {
+	for len(r.tables) > 0 && r.i >= r.tables[0].NumEntries() {
+		r.tables, r.i = r.tables[1:], 0
+	}
+	return len(r.tables) > 0
+}
+
+func (r *mergeRun) key() []byte { return r.tables[0].KeyAt(r.i) }
+func (r *mergeRun) seq() uint64 { return r.tables[0].SeqAt(r.i) }
+
+// perFileEntryHint sizes an output builder for one target-size file.
+func (j *compactionJob) perFileEntryHint(remaining int, inputBytes int64) int {
+	perFileHint := remaining
+	if remaining > 0 && inputBytes > 0 {
+		avg := inputBytes / int64(remaining)
+		if avg > 0 {
+			if h := int(j.d.cfg.TargetFileBytes/avg) + 16; h < perFileHint {
+				perFileHint = h
+			}
+		}
+	}
+	return perFileHint
 }
 
 // deepestPopulatedLevel returns the index of the deepest level containing
@@ -658,31 +629,3 @@ func (m *mergeIter) Next() bool {
 }
 
 func (m *mergeIter) Entry() *kv.Entry { return &m.cur }
-
-// concatIter iterates the tables of a sorted, non-overlapping run in
-// order — comparison-free, because within such a run table i's largest
-// key precedes table i+1's smallest.
-type concatIter struct {
-	tables []*sstable.Table
-	cur    kv.Iterator
-	idx    int
-}
-
-func newConcatIter(tables []*sstable.Table) *concatIter {
-	return &concatIter{tables: tables}
-}
-
-func (c *concatIter) Next() bool {
-	for {
-		if c.cur != nil && c.cur.Next() {
-			return true
-		}
-		if c.idx >= len(c.tables) {
-			return false
-		}
-		c.cur = c.tables[c.idx].Iterator()
-		c.idx++
-	}
-}
-
-func (c *concatIter) Entry() *kv.Entry { return c.cur.Entry() }

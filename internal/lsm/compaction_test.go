@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -398,4 +399,205 @@ func BenchmarkCompactionMerge(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 		})
 	}
+}
+
+// fuzzEnvs holds one DB per mode for FuzzCompactionMerge, built on first
+// use: a merge reads only its inputs' side indexes and the DB's config,
+// spares and level shape, so iterations share it.
+var fuzzEnvs [2]*DB
+
+// referenceMerge is the per-entry merge that Scan and flush keep:
+// mergeIter over every input table's iterator, last-key dedup and
+// Builder.Add, rolling files at the DB's TargetFileBytes.
+func referenceMerge(t *testing.T, d *DB, inputs []*sstable.Table, drop bool) []*sstable.FileImage {
+	its := make([]kv.Iterator, len(inputs))
+	for i, tbl := range inputs {
+		its[i] = tbl.IteratorFrom(nil)
+	}
+	m := newMergeIter(its)
+	var out []*sstable.FileImage
+	var b *sstable.Builder
+	var lastKey []byte
+	for m.Next() {
+		e := m.Entry()
+		if lastKey != nil && bytes.Equal(e.Key, lastKey) {
+			continue
+		}
+		lastKey = append(lastKey[:0], e.Key...)
+		if e.Deleted && drop {
+			continue
+		}
+		if b == nil {
+			b = sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, d.cfg.Content, 0, &d.spares)
+		}
+		if err := b.Add(e); err != nil {
+			t.Fatal(err)
+		}
+		if b.EstimatedBytes() >= d.cfg.TargetFileBytes {
+			d.nextFileID++
+			out = append(out, b.Finish(d.nextFileID))
+			b = nil
+		}
+	}
+	if b != nil {
+		d.nextFileID++
+		out = append(out, b.Finish(d.nextFileID))
+	}
+	return out
+}
+
+// fuzzBytes reads a fuzz input front to back, yielding zeros past its end.
+type fuzzBytes []byte
+
+func (f *fuzzBytes) next() int {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return int(b)
+}
+
+// FuzzCompactionMerge holds the compaction merge to the per-entry
+// reference over fuzz-chosen shapes: 1-5 fromLevel tables (overlapping,
+// like L0's), a toLevel run of 0-6 non-overlapping tables, 8-, 16- and
+// 24-byte keys from a small id space (so keys repeat across runs),
+// tombstones, either mode, with or without the tombstone drop, and
+// output files and blocks small enough to roll mid-merge. The outputs
+// must agree entry for entry, in their file-roll points and, in content
+// mode, byte for byte.
+func FuzzCompactionMerge(f *testing.F) {
+	for k := 0; k < 12; k++ {
+		rng := sim.NewRNG(uint64(k))
+		seed := []byte{byte(k), byte(k / 2), byte(k % 4), byte(3 * k), byte(k)}
+		for i := 0; i < 600; i++ {
+			seed = append(seed, byte(rng.Uint64()))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		nFrom, nTo, flags := 1+in.next()%5, in.next()%7, in.next()
+		drop, content := flags&1 != 0, flags&2 != 0
+		mode := 0
+		if content {
+			mode = 1
+		}
+		if fuzzEnvs[mode] == nil {
+			fuzzEnvs[mode], _ = mergeEnv(t, content)
+		}
+		d := fuzzEnvs[mode]
+		d.cfg.TargetFileBytes = int64(256 * (1 + in.next()%32))
+		d.cfg.BlockBytes = 512 * (1 + in.next()%8)
+		file, err := d.fs.Create(fmt.Sprintf("fuzz-%d", d.nextFileID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = d.fs.Remove(file.Name()) }() // the file holds no pages; removing it only frees its name
+
+		// keysOf returns the distinct keys of ids in key order.
+		keysOf := func(ids []uint64) [][]byte {
+			seen := map[uint64]bool{}
+			var keys [][]byte
+			for _, id := range ids {
+				if !seen[id] {
+					seen[id] = true
+					keys = append(keys, logKey(id))
+				}
+			}
+			sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+			return keys
+		}
+		// tableOf builds one table of sorted keys with fuzz-chosen
+		// tombstones and value lengths and seqs unique across the merge.
+		var seq uint64
+		tableOf := func(keys [][]byte) *sstable.Table {
+			b := sstable.NewBuilder(d.fs.PageSize(), d.cfg.BlockBytes, content, len(keys), &d.spares)
+			for _, k := range keys {
+				seq++
+				e := kv.Entry{Key: k, Seq: uint64(in.next())<<16 | seq}
+				if v := in.next(); v%5 == 0 {
+					e.Deleted = true
+				} else {
+					e.ValueLen = v
+					if content {
+						e.Value = make([]byte, v)
+						kv.SynthValue(e.Value, k, e.Seq)
+					}
+				}
+				if err := b.Add(&e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b.Finish(seq).Install(file)
+		}
+		const idSpace = 48
+		draw := func(n int) []uint64 {
+			ids := make([]uint64, n)
+			for k := range ids {
+				ids[k] = uint64(in.next() % idSpace)
+			}
+			return ids
+		}
+		var inputs []*sstable.Table
+		for i := 0; i < nFrom; i++ {
+			inputs = append(inputs, tableOf(keysOf(draw(1+in.next()%24))))
+		}
+		// The toLevel run: distinct keys cut in key order into nTo tables.
+		if nTo > 0 {
+			keys := keysOf(draw(in.next() % 40))
+			for k := 0; k < nTo; k++ {
+				if cut := keys[k*len(keys)/nTo : (k+1)*len(keys)/nTo]; len(cut) > 0 {
+					inputs = append(inputs, tableOf(cut))
+				}
+			}
+		}
+
+		// toLevel is 1; a populated level 2 makes it not the deepest.
+		d.levels[2] = nil
+		if !drop {
+			d.levels[2] = inputs[:1]
+		}
+		base := d.nextFileID
+		j := &compactionJob{d: d, fromLevel: 0, toLevel: 1, inputs: inputs, fromCount: nFrom}
+		j.merge()
+		if d.fatal != nil {
+			t.Fatal(d.fatal)
+		}
+		d.nextFileID = base
+		want := referenceMerge(t, d, inputs, drop)
+		d.levels[2] = nil
+
+		if len(j.images) != len(want) {
+			t.Fatalf("merge built %d files, reference %d", len(j.images), len(want))
+		}
+		for i, img := range j.images {
+			w := want[i]
+			if img.ID() != w.ID() || img.Pages != w.Pages || img.SizeBytes != w.SizeBytes || !bytes.Equal(img.Data, w.Data) {
+				t.Fatalf("file %d: merge (id %d, %d pages, %d B) differs from reference (id %d, %d pages, %d B)",
+					i, img.ID(), img.Pages, img.SizeBytes, w.ID(), w.Pages, w.SizeBytes)
+			}
+			got, ref := img.Install(file), w.Install(file)
+			gi, ri := got.IteratorFrom(nil), ref.IteratorFrom(nil)
+			for n := 0; ; n++ {
+				gok, rok := gi.Next(), ri.Next()
+				if gok != rok {
+					t.Fatalf("file %d: entry counts differ at entry %d", i, n)
+				}
+				if !gok {
+					break
+				}
+				ge, re := gi.Entry(), ri.Entry()
+				if !bytes.Equal(ge.Key, re.Key) || !bytes.Equal(ge.Value, re.Value) || ge.ValueLen != re.ValueLen ||
+					ge.Seq != re.Seq || ge.Deleted != re.Deleted {
+					t.Fatalf("file %d entry %d: merge %+v, reference %+v", i, n, *ge, *re)
+				}
+			}
+			got.Release()
+			ref.Release()
+		}
+		for _, tbl := range inputs {
+			tbl.Release()
+		}
+	})
 }

@@ -65,9 +65,6 @@ type DB struct {
 	compactW  *sim.Worker // L0 -> L1
 	compactWD *sim.Worker // deep levels (L1+)
 
-	// probeCandidates is scratch for getParallel, reused across Gets.
-	probeCandidates []*sstable.Table
-
 	// shapeL0/shapeDeep/shapeBusy version the picker-relevant state:
 	// levels[0]+levelBytes[0], the sorted levels, and the busy set. The
 	// idle pullers are consulted on every foreground operation; memoizing
@@ -395,82 +392,51 @@ func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, erro
 		}
 	}
 	// One probe — the key's comparison words and Bloom hash — serves
-	// every table the lookup visits.
+	// every table the lookup visits. The candidates, in priority order,
+	// are the L0 files newest first (they overlap), then at most one file
+	// per sorted level; they are probed in waves of ProbeParallelism
+	// submitted at one virtual time, so a wave's block reads overlap on
+	// the device's internal lanes and the wave completes when its slowest
+	// probe does. The newest table in a wave that holds the key wins,
+	// which is the result of the serial walk — a wave of one — so waves
+	// only trade speculative read I/O for latency, as a real multi-queue
+	// read path does.
 	p := sstable.NewProbe(key)
-	if d.cfg.ProbeParallelism > 1 {
-		return d.getParallel(now, &p)
-	}
-	// L0: newest first, files overlap.
-	for _, t := range d.levels[0] {
-		done, e, found, err := t.Get(now, &p)
-		now = done
-		if err != nil {
-			return now, nil, false, err
+	var hit kv.Entry
+	found := false
+	waveEnd, inWave := now, 0
+	for li, i := 0, 0; li < len(d.levels); {
+		var t *sstable.Table
+		switch {
+		case li > 0:
+			t = findInLevel(d.levels[li], &p)
+			li++
+		case i < len(d.levels[0]):
+			t = d.levels[0][i]
+			i++
+		default:
+			li++
 		}
-		if found {
-			return d.foundEntry(now, &e)
-		}
-	}
-	// Sorted levels: at most one candidate file per level.
-	for li := 1; li < len(d.levels); li++ {
-		t := findInLevel(d.levels[li], &p)
 		if t == nil {
 			continue
 		}
-		done, e, found, err := t.Get(now, &p)
-		now = done
+		done, e, ok, err := t.Get(now, &p)
 		if err != nil {
-			return now, nil, false, err
+			return done, nil, false, err
 		}
-		if found {
-			return d.foundEntry(now, &e)
+		waveEnd = max(waveEnd, done)
+		if ok && !found {
+			hit, found = e, true
+		}
+		if inWave++; inWave == d.cfg.ProbeParallelism {
+			now, inWave = waveEnd, 0
+			if found {
+				return d.foundEntry(now, &hit)
+			}
 		}
 	}
-	return now, nil, false, nil
-}
-
-// getParallel probes candidate tables in priority-ordered waves of
-// ProbeParallelism: every probe in a wave is submitted at the same
-// virtual time, so their block reads overlap on the device's internal
-// lanes; the wave completes when its slowest probe does. Within a wave
-// the newest table that holds the key wins, which preserves the exact
-// result of the sequential walk — the parallel path only trades
-// speculative read I/O for latency, as a real multi-queue read path
-// does.
-func (d *DB) getParallel(now sim.Duration, p *sstable.Probe) (sim.Duration, []byte, bool, error) {
-	cands := d.probeCandidates[:0]
-	cands = append(cands, d.levels[0]...) // newest first, files overlap
-	for li := 1; li < len(d.levels); li++ {
-		if t := findInLevel(d.levels[li], p); t != nil {
-			cands = append(cands, t)
-		}
-	}
-	d.probeCandidates = cands[:0]
-	for start := 0; start < len(cands); start += d.cfg.ProbeParallelism {
-		end := start + d.cfg.ProbeParallelism
-		if end > len(cands) {
-			end = len(cands)
-		}
-		waveEnd := now
-		hit := -1
-		var hitEntry kv.Entry
-		for i := start; i < end; i++ {
-			done, e, found, err := cands[i].Get(now, p)
-			if err != nil {
-				return done, nil, false, err
-			}
-			if done > waveEnd {
-				waveEnd = done
-			}
-			if found && hit < 0 {
-				hit = i
-				hitEntry = e
-			}
-		}
-		now = waveEnd
-		if hit >= 0 {
-			return d.foundEntry(now, &hitEntry)
-		}
+	if now = waveEnd; found {
+		return d.foundEntry(now, &hit)
 	}
 	return now, nil, false, nil
 }
@@ -572,24 +538,6 @@ func (d *DB) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv
 				return now, nil, err
 			}
 			now = done
-		}
-	}
-	// In content mode, entries that came from on-disk tables carry only
-	// metadata (the side index does not retain value bytes); fetch their
-	// values through the read path.
-	if d.cfg.Content {
-		for i := range out {
-			if out[i].Value != nil || out[i].ValueLen == 0 {
-				continue
-			}
-			done, v, found, err := d.Get(now, out[i].Key)
-			if err != nil {
-				return now, nil, err
-			}
-			now = done
-			if found {
-				out[i].Value = v
-			}
 		}
 	}
 	return now, out, nil
