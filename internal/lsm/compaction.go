@@ -216,7 +216,12 @@ func (j *compactionJob) merge() {
 	target := d.cfg.TargetFileBytes
 	// Presize each output builder for the entries one target-size file
 	// holds (remaining entries when fewer) — dedup only shrinks the need.
-	perFileHint := j.perFileEntryHint(remaining, inputBytes)
+	perFileHint := remaining
+	if remaining > 0 && inputBytes > 0 {
+		if avg := inputBytes / int64(remaining); avg > 0 {
+			perFileHint = min(perFileHint, int(target/avg)+16)
+		}
+	}
 
 	var b *sstable.Builder
 	var err error
@@ -327,20 +332,6 @@ func (r *mergeRun) live() bool {
 
 func (r *mergeRun) key() []byte { return r.tables[0].KeyAt(r.i) }
 func (r *mergeRun) seq() uint64 { return r.tables[0].SeqAt(r.i) }
-
-// perFileEntryHint sizes an output builder for one target-size file.
-func (j *compactionJob) perFileEntryHint(remaining int, inputBytes int64) int {
-	perFileHint := remaining
-	if remaining > 0 && inputBytes > 0 {
-		avg := inputBytes / int64(remaining)
-		if avg > 0 {
-			if h := int(j.d.cfg.TargetFileBytes/avg) + 16; h < perFileHint {
-				perFileHint = h
-			}
-		}
-	}
-	return perFileHint
-}
 
 // deepestPopulatedLevel returns the index of the deepest level containing
 // data (or 0).

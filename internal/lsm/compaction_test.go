@@ -382,10 +382,7 @@ func BenchmarkCompactionMerge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j := &compactionJob{d: d, fromLevel: 1, toLevel: 2, inputs: inputs, fromCount: len(from)}
-				if len(from) > 1 {
-					j.fromLevel, j.toLevel = 0, 1
-				}
+				j := &compactionJob{d: d, toLevel: 1, inputs: inputs, fromCount: len(from)}
 				j.merge()
 				if d.fatal != nil {
 					b.Fatal(d.fatal)
