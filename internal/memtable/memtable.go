@@ -96,6 +96,16 @@ type Memtable struct {
 	rng    *sim.RNG
 	free   *Chunks // where chunks come from and where Release returns them
 
+	// last is the node the last Put linked in or replaced, and splice
+	// holds its predecessors at the levels above its tower. A key that
+	// sorts between last and last's successor has last as its
+	// predecessor at every level of last's tower and splice's nodes
+	// above it, so Put takes that splice instead of walking from the
+	// head: every Put of an ascending load does (RocksDB's skiplist
+	// keeps the same fast path for sequential inserts).
+	last   *node
+	splice [maxHeight]*node
+
 	entries  int
 	sizeEst  int64 // approximate payload bytes (keys + values + overhead)
 	overhead int64 // per-entry bookkeeping estimate
@@ -215,15 +225,30 @@ func (m *Memtable) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node 
 	return x.tower[0]
 }
 
+// follows reports whether key sorts after the last Put's node and
+// before that node's successor, so the node's splice is key's.
+func (m *Memtable) follows(key []byte) bool {
+	if m.last == nil || kv.CompareKeys(m.last.entry.Key, key) >= 0 {
+		return false
+	}
+	next := m.last.tower[0]
+	return next == nil || kv.CompareKeys(key, next.entry.Key) < 0
+}
+
 // Put inserts or replaces the entry for key. valueLen is the accounted
 // payload size when value is nil.
 func (m *Memtable) Put(key, value []byte, valueLen int, seq uint64, deleted bool) {
 	if value != nil {
 		valueLen = len(value)
 	}
-	var prev [maxHeight]*node
-	existing := m.findGreaterOrEqual(key, &prev)
-	if existing != nil && bytes.Equal(existing.entry.Key, key) {
+	prev := &m.splice
+	if m.follows(key) {
+		for level := range m.last.tower {
+			prev[level] = m.last
+		}
+	} else if existing := m.findGreaterOrEqual(key, prev); existing != nil && bytes.Equal(existing.entry.Key, key) {
+		// The walk left existing's predecessors in splice.
+		m.last = existing
 		old := int64(len(existing.entry.Key)) + int64(existing.entry.ValueLen) + m.overhead
 		existing.entry.Value = m.cloneBytes(value)
 		existing.entry.ValueLen = valueLen
@@ -251,6 +276,7 @@ func (m *Memtable) Put(key, value []byte, valueLen int, seq uint64, deleted bool
 		n.tower[level] = prev[level].tower[level]
 		prev[level].tower[level] = n
 	}
+	m.last = n
 	m.entries++
 	m.sizeEst += int64(len(key)) + int64(valueLen) + m.overhead
 }

@@ -1,7 +1,6 @@
 package sstable
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,7 +89,7 @@ func (b *Builder) EstimatedBytes() int64 { return b.dataBytes }
 // Add appends an entry. Entries must arrive in strictly increasing key
 // order (the builder enforces this).
 func (b *Builder) Add(e *kv.Entry) error {
-	if b.lastKey != nil && bytes.Compare(e.Key, b.lastKey) <= 0 {
+	if b.lastKey != nil && kv.CompareKeys(e.Key, b.lastKey) <= 0 {
 		return fmt.Errorf("sstable: keys out of order (%x after %x)", e.Key, b.lastKey)
 	}
 	vl := e.ValueLen
@@ -155,31 +154,33 @@ func (b *Builder) appendContent(key, value []byte, vl int, seq uint64, del byte)
 // appended entry, mirroring the per-entry roll check) and returns the
 // next unconsumed index. A table whose mode differs from the builder's
 // is an error, and appends nothing.
+//
+// The walk lays out one entry at a time (block cuts, accounting and, in
+// content mode, the serialized entry); appendColumns then adds the side
+// index of each run of appended entries, which only a dropped tombstone
+// breaks, its keys in one copy.
 func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int64) (int, error) {
 	if b.content != t.content {
 		return i, errors.New("sstable: AppendTableRange across content and accounting mode")
 	}
+	lo := i // the current run's first entry
 	for ; i < j; i++ {
 		if drop && t.dels[i] == 1 {
+			b.appendColumns(t, lo, i)
+			lo = i + 1
 			continue
 		}
-		key := t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]
-		sz := entryHeaderSize + len(key) + int(t.vlens[i])
+		ko := t.keyOffsets[i]
+		kl := int(t.keyOffsets[i+1] - ko)
+		sz := entryHeaderSize + kl + int(t.vlens[i])
 		if b.curBlockBytes > 0 && b.curBlockBytes+sz > b.targetBlock {
 			b.finishBlock()
 		}
-		idx := int32(len(b.seqs))
 		if b.curBlockBytes == 0 {
-			b.curBlockFirst = idx
+			b.curBlockFirst = int32(len(b.seqs) + i - lo)
 		}
-		b.keyArena = append(b.keyArena, key...)
-		b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
-		b.mixed = b.mixed || len(key) != kv.KeySize
-		b.seqs = append(b.seqs, t.seqs[i])
-		b.vlens = append(b.vlens, t.vlens[i])
-		b.dels = append(b.dels, t.dels[i])
 		if b.content {
-			b.appendContent(key, t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], int(t.vlens[i]), t.seqs[i], t.dels[i])
+			b.appendContent(t.keyArena[ko:int(ko)+kl], t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], int(t.vlens[i]), t.seqs[i], t.dels[i])
 		}
 		b.curBlockBytes += sz
 		b.dataBytes += int64(sz)
@@ -188,10 +189,32 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 			break
 		}
 	}
+	b.appendColumns(t, lo, i)
 	if n := len(b.seqs); n > 0 {
 		b.lastKey = b.keyArena[b.keyOffsets[n-1]:b.keyOffsets[n]]
 	}
 	return i, nil
+}
+
+// appendColumns appends entries [lo, hi) of t's side index: the keys
+// in one copy, then each entry's key offset (rebased by one delta),
+// sequence number, value length and tombstone mark. Those four columns
+// are appended entry by entry: compactions of random keys append runs
+// of one to a few entries, and a copy call per column cost more there
+// than it saved on long runs. Key widths are only checked when t's are
+// not all kv.KeySize.
+func (b *Builder) appendColumns(t *Table, lo, hi int) {
+	delta := uint32(len(b.keyArena)) - t.keyOffsets[lo]
+	b.keyArena = append(b.keyArena, t.keyArena[t.keyOffsets[lo]:t.keyOffsets[hi]]...)
+	for k := lo; k < hi; k++ {
+		b.keyOffsets = append(b.keyOffsets, t.keyOffsets[k+1]+delta)
+		b.seqs = append(b.seqs, t.seqs[k])
+		b.vlens = append(b.vlens, t.vlens[k])
+		b.dels = append(b.dels, t.dels[k])
+	}
+	for k := lo; !t.fixed && !b.mixed && k < hi; k++ {
+		b.mixed = t.keyOffsets[k+1]-t.keyOffsets[k] != kv.KeySize
+	}
 }
 
 // finishBlock closes the current data block, page-aligning the next one.
