@@ -154,3 +154,25 @@ func TestReproLine(t *testing.T) {
 		t.Fatalf("tunables repro line %q, want %q", got, want)
 	}
 }
+
+// TestCrashCheckpointsInGroupCommits runs the tree engines with a
+// checkpoint due every 200 µs, so background checkpoints start while the
+// store has a group commit open, and requires every acknowledged write
+// back after the cut on each of 16 seeds.
+func TestCrashCheckpointsInGroupCommits(t *testing.T) {
+	for _, eng := range []string{"btree", "betree"} {
+		eng := eng
+		t.Run(eng, func(t *testing.T) {
+			t.Parallel()
+			if _, err := Run(Spec{
+				Engine:   eng,
+				Ops:      400,
+				Seed:     1,
+				Trials:   16,
+				Tunables: map[string]string{"checkpoint_interval": "200us"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
