@@ -612,8 +612,11 @@ func (c *Core) poolTracks(name string) bool {
 
 // MaybeCheckpoint starts a checkpoint when the interval elapsed — or the
 // deferred-release backlog has grown too large — and none is running.
+// It waits while a group commit is open: starting a checkpoint rotates
+// the journal, and the group's records must share the one segment its
+// sync covers (EndGroupCommit calls it once the group is synced).
 func (c *Core) MaybeCheckpoint(now sim.Duration) {
-	if c.ckptW.QueueLen() > 0 {
+	if c.group || c.ckptW.QueueLen() > 0 {
 		return
 	}
 	intervalDue := now-c.lastCkpt >= c.cfg.CheckpointInterval

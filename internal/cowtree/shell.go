@@ -417,19 +417,21 @@ func (c *Core) Close(now sim.Duration) (sim.Duration, error) {
 func (c *Core) BeginGroupCommit() { c.group = true }
 
 // EndGroupCommit closes the group and, when JournalSync is set, syncs
-// the journal tail once, returning the sync's completion time. Records
-// whose segment an intervening checkpoint rotated away need no sync —
-// the checkpoint superseded them. A sync error is fatal to the tree.
+// the journal tail once, returning the sync's completion time. No
+// checkpoint starts inside a group, so that one sync covers every record
+// the group appended; a checkpoint that fell due meanwhile starts after
+// it. A sync error is fatal to the tree.
 func (c *Core) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 	c.group = false
-	if !c.cfg.JournalSync || c.journal == nil {
-		return now, nil
+	if c.cfg.JournalSync && c.journal != nil {
+		var err error
+		if now, err = c.journal.Sync(now); err != nil {
+			c.Fail(err)
+			return now, err
+		}
 	}
-	now, err := c.journal.Sync(now)
-	if err != nil {
-		c.Fail(err)
-	}
-	return now, err
+	c.MaybeCheckpoint(now)
+	return now, nil
 }
 
 // JournalSyncCount returns the number of device-reaching syncs issued on
