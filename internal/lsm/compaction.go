@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"container/heap"
+	"slices"
 	"sort"
 
 	"ptsbench/internal/deverr"
@@ -559,16 +560,18 @@ func (j *compactionJob) abort() {
 	j.outFiles = nil
 }
 
-// insertSorted merges outputs into a level keeping smallest-key order.
+// insertSorted places a compaction's outputs in a level kept in
+// smallest-key order. The outputs are sorted and span a key range no
+// table left in the level overlaps, so they go in at one position.
 func insertSorted(level, outputs []*sstable.Table) []*sstable.Table {
-	level = append(level, outputs...)
-	// Insertion sort: levels are small and mostly sorted.
-	for i := 1; i < len(level); i++ {
-		for k := i; k > 0 && bytes.Compare(level[k].Smallest(), level[k-1].Smallest()) < 0; k-- {
-			level[k], level[k-1] = level[k-1], level[k]
-		}
+	if len(outputs) == 0 {
+		return level
 	}
-	return level
+	first := outputs[0].Smallest()
+	i := sort.Search(len(level), func(k int) bool {
+		return kv.CompareKeys(level[k].Smallest(), first) > 0
+	})
+	return slices.Insert(level, i, outputs...)
 }
 
 // mergeIter is a k-way merge over iterators ordered by (key asc, seq
