@@ -241,7 +241,7 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 				for j := int64(0); j < pages*3; j++ {
 					now = dev.SubmitWrite(now, int64(rng.Uint64n(uint64(pages))), 1)
 				}
-				b.ReportMetric(dev.WAD(), "WA-D")
+				b.ReportMetric(dev.Stats().WAD(), "WA-D")
 			}
 		})
 	}
@@ -349,7 +349,7 @@ func BenchmarkAblationStreams(b *testing.B) {
 						coldCursor += 64
 					}
 				}
-				b.ReportMetric(dev.WAD(), "WA-D")
+				b.ReportMetric(dev.Stats().WAD(), "WA-D")
 			}
 		})
 	}

@@ -90,9 +90,6 @@ func (t *Tree) AppendImage(dst []byte, id cowtree.NodeID) []byte {
 	})
 }
 
-// Config returns the validated configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // IO returns internal activity counters.
 func (t *Tree) IO() IOStats {
 	io := t.io

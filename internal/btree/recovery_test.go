@@ -284,10 +284,11 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The job snapshots the dirty set and rotates the journal now; it is
-	// submitted only after the root has grown, so the commit provably
-	// runs against a root the snapshot has never seen (submitting first
-	// would let the foreground Pump drain the job before the growth).
+	// The job snapshots the dirty set and rotates the journal now; it
+	// runs only after the root has grown, so the commit provably runs
+	// against a root the snapshot has never seen (submitting it to the
+	// checkpoint worker first would let the foreground Pump drain it
+	// before the growth).
 	job, err := tr.Core.NewCheckpointJob()
 	if err != nil || job == nil {
 		t.Fatalf("no checkpoint job: %v", err)
@@ -305,9 +306,9 @@ func TestBTreeRecoverAfterMidCheckpointRootGrowth(t *testing.T) {
 		id++
 	}
 	total := id
-	tr.Core.Worker().Submit(job)
-	now = tr.Quiesce(now) // the racy checkpoint commits here
-	_ = now
+	for done := false; !done; { // the racy checkpoint commits here
+		now, done = job.Step(now)
+	}
 	re, rnow, err := Recover(fs, tr.cfg, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -387,17 +387,17 @@ var _ = sim.Duration(0)
 
 func TestLatencyHistogramBasics(t *testing.T) {
 	h := NewLatencyHistogram()
-	if h.Count() != 0 || h.Percentile(0.5) != 0 || h.Mean() != 0 {
+	if h.total != 0 || h.Percentile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should read zero")
 	}
 	for i := 1; i <= 1000; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count = %d", h.Count())
+	if h.total != 1000 {
+		t.Fatalf("count = %d", h.total)
 	}
-	if h.Percentile(0) != time.Microsecond || h.Max() != time.Millisecond {
-		t.Fatalf("min/max: %v/%v", h.Percentile(0), h.Max())
+	if h.Percentile(0) != time.Microsecond || h.max != time.Millisecond {
+		t.Fatalf("min/max: %v/%v", h.Percentile(0), h.max)
 	}
 	// Log-bucket resolution is ~4%; allow 10% slack.
 	p50 := h.Percentile(0.50)
@@ -412,7 +412,7 @@ func TestLatencyHistogramBasics(t *testing.T) {
 	if mean < 480*time.Microsecond || mean > 520*time.Microsecond {
 		t.Fatalf("mean = %v, want ~500µs", mean)
 	}
-	if h.Percentile(1) != h.Max() {
+	if h.Percentile(1) != h.max {
 		t.Fatal("percentile 1 should clamp to max")
 	}
 }
@@ -442,8 +442,8 @@ func TestLatencyHistogramBoundsClamp(t *testing.T) {
 	h.Record(-time.Second)    // clamps to 0
 	h.Record(100 * time.Hour) // clamps to top bucket
 	h.Record(time.Nanosecond) // below min bucket
-	if h.Count() != 3 {
-		t.Fatalf("count %d", h.Count())
+	if h.total != 3 {
+		t.Fatalf("count %d", h.total)
 	}
 	if h.Percentile(0.99) <= 0 {
 		t.Fatal("clamped values should still report")

@@ -76,9 +76,6 @@ func (h *LatencyHistogram) Record(d sim.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() uint64 { return h.total }
-
 // Mean returns the average latency.
 func (h *LatencyHistogram) Mean() sim.Duration {
 	if h.total == 0 {
@@ -86,9 +83,6 @@ func (h *LatencyHistogram) Mean() sim.Duration {
 	}
 	return sim.Duration(h.sum / float64(h.total))
 }
-
-// Max returns the largest observed latency.
-func (h *LatencyHistogram) Max() sim.Duration { return h.max }
 
 // Percentile returns the latency at quantile q in (0, 1], e.g. 0.99. The
 // result is bucket-resolution (~4%).

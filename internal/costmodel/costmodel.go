@@ -9,7 +9,6 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Option is one deployable configuration (a PTS on a drive model, with
@@ -90,30 +89,4 @@ func Compute(options []Option, datasets []float64, targets []float64) (*Heatmap,
 		h.Cells = append(h.Cells, row)
 	}
 	return h, nil
-}
-
-// Render draws the heatmap as aligned text, targets down, datasets
-// across, matching the orientation of the paper's figures (y axis:
-// target throughput, x axis: dataset size).
-func (h *Heatmap) Render() string {
-	var b strings.Builder
-	short := map[string]string{"tie": "="}
-	for i, o := range h.Options {
-		short[o.Name] = fmt.Sprintf("%c", 'A'+i)
-		fmt.Fprintf(&b, "  %c = %s (%.2f KOps/drive, %.0f GB/drive)\n",
-			'A'+i, o.Name, o.ThroughputKOps, o.MaxDatasetBytes/(1<<30))
-	}
-	fmt.Fprintf(&b, "  %-12s", "tgt \\ data")
-	for _, d := range h.Datasets {
-		fmt.Fprintf(&b, "%8.1fTB", d/(1<<40))
-	}
-	b.WriteByte('\n')
-	for ti := len(h.Targets) - 1; ti >= 0; ti-- { // high targets on top
-		fmt.Fprintf(&b, "  %-9.0fKOps", h.Targets[ti])
-		for di := range h.Datasets {
-			fmt.Fprintf(&b, "%10s", short[h.Cells[ti][di].Winner])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

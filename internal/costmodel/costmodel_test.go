@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -94,20 +93,6 @@ func TestHeatmapMonotoneDrives(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRenderContainsLegendAndGrid(t *testing.T) {
-	h, err := Compute(opts(), []float64{1 << 40, 5 << 40}, []float64{5, 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := h.Render()
-	if !strings.Contains(out, "rocksdb") || !strings.Contains(out, "wiredtiger") {
-		t.Fatalf("legend missing:\n%s", out)
-	}
-	if !strings.Contains(out, "KOps") || !strings.Contains(out, "TB") {
-		t.Fatalf("axes missing:\n%s", out)
 	}
 }
 

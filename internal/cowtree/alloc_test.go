@@ -49,7 +49,7 @@ func TestCheckpointCycleAllocs(t *testing.T) {
 		for done := false; !done; {
 			now, done = job.Step(now)
 		}
-		if err := tr.Core.Err(); err != nil {
+		if err := tr.Core.fatal; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if err := tr.Core.Err(); err != nil {
+	if err := tr.Core.fatal; err != nil {
 		b.Fatal(err)
 	}
 	if pages := tr.Core.IO().CheckpointPgs - before; pages != int64(b.N)*int64(len(interiors)) {

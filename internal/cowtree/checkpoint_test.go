@@ -154,7 +154,7 @@ func TestStubRootGrowthDuringCheckpoint(t *testing.T) {
 		k++
 	}
 	total := k
-	tr.Core.Worker().Submit(job)
+	tr.Core.ckptW.Submit(job)
 	now = tr.Core.Quiesce(now) // the racy checkpoint commits here
 	_ = now
 	re, _, err := recoverStub(fs, cfg, 0)

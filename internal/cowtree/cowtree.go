@@ -288,9 +288,6 @@ func (c *Core) SetRoot(id NodeID) { c.root = id }
 // IO returns the core's counters.
 func (c *Core) IO() IOStats { return c.io }
 
-// Err returns the sticky fatal error, if any.
-func (c *Core) Err() error { return c.fatal }
-
 // Fail records a fatal error (the first one wins). The error is
 // latched: even when the root cause was a transient device error, the
 // core is permanently wedged, so deverr.IsTransient must report false
@@ -304,10 +301,6 @@ func (c *Core) Fail(err error) {
 
 // Pump drives the background checkpoint worker up to now.
 func (c *Core) Pump(now sim.Duration) { c.ckptW.Pump(now) }
-
-// Worker exposes the checkpoint worker (tests submit jobs directly to
-// provoke checkpoint/foreground races deterministically).
-func (c *Core) Worker() *sim.Worker { return c.ckptW }
 
 // ---- dirty tracking ----
 

@@ -230,7 +230,7 @@ func (t *stubTree) insertLeaf(leaf *stubNode, key uint64, val []byte, seq uint64
 }
 
 func (t *stubTree) put(now sim.Duration, key uint64, val []byte) (sim.Duration, error) {
-	if err := t.Core.Err(); err != nil {
+	if err := t.Core.fatal; err != nil {
 		return now, err
 	}
 	t.Core.Pump(now)

@@ -97,7 +97,7 @@ func TestCheckpointWriteOrder(t *testing.T) {
 		now, done = job.Step(now)
 		settle()
 		tr.imaged = nil
-		if err := tr.Core.Err(); err != nil {
+		if err := tr.Core.fatal; err != nil {
 			t.Fatal(err)
 		}
 		if done {

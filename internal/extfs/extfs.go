@@ -193,9 +193,6 @@ type File struct {
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
-// SizeBytes returns the logical file size in bytes.
-func (f *File) SizeBytes() int64 { return f.size }
-
 // SizePages returns the allocated size in pages.
 func (f *File) SizePages() int64 { return f.pages }
 

@@ -89,8 +89,8 @@ func TestAppendAndRead(t *testing.T) {
 	if _, err := f.Append(0, 3, payload, int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
-	if f.SizeBytes() != 3*4096 || f.SizePages() != 3 {
-		t.Fatalf("size %d/%d pages", f.SizeBytes(), f.SizePages())
+	if f.size != 3*4096 || f.SizePages() != 3 {
+		t.Fatalf("size %d/%d pages", f.size, f.SizePages())
 	}
 	buf := make([]byte, 3*4096)
 	if _, err := f.ReadAt(0, 0, 3, buf); err != nil {
@@ -135,8 +135,8 @@ func TestByteSizeTracksPayload(t *testing.T) {
 	if _, err := f.Append(0, 2, nil, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if f.SizeBytes() != 5000 {
-		t.Fatalf("SizeBytes = %d, want 5000", f.SizeBytes())
+	if f.size != 5000 {
+		t.Fatalf("size = %d, want 5000", f.size)
 	}
 	if f.SizePages() != 2 {
 		t.Fatalf("SizePages = %d, want 2", f.SizePages())

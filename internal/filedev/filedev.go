@@ -170,9 +170,6 @@ func Open(cfg Config) (*Dev, error) {
 	}, nil
 }
 
-// Path returns the backing file path.
-func (d *Dev) Path() string { return d.cfg.Path }
-
 // Fsyncs returns the cumulative number of fsync calls issued.
 func (d *Dev) Fsyncs() int64 { return d.fsyncs }
 

@@ -98,23 +98,14 @@ func bwTime(bytes, bw int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(bw) * float64(time.Second))
 }
 
-// Config returns the validated configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // PageSize returns the device page (sector) size in bytes.
 func (d *Device) PageSize() int { return d.cfg.PageSize }
 
 // LogicalPages returns the host-visible capacity in pages.
 func (d *Device) LogicalPages() int64 { return d.cfg.logicalPages() }
 
-// LogicalBytes returns the host-visible capacity in bytes.
-func (d *Device) LogicalBytes() int64 { return d.cfg.LogicalBytes }
-
 // Stats returns a copy of the cumulative SMART-style counters.
 func (d *Device) Stats() Stats { return d.ftl.stats }
-
-// WAD returns cumulative device write amplification since construction.
-func (d *Device) WAD() float64 { return d.Stats().WAD() }
 
 // gcTime converts FTL-internal work into device time at device-wide
 // internal rates (used by the write-back cache's destage engine, which
@@ -132,9 +123,6 @@ func (d *Device) laneGCTime(w gcWork) time.Duration {
 	return time.Duration(w.relocated)*(d.laneIntRead+d.laneIntWrite) +
 		time.Duration(w.erases)*d.cfg.Profile.EraseTime
 }
-
-// ParallelLanes returns the number of internal service lanes.
-func (d *Device) ParallelLanes() int { return d.res.Lanes() }
 
 // laneCount returns the number of pages of a contiguous n-page striped
 // request that land on the k-th involved lane (k = 0 holds the request's
@@ -448,10 +436,6 @@ func (d *Device) PreconditionRange(rng *sim.RNG, firstPage, pages int64, multipl
 
 // MappedPages returns the number of logical pages with live data.
 func (d *Device) MappedPages() int64 { return d.ftl.mappedPages }
-
-// BusyUntil exposes the device FIFO's next-idle time, used by the harness
-// to quiesce.
-func (d *Device) BusyUntil() sim.Duration { return d.res.BusyUntil() }
 
 // BusyTotal exposes cumulative device service time (for utilization
 // reporting).

@@ -187,7 +187,7 @@ func TestSequentialOverwriteLowWAD(t *testing.T) {
 			now = d.SubmitWrite(now, lpn, int(n))
 		}
 	}
-	if wad := d.WAD(); wad > 1.05 {
+	if wad := d.Stats().WAD(); wad > 1.05 {
 		t.Fatalf("sequential overwrite WA-D = %v, want ~1", wad)
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -325,7 +325,7 @@ func TestPreconditionedVsTrimmedFirstWrites(t *testing.T) {
 		t1 = trimmed.SubmitWrite(t1, int64(rng1.Uint64n(uint64(pages))), 1)
 		t2 = prec.SubmitWrite(t2, int64(rng2.Uint64n(uint64(pages))), 1)
 	}
-	wTrim := trimmed.WAD()
+	wTrim := trimmed.Stats().WAD()
 	wPrec := prec.Stats().Sub(precBase).WAD()
 	if wTrim > 1.05 {
 		t.Fatalf("trimmed first-burst WA-D = %v, want ~1", wTrim)
@@ -352,11 +352,11 @@ func TestNoGCDevice(t *testing.T) {
 	for i := int64(0); i < pages*2; i++ {
 		now = d.SubmitWrite(now, int64(rng.Uint64n(uint64(pages))), 1)
 	}
-	if wad := d.WAD(); wad != 1 {
+	if wad := d.Stats().WAD(); wad != 1 {
 		t.Fatalf("NoGC device WAD = %v, want exactly 1", wad)
 	}
 	d.PreconditionRange(sim.NewRNG(3), 0, d.LogicalPages(), 2)
-	if wad := d.WAD(); wad != 1 {
+	if wad := d.Stats().WAD(); wad != 1 {
 		t.Fatalf("NoGC device WAD after precondition = %v, want 1", wad)
 	}
 }
@@ -598,7 +598,7 @@ func TestWADBoundedProperty(t *testing.T) {
 		for i := int64(0); i < pages*4; i++ {
 			now = d.SubmitWrite(now, int64(rng.Uint64n(uint64(pages))), 1)
 		}
-		wad := d.WAD()
+		wad := d.Stats().WAD()
 		return wad >= 1 && wad < 4.0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {

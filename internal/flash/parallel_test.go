@@ -17,12 +17,12 @@ func parallelConfig() Config {
 
 func TestParallelLanesDefaultOne(t *testing.T) {
 	d := newTestDevice(t, testConfig())
-	if d.ParallelLanes() != 1 {
-		t.Fatalf("default lanes = %d, want 1", d.ParallelLanes())
+	if len(d.laneWork) != 1 {
+		t.Fatalf("default lanes = %d, want 1", len(d.laneWork))
 	}
 	d = newTestDevice(t, parallelConfig())
-	if d.ParallelLanes() != 16 {
-		t.Fatalf("4x4 lanes = %d, want 16", d.ParallelLanes())
+	if len(d.laneWork) != 16 {
+		t.Fatalf("4x4 lanes = %d, want 16", len(d.laneWork))
 	}
 }
 
@@ -96,8 +96,8 @@ func TestParallelWriteGCStaysConsistent(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after parallel GC: %v", err)
 	}
-	if d.WAD() <= 1 {
-		t.Fatalf("WA-D = %v, want > 1 after overwrite churn", d.WAD())
+	if d.Stats().WAD() <= 1 {
+		t.Fatalf("WA-D = %v, want > 1 after overwrite churn", d.Stats().WAD())
 	}
 	if now <= 0 {
 		t.Fatal("no time accrued")

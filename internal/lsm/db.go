@@ -186,9 +186,6 @@ func sstFileName(id uint64) string {
 	return fmt.Sprintf("sst-%06d", id)
 }
 
-// Config returns the validated configuration.
-func (d *DB) Config() Config { return d.cfg }
-
 // Stats implements kv.Engine.
 func (d *DB) Stats() kv.EngineStats { return d.stats }
 
@@ -624,6 +621,3 @@ func (d *DB) Close(now sim.Duration) (sim.Duration, error) {
 	d.closed = true
 	return end, err
 }
-
-// Err returns the sticky fatal error, if any (e.g. out of space).
-func (d *DB) Err() error { return d.fatal }

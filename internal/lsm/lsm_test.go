@@ -219,7 +219,7 @@ func TestOutOfSpaceSurfaces(t *testing.T) {
 	if !errors.Is(err, extfs.ErrNoSpace) {
 		t.Fatalf("error %v is not ErrNoSpace", err)
 	}
-	if db.Err() == nil {
+	if db.fatal == nil {
 		t.Fatal("fatal error should be sticky")
 	}
 	if _, err := db.Put(now, kv.EncodeKey(1), nil, 10); err == nil {

@@ -164,9 +164,6 @@ func New(mode Mode, members []Member) (*Group, error) {
 	return g, nil
 }
 
-// Mode returns the group's replication mode.
-func (g *Group) Mode() Mode { return g.mode }
-
 // Replicas returns the configured replica count (live or not).
 func (g *Group) Replicas() int { return len(g.reps) }
 

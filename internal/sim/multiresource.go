@@ -23,9 +23,6 @@ func NewMultiResource(n int) *MultiResource {
 	return &MultiResource{lanes: make([]Duration, n)}
 }
 
-// Lanes returns the number of service lanes.
-func (m *MultiResource) Lanes() int { return len(m.lanes) }
-
 // AcquireLane queues a request on a specific lane (placement-aware
 // callers use it to model data striped over channels and ways) and
 // returns its completion time.
@@ -40,18 +37,6 @@ func (m *MultiResource) AcquireLane(lane int, now, service Duration) Duration {
 	return done
 }
 
-// BusyUntil reports the time at which the whole resource drains (the
-// maximum over lanes) — callers use it to quiesce.
-func (m *MultiResource) BusyUntil() Duration {
-	var max Duration
-	for _, b := range m.lanes {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
 // BusyTotal reports the cumulative service time ever accepted, summed
-// over lanes. Dividing by (elapsed time × Lanes()) yields utilization.
+// over lanes. Dividing by elapsed time × the lane count yields utilization.
 func (m *MultiResource) BusyTotal() Duration { return m.busyTotal }

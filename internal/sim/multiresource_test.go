@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,8 +24,8 @@ func TestMultiResourceLaneFIFO(t *testing.T) {
 	if m.BusyTotal() != 16*time.Millisecond {
 		t.Fatalf("BusyTotal %v, want 16ms", m.BusyTotal())
 	}
-	if m.BusyUntil() != time.Second+time.Millisecond {
-		t.Fatalf("BusyUntil %v, want 1.001s", m.BusyUntil())
+	if slices.Max(m.lanes) != time.Second+time.Millisecond {
+		t.Fatalf("latest lane completion %v, want 1.001s", slices.Max(m.lanes))
 	}
 }
 
@@ -56,31 +57,31 @@ func TestMultiResourceAcquireLaneFIFO(t *testing.T) {
 	if d := m.AcquireLane(0, time.Millisecond, time.Millisecond); d != 2*time.Millisecond {
 		t.Fatalf("free lane should start immediately: %v", d)
 	}
-	if m.BusyUntil() != 10*time.Millisecond {
-		t.Fatalf("BusyUntil %v, want 10ms", m.BusyUntil())
+	if slices.Max(m.lanes) != 10*time.Millisecond {
+		t.Fatalf("latest lane completion %v, want 10ms", slices.Max(m.lanes))
 	}
 }
 
 // Property: on every lane, completion times are non-decreasing in
 // submission order and never before submission, whatever the (time,
-// service, lane) sequence; BusyUntil is the latest completion and
+// service, lane) sequence; the lanes drain at the latest completion and
 // BusyTotal the sum of the services.
 func TestMultiResourceMonotoneProperty(t *testing.T) {
 	f := func(times, services []uint32, lanes []uint8) bool {
 		m := NewMultiResource(4)
 		n := min(len(times), len(services), len(lanes))
-		prev := make([]Duration, m.Lanes())
+		prev := make([]Duration, len(m.lanes))
 		var now, last, total Duration
 		for i := 0; i < n; i++ {
 			now += Duration(times[i] % 1000) // submissions move forward
-			lane, svc := int(lanes[i])%m.Lanes(), Duration(services[i]%100000)
+			lane, svc := int(lanes[i])%len(m.lanes), Duration(services[i]%100000)
 			done := m.AcquireLane(lane, now, svc)
 			if done < prev[lane] || done < now+svc {
 				return false
 			}
 			prev[lane], last, total = done, max(last, done), total+svc
 		}
-		return m.BusyUntil() == last && m.BusyTotal() == total
+		return slices.Max(m.lanes) == last && m.BusyTotal() == total
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -89,14 +90,14 @@ func TestMultiResourceMonotoneProperty(t *testing.T) {
 
 func TestMultiResourceLanes(t *testing.T) {
 	m := NewMultiResource(0) // clamps to 1
-	if m.Lanes() != 1 {
-		t.Fatalf("Lanes = %d, want 1", m.Lanes())
+	if len(m.lanes) != 1 {
+		t.Fatalf("lanes = %d, want 1", len(m.lanes))
 	}
-	if m.BusyUntil() != 0 {
+	if slices.Max(m.lanes) != 0 {
 		t.Fatal("new resource should be idle")
 	}
 	m.AcquireLane(0, 0, 3*time.Millisecond)
-	if m.BusyUntil() != 3*time.Millisecond {
-		t.Fatalf("BusyUntil = %v, want 3ms", m.BusyUntil())
+	if slices.Max(m.lanes) != 3*time.Millisecond {
+		t.Fatalf("latest lane completion = %v, want 3ms", slices.Max(m.lanes))
 	}
 }

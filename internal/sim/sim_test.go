@@ -170,16 +170,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestWorkerAccessors(t *testing.T) {
-	w := NewWorker("acc")
-	if w.Name() != "acc" {
-		t.Fatalf("Name = %q", w.Name())
-	}
-	if w.Now() != 0 {
-		t.Fatalf("Now = %v", w.Now())
-	}
-}
-
 func TestRNGUint64nBounds(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 1000; i++ {

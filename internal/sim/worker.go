@@ -38,12 +38,6 @@ func NewWorker(name string) *Worker {
 	return &Worker{name: name}
 }
 
-// Name returns the worker's diagnostic name.
-func (w *Worker) Name() string { return w.name }
-
-// Now returns the worker's local virtual time.
-func (w *Worker) Now() Duration { return w.now }
-
 // QueueLen reports the number of jobs waiting, including the one in
 // progress.
 func (w *Worker) QueueLen() int { return len(w.queue) - w.head }

@@ -193,9 +193,6 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 // ROADMAP's benchmark-boundary chain.
 func (s *Store) Close() {}
 
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // Devs lists every block device backing the store, in shard order
 // (replicated shards contribute one device per replica, in replica
 // order), for instrumentation: reset, counter aggregation, combined

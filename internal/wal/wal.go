@@ -117,9 +117,6 @@ func Create(fs *extfs.FS, name string, content bool) (*Writer, error) {
 // Name returns the segment file name.
 func (w *Writer) Name() string { return w.name }
 
-// SizeBytes returns the logical bytes appended so far.
-func (w *Writer) SizeBytes() int64 { return w.size }
-
 // UnsyncedBytes returns the bytes appended since the last sync.
 func (w *Writer) UnsyncedBytes() int64 { return w.size - w.syncedSize }
 
@@ -180,12 +177,6 @@ func (w *Writer) Sync(now sim.Duration) (sim.Duration, error) {
 	w.syncedPage = lastPage + 1
 	w.syncCount++
 	return done, nil
-}
-
-// Close syncs and releases the writer. The segment file remains until the
-// caller removes it.
-func (w *Writer) Close(now sim.Duration) (sim.Duration, error) {
-	return w.Sync(now)
 }
 
 // Recycle logically truncates the segment for reuse, keeping its file and

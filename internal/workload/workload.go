@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
@@ -169,9 +168,6 @@ func NewClientGenerators(spec Spec, baseSeed uint64, clients int) ([]*Generator,
 	return gens, nil
 }
 
-// Spec returns the validated spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Next returns the next operation.
 func (g *Generator) Next() Op {
 	var op Op
@@ -192,9 +188,6 @@ func (g *Generator) Next() Op {
 	}
 	return op
 }
-
-// Key returns the canonical encoded key for id.
-func (g *Generator) Key(id uint64) []byte { return kv.EncodeKey(id) }
 
 // zipfGen implements the Gray et al. Zipfian generator used by YCSB,
 // with final scrambling so that popular keys are spread over the
