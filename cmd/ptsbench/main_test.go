@@ -7,8 +7,11 @@ import (
 	"flag"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"path"
 	"path/filepath"
@@ -289,6 +292,20 @@ type sourceFile struct {
 	f   *ast.File
 }
 
+// parseGo parses the file at rel (slash-separated, relative to the
+// repository root) holding src. ok is false, and nothing is parsed, when
+// the file's name or its //go:build line leaves it out of this
+// platform's build.
+func parseGo(rel string, src []byte) (sf sourceFile, ok bool, err error) {
+	ctx := build.Default
+	ctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
+	if ok, err = ctx.MatchFile(path.Dir(rel), path.Base(rel)); !ok || err != nil {
+		return sf, false, err
+	}
+	f, err := parser.ParseFile(walkFset, rel, src, 0)
+	return sourceFile{dir: path.Dir(rel), f: f}, err == nil, err
+}
+
 var (
 	walkOnce  sync.Once
 	walkFset  = token.NewFileSet()
@@ -296,8 +313,9 @@ var (
 	walkErr   error
 )
 
-// nonTestFiles parses every non-test Go file in the repository,
-// benchmark/ included, once for all the tests that scan source.
+// nonTestFiles parses every non-test Go file in the repository that
+// builds on this platform, benchmark/ included, once for all the tests
+// that scan source.
 func nonTestFiles(t *testing.T) []sourceFile {
 	t.Helper()
 	walkOnce.Do(func() {
@@ -315,16 +333,19 @@ func nonTestFiles(t *testing.T) []sourceFile {
 			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			f, err := parser.ParseFile(walkFset, path, nil, 0)
+			src, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
-			rel, err := filepath.Rel(root, filepath.Dir(path))
+			rel, err := filepath.Rel(root, path)
 			if err != nil {
 				return err
 			}
-			walkFiles = append(walkFiles, sourceFile{dir: filepath.ToSlash(rel), f: f})
-			return nil
+			sf, ok, err := parseGo(filepath.ToSlash(rel), src)
+			if ok {
+				walkFiles = append(walkFiles, sf)
+			}
+			return err
 		})
 	})
 	if walkErr != nil {
@@ -357,17 +378,37 @@ func TestPanicSitesRatchet(t *testing.T) {
 	}
 }
 
-// interfaceMethods are method names a type exports to satisfy a standard
-// interface (fmt.Stringer, error, json, sort, heap); the runtime or the
-// standard library calls them, so no caller in the repository names them.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-}
+// stdCalls stands for the calls the standard library makes through
+// interfaces (fmt's Stringer, error, errors.Unwrap, json's Marshaler and
+// Unmarshaler, heap.Interface): no identifier in the repository names
+// those methods, so uncalledNames type-checks this file beside the
+// repository's and a type that implements one of the interfaces has its
+// methods called.
+const stdCalls = `package stdcalls
 
-// testSeams lists the exported names in internal/ that no non-test code
-// names, each with the test that reads it or the ROADMAP item that will
-// give it a caller. TestExportedNamesHaveCallers fails on an uncalled
+import (
+	"container/heap"
+	"encoding/json"
+	"fmt"
+)
+
+func calls(s fmt.Stringer, e error, w interface{ Unwrap() error }, m json.Marshaler, u json.Unmarshaler, h heap.Interface) {
+	s.String()
+	e.Error()
+	w.Unwrap()
+	m.MarshalJSON()
+	u.UnmarshalJSON(nil)
+	h.Len()
+	h.Less(0, 0)
+	h.Swap(0, 0)
+	h.Push(nil)
+	h.Pop()
+}
+`
+
+// testSeams lists the names in internal/ that no non-test code uses,
+// each with the test that reads it or the ROADMAP item that will give it
+// a caller. TestExportedNamesHaveCallers fails on an uncalled
 // name missing here and on an entry that has gained a caller or gone,
 // so the map only shrinks.
 var testSeams = map[string]string{
@@ -388,6 +429,7 @@ var testSeams = map[string]string{
 	"flash.Device.MappedPages":      "TestTrimRange, blockdev's TestDiscardClearsContent",
 	"flash.Device.MaxEraseCount":    "ROADMAP 8(a) wear report",
 	"flash.GCGreedy":                "the zero GCPolicy, named by BenchmarkAblationGCPolicy",
+	"freeset.Set.Check":             "the allocators' differential tests (freeset, extfs, cowtree); ROADMAP 5(1) stack.Check",
 	"kvtest.NewFaultyStack":         "TestEngineConformanceUnderEIO",
 	"kvtest.NewFileStack":           "filedev's TestEngineConformanceOverFiles",
 	"kvtest.Run":                    "the conformance suite every engine's tests run",
@@ -396,12 +438,16 @@ var testSeams = map[string]string{
 	"workload.OpWrite":              "the zero OpKind, named by the workload and fault-model tests",
 }
 
-// TestExportedNamesHaveCallers keeps exported surface honest: every
-// exported top-level func, method, type, var and const in internal/ must
-// be named by some non-test file of the repository (benchmark/ and cmd/
-// count), or be listed in testSeams.
+// TestExportedNamesHaveCallers keeps surface honest: every exported
+// top-level func, method, type, var and const in internal/, and every
+// unexported func and method, must be used by some non-test file of the
+// repository (benchmark/ and cmd/ count), or be listed in testSeams.
+// uncalledNames says what counts as a use.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	uncalled := uncalledExported(nonTestFiles(t))
+	uncalled, err := uncalledNames(nonTestFiles(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var missing, stale []string
 	for key, pos := range uncalled {
 		if _, ok := testSeams[key]; !ok {
@@ -419,7 +465,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	sort.Strings(missing)
 	sort.Strings(stale)
 	if len(missing) > 0 {
-		t.Errorf("%d exported names have no non-test caller; give each a caller, delete it, or list it in testSeams with a reason:\n%s",
+		t.Errorf("%d names have no non-test caller; give each a caller, delete it, or list it in testSeams with a reason:\n%s",
 			len(missing), strings.Join(missing, "\n"))
 	}
 	if len(stale) > 0 {
@@ -428,102 +474,156 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 }
 
-// uncalledExported maps each exported top-level name declared under
-// internal/ that no file in files names ("pkg.Name", or "pkg.Type.Method"
-// for a method) to its declaration's position. A package-level name is
-// called when another package selects it (pkg.Name) or its own package
-// names it outside its declaration and its methods' receivers; a
-// method, when any selector names it. Methods in interfaceMethods are
-// not listed.
-func uncalledExported(files []sourceFile) map[string]string {
-	type decl struct{ key, pkgDir, name, method, pos string }
-	var decls []decl
-	pkgName := map[string]string{} // import path -> package name
+// uncalledNames maps each top-level name declared under internal/
+// that no file in files uses ("pkg.Name", or "pkg.Type.Method" for a
+// method) to its declaration's position: every exported func, method,
+// type, var and const, and every unexported func and method but init.
+// The files are type-checked (the standard library from source), so a
+// use is an identifier that resolves to the declaration, a generic
+// method's instances counting for it; a method's receiver is no use of
+// its type. A method also counts as called when a method of the same
+// name is called on an interface or through a type parameter's
+// constraint and some type of files holds every method of that
+// interface, the one called included, in its method set (embedding
+// included); stdCalls adds the standard library's calls.
+func uncalledNames(files []sourceFile) (map[string]string, error) {
+	std, err := parser.ParseFile(walkFset, "stdcalls.go", stdCalls, 0)
+	if err != nil {
+		return nil, err
+	}
+	c := &typeChecker{
+		byPath: map[string][]*ast.File{},
+		pkgs:   map[string]*types.Package{},
+		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	c.byPath["stdcalls"] = []*ast.File{std}
 	for _, sf := range files {
-		pkgName["ptsbench/"+sf.dir] = sf.f.Name.Name
-		if !strings.HasPrefix(sf.dir, "internal/") {
-			continue
+		c.byPath["ptsbench/"+sf.dir] = append(c.byPath["ptsbench/"+sf.dir], sf.f)
+	}
+	var named []*types.Named // every type the files declare
+	for p := range c.byPath {
+		pkg, err := c.Import(p)
+		if err != nil {
+			return nil, err
 		}
-		pkg := strings.TrimPrefix(sf.dir, "internal/")
-		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
-			if !id.IsExported() || (recv != "" && interfaceMethods[id.Name]) {
-				return
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && !tn.IsAlias() {
+					named = append(named, n)
+				}
 			}
-			d := decl{key: pkg + "." + id.Name, pkgDir: sf.dir, name: id.Name, pos: walkFset.Position(id.Pos()).String()}
-			if recv != "" {
-				d.key, d.name, d.method = pkg+"."+recv+"."+id.Name, "", id.Name
-			}
-			decls = append(decls, d)
-		})
+		}
 	}
 
-	// What the files name: selectors by the package they select from (""
-	// for any selector), bare identifiers by the directory naming them.
-	selected := map[[2]string]bool{} // {import path or "", name}
-	bare := map[[2]string]bool{}     // {dir, name}
+	inRecv := map[*ast.Ident]bool{}
 	for _, sf := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range sf.f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			local := pkgName[path]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			if local != "" {
-				imports[local] = path
-			}
-		}
-		declared := map[*ast.Ident]bool{}
-		eachTopLevelName(sf.f, func(id *ast.Ident, _ string) { declared[id] = true })
 		for _, dl := range sf.f.Decls {
 			if fn, ok := dl.(*ast.FuncDecl); ok && fn.Recv != nil {
-				// A receiver names the type its method belongs to, not a use.
 				ast.Inspect(fn.Recv, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						declared[id] = true
+						inRecv[id] = true
 					}
 					return true
 				})
 			}
 		}
-		sels := map[*ast.Ident]bool{}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				sels[n.Sel] = true
-				selected[[2]string{"", n.Sel.Name}] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					selected[[2]string{imports[x.Name], n.Sel.Name}] = true
-				}
-			case *ast.Ident:
-				if !sels[n] && !declared[n] {
-					bare[[2]string{sf.dir, n.Name}] = true
+	}
+	used := map[types.Object]bool{}
+	var viaIface []*types.Func // interface methods called
+	for id, obj := range c.info.Uses {
+		if inRecv[id] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
+				viaIface = append(viaIface, fn)
+			}
+		}
+		used[obj] = true
+	}
+	for _, im := range viaIface {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, n := range named {
+			for _, t := range []types.Type{n, types.NewPointer(n)} {
+				if holdsMethods(t, iface) {
+					used[types.NewMethodSet(t).Lookup(im.Pkg(), im.Name()).Obj().(*types.Func).Origin()] = true
 				}
 			}
-			return true
-		})
+		}
 	}
 
 	uncalled := map[string]string{}
-	for _, d := range decls {
-		var called bool
-		if d.method != "" {
-			called = selected[[2]string{"", d.method}]
-		} else {
-			called = selected[[2]string{"ptsbench/" + d.pkgDir, d.name}] || bare[[2]string{d.pkgDir, d.name}]
+	for _, sf := range files {
+		if !strings.HasPrefix(sf.dir, "internal/") {
+			continue
 		}
-		if !called {
-			uncalled[d.key] = d.pos
-		}
+		pkg := strings.TrimPrefix(sf.dir, "internal/")
+		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
+			obj := c.info.Defs[id]
+			_, isFunc := obj.(*types.Func)
+			switch {
+			case obj == nil || used[obj] || id.Name == "_" || id.Name == "init":
+			case !id.IsExported() && !isFunc:
+			case recv != "":
+				uncalled[pkg+"."+recv+"."+id.Name] = walkFset.Position(id.Pos()).String()
+			default:
+				uncalled[pkg+"."+id.Name] = walkFset.Position(id.Pos()).String()
+			}
+		})
 	}
-	return uncalled
+	return uncalled, nil
 }
 
-// TestUncalledExportedRules pins what counts as a caller on a small
+// holdsMethods reports whether t's method set has every method of iface
+// with an identical signature. An interface's type terms are not
+// looked at, so a constraint matches by its methods alone.
+func holdsMethods(t types.Type, iface *types.Interface) bool {
+	ms := types.NewMethodSet(t)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sel := ms.Lookup(m.Pkg(), m.Name())
+		if sel == nil || !types.Identical(sel.Obj().Type(), m.Type()) {
+			return false
+		}
+	}
+	return true
+}
+
+// typeChecker type-checks the repository's packages on demand, as the
+// importer of one another, into one types.Info; the standard library
+// comes from stdImporter.
+type typeChecker struct {
+	byPath map[string][]*ast.File // import path -> files
+	pkgs   map[string]*types.Package
+	info   *types.Info
+}
+
+var (
+	stdOnce     sync.Once
+	stdImporter types.Importer
+)
+
+func (c *typeChecker) Import(path string) (*types.Package, error) {
+	if pkg, ok := c.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := c.byPath[path]
+	if !ok {
+		stdOnce.Do(func() { stdImporter = importer.ForCompiler(walkFset, "source", nil) })
+		return stdImporter.Import(path)
+	}
+	conf := types.Config{Importer: c}
+	pkg, err := conf.Check(path, walkFset, files, c.info)
+	c.pkgs[path] = pkg
+	return pkg, err
+}
+
+// TestUncalledExportedRules pins what counts as a use on a small
 // synthetic module: package a declares, package b (importing it as z)
 // calls. Own is named by a's helper, so it is never listed; T is named
-// only by its methods' receivers, which are no callers, so it is listed
-// until another package selects it.
+// only by its methods' receivers, which are no uses, so it is listed
+// until another package names it.
 func TestUncalledExportedRules(t *testing.T) {
 	lib := `package a
 type T struct{}
@@ -536,45 +636,90 @@ func Own()    {}
 func Lonely() {}
 func helper() { Own() }
 const Named = 1
+type Shared struct{}
+func (Shared) Called() {}
+type Caller interface{ Called() }
+type Base struct{}
+func (*Base) Via() {}
+type Outer struct{ *Base }
+type Viaer interface{ Via() }
+type Tuned struct{}
+func (*Tuned) tuned() {}
+func (*Tuned) idle()  {}
+func Tune[C any, P interface{ *C; tuned() }](c C) { P(&c).tuned() }
+type Box[E any] struct{ e E }
+func (b Box[E]) Get() E { return b.e }
 `
+	// Every case's b also uses these, so that only what a case adds moves.
+	// Tuned.tuned is never listed, Tuned.idle always: Tune calls only the
+	// first, through P's constraint.
+	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper"
 	cases := []struct {
 		name, body string
 		want       string
 	}{
 		{"a selector from another package calls a func", "z.Used()",
 			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U"},
-		{"any selector calls a method", "var x struct{ Called int }; _ = x.Called",
-			"a.Lonely a.Named a.T a.T.Uncalled a.U a.Used"},
+		{"a method is called by type: a namesake on another type is no caller", "z.Shared{}.Called()",
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used -a.Shared -a.Shared.Called"},
+		{"a call through an interface calls its implementors' methods", "var c z.Caller; c.Called()",
+			"a.Lonely a.Named a.T a.T.Uncalled a.U a.Used -a.Caller -a.Shared.Called"},
+		{"a promoted method is called through an interface", "var v z.Viaer = z.Outer{}; v.Via()",
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used -a.Base.Via -a.Outer -a.Viaer"},
+		{"a generic func is called with its type arguments inferred", "z.Tune(z.Tuned{})",
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used -a.Tune -a.Tuned"},
+		{"a generic method is called through its instances", "_ = z.Box[int]{}.Get()",
+			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used -a.Box -a.Box.Get"},
 		{"a type and a const are called when selected", "var _ z.U; var _ z.T; _ = z.Named",
 			"a.Lonely a.T.Called a.T.Uncalled a.Used"},
-		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely",
-			"a.Lonely a.Named a.T a.T.Called a.T.Uncalled a.U a.Used"},
+		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely; _ = z.Named",
+			"a.Lonely a.T a.T.Called a.T.Uncalled a.U a.Used"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			files := []sourceFile{
-				parseSource(t, "internal/a", lib),
-				parseSource(t, "cmd/b", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
+				parseSource(t, "internal/a/a.go", lib),
+				parseSource(t, "cmd/b/b.go", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
 			}
-			var got []string
-			for key := range uncalledExported(files) {
+			// Excluded from the build, this file's calls are not read.
+			if _, ok, err := parseGo("cmd/b/b_other.go", []byte("//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")); ok || err != nil {
+				t.Fatalf("a //go:build ignore file was read (err %v)", err)
+			}
+			want := map[string]bool{}
+			for _, key := range strings.Fields(base + " " + c.want) {
+				if strings.HasPrefix(key, "-") {
+					delete(want, key[1:])
+				} else {
+					want[key] = true
+				}
+			}
+			uncalled, err := uncalledNames(files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, wanted []string
+			for key := range uncalled {
 				got = append(got, key)
 			}
+			for key := range want {
+				wanted = append(wanted, key)
+			}
 			sort.Strings(got)
-			if strings.Join(got, " ") != c.want {
-				t.Fatalf("uncalled = %v, want %s", got, c.want)
+			sort.Strings(wanted)
+			if !reflect.DeepEqual(got, wanted) {
+				t.Fatalf("uncalled = %v, want %v", got, wanted)
 			}
 		})
 	}
 }
 
-func parseSource(t *testing.T, dir, src string) sourceFile {
+func parseSource(t *testing.T, rel, src string) sourceFile {
 	t.Helper()
-	f, err := parser.ParseFile(walkFset, dir+"/x.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
+	sf, ok, err := parseGo(rel, []byte(src))
+	if !ok || err != nil {
+		t.Fatalf("%s not parsed (err %v)", rel, err)
 	}
-	return sourceFile{dir: dir, f: f}
+	return sf
 }
 
 // eachTopLevelName calls fn with every name a file declares at top level

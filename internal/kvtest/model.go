@@ -66,9 +66,6 @@ func (m *Model) ensure(id uint64) {
 	}
 }
 
-// Len returns the number of tracked keys.
-func (m *Model) Len() int { return len(m.entries) }
-
 // IDs returns every tracked key id in ascending order.
 func (m *Model) IDs() []uint64 {
 	ids := make([]uint64, 0, len(m.entries))
