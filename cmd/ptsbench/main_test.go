@@ -650,9 +650,10 @@ func Tune[C any, P interface{ *C; tuned() }](c C) { P(&c).tuned() }
 type Box[E any] struct{ e E }
 func (b Box[E]) Get() E { return b.e }
 `
-	// Every case's b also uses these, so that only what a case adds moves.
-	// Tuned.tuned is never listed, Tuned.idle always: Tune calls only the
-	// first, through P's constraint.
+	// Listed in every case unless the case names one with a "-": what a
+	// case's call adds is all that moves. Tuned.tuned is never listed,
+	// Tuned.idle always: Tune calls only the first, through P's
+	// constraint.
 	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper"
 	cases := []struct {
 		name, body string
@@ -675,15 +676,16 @@ func (b Box[E]) Get() E { return b.e }
 		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely; _ = z.Named",
 			"a.Lonely a.T a.T.Called a.T.Uncalled a.U a.Used"},
 	}
+	// A file the build leaves out is not read, so its calls count for
+	// nothing.
+	if _, ok, err := parseGo("cmd/b/b_other.go", []byte("//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")); ok || err != nil {
+		t.Fatalf("a //go:build ignore file was read (err %v)", err)
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			files := []sourceFile{
 				parseSource(t, "internal/a/a.go", lib),
 				parseSource(t, "cmd/b/b.go", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
-			}
-			// Excluded from the build, this file's calls are not read.
-			if _, ok, err := parseGo("cmd/b/b_other.go", []byte("//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")); ok || err != nil {
-				t.Fatalf("a //go:build ignore file was read (err %v)", err)
 			}
 			want := map[string]bool{}
 			for _, key := range strings.Fields(base + " " + c.want) {

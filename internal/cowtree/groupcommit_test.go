@@ -35,9 +35,9 @@ func (t *stubTree) groupPut(now sim.Duration, key uint64, val []byte) (sim.Durat
 // contract when a checkpoint falls due while the group is open: a group
 // of writes is acknowledged by EndGroupCommit's one sync, so a power cut
 // after it — before the checkpoint job commits — must recover every one
-// of them. A checkpoint that rotated the journal inside the group used
-// to leave the group's first records unsynced in the old segment while
-// the sync covered only the new one.
+// of them. A checkpoint that rotated the journal inside the group would
+// leave the group's first records unsynced in the old segment, while the
+// sync covers only the new one.
 func TestCheckpointDueInsideGroupCommit(t *testing.T) {
 	fs, fd, err := stubFaultEnv(faultdev.Plan{Seed: 1, DropProb: 1}) // every unsynced write is lost
 	if err != nil {
