@@ -562,14 +562,14 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
 			obj := c.info.Defs[id]
 			_, isFunc := obj.(*types.Func)
-			switch {
-			case obj == nil || used[obj] || id.Name == "_" || id.Name == "init":
-			case !id.IsExported() && !isFunc:
-			case recv != "":
-				uncalled[pkg+"."+recv+"."+id.Name] = walkFset.Position(id.Pos()).String()
-			default:
-				uncalled[pkg+"."+id.Name] = walkFset.Position(id.Pos()).String()
+			if obj == nil || used[obj] || id.Name == "_" || id.Name == "init" || !id.IsExported() && !isFunc {
+				return
 			}
+			key := pkg + "." + id.Name
+			if recv != "" {
+				key = pkg + "." + recv + "." + id.Name
+			}
+			uncalled[key] = walkFset.Position(id.Pos()).String()
 		})
 	}
 	return uncalled, nil
