@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -286,24 +287,26 @@ func typeIdent(x ast.Expr) string {
 const maxPanics = 16
 
 // sourceFile is one parsed non-test Go file of the repository; dir is
-// its directory relative to the repository root, slash-separated.
+// its directory relative to the repository root, slash-separated. builds
+// is false when the file's name or its //go:build line leaves it out of
+// this platform's build.
 type sourceFile struct {
-	dir string
-	f   *ast.File
+	dir    string
+	f      *ast.File
+	builds bool
 }
 
 // parseGo parses the file at rel (slash-separated, relative to the
-// repository root) holding src. ok is false, and nothing is parsed, when
-// the file's name or its //go:build line leaves it out of this
-// platform's build.
-func parseGo(rel string, src []byte) (sf sourceFile, ok bool, err error) {
+// repository root) holding src.
+func parseGo(rel string, src []byte) (sourceFile, error) {
 	ctx := build.Default
 	ctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
-	if ok, err = ctx.MatchFile(path.Dir(rel), path.Base(rel)); !ok || err != nil {
-		return sf, false, err
+	builds, err := ctx.MatchFile(path.Dir(rel), path.Base(rel))
+	if err != nil {
+		return sourceFile{}, err
 	}
 	f, err := parser.ParseFile(walkFset, rel, src, 0)
-	return sourceFile{dir: path.Dir(rel), f: f}, err == nil, err
+	return sourceFile{dir: path.Dir(rel), f: f, builds: builds}, err
 }
 
 var (
@@ -313,9 +316,9 @@ var (
 	walkErr   error
 )
 
-// nonTestFiles parses every non-test Go file in the repository that
-// builds on this platform, benchmark/ included, once for all the tests
-// that scan source.
+// nonTestFiles parses every non-test Go file in the repository,
+// benchmark/ and files for other platforms included, once for all the
+// tests that scan source.
 func nonTestFiles(t *testing.T) []sourceFile {
 	t.Helper()
 	walkOnce.Do(func() {
@@ -341,10 +344,8 @@ func nonTestFiles(t *testing.T) []sourceFile {
 			if err != nil {
 				return err
 			}
-			sf, ok, err := parseGo(filepath.ToSlash(rel), src)
-			if ok {
-				walkFiles = append(walkFiles, sf)
-			}
+			sf, err := parseGo(filepath.ToSlash(rel), src)
+			walkFiles = append(walkFiles, sf)
 			return err
 		})
 	})
@@ -426,6 +427,7 @@ var testSeams = map[string]string{
 	"faultdev.Dev.WriteLog":         "TestWriteLog, TestTornMetaSlotRecovery",
 	"filedev.Dev.Fsyncs":            "TestCountersAndHist, TestDisciplines",
 	"flash.Device.CheckInvariants":  "ROADMAP 5(1) stack.Check",
+	"flash.Device.Config":           "TestStackDefaults: stack.openDevice's 256-page erase blocks",
 	"flash.Device.MappedPages":      "TestTrimRange, blockdev's TestDiscardClearsContent",
 	"flash.Device.MaxEraseCount":    "ROADMAP 8(a) wear report",
 	"flash.GCGreedy":                "the zero GCPolicy, named by BenchmarkAblationGCPolicy",
@@ -478,10 +480,12 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 // that no file in files uses ("pkg.Name", or "pkg.Type.Method" for a
 // method) to its declaration's position: every exported func, method,
 // type, var and const, and every unexported func and method but init.
-// The files are type-checked (the standard library from source), so a
-// use is an identifier that resolves to the declaration, a generic
-// method's instances counting for it; a method's receiver is no use of
-// its type. A method also counts as called when a method of the same
+// Only the files that build on this platform are read. They are
+// type-checked (the standard library from source), so a use is an
+// identifier that resolves to the declaration, a generic method's
+// instances counting for it; a method's receiver is no use of its type,
+// and a func's or method's own body is no use of it (two that only
+// call each other still count as used). A method also counts as called when a method of the same
 // name is called on an interface or through a type parameter's
 // constraint and some type of files holds every method of that
 // interface, the one called included, in its method set (embedding
@@ -497,6 +501,7 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 	}
 	c.byPath["stdcalls"] = []*ast.File{std}
+	files = slices.DeleteFunc(slices.Clone(files), func(sf sourceFile) bool { return !sf.builds })
 	for _, sf := range files {
 		c.byPath["ptsbench/"+sf.dir] = append(c.byPath["ptsbench/"+sf.dir], sf.f)
 	}
@@ -516,9 +521,15 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 	}
 
 	inRecv := map[*ast.Ident]bool{}
+	body := map[types.Object]*ast.BlockStmt{} // each func's and method's own body
 	for _, sf := range files {
 		for _, dl := range sf.f.Decls {
-			if fn, ok := dl.(*ast.FuncDecl); ok && fn.Recv != nil {
+			fn, ok := dl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			body[c.info.Defs[fn.Name]] = fn.Body
+			if fn.Recv != nil {
 				ast.Inspect(fn.Recv, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						inRecv[id] = true
@@ -536,6 +547,9 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
+			if b := body[obj]; b != nil && b.Pos() <= id.Pos() && id.Pos() < b.End() {
+				continue
+			}
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
 				viaIface = append(viaIface, fn)
 			}
@@ -635,6 +649,7 @@ func Used()   {}
 func Own()    {}
 func Lonely() {}
 func helper() { Own() }
+func spin(n int) { if n > 0 { spin(n - 1) } }
 const Named = 1
 type Shared struct{}
 func (Shared) Called() {}
@@ -653,8 +668,8 @@ func (b Box[E]) Get() E { return b.e }
 	// Listed in every case unless the case names one with a "-": what a
 	// case's call adds is all that moves. Tuned.tuned is never listed,
 	// Tuned.idle always: Tune calls only the first, through P's
-	// constraint.
-	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper"
+	// constraint. spin, which only calls itself, is always listed.
+	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper a.spin"
 	cases := []struct {
 		name, body string
 		want       string
@@ -676,16 +691,18 @@ func (b Box[E]) Get() E { return b.e }
 		{"a bare name in another package is no caller", "Lonely := 1; _ = Lonely; _ = z.Named",
 			"a.Lonely a.T a.T.Called a.T.Uncalled a.U a.Used"},
 	}
-	// A file the build leaves out is not read, so its calls count for
-	// nothing.
-	if _, ok, err := parseGo("cmd/b/b_other.go", []byte("//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")); ok || err != nil {
-		t.Fatalf("a //go:build ignore file was read (err %v)", err)
+	// A file the build leaves out is in every case but not read, so its
+	// calls count for nothing.
+	ignored := parseSource(t, "cmd/b/b_other.go", "//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")
+	if ignored.builds {
+		t.Fatal("a //go:build ignore file builds")
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			files := []sourceFile{
 				parseSource(t, "internal/a/a.go", lib),
 				parseSource(t, "cmd/b/b.go", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
+				ignored,
 			}
 			want := map[string]bool{}
 			for _, key := range strings.Fields(base + " " + c.want) {
@@ -717,9 +734,9 @@ func (b Box[E]) Get() E { return b.e }
 
 func parseSource(t *testing.T, rel, src string) sourceFile {
 	t.Helper()
-	sf, ok, err := parseGo(rel, []byte(src))
-	if !ok || err != nil {
-		t.Fatalf("%s not parsed (err %v)", rel, err)
+	sf, err := parseGo(rel, []byte(src))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return sf
 }

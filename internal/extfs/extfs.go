@@ -12,8 +12,8 @@
 //     time (Fig 4). extfs reproduces this with a rotating first-fit
 //     allocator.
 //
-// extfs is page-granular: file sizes are tracked in bytes, but I/O and
-// allocation happen in whole device pages.
+// extfs is page-granular: file sizes, I/O and allocation are in whole
+// device pages.
 package extfs
 
 import (
@@ -144,7 +144,6 @@ func (fs *FS) Remove(name string) error {
 	fs.usedDataPages -= f.pages
 	f.extents = nil
 	f.pages = 0
-	f.size = 0
 	f.removed = true
 	delete(fs.files, name)
 	return nil
@@ -186,7 +185,6 @@ type File struct {
 	name    string
 	extents []extent
 	pages   int64 // allocated length in pages
-	size    int64 // logical size in bytes (size <= pages*pageSize)
 	removed bool
 }
 
@@ -242,9 +240,7 @@ func (f *File) coalesceTail(added int) {
 
 // Append appends n pages of data to the file starting at virtual time
 // now. data may be nil (accounting-only mode) or exactly n pages long.
-// bytes records the logical payload size (≤ n*pageSize); the remainder is
-// padding that still occupies device pages, as in a real filesystem.
-func (f *File) Append(now sim.Duration, n int, data []byte, bytes int64) (sim.Duration, error) {
+func (f *File) Append(now sim.Duration, n int, data []byte) (sim.Duration, error) {
 	if n <= 0 {
 		return now, nil
 	}
@@ -252,12 +248,11 @@ func (f *File) Append(now sim.Duration, n int, data []byte, bytes int64) (sim.Du
 	if err := f.Grow(int64(n)); err != nil {
 		return now, err
 	}
-	f.size += bytes
 	return f.writePages(now, startPage, n, data)
 }
 
 // WriteAt overwrites n pages at page offset off (which must be within the
-// allocated size). Overwrites do not change the logical size.
+// allocated size).
 func (f *File) WriteAt(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
 	if off < 0 || off+int64(n) > f.pages {
 		return now, fmt.Errorf("extfs: write [%d,+%d) beyond EOF %d of %s", off, n, f.pages, f.name)

@@ -86,11 +86,11 @@ func TestAppendAndRead(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if _, err := f.Append(0, 3, payload, int64(len(payload))); err != nil {
+	if _, err := f.Append(0, 3, payload); err != nil {
 		t.Fatal(err)
 	}
-	if f.size != 3*4096 || f.SizePages() != 3 {
-		t.Fatalf("size %d/%d pages", f.size, f.SizePages())
+	if f.SizePages() != 3 {
+		t.Fatalf("size %d pages, want 3", f.SizePages())
 	}
 	buf := make([]byte, 3*4096)
 	if _, err := f.ReadAt(0, 0, 3, buf); err != nil {
@@ -125,21 +125,6 @@ func TestWriteAtWithinFile(t *testing.T) {
 	}
 	if _, err := f.ReadAt(0, 3, 2, nil); err == nil {
 		t.Fatal("read past EOF should fail")
-	}
-}
-
-func TestByteSizeTracksPayload(t *testing.T) {
-	fs, _ := newTestFS(t, Options{})
-	f, _ := fs.Create("f")
-	// 5000 bytes of payload in 2 pages: size is 5000, footprint 2 pages.
-	if _, err := f.Append(0, 2, nil, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if f.size != 5000 {
-		t.Fatalf("size = %d, want 5000", f.size)
-	}
-	if f.SizePages() != 2 {
-		t.Fatalf("SizePages = %d, want 2", f.SizePages())
 	}
 }
 
@@ -180,7 +165,7 @@ func TestNoSpace(t *testing.T) {
 func TestNodiscardKeepsDeviceMapped(t *testing.T) {
 	fs, dev := newTestFS(t, Options{}) // nodiscard default
 	f, _ := fs.Create("f")
-	if _, err := f.Append(0, 8, nil, 8*4096); err != nil {
+	if _, err := f.Append(0, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	mapped := dev.SSD().MappedPages()
@@ -195,7 +180,7 @@ func TestNodiscardKeepsDeviceMapped(t *testing.T) {
 func TestDiscardMountTrims(t *testing.T) {
 	fs, dev := newTestFS(t, Options{Discard: true})
 	f, _ := fs.Create("f")
-	if _, err := f.Append(0, 8, nil, 8*4096); err != nil {
+	if _, err := f.Append(0, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("f"); err != nil {
@@ -221,7 +206,7 @@ func TestRotatingAllocatorSweepsLBARange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Append(0, filePages, nil, filePages*4096); err != nil {
+		if _, err := f.Append(0, filePages, nil); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -409,7 +394,7 @@ func TestFileExtentsCoverPages(t *testing.T) {
 			if r%2 == 0 {
 				err = f.Grow(int64(n))
 			} else {
-				_, err = f.Append(0, n, nil, int64(n)*4096)
+				_, err = f.Append(0, n, nil)
 			}
 			if errors.Is(err, ErrNoSpace) && f.pages == pages {
 				noSpace++

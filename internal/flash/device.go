@@ -98,6 +98,9 @@ func bwTime(bytes, bw int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(bw) * float64(time.Second))
 }
 
+// Config returns the validated configuration.
+func (d *Device) Config() Config { return d.cfg }
+
 // PageSize returns the device page (sector) size in bytes.
 func (d *Device) PageSize() int { return d.cfg.PageSize }
 

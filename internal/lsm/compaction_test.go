@@ -570,11 +570,11 @@ func FuzzCompactionMerge(f *testing.F) {
 		}
 		for i, img := range j.images {
 			w := want[i]
-			if img.ID() != w.ID() || img.Pages != w.Pages || img.SizeBytes != w.SizeBytes || !bytes.Equal(img.Data, w.Data) {
-				t.Fatalf("file %d: merge (id %d, %d pages, %d B) differs from reference (id %d, %d pages, %d B)",
-					i, img.ID(), img.Pages, img.SizeBytes, w.ID(), w.Pages, w.SizeBytes)
-			}
 			got, ref := img.Install(file), w.Install(file)
+			if img.ID() != w.ID() || img.Pages != w.Pages || got.SizeBytes() != ref.SizeBytes() || !bytes.Equal(img.Data, w.Data) {
+				t.Fatalf("file %d: merge (id %d, %d pages, %d B) differs from reference (id %d, %d pages, %d B)",
+					i, img.ID(), img.Pages, got.SizeBytes(), w.ID(), w.Pages, ref.SizeBytes())
+			}
 			gi, ri := got.IteratorFrom(nil), ref.IteratorFrom(nil)
 			for n := 0; ; n++ {
 				gok, rok := gi.Next(), ri.Next()

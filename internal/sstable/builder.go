@@ -243,9 +243,8 @@ func (b *Builder) finishBlock() {
 
 // FileImage is a fully laid-out SSTable ready to be written to a file.
 type FileImage struct {
-	Pages     int64  // total file length in pages
-	Data      []byte // nil in accounting mode, else Pages*pageSize bytes
-	SizeBytes int64  // logical size (data + index + filter + footer)
+	Pages int64  // total file length in pages
+	Data  []byte // nil in accounting mode, else Pages*pageSize bytes
 
 	table *Table // side index, adopted by Install
 }
@@ -303,9 +302,8 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	t.seal(b.mixed)
 
 	img := &FileImage{
-		Pages:     totalPages,
-		SizeBytes: t.sizeBytes,
-		table:     t,
+		Pages: totalPages,
+		table: t,
 	}
 	if b.content {
 		data := make([]byte, totalPages*int64(b.pageSize))
@@ -354,10 +352,7 @@ func (img *FileImage) WriteChunk(now sim.Duration, f *extfs.File, written int64,
 		ps := int64(len(img.Data)) / img.Pages
 		data = img.Data[written*ps : (written+n)*ps]
 	}
-	// Attribute logical bytes proportionally via cumulative shares, so
-	// the per-chunk amounts telescope to exactly SizeBytes.
-	logical := img.SizeBytes*(written+n)/img.Pages - img.SizeBytes*written/img.Pages
-	done, err := f.Append(now, int(n), data, logical)
+	done, err := f.Append(now, int(n), data)
 	if err != nil {
 		return now, written, false, err
 	}

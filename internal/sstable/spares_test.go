@@ -78,9 +78,9 @@ func TestRecycledArraysMatchFresh(t *testing.T) {
 			entries := recycleEntries(2000, 3, 1, content)
 			img := buildWith(t, spares, content, entries)
 			want := buildWith(t, new(Spares), content, entries)
-			if img.Pages != want.Pages || img.SizeBytes != want.SizeBytes || !bytes.Equal(img.Data, want.Data) {
+			if img.Pages != want.Pages || img.table.sizeBytes != want.table.sizeBytes || !bytes.Equal(img.Data, want.Data) {
 				t.Fatalf("recycled image (%d pages, %d B) differs from fresh (%d pages, %d B)",
-					img.Pages, img.SizeBytes, want.Pages, want.SizeBytes)
+					img.Pages, img.table.sizeBytes, want.Pages, want.table.sizeBytes)
 			}
 			got := installImage(t, fs, "sst-recycled", img)
 			ref := installImage(t, fs, "sst-fresh", want)
@@ -229,9 +229,9 @@ func TestAppendTableRangeMatchesAdd(t *testing.T) {
 					}
 				}
 				gotImg, wantImg := bulk.Finish(9), each.Finish(9)
-				if gotImg.Pages != wantImg.Pages || gotImg.SizeBytes != wantImg.SizeBytes || !bytes.Equal(gotImg.Data, wantImg.Data) {
+				if gotImg.Pages != wantImg.Pages || gotImg.table.sizeBytes != wantImg.table.sizeBytes || !bytes.Equal(gotImg.Data, wantImg.Data) {
 					t.Fatalf("content=%v mixed=%v case %d: bulk image (%d pages, %d B) differs from per-entry (%d pages, %d B)",
-						content, mixed, ci, gotImg.Pages, gotImg.SizeBytes, wantImg.Pages, wantImg.SizeBytes)
+						content, mixed, ci, gotImg.Pages, gotImg.table.sizeBytes, wantImg.Pages, wantImg.table.sizeBytes)
 				}
 				got, want := gotImg.table, wantImg.table
 				if !slices.Equal(got.blocks, want.blocks) || !slices.Equal(got.keyOffsets, want.keyOffsets) ||

@@ -344,7 +344,7 @@ func TestSizeAccountingConsistency(t *testing.T) {
 			}
 		}
 		img := b.Finish(7)
-		return img.SizeBytes, img.Pages
+		return img.table.sizeBytes, img.Pages
 	}
 	sizeA, pagesA := build(false)
 	sizeC, pagesC := build(true)

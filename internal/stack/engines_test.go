@@ -30,6 +30,9 @@ func TestStackDefaults(t *testing.T) {
 	if st.Host.PageSize() != 4096 || st.Host.Pages() != 1<<30/4096 {
 		t.Fatalf("geometry %d x %d, want %d x 4096", st.Host.Pages(), st.Host.PageSize(), 1<<30/4096)
 	}
+	if ppb := st.Sim.SSD().Config().PagesPerBlock; ppb != 256 {
+		t.Fatalf("pages per block %d, want 256", ppb)
+	}
 	if st.Sim.ContentEnabled() {
 		t.Fatal("content store should default off")
 	}
