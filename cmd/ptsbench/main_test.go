@@ -381,7 +381,7 @@ func TestPanicSitesRatchet(t *testing.T) {
 
 // stdCalls stands for the calls the standard library makes through
 // interfaces (fmt's Stringer, error, errors.Unwrap, json's Marshaler and
-// Unmarshaler, heap.Interface): no identifier in the repository names
+// Unmarshaler, heap.Interface, flag.Value): no identifier in the repository names
 // those methods, so uncalledNames type-checks this file beside the
 // repository's and a type that implements one of the interfaces has its
 // methods called.
@@ -390,10 +390,11 @@ const stdCalls = `package stdcalls
 import (
 	"container/heap"
 	"encoding/json"
+	"flag"
 	"fmt"
 )
 
-func calls(s fmt.Stringer, e error, w interface{ Unwrap() error }, m json.Marshaler, u json.Unmarshaler, h heap.Interface) {
+func calls(s fmt.Stringer, e error, w interface{ Unwrap() error }, m json.Marshaler, u json.Unmarshaler, h heap.Interface, v flag.Value) {
 	s.String()
 	e.Error()
 	w.Unwrap()
@@ -404,10 +405,11 @@ func calls(s fmt.Stringer, e error, w interface{ Unwrap() error }, m json.Marsha
 	h.Swap(0, 0)
 	h.Push(nil)
 	h.Pop()
+	v.Set("")
 }
 `
 
-// testSeams lists the names in internal/ that no non-test code uses,
+// testSeams lists the names in internal/ and cmd/ that no non-test code uses,
 // each with the test that reads it or the ROADMAP item that will give it
 // a caller. TestExportedNamesHaveCallers fails on an uncalled
 // name missing here and on an entry that has gained a caller or gone,
@@ -441,8 +443,8 @@ var testSeams = map[string]string{
 }
 
 // TestExportedNamesHaveCallers keeps surface honest: every exported
-// top-level func, method, type, var and const in internal/, and every
-// unexported func and method, must be used by some non-test file of the
+// top-level func, method, type, var and const in internal/ and cmd/, and
+// every unexported func and method, must be used by some non-test file of the
 // repository (benchmark/ and cmd/ count), or be listed in testSeams.
 // uncalledNames says what counts as a use.
 func TestExportedNamesHaveCallers(t *testing.T) {
@@ -476,10 +478,12 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 }
 
-// uncalledNames maps each top-level name declared under internal/
-// that no file in files uses ("pkg.Name", or "pkg.Type.Method" for a
-// method) to its declaration's position: every exported func, method,
-// type, var and const, and every unexported func and method but init.
+// uncalledNames maps each top-level name declared under internal/ or
+// cmd/ that no file in files uses ("pkg.Name", or "pkg.Type.Method" for
+// a method, pkg being the directory under internal/, or cmd/ and the
+// directory) to its declaration's position: every exported func,
+// method, type, var and const, and every unexported func and method but
+// init, and main in a main package.
 // Only the files that build on this platform are read. They are
 // type-checked (the standard library from source), so a use is an
 // identifier that resolves to the declaration, a generic method's
@@ -569,14 +573,16 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 
 	uncalled := map[string]string{}
 	for _, sf := range files {
-		if !strings.HasPrefix(sf.dir, "internal/") {
+		pkg := strings.TrimPrefix(sf.dir, "internal/")
+		if pkg == sf.dir && !strings.HasPrefix(sf.dir, "cmd/") {
 			continue
 		}
-		pkg := strings.TrimPrefix(sf.dir, "internal/")
+		isMain := sf.f.Name.Name == "main"
 		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
 			obj := c.info.Defs[id]
 			_, isFunc := obj.(*types.Func)
-			if obj == nil || used[obj] || id.Name == "_" || id.Name == "init" || !id.IsExported() && !isFunc {
+			if obj == nil || used[obj] || id.Name == "_" || id.Name == "init" || isMain && id.Name == "main" && recv == "" ||
+				!id.IsExported() && !isFunc {
 				return
 			}
 			key := pkg + "." + id.Name
@@ -634,10 +640,12 @@ func (c *typeChecker) Import(path string) (*types.Package, error) {
 }
 
 // TestUncalledExportedRules pins what counts as a use on a small
-// synthetic module: package a declares, package b (importing it as z)
-// calls. Own is named by a's helper, so it is never listed; T is named
-// only by its methods' receivers, which are no uses, so it is listed
-// until another package names it.
+// synthetic module: package a declares, cmd/b (a main package importing
+// it as z) calls. Own is named by a's helper, so it is never listed; T
+// is named only by its methods' receivers, which are no uses, so it is
+// listed until another package names it. cmd/ is scanned too: b's main
+// is exempt and calls f, and b's idle, which nothing calls, is always
+// listed.
 func TestUncalledExportedRules(t *testing.T) {
 	lib := `package a
 type T struct{}
@@ -669,7 +677,7 @@ func (b Box[E]) Get() E { return b.e }
 	// case's call adds is all that moves. Tuned.tuned is never listed,
 	// Tuned.idle always: Tune calls only the first, through P's
 	// constraint. spin, which only calls itself, is always listed.
-	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper a.spin"
+	const base = "a.Base.Via a.Box a.Box.Get a.Caller a.Outer a.Shared a.Shared.Called a.Tune a.Tuned a.Tuned.idle a.Viaer a.helper a.spin cmd/b.idle"
 	cases := []struct {
 		name, body string
 		want       string
@@ -693,7 +701,7 @@ func (b Box[E]) Get() E { return b.e }
 	}
 	// A file the build leaves out is in every case but not read, so its
 	// calls count for nothing.
-	ignored := parseSource(t, "cmd/b/b_other.go", "//go:build ignore\n\npackage b\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")
+	ignored := parseSource(t, "cmd/b/b_other.go", "//go:build ignore\n\npackage main\nimport z \"ptsbench/internal/a\"\nfunc g() { z.Lonely(); z.T{}.Uncalled() }\n")
 	if ignored.builds {
 		t.Fatal("a //go:build ignore file builds")
 	}
@@ -701,7 +709,7 @@ func (b Box[E]) Get() E { return b.e }
 		t.Run(c.name, func(t *testing.T) {
 			files := []sourceFile{
 				parseSource(t, "internal/a/a.go", lib),
-				parseSource(t, "cmd/b/b.go", "package b\nimport z \"ptsbench/internal/a\"\nfunc f() {\n"+c.body+"\n}\n"),
+				parseSource(t, "cmd/b/b.go", "package main\nimport z \"ptsbench/internal/a\"\nfunc main() { f() }\nfunc idle() {}\nfunc f() {\n"+c.body+"\n}\n"),
 				ignored,
 			}
 			want := map[string]bool{}

@@ -1,4 +1,4 @@
-package cowtree
+package arena
 
 import (
 	"bytes"
@@ -187,7 +187,7 @@ func TestPoolCarvesSmallArraysFromChunks(t *testing.T) {
 }
 
 func TestArena(t *testing.T) {
-	var a Arena
+	a := Arena[byte]{Chunk: 1 << 10}
 	if a.Clone(nil) != nil {
 		t.Fatal("Clone(nil) must stay nil")
 	}
@@ -210,40 +210,127 @@ func TestArena(t *testing.T) {
 		t.Fatal("Alloc must return a zeroed, capacity-limited slice")
 	}
 	// Oversize requests bypass the chunk and leave it intact.
-	rest := len(a.chunk)
-	big := a.Alloc(arenaChunkBytes + 1)
-	if len(big) != arenaChunkBytes+1 || len(a.chunk) != rest {
-		t.Fatalf("oversize Alloc: len %d, chunk %d -> %d", len(big), rest, len(a.chunk))
+	rest := len(a.rest)
+	big := a.Alloc(a.Chunk + 1)
+	if len(big) != a.Chunk+1 || len(a.rest) != rest {
+		t.Fatalf("oversize Alloc: len %d, chunk %d -> %d", len(big), rest, len(a.rest))
 	}
 	// A request that does not fit the rest of the chunk starts a new one.
 	a.Alloc(rest)
-	if more := a.Alloc(8); len(more) != 8 || len(a.chunk) != arenaChunkBytes-8 {
-		t.Fatalf("new chunk: len %d, rest %d", len(more), len(a.chunk))
+	if more := a.Alloc(8); len(more) != 8 || len(a.rest) != a.Chunk-8 {
+		t.Fatalf("new chunk: len %d, rest %d", len(more), len(a.rest))
+	}
+	// The zero value carves chunks of defaultChunk.
+	var d Arena[int]
+	d.Alloc(1)
+	if len(d.rest) != defaultChunk-1 {
+		t.Fatalf("zero-value arena: rest %d after one element, want %d", len(d.rest), defaultChunk-1)
 	}
 }
 
-func TestSlab(t *testing.T) {
+func TestArenaNew(t *testing.T) {
 	type rec struct{ a, b int }
-	var s Slab[rec]
+	var s Arena[rec]
 	seen := map[*rec]bool{}
-	for i := 0; i < 2*slabBlock+3; i++ {
-		r := s.Get()
+	for i := 0; i < 2*defaultChunk+3; i++ {
+		r := s.New()
 		if *r != (rec{}) {
-			t.Fatalf("Get %d not zeroed: %+v", i, *r)
+			t.Fatalf("New %d not zeroed: %+v", i, *r)
 		}
 		if seen[r] {
-			t.Fatalf("Get %d returned a pointer handed out before", i)
+			t.Fatalf("New %d returned a pointer handed out before", i)
 		}
 		seen[r] = true
-		r.a, r.b = i, -i // dirtying one must not show up in a later Get
+		r.a, r.b = i, -i // dirtying one must not show up in a later New
 	}
 }
 
-func TestAppendZeros(t *testing.T) {
-	for _, n := range []int{0, 1, len(zeroPad), 2*len(zeroPad) + 5} {
-		out := AppendZeros([]byte("ab"), n)
-		if len(out) != 2+n || string(out[:2]) != "ab" || !bytes.Equal(out[2:], make([]byte, n)) {
-			t.Fatalf("AppendZeros(%d): len %d", n, len(out))
+// TestArenaRecyclesChunks releases an arena's chunks to its free list
+// and carves a second arena from it: every chunk the second takes while
+// released ones are free is a released one, each comes back cleared, so
+// no uncarved slot holds a pointer from the first arena, and the list
+// keeps at most maxFree chunks. An arena without a free list keeps no
+// chunk list at all.
+func TestArenaRecyclesChunks(t *testing.T) {
+	var free Chunks[*int]
+	old := Arena[*int]{Chunk: 16, Free: &free}
+	x := 7
+	for i := 0; i < 5*16; i++ {
+		old.Alloc(1)[0] = &x
+	}
+	released := map[**int]bool{}
+	for _, c := range old.taken {
+		released[&c[0]] = true
+	}
+	old.Release()
+	if len(free) != 5 || len(old.taken) != 0 || old.rest != nil {
+		t.Fatalf("Release left %d chunks on the free list (want 5) and %d taken", len(free), len(old.taken))
+	}
+
+	reused := Arena[*int]{Chunk: 16, Free: &free}
+	for i := 0; i < 3; i++ {
+		reused.Alloc(16)
+	}
+	for _, p := range reused.Alloc(3) {
+		if p != nil {
+			t.Fatal("a carved slot still points into a released arena")
 		}
+	}
+	for _, c := range reused.taken {
+		if !released[&c[0]] {
+			t.Fatal("the arena took a fresh chunk while released ones were free")
+		}
+	}
+	if len(reused.rest) != 13 {
+		t.Fatalf("%d uncarved slots, want 13", len(reused.rest))
+	}
+	for _, p := range reused.rest {
+		if p != nil {
+			t.Fatal("an uncarved slot still points into a released arena")
+		}
+	}
+	if len(free) != 1 {
+		t.Fatalf("%d chunks left on the free list, want 1", len(free))
+	}
+	reused.Alloc(16)
+	reused.Alloc(16)
+	if c := reused.taken[len(reused.taken)-1]; released[&c[0]] {
+		t.Fatal("a sixth chunk came from a five-chunk free list")
+	}
+
+	// The bound: a list holds at most maxFree chunks.
+	big := Arena[*int]{Chunk: 1, Free: &free}
+	for i := 0; i < maxFree+10; i++ {
+		big.Alloc(1)
+	}
+	big.Release()
+	if len(free) != maxFree {
+		t.Fatalf("free list holds %d chunks, want the bound %d", len(free), maxFree)
+	}
+
+	var plain Arena[*int]
+	plain.Alloc(defaultChunk)
+	plain.Alloc(1)
+	if plain.taken != nil {
+		t.Fatalf("an arena without a free list kept %d chunks", len(plain.taken))
+	}
+}
+
+func TestPoolGrow(t *testing.T) {
+	var p Pool[int]
+	s := p.Get(3)[:2]
+	if g := p.Grow(s, 2); !sameArray(g, s) || len(g) != 2 {
+		t.Fatal("Grow moved a slice that had the room")
+	}
+	s = append(s, 1, 2)
+	g := p.Grow(s, 1)
+	if cap(g) != 8 || len(g) != 4 || !slices.Equal(g, s) || sameArray(g, s) {
+		t.Fatalf("Grow(len 4 cap 4, 1) = %v cap %d", g, cap(g))
+	}
+	if again := p.Get(4); !sameArray(again, s) {
+		t.Fatal("Grow did not retire the array it outgrew")
+	}
+	if g := p.Grow(nil, 5); len(g) != 0 || cap(g) != 8 {
+		t.Fatalf("Grow(nil, 5): len %d cap %d", len(g), cap(g))
 	}
 }

@@ -23,10 +23,10 @@ type Buffers struct {
 }
 
 // NewBuffers gives interior n empty buffers, one per child, from the
-// core's slab (a Bε-tree's new root; SplitInterior gives a split's new
+// core's arena (a Bε-tree's new root; SplitInterior gives a split's new
 // half its own).
 func (c *Core) NewBuffers(n *Node) {
-	n.Buf = c.bufSlab.Get()
+	n.Buf = c.bufMem.New()
 	n.Buf.Msgs, n.Buf.Sizes = make([][]Record, len(n.Children)), make([]int, len(n.Children))
 }
 

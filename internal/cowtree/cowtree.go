@@ -74,6 +74,7 @@ package cowtree
 import (
 	"fmt"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/freeset"
@@ -173,17 +174,17 @@ type Core struct {
 	stats  kv.EngineStats
 	closed bool
 
-	// nodes is indexed by NodeID (index 0 is NilNode). The slabs back the
-	// nodes NewNode makes and their buffers, arena and records what the
-	// stored records keep and their arrays: nodes and retained bytes are
-	// immortal (ids are never reused), so bump and pool allocation keep
-	// the steady-state op path allocation-free.
+	// nodes is indexed by NodeID (index 0 is NilNode). The node arenas
+	// back the nodes NewNode makes and their buffers, arena and records
+	// what the stored records keep and their arrays: nodes and retained
+	// bytes are immortal (ids are never reused), so chunk and pool
+	// allocation keep the steady-state op path allocation-free.
 	nodes   []*Node
 	root    NodeID
-	slab    Slab[Node]
-	bufSlab Slab[Buffers]
+	nodeMem arena.Arena[Node]
+	bufMem  arena.Arena[Buffers]
 	arena   RecordArena
-	records Pool[Record]
+	records arena.Pool[Record]
 
 	// dirty is indexed by NodeID like nodes: the node needs writing
 	// before eviction / at the next checkpoint. MarkDirty sets it, Write
@@ -244,6 +245,7 @@ func (c *Core) setup(eng Engine, fs *extfs.FS, file *extfs.File, n Naming, tune 
 	c.dirty = make([]bool, 1, 64)
 	c.metaSlots = metaSlots(n.MetaPrefix)
 	c.ckptW = sim.NewWorker(n.Name + "-checkpoint")
+	c.arena.Chunk = recordChunkBytes
 }
 
 // Register enters a node into the table under the next sequential id,
@@ -256,9 +258,10 @@ func (c *Core) Register(n *Node) {
 }
 
 // NewNode makes every node the engines create: a zeroed leaf or
-// interior from the slab, the bare header's size, registered and dirty.
+// interior from the node arena, the bare header's size, registered and
+// dirty.
 func (c *Core) NewNode(leaf bool) *Node {
-	n := c.slab.Get()
+	n := c.nodeMem.New()
 	n.Leaf = leaf
 	n.Serialized = PageHeaderBytes
 	c.Register(n)
@@ -273,7 +276,7 @@ func (c *Core) Node(id NodeID) *Node { return c.nodes[id] }
 func (c *Core) Nodes() []*Node { return c.nodes[1:] }
 
 // Records returns the pool that recycles the tree's record arrays.
-func (c *Core) Records() *Pool[Record] { return &c.records }
+func (c *Core) Records() *arena.Pool[Record] { return &c.records }
 
 // Arena returns the arena backing what stored records keep.
 func (c *Core) Arena() *RecordArena { return &c.arena }

@@ -341,7 +341,7 @@ func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
 	promoted = n.SplitHalf(&right.Pivots)
 	n.Serialized, right.Serialized = n.PivotBytes(), right.PivotBytes()
 	if n.Buf != nil {
-		right.Buf = c.bufSlab.Get()
+		right.Buf = c.bufMem.New()
 		n.Buf.splitAt(len(n.Children), right.Buf)
 		n.Serialized += n.Buf.Bytes
 		right.Serialized += right.Buf.Bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/kv"
 )
 
@@ -181,13 +182,13 @@ func FindRecord(rs []Record, t kv.Target) *Record {
 // InsertRecord upserts r into rs (sorted by key), returning the array
 // and the serialized size delta: the one upsert of both trees' leaves
 // and the Bε-tree's buffers. t is r's key as a search target. With a
-// non-nil arena r is unowned — t.Key and val are the caller's reused
-// buffers beside it — and arena.Own copies only what must be kept; with
-// a nil arena r already owns its bytes (a message moving down). A record
+// non-nil ra r is unowned — t.Key and val are the caller's reused
+// buffers beside it — and ra.Own copies only what must be kept; with a
+// nil ra r already owns its bytes (a message moving down). A record
 // for the same key is overwritten when r is at least as new; an older r
 // (only recovery replay can bring one) is dropped. Array growth recycles
 // through pool, so the steady-state upsert costs no heap allocation.
-func InsertRecord(pool *Pool[Record], arena *RecordArena, rs []Record, r Record, t kv.Target, val []byte) ([]Record, int) {
+func InsertRecord(pool *arena.Pool[Record], ra *RecordArena, rs []Record, r Record, t kv.Target, val []byte) ([]Record, int) {
 	i := SearchRecords(rs, t)
 	delta := r.Size()
 	var resident *Record
@@ -198,8 +199,8 @@ func InsertRecord(pool *Pool[Record], arena *RecordArena, rs []Record, r Record,
 		}
 		delta -= resident.Size()
 	}
-	if arena != nil {
-		arena.Own(&r, t.Key, val, resident)
+	if ra != nil {
+		ra.Own(&r, t.Key, val, resident)
 	}
 	if resident != nil {
 		*resident = r
@@ -209,12 +210,20 @@ func InsertRecord(pool *Pool[Record], arena *RecordArena, rs []Record, r Record,
 }
 
 // RecordArena backs what stored records keep: the byte arena (which the
-// trees also draw separator copies from) and the slab of recordBytes
-// headers that point into it.
+// trees also draw separator copies from) and the arena of recordBytes
+// headers that point into it. Retained bytes are immortal — the engines
+// never free a key, ids and nodes are never reused — so the byte arena
+// turns the dominant steady-state allocation, one heap object per fresh
+// key, into one chunk per recordChunkBytes.
 type RecordArena struct {
-	Arena
-	exts Slab[recordBytes]
+	arena.Arena[byte]
+	exts arena.Arena[recordBytes]
 }
+
+// recordChunkBytes is a tree's byte-arena chunk, which Core.setup sets:
+// large enough to amortize the chunk allocation to noise, small enough
+// that a mostly-idle tree does not strand much memory.
+const recordChunkBytes = 64 << 10
 
 // Own gives an unowned record — the Put boundary's, whose key and value
 // bytes travel beside it as key and val in the caller's reused buffers —
@@ -239,12 +248,25 @@ func (a *RecordArena) Own(r *Record, key, val []byte, resident *Record) {
 		return
 	}
 	if e == nil {
-		e = a.exts.Get()
+		e = a.exts.New()
 	}
 	e.b = a.Alloc(out + len(val))
 	copy(e.b, key[:out])
 	copy(e.b[out:], val)
 	r.ext = e
+}
+
+// zeroPad backs AppendZeros.
+var zeroPad [4096]byte
+
+// AppendZeros appends n zero bytes to out — the engines' codecs use it
+// to zero-fill accounting-mode values without allocating per entry.
+func AppendZeros(out []byte, n int) []byte {
+	for n > len(zeroPad) {
+		out = append(out, zeroPad[:]...)
+		n -= len(zeroPad)
+	}
+	return append(out, zeroPad[:n]...)
 }
 
 // AppendRecord appends one serialized record — the entry format both

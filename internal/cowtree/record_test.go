@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/kv"
 )
 
@@ -22,31 +23,29 @@ func TestRecordSize(t *testing.T) {
 // TestRecordOwn pins what RecordArena.Own keeps. A kv.KeySize key with
 // no value keeps no out-of-line header at all — fresh, or over a
 // resident that carried a value — and takes nothing from the arena or
-// the header slab. Any other key, and every value, is copied into the
+// the header arena. Any other key, and every value, is copied into the
 // arena, never aliasing the caller's buffers; a record without a value
 // that overwrites a resident takes over its header and key bytes.
 func TestRecordOwn(t *testing.T) {
 	var a RecordArena
-	untouched := func(what string) {
+	untouched := func(what string, f func()) {
 		t.Helper()
-		if len(a.chunk) != 0 || len(a.exts.block) != 0 {
-			t.Fatalf("%s took %d arena bytes and %d headers", what, arenaChunkBytes-len(a.chunk), slabBlock-len(a.exts.block))
+		if b, h := taken(&a, f); b != 0 || h != 0 {
+			t.Fatalf("%s took %d arena bytes and %d headers", what, b, h)
 		}
 	}
 	key := bytes.Repeat([]byte{7}, kv.KeySize)
 
 	r := MakeRecord(key, 1, 4000, false)
-	a.Own(&r, key, nil, nil)
+	untouched("a fresh accounting-mode record", func() { a.Own(&r, key, nil, nil) })
 	if r.ext != nil {
 		t.Fatalf("a fresh accounting-mode record of a %d-byte key keeps a header", kv.KeySize)
 	}
-	untouched("a fresh accounting-mode record")
 	tomb := MakeRecord(key, 2, 0, true)
-	a.Own(&tomb, key, nil, nil)
+	untouched("a fresh tombstone", func() { a.Own(&tomb, key, nil, nil) })
 	if tomb.ext != nil {
 		t.Fatal("a fresh tombstone keeps a header")
 	}
-	untouched("a fresh tombstone")
 
 	withVal := MakeRecord(key, 3, 5, false)
 	val := []byte("value")
@@ -87,7 +86,7 @@ func TestRecordOwn(t *testing.T) {
 // record older than the resident (recovery replay) is dropped with a
 // zero delta, and a nil arena stores an owned record as it is.
 func TestInsertRecord(t *testing.T) {
-	var pool Pool[Record]
+	var pool arena.Pool[Record]
 	var a RecordArena
 	var rs []Record
 	put := func(id uint64, seq uint64, val string) int {
@@ -120,10 +119,30 @@ func TestInsertRecord(t *testing.T) {
 	key := kv.EncodeKey(4)
 	moved := MakeRecord(key, 30, owned.Vlen(), false)
 	moved.ext = owned.ext
-	before := len(a.chunk)
 	var delta int
-	rs, delta = InsertRecord(&pool, nil, rs, moved, kv.NewTarget(key), nil)
-	if i := SearchRecords(rs, kv.NewTarget(key)); delta != moved.Size() || rs[i].ext != owned.ext || len(a.chunk) != before {
+	b, h := taken(&a, func() { rs, delta = InsertRecord(&pool, nil, rs, moved, kv.NewTarget(key), nil) })
+	if i := SearchRecords(rs, kv.NewTarget(key)); delta != moved.Size() || rs[i].ext != owned.ext || b != 0 || h != 0 {
 		t.Fatalf("an owned record was not stored as it is (delta %d)", delta)
+	}
+}
+
+// taken returns the arena bytes and recordBytes headers a handed out
+// while f ran, from the distance between a one-unit allocation of each
+// before f and one after it (btree's and betree's arenaTaken probe).
+func taken(a *RecordArena, f func()) (nbytes, nheaders int) {
+	b0, h0 := a.Alloc(1), a.exts.New()
+	f()
+	b1, h1 := a.Alloc(1), a.exts.New()
+	nbytes = int(uintptr(unsafe.Pointer(&b1[0])) - uintptr(unsafe.Pointer(&b0[0])) - 1)
+	nheaders = int((uintptr(unsafe.Pointer(h1))-uintptr(unsafe.Pointer(h0)))/unsafe.Sizeof(recordBytes{})) - 1
+	return nbytes, nheaders
+}
+
+func TestAppendZeros(t *testing.T) {
+	for _, n := range []int{0, 1, len(zeroPad), 2*len(zeroPad) + 5} {
+		out := AppendZeros([]byte("ab"), n)
+		if len(out) != 2+n || string(out[:2]) != "ab" || !bytes.Equal(out[2:], make([]byte, n)) {
+			t.Fatalf("AppendZeros(%d): len %d", n, len(out))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -31,6 +32,49 @@ func TestCrashMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEveryCutOfOneSeed cuts power at every write of one small trial
+// instead of at the one write a seed samples: seed 1, one shard, the sim
+// device, 400 ops, for each engine at its default tunables and for the
+// trees checkpointing in the background, which the default interval
+// never does in 400 ops. Recycled arena chunks and pooled arrays are
+// where a use after release would corrupt what recovery reads. The
+// calibrated write count is pinned too: a pin past the last write lands
+// on it, so Run reports the count.
+func TestEveryCutOfOneSeed(t *testing.T) {
+	for _, c := range []struct {
+		engine, interval string
+		writes           int64
+	}{
+		{"lsm", "", 338},
+		{"btree", "", 25},
+		{"betree", "", 25},
+		{"btree", "200us", 159},
+		{"betree", "200us", 123},
+	} {
+		c := c
+		spec := Spec{Engine: c.engine, Shards: 1, Ops: 400, Seed: 1}
+		if c.interval != "" {
+			spec.Tunables = map[string]string{"checkpoint_interval": c.interval}
+		}
+		t.Run(shapeName(spec), func(t *testing.T) {
+			t.Parallel()
+			spec.CutShard, spec.CutWrite = 0, math.MaxInt64
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.CutWrite != c.writes {
+				t.Fatalf("calibration counted %d writes, want %d", rep.CutWrite, c.writes)
+			}
+			for spec.CutWrite = 1; spec.CutWrite < c.writes; spec.CutWrite++ {
+				if _, err := Run(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

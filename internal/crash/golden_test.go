@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -45,10 +46,13 @@ type goldenTrial struct {
 // (the backing-file image check, the per-pass image directories, and —
 // the one shape with its own Ops and a certain lie, because no shorter
 // log damages an image enough — the rebuild directory of a loud
-// recovery refusal, seeds 2 and 3), and a fully pinned cut, unreplicated
-// and replicated (the sampler's pinned branches).
+// recovery refusal, seeds 2 and 3), a fully pinned cut, unreplicated
+// and replicated (the sampler's pinned branches), and, last,
+// crash-smoke's trees with background checkpoints, which the default
+// interval never starts in 400 ops.
 func goldenShapes() []Spec {
 	allKinds := []string{"eio", "short", "misdirect", "fsynclie"}
+	ckpt := map[string]string{"checkpoint_interval": "1ms"}
 	var shapes []Spec
 	for _, eng := range []string{"lsm", "btree", "betree"} {
 		shapes = append(shapes,
@@ -66,6 +70,10 @@ func goldenShapes() []Spec {
 		Spec{Engine: "lsm", Ops: 2000, Replicas: 2, ReplMode: "chain", ErrorKinds: []string{"fsynclie"}, ErrorProb: 1, Device: "file"},
 		Spec{Engine: "btree", Shards: 2, CutShard: 1, CutWrite: 5},
 		Spec{Engine: "btree", Shards: 2, Replicas: 3, ReplMode: "quorum", CutShard: 1, CutWrite: 5},
+		Spec{Engine: "btree", Shards: 1, Tunables: ckpt},
+		Spec{Engine: "btree", Shards: 4, Tunables: ckpt},
+		Spec{Engine: "betree", Shards: 1, Tunables: ckpt},
+		Spec{Engine: "betree", Shards: 4, Tunables: ckpt},
 	)
 }
 
@@ -82,6 +90,14 @@ func shapeName(s Spec) string {
 	}
 	if s.Device == "file" {
 		name += "/file"
+	}
+	keys := make([]string, 0, len(s.Tunables))
+	for k := range s.Tunables {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		name += fmt.Sprintf("/%s=%s", k, s.Tunables[k])
 	}
 	return name
 }

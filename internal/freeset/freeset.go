@@ -24,6 +24,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"ptsbench/internal/arena"
 )
 
 // Extent is a contiguous run of pages. Pages == 0 means "no extent".
@@ -48,19 +50,20 @@ type Set struct {
 	root *node
 	size int // extents in the set
 	// spare chains recycled nodes through their left pointers and fresh
-	// ones are cut from slab, so the steady state allocates no nodes.
+	// ones are carved from mem, so the steady state allocates no nodes.
 	spare    *node
-	slab     []node
+	mem      arena.Arena[node]
 	prioSeed uint64
 	// walk and spine are ReleaseAll's stacks, kept for reuse.
 	walk, spine []*node
 }
 
-// slabNodes sizes a slab (12 KiB) for both kinds of benchmark cell: the
-// tens of thousands of extents under an LSM cost a hundred allocations
-// instead of one per node, and a B-tree cell, which allocates about
-// 1 MB in its whole measured phase, over-allocates at most one slab per
-// growing set. Slabs that grow with the set did show there (+6 % bytes).
+// slabNodes is the node arena's chunk: a zero arena.Arena's 256 nodes
+// (12 KiB), which suits both kinds of benchmark cell. The tens of
+// thousands of extents under an LSM cost a hundred allocations instead
+// of one per node, and a B-tree cell, which allocates about 1 MB in its
+// whole measured phase, over-allocates at most one chunk per growing
+// set. Chunks that grow with the set did show there (+6 % bytes).
 const slabNodes = 256
 
 // splitmix64 is the priority mixer (deterministic, well-distributed).
@@ -76,10 +79,7 @@ func (s *Set) newNode(e Extent) *node {
 	if nd != nil {
 		s.spare = nd.left
 	} else {
-		if len(s.slab) == 0 {
-			s.slab = make([]node, slabNodes)
-		}
-		nd, s.slab = &s.slab[0], s.slab[1:]
+		nd = s.mem.New()
 	}
 	s.prioSeed++
 	s.size++

@@ -114,7 +114,7 @@ func TestSteadyStatePutBytes(t *testing.T) {
 	perPut := float64(m1.TotalAlloc-m0.TotalAlloc) / window
 	t.Logf("%.1f B/Put over %d puts, %d flushes, %d compactions", perPut, window,
 		after.Flushes-before.Flushes, after.Compactions-before.Compactions)
-	if perPut > 100 {
-		t.Fatalf("steady-state Put allocates %.1f B/op with flushes and compactions, want < 100", perPut)
+	if perPut > 50 {
+		t.Fatalf("steady-state Put allocates %.1f B/op with flushes and compactions, want < 50", perPut)
 	}
 }

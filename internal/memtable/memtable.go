@@ -13,6 +13,7 @@ package memtable
 import (
 	"bytes"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
@@ -21,7 +22,7 @@ const maxHeight = 16
 
 // Arena chunk sizes. Chunks are fixed-size and never reallocated, so
 // pointers into them stay valid for the memtable's lifetime; only a
-// value longer than byteChunk gets a chunk of its own size, which is
+// value longer than byteChunk gets an allocation of its own, which is
 // never recycled.
 const (
 	nodeChunk = 256      // nodes per chunk
@@ -29,45 +30,18 @@ const (
 	byteChunk = 16 << 10 // key/value bytes per chunk
 )
 
-// maxFreeChunks bounds each kind of a Chunks list: at most 6 MiB of
-// node chunks, 2 MiB of tower-pointer chunks and 4 MiB of byte chunks,
-// more than one memtable of the benchmark's LSM cells carves (26, 9 and
-// 7 chunks at lsm-write). A larger memtable recycles this many and
-// leaves the rest to the garbage collector.
-const maxFreeChunks = 256
-
-// Chunks is a free list of arena chunks, one per kind. A DB keeps one
-// for all its memtables: Release returns a flushed memtable's chunks,
-// New's memtables carve from them. It is not safe for concurrent use.
+// Chunks holds the free lists of arena chunks, one per kind. A DB keeps
+// one for all its memtables: Release returns a flushed memtable's
+// chunks, New's memtables carve from them. Each list keeps at most 256
+// chunks — 6 MiB of node chunks, 2 MiB of tower-pointer chunks and
+// 4 MiB of byte chunks, more than one memtable of the benchmark's LSM
+// cells carves (26, 9 and 7 chunks at lsm-write); a larger memtable
+// recycles that many and leaves the rest to the garbage collector. It
+// is not safe for concurrent use.
 type Chunks struct {
-	nodes [][]node
-	ptrs  [][]*node
-	bytes [][]byte
-}
-
-// takeChunk pops a chunk from list, cleared so no stale pointer
-// survives into the new memtable, or makes one of size when list is
-// empty.
-func takeChunk[T any](list *[][]T, size int) []T {
-	if len(*list) == 0 {
-		return make([]T, 0, size)
-	}
-	n := len(*list) - 1
-	c := (*list)[n]
-	(*list)[n] = nil
-	*list = (*list)[:n]
-	clear(c[:cap(c)])
-	return c[:0]
-}
-
-// putChunks appends chunks to list, up to maxFreeChunks.
-func putChunks[T any](list *[][]T, chunks [][]T) {
-	for _, c := range chunks {
-		if len(*list) == maxFreeChunks {
-			return
-		}
-		*list = append(*list, c[:0])
-	}
+	nodes arena.Chunks[node]
+	ptrs  arena.Chunks[*node]
+	bytes arena.Chunks[byte]
 }
 
 // node is one skiplist entry. The tower is a variable-height slice carved
@@ -94,7 +68,6 @@ type Memtable struct {
 	head   *node
 	height int
 	rng    *sim.RNG
-	free   *Chunks // where chunks come from and where Release returns them
 
 	// last is the node the last Put linked in or replaced, and splice
 	// holds its predecessors at the levels above its tower. A key that
@@ -110,13 +83,11 @@ type Memtable struct {
 	sizeEst  int64 // approximate payload bytes (keys + values + overhead)
 	overhead int64 // per-entry bookkeeping estimate
 
-	// The current chunk of each kind; its length counts what has been
-	// carved from it.
-	nodes []node
-	ptrs  []*node
-	bytes []byte
-	// own lists every recyclable chunk taken, current ones included.
-	own Chunks
+	// The arenas nodes, towers and key/value bytes are carved from, each
+	// drawing on its kind's free list in the DB's Chunks.
+	nodes arena.Arena[node]
+	ptrs  arena.Arena[*node]
+	bytes arena.Arena[byte]
 }
 
 // New creates an empty memtable; rng drives skiplist tower heights and
@@ -125,58 +96,29 @@ func New(rng *sim.RNG, free *Chunks) *Memtable {
 	m := &Memtable{
 		height:   1,
 		rng:      rng,
-		free:     free,
 		overhead: 32,
+		nodes:    arena.Arena[node]{Chunk: nodeChunk, Free: &free.nodes},
+		ptrs:     arena.Arena[*node]{Chunk: ptrChunk, Free: &free.ptrs},
+		bytes:    arena.Arena[byte]{Chunk: byteChunk, Free: &free.bytes},
 	}
 	m.head = m.newNode(maxHeight)
 	return m
 }
 
-// Release returns the memtable's chunks to its free list. The memtable
+// Release returns the memtable's chunks to its free lists. The memtable
 // and every entry, key and value read from it must not be used again.
 func (m *Memtable) Release() {
-	putChunks(&m.free.nodes, m.own.nodes)
-	putChunks(&m.free.ptrs, m.own.ptrs)
-	putChunks(&m.free.bytes, m.own.bytes)
+	m.nodes.Release()
+	m.ptrs.Release()
+	m.bytes.Release()
 	*m = Memtable{}
 }
 
 // newNode carves a node with a tower of the given height from the arenas.
 func (m *Memtable) newNode(height int) *node {
-	if len(m.nodes) == cap(m.nodes) {
-		m.nodes = takeChunk(&m.free.nodes, nodeChunk)
-		m.own.nodes = append(m.own.nodes, m.nodes)
-	}
-	m.nodes = m.nodes[:len(m.nodes)+1]
-	n := &m.nodes[len(m.nodes)-1]
-	if cap(m.ptrs)-len(m.ptrs) < height {
-		m.ptrs = takeChunk(&m.free.ptrs, ptrChunk)
-		m.own.ptrs = append(m.own.ptrs, m.ptrs)
-	}
-	u := len(m.ptrs)
-	m.ptrs = m.ptrs[:u+height]
-	n.tower = m.ptrs[u : u+height : u+height]
+	n := m.nodes.New()
+	n.tower = m.ptrs.Alloc(height)
 	return n
-}
-
-// cloneBytes copies b into the byte arena (nil stays nil).
-func (m *Memtable) cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	if cap(m.bytes)-len(m.bytes) < len(b) {
-		if len(b) > byteChunk {
-			m.bytes = make([]byte, 0, len(b))
-		} else {
-			m.bytes = takeChunk(&m.free.bytes, byteChunk)
-			m.own.bytes = append(m.own.bytes, m.bytes)
-		}
-	}
-	u := len(m.bytes)
-	m.bytes = m.bytes[:u+len(b)]
-	out := m.bytes[u : u+len(b) : u+len(b)]
-	copy(out, b)
-	return out
 }
 
 // Len returns the number of live entries.
@@ -250,7 +192,7 @@ func (m *Memtable) Put(key, value []byte, valueLen int, seq uint64, deleted bool
 		// The walk left existing's predecessors in splice.
 		m.last = existing
 		old := int64(len(existing.entry.Key)) + int64(existing.entry.ValueLen) + m.overhead
-		existing.entry.Value = m.cloneBytes(value)
+		existing.entry.Value = m.bytes.Clone(value)
 		existing.entry.ValueLen = valueLen
 		existing.entry.Seq = seq
 		existing.entry.Deleted = deleted
@@ -266,8 +208,8 @@ func (m *Memtable) Put(key, value []byte, valueLen int, seq uint64, deleted bool
 	}
 	n := m.newNode(h)
 	n.entry = kv.Entry{
-		Key:      m.cloneBytes(key),
-		Value:    m.cloneBytes(value),
+		Key:      m.bytes.Clone(key),
+		Value:    m.bytes.Clone(value),
 		ValueLen: valueLen,
 		Seq:      seq,
 		Deleted:  deleted,

@@ -40,7 +40,7 @@ func bloomBitCount(n int) uint32 {
 func newBloom(n int, spares *Spares) Bloom {
 	nbits := bloomBitCount(n)
 	size := int(nbits+7) / 8
-	bits := spares.bloom.take(size)[:size]
+	bits := spares.bloom.Get(size)
 	clear(bits)
 	return newBloomBits(bits, bloomProbes, nbits)
 }

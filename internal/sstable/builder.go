@@ -47,14 +47,14 @@ const DefaultBlockBytes = 32 << 10
 // NewBuilder creates a builder. pageSize is the device page size; content
 // selects whether real bytes are produced. entryHint is the expected
 // entry count (0 if unknown): each per-entry column of the side index
-// under construction is the smallest array in spares with room for that
-// many entries (16-byte keys assumed — a high estimate just wastes some
-// slack), so appending never regrows it. Flush and compaction jobs know
-// their input entry counts, and their DB's spares hold the arrays of the
-// tables its compactions removed, so in steady state a builder allocates
-// no column. The block index and content mode's value arena and data
-// scratch, whose sizes the hint does not give, grow by trading arrays
-// with spares.
+// under construction is an array from spares of the power-of-two class
+// with room for that many entries (16-byte keys assumed — a high
+// estimate just wastes some slack), so appending never regrows it.
+// Flush and compaction jobs know their input entry counts, and their
+// DB's spares hold the arrays of the tables its compactions removed, so
+// in steady state a builder allocates no column. The block index and
+// content mode's value arena and data scratch, whose sizes the hint does
+// not give, grow by trading arrays with spares.
 func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spares *Spares) *Builder {
 	if targetBlockBytes <= 0 {
 		targetBlockBytes = DefaultBlockBytes
@@ -67,15 +67,14 @@ func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spa
 		targetBlock: targetBlockBytes,
 		content:     content,
 		spares:      spares,
-		keyArena:    spares.keyArena.take(entryHint * kv.KeySize),
-		keyOffsets:  append(spares.keyOffsets.take(entryHint+1), 0),
-		seqs:        spares.seqs.take(entryHint),
-		vlens:       spares.vlens.take(entryHint),
-		dels:        spares.dels.take(entryHint),
+		keyArena:    spares.keyArena.Get(entryHint * kv.KeySize)[:0],
+		keyOffsets:  append(spares.keyOffsets.Get(entryHint + 1)[:0], 0),
+		seqs:        spares.seqs.Get(entryHint)[:0],
+		vlens:       spares.vlens.Get(entryHint)[:0],
+		dels:        spares.dels.Get(entryHint)[:0],
 	}
 	if content {
-		b.valOffsets = append(spares.valOffsets.take(entryHint+1), 0)
-		b.data = spares.data.take(0)
+		b.valOffsets = append(spares.valOffsets.Get(entryHint + 1)[:0], 0)
 	}
 	return b
 }
@@ -134,11 +133,11 @@ func (b *Builder) appendContent(key, value []byte, vl int, seq uint64, del byte)
 	binary.LittleEndian.PutUint16(hdr[1:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(hdr[3:], uint32(vl))
 	binary.LittleEndian.PutUint64(hdr[7:], seq)
-	b.data = b.spares.data.grow(b.data, entryHeaderSize+len(key)+vl)
+	b.data = b.spares.data.Grow(b.data, entryHeaderSize+len(key)+vl)
 	b.data = append(b.data, hdr[:]...)
 	b.data = append(b.data, key...)
 	b.data = append(b.data, value...)
-	b.valArena = b.spares.valArena.grow(b.valArena, len(value))
+	b.valArena = b.spares.valArena.Grow(b.valArena, len(value))
 	b.valArena = append(b.valArena, value...)
 	b.valOffsets = append(b.valOffsets, uint32(len(b.valArena)))
 }
@@ -223,7 +222,7 @@ func (b *Builder) finishBlock() {
 		return
 	}
 	pages := int32((b.curBlockBytes + b.pageSize - 1) / b.pageSize)
-	b.blocks = b.spares.blocks.grow(b.blocks, 1)
+	b.blocks = b.spares.blocks.Grow(b.blocks, 1)
 	b.blocks = append(b.blocks, blockMeta{
 		firstEntry: b.curBlockFirst,
 		startPage:  b.nextPage,
@@ -234,7 +233,7 @@ func (b *Builder) finishBlock() {
 		// Pad the serialized data to the page boundary.
 		pad := int(int64(b.nextPage)*int64(b.pageSize)) - len(b.data)
 		if pad > 0 {
-			b.data = b.spares.data.grow(b.data, pad)
+			b.data = b.spares.data.Grow(b.data, pad)
 			b.data = append(b.data, make([]byte, pad)...)
 		}
 	}
@@ -308,7 +307,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	if b.content {
 		data := make([]byte, totalPages*int64(b.pageSize))
 		copy(data, b.data)
-		b.spares.data.put(b.data)
+		b.spares.data.Put(b.data)
 		b.data = nil
 		off := int64(b.nextPage) * int64(b.pageSize)
 		// Index block: count then 16 bytes per block.

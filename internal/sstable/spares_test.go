@@ -43,28 +43,23 @@ func buildWith(t *testing.T, spares *Spares, content bool, entries []kv.Entry) *
 // base is the address of the first element of s's array.
 func base[T any](s []T) *T { return &s[:1][0] }
 
-// spareBases returns the base of every array spares retains.
-func spareBases(s *Spares) map[any]bool {
-	m := map[any]bool{}
-	addBases(m, s.keyArena, s.dels, s.bloom, s.valArena, s.data)
-	addBases(m, s.keyOffsets, s.vlens, s.valOffsets)
-	addBases(m, s.seqs)
-	addBases(m, s.blocks)
-	return m
-}
-
-func addBases[T any](m map[any]bool, lists ...freeList[T]) {
-	for _, l := range lists {
-		for _, a := range l.arrays {
-			m[base(a)] = true
-		}
+// columns returns the base of each of t's side-index arrays, its Bloom
+// bits included, and in content mode its value arena and offsets.
+func columns(t *Table, content bool) []any {
+	cols := []any{base(t.keyArena), base(t.keyOffsets), base(t.seqs),
+		base(t.vlens), base(t.dels), base(t.blocks), base(t.bloom.bits)}
+	if content {
+		cols = append(cols, base(t.valArena), base(t.valOffsets))
 	}
+	return cols
 }
 
 // TestRecycledArraysMatchFresh releases a table's side-index arrays (its
 // lazily built Bloom bits included) and builds the next table from them:
 // the image must equal a freshly built one byte for byte, and every
-// lookup, Bloom bit and iterated entry must agree.
+// lookup, Bloom bit and iterated entry must agree. A table of the same
+// size classes built after a release takes every column from the
+// released table, none from the heap.
 func TestRecycledArraysMatchFresh(t *testing.T) {
 	for _, content := range []bool{false, true} {
 		t.Run(fmt.Sprintf("content=%v", content), func(t *testing.T) {
@@ -73,7 +68,6 @@ func TestRecycledArraysMatchFresh(t *testing.T) {
 			old := installImage(t, fs, "sst-old", buildWith(t, spares, content, recycleEntries(3000, 2, 0, content)))
 			get(old, kv.EncodeKey(1)) // builds the lazy filter in accounting mode
 			old.Release()
-			released := spareBases(spares)
 
 			entries := recycleEntries(2000, 3, 1, content)
 			img := buildWith(t, spares, content, entries)
@@ -97,27 +91,27 @@ func TestRecycledArraysMatchFresh(t *testing.T) {
 			if !bytes.Equal(got.bloom.bits, ref.bloom.bits) {
 				t.Fatal("a filter built on released bits differs from a fresh one")
 			}
-			cols := []any{base(got.keyArena), base(got.keyOffsets), base(got.seqs),
-				base(got.vlens), base(got.dels), base(got.blocks), base(got.bloom.bits)}
-			if content {
-				cols = append(cols, base(got.valArena), base(got.valOffsets))
-			}
-			for i, c := range cols {
-				if !released[c] {
-					t.Fatalf("column %d was allocated while released arrays were free", i)
-				}
-			}
 			checkSameIteration(t, got, ref)
 
 			// The compaction merge's bulk path draws on the same spares:
 			// release the recycled table and append the fresh one's
-			// entries through them.
+			// entries through them. The appended table holds got's
+			// entries, so each of its columns is of the class of got's,
+			// which its pool hands out first.
+			released := columns(got, content)
 			got.Release()
 			b := NewBuilder(4096, DefaultBlockBytes, content, ref.NumEntries(), spares)
 			if next, err := b.AppendTableRange(ref, 0, ref.NumEntries(), false, 1<<62); err != nil || next != ref.NumEntries() {
 				t.Fatalf("AppendTableRange = %d, %v", next, err)
 			}
-			checkSameIteration(t, installImage(t, fs, "sst-appended", b.Finish(7)), ref)
+			appended := installImage(t, fs, "sst-appended", b.Finish(7))
+			get(appended, kv.EncodeKey(1)) // builds the lazy filter in accounting mode
+			for i, c := range columns(appended, content) {
+				if c != released[i] {
+					t.Fatalf("column %d was allocated while the released arrays of its class were free", i)
+				}
+			}
+			checkSameIteration(t, appended, ref)
 		})
 	}
 }
