@@ -573,16 +573,16 @@ func uncalledNames(files []sourceFile) (map[string]string, error) {
 
 	uncalled := map[string]string{}
 	for _, sf := range files {
-		pkg := strings.TrimPrefix(sf.dir, "internal/")
-		if pkg == sf.dir && !strings.HasPrefix(sf.dir, "cmd/") {
+		pkg, ok := strings.CutPrefix(sf.dir, "internal/")
+		if !ok && !strings.HasPrefix(sf.dir, "cmd/") {
 			continue
 		}
 		isMain := sf.f.Name.Name == "main"
 		eachTopLevelName(sf.f, func(id *ast.Ident, recv string) {
 			obj := c.info.Defs[id]
 			_, isFunc := obj.(*types.Func)
-			if obj == nil || used[obj] || id.Name == "_" || id.Name == "init" || isMain && id.Name == "main" && recv == "" ||
-				!id.IsExported() && !isFunc {
+			entry := id.Name == "init" || isMain && id.Name == "main" && recv == ""
+			if obj == nil || used[obj] || id.Name == "_" || entry || !id.IsExported() && !isFunc {
 				return
 			}
 			key := pkg + "." + id.Name
