@@ -24,8 +24,9 @@ func TestRecordSize(t *testing.T) {
 // no value keeps no out-of-line header at all — fresh, or over a
 // resident that carried a value — and takes nothing from the arena or
 // the header arena. Any other key, and every value, is copied into the
-// arena, never aliasing the caller's buffers; a record without a value
-// that overwrites a resident takes over its header and key bytes.
+// arena, never aliasing the caller's buffers; a record that overwrites
+// a resident takes over its header, and its key bytes too when it has
+// no value.
 func TestRecordOwn(t *testing.T) {
 	var a RecordArena
 	untouched := func(what string, f func()) {
@@ -63,6 +64,10 @@ func TestRecordOwn(t *testing.T) {
 		if over.ext != nil {
 			t.Fatalf("a record without a value over a value-bearing resident keeps a header: %+v", over)
 		}
+	}
+	newer, resident := MakeRecord(key, 5, 6, false), withVal
+	if _, h := taken(&a, func() { a.Own(&newer, key, []byte("value2"), &resident) }); h != 0 || newer.ext != withVal.ext || string(newer.Val()) != "value2" {
+		t.Fatalf("a value over a value-bearing resident took %d new headers (value %q)", h, newer.Val())
 	}
 
 	for _, width := range []int{0, 8, 24} {
