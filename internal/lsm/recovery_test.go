@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ptsbench/internal/kv"
@@ -279,5 +280,34 @@ func TestRecycledWALDoesNotResurrect(t *testing.T) {
 		if found {
 			t.Fatalf("deleted key %d resurrected by recovery", id)
 		}
+	}
+}
+
+// TestRecoverHonoursDisableWAL: a database opened with DisableWAL
+// writes no WAL segment, and recovering it must not start journaling
+// either — after recovery and a put, no "wal-" file exists.
+func TestRecoverHonoursDisableWAL(t *testing.T) {
+	db, reopen := syncedEnv(t, func(c *Config) { c.DisableWAL = true })
+	now, err := db.Put(0, kv.EncodeKey(1), []byte("a"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	re, rnow, err := reopen(db.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rnow, err = re.Put(rnow, kv.EncodeKey(2), []byte("b"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range re.fs.List() {
+		if strings.HasPrefix(name, "wal-") {
+			t.Fatalf("recovered DisableWAL database journals to %s", name)
+		}
+	}
+	if _, got, found, err := re.Get(rnow, kv.EncodeKey(1)); err != nil || !found || string(got) != "a" {
+		t.Fatalf("key 1 after recovery: %q %v %v", got, found, err)
 	}
 }
