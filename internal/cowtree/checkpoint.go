@@ -68,13 +68,9 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	// parent's image is serialized, so a completed checkpoint is a
 	// consistent tree.
 	c.sortBottomUp(job)
-	if c.journal != nil {
-		job.oldJournal = c.journal
-		w, err := c.wrapJournal()
-		if err != nil {
-			return nil, err
-		}
-		c.journal = w
+	var err error
+	if job.oldJournal, err = c.journal.Rotate(); err != nil {
+		return nil, err
 	}
 	return job, nil
 }
@@ -233,14 +229,9 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 		c.Fail(err)
 		return now, true
 	}
-	if j.oldJournal != nil {
-		now, err = j.oldJournal.Recycle(now)
-		if err != nil {
-			c.Fail(err)
-			return now, true
-		}
-		c.journalPool = append(c.journalPool, j.oldJournal)
-		j.oldJournal = nil
+	if now, err = c.journal.Recycle(now, j.oldJournal); err != nil {
+		c.Fail(err)
+		return now, true
 	}
 	c.io.Checkpoints++
 	c.putJob(j)

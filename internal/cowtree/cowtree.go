@@ -25,12 +25,12 @@
 //     write order, writeSubtreeClean for split-orphaned descendants,
 //     root-spine write at commit, metadata write, deferred-extent
 //     release, journal rotation and recycling,
-//   - the double-buffered checkpoint metadata codec,
-//   - the journal segment pool,
+//   - the checkpoint metadata codec (its double-buffered slot pair is
+//     a wal.Slots, the journal's segments a wal.Log),
 //   - recovery: tree walk from the checkpointed root, free-list
-//     reconstruction, leaf-chain rebuild, sequence-sorted journal replay,
-//     the checkpoint-floor ("fsync lie") refusal and stale-segment
-//     retirement,
+//     reconstruction, leaf-chain rebuild, journal replay through the
+//     engine's apply path and the checkpoint-floor ("fsync lie")
+//     refusal,
 //   - the tree shell (shell.go): the configuration both engines share
 //     (Tuning, with its defaults, Validate and knob binder), Open and
 //     Recover, the kv.Engine lifecycle (FlushAll, Quiesce, Close, group
@@ -203,15 +203,13 @@ type Core struct {
 	lruHead, lruTail NodeID
 	residentBytes    int64
 
-	journal     *wal.Writer
-	journalID   uint64
-	journalPool []*wal.Writer // recycled segments awaiting reuse
-	group       bool          // group commit open: per-record syncs deferred
+	journal *wal.Log
+	group   bool // group commit open: per-record syncs deferred
 
-	ckptW     *sim.Worker
-	lastCkpt  sim.Duration
-	metaGen   uint64
-	metaSlots [2]string
+	ckptW    *sim.Worker
+	lastCkpt sim.Duration
+	metaGen  uint64
+	meta     wal.Slots[Meta]
 
 	io       IOStats
 	fatal    error
@@ -225,10 +223,6 @@ type Core struct {
 	jobPool []*Job
 	inJob   []uint32 // id-indexed epoch stamps replacing a per-job map
 	epoch   uint32
-
-	// recovered segment names, kept between journal replay and
-	// finishRecovery.
-	segments []string
 }
 
 // setup wires the core to its engine and device state; node images are
@@ -243,7 +237,8 @@ func (c *Core) setup(eng Engine, fs *extfs.FS, file *extfs.File, n Naming, tune 
 	c.cfg = config{n, tune}
 	c.nodes = make([]*Node, 1, 64) // index 0 is NilNode
 	c.dirty = make([]bool, 1, 64)
-	c.metaSlots = metaSlots(n.MetaPrefix)
+	c.journal = wal.NewLog(fs, n.JournalPrefix, tune.Content, tune.DisableJournal)
+	c.meta = metaSlots(fs, n)
 	c.ckptW = sim.NewWorker(n.Name + "-checkpoint")
 	c.arena.Chunk = recordChunkBytes
 }
@@ -558,50 +553,6 @@ func (c *Core) image(id NodeID, size int) []byte {
 	}
 	c.writeBuf = buf
 	return buf
-}
-
-// ---- journal ----
-
-// journalName mints the next segment name.
-func (c *Core) journalName() string {
-	c.journalID++
-	return fmt.Sprintf("%s%06d", c.cfg.JournalPrefix, c.journalID)
-}
-
-// startJournal creates the initial journal segment (no-op when
-// journaling is disabled).
-func (c *Core) startJournal() error {
-	if c.cfg.DisableJournal {
-		return nil
-	}
-	w, err := wal.Create(c.fs, c.journalName(), c.cfg.Content)
-	if err != nil {
-		return err
-	}
-	c.journal = w
-	return nil
-}
-
-// wrapJournal opens the next journal segment, reusing a recycled one
-// when available.
-func (c *Core) wrapJournal() (*wal.Writer, error) {
-	if n := len(c.journalPool); n > 0 {
-		w := c.journalPool[n-1]
-		c.journalPool = c.journalPool[:n-1]
-		return w, nil
-	}
-	return wal.Create(c.fs, c.journalName(), c.cfg.Content)
-}
-
-// poolTracks reports whether a recycled segment with the given name is
-// waiting in the pool.
-func (c *Core) poolTracks(name string) bool {
-	for _, w := range c.journalPool {
-		if w.Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- checkpoint scheduling ----

@@ -7,6 +7,7 @@ import (
 
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/sim"
+	"ptsbench/internal/wal"
 )
 
 // Checkpoint metadata: a double-buffered pair of tiny files records the
@@ -63,10 +64,16 @@ func DecodeMeta(b []byte, magic uint32, name string) (*Meta, error) {
 	}, nil
 }
 
-// metaSlots names the two metadata slot files; generation g is written
-// to slot (g+1)%2, so odd generations land in "-A" and even ones in "-B".
-func metaSlots(prefix string) [2]string {
-	return [2]string{prefix + "-A", prefix + "-B"}
+// metaSlots is the engine's metadata slot pair,
+// "<MetaPrefix>-A"/"<MetaPrefix>-B".
+func metaSlots(fs *extfs.FS, n Naming) wal.Slots[Meta] {
+	return wal.NewSlots(fs, n.MetaPrefix, n.Name+": checkpoint metadata", func(b []byte) (*Meta, uint64, error) {
+		m, err := DecodeMeta(b, n.MetaMagic, n.Name)
+		if err != nil {
+			return nil, 0, err
+		}
+		return m, m.Gen, nil
+	})
 }
 
 // writeMeta persists the checkpoint metadata into the older slot,
@@ -88,17 +95,7 @@ func (c *Core) writeMeta(now sim.Duration, floor uint64) (sim.Duration, error) {
 		return now, nil
 	}
 	c.metaGen++
-	m := Meta{Gen: c.metaGen, Seq: floor, JournalID: c.journalID, Root: disk}
-	name := c.metaSlots[(c.metaGen+1)%2]
-	f, err := c.fs.Open(name)
-	if err != nil {
-		if f, err = c.fs.Create(name); err != nil {
-			return now, err
-		}
-		if err := f.Grow(1); err != nil {
-			return now, err
-		}
-	}
+	m := Meta{Gen: c.metaGen, Seq: floor, JournalID: c.journal.ID(), Root: disk}
 	var data []byte
 	if c.cfg.Content {
 		if c.metaBuf == nil {
@@ -107,55 +104,12 @@ func (c *Core) writeMeta(now sim.Duration, floor uint64) (sim.Duration, error) {
 		data = c.metaBuf
 		putMeta(data, &m, c.cfg.MetaMagic)
 	}
-	return f.WriteAt(now, 0, 1, data)
+	return c.meta.Write(now, c.metaGen, 1, data)
 }
 
-// ReadMeta loads the newest valid checkpoint metadata from the
-// double-buffered slot pair, or nil when neither slot holds one. A nil
-// result without an error means bootstrap is legitimate: slots missing,
-// or existing but all-zero — which is what a first checkpoint's torn
-// slot write leaves behind. When both slots exist, neither decodes and
-// at least one holds non-zero bytes, the metadata is corrupt (bit rot
-// or a scribble — no power cut this stack models can produce it, since
-// the alternating slot writes never tear both generations at once), and
-// ReadMeta fails loudly instead of silently bootstrapping an empty tree
-// over real data.
+// ReadMeta loads the newest valid checkpoint metadata from the slot
+// pair, or nil when neither slot holds one — the bootstrap case. Both
+// slots garbled is a loud error (see wal.Slots.Read).
 func ReadMeta(fs *extfs.FS, n Naming, now sim.Duration) (*Meta, sim.Duration, error) {
-	var best *Meta
-	slots, garbled := 0, 0
-	for _, slot := range metaSlots(n.MetaPrefix) {
-		f, err := fs.Open(slot)
-		if err != nil {
-			continue
-		}
-		slots++
-		buf := make([]byte, f.SizePages()*int64(fs.PageSize()))
-		now, err = f.ReadAt(now, 0, int(f.SizePages()), buf)
-		if err != nil {
-			return nil, now, err
-		}
-		m, err := DecodeMeta(buf, n.MetaMagic, n.Name)
-		if err != nil {
-			if !allZero(buf) {
-				garbled++
-			}
-			continue
-		}
-		if best == nil || m.Gen > best.Gen {
-			best = m
-		}
-	}
-	if best == nil && slots == 2 && garbled > 0 {
-		return nil, now, fmt.Errorf("%s: checkpoint metadata corrupt in both slots", n.Name)
-	}
-	return best, now, nil
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	return metaSlots(fs, n).Read(now)
 }

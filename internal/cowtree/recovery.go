@@ -3,21 +3,17 @@ package cowtree
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"ptsbench/internal/sim"
-	"ptsbench/internal/wal"
 )
 
 // recoverTree rebuilds the engine's in-memory tree from the checkpoint
-// root extent and replays surviving journal segments on top: the tree
-// is parsed top-down (extents seen during the walk are live; everything
-// else inside the collection file is free space), the block manager's
-// free list is reconstructed as the complement, leaves are re-chained
-// left-to-right, and journal records are replayed in sequence order. A
-// recovered root leaf is admitted to the cache, as a fresh tree's is;
-// every other leaf starts non-resident.
+// root extent: the tree is parsed top-down (extents seen during the
+// walk are live; everything else inside the collection file is free
+// space), the block manager's free list is reconstructed as the
+// complement and leaves are re-chained left-to-right. A recovered root
+// leaf is admitted to the cache, as a fresh tree's is; every other leaf
+// starts non-resident.
 func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng Tree) (sim.Duration, error) {
 	used := []Extent{}
 	root, now, err := c.loadSubtree(now, rootExt, NilNode, eng, &used)
@@ -31,29 +27,32 @@ func (c *Core) recoverTree(now sim.Duration, rootExt Extent, eng Tree) (sim.Dura
 	c.rebuildFreeList(used)
 	prev := NilNode
 	c.rebuildLeafChain(root, &prev)
-	return c.replayJournals(now, eng)
+	return now, nil
 }
 
-// recoverBootstrap rebuilds recovery state for a tree that crashed
-// before its first checkpoint ever committed: both metadata slots are
-// empty or torn, so nothing inside the collection file is live and the
-// synced journal is the only durable state. The engine installs a fresh
-// empty root first (as in Open); the core then marks the whole file
-// free and replays the surviving journal segments onto it. Alternating
-// slot writes mean a tree with a committed checkpoint can never lose
-// both slots to one torn write, so reaching this path implies there is
-// no older checkpoint to roll back to.
-func (c *Core) recoverBootstrap(now sim.Duration, eng Tree) (sim.Duration, error) {
-	c.rebuildFreeList(nil)
-	return c.replayJournals(now, eng)
+// replayJournal replays the surviving journal segments' records in
+// sequence order through the engine's recovery apply path; id is the
+// segment id the checkpoint metadata recorded (0 without one).
+func (c *Core) replayJournal(now sim.Duration, eng Tree, id uint64) (sim.Duration, error) {
+	records, now, err := c.journal.Recover(now, id, 0)
+	if err != nil {
+		return now, err
+	}
+	for i := range records {
+		c.NoteSeq(records[i].Seq)
+		if now, err = eng.ApplyRecovered(now, &records[i]); err != nil {
+			return now, err
+		}
+	}
+	return now, nil
 }
 
-// finishRecovery closes out either recovery path: a fresh journal, a
-// full checkpoint that makes the replayed state durable, and only then
-// the removal of the replayed segments, so the next crash finds valid
+// finishRecovery closes out recovery: a fresh journal, a full
+// checkpoint that makes the replayed state durable, and only then the
+// removal of the replayed segments, so the next crash finds valid
 // metadata and no stale record.
 func (c *Core) finishRecovery(now sim.Duration) (sim.Duration, error) {
-	if err := c.startJournal(); err != nil {
+	if err := c.journal.Start(); err != nil {
 		return now, err
 	}
 	end, err := c.Checkpoint(now)
@@ -63,7 +62,7 @@ func (c *Core) finishRecovery(now sim.Duration) (sim.Duration, error) {
 	if end > now {
 		now = end
 	}
-	return now, c.retireStaleSegments()
+	return now, c.journal.Retire()
 }
 
 // loadSubtree reads and parses the node at ext, recursing into children,
@@ -137,63 +136,4 @@ func (c *Core) rebuildLeafChain(n *Node, prev *NodeID) {
 	for _, child := range n.Children {
 		c.rebuildLeafChain(c.nodes[child], prev)
 	}
-}
-
-// replayJournals collects every surviving journal segment, replays the
-// records in global sequence order through the engine's recovery apply
-// path, and remembers the segment names so finishRecovery can remove
-// them once the replayed state is durable again.
-func (c *Core) replayJournals(now sim.Duration, eng Tree) (sim.Duration, error) {
-	var records []wal.Record
-	c.segments = c.segments[:0]
-	for _, name := range c.fs.List() {
-		if !strings.HasPrefix(name, c.cfg.JournalPrefix) {
-			continue
-		}
-		// The checkpoint metadata we recovered from may predate segments
-		// that survived on disk (a cut can land after a journal rotation
-		// but before the checkpoint that would record it commits). Minting
-		// names from the metadata's journal id alone would collide with
-		// such a survivor and fail startJournal with ErrExist — advance the
-		// counter past every name actually present.
-		if id, err := strconv.ParseUint(name[len(c.cfg.JournalPrefix):], 10, 64); err == nil && id > c.journalID {
-			c.journalID = id
-		}
-		c.segments = append(c.segments, name)
-		done, err := wal.Replay(c.fs, name, now, func(r wal.Record) {
-			records = append(records, r)
-		})
-		if err != nil {
-			return now, err
-		}
-		now = done
-	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	for i := range records {
-		var err error
-		c.NoteSeq(records[i].Seq)
-		now, err = eng.ApplyRecovered(now, &records[i])
-		if err != nil {
-			return now, err
-		}
-	}
-	return now, nil
-}
-
-// retireStaleSegments removes the replayed journal segments, keeping the
-// active writer's segment and any recycled segment waiting in the pool.
-func (c *Core) retireStaleSegments() error {
-	for _, name := range c.segments {
-		if c.journal != nil && name == c.journal.Name() {
-			continue
-		}
-		if c.poolTracks(name) {
-			continue
-		}
-		if err := c.fs.Remove(name); err != nil {
-			return err
-		}
-	}
-	c.segments = nil
-	return nil
 }

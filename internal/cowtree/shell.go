@@ -216,7 +216,7 @@ func Open[T Tree](fs *extfs.FS, n Naming, tune Tuning, t T) (T, error) {
 	c := t.shell()
 	c.setup(t, fs, f, n, tune)
 	t.NewRootLeaf()
-	if err := c.startJournal(); err != nil {
+	if err := c.journal.Start(); err != nil {
 		return none, err
 	}
 	return t, nil
@@ -249,39 +249,45 @@ func Recover[T Tree](fs *extfs.FS, n Naming, tune Tuning, now sim.Duration, t T)
 	}
 	c := t.shell()
 	c.setup(t, fs, f, n, tune)
+	var journalID uint64
 	if st == nil {
-		// The tree died before its first checkpoint committed: the
-		// synced journal is the only durable state. Rebuild from an
-		// empty root and replay it (see recoverBootstrap).
+		// The tree died before its first checkpoint committed: both
+		// metadata slots are empty or torn, so nothing inside the
+		// collection file is live and the synced journal is the only
+		// durable state. Alternating slot writes mean a tree with a
+		// committed checkpoint can never lose both slots to one torn
+		// write, so there is no older checkpoint to roll back to:
+		// install an empty root, mark the whole file free and replay
+		// the journal onto it.
 		t.NewRootLeaf()
-		if now, err = c.recoverBootstrap(now, t); err != nil {
-			return none, now, err
-		}
+		c.rebuildFreeList(nil)
 	} else {
-		c.journalID, c.metaGen = st.JournalID, st.Gen
+		journalID, c.metaGen = st.JournalID, st.Gen
 		// Rebuild the tree from the root (extents seen during the walk
-		// are live; everything else inside the file is free space), then
-		// replay the surviving journal segments, newest records winning.
-		// The sequence counter is recomputed from what is actually on
-		// disk (MaterializeNode reports every sequence it parses, replay
-		// advances it per record) rather than trusted from the metadata,
-		// so it can be checked against the checkpoint floor below.
+		// are live; everything else inside the file is free space).
 		if now, err = c.recoverTree(now, st.Root, t); err != nil {
 			return none, now, err
 		}
-		// The metadata's floor promises every update with seq <= st.Seq
-		// is in the checkpointed tree image — as a leaf entry or, in a
-		// Bε-tree, a message still buffered in an interior node
-		// (tombstones included: deletes keep their entry until
-		// overwritten). Recovering less means node writes the device
-		// acknowledged before the checkpoint barrier never persisted: the
-		// device lied about fsync. Refuse loudly rather than silently
-		// serving the stale tree.
-		if c.seq < st.Seq {
-			return none, now, fmt.Errorf(
-				"%s: recovered sequence %d below checkpoint floor %d: device dropped acknowledged writes (fsync lie)",
-				n.Name, c.seq, st.Seq)
-		}
+	}
+	// Replay the surviving journal segments, newest records winning.
+	// The sequence counter is recomputed from what is actually on disk
+	// (MaterializeNode reports every sequence it parses, replay advances
+	// it per record) rather than trusted from the metadata, so it can be
+	// checked against the checkpoint floor below.
+	if now, err = c.replayJournal(now, t, journalID); err != nil {
+		return none, now, err
+	}
+	// The metadata's floor promises every update with seq <= st.Seq is
+	// in the checkpointed tree image — as a leaf entry or, in a
+	// Bε-tree, a message still buffered in an interior node (tombstones
+	// included: deletes keep their entry until overwritten). Recovering
+	// less means node writes the device acknowledged before the
+	// checkpoint barrier never persisted: the device lied about fsync.
+	// Refuse loudly rather than silently serving the stale tree.
+	if st != nil && c.seq < st.Seq {
+		return none, now, fmt.Errorf(
+			"%s: recovered sequence %d below checkpoint floor %d: device dropped acknowledged writes (fsync lie)",
+			n.Name, c.seq, st.Seq)
 	}
 	if now, err = c.finishRecovery(now); err != nil {
 		return none, now, err
@@ -325,11 +331,12 @@ func (c *Core) BeginWrite(now sim.Duration, value []byte, valueLen int) (sim.Dur
 // syncing it unless JournalSync is off or a group commit is open. A
 // journal error is fatal to the tree.
 func (c *Core) AppendJournal(now sim.Duration, seq uint64, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
-	if c.journal == nil {
+	w := c.journal.Writer
+	if w == nil {
 		return now, nil
 	}
 	rec := wal.Record{Seq: seq, Key: key, Value: value, Deleted: del, ValueLen: valueLen}
-	now, err := c.journal.Append(now, &rec, c.cfg.JournalSync && !c.group)
+	now, err := w.Append(now, &rec, c.cfg.JournalSync && !c.group)
 	if err != nil {
 		c.Fail(err)
 	}
@@ -423,9 +430,9 @@ func (c *Core) BeginGroupCommit() { c.group = true }
 // it. A sync error is fatal to the tree.
 func (c *Core) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 	c.group = false
-	if c.cfg.JournalSync && c.journal != nil {
+	if w := c.journal.Writer; c.cfg.JournalSync && w != nil {
 		var err error
-		if now, err = c.journal.Sync(now); err != nil {
+		if now, err = w.Sync(now); err != nil {
 			c.Fail(err)
 			return now, err
 		}
@@ -439,10 +446,11 @@ func (c *Core) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 // not carry across journal rotations; tests reading it bracket a window
 // short enough that no checkpoint rotates the segment.
 func (c *Core) JournalSyncCount() int64 {
-	if c.journal == nil {
+	w := c.journal.Writer
+	if w == nil {
 		return 0
 	}
-	return c.journal.SyncCount()
+	return w.SyncCount()
 }
 
 // Depth returns the tree height (1 = root leaf only).

@@ -26,9 +26,14 @@ type DB struct {
 	fs  *extfs.FS
 	rng *sim.RNG
 
-	mem  *memtable.Memtable
-	imm  []*immutable // rotated memtables awaiting flush, oldest first
-	walW *wal.Writer  // segment for the active memtable
+	mem *memtable.Memtable
+	imm []*immutable // rotated memtables awaiting flush, oldest first
+	// log is the WAL: its active segment journals the active memtable,
+	// each immutable memtable holds the segment it rotated out, and a
+	// flushed memtable's segment is recycled for a later rotation.
+	log *wal.Log
+	// manifest is the double-buffered version record (see manifest.go).
+	manifest wal.Slots[manifestState]
 
 	// chunks and spares recycle memory within this DB: a flushed
 	// memtable's arena chunks feed the next memtable, a compacted-away
@@ -47,7 +52,6 @@ type DB struct {
 
 	seq        uint64
 	nextFileID uint64
-	walID      uint64
 	// flushedSeq is the highest KV sequence number known to be covered by
 	// a table named in the manifest. Persisted there, it lets recovery
 	// skip WAL records at or below the mark — without it, a recycled
@@ -55,7 +59,6 @@ type DB struct {
 	// resurrect stale records into the memtable, which Get prefers over
 	// the (newer) table state.
 	flushedSeq  uint64
-	walPool     []*wal.Writer // recycled segments awaiting reuse
 	manifestSeq uint64
 
 	flushW *sim.Worker
@@ -111,6 +114,17 @@ func Open(fs *extfs.FS, cfg Config, rng *sim.RNG) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := newDB(fs, cfg, rng)
+	d.shapeL0 = 1
+	if err := d.log.Start(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// newDB builds an empty database over fs with an empty memtable and no
+// WAL segment yet; Open and Recover start the WAL.
+func newDB(fs *extfs.FS, cfg Config, rng *sim.RNG) *DB {
 	d := &DB{
 		cfg:        cfg,
 		fs:         fs,
@@ -121,19 +135,13 @@ func Open(fs *extfs.FS, cfg Config, rng *sim.RNG) (*DB, error) {
 		flushW:     sim.NewWorker("lsm-flush"),
 		compactW:   sim.NewWorker("lsm-compact-l0"),
 		compactWD:  sim.NewWorker("lsm-compact-deep"),
+		log:        wal.NewLog(fs, "wal-", cfg.Content, cfg.DisableWAL),
+		manifest:   wal.NewSlots(fs, "MANIFEST", "lsm: manifest", decodeSlot),
 	}
-	d.shapeL0 = 1
 	d.mem = memtable.New(rng.Split(), &d.chunks)
-	if !cfg.DisableWAL {
-		w, err := wal.Create(fs, d.walName(), cfg.Content)
-		if err != nil {
-			return nil, err
-		}
-		d.walW = w
-	}
 	d.compactW.SetIdlePuller(d.pullL0Compaction)
 	d.compactWD.SetIdlePuller(d.pullDeepCompaction)
-	return d, nil
+	return d
 }
 
 // shapeChanged invalidates both pickers' no-work memos; mutations with a
@@ -171,11 +179,6 @@ func (d *DB) pullDeepCompaction() sim.Job {
 		d.deepProbedAt = s
 	}
 	return j
-}
-
-func (d *DB) walName() string {
-	d.walID++
-	return fmt.Sprintf("wal-%06d", d.walID)
 }
 
 // sstFileName names the file holding table id. The name is derived
@@ -297,17 +300,17 @@ func (d *DB) write(now sim.Duration, key, value []byte, valueLen int, del bool) 
 
 	now += d.cfg.CPUPutTime + time.Duration(valueLen)*d.cfg.CPUPerByte
 	d.seq++
-	if d.walW != nil {
+	if w := d.log.Writer; w != nil {
 		rec := wal.Record{Seq: d.seq, Key: key, Value: value, Deleted: del, ValueLen: valueLen}
 		syncNow := d.cfg.SyncWAL && d.cfg.WALFlushBytes <= 0
 		var err error
-		now, err = d.walW.Append(now, &rec, syncNow)
+		now, err = w.Append(now, &rec, syncNow)
 		if err != nil {
 			d.fatal = deverr.Latch(err)
 			return now, err
 		}
-		if !syncNow && d.cfg.SyncWAL && d.walW.UnsyncedBytes() >= d.cfg.WALFlushBytes {
-			now, err = d.walW.Sync(now)
+		if !syncNow && d.cfg.SyncWAL && w.UnsyncedBytes() >= d.cfg.WALFlushBytes {
+			now, err = w.Sync(now)
 			if err != nil {
 				d.fatal = deverr.Latch(err)
 				return now, err
@@ -342,25 +345,15 @@ func (d *DB) stalled() bool {
 	return false
 }
 
-// rotateMemtable freezes the active memtable and schedules its flush.
-// WAL segments are recycled from a pool (overwritten in place) rather
-// than deleted and recreated, mirroring real engines' log recycling and
-// keeping journal traffic confined to a stable set of LBAs.
+// rotateMemtable freezes the active memtable with its WAL segment and
+// schedules its flush; the next memtable journals to a recycled segment
+// when one waits.
 func (d *DB) rotateMemtable() error {
-	im := &immutable{mt: d.mem, maxSeq: d.seq}
-	if d.walW != nil {
-		im.walW = d.walW
-		if n := len(d.walPool); n > 0 {
-			d.walW = d.walPool[n-1]
-			d.walPool = d.walPool[:n-1]
-		} else {
-			w, err := wal.Create(d.fs, d.walName(), d.cfg.Content)
-			if err != nil {
-				return err
-			}
-			d.walW = w
-		}
+	w, err := d.log.Rotate()
+	if err != nil {
+		return err
 	}
+	im := &immutable{mt: d.mem, walW: w, maxSeq: d.seq}
 	d.imm = append(d.imm, im)
 	d.mem = memtable.New(d.rng.Split(), &d.chunks)
 	d.flushW.Submit(newFlushJob(d, im))

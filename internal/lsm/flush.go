@@ -92,14 +92,9 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 		}
 	}
 	j.im.mt.Release()
-	if j.im.walW != nil {
-		var err error
-		now, err = j.im.walW.Recycle(now)
-		if err != nil {
-			d.fatal = deverr.Latch(err)
-			return now, true
-		}
-		d.walPool = append(d.walPool, j.im.walW)
+	if now, err = d.log.Recycle(now, j.im.walW); err != nil {
+		d.fatal = deverr.Latch(err)
+		return now, true
 	}
 	d.ioStats.Flushes++
 	return now, true

@@ -4,29 +4,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 	"strings"
 
 	"ptsbench/internal/extfs"
-	"ptsbench/internal/memtable"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/sstable"
-	"ptsbench/internal/wal"
 )
 
 // The manifest records the current version — the SST files of every
 // level, in order — so that a database can be reopened after a crash.
-// Two manifest files alternate (like a double-buffered superblock): a
-// torn write corrupts at most the newer copy, and recovery falls back to
-// the older one. Each write carries a monotonically increasing sequence
-// number and a CRC.
+// It lives in the wal.Slots pair MANIFEST-A/MANIFEST-B: a torn write
+// corrupts at most the newer copy, recovery falls back to the older
+// one, and corruption of both is a loud error. Each write carries a
+// monotonically increasing generation (writeSeq) and a CRC.
 
-const (
-	manifestA     = "MANIFEST-A"
-	manifestB     = "MANIFEST-B"
-	manifestMagic = 0x4D414E49 // "MANI"
-)
+const manifestMagic = 0x4D414E49 // "MANI"
 
 // manifestState is the serialized version metadata.
 type manifestState struct {
@@ -144,8 +137,15 @@ func decodeManifest(b []byte) (*manifestState, error) {
 	return m, nil
 }
 
-// writeManifest persists the current version into the older of the two
-// manifest slots and returns the completion time.
+// decodeSlot is decodeManifest as wal.Slots reads a slot.
+func decodeSlot(b []byte) (*manifestState, uint64, error) {
+	m, err := decodeManifest(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, m.writeSeq, nil
+}
+
 // manifestEncodedLen returns the exact byte length manifestState.encode
 // would produce for the current tree, without building it — the
 // accounting-mode write path needs only the page count.
@@ -160,19 +160,10 @@ func (d *DB) manifestEncodedLen() int {
 	return n
 }
 
+// writeManifest persists the current version into the older of the two
+// manifest slots and returns the completion time.
 func (d *DB) writeManifest(now sim.Duration) (sim.Duration, error) {
 	d.manifestSeq++
-	name := manifestA
-	if d.manifestSeq%2 == 0 {
-		name = manifestB
-	}
-	// Rewrite the slot in place (create on first use).
-	f, err := d.fs.Open(name)
-	if err != nil {
-		if f, err = d.fs.Create(name); err != nil {
-			return now, err
-		}
-	}
 	ps := d.fs.PageSize()
 	var pages int
 	var data []byte
@@ -182,7 +173,7 @@ func (d *DB) writeManifest(now sim.Duration) (sim.Duration, error) {
 			seq:        d.seq,
 			flushedSeq: d.flushedSeq,
 			nextFileID: d.nextFileID,
-			walID:      d.walID,
+			walID:      d.log.ID(),
 		}
 		for _, lvl := range d.levels {
 			names := make([]string, 0, len(lvl))
@@ -201,36 +192,7 @@ func (d *DB) writeManifest(now sim.Duration) (sim.Duration, error) {
 		// charged — no serialization buffers.
 		pages = (d.manifestEncodedLen() + ps - 1) / ps
 	}
-	if need := int64(pages) - f.SizePages(); need > 0 {
-		if err := f.Grow(need); err != nil {
-			return now, err
-		}
-	}
-	return f.WriteAt(now, 0, pages, data)
-}
-
-// readManifest loads the newest valid manifest, or nil if none exists.
-func readManifest(fs *extfs.FS, now sim.Duration) (*manifestState, sim.Duration, error) {
-	var best *manifestState
-	for _, name := range []string{manifestA, manifestB} {
-		f, err := fs.Open(name)
-		if err != nil {
-			continue
-		}
-		buf := make([]byte, f.SizePages()*int64(fs.PageSize()))
-		now, err = f.ReadAt(now, 0, int(f.SizePages()), buf)
-		if err != nil {
-			return nil, now, err
-		}
-		st, err := decodeManifest(buf)
-		if err != nil {
-			continue // torn or stale slot
-		}
-		if best == nil || st.writeSeq > best.writeSeq {
-			best = st
-		}
-	}
-	return best, now, nil
+	return d.manifest.Write(now, d.manifestSeq, pages, data)
 }
 
 // Recover reopens a database from its on-device state: the newest valid
@@ -247,7 +209,8 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 	if !cfg.Content {
 		return nil, now, fmt.Errorf("lsm: Recover requires content mode")
 	}
-	st, now, err := readManifest(fs, now)
+	d := newDB(fs, cfg, rng)
+	st, now, err := d.manifest.Read(now)
 	if err != nil {
 		return nil, now, err
 	}
@@ -259,23 +222,8 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 		// closing recovery flush writes the first real manifest.
 		st = &manifestState{}
 	}
-	d := &DB{
-		cfg:         cfg,
-		fs:          fs,
-		rng:         rng,
-		levels:      make([][]*sstable.Table, cfg.NumLevels),
-		levelBytes:  make([]int64, cfg.NumLevels),
-		busy:        make(map[uint64]bool),
-		flushW:      sim.NewWorker("lsm-flush"),
-		compactW:    sim.NewWorker("lsm-compact-l0"),
-		compactWD:   sim.NewWorker("lsm-compact-deep"),
-		seq:         st.seq,
-		flushedSeq:  st.flushedSeq,
-		nextFileID:  st.nextFileID,
-		walID:       st.walID,
-		manifestSeq: st.writeSeq,
-	}
-	d.mem = memtable.New(rng.Split(), &d.chunks)
+	d.seq, d.flushedSeq = st.seq, st.flushedSeq
+	d.nextFileID, d.manifestSeq = st.nextFileID, st.writeSeq
 	// Reopen every table named by the manifest.
 	for li, names := range st.levels {
 		if li >= len(d.levels) {
@@ -308,62 +256,40 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 		}
 	}
 	d.shapeChanged()
-	// Replay surviving WAL segments. Records across segments are ordered
-	// by sequence number (segments are recycled out of name order), so
-	// collect first, then apply in order. Records at or below the
-	// manifest's flushedSeq mark are skipped: they already live in a table
-	// named above, and — crucially — a recycled segment whose zeroing
-	// write was lost in the crash replays its previous generation, whose
-	// stale records must not shadow the newer table state.
-	//
-	// Surviving file names can also outrun the recovered manifest: a cut
-	// may land after a WAL segment or SST file was created but before the
-	// manifest recording it became durable. Advance the id counters past
-	// every survivor so freshly minted names cannot collide (ErrExist),
-	// and remove orphan SSTs no manifest level names — any live data they
-	// held is covered by the WAL replay.
+	// Replay the surviving WAL segments. Records at or below the
+	// manifest's flushedSeq mark are skipped: they already live in a
+	// table named above, and — crucially — a recycled segment whose
+	// zeroing write was lost in the crash replays its previous
+	// generation, whose stale records must not shadow the newer table
+	// state.
+	records, now, err := d.log.Recover(now, st.walID, st.flushedSeq)
+	if err != nil {
+		return nil, now, err
+	}
+	// SST names can outrun the recovered manifest the way segment names
+	// can (see wal.Log.Recover): advance the file-id counter past every
+	// survivor so a fresh name cannot collide (ErrExist), and remove the
+	// orphans no manifest level names — any live data they held is
+	// covered by the WAL replay.
 	tracked := make(map[string]bool)
 	for _, lvl := range st.levels {
 		for _, name := range lvl {
 			tracked[name] = true
 		}
 	}
-	var records []wal.Record
-	var oldSegments, orphanSSTs []string
 	for _, name := range fs.List() {
-		switch {
-		case strings.HasPrefix(name, "sst-"):
-			if id, perr := strconv.ParseUint(name[len("sst-"):], 10, 64); perr == nil && id > d.nextFileID {
-				d.nextFileID = id
-			}
-			if !tracked[name] {
-				orphanSSTs = append(orphanSSTs, name)
-			}
-			continue
-		case !strings.HasPrefix(name, "wal-"):
+		if !strings.HasPrefix(name, "sst-") {
 			continue
 		}
-		if id, perr := strconv.ParseUint(name[len("wal-"):], 10, 64); perr == nil && id > d.walID {
-			d.walID = id
+		if id, perr := strconv.ParseUint(name[len("sst-"):], 10, 64); perr == nil && id > d.nextFileID {
+			d.nextFileID = id
 		}
-		oldSegments = append(oldSegments, name)
-		done, err := wal.Replay(fs, name, now, func(r wal.Record) {
-			if r.Seq <= st.flushedSeq {
-				return
+		if !tracked[name] {
+			if err := fs.Remove(name); err != nil {
+				return nil, now, err
 			}
-			records = append(records, r)
-		})
-		if err != nil {
-			return nil, now, err
-		}
-		now = done
-	}
-	for _, name := range orphanSSTs {
-		if err := fs.Remove(name); err != nil {
-			return nil, now, err
 		}
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	for i := range records {
 		r := &records[i]
 		d.mem.Put(r.Key, r.Value, r.ValueLen, r.Seq, r.Deleted)
@@ -374,14 +300,11 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 	// Fresh active WAL segment, then make the replayed records durable
 	// again (flush the recovered memtable) before the old segments are
 	// retired — the same avoid-flush-during-recovery=false discipline
-	// RocksDB defaults to.
-	w, err := wal.Create(fs, d.walName(), cfg.Content)
-	if err != nil {
+	// RocksDB defaults to. A segment the recovery flush recycled stays
+	// in the pool.
+	if err := d.log.Start(); err != nil {
 		return nil, now, err
 	}
-	d.walW = w
-	d.compactW.SetIdlePuller(d.pickL0Compaction)
-	d.compactWD.SetIdlePuller(d.pickDeepCompaction)
 	if d.mem.Len() > 0 {
 		if err := d.rotateMemtable(); err != nil {
 			return nil, now, err
@@ -393,37 +316,8 @@ func Recover(fs *extfs.FS, cfg Config, rng *sim.RNG, now sim.Duration) (*DB, sim
 			return nil, now, d.fatal
 		}
 	}
-	for _, name := range oldSegments {
-		if name == d.walW.Name() {
-			continue
-		}
-		// Segments pulled into the recycle pool during the recovery
-		// flush stay; remove only files not tracked by the new instance.
-		if d.tracksSegment(name) {
-			continue
-		}
-		if err := fs.Remove(name); err != nil {
-			return nil, now, err
-		}
+	if err := d.log.Retire(); err != nil {
+		return nil, now, err
 	}
 	return d, now, nil
-}
-
-// tracksSegment reports whether a WAL file name belongs to the live
-// writer, the recycle pool, or an unflushed memtable.
-func (d *DB) tracksSegment(name string) bool {
-	if d.walW != nil && d.walW.Name() == name {
-		return true
-	}
-	for _, w := range d.walPool {
-		if w.Name() == name {
-			return true
-		}
-	}
-	for _, im := range d.imm {
-		if im.walW != nil && im.walW.Name() == name {
-			return true
-		}
-	}
-	return false
 }

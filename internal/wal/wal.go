@@ -1,7 +1,10 @@
 // Package wal implements a write-ahead log over extfs: length-prefixed,
 // CRC-protected records appended to segment files, synced page-aligned.
-// Both engines journal through it — the LSM for its memtable, the B+Tree
-// for its update journal.
+// All three engines journal through it — the LSM for its memtable, the
+// B+Tree and the Bε-tree for their updates — and it owns the lifecycle
+// they share: Log names, rotates, recycles, replays and retires the
+// segments, and Slots keeps each engine's double-buffered root record
+// (the LSM's manifest, a tree's checkpoint metadata).
 //
 // Sync granularity matters for write amplification: a sync rewrites the
 // partial tail page, so small synced records cost a full device page, the
@@ -179,7 +182,7 @@ func (w *Writer) Sync(now sim.Duration) (sim.Duration, error) {
 	return done, nil
 }
 
-// Recycle logically truncates the segment for reuse, keeping its file and
+// recycle logically truncates the segment for reuse, keeping its file and
 // allocated pages: subsequent appends overwrite from offset zero. This
 // models the log pre-allocation/recycling of real engines (WiredTiger
 // recycles log files; RocksDB offers recycle_log_file_num), which keeps
@@ -191,7 +194,7 @@ func (w *Writer) Sync(now sim.Duration) (sim.Duration, error) {
 // the page write is the recovery-safety cost real engines pay when they
 // rewrite a recycled log's header. It returns the completion time of that
 // write.
-func (w *Writer) Recycle(now sim.Duration) (sim.Duration, error) {
+func (w *Writer) recycle(now sim.Duration) (sim.Duration, error) {
 	w.buf = w.buf[:0]
 	w.size = 0
 	w.syncedSize = 0
