@@ -100,8 +100,10 @@ func (a *Arena[T]) Clone(s []T) []T {
 }
 
 // Release returns every chunk the arena took to its free list, up to
-// the list's bound, and empties the arena. Nothing carved from it may be
-// used again. An arena without a free list has nothing to release.
+// the list's bound, and empties the arena; the list of chunks taken
+// keeps its capacity for the arena's next use. Nothing carved from it
+// may be used again. An arena without a free list has nothing to
+// release.
 func (a *Arena[T]) Release() {
 	for _, c := range a.taken {
 		if len(*a.Free) == maxFree {
@@ -109,8 +111,32 @@ func (a *Arena[T]) Release() {
 		}
 		*a.Free = append(*a.Free, c)
 	}
-	a.rest, a.taken = nil, nil
+	clear(a.taken)
+	a.rest, a.taken = nil, a.taken[:0]
 }
+
+// Spare is a last-in first-out list of retired values of T, for structs
+// an owner makes and drops at a steady rate (the LSM's builders,
+// tables, memtables and background jobs): Get takes the newest retired
+// value, or a new zeroed one when there is none, and Put retires one.
+// The caller resets the fields it reuses. It is not safe for concurrent
+// use.
+type Spare[T any] []*T
+
+// Get returns the most recently retired value, or a new one.
+func (s *Spare[T]) Get() *T {
+	n := len(*s)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*s)[n-1]
+	(*s)[n-1] = nil
+	*s = (*s)[:n-1]
+	return v
+}
+
+// Put retires v for a later Get. The caller must not use v afterwards.
+func (s *Spare[T]) Put(v *T) { *s = append(*s, v) }
 
 // Pool recycles slices of T by power-of-two capacity class. The
 // engines' leaf-entry and message arrays churn constantly — every

@@ -334,3 +334,27 @@ func TestPoolGrow(t *testing.T) {
 		t.Fatalf("Grow(nil, 5): len %d cap %d", len(g), cap(g))
 	}
 }
+
+// TestSpare: Get hands out retired values newest first, then new zeroed
+// ones, and leaves no pointer behind in the list.
+func TestSpare(t *testing.T) {
+	var s Spare[[4]int]
+	a, b := s.Get(), s.Get()
+	if a == b || *a != [4]int{} {
+		t.Fatal("Get on an empty list must return a new zeroed value each time")
+	}
+	s.Put(a)
+	s.Put(b)
+	if got := s.Get(); got != b {
+		t.Fatal("Get must return the most recently retired value")
+	}
+	if got := s.Get(); got != a {
+		t.Fatal("Get must return the retired values newest first")
+	}
+	if len(s) != 0 || s[:1][0] != nil {
+		t.Fatal("an emptied list keeps a pointer to a value it handed out")
+	}
+	if c := s.Get(); c == a || c == b {
+		t.Fatal("an emptied list handed out a value twice")
+	}
+}

@@ -468,3 +468,19 @@ func BenchmarkAllocatorChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFileChurn is the filesystem-level number beside it: one file
+// created, appended to in 8-page chunks over 2-page holes until it
+// spans 256 extents, and removed per iteration (see churnFS). Its
+// allocs/op is the File struct alone once the extent lists recycle.
+func BenchmarkFileChurn(b *testing.B) {
+	cycle := churnFS(b)
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/freeset"
 	"ptsbench/internal/sim"
@@ -58,6 +59,11 @@ type FS struct {
 	opts  Options
 	files map[string]*File
 	alloc *allocator
+	// extents recycles files' extent lists: Grow grows a list through
+	// it and Remove hands the array back, so a file-churning engine
+	// (every LSM table is a file, split into many extents on an aged
+	// partition) reuses the lists of the files it deleted.
+	extents arena.Pool[extent]
 	// usedDataPages counts pages allocated to live files.
 	usedDataPages int64
 	nextMetaPage  int64 // round-robin cursor within the metadata region
@@ -142,6 +148,7 @@ func (fs *FS) Remove(name string) error {
 		}
 	}
 	fs.usedDataPages -= f.pages
+	fs.extents.Put(f.extents)
 	f.extents = nil
 	f.pages = 0
 	f.removed = true
@@ -218,7 +225,7 @@ func (f *File) Grow(n int64) error {
 	if err != nil {
 		return err
 	}
-	f.extents = append(f.extents, got...)
+	f.extents = append(f.fs.extents.Grow(f.extents, len(got)), got...)
 	f.coalesceTail(len(got))
 	f.pages += n
 	f.fs.usedDataPages += n

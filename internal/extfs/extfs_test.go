@@ -13,7 +13,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newTestFS(t *testing.T, opts Options) (*FS, *blockdev.Device) {
+func newTestFS(t testing.TB, opts Options) (*FS, *blockdev.Device) {
 	t.Helper()
 	cfg := flash.Config{
 		LogicalBytes:  16 << 20,
@@ -413,6 +413,63 @@ func TestFileExtentsCoverPages(t *testing.T) {
 	t.Logf("most fragmented file had %d extents, %d ErrNoSpace", maxExtents, noSpace)
 	if maxExtents < 8 || noSpace == 0 {
 		t.Fatalf("churn too tame: most fragmented file had %d extents, %d ErrNoSpace", maxExtents, noSpace)
+	}
+}
+
+// churnFS fragments a filesystem's free space into 2-page holes between
+// 2-page files and returns one cycle of file churn over it: create a
+// file, append 8 pages at a time until it holds 512 (each append takes
+// four holes, so the extent list grows chunk by chunk to 256 extents,
+// as an LSM table's does on an aged partition, past the sizes
+// arena.Pool carves from shared chunks), then remove it, which gives
+// the holes back.
+func churnFS(tb testing.TB) func() {
+	fs, _ := newTestFS(tb, Options{})
+	for i := 0; fs.FreePages() >= 2; i++ {
+		f, err := fs.Create(fmt.Sprintf("fill-%d", i))
+		if err == nil {
+			err = f.Grow(2)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 1; ; i += 2 {
+		if err := fs.Remove(fmt.Sprintf("fill-%d", i)); errors.Is(err, ErrNotExist) {
+			break
+		}
+	}
+	return func() {
+		f, err := fs.Create("churn")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for f.SizePages() < 512 {
+			if _, err := f.Append(0, 8, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if len(f.extents) != 256 {
+			tb.Fatalf("churn file has %d extents, want 256 two-page holes", len(f.extents))
+		}
+		if err := fs.Remove("churn"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestRemovedExtentListsAreReused: once a few cycles of create, grow
+// over a fragmented free set and remove have filled the filesystem's
+// extent-list pool, a cycle allocates only the File struct; the grown
+// lists are the removed file's arrays, and the file map reuses the
+// slot Remove freed.
+func TestRemovedExtentListsAreReused(t *testing.T) {
+	cycle := churnFS(t)
+	for i := 0; i < 8; i++ { // warm-up: the pool and the allocator's scratch fill
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg > 1 {
+		t.Fatalf("a create/grow/remove cycle allocates %v objects, want only the File struct", avg)
 	}
 }
 

@@ -20,11 +20,10 @@ func (d *DB) pickL0Compaction() sim.Job {
 		return nil
 	}
 	if len(d.levels[0]) >= d.cfg.L0CompactionTrigger && !d.anyBusy(d.levels[0]) {
-		inputs := append([]*sstable.Table(nil), d.levels[0]...)
-		lo, hi := rangeOf(inputs)
+		lo, hi := rangeOf(d.levels[0])
 		overlap := overlapping(d.levels[1], lo, hi)
 		if !d.anyBusy(overlap) {
-			return d.newCompactionJob(0, 1, inputs, overlap)
+			return d.newCompactionJob(0, 1, d.levels[0], overlap)
 		}
 	}
 	return nil
@@ -51,7 +50,7 @@ func (d *DB) pickDeepCompaction() sim.Job {
 		return nil
 	}
 	t := d.pickFileMinOverlap(bestLevel)
-	if t == nil || d.busy[t.ID] {
+	if t == nil || d.busy[t.ID] != nil {
 		return nil
 	}
 	overlap := overlapping(d.levels[bestLevel+1], t.Smallest(), t.Largest())
@@ -74,14 +73,14 @@ func (d *DB) pickFileMinOverlap(level int) *sstable.Table {
 	var best *sstable.Table
 	bestRatio := -1.0
 	for _, t := range files {
-		if d.busy[t.ID] {
+		if d.busy[t.ID] != nil {
 			continue
 		}
 		lo, hi := overlapRange(next, t.Smallest(), t.Largest())
 		var overlapBytes int64
 		busy := false
 		for _, o := range next[lo:hi] {
-			if d.busy[o.ID] {
+			if d.busy[o.ID] != nil {
 				busy = true
 				break
 			}
@@ -101,7 +100,7 @@ func (d *DB) pickFileMinOverlap(level int) *sstable.Table {
 
 func (d *DB) anyBusy(tables []*sstable.Table) bool {
 	for _, t := range tables {
-		if d.busy[t.ID] {
+		if d.busy[t.ID] != nil {
 			return true
 		}
 	}
@@ -114,10 +113,10 @@ func rangeOf(tables []*sstable.Table) (lo, hi []byte) {
 		if t.NumEntries() == 0 {
 			continue
 		}
-		if lo == nil || bytes.Compare(t.Smallest(), lo) < 0 {
+		if lo == nil || kv.CompareKeys(t.Smallest(), lo) < 0 {
 			lo = t.Smallest()
 		}
-		if hi == nil || bytes.Compare(t.Largest(), hi) > 0 {
+		if hi == nil || kv.CompareKeys(t.Largest(), hi) > 0 {
 			hi = t.Largest()
 		}
 	}
@@ -152,15 +151,18 @@ func overlapping(level []*sstable.Table, lo, hi []byte) []*sstable.Table {
 }
 
 // compactionJob merges input tables from fromLevel and toLevel into new
-// toLevel tables, charging reads and writes in chunks.
+// toLevel tables, charging reads and writes in chunks. Jobs return to
+// their DB at commit or abort (retire) and keep their slices'
+// capacity, so a steady compaction cycle allocates none of them.
 type compactionJob struct {
 	d         *DB
 	fromLevel int
 	toLevel   int
-	inputs    []*sstable.Table // all inputs (both levels)
+	inputs    []*sstable.Table // all inputs (both levels), each marked in d.busy
 	fromCount int              // first fromCount inputs are fromLevel files
-	fromIDs   map[uint64]bool  // IDs from fromLevel
 	images    []*sstable.FileImage
+	runs      []mergeRun       // merge's cursors
+	outputs   []*sstable.Table // commit's installed images
 
 	// I/O progress.
 	readPagesTotal int64
@@ -170,28 +172,39 @@ type compactionJob struct {
 	imgIdx         int
 	imgWritten     int64
 	outFiles       []*extfs.File
-	started        bool
 }
 
+// newCompactionJob copies the inputs into a recycled job, marks them
+// busy and lays out the outputs.
 func (d *DB) newCompactionJob(from, to int, fromTables, toTables []*sstable.Table) *compactionJob {
-	j := &compactionJob{
-		d:         d,
-		fromLevel: from,
-		toLevel:   to,
-		fromIDs:   make(map[uint64]bool),
-	}
-	j.inputs = append(append([]*sstable.Table(nil), fromTables...), toTables...)
-	j.fromCount = len(fromTables)
-	for _, t := range fromTables {
-		j.fromIDs[t.ID] = true
-	}
+	j := d.compactions.Get()
+	j.d, j.fromLevel, j.toLevel, j.fromCount = d, from, to, len(fromTables)
+	j.inputs = append(append(j.inputs, fromTables...), toTables...)
 	for _, t := range j.inputs {
-		d.busy[t.ID] = true
+		d.busy[t.ID] = j
 		j.readPagesTotal += t.FilePages()
 	}
 	d.shapeBusy++
 	j.merge()
 	return j
+}
+
+// retire hands a finished job back to its DB for the next pick. Its
+// slices keep their capacity, emptied so they hold no table or file.
+func (j *compactionJob) retire() {
+	clear(j.inputs)
+	clear(j.images)
+	clear(j.outputs)
+	clear(j.outFiles)
+	*j = compactionJob{
+		d:        j.d,
+		inputs:   j.inputs[:0],
+		images:   j.images[:0],
+		runs:     j.runs[:0],
+		outputs:  j.outputs[:0],
+		outFiles: j.outFiles[:0],
+	}
+	j.d.compactions.Put(j)
 }
 
 // merge computes the output images (CPU-instant; I/O is charged in
@@ -248,13 +261,14 @@ func (j *compactionJob) merge() {
 		}
 	}
 
-	runs := make([]mergeRun, 0, j.fromCount+1)
+	runs := j.runs[:0]
 	for i := 0; i < j.fromCount; i++ {
 		runs = append(runs, mergeRun{tables: j.inputs[i : i+1]})
 	}
 	if len(j.inputs) > j.fromCount {
 		runs = append(runs, mergeRun{tables: j.inputs[j.fromCount:]})
 	}
+	j.runs = runs
 	for err == nil {
 		live := runs[:0]
 		for _, r := range runs {
@@ -355,14 +369,22 @@ func (j *compactionJob) writePagesTotal() int64 {
 }
 
 // Step implements sim.Job: each step charges one chunk of read I/O
-// (proportional to progress) and one chunk of write I/O.
+// (proportional to progress) and one chunk of write I/O. A finished
+// job, committed or aborted, is retired.
 func (j *compactionJob) Step(now sim.Duration) (sim.Duration, bool) {
+	now, done := j.step(now)
+	if done {
+		j.retire()
+	}
+	return now, done
+}
+
+func (j *compactionJob) step(now sim.Duration) (sim.Duration, bool) {
 	d := j.d
 	if d.fatal != nil {
 		j.abort()
 		return now, true
 	}
-	j.started = true
 	chunk := int64(d.cfg.ChunkPages)
 	writeTotal := j.writePagesTotal()
 
@@ -474,33 +496,33 @@ func (j *compactionJob) chargeReads(now sim.Duration, target int64) sim.Duration
 func (j *compactionJob) commit(now sim.Duration) sim.Duration {
 	d := j.d
 	// Install outputs into toLevel.
-	outputs := make([]*sstable.Table, len(j.images))
 	for i, img := range j.images {
-		outputs[i] = img.Install(j.outFiles[i])
+		j.outputs = append(j.outputs, img.Install(j.outFiles[i]))
 	}
-	// Remove inputs from their levels.
-	inputIDs := make(map[uint64]bool, len(j.inputs))
-	for _, t := range j.inputs {
-		inputIDs[t.ID] = true
-		delete(d.busy, t.ID)
-		if j.fromIDs[t.ID] {
+	// Remove inputs from their levels: a table is this job's input when
+	// busy names the job.
+	for i, t := range j.inputs {
+		if i < j.fromCount {
 			d.levelBytes[j.fromLevel] -= t.SizeBytes()
 		} else {
 			d.levelBytes[j.toLevel] -= t.SizeBytes()
 		}
 	}
-	for _, li := range []int{j.fromLevel, j.toLevel} {
+	for _, li := range [...]int{j.fromLevel, j.toLevel} {
 		kept := d.levels[li][:0]
 		for _, t := range d.levels[li] {
-			if !inputIDs[t.ID] {
+			if d.busy[t.ID] != j {
 				kept = append(kept, t)
 			}
 		}
 		d.levels[li] = kept
 	}
+	for _, t := range j.inputs {
+		delete(d.busy, t.ID)
+	}
 	// Insert outputs sorted by smallest key.
-	d.levels[j.toLevel] = insertSorted(d.levels[j.toLevel], outputs)
-	for _, t := range outputs {
+	d.levels[j.toLevel] = insertSorted(d.levels[j.toLevel], j.outputs)
+	for _, t := range j.outputs {
 		d.levelBytes[j.toLevel] += t.SizeBytes()
 	}
 	d.shapeChanged()
@@ -538,8 +560,10 @@ func (j *compactionJob) commit(now sim.Duration) sim.Duration {
 		}
 		removeInputs()
 	}
-	// Nothing reads the inputs any more: their side-index arrays go to
-	// the spares the next builders take from.
+	// Nothing reads the inputs any more: the job and the levels held
+	// their last references (Get and Scan finish inside one call, and
+	// the values they return are copies), so their side-index arrays and
+	// structs go to the spares the next builders take from.
 	for _, t := range j.inputs {
 		t.Release()
 	}
@@ -557,7 +581,6 @@ func (j *compactionJob) abort() {
 	for _, f := range j.outFiles {
 		_ = d.fs.Remove(f.Name())
 	}
-	j.outFiles = nil
 }
 
 // insertSorted places a compaction's outputs in a level kept in

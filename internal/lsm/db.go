@@ -3,9 +3,10 @@ package lsm
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
+	"ptsbench/internal/arena"
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/kv"
@@ -36,16 +37,21 @@ type DB struct {
 	manifest wal.Slots[manifestState]
 
 	// chunks and spares recycle memory within this DB: a flushed
-	// memtable's arena chunks feed the next memtable, a compacted-away
-	// table's side-index arrays feed the next builders. They are per DB
-	// because each shard's DB runs on its own goroutine.
-	chunks memtable.Chunks
-	spares sstable.Spares
+	// memtable's arena chunks and struct feed the next memtable, a
+	// compacted-away table's side-index arrays and struct feed the next
+	// builders and tables. compactions, flushes and imms hold the
+	// background jobs and immutable memtables retired at their commits.
+	// They are per DB because each shard's DB runs on its own goroutine.
+	chunks      memtable.Chunks
+	spares      sstable.Spares
+	compactions arena.Spare[compactionJob]
+	flushes     arena.Spare[flushJob]
+	imms        arena.Spare[immutable]
 
 	// levels[0] is L0 (overlapping, newest first); levels[i>=1] are
 	// sorted runs ordered by smallest key.
 	levels [][]*sstable.Table
-	busy   map[uint64]bool // table IDs participating in a compaction
+	busy   map[uint64]*compactionJob // table ID -> the compaction it is an input of
 	// levelBytes caches per-level logical sizes, maintained at flush and
 	// compaction commits, so backpressure checks are O(levels) per put.
 	levelBytes []int64
@@ -131,7 +137,7 @@ func newDB(fs *extfs.FS, cfg Config, rng *sim.RNG) *DB {
 		rng:        rng,
 		levels:     make([][]*sstable.Table, cfg.NumLevels),
 		levelBytes: make([]int64, cfg.NumLevels),
-		busy:       make(map[uint64]bool),
+		busy:       make(map[uint64]*compactionJob),
 		flushW:     sim.NewWorker("lsm-flush"),
 		compactW:   sim.NewWorker("lsm-compact-l0"),
 		compactWD:  sim.NewWorker("lsm-compact-deep"),
@@ -181,12 +187,20 @@ func (d *DB) pullDeepCompaction() sim.Job {
 	return j
 }
 
-// sstFileName names the file holding table id. The name is derived
-// from the id embedded in the table's footer — never minted separately
-// — so recovery can bind the two and refuse a stale image a lying
-// device resurrected under a newer name.
+// sstFileName names the file holding table id, sst-%06d. The name is
+// derived from the id embedded in the table's footer — never minted
+// separately — so recovery can bind the two and refuse a stale image a
+// lying device resurrected under a newer name. It is built on the stack:
+// the string is its one allocation.
 func sstFileName(id uint64) string {
-	return fmt.Sprintf("sst-%06d", id)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], id, 10)
+	var buf [len("sst-") + len(digits)]byte
+	b := append(buf[:0], "sst-"...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // Stats implements kv.Engine.
@@ -353,10 +367,13 @@ func (d *DB) rotateMemtable() error {
 	if err != nil {
 		return err
 	}
-	im := &immutable{mt: d.mem, walW: w, maxSeq: d.seq}
+	im := d.imms.Get()
+	*im = immutable{mt: d.mem, walW: w, maxSeq: d.seq}
 	d.imm = append(d.imm, im)
 	d.mem = memtable.New(d.rng.Split(), &d.chunks)
-	d.flushW.Submit(newFlushJob(d, im))
+	j := d.flushes.Get()
+	*j = flushJob{d: d, im: im}
+	d.flushW.Submit(j)
 	return nil
 }
 
@@ -479,20 +496,20 @@ func (d *DB) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv
 		its = append(its, im.mt.IteratorFrom(start))
 	}
 	// Tables whose range may intersect [start, inf). Track them so the
-	// consumed block reads can be charged afterwards.
+	// consumed block reads can be charged afterwards. In a sorted level
+	// they are the tables from the first whose largest key reaches start.
 	var tables []*sstable.Table
 	for _, t := range d.levels[0] {
-		if t.NumEntries() > 0 && bytes.Compare(t.Largest(), start) >= 0 {
+		if t.NumEntries() > 0 && kv.CompareKeys(t.Largest(), start) >= 0 {
 			its = append(its, t.IteratorFrom(start))
 			tables = append(tables, t)
 		}
 	}
 	for li := 1; li < len(d.levels); li++ {
-		for _, t := range d.levels[li] {
-			if t.NumEntries() > 0 && bytes.Compare(t.Largest(), start) >= 0 {
-				its = append(its, t.IteratorFrom(start))
-				tables = append(tables, t)
-			}
+		lo, hi := overlapRange(d.levels[li], start, nil)
+		for _, t := range d.levels[li][lo:hi] {
+			its = append(its, t.IteratorFrom(start))
+			tables = append(tables, t)
 		}
 	}
 

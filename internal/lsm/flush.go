@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"slices"
+
 	"ptsbench/internal/deverr"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/sim"
@@ -8,7 +10,8 @@ import (
 )
 
 // flushJob writes one immutable memtable out as an L0 table, in chunks,
-// on the flush worker.
+// on the flush worker. The job returns to its DB when it finishes, and
+// its immutable with it once the commit has dropped it from d.imm.
 type flushJob struct {
 	d       *DB
 	im      *immutable
@@ -17,12 +20,19 @@ type flushJob struct {
 	written int64
 }
 
-func newFlushJob(d *DB, im *immutable) *flushJob {
-	return &flushJob{d: d, im: im}
+// Step implements sim.Job. A finished job, committed or aborted, goes
+// back to its DB for the next rotation.
+func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
+	now, done := j.step(now)
+	if done {
+		d := j.d
+		*j = flushJob{}
+		d.flushes.Put(j)
+	}
+	return now, done
 }
 
-// Step implements sim.Job.
-func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
+func (j *flushJob) step(now sim.Duration) (sim.Duration, bool) {
 	d := j.d
 	if d.fatal != nil {
 		return now, true
@@ -66,7 +76,7 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 		return now, true
 	}
 	t := j.img.Install(j.file)
-	d.levels[0] = append([]*sstable.Table{t}, d.levels[0]...)
+	d.levels[0] = slices.Insert(d.levels[0], 0, t)
 	d.levelBytes[0] += t.SizeBytes()
 	d.shapeL0++ // flushes touch only L0; the deep picker's memo survives
 	if j.im.maxSeq > d.flushedSeq {
@@ -85,14 +95,13 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 		d.fatal = deverr.Latch(err)
 		return now, true
 	}
-	for i, im := range d.imm {
-		if im == j.im {
-			d.imm = append(d.imm[:i], d.imm[i+1:]...)
-			break
-		}
-	}
-	j.im.mt.Release()
-	if now, err = d.log.Recycle(now, j.im.walW); err != nil {
+	im := j.im
+	d.imm = slices.DeleteFunc(d.imm, func(o *immutable) bool { return o == im })
+	im.mt.Release()
+	now, err = d.log.Recycle(now, im.walW)
+	*im = immutable{}
+	d.imms.Put(im)
+	if err != nil {
 		d.fatal = deverr.Latch(err)
 		return now, true
 	}
@@ -100,7 +109,8 @@ func (j *flushJob) Step(now sim.Duration) (sim.Duration, bool) {
 	return now, true
 }
 
-// abort removes a partially written output file.
+// abort removes a partially written output file. The immutable stays
+// in d.imm.
 func (j *flushJob) abort() {
 	if j.file != nil {
 		_ = j.d.fs.Remove(j.file.Name())

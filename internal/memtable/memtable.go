@@ -42,6 +42,9 @@ type Chunks struct {
 	nodes arena.Chunks[node]
 	ptrs  arena.Chunks[*node]
 	bytes arena.Chunks[byte]
+	// memtables holds released Memtable structs: a flushed memtable's
+	// becomes a later New's.
+	memtables arena.Spare[Memtable]
 }
 
 // node is one skiplist entry. The tower is a variable-height slice carved
@@ -84,34 +87,39 @@ type Memtable struct {
 	overhead int64 // per-entry bookkeeping estimate
 
 	// The arenas nodes, towers and key/value bytes are carved from, each
-	// drawing on its kind's free list in the DB's Chunks.
+	// drawing on its kind's free list in free, which takes the struct
+	// back at Release.
+	free  *Chunks
 	nodes arena.Arena[node]
 	ptrs  arena.Arena[*node]
 	bytes arena.Arena[byte]
 }
 
 // New creates an empty memtable; rng drives skiplist tower heights and
-// free supplies the arena chunks.
+// free supplies the arena chunks and, when it holds one, a released
+// Memtable struct with its emptied arenas.
 func New(rng *sim.RNG, free *Chunks) *Memtable {
-	m := &Memtable{
-		height:   1,
-		rng:      rng,
-		overhead: 32,
-		nodes:    arena.Arena[node]{Chunk: nodeChunk, Free: &free.nodes},
-		ptrs:     arena.Arena[*node]{Chunk: ptrChunk, Free: &free.ptrs},
-		bytes:    arena.Arena[byte]{Chunk: byteChunk, Free: &free.bytes},
+	m := free.memtables.Get()
+	if m.free == nil { // a new struct: bind its arenas to free
+		m.free = free
+		m.nodes = arena.Arena[node]{Chunk: nodeChunk, Free: &free.nodes}
+		m.ptrs = arena.Arena[*node]{Chunk: ptrChunk, Free: &free.ptrs}
+		m.bytes = arena.Arena[byte]{Chunk: byteChunk, Free: &free.bytes}
 	}
+	m.height, m.rng, m.overhead = 1, rng, 32
 	m.head = m.newNode(maxHeight)
 	return m
 }
 
-// Release returns the memtable's chunks to its free lists. The memtable
-// and every entry, key and value read from it must not be used again.
+// Release returns the memtable's chunks, and its struct with its
+// emptied arenas, to its free lists. The memtable and every entry, key
+// and value read from it must not be used again.
 func (m *Memtable) Release() {
 	m.nodes.Release()
 	m.ptrs.Release()
 	m.bytes.Release()
-	*m = Memtable{}
+	*m = Memtable{free: m.free, nodes: m.nodes, ptrs: m.ptrs, bytes: m.bytes}
+	m.free.memtables.Put(m)
 }
 
 // newNode carves a node with a tower of the given height from the arenas.

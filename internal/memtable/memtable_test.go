@@ -259,3 +259,35 @@ func TestRecycledChunksMatchFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedStructIsReused: the next New on a Chunks takes the struct
+// of the memtable released to it, emptied, and a rotation cycle (New,
+// fill, Release) allocates nothing once the chunks are warm.
+func TestReleasedStructIsReused(t *testing.T) {
+	free := new(Chunks)
+	fill := func(m *Memtable) {
+		for id := uint64(0); id < 500; id++ {
+			m.Put(kv.EncodeKey(id*7), nil, 64, id, false)
+		}
+	}
+	old := New(sim.NewRNG(1), free)
+	fill(old)
+	old.Release()
+	m := New(sim.NewRNG(1), free)
+	if m != old {
+		t.Fatal("New did not take the released memtable's struct")
+	}
+	if m.Len() != 0 || m.SizeBytes() != 0 || m.Get(kv.EncodeKey(7)) != nil || m.Iterator().Next() {
+		t.Fatal("the reused struct is not an empty memtable")
+	}
+	fill(m)
+	m.Release()
+	rng := sim.NewRNG(1)
+	if n := testing.AllocsPerRun(20, func() {
+		m := New(rng, free)
+		fill(m)
+		m.Release()
+	}); n != 0 {
+		t.Fatalf("a warm New/fill/Release cycle allocates %v objects, want 0", n)
+	}
+}

@@ -54,7 +54,8 @@ const DefaultBlockBytes = 32 << 10
 // DB's spares hold the arrays of the tables its compactions removed, so
 // in steady state a builder allocates no column. The block index and
 // content mode's value arena and data scratch, whose sizes the hint does
-// not give, grow by trading arrays with spares.
+// not give, grow by trading arrays with spares. The Builder struct itself
+// is a spare too: Finish hands it back.
 func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spares *Spares) *Builder {
 	if targetBlockBytes <= 0 {
 		targetBlockBytes = DefaultBlockBytes
@@ -62,7 +63,8 @@ func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spa
 	if entryHint < 0 {
 		entryHint = 0
 	}
-	b := &Builder{
+	b := spares.builders.Get()
+	*b = Builder{
 		pageSize:    pageSize,
 		targetBlock: targetBlockBytes,
 		content:     content,
@@ -241,6 +243,8 @@ func (b *Builder) finishBlock() {
 }
 
 // FileImage is a fully laid-out SSTable ready to be written to a file.
+// It lives inside the Table it installs as, so an image is no heap
+// object of its own.
 type FileImage struct {
 	Pages int64  // total file length in pages
 	Data  []byte // nil in accounting mode, else Pages*pageSize bytes
@@ -250,7 +254,8 @@ type FileImage struct {
 
 // Finish closes the table layout: remaining data block, index block,
 // Bloom filter and footer. The returned image is independent of the
-// builder.
+// builder, which goes back to its Spares and must not be used again.
+// The table's struct is a spare one when its Spares holds one.
 func (b *Builder) Finish(id uint64) *FileImage {
 	b.finishBlock()
 	n := len(b.seqs)
@@ -280,7 +285,8 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		totalPages = 1 // empty table still occupies its footer page
 	}
 
-	t := &Table{
+	t := b.spares.tables.Get()
+	*t = Table{
 		ID:         id,
 		keyArena:   b.keyArena,
 		keyOffsets: b.keyOffsets,
@@ -300,7 +306,8 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	}
 	t.seal(b.mixed)
 
-	img := &FileImage{
+	img := &t.image
+	*img = FileImage{
 		Pages: totalPages,
 		table: t,
 	}
@@ -308,7 +315,6 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		data := make([]byte, totalPages*int64(b.pageSize))
 		copy(data, b.data)
 		b.spares.data.Put(b.data)
-		b.data = nil
 		off := int64(b.nextPage) * int64(b.pageSize)
 		// Index block: count then 16 bytes per block.
 		binary.LittleEndian.PutUint32(data[off:], uint32(len(b.blocks)))
@@ -330,6 +336,10 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		binary.LittleEndian.PutUint32(data[foot+24:], uint32(len(b.blocks)))
 		img.Data = data
 	}
+	// The arrays now belong to the table: the builder keeps none of them.
+	spares := b.spares
+	*b = Builder{}
+	spares.builders.Put(b)
 	return img
 }
 

@@ -245,3 +245,46 @@ func TestAppendTableRangeMatchesAdd(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedStructsAreReused: Finish hands its builder back and the
+// next NewBuilder takes it, a released table's struct is the next
+// Finish's table, and once warm a build/release cycle of a table of
+// the same size allocates nothing at all. A table opened from a file
+// has no Spares, so its struct goes back to no one.
+func TestReleasedStructsAreReused(t *testing.T) {
+	spares := new(Spares)
+	entries := recycleEntries(500, 2, 0, false)
+	cycle := func() (*Builder, *Table) {
+		b := NewBuilder(4096, DefaultBlockBytes, false, len(entries), spares)
+		for i := range entries {
+			if err := b.Add(&entries[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl := b.Finish(7).table
+		tbl.mayContain(&Probe{}) // builds the lazy filter, as a Get would
+		tbl.Release()
+		return b, tbl
+	}
+	b1, t1 := cycle()
+	if b2, t2 := cycle(); b2 != b1 || t2 != t1 {
+		t.Fatal("a finished builder or a released table was not reused")
+	}
+	if n := testing.AllocsPerRun(50, func() { cycle() }); n != 0 {
+		t.Fatalf("a warm build/release cycle allocates %v objects, want 0", n)
+	}
+
+	fs, _ := newTestFS(t, true)
+	opened := buildTable(t, fs, "sst-opened", true, recycleEntries(50, 2, 0, true))
+	f, err := fs.Open("sst-opened")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened, _, err = OpenFromFile(f, fs.PageSize(), 0); err != nil {
+		t.Fatal(err)
+	}
+	opened.Release()
+	if opened.ID != 1 || opened.numEntries != 50 || opened.keyArena != nil {
+		t.Fatalf("a released file-opened table keeps %+v, want only its ID and entry count", opened)
+	}
+}

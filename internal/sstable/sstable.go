@@ -72,6 +72,8 @@ type Table struct {
 	pageSize  int
 	content   bool
 	spares    *Spares // the builder's free list; nil for a table opened from a file
+
+	image FileImage // what Finish returned, until Install
 }
 
 // seal records the key-width shape of a finished side index. mixed
