@@ -44,7 +44,8 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	if c.dirtyCount == 0 {
 		return nil, nil
 	}
-	job := c.getJob()
+	job := c.jobPool.Get()
+	job.c = c
 	job.pendingMark = c.extents.pendingMark()
 	job.snapSeq = c.seq
 	c.epoch++
@@ -75,19 +76,6 @@ func (c *Core) NewCheckpointJob() (*Job, error) {
 	return job, nil
 }
 
-// getJob takes a retired job from the pool (its slices keep their
-// capacity) or allocates a fresh one. Jobs return to the pool at commit;
-// overlapping jobs — only reachable by holding an unsubmitted job while
-// another triggers — simply each draw their own.
-func (c *Core) getJob() *Job {
-	if n := len(c.jobPool); n > 0 {
-		j := c.jobPool[n-1]
-		c.jobPool = c.jobPool[:n-1]
-		return j
-	}
-	return &Job{c: c}
-}
-
 // putJob retires a completed job's scratch back to the pool.
 func (c *Core) putJob(j *Job) {
 	j.ids = j.ids[:0]
@@ -95,7 +83,7 @@ func (c *Core) putJob(j *Job) {
 	j.idx = 0
 	j.oldJournal = nil
 	j.snapSeq = 0
-	c.jobPool = append(c.jobPool, j)
+	c.jobPool.Put(j)
 }
 
 // stampInJob stamps id as belonging to this snapshot epoch, growing the

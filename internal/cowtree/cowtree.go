@@ -220,7 +220,7 @@ type Core struct {
 	// slices return to the pool at commit; concurrent jobs — possible
 	// only through the white-box test path that holds a job while
 	// triggering another — each draw their own).
-	jobPool []*Job
+	jobPool arena.Spare[Job]
 	inJob   []uint32 // id-indexed epoch stamps replacing a per-job map
 	epoch   uint32
 }
