@@ -55,16 +55,17 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 }
 
 // TestNodeSize bounds the in-memory node, of which the tree keeps one
-// per leaf and interior: a leaf is a bare cowtree.Node (152 bytes), an
-// interior that plus its cowtree.Buffers (208 bytes together). These are
-// the sizes since the buffers moved off the leaves: the bounds may come
-// down, and raising one must be a deliberate edit here.
+// per leaf and interior: a leaf is a bare cowtree.Node (80 bytes), an
+// interior that plus its cowtree.Interior, pivots and buffers (208
+// bytes together). These are the sizes since the pivots and buffers
+// moved behind Node.Interior: the bounds may come down, and raising one
+// must be a deliberate edit here.
 func TestNodeSize(t *testing.T) {
 	leaf := unsafe.Sizeof(cowtree.Node{})
-	if leaf > 152 {
-		t.Fatalf("a leaf is %d bytes, bound 152", leaf)
+	if leaf > 80 {
+		t.Fatalf("a leaf is %d bytes, bound 80", leaf)
 	}
-	if interior := leaf + unsafe.Sizeof(cowtree.Buffers{}); interior > 208 {
+	if interior := leaf + unsafe.Sizeof(cowtree.Interior{}); interior > 208 {
 		t.Fatalf("an interior is %d bytes, bound 208", interior)
 	}
 }

@@ -23,6 +23,7 @@ var naming = cowtree.Naming{
 	MetaPrefix:    "bemeta",
 	MetaMagic:     metaMagic,
 	JournalPrefix: "bjournal-",
+	Buffered:      true,
 }
 
 // Tree is the Bε-tree engine. Its nodes are plain cowtree.Nodes, and the
@@ -581,7 +582,7 @@ func (s *msgStream) consume(m *cowtree.Record) {
 func (t *Tree) BufferedBytes() int64 {
 	var b int64
 	for _, n := range t.Core.Nodes() {
-		if n.Buf != nil {
+		if !n.Leaf {
 			b += int64(n.Buf.Bytes)
 		}
 	}

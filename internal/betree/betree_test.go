@@ -359,7 +359,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		t.Fatal("tombstone entry wrong")
 	}
 
-	interior := &cowtree.Node{}
+	interior := &cowtree.Node{Interior: &cowtree.Interior{}}
 	interior.InitRoot(1, kv.EncodeKey(10), 2)
 	interior.InsertChild(1, kv.EncodeKey(20), 3)
 	c.NewBuffers(interior)

@@ -86,7 +86,7 @@ func checkRoundTrip(t *testing.T, n *cowtree.Node) {
 	if !ok {
 		t.Fatalf("node %d image does not parse", n.ID)
 	}
-	gb, nb := got.Buf, n.Buf
+	gb, nb := &got.Buf, &n.Buf
 	if len(gb.Msgs) != len(nb.Msgs) || !slices.Equal(gb.Sizes, nb.Sizes) || gb.Bytes != nb.Bytes {
 		t.Fatalf("node %d re-partition: %d buffers sizes %v total %d, want %d %v %d",
 			n.ID, len(gb.Msgs), gb.Sizes, gb.Bytes, len(nb.Msgs), nb.Sizes, nb.Bytes)
@@ -692,7 +692,7 @@ func TestMessageCodecKinds(t *testing.T) {
 
 func runMessageCodecKinds(t *testing.T, width int) {
 	var c cowtree.Core
-	n := &cowtree.Node{Pivots: cowtree.Pivots{Children: []cowtree.NodeID{1}}}
+	n := &cowtree.Node{Interior: &cowtree.Interior{Pivots: cowtree.Pivots{Children: []cowtree.NodeID{1}}}}
 	c.NewBuffers(n)
 	key := bytes.Repeat([]byte{9}, width)
 	wide := width != kv.KeySize
@@ -849,7 +849,7 @@ func TestScanOverPartitionedBuffers(t *testing.T) {
 	_, interiors := tr.NodeCount()
 	buffers := 0
 	for _, n := range tr.Nodes() {
-		if n.Buf != nil {
+		if !n.Leaf {
 			buffers += len(n.Buf.Msgs)
 		}
 	}
@@ -907,7 +907,7 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	for _, n := range tr.Nodes() {
 		entryLen += len(n.Entries)
 		entryCap += cap(n.Entries)
-		if n.Buf == nil {
+		if n.Leaf {
 			continue
 		}
 		for _, buf := range n.Buf.Msgs {
@@ -950,7 +950,7 @@ func benchSeps() [][]byte {
 // benchNode returns the partitioned benchmark node, empty, its buffers
 // from c.
 func benchNode(c *cowtree.Core) *cowtree.Node {
-	n := &cowtree.Node{Pivots: cowtree.Pivots{Children: make([]cowtree.NodeID, 1)}}
+	n := &cowtree.Node{Interior: &cowtree.Interior{Pivots: cowtree.Pivots{Children: make([]cowtree.NodeID, 1)}}}
 	for i, sep := range benchSeps() {
 		n.InsertChild(i, sep, 0)
 	}

@@ -31,7 +31,7 @@
 // write, checkpoints, Open/Recover, the kv.Engine lifecycle, the
 // operation bracket, the shared Tuning and the node itself — a Bε-tree
 // node is a plain cowtree.Node, whose leaf entries, interior buffers
-// (cowtree.Buffers, behind Node.Buf), upserts, splits and image are
+// (cowtree.Buffers, Interior.Buf), upserts, splits and image are
 // cowtree's. This package keeps its node magic and the policy: the ε
 // budgets, when and what to flush, the batch apply to a leaf, the
 // overfull drain, the scan merge, the two recovery hooks, and its own

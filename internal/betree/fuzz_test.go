@@ -38,14 +38,12 @@ func sameNodeImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 		return "leaf flag"
 	case !sameMsgs(a.Entries, b.Entries):
 		return "leaf entries"
+	case a.Leaf:
+		return ""
 	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
 		return "separators"
 	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
-	case (a.Buf == nil) != (b.Buf == nil):
-		return "buffers"
-	case a.Buf == nil:
-		return ""
 	case len(a.Buf.Msgs) != len(b.Buf.Msgs) || !slices.Equal(a.Buf.Sizes, b.Buf.Sizes) || a.Buf.Bytes != b.Buf.Bytes:
 		return "buffer partition"
 	}

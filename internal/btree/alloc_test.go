@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -196,13 +197,77 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	}
 }
 
+// TestPivotArraysSizedToWhatTheyHold is TestArraysSizedToWhatTheyHold's
+// twin for the internal pages: after the same load and overwrites, the
+// separator, word-cache and child arrays keep at most two slots per
+// element. Before SplitHalf re-homed the half that stays, every left
+// half kept its pre-split capacity, and the word cache held nearly four
+// slots per separator on the benchmark tree.
+func TestPivotArraysSizedToWhatTheyHold(t *testing.T) {
+	const keys = 50000
+	tr, _, _ := testEnv(t, 1024, false, nil)
+	agedLoad(t, tr, keys)
+	var seps, sepCap, wordCap, children, childCap int
+	for _, p := range pages(tr) {
+		if p.Leaf {
+			continue
+		}
+		seps += len(p.Seps)
+		sepCap += cap(p.Seps)
+		// The word cache is unexported; reflect reads its capacity.
+		wordCap += reflect.ValueOf(&p.Pivots).Elem().FieldByName("words").Cap()
+		children += len(p.Children)
+		childCap += cap(p.Children)
+	}
+	t.Logf("separators: %d in %d slots (%.2fx), words in %d slots (%.2fx); children: %d in %d slots (%.2fx)",
+		seps, sepCap, float64(sepCap)/float64(seps), wordCap, float64(wordCap)/float64(seps),
+		children, childCap, float64(childCap)/float64(children))
+	if _, internals := tr.NodeCount(); internals < 8 {
+		t.Fatalf("%d internal pages: the tree is not the loaded one", internals)
+	}
+	if sepCap > 2*seps || wordCap > 2*seps {
+		t.Errorf("separator arrays keep %d slots and the word cache %d for %d separators", sepCap, wordCap, seps)
+	}
+	if childCap > 2*children {
+		t.Errorf("child arrays keep %d slots for %d children", childCap, children)
+	}
+}
+
+// agedLoad puts keys sequential keys of benchmark-shaped data
+// (4,000-byte accounted values), then as many Zipfian overwrites.
+func agedLoad(tb testing.TB, tr *Tree, keys int) {
+	tb.Helper()
+	var now sim.Duration
+	var err error
+	key := make([]byte, kv.KeySize)
+	for id := uint64(0); id < uint64(keys); id++ {
+		kv.AppendKey(key, id)
+		if now, err = tr.Put(now, key, nil, 4000); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	gens, err := workload.NewClientGenerators(workload.Spec{
+		NumKeys: uint64(keys), ValueBytes: 4000, Dist: workload.Zipfian, ZipfTheta: 0.99,
+	}, 3, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen := gens[0]
+	for i := 0; i < keys; i++ {
+		kv.AppendKey(key, gen.Next().KeyID)
+		if now, err = tr.Put(now, key, nil, 4000); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // TestPageSize bounds the in-memory page, a plain cowtree.Node, of which
-// the tree keeps one per leaf and internal page. 152 bytes is its size
-// since the pivot section and the leaf entries moved into cowtree.Node:
-// the bound may come down, and raising it must be a deliberate edit
-// here.
+// the tree keeps one per leaf and internal page (an internal page adds
+// its cowtree.Interior). 80 bytes is its size since the pivot section
+// moved behind Node.Interior: the bound may come down, and raising it
+// must be a deliberate edit here.
 func TestPageSize(t *testing.T) {
-	if sz := unsafe.Sizeof(cowtree.Node{}); sz > 152 {
-		t.Fatalf("cowtree.Node is %d bytes, bound 152", sz)
+	if sz := unsafe.Sizeof(cowtree.Node{}); sz > 80 {
+		t.Fatalf("cowtree.Node is %d bytes, bound 80", sz)
 	}
 }

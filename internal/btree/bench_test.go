@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"runtime"
 	"testing"
 
 	"ptsbench/internal/cowtree"
@@ -109,4 +110,34 @@ func descendTree(b *testing.B) (*Tree, [][]byte) {
 		}
 	}
 	return tr, keys
+}
+
+// loadHeapKeys is BenchmarkLoadHeap's dataset: TestArraysSizedToWhatTheyHold's.
+const loadHeapKeys = 50000
+
+// BenchmarkLoadHeap is the B+Tree's memory as a layer-level number: the
+// live heap a tree holds, per key, after agedLoad's benchmark-shaped
+// load of loadHeapKeys keys and a GC — nodes, interior parts, leaf
+// entry arrays and separators, measured from a GC after the device and
+// the empty tree are built. B/key is the metric; ns/op times the load.
+func BenchmarkLoadHeap(b *testing.B) {
+	var ms runtime.MemStats
+	live := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var held uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr, _, _ := testEnv(b, 1024, false, nil)
+		base := live()
+		b.StartTimer()
+		agedLoad(b, tr, loadHeapKeys)
+		b.StopTimer()
+		held = live() - base
+		runtime.KeepAlive(tr)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(held)/loadHeapKeys, "B/key")
 }

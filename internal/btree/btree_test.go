@@ -293,7 +293,7 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("parsed leaf accounts %d bytes, the original %d", got.Serialized, leaf.Serialized)
 	}
 
-	internal := &cowtree.Node{}
+	internal := &cowtree.Node{Interior: &cowtree.Interior{}}
 	internal.InitRoot(1, kv.EncodeKey(10), 2)
 	internal.InsertChild(1, kv.EncodeKey(20), 3)
 	internal.Serialized = internal.PivotBytes()

@@ -36,6 +36,8 @@ func samePageImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 		return "leaf flag"
 	case !slices.EqualFunc(leafRecords(a), leafRecords(b), sameEntry):
 		return "leaf entries"
+	case a.Leaf:
+		return ""
 	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
 		return "separators"
 	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
@@ -168,6 +170,9 @@ func FuzzDescendAll(f *testing.F) {
 	tr, _ := fuzzTree(f, 1, 600, 7)
 	mixed := false
 	for _, p := range pages(tr) {
+		if p.Leaf {
+			continue
+		}
 		for _, sep := range p.Seps {
 			mixed = mixed || len(sep) != kv.KeySize
 		}

@@ -8,11 +8,11 @@ import (
 	"ptsbench/internal/kv"
 )
 
-// Buffers are a Bε-tree interior node's message buffers (Node.Buf): one
-// key-sorted array per child, sized to what it holds, holding exactly
-// the messages ChildFor routes to that child, one per key (a newer
-// update overwrites the buffered older one: the upsert collapse). A
-// message is the Record it becomes in a leaf; flushes move it
+// Buffers are a Bε-tree interior node's message buffers (Interior.Buf):
+// one key-sorted array per child, sized to what it holds, holding
+// exactly the messages ChildFor routes to that child, one per key (a
+// newer update overwrites the buffered older one: the upsert collapse).
+// A message is the Record it becomes in a leaf; flushes move it
 // unchanged. The node's Serialized is PivotBytes() + Bytes.
 type Buffers struct {
 	// Msgs[ci] holds the messages bound for Children[ci]; Sizes[ci] is
@@ -22,11 +22,9 @@ type Buffers struct {
 	Bytes int
 }
 
-// NewBuffers gives interior n empty buffers, one per child, from the
-// core's arena (a Bε-tree's new root; SplitInterior gives a split's new
-// half its own).
+// NewBuffers gives interior n empty buffers, one per child (a Bε-tree's
+// new root; SplitInterior gives a split's new half its share).
 func (c *Core) NewBuffers(n *Node) {
-	n.Buf = c.bufMem.New()
 	n.Buf.Msgs, n.Buf.Sizes = make([][]Record, len(n.Children)), make([]int, len(n.Children))
 }
 
@@ -60,7 +58,7 @@ func (c *Core) InsertMessage(n *Node, m Record, key, val []byte, owned bool) int
 	} else {
 		t = kv.NewTarget(key)
 	}
-	b := n.Buf
+	b := &n.Buf
 	ci := n.ChildFor(t)
 	var delta int
 	b.Msgs[ci], delta = InsertRecord(&c.records, arena, b.Msgs[ci], m, t, val)
@@ -73,7 +71,7 @@ func (c *Core) InsertMessage(n *Node, m Record, key, val []byte, owned bool) int
 // DropBuffer empties child ci's buffer of interior n once a flush has
 // moved its messages down, retiring the array.
 func (c *Core) DropBuffer(n *Node, ci int) {
-	b := n.Buf
+	b := &n.Buf
 	c.records.Put(b.Msgs[ci])
 	b.Bytes -= b.Sizes[ci]
 	n.Serialized -= b.Sizes[ci]
@@ -139,7 +137,8 @@ func (b *Buffers) appendMsgs(out []byte) []byte {
 // corrupt image.
 func (n *Node) ParseBuffers(data []byte, off int) bool {
 	count, msgs := len(n.Seps), int(binary.LittleEndian.Uint32(data[12:]))
-	b := &Buffers{Msgs: make([][]Record, count+1), Sizes: make([]int, count+1)}
+	b := &n.Buf
+	b.Msgs, b.Sizes = make([][]Record, count+1), make([]int, count+1)
 	for i, ci := 0, 0; i < msgs; i++ {
 		m, used := ParseRecord(data[off:])
 		if used == 0 {
@@ -154,22 +153,19 @@ func (n *Node) ParseBuffers(data []byte, off int) bool {
 		b.Bytes += m.Size()
 		off += used
 	}
-	n.Buf = b
 	n.Serialized += b.Bytes
 	return true
 }
 
-// checkBuffers audits n's buffers for Core.Check: none on a leaf; one
-// buffer and size per child (and one child more than separators), each
-// strictly sorted and routed by ChildFor, the sizes, their total and
-// Serialized exact.
+// checkBuffers audits interior n's buffers, if it has any, for
+// Core.Check: one buffer and size per child (and one child more than
+// separators), each strictly sorted and routed by ChildFor, the sizes,
+// their total and Serialized exact.
 func (n *Node) checkBuffers() error {
-	b := n.Buf
+	b := &n.Buf
 	switch {
-	case b == nil:
+	case !n.buffered():
 		return nil
-	case n.Leaf:
-		return fmt.Errorf("leaf %d has buffers", n.ID)
 	case len(b.Msgs) != len(n.Children) || len(b.Sizes) != len(n.Children) || len(n.Seps)+1 != len(n.Children):
 		return fmt.Errorf("node %d: %d buffers, %d sizes and %d separators for %d children", n.ID, len(b.Msgs), len(b.Sizes), len(n.Seps), len(n.Children))
 	}

@@ -238,6 +238,9 @@ func (j *Job) Step(now sim.Duration) (sim.Duration, bool) {
 // foreground work runs inside a step, so the children are tested as the
 // loop reaches them.
 func (c *Core) writeSubtreeClean(now sim.Duration, n *Node) (sim.Duration, int, error) {
+	if n.Leaf {
+		return now, 0, nil
+	}
 	ps := c.fs.PageSize()
 	pages := 0
 	for _, id := range n.Children {

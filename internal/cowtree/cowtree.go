@@ -1,9 +1,9 @@
 // Package cowtree is the copy-on-write core shared by the page/node-based
 // tree engines (B+Tree, Bε-tree). It owns the Node that is every node of
 // both trees — identity, position in the tree, on-disk extent, cache
-// residency, an interior's pivot section and, in a Bε-tree, its message
-// buffers, and a leaf's entries — and every mechanism that acts on it
-// alone:
+// residency, a leaf's entries and, behind one pointer, an interior's
+// pivot section and, in a Bε-tree, its message buffers — and every
+// mechanism that acts on it alone:
 //
 //   - the extent allocator that places node images inside the
 //     collection file (lowest-offset first fit, checkpoint-deferred
@@ -41,12 +41,12 @@
 //     key, its word-or-byte compares and search, the copy-on-retain rule
 //     (RecordArena.Own), the one upsert of leaves and buffers
 //     (InsertRecord) and the entry codec both images share,
-//   - the interior pivot section both engines keep (pivots.go, embedded
-//     in Node): separators, child ids, the separator word cache, child
-//     lookup, child insert, the half split, the section's footprint and
-//     its codec; and the new root, child link and interior split built
-//     on it,
-//   - the Bε-tree's message buffers (buffers.go, Node.Buf) with their
+//   - the interior pivot section both engines keep (pivots.go, in
+//     Node.Interior): separators, child ids, the separator word cache,
+//     child lookup, child insert, the half split, the section's
+//     footprint and its codec; and the new root, child link and
+//     interior split built on it,
+//   - the Bε-tree's message buffers (buffers.go, Interior.Buf) with their
 //     lookup, upsert, cut, split and codec,
 //   - the leaf payload both engines keep (leaf.go, Node.Entries): the
 //     leaf upsert, the split guard and the half split, and the node
@@ -94,11 +94,14 @@ const NilNode NodeID = 0
 // Pages == 0 means "no extent" (a node never written).
 type Extent = freeset.Extent
 
-// Node is every tree node, in both engines: the header, an interior's
-// pivots (and, in a Bε-tree, its message buffers) and a leaf's entries.
-// The core reads and writes these fields directly — on the engine's op
-// path too, where a method call per descent step or per child scanned
-// would be the cost.
+// Node is every tree node, in both engines: the header, a leaf's
+// entries and, behind one pointer, an interior's part (its pivots and,
+// in a Bε-tree, its message buffers). Leaves outnumber interiors by
+// about the fanout, so a leaf carries only leaf state: the pointer is
+// nil on a leaf, and code that can reach one tests Leaf before it reads
+// Children, Seps or Buf. The core reads and writes these fields
+// directly — on the engine's op path too, where a method call per
+// descent step or per child scanned would be the cost.
 type Node struct {
 	ID     NodeID
 	Parent NodeID // NilNode for the root
@@ -109,11 +112,9 @@ type Node struct {
 	// pinned and never listed).
 	Resident bool
 
-	// Pivots are an interior node's separators and child ids (empty for
-	// leaves).
-	Pivots
-	// Buf is a Bε-tree interior's message buffers; nil on other nodes.
-	Buf *Buffers
+	// Interior is an interior node's part: its pivots and buffers (nil
+	// on leaves). Its fields and the pivot methods promote to Node.
+	*Interior
 
 	// Serialized is the node's current serialized size in bytes, which
 	// the engine tracks incrementally.
@@ -175,16 +176,16 @@ type Core struct {
 	closed bool
 
 	// nodes is indexed by NodeID (index 0 is NilNode). The node arenas
-	// back the nodes NewNode makes and their buffers, arena and records
-	// what the stored records keep and their arrays: nodes and retained
-	// bytes are immortal (ids are never reused), so chunk and pool
-	// allocation keep the steady-state op path allocation-free.
-	nodes   []*Node
-	root    NodeID
-	nodeMem arena.Arena[Node]
-	bufMem  arena.Arena[Buffers]
-	arena   RecordArena
-	records arena.Pool[Record]
+	// back the nodes NewNode makes and their interiors' parts, arena and
+	// records what the stored records keep and their arrays: nodes and
+	// retained bytes are immortal (ids are never reused), so chunk and
+	// pool allocation keep the steady-state op path allocation-free.
+	nodes       []*Node
+	root        NodeID
+	nodeMem     arena.Arena[Node]
+	interiorMem arena.Arena[Interior]
+	arena       RecordArena
+	records     arena.Pool[Record]
 
 	// dirty is indexed by NodeID like nodes: the node needs writing
 	// before eviction / at the next checkpoint. MarkDirty sets it, Write
@@ -253,11 +254,14 @@ func (c *Core) Register(n *Node) {
 }
 
 // NewNode makes every node the engines create: a zeroed leaf or
-// interior from the node arena, the bare header's size, registered and
-// dirty.
+// interior from the node arena — an interior with its zeroed part from
+// the interior arena — the bare header's size, registered and dirty.
 func (c *Core) NewNode(leaf bool) *Node {
 	n := c.nodeMem.New()
 	n.Leaf = leaf
+	if !leaf {
+		n.Interior = c.interiorMem.New()
+	}
 	n.Serialized = PageHeaderBytes
 	c.Register(n)
 	c.MarkDirty(n)
@@ -429,7 +433,9 @@ func (c *Core) EvictToFit(now sim.Duration) (sim.Duration, error) {
 	return now, nil
 }
 
-// Check audits the leaf cache and the dirty set: the LRU list is
+// Check audits the node layout, the leaf cache and the dirty set: a
+// leaf has no interior part and every interior has one, with buffers
+// exactly when the engine keeps them (Naming.Buffered); the LRU list is
 // linked consistently both ways and ends at the tail, every listed node
 // is a resident leaf, every resident node is listed, and the listed
 // sizes sum to the resident byte count; the dirty bitmap covers the
@@ -453,6 +459,16 @@ func (c *Core) Check() error {
 		return fmt.Errorf("%s: %d dirty nodes, dirtyCount says %d", c.cfg.Name, dirty, c.dirtyCount)
 	}
 	for id, n := range c.nodes[1:] {
+		switch {
+		case n.Leaf && n.Interior != nil:
+			return fmt.Errorf("%s: leaf %d has an interior part", c.cfg.Name, id+1)
+		case n.Leaf:
+			continue
+		case n.Interior == nil:
+			return fmt.Errorf("%s: interior %d has no interior part", c.cfg.Name, id+1)
+		case n.buffered() != c.cfg.Buffered:
+			return fmt.Errorf("%s: interior %d has buffers=%v, the engine keeps them=%v", c.cfg.Name, id+1, n.buffered(), c.cfg.Buffered)
+		}
 		for _, ch := range n.Children {
 			if p := c.nodes[ch].Parent; p != NodeID(id+1) {
 				return fmt.Errorf("%s: node %d lists child %d, whose parent is %d", c.cfg.Name, id+1, ch, p)

@@ -79,10 +79,8 @@ func (n *Node) AppendImage(out []byte, magic uint32, resolve func(NodeID) Extent
 	var hdr [PageHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	if !n.Leaf {
+		// A B+Tree interior's buffers are empty: a zero count, no messages.
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(n.Seps)))
-		if n.Buf == nil {
-			return n.AppendPivots(append(out, hdr[:]...), resolve)
-		}
 		binary.LittleEndian.PutUint32(hdr[12:], uint32(n.Buf.count()))
 		return n.Buf.appendMsgs(n.AppendPivots(append(out, hdr[:]...), resolve))
 	}
@@ -97,10 +95,11 @@ func (n *Node) AppendImage(out []byte, magic uint32, resolve func(NodeID) Extent
 
 // ParseImage fills n, a zero node, from an image AppendImage wrote under
 // magic, Serialized included (an interior's counts its pivot section;
-// ParseBuffers adds a Bε-tree's buffers). It returns an interior's child
-// extents in child order (its children get ids as recovery loads them)
-// and the bytes read, after which an interior's buffered messages start.
-// ok is false for another magic or a short or corrupt image.
+// ParseBuffers adds a Bε-tree's buffers); an interior gets its part
+// here. It returns an interior's child extents in child order (its
+// children get ids as recovery loads them) and the bytes read, after
+// which an interior's buffered messages start. ok is false for another
+// magic or a short or corrupt image.
 func (n *Node) ParseImage(data []byte, magic uint32) (exts []Extent, used int, ok bool) {
 	if len(data) < PageHeaderBytes || binary.LittleEndian.Uint32(data[0:]) != magic {
 		return nil, 0, false
@@ -109,6 +108,7 @@ func (n *Node) ParseImage(data []byte, magic uint32) (exts []Extent, used int, o
 	count := int(binary.LittleEndian.Uint32(data[8:]))
 	off := PageHeaderBytes
 	if !n.Leaf {
+		n.Interior = new(Interior)
 		exts, used, ok = n.ParsePivots(data[off:], count)
 		n.Serialized = n.PivotBytes()
 		return exts, off + used, ok

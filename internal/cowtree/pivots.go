@@ -18,20 +18,32 @@ const PageHeaderBytes = 64
 // locate the children on disk.
 const ChildRefBytes = 12
 
+// Interior is the part of a node only interiors have (Node.Interior):
+// the pivot section and a Bε-tree's message buffers. Interiors get it
+// from the core's arena (NewNode) or from ParseImage; a leaf has none.
+type Interior struct {
+	Pivots
+	// Buf is a Bε-tree interior's message buffers, one per child (see
+	// NewBuffers); a B+Tree's interiors leave it zero, Msgs nil.
+	Buf Buffers
+}
+
+// buffered reports whether the interior carries message buffers.
+func (in *Interior) buffered() bool { return in.Buf.Msgs != nil }
+
 // Pivots is an interior node's pivot section, the same in both tree
 // engines: the separators and the child ids, with the separators' word
 // cache, the child lookup, the child insert and half split, the
-// section's footprint and its codec. Node embeds it, so an engine's
-// node type reaches Children and these methods directly. The zero value
-// is an empty set (a leaf's).
+// section's footprint and its codec. Interior embeds it, so a node
+// reaches Children and these methods directly. The zero value is an
+// empty set.
 type Pivots struct {
 	// Seps are the separators: Children[i] holds keys < Seps[i] for
 	// i < len(Seps), Children[len(Seps)] the rest. Only Pivots' methods
 	// change them, keeping the word cache in step.
 	Seps [][]byte
 
-	// Children are an interior node's child ids, in key order (nil for
-	// leaves).
+	// Children are an interior node's child ids, in key order.
 	Children []NodeID
 
 	// words caches the separators' big-endian word decomposition while
@@ -48,8 +60,8 @@ type Pivots struct {
 type sepWords struct{ hi, lo uint64 }
 
 // mixed reports that the word cache is off: some separator is not a
-// kv.KeySize key. It is derived rather than stored, which keeps Node at
-// its size.
+// kv.KeySize key. It is derived rather than stored, which keeps
+// Interior at its size.
 func (p *Pivots) mixed() bool { return len(p.words) != len(p.Seps) }
 
 // ChildFor returns the index of the child covering t: the number of
@@ -215,21 +227,26 @@ func (p *Pivots) InsertChild(idx int, sep []byte, child NodeID) int {
 
 // SplitHalf moves the upper half of the set into right (empty) and
 // returns the separator between the halves, which the parent takes.
+// Both halves end up in arrays sized to what they hold: the half that
+// stays is re-homed too, as SplitLeaf re-homes a leaf's, or it would
+// keep its pre-split capacity, twice what it holds.
 func (p *Pivots) SplitHalf(right *Pivots) []byte {
 	mid := len(p.Seps) / 2
 	promoted := p.Seps[mid]
-	right.Seps = append([][]byte(nil), p.Seps[mid+1:]...)
-	right.Children = append([]NodeID(nil), p.Children[mid+1:]...)
-	p.Seps = p.Seps[:mid]
-	p.Children = p.Children[:mid+1]
+	right.Seps = slices.Clone(p.Seps[mid+1:])
+	right.Children = slices.Clone(p.Children[mid+1:])
+	p.Seps = slices.Clone(p.Seps[:mid])
+	p.Children = slices.Clone(p.Children[:mid+1])
+	p.words = nil
 	p.refresh()
 	right.refresh()
 	return promoted
 }
 
-// refresh rebuilds the word cache from the separators.
+// refresh rebuilds the word cache from the separators, in the cache's
+// array when it has room for them and in one sized to them otherwise.
 func (p *Pivots) refresh() {
-	p.words = p.words[:0]
+	p.words = slices.Grow(p.words[:0], len(p.Seps))
 	for _, sep := range p.Seps {
 		hi, lo, ok := kv.DecomposeKey(sep)
 		if !ok {
@@ -323,8 +340,8 @@ func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 	parent := c.nodes[left.Parent]
 	idx := parent.ChildIndex(left.ID)
 	parent.Serialized += parent.InsertChild(idx, sep, right.ID)
-	if parent.Buf != nil {
-		c.cutBuffer(parent.Buf, idx, sep)
+	if parent.buffered() {
+		c.cutBuffer(&parent.Buf, idx, sep)
 	}
 	right.Parent = parent.ID
 	c.MarkDirty(parent)
@@ -340,9 +357,8 @@ func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
 	right.Parent = n.Parent
 	promoted = n.SplitHalf(&right.Pivots)
 	n.Serialized, right.Serialized = n.PivotBytes(), right.PivotBytes()
-	if n.Buf != nil {
-		right.Buf = c.bufMem.New()
-		n.Buf.splitAt(len(n.Children), right.Buf)
+	if n.buffered() {
+		n.Buf.splitAt(len(n.Children), &right.Buf)
 		n.Serialized += n.Buf.Bytes
 		right.Serialized += right.Buf.Bytes
 	}

@@ -81,10 +81,11 @@ func (c *Core) loadSubtree(now sim.Duration, ext Extent, parent NodeID, eng Tree
 		return nil, now, fmt.Errorf("%w at extent %d+%d", err, ext.Start, ext.Pages)
 	}
 	// Recompute the counter from disk state, buffered messages included.
-	for i := range n.Entries {
-		c.NoteSeq(n.Entries[i].Seq())
-	}
-	if n.Buf != nil {
+	if n.Leaf {
+		for i := range n.Entries {
+			c.NoteSeq(n.Entries[i].Seq())
+		}
+	} else {
 		for _, buf := range n.Buf.Msgs {
 			for i := range buf {
 				c.NoteSeq(buf[i].Seq())

@@ -37,6 +37,10 @@ type Naming struct {
 	// JournalPrefix prefixes journal segment file names; segments are
 	// "<prefix>NNNNNN".
 	JournalPrefix string
+	// Buffered says the engine's interiors carry message buffers (the
+	// Bε-tree's), which their images hold after the pivot section;
+	// Check asserts that every interior has them, or none does.
+	Buffered bool
 }
 
 // Tuning is the configuration both tree engines share; each engine's
@@ -183,7 +187,8 @@ type Tree interface {
 	// (Node.ParseImage under the engine's magic, and Node.ParseBuffers
 	// for a Bε-tree interior) and registers it (Core.Register). It
 	// returns the Node — Leaf, Serialized, a leaf's Entries and, for an
-	// interior node, Children sized to the fanout set and any Buf; the
+	// interior node, its Interior part with Children sized to the fanout
+	// set and any Buf; the
 	// core fills in Parent, Disk and the child ids and notes the
 	// sequence numbers of the entries and buffered messages — and the
 	// on-disk extents of the children in child order (nil for leaves). An

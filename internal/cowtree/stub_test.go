@@ -119,6 +119,9 @@ func (t *stubTree) NewRootLeaf() {
 
 func (t *stubTree) newNode(leaf bool) *stubNode {
 	n := &stubNode{Node: Node{Leaf: leaf}}
+	if !leaf {
+		n.Interior = new(Interior)
+	}
 	n.Serialized = n.size()
 	t.register(n)
 	t.Core.MarkDirty(&n.Node)
@@ -397,6 +400,9 @@ func parseStub(data []byte) (*stubNode, bool) {
 		return nil, false
 	}
 	n := &stubNode{Node: Node{Leaf: data[4] == 1}}
+	if !n.Leaf {
+		n.Interior = new(Interior)
+	}
 	count := int(binary.LittleEndian.Uint32(data[5:]))
 	off := 9
 	if n.Leaf {

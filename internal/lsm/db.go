@@ -144,7 +144,7 @@ func newDB(fs *extfs.FS, cfg Config, rng *sim.RNG) *DB {
 		log:        wal.NewLog(fs, "wal-", cfg.Content, cfg.DisableWAL),
 		manifest:   wal.NewSlots(fs, "MANIFEST", "lsm: manifest", decodeSlot),
 	}
-	d.mem = memtable.New(rng.Split(), &d.chunks)
+	d.mem = memtable.New(rng.Uint64(), &d.chunks)
 	d.compactW.SetIdlePuller(d.pullL0Compaction)
 	d.compactWD.SetIdlePuller(d.pullDeepCompaction)
 	return d
@@ -370,7 +370,7 @@ func (d *DB) rotateMemtable() error {
 	im := d.imms.Get()
 	*im = immutable{mt: d.mem, walW: w, maxSeq: d.seq}
 	d.imm = append(d.imm, im)
-	d.mem = memtable.New(d.rng.Split(), &d.chunks)
+	d.mem = memtable.New(d.rng.Uint64(), &d.chunks)
 	j := d.flushes.Get()
 	*j = flushJob{d: d, im: im}
 	d.flushW.Submit(j)

@@ -25,13 +25,13 @@ func BenchmarkMemtablePut(b *testing.B) {
 	}{{"ascending", ascending}, {"random", random}} {
 		b.Run(c.name, func(b *testing.B) {
 			chunks := new(Chunks)
-			m := New(sim.NewRNG(1), chunks)
+			m := New(1, chunks)
 			key := make([]byte, kv.KeySize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i > 0 && i%lap == 0 {
 					m.Release()
-					m = New(sim.NewRNG(1), chunks)
+					m = New(1, chunks)
 				}
 				kv.AppendKey(key, c.ids[i%lap])
 				m.Put(key, nil, 128, uint64(i), false)
@@ -41,7 +41,7 @@ func BenchmarkMemtablePut(b *testing.B) {
 }
 
 func BenchmarkMemtableGet(b *testing.B) {
-	m := New(sim.NewRNG(1), new(Chunks))
+	m := New(1, new(Chunks))
 	for i := uint64(0); i < 100000; i++ {
 		m.Put(kv.EncodeKey(i), nil, 128, i, false)
 	}

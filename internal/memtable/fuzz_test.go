@@ -108,7 +108,7 @@ func FuzzMemtable(f *testing.F) {
 		in := fuzzBytes(data)
 		flags, rngSeed := in.next(), in.next()
 		mixed := flags&1 != 0
-		m := New(sim.NewRNG(uint64(rngSeed)), &fuzzChunks)
+		m := New(uint64(rngSeed), &fuzzChunks)
 		defer m.Release()
 		ref := map[string]kv.Entry{}
 		sizeEst := func() int64 {

@@ -70,7 +70,7 @@ type node struct {
 type Memtable struct {
 	head   *node
 	height int
-	rng    *sim.RNG
+	rng    sim.RNG
 
 	// last is the node the last Put linked in or replaced, and splice
 	// holds its predecessors at the levels above its tower. A key that
@@ -95,10 +95,11 @@ type Memtable struct {
 	bytes arena.Arena[byte]
 }
 
-// New creates an empty memtable; rng drives skiplist tower heights and
-// free supplies the arena chunks and, when it holds one, a released
-// Memtable struct with its emptied arenas.
-func New(rng *sim.RNG, free *Chunks) *Memtable {
+// New creates an empty memtable; the generator that draws skiplist
+// tower heights starts on sim.NewRNG(seed)'s stream, and free supplies
+// the arena chunks and, when it holds one, a released Memtable struct
+// with its emptied arenas and its generator, which is reseeded.
+func New(seed uint64, free *Chunks) *Memtable {
 	m := free.memtables.Get()
 	if m.free == nil { // a new struct: bind its arenas to free
 		m.free = free
@@ -106,7 +107,8 @@ func New(rng *sim.RNG, free *Chunks) *Memtable {
 		m.ptrs = arena.Arena[*node]{Chunk: ptrChunk, Free: &free.ptrs}
 		m.bytes = arena.Arena[byte]{Chunk: byteChunk, Free: &free.bytes}
 	}
-	m.height, m.rng, m.overhead = 1, rng, 32
+	m.height, m.overhead = 1, 32
+	m.rng.Reseed(seed)
 	m.head = m.newNode(maxHeight)
 	return m
 }

@@ -10,7 +10,7 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newMT() *Memtable { return New(sim.NewRNG(1), new(Chunks)) }
+func newMT() *Memtable { return New(1, new(Chunks)) }
 
 func TestPutGet(t *testing.T) {
 	m := newMT()
@@ -127,7 +127,7 @@ func TestKeyIsCopied(t *testing.T) {
 // Property: memtable matches a reference map under random workloads.
 func TestMemtableMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
-		m := New(sim.NewRNG(seed), new(Chunks))
+		m := New(seed, new(Chunks))
 		ref := map[uint64]uint64{} // id -> latest seq
 		seq := uint64(0)
 		rng := sim.NewRNG(seed + 1)
@@ -200,7 +200,7 @@ func TestRecycledChunksMatchFresh(t *testing.T) {
 		kv.SynthValue(v, kv.EncodeKey(id), gen)
 		return v
 	}
-	old := New(sim.NewRNG(3), free)
+	old := New(3, free)
 	for id := uint64(0); id < 3000; id++ {
 		old.Put(kv.EncodeKey(id*3), value(id, 1), 64, id, false)
 	}
@@ -211,8 +211,8 @@ func TestRecycledChunksMatchFresh(t *testing.T) {
 	}
 	releasedNodes := len(free.nodes)
 
-	reused := New(sim.NewRNG(9), free)
-	fresh := New(sim.NewRNG(9), new(Chunks))
+	reused := New(9, free)
+	fresh := New(9, new(Chunks))
 	rng := sim.NewRNG(11)
 	for seq := uint64(1); seq <= 4000; seq++ {
 		id := rng.Uint64n(2500)
@@ -261,8 +261,10 @@ func TestRecycledChunksMatchFresh(t *testing.T) {
 }
 
 // TestReleasedStructIsReused: the next New on a Chunks takes the struct
-// of the memtable released to it, emptied, and a rotation cycle (New,
-// fill, Release) allocates nothing once the chunks are warm.
+// of the memtable released to it, emptied, its generator reseeded onto
+// the stream a fresh one would draw, and a rotation cycle (New from a
+// parent generator's draw, as a DB rotates, fill, Release) allocates
+// nothing once the chunks are warm: not even a generator.
 func TestReleasedStructIsReused(t *testing.T) {
 	free := new(Chunks)
 	fill := func(m *Memtable) {
@@ -270,21 +272,24 @@ func TestReleasedStructIsReused(t *testing.T) {
 			m.Put(kv.EncodeKey(id*7), nil, 64, id, false)
 		}
 	}
-	old := New(sim.NewRNG(1), free)
+	old := New(1, free)
 	fill(old)
 	old.Release()
-	m := New(sim.NewRNG(1), free)
+	m := New(1, free)
 	if m != old {
 		t.Fatal("New did not take the released memtable's struct")
 	}
 	if m.Len() != 0 || m.SizeBytes() != 0 || m.Get(kv.EncodeKey(7)) != nil || m.Iterator().Next() {
 		t.Fatal("the reused struct is not an empty memtable")
 	}
+	if m.rng != *sim.NewRNG(1) {
+		t.Fatal("the reused struct's generator is not reseeded")
+	}
 	fill(m)
 	m.Release()
 	rng := sim.NewRNG(1)
 	if n := testing.AllocsPerRun(20, func() {
-		m := New(rng, free)
+		m := New(rng.Uint64(), free)
 		fill(m)
 		m.Release()
 	}); n != 0 {

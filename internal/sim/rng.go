@@ -11,11 +11,18 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed. Two generators with the
 // same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{state: seed}
+	r := new(RNG)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r in place on the stream NewRNG(seed) would start,
+// for an owner that keeps its generator across uses.
+func (r *RNG) Reseed(seed uint64) {
+	r.state = seed
 	// Warm up so that small seeds do not produce small first outputs.
 	r.Uint64()
 	r.Uint64()
-	return r
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
