@@ -11,20 +11,19 @@ import (
 	"ptsbench/internal/stack"
 )
 
-// TestCheckAuditsBuffers pins Core.Check's audit of a Bε-tree's buffers:
-// on a tree whose interiors hold buffered messages it passes; moving one
-// message into the neighbouring child's buffer — still sorted, every
-// count still exact — fails it on the routing, and a buffer size off by
-// one byte fails it on the count. Each corruption is undone before the
-// next, and Check passes again.
-func TestCheckAuditsBuffers(t *testing.T) {
-	l := stack.Small("betree", map[string]string{"node_bytes": "16384", "leaf_page_bytes": "2048"})
+// checkedTree builds engine's tree on a small stack with the given
+// tunables, puts 4,000 random keys of a 3,000-key space, and returns its
+// nodes and a check that Core.Check passes (want "") or fails with an
+// error containing want; the tree as built must pass.
+func checkedTree(t *testing.T, engineName string, tunables map[string]string) ([]*cowtree.Node, func(what, want string)) {
+	t.Helper()
+	l := stack.Small(engineName, tunables)
 	l.RNG = sim.NewRNG(1)
 	built, err := stack.Build(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer built.Close()
+	t.Cleanup(func() { built.Close() })
 	e := built.Engine.(interface {
 		engine.Engine
 		Check() error
@@ -47,12 +46,23 @@ func TestCheckAuditsBuffers(t *testing.T) {
 		}
 	}
 	check("the tree as built", "")
+	return e.Nodes(), check
+}
+
+// TestCheckAuditsBuffers pins Core.Check's audit of a Bε-tree's buffers:
+// on a tree whose interiors hold buffered messages it passes; moving one
+// message into the neighbouring child's buffer — still sorted, every
+// count still exact — fails it on the routing, and a buffer size off by
+// one byte fails it on the count. Each corruption is undone before the
+// next, and Check passes again.
+func TestCheckAuditsBuffers(t *testing.T) {
+	nodes, check := checkedTree(t, "betree", map[string]string{"node_bytes": "16384", "leaf_page_bytes": "2048"})
 
 	// An interior with a buffered message whose child has a right
 	// neighbour under the same node.
 	var n *cowtree.Node
 	ci := -1
-	for _, cand := range e.Nodes() {
+	for _, cand := range nodes {
 		if cand.Leaf {
 			continue
 		}
@@ -103,37 +113,9 @@ func TestCheckAuditsNodeLayout(t *testing.T) {
 		{"betree", map[string]string{"node_bytes": "16384", "leaf_page_bytes": "2048"}},
 	} {
 		t.Run(c.engine, func(t *testing.T) {
-			l := stack.Small(c.engine, c.tunable)
-			l.RNG = sim.NewRNG(1)
-			built, err := stack.Build(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer built.Close()
-			e := built.Engine.(interface {
-				engine.Engine
-				Check() error
-				Nodes() []*cowtree.Node
-			})
-			rng := sim.NewRNG(5)
-			var now sim.Duration
-			for i := 0; i < 4000; i++ {
-				if now, err = e.Put(now, kv.EncodeKey(rng.Uint64n(3000)), nil, 100); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(what, want string) {
-				t.Helper()
-				switch err := e.Check(); {
-				case want == "" && err != nil:
-					t.Fatalf("%s: %v", what, err)
-				case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
-					t.Fatalf("%s: Check says %v, want an error with %q", what, err, want)
-				}
-			}
-			check("the tree as built", "")
+			nodes, check := checkedTree(t, c.engine, c.tunable)
 			var leaf, interior *cowtree.Node
-			for _, n := range e.Nodes() {
+			for _, n := range nodes {
 				if n.Leaf && leaf == nil {
 					leaf = n
 				} else if !n.Leaf && interior == nil {
