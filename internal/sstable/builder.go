@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,12 +22,17 @@ type Builder struct {
 	content     bool
 	spares      *Spares // where the side index's arrays come from
 
-	// Side index under construction.
+	// Side index under construction, in the Table's columns: keyOffsets,
+	// vlens and dels stay nil while every entry so far can derive them
+	// (see Table), and each is materialized at the first entry that
+	// breaks its rule, its earlier entries filled in.
 	keyArena   []byte
 	keyOffsets []uint32
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte
+	vlen0      uint32 // the first entry's value length
+	hint       int    // NewBuilder's entryHint, the class a materialized column is taken in
 	blocks     []blockMeta
 	valArena   []byte   // content mode: retained value bytes, packed
 	valOffsets []uint32 // content mode: len = entries+1
@@ -34,8 +40,6 @@ type Builder struct {
 	curBlockBytes int   // payload bytes in the current block
 	curBlockFirst int32 // first entry index of current block
 	nextPage      int32 // next file page to be assigned
-	lastKey       []byte
-	mixed         bool // some key is not kv.KeySize bytes (see Table.seal)
 
 	data      []byte // serialized data blocks (content mode only; scratch from spares)
 	dataBytes int64  // logical payload bytes
@@ -46,10 +50,12 @@ const DefaultBlockBytes = 32 << 10
 
 // NewBuilder creates a builder. pageSize is the device page size; content
 // selects whether real bytes are produced. entryHint is the expected
-// entry count (0 if unknown): each per-entry column of the side index
-// under construction is an array from spares of the power-of-two class
-// with room for that many entries (16-byte keys assumed — a high
-// estimate just wastes some slack), so appending never regrows it.
+// entry count (0 if unknown): the key arena and the seqs column of the
+// side index under construction are arrays from spares of the
+// power-of-two class with room for that many entries (16-byte keys
+// assumed — a high estimate just wastes some slack), so appending never
+// regrows them, and a derived column that an entry materializes is
+// taken in the same class.
 // Flush and compaction jobs know their input entry counts, and their
 // DB's spares hold the arrays of the tables its compactions removed, so
 // in steady state a builder allocates no column. The block index and
@@ -70,10 +76,8 @@ func NewBuilder(pageSize, targetBlockBytes int, content bool, entryHint int, spa
 		content:     content,
 		spares:      spares,
 		keyArena:    spares.keyArena.Get(entryHint * kv.KeySize)[:0],
-		keyOffsets:  append(spares.keyOffsets.Get(entryHint + 1)[:0], 0),
 		seqs:        spares.seqs.Get(entryHint)[:0],
-		vlens:       spares.vlens.Get(entryHint)[:0],
-		dels:        spares.dels.Get(entryHint)[:0],
+		hint:        entryHint,
 	}
 	if content {
 		b.valOffsets = append(spares.valOffsets.Get(entryHint + 1)[:0], 0)
@@ -90,8 +94,8 @@ func (b *Builder) EstimatedBytes() int64 { return b.dataBytes }
 // Add appends an entry. Entries must arrive in strictly increasing key
 // order (the builder enforces this).
 func (b *Builder) Add(e *kv.Entry) error {
-	if b.lastKey != nil && kv.CompareKeys(e.Key, b.lastKey) <= 0 {
-		return fmt.Errorf("sstable: keys out of order (%x after %x)", e.Key, b.lastKey)
+	if n := len(b.seqs); n > 0 && kv.CompareKeys(e.Key, b.key(n-1)) <= 0 {
+		return fmt.Errorf("sstable: keys out of order (%x after %x)", e.Key, b.key(n-1))
 	}
 	vl := e.ValueLen
 	if e.Value != nil {
@@ -101,27 +105,88 @@ func (b *Builder) Add(e *kv.Entry) error {
 	if b.curBlockBytes > 0 && b.curBlockBytes+sz > b.targetBlock {
 		b.finishBlock()
 	}
-	idx := int32(len(b.seqs))
 	if b.curBlockBytes == 0 {
-		b.curBlockFirst = idx
+		b.curBlockFirst = int32(len(b.seqs))
 	}
-	b.keyArena = append(b.keyArena, e.Key...)
-	b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
-	b.mixed = b.mixed || len(e.Key) != kv.KeySize
-	b.seqs = append(b.seqs, e.Seq)
-	b.vlens = append(b.vlens, uint32(vl))
-	var del byte
-	if e.Deleted {
-		del = 1
-	}
-	b.dels = append(b.dels, del)
-	b.lastKey = b.keyArena[b.keyOffsets[idx]:b.keyOffsets[idx+1]]
+	b.addIndex(e.Key, e.Seq, vl, e.Deleted)
 	if b.content {
-		b.appendContent(e.Key, e.Value, vl, e.Seq, del)
+		b.appendContent(e.Key, e.Value, vl, e.Seq, e.Deleted)
 	}
 	b.curBlockBytes += sz
 	b.dataBytes += int64(sz)
 	return nil
+}
+
+// key returns entry i's key.
+func (b *Builder) key(i int) []byte {
+	if b.keyOffsets == nil {
+		o := i * kv.KeySize
+		return b.keyArena[o : o+kv.KeySize]
+	}
+	return b.keyArena[b.keyOffsets[i]:b.keyOffsets[i+1]]
+}
+
+// addIndex appends one entry to the side index's columns, materializing
+// a derived column first when the entry breaks its rule.
+func (b *Builder) addIndex(key []byte, seq uint64, vl int, del bool) {
+	if len(b.seqs) == 0 {
+		b.vlen0 = uint32(vl)
+	}
+	if b.keyOffsets == nil && len(key) != kv.KeySize {
+		b.materializeKeyOffsets()
+	}
+	if b.vlens == nil && uint32(vl) != b.vlen0 {
+		b.materializeVlens()
+	}
+	if b.dels == nil && del {
+		b.materializeDels()
+	}
+	b.keyArena = append(b.keyArena, key...)
+	if b.keyOffsets != nil {
+		b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
+	}
+	b.seqs = append(b.seqs, seq)
+	if b.vlens != nil {
+		b.vlens = append(b.vlens, uint32(vl))
+	}
+	if b.dels != nil {
+		b.dels = append(b.dels, delByte(del))
+	}
+}
+
+// materializeKeyOffsets gives the side index its keyOffsets column, the
+// entries so far all kv.KeySize keys.
+func (b *Builder) materializeKeyOffsets() {
+	n := len(b.seqs)
+	b.keyOffsets = b.spares.keyOffsets.Get(max(b.hint, n) + 1)[:n+1]
+	for i := range b.keyOffsets {
+		b.keyOffsets[i] = uint32(i * kv.KeySize)
+	}
+}
+
+// materializeVlens gives the side index its vlens column, the entries so
+// far all of value length vlen0.
+func (b *Builder) materializeVlens() {
+	n := len(b.seqs)
+	b.vlens = b.spares.vlens.Get(max(b.hint, n+1))[:n]
+	for i := range b.vlens {
+		b.vlens[i] = b.vlen0
+	}
+}
+
+// materializeDels gives the side index its dels column, no entry so far
+// a tombstone.
+func (b *Builder) materializeDels() {
+	n := len(b.seqs)
+	b.dels = b.spares.dels.Get(max(b.hint, n+1))[:n]
+	clear(b.dels)
+}
+
+func delByte(del bool) byte {
+	if del {
+		return 1
+	}
+	return 0
 }
 
 // appendContent writes one entry — header, key, value — into the
@@ -129,9 +194,9 @@ func (b *Builder) Add(e *kv.Entry) error {
 // (arena-packed, like keys): compactions merge through it, and their
 // output blocks must carry the real bytes. vl is the value length the
 // header records. Content mode only.
-func (b *Builder) appendContent(key, value []byte, vl int, seq uint64, del byte) {
+func (b *Builder) appendContent(key, value []byte, vl int, seq uint64, del bool) {
 	var hdr [entryHeaderSize]byte
-	hdr[0] = del
+	hdr[0] = delByte(del)
 	binary.LittleEndian.PutUint16(hdr[1:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(hdr[3:], uint32(vl))
 	binary.LittleEndian.PutUint64(hdr[7:], seq)
@@ -166,14 +231,14 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 	}
 	lo := i // the current run's first entry
 	for ; i < j; i++ {
-		if drop && t.dels[i] == 1 {
+		if drop && t.tomb(i) {
 			b.appendColumns(t, lo, i)
 			lo = i + 1
 			continue
 		}
-		ko := t.keyOffsets[i]
-		kl := int(t.keyOffsets[i+1] - ko)
-		sz := entryHeaderSize + kl + int(t.vlens[i])
+		ko, ke := t.keyOff(i), t.keyOff(i+1)
+		vl := t.vlen(i)
+		sz := entryHeaderSize + int(ke-ko) + vl
 		if b.curBlockBytes > 0 && b.curBlockBytes+sz > b.targetBlock {
 			b.finishBlock()
 		}
@@ -181,7 +246,7 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 			b.curBlockFirst = int32(len(b.seqs) + i - lo)
 		}
 		if b.content {
-			b.appendContent(t.keyArena[ko:int(ko)+kl], t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], int(t.vlens[i]), t.seqs[i], t.dels[i])
+			b.appendContent(t.keyArena[ko:ke], t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], vl, t.seqs[i], t.tomb(i))
 		}
 		b.curBlockBytes += sz
 		b.dataBytes += int64(sz)
@@ -191,30 +256,66 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 		}
 	}
 	b.appendColumns(t, lo, i)
-	if n := len(b.seqs); n > 0 {
-		b.lastKey = b.keyArena[b.keyOffsets[n-1]:b.keyOffsets[n]]
-	}
 	return i, nil
 }
 
-// appendColumns appends entries [lo, hi) of t's side index: the keys
-// in one copy, then each entry's key offset (rebased by one delta),
-// sequence number, value length and tombstone mark. Those four columns
-// are appended entry by entry: compactions of random keys append runs
-// of one to a few entries, and a copy call per column cost more there
-// than it saved on long runs. Key widths are only checked when t's are
-// not all kv.KeySize.
+// appendColumns appends entries [lo, hi) of t's side index: the keys in
+// one copy, the sequence numbers, and whichever of the key offsets
+// (rebased by one delta), value lengths and tombstone marks the builder
+// holds — a derived column is materialized first when the run breaks its
+// rule, which only a table that holds that column can. The columns are
+// appended entry by entry: compactions of random keys append runs of one
+// to a few entries, and a copy call per column cost more there than it
+// saved on long runs.
 func (b *Builder) appendColumns(t *Table, lo, hi int) {
-	delta := uint32(len(b.keyArena)) - t.keyOffsets[lo]
-	b.keyArena = append(b.keyArena, t.keyArena[t.keyOffsets[lo]:t.keyOffsets[hi]]...)
-	for k := lo; k < hi; k++ {
-		b.keyOffsets = append(b.keyOffsets, t.keyOffsets[k+1]+delta)
-		b.seqs = append(b.seqs, t.seqs[k])
-		b.vlens = append(b.vlens, t.vlens[k])
-		b.dels = append(b.dels, t.dels[k])
+	if lo == hi {
+		return
 	}
-	for k := lo; !t.fixed && !b.mixed && k < hi; k++ {
-		b.mixed = t.keyOffsets[k+1]-t.keyOffsets[k] != kv.KeySize
+	if len(b.seqs) == 0 {
+		b.vlen0 = uint32(t.vlen(lo))
+	}
+	if b.keyOffsets == nil && t.keyOffsets != nil {
+		for k := lo; k < hi; k++ {
+			if t.keyOffsets[k+1]-t.keyOffsets[k] != kv.KeySize {
+				b.materializeKeyOffsets()
+				break
+			}
+		}
+	}
+	if b.vlens == nil {
+		for k := lo; k < hi; k++ {
+			if uint32(t.vlen(k)) != b.vlen0 {
+				b.materializeVlens()
+				break
+			}
+			if t.vlens == nil {
+				break // every entry of t has the length just checked
+			}
+		}
+	}
+	if b.dels == nil && t.dels != nil && bytes.IndexByte(t.dels[lo:hi], 1) >= 0 {
+		b.materializeDels()
+	}
+	ko := t.keyOff(lo)
+	if b.keyOffsets != nil {
+		delta := uint32(len(b.keyArena)) - ko
+		for k := lo; k < hi; k++ {
+			b.keyOffsets = append(b.keyOffsets, t.keyOff(k+1)+delta)
+		}
+	}
+	b.keyArena = append(b.keyArena, t.keyArena[ko:t.keyOff(hi)]...)
+	for k := lo; k < hi; k++ {
+		b.seqs = append(b.seqs, t.seqs[k])
+	}
+	if b.vlens != nil {
+		for k := lo; k < hi; k++ {
+			b.vlens = append(b.vlens, uint32(t.vlen(k)))
+		}
+	}
+	if b.dels != nil {
+		for k := lo; k < hi; k++ {
+			b.dels = append(b.dels, delByte(t.tomb(k)))
+		}
 	}
 }
 
@@ -259,19 +360,6 @@ type FileImage struct {
 func (b *Builder) Finish(id uint64) *FileImage {
 	b.finishBlock()
 	n := len(b.seqs)
-	// In accounting mode the Bloom filter is built lazily on the table's
-	// first probe (see Table.mayContain): write-heavy runs churn through
-	// tables that die in compactions without ever serving a Get, and the
-	// per-key hashing + scattered bit-sets were the most expensive part
-	// of sealing a table. Content mode needs the bits now — they are
-	// serialized into the file image.
-	var bloom Bloom
-	if b.content {
-		bloom = newBloom(n, b.spares)
-		for i := 0; i < n; i++ {
-			bloom.Add(b.keyArena[b.keyOffsets[i]:b.keyOffsets[i+1]])
-		}
-	}
 	// Metadata sections: index block (16 bytes per block entry as laid
 	// out below), filter, footer. They are written page-aligned after
 	// the data.
@@ -293,8 +381,8 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		seqs:       b.seqs,
 		vlens:      b.vlens,
 		dels:       b.dels,
+		vlen0:      b.vlen0,
 		blocks:     b.blocks,
-		bloom:      bloom,
 		valArena:   b.valArena,
 		valOffsets: b.valOffsets,
 		numEntries: n,
@@ -304,7 +392,16 @@ func (b *Builder) Finish(id uint64) *FileImage {
 		content:    b.content,
 		spares:     b.spares,
 	}
-	t.seal(b.mixed)
+	t.seal()
+	// In accounting mode the Bloom filter is built lazily on the table's
+	// first probe (see Table.mayContain): write-heavy runs churn through
+	// tables that die in compactions without ever serving a Get, and the
+	// per-key hashing + scattered bit-sets were the most expensive part
+	// of sealing a table. Content mode needs the bits now — they are
+	// serialized into the file image.
+	if b.content {
+		t.buildBloom()
+	}
 
 	img := &t.image
 	*img = FileImage{
@@ -326,7 +423,7 @@ func (b *Builder) Finish(id uint64) *FileImage {
 			off += 16
 		}
 		// Filter.
-		copy(data[off:], bloom.encode())
+		copy(data[off:], t.bloom.encode())
 		// Footer: fixed 32 bytes at the very end of the file.
 		foot := totalPages*int64(b.pageSize) - footerBytes
 		binary.LittleEndian.PutUint32(data[foot:], footerMagic)
@@ -430,7 +527,6 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 	}
 	t := &Table{
 		ID:         id,
-		keyOffsets: []uint32{0},
 		numEntries: n,
 		pageSize:   pageSize,
 		content:    true,
@@ -451,9 +547,10 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 	t.bloom = bloom
 
 	// Rebuild the per-entry side index by walking the data blocks (their
-	// extents are now known exactly from the index).
-	entries := 0
-	mixed := false
+	// extents are now known exactly from the index), through a builder's
+	// columns so the derived ones stay nil as Add leaves them.
+	cols := Builder{spares: new(Spares)}
+	var size int64
 	for bi, bm := range t.blocks {
 		pos := int(bm.startPage) * pageSize
 		last := bi == len(t.blocks)-1
@@ -473,29 +570,21 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 				return nil, fmt.Errorf("corrupt entry %d in block %d", j, bi)
 			}
 			key := data[pos+entryHeaderSize : pos+entryHeaderSize+kl]
-			t.keyArena = append(t.keyArena, key...)
-			t.keyOffsets = append(t.keyOffsets, uint32(len(t.keyArena)))
-			mixed = mixed || kl != kv.KeySize
-			t.seqs = append(t.seqs, seq)
-			t.vlens = append(t.vlens, uint32(vl))
-			t.dels = append(t.dels, del)
+			cols.addIndex(key, seq, vl, del == 1)
 			if t.valOffsets == nil {
 				t.valOffsets = []uint32{0}
 			}
 			t.valArena = append(t.valArena, data[pos+entryHeaderSize+kl:pos+entryHeaderSize+kl+vl]...)
 			t.valOffsets = append(t.valOffsets, uint32(len(t.valArena)))
-			entries++
+			size += int64(entryHeaderSize + kl + vl)
 			pos += entryHeaderSize + kl + vl
 		}
 	}
-	if entries != n {
+	if entries := len(cols.seqs); entries != n {
 		return nil, fmt.Errorf("entry count %d disagrees with footer %d", entries, n)
 	}
-	t.seal(mixed)
-	var size int64
-	for i := 0; i < n; i++ {
-		size += int64(entryHeaderSize) + int64(t.keyOffsets[i+1]-t.keyOffsets[i]) + int64(t.vlens[i])
-	}
+	t.keyArena, t.keyOffsets, t.seqs, t.vlens, t.dels, t.vlen0 = cols.keyArena, cols.keyOffsets, cols.seqs, cols.vlens, cols.dels, cols.vlen0
+	t.seal()
 	t.sizeBytes = size
 	return t, nil
 }

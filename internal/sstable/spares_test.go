@@ -43,11 +43,20 @@ func buildWith(t *testing.T, spares *Spares, content bool, entries []kv.Entry) *
 // base is the address of the first element of s's array.
 func base[T any](s []T) *T { return &s[:1][0] }
 
-// columns returns the base of each of t's side-index arrays, its Bloom
-// bits included, and in content mode its value arena and offsets.
+// columns returns the base of each of t's side-index arrays it holds
+// (keyOffsets, vlens and dels only when materialized), its Bloom bits
+// included, and in content mode its value arena and offsets.
 func columns(t *Table, content bool) []any {
-	cols := []any{base(t.keyArena), base(t.keyOffsets), base(t.seqs),
-		base(t.vlens), base(t.dels), base(t.blocks), base(t.bloom.bits)}
+	cols := []any{base(t.keyArena), base(t.seqs), base(t.blocks), base(t.bloom.bits)}
+	if t.keyOffsets != nil {
+		cols = append(cols, base(t.keyOffsets))
+	}
+	if t.vlens != nil {
+		cols = append(cols, base(t.vlens))
+	}
+	if t.dels != nil {
+		cols = append(cols, base(t.dels))
+	}
 	if content {
 		cols = append(cols, base(t.valArena), base(t.valOffsets))
 	}

@@ -2,8 +2,9 @@
 // the LSM engine: page-aligned data blocks of fixed-header entries, an
 // index block, a Bloom filter, and a footer.
 //
-// Every table keeps a compact in-memory side index (key arena + offsets +
-// per-entry metadata), which serves two purposes: it is the block index
+// Every table keeps a compact in-memory side index (key arena + per-entry
+// metadata, holding only what the table cannot derive), which serves two
+// purposes: it is the block index
 // and filter a real engine would cache, and it lets the simulation run in
 // accounting-only mode — where value bytes are charged to the device but
 // not materialized — without losing merge or lookup correctness.
@@ -54,11 +55,18 @@ type Table struct {
 	file     *extfs.File
 	fileName string
 
-	// Side index (always in memory).
-	keyOffsets []uint32 // len = numEntries+1
+	// Side index (always in memory). Three columns are held only when
+	// the table cannot derive them, and read through accessors: key
+	// offsets (len = numEntries+1) once some key is not kv.KeySize bytes
+	// (keyOff, key), value lengths once some entry's differs from vlen0
+	// (vlen), tombstone marks once some entry is one (tomb). A table of
+	// fixed-width keys, one value length and no tombstones — every table
+	// the benchmark's writes make — holds keys and seqs alone.
+	keyOffsets []uint32
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte // 1 = tombstone
+	vlen0      uint32 // the first entry's value length
 	blocks     []blockMeta
 	// valArena/valOffsets hold the value bytes in content mode (nil in
 	// accounting mode), arena-packed like the keys. Compactions merge
@@ -76,12 +84,10 @@ type Table struct {
 	image FileImage // what Finish returned, until Install
 }
 
-// seal records the key-width shape of a finished side index. mixed
-// reports that some key is not kv.KeySize bytes; builders track it key
-// by key, because the arena length cannot tell (8- and 24-byte keys in
-// equal numbers fill the same arena as 16-byte ones).
-func (t *Table) seal(mixed bool) {
-	t.fixed = t.numEntries > 0 && !mixed
+// seal records the key-width shape of a finished side index: a table
+// holds key offsets only when some key is not kv.KeySize bytes.
+func (t *Table) seal() {
+	t.fixed = t.numEntries > 0 && t.keyOffsets == nil
 	if t.fixed {
 		t.minHi, t.minLo, _ = kv.DecomposeKey(t.key(0))
 		t.maxHi, t.maxLo, _ = kv.DecomposeKey(t.key(t.numEntries - 1))
@@ -139,14 +145,35 @@ func (t *Table) key(i int) []byte {
 	return t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]
 }
 
+// keyOff returns where key i starts in the arena (i may be numEntries,
+// the arena's end).
+func (t *Table) keyOff(i int) uint32 {
+	if t.keyOffsets == nil {
+		return uint32(i * kv.KeySize)
+	}
+	return t.keyOffsets[i]
+}
+
+// vlen returns entry i's value length.
+func (t *Table) vlen(i int) int {
+	if t.vlens == nil {
+		return int(t.vlen0)
+	}
+	return int(t.vlens[i])
+}
+
+// tomb reports whether entry i is a tombstone.
+func (t *Table) tomb(i int) bool { return t.dels != nil && t.dels[i] == 1 }
+
 func (t *Table) entryAt(i int) kv.Entry {
+	del := t.tomb(i)
 	e := kv.Entry{
 		Key:      t.key(i),
-		ValueLen: int(t.vlens[i]),
+		ValueLen: t.vlen(i),
 		Seq:      t.seqs[i],
-		Deleted:  t.dels[i] == 1,
+		Deleted:  del,
 	}
-	if t.valOffsets != nil && t.dels[i] != 1 {
+	if t.valOffsets != nil && !del {
 		e.Value = t.valArena[t.valOffsets[i]:t.valOffsets[i+1]]
 	}
 	return e
@@ -229,12 +256,18 @@ func (t *Table) Position(p *Probe) int {
 // die unprobed. The bits come from the table's spares.
 func (t *Table) mayContain(p *Probe) bool {
 	if t.bloom.bits == nil {
-		t.bloom = newBloom(t.numEntries, t.spares)
-		for i := 0; i < t.numEntries; i++ {
-			t.bloom.Add(t.key(i))
-		}
+		t.buildBloom()
 	}
 	return t.bloom.mayContain(p.hash)
+}
+
+// buildBloom fills the table's filter from its keys, its bits from the
+// table's spares.
+func (t *Table) buildBloom() {
+	t.bloom = newBloom(t.numEntries, t.spares)
+	for i := 0; i < t.numEntries; i++ {
+		t.bloom.Add(t.key(i))
+	}
 }
 
 // Get looks up the probe's key, charging the device for the data-block
