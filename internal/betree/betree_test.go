@@ -370,7 +370,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		return cowtree.Extent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, exts, ok := parseNode(data)
-	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
+	if !ok || len(got.Children) != 3 || got.NumSeps() != 2 {
 		t.Fatalf("interior round trip: %+v %v", got, ok)
 	}
 	if exts[2].Start != 300 || exts[2].Pages != 4 {

@@ -501,7 +501,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 	seq := uint64(0)
 
 	isSep := func(key []byte) bool {
-		return slices.ContainsFunc(n.Seps, func(s []byte) bool { return bytes.Equal(s, key) })
+		return slices.ContainsFunc(sepBytes(n), func(s []byte) bool { return bytes.Equal(s, key) })
 	}
 	for step := 0; step < 30000; step++ {
 		what := fmt.Sprintf("step %d", step)
@@ -604,7 +604,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 				}
 			}
 		default: // the node splits; carry on with one of the halves
-			if len(n.Seps) < 3 {
+			if n.NumSeps() < 3 {
 				continue
 			}
 			right, promoted := c.SplitInterior(n)

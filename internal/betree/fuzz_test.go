@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ptsbench/internal/cowtree"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func sameNodeImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 		return "leaf entries"
 	case a.Leaf:
 		return ""
-	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
+	case !slices.EqualFunc(sepBytes(a), sepBytes(b), bytes.Equal):
 		return "separators"
 	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
@@ -53,6 +54,16 @@ func sameNodeImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 		}
 	}
 	return ""
+}
+
+// sepBytes reads an interior's separators back as bytes of their own.
+func sepBytes(n *cowtree.Node) [][]byte {
+	out := make([][]byte, n.NumSeps())
+	var kb [kv.KeySize]byte
+	for i := range out {
+		out[i] = bytes.Clone(n.Sep(i, &kb))
+	}
+	return out
 }
 
 // parsedExtents resolves a parsed node's children to the extents its

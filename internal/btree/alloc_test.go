@@ -161,28 +161,7 @@ func arenaTaken(a *cowtree.RecordArena, f func()) int {
 func TestArraysSizedToWhatTheyHold(t *testing.T) {
 	const keys = 50000
 	tr, _, _ := testEnv(t, 1024, false, nil)
-	var now sim.Duration
-	var err error
-	key := make([]byte, kv.KeySize)
-	for id := uint64(0); id < keys; id++ {
-		kv.AppendKey(key, id)
-		if now, err = tr.Put(now, key, nil, 4000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gens, err := workload.NewClientGenerators(workload.Spec{
-		NumKeys: keys, ValueBytes: 4000, Dist: workload.Zipfian, ZipfTheta: 0.99,
-	}, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := gens[0]
-	for i := 0; i < keys; i++ {
-		kv.AppendKey(key, gen.Next().KeyID)
-		if now, err = tr.Put(now, key, nil, 4000); err != nil {
-			t.Fatal(err)
-		}
-	}
+	agedLoad(t, tr, keys)
 	var entries, slots int
 	for _, p := range pages(tr) {
 		entries += len(p.Entries)
@@ -198,35 +177,44 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 }
 
 // TestPivotArraysSizedToWhatTheyHold is TestArraysSizedToWhatTheyHold's
-// twin for the internal pages: after the same load and overwrites, the
-// separator, word-cache and child arrays keep at most two slots per
-// element. Before SplitHalf re-homed the half that stays, every left
-// half kept its pre-split capacity, and the word cache held nearly four
-// slots per separator on the benchmark tree.
+// twin for the internal pages: after the same load and overwrites, whose
+// keys are all kv.KeySize bytes, every internal page holds its
+// separators once, as words, with no separator bytes beside them, and
+// the word and child arrays keep at most two slots per element. Before
+// SplitHalf re-homed the half that stays, every left half kept its
+// pre-split capacity, and the words held nearly four slots per
+// separator on the benchmark tree; before the pivots held only words,
+// every separator was held twice, as words and as bytes.
 func TestPivotArraysSizedToWhatTheyHold(t *testing.T) {
 	const keys = 50000
 	tr, _, _ := testEnv(t, 1024, false, nil)
 	agedLoad(t, tr, keys)
-	var seps, sepCap, wordCap, children, childCap int
+	var seps, wordCap, withBytes, children, childCap int
 	for _, p := range pages(tr) {
 		if p.Leaf {
 			continue
 		}
-		seps += len(p.Seps)
-		sepCap += cap(p.Seps)
-		// The word cache is unexported; reflect reads its capacity.
-		wordCap += reflect.ValueOf(&p.Pivots).Elem().FieldByName("words").Cap()
+		seps += p.NumSeps()
+		// The words and the separator bytes are unexported; reflect
+		// reads them.
+		pv := reflect.ValueOf(&p.Pivots).Elem()
+		wordCap += pv.FieldByName("words").Cap()
+		if !pv.FieldByName("seps").IsNil() {
+			withBytes++
+		}
 		children += len(p.Children)
 		childCap += cap(p.Children)
 	}
-	t.Logf("separators: %d in %d slots (%.2fx), words in %d slots (%.2fx); children: %d in %d slots (%.2fx)",
-		seps, sepCap, float64(sepCap)/float64(seps), wordCap, float64(wordCap)/float64(seps),
-		children, childCap, float64(childCap)/float64(children))
+	t.Logf("separators: %d, words in %d slots (%.2fx); children: %d in %d slots (%.2fx)",
+		seps, wordCap, float64(wordCap)/float64(seps), children, childCap, float64(childCap)/float64(children))
 	if _, internals := tr.NodeCount(); internals < 8 {
 		t.Fatalf("%d internal pages: the tree is not the loaded one", internals)
 	}
-	if sepCap > 2*seps || wordCap > 2*seps {
-		t.Errorf("separator arrays keep %d slots and the word cache %d for %d separators", sepCap, wordCap, seps)
+	if withBytes > 0 {
+		t.Errorf("%d internal pages hold separator bytes beside their words", withBytes)
+	}
+	if wordCap > 2*seps {
+		t.Errorf("the words keep %d slots for %d separators", wordCap, seps)
 	}
 	if childCap > 2*children {
 		t.Errorf("child arrays keep %d slots for %d children", childCap, children)

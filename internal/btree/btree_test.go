@@ -301,13 +301,13 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 		return cowtree.Extent{Start: int64(id) * 100, Pages: 4}
 	})
 	got, exts, ok := parsePage(data)
-	if !ok || len(got.Children) != 3 || len(got.Seps) != 2 {
+	if !ok || len(got.Children) != 3 || got.NumSeps() != 2 {
 		t.Fatalf("internal round trip: %+v %v", got, ok)
 	}
 	// Parsed internal pages carry child disk extents (in-memory ids are
 	// assigned during the recovery rebuild).
 	if exts[2].Start != 300 || exts[2].Pages != 4 ||
-		!bytes.Equal(got.Seps[1], kv.EncodeKey(20)) {
+		!bytes.Equal(sepBytes(got)[1], kv.EncodeKey(20)) {
 		t.Fatal("internal content wrong")
 	}
 

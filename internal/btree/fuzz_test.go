@@ -38,12 +38,22 @@ func samePageImage(a, b *cowtree.Node, aExts, bExts []cowtree.Extent) string {
 		return "leaf entries"
 	case a.Leaf:
 		return ""
-	case !slices.EqualFunc(a.Seps, b.Seps, bytes.Equal):
+	case !slices.EqualFunc(sepBytes(a), sepBytes(b), bytes.Equal):
 		return "separators"
 	case !slices.Equal(aExts, bExts) || len(a.Children) != len(b.Children):
 		return "child extents"
 	}
 	return ""
+}
+
+// sepBytes reads an interior's separators back as bytes of their own.
+func sepBytes(n *cowtree.Node) [][]byte {
+	out := make([][]byte, n.NumSeps())
+	var kb [kv.KeySize]byte
+	for i := range out {
+		out[i] = bytes.Clone(n.Sep(i, &kb))
+	}
+	return out
 }
 
 // parsedExtents resolves a parsed page's children to the extents its
@@ -173,7 +183,7 @@ func FuzzDescendAll(f *testing.F) {
 		if p.Leaf {
 			continue
 		}
-		for _, sep := range p.Seps {
+		for _, sep := range sepBytes(p) {
 			mixed = mixed || len(sep) != kv.KeySize
 		}
 	}

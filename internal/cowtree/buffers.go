@@ -136,7 +136,7 @@ func (b *Buffers) appendMsgs(out []byte) []byte {
 // separator, their bytes added to Serialized. ok is false for a short or
 // corrupt image.
 func (n *Node) ParseBuffers(data []byte, off int) bool {
-	count, msgs := len(n.Seps), int(binary.LittleEndian.Uint32(data[12:]))
+	count, msgs := n.NumSeps(), int(binary.LittleEndian.Uint32(data[12:]))
 	b := &n.Buf
 	b.Msgs, b.Sizes = make([][]Record, count+1), make([]int, count+1)
 	for i, ci := 0, 0; i < msgs; i++ {
@@ -145,7 +145,8 @@ func (n *Node) ParseBuffers(data []byte, off int) bool {
 			return false
 		}
 		// ChildFor's rule: a key equal to a separator routes right.
-		for ci < count && m.CompareKey(n.Seps[ci]) >= 0 {
+		var kb [kv.KeySize]byte
+		for t := m.Target(&kb); ci < count && n.sepAtOrBelow(ci, t); {
 			ci++
 		}
 		b.Msgs[ci] = append(b.Msgs[ci], m)
@@ -166,8 +167,8 @@ func (n *Node) checkBuffers() error {
 	switch {
 	case !n.buffered():
 		return nil
-	case len(b.Msgs) != len(n.Children) || len(b.Sizes) != len(n.Children) || len(n.Seps)+1 != len(n.Children):
-		return fmt.Errorf("node %d: %d buffers, %d sizes and %d separators for %d children", n.ID, len(b.Msgs), len(b.Sizes), len(n.Seps), len(n.Children))
+	case len(b.Msgs) != len(n.Children) || len(b.Sizes) != len(n.Children) || n.NumSeps()+1 != len(n.Children):
+		return fmt.Errorf("node %d: %d buffers, %d sizes and %d separators for %d children", n.ID, len(b.Msgs), len(b.Sizes), n.NumSeps(), len(n.Children))
 	}
 	total := 0
 	var kb [kv.KeySize]byte

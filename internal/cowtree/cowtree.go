@@ -216,6 +216,9 @@ type Core struct {
 	fatal    error
 	metaBuf  []byte // reused page-sized metadata write image (content mode)
 	writeBuf []byte // reused node write image (content mode)
+	// sepBuf holds the kv.KeySize separator a split hands the parent
+	// (SplitLeaf, SplitInterior), which reads it before the next split.
+	sepBuf [kv.KeySize]byte
 
 	// Checkpoint scratch, reused across checkpoints (a retired job's
 	// slices return to the pool at commit; concurrent jobs — possible

@@ -35,8 +35,11 @@ func (c *Core) LeafOverfull(leaf *Node) bool {
 // chains it after leaf, marks both dirty and admits the new leaf when
 // leaf is resident (journal replay splits leaves recovery left out of
 // the cache, and their right halves stay out too). It returns the new
-// leaf and the separator, its first key, in bytes of its own from the
-// arena; the engine links the new leaf under the parent. Both halves end
+// leaf and the separator, its first key, which the engine links the new
+// leaf under the parent at: a kv.KeySize key in the core's scratch,
+// valid until the next split (the parent keeps only its words), a key
+// of another width in bytes of its own from the arena (the parent keeps
+// them). Both halves end
 // up in pooled arrays of the capacity class their length calls for,
 // which leaves room to refill toward the next split without regrowing:
 // the moved half draws one, and the half that stays is re-homed when the
@@ -65,8 +68,11 @@ func (c *Core) SplitLeaf(leaf *Node) (right *Node, sep []byte) {
 		c.Admit(right)
 		c.Resize(PageHeaderBytes - right.Serialized)
 	}
-	var kb [kv.KeySize]byte
-	return right, c.arena.Clone(right.Entries[0].Key(&kb))
+	sep = right.Entries[0].Key(&c.sepBuf)
+	if len(sep) != kv.KeySize {
+		sep = c.arena.Clone(sep)
+	}
+	return right, sep
 }
 
 // AppendImage appends n's image to out: the PageHeaderBytes header —
@@ -80,7 +86,7 @@ func (n *Node) AppendImage(out []byte, magic uint32, resolve func(NodeID) Extent
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	if !n.Leaf {
 		// A B+Tree interior's buffers are empty: a zero count, no messages.
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(n.Seps)))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(n.NumSeps()))
 		binary.LittleEndian.PutUint32(hdr[12:], uint32(n.Buf.count()))
 		return n.Buf.appendMsgs(n.AppendPivots(append(out, hdr[:]...), resolve))
 	}

@@ -32,45 +32,82 @@ type Interior struct {
 func (in *Interior) buffered() bool { return in.Buf.Msgs != nil }
 
 // Pivots is an interior node's pivot section, the same in both tree
-// engines: the separators and the child ids, with the separators' word
-// cache, the child lookup, the child insert and half split, the
-// section's footprint and its codec. Interior embeds it, so a node
-// reaches Children and these methods directly. The zero value is an
-// empty set.
+// engines: the separators and the child ids, the child lookup, the
+// child insert and half split, the section's footprint and its codec.
+// Interior embeds it, so a node reaches Children and these methods
+// directly. The zero value is an empty set.
+//
+// Each separator is held once. While every separator is a kv.KeySize
+// key — every separator the workloads' keys make — the set holds only
+// their big-endian word pairs, which a descent's binary search probes
+// directly (a separator's two words side by side, one cache line per
+// probe); NumSeps and Sep read them back. Once a separator of another
+// width arrives, the set holds every separator's bytes instead and
+// searches compare them (see mixed); a split leaves a half without such
+// a separator on words again. The separators only change on splits, so
+// the switch is off the hot path.
 type Pivots struct {
-	// Seps are the separators: Children[i] holds keys < Seps[i] for
-	// i < len(Seps), Children[len(Seps)] the rest. Only Pivots' methods
-	// change them, keeping the word cache in step.
-	Seps [][]byte
+	// words are the separators' words while the set is not mixed.
+	words []sepWords
+
+	// seps are the separators' bytes while the set is mixed, nil
+	// otherwise: Children[i] holds keys < separator i for i < NumSeps,
+	// Children[NumSeps] the rest.
+	seps [][]byte
 
 	// Children are an interior node's child ids, in key order.
 	Children []NodeID
-
-	// words caches the separators' big-endian word decomposition while
-	// every separator is a kv.KeySize key, so a descent's binary search
-	// probes raw uint64 pairs instead of re-decoding separator bytes on
-	// every comparison; a separator's two words sit side by side, so a
-	// probe loads one cache line, not one per word. While some separator
-	// has another width, words is empty (see mixed) and searches compare
-	// the separator bytes. The separators only change on splits, so
-	// keeping the cache is off the hot path.
-	words []sepWords
 }
 
 type sepWords struct{ hi, lo uint64 }
 
-// mixed reports that the word cache is off: some separator is not a
-// kv.KeySize key. It is derived rather than stored, which keeps
-// Interior at its size.
-func (p *Pivots) mixed() bool { return len(p.words) != len(p.Seps) }
+// mixed reports that some separator is not a kv.KeySize key: the set
+// holds separator bytes, not words.
+func (p *Pivots) mixed() bool { return p.seps != nil }
+
+// NumSeps returns the number of separators.
+func (p *Pivots) NumSeps() int {
+	if p.mixed() {
+		return len(p.seps)
+	}
+	return len(p.words)
+}
+
+// Sep returns separator i: its bytes, or its words encoded into buf.
+func (p *Pivots) Sep(i int, buf *[kv.KeySize]byte) []byte {
+	if p.mixed() {
+		return p.seps[i]
+	}
+	w := p.words[i]
+	binary.BigEndian.PutUint64(buf[:8], w.hi)
+	binary.BigEndian.PutUint64(buf[8:], w.lo)
+	return buf[:]
+}
+
+// sepAtOrBelow reports whether separator i is <= t: whether t routes
+// right of it.
+func (p *Pivots) sepAtOrBelow(i int, t kv.Target) bool {
+	if p.mixed() {
+		sk := p.seps[i]
+		if t.Fast && len(sk) == kv.KeySize {
+			return kv.CompareKeyWords(sk, t.Hi, t.Lo) <= 0
+		}
+		return kv.CompareKeys(sk, t.Key) <= 0
+	}
+	if t.Fast {
+		return sepAbove(p.words[i], t) == 0
+	}
+	var kb [kv.KeySize]byte
+	return kv.CompareKeys(p.Sep(i, &kb), t.Key) <= 0
+}
 
 // ChildFor returns the index of the child covering t: the number of
 // separators <= t (a key equal to a separator goes right). It inlines
 // into the engines' descent loops as one call of upperBound.
 func (p *Pivots) ChildFor(t kv.Target) int { return p.upperBound(t) }
 
-// upperBound is ChildFor's search: over the word cache when both it and
-// t have words, over the separator bytes otherwise.
+// upperBound is ChildFor's search: over the words when both the set and
+// t have them, separator by separator otherwise.
 func (p *Pivots) upperBound(t kv.Target) int {
 	if t.Fast && !p.mixed() {
 		w := p.words
@@ -85,16 +122,10 @@ func (p *Pivots) upperBound(t kv.Target) int {
 		}
 		return lo
 	}
-	lo, hi := 0, len(p.Seps)
+	lo, hi := 0, p.NumSeps()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var cmp int
-		if sk := p.Seps[mid]; t.Fast && len(sk) == kv.KeySize {
-			cmp = kv.CompareKeyWords(sk, t.Hi, t.Lo)
-		} else {
-			cmp = kv.CompareKeys(sk, t.Key)
-		}
-		if cmp <= 0 {
+		if p.sepAtOrBelow(mid, t) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -200,68 +231,101 @@ func sepAbove(s sepWords, t kv.Target) int {
 func (p *Pivots) ChildIndex(id NodeID) int { return slices.Index(p.Children, id) }
 
 // InitRoot fills an empty set as a new root's: left, sep, right. The
-// set keeps sep itself.
+// set keeps sep as InsertChild does.
 func (p *Pivots) InitRoot(left NodeID, sep []byte, right NodeID) {
-	p.Seps = [][]byte{sep}
+	p.insertSep(0, sep)
 	p.Children = []NodeID{left, right}
-	p.refresh()
 }
 
 // InsertChild adds sep and child after position idx — child idx has
-// split at sep — and returns the serialized size delta. The set keeps
-// sep itself: a split hands over bytes the tree owns.
+// split at sep — and returns the serialized size delta. A kv.KeySize
+// sep is only read (a split hands it over in scratch bytes); the set
+// keeps a sep of another width itself (a split hands over bytes the tree
+// owns).
 func (p *Pivots) InsertChild(idx int, sep []byte, child NodeID) int {
-	// Splice the separator's words in (a full refresh per child insert
-	// would re-decode the whole fanout on every leaf split).
-	if !p.mixed() {
-		if hi, lo, ok := kv.DecomposeKey(sep); ok {
-			p.words = slices.Insert(p.words, idx, sepWords{hi, lo})
-		} else {
-			p.words = p.words[:0]
-		}
-	}
-	p.Seps = slices.Insert(p.Seps, idx, sep)
+	p.insertSep(idx, sep)
 	p.Children = slices.Insert(p.Children, idx+1, child)
 	return 2 + len(sep) + ChildRefBytes
 }
 
-// SplitHalf moves the upper half of the set into right (empty) and
-// returns the separator between the halves, which the parent takes.
-// Both halves end up in arrays sized to what they hold: the half that
-// stays is re-homed too, as SplitLeaf re-homes a leaf's, or it would
-// keep its pre-split capacity, twice what it holds.
-func (p *Pivots) SplitHalf(right *Pivots) []byte {
-	mid := len(p.Seps) / 2
-	promoted := p.Seps[mid]
-	right.Seps = slices.Clone(p.Seps[mid+1:])
-	right.Children = slices.Clone(p.Children[mid+1:])
-	p.Seps = slices.Clone(p.Seps[:mid])
-	p.Children = slices.Clone(p.Children[:mid+1])
-	p.words = nil
-	p.refresh()
-	right.refresh()
-	return promoted
-}
-
-// refresh rebuilds the word cache from the separators, in the cache's
-// array when it has room for them and in one sized to them otherwise.
-func (p *Pivots) refresh() {
-	p.words = slices.Grow(p.words[:0], len(p.Seps))
-	for _, sep := range p.Seps {
-		hi, lo, ok := kv.DecomposeKey(sep)
-		if !ok {
-			p.words = p.words[:0]
+// insertSep inserts sep as separator idx, switching the set to bytes
+// when sep is the first separator of another width.
+func (p *Pivots) insertSep(idx int, sep []byte) {
+	if !p.mixed() {
+		if hi, lo, ok := kv.DecomposeKey(sep); ok {
+			p.words = slices.Insert(p.words, idx, sepWords{hi, lo})
 			return
 		}
-		p.words = append(p.words, sepWords{hi, lo})
+		p.toBytes()
 	}
+	if len(sep) == kv.KeySize {
+		sep = bytes.Clone(sep)
+	}
+	p.seps = slices.Insert(p.seps, idx, sep)
+}
+
+// toBytes switches a set on words to separator bytes, encoding its
+// separators into one array.
+func (p *Pivots) toBytes() {
+	buf := make([]byte, kv.KeySize*len(p.words))
+	p.seps = make([][]byte, len(p.words), len(p.words)+1)
+	for i, w := range p.words {
+		k := buf[i*kv.KeySize : (i+1)*kv.KeySize : (i+1)*kv.KeySize]
+		binary.BigEndian.PutUint64(k, w.hi)
+		binary.BigEndian.PutUint64(k[8:], w.lo)
+		p.seps[i] = k
+	}
+	p.words = nil
+}
+
+// setSeps makes seps the set's separators, kept as words when every one
+// is a kv.KeySize key (a new array sized to them) and as the given
+// slice otherwise.
+func (p *Pivots) setSeps(seps [][]byte) {
+	p.words, p.seps = nil, nil
+	for _, sep := range seps {
+		if len(sep) != kv.KeySize {
+			p.seps = seps
+			return
+		}
+	}
+	p.words = make([]sepWords, len(seps))
+	for i, sep := range seps {
+		p.words[i].hi, p.words[i].lo, _ = kv.DecomposeKey(sep)
+	}
+}
+
+// SplitHalf moves the upper half of the set into right (empty) and
+// returns the separator between the halves, which the parent takes:
+// encoded into buf when the set is on words, the set's own bytes
+// otherwise. Both halves end up in arrays sized to what they hold: the
+// half that stays is re-homed too, as SplitLeaf re-homes a leaf's, or
+// it would keep its pre-split capacity, twice what it holds. A half of
+// a mixed set left without a separator of another width goes back to
+// words.
+func (p *Pivots) SplitHalf(right *Pivots, buf *[kv.KeySize]byte) []byte {
+	mid := p.NumSeps() / 2
+	promoted := p.Sep(mid, buf)
+	if p.mixed() {
+		right.setSeps(slices.Clone(p.seps[mid+1:]))
+		p.setSeps(slices.Clone(p.seps[:mid]))
+	} else {
+		right.words = slices.Clone(p.words[mid+1:])
+		p.words = slices.Clone(p.words[:mid])
+	}
+	right.Children = slices.Clone(p.Children[mid+1:])
+	p.Children = slices.Clone(p.Children[:mid+1])
+	return promoted
 }
 
 // PivotBytes returns the serialized size of an interior image without
 // its payload: the header and the pivot section.
 func (p *Pivots) PivotBytes() int {
 	s := PageHeaderBytes + ChildRefBytes*len(p.Children)
-	for _, sep := range p.Seps {
+	if !p.mixed() {
+		return s + (2+kv.KeySize)*len(p.words)
+	}
+	for _, sep := range p.seps {
 		s += 2 + len(sep)
 	}
 	return s
@@ -272,7 +336,9 @@ func (p *Pivots) PivotBytes() int {
 // resolve maps a child id to its current on-disk extent; nil writes
 // empty references.
 func (p *Pivots) AppendPivots(out []byte, resolve func(NodeID) Extent) []byte {
-	for _, sep := range p.Seps {
+	var kb [kv.KeySize]byte
+	for i := 0; i < p.NumSeps(); i++ {
+		sep := p.Sep(i, &kb)
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(sep)))
 		out = append(out, sep...)
 	}
@@ -293,6 +359,10 @@ func (p *Pivots) AppendPivots(out []byte, resolve func(NodeID) Extent) []byte {
 // they are NilNode) and the bytes the section took. ok is false when
 // data is too short.
 func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, ok bool) {
+	if count < 0 || count > len(data)/2 {
+		return nil, 0, false // each separator takes at least its length
+	}
+	p.words = make([]sepWords, 0, count)
 	off := 0
 	for i := 0; i < count; i++ {
 		if off+2 > len(data) {
@@ -303,7 +373,11 @@ func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, o
 		if off+sl > len(data) {
 			return nil, 0, false
 		}
-		p.Seps = append(p.Seps, bytes.Clone(data[off:off+sl]))
+		sep := data[off : off+sl]
+		if sl != kv.KeySize {
+			sep = bytes.Clone(sep) // kept: see InsertChild
+		}
+		p.insertSep(i, sep)
 		off += sl
 	}
 	if off+ChildRefBytes*(count+1) > len(data) {
@@ -318,12 +392,11 @@ func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, o
 		off += ChildRefBytes
 	}
 	p.Children = make([]NodeID, count+1)
-	p.refresh()
 	return exts, off, true
 }
 
 // NewRoot grows the tree by a level: a new interior root over left and
-// its new right sibling at sep (kept without a copy).
+// its new right sibling at sep (kept as InsertChild keeps it).
 func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
 	root := c.NewNode(false)
 	root.InitRoot(left.ID, sep, right.ID)
@@ -334,7 +407,7 @@ func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
 }
 
 // LinkChild links right, left's new right sibling, under left's parent
-// at sep (kept without a copy), cuts a Bε-tree parent's buffer of left
+// at sep (kept as InsertChild keeps it), cuts a Bε-tree parent's buffer of left
 // there, and marks the parent dirty. It returns the parent.
 func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 	parent := c.nodes[left.Parent]
@@ -351,11 +424,12 @@ func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 // SplitInterior moves the upper half of interior n — pivots and, in a
 // Bε-tree, those children's buffers whole — into a new node, reparents
 // the moved children and marks both halves dirty. It returns the new
-// node and the separator promoted between them.
+// node and the separator promoted between them, in the core's scratch
+// when it is a kv.KeySize key (see SplitLeaf).
 func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
 	right = c.NewNode(false)
 	right.Parent = n.Parent
-	promoted = n.SplitHalf(&right.Pivots)
+	promoted = n.SplitHalf(&right.Pivots, &c.sepBuf)
 	n.Serialized, right.Serialized = n.PivotBytes(), right.PivotBytes()
 	if n.buffered() {
 		n.Buf.splitAt(len(n.Children), &right.Buf)

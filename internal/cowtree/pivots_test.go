@@ -14,32 +14,33 @@ import (
 // TestPivots holds the pivot set to sort.Search over its separator
 // bytes. The fixed cases pin the zero value, the lookup rule (a key
 // equal to a separator goes right), InsertChild against a full rebuild
-// of the word cache, and a non-kv.KeySize separator switching the cache
-// off. The random walk then grows sets by InsertChild (with a full
+// of the words, and a non-kv.KeySize separator switching the set to
+// bytes. The random walk then grows sets by InsertChild (with a full
 // rebuild now and then) and splits them in half, and after every step
 // checks ChildFor for kv.KeySize probes on both sides of every
 // separator and for probes of other widths, through the set and through
-// a reference whose cache is off; the word cache against the separators;
-// the children against a reference list, ChildIndex and PivotBytes; and
-// every few steps the codec (AppendPivots, ParsePivots) round trip.
-// Some rounds add a 5-byte separator at step 40, which switches the
-// cache off until a split leaves a half without it; some draw 8-, 16-
-// and 24-byte separators throughout. The high word varies too, though
-// the workload keys never use it.
+// a reference held as bytes; the words against the separators (a set
+// of kv.KeySize separators holds no bytes); the children against a
+// reference list, ChildIndex and PivotBytes; and every few steps the
+// codec (AppendPivots, ParsePivots) round trip. Some rounds add a
+// 5-byte separator at step 40, which switches the set to bytes until a
+// split leaves a half without it; some draw 8-, 16- and 24-byte
+// separators throughout. The high word varies too, though the workload
+// keys never use it.
 func TestPivots(t *testing.T) {
 	var zero Pivots
-	if zero.mixed() {
-		t.Fatal("the zero value must be an empty set with its word cache on")
+	if zero.mixed() || zero.NumSeps() != 0 {
+		t.Fatal("the zero value must be an empty set on words")
 	}
 	for _, k := range [][]byte{kv.EncodeKey(5), []byte("x")} {
 		if got := zero.ChildFor(kv.NewTarget(k)); got != 0 {
 			t.Fatalf("empty set: ChildFor(%x) = %d, want 0", k, got)
 		}
 	}
-	p := Pivots{Seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20), kv.EncodeKey(30)}, Children: []NodeID{1, 2, 3, 4}}
-	p.refresh()
+	p := Pivots{Children: []NodeID{1, 2, 3, 4}}
+	p.setSeps([][]byte{kv.EncodeKey(10), kv.EncodeKey(20), kv.EncodeKey(30)})
 	if p.mixed() {
-		t.Fatal("cache off after a rebuild over kv.KeySize separators")
+		t.Fatal("bytes held after a rebuild over kv.KeySize separators")
 	}
 	for _, tc := range []struct {
 		id   uint64
@@ -49,10 +50,13 @@ func TestPivots(t *testing.T) {
 			t.Fatalf("ChildFor(%d) = %d, want %d", tc.id, got, tc.want)
 		}
 	}
-	// InsertChild keeps the cache consistent with a full rebuild.
-	p.InsertChild(1, kv.EncodeKey(15), 5)
-	ref := Pivots{Seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(15), kv.EncodeKey(20), kv.EncodeKey(30)}}
-	ref.refresh()
+	// InsertChild keeps the words consistent with a full rebuild, and
+	// does not keep a kv.KeySize separator's bytes.
+	sep := kv.EncodeKey(15)
+	p.InsertChild(1, sep, 5)
+	clear(sep)
+	var ref Pivots
+	ref.setSeps([][]byte{kv.EncodeKey(10), kv.EncodeKey(15), kv.EncodeKey(20), kv.EncodeKey(30)})
 	probe := kv.NewTarget(kv.EncodeKey(16))
 	if p.ChildFor(probe) != ref.ChildFor(probe) || p.ChildFor(probe) != 2 || !slices.Equal(p.words, ref.words) {
 		t.Fatal("InsertChild diverged from a rebuild")
@@ -60,15 +64,20 @@ func TestPivots(t *testing.T) {
 	if !slices.Equal(p.Children, []NodeID{1, 2, 5, 3, 4}) {
 		t.Fatalf("children %v after inserting 5 after position 1", p.Children)
 	}
-	// A non-kv.KeySize separator switches the cache off.
+	// A non-kv.KeySize separator switches the set to bytes, the earlier
+	// separators' too.
 	p.InsertChild(0, []byte("short"), 6)
-	if !p.mixed() {
-		t.Fatal("cache must switch off on a non-kv.KeySize separator")
+	if !p.mixed() || len(p.words) != 0 {
+		t.Fatal("the set must switch to bytes on a non-kv.KeySize separator")
 	}
-	p = Pivots{Seps: [][]byte{[]byte("x")}}
-	p.refresh()
+	var kb [kv.KeySize]byte
+	if got := p.Sep(2, &kb); !bytes.Equal(got, kv.EncodeKey(15)) || &got[0] == &kb[0] {
+		t.Fatalf("separator 2 is %x, want its own bytes of %x", got, kv.EncodeKey(15))
+	}
+	p = Pivots{}
+	p.setSeps([][]byte{[]byte("x")})
 	if !p.mixed() {
-		t.Fatal("a rebuild over other widths must leave the cache off")
+		t.Fatal("a rebuild over other widths must hold bytes")
 	}
 
 	rng := sim.NewRNG(9)
@@ -91,12 +100,22 @@ func TestPivots(t *testing.T) {
 	want := func(seps [][]byte, k []byte) int {
 		return sort.Search(len(seps), func(i int) bool { return kv.CompareKeys(seps[i], k) > 0 })
 	}
+	// sepsOf reads a set's separators back as bytes of their own.
+	sepsOf := func(p *Pivots) [][]byte {
+		out := [][]byte{}
+		var kb [kv.KeySize]byte
+		for i := 0; i < p.NumSeps(); i++ {
+			out = append(out, bytes.Clone(p.Sep(i, &kb)))
+		}
+		return out
+	}
 	check := func(step int, p *Pivots, children []NodeID) {
 		t.Helper()
-		off := Pivots{Seps: p.Seps} // no words: the cache is off
+		seps := sepsOf(p)
+		off := Pivots{seps: seps} // held as bytes: searched separator by separator
 		probes := [][]byte{key(false), key(false)[:8], append(key(false), 7)}
 		mixed := false
-		for _, s := range p.Seps {
+		for _, s := range seps {
 			if len(s) == kv.KeySize {
 				next := append([]byte(nil), s...)
 				next[kv.KeySize-1]++
@@ -107,29 +126,22 @@ func TestPivots(t *testing.T) {
 			}
 		}
 		for _, k := range probes {
-			w := want(p.Seps, k)
+			w := want(seps, k)
 			if got := p.ChildFor(kv.NewTarget(k)); got != w {
-				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (mixed=%v, %d seps)", step, k, got, w, p.mixed(), len(p.Seps))
+				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (mixed=%v, %d seps)", step, k, got, w, p.mixed(), len(seps))
 			}
 			if got := off.ChildFor(kv.NewTarget(k)); got != w {
 				t.Fatalf("step %d: cache off: ChildFor(%x) = %d, sort.Search %d", step, k, got, w)
 			}
 		}
 		if p.mixed() != mixed {
-			t.Fatalf("step %d: cache mixed=%v, separators mixed=%v", step, p.mixed(), mixed)
+			t.Fatalf("step %d: set mixed=%v, separators mixed=%v", step, p.mixed(), mixed)
 		}
-		if !mixed {
-			if len(p.words) != len(p.Seps) {
-				t.Fatalf("step %d: %d cached words for %d separators", step, len(p.words), len(p.Seps))
-			}
-			for i, s := range p.Seps {
-				if hi, lo, _ := kv.DecomposeKey(s); p.words[i] != (sepWords{hi, lo}) {
-					t.Fatalf("step %d: cached words %d are not separator %x", step, i, s)
-				}
-			}
+		if mixed && len(p.words) != 0 || !mixed && p.seps != nil {
+			t.Fatalf("step %d: %d words and %d separators' bytes held (mixed=%v)", step, len(p.words), len(p.seps), mixed)
 		}
-		if !slices.Equal(p.Children, children) || len(children) != len(p.Seps)+1 {
-			t.Fatalf("step %d: children %v, want %v (%d seps)", step, p.Children, children, len(p.Seps))
+		if !slices.Equal(p.Children, children) || len(children) != len(seps)+1 {
+			t.Fatalf("step %d: children %v, want %v (%d seps)", step, p.Children, children, len(seps))
 		}
 		if j := rng.Intn(len(children)); p.ChildIndex(children[j]) != j {
 			t.Fatalf("step %d: ChildIndex(%d) = %d, want %d", step, children[j], p.ChildIndex(children[j]), j)
@@ -138,7 +150,7 @@ func TestPivots(t *testing.T) {
 			t.Fatalf("step %d: ChildIndex of an absent child = %d", step, p.ChildIndex(nextID))
 		}
 		size := PageHeaderBytes + ChildRefBytes*len(children)
-		for _, s := range p.Seps {
+		for _, s := range seps {
 			size += 2 + len(s)
 		}
 		if p.PivotBytes() != size {
@@ -153,11 +165,13 @@ func TestPivots(t *testing.T) {
 			t.Fatalf("step %d: section is %d bytes, PivotBytes %d", step, len(img), p.PivotBytes())
 		}
 		var got Pivots
-		exts, used, ok := got.ParsePivots(append(img, 0xEE), len(p.Seps))
+		parsed := append(slices.Clone(img), 0xEE)
+		exts, used, ok := got.ParsePivots(parsed, p.NumSeps())
 		if !ok || used != len(img) {
 			t.Fatalf("step %d: ParsePivots ok=%v used %d of %d", step, ok, used, len(img))
 		}
-		if !slices.EqualFunc(got.Seps, p.Seps, bytes.Equal) || len(got.Children) != len(p.Children) || got.mixed() != p.mixed() {
+		clear(parsed) // the set keeps no bytes of the image
+		if !slices.EqualFunc(sepsOf(&got), sepsOf(p), bytes.Equal) || len(got.Children) != len(p.Children) || got.mixed() != p.mixed() {
 			t.Fatalf("step %d: the round trip changed the separators or children", step)
 		}
 		for i, c := range p.Children {
@@ -165,11 +179,11 @@ func TestPivots(t *testing.T) {
 				t.Fatalf("step %d: child %d parsed as %v (id %d), want %v", step, i, exts[i], got.Children[i], extent(c))
 			}
 		}
-		if _, _, ok := got.ParsePivots(img[:len(img)-1], len(p.Seps)); ok {
+		if _, _, ok := new(Pivots).ParsePivots(img[:len(img)-1], p.NumSeps()); ok {
 			t.Fatalf("step %d: a section one byte short parsed", step)
 		}
 		reached["codec"]++
-		if p.mixed() && !slices.ContainsFunc(p.Seps, func(s []byte) bool { return len(s) == 5 }) {
+		if p.mixed() && !slices.ContainsFunc(sepsOf(p), func(s []byte) bool { return len(s) == 5 }) {
 			reached["codec over 8/16/24-byte separators"]++
 		}
 	}
@@ -180,20 +194,21 @@ func TestPivots(t *testing.T) {
 		p.Children = []NodeID{nextID}
 		nextID++
 		for step := 0; step < 60; step++ {
-			if step%16 == 15 && len(p.Seps) >= 3 { // the node splits; carry on with one half
-				old, oldChildren := slices.Clone(p.Seps), slices.Clone(children)
+			if step%16 == 15 && p.NumSeps() >= 3 { // the node splits; carry on with one half
+				old, oldChildren := sepsOf(&p), slices.Clone(children)
 				var right Pivots
-				promoted := p.SplitHalf(&right)
+				var kb [kv.KeySize]byte
+				promoted := p.SplitHalf(&right, &kb)
 				mid := len(old) / 2
 				if !bytes.Equal(promoted, old[mid]) ||
-					!slices.EqualFunc(p.Seps, old[:mid], bytes.Equal) || !slices.EqualFunc(right.Seps, old[mid+1:], bytes.Equal) {
+					!slices.EqualFunc(sepsOf(&p), old[:mid], bytes.Equal) || !slices.EqualFunc(sepsOf(&right), old[mid+1:], bytes.Equal) {
 					t.Fatalf("step %d: split %d separators at %d wrong", step, len(old), mid)
 				}
 				check(step, &p, oldChildren[:mid+1])
 				check(step, &right, oldChildren[mid+1:])
 				for _, half := range []*Pivots{&p, &right} {
 					if !half.mixed() && slices.ContainsFunc(old, func(s []byte) bool { return len(s) == 5 }) {
-						reached["cache back on after the short separator moved away"]++
+						reached["words again after the short separator moved away"]++
 					}
 				}
 				reached["split"]++
@@ -208,15 +223,15 @@ func TestPivots(t *testing.T) {
 			if round%5 == 4 && step == 40 {
 				k = []byte("short") // switches the cache off from here on
 			}
-			i := want(p.Seps, k)
-			if i > 0 && kv.CompareKeys(p.Seps[i-1], k) == 0 {
+			seps := sepsOf(&p)
+			i := want(seps, k)
+			if i > 0 && kv.CompareKeys(seps[i-1], k) == 0 {
 				continue // separators are distinct
 			}
 			before := p.PivotBytes()
 			if rng.Uint64n(8) == 0 {
-				p.Seps = slices.Insert(p.Seps, i, k)
+				p.setSeps(slices.Insert(seps, i, k))
 				p.Children = slices.Insert(p.Children, i+1, nextID)
-				p.refresh()
 			} else if d := p.InsertChild(i, k, nextID); before+d != p.PivotBytes() {
 				t.Fatalf("step %d: InsertChild's delta %d, PivotBytes moved %d", step, d, p.PivotBytes()-before)
 			}
@@ -229,7 +244,7 @@ func TestPivots(t *testing.T) {
 		}
 	}
 	t.Logf("reached %v", reached)
-	for _, what := range []string{"codec", "codec over 8/16/24-byte separators", "split", "cache back on after the short separator moved away"} {
+	for _, what := range []string{"codec", "codec over 8/16/24-byte separators", "split", "words again after the short separator moved away"} {
 		if reached[what] == 0 {
 			t.Errorf("the walk never reached: %s", what)
 		}
