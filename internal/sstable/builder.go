@@ -31,7 +31,8 @@ type Builder struct {
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte
-	vlen0      uint32 // the first entry's value length
+	vlen0      uint32 // the first live entry's value length
+	sized      bool   // vlen0 is set: some entry is live
 	hint       int    // NewBuilder's entryHint, the class a materialized column is taken in
 	blocks     []blockMeta
 	valArena   []byte   // content mode: retained value bytes, packed
@@ -129,14 +130,11 @@ func (b *Builder) key(i int) []byte {
 // addIndex appends one entry to the side index's columns, materializing
 // a derived column first when the entry breaks its rule.
 func (b *Builder) addIndex(key []byte, seq uint64, vl int, del bool) {
-	if len(b.seqs) == 0 {
-		b.vlen0 = uint32(vl)
-	}
 	if b.keyOffsets == nil && len(key) != kv.KeySize {
 		b.materializeKeyOffsets()
 	}
-	if b.vlens == nil && uint32(vl) != b.vlen0 {
-		b.materializeVlens()
+	if b.vlens == nil {
+		b.checkVlen(uint32(vl), del)
 	}
 	if b.dels == nil && del {
 		b.materializeDels()
@@ -164,13 +162,34 @@ func (b *Builder) materializeKeyOffsets() {
 	}
 }
 
+// checkVlen holds the next entry's value length against the vlens rule
+// — 0 for a tombstone, vlen0 for a live entry, the first live entry
+// setting vlen0 — and materializes vlens when it breaks the rule. It
+// reports whether it did.
+func (b *Builder) checkVlen(vl uint32, del bool) bool {
+	switch {
+	case del && vl == 0:
+		return false
+	case !del && !b.sized:
+		b.vlen0, b.sized = vl, true
+		return false
+	case !del && vl == b.vlen0:
+		return false
+	}
+	b.materializeVlens()
+	return true
+}
+
 // materializeVlens gives the side index its vlens column, the entries so
-// far all of value length vlen0.
+// far all of the value length the rule gives them.
 func (b *Builder) materializeVlens() {
 	n := len(b.seqs)
 	b.vlens = b.spares.vlens.Get(max(b.hint, n+1))[:n]
 	for i := range b.vlens {
 		b.vlens[i] = b.vlen0
+		if b.dels != nil && b.dels[i] == 1 {
+			b.vlens[i] = 0
+		}
 	}
 }
 
@@ -271,9 +290,6 @@ func (b *Builder) appendColumns(t *Table, lo, hi int) {
 	if lo == hi {
 		return
 	}
-	if len(b.seqs) == 0 {
-		b.vlen0 = uint32(t.vlen(lo))
-	}
 	if b.keyOffsets == nil && t.keyOffsets != nil {
 		for k := lo; k < hi; k++ {
 			if t.keyOffsets[k+1]-t.keyOffsets[k] != kv.KeySize {
@@ -282,15 +298,10 @@ func (b *Builder) appendColumns(t *Table, lo, hi int) {
 			}
 		}
 	}
-	if b.vlens == nil {
-		for k := lo; k < hi; k++ {
-			if uint32(t.vlen(k)) != b.vlen0 {
-				b.materializeVlens()
-				break
-			}
-			if t.vlens == nil {
-				break // every entry of t has the length just checked
-			}
+	for k := lo; b.vlens == nil && k < hi; k++ {
+		del := t.tomb(k)
+		if b.checkVlen(uint32(t.vlen(k)), del) || !del && t.vlens == nil {
+			break // every other entry of the run keeps t's rule, which now is the builder's
 		}
 	}
 	if b.dels == nil && t.dels != nil && bytes.IndexByte(t.dels[lo:hi], 1) >= 0 {

@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"ptsbench/internal/kv"
@@ -52,16 +53,21 @@ func FuzzBlockEntryValue(f *testing.F) {
 // Bloom filter, block mapping, range placement — over tables built from
 // fuzz-chosen key sets, and cross-checks every answer against the input.
 // mixed selects the key widths: all kv.KeySize (the stride-searched
-// table), or 8, 16 and 24 bytes by id (the per-key byte path). Seeded
-// from the unit-test corpus shapes.
+// table), or 8, 16 and 24 bytes by id (the per-key byte path). tombs
+// makes every tombs-th entry a tombstone (0: none), and vary gives the
+// live entries value lengths by id instead of one length, so the side
+// index's derived columns are held or not. An AppendTableRange copy of
+// the table, in runs the tombstones cut under drop, must read back every
+// entry's key, seq, value length and tombstone as built. Seeded from the
+// unit-test corpus shapes.
 func FuzzTableLookup(f *testing.F) {
-	f.Add(uint64(1), uint16(100), uint64(50), false)
-	f.Add(uint64(7), uint16(1), uint64(0), false)
-	f.Add(uint64(9), uint16(4000), uint64(12345), false)
-	f.Add(uint64(1), uint16(100), uint64(50), true)
-	f.Add(uint64(5), uint16(3), uint64(7), true)
-	f.Add(uint64(9), uint16(4000), uint64(12345), true)
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, probe uint64, mixed bool) {
+	f.Add(uint64(1), uint16(100), uint64(50), false, uint8(0), false)
+	f.Add(uint64(7), uint16(1), uint64(0), false, uint8(1), false)
+	f.Add(uint64(9), uint16(4000), uint64(12345), false, uint8(7), true)
+	f.Add(uint64(1), uint16(100), uint64(50), true, uint8(0), true)
+	f.Add(uint64(5), uint16(3), uint64(7), true, uint8(2), false)
+	f.Add(uint64(9), uint16(4000), uint64(12345), true, uint8(13), true)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, probe uint64, mixed bool, tombs uint8, vary bool) {
 		if n == 0 {
 			return
 		}
@@ -86,6 +92,7 @@ func FuzzTableLookup(f *testing.F) {
 		// Deterministic, strictly increasing key ids derived from seed.
 		b := NewBuilder(4096, 4096, false, int(n), new(Spares))
 		ids := make([]uint64, 0, n)
+		entries := make([]kv.Entry, 0, n)
 		seqOf := map[string]uint64{}
 		allFixed := true
 		id := seed % 97
@@ -94,9 +101,17 @@ func FuzzTableLookup(f *testing.F) {
 			k := keyW(id, width(id))
 			seqOf[string(k)] = uint64(i)
 			allFixed = allFixed && len(k) == kv.KeySize
-			if err := b.Add(&kv.Entry{Key: k, ValueLen: int(id % 300), Seq: uint64(i)}); err != nil {
+			e := kv.Entry{Key: k, ValueLen: 120, Seq: uint64(i)}
+			if vary {
+				e.ValueLen = int(id % 300)
+			}
+			if tombs > 0 && i%int(tombs) == 0 {
+				e.ValueLen, e.Deleted = 0, true
+			}
+			if err := b.Add(&e); err != nil {
 				t.Fatal(err)
 			}
+			entries = append(entries, e)
 			id += 1 + (id^seed)%13
 		}
 		fs, _ := newTestFS(t, false)
@@ -157,6 +172,38 @@ func FuzzTableLookup(f *testing.F) {
 			if bi+1 < len(tab.blocks) && int(tab.blocks[bi+1].firstEntry) <= pos {
 				t.Fatalf("blockOf(%d) = %d ends before the entry", pos, bi)
 			}
+		}
+
+		// Every entry reads back as built, from the table and from its
+		// copies through AppendTableRange: whole, and with tombstones
+		// dropped in runs of up to 5 entries.
+		readBack := func(what string, tab *Table, want []kv.Entry) {
+			if tab.NumEntries() != len(want) {
+				t.Fatalf("%s: %d entries, want %d", what, tab.NumEntries(), len(want))
+			}
+			for i := range want {
+				if e := tab.entryAt(i); !sameEntry(&e, &want[i]) {
+					t.Fatalf("%s: entry %d reads back %+v, built %+v", what, i, e, want[i])
+				}
+			}
+		}
+		readBack("table", tab, entries)
+		for _, drop := range []bool{false, true} {
+			cp := NewBuilder(4096, 4096, false, 0, new(Spares))
+			var want []kv.Entry
+			for lo := 0; lo < len(entries); {
+				hi := min(lo+1+int(seed>>uint(lo%60))%5, len(entries))
+				if _, err := cp.AppendTableRange(tab, lo, hi, drop, 1<<62); err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries[lo:hi] {
+					if !drop || !e.Deleted {
+						want = append(want, e)
+					}
+				}
+				lo = hi
+			}
+			readBack(fmt.Sprintf("AppendTableRange copy (drop=%v)", drop), cp.Finish(2).table, want)
 		}
 	})
 }
