@@ -19,18 +19,36 @@ func sideIndexBytes(t *Table) int {
 // AppendTableRange from two such tables in alternating runs. One 8-byte
 // key, one tombstone or one other value length materializes exactly the
 // column that entry needs, by either path, and every entry reads back as
-// it was built.
+// it was built. So does a value length that differs only between the
+// two sources, each holding one length.
 func TestSideIndexBytesPerEntry(t *testing.T) {
 	const n = 10000
 	for _, c := range []struct {
 		name                string
-		odd                 func(e *kv.Entry) // applied to entry n/2
-		offsets, vlens, del bool              // the columns it must materialize
+		odd                 func(i int, e *kv.Entry) // applied to every entry i
+		offsets, vlens, del bool                     // the columns it must materialize
 	}{
-		{"uniform", func(*kv.Entry) {}, false, false, false},
-		{"key8", func(e *kv.Entry) { e.Key = e.Key[:8] }, true, false, false},
-		{"tombstone", func(e *kv.Entry) { e.ValueLen, e.Deleted = 0, true }, false, false, true},
-		{"vlen", func(e *kv.Entry) { e.ValueLen = 100 }, false, true, false},
+		{"uniform", func(int, *kv.Entry) {}, false, false, false},
+		{"key8", func(i int, e *kv.Entry) {
+			if i == n/2 {
+				e.Key = e.Key[:8]
+			}
+		}, true, false, false},
+		{"tombstone", func(i int, e *kv.Entry) {
+			if i == n/2 {
+				e.ValueLen, e.Deleted = 0, true
+			}
+		}, false, false, true},
+		{"vlen", func(i int, e *kv.Entry) {
+			if i == n/2 {
+				e.ValueLen = 100
+			}
+		}, false, true, false},
+		{"vlen-by-source", func(i int, e *kv.Entry) {
+			if i/8%2 == 1 {
+				e.ValueLen = 100
+			}
+		}, false, true, false},
 	} {
 		entries := make([]kv.Entry, n)
 		for i := range entries {
@@ -38,8 +56,8 @@ func TestSideIndexBytesPerEntry(t *testing.T) {
 			// place.
 			k := binary.BigEndian.AppendUint64(nil, uint64(i))
 			entries[i] = kv.Entry{Key: append(k, 0, 0, 0, 0, 0, 0, 0, 1), ValueLen: 4000, Seq: uint64(i) + 7}
+			c.odd(i, &entries[i])
 		}
-		c.odd(&entries[n/2])
 
 		add := NewBuilder(4096, DefaultBlockBytes, false, n, new(Spares))
 		for i := range entries {
