@@ -407,8 +407,8 @@ func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
 }
 
 // LinkChild links right, left's new right sibling, under left's parent
-// at sep (kept as InsertChild keeps it), cuts a Bε-tree parent's buffer of left
-// there, and marks the parent dirty. It returns the parent.
+// at sep (kept as InsertChild keeps it), cuts a Bε-tree parent's buffer
+// of left there, and marks the parent dirty. It returns the parent.
 func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 	parent := c.nodes[left.Parent]
 	idx := parent.ChildIndex(left.ID)

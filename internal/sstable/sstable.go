@@ -4,10 +4,10 @@
 //
 // Every table keeps a compact in-memory side index (key arena + per-entry
 // metadata, holding only what the table cannot derive), which serves two
-// purposes: it is the block index
-// and filter a real engine would cache, and it lets the simulation run in
-// accounting-only mode — where value bytes are charged to the device but
-// not materialized — without losing merge or lookup correctness.
+// purposes: it is the block index and filter a real engine would cache,
+// and it lets the simulation run in accounting-only mode — where value
+// bytes are charged to the device but not materialized — without losing
+// merge or lookup correctness.
 package sstable
 
 import (
@@ -60,9 +60,9 @@ type Table struct {
 	// offsets (len = numEntries+1) once some key is not kv.KeySize bytes
 	// (keyOff, key), value lengths once some live entry's differs from
 	// vlen0 or some tombstone's from 0 (vlen), tombstone marks once some
-	// entry is one (tomb). A table of
-	// fixed-width keys, one value length and no tombstones — every table
-	// the benchmark's writes make — holds keys and seqs alone.
+	// entry is one (tomb). A table of fixed-width keys, one value length
+	// and no tombstones — every table the benchmark's writes make — holds
+	// keys and seqs alone.
 	keyOffsets []uint32
 	seqs       []uint64
 	vlens      []uint32
