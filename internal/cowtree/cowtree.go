@@ -217,7 +217,9 @@ type Core struct {
 	metaBuf  []byte // reused page-sized metadata write image (content mode)
 	writeBuf []byte // reused node write image (content mode)
 	// sepBuf holds the kv.KeySize separator a split hands the parent
-	// (SplitLeaf, SplitInterior), which reads it before the next split.
+	// (SplitLeaf, SplitInterior), which must read it before the next
+	// split. A caller-owned buffer, as SplitHalf takes, would escape
+	// through the parent's insert and cost a heap object per split.
 	sepBuf [kv.KeySize]byte
 
 	// Checkpoint scratch, reused across checkpoints (a retired job's

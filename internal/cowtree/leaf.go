@@ -36,16 +36,17 @@ func (c *Core) LeafOverfull(leaf *Node) bool {
 // leaf is resident (journal replay splits leaves recovery left out of
 // the cache, and their right halves stay out too). It returns the new
 // leaf and the separator, its first key, which the engine links the new
-// leaf under the parent at: a kv.KeySize key in the core's scratch,
-// valid until the next split (the parent keeps only its words), a key
-// of another width in bytes of its own from the arena (the parent keeps
-// them). Both halves end up in pooled arrays of the capacity class
-// their length calls for, which leaves room to refill toward the next
-// split without regrowing: the moved half draws one, and the half that
-// stays is re-homed when the array it was cut from is a class larger (a
-// 9-entry leaf in 16 slots would otherwise split into 4 entries still
-// holding 16, and a batch-grown Bε-tree leaf halved repeatedly would
-// keep N log N slots for N entries).
+// leaf under the parent at: a kv.KeySize key in the core's scratch
+// (Core.sepBuf; the parent keeps only its words), a key of another width
+// in bytes of its own from the arena (the parent keeps them). The caller
+// must use sep before the next SplitLeaf or SplitInterior, which
+// overwrites the scratch. Both halves end up in pooled arrays of the
+// capacity class their length calls for, which leaves room to refill
+// toward the next split without regrowing: the moved half draws one,
+// and the half that stays is re-homed when the array it was cut from is
+// a class larger (a 9-entry leaf in 16 slots would otherwise split into
+// 4 entries still holding 16, and a batch-grown Bε-tree leaf halved
+// repeatedly would keep N log N slots for N entries).
 func (c *Core) SplitLeaf(leaf *Node) (right *Node, sep []byte) {
 	right = c.NewNode(true)
 	mid := len(leaf.Entries) / 2

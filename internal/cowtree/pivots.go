@@ -425,7 +425,9 @@ func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 // Bε-tree, those children's buffers whole — into a new node, reparents
 // the moved children and marks both halves dirty. It returns the new
 // node and the separator promoted between them, in the core's scratch
-// when it is a kv.KeySize key (see SplitLeaf).
+// when it is a kv.KeySize key (see SplitLeaf): the caller must use
+// promoted before the next SplitLeaf or SplitInterior, which overwrites
+// the scratch.
 func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
 	right = c.NewNode(false)
 	right.Parent = n.Parent

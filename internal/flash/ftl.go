@@ -194,11 +194,8 @@ func (f *ftl) bucketRemove(b int32) {
 
 // invalidate marks physical page ppn stale and updates bucket placement.
 // ppn must be mapped: every caller (writeOne, sequentialFill, trim)
-// passes l2p[lpn] of a mapped lpn, and the L2P/P2L bijection that
-// checkInvariants enforces, and FuzzFTL checks after every run against
-// a page-by-page twin, makes p2l[ppn] that lpn. So there is no guard
-// load of p2l[ppn] — it was a dependent cache miss on every overwritten
-// page — only the store.
+// passes l2p[lpn] of a mapped lpn, the L2P/P2L bijection that
+// checkInvariants and FuzzFTL enforce.
 func (f *ftl) invalidate(ppn int32) {
 	b := ppn / int32(f.pagesPerBlock)
 	f.p2l[ppn] = unmapped

@@ -31,8 +31,7 @@ type Builder struct {
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte
-	vlen0      uint32 // the first live entry's value length
-	sized      bool   // vlen0 is set: some entry is live
+	vlen0      uint32 // the first entry's value length
 	hint       int    // NewBuilder's entryHint, the class a materialized column is taken in
 	blocks     []blockMeta
 	valArena   []byte   // content mode: retained value bytes, packed
@@ -133,8 +132,10 @@ func (b *Builder) addIndex(key []byte, seq uint64, vl int, del bool) {
 	if b.keyOffsets == nil && len(key) != kv.KeySize {
 		b.materializeKeyOffsets()
 	}
-	if b.vlens == nil {
-		b.checkVlen(uint32(vl), del)
+	if len(b.seqs) == 0 {
+		b.vlen0 = uint32(vl)
+	} else if b.vlens == nil && uint32(vl) != b.vlen0 {
+		b.materializeVlens()
 	}
 	if b.dels == nil && del {
 		b.materializeDels()
@@ -162,34 +163,13 @@ func (b *Builder) materializeKeyOffsets() {
 	}
 }
 
-// checkVlen holds the next entry's value length against the vlens rule
-// — 0 for a tombstone, vlen0 for a live entry, the first live entry
-// setting vlen0 — and materializes vlens when it breaks the rule. It
-// reports whether it did.
-func (b *Builder) checkVlen(vl uint32, del bool) bool {
-	switch {
-	case del && vl == 0:
-		return false
-	case !del && !b.sized:
-		b.vlen0, b.sized = vl, true
-		return false
-	case !del && vl == b.vlen0:
-		return false
-	}
-	b.materializeVlens()
-	return true
-}
-
 // materializeVlens gives the side index its vlens column, the entries so
-// far all of the value length the rule gives them.
+// far all of length vlen0.
 func (b *Builder) materializeVlens() {
 	n := len(b.seqs)
 	b.vlens = b.spares.vlens.Get(max(b.hint, n+1))[:n]
 	for i := range b.vlens {
 		b.vlens[i] = b.vlen0
-		if b.dels != nil && b.dels[i] == 1 {
-			b.vlens[i] = 0
-		}
 	}
 }
 
@@ -282,10 +262,12 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 // one copy, the sequence numbers, and whichever of the key offsets
 // (rebased by one delta), value lengths and tombstone marks the builder
 // holds — a derived column is materialized first when the run breaks its
-// rule, which only a table that holds that column can. The columns are
-// appended entry by entry: compactions of random keys append runs of one
-// to a few entries, and a copy call per column cost more there than it
-// saved on long runs.
+// rule: a key that is not kv.KeySize bytes or a tombstone, which only a
+// table holding that column can have, or a value length other than the
+// builder's vlen0, read from t's vlen0 when t holds no vlens. The
+// columns are appended entry by entry: compactions of random keys append
+// runs of one to a few entries, and a copy call per column cost more
+// there than it saved on long runs.
 func (b *Builder) appendColumns(t *Table, lo, hi int) {
 	if lo == hi {
 		return
@@ -298,10 +280,21 @@ func (b *Builder) appendColumns(t *Table, lo, hi int) {
 			}
 		}
 	}
-	for k := lo; b.vlens == nil && k < hi; k++ {
-		del := t.tomb(k)
-		if b.checkVlen(uint32(t.vlen(k)), del) || !del && t.vlens == nil {
-			break // every other entry of the run keeps t's rule, which now is the builder's
+	if len(b.seqs) == 0 {
+		b.vlen0 = uint32(t.vlen(lo))
+	}
+	switch {
+	case b.vlens != nil:
+	case t.vlens == nil:
+		if t.vlen0 != b.vlen0 {
+			b.materializeVlens()
+		}
+	default:
+		for k := lo; k < hi; k++ {
+			if t.vlens[k] != b.vlen0 {
+				b.materializeVlens()
+				break
+			}
 		}
 	}
 	if b.dels == nil && t.dels != nil && bytes.IndexByte(t.dels[lo:hi], 1) >= 0 {

@@ -17,10 +17,11 @@ func sideIndexBytes(t *Table) int {
 // keys, 4000-byte values, no tombstones — holds only its key and seq
 // columns, 24 bytes an entry, whether built by Add or appended by
 // AppendTableRange from two such tables in alternating runs. One 8-byte
-// key, one tombstone or one other value length materializes exactly the
-// column that entry needs, by either path, and every entry reads back as
-// it was built. So does a value length that differs only between the
-// two sources, each holding one length.
+// key or one other value length materializes exactly the column that
+// entry needs, by either path, and every entry reads back as it was
+// built. So does a value length that differs only between the two
+// sources, each holding one length. One tombstone, its value length 0,
+// materializes the tombstone marks and the value lengths.
 func TestSideIndexBytesPerEntry(t *testing.T) {
 	const n = 10000
 	for _, c := range []struct {
@@ -38,7 +39,7 @@ func TestSideIndexBytesPerEntry(t *testing.T) {
 			if i == n/2 {
 				e.ValueLen, e.Deleted = 0, true
 			}
-		}, false, false, true},
+		}, false, true, true},
 		{"vlen", func(i int, e *kv.Entry) {
 			if i == n/2 {
 				e.ValueLen = 100

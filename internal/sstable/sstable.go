@@ -58,16 +58,16 @@ type Table struct {
 	// Side index (always in memory). Three columns are held only when
 	// the table cannot derive them, and read through accessors: key
 	// offsets (len = numEntries+1) once some key is not kv.KeySize bytes
-	// (keyOff, key), value lengths once some live entry's differs from
-	// vlen0 or some tombstone's from 0 (vlen), tombstone marks once some
-	// entry is one (tomb). A table of fixed-width keys, one value length
-	// and no tombstones — every table the benchmark's writes make — holds
-	// keys and seqs alone.
+	// (keyOff, key), value lengths once some entry's differs from the
+	// first entry's, vlen0 (vlen), tombstone marks once some entry is one
+	// (tomb). A table of fixed-width keys, one value length and no
+	// tombstones — every table the benchmark's writes make — holds keys
+	// and seqs alone.
 	keyOffsets []uint32
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte // 1 = tombstone
-	vlen0      uint32 // the first live entry's value length
+	vlen0      uint32 // the first entry's value length
 	blocks     []blockMeta
 	// valArena/valOffsets hold the value bytes in content mode (nil in
 	// accounting mode), arena-packed like the keys. Compactions merge
@@ -157,11 +157,8 @@ func (t *Table) keyOff(i int) uint32 {
 
 // vlen returns entry i's value length.
 func (t *Table) vlen(i int) int {
-	switch {
-	case t.vlens != nil:
+	if t.vlens != nil {
 		return int(t.vlens[i])
-	case t.tomb(i):
-		return 0
 	}
 	return int(t.vlen0)
 }
