@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/deverr"
@@ -81,20 +82,36 @@ func TestBuildRejects(t *testing.T) {
 	}
 }
 
-// TestDevicesReportBounds: every device Build can mount a filesystem on
-// answers a write past its end and a read into a short buffer with a
-// typed bounds error, not a panic.
-func TestDevicesReportBounds(t *testing.T) {
-	cases := []struct {
+// boundsShapes are the four device shapes Build can mount a filesystem
+// on, each showing the filesystem Small's geometry: the partition is
+// the first half of a device twice that size.
+func boundsShapes(t testing.TB) []struct {
+	name string
+	edit func(*stack.Layout)
+} {
+	return []struct {
 		name string
 		edit func(*stack.Layout)
 	}{
 		{"sim", func(*stack.Layout) {}},
-		{"sim+partition", func(l *stack.Layout) { l.PartitionPages = 4096 }},
+		{"sim+partition", func(l *stack.Layout) {
+			l.PartitionPages = l.Flash.LogicalBytes / 4096
+			l.Flash.LogicalBytes *= 2
+		}},
 		{"sim+fault", func(l *stack.Layout) { l.Fault = &faultdev.Plan{} }},
 		{"file", func(l *stack.Layout) { l.File.Path = filepath.Join(t.TempDir(), "dev.img") }},
 	}
-	for _, tc := range cases {
+}
+
+// TestDevicesReportBounds: every device Build can mount a filesystem on
+// holds the one bounds rule. An empty request returns at once; a write
+// past its end, a short write or read buffer and a read past its end
+// are typed bounds errors, not panics, that move no clock and count
+// nothing; an in-range discard is counted once. A partition shows the
+// filesystem its own size while the write histogram spans the device.
+func TestDevicesReportBounds(t *testing.T) {
+	const now = time.Second
+	for _, tc := range boundsShapes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := stack.Small("", nil)
 			tc.edit(&l)
@@ -104,11 +121,60 @@ func TestDevicesReportBounds(t *testing.T) {
 			}
 			defer st.Close()
 			dev := st.FS.Device()
-			_, werr := dev.WriteErr(0, dev.Pages(), 1, nil)
-			_, rerr := dev.ReadErr(0, 0, 2, make([]byte, dev.PageSize()))
-			for what, err := range map[string]error{"write past the end": werr, "short read buffer": rerr} {
+			ps := dev.PageSize()
+			before := st.Host.Counters()
+
+			for what, io := range map[string]func(sim.Duration, int64, int, []byte) (sim.Duration, error){
+				"write": dev.WriteErr, "read": dev.ReadErr,
+			} {
+				if done, err := io(now, 0, 0, nil); err != nil || done != now {
+					t.Errorf("empty %s: (%v, %v), want (%v, nil)", what, done, err, now)
+				}
+			}
+			dev.Discard(0, 0)
+			if c := st.Host.Counters(); c != before {
+				t.Errorf("empty requests were counted: %+v, was %+v", c, before)
+			}
+
+			refused := []struct {
+				what string
+				io   func(sim.Duration, int64, int, []byte) (sim.Duration, error)
+				off  int64
+				n    int
+				buf  []byte
+			}{
+				{"write past the end", dev.WriteErr, dev.Pages(), 1, nil},
+				{"short write buffer", dev.WriteErr, 0, 2, make([]byte, ps)},
+				{"short read buffer", dev.ReadErr, 0, 2, make([]byte, ps)},
+				{"read past the end", dev.ReadErr, dev.Pages() - 1, 2, nil},
+			}
+			for _, r := range refused {
+				done, err := r.io(now, r.off, r.n, r.buf)
 				if de, ok := deverr.As(err); !ok || de.Kind != deverr.KindBounds {
-					t.Errorf("%s: got %v, want a %s error", what, err, deverr.KindBounds)
+					t.Errorf("%s: got %v, want a %s error", r.what, err, deverr.KindBounds)
+				}
+				if done != now {
+					t.Errorf("%s: a refused request moved the clock to %v", r.what, done)
+				}
+			}
+			if c := st.Host.Counters(); c != before {
+				t.Errorf("refused requests were counted: %+v, was %+v", c, before)
+			}
+
+			dev.Discard(dev.Pages()-3, 3)
+			want := before
+			want.DiscardOps++
+			want.PagesDiscarded += 3
+			if c := st.Host.Counters(); c != want {
+				t.Errorf("after a 3-page discard: %+v, want %+v", c, want)
+			}
+
+			if l.PartitionPages > 0 {
+				if got := dev.Pages(); got != l.PartitionPages {
+					t.Errorf("filesystem sees %d pages, want the partition's %d", got, l.PartitionPages)
+				}
+				if got, want := int64(len(st.Host.WriteHist())), l.Flash.LogicalBytes/int64(ps); got != want {
+					t.Errorf("write histogram spans %d pages, want the whole device's %d", got, want)
 				}
 			}
 		})
