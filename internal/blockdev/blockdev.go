@@ -1,9 +1,11 @@
 // Package blockdev provides the host-visible block layer over a simulated
-// flash device: iostat-style traffic counters, a blktrace-style per-LBA
-// write histogram (the paper's Fig 4 instrumentation), partitioning (used
-// for software over-provisioning, pitfall #6), and an optional content
-// store that retains written bytes for correctness tests while staying
-// out of the way at benchmark scale.
+// flash device: a Geometry holding the one bounds rule every device
+// applies, a Meter keeping iostat-style traffic counters and a
+// blktrace-style per-LBA write histogram (the paper's Fig 4
+// instrumentation), partitioning as a page limit (used for software
+// over-provisioning, pitfall #6), and an optional content store that
+// retains written bytes for correctness tests while staying out of the
+// way at benchmark scale.
 package blockdev
 
 import (
@@ -16,11 +18,11 @@ import (
 )
 
 // Dev is the interface the filesystem layer programs against: the
-// Device, a Partition, the fault-injecting and file-backed devices and
-// the block-layer retry shim all implement it. Every read and write
-// reports failure as a typed deverr.Error, never a panic: an
-// out-of-range page run or a buffer that is not exactly n pages is a
-// deverr.KindBounds error on every device.
+// Device, the fault-injecting and file-backed devices and the
+// block-layer retry shim all implement it. Every read and write reports
+// failure as a typed deverr.Error, never a panic: an out-of-range page
+// run or a buffer that is not exactly n pages is a deverr.KindBounds
+// error on every device (see Geometry.Check).
 type Dev interface {
 	// PageSize returns the sector size in bytes.
 	PageSize() int
@@ -108,15 +110,93 @@ func (c Counters) Add(o Counters) Counters {
 	}
 }
 
+// Geometry is a device's shape, its sector size and capacity in pages,
+// and the one bounds rule every device applies to a request.
+type Geometry struct {
+	ps    int
+	pages int64
+}
+
+// NewGeometry returns the shape of pages pages of pageSize bytes.
+func NewGeometry(pageSize int, pages int64) Geometry { return Geometry{pageSize, pages} }
+
+// PageSize implements Dev.
+func (g Geometry) PageSize() int { return g.ps }
+
+// Pages implements Dev.
+func (g Geometry) Pages() int64 { return g.pages }
+
+// Check returns the deverr.KindBounds error for a request of n pages at
+// off that leaves the device, or whose buf is non-nil and not exactly n
+// pages long. A refused request must reach nothing: no counter, no
+// clock, no media.
+func (g Geometry) Check(op deverr.Op, off int64, n int, buf []byte) error {
+	if off < 0 || off+int64(n) > g.pages {
+		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
+			Cause: fmt.Errorf("blockdev: I/O [%d,+%d) beyond device end %d", off, n, g.pages)}
+	}
+	if buf != nil && len(buf) != n*g.ps {
+		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
+			Cause: fmt.Errorf("blockdev: buffer length %d != %d pages", len(buf), n)}
+	}
+	return nil
+}
+
+// Meter is a device authority's host instrumentation: the iostat
+// counters and the per-LBA write histogram, which counts writes per
+// logical page like blktrace post-processing and powers the Fig 4 CDF.
+// Both authorities count through it, which is what makes their
+// instruments comparable op for op.
+type Meter struct {
+	counters  Counters
+	writeHist []uint32
+}
+
+// NewMeter returns a zeroed meter whose histogram spans pages pages.
+func NewMeter(pages int64) Meter { return Meter{writeHist: make([]uint32, pages)} }
+
+// Counters returns a copy of the cumulative host I/O counters.
+func (m *Meter) Counters() Counters { return m.counters }
+
+// WriteHist implements Host.
+func (m *Meter) WriteHist() []uint32 { return m.writeHist }
+
+// ResetInstrumentation zeroes the iostat counters and the LBA histogram.
+// The harness calls it after the load phase so that plots cover only the
+// measured run, as in the paper.
+func (m *Meter) ResetInstrumentation() {
+	m.counters = Counters{}
+	clear(m.writeHist)
+}
+
+// CountWrite counts a write of n pages of ps bytes at off.
+func (m *Meter) CountWrite(off int64, n, ps int) {
+	m.counters.BytesWritten += int64(n) * int64(ps)
+	m.counters.WriteOps++
+	// One bounds check for the whole run; the compiler keeps the rest
+	// branch-free.
+	for i := range m.writeHist[off : off+int64(n)] {
+		m.writeHist[off+int64(i)]++
+	}
+}
+
+// CountRead counts a read of n pages of ps bytes.
+func (m *Meter) CountRead(n, ps int) {
+	m.counters.BytesRead += int64(n) * int64(ps)
+	m.counters.ReadOps++
+}
+
+// CountDiscard counts a TRIM of n pages.
+func (m *Meter) CountDiscard(n int) {
+	m.counters.DiscardOps++
+	m.counters.PagesDiscarded += int64(n)
+}
+
 // Device wraps a flash.Device with host-side instrumentation.
 type Device struct {
-	ssd      *flash.Device
-	ps       int // cached ssd.PageSize(), consulted on every I/O
-	counters Counters
-
-	// writeHist counts writes per logical page, like blktrace
-	// post-processing; it powers the Fig 4 CDF.
-	writeHist []uint32
+	Geometry
+	Meter
+	ssd *flash.Device
 
 	// content, when non-nil, retains the last-written bytes per page.
 	content map[int64][]byte
@@ -126,10 +206,24 @@ type Device struct {
 // page); the content store starts disabled.
 func New(ssd *flash.Device) *Device {
 	return &Device{
-		ssd:       ssd,
-		ps:        ssd.PageSize(),
-		writeHist: make([]uint32, ssd.LogicalPages()),
+		Geometry: NewGeometry(ssd.PageSize(), ssd.LogicalPages()),
+		Meter:    NewMeter(ssd.LogicalPages()),
+		ssd:      ssd,
 	}
+}
+
+// Partition limits the host-visible range to [0, pages): requests
+// beyond it are bounds errors even where the flash device would accept
+// them. The harness uses it to model software over-provisioning, a
+// smaller partition plus a never-written trimmed remainder; the write
+// histogram keeps spanning the whole device, so the fraction of LBAs
+// written counts the remainder. Call it before any I/O.
+func (d *Device) Partition(pages int64) error {
+	if pages <= 0 || pages > d.ssd.LogicalPages() {
+		return fmt.Errorf("blockdev: partition of %d pages on a %d-page device", pages, d.ssd.LogicalPages())
+	}
+	d.pages = pages
+	return nil
 }
 
 // EnableContentStore makes the device retain written bytes so that reads
@@ -147,35 +241,17 @@ func (d *Device) ContentEnabled() bool { return d.content != nil }
 // SSD exposes the underlying simulated flash device (for SMART access).
 func (d *Device) SSD() *flash.Device { return d.ssd }
 
-// PageSize implements Dev.
-func (d *Device) PageSize() int { return d.ps }
-
-// Pages implements Dev.
-func (d *Device) Pages() int64 { return d.ssd.LogicalPages() }
-
-// Counters returns a copy of the cumulative host I/O counters.
-func (d *Device) Counters() Counters { return d.counters }
-
-// WriteHist implements Host.
-func (d *Device) WriteHist() []uint32 { return d.writeHist }
-
 // WriteErr implements Dev. The simulated device fails only on a bounds
 // error.
 func (d *Device) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
 	if n <= 0 {
 		return now, nil
 	}
-	if err := d.checkErr(deverr.OpWrite, off, n, data); err != nil {
+	if err := d.Check(deverr.OpWrite, off, n, data); err != nil {
 		return now, err
 	}
 	ps := d.ps
-	d.counters.BytesWritten += int64(n) * int64(ps)
-	d.counters.WriteOps++
-	// One bounds check for the whole run; the compiler keeps the rest
-	// branch-free.
-	for i := range d.writeHist[off : off+int64(n)] {
-		d.writeHist[off+int64(i)]++
-	}
+	d.CountWrite(off, n, ps)
 	if d.content != nil && data != nil {
 		for i := 0; i < n; i++ {
 			// Overwrites reuse the retained buffer: a fresh allocation
@@ -197,20 +273,17 @@ func (d *Device) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Du
 	if n <= 0 {
 		return now, nil
 	}
-	if err := d.checkErr(deverr.OpRead, off, n, buf); err != nil {
+	if err := d.Check(deverr.OpRead, off, n, buf); err != nil {
 		return now, err
 	}
 	ps := d.ps
-	d.counters.BytesRead += int64(n) * int64(ps)
-	d.counters.ReadOps++
+	d.CountRead(n, ps)
 	if d.content != nil && buf != nil {
 		for i := 0; i < n; i++ {
 			page := d.content[off+int64(i)]
 			dst := buf[i*ps : (i+1)*ps]
 			if page == nil {
-				for j := range dst {
-					dst[j] = 0
-				}
+				clear(dst)
 			} else {
 				copy(dst, page)
 			}
@@ -250,40 +323,16 @@ func (d *Device) Discard(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	if err := d.checkErr(deverr.OpWrite, off, n, nil); err != nil {
+	if err := d.Check(deverr.OpWrite, off, n, nil); err != nil {
 		panic(err) // Discard has no error channel
 	}
-	d.counters.DiscardOps++
-	d.counters.PagesDiscarded += int64(n)
+	d.CountDiscard(n)
 	if d.content != nil {
 		for i := 0; i < n; i++ {
 			delete(d.content, off+int64(i))
 		}
 	}
 	d.ssd.Trim(off, n)
-}
-
-// ResetInstrumentation zeroes the iostat counters and the LBA histogram.
-// The harness calls it after the load phase so that plots cover only the
-// measured run, as in the paper.
-func (d *Device) ResetInstrumentation() {
-	d.counters = Counters{}
-	clear(d.writeHist)
-}
-
-// checkErr returns the deverr.KindBounds error for an I/O of n pages at
-// off that leaves the device, or whose buf is non-nil and not exactly n
-// pages long.
-func (d *Device) checkErr(op deverr.Op, off int64, n int, buf []byte) error {
-	if off < 0 || off+int64(n) > d.Pages() {
-		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("blockdev: I/O [%d,+%d) beyond device end %d", off, n, d.Pages())}
-	}
-	if buf != nil && len(buf) != n*d.ps {
-		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("blockdev: buffer length %d != %d pages", len(buf), n)}
-	}
-	return nil
 }
 
 // CombinedWriteCDF returns the cumulative distribution of per-LBA write
@@ -358,71 +407,4 @@ func writeCDFOf(counts []uint32, points int) []float64 {
 	return cdf
 }
 
-// Partition is a contiguous page range of a Device exposed as a Dev. The
-// harness uses partitions to model software over-provisioning: a smaller
-// partition plus a never-written trimmed remainder.
-type Partition struct {
-	dev   *Device
-	first int64
-	pages int64
-}
-
-// Partition carves [firstPage, firstPage+pages) from the device.
-func (d *Device) Partition(firstPage, pages int64) (*Partition, error) {
-	if firstPage < 0 || pages <= 0 || firstPage+pages > d.Pages() {
-		return nil, fmt.Errorf("blockdev: partition [%d,+%d) outside device of %d pages",
-			firstPage, pages, d.Pages())
-	}
-	return &Partition{dev: d, first: firstPage, pages: pages}, nil
-}
-
-// PageSize implements Dev.
-func (p *Partition) PageSize() int { return p.dev.PageSize() }
-
-// Pages implements Dev.
-func (p *Partition) Pages() int64 { return p.pages }
-
-// Discard implements Dev.
-func (p *Partition) Discard(off int64, n int) {
-	if err := p.checkErr(deverr.OpWrite, off, n); err != nil {
-		panic(err) // Discard has no error channel
-	}
-	p.dev.Discard(p.first+off, n)
-}
-
-// WriteErr implements Dev: I/O beyond the partition is a bounds error
-// even where the parent device would accept it.
-func (p *Partition) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
-	if err := p.checkErr(deverr.OpWrite, off, n); err != nil {
-		return now, err
-	}
-	return p.dev.WriteErr(now, p.first+off, n, data)
-}
-
-// ReadErr implements Dev (see WriteErr).
-func (p *Partition) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error) {
-	if err := p.checkErr(deverr.OpRead, off, n); err != nil {
-		return now, err
-	}
-	return p.dev.ReadErr(now, p.first+off, n, buf)
-}
-
-// SyncErr implements Dev, delegating to the parent device.
-func (p *Partition) SyncErr() error { return p.dev.SyncErr() }
-
-func (p *Partition) checkErr(op deverr.Op, off int64, n int) error {
-	if off < 0 || off+int64(n) > p.pages {
-		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("blockdev: partition I/O [%d,+%d) beyond end %d", off, n, p.pages)}
-	}
-	return nil
-}
-
-// ContentEnabled reports whether the parent device retains content.
-func (p *Partition) ContentEnabled() bool { return p.dev.ContentEnabled() }
-
-var (
-	_ Dev  = (*Device)(nil)
-	_ Dev  = (*Partition)(nil)
-	_ Host = (*Device)(nil)
-)
+var _ Host = (*Device)(nil)

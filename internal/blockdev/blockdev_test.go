@@ -218,52 +218,55 @@ func TestResetInstrumentation(t *testing.T) {
 	}
 }
 
+// TestPartitionIsolation: a partition shows the host only its pages;
+// I/O beyond it is a bounds error even inside the flash device and
+// reaches nothing, while the histogram keeps spanning the device.
 func TestPartitionIsolation(t *testing.T) {
 	d := newTestDev(t)
-	p, err := d.Partition(100, 200)
-	if err != nil {
+	whole := d.Pages()
+	if err := d.Partition(200); err != nil {
 		t.Fatal(err)
 	}
-	if p.Pages() != 200 || p.PageSize() != 4096 {
+	if d.Pages() != 200 || d.PageSize() != 4096 {
 		t.Fatal("partition geometry wrong")
 	}
-	mustWrite(t, p, 0, 0, 1, nil)
-	// The write must land inside the device and be recorded.
-	if CombinedFractionLBAsWritten([]Host{d}) == 0 {
+	if int64(len(d.WriteHist())) != whole {
+		t.Fatalf("histogram spans %d pages, want the device's %d", len(d.WriteHist()), whole)
+	}
+	mustWrite(t, d, 0, 199, 1, nil)
+	if d.WriteHist()[199] != 1 || d.Counters().WriteOps != 1 {
 		t.Fatal("partition write not recorded")
 	}
-	if d.Counters().WriteOps != 1 {
-		t.Fatal("partition write not counted on parent device")
-	}
-	// Out-of-range partition I/O is a bounds error, even inside the
-	// parent device, and reaches nothing.
-	wantBounds(t, "partition overflow", p.WriteErr, 199, 2, nil)
-	if d.Counters().WriteOps != 1 {
-		t.Fatal("refused partition write reached the parent device")
+	wantBounds(t, "partition overflow", d.WriteErr, 199, 2, nil)
+	wantBounds(t, "read past the partition", d.ReadErr, 200, 1, nil)
+	if d.Counters().WriteOps != 1 || d.Counters().ReadOps != 0 || d.SSD().MappedPages() != 1 {
+		t.Fatal("refused partition I/O reached the device")
 	}
 }
 
 func TestPartitionErrors(t *testing.T) {
 	d := newTestDev(t)
-	if _, err := d.Partition(-1, 10); err == nil {
-		t.Fatal("negative start should fail")
-	}
-	if _, err := d.Partition(0, d.Pages()+1); err == nil {
+	if err := d.Partition(d.Pages() + 1); err == nil {
 		t.Fatal("oversized partition should fail")
 	}
-	if _, err := d.Partition(0, 0); err == nil {
+	if err := d.Partition(0); err == nil {
 		t.Fatal("empty partition should fail")
+	}
+	if err := d.Partition(-1); err == nil {
+		t.Fatal("negative partition should fail")
 	}
 }
 
 func TestPartitionDiscard(t *testing.T) {
 	d := newTestDev(t)
-	p, _ := d.Partition(50, 100)
-	mustWrite(t, p, 0, 10, 5, nil)
+	if err := d.Partition(100); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, d, 0, 10, 5, nil)
 	if d.SSD().MappedPages() != 5 {
 		t.Fatalf("mapped %d, want 5", d.SSD().MappedPages())
 	}
-	p.Discard(10, 5)
+	d.Discard(10, 5)
 	if d.SSD().MappedPages() != 0 {
 		t.Fatal("partition discard failed")
 	}

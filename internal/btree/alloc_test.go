@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -127,11 +129,23 @@ func TestPlannedWaveAllocs(t *testing.T) {
 		}
 	}
 	misses := tr.IO().CacheMisses
+	// Every allocation of the first wave is profiled, so a failure names
+	// the code that allocated.
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	stacks := allocStacks()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	read()
 	runtime.ReadMemStats(&after)
+	runtime.MemProfileRate = rate
 	if n := after.Mallocs - before.Mallocs; n != 0 {
+		for stack, objects := range allocStacks() {
+			// The profile also holds the baseline's own allocations.
+			if at := formatStack(stack); objects > stacks[stack] && !strings.Contains(at, ".allocStacks ") {
+				t.Logf("%d objects allocated at:%s", objects-stacks[stack], at)
+			}
+		}
 		t.Fatalf("the first planned wave allocates %d objects, want 0", n)
 	}
 	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
@@ -139,6 +153,42 @@ func TestPlannedWaveAllocs(t *testing.T) {
 	}
 	if tr.IO().CacheMisses == misses {
 		t.Fatal("the measured waves never missed the cache")
+	}
+}
+
+// allocStacks returns the objects allocated so far per allocating stack,
+// from the heap profile once two garbage collections have published it.
+func allocStacks() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	stacks := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		stacks[r.Stack0] += r.AllocObjects
+	}
+	return stacks
+}
+
+// formatStack renders a profile stack one "function file:line" frame a
+// line.
+func formatStack(stack [32]uintptr) string {
+	var b strings.Builder
+	r := runtime.MemProfileRecord{Stack0: stack}
+	frames := runtime.CallersFrames(r.Stack())
+	for {
+		f, more := frames.Next()
+		fmt.Fprintf(&b, "\n\t%s %s:%d", f.Function, f.File, f.Line)
+		if !more {
+			return b.String()
+		}
 	}
 }
 

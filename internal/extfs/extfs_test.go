@@ -488,11 +488,10 @@ func TestMountTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := blockdev.New(cfgDev)
-	p, err := d.Partition(0, metaPages) // too small for data
-	if err != nil {
+	if err := d.Partition(metaPages); err != nil { // too small for data
 		t.Fatal(err)
 	}
-	if _, err := Mount(p, Options{}); err == nil {
+	if _, err := Mount(d, Options{}); err == nil {
 		t.Fatal("mount on tiny partition should fail")
 	}
 }

@@ -25,7 +25,6 @@
 package faultdev
 
 import (
-	"fmt"
 	"slices"
 
 	"ptsbench/internal/blockdev"
@@ -159,11 +158,15 @@ type Outcome struct {
 // ContentEnabled, so engines run their content-mode recovery paths
 // against it directly.
 type Dev struct {
+	// Geometry is the inner device's, captured at Wrap. A request it
+	// refuses fails before it draws a verdict or enters the pending
+	// window.
+	blockdev.Geometry
+
 	inner blockdev.Dev
 	plan  Plan
 	rng   *sim.RNG // legacy stream: consumed only at PowerOn
 	errs  *sim.RNG // error-verdict stream, derived from Seed
-	ps    int
 
 	durable map[int64][]byte // survives a power cut
 	current map[int64][]byte // acknowledged state, served to reads
@@ -182,13 +185,13 @@ type Dev struct {
 // authority (an inner store would bypass the fault semantics on reads).
 func Wrap(inner blockdev.Dev, plan Plan) *Dev {
 	d := &Dev{
-		inner:   inner,
-		plan:    plan,
-		rng:     sim.NewRNG(plan.Seed),
-		errs:    sim.NewRNG(plan.Seed ^ errSeedSalt),
-		ps:      inner.PageSize(),
-		durable: make(map[int64][]byte),
-		current: make(map[int64][]byte),
+		Geometry: blockdev.NewGeometry(inner.PageSize(), inner.Pages()),
+		inner:    inner,
+		plan:     plan,
+		rng:      sim.NewRNG(plan.Seed),
+		errs:     sim.NewRNG(plan.Seed ^ errSeedSalt),
+		durable:  make(map[int64][]byte),
+		current:  make(map[int64][]byte),
 	}
 	if len(plan.RotPages) > 0 {
 		d.rot = make(map[int64]bool, len(plan.RotPages))
@@ -211,12 +214,6 @@ func (d *Dev) armed() bool {
 	return d.plan.errorModel() &&
 		(d.plan.ArmAfterWrites <= 0 || d.writes >= d.plan.ArmAfterWrites)
 }
-
-// PageSize implements blockdev.Dev.
-func (d *Dev) PageSize() int { return d.ps }
-
-// Pages implements blockdev.Dev.
-func (d *Dev) Pages() int64 { return d.inner.Pages() }
 
 // ContentEnabled reports that reads return real bytes (the wrapper owns
 // the content store regardless of the inner device's mode).
@@ -244,18 +241,6 @@ func (d *Dev) Injected() Injected { return d.injected }
 // is the live page; callers must not mutate it.
 func (d *Dev) DurablePage(lba int64) []byte { return d.durable[lba] }
 
-// checkErr returns the deverr.KindBounds error the inner device would
-// for a page run beyond it or a buffer that is not exactly n pages, so a
-// bad request fails before it draws a verdict or enters the pending
-// window.
-func (d *Dev) checkErr(op deverr.Op, off int64, n int, buf []byte) error {
-	if off < 0 || off+int64(n) > d.Pages() || (buf != nil && len(buf) != n*d.ps) {
-		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("faultdev: I/O [%d,+%d) with a %d-byte buffer on a %d-page device", off, n, len(buf), d.Pages())}
-	}
-	return nil
-}
-
 // WriteErr implements blockdev.Dev. The write is acknowledged into the
 // current image and forwarded to the inner device for timing and
 // accounting, but stays in the pending window — not durable — until
@@ -268,7 +253,7 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 	if n <= 0 || d.cut {
 		return now, nil
 	}
-	if err := d.checkErr(deverr.OpWrite, off, n, data); err != nil {
+	if err := d.Check(deverr.OpWrite, off, n, data); err != nil {
 		return now, err
 	}
 	target := off
@@ -297,10 +282,11 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 	d.log = append(d.log, WriteRecord{Off: target, N: n})
 	op := pendingOp{off: target, n: n, keep: keep}
 	if data != nil {
+		ps := d.PageSize()
 		op.pages = make([][]byte, n)
 		for i := 0; i < n; i++ {
-			page := make([]byte, d.ps)
-			copy(page, data[i*d.ps:(i+1)*d.ps])
+			page := make([]byte, ps)
+			copy(page, data[i*ps:(i+1)*ps])
 			op.pages[i] = page
 			if keep == nil || keep[i] {
 				d.current[target+int64(i)] = page
@@ -354,7 +340,7 @@ func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Durat
 	if n <= 0 || d.cut {
 		return now, nil
 	}
-	if err := d.checkErr(deverr.OpRead, off, n, buf); err != nil {
+	if err := d.Check(deverr.OpRead, off, n, buf); err != nil {
 		return now, err
 	}
 	if d.latent != nil {
@@ -370,9 +356,10 @@ func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Durat
 		return now, &deverr.Error{Op: deverr.OpRead, LBA: off, Kind: deverr.KindEIO, Transient: true}
 	}
 	if buf != nil {
+		ps := d.PageSize()
 		for i := 0; i < n; i++ {
 			lba := off + int64(i)
-			dst := buf[i*d.ps : (i+1)*d.ps]
+			dst := buf[i*ps : (i+1)*ps]
 			if page := d.current[lba]; page != nil {
 				copy(dst, page)
 			} else {
@@ -396,16 +383,17 @@ func rotPage(dst []byte) {
 }
 
 // Discard implements blockdev.Dev. Like a write, a TRIM is only durable
-// once a barrier covers it.
+// once a barrier covers it. The inner device goes first, so a discard
+// its bounds check refuses changes nothing here.
 func (d *Dev) Discard(off int64, n int) {
 	if n <= 0 || d.cut {
 		return
 	}
+	d.inner.Discard(off, n)
 	for i := 0; i < n; i++ {
 		delete(d.current, off+int64(i))
 	}
 	d.pending = append(d.pending, pendingOp{off: off, n: n, discard: true})
-	d.inner.Discard(off, n)
 }
 
 // SyncErr implements blockdev.Dev: everything acknowledged so far

@@ -2,9 +2,12 @@ package faultdev
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/deverr"
+	"ptsbench/internal/filedev"
 	"ptsbench/internal/flash"
 )
 
@@ -167,6 +170,37 @@ func TestDropAndDiscardPending(t *testing.T) {
 	}
 	if got := readPage(t, d, 1); got[0] != 0 {
 		t.Fatalf("unbarriered write must drop at DropProb=1: got %#x", got[0])
+	}
+}
+
+// A discard the bounds rule refuses panics (Discard has no error
+// channel) and changes nothing: the acknowledged page it overlaps still
+// reads back, and power-on has no out-of-range op to rewind on a
+// file-backed inner device.
+func TestRefusedDiscardChangesNothing(t *testing.T) {
+	inner, err := filedev.Open(filedev.Config{Path: filepath.Join(t.TempDir(), "dev.img"), Pages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	d := Wrap(inner, Plan{})
+	mustWrite(t, d, 63, 1, pageData(d, 0x11, 1))
+	func() {
+		defer func() {
+			r := recover()
+			err, _ := r.(error)
+			if de, ok := deverr.As(err); !ok || de.Kind != deverr.KindBounds {
+				t.Fatalf("refused discard: got %v, want a %s panic", r, deverr.KindBounds)
+			}
+		}()
+		d.Discard(63, 2)
+	}()
+	if got := readPage(t, d, 63); got[0] != 0x11 {
+		t.Fatalf("a refused discard erased page 63: got %#x", got[0])
+	}
+	d.PowerCut()
+	if out, err := d.PowerOn(); err != nil || out != (Outcome{Applied: 1}) {
+		t.Fatalf("power-on after a refused discard: %+v, %v; want only the write applied", out, err)
 	}
 }
 

@@ -15,8 +15,8 @@
 // folded into virtual time (Config.Measure, for looking at real
 // hardware).
 // Host instrumentation — iostat Counters and the per-LBA write
-// histogram — matches the simulated blockdev.Device, so the Fig 4
-// plots work over either backend.
+// histogram — is the blockdev.Meter the simulated blockdev.Device
+// counts through, so the Fig 4 plots work over either backend.
 package filedev
 
 import (
@@ -106,15 +106,12 @@ type Config struct {
 // persistent typed deverr errors on the WriteErr/ReadErr/SyncErr
 // surface.
 type Dev struct {
+	blockdev.Geometry
+	blockdev.Meter
 	f      *os.File
 	cfg    Config
-	ps     int
-	n      int64
 	bounce []byte // scratch for zero-fill and nil-buf I/O
-
-	counters  blockdev.Counters
-	writeHist []uint32
-	fsyncs    int64
+	fsyncs int64
 
 	// pendingSync carries the cost of the last barrier fsync into the
 	// next I/O completion: SyncErr has no time signature, so its
@@ -161,39 +158,26 @@ func Open(cfg Config) (*Dev, error) {
 		return nil, fmt.Errorf("filedev: %w", err)
 	}
 	return &Dev{
-		f:         f,
-		cfg:       cfg,
-		ps:        cfg.PageSize,
-		n:         cfg.Pages,
-		bounce:    make([]byte, bounceBytes),
-		writeHist: make([]uint32, cfg.Pages),
+		Geometry: blockdev.NewGeometry(cfg.PageSize, cfg.Pages),
+		Meter:    blockdev.NewMeter(cfg.Pages),
+		f:        f,
+		cfg:      cfg,
+		bounce:   make([]byte, bounceBytes),
 	}, nil
 }
 
 // Fsyncs returns the cumulative number of fsync calls issued.
 func (d *Dev) Fsyncs() int64 { return d.fsyncs }
 
-// PageSize implements blockdev.Dev.
-func (d *Dev) PageSize() int { return d.ps }
-
-// Pages implements blockdev.Dev.
-func (d *Dev) Pages() int64 { return d.n }
-
 // ContentEnabled reports that reads return real data — a real file
 // always retains content, so the file backend satisfies every
 // content-requiring caller (WAL replay, recovery, kvtest).
 func (d *Dev) ContentEnabled() bool { return true }
 
-// Counters implements blockdev.Host.
-func (d *Dev) Counters() blockdev.Counters { return d.counters }
-
-// WriteHist implements blockdev.Host.
-func (d *Dev) WriteHist() []uint32 { return d.writeHist }
-
-// ResetInstrumentation implements blockdev.Host.
+// ResetInstrumentation implements blockdev.Host; it also zeroes the
+// fsync count.
 func (d *Dev) ResetInstrumentation() {
-	d.counters = blockdev.Counters{}
-	clear(d.writeHist)
+	d.Meter.ResetInstrumentation()
 	d.fsyncs = 0
 }
 
@@ -204,19 +188,11 @@ func (d *Dev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Dur
 	if n <= 0 {
 		return now, nil
 	}
-	if err := d.checkRangeErr(deverr.OpWrite, off, n); err != nil {
+	if err := d.Check(deverr.OpWrite, off, n, data); err != nil {
 		return now, err
 	}
-	ps := d.ps
-	if data != nil && len(data) != n*ps {
-		return now, &deverr.Error{Op: deverr.OpWrite, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("filedev: data length %d != %d pages", len(data), n)}
-	}
-	d.counters.BytesWritten += int64(n) * int64(ps)
-	d.counters.WriteOps++
-	for i := range d.writeHist[off : off+int64(n)] {
-		d.writeHist[off+int64(i)]++
-	}
+	ps := d.PageSize()
+	d.CountWrite(off, n, ps)
 
 	start := time.Now()
 	byteOff := off * int64(ps)
@@ -253,16 +229,11 @@ func (d *Dev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Durat
 	if n <= 0 {
 		return now, nil
 	}
-	if err := d.checkRangeErr(deverr.OpRead, off, n); err != nil {
+	if err := d.Check(deverr.OpRead, off, n, buf); err != nil {
 		return now, err
 	}
-	ps := d.ps
-	if buf != nil && len(buf) != n*ps {
-		return now, &deverr.Error{Op: deverr.OpRead, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("filedev: buffer length %d != %d pages", len(buf), n)}
-	}
-	d.counters.BytesRead += int64(n) * int64(ps)
-	d.counters.ReadOps++
+	ps := d.PageSize()
+	d.CountRead(n, ps)
 
 	start := time.Now()
 	byteOff := off * int64(ps)
@@ -291,13 +262,12 @@ func (d *Dev) Discard(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	if err := d.checkRangeErr(deverr.OpWrite, off, n); err != nil {
+	if err := d.Check(deverr.OpWrite, off, n, nil); err != nil {
 		panic(err)
 	}
-	d.counters.DiscardOps++
-	d.counters.PagesDiscarded += int64(n)
-	byteOff := off * int64(d.ps)
-	length := int64(n) * int64(d.ps)
+	d.CountDiscard(n)
+	ps := int64(d.PageSize())
+	byteOff, length := off*ps, int64(n)*ps
 	if punchHole(d.f, byteOff, length) != nil {
 		if err := d.zeroFill(byteOff, length); err != nil {
 			panic(err) // Discard has no error channel; a dead file is loud
@@ -315,19 +285,16 @@ func (d *Dev) Restore(off int64, n int, data []byte) error {
 	if n <= 0 {
 		return nil
 	}
-	if err := d.checkRangeErr(deverr.OpRestore, off, n); err != nil {
+	if err := d.Check(deverr.OpRestore, off, n, data); err != nil {
 		return err
 	}
-	byteOff := off * int64(d.ps)
+	ps := int64(d.PageSize())
+	byteOff := off * ps
 	if data == nil {
-		if err := d.zeroFill(byteOff, int64(n)*int64(d.ps)); err != nil {
+		if err := d.zeroFill(byteOff, int64(n)*ps); err != nil {
 			return &deverr.Error{Op: deverr.OpRestore, LBA: off, Kind: deverr.KindEIO, Cause: err}
 		}
 		return nil
-	}
-	if len(data) != n*d.ps {
-		return &deverr.Error{Op: deverr.OpRestore, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("filedev: restore length %d != %d pages", len(data), n)}
 	}
 	if _, err := d.f.WriteAt(data, byteOff); err != nil {
 		return &deverr.Error{Op: deverr.OpRestore, LBA: off, Kind: deverr.KindEIO, Cause: err}
@@ -432,14 +399,6 @@ func (d *Dev) zeroFill(byteOff, length int64) error {
 			return fmt.Errorf("filedev: write %s: %w", d.cfg.Path, err)
 		}
 		done += n
-	}
-	return nil
-}
-
-func (d *Dev) checkRangeErr(op deverr.Op, off int64, n int) error {
-	if off < 0 || off+int64(n) > d.n {
-		return &deverr.Error{Op: op, LBA: off, Kind: deverr.KindBounds,
-			Cause: fmt.Errorf("filedev: I/O [%d,+%d) beyond device end %d", off, n, d.n)}
 	}
 	return nil
 }

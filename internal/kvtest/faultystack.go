@@ -25,26 +25,15 @@ const retryAttempts = 7
 // conformance suite run over an EIO-injecting device without teaching
 // the suite about retries — the same division of labour as the serving
 // layer, where the store retries transient errors and fails replicas
-// over on persistent ones.
+// over on persistent ones. Everything but the three calls it retries
+// is the fault wrapper's own.
 type RetryDev struct {
-	inner   *faultdev.Dev
+	*faultdev.Dev
 	Retries int64 // transient errors absorbed
 }
 
 // NewRetryDev wraps a fault-injecting device.
-func NewRetryDev(inner *faultdev.Dev) *RetryDev { return &RetryDev{inner: inner} }
-
-// PageSize implements blockdev.Dev.
-func (r *RetryDev) PageSize() int { return r.inner.PageSize() }
-
-// Pages implements blockdev.Dev.
-func (r *RetryDev) Pages() int64 { return r.inner.Pages() }
-
-// ContentEnabled reports the wrapped device's content mode.
-func (r *RetryDev) ContentEnabled() bool { return r.inner.ContentEnabled() }
-
-// Discard implements blockdev.Dev.
-func (r *RetryDev) Discard(off int64, n int) { r.inner.Discard(off, n) }
+func NewRetryDev(inner *faultdev.Dev) *RetryDev { return &RetryDev{Dev: inner} }
 
 // retry drives one op until it succeeds, fails persistently, or the
 // attempt bound runs out. A failed attempt charges no virtual time, so
@@ -66,17 +55,17 @@ func (r *RetryDev) retry(op func() (sim.Duration, error)) (sim.Duration, error) 
 
 // WriteErr implements blockdev.Dev with transient retry.
 func (r *RetryDev) WriteErr(now sim.Duration, off int64, n int, data []byte) (sim.Duration, error) {
-	return r.retry(func() (sim.Duration, error) { return r.inner.WriteErr(now, off, n, data) })
+	return r.retry(func() (sim.Duration, error) { return r.Dev.WriteErr(now, off, n, data) })
 }
 
 // ReadErr implements blockdev.Dev with transient retry.
 func (r *RetryDev) ReadErr(now sim.Duration, off int64, n int, buf []byte) (sim.Duration, error) {
-	return r.retry(func() (sim.Duration, error) { return r.inner.ReadErr(now, off, n, buf) })
+	return r.retry(func() (sim.Duration, error) { return r.Dev.ReadErr(now, off, n, buf) })
 }
 
 // SyncErr implements blockdev.Dev with transient retry.
 func (r *RetryDev) SyncErr() error {
-	_, err := r.retry(func() (sim.Duration, error) { return 0, r.inner.SyncErr() })
+	_, err := r.retry(func() (sim.Duration, error) { return 0, r.Dev.SyncErr() })
 	return err
 }
 

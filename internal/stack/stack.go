@@ -132,8 +132,9 @@ func Build(l Layout) (*Stack, error) {
 	return s, nil
 }
 
-// openDevice builds the device authority and returns what the next
-// layer mounts on: the device, or its partition.
+// openDevice builds the device authority, limited to its partition when
+// there is one, and returns it for the next layer to mount on. The
+// limit comes first: the fault wrapper captures the geometry it sees.
 func (s *Stack) openDevice(l Layout) (blockdev.Dev, error) {
 	geo := l.Flash
 	if geo.PageSize == 0 {
@@ -173,18 +174,16 @@ func (s *Stack) openDevice(l Layout) (blockdev.Dev, error) {
 	if l.Content && l.Fault == nil {
 		s.Sim.EnableContentStore()
 	}
-	var target blockdev.Dev = s.Sim
 	if partition {
-		pages = l.PartitionPages
-		if target, err = s.Sim.Partition(0, pages); err != nil {
+		if err := s.Sim.Partition(l.PartitionPages); err != nil {
 			return nil, err
 		}
 	}
 	// The device starts trimmed; preconditioning ages the partition.
 	if l.Precondition {
-		ssd.PreconditionRange(l.RNG.Split(), 0, pages, preconditionPasses)
+		ssd.PreconditionRange(l.RNG.Split(), 0, s.Sim.Pages(), preconditionPasses)
 	}
-	return target, nil
+	return s.Sim, nil
 }
 
 func (s *Stack) openEngine(l Layout) error {

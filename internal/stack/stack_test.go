@@ -2,7 +2,9 @@ package stack_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,6 +181,105 @@ func TestDevicesReportBounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// maxBoundsRequests bounds the requests FuzzDeviceBounds decodes from
+// one input.
+const maxBoundsRequests = 64
+
+// FuzzDeviceBounds decodes its input into requests, five bytes each: the
+// kind (low two bits mod 3: write, read, discard; bit 2 counts the
+// offset back from the device end), a signed 16-bit offset, a signed
+// page count mod 64, and the buffer (0 is nil, otherwise n-1, n or n+1
+// pages by the low bits, with a stray byte when the top bit is set). It
+// runs them against the four device shapes of boundsShapes, which show
+// the filesystem equal geometry. Every outcome must be the bounds rule's
+// verdict recomputed here, on every shape (a refused discard, which has
+// no error channel, panics with the bounds error), and afterwards the
+// sim and file shapes must hold equal counters and write histograms, as
+// devdiff requires of the two authorities.
+func FuzzDeviceBounds(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 2, 1, 0, 0, 4, 0, 2, 0, 0, 4, 0})
+	// Writes and reads straddling the end, a short and a long buffer, a
+	// negative offset and page count, a discard past the end.
+	f.Add([]byte{4, 1, 0, 2, 2, 5, 1, 0, 1, 1, 0, 8, 0, 3, 0, 0, 8, 0, 3, 2,
+		1, 0xff, 0xff, 1, 0, 0, 0, 0, 0xff, 0, 6, 0, 0, 1, 0, 0, 0x10, 0, 9, 0x82})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		shapes := boundsShapes(t)
+		devs := make([]blockdev.Dev, len(shapes))
+		hosts := make([]blockdev.Host, len(shapes))
+		for i, sh := range shapes {
+			l := stack.Small("", nil)
+			sh.edit(&l)
+			st, err := stack.Build(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			devs[i], hosts[i] = st.FS.Device(), st.Host
+		}
+		pages, ps := devs[0].Pages(), devs[0].PageSize()
+		for i, d := range devs {
+			if d.Pages() != pages || d.PageSize() != ps {
+				t.Fatalf("%s: %d pages of %d bytes, want %d of %d", shapes[i].name, d.Pages(), d.PageSize(), pages, ps)
+			}
+		}
+
+		in = in[:min(len(in), 5*maxBoundsRequests)]
+		for req := 0; len(in) >= 5; req, in = req+1, in[5:] {
+			kind := in[0] % 4 % 3
+			off := int64(int16(binary.LittleEndian.Uint16(in[1:])))
+			if in[0]&4 != 0 {
+				off = pages - off
+			}
+			n := int(int8(in[3])) % 64
+			var buf []byte
+			if in[4] != 0 && kind != 2 {
+				buf = make([]byte, max(0, n+int(in[4]%3)-1)*ps+int(in[4]>>7))
+			}
+			refused := n > 0 && (off < 0 || off+int64(n) > pages || (buf != nil && len(buf) != n*ps))
+			now := sim.Duration(req) * time.Millisecond
+			for i, d := range devs {
+				var err error
+				switch kind {
+				case 0:
+					_, err = d.WriteErr(now, off, n, buf)
+				case 1:
+					_, err = d.ReadErr(now, off, n, buf)
+				default:
+					err = discardErr(d, off, n)
+				}
+				if de, ok := deverr.As(err); refused && (!ok || de.Kind != deverr.KindBounds) || !refused && err != nil {
+					t.Fatalf("request %d (kind %d, [%d,+%d), %d-byte buffer) on %s: got %v, refused=%v",
+						req, kind, off, n, len(buf), shapes[i].name, err, refused)
+				}
+			}
+		}
+
+		simHost, fileHost := hosts[0], hosts[3]
+		if simHost.Counters() != fileHost.Counters() {
+			t.Fatalf("counters differ: sim %+v, file %+v", simHost.Counters(), fileHost.Counters())
+		}
+		if !slices.Equal(simHost.WriteHist(), fileHost.WriteHist()) {
+			t.Fatal("write histograms differ between the sim and file shapes")
+		}
+	})
+}
+
+// discardErr issues a discard and returns the bounds error a refused
+// one panics with.
+func discardErr(d blockdev.Dev, off int64, n int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok {
+				panic(r)
+			}
+			err = e
+		}
+	}()
+	d.Discard(off, n)
+	return nil
 }
 
 // TestClusterFailureClosesBuiltStacks: when shard k fails to build, the
