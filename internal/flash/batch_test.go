@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"fmt"
 	"testing"
 
 	"ptsbench/internal/sim"
@@ -26,6 +27,10 @@ func twinFTLs(t *testing.T) (*ftl, *ftl) {
 	return newFTL(cfg), newFTL(cfg)
 }
 
+// sameFTLState requires a and b to agree on every field that decides
+// the FTL's later behaviour: counters, both maps, per-block state, the
+// free pool in order, the open frontiers, the greedy buckets in order
+// and the stream RNG. Only sink, which nothing reads, may differ.
 func sameFTLState(t *testing.T, a, b *ftl) {
 	t.Helper()
 	if err := a.checkInvariants(); err != nil {
@@ -40,18 +45,43 @@ func sameFTLState(t *testing.T, a, b *ftl) {
 	if a.mappedPages != b.mappedPages {
 		t.Fatalf("mappedPages %d vs %d", a.mappedPages, b.mappedPages)
 	}
-	for i := range a.l2p {
-		if a.l2p[i] != b.l2p[i] {
-			t.Fatalf("l2p[%d]: %d vs %d", i, a.l2p[i], b.l2p[i])
-		}
+	sameInts(t, "l2p", a.l2p, b.l2p)
+	sameInts(t, "p2l", a.p2l, b.p2l)
+	sameInts(t, "validCount", a.validCount, b.validCount)
+	sameInts(t, "writePtr", a.writePtr, b.writePtr)
+	sameInts(t, "state", a.state, b.state)
+	sameInts(t, "eraseCount", a.eraseCount, b.eraseCount)
+	sameInts(t, "freeBlocks", a.freeBlocks, b.freeBlocks)
+	sameInts(t, "hostOpen", a.hostOpen, b.hostOpen)
+	if a.gcOpen != b.gcOpen {
+		t.Fatalf("gcOpen %d vs %d", a.gcOpen, b.gcOpen)
 	}
-	for i := range a.p2l {
-		if a.p2l[i] != b.p2l[i] {
-			t.Fatalf("p2l[%d]: %d vs %d", i, a.p2l[i], b.p2l[i])
-		}
+	if a.minBucket != b.minBucket {
+		t.Fatalf("minBucket %d vs %d", a.minBucket, b.minBucket)
 	}
-	if len(a.freeBlocks) != len(b.freeBlocks) {
-		t.Fatalf("free pool %d vs %d", len(a.freeBlocks), len(b.freeBlocks))
+	if len(a.buckets) != len(b.buckets) {
+		t.Fatalf("%d buckets vs %d", len(a.buckets), len(b.buckets))
+	}
+	for v := range a.buckets {
+		sameInts(t, fmt.Sprintf("buckets[%d]", v), a.buckets[v], b.buckets[v])
+	}
+	sameInts(t, "bucketPos", a.bucketPos, b.bucketPos)
+	if *a.rng != *b.rng {
+		t.Fatal("stream RNGs diverge")
+	}
+}
+
+// sameInts requires two slices to be equal in length and element by
+// element.
+func sameInts[T int32 | blockState](t *testing.T, name string, a, b []T) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s[%d]: %d vs %d", name, i, a[i], b[i])
+		}
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 
 // writePage is the per-page reference for a host page write: program the
 // page, count it as host traffic, and run garbage collection if the free
-// pool is low. Every batched write path must reproduce a sequence of
-// these exactly — state, counters and the GC work each page caused.
+// pool is low, relocating page by page through referenceGC. Every
+// batched write path must reproduce a sequence of these exactly — state,
+// counters and the GC work each page caused.
 func writePage(f *ftl, lpn int64) gcWork {
 	f.writeOne(lpn)
 	f.stats.HostPagesWritten++
-	return f.maybeGC()
+	return referenceGC(f)
 }
 
 // TestSubmitUniformMatchesPerPageStriping cross-checks request dispatch

@@ -31,7 +31,8 @@ const maxFuzzRuns = 128
 // aging seed), the first page (two bytes) and the length less one, at
 // most maxFuzzRuns runs. After every run the device's FTL must pass
 // CheckInvariants and be in the same state, with the same counters, as
-// a twin FTL driven page by page through writePage and trim.
+// a twin FTL driven page by page through writePage and trim, whose
+// garbage collection relocates page by page through referenceGC.
 func FuzzFTL(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 255, 0, 7, 0, 40, 1, 9, 0, 3, 2, 0, 0, 99})
 	f.Add([]byte{3 | 2<<2 | 5<<4, 0, 0, 255, 0, 17, 0, 12, 3 | 1<<2, 100, 0, 60})
@@ -44,6 +45,11 @@ func FuzzFTL(f *testing.F) {
 		seed = append(seed, byte(rng.Uint64n(32)))
 	}
 	f.Add(seed)
+	// Four full-drive preconditions, aging seeds 0 to 3: 2,048 random
+	// single-page writes, in which the GC frontier fills in the middle of
+	// a victim about ten times, so a collection closes it and opens the
+	// next one partway through moving a block.
+	f.Add([]byte{3 | 2<<2, 0, 0, 255, 3 | 2<<2 | 1<<4, 0, 0, 255, 3 | 2<<2 | 2<<4, 0, 0, 255, 3 | 2<<2 | 3<<4, 0, 0, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dev, err := NewDevice(fuzzConfig())
