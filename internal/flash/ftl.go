@@ -226,16 +226,23 @@ func (f *ftl) closeBlock(b int32) {
 	f.bucketInsert(b)
 }
 
-// program writes one page into the given frontier (host or GC) and maps
-// lpn to it. The frontier is replaced from the free pool as blocks fill.
-func (f *ftl) program(frontier *int32, lpn int64) {
+// frontierBlock returns the block the frontier (host or GC) programs
+// next. A full frontier is closed and, like a missing one, replaced from
+// the free pool. The frontier's writePtr and validCount must be current.
+func (f *ftl) frontierBlock(frontier *int32) int32 {
 	if *frontier < 0 || f.writePtr[*frontier] >= int32(f.pagesPerBlock) {
 		if *frontier >= 0 {
 			f.closeBlock(*frontier)
 		}
 		*frontier = f.popFreeBlock()
 	}
-	b := *frontier
+	return *frontier
+}
+
+// program writes one page into the given frontier (host or GC) and maps
+// lpn to it.
+func (f *ftl) program(frontier *int32, lpn int64) {
+	b := f.frontierBlock(frontier)
 	ppn := b*int32(f.pagesPerBlock) + f.writePtr[b]
 	f.writePtr[b]++
 	f.p2l[ppn] = int32(lpn)
@@ -416,25 +423,56 @@ func (f *ftl) maybeGC() gcWork {
 		}
 		f.bucketRemove(v)
 		f.state[v] = blockOpen // transitional: not a candidate while moving
-		base := v * int32(f.pagesPerBlock)
-		for i := int32(0); i < int32(f.pagesPerBlock); i++ {
-			ppn := base + i
-			lpn := f.p2l[ppn]
-			if lpn == unmapped {
-				continue
-			}
-			// Relocate: invalidate in place, re-program at GC frontier.
-			f.p2l[ppn] = unmapped
-			f.validCount[v]--
-			f.program(&f.gcOpen, int64(lpn))
-			f.stats.FlashPagesWritten++
-			f.stats.Relocations++
-			work.relocated++
-		}
+		work.relocated += f.relocate(v)
 		f.eraseBlock(v)
 		work.erases++
 	}
 	return work
+}
+
+// relocate moves victim v's valid pages, in page order, to the GC
+// frontier in one pass over v's p2l entries, and returns how many it
+// moved. It leaves the FTL as a program call per page would: the
+// frontier's write pointer and the pages added to it are kept in locals
+// and written back when the frontier fills (before frontierBlock closes
+// it and opens the next) and at the end, and each counter takes one add.
+func (f *ftl) relocate(v int32) int {
+	ppb := int32(f.pagesPerBlock)
+	base := v * ppb
+	src := f.p2l[base : base+ppb]
+	dst, ptr, added := f.gcOpen, ppb, int32(0)
+	if dst >= 0 {
+		ptr = f.writePtr[dst]
+	}
+	moved := 0
+	for i, lpn := range src {
+		if lpn == unmapped {
+			continue
+		}
+		if ptr == ppb {
+			if dst >= 0 {
+				f.writePtr[dst] = ptr
+				f.validCount[dst] += added
+			}
+			dst = f.frontierBlock(&f.gcOpen)
+			ptr, added = 0, 0
+		}
+		ppn := dst*ppb + ptr
+		f.p2l[ppn] = lpn
+		f.l2p[lpn] = ppn
+		src[i] = unmapped
+		ptr++
+		added++
+		moved++
+	}
+	if dst >= 0 {
+		f.writePtr[dst] = ptr
+		f.validCount[dst] += added
+	}
+	f.validCount[v] -= int32(moved)
+	f.stats.FlashPagesWritten += int64(moved)
+	f.stats.Relocations += int64(moved)
+	return moved
 }
 
 // eraseBlock resets block b and returns it to the free pool.
