@@ -130,14 +130,19 @@ func TestPlannedWaveAllocs(t *testing.T) {
 	}
 	misses := tr.IO().CacheMisses
 	// Every allocation of the first wave is profiled, so a failure names
-	// the code that allocated.
+	// the code that allocated. The count is process-wide, and restarting
+	// the world after GC or ReadMemStats can start an OS thread (newm,
+	// from startTheWorldWithSema's wakep), whose allocations it counts
+	// too; with one P there is no idle P to wake a thread for.
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
+	procs := runtime.GOMAXPROCS(1)
 	stacks := allocStacks()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	read()
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	runtime.MemProfileRate = rate
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		for stack, objects := range allocStacks() {
