@@ -231,12 +231,19 @@ func (f *ftl) closeBlock(b int32) {
 // the free pool. The frontier's writePtr and validCount must be current.
 func (f *ftl) frontierBlock(frontier *int32) int32 {
 	if *frontier < 0 || f.writePtr[*frontier] >= int32(f.pagesPerBlock) {
-		if *frontier >= 0 {
-			f.closeBlock(*frontier)
-		}
-		*frontier = f.popFreeBlock()
+		f.replaceFrontier(frontier)
 	}
 	return *frontier
+}
+
+// replaceFrontier closes the frontier's block, if it has one, and opens
+// a block from the free pool in its place. It is frontierBlock's slow
+// path, kept apart so that the check inlines into every program call.
+func (f *ftl) replaceFrontier(frontier *int32) {
+	if *frontier >= 0 {
+		f.closeBlock(*frontier)
+	}
+	*frontier = f.popFreeBlock()
 }
 
 // program writes one page into the given frontier (host or GC) and maps
