@@ -252,6 +252,64 @@ func TestWAAStableOverTime(t *testing.T) {
 }
 
 // parsePage parses a B+Tree page image.
+// TestLargerCacheLowersWAA sweeps the cache size over one workload: load
+// 8,000 keys, then update random ones twice over. WA-A over the updates
+// must not rise as the cache grows, and an 8 MiB cache, which absorbs
+// more rewrites of a page before evicting it, must write less than a
+// 256 KiB one.
+func TestLargerCacheLowersWAA(t *testing.T) {
+	run := func(cacheBytes int64) float64 {
+		ssd, err := flash.NewDevice(flash.Config{
+			LogicalBytes:  128 << 20,
+			PageSize:      4096,
+			PagesPerBlock: 64,
+			Profile:       flash.ProfileSSD1().Scaled(2048),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := blockdev.New(ssd)
+		fs, err := extfs.Mount(dev, extfs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := NewConfig(32 << 20)
+		cfg.CacheBytes = cacheBytes
+		tr, err := Open(fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(4)
+		const keys = 8000
+		var now sim.Duration
+		for id := uint64(0); id < keys; id++ {
+			if now, err = tr.Put(now, kv.EncodeKey(id), nil, 4000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		user := tr.Stats().UserBytesWritten
+		host := dev.Counters().BytesWritten
+		for j := 0; j < keys*2; j++ {
+			if now, err = tr.Put(now, kv.EncodeKey(rng.Uint64n(keys)), nil, 4000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(dev.Counters().BytesWritten-host) / float64(tr.Stats().UserBytesWritten-user)
+	}
+	sizes := []int64{256 << 10, 1 << 20, 8 << 20}
+	waa := make([]float64, len(sizes))
+	for i, size := range sizes {
+		waa[i] = run(size)
+		t.Logf("cache %d KiB: WA-A %.3f", size>>10, waa[i])
+		if i > 0 && waa[i] > waa[i-1] {
+			t.Fatalf("WA-A rose from %.3f to %.3f as the cache grew to %d KiB", waa[i-1], waa[i], size>>10)
+		}
+	}
+	if waa[len(waa)-1] >= waa[0] {
+		t.Fatalf("8 MiB cache WA-A %.3f, want below the 256 KiB cache's %.3f", waa[len(waa)-1], waa[0])
+	}
+}
+
 func parsePage(data []byte) (*cowtree.Node, []cowtree.Extent, bool) {
 	p := &cowtree.Node{}
 	exts, _, ok := p.ParseImage(data, pageMagic)

@@ -267,6 +267,47 @@ func TestMoreOPLowersWAD(t *testing.T) {
 	}
 }
 
+// TestStreamsScatterHotAndCold is the placement effect Config.Streams
+// models. A hot stream (the first quarter of the LBA space, rewritten
+// in random 64-page chunks) interleaves with a cold one (the rest,
+// written once in 64-page chunks). With one open host block a chunk
+// owns a whole erase block and invalidates all of it on rewrite, so GC
+// finds only empty victims. Striping over the default 96 blocks mixes
+// hot and cold pages in every block, and GC must move the cold ones.
+func TestStreamsScatterHotAndCold(t *testing.T) {
+	run := func(streams int) Stats {
+		d := newTestDevice(t, Config{
+			LogicalBytes:  64 << 20,
+			PageSize:      4096,
+			PagesPerBlock: 64,
+			Streams:       streams,
+			Profile:       ProfileSSD1().Scaled(4096),
+		})
+		pages := d.LogicalPages()
+		hot := pages / 4
+		coldCursor := hot
+		rng := sim.NewRNG(9)
+		var now sim.Duration
+		for i := 0; i < int(pages/64)*4; i++ {
+			now = d.SubmitWrite(now, int64(rng.Uint64n(uint64(hot/64)))*64, 64)
+			if coldCursor+64 <= pages {
+				now = d.SubmitWrite(now, coldCursor, 64)
+				coldCursor += 64
+			}
+		}
+		return d.Stats()
+	}
+	one := run(1)
+	if one.WAD() != 1 || one.Relocations != 0 {
+		t.Fatalf("one stream: WA-D %v with %d relocations, want exactly 1 with none", one.WAD(), one.Relocations)
+	}
+	striped := run(0) // the default, 96
+	t.Logf("WA-D: 1 stream %.3f, 96 streams %.3f", one.WAD(), striped.WAD())
+	if striped.WAD() < 1.5 || striped.Relocations == 0 {
+		t.Fatalf("96 streams: WA-D %v with %d relocations, want >= 1.5 from relocating cold pages", striped.WAD(), striped.Relocations)
+	}
+}
+
 func TestTrimRange(t *testing.T) {
 	d := newTestDevice(t, testConfig())
 	d.SubmitWrite(0, 0, 128)

@@ -200,6 +200,64 @@ func TestWAAIsAmplified(t *testing.T) {
 	}
 }
 
+// TestDiscardLowersWAD mounts the filesystem with and without discard
+// under the same file churn: load 128 MiB of 4000-byte values on a
+// 256 MiB drive, then overwrite random keys four times over. With
+// discard, the tables and WAL segments the LSM deletes are trimmed, so
+// GC finds their pages invalid instead of relocating them; nodiscard,
+// the paper's mount mode, pays WA-D for them.
+func TestDiscardLowersWAD(t *testing.T) {
+	run := func(discard bool) float64 {
+		ssd, err := flash.NewDevice(flash.Config{
+			LogicalBytes:  256 << 20,
+			PageSize:      4096,
+			PagesPerBlock: 256,
+			Profile:       flash.ProfileSSD1().Scaled(1024),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := extfs.Mount(blockdev.New(ssd), extfs.Options{Discard: discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := NewConfig(128 << 20)
+		cfg.CPUPutTime *= 1024
+		cfg.CPUGetTime *= 1024
+		cfg.DelayedWriteBytesPerSec /= 1024
+		db, err := Open(fs, cfg, sim.NewRNG(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(3)
+		numKeys := uint64((128 << 20) / 4000)
+		var now sim.Duration
+		key := make([]byte, kv.KeySize)
+		for id := uint64(0); id < numKeys; id++ {
+			kv.AppendKey(key, id)
+			if now, err = db.Put(now, key, nil, 4000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := ssd.Stats()
+		for i := uint64(0); i < numKeys*4; i++ {
+			kv.AppendKey(key, rng.Uint64n(numKeys))
+			if now, err = db.Put(now, key, nil, 4000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.FlushAll(now); err != nil {
+			t.Fatal(err)
+		}
+		return ssd.Stats().Sub(base).WAD()
+	}
+	trimmed, untrimmed := run(true), run(false)
+	t.Logf("WA-D: discard %.3f, nodiscard %.3f", trimmed, untrimmed)
+	if trimmed >= untrimmed {
+		t.Fatalf("discard WA-D %.3f, want below nodiscard's %.3f", trimmed, untrimmed)
+	}
+}
+
 func TestOutOfSpaceSurfaces(t *testing.T) {
 	db, _, _ := testEnv(t, 16, false, func(c *Config) {
 		c.MemtableBytes = 64 << 10
