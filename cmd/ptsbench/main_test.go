@@ -416,8 +416,6 @@ func calls(s fmt.Stringer, e error, w interface{ Unwrap() error }, m json.Marsha
 // so the map only shrinks.
 var testSeams = map[string]string{
 	"betree.Tree.BufferedBytes":     "TestBufferModel; ROADMAP 2(i) gauge",
-	"core.SteadyByCapacityRule":     "ROADMAP 7(a) steady-state note",
-	"core.SteadyStateIndex":         "ROADMAP 7(a) steady-state note",
 	"cowtree.Core.Arena":            "arena bytes a put or a buffer upsert takes: btree's TestSteadyStatePutAllocs, betree's TestMessageCodecKinds",
 	"cowtree.Core.Depth":            "both engines' Depth: TestGoldenEngineTrace; ROADMAP 2(i) gauge",
 	"cowtree.Core.DirtyCount":       "TestFlushAllWritesEverything (btree, betree)",
@@ -432,7 +430,6 @@ var testSeams = map[string]string{
 	"flash.Device.Config":           "TestStackDefaults: stack.openDevice's 256-page erase blocks",
 	"flash.Device.MappedPages":      "TestTrimRange, blockdev's TestDiscardClearsContent",
 	"flash.Device.MaxEraseCount":    "ROADMAP 8(a) wear report",
-	"flash.GCGreedy":                "the zero GCPolicy, named by BenchmarkAblationGCPolicy",
 	"freeset.Set.Check":             "the allocators' differential tests (freeset, extfs, cowtree); ROADMAP 5(1) stack.Check",
 	"kvtest.NewFaultyStack":         "TestEngineConformanceUnderEIO",
 	"kvtest.NewFileStack":           "filedev's TestEngineConformanceOverFiles",

@@ -498,3 +498,37 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("ε=1 buffer budget %d, want 0", one.bufferBudget())
 	}
 }
+
+// BenchmarkPut times the Bε-tree's write path end to end: 512-byte puts
+// of random keys among 50,000, configured for a 128 MiB dataset on a
+// 512 MiB simulated drive, with whatever background work and FTL GC the
+// puts trigger.
+func BenchmarkPut(b *testing.B) {
+	ssd, err := flash.NewDevice(flash.Config{
+		LogicalBytes:  512 << 20,
+		PageSize:      4096,
+		PagesPerBlock: 256,
+		Profile:       flash.ProfileSSD1().Scaled(512),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := extfs.Mount(blockdev.New(ssd), extfs.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := Open(fs, NewConfig(128<<20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(1)
+	key := make([]byte, kv.KeySize)
+	var now sim.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kv.AppendKey(key, rng.Uint64n(50000))
+		if now, err = tr.Put(now, key, nil, 512); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

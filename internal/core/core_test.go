@@ -73,79 +73,6 @@ func TestTailStats(t *testing.T) {
 	}
 }
 
-func TestCUSUMDetectsShift(t *testing.T) {
-	det := NewCUSUM(10, 0.5, 3)
-	for i := 0; i < 20; i++ {
-		if det.Add(10 + 0.2*float64(i%2)) {
-			t.Fatalf("false alarm at stable step %d", i)
-		}
-	}
-	fired := false
-	for i := 0; i < 10; i++ {
-		if det.Add(13) { // sustained +3 shift
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("CUSUM missed a sustained upward shift")
-	}
-}
-
-func TestCUSUMDetectsDownwardShift(t *testing.T) {
-	det := NewCUSUM(10, 0.5, 3)
-	fired := false
-	for i := 0; i < 10; i++ {
-		if det.Add(6) {
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("CUSUM missed a downward shift")
-	}
-}
-
-func TestSteadyStateIndex(t *testing.T) {
-	// Decaying series that flattens at index ~10.
-	var vals []float64
-	for i := 0; i < 10; i++ {
-		vals = append(vals, 20-float64(i))
-	}
-	for i := 0; i < 30; i++ {
-		vals = append(vals, 10+0.1*float64(i%3))
-	}
-	idx := SteadyStateIndex(vals, 0.05, 1.0)
-	if idx < 5 || idx > 15 {
-		t.Fatalf("steady index %d, want near 10", idx)
-	}
-	// A series that never settles returns -1.
-	var ramp []float64
-	for i := 0; i < 40; i++ {
-		ramp = append(ramp, float64(i*i))
-	}
-	if got := SteadyStateIndex(ramp, 0.01, 0.1); got != -1 {
-		t.Fatalf("ramp should never settle, got %d", got)
-	}
-	if got := SteadyStateIndex([]float64{1, 2}, 0.05, 1); got != -1 {
-		t.Fatal("short series should return -1")
-	}
-}
-
-func TestSteadyByCapacityRule(t *testing.T) {
-	var ser Series
-	for i := 0; i <= 10; i++ {
-		ser.Samples = append(ser.Samples, Sample{HostWriteB: int64(i) * 100})
-	}
-	// 3x a 200-byte capacity = 600 bytes, first reached at index 6.
-	if got := SteadyByCapacityRule(ser, 200); got != 6 {
-		t.Fatalf("capacity rule index %d, want 6", got)
-	}
-	if got := SteadyByCapacityRule(ser, 10000); got != -1 {
-		t.Fatal("unreachable capacity should return -1")
-	}
-}
-
 func TestSpaceAmplification(t *testing.T) {
 	if got := SpaceAmplification(150, 100); got != 1.5 {
 		t.Fatalf("space amp %v", got)

@@ -2,15 +2,14 @@
 // pitfall-aware benchmarking methodology for persistent tree structures
 // on flash SSDs. It defines the metrics of §3.3 (KV throughput, device
 // throughput, application- and device-level write amplification, space
-// amplification), the steady-state detection guidelines of §4.1 (CUSUM
-// and the 3×-capacity rule), and the experiment runner that wires a
-// workload, an engine, a filesystem and a simulated SSD together and
-// samples everything over virtual time.
+// amplification) and the experiment runner that wires a workload, an
+// engine, a filesystem and a simulated SSD together and samples
+// everything over virtual time. A run's steady-state numbers
+// (Result.Steady) are taken over the final quarter of its samples
+// (Series.TailStats).
 package core
 
 import (
-	"math"
-
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
@@ -245,86 +244,6 @@ func (c *Collector) Record(now sim.Duration) {
 
 // Series returns the collected series.
 func (c *Collector) Series() Series { return c.series }
-
-// CUSUM implements Page's cumulative-sum change detector (the paper's
-// suggested steady-state test, §4.1): it tracks positive and negative
-// deviations from a reference mean and flags a change when either sum
-// exceeds the threshold.
-type CUSUM struct {
-	mean      float64
-	slack     float64 // k: allowed drift per step
-	threshold float64 // h: detection threshold
-	pos, neg  float64
-}
-
-// NewCUSUM builds a detector around a reference mean. slack and
-// threshold are in the metric's units.
-func NewCUSUM(mean, slack, threshold float64) *CUSUM {
-	return &CUSUM{mean: mean, slack: slack, threshold: threshold}
-}
-
-// Add feeds an observation; it returns true when a change is detected
-// (the detector then keeps reporting true).
-func (c *CUSUM) Add(x float64) bool {
-	c.pos = math.Max(0, c.pos+x-c.mean-c.slack)
-	c.neg = math.Max(0, c.neg+c.mean-x-c.slack)
-	return c.pos > c.threshold || c.neg > c.threshold
-}
-
-// SteadyStateIndex locates the earliest index i such that a CUSUM
-// detector calibrated on values[i:] flags no change through the end of
-// the series — i.e. the series is statistically flat from i on. A tail
-// of at least 8 observations is required, so the verdict is not based on
-// a sliver of data. It returns -1 if the series never settles. slackFrac
-// and threshFrac scale the detector's slack and threshold by the tail
-// mean (e.g. 0.05, 0.5).
-func SteadyStateIndex(values []float64, slackFrac, threshFrac float64) int {
-	n := len(values)
-	if n < 8 {
-		return -1
-	}
-	for i := 0; i+8 <= n; i++ {
-		mean := meanOf(values[i:])
-		slack := math.Abs(mean) * slackFrac
-		thresh := math.Abs(mean) * threshFrac
-		if thresh == 0 {
-			thresh = 1e-9
-		}
-		det := NewCUSUM(mean, slack, thresh)
-		settled := true
-		for _, v := range values[i:] {
-			if det.Add(v) {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			return i
-		}
-	}
-	return -1
-}
-
-func meanOf(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// SteadyByCapacityRule implements the paper's rule of thumb: consider the
-// SSD at steady state once cumulative host writes reach 3× the device
-// capacity (§4.1). It returns the first sample index satisfying the rule
-// or -1.
-func SteadyByCapacityRule(ser Series, capacityBytes int64) int {
-	for i, s := range ser.Samples {
-		if s.HostWriteB >= 3*capacityBytes {
-			return i
-		}
-	}
-	return -1
-}
 
 // MeanKOps returns the mean operation rate (KOps/s) over the whole
 // measured phase — steadier than the tail quarter when background

@@ -184,12 +184,6 @@ type Config struct {
 	PageSize int
 	// PagesPerBlock is the erase-block size in pages.
 	PagesPerBlock int
-	// GCLowWater and GCHighWater bound the free-block pool: garbage
-	// collection starts when free blocks drop below GCLowWater and runs
-	// until GCHighWater blocks are free. Zero values pick defaults.
-	GCLowWater  int
-	GCHighWater int
-
 	// Streams is the number of concurrently open host write blocks,
 	// modelling die/channel striping: consecutive host pages scatter
 	// pseudo-randomly over the open blocks, as they do across the dies
@@ -199,23 +193,15 @@ type Config struct {
 	// assume exactly this placement). Default 96.
 	Streams int
 
-	// GC selects the victim-selection policy (ablation knob); the
-	// default is greedy (min-valid), the standard production policy.
-	GC GCPolicy
-
 	Profile Profile
 }
 
-// GCPolicy selects how garbage collection picks victim blocks.
-type GCPolicy int
-
-// GC policies.
+// gcLowWater and gcHighWater bound the free-block pool: garbage
+// collection starts when free blocks drop below gcLowWater and runs
+// until gcHighWater blocks are free.
 const (
-	// GCGreedy picks the closed block with the fewest valid pages.
-	GCGreedy GCPolicy = iota
-	// GCRandom picks a uniformly random closed block — the classic
-	// baseline that shows how much greedy selection saves.
-	GCRandom
+	gcLowWater  = 4
+	gcHighWater = 8
 )
 
 // Validate checks the configuration for consistency and fills defaults,
@@ -242,12 +228,6 @@ func (c Config) Validate() (Config, error) {
 	if c.Profile.InternalWriteBW <= 0 {
 		c.Profile.InternalWriteBW = c.Profile.WriteBW
 	}
-	if c.GCLowWater <= 0 {
-		c.GCLowWater = 4
-	}
-	if c.GCHighWater <= c.GCLowWater {
-		c.GCHighWater = c.GCLowWater + 4
-	}
 	if c.Streams <= 0 {
 		c.Streams = 96
 	}
@@ -273,7 +253,7 @@ func (c Config) logicalPages() int64 {
 func (c Config) physicalBlocks() int {
 	physPages := float64(c.logicalPages()) * (1 + c.Profile.HardwareOP)
 	blocks := int(physPages) / c.PagesPerBlock
-	min := int(c.logicalPages())/c.PagesPerBlock + 2*c.GCHighWater + c.Streams + 2
+	min := int(c.logicalPages())/c.PagesPerBlock + 2*gcHighWater + c.Streams + 2
 	if blocks < min {
 		blocks = min
 	}

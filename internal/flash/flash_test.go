@@ -81,9 +81,6 @@ func TestConfigDefaults(t *testing.T) {
 	if got.Profile.InternalReadBW != got.Profile.ReadBW {
 		t.Fatal("InternalReadBW default not applied")
 	}
-	if got.GCLowWater <= 0 || got.GCHighWater <= got.GCLowWater {
-		t.Fatalf("watermark defaults wrong: %d/%d", got.GCLowWater, got.GCHighWater)
-	}
 }
 
 func TestProfileScaled(t *testing.T) {

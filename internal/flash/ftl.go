@@ -41,9 +41,6 @@ type ftl struct {
 	numBlocks     int
 	logicalPages  int64
 
-	gcLowWater  int
-	gcHighWater int
-
 	l2p        []int32 // logical page -> physical page, or unmapped
 	p2l        []int32 // physical page -> logical page, or unmapped
 	validCount []int32 // valid pages per block
@@ -65,7 +62,6 @@ type ftl struct {
 	buckets   [][]int32
 	bucketPos []int32
 	minBucket int
-	gcPolicy  GCPolicy
 
 	mappedPages int64 // logical pages with a valid mapping
 
@@ -135,8 +131,6 @@ func newFTL(cfg Config) *ftl {
 		pagesPerBlock: ppb,
 		numBlocks:     nb,
 		logicalPages:  cfg.logicalPages(),
-		gcLowWater:    cfg.GCLowWater,
-		gcHighWater:   cfg.GCHighWater,
 		l2p:           make([]int32, cfg.logicalPages()),
 		p2l:           make([]int32, nb*ppb),
 		validCount:    make([]int32, nb),
@@ -148,7 +142,6 @@ func newFTL(cfg Config) *ftl {
 		hostOpen:      make([]int32, cfg.Streams),
 		gcOpen:        -1,
 		rng:           sim.NewRNG(0xF7A5DE71CE),
-		gcPolicy:      cfg.GC,
 	}
 	for i := range f.hostOpen {
 		f.hostOpen[i] = -1
@@ -303,7 +296,7 @@ func (f *ftl) write(lpn, n int64, perLane []gcWork) {
 	lanes := int64(len(perLane))
 	for i := int64(0); i < n; i++ {
 		f.writeOne(lpn + i)
-		if len(f.freeBlocks) < f.gcLowWater {
+		if len(f.freeBlocks) < gcLowWater {
 			perLane[(lpn+i)%lanes].add(f.maybeGC())
 		}
 	}
@@ -371,19 +364,9 @@ func (f *ftl) sequentialFill(first, n int64) {
 	f.stats.HostPagesWritten += n
 }
 
-// pickVictim returns the next GC victim, or -1 if no closed block exists.
-// Greedy picks the closed block with the fewest valid pages; random picks
-// any closed block (ablation baseline).
+// pickVictim returns the closed block with the fewest valid pages (the
+// greedy policy), or -1 if no closed block exists.
 func (f *ftl) pickVictim() int32 {
-	if f.gcPolicy == GCRandom {
-		// Bounded random probing; fall back to greedy if unlucky.
-		for i := 0; i < 32; i++ {
-			b := int32(f.rng.Intn(f.numBlocks))
-			if f.state[b] == blockClosed {
-				return b
-			}
-		}
-	}
 	for f.minBucket <= f.pagesPerBlock {
 		bucket := f.buckets[f.minBucket]
 		if len(bucket) > 0 {
@@ -398,10 +381,10 @@ func (f *ftl) pickVictim() int32 {
 // reclaiming blocks until the high watermark is restored.
 func (f *ftl) maybeGC() gcWork {
 	var work gcWork
-	if len(f.freeBlocks) >= f.gcLowWater {
+	if len(f.freeBlocks) >= gcLowWater {
 		return work
 	}
-	for len(f.freeBlocks) < f.gcHighWater {
+	for len(f.freeBlocks) < gcHighWater {
 		v := f.pickVictim()
 		if v < 0 {
 			// No closed block to collect: force-close a host frontier

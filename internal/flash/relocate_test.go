@@ -13,10 +13,10 @@ import (
 // so every twin test holds maybeGC's relocation to this definition.
 func referenceGC(f *ftl) gcWork {
 	var work gcWork
-	if len(f.freeBlocks) >= f.gcLowWater {
+	if len(f.freeBlocks) >= gcLowWater {
 		return work
 	}
-	for len(f.freeBlocks) < f.gcHighWater {
+	for len(f.freeBlocks) < gcHighWater {
 		v := f.pickVictim()
 		if v < 0 {
 			// No closed block to collect: force-close a host frontier
@@ -80,7 +80,7 @@ func TestRelocateMatchesReference(t *testing.T) {
 	ppb := int32(fast.pagesPerBlock)
 	var first, empty, overflow int
 	collect := func() {
-		if len(ref.freeBlocks) >= ref.gcLowWater {
+		if len(ref.freeBlocks) >= gcLowWater {
 			return
 		}
 		// pickVictim only advances the lazy minBucket bound, as the
