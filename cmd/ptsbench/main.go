@@ -8,7 +8,6 @@
 //	ptsbench engines
 //	ptsbench run -figure fig2 [-engine lsm,btree,betree] [-scale 128] [-quick] [-seed 1] [-csv DIR]
 //	ptsbench exp -spec FILE [-quick] [-csv DIR] [-json FILE] [-workers N]
-//	ptsbench qdsweep [-scale 512] [-quick] [-seed 1] [-csv DIR]
 //	ptsbench crash -engine lsm [-shards 4] [-ops 400] [-seed 1] [-trials 8] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-tunable K=V]... [-device sim|file] [-dir DIR]
 //	ptsbench devdiff [-engine lsm,btree,betree] [-ops 600] [-seed 1] [-dir DIR]
 //	ptsbench all [-quick] [-csv DIR]
@@ -20,10 +19,6 @@
 // experiments"), executing the grid concurrently and rendering a
 // summary table plus per-cell throughput curves. -json additionally
 // writes the raw results (specs included) as JSON.
-//
-// qdsweep is shorthand for "run -figure qdsweep": the queue-depth sweep
-// on an SSD with internal channel/way parallelism, whose cells execute
-// concurrently across host cores.
 //
 // crash runs the randomized crash-recovery harness (internal/crash):
 // a seed-determined op log over fault-injecting devices, a power cut at
@@ -117,14 +112,6 @@ func main() {
 			os.Exit(2)
 		}
 		if err := runOne(*figure, *opts, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-	case "qdsweep":
-		fs := flag.NewFlagSet("qdsweep", flag.ExitOnError)
-		opts, csvDir := commonFlags(fs)
-		_ = fs.Parse(os.Args[2:])
-		if err := runOne("qdsweep", *opts, *csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -295,7 +282,6 @@ func usage() {
   ptsbench engines
   ptsbench run -figure figN [-engine lsm,btree,betree] [-scale N] [-quick] [-seed N] [-csv DIR]
   ptsbench exp -spec FILE [-quick] [-csv DIR] [-json FILE] [-workers N]
-  ptsbench qdsweep [-scale N] [-quick] [-seed N] [-csv DIR]
   ptsbench crash -engine NAME [-shards N] [-ops N] [-keys N] [-seed N] [-trials N] [-replicas R] [-repl-mode chain|quorum] [-errors KINDS -error-prob P] [-cut-shard S -cut-write W] [-tunable K=V]... [-device sim|file] [-dir DIR]
   ptsbench devdiff [-engine NAME,NAME] [-ops N] [-keys N] [-seed N] [-dir DIR]
   ptsbench all [-quick] [-csv DIR]`)

@@ -184,6 +184,7 @@ type Config struct {
 	PageSize int
 	// PagesPerBlock is the erase-block size in pages.
 	PagesPerBlock int
+
 	// Streams is the number of concurrently open host write blocks,
 	// modelling die/channel striping: consecutive host pages scatter
 	// pseudo-randomly over the open blocks, as they do across the dies
