@@ -203,9 +203,9 @@ func TestWAAIsAmplified(t *testing.T) {
 // TestDiscardLowersWAD mounts the filesystem with and without discard
 // under the same file churn: load 128 MiB of 4000-byte values on a
 // 256 MiB drive, then overwrite random keys four times over. With
-// discard, the tables and WAL segments the LSM deletes are trimmed, so
-// GC finds their pages invalid instead of relocating them; nodiscard,
-// the paper's mount mode, pays WA-D for them.
+// discard, the files the LSM deletes are trimmed, so GC finds their
+// pages invalid instead of relocating them; nodiscard, the paper's
+// mount mode, pays WA-D for them.
 func TestDiscardLowersWAD(t *testing.T) {
 	run := func(discard bool) float64 {
 		ssd, err := flash.NewDevice(flash.Config{
