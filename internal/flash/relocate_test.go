@@ -127,3 +127,46 @@ func TestRelocateMatchesReference(t *testing.T) {
 			first, empty, overflow)
 	}
 }
+
+// TestGreedyGCVictimAndWatermarks holds maybeGC to its policy under
+// random overwrites: it does no work while gcLowWater or more blocks are
+// free, each collection's first victim is a closed block with the fewest
+// valid pages, and a collection refills the free pool to gcHighWater.
+func TestGreedyGCVictimAndWatermarks(t *testing.T) {
+	f, _ := twinFTLs(t)
+	rng := sim.NewRNG(5)
+	pages := f.logicalPages
+	collections := 0
+	for i := int64(0); i < 3*pages; i++ {
+		f.writeOne(int64(rng.Uint64n(uint64(pages))))
+		if len(f.freeBlocks) >= gcLowWater {
+			if w := f.maybeGC(); w != (gcWork{}) {
+				t.Fatalf("%d free blocks (low water %d): gc did %+v", len(f.freeBlocks), gcLowWater, w)
+			}
+			continue
+		}
+		fewest := int32(f.pagesPerBlock) + 1
+		for b, s := range f.state {
+			if s == blockClosed && f.validCount[b] < fewest {
+				fewest = f.validCount[b]
+			}
+		}
+		if v := f.pickVictim(); v < 0 || f.state[v] != blockClosed || f.validCount[v] != fewest {
+			t.Fatalf("victim %d, want a closed block with %d valid pages", v, fewest)
+		}
+		if w := f.maybeGC(); w.erases == 0 {
+			t.Fatalf("%d free blocks: gc erased nothing", len(f.freeBlocks))
+		}
+		if len(f.freeBlocks) < gcHighWater {
+			t.Fatalf("gc left %d free blocks, want %d", len(f.freeBlocks), gcHighWater)
+		}
+		if err := f.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		collections++
+	}
+	if collections == 0 {
+		t.Fatal("no collection ran")
+	}
+	t.Logf("%d collections", collections)
+}
