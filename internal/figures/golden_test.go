@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ptsbench/internal/core"
 )
@@ -129,6 +131,55 @@ func TestGoldenFigures(t *testing.T) {
 		}
 		if g != w {
 			t.Fatalf("figure output diverges from %s at line %d\ngot:  %s\nwant: %s", path, i+1, g, w)
+		}
+	}
+}
+
+// TestGoldenFig2LSMCell pins the whole Result of fig2's RocksDB cell as
+// `ptsbench run -figure fig2 -quick` runs it: the default scale of 128
+// and 60 virtual minutes. Unlike the 1024-scale cells above, this cell
+// reaches the LSM's slowdown throttle, the branch that stretches the
+// burst-to-steady transition of Fig 2a; the test fails if no sample
+// charges stall time.
+//
+// Regenerate with the same -update-golden flag.
+func TestGoldenFig2LSMCell(t *testing.T) {
+	_, _, _, specs := figureByID(t, "fig2").plan(Options{Quick: true, Engines: []core.EngineKind{core.LSM}})
+	if len(specs) != 1 || specs[0].Scale != 128 || specs[0].Duration != 60*time.Minute {
+		t.Fatalf("fig2 -quick -engine lsm planned %d cells, first %+v; want one at scale 128 for 60 minutes", len(specs), specs[0])
+	}
+	res, err := core.Run(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := false
+	for _, s := range res.Series.Samples {
+		stalled = stalled || s.StallTime > 0
+	}
+	if !stalled {
+		t.Error("no sample of fig2's LSM cell charges stall time: the slowdown throttle never ran")
+	}
+	got, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "golden_fig2_lsm_quick.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading fixture (run with -update-golden to create): %v", err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		if i >= len(gotLines) || i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("fig2's LSM cell diverges from %s at line %d", path, i+1)
 		}
 	}
 }
