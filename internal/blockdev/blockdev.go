@@ -1,11 +1,11 @@
 // Package blockdev provides the host-visible block layer over a simulated
 // flash device: a Geometry holding the one bounds rule every device
-// applies, a Meter keeping iostat-style traffic counters and a
-// blktrace-style per-LBA write histogram (the paper's Fig 4
-// instrumentation), partitioning as a page limit (used for software
-// over-provisioning, pitfall #6), and an optional content store that
-// retains written bytes for correctness tests while staying out of the
-// way at benchmark scale.
+// applies, a Meter keeping iostat-style traffic counters and, once a
+// reader asks for it, a blktrace-style per-LBA write histogram (the
+// paper's Fig 4 instrumentation), partitioning as a page limit (used
+// for software over-provisioning, pitfall #6), and an optional content
+// store that retains written bytes for correctness tests while staying
+// out of the way at benchmark scale.
 package blockdev
 
 import (
@@ -57,18 +57,22 @@ type Dev interface {
 }
 
 // Host is the instrumented-device surface the store and the metrics
-// collector consume: a Dev that also exposes iostat counters and the
-// per-LBA write histogram. Both the simulated Device and the
+// collector consume: a Dev that also exposes iostat counters and, when
+// kept, the per-LBA write histogram. Both the simulated Device and the
 // file-backed internal/filedev.Dev implement it, which is what lets
 // one experiment runner serve either authority.
 type Host interface {
 	Dev
 	// Counters returns a copy of the cumulative host I/O counters.
 	Counters() Counters
+	// KeepWriteHist starts a zeroed per-LBA write histogram; writes
+	// before it are not in it. Only a reader of WriteHist calls it, so
+	// a run that reports no LBA distribution pays nothing for one.
+	KeepWriteHist()
 	// WriteHist exposes the per-LBA write-count histogram (not a
-	// copy; callers must not mutate it).
+	// copy; callers must not mutate it), or nil until KeepWriteHist.
 	WriteHist() []uint32
-	// ResetInstrumentation zeroes the counters and the histogram.
+	// ResetInstrumentation zeroes the counters and a kept histogram.
 	ResetInstrumentation()
 }
 
@@ -143,27 +147,36 @@ func (g Geometry) Check(op deverr.Op, off int64, n int, buf []byte) error {
 }
 
 // Meter is a device authority's host instrumentation: the iostat
-// counters and the per-LBA write histogram, which counts writes per
-// logical page like blktrace post-processing and powers the Fig 4 CDF.
-// Both authorities count through it, which is what makes their
-// instruments comparable op for op.
+// counters and, once KeepWriteHist is called, the per-LBA write
+// histogram, which counts writes per logical page like blktrace
+// post-processing and powers the Fig 4 CDF. Like a real trace, the
+// histogram costs only while it is kept: 4 bytes per page of span and
+// a read-modify-write per page written. Both authorities count through
+// the Meter, which is what makes their instruments comparable op for
+// op.
 type Meter struct {
 	counters  Counters
-	writeHist []uint32
+	span      int64
+	writeHist []uint32 // nil until KeepWriteHist
 }
 
-// NewMeter returns a zeroed meter whose histogram spans pages pages.
-func NewMeter(pages int64) Meter { return Meter{writeHist: make([]uint32, pages)} }
+// NewMeter returns a zeroed meter whose histogram, once kept, spans
+// pages pages. It allocates no per-page state.
+func NewMeter(pages int64) Meter { return Meter{span: pages} }
 
 // Counters returns a copy of the cumulative host I/O counters.
 func (m *Meter) Counters() Counters { return m.counters }
 
+// KeepWriteHist implements Host: it starts a zeroed histogram over the
+// meter's span.
+func (m *Meter) KeepWriteHist() { m.writeHist = make([]uint32, m.span) }
+
 // WriteHist implements Host.
 func (m *Meter) WriteHist() []uint32 { return m.writeHist }
 
-// ResetInstrumentation zeroes the iostat counters and the LBA histogram.
-// The harness calls it after the load phase so that plots cover only the
-// measured run, as in the paper.
+// ResetInstrumentation zeroes the iostat counters and a kept LBA
+// histogram, which stays kept. The harness calls it after the load
+// phase so that plots cover only the measured run, as in the paper.
 func (m *Meter) ResetInstrumentation() {
 	m.counters = Counters{}
 	clear(m.writeHist)
@@ -173,6 +186,9 @@ func (m *Meter) ResetInstrumentation() {
 func (m *Meter) CountWrite(off int64, n, ps int) {
 	m.counters.BytesWritten += int64(n) * int64(ps)
 	m.counters.WriteOps++
+	if m.writeHist == nil {
+		return
+	}
 	// One bounds check for the whole run; the compiler keeps the rest
 	// branch-free.
 	for i := range m.writeHist[off : off+int64(n)] {
@@ -202,8 +218,8 @@ type Device struct {
 	content map[int64][]byte
 }
 
-// New wraps ssd. The write histogram is always maintained (4 bytes per
-// page); the content store starts disabled.
+// New wraps ssd. Neither the write histogram (see KeepWriteHist) nor
+// the content store is kept until asked for.
 func New(ssd *flash.Device) *Device {
 	return &Device{
 		Geometry: NewGeometry(ssd.PageSize(), ssd.LogicalPages()),
@@ -215,9 +231,9 @@ func New(ssd *flash.Device) *Device {
 // Partition limits the host-visible range to [0, pages): requests
 // beyond it are bounds errors even where the flash device would accept
 // them. The harness uses it to model software over-provisioning, a
-// smaller partition plus a never-written trimmed remainder; the write
-// histogram keeps spanning the whole device, so the fraction of LBAs
-// written counts the remainder. Call it before any I/O.
+// smaller partition plus a never-written trimmed remainder; a kept
+// write histogram still spans the whole device, so the fraction of
+// LBAs written counts the remainder. Call it before any I/O.
 func (d *Device) Partition(pages int64) error {
 	if pages <= 0 || pages > d.ssd.LogicalPages() {
 		return fmt.Errorf("blockdev: partition of %d pages on a %d-page device", pages, d.ssd.LogicalPages())

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,10 +11,12 @@ import (
 	"ptsbench/internal/sim"
 )
 
-func newTestDev(t *testing.T) *Device {
+func newTestDev(t *testing.T) *Device { return newTestDevOf(t, 16<<20) }
+
+func newTestDevOf(t *testing.T, logicalBytes int64) *Device {
 	t.Helper()
 	cfg := flash.Config{
-		LogicalBytes:  16 << 20,
+		LogicalBytes:  logicalBytes,
 		PageSize:      4096,
 		PagesPerBlock: 32,
 		Profile: flash.Profile{
@@ -132,6 +135,7 @@ func TestDiscardClearsContent(t *testing.T) {
 
 func TestWriteHistogramAndCDF(t *testing.T) {
 	d := newTestDev(t)
+	d.KeepWriteHist()
 	// Write the first half of the device once; CDF should reach 1.0 at
 	// x=0.5 and the fraction of LBAs written should be 0.5.
 	half := d.Pages() / 2
@@ -155,6 +159,7 @@ func TestWriteHistogramAndCDF(t *testing.T) {
 
 func TestWriteCDFSkewed(t *testing.T) {
 	d := newTestDev(t)
+	d.KeepWriteHist()
 	// 90% of writes to 10% of pages.
 	tenth := d.Pages() / 10
 	for rep := 0; rep < 9; rep++ {
@@ -186,6 +191,8 @@ func TestWriteCDFEmpty(t *testing.T) {
 // show the same traffic.
 func TestCombinedOverShards(t *testing.T) {
 	a, b := newTestDev(t), newTestDev(t)
+	a.KeepWriteHist()
+	b.KeepWriteHist()
 	quarter := a.Pages() / 4
 	// a: its first quarter written three times; b: its first quarter once.
 	for rep := 0; rep < 3; rep++ {
@@ -208,7 +215,11 @@ func TestCombinedOverShards(t *testing.T) {
 
 func TestResetInstrumentation(t *testing.T) {
 	d := newTestDev(t)
+	d.KeepWriteHist()
 	mustWrite(t, d, 0, 0, 4, nil)
+	if CombinedFractionLBAsWritten([]Host{d}) == 0 {
+		t.Fatal("kept histogram counted nothing")
+	}
 	d.ResetInstrumentation()
 	if d.Counters() != (Counters{}) {
 		t.Fatal("counters not reset")
@@ -230,6 +241,7 @@ func TestPartitionIsolation(t *testing.T) {
 	if d.Pages() != 200 || d.PageSize() != 4096 {
 		t.Fatal("partition geometry wrong")
 	}
+	d.KeepWriteHist()
 	if int64(len(d.WriteHist())) != whole {
 		t.Fatalf("histogram spans %d pages, want the device's %d", len(d.WriteHist()), whole)
 	}
@@ -241,6 +253,80 @@ func TestPartitionIsolation(t *testing.T) {
 	wantBounds(t, "read past the partition", d.ReadErr, 200, 1, nil)
 	if d.Counters().WriteOps != 1 || d.Counters().ReadOps != 0 || d.SSD().MappedPages() != 1 {
 		t.Fatal("refused partition I/O reached the device")
+	}
+}
+
+// TestWriteHistOnlyWhenKept: a device keeps no histogram until asked,
+// counts the same iostat traffic either way, starts a kept histogram
+// empty, keeps it through a reset, and allocates no per-page state.
+func TestWriteHistOnlyWhenKept(t *testing.T) {
+	off, kept := newTestDev(t), newTestDev(t)
+	kept.KeepWriteHist()
+	for _, d := range []*Device{off, kept} {
+		mustWrite(t, d, 0, 3, 2, nil)
+		mustWrite(t, d, 0, 4, 1, nil)
+		mustRead(t, d, 0, 0, 5, nil)
+		d.Discard(3, 1)
+	}
+	if off.WriteHist() != nil {
+		t.Fatalf("unkept device has a %d-page histogram", len(off.WriteHist()))
+	}
+	if off.Counters() != kept.Counters() {
+		t.Fatalf("counters differ: unkept %+v, kept %+v", off.Counters(), kept.Counters())
+	}
+	if h := kept.WriteHist(); int64(len(h)) != kept.Pages() || h[3] != 1 || h[4] != 2 || h[5] != 0 {
+		t.Fatal("kept histogram miscounted")
+	}
+
+	off.KeepWriteHist()
+	if h := off.WriteHist(); int64(len(h)) != off.Pages() || CombinedFractionLBAsWritten([]Host{off}) != 0 {
+		t.Fatal("a histogram kept after writes must start empty")
+	}
+	kept.ResetInstrumentation()
+	if h := kept.WriteHist(); int64(len(h)) != kept.Pages() || h[4] != 0 {
+		t.Fatal("reset must zero a kept histogram and keep it")
+	}
+	mustWrite(t, kept, 0, 4, 1, nil)
+	if kept.WriteHist()[4] != 1 {
+		t.Fatal("kept histogram stopped counting after a reset")
+	}
+
+	const pages = 262144 // 1 GiB of 4 KiB pages
+	ssd := newTestDevOf(t, pages*4096).SSD()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := New(ssd)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Fatalf("New over %d pages allocated %d B, want < 4 KiB", d.Pages(), got)
+	}
+}
+
+// BenchmarkCountWrite is the per-page cost of the write histogram:
+// random single-page writes over a meter the size of a scale-32 cell's
+// drive, kept and off.
+func BenchmarkCountWrite(b *testing.B) {
+	const pages = 3276800
+	offs := make([]int64, 1<<16)
+	rng := sim.NewRNG(1)
+	for i := range offs {
+		offs[i] = int64(rng.Uint64n(pages))
+	}
+	for _, keep := range []bool{true, false} {
+		name := "off"
+		if keep {
+			name = "kept"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := NewMeter(pages)
+			if keep {
+				m.KeepWriteHist()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.CountWrite(offs[i&(len(offs)-1)], 1, 4096)
+			}
+		})
 	}
 }
 

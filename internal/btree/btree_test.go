@@ -181,6 +181,7 @@ func TestConfinedLBAFootprint(t *testing.T) {
 		c.CacheBytes = 256 << 10
 		c.DisableJournal = true
 	})
+	dev.KeepWriteHist()
 	var now sim.Duration
 	var err error
 	rng := sim.NewRNG(2)
@@ -208,9 +209,9 @@ func TestConfinedLBAFootprint(t *testing.T) {
 			f.SizePages(), dataPages)
 	}
 	// LBA footprint confined: well under half the device was ever
-	// written.
-	if frac := blockdev.CombinedFractionLBAsWritten([]blockdev.Host{dev}); frac > 0.5 {
-		t.Fatalf("LBA footprint %.0f%%, want well under 50%%", frac*100)
+	// written, though the churn wrote some of it.
+	if frac := blockdev.CombinedFractionLBAsWritten([]blockdev.Host{dev}); frac == 0 || frac > 0.5 {
+		t.Fatalf("LBA footprint %.0f%%, want above 0 and well under 50%%", frac*100)
 	}
 }
 

@@ -511,9 +511,11 @@ func run(spec Spec, final func(devs []blockdev.Host)) (*Result, error) {
 	res.LoadWAD = loadSSD.WAD()
 
 	// Measurement phase: plots exclude loading, so instrumentation is
-	// reset here (iostat counters, SMART deltas, LBA histogram).
+	// reset here (iostat counters, SMART deltas), and the LBA histogram
+	// behind LBACDF and FracLBAs starts here, empty.
 	for _, d := range devs {
 		d.ResetInstrumentation()
+		d.KeepWriteHist()
 	}
 	collector := NewCollector(devs, st, now, spec.SampleEvery)
 	gens, err := workload.NewClientGenerators(workload.Spec{

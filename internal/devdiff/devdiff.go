@@ -126,6 +126,8 @@ func Run(spec Spec) (*Report, error) {
 	defer fstk.Close()
 
 	rep := &Report{Engine: spec.Engine, Ops: spec.Ops}
+	sstk.Host.KeepWriteHist()
+	fstk.Host.KeepWriteHist()
 	if err := drive(spec, sstk, fstk); err != nil {
 		return rep, err
 	}

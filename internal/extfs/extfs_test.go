@@ -197,6 +197,7 @@ func TestRotatingAllocatorSweepsLBARange(t *testing.T) {
 	// the whole partition: this is the ext4 behaviour behind the paper's
 	// Fig 4 RocksDB curve.
 	fs, dev := newTestFS(t, Options{})
+	dev.KeepWriteHist()
 	const filePages = 64
 	// Keep 16 live files (~25% of the 4096-page device), churn 200 times.
 	names := []string{}

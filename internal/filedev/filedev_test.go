@@ -61,6 +61,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestCountersAndHist(t *testing.T) {
 	d := open(t, Config{})
+	d.KeepWriteHist()
 	ps := int64(d.PageSize())
 	mustWrite(t, d, 0, 0, 2, nil)
 	mustWrite(t, d, 0, 1, 1, nil)
