@@ -21,7 +21,7 @@ import (
 	"ptsbench/internal/sstable"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_compactions.txt")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_compactions*.txt fixtures")
 
 // shadowDev keeps a copy of every page written through it, so a test can
 // hash a table's file image without a device read (a read would move the
@@ -183,9 +183,9 @@ func (s *compactionShapes) observe(d *DB, j *compactionJob) {
 }
 
 // runCompactionLog drives a DB through a seeded log of puts, overwrites
-// and deletes over 8-, 16- and 24-byte keys and returns one line per 256
+// and deletes, id i written under key(i), and returns one line per 256
 // ops: the digest of every live table, level by level.
-func runCompactionLog(t *testing.T, content bool) ([]string, compactionShapes) {
+func runCompactionLog(t *testing.T, content bool, key func(uint64) []byte) ([]string, compactionShapes) {
 	const (
 		ops   = 16384
 		ids   = 3000
@@ -212,7 +212,7 @@ func runCompactionLog(t *testing.T, content bool) ([]string, compactionShapes) {
 	var lines []string
 	for op := 1; op <= ops; op++ {
 		id := rng.Uint64n(ids)
-		key := logKey(id)
+		key := key(id)
 		var err error
 		if rng.Intn(100) < 15 {
 			now, err = db.Delete(now, key)
@@ -250,25 +250,38 @@ func runCompactionLog(t *testing.T, content bool) ([]string, compactionShapes) {
 
 // TestGoldenCompactions pins the tables compactions build, byte for byte
 // in content mode and entry for entry in accounting mode, over an op log
-// whose compactions cover every merge shape: L0 jobs of several
-// overlapping files with keys repeated across them and in L1, and
-// sorted-level jobs both into the deepest level (tombstones dropped) and
-// above it (kept).
+// of 16-byte keys whose compactions cover every merge shape: L0 jobs of
+// several overlapping files with keys repeated across them and in L1,
+// and sorted-level jobs both into the deepest level (tombstones dropped)
+// and above it (kept).
 //
 // To rewrite the fixture after a deliberate change to what compactions
 // produce:
 //
 //	go test ./internal/lsm -run TestGoldenCompactions -update-golden
 func TestGoldenCompactions(t *testing.T) {
+	checkGoldenCompactions(t, kv.EncodeKey, "golden_compactions_key16.txt")
+}
+
+// TestGoldenCompactionsMixedWidths is TestGoldenCompactions over the
+// same op log with 8-, 16- and 24-byte keys (logKey).
+func TestGoldenCompactionsMixedWidths(t *testing.T) {
+	checkGoldenCompactions(t, logKey, "golden_compactions.txt")
+}
+
+// checkGoldenCompactions runs the op log with key in both modes, checks
+// that it reached every merge shape and compares its lines with the
+// fixture testdata/name.
+func checkGoldenCompactions(t *testing.T, key func(uint64) []byte, name string) {
 	var got []string
 	for _, content := range []bool{false, true} {
-		lines, shapes := runCompactionLog(t, content)
+		lines, shapes := runCompactionLog(t, content, key)
 		if !shapes.l0Overlapping || !shapes.deepDrop || !shapes.deepKeep {
 			t.Fatalf("content=%v: the log did not reach every merge shape: %+v", content, shapes)
 		}
 		got = append(got, lines...)
 	}
-	path := filepath.Join("testdata", "golden_compactions.txt")
+	path := filepath.Join("testdata", name)
 	text := strings.Join(got, "\n") + "\n"
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -288,10 +301,10 @@ func TestGoldenCompactions(t *testing.T) {
 		gl := strings.Split(text, "\n")
 		for i := 0; i < len(wl) && i < len(gl); i++ {
 			if wl[i] != gl[i] {
-				t.Fatalf("compaction outputs differ from the fixture at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+				t.Fatalf("compaction outputs differ from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("compaction outputs differ from the fixture in length: %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("compaction outputs differ from %s in length: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 

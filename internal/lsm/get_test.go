@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"ptsbench/internal/blockdev"
@@ -83,6 +85,120 @@ func (f *getFixture) get(tb testing.TB, id uint64) bool {
 		tb.Fatal(err)
 	}
 	return found
+}
+
+// TestPointLookupsAcrossLevels loads 16-byte keys through a tiny write
+// buffer, so the tree ends with L0 tables and several sorted levels.
+// Every live key, every deleted key and absent keys between and beside
+// them must answer exactly like a reference map, with sequential and
+// parallel table probes, in both storage modes.
+func TestPointLookupsAcrossLevels(t *testing.T) {
+	for _, content := range []bool{false, true} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("content=%v/probe=%d", content, par), func(t *testing.T) {
+				checkPointLookupsAcrossLevels(t, content, par)
+			})
+		}
+	}
+}
+
+func checkPointLookupsAcrossLevels(t *testing.T, content bool, par int) {
+	db, _, _ := testEnv(t, 32, content, func(c *Config) {
+		c.MemtableBytes = 8 << 10
+		c.BaseLevelBytes = 32 << 10
+		c.TargetFileBytes = 8 << 10
+		c.ProbeParallelism = par
+	})
+	const (
+		ids      = 3000 // keys use the even ids 2..2*ids
+		valueLen = 96
+	)
+	live := map[string][]byte{}
+	deleted := map[string]bool{}
+	rng := sim.NewRNG(5)
+	var now sim.Duration
+	var err error
+	op := uint64(0)
+	step := func() {
+		t.Helper()
+		op++
+		key := kv.EncodeKey(2 * (1 + rng.Uint64n(ids)))
+		if rng.Uint64n(10) == 0 {
+			now, err = db.Delete(now, key)
+			delete(live, string(key))
+			deleted[string(key)] = true
+		} else {
+			var v []byte
+			if content {
+				v = make([]byte, valueLen)
+				kv.SynthValue(v, key, op)
+			}
+			now, err = db.Put(now, key, v, valueLen)
+			live[string(key)] = v
+			delete(deleted, string(key))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12000; i++ {
+		step()
+	}
+	if now, err = db.FlushAll(now); err != nil {
+		t.Fatal(err)
+	}
+	// Small flushed batches until L0 holds at least two tables.
+	for round := 0; len(db.levels[0]) < 2; round++ {
+		if round == 50 {
+			t.Fatalf("L0 never reached two tables (levels %v)", db.LevelSizes())
+		}
+		for i := 0; i < 40; i++ {
+			step()
+		}
+		if now, err = db.FlushAll(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := 0
+	for li := 1; li < len(db.levels); li++ {
+		if len(db.levels[li]) > 0 {
+			sorted++
+		}
+	}
+	if sorted < 2 {
+		t.Fatalf("want >= 2 populated sorted levels, level sizes %v", db.LevelSizes())
+	}
+
+	check := func(key []byte) {
+		t.Helper()
+		var got []byte
+		var found bool
+		_, got, found, err = db.Get(now, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, isLive := live[string(key)]
+		if found != isLive {
+			t.Fatalf("key %x: found=%v, want %v (deleted=%v)", key, found, isLive, deleted[string(key)])
+		}
+		if content && found && !bytes.Equal(got, want) {
+			t.Fatalf("key %x: value mismatch", key)
+		}
+	}
+	for k := range live {
+		check([]byte(k))
+	}
+	for k := range deleted {
+		check([]byte(k))
+	}
+	// Absent keys: odd ids are never written, id 0 sorts before every
+	// table and the largest keys after them.
+	for id := uint64(0); id <= 2*ids+2; id += 2 {
+		check(kv.EncodeKey(id + 1))
+	}
+	check(kv.EncodeKey(0))
+	check(kv.EncodeKey(^uint64(0)))
+	check(bytes.Repeat([]byte{0xFF}, kv.KeySize))
 }
 
 // getKinds are the three outcomes of a point lookup; each maps the i-th

@@ -77,8 +77,8 @@ func TestHeldValuesOutliveTheirSources(t *testing.T) {
 }
 
 // TestRecycledTablesMatchFresh drives two DBs through one op log of
-// puts, overwrites and deletes over 8-, 16- and 24-byte keys, in
-// accounting and content mode. One recycles as it always does. The
+// puts, overwrites and deletes over 16-byte keys, in accounting and
+// content mode. One recycles as it always does. The
 // other, the fresh DB, has every recycler emptied (memtable chunks and
 // structs, side-index arrays, Builder and Table structs, jobs and
 // immutables) after each op and whenever one of its workers asks for
@@ -91,6 +91,18 @@ func TestHeldValuesOutliveTheirSources(t *testing.T) {
 // and built tables into the structs of tables it had released; the
 // fresh DB must never have.
 func TestRecycledTablesMatchFresh(t *testing.T) {
+	checkRecycledTablesMatchFresh(t, kv.EncodeKey)
+}
+
+// TestRecycledTablesMatchFreshMixedWidths is TestRecycledTablesMatchFresh
+// over the same op log with 8-, 16- and 24-byte keys (logKey).
+func TestRecycledTablesMatchFreshMixedWidths(t *testing.T) {
+	checkRecycledTablesMatchFresh(t, logKey)
+}
+
+// checkRecycledTablesMatchFresh runs TestRecycledTablesMatchFresh's op
+// log with id i written under key(i).
+func checkRecycledTablesMatchFresh(t *testing.T, key func(uint64) []byte) {
 	for _, content := range []bool{false, true} {
 		t.Run(fmt.Sprintf("content=%v", content), func(t *testing.T) {
 			db, dev := mergeEnv(t, content)
@@ -122,7 +134,7 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 			var now, freshNow sim.Duration
 			for op := 1; op <= 8192; op++ {
 				id := rng.Uint64n(3000)
-				key := logKey(id)
+				key := key(id)
 				del := rng.Intn(100) < 15
 				vlen := 40 + rng.Intn(160)
 				var v []byte

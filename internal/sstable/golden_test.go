@@ -59,6 +59,7 @@ func goldenCases() []goldenCase {
 		{"tomb-last", fixed, oneLen, at(goldenEntries - 1)},
 		{"vlen-vary", fixed, func(i int) int { return 20 + (i*37)%500 }, none},
 		{"all-shapes", func(i int) int { return 8 * (1 + i%3) }, func(i int) int { return 20 + (i*37)%500 }, func(i int) bool { return i%11 == 3 }},
+		{"key16-shapes", fixed, func(i int) int { return 20 + (i*37)%500 }, func(i int) bool { return i%11 == 3 }},
 	}
 }
 
