@@ -434,8 +434,7 @@ var testSeams = map[string]string{
 	"kvtest.NewFaultyStack":         "TestEngineConformanceUnderEIO",
 	"kvtest.NewFileStack":           "filedev's TestEngineConformanceOverFiles",
 	"kvtest.Run":                    "the conformance suite every engine's tests run",
-	"lsm.DB.LevelSizes":             "TestCompactionsHappenAndLevelsFill, TestPointLookupsAcrossKeyWidths",
-	"store.Sync":                    "the store and replica conformance suites (TestShardedConformance, TestReplicatedConformance)",
+	"lsm.DB.LevelSizes":             "TestCompactionsHappenAndLevelsFill, TestPointLookupsAcrossLevels",
 	"workload.OpWrite":              "the zero OpKind, named by the workload and fault-model tests",
 }
 

@@ -56,16 +56,16 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 
 // TestNodeSize bounds the in-memory node, of which the tree keeps one
 // per leaf and interior: a leaf is a bare cowtree.Node (80 bytes), an
-// interior that plus its cowtree.Interior, pivots and buffers (208
-// bytes together). These are the sizes since the pivots and buffers
-// moved behind Node.Interior: the bounds may come down, and raising one
-// must be a deliberate edit here.
+// interior that plus its cowtree.Interior, pivots and buffers (184
+// bytes together since the pivots hold only separator words; 208
+// before). The bounds may come down, and raising one must be a
+// deliberate edit here.
 func TestNodeSize(t *testing.T) {
 	leaf := unsafe.Sizeof(cowtree.Node{})
 	if leaf > 80 {
 		t.Fatalf("a leaf is %d bytes, bound 80", leaf)
 	}
-	if interior := leaf + unsafe.Sizeof(cowtree.Interior{}); interior > 208 {
-		t.Fatalf("an interior is %d bytes, bound 208", interior)
+	if interior := leaf + unsafe.Sizeof(cowtree.Interior{}); interior > 184 {
+		t.Fatalf("an interior is %d bytes, bound 184", interior)
 	}
 }

@@ -119,7 +119,7 @@ func (t *Tree) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 
 // write journals before the message enters the tree.
 func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
-	now, seq, valueLen, err := t.Core.BeginWrite(now, value, valueLen)
+	now, seq, valueLen, err := t.Core.BeginWrite(now, key, value, valueLen)
 	if err != nil {
 		return now, err
 	}
@@ -128,8 +128,8 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 	}
 	// The caller reuses its key/value buffers, so the message does not
 	// own its bytes and key and value travel beside it: the node inserts
-	// copy them only when actually retained (an accounting-mode put of a
-	// kv.KeySize key retains nothing).
+	// copy them only when actually retained (an accounting-mode put
+	// retains nothing).
 	if now, err = t.apply(now, cowtree.MakeRecord(key, seq, valueLen, del), key, value); err != nil {
 		t.Core.Fail(err)
 		return now, err
@@ -365,7 +365,7 @@ func (t *Tree) insertIntoParent(left *cowtree.Node, sep []byte, right *cowtree.N
 // (flushes only push messages down), so the topmost hit answers the
 // lookup without leaf I/O.
 func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
-	now, err := t.Core.BeginGet(now)
+	now, err := t.Core.BeginGet(now, key)
 	if err != nil {
 		return now, nil, false, err
 	}
@@ -400,7 +400,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 // pinned in memory and cost no I/O) with the leaf chain walk (which
 // charges a read per leaf crossed).
 func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
-	now, err := t.Core.BeginRead(now)
+	now, err := t.Core.BeginRead(now, start)
 	if err != nil {
 		return now, nil, err
 	}

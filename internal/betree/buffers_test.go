@@ -102,7 +102,7 @@ func checkRoundTrip(t *testing.T, n *cowtree.Node) {
 				key := msgKey(&want)
 				want = cowtree.MakeRecord(key, want.Seq(), want.Vlen(), want.Del())
 				var zeros cowtree.RecordArena
-				zeros.Own(&want, key, make([]byte, want.Vlen()), nil)
+				zeros.Own(&want, make([]byte, want.Vlen()), nil)
 			}
 			if !sameMessage(&gb.Msgs[ci][i], &want) {
 				t.Fatalf("node %d buffer %d message %d changed in the round trip", n.ID, ci, i)
@@ -536,8 +536,8 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			owned := rng.Intn(4) == 0
 			fmsg := m
 			if owned { // as a flush hands it down: bytes already fused
-				c.Arena().Own(&m, key, val, nil)
-				fc.Arena().Own(&fmsg, key, val, nil)
+				c.Arena().Own(&m, val, nil)
+				fc.Arena().Own(&fmsg, val, nil)
 				val = nil
 				reached.owned++
 			}
@@ -610,7 +610,7 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 			right, promoted := c.SplitInterior(n)
 			fright := f.split(&fc)
 			for ci, buf := range right.Buf.Msgs {
-				if len(buf) > 0 && buf[0].CompareKey(promoted) < 0 {
+				if len(buf) > 0 && bytes.Compare(msgKey(&buf[0]), promoted) < 0 {
 					t.Fatalf("%s: right buffer %d holds a key below the promoted separator", what, ci)
 				}
 			}
@@ -655,15 +655,6 @@ func TestNodeMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// ownsBytes reports whether a stored message keeps bytes out of line: a
-// value, or a key that is not kv.KeySize long (a kv.KeySize key is held
-// as its words alone, so Key fills the caller's buffer instead).
-func ownsBytes(m *cowtree.Record) bool {
-	var kb [kv.KeySize]byte
-	k := m.Key(&kb)
-	return m.Val() != nil || len(k) > 0 && &k[0] != &kb[0]
-}
-
 // arenaTaken returns how many bytes the arena handed out while f ran,
 // from the distance between a one-byte allocation before f and one
 // after it.
@@ -675,27 +666,19 @@ func arenaTaken(a *cowtree.RecordArena, f func()) int {
 }
 
 // TestMessageCodecKinds round-trips each message kind through
-// cowtree.AppendRecord/ParseRecord at 8-, 16- and 24-byte keys — a value-bearing
-// message, a value-bearing overwrite of it, a tombstone, and an
-// accounting-mode message (no value bytes in memory, zeros of its
-// accounted length on disk) — and pins what a stored message owns: a
-// kv.KeySize key lives in the words alone, so its accounting-mode
-// messages own no bytes and a fresh one takes nothing from the
-// arena; other keys and all values are copied, never aliasing the
-// caller's buffers; a tombstone or an accounting-mode overwrite keeps
-// the resident key bytes and allocates nothing.
+// cowtree.AppendRecord/ParseRecord — a value-bearing message, a
+// value-bearing overwrite of it, a tombstone, and an accounting-mode
+// message (no value bytes in memory, zeros of its accounted length on
+// disk) — and pins what a stored message owns: the key lives in the
+// words alone, so an accounting-mode message owns no bytes and a fresh
+// one takes nothing from the arena; values are copied, never aliasing
+// the caller's buffers; a tombstone or an accounting-mode overwrite
+// allocates nothing.
 func TestMessageCodecKinds(t *testing.T) {
-	for _, width := range []int{8, kv.KeySize, 24} {
-		t.Run(fmt.Sprint(width), func(t *testing.T) { runMessageCodecKinds(t, width) })
-	}
-}
-
-func runMessageCodecKinds(t *testing.T, width int) {
 	var c cowtree.Core
 	n := &cowtree.Node{Interior: &cowtree.Interior{Pivots: cowtree.Pivots{Children: []cowtree.NodeID{1}}}}
 	c.NewBuffers(n)
-	key := bytes.Repeat([]byte{9}, width)
-	wide := width != kv.KeySize
+	key := bytes.Repeat([]byte{9}, kv.KeySize)
 	roundTrip := func(m *cowtree.Record) cowtree.Record {
 		t.Helper()
 		img := cowtree.AppendRecord(nil, m)
@@ -706,7 +689,7 @@ func runMessageCodecKinds(t *testing.T, width int) {
 		var gb, mb [kv.KeySize]byte
 		gt, mt := got.Target(&gb), m.Target(&mb)
 		if !bytes.Equal(msgKey(&got), key) || !bytes.Equal(msgKey(m), key) || got.Seq() != m.Seq() ||
-			got.Vlen() != m.Vlen() || got.Del() != m.Del() || gt.Fast != mt.Fast || gt.Hi != mt.Hi || gt.Lo != mt.Lo {
+			got.Vlen() != m.Vlen() || got.Del() != m.Del() || gt.Hi != mt.Hi || gt.Lo != mt.Lo {
 			t.Fatalf("round trip changed %+v into %+v", *m, got)
 		}
 		return got
@@ -715,55 +698,51 @@ func runMessageCodecKinds(t *testing.T, width int) {
 		return arenaTaken(c.Arena(), func() { c.InsertMessage(n, m, key, val, false) })
 	}
 
-	// A fresh accounting-mode message: the words are a kv.KeySize key,
-	// so it owns nothing; any other key is copied out of line.
-	if taken := insert(cowtree.MakeRecord(key, 1, 4000, false), nil); taken != width && wide || taken != 0 && !wide {
+	// A fresh accounting-mode message owns nothing.
+	if taken := insert(cowtree.MakeRecord(key, 1, 4000, false), nil); taken != 0 {
 		t.Fatalf("a fresh accounting-mode message took %d arena bytes", taken)
 	}
-	if m := &n.Buf.Msgs[0][0]; !ownsBytes(m) == wide || m.Val() != nil {
+	if m := &n.Buf.Msgs[0][0]; m.Val() != nil {
 		t.Fatalf("fresh accounting-mode message: %+v", *m)
 	}
 	roundTrip(&n.Buf.Msgs[0][0])
 	c.DropBuffer(n, 0)
 
 	val := []byte("first")
-	if taken := insert(cowtree.MakeRecord(key, 2, 5, false), val); taken != len(val)+width && wide || taken != len(val) && !wide {
+	if taken := insert(cowtree.MakeRecord(key, 2, 5, false), val); taken != len(val) {
 		t.Fatalf("a fresh value-bearing message took %d arena bytes", taken)
 	}
 	if got := roundTrip(&n.Buf.Msgs[0][0]); string(got.Val()) != "first" {
 		t.Fatalf("value %q", got.Val())
 	}
 	// The caller reuses its buffers; the stored message must not alias them.
-	key[width-1] ^= 0xff
+	key[kv.KeySize-1] ^= 0xff
 	val[0] = 'F'
 	if bytes.Equal(msgKey(&n.Buf.Msgs[0][0]), key) || string(n.Buf.Msgs[0][0].Val()) != "first" {
 		t.Fatal("the stored message aliases the caller's key or value buffer")
 	}
-	key[width-1] ^= 0xff
+	key[kv.KeySize-1] ^= 0xff
 	insert(cowtree.MakeRecord(key, 3, 11, false), []byte("second, long"[:11]))
 	if got := roundTrip(&n.Buf.Msgs[0][0]); string(got.Val()) != "second, lon" || len(n.Buf.Msgs[0]) != 1 {
 		t.Fatalf("overwrite: value %q in %d messages", got.Val(), len(n.Buf.Msgs[0]))
 	}
-	if n.Buf.Sizes[0] != cowtree.RecordOverhead+width+11 {
+	if n.Buf.Sizes[0] != cowtree.RecordOverhead+kv.KeySize+11 {
 		t.Fatalf("overwrite left %d bytes accounted", n.Buf.Sizes[0])
 	}
 
-	// A tombstone drops the value and keeps the resident key bytes: a
-	// kv.KeySize key's message owns nothing, any other keeps its bytes.
-	var kb [kv.KeySize]byte
-	stored := n.Buf.Msgs[0][0].Key(&kb) // a wide key's out-of-line bytes
+	// A tombstone drops the value and owns nothing.
 	if taken := insert(cowtree.MakeRecord(key, 4, 0, true), nil); taken != 0 {
 		t.Fatalf("a tombstone took %d arena bytes", taken)
 	}
 	m := &n.Buf.Msgs[0][0]
-	if !m.Del() || m.Val() != nil || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
+	if !m.Del() || m.Val() != nil {
 		t.Fatalf("tombstone: %+v", *m)
 	}
 	if got := roundTrip(m); !got.Del() || len(got.Val()) != 0 {
 		t.Fatalf("tombstone round trip: %+v", got)
 	}
 
-	// Accounting mode: an overwrite allocates nothing and keeps the key.
+	// Accounting mode: an overwrite allocates nothing.
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.InsertMessage(n, cowtree.MakeRecord(key, 5, 4000, false), key, nil, false)
 	}); allocs != 0 {
@@ -773,7 +752,7 @@ func runMessageCodecKinds(t *testing.T, width int) {
 		t.Fatalf("an accounting-mode overwrite took %d arena bytes", taken)
 	}
 	m = &n.Buf.Msgs[0][0]
-	if m.Val() != nil || m.Vlen() != 4000 || wide && &m.Key(&kb)[0] != &stored[0] || !wide && ownsBytes(m) {
+	if m.Val() != nil || m.Vlen() != 4000 {
 		t.Fatalf("accounting-mode overwrite: %+v", *m)
 	}
 	img := cowtree.AppendRecord(nil, m)

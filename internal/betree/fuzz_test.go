@@ -77,17 +77,33 @@ func parsedExtents(exts []cowtree.Extent) func(cowtree.NodeID) cowtree.Extent {
 	}
 }
 
+// narrowKey returns a copy of a node image whose first leaf entry, or
+// first separator, is cut to an 8-byte key, zero-padded back to its
+// length (an image on the device fills its extent): the image of a
+// coherent node holding a key of another width than kv.KeySize, which
+// the parser must refuse.
+func narrowKey(img []byte, leaf bool) []byte {
+	lenAt, keyAt := cowtree.PageHeaderBytes, cowtree.PageHeaderBytes+2
+	if leaf {
+		keyAt = cowtree.PageHeaderBytes + cowtree.RecordOverhead
+	}
+	out := slices.Clone(img[:keyAt+8])
+	binary.LittleEndian.PutUint16(out[lenAt:], 8)
+	return append(append(out, img[keyAt+kv.KeySize:]...), make([]byte, kv.KeySize-8)...)
+}
+
 // FuzzNodeImage feeds arbitrary bytes to parseNode, which must never
 // panic. An image it accepts must survive the codec: AppendImage of
 // the parsed node parses back to the same node, and serializing that
 // again gives the same bytes. The corpus is the leaf and interior images
-// of a small content-mode tree holding 8-, 16- and 24-byte keys, plus
-// damaged copies of two of them.
+// of a small content-mode tree, damaged copies of two of them, and a
+// leaf and an interior image cut to an 8-byte key, which must be
+// refused.
 func FuzzNodeImage(f *testing.F) {
 	tr, _, _ := testEnv(f, 64, true, func(c *Config) {
 		c.Epsilon, c.NodeBytes, c.LeafPageBytes = 0.5, 4<<10, 512
 	})
-	keys := widthKeys(40)
+	keys := oracleKeys(40)
 	rng := sim.NewRNG(3)
 	var now sim.Duration
 	var err error
@@ -117,6 +133,13 @@ func FuzzNodeImage(f *testing.F) {
 				bad := slices.Clone(img)
 				bad[cowtree.PageHeaderBytes] ^= 0x40 // the first length field
 				f.Add(bad)
+			}
+			if n.Leaf && leaves == 1 || !n.Leaf && interiors == 1 {
+				narrow := narrowKey(img, n.Leaf)
+				if _, _, ok := parseNode(narrow); ok {
+					f.Fatalf("an image of node %d (leaf %v) with an 8-byte key parsed", n.ID, n.Leaf)
+				}
+				f.Add(narrow)
 			}
 		}
 	}

@@ -232,31 +232,23 @@ func TestArraysSizedToWhatTheyHold(t *testing.T) {
 }
 
 // TestPivotArraysSizedToWhatTheyHold is TestArraysSizedToWhatTheyHold's
-// twin for the internal pages: after the same load and overwrites, whose
-// keys are all kv.KeySize bytes, every internal page holds its
-// separators once, as words, with no separator bytes beside them, and
-// the word and child arrays keep at most two slots per element. Before
-// SplitHalf re-homed the half that stays, every left half kept its
-// pre-split capacity, and the words held nearly four slots per
-// separator on the benchmark tree; before the pivots held only words,
-// every separator was held twice, as words and as bytes.
+// twin for the internal pages: after the same load and overwrites, the
+// word and child arrays of every internal page keep at most two slots
+// per element. Before SplitHalf re-homed the half that stays, every left
+// half kept its pre-split capacity, and the words held nearly four slots
+// per separator on the benchmark tree.
 func TestPivotArraysSizedToWhatTheyHold(t *testing.T) {
 	const keys = 50000
 	tr, _, _ := testEnv(t, 1024, false, nil)
 	agedLoad(t, tr, keys)
-	var seps, wordCap, withBytes, children, childCap int
+	var seps, wordCap, children, childCap int
 	for _, p := range pages(tr) {
 		if p.Leaf {
 			continue
 		}
 		seps += p.NumSeps()
-		// The words and the separator bytes are unexported; reflect
-		// reads them.
-		pv := reflect.ValueOf(&p.Pivots).Elem()
-		wordCap += pv.FieldByName("words").Cap()
-		if !pv.FieldByName("seps").IsNil() {
-			withBytes++
-		}
+		// The words are unexported; reflect reads them.
+		wordCap += reflect.ValueOf(&p.Pivots).Elem().FieldByName("words").Cap()
 		children += len(p.Children)
 		childCap += cap(p.Children)
 	}
@@ -264,9 +256,6 @@ func TestPivotArraysSizedToWhatTheyHold(t *testing.T) {
 		seps, wordCap, float64(wordCap)/float64(seps), children, childCap, float64(childCap)/float64(children))
 	if _, internals := tr.NodeCount(); internals < 8 {
 		t.Fatalf("%d internal pages: the tree is not the loaded one", internals)
-	}
-	if withBytes > 0 {
-		t.Errorf("%d internal pages hold separator bytes beside their words", withBytes)
 	}
 	if wordCap > 2*seps {
 		t.Errorf("the words keep %d slots for %d separators", wordCap, seps)

@@ -169,7 +169,7 @@ func (t *Tree) PlanGets(keys [][]byte) {
 // match by mistake), otherwise descend's, after dropping the plan.
 func (t *Tree) leafFor(target kv.Target) *cowtree.Node {
 	if t.next < len(t.plan) {
-		if p := &t.plan[t.next]; p.Fast && target.Fast && p.Hi == target.Hi && p.Lo == target.Lo {
+		if p := &t.plan[t.next]; p.Hi == target.Hi && p.Lo == target.Lo {
 			t.next++
 			return t.planned[t.next-1]
 		}
@@ -199,7 +199,7 @@ func (t *Tree) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 // epilogue's eviction.
 func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
 	t.dropPlan()
-	now, seq, valueLen, err := t.Core.BeginWrite(now, value, valueLen)
+	now, seq, valueLen, err := t.Core.BeginWrite(now, key, value, valueLen)
 	if err != nil {
 		return now, err
 	}
@@ -224,7 +224,7 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 
 // Get implements kv.Engine.
 func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, error) {
-	now, err := t.Core.BeginGet(now)
+	now, err := t.Core.BeginGet(now, key)
 	if err != nil {
 		return now, nil, false, err
 	}
@@ -246,7 +246,7 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 // capability that motivates tree structures over hash indexes in the
 // paper's introduction.
 func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
-	now, err := t.Core.BeginRead(now)
+	now, err := t.Core.BeginRead(now, start)
 	if err != nil {
 		return now, nil, err
 	}

@@ -67,18 +67,33 @@ func parsedExtents(exts []cowtree.Extent) func(cowtree.NodeID) cowtree.Extent {
 	}
 }
 
+// narrowKey returns a copy of a node image whose first leaf entry, or
+// first separator, is cut to an 8-byte key, zero-padded back to its
+// length (an image on the device fills its extent): the image of a
+// coherent node holding a key of another width than kv.KeySize, which
+// the parser must refuse.
+func narrowKey(img []byte, leaf bool) []byte {
+	lenAt, keyAt := cowtree.PageHeaderBytes, cowtree.PageHeaderBytes+2
+	if leaf {
+		keyAt = cowtree.PageHeaderBytes + cowtree.RecordOverhead
+	}
+	out := slices.Clone(img[:keyAt+8])
+	binary.LittleEndian.PutUint16(out[lenAt:], 8)
+	return append(append(out, img[keyAt+kv.KeySize:]...), make([]byte, kv.KeySize-8)...)
+}
+
 // FuzzPageImage feeds arbitrary bytes to the page image parser
 // (cowtree.Node.ParseImage under pageMagic), which must never panic. An
 // image it accepts must survive the codec: the image of the parsed page
 // parses back to the same page, and imaging that again gives the same
-// bytes. The corpus is the leaf and internal
-// images of a small content-mode tree holding 8-, 16- and 24-byte keys,
-// plus damaged copies of two of them.
+// bytes. The corpus is the leaf and internal images of a small
+// content-mode tree, damaged copies of two of them, and a leaf and an
+// internal image cut to an 8-byte key, which must be refused.
 func FuzzPageImage(f *testing.F) {
 	tr, _, _ := testEnv(f, 64, true, func(c *Config) {
 		c.LeafPageBytes, c.InternalPageBytes = 512, 256
 	})
-	keys := widthKeys(40)
+	keys := oracleKeys(40)
 	rng := sim.NewRNG(3)
 	var now sim.Duration
 	var err error
@@ -109,6 +124,13 @@ func FuzzPageImage(f *testing.F) {
 				bad[cowtree.PageHeaderBytes] ^= 0x40 // the first length field
 				f.Add(bad)
 			}
+			if p.Leaf && leaves == 1 || !p.Leaf && internals == 1 {
+				narrow := narrowKey(img, p.Leaf)
+				if _, _, ok := parsePage(narrow); ok {
+					f.Fatalf("an image of page %d (leaf %v) with an 8-byte key parsed", p.ID, p.Leaf)
+				}
+				f.Add(narrow)
+			}
 		}
 	}
 	if leaves == 0 || internals == 0 {
@@ -133,35 +155,21 @@ func FuzzPageImage(f *testing.F) {
 	})
 }
 
-// fuzzTree builds FuzzDescendAll's tree: n keys drawn from seed, each
-// 8, 16 or 24 bytes wide as widths allows (bit 0, 1, 2; none set means
-// 16 only), so with more than one width some internal pages hold
-// separators of other widths than kv.KeySize and search their bytes.
-// The keys come from a few hundred prefixes, and a 24-byte key extends
-// a 16-byte one, so widths interleave and sit next to their prefixes.
-// Pages are small, so a few hundred keys reach depth 3.
-func fuzzTree(tb testing.TB, seed uint64, n int, widths uint8) (*Tree, [][]byte) {
+// fuzzTree builds FuzzDescendAll's tree: n keys drawn from seed, from
+// a few hundred high words and eight low words, so keys that differ in
+// either word sit next to each other. Pages are small, so a few hundred
+// keys reach depth 3.
+func fuzzTree(tb testing.TB, seed uint64, n int) (*Tree, [][]byte) {
 	tr, _, _ := testEnv(tb, 64, false, func(c *Config) {
 		c.LeafPageBytes, c.InternalPageBytes = 512, 256
 	})
-	var allowed []int
-	for bit, w := range []int{8, kv.KeySize, 24} {
-		if widths&(1<<bit) != 0 {
-			allowed = append(allowed, w)
-		}
-	}
-	if len(allowed) == 0 {
-		allowed = []int{kv.KeySize}
-	}
 	rng := sim.NewRNG(seed)
 	keys := make([][]byte, n)
 	var now sim.Duration
 	var err error
 	for i := range keys {
 		k := binary.BigEndian.AppendUint64(nil, rng.Uint64n(400)*0x0101010101)
-		k = binary.BigEndian.AppendUint64(k, rng.Uint64n(8))
-		k = binary.BigEndian.AppendUint64(k, rng.Uint64n(4))
-		keys[i] = k[:allowed[rng.Intn(len(allowed))]]
+		keys[i] = binary.BigEndian.AppendUint64(k, rng.Uint64n(8))
 		if now, err = tr.Put(now, keys[i], nil, 20); err != nil {
 			tb.Fatal(err)
 		}
@@ -170,46 +178,39 @@ func fuzzTree(tb testing.TB, seed uint64, n int, widths uint8) (*Tree, [][]byte)
 }
 
 // FuzzDescendAll holds the lockstep descent (cowtree.Core.DescendAll)
-// to the single-key one: over a tree of fuzzed keys of mixed widths,
-// every target of a fuzzed batch of up to 64 must reach exactly the
-// leaf descend reaches. Each 3-byte group of probes makes one target:
-// its first byte picks how (a stored key as it is, or with its last
-// byte moved up or down, cut to 8 bytes or grown to 24; or the two
-// other bytes as a key of their own), the other two pick the key.
+// to the single-key one: over a tree of fuzzed keys, every target of a
+// fuzzed batch of up to 64 must reach exactly the leaf descend reaches.
+// Each 3-byte group of probes makes one target: its first byte picks
+// how (a stored key as it is, with its last byte moved up or down, with
+// its high word moved up or its low word cleared; or the two other
+// bytes as the words of a key of their own), the other two pick the
+// key.
 func FuzzDescendAll(f *testing.F) {
-	tr, _ := fuzzTree(f, 1, 600, 7)
-	mixed := false
-	for _, p := range pages(tr) {
-		if p.Leaf {
-			continue
-		}
-		for _, sep := range sepBytes(p) {
-			mixed = mixed || len(sep) != kv.KeySize
-		}
+	tr, _ := fuzzTree(f, 1, 600)
+	if tr.Depth() < 3 {
+		f.Fatalf("seed tree: depth %d", tr.Depth())
 	}
-	if !mixed || tr.Depth() < 3 {
-		f.Fatalf("seed tree: depth %d, separators of mixed widths %v", tr.Depth(), mixed)
-	}
-	f.Add(uint64(1), uint16(600), uint8(7), []byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 1, 0})
-	f.Add(uint64(2), uint16(690), uint8(2), bytes.Repeat([]byte{0, 1, 7, 1, 9, 2, 2, 3, 3}, 22))
-	f.Add(uint64(3), uint16(300), uint8(5), []byte{3, 1, 1, 4, 2, 2, 5, 3, 3})
-	f.Add(uint64(4), uint16(50), uint8(1), []byte{})
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, widths uint8, probes []byte) {
-		tr, keys := fuzzTree(t, seed, 1+int(n)%700, widths)
+	f.Add(uint64(1), uint16(600), []byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 1, 0})
+	f.Add(uint64(2), uint16(690), bytes.Repeat([]byte{0, 1, 7, 1, 9, 2, 2, 3, 3}, 22))
+	f.Add(uint64(3), uint16(300), []byte{3, 1, 1, 4, 2, 2, 5, 3, 3})
+	f.Add(uint64(4), uint16(50), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, probes []byte) {
+		tr, keys := fuzzTree(t, seed, 1+int(n)%700)
 		var ts []kv.Target
 		for i := 0; i+3 <= len(probes) && len(ts) < 64; i += 3 {
 			k := bytes.Clone(keys[int(binary.BigEndian.Uint16(probes[i+1:]))%len(keys)])
 			switch probes[i] % 6 {
 			case 1:
-				k[len(k)-1]++
+				k[kv.KeySize-1]++
 			case 2:
-				k[len(k)-1]--
+				k[kv.KeySize-1]--
 			case 3:
-				k = k[:8]
+				k[7]++
 			case 4:
-				k = append(k, make([]byte, 24-len(k))...)
+				clear(k[8:])
 			case 5:
-				k = probes[i+1 : i+3]
+				k = binary.BigEndian.AppendUint64(nil, uint64(probes[i+1])*0x0101010101)
+				k = binary.BigEndian.AppendUint64(k, uint64(probes[i+2]%9))
 			}
 			ts = append(ts, kv.NewTarget(k))
 		}

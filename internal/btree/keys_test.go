@@ -4,38 +4,28 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"testing"
 
 	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
-// widthKeys is the key universe of TestKeyWidthsAcrossPages: per id, an
-// 8-byte key, the 16-byte key that is it padded with zeros (so the
-// 8-byte key is its prefix), a second 16-byte key, and two 24-byte keys
-// extending each 16-byte key. The widths interleave in key order and
-// every width sits next to a key it is a prefix of.
-func widthKeys(ids int) [][]byte {
+// oracleKeys is the key universe of TestKeysAcrossPages: per id, five
+// 16-byte keys sharing their high word (the low word 0, 5, 7, 1<<63 and
+// all ones), so neighbours in key order differ in either word.
+func oracleKeys(ids int) [][]byte {
 	var keys [][]byte
 	for id := 0; id < ids; id++ {
-		base := binary.BigEndian.AppendUint64(nil, uint64(id)*0x0101010101)
-		k16a := binary.BigEndian.AppendUint64(append([]byte(nil), base...), 0)
-		k16b := binary.BigEndian.AppendUint64(append([]byte(nil), base...), 7)
-		keys = append(keys,
-			base,
-			k16a,
-			k16b,
-			binary.BigEndian.AppendUint64(append([]byte(nil), k16a...), 5),
-			binary.BigEndian.AppendUint64(append([]byte(nil), k16b...), 0),
-		)
+		for _, lo := range []uint64{0, 5, 7, 1 << 63, ^uint64(0)} {
+			k := binary.BigEndian.AppendUint64(nil, uint64(id)*0x0101010101)
+			keys = append(keys, binary.BigEndian.AppendUint64(k, lo))
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	return keys
 }
 
-// widthEntry is the oracle's record of one live key.
-type widthEntry struct {
+// oracleEntry is the oracle's record of one live key.
+type oracleEntry struct {
 	val  []byte // content mode
 	vlen int
 }
@@ -51,43 +41,42 @@ func checkImages(t *testing.T, tr *Tree, phase string) {
 	}
 }
 
-// TestKeyWidthsAcrossPages drives puts, overwrites and tombstones of
-// interleaved 8-, 16- and 24-byte keys through a tree of small pages
-// and a small cache — leaves and internal pages split, leaves are
-// evicted — in content and accounting mode, and after every phase
-// checks each key's Get and Scans from several starts against a map,
-// every page's accounted size against its image, and the core's audit. It then checkpoints (FlushAll) and checks again; in
+// TestKeysAcrossPages drives puts, overwrites and tombstones of
+// oracleKeys through a tree of small pages and a small cache — leaves
+// and internal pages split, leaves are evicted — in content and
+// accounting mode, and after every phase checks each key's Get and
+// Scans from several starts against a map, every page's accounted size
+// against its image, and the core's audit. It then checkpoints
+// (FlushAll) and checks again; in
 // content mode it writes more after the checkpoint, recovers from the
 // device (checkpoint images plus journal replay) and checks the
 // recovered tree the same way. (Recover requires content mode.)
-func TestKeyWidthsAcrossPages(t *testing.T) {
+func TestKeysAcrossPages(t *testing.T) {
 	for _, content := range []bool{true, false} {
 		name := "accounting"
 		if content {
 			name = "content"
 		}
-		t.Run(name, func(t *testing.T) { runKeyWidths(t, content) })
+		t.Run(name, func(t *testing.T) { runKeys(t, content) })
 	}
 }
 
-func runKeyWidths(t *testing.T, content bool) {
-	keys := widthKeys(200)
+func runKeys(t *testing.T, content bool) {
+	keys := oracleKeys(200)
 	tr, _, fs := testEnv(t, 64, content, func(c *Config) {
 		c.LeafPageBytes, c.InternalPageBytes = 1<<10, 512
 		c.CacheBytes = 16 << 10 // leaves are evicted and written out
 		c.JournalSync = true
 	})
-	oracle := map[string]widthEntry{}
+	oracle := map[string]oracleEntry{}
 	rng := sim.NewRNG(36)
 	var now sim.Duration
 	var err error
-	widths := map[int]int{}
 
 	write := func(tr *Tree, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			key := keys[rng.Intn(len(keys))]
-			widths[len(key)]++
 			if rng.Intn(5) == 0 {
 				if now, err = tr.Delete(now, key); err != nil {
 					t.Fatal(err)
@@ -106,7 +95,7 @@ func runKeyWidths(t *testing.T, content bool) {
 			if now, err = tr.Put(now, key, val, vlen); err != nil {
 				t.Fatal(err)
 			}
-			oracle[string(key)] = widthEntry{val: val, vlen: vlen}
+			oracle[string(key)] = oracleEntry{val: val, vlen: vlen}
 		}
 	}
 	check := func(tr *Tree, phase string) {
@@ -127,9 +116,11 @@ func runKeyWidths(t *testing.T, content bool) {
 					phase, key, found, got, ok, want.val)
 			}
 		}
-		// Starts of every width, an absent 12-byte key and the empty key.
-		for _, start := range [][]byte{{}, keys[0], keys[1], keys[len(keys)/3], keys[len(keys)/2+1],
-			keys[len(keys)-1], append(append([]byte(nil), keys[len(keys)/4][:8]...), 0, 0, 0, 9)} {
+		// Starts at stored keys, an absent key between two of them and
+		// the all-ones key, past every one.
+		for _, start := range [][]byte{keys[0], keys[1], keys[len(keys)/3], keys[len(keys)/2+1],
+			keys[len(keys)-1], binary.BigEndian.AppendUint64(bytes.Clone(keys[len(keys)/4][:8]), 3),
+			bytes.Repeat([]byte{0xFF}, kv.KeySize)} {
 			var got []kv.Entry
 			if now, got, err = tr.Scan(now, start, len(keys)+1); err != nil {
 				t.Fatal(err)
@@ -159,7 +150,7 @@ func runKeyWidths(t *testing.T, content bool) {
 		check(tr, fmt.Sprintf("phase %d", phase))
 	}
 	io := tr.IO()
-	t.Logf("depth %d, writes by key width %v, io %+v", tr.Depth(), widths, io)
+	t.Logf("depth %d, io %+v", tr.Depth(), io)
 	if tr.Depth() < 3 || io.LeafSplits == 0 || io.InternalSplits == 0 || io.EvictionWrites == 0 {
 		t.Fatalf("depth %d, %d leaf splits, %d internal splits, %d eviction writes: the run was too small",
 			tr.Depth(), io.LeafSplits, io.InternalSplits, io.EvictionWrites)

@@ -146,7 +146,7 @@ func (n *Node) ParseBuffers(data []byte, off int) bool {
 		}
 		// ChildFor's rule: a key equal to a separator routes right.
 		var kb [kv.KeySize]byte
-		for t := m.Target(&kb); ci < count && n.sepAtOrBelow(ci, t); {
+		for t := m.Target(&kb); ci < count && sepAbove(n.words[ci], t) == 0; {
 			ci++
 		}
 		b.Msgs[ci] = append(b.Msgs[ci], m)

@@ -1,11 +1,11 @@
 package cowtree
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
 	"ptsbench/internal/faultdev"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
@@ -14,7 +14,9 @@ import (
 // defers its sync while a group commit is open) and EndWrite (which
 // starts a checkpoint when one is due).
 func (t *stubTree) groupPut(now sim.Duration, key uint64, val []byte) (sim.Duration, error) {
-	now, seq, valueLen, err := t.Core.BeginWrite(now, val, 0)
+	var kb [kv.KeySize]byte
+	kv.AppendKey(kb[:], key)
+	now, seq, valueLen, err := t.Core.BeginWrite(now, kb[:], val, 0)
 	if err != nil {
 		return now, err
 	}
@@ -23,8 +25,6 @@ func (t *stubTree) groupPut(now sim.Duration, key uint64, val []byte) (sim.Durat
 		return now, err
 	}
 	t.insertLeaf(leaf, key, val, seq)
-	var kb [8]byte
-	binary.BigEndian.PutUint64(kb[:], key)
 	if now, err = t.Core.AppendJournal(now, seq, kb[:], val, valueLen, false); err != nil {
 		return now, err
 	}

@@ -15,8 +15,8 @@ import (
 
 // InsertLeaf upserts an unowned record — key and val, the caller's
 // reused buffers, travel beside it (see InsertRecord) — into leaf n,
-// returning the serialized size delta. An accounting-mode put of a
-// kv.KeySize key takes nothing from the arena.
+// returning the serialized size delta. An accounting-mode put takes
+// nothing from the arena.
 func (c *Core) InsertLeaf(n *Node, r Record, key, val []byte) int {
 	var delta int
 	n.Entries, delta = InsertRecord(&c.records, &c.arena, n.Entries, r, kv.NewTarget(key), val)
@@ -36,17 +36,16 @@ func (c *Core) LeafOverfull(leaf *Node) bool {
 // leaf is resident (journal replay splits leaves recovery left out of
 // the cache, and their right halves stay out too). It returns the new
 // leaf and the separator, its first key, which the engine links the new
-// leaf under the parent at: a kv.KeySize key in the core's scratch
-// (Core.sepBuf; the parent keeps only its words), a key of another width
-// in bytes of its own from the arena (the parent keeps them). The caller
-// must use sep before the next SplitLeaf or SplitInterior, which
-// overwrites the scratch. Both halves end up in pooled arrays of the
-// capacity class their length calls for, which leaves room to refill
-// toward the next split without regrowing: the moved half draws one,
-// and the half that stays is re-homed when the array it was cut from is
-// a class larger (a 9-entry leaf in 16 slots would otherwise split into
-// 4 entries still holding 16, and a batch-grown Bε-tree leaf halved
-// repeatedly would keep N log N slots for N entries).
+// leaf under the parent at, in the core's scratch (Core.sepBuf; the
+// parent keeps only its words). The caller must use sep before the next
+// SplitLeaf or SplitInterior, which overwrites the scratch. Both halves
+// end up in pooled arrays of the capacity class their length calls for,
+// which leaves room to refill toward the next split without regrowing:
+// the moved half draws one, and the half that stays is re-homed when
+// the array it was cut from is a class larger (a 9-entry leaf in 16
+// slots would otherwise split into 4 entries still holding 16, and a
+// batch-grown Bε-tree leaf halved repeatedly would keep N log N slots
+// for N entries).
 func (c *Core) SplitLeaf(leaf *Node) (right *Node, sep []byte) {
 	right = c.NewNode(true)
 	mid := len(leaf.Entries) / 2
@@ -68,11 +67,7 @@ func (c *Core) SplitLeaf(leaf *Node) (right *Node, sep []byte) {
 		c.Admit(right)
 		c.Resize(PageHeaderBytes - right.Serialized)
 	}
-	sep = right.Entries[0].Key(&c.sepBuf)
-	if len(sep) != kv.KeySize {
-		sep = c.arena.Clone(sep)
-	}
-	return right, sep
+	return right, right.Entries[0].Key(&c.sepBuf)
 }
 
 // AppendImage appends n's image to out: the PageHeaderBytes header —

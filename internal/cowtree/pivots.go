@@ -1,7 +1,6 @@
 package cowtree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"slices"
@@ -37,23 +36,14 @@ func (in *Interior) buffered() bool { return in.Buf.Msgs != nil }
 // Interior embeds it, so a node reaches Children and these methods
 // directly. The zero value is an empty set.
 //
-// Each separator is held once. While every separator is a kv.KeySize
-// key — every separator the workloads' keys make — the set holds only
-// their big-endian word pairs, which a descent's binary search probes
-// directly (a separator's two words side by side, one cache line per
-// probe); NumSeps and Sep read them back. Once a separator of another
-// width arrives, the set holds every separator's bytes instead and
-// searches compare them (see mixed); a split leaves a half without such
-// a separator on words again. The separators only change on splits, so
-// the switch is off the hot path.
+// Each separator is a kv.KeySize key, held only as its big-endian word
+// pair, which a descent's binary search probes directly (a separator's
+// two words side by side, one cache line per probe); NumSeps and Sep
+// read them back.
 type Pivots struct {
-	// words are the separators' words while the set is not mixed.
+	// words are the separators' words: Children[i] holds keys <
+	// separator i for i < NumSeps, Children[NumSeps] the rest.
 	words []sepWords
-
-	// seps are the separators' bytes while the set is mixed, nil
-	// otherwise: Children[i] holds keys < separator i for i < NumSeps,
-	// Children[NumSeps] the rest.
-	seps [][]byte
 
 	// Children are an interior node's child ids, in key order.
 	Children []NodeID
@@ -61,71 +51,26 @@ type Pivots struct {
 
 type sepWords struct{ hi, lo uint64 }
 
-// mixed reports that some separator is not a kv.KeySize key: the set
-// holds separator bytes, not words.
-func (p *Pivots) mixed() bool { return p.seps != nil }
-
 // NumSeps returns the number of separators.
-func (p *Pivots) NumSeps() int {
-	if p.mixed() {
-		return len(p.seps)
-	}
-	return len(p.words)
-}
+func (p *Pivots) NumSeps() int { return len(p.words) }
 
-// Sep returns separator i: its bytes, or its words encoded into buf.
+// Sep returns separator i, its words encoded into buf.
 func (p *Pivots) Sep(i int, buf *[kv.KeySize]byte) []byte {
-	if p.mixed() {
-		return p.seps[i]
-	}
 	w := p.words[i]
 	binary.BigEndian.PutUint64(buf[:8], w.hi)
 	binary.BigEndian.PutUint64(buf[8:], w.lo)
 	return buf[:]
 }
 
-// sepAtOrBelow reports whether separator i is <= t: whether t routes
-// right of it.
-func (p *Pivots) sepAtOrBelow(i int, t kv.Target) bool {
-	if p.mixed() {
-		sk := p.seps[i]
-		if t.Fast && len(sk) == kv.KeySize {
-			return kv.CompareKeyWords(sk, t.Hi, t.Lo) <= 0
-		}
-		return kv.CompareKeys(sk, t.Key) <= 0
-	}
-	if t.Fast {
-		return sepAbove(p.words[i], t) == 0
-	}
-	var kb [kv.KeySize]byte
-	return kv.CompareKeys(p.Sep(i, &kb), t.Key) <= 0
-}
-
 // ChildFor returns the index of the child covering t: the number of
-// separators <= t (a key equal to a separator goes right). It inlines
-// into the engines' descent loops as one call of upperBound.
-func (p *Pivots) ChildFor(t kv.Target) int { return p.upperBound(t) }
-
-// upperBound is ChildFor's search: over the words when both the set and
-// t have them, separator by separator otherwise.
-func (p *Pivots) upperBound(t kv.Target) int {
-	if t.Fast && !p.mixed() {
-		w := p.words
-		lo, hi := 0, len(w)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s := w[mid]; s.hi < t.Hi || (s.hi == t.Hi && s.lo <= t.Lo) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	lo, hi := 0, p.NumSeps()
+// separators <= t (a key equal to a separator goes right), by a binary
+// search over the words. It inlines into the engines' descent loops.
+func (p *Pivots) ChildFor(t kv.Target) int {
+	w := p.words
+	lo, hi := 0, len(w)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.sepAtOrBelow(mid, t) {
+		if s := w[mid]; s.hi < t.Hi || (s.hi == t.Hi && s.lo <= t.Lo) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -146,9 +91,7 @@ const lockstep = 16
 // A step over the word cache is branch-free (the borrow of a 128-bit
 // subtraction picks the half), so the CPU issues every target's probe
 // before the first one's cache miss returns, where a lone search waits
-// on each miss in turn. A target without words, or a node whose cache
-// is off, takes upperBound for that level. leaves must be as long as
-// ts.
+// on each miss in turn. leaves must be as long as ts.
 func (c *Core) DescendAll(ts []kv.Target, leaves []*Node) {
 	for len(ts) > lockstep {
 		c.descendGroup(ts[:lockstep], leaves[:lockstep])
@@ -173,17 +116,13 @@ func (c *Core) descendGroup(ts []kv.Target, leaves []*Node) {
 	}
 	for {
 		interior, steps := false, 0
-		for i, t := range ts {
+		for i := range ts {
 			p := leaves[i]
 			base[i], n[i] = 0, 0
 			if p.Leaf {
 				continue
 			}
 			interior = true
-			if !t.Fast || p.mixed() {
-				base[i] = p.upperBound(t)
-				continue
-			}
 			words[i] = p.words
 			n[i] = len(p.words)
 			steps = max(steps, bits.Len(uint(n[i]-1)))
@@ -230,89 +169,38 @@ func sepAbove(s sepWords, t kv.Target) int {
 // any other id it returns -1.
 func (p *Pivots) ChildIndex(id NodeID) int { return slices.Index(p.Children, id) }
 
-// InitRoot fills an empty set as a new root's: left, sep, right. The
-// set keeps sep as InsertChild does.
+// InitRoot fills an empty set as a new root's: left, sep, right. sep
+// is only read, as InsertChild reads it.
 func (p *Pivots) InitRoot(left NodeID, sep []byte, right NodeID) {
 	p.insertSep(0, sep)
 	p.Children = []NodeID{left, right}
 }
 
 // InsertChild adds sep and child after position idx — child idx has
-// split at sep — and returns the serialized size delta. A kv.KeySize
-// sep is only read (a split hands it over in scratch bytes); the set
-// keeps a sep of another width itself (a split hands over bytes the tree
-// owns).
+// split at sep — and returns the serialized size delta. sep is only
+// read (a split hands it over in scratch bytes).
 func (p *Pivots) InsertChild(idx int, sep []byte, child NodeID) int {
 	p.insertSep(idx, sep)
 	p.Children = slices.Insert(p.Children, idx+1, child)
-	return 2 + len(sep) + ChildRefBytes
+	return 2 + kv.KeySize + ChildRefBytes
 }
 
-// insertSep inserts sep as separator idx, switching the set to bytes
-// when sep is the first separator of another width.
+// insertSep inserts sep's words as separator idx.
 func (p *Pivots) insertSep(idx int, sep []byte) {
-	if !p.mixed() {
-		if hi, lo, ok := kv.DecomposeKey(sep); ok {
-			p.words = slices.Insert(p.words, idx, sepWords{hi, lo})
-			return
-		}
-		p.toBytes()
-	}
-	if len(sep) == kv.KeySize {
-		sep = bytes.Clone(sep)
-	}
-	p.seps = slices.Insert(p.seps, idx, sep)
-}
-
-// toBytes switches a set on words to separator bytes, encoding its
-// separators into one array.
-func (p *Pivots) toBytes() {
-	buf := make([]byte, kv.KeySize*len(p.words))
-	p.seps = make([][]byte, len(p.words), len(p.words)+1)
-	for i, w := range p.words {
-		k := buf[i*kv.KeySize : (i+1)*kv.KeySize : (i+1)*kv.KeySize]
-		binary.BigEndian.PutUint64(k, w.hi)
-		binary.BigEndian.PutUint64(k[8:], w.lo)
-		p.seps[i] = k
-	}
-	p.words = nil
-}
-
-// setSeps makes seps the set's separators, kept as words when every one
-// is a kv.KeySize key (a new array sized to them) and as the given
-// slice otherwise.
-func (p *Pivots) setSeps(seps [][]byte) {
-	p.words, p.seps = nil, nil
-	for _, sep := range seps {
-		if len(sep) != kv.KeySize {
-			p.seps = seps
-			return
-		}
-	}
-	p.words = make([]sepWords, len(seps))
-	for i, sep := range seps {
-		p.words[i].hi, p.words[i].lo, _ = kv.DecomposeKey(sep)
-	}
+	hi, lo := kv.DecomposeKey(sep)
+	p.words = slices.Insert(p.words, idx, sepWords{hi, lo})
 }
 
 // SplitHalf moves the upper half of the set into right (empty) and
-// returns the separator between the halves, which the parent takes:
-// encoded into buf when the set is on words, the set's own bytes
-// otherwise. Both halves end up in arrays sized to what they hold: the
-// half that stays is re-homed too, as SplitLeaf re-homes a leaf's, or
-// it would keep its pre-split capacity, twice what it holds. A half of
-// a mixed set left without a separator of another width goes back to
-// words.
+// returns the separator between the halves, which the parent takes,
+// encoded into buf. Both halves end up in arrays sized to what they
+// hold: the half that stays is re-homed too, as SplitLeaf re-homes a
+// leaf's, or it would keep its pre-split capacity, twice what it holds.
 func (p *Pivots) SplitHalf(right *Pivots, buf *[kv.KeySize]byte) []byte {
 	mid := p.NumSeps() / 2
 	promoted := p.Sep(mid, buf)
-	if p.mixed() {
-		right.setSeps(slices.Clone(p.seps[mid+1:]))
-		p.setSeps(slices.Clone(p.seps[:mid]))
-	} else {
-		right.words = slices.Clone(p.words[mid+1:])
-		p.words = slices.Clone(p.words[:mid])
-	}
+	right.words = slices.Clone(p.words[mid+1:])
+	p.words = slices.Clone(p.words[:mid])
 	right.Children = slices.Clone(p.Children[mid+1:])
 	p.Children = slices.Clone(p.Children[:mid+1])
 	return promoted
@@ -321,14 +209,7 @@ func (p *Pivots) SplitHalf(right *Pivots, buf *[kv.KeySize]byte) []byte {
 // PivotBytes returns the serialized size of an interior image without
 // its payload: the header and the pivot section.
 func (p *Pivots) PivotBytes() int {
-	s := PageHeaderBytes + ChildRefBytes*len(p.Children)
-	if !p.mixed() {
-		return s + (2+kv.KeySize)*len(p.words)
-	}
-	for _, sep := range p.seps {
-		s += 2 + len(sep)
-	}
-	return s
+	return PageHeaderBytes + ChildRefBytes*len(p.Children) + (2+kv.KeySize)*len(p.words)
 }
 
 // AppendPivots appends the pivot section to out: each separator as a
@@ -357,28 +238,20 @@ func (p *Pivots) AppendPivots(out []byte, resolve func(NodeID) Extent) []byte {
 // separators at the start of data, returning the children's extents in
 // child order (the children get ids as recovery loads them; until then
 // they are NilNode) and the bytes the section took. ok is false when
-// data is too short.
+// data is too short or holds a separator that is not a kv.KeySize key.
 func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, ok bool) {
-	if count < 0 || count > len(data)/2 {
-		return nil, 0, false // each separator takes at least its length
+	const sepBytes = 2 + kv.KeySize
+	if count < 0 || count > len(data)/sepBytes {
+		return nil, 0, false
 	}
-	p.words = make([]sepWords, 0, count)
+	p.words = make([]sepWords, count)
 	off := 0
-	for i := 0; i < count; i++ {
-		if off+2 > len(data) {
+	for i := range p.words {
+		if binary.LittleEndian.Uint16(data[off:]) != kv.KeySize {
 			return nil, 0, false
 		}
-		sl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+sl > len(data) {
-			return nil, 0, false
-		}
-		sep := data[off : off+sl]
-		if sl != kv.KeySize {
-			sep = bytes.Clone(sep) // kept: see InsertChild
-		}
-		p.insertSep(i, sep)
-		off += sl
+		p.words[i].hi, p.words[i].lo = kv.DecomposeKey(data[off+2 : off+sepBytes])
+		off += sepBytes
 	}
 	if off+ChildRefBytes*(count+1) > len(data) {
 		return nil, 0, false
@@ -396,7 +269,7 @@ func (p *Pivots) ParsePivots(data []byte, count int) (exts []Extent, used int, o
 }
 
 // NewRoot grows the tree by a level: a new interior root over left and
-// its new right sibling at sep (kept as InsertChild keeps it).
+// its new right sibling at sep.
 func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
 	root := c.NewNode(false)
 	root.InitRoot(left.ID, sep, right.ID)
@@ -407,8 +280,8 @@ func (c *Core) NewRoot(left *Node, sep []byte, right *Node) *Node {
 }
 
 // LinkChild links right, left's new right sibling, under left's parent
-// at sep (kept as InsertChild keeps it), cuts a Bε-tree parent's buffer
-// of left there, and marks the parent dirty. It returns the parent.
+// at sep, cuts a Bε-tree parent's buffer of left there, and marks the
+// parent dirty. It returns the parent.
 func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 	parent := c.nodes[left.Parent]
 	idx := parent.ChildIndex(left.ID)
@@ -425,9 +298,8 @@ func (c *Core) LinkChild(left *Node, sep []byte, right *Node) *Node {
 // Bε-tree, those children's buffers whole — into a new node, reparents
 // the moved children and marks both halves dirty. It returns the new
 // node and the separator promoted between them, in the core's scratch
-// when it is a kv.KeySize key (see SplitLeaf): the caller must use
-// promoted before the next SplitLeaf or SplitInterior, which overwrites
-// the scratch.
+// (see SplitLeaf): the caller must use promoted before the next
+// SplitLeaf or SplitInterior, which overwrites the scratch.
 func (c *Core) SplitInterior(n *Node) (right *Node, promoted []byte) {
 	right = c.NewNode(false)
 	right.Parent = n.Parent

@@ -13,35 +13,34 @@ import (
 
 // TestPivots holds the pivot set to sort.Search over its separator
 // bytes. The fixed cases pin the zero value, the lookup rule (a key
-// equal to a separator goes right), InsertChild against a full rebuild
-// of the words, and a non-kv.KeySize separator switching the set to
-// bytes. The random walk then grows sets by InsertChild (with a full
-// rebuild now and then) and splits them in half, and after every step
-// checks ChildFor for kv.KeySize probes on both sides of every
-// separator and for probes of other widths, through the set and through
-// a reference held as bytes; the words against the separators (a set
-// of kv.KeySize separators holds no bytes); the children against a
-// reference list, ChildIndex and PivotBytes; and every few steps the
-// codec (AppendPivots, ParsePivots) round trip. Some rounds add a
-// 5-byte separator at step 40, which switches the set to bytes until a
-// split leaves a half without it; some draw 8-, 16- and 24-byte
-// separators throughout. The high word varies too, though the workload
-// keys never use it.
+// equal to a separator goes right) and InsertChild against a full
+// rebuild of the words. The random walk then grows sets by InsertChild
+// (with a full rebuild now and then) and splits them in half, and after
+// every step checks ChildFor for probes on both sides of every
+// separator; the children against a reference list, ChildIndex and
+// PivotBytes; and every few steps the codec (AppendPivots, ParsePivots)
+// round trip, and that ParsePivots refuses the section with one
+// separator's length field set to another width. The high word varies
+// too, though the workload keys never use it.
 func TestPivots(t *testing.T) {
 	var zero Pivots
-	if zero.mixed() || zero.NumSeps() != 0 {
-		t.Fatal("the zero value must be an empty set on words")
+	if zero.NumSeps() != 0 {
+		t.Fatal("the zero value must be an empty set")
 	}
-	for _, k := range [][]byte{kv.EncodeKey(5), []byte("x")} {
-		if got := zero.ChildFor(kv.NewTarget(k)); got != 0 {
-			t.Fatalf("empty set: ChildFor(%x) = %d, want 0", k, got)
+	if got := zero.ChildFor(kv.NewTarget(kv.EncodeKey(5))); got != 0 {
+		t.Fatalf("empty set: ChildFor = %d, want 0", got)
+	}
+	// rebuild is a set holding seps, built without InsertChild.
+	rebuild := func(seps [][]byte) Pivots {
+		var p Pivots
+		p.words = make([]sepWords, len(seps))
+		for i, sep := range seps {
+			p.words[i].hi, p.words[i].lo = kv.DecomposeKey(sep)
 		}
+		return p
 	}
-	p := Pivots{Children: []NodeID{1, 2, 3, 4}}
-	p.setSeps([][]byte{kv.EncodeKey(10), kv.EncodeKey(20), kv.EncodeKey(30)})
-	if p.mixed() {
-		t.Fatal("bytes held after a rebuild over kv.KeySize separators")
-	}
+	p := rebuild([][]byte{kv.EncodeKey(10), kv.EncodeKey(20), kv.EncodeKey(30)})
+	p.Children = []NodeID{1, 2, 3, 4}
 	for _, tc := range []struct {
 		id   uint64
 		want int
@@ -51,12 +50,11 @@ func TestPivots(t *testing.T) {
 		}
 	}
 	// InsertChild keeps the words consistent with a full rebuild, and
-	// does not keep a kv.KeySize separator's bytes.
+	// does not keep the separator's bytes.
 	sep := kv.EncodeKey(15)
 	p.InsertChild(1, sep, 5)
 	clear(sep)
-	var ref Pivots
-	ref.setSeps([][]byte{kv.EncodeKey(10), kv.EncodeKey(15), kv.EncodeKey(20), kv.EncodeKey(30)})
+	ref := rebuild([][]byte{kv.EncodeKey(10), kv.EncodeKey(15), kv.EncodeKey(20), kv.EncodeKey(30)})
 	probe := kv.NewTarget(kv.EncodeKey(16))
 	if p.ChildFor(probe) != ref.ChildFor(probe) || p.ChildFor(probe) != 2 || !slices.Equal(p.words, ref.words) {
 		t.Fatal("InsertChild diverged from a rebuild")
@@ -64,37 +62,14 @@ func TestPivots(t *testing.T) {
 	if !slices.Equal(p.Children, []NodeID{1, 2, 5, 3, 4}) {
 		t.Fatalf("children %v after inserting 5 after position 1", p.Children)
 	}
-	// A non-kv.KeySize separator switches the set to bytes, the earlier
-	// separators' too.
-	p.InsertChild(0, []byte("short"), 6)
-	if !p.mixed() || len(p.words) != 0 {
-		t.Fatal("the set must switch to bytes on a non-kv.KeySize separator")
-	}
-	var kb [kv.KeySize]byte
-	if got := p.Sep(2, &kb); !bytes.Equal(got, kv.EncodeKey(15)) || &got[0] == &kb[0] {
-		t.Fatalf("separator 2 is %x, want its own bytes of %x", got, kv.EncodeKey(15))
-	}
-	p = Pivots{}
-	p.setSeps([][]byte{[]byte("x")})
-	if !p.mixed() {
-		t.Fatal("a rebuild over other widths must hold bytes")
-	}
 
 	rng := sim.NewRNG(9)
 	reached := map[string]int{}
 	nextID := NodeID(1)
-	key := func(widths bool) []byte {
+	key := func() []byte {
 		k := make([]byte, kv.KeySize)
 		binary.BigEndian.PutUint64(k, rng.Uint64n(3))
 		binary.BigEndian.PutUint64(k[8:], rng.Uint64n(1000))
-		if widths {
-			switch rng.Intn(3) {
-			case 0:
-				return k[:8]
-			case 1:
-				return append(k, byte(rng.Intn(4)))
-			}
-		}
 		return k
 	}
 	want := func(seps [][]byte, k []byte) int {
@@ -112,33 +87,16 @@ func TestPivots(t *testing.T) {
 	check := func(step int, p *Pivots, children []NodeID) {
 		t.Helper()
 		seps := sepsOf(p)
-		off := Pivots{seps: seps} // held as bytes: searched separator by separator
-		probes := [][]byte{key(false), key(false)[:8], append(key(false), 7)}
-		mixed := false
+		probes := [][]byte{key(), key()}
 		for _, s := range seps {
-			if len(s) == kv.KeySize {
-				next := append([]byte(nil), s...)
-				next[kv.KeySize-1]++
-				probes = append(probes, s, next, s[:12])
-			} else {
-				mixed = true
-				probes = append(probes, s)
-			}
+			next := append([]byte(nil), s...)
+			next[kv.KeySize-1]++
+			probes = append(probes, s, next)
 		}
 		for _, k := range probes {
-			w := want(seps, k)
-			if got := p.ChildFor(kv.NewTarget(k)); got != w {
-				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (mixed=%v, %d seps)", step, k, got, w, p.mixed(), len(seps))
+			if got, w := p.ChildFor(kv.NewTarget(k)), want(seps, k); got != w {
+				t.Fatalf("step %d: ChildFor(%x) = %d, sort.Search %d (%d seps)", step, k, got, w, len(seps))
 			}
-			if got := off.ChildFor(kv.NewTarget(k)); got != w {
-				t.Fatalf("step %d: cache off: ChildFor(%x) = %d, sort.Search %d", step, k, got, w)
-			}
-		}
-		if p.mixed() != mixed {
-			t.Fatalf("step %d: set mixed=%v, separators mixed=%v", step, p.mixed(), mixed)
-		}
-		if mixed && len(p.words) != 0 || !mixed && p.seps != nil {
-			t.Fatalf("step %d: %d words and %d separators' bytes held (mixed=%v)", step, len(p.words), len(p.seps), mixed)
 		}
 		if !slices.Equal(p.Children, children) || len(children) != len(seps)+1 {
 			t.Fatalf("step %d: children %v, want %v (%d seps)", step, p.Children, children, len(seps))
@@ -149,11 +107,7 @@ func TestPivots(t *testing.T) {
 		if p.ChildIndex(nextID) != -1 {
 			t.Fatalf("step %d: ChildIndex of an absent child = %d", step, p.ChildIndex(nextID))
 		}
-		size := PageHeaderBytes + ChildRefBytes*len(children)
-		for _, s := range seps {
-			size += 2 + len(s)
-		}
-		if p.PivotBytes() != size {
+		if size := PageHeaderBytes + ChildRefBytes*len(children) + (2+kv.KeySize)*len(seps); p.PivotBytes() != size {
 			t.Fatalf("step %d: PivotBytes %d, recounted %d", step, p.PivotBytes(), size)
 		}
 	}
@@ -171,7 +125,7 @@ func TestPivots(t *testing.T) {
 			t.Fatalf("step %d: ParsePivots ok=%v used %d of %d", step, ok, used, len(img))
 		}
 		clear(parsed) // the set keeps no bytes of the image
-		if !slices.EqualFunc(sepsOf(&got), sepsOf(p), bytes.Equal) || len(got.Children) != len(p.Children) || got.mixed() != p.mixed() {
+		if !slices.EqualFunc(sepsOf(&got), sepsOf(p), bytes.Equal) || len(got.Children) != len(p.Children) {
 			t.Fatalf("step %d: the round trip changed the separators or children", step)
 		}
 		for i, c := range p.Children {
@@ -182,13 +136,18 @@ func TestPivots(t *testing.T) {
 		if _, _, ok := new(Pivots).ParsePivots(img[:len(img)-1], p.NumSeps()); ok {
 			t.Fatalf("step %d: a section one byte short parsed", step)
 		}
-		reached["codec"]++
-		if p.mixed() && !slices.ContainsFunc(sepsOf(p), func(s []byte) bool { return len(s) == 5 }) {
-			reached["codec over 8/16/24-byte separators"]++
+		if n := p.NumSeps(); n > 0 {
+			bad := slices.Clone(img)
+			i := rng.Intn(n)
+			binary.LittleEndian.PutUint16(bad[i*(2+kv.KeySize):], uint16(8+16*rng.Intn(2)))
+			if _, _, ok := new(Pivots).ParsePivots(bad, n); ok {
+				t.Fatalf("step %d: a section whose separator %d is not %d bytes parsed", step, i, kv.KeySize)
+			}
+			reached["codec refusing another width"]++
 		}
+		reached["codec"]++
 	}
 	for round := 0; round < 20; round++ {
-		widths := round%5 == 2
 		var p Pivots
 		children := []NodeID{nextID}
 		p.Children = []NodeID{nextID}
@@ -206,11 +165,6 @@ func TestPivots(t *testing.T) {
 				}
 				check(step, &p, oldChildren[:mid+1])
 				check(step, &right, oldChildren[mid+1:])
-				for _, half := range []*Pivots{&p, &right} {
-					if !half.mixed() && slices.ContainsFunc(old, func(s []byte) bool { return len(s) == 5 }) {
-						reached["words again after the short separator moved away"]++
-					}
-				}
 				reached["split"]++
 				children = oldChildren[:mid+1]
 				if rng.Intn(2) == 0 {
@@ -219,10 +173,7 @@ func TestPivots(t *testing.T) {
 				check(step, &p, children)
 				continue
 			}
-			k := key(widths)
-			if round%5 == 4 && step == 40 {
-				k = []byte("short") // switches the cache off from here on
-			}
+			k := key()
 			seps := sepsOf(&p)
 			i := want(seps, k)
 			if i > 0 && kv.CompareKeys(seps[i-1], k) == 0 {
@@ -230,8 +181,9 @@ func TestPivots(t *testing.T) {
 			}
 			before := p.PivotBytes()
 			if rng.Uint64n(8) == 0 {
-				p.setSeps(slices.Insert(seps, i, k))
-				p.Children = slices.Insert(p.Children, i+1, nextID)
+				cs := p.Children
+				p = rebuild(slices.Insert(seps, i, k))
+				p.Children = slices.Insert(cs, i+1, nextID)
 			} else if d := p.InsertChild(i, k, nextID); before+d != p.PivotBytes() {
 				t.Fatalf("step %d: InsertChild's delta %d, PivotBytes moved %d", step, d, p.PivotBytes()-before)
 			}
@@ -244,7 +196,7 @@ func TestPivots(t *testing.T) {
 		}
 	}
 	t.Logf("reached %v", reached)
-	for _, what := range []string{"codec", "codec over 8/16/24-byte separators", "split", "words again after the short separator moved away"} {
+	for _, what := range []string{"codec", "codec refusing another width", "split"} {
 		if reached[what] == 0 {
 			t.Errorf("the walk never reached: %s", what)
 		}

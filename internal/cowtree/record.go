@@ -14,36 +14,32 @@ const RecordOverhead = 14
 
 // Record is the one leaf entry of both trees, and the Bε-tree's buffered
 // message: key, optional value bytes (content mode), accounted value
-// length, sequence and tombstone flag. A kv.KeySize key — every key the
-// workloads generate — is held only as its two big-endian words (hi,
-// lo): a binary-search probe compares them without leaving the record,
-// and an accounting-mode record owns no bytes at all. A key of any
-// other width (klen bytes), and content-mode value bytes, live out of
-// line in ext. The record stays 40 bytes: the arrays the trees keep
-// allocating for leaves and buffers are what a larger one would cost.
-// (Keys are at most 65,535 bytes, the limit of every image and journal
-// codec.)
+// length, sequence and tombstone flag. The key — a kv.KeySize key, the
+// only width the engines take — is held only as its two big-endian
+// words (hi, lo): a binary-search probe compares them without leaving
+// the record, and an accounting-mode record owns no bytes at all.
+// Content-mode value bytes live out of line in ext. The record stays 40
+// bytes: the arrays the trees keep allocating for leaves and buffers
+// are what a larger one would cost.
 type Record struct {
 	hi, lo uint64
 	seq    uint64
 	ext    *recordBytes
 	vlen   int32
-	klen   uint16
 	del    bool
 }
 
 // recordBytes is a record's out-of-line storage, one arena allocation:
-// the key bytes when the key is not kv.KeySize long, then the value
-// bytes in content mode. A stored record owns its recordBytes alone, so
-// a record that replaces it may reuse it.
+// its value bytes in content mode. A stored record owns its
+// recordBytes alone, so a record that replaces it may reuse it.
 type recordBytes struct{ b []byte }
 
-// MakeRecord builds an unowned record for key: its words when it is a
-// kv.KeySize key, no bytes. The key's bytes travel beside it until
+// MakeRecord builds an unowned record for key, a kv.KeySize key: its
+// words, no bytes. The value's bytes travel beside it until
 // RecordArena.Own copies what must be kept.
 func MakeRecord(key []byte, seq uint64, vlen int, del bool) Record {
-	hi, lo, _ := kv.DecomposeKey(key)
-	return Record{hi: hi, lo: lo, seq: seq, vlen: int32(vlen), klen: uint16(len(key)), del: del}
+	hi, lo := kv.DecomposeKey(key)
+	return Record{hi: hi, lo: lo, seq: seq, vlen: int32(vlen), del: del}
 }
 
 // Seq returns the record's sequence number.
@@ -57,111 +53,57 @@ func (r *Record) Vlen() int { return int(r.vlen) }
 
 // Size returns the record's serialized footprint.
 func (r *Record) Size() int {
-	return RecordOverhead + int(r.klen) + int(r.vlen)
+	return RecordOverhead + kv.KeySize + int(r.vlen)
 }
 
-// inline reports whether the key is held in the words.
-func (r *Record) inline() bool { return r.klen == kv.KeySize }
-
-// outKey returns how many key bytes the record keeps out of line.
-func (r *Record) outKey() int {
-	if r.inline() {
-		return 0
-	}
-	return int(r.klen)
-}
-
-// Key returns the key: buf filled from the words when the key is
-// inline, the out-of-line bytes otherwise.
+// Key returns the key, encoded from the words into buf.
 func (r *Record) Key(buf *[kv.KeySize]byte) []byte {
-	if r.inline() {
-		binary.BigEndian.PutUint64(buf[:8], r.hi)
-		binary.BigEndian.PutUint64(buf[8:], r.lo)
-		return buf[:]
-	}
-	return r.wideKey()
-}
-
-// wideKey returns the out-of-line bytes of a key that is not inline.
-func (r *Record) wideKey() []byte {
-	if r.ext == nil {
-		return nil // the empty key, no value
-	}
-	return r.ext.b[:r.klen]
+	binary.BigEndian.PutUint64(buf[:8], r.hi)
+	binary.BigEndian.PutUint64(buf[8:], r.lo)
+	return buf[:]
 }
 
 // Val returns an owned record's value bytes, or nil when it carries
 // none (accounting mode, tombstones).
 func (r *Record) Val() []byte {
-	if r.ext == nil || len(r.ext.b) == r.outKey() {
+	if r.ext == nil {
 		return nil
 	}
-	return r.ext.b[r.outKey():]
+	return r.ext.b
 }
 
-// Target returns the key as a search target, its bytes in buf when the
-// key is inline.
+// Target returns the key as a search target, its bytes in buf.
 func (r *Record) Target(buf *[kv.KeySize]byte) kv.Target {
-	return kv.Target{Key: r.Key(buf), Hi: r.hi, Lo: r.lo, Fast: r.inline()}
+	return kv.Target{Key: r.Key(buf), Hi: r.hi, Lo: r.lo}
 }
 
 // Is reports whether the record's key is t's.
-func (r *Record) Is(t *kv.Target) bool {
-	if r.inline() != t.Fast {
-		return false
-	}
-	if t.Fast {
-		return r.hi == t.Hi && r.lo == t.Lo
-	}
-	return bytes.Equal(r.wideKey(), t.Key)
-}
+func (r *Record) Is(t *kv.Target) bool { return r.hi == t.Hi && r.lo == t.Lo }
 
-// CompareKey orders the record's key against k like bytes.Compare, on
-// the words when both are kv.KeySize keys.
-func (r *Record) CompareKey(k []byte) int {
-	if r.inline() && len(k) == kv.KeySize {
-		return -kv.CompareKeyWords(k, r.hi, r.lo)
-	}
-	var buf [kv.KeySize]byte
-	return bytes.Compare(r.Key(&buf), k)
-}
-
-// CompareRecords orders two records by key like bytes.Compare, on the
-// words when both keys are inline.
+// CompareRecords orders two records by key like bytes.Compare.
 func CompareRecords(a, b *Record) int {
-	if a.inline() && b.inline() {
-		switch {
-		case a.hi != b.hi:
-			if a.hi < b.hi {
-				return -1
-			}
-			return 1
-		case a.lo < b.lo:
+	switch {
+	case a.hi != b.hi:
+		if a.hi < b.hi {
 			return -1
-		case a.lo > b.lo:
-			return 1
 		}
-		return 0
+		return 1
+	case a.lo < b.lo:
+		return -1
+	case a.lo > b.lo:
+		return 1
 	}
-	var buf [kv.KeySize]byte
-	return a.CompareKey(b.Key(&buf))
+	return 0
 }
 
 // SearchRecords returns the index of the first record in rs with
-// key >= t. Inline keys are compared on their words, so a probe touches
+// key >= t. Keys are compared on their words, so a probe touches
 // nothing beyond the record it reads.
 func SearchRecords(rs []Record, t kv.Target) int {
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		r := &rs[mid]
-		var less bool
-		if t.Fast && r.klen == kv.KeySize {
-			less = r.hi < t.Hi || (r.hi == t.Hi && r.lo < t.Lo)
-		} else {
-			less = r.CompareKey(t.Key) < 0
-		}
-		if less {
+		if r := &rs[mid]; r.hi < t.Hi || (r.hi == t.Hi && r.lo < t.Lo) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -182,8 +124,8 @@ func FindRecord(rs []Record, t kv.Target) *Record {
 // InsertRecord upserts r into rs (sorted by key), returning the array
 // and the serialized size delta: the one upsert of both trees' leaves
 // and the Bε-tree's buffers. t is r's key as a search target. With a
-// non-nil ra r is unowned — t.Key and val are the caller's reused
-// buffers beside it — and ra.Own copies only what must be kept; with a
+// non-nil ra r is unowned — val is the caller's reused buffer beside
+// it — and ra.Own copies only what must be kept; with a
 // nil ra r already owns its bytes (a message moving down). A record
 // for the same key is overwritten when r is at least as new; an older r
 // (only recovery replay can bring one) is dropped. Array growth recycles
@@ -200,7 +142,7 @@ func InsertRecord(pool *arena.Pool[Record], ra *RecordArena, rs []Record, r Reco
 		delta -= resident.Size()
 	}
 	if ra != nil {
-		ra.Own(&r, t.Key, val, resident)
+		ra.Own(&r, val, resident)
 	}
 	if resident != nil {
 		*resident = r
@@ -209,12 +151,11 @@ func InsertRecord(pool *arena.Pool[Record], ra *RecordArena, rs []Record, r Reco
 	return pool.GrowInsert(rs, i, r), delta
 }
 
-// RecordArena backs what stored records keep: the byte arena (which the
-// trees also draw separator copies from) and the arena of recordBytes
-// headers that point into it. Retained bytes are immortal — the engines
-// never free a key, ids and nodes are never reused — so the byte arena
-// turns the dominant steady-state allocation, one heap object per fresh
-// key, into one chunk per recordChunkBytes.
+// RecordArena backs what stored records keep: the byte arena and the
+// arena of recordBytes headers that point into it. Retained bytes are
+// immortal — ids and nodes are never reused — so the byte arena turns
+// what would be one heap object per stored value into one chunk per
+// recordChunkBytes.
 type RecordArena struct {
 	arena.Arena[byte]
 	exts arena.Arena[recordBytes]
@@ -225,34 +166,25 @@ type RecordArena struct {
 // that a mostly-idle tree does not strand much memory.
 const recordChunkBytes = 64 << 10
 
-// Own gives an unowned record — the Put boundary's, whose key and value
-// bytes travel beside it as key and val in the caller's reused buffers —
-// what it must keep. An inline key with no value keeps nothing: an
-// accounting-mode put of a kv.KeySize key takes nothing from the arena.
-// Otherwise the out-of-line key and the value are copied into one arena
-// allocation behind a recordBytes. resident is the stored record r
-// overwrites, or nil; r takes over its recordBytes, and with no value to
-// keep, its key bytes too, so such an overwrite allocates nothing.
-func (a *RecordArena) Own(r *Record, key, val []byte, resident *Record) {
-	out := r.outKey()
-	if out+len(val) == 0 {
+// Own gives an unowned record — the Put boundary's, whose value bytes
+// travel beside it as val in the caller's reused buffer — what it must
+// keep. A record with no value keeps nothing: an accounting-mode put
+// takes nothing from the arena. Otherwise the value is copied into an
+// arena allocation behind a recordBytes. resident is the stored record
+// r overwrites, or nil; r takes over its recordBytes.
+func (a *RecordArena) Own(r *Record, val []byte, resident *Record) {
+	if len(val) == 0 {
 		return
 	}
 	var e *recordBytes
 	if resident != nil {
 		e = resident.ext
 	}
-	if e != nil && len(val) == 0 {
-		e.b = e.b[:out:out]
-		r.ext = e
-		return
-	}
 	if e == nil {
 		e = a.exts.New()
 	}
-	e.b = a.Alloc(out + len(val))
-	copy(e.b, key[:out])
-	copy(e.b[out:], val)
+	e.b = a.Alloc(len(val))
+	copy(e.b, val)
 	r.ext = e
 }
 
@@ -274,7 +206,7 @@ func AppendZeros(out []byte, n int) []byte {
 // 63) + key + value (zeros in accounting mode).
 func AppendRecord(out []byte, r *Record) []byte {
 	var hdr [RecordOverhead]byte
-	binary.LittleEndian.PutUint16(hdr[0:], r.klen)
+	binary.LittleEndian.PutUint16(hdr[0:], kv.KeySize)
 	vl := int(r.vlen)
 	binary.LittleEndian.PutUint32(hdr[2:], uint32(vl))
 	seq := r.seq
@@ -294,9 +226,9 @@ func AppendRecord(out []byte, r *Record) []byte {
 }
 
 // ParseRecord decodes one owned record, returning it and the bytes
-// consumed (0 on corruption). Its out-of-line key and value bytes, if it
-// has any, are copied into one allocation behind a recordBytes of its
-// own.
+// consumed (0 on corruption, a key of another width than kv.KeySize
+// included). Its value bytes, if it has any, are copied into one
+// allocation behind a recordBytes of its own.
 func ParseRecord(data []byte) (Record, int) {
 	if len(data) < RecordOverhead {
 		return Record{}, 0
@@ -304,13 +236,13 @@ func ParseRecord(data []byte) (Record, int) {
 	kl := int(binary.LittleEndian.Uint16(data[0:]))
 	vl := int(binary.LittleEndian.Uint32(data[2:]))
 	seq := binary.LittleEndian.Uint64(data[6:])
-	if RecordOverhead+kl+vl > len(data) {
+	end := RecordOverhead + kv.KeySize + vl
+	if kl != kv.KeySize || end > len(data) {
 		return Record{}, 0
 	}
-	end := RecordOverhead + kl + vl
-	r := MakeRecord(data[RecordOverhead:RecordOverhead+kl], seq&^(1<<63), vl, seq&(1<<63) != 0)
-	if start := RecordOverhead + kl - r.outKey(); start < end {
-		r.ext = &recordBytes{b: bytes.Clone(data[start:end])}
+	r := MakeRecord(data[RecordOverhead:RecordOverhead+kv.KeySize], seq&^(1<<63), vl, seq&(1<<63) != 0)
+	if vl > 0 {
+		r.ext = &recordBytes{b: bytes.Clone(data[end-vl : end])}
 	}
 	return r, end
 }

@@ -2,6 +2,7 @@ package cowtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"unsafe"
 
@@ -20,13 +21,12 @@ func TestRecordSize(t *testing.T) {
 	}
 }
 
-// TestRecordOwn pins what RecordArena.Own keeps. A kv.KeySize key with
-// no value keeps no out-of-line header at all — fresh, or over a
-// resident that carried a value — and takes nothing from the arena or
-// the header arena. Any other key, and every value, is copied into the
-// arena, never aliasing the caller's buffers; a record that overwrites
-// a resident takes over its header, and its key bytes too when it has
-// no value.
+// TestRecordOwn pins what RecordArena.Own keeps. A record with no value
+// keeps no out-of-line header at all — fresh, or over a resident that
+// carried a value — and takes nothing from the arena or the header
+// arena. Every value is copied into the arena, never aliasing the
+// caller's buffer; a value over a value-bearing resident takes over its
+// header.
 func TestRecordOwn(t *testing.T) {
 	var a RecordArena
 	untouched := func(what string, f func()) {
@@ -38,19 +38,19 @@ func TestRecordOwn(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, kv.KeySize)
 
 	r := MakeRecord(key, 1, 4000, false)
-	untouched("a fresh accounting-mode record", func() { a.Own(&r, key, nil, nil) })
+	untouched("a fresh accounting-mode record", func() { a.Own(&r, nil, nil) })
 	if r.ext != nil {
-		t.Fatalf("a fresh accounting-mode record of a %d-byte key keeps a header", kv.KeySize)
+		t.Fatal("a fresh accounting-mode record keeps a header")
 	}
 	tomb := MakeRecord(key, 2, 0, true)
-	untouched("a fresh tombstone", func() { a.Own(&tomb, key, nil, nil) })
+	untouched("a fresh tombstone", func() { a.Own(&tomb, nil, nil) })
 	if tomb.ext != nil {
 		t.Fatal("a fresh tombstone keeps a header")
 	}
 
 	withVal := MakeRecord(key, 3, 5, false)
 	val := []byte("value")
-	a.Own(&withVal, key, val, nil)
+	a.Own(&withVal, val, nil)
 	if withVal.ext == nil || string(withVal.Val()) != "value" {
 		t.Fatalf("a value-bearing record kept %v", withVal.ext)
 	}
@@ -58,30 +58,45 @@ func TestRecordOwn(t *testing.T) {
 	if string(withVal.Val()) != "value" {
 		t.Fatal("the stored value aliases the caller's buffer")
 	}
+	var kb [kv.KeySize]byte
+	if !bytes.Equal(withVal.Key(&kb), key) {
+		t.Fatalf("key %x, want %x", withVal.Key(&kb), key)
+	}
 	for _, over := range []Record{MakeRecord(key, 4, 0, true), MakeRecord(key, 4, 4000, false)} {
 		resident := withVal
-		a.Own(&over, key, nil, &resident)
+		untouched("a record without a value over a value-bearing resident", func() { a.Own(&over, nil, &resident) })
 		if over.ext != nil {
 			t.Fatalf("a record without a value over a value-bearing resident keeps a header: %+v", over)
 		}
 	}
 	newer, resident := MakeRecord(key, 5, 6, false), withVal
-	if _, h := taken(&a, func() { a.Own(&newer, key, []byte("value2"), &resident) }); h != 0 || newer.ext != withVal.ext || string(newer.Val()) != "value2" {
+	if _, h := taken(&a, func() { a.Own(&newer, []byte("value2"), &resident) }); h != 0 || newer.ext != withVal.ext || string(newer.Val()) != "value2" {
 		t.Fatalf("a value over a value-bearing resident took %d new headers (value %q)", h, newer.Val())
 	}
+}
 
-	for _, width := range []int{0, 8, 24} {
-		wide := bytes.Repeat([]byte{9}, width)
-		r := MakeRecord(wide, 1, 4000, false)
-		a.Own(&r, wide, nil, nil)
-		var kb [kv.KeySize]byte
-		if got := r.Key(&kb); !bytes.Equal(got, wide) || width > 0 && (r.ext == nil || &got[0] == &wide[0]) || r.Val() != nil {
-			t.Fatalf("a %d-byte key was not copied: %+v", width, r)
+// TestParseRecordRefusesOtherWidths feeds ParseRecord an entry of every
+// key width from 0 to 24 bytes: only a kv.KeySize key parses, into the
+// record AppendRecord wrote; every other width is corruption.
+func TestParseRecordRefusesOtherWidths(t *testing.T) {
+	for width := 0; width <= 24; width++ {
+		img := binary.LittleEndian.AppendUint16(nil, uint16(width))
+		img = binary.LittleEndian.AppendUint32(img, 3)
+		img = binary.LittleEndian.AppendUint64(img, 9|1<<63)
+		img = append(img, bytes.Repeat([]byte{0xAB}, width)...)
+		img = append(img, "val"...)
+		r, used := ParseRecord(img)
+		if width != kv.KeySize {
+			if used != 0 {
+				t.Fatalf("a %d-byte key parsed (%d bytes used)", width, used)
+			}
+			continue
 		}
-		over := MakeRecord(wide, 2, 0, true)
-		a.Own(&over, wide, nil, &r)
-		if over.ext != r.ext || !bytes.Equal(over.Key(&kb), wide) {
-			t.Fatalf("a %d-byte tombstone did not take over the resident header", width)
+		if used != len(img) || r.Seq() != 9 || !r.Del() || string(r.Val()) != "val" {
+			t.Fatalf("the %d-byte key parsed as %+v (%d of %d bytes)", width, r, used, len(img))
+		}
+		if again := AppendRecord(nil, &r); !bytes.Equal(again, img) {
+			t.Fatalf("re-encoded %x, want %x", again, img)
 		}
 	}
 }

@@ -311,17 +311,15 @@ func (c *Core) NoteSeq(seq uint64) {
 
 // ---- the operation bracket ----
 
-// BeginWrite opens a Put or Delete: it refuses a closed or failed tree,
-// takes the value length from value when there is one, drives the
-// checkpoint worker up to now, charges the write's CPU cost and issues
-// the next sequence number. It returns the advanced clock, the write's
-// sequence number and its value length.
-func (c *Core) BeginWrite(now sim.Duration, value []byte, valueLen int) (sim.Duration, uint64, int, error) {
-	if c.closed {
-		return now, 0, 0, ErrClosed
-	}
-	if c.fatal != nil {
-		return now, 0, 0, c.fatal
+// BeginWrite opens a Put or Delete of key: it refuses a closed or
+// failed tree and a key that is not kv.KeySize bytes, takes the value
+// length from value when there is one, drives the checkpoint worker up
+// to now, charges the write's CPU cost and issues the next sequence
+// number. It returns the advanced clock, the write's sequence number
+// and its value length.
+func (c *Core) BeginWrite(now sim.Duration, key, value []byte, valueLen int) (sim.Duration, uint64, int, error) {
+	if err := c.begin(key); err != nil {
+		return now, 0, 0, err
 	}
 	if value != nil {
 		valueLen = len(value)
@@ -361,22 +359,32 @@ func (c *Core) EndWrite(now sim.Duration, keyLen, valueLen int) (sim.Duration, e
 	return now, nil
 }
 
-// BeginRead opens a Scan: it refuses a closed or failed tree, drives the
-// checkpoint worker up to now and charges the read's CPU cost.
-func (c *Core) BeginRead(now sim.Duration) (sim.Duration, error) {
+// begin refuses an operation on key when the tree is closed or failed
+// or key is not kv.KeySize bytes.
+func (c *Core) begin(key []byte) error {
 	if c.closed {
-		return now, ErrClosed
+		return ErrClosed
 	}
 	if c.fatal != nil {
-		return now, c.fatal
+		return c.fatal
+	}
+	return kv.CheckKey(key)
+}
+
+// BeginRead opens a Scan from start: it refuses a closed or failed tree
+// and a start that is not kv.KeySize bytes, drives the checkpoint
+// worker up to now and charges the read's CPU cost.
+func (c *Core) BeginRead(now sim.Duration, start []byte) (sim.Duration, error) {
+	if err := c.begin(start); err != nil {
+		return now, err
 	}
 	c.Pump(now)
 	return now + c.cfg.CPUGetTime, nil
 }
 
-// BeginGet opens a Get: BeginRead, counted.
-func (c *Core) BeginGet(now sim.Duration) (sim.Duration, error) {
-	now, err := c.BeginRead(now)
+// BeginGet opens a Get of key: BeginRead, counted.
+func (c *Core) BeginGet(now sim.Duration, key []byte) (sim.Duration, error) {
+	now, err := c.BeginRead(now, key)
 	if err == nil {
 		c.stats.Gets++
 	}

@@ -8,6 +8,7 @@ import (
 	"ptsbench/internal/blockdev"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 	"ptsbench/internal/wal"
 )
@@ -172,7 +173,10 @@ func (t *stubTree) MaterializeNode(data []byte) (*Node, []Extent, error) {
 }
 
 func (t *stubTree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, error) {
-	key := binary.BigEndian.Uint64(r.Key)
+	key, err := kv.DecodeKey(r.Key)
+	if err != nil {
+		return now, err
+	}
 	leaf := t.descend(key)
 	i := leafSearch(leaf, key)
 	if i < len(leaf.keys) && leaf.keys[i] == key && leaf.seqs[i] >= r.Seq {
@@ -246,8 +250,8 @@ func (t *stubTree) put(now sim.Duration, key uint64, val []byte) (sim.Duration, 
 	}
 	t.insertLeaf(leaf, key, val, t.seq)
 	if w := t.journal; w != nil {
-		var kb [8]byte
-		binary.BigEndian.PutUint64(kb[:], key)
+		var kb [kv.KeySize]byte
+		kv.AppendKey(kb[:], key)
 		rec := wal.Record{Seq: t.seq, Key: kb[:], Value: val, ValueLen: len(val)}
 		now, err = w.Append(now, &rec, true)
 		if err != nil {

@@ -8,15 +8,31 @@ package kv
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ptsbench/internal/sim"
 )
 
-// KeySize is the fixed key size used by the paper's workload (16-byte
-// keys, §3.2). Engines accept arbitrary keys; the workload generator
-// produces keys of this size.
+// KeySize is the one key width, the paper's workload's (16-byte keys,
+// §3.2): every key the workloads, verifiers and serving layer build is
+// one, and the engines refuse any other (ErrKeySize).
 const KeySize = 16
+
+// ErrKeySize is wrapped by the error an engine returns for a key that
+// is not KeySize bytes.
+var ErrKeySize = errors.New("kv: key is not KeySize bytes")
+
+// CheckKey returns an error wrapping ErrKeySize unless k is KeySize
+// bytes: the engines' boundary check.
+func CheckKey(k []byte) error {
+	if len(k) != KeySize {
+		return keySizeError(len(k))
+	}
+	return nil
+}
+
+func keySizeError(n int) error { return fmt.Errorf("%w: %d bytes", ErrKeySize, n) }
 
 // EncodeKey produces the canonical 16-byte big-endian key for a numeric
 // key id. Big-endian preserves numeric order under bytes.Compare.
@@ -100,15 +116,16 @@ func CompareKeys(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// DecomposeKey splits a fixed-size key into two big-endian words whose
+// DecomposeKey splits a KeySize key into two big-endian words whose
 // pairwise comparison reproduces bytes.Compare. Search loops call this
-// once per lookup and then compare raw words per probe. ok is false for
-// keys of any other length (callers fall back to CompareKeys).
-func DecomposeKey(k []byte) (hi, lo uint64, ok bool) {
+// once per lookup and then compare raw words per probe. A key of any
+// other length, which the engines refuse before they search, gives
+// zero words.
+func DecomposeKey(k []byte) (hi, lo uint64) {
 	if len(k) != KeySize {
-		return 0, 0, false
+		return 0, 0
 	}
-	return binary.BigEndian.Uint64(k), binary.BigEndian.Uint64(k[8:]), true
+	return binary.BigEndian.Uint64(k), binary.BigEndian.Uint64(k[8:])
 }
 
 // CompareKeyWords compares key k — which must be exactly KeySize bytes
@@ -219,16 +236,15 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 }
 
 // Target is a search key decoded once for a whole descent: its bytes
-// and, when it is KeySize bytes, the two words (DecomposeKey) every
-// level's binary search compares instead of re-decoding the key.
+// and the two words (DecomposeKey) every level's binary search compares
+// instead of re-decoding the key.
 type Target struct {
 	Key    []byte
 	Hi, Lo uint64
-	Fast   bool // Key is KeySize bytes; Hi and Lo are its words
 }
 
-// NewTarget decodes k for a descent.
+// NewTarget decodes k, a KeySize key, for a descent.
 func NewTarget(k []byte) Target {
-	hi, lo, ok := DecomposeKey(k)
-	return Target{Key: k, Hi: hi, Lo: lo, Fast: ok}
+	hi, lo := DecomposeKey(k)
+	return Target{Key: k, Hi: hi, Lo: lo}
 }

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -109,5 +110,18 @@ func TestEngineStatsSub(t *testing.T) {
 	d := a.Sub(b)
 	if d.Puts != 6 || d.Gets != 3 || d.UserBytesWritten != 700 {
 		t.Fatalf("Sub wrong: %+v", d)
+	}
+}
+
+// TestCheckKey: only a KeySize key passes; every other width, the empty
+// and nil keys included, gets an error wrapping ErrKeySize.
+func TestCheckKey(t *testing.T) {
+	if err := CheckKey(EncodeKey(7)); err != nil {
+		t.Fatalf("a %d-byte key: %v", KeySize, err)
+	}
+	for _, k := range [][]byte{nil, {}, make([]byte, 8), make([]byte, KeySize-1), make([]byte, KeySize+1), make([]byte, 24)} {
+		if err := CheckKey(k); !errors.Is(err, ErrKeySize) {
+			t.Fatalf("a %d-byte key: %v, want an error wrapping ErrKeySize", len(k), err)
+		}
 	}
 }

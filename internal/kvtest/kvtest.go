@@ -2,9 +2,10 @@
 // correctness tests that every storage engine (LSM, B+Tree, Bε-tree)
 // must pass identically. Each engine's test package supplies a Factory
 // that opens a fresh engine on its own simulated stack; Run then drives
-// put/get/overwrite/delete semantics, scan ordering, deterministic
-// value verification (kv.SynthValue), recovery after a checkpoint, and
-// deterministic replay through the kv.Engine surface.
+// put/get/overwrite/delete semantics, the refusal of keys of another
+// width than kv.KeySize, scan ordering, deterministic value verification
+// (kv.SynthValue), recovery after a checkpoint, and deterministic replay
+// through the kv.Engine surface.
 //
 // Keeping the suite here — instead of copy-pasting the same tests into
 // each engine package — pins the ENGINE CONTRACT, so a new tree
@@ -13,6 +14,7 @@ package kvtest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -64,6 +66,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("PutGetBasic", func(t *testing.T) { testPutGetBasic(t, open) })
 	t.Run("OverwriteLatestWins", func(t *testing.T) { testOverwrite(t, open) })
 	t.Run("DeleteHidesKey", func(t *testing.T) { testDelete(t, open) })
+	t.Run("OtherKeyWidthsRefused", func(t *testing.T) { testKeyWidths(t, open) })
 	t.Run("ScanOrdering", func(t *testing.T) { testScanOrdering(t, open) })
 	t.Run("SynthValues", func(t *testing.T) { testSynthValues(t, open) })
 	t.Run("ReferenceMap", func(t *testing.T) { testReferenceMap(t, open) })
@@ -91,6 +94,54 @@ func testPutGetBasic(t *testing.T, open Factory) {
 	st := e.Stats()
 	if st.Puts != 1 || st.Gets != 2 || st.UserBytesWritten != int64(kv.KeySize+5) {
 		t.Fatalf("stats wrong: %+v", st)
+	}
+}
+
+// testKeyWidths: Put, Get, Delete and Scan refuse a key of 0, 8 or 24
+// bytes with an error wrapping kv.ErrKeySize, and leave the engine as it
+// was: its Stats unchanged, a 16-byte Put and Get working afterwards,
+// and what was stored before still there. That is the engines'
+// contract; a store serving them (store.Sync) latches the refusal as a
+// shard failure, so the case skips it.
+func testKeyWidths(t *testing.T, open Factory) {
+	s := open(t, true)
+	e := s.Engine
+	if _, served := e.(*store.Sync); served {
+		t.Skip("a store latches an engine's refusal as a shard failure")
+	}
+	now, err := e.Put(0, kv.EncodeKey(1), []byte("before"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	for _, w := range []int{0, 8, 24} {
+		key := bytes.Repeat([]byte{7}, w)
+		refused := func(op string, err error) {
+			t.Helper()
+			if !errors.Is(err, kv.ErrKeySize) {
+				t.Fatalf("%s of a %d-byte key: %v, want an error wrapping kv.ErrKeySize", op, w, err)
+			}
+		}
+		_, err := e.Put(now, key, []byte("v"), 0)
+		refused("Put", err)
+		_, _, _, err = e.Get(now, key)
+		refused("Get", err)
+		_, err = e.Delete(now, key)
+		refused("Delete", err)
+		_, _, err = e.Scan(now, key, 10)
+		refused("Scan", err)
+	}
+	if st := e.Stats(); st != before {
+		t.Fatalf("refused operations moved the stats: %+v, before %+v", st, before)
+	}
+	if now, err = e.Put(now, kv.EncodeKey(2), []byte("after"), 0); err != nil {
+		t.Fatalf("a 16-byte Put after the refusals: %v", err)
+	}
+	for id, want := range map[uint64]string{1: "before", 2: "after"} {
+		_, v, found, err := e.Get(now, kv.EncodeKey(id))
+		if err != nil || !found || string(v) != want {
+			t.Fatalf("Get(%d) after the refusals: %q %v %v, want %q", id, v, found, err, want)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 	"ptsbench/internal/sstable"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_compactions*.txt fixtures")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_compactions_key16.txt")
 
 // shadowDev keeps a copy of every page written through it, so a test can
 // hash a table's file image without a device read (a read would move the
@@ -88,18 +88,6 @@ func mergeEnv(tb testing.TB, content bool) (*DB, *shadowDev) {
 		tb.Fatal(err)
 	}
 	return db, dev
-}
-
-// logKey is the key of id in the compaction op log: 16-, 8- or 24-byte
-// by id mod 3, so every version of an id has the same key.
-func logKey(id uint64) []byte {
-	switch id % 3 {
-	case 1:
-		return mixedKey8(id)
-	case 2:
-		return mixedKey24(id)
-	}
-	return kv.EncodeKey(id)
 }
 
 // tableDigest hashes what a compaction produced for one table. Content
@@ -261,12 +249,6 @@ func runCompactionLog(t *testing.T, content bool, key func(uint64) []byte) ([]st
 //	go test ./internal/lsm -run TestGoldenCompactions -update-golden
 func TestGoldenCompactions(t *testing.T) {
 	checkGoldenCompactions(t, kv.EncodeKey, "golden_compactions_key16.txt")
-}
-
-// TestGoldenCompactionsMixedWidths is TestGoldenCompactions over the
-// same op log with 8-, 16- and 24-byte keys (logKey).
-func TestGoldenCompactionsMixedWidths(t *testing.T) {
-	checkGoldenCompactions(t, logKey, "golden_compactions.txt")
 }
 
 // checkGoldenCompactions runs the op log with key in both modes, checks
@@ -470,10 +452,10 @@ func (f *fuzzBytes) next() int {
 
 // FuzzCompactionMerge holds the compaction merge to the per-entry
 // reference over fuzz-chosen shapes: 1-5 fromLevel tables (overlapping,
-// like L0's), a toLevel run of 0-6 non-overlapping tables, 8-, 16- and
-// 24-byte keys from a small id space (so keys repeat across runs),
-// tombstones, either mode, with or without the tombstone drop, and
-// output files and blocks small enough to roll mid-merge. The outputs
+// like L0's), a toLevel run of 0-6 non-overlapping tables, keys from a
+// small id space (so keys repeat across runs), tombstones, either mode,
+// with or without the tombstone drop, and output files and blocks small
+// enough to roll mid-merge. The outputs
 // must agree entry for entry, in their file-roll points and, in content
 // mode, byte for byte.
 func FuzzCompactionMerge(f *testing.F) {
@@ -512,7 +494,7 @@ func FuzzCompactionMerge(f *testing.F) {
 			for _, id := range ids {
 				if !seen[id] {
 					seen[id] = true
-					keys = append(keys, logKey(id))
+					keys = append(keys, kv.EncodeKey(id))
 				}
 			}
 			sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })

@@ -257,12 +257,17 @@ func (d *DB) Delete(now sim.Duration, key []byte) (sim.Duration, error) {
 	return d.write(now, key, nil, 0, true)
 }
 
+// write is Put and Delete. Like Get and Scan, it refuses a key that is
+// not kv.KeySize bytes with an error wrapping kv.ErrKeySize.
 func (d *DB) write(now sim.Duration, key, value []byte, valueLen int, del bool) (sim.Duration, error) {
 	if d.closed {
 		return now, ErrClosed
 	}
 	if d.fatal != nil {
 		return now, d.fatal
+	}
+	if err := kv.CheckKey(key); err != nil {
+		return now, err
 	}
 	if value != nil {
 		valueLen = len(value)
@@ -386,6 +391,9 @@ func (d *DB) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, erro
 	if d.fatal != nil {
 		return now, nil, false, d.fatal
 	}
+	if err := kv.CheckKey(key); err != nil {
+		return now, nil, false, err
+	}
 	d.pump(now)
 	now += d.cfg.CPUGetTime
 	d.stats.Gets++
@@ -486,6 +494,9 @@ func (d *DB) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv
 	}
 	if d.fatal != nil {
 		return now, nil, d.fatal
+	}
+	if err := kv.CheckKey(start); err != nil {
+		return now, nil, err
 	}
 	d.pump(now)
 	now += d.cfg.CPUGetTime

@@ -78,10 +78,10 @@ func TestHeldValuesOutliveTheirSources(t *testing.T) {
 
 // TestRecycledTablesMatchFresh drives two DBs through one op log of
 // puts, overwrites and deletes over 16-byte keys, in accounting and
-// content mode. One recycles as it always does. The
-// other, the fresh DB, has every recycler emptied (memtable chunks and
-// structs, side-index arrays, Builder and Table structs, jobs and
-// immutables) after each op and whenever one of its workers asks for
+// content mode. One recycles as it always does. The other, the fresh
+// DB, has every recycler emptied (memtable chunks and structs,
+// side-index arrays, Builder and Table structs, jobs and immutables)
+// after each op and whenever one of its workers asks for
 // work, which is after every job it finishes: its tables are built
 // into fresh structs and arrays (a Builder is still reused within one
 // job, from one output file to the next). Every 64 ops each level must
@@ -92,12 +92,6 @@ func TestHeldValuesOutliveTheirSources(t *testing.T) {
 // fresh DB must never have.
 func TestRecycledTablesMatchFresh(t *testing.T) {
 	checkRecycledTablesMatchFresh(t, kv.EncodeKey)
-}
-
-// TestRecycledTablesMatchFreshMixedWidths is TestRecycledTablesMatchFresh
-// over the same op log with 8-, 16- and 24-byte keys (logKey).
-func TestRecycledTablesMatchFreshMixedWidths(t *testing.T) {
-	checkRecycledTablesMatchFresh(t, logKey)
 }
 
 // checkRecycledTablesMatchFresh runs TestRecycledTablesMatchFresh's op

@@ -14,18 +14,17 @@ import (
 // and releases to, so the fuzzer also runs on recycled chunks.
 var fuzzChunks Chunks
 
-// fuzzKey is id's key at width w (8, 16 or 24 bytes). The first word is
-// the id, so keys sort by id whatever their widths, and the same id at a
-// narrower width is a prefix of it at a wider one.
-func fuzzKey(id uint64, w int) []byte {
-	k := binary.BigEndian.AppendUint64(make([]byte, 0, 24), id)
-	if w > 8 {
-		k = binary.BigEndian.AppendUint64(k, ^id)
+// fuzzKey is id's key: the id in the first word and its complement in
+// the second, or with shared set, id/8 in the first word and the id in
+// the second, so runs of eight neighbours differ only in the second
+// word. Either way keys sort by id.
+func fuzzKey(id uint64, shared bool) []byte {
+	hi, lo := id, ^id
+	if shared {
+		hi, lo = id/8, id
 	}
-	if w > 16 {
-		k = binary.BigEndian.AppendUint64(k, id*0x9E3779B97F4A7C15)
-	}
-	return k
+	k := binary.BigEndian.AppendUint64(make([]byte, 0, kv.KeySize), hi)
+	return binary.BigEndian.AppendUint64(k, lo)
 }
 
 // checkStructure walks every level of m's skiplist: each level must be
@@ -84,9 +83,9 @@ func sameEntry(got *kv.Entry, want kv.Entry) bool {
 // FuzzMemtable decodes a sequence of Puts, Gets and IteratorFrom walks
 // and checks it against a map. Puts come as ascending runs, descending
 // runs, single keys, tombstones and repeats of the last key (upserts);
-// keys are 16 bytes, or 8, 16 and 24 bytes chosen per operation, so the
-// same id can live at several widths; values are nil (accounting mode)
-// or real bytes. Every Get must match the map, every walk the sorted
+// the first byte's low bit picks whether neighbouring keys differ in the
+// first word or only in the second (fuzzKey); values are nil
+// (accounting mode) or real bytes. Every Get must match the map, every walk the sorted
 // map from its start key, and at the end the length, the size estimate,
 // the full iteration and the skiplist's structure (checkStructure).
 func FuzzMemtable(f *testing.F) {
@@ -107,7 +106,7 @@ func FuzzMemtable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		flags, rngSeed := in.next(), in.next()
-		mixed := flags&1 != 0
+		shared := flags&1 != 0
 		m := New(uint64(rngSeed), &fuzzChunks)
 		defer m.Release()
 		ref := map[string]kv.Entry{}
@@ -117,12 +116,6 @@ func FuzzMemtable(f *testing.F) {
 				n += int64(len(e.Key)) + int64(e.ValueLen) + 32
 			}
 			return n
-		}
-		width := func(b int) int {
-			if !mixed {
-				return kv.KeySize
-			}
-			return 8 * (1 + b%3)
 		}
 		id := func(b, op int) uint64 { return uint64(b)*8 + uint64(op/32) }
 		var seq uint64
@@ -156,27 +149,27 @@ func FuzzMemtable(f *testing.F) {
 					if op%8 == 2 {
 						k = start + uint64(n-1-i)*step
 					}
-					put(fuzzKey(k, width(op/32+i)), int(k)+i, false)
+					put(fuzzKey(k, shared), int(k)+i, false)
 				}
 			case 3: // one key
 				b := in.next()
-				put(fuzzKey(id(b, op), width(op/8)), b, false)
+				put(fuzzKey(id(b, op), shared), b, false)
 			case 4: // a tombstone
 				b := in.next()
-				put(fuzzKey(id(b, op), width(op/8)), b, true)
+				put(fuzzKey(id(b, op), shared), b, true)
 			case 5: // the last key again
 				if lastKey != nil {
 					put(lastKey, in.next(), op&8 != 0)
 				}
-			case 6: // a lookup, at any width
-				key := fuzzKey(id(in.next(), op), width(op/8))
+			case 6: // a lookup
+				key := fuzzKey(id(in.next(), op), shared)
 				got := m.Get(key)
 				want, ok := ref[string(key)]
 				if (got != nil) != ok || ok && !sameEntry(got, want) {
 					t.Fatalf("Get(%x) = %+v, want %+v (present %v)", key, got, want, ok)
 				}
 			case 7: // a walk of up to 16 entries from a start key
-				start := fuzzKey(id(in.next(), op), width(op/8))
+				start := fuzzKey(id(in.next(), op), shared)
 				var want []string
 				for k := range ref {
 					if kv.CompareKeys([]byte(k), start) >= 0 {

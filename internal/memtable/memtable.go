@@ -151,21 +151,12 @@ func (m *Memtable) randomHeight() int {
 // decomposed into comparison words once, so each probe along the walk is
 // two word compares instead of a generic byte comparison.
 func (m *Memtable) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
-	hi, lo, fast := kv.DecomposeKey(key)
+	hi, lo := kv.DecomposeKey(key)
 	x := m.head
 	for level := m.height - 1; level >= 0; level-- {
 		for {
 			next := x.tower[level]
-			if next == nil {
-				break
-			}
-			var c int
-			if nk := next.entry.Key; fast && len(nk) == kv.KeySize {
-				c = kv.CompareKeyWords(nk, hi, lo)
-			} else {
-				c = kv.CompareKeys(nk, key)
-			}
-			if c >= 0 {
+			if next == nil || kv.CompareKeyWords(next.entry.Key, hi, lo) >= 0 {
 				break
 			}
 			x = next
@@ -187,7 +178,8 @@ func (m *Memtable) follows(key []byte) bool {
 	return next == nil || kv.CompareKeys(key, next.entry.Key) < 0
 }
 
-// Put inserts or replaces the entry for key. valueLen is the accounted
+// Put inserts or replaces the entry for key, a kv.KeySize key (the DB
+// refuses any other before it gets here). valueLen is the accounted
 // payload size when value is nil.
 func (m *Memtable) Put(key, value []byte, valueLen int, seq uint64, deleted bool) {
 	if value != nil {

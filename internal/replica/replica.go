@@ -647,7 +647,7 @@ func (p *pager) peek(now sim.Duration) (*kv.Entry, bool, error) {
 		if len(ents) < reconcilePage {
 			p.done = true
 		} else {
-			p.next = nextKey(ents[len(ents)-1].Key)
+			p.next, p.done = nextKey(ents[len(ents)-1].Key)
 		}
 	}
 	return &p.buf[p.idx], true, nil
@@ -655,17 +655,18 @@ func (p *pager) peek(now sim.Duration) (*kv.Entry, bool, error) {
 
 func (p *pager) advance() { p.idx++ }
 
-// nextKey returns the smallest key strictly greater than k (big-endian
-// increment with carry; an all-0xFF key appends a zero byte).
-func nextKey(k []byte) []byte {
+// nextKey returns the smallest key of k's width strictly greater than
+// k (big-endian increment with carry); last reports that k is the
+// all-0xFF key, which has none.
+func nextKey(k []byte) (next []byte, last bool) {
 	n := append([]byte(nil), k...)
 	for i := len(n) - 1; i >= 0; i-- {
 		n[i]++
 		if n[i] != 0 {
-			return n
+			return n, false
 		}
 	}
-	return append(n, 0)
+	return nil, true
 }
 
 // reconcileOne merge-diffs the authority against one stale replica and

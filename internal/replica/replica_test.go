@@ -482,3 +482,62 @@ func TestKthMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestNextKey pins the reconcile pager's continuation key: the key one
+// above k, carrying into the first word, and no next key after the
+// all-0xFF key, which the pager takes as the end of the key space
+// instead of scanning from a key of another width.
+func TestNextKey(t *testing.T) {
+	lowFull := append([]byte{0, 0, 0, 0, 0, 0, 0, 4}, bytes.Repeat([]byte{0xFF}, 8)...)
+	for _, c := range []struct{ k, want []byte }{
+		{kv.EncodeKey(5), kv.EncodeKey(6)},
+		{kv.EncodeKey(255), kv.EncodeKey(256)},
+		{lowFull, append([]byte{0, 0, 0, 0, 0, 0, 0, 5}, make([]byte, 8)...)},
+	} {
+		if got, last := nextKey(c.k); last || !bytes.Equal(got, c.want) {
+			t.Fatalf("nextKey(%x) = %x, last %v; want %x", c.k, got, last, c.want)
+		}
+	}
+	if got, last := nextKey(bytes.Repeat([]byte{0xFF}, kv.KeySize)); !last || got != nil {
+		t.Fatalf("nextKey(all 0xFF) = %x, last %v; want none", got, last)
+	}
+
+	// A full page ending at the all-0xFF key: the pager returns every
+	// key and stops, scanning only from kv.KeySize keys.
+	stub := &widthStub{stubEngine: newStub(0)}
+	for i := 1; i < reconcilePage; i++ {
+		stub.m[string(kv.EncodeKey(uint64(i)))] = []byte{1}
+	}
+	stub.m[string(bytes.Repeat([]byte{0xFF}, kv.KeySize))] = []byte{2}
+	p := newPager(&rep{eng: stub}, make([]byte, kv.KeySize))
+	n := 0
+	for {
+		_, ok, err := p.peek(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		p.advance()
+		n++
+	}
+	if n != reconcilePage || stub.scans != 1 {
+		t.Fatalf("paged %d entries in %d scans, want %d in 1", n, stub.scans, reconcilePage)
+	}
+}
+
+// widthStub is a stubEngine whose Scan refuses a start of another width
+// than kv.KeySize, as the engines do, and counts its scans.
+type widthStub struct {
+	*stubEngine
+	scans int
+}
+
+func (s *widthStub) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []kv.Entry, error) {
+	if err := kv.CheckKey(start); err != nil {
+		return now, nil, err
+	}
+	s.scans++
+	return s.stubEngine.Scan(now, start, limit)
+}

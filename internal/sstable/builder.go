@@ -22,12 +22,11 @@ type Builder struct {
 	content     bool
 	spares      *Spares // where the side index's arrays come from
 
-	// Side index under construction, in the Table's columns: keyOffsets,
-	// vlens and dels stay nil while every entry so far can derive them
-	// (see Table), and each is materialized at the first entry that
-	// breaks its rule, its earlier entries filled in.
+	// Side index under construction, in the Table's columns: vlens and
+	// dels stay nil while every entry so far can derive them (see
+	// Table), and each is materialized at the first entry that breaks
+	// its rule, its earlier entries filled in.
 	keyArena   []byte
-	keyOffsets []uint32
 	seqs       []uint64
 	vlens      []uint32
 	dels       []byte
@@ -52,8 +51,8 @@ const DefaultBlockBytes = 32 << 10
 // selects whether real bytes are produced. entryHint is the expected
 // entry count (0 if unknown): the key arena and the seqs column of the
 // side index under construction are arrays from spares of the
-// power-of-two class with room for that many entries (16-byte keys
-// assumed — a high estimate just wastes some slack), so appending never
+// power-of-two class with room for that many entries (a high estimate
+// just wastes some slack), so appending never
 // regrows them, and a derived column that an entry materializes is
 // taken in the same class.
 // Flush and compaction jobs know their input entry counts, and their
@@ -91,9 +90,13 @@ func (b *Builder) NumEntries() int { return len(b.seqs) }
 // EstimatedBytes returns the approximate final logical size.
 func (b *Builder) EstimatedBytes() int64 { return b.dataBytes }
 
-// Add appends an entry. Entries must arrive in strictly increasing key
-// order (the builder enforces this).
+// Add appends an entry. Its key must be kv.KeySize bytes, and entries
+// must arrive in strictly increasing key order (the builder enforces
+// both).
 func (b *Builder) Add(e *kv.Entry) error {
+	if err := kv.CheckKey(e.Key); err != nil {
+		return err
+	}
 	if n := len(b.seqs); n > 0 && kv.CompareKeys(e.Key, b.key(n-1)) <= 0 {
 		return fmt.Errorf("sstable: keys out of order (%x after %x)", e.Key, b.key(n-1))
 	}
@@ -119,19 +122,13 @@ func (b *Builder) Add(e *kv.Entry) error {
 
 // key returns entry i's key.
 func (b *Builder) key(i int) []byte {
-	if b.keyOffsets == nil {
-		o := i * kv.KeySize
-		return b.keyArena[o : o+kv.KeySize]
-	}
-	return b.keyArena[b.keyOffsets[i]:b.keyOffsets[i+1]]
+	o := i * kv.KeySize
+	return b.keyArena[o : o+kv.KeySize]
 }
 
 // addIndex appends one entry to the side index's columns, materializing
 // a derived column first when the entry breaks its rule.
 func (b *Builder) addIndex(key []byte, seq uint64, vl int, del bool) {
-	if b.keyOffsets == nil && len(key) != kv.KeySize {
-		b.materializeKeyOffsets()
-	}
 	if len(b.seqs) == 0 {
 		b.vlen0 = uint32(vl)
 	} else if b.vlens == nil && uint32(vl) != b.vlen0 {
@@ -141,25 +138,12 @@ func (b *Builder) addIndex(key []byte, seq uint64, vl int, del bool) {
 		b.materializeDels()
 	}
 	b.keyArena = append(b.keyArena, key...)
-	if b.keyOffsets != nil {
-		b.keyOffsets = append(b.keyOffsets, uint32(len(b.keyArena)))
-	}
 	b.seqs = append(b.seqs, seq)
 	if b.vlens != nil {
 		b.vlens = append(b.vlens, uint32(vl))
 	}
 	if b.dels != nil {
 		b.dels = append(b.dels, delByte(del))
-	}
-}
-
-// materializeKeyOffsets gives the side index its keyOffsets column, the
-// entries so far all kv.KeySize keys.
-func (b *Builder) materializeKeyOffsets() {
-	n := len(b.seqs)
-	b.keyOffsets = b.spares.keyOffsets.Get(max(b.hint, n) + 1)[:n+1]
-	for i := range b.keyOffsets {
-		b.keyOffsets[i] = uint32(i * kv.KeySize)
 	}
 }
 
@@ -235,9 +219,8 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 			lo = i + 1
 			continue
 		}
-		ko, ke := t.keyOff(i), t.keyOff(i+1)
 		vl := t.vlen(i)
-		sz := entryHeaderSize + int(ke-ko) + vl
+		sz := entryHeaderSize + kv.KeySize + vl
 		if b.curBlockBytes > 0 && b.curBlockBytes+sz > b.targetBlock {
 			b.finishBlock()
 		}
@@ -245,7 +228,7 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 			b.curBlockFirst = int32(len(b.seqs) + i - lo)
 		}
 		if b.content {
-			b.appendContent(t.keyArena[ko:ke], t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], vl, t.seqs[i], t.tomb(i))
+			b.appendContent(t.key(i), t.valArena[t.valOffsets[i]:t.valOffsets[i+1]], vl, t.seqs[i], t.tomb(i))
 		}
 		b.curBlockBytes += sz
 		b.dataBytes += int64(sz)
@@ -259,11 +242,10 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 }
 
 // appendColumns appends entries [lo, hi) of t's side index: the keys in
-// one copy, the sequence numbers, and whichever of the key offsets
-// (rebased by one delta), value lengths and tombstone marks the builder
-// holds — a derived column is materialized first when the run breaks its
-// rule: a key that is not kv.KeySize bytes or a tombstone, which only a
-// table holding that column can have, or a value length other than the
+// one copy, the sequence numbers, and whichever of the value lengths and
+// tombstone marks the builder holds — a derived column is materialized
+// first when the run breaks its rule: a tombstone, which only a table
+// holding that column can have, or a value length other than the
 // builder's vlen0, read from t's vlen0 when t holds no vlens. The
 // columns are appended entry by entry: compactions of random keys append
 // runs of one to a few entries, and a copy call per column cost more
@@ -271,14 +253,6 @@ func (b *Builder) AppendTableRange(t *Table, i, j int, drop bool, limitBytes int
 func (b *Builder) appendColumns(t *Table, lo, hi int) {
 	if lo == hi {
 		return
-	}
-	if b.keyOffsets == nil && t.keyOffsets != nil {
-		for k := lo; k < hi; k++ {
-			if t.keyOffsets[k+1]-t.keyOffsets[k] != kv.KeySize {
-				b.materializeKeyOffsets()
-				break
-			}
-		}
 	}
 	if len(b.seqs) == 0 {
 		b.vlen0 = uint32(t.vlen(lo))
@@ -300,14 +274,7 @@ func (b *Builder) appendColumns(t *Table, lo, hi int) {
 	if b.dels == nil && t.dels != nil && bytes.IndexByte(t.dels[lo:hi], 1) >= 0 {
 		b.materializeDels()
 	}
-	ko := t.keyOff(lo)
-	if b.keyOffsets != nil {
-		delta := uint32(len(b.keyArena)) - ko
-		for k := lo; k < hi; k++ {
-			b.keyOffsets = append(b.keyOffsets, t.keyOff(k+1)+delta)
-		}
-	}
-	b.keyArena = append(b.keyArena, t.keyArena[ko:t.keyOff(hi)]...)
+	b.keyArena = append(b.keyArena, t.keyArena[lo*kv.KeySize:hi*kv.KeySize]...)
 	for k := lo; k < hi; k++ {
 		b.seqs = append(b.seqs, t.seqs[k])
 	}
@@ -381,7 +348,6 @@ func (b *Builder) Finish(id uint64) *FileImage {
 	*t = Table{
 		ID:         id,
 		keyArena:   b.keyArena,
-		keyOffsets: b.keyOffsets,
 		seqs:       b.seqs,
 		vlens:      b.vlens,
 		dels:       b.dels,
@@ -570,7 +536,7 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 			kl := int(binary.LittleEndian.Uint16(data[pos+1:]))
 			vl := int(binary.LittleEndian.Uint32(data[pos+3:]))
 			seq := binary.LittleEndian.Uint64(data[pos+7:])
-			if kl == 0 || pos+entryHeaderSize+kl+vl > len(data) {
+			if kl != kv.KeySize || pos+entryHeaderSize+kl+vl > len(data) {
 				return nil, fmt.Errorf("corrupt entry %d in block %d", j, bi)
 			}
 			key := data[pos+entryHeaderSize : pos+entryHeaderSize+kl]
@@ -587,7 +553,7 @@ func parseTable(data []byte, pageSize int) (*Table, error) {
 	if entries := len(cols.seqs); entries != n {
 		return nil, fmt.Errorf("entry count %d disagrees with footer %d", entries, n)
 	}
-	t.keyArena, t.keyOffsets, t.seqs, t.vlens, t.dels, t.vlen0 = cols.keyArena, cols.keyOffsets, cols.seqs, cols.vlens, cols.dels, cols.vlen0
+	t.keyArena, t.seqs, t.vlens, t.dels, t.vlen0 = cols.keyArena, cols.seqs, cols.vlens, cols.dels, cols.vlen0
 	t.seal()
 	t.sizeBytes = size
 	return t, nil

@@ -52,55 +52,39 @@ func FuzzBlockEntryValue(f *testing.F) {
 // FuzzTableLookup drives the whole table lookup surface — binary search,
 // Bloom filter, block mapping, range placement — over tables built from
 // fuzz-chosen key sets, and cross-checks every answer against the input.
-// mixed selects the key widths: all kv.KeySize (the stride-searched
-// table), or 8, 16 and 24 bytes by id (the per-key byte path). tombs
-// makes every tombs-th entry a tombstone (0: none), and vary gives the
-// live entries value lengths by id instead of one length, so the side
-// index's derived columns are held or not. An AppendTableRange copy of
-// the table, in runs the tombstones cut under drop, must read back every
-// entry's key, seq, value length and tombstone as built. Seeded from the
-// unit-test corpus shapes.
+// tombs makes every tombs-th entry a tombstone (0: none), and vary gives
+// the live entries value lengths by id instead of one length, so the
+// side index's derived columns are held or not. An AppendTableRange copy
+// of the table, in runs the tombstones cut under drop, must read back
+// every entry's key, seq, value length and tombstone as built. Seeded
+// from the unit-test corpus shapes.
 func FuzzTableLookup(f *testing.F) {
-	f.Add(uint64(1), uint16(100), uint64(50), false, uint8(0), false)
-	f.Add(uint64(7), uint16(1), uint64(0), false, uint8(1), false)
-	f.Add(uint64(9), uint16(4000), uint64(12345), false, uint8(7), true)
-	f.Add(uint64(1), uint16(100), uint64(50), true, uint8(0), true)
-	f.Add(uint64(5), uint16(3), uint64(7), true, uint8(2), false)
-	f.Add(uint64(9), uint16(4000), uint64(12345), true, uint8(13), true)
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, probe uint64, mixed bool, tombs uint8, vary bool) {
+	f.Add(uint64(1), uint16(100), uint64(50), uint8(0), false)
+	f.Add(uint64(7), uint16(1), uint64(0), uint8(1), false)
+	f.Add(uint64(9), uint16(4000), uint64(12345), uint8(7), true)
+	f.Add(uint64(1), uint16(100), uint64(50), uint8(0), true)
+	f.Add(uint64(5), uint16(3), uint64(7), uint8(2), false)
+	f.Add(uint64(9), uint16(4000), uint64(12345), uint8(13), true)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, probe uint64, tombs uint8, vary bool) {
 		if n == 0 {
 			return
 		}
-		// keyW is id's key at width w; the first word is the id, so keys
-		// sort by id whatever their widths.
-		keyW := func(id uint64, w int) []byte {
-			k := binary.BigEndian.AppendUint64(make([]byte, 0, 24), id)
-			if w > 8 {
-				k = binary.BigEndian.AppendUint64(k, ^id)
-			}
-			if w > 16 {
-				k = binary.BigEndian.AppendUint64(k, id)
-			}
-			return k
-		}
-		width := func(id uint64) int {
-			if !mixed {
-				return kv.KeySize
-			}
-			return 8 * int(1+id%3)
+		// key is id's key, with lo added to its second word: the first
+		// word is the id, so keys sort by id.
+		key := func(id, lo uint64) []byte {
+			k := binary.BigEndian.AppendUint64(make([]byte, 0, kv.KeySize), id)
+			return binary.BigEndian.AppendUint64(k, ^id+lo)
 		}
 		// Deterministic, strictly increasing key ids derived from seed.
 		b := NewBuilder(4096, 4096, false, int(n), new(Spares))
 		ids := make([]uint64, 0, n)
 		entries := make([]kv.Entry, 0, n)
 		seqOf := map[string]uint64{}
-		allFixed := true
 		id := seed % 97
 		for i := 0; i < int(n); i++ {
 			ids = append(ids, id)
-			k := keyW(id, width(id))
+			k := key(id, 0)
 			seqOf[string(k)] = uint64(i)
-			allFixed = allFixed && len(k) == kv.KeySize
 			e := kv.Entry{Key: k, ValueLen: 120, Seq: uint64(i)}
 			if vary {
 				e.ValueLen = int(id % 300)
@@ -116,9 +100,6 @@ func FuzzTableLookup(f *testing.F) {
 		}
 		fs, _ := newTestFS(t, false)
 		tab := installImage(t, fs, "sst", b.Finish(1))
-		if tab.fixed != allFixed {
-			t.Fatalf("fixed = %v, want %v", tab.fixed, allFixed)
-		}
 
 		// lookup checks Get, search and Position for one key.
 		lookup := func(k []byte) {
@@ -151,16 +132,14 @@ func FuzzTableLookup(f *testing.F) {
 				t.Fatalf("Position(%x) = %d, want sign %d", k, got, wantPos)
 			}
 		}
-		for _, w := range []int{8, 16, 24} {
-			lookup(keyW(probe, w))
-		}
+		lookup(key(probe, 0))
 		for pos, want := range ids {
-			// The live key, the same id at the other widths, and the
-			// next id.
-			for _, w := range []int{8, 16, 24} {
-				lookup(keyW(want, w))
+			// The live key, keys one below and above it in the second
+			// word, and the next id.
+			for _, lo := range []uint64{0, ^uint64(0), 1} {
+				lookup(key(want, lo))
 			}
-			lookup(keyW(want+1, width(want+1)))
+			lookup(key(want+1, 0))
 			// Every entry maps into a valid block that covers it.
 			bi := tab.blockOf(pos)
 			if bi < 0 || bi >= len(tab.blocks) {

@@ -27,51 +27,38 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_side_index.txt")
 
 // goldenCase is one table's entries, shaped by how they depart from a
-// uniform table of 16-byte keys, one value length and no tombstones.
+// uniform table of one value length and no tombstones.
 type goldenCase struct {
-	name  string
-	width func(i int) int  // key width of entry i
-	vlen  func(i int) int  // value length of entry i
-	del   func(i int) bool // entry i is a tombstone
+	name string
+	vlen func(i int) int  // value length of entry i
+	del  func(i int) bool // entry i is a tombstone
 }
 
 const goldenEntries = 400
 
 func goldenCases() []goldenCase {
-	fixed := func(int) int { return kv.KeySize }
 	oneLen := func(int) int { return 300 }
+	vary := func(i int) int { return 20 + (i*37)%500 }
 	none := func(int) bool { return false }
 	at := func(k int) func(int) bool { return func(i int) bool { return i == k } }
-	midWidth := func(w int) func(int) int {
-		return func(i int) int {
-			if i == goldenEntries/2 {
-				return w
-			}
-			return kv.KeySize
-		}
-	}
 	return []goldenCase{
-		{"uniform", fixed, oneLen, none},
-		{"key8-mid", midWidth(8), oneLen, none},
-		{"key24-mid", midWidth(24), oneLen, none},
-		{"tomb-first", fixed, oneLen, at(0)},
-		{"tomb-mid", fixed, oneLen, at(goldenEntries / 2)},
-		{"tomb-last", fixed, oneLen, at(goldenEntries - 1)},
-		{"vlen-vary", fixed, func(i int) int { return 20 + (i*37)%500 }, none},
-		{"all-shapes", func(i int) int { return 8 * (1 + i%3) }, func(i int) int { return 20 + (i*37)%500 }, func(i int) bool { return i%11 == 3 }},
-		{"key16-shapes", fixed, func(i int) int { return 20 + (i*37)%500 }, func(i int) bool { return i%11 == 3 }},
+		{"uniform", oneLen, none},
+		{"tomb-first", oneLen, at(0)},
+		{"tomb-mid", oneLen, at(goldenEntries / 2)},
+		{"tomb-last", oneLen, at(goldenEntries - 1)},
+		{"vlen-vary", vary, none},
+		{"key16-shapes", vary, func(i int) bool { return i%11 == 3 }},
 	}
 }
 
-// entries builds c's entries: id i*2+1's key at its width (the id in the
-// first word, so keys ascend whatever the widths), a tombstone carrying
-// no value.
+// entries builds c's entries: id i*2+1's key (the id in the first word,
+// zeros after it), a tombstone carrying no value.
 func (c goldenCase) entries(content bool) []kv.Entry {
 	out := make([]kv.Entry, goldenEntries)
 	for i := range out {
 		id := uint64(i*2 + 1)
 		k := binary.BigEndian.AppendUint64(make([]byte, 0, 24), id)
-		k = append(k, make([]byte, c.width(i)-8)...)
+		k = append(k, make([]byte, kv.KeySize-8)...)
 		e := kv.Entry{Key: k, ValueLen: c.vlen(i), Seq: 100 + uint64(i)*3}
 		if c.del(i) {
 			e.ValueLen, e.Deleted = 0, true

@@ -10,51 +10,43 @@ import (
 
 // sideIndexBytes is what t's per-entry side-index columns hold, in bytes.
 func sideIndexBytes(t *Table) int {
-	return len(t.keyArena) + 8*len(t.seqs) + 4*len(t.keyOffsets) + 4*len(t.vlens) + len(t.dels)
+	return len(t.keyArena) + 8*len(t.seqs) + 4*len(t.vlens) + len(t.dels)
 }
 
 // TestSideIndexBytesPerEntry: a table of the benchmark's shape — 16-byte
 // keys, 4000-byte values, no tombstones — holds only its key and seq
 // columns, 24 bytes an entry, whether built by Add or appended by
-// AppendTableRange from two such tables in alternating runs. One 8-byte
-// key or one other value length materializes exactly the column that
-// entry needs, by either path, and every entry reads back as it was
-// built. So does a value length that differs only between the two
+// AppendTableRange from two such tables in alternating runs. One other
+// value length materializes exactly the column that entry needs, by
+// either path, and every entry reads back as it was built. So does a value length that differs only between the two
 // sources, each holding one length. One tombstone, its value length 0,
 // materializes the tombstone marks and the value lengths.
 func TestSideIndexBytesPerEntry(t *testing.T) {
 	const n = 10000
 	for _, c := range []struct {
-		name                string
-		odd                 func(i int, e *kv.Entry) // applied to every entry i
-		offsets, vlens, del bool                     // the columns it must materialize
+		name       string
+		odd        func(i int, e *kv.Entry) // applied to every entry i
+		vlens, del bool                     // the columns it must materialize
 	}{
-		{"uniform", func(int, *kv.Entry) {}, false, false, false},
-		{"key8", func(i int, e *kv.Entry) {
-			if i == n/2 {
-				e.Key = e.Key[:8]
-			}
-		}, true, false, false},
+		{"uniform", func(int, *kv.Entry) {}, false, false},
 		{"tombstone", func(i int, e *kv.Entry) {
 			if i == n/2 {
 				e.ValueLen, e.Deleted = 0, true
 			}
-		}, false, true, true},
+		}, true, true},
 		{"vlen", func(i int, e *kv.Entry) {
 			if i == n/2 {
 				e.ValueLen = 100
 			}
-		}, false, true, false},
+		}, true, false},
 		{"vlen-by-source", func(i int, e *kv.Entry) {
 			if i/8%2 == 1 {
 				e.ValueLen = 100
 			}
-		}, false, true, false},
+		}, true, false},
 	} {
 		entries := make([]kv.Entry, n)
 		for i := range entries {
-			// The id in the first word, so an 8-byte key still sorts in
-			// place.
 			k := binary.BigEndian.AppendUint64(nil, uint64(i))
 			entries[i] = kv.Entry{Key: append(k, 0, 0, 0, 0, 0, 0, 0, 1), ValueLen: 4000, Seq: uint64(i) + 7}
 			c.odd(i, &entries[i])
@@ -97,8 +89,8 @@ func TestSideIndexBytesPerEntry(t *testing.T) {
 		}{{"Add", add.Finish(9).table}, {"AppendTableRange", bulk.Finish(9).table}} {
 			what := fmt.Sprintf("%s by %s", c.name, tb.path)
 			tbl := tb.t
-			if got := [3]bool{tbl.keyOffsets != nil, tbl.vlens != nil, tbl.dels != nil}; got != [3]bool{c.offsets, c.vlens, c.del} {
-				t.Errorf("%s: holds key offsets, value lengths, tombstone marks = %v, want %v", what, got, [3]bool{c.offsets, c.vlens, c.del})
+			if got := [2]bool{tbl.vlens != nil, tbl.dels != nil}; got != [2]bool{c.vlens, c.del} {
+				t.Errorf("%s: holds value lengths, tombstone marks = %v, want %v", what, got, [2]bool{c.vlens, c.del})
 			}
 			if tbl.NumEntries() != n {
 				t.Fatalf("%s: %d entries, want %d", what, tbl.NumEntries(), n)

@@ -12,7 +12,7 @@ import "ptsbench/internal/arena"
 // Spares is not safe for concurrent use.
 type Spares struct {
 	keyArena, dels, bloom, valArena, data arena.Pool[byte]
-	keyOffsets, vlens, valOffsets         arena.Pool[uint32]
+	vlens, valOffsets                     arena.Pool[uint32]
 	seqs                                  arena.Pool[uint64]
 	blocks                                arena.Pool[blockMeta]
 
@@ -32,7 +32,6 @@ func (t *Table) Release() {
 	s := t.spares
 	if s != nil {
 		s.keyArena.Put(t.keyArena)
-		s.keyOffsets.Put(t.keyOffsets)
 		s.seqs.Put(t.seqs)
 		s.vlens.Put(t.vlens)
 		s.dels.Put(t.dels)

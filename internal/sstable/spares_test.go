@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -44,13 +43,10 @@ func buildWith(t *testing.T, spares *Spares, content bool, entries []kv.Entry) *
 func base[T any](s []T) *T { return &s[:1][0] }
 
 // columns returns the base of each of t's side-index arrays it holds
-// (keyOffsets, vlens and dels only when materialized), its Bloom bits
+// (vlens and dels only when materialized), its Bloom bits
 // included, and in content mode its value arena and offsets.
 func columns(t *Table, content bool) []any {
 	cols := []any{base(t.keyArena), base(t.seqs), base(t.blocks), base(t.bloom.bits)}
-	if t.keyOffsets != nil {
-		cols = append(cols, base(t.keyOffsets))
-	}
 	if t.vlens != nil {
 		cols = append(cols, base(t.vlens))
 	}
@@ -147,105 +143,85 @@ func checkSameIteration(t *testing.T, got, ref *Table) {
 	}
 }
 
-// mixedWidths rewrites entry i's key to id's key at 8, 16 or 24 bytes by
-// i%3, the id in the first word so the keys still ascend.
-func mixedWidths(entries []kv.Entry) []kv.Entry {
-	for i := range entries {
-		id, _ := kv.DecodeKey(entries[i].Key)
-		k := binary.BigEndian.AppendUint64(nil, id)
-		entries[i].Key = append(k, make([]byte, 8*(i%3))...)
-	}
-	return entries
-}
-
 // TestAppendTableRangeMatchesAdd: appending ranges of a table in bulk
 // builds the image a per-entry Add of the same entries builds — blocks,
 // sizes, the side index and, in content mode, bytes — with tombstones
 // skipped under drop and the walk stopping at the first entry that
-// brings the data bytes to the limit. Sources hold 16-byte keys or
-// mixed 8-, 16- and 24-byte ones (whose ranges may still be all 16
-// bytes: the output's fixed flag follows the appended keys, not the
-// source). A table of the other mode is refused, and nothing is
-// appended.
+// brings the data bytes to the limit. A table of the other mode is
+// refused, and nothing is appended.
 func TestAppendTableRangeMatchesAdd(t *testing.T) {
 	for _, content := range []bool{false, true} {
 		fs, _ := newTestFS(t, content)
-		for _, mixed := range []bool{false, true} {
-			entries := recycleEntries(600, 3, 1, content)
-			if mixed {
-				entries = mixedWidths(entries)
-			}
-			tbl := buildTable(t, fs, fmt.Sprintf("sst-src-%v-%v", content, mixed), content, entries)
-			// limitAt is the data bytes once entries [0, i] are added under
-			// drop: a limit of it stops a walk from 0 right after entry i.
-			limitAt := func(i int) int64 {
-				b := NewBuilder(4096, 4<<10, content, 0, new(Spares))
-				for k := 0; k <= i; k++ {
-					if !entries[k].Deleted {
-						if err := b.Add(&entries[k]); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				return b.EstimatedBytes()
-			}
-			for ci, c := range []struct {
-				cuts  []int // the ranges [cuts[k], cuts[k+1]) are appended in turn
-				drop  bool
-				limit int64
-			}{
-				{[]int{0, 600}, false, 1 << 62},
-				{[]int{0, 600}, true, 1 << 62},
-				{[]int{17, 18, 19, 250, 251, 599}, true, 1 << 62},
-				{[]int{0, 1, 300, 600}, false, 20 << 10},
-				{[]int{5, 400, 600}, true, 50 << 10},
-				// Tombstones at 2, 9, 16 and 23 split [0, 30) into kept runs;
-				// the limit falls inside the second run, then at its end.
-				{[]int{0, 30}, true, limitAt(4)},
-				{[]int{0, 30}, true, limitAt(8)},
-				// One 16-byte key of the mixed source.
-				{[]int{4, 5}, false, 1 << 62},
-			} {
-				bulk := NewBuilder(4096, 4<<10, content, 0, new(Spares))
-				each := NewBuilder(4096, 4<<10, content, 0, new(Spares))
-				for k := 0; k+1 < len(c.cuts); k++ {
-					lo, hi := c.cuts[k], c.cuts[k+1]
-					next, err := bulk.AppendTableRange(tbl, lo, hi, c.drop, c.limit)
-					if err != nil {
+		entries := recycleEntries(600, 3, 1, content)
+		tbl := buildTable(t, fs, fmt.Sprintf("sst-src-%v", content), content, entries)
+		// limitAt is the data bytes once entries [0, i] are added under
+		// drop: a limit of it stops a walk from 0 right after entry i.
+		limitAt := func(i int) int64 {
+			b := NewBuilder(4096, 4<<10, content, 0, new(Spares))
+			for k := 0; k <= i; k++ {
+				if !entries[k].Deleted {
+					if err := b.Add(&entries[k]); err != nil {
 						t.Fatal(err)
 					}
-					want := hi
-					for i := lo; i < hi; i++ {
-						if c.drop && entries[i].Deleted {
-							continue
-						}
-						if err := each.Add(&entries[i]); err != nil {
-							t.Fatal(err)
-						}
-						if each.EstimatedBytes() >= c.limit {
-							want = i + 1
-							break
-						}
-					}
-					if next != want {
-						t.Fatalf("content=%v mixed=%v case %d: AppendTableRange(%d, %d) = %d, want %d", content, mixed, ci, lo, hi, next, want)
-					}
 				}
-				gotImg, wantImg := bulk.Finish(9), each.Finish(9)
-				if gotImg.Pages != wantImg.Pages || gotImg.table.sizeBytes != wantImg.table.sizeBytes || !bytes.Equal(gotImg.Data, wantImg.Data) {
-					t.Fatalf("content=%v mixed=%v case %d: bulk image (%d pages, %d B) differs from per-entry (%d pages, %d B)",
-						content, mixed, ci, gotImg.Pages, gotImg.table.sizeBytes, wantImg.Pages, wantImg.table.sizeBytes)
-				}
-				got, want := gotImg.table, wantImg.table
-				if !slices.Equal(got.blocks, want.blocks) || !slices.Equal(got.keyOffsets, want.keyOffsets) ||
-					got.fixed != want.fixed || got.minHi != want.minHi || got.minLo != want.minLo ||
-					got.maxHi != want.maxHi || got.maxLo != want.maxLo {
-					t.Fatalf("content=%v mixed=%v case %d: bulk side index (blocks %+v, fixed %v) differs from per-entry (blocks %+v, fixed %v)",
-						content, mixed, ci, got.blocks, got.fixed, want.blocks, want.fixed)
-				}
-				name := fmt.Sprintf("sst-%v-%v-%d", content, mixed, ci)
-				checkSameIteration(t, installImage(t, fs, name+"-bulk", gotImg), installImage(t, fs, name+"-each", wantImg))
 			}
+			return b.EstimatedBytes()
+		}
+		for ci, c := range []struct {
+			cuts  []int // the ranges [cuts[k], cuts[k+1]) are appended in turn
+			drop  bool
+			limit int64
+		}{
+			{[]int{0, 600}, false, 1 << 62},
+			{[]int{0, 600}, true, 1 << 62},
+			{[]int{17, 18, 19, 250, 251, 599}, true, 1 << 62},
+			{[]int{0, 1, 300, 600}, false, 20 << 10},
+			{[]int{5, 400, 600}, true, 50 << 10},
+			// Tombstones at 2, 9, 16 and 23 split [0, 30) into kept runs;
+			// the limit falls inside the second run, then at its end.
+			{[]int{0, 30}, true, limitAt(4)},
+			{[]int{0, 30}, true, limitAt(8)},
+			// One entry.
+			{[]int{4, 5}, false, 1 << 62},
+		} {
+			bulk := NewBuilder(4096, 4<<10, content, 0, new(Spares))
+			each := NewBuilder(4096, 4<<10, content, 0, new(Spares))
+			for k := 0; k+1 < len(c.cuts); k++ {
+				lo, hi := c.cuts[k], c.cuts[k+1]
+				next, err := bulk.AppendTableRange(tbl, lo, hi, c.drop, c.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := hi
+				for i := lo; i < hi; i++ {
+					if c.drop && entries[i].Deleted {
+						continue
+					}
+					if err := each.Add(&entries[i]); err != nil {
+						t.Fatal(err)
+					}
+					if each.EstimatedBytes() >= c.limit {
+						want = i + 1
+						break
+					}
+				}
+				if next != want {
+					t.Fatalf("content=%v case %d: AppendTableRange(%d, %d) = %d, want %d", content, ci, lo, hi, next, want)
+				}
+			}
+			gotImg, wantImg := bulk.Finish(9), each.Finish(9)
+			if gotImg.Pages != wantImg.Pages || gotImg.table.sizeBytes != wantImg.table.sizeBytes || !bytes.Equal(gotImg.Data, wantImg.Data) {
+				t.Fatalf("content=%v case %d: bulk image (%d pages, %d B) differs from per-entry (%d pages, %d B)",
+					content, ci, gotImg.Pages, gotImg.table.sizeBytes, wantImg.Pages, wantImg.table.sizeBytes)
+			}
+			got, want := gotImg.table, wantImg.table
+			if !slices.Equal(got.blocks, want.blocks) || got.minHi != want.minHi || got.minLo != want.minLo ||
+				got.maxHi != want.maxHi || got.maxLo != want.maxLo {
+				t.Fatalf("content=%v case %d: bulk side index (blocks %+v) differs from per-entry (blocks %+v)",
+					content, ci, got.blocks, want.blocks)
+			}
+			name := fmt.Sprintf("sst-%v-%d", content, ci)
+			checkSameIteration(t, installImage(t, fs, name+"-bulk", gotImg), installImage(t, fs, name+"-each", wantImg))
 		}
 		other := buildTable(t, fs, fmt.Sprintf("sst-other-%v", content), !content, recycleEntries(10, 3, 1, !content))
 		b := NewBuilder(4096, DefaultBlockBytes, content, 0, new(Spares))

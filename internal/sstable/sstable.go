@@ -39,12 +39,8 @@ type blockMeta struct {
 // index.
 type Table struct {
 	// What a point lookup reads first, kept together at the front of
-	// the struct: the range check, the filter, the key arena.
-	//
-	// fixed is set when the table is non-empty and every key is
-	// kv.KeySize bytes: key i then sits at i*kv.KeySize in the arena, and
-	// the bounds' comparison words are valid.
-	fixed        bool
+	// the struct: the range check, the filter, the key arena. Every key
+	// is kv.KeySize bytes, so key i sits at i*kv.KeySize in the arena.
 	minHi, minLo uint64 // Smallest's words
 	maxHi, maxLo uint64 // Largest's words
 	numEntries   int
@@ -55,20 +51,17 @@ type Table struct {
 	file     *extfs.File
 	fileName string
 
-	// Side index (always in memory). Three columns are held only when
-	// the table cannot derive them, and read through accessors: key
-	// offsets (len = numEntries+1) once some key is not kv.KeySize bytes
-	// (keyOff, key), value lengths once some entry's differs from the
-	// first entry's, vlen0 (vlen), tombstone marks once some entry is one
-	// (tomb). A table of fixed-width keys, one value length and no
-	// tombstones — every table the benchmark's writes make — holds keys
-	// and seqs alone.
-	keyOffsets []uint32
-	seqs       []uint64
-	vlens      []uint32
-	dels       []byte // 1 = tombstone
-	vlen0      uint32 // the first entry's value length
-	blocks     []blockMeta
+	// Side index (always in memory). Two columns are held only when the
+	// table cannot derive them, and read through accessors: value
+	// lengths once some entry's differs from the first entry's, vlen0
+	// (vlen), tombstone marks once some entry is one (tomb). A table of
+	// one value length and no tombstones — every table the benchmark's
+	// writes make — holds keys and seqs alone.
+	seqs   []uint64
+	vlens  []uint32
+	dels   []byte // 1 = tombstone
+	vlen0  uint32 // the first entry's value length
+	blocks []blockMeta
 	// valArena/valOffsets hold the value bytes in content mode (nil in
 	// accounting mode), arena-packed like the keys. Compactions merge
 	// through the side index, so rebuilding well-formed blocks for the
@@ -85,23 +78,19 @@ type Table struct {
 	image FileImage // what Finish returned, until Install
 }
 
-// seal records the key-width shape of a finished side index: a table
-// holds key offsets only when some key is not kv.KeySize bytes.
+// seal records a finished non-empty side index's bound words.
 func (t *Table) seal() {
-	t.fixed = t.numEntries > 0 && t.keyOffsets == nil
-	if t.fixed {
-		t.minHi, t.minLo, _ = kv.DecomposeKey(t.key(0))
-		t.maxHi, t.maxLo, _ = kv.DecomposeKey(t.key(t.numEntries - 1))
+	if t.numEntries > 0 {
+		t.minHi, t.minLo = kv.DecomposeKey(t.key(0))
+		t.maxHi, t.maxLo = kv.DecomposeKey(t.key(t.numEntries - 1))
 	}
 }
 
 // Probe is a point-lookup key prepared once for every table a lookup
-// visits: the key, its comparison words when it is kv.KeySize bytes, and
-// its Bloom hash.
+// visits: the key, its comparison words and its Bloom hash.
 type Probe struct {
 	key    []byte
 	hi, lo uint64
-	fixed  bool
 	hash   uint64
 }
 
@@ -114,10 +103,11 @@ func NewProbe(key []byte) Probe {
 }
 
 // searchProbe is a probe without its Bloom hash, for searches that never
-// consult the filter.
+// consult the filter. A nil key's words are zero, which no key sorts
+// below.
 func searchProbe(key []byte) Probe {
-	hi, lo, fixed := kv.DecomposeKey(key)
-	return Probe{key: key, hi: hi, lo: lo, fixed: fixed}
+	hi, lo := kv.DecomposeKey(key)
+	return Probe{key: key, hi: hi, lo: lo}
 }
 
 // NumEntries returns the number of entries.
@@ -139,20 +129,8 @@ func (t *Table) Smallest() []byte { return t.key(0) }
 func (t *Table) Largest() []byte { return t.key(t.numEntries - 1) }
 
 func (t *Table) key(i int) []byte {
-	if t.fixed {
-		o := i * kv.KeySize
-		return t.keyArena[o : o+kv.KeySize]
-	}
-	return t.keyArena[t.keyOffsets[i]:t.keyOffsets[i+1]]
-}
-
-// keyOff returns where key i starts in the arena (i may be numEntries,
-// the arena's end).
-func (t *Table) keyOff(i int) uint32 {
-	if t.keyOffsets == nil {
-		return uint32(i * kv.KeySize)
-	}
-	return t.keyOffsets[i]
+	o := i * kv.KeySize
+	return t.keyArena[o : o+kv.KeySize]
 }
 
 // vlen returns entry i's value length.
@@ -187,25 +165,13 @@ func (t *Table) search(p *Probe) int {
 }
 
 // searchRange binary-searches [lo, hi) for the first key >= the probe's
-// key. A fixed-width table searched with a fixed-width probe compares
-// words read at a stride of kv.KeySize; every other pairing compares
-// each key by width.
+// key, comparing the probe's words with keys read at a stride of
+// kv.KeySize.
 func (t *Table) searchRange(lo, hi int, p *Probe) int {
-	if t.fixed && p.fixed {
-		arena := t.keyArena
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if kv.CompareKeyWords(arena[mid*kv.KeySize:], p.hi, p.lo) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
+	arena := t.keyArena
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.keyBefore(mid, p) {
+		if kv.CompareKeyWords(arena[mid*kv.KeySize:], p.hi, p.lo) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -216,34 +182,18 @@ func (t *Table) searchRange(lo, hi int, p *Probe) int {
 
 // keyBefore reports whether entry i's key sorts before the probe's key.
 func (t *Table) keyBefore(i int, p *Probe) bool {
-	k := t.key(i)
-	if p.fixed && len(k) == kv.KeySize {
-		return kv.CompareKeyWords(k, p.hi, p.lo) < 0
-	}
-	return kv.CompareKeys(k, p.key) < 0
+	return kv.CompareKeyWords(t.keyArena[i*kv.KeySize:], p.hi, p.lo) < 0
 }
 
 // Position places the probe against the table's inclusive key range:
-// <0 when it sorts before Smallest, >0 after Largest, 0 inside. A
-// fixed-width probe against a fixed-width table compares only the bound
-// words stored at seal time. An empty table places every probe after it.
+// <0 when it sorts before Smallest, >0 after Largest, 0 inside,
+// comparing only the bound words stored at seal time. An empty table
+// places every probe after it.
 func (t *Table) Position(p *Probe) int {
-	if t.numEntries == 0 {
+	switch {
+	case t.numEntries == 0 || p.hi > t.maxHi || p.hi == t.maxHi && p.lo > t.maxLo:
 		return 1
-	}
-	if t.fixed && p.fixed {
-		switch {
-		case p.hi > t.maxHi || p.hi == t.maxHi && p.lo > t.maxLo:
-			return 1
-		case p.hi < t.minHi || p.hi == t.minHi && p.lo < t.minLo:
-			return -1
-		}
-		return 0
-	}
-	if kv.CompareKeys(t.Largest(), p.key) < 0 {
-		return 1
-	}
-	if kv.CompareKeys(t.Smallest(), p.key) > 0 {
+	case p.hi < t.minHi || p.hi == t.minHi && p.lo < t.minLo:
 		return -1
 	}
 	return 0

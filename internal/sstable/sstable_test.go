@@ -3,6 +3,8 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -236,12 +238,13 @@ func TestPosition(t *testing.T) {
 	for i := range entries {
 		entries[i].Key = kv.EncodeKey(uint64(5 + i*3)) // keys 5,8,...,302
 	}
-	fixed := buildTable(t, fs, "sst-1", false, entries)
-	// The same range with one 24-byte key inside: the byte path.
-	entries[50].Key = append(kv.EncodeKey(5+50*3), 0, 0, 0, 0, 0, 0, 0, 0)
-	mixed := buildTable(t, fs, "sst-2", false, entries)
-	if !fixed.fixed || mixed.fixed {
-		t.Fatalf("fixed flags: %v, %v", fixed.fixed, mixed.fixed)
+	tbl := buildTable(t, fs, "sst-1", false, entries)
+	// highWord is id's key with 1 in the first word: past every table
+	// key, which all hold 0 there.
+	highWord := func(id uint64) []byte {
+		k := kv.EncodeKey(id)
+		k[7] = 1
+		return k
 	}
 	cases := []struct {
 		key  []byte
@@ -254,20 +257,13 @@ func TestPosition(t *testing.T) {
 		{kv.EncodeKey(302), 0},
 		{kv.EncodeKey(303), 1},
 		{kv.EncodeKey(1 << 62), 1},
-		{append(kv.EncodeKey(4), 0), -1}, // 17 bytes, below
-		{kv.EncodeKey(5)[:15], -1},       // a prefix of Smallest sorts before it
-		{append(kv.EncodeKey(5), 0), 0},
-		{append(kv.EncodeKey(302), 0), 1},
-		{[]byte{}, -1},
-		{[]byte{1}, 1},
+		{highWord(0), 1},
+		{highWord(100), 1},
 	}
-	for _, tbl := range []*Table{fixed, mixed} {
-		for _, c := range cases {
-			p := NewProbe(c.key)
-			got := tbl.Position(&p)
-			if sign(got) != c.want {
-				t.Fatalf("fixed=%v Position(%x) = %d, want %d", tbl.fixed, c.key, got, c.want)
-			}
+	for _, c := range cases {
+		p := NewProbe(c.key)
+		if got := tbl.Position(&p); sign(got) != c.want {
+			t.Fatalf("Position(%x) = %d, want %d", c.key, got, c.want)
 		}
 	}
 
@@ -280,20 +276,53 @@ func TestPosition(t *testing.T) {
 		targets = append(targets, c.key)
 	}
 	for id := uint64(3); id <= 304; id++ {
-		targets = append(targets, kv.EncodeKey(id), append(kv.EncodeKey(id), 0, 0, 0, 0, 0, 0, 0, 0))
+		targets = append(targets, kv.EncodeKey(id))
 	}
-	for _, tbl := range []*Table{fixed, mixed} {
-		n := tbl.NumEntries()
-		for start := 0; start <= n; start++ {
-			for _, target := range targets {
-				want := start
-				for want < n && bytes.Compare(tbl.KeyAt(want), target) < 0 {
-					want++
-				}
-				if got := tbl.SearchFrom(start, target); got != want {
-					t.Fatalf("fixed=%v SearchFrom(%d, %x) = %d, want %d", tbl.fixed, start, target, got, want)
-				}
+	n := tbl.NumEntries()
+	for start := 0; start <= n; start++ {
+		for _, target := range targets {
+			want := start
+			for want < n && bytes.Compare(tbl.KeyAt(want), target) < 0 {
+				want++
 			}
+			if got := tbl.SearchFrom(start, target); got != want {
+				t.Fatalf("SearchFrom(%d, %x) = %d, want %d", start, target, got, want)
+			}
+		}
+	}
+}
+
+// TestOtherKeyWidthsRefused: Builder.Add refuses a key that is not
+// kv.KeySize bytes with an error wrapping kv.ErrKeySize and appends
+// nothing, and OpenFromFile refuses a table file one of whose entries
+// holds an 8-byte key (the entry's bytes otherwise intact: its key
+// length field cut to 8 and its value length grown by 8).
+func TestOtherKeyWidthsRefused(t *testing.T) {
+	b := NewBuilder(4096, DefaultBlockBytes, true, 0, new(Spares))
+	for _, w := range []int{0, 8, 15, 17, 24} {
+		if err := b.Add(&kv.Entry{Key: make([]byte, w), Value: []byte("v")}); !errors.Is(err, kv.ErrKeySize) || b.NumEntries() != 0 {
+			t.Fatalf("Add of a %d-byte key: %v, %d entries", w, err, b.NumEntries())
+		}
+	}
+
+	fs, _ := newTestFS(t, true)
+	entries := synthEntries(20, 30, true)
+	img := buildTable(t, fs, "sst-src", true, entries).image
+	data := bytes.Clone(img.Data)
+	const entry = 5 * (entryHeaderSize + kv.KeySize + 30) // the sixth entry of the first block
+	binary.LittleEndian.PutUint16(data[entry+1:], 8)
+	binary.LittleEndian.PutUint32(data[entry+3:], 30+8)
+	for _, d := range [][]byte{img.Data, data} {
+		f, err := fs.Create(fmt.Sprintf("sst-%d", len(fs.List())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Append(0, int(img.Pages), d); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = OpenFromFile(f, fs.PageSize(), 0)
+		if narrowed := &d[0] == &data[0]; (err != nil) != narrowed {
+			t.Fatalf("opening the table (an 8-byte key: %v): %v", narrowed, err)
 		}
 	}
 }

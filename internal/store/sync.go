@@ -21,17 +21,11 @@ func (s *Sync) do(op Op) Completion {
 	return comps[len(comps)-1]
 }
 
-// syncKeyID routes a key: canonical keys by their id, anything else by
-// an FNV-1a hash so arbitrary keys still spread over shards.
+// syncKeyID routes a key by its id; a key of another width than
+// kv.KeySize, which the engines refuse, routes as id 0.
 func syncKeyID(key []byte) uint64 {
-	if id, err := kv.DecodeKey(key); err == nil {
-		return id
-	}
-	var h uint64 = 1469598103934665603
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
+	id, _ := kv.DecodeKey(key)
+	return id
 }
 
 // Put implements kv.Engine.

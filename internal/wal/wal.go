@@ -17,10 +17,12 @@ import (
 	"hash/crc32"
 
 	"ptsbench/internal/extfs"
+	"ptsbench/internal/kv"
 	"ptsbench/internal/sim"
 )
 
-// Record is one logical WAL entry.
+// Record is one logical WAL entry. Its key is a kv.KeySize key, the only
+// width the engines journal; replay refuses a record with any other.
 type Record struct {
 	Seq     uint64
 	Key     []byte
@@ -64,7 +66,8 @@ func (r *Record) encode() []byte {
 }
 
 // decodeRecord parses one record at buf, returning the record and the
-// bytes consumed, or ok=false at end-of-log (zero length or bad CRC).
+// bytes consumed, or ok=false at end-of-log (zero length, bad CRC, or a
+// malformed payload, a key that is not kv.KeySize bytes included).
 func decodeRecord(buf []byte) (rec Record, n int, ok bool) {
 	if len(buf) < 8 {
 		return rec, 0, false
@@ -82,7 +85,7 @@ func decodeRecord(buf []byte) (rec Record, n int, ok bool) {
 	rec.Deleted = payload[8] == 1
 	kl := binary.LittleEndian.Uint16(payload[9:])
 	vl := binary.LittleEndian.Uint32(payload[11:])
-	if int(15+uint32(kl)+vl) != len(payload) {
+	if kl != kv.KeySize || int(15+uint32(kl)+vl) != len(payload) {
 		return rec, 0, false
 	}
 	rec.Key = append([]byte(nil), payload[15:15+kl]...)
